@@ -21,31 +21,15 @@ Run with ``PYTHONPATH=src python benchmarks/bench_chaos.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from compare import report_drift
 
-from repro.cluster import Cluster, Deployment
-from repro.core.config import DEFAULT_CONFIG
 from repro.faults import ChaosController, FaultPlan
+from repro.worlds import (CHAOS_CONFIG as CONFIG,
+                          STALENESS_REQUIREMENT as REQUIREMENT, build_star)
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_chaos.json"
-
-CONFIG = replace(
-    DEFAULT_CONFIG,
-    probe_interval=1.0,
-    probe_miss_limit=3,
-    transmit_interval=1.0,
-    netmon_interval=1.0,
-    client_timeout=1.0,
-    client_retries=2,
-    client_backoff_base=0.1,
-    client_backoff_cap=1.0,
-    transmit_backoff_cap=2.0,
-    transmit_stall_limit=3.0,
-)
-REQUIREMENT = "host_cpu_free > 0.1\nhost_status_age < 10"
 
 CRASH_AT = 5.0
 PARTITION_AT = 12.0
@@ -55,36 +39,6 @@ TX_KILL_AT = 20.0
 TX_RESTART_AT = 25.0
 HORIZON = 60.0
 BUDGET = CONFIG.probe_miss_limit * CONFIG.probe_interval + CONFIG.transmit_interval
-
-
-def build_world(seed: int):
-    """Two-group six-server star; cutting sw-g1<->core isolates group g1."""
-    cluster = Cluster(seed=seed)
-    wiz = cluster.add_host("wiz")
-    cli = cluster.add_host("cli")
-    mon1 = cluster.add_host("mon1")
-    mon2 = cluster.add_host("mon2")
-    core = cluster.add_switch("core")
-    sw1 = cluster.add_switch("sw-g1")
-    sw2 = cluster.add_switch("sw-g2")
-    cluster.link(wiz, core, subnet="10.0.0")
-    cluster.link(cli, core, subnet="10.0.3")
-    cluster.link(mon1, sw1, subnet="10.0.1")
-    cluster.link(sw1, core, subnet="10.0.1")
-    cluster.link(mon2, sw2, subnet="10.0.2")
-    cluster.link(sw2, core, subnet="10.0.2")
-    servers = []
-    for i in range(6):
-        s = cluster.add_host(f"s{i}")
-        cluster.link(s, sw1 if i < 3 else sw2,
-                     subnet="10.0.1" if i < 3 else "10.0.2")
-        servers.append(s)
-    cluster.finalize()
-    dep = Deployment(cluster, wizard_host=wiz, config=CONFIG)
-    dep.add_group("g1", mon1, servers[:3])
-    dep.add_group("g2", mon2, servers[3:])
-    dep.start()
-    return cluster, dep, {s.name: s.addr for s in servers}
 
 
 def acceptance_plan() -> FaultPlan:
@@ -97,7 +51,8 @@ def acceptance_plan() -> FaultPlan:
 
 
 def run_once(seed: int) -> dict:
-    cluster, dep, addrs = build_world(seed)
+    star = build_star(seed, CONFIG)
+    cluster, dep, addrs = star.cluster, star.dep, star.addrs
     chaos = ChaosController(dep, acceptance_plan())
     chaos.start()
     client = dep.client_for(cluster.host("cli"))

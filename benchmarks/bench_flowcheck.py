@@ -21,8 +21,8 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.analysis.flow import run_flow
 from repro.analysis.flow.messages import graph_dot, graph_json
+from repro.analysis.program import Program, run_checks
 
 REPO = Path(__file__).parent.parent
 SRC = REPO / "src" / "repro"
@@ -35,20 +35,18 @@ N_TRIALS = 5
 
 def one_run():
     t0 = time.perf_counter()
-    report = run_flow([SRC])
+    report = run_checks(Program.load([SRC]), ("flow",))
     elapsed = time.perf_counter() - t0
     return elapsed, report
 
 
 def render(report) -> str:
     """A canonical text form of everything the analysis produced."""
-    assert report.table is not None and report.analysis is not None
+    table, tags = report.program.table, report.program.tags
     findings = "\n".join(
-        f"{unit.posix}:{d.line}:{d.col}:{d.code}:{d.message}"
-        for unit, d in report.findings)
-    graph = json.dumps(graph_json(report.table, report.analysis),
-                       sort_keys=True)
-    dot = graph_dot(report.table, report.analysis)
+        f.diag.render(f.unit.posix) for f in report.findings)
+    graph = json.dumps(graph_json(table, tags), sort_keys=True)
+    dot = graph_dot(table, tags)
     return "\n".join([findings, graph, dot])
 
 
@@ -62,13 +60,14 @@ def main() -> None:
         renders.append(render(report))
 
     assert report is not None
+    stats = report.stats["flow"]
     median_s = statistics.median(trials)
     byte_stable = len(set(renders)) == 1
     result = {
         "files": len(report.units),
-        "functions": report.function_count,
-        "send_sites": report.send_site_count,
-        "wire_tags": report.tag_count,
+        "functions": stats["function(s)"],
+        "send_sites": stats["tagged send site(s)"],
+        "wire_tags": stats["wire tag(s)"],
         "findings": len(report.findings),
         "trials": N_TRIALS,
         "median_s": round(median_s, 4),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.analysis.typestate import run_typestate
+from repro.analysis.program import Program, run_checks
 
 REPO = Path(__file__).parent.parent
 SRC = REPO / "src" / "repro"
@@ -34,7 +34,7 @@ N_TRIALS = 5
 
 def one_run():
     t0 = time.perf_counter()
-    report = run_typestate([SRC])
+    report = run_checks(Program.load([SRC]), ("proto",))
     elapsed = time.perf_counter() - t0
     return elapsed, report
 
@@ -42,8 +42,7 @@ def one_run():
 def render(report) -> str:
     """A canonical text form of everything the analysis produced."""
     return "\n".join(
-        f"{unit.posix}:{d.line}:{d.col}:{d.code}:{d.message}"
-        for unit, d in report.findings)
+        f.diag.render(f.unit.posix) for f in report.findings)
 
 
 def main() -> None:
@@ -56,13 +55,14 @@ def main() -> None:
         renders.append(render(report))
 
     assert report is not None
+    stats = report.stats["proto"]
     median_s = statistics.median(trials)
     byte_stable = len(set(renders)) == 1
     result = {
         "files": len(report.units),
-        "functions": report.function_count,
-        "acquisitions": report.acquisition_count,
-        "declarations": report.declaration_count,
+        "functions": stats["function(s)"],
+        "acquisitions": stats["tracked acquisition(s)"],
+        "declarations": stats["machine declaration(s)"],
         "findings": len(report.findings),
         "trials": N_TRIALS,
         "median_s": round(median_s, 4),

@@ -23,46 +23,27 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.bench.experiments import massd_experiment, matmul_experiment
+from repro.worlds import run_smoke
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_sanitizer.json"
 
 N_TRIALS = 3
 
-MATMUL_KW = dict(
-    n_servers=2,
-    blk=120,
-    requirement="(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
-                " && (host_memory_free > 5)",
-    random_servers=("lhost", "phoebe"),
-    n=240,
-)
-
-MASSD_KW = dict(
-    group1_mbps=6.72,
-    group2_mbps=1.33,
-    requirement="monitor_network_bw > 6",
-    n_servers=1,
-    random_sets=[("pandora-x",)],
-    data_kb=2000,
-)
-
-
-def _time_scenario(fn, kwargs, sanitize):
+def _time_scenario(name, **instruments):
     trials = []
     arms = []
     for _ in range(N_TRIALS):
         t0 = time.perf_counter()
-        arms = fn(sanitize=sanitize, **kwargs)
+        arms = run_smoke(name, **instruments)
         trials.append(time.perf_counter() - t0)
     return statistics.median(trials), arms
 
 
-def bench_one(fn, kwargs):
-    off_s, _ = _time_scenario(fn, kwargs, sanitize=False)
-    on_s, arms = _time_scenario(fn, kwargs, sanitize=True)
-    races = sum(len(a.races or ()) for a in arms)
-    accesses = sum(a.tracked_accesses for a in arms)
+def bench_one(name):
+    off_s, _ = _time_scenario(name)
+    on_s, arms = _time_scenario(name, sanitize=True)
+    races = sum(len(a.observed.races or ()) for a in arms)
+    accesses = sum(a.observed.tracked_accesses for a in arms)
     return {
         "off_s": round(off_s, 4),
         "on_s": round(on_s, 4),
@@ -76,8 +57,8 @@ def bench_one(fn, kwargs):
 def main() -> None:
     result = {
         "trials": N_TRIALS,
-        "matmul_2v2": bench_one(matmul_experiment, MATMUL_KW),
-        "massd_1v1": bench_one(massd_experiment, MASSD_KW),
+        "matmul_2v2": bench_one("matmul"),
+        "massd_1v1": bench_one("massd"),
     }
     result["all_within_2x"] = all(
         result[k]["within_2x"] for k in ("matmul_2v2", "massd_1v1"))

@@ -15,13 +15,14 @@ Usage::
 
     python -m repro check src            # determinism/protocol analyzer
     repro-check --list-rules             # installed entry point
-    python -m repro check --sanitize matmul          # race detector, smoke world
+    python -m repro check --sanitize matmul          # race detector on a smoke
+                                                     # job (names: check --help)
     python -m repro check --sanitize scenario.py     # ... on a run(sim) file
     python -m repro check --perf src                 # hot-path perf lints
     python -m repro check --proto src                # typestate/protocol
     python -m repro check --all src                  # every static gate
 
-    python -m repro profile matmul       # deterministic event profiler
+    python -m repro profile matmul       # deterministic event profiler (same names)
     python -m repro profile matmul --json p.json     # ... keep the JSON
     python -m repro profile scenario.py              # ... on a run(sim) file
 
@@ -262,17 +263,19 @@ def lint_main(argv: list[str] | None = None) -> int:
 def profile_cli(argv: list[str] | None = None) -> int:
     """``python -m repro profile <scenario>`` — the event profiler."""
     from .analysis.profiler import profile_main
+    from .worlds import SMOKE_JOBS
 
+    names = ", ".join(sorted(SMOKE_JOBS))
     parser = argparse.ArgumentParser(
         prog="repro-profile",
-        description="Run a scenario (matmul, massd, or a path to a "
+        description=f"Run a scenario ({names}, or a path to a "
                     "run(sim) file) under the deterministic event "
                     "profiler: per-process resume/allocation attribution, "
                     "a flamegraph-style text tree, and optional JSON for "
                     "`repro check --perf --profile`.",
     )
     parser.add_argument("scenario",
-                        help="matmul, massd, or a run(sim) scenario file")
+                        help=f"{names}, or a run(sim) scenario file")
     parser.add_argument("--json", metavar="PATH",
                         help="write the profile (attribution + wall "
                              "metrics) as JSON to PATH")

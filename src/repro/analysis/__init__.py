@@ -9,28 +9,20 @@ under the ``REPROxxx`` namespace; run it with ``python -m repro check``
 or the ``repro-check`` entry point.
 """
 
-from .engine import (
-    ANALYZER_CODES,
-    FileContext,
-    FileReport,
-    Rule,
-    all_rules,
-    check_file,
-    check_paths,
-    check_source,
-    rule,
-)
+from .engine import ANALYZER_CODES, FileUnit, Rule, all_rules, rule
+from .program import Finding, Program, Report, check_source, run_checks
 from .cli import check_main
 
 __all__ = [
     "ANALYZER_CODES",
-    "FileContext",
-    "FileReport",
+    "FileUnit",
     "Rule",
     "rule",
     "all_rules",
+    "Program",
+    "Finding",
+    "Report",
+    "run_checks",
     "check_source",
-    "check_file",
-    "check_paths",
     "check_main",
 ]

@@ -6,7 +6,8 @@ Usage::
     repro-check src/repro/net/link.py      # one file
     repro-check --strict src               # warnings fail too
     repro-check --list-rules               # rule inventory, by series
-    repro-check --sanitize matmul          # dynamic race detection
+    repro-check --sanitize matmul          # dynamic race detection on a
+                                           # smoke job (names: --help)
     repro-check --sanitize scenario.py     # ... on a run(sim) scenario
     repro-check --flow src/repro           # whole-program flow analysis
     repro-check --flow --json g.json src   # ... exporting the flow graph
@@ -25,25 +26,15 @@ the four static gates), 2 usage/IO problems.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .engine import ANALYZER_CODES, all_rules, check_paths
+from .engine import ANALYZER_CODES, SERIES, all_rules, series_of
+from .flow.messages import graph_dot, graph_json
+from .program import Finding, Program, Report, run_checks
 
 __all__ = ["check_main", "check_entry"]
-
-#: rule-series headers for ``--list-rules``, keyed by the code's hundreds
-#: digit: D (determinism, 1xx), P (protocol, 2xx), R (concurrency, 3xx),
-#: F (message flow, 4xx), H (hot-path performance, 5xx), S (typestate &
-#: protocol conformance, 6xx)
-_SERIES: dict[str, str] = {
-    "1": "D-series (determinism)",
-    "2": "P-series (protocol consistency)",
-    "3": "R-series (concurrency)",
-    "4": "F-series (message flow)",
-    "5": "H-series (hot-path performance)",
-    "6": "S-series (typestate & protocol conformance)",
-}
 
 
 def _display_path(path: Path) -> str:
@@ -70,161 +61,87 @@ def _list_rules() -> None:
     static = {r.code: r.name for r in all_rules()}
     codes = dict(ANALYZER_CODES)
     codes[RACE_CODE] = code_info(RACE_CODE)
-    last_series = ""
+    last = None
     for code in sorted(codes):
-        series = _SERIES.get(code[len("REPRO")], "other")
-        if series != last_series:
-            if last_series:
+        series = series_of(code)
+        if series is not last:
+            if last is not None:
                 print()
-            print(f"{series}:")
-            last_series = series
+            print(f"{series.letter}-series ({series.title}):")
+            last = series
         severity, title = codes[code]
-        if code.startswith("REPRO4"):
-            name = "whole-program (--flow)"
-        elif code.startswith("REPRO5"):
-            name = "whole-program (--perf)"
-        elif code.startswith("REPRO6"):
-            name = "whole-program (--proto)"
+        if series.gate:
+            name = f"whole-program (--{series.gate})"
         else:
             name = static.get(code, "dynamic (--sanitize)")
         print(f"  {code}  {severity:<7}  {name}: {title}")
 
 
-def _flow_main(paths: list[Path], dot: str | None,
-               json_path: str | None) -> int:
-    """Run the whole-program flow analyzer and render its report."""
-    import json as json_mod
-
-    from .flow import FLOW_RULE_COUNT, run_flow
-
-    report = run_flow(paths)
-    for failure in report.parse_failures:
-        shown = _display_path(failure.path)
-        print(f"{shown}:{failure.line}:{failure.col}: "
-              f"error PARSE: {failure.message}")
-    for unit, diag in report.findings:
-        print(diag.render(_display_path(unit.path)))
-    print(f"flow: {len(report.units)} file(s), "
-          f"{report.function_count} function(s), "
-          f"{report.send_site_count} tagged send site(s), "
-          f"{report.tag_count} wire tag(s)")
-    if report.exit_code == 0:
-        note = (f", {report.suppressed} suppressed by noqa"
-                if report.suppressed else "")
-        print(f"{len(report.units)} file(s) flow-clean "
-              f"({FLOW_RULE_COUNT} F rules{note})")
-    if dot:
-        Path(dot).write_text(report.graph_dot(), encoding="utf-8")
-    if json_path:
-        Path(json_path).write_text(
-            json_mod.dumps(report.graph_json(), indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
-    return report.exit_code
-
-
-def _perf_main(paths: list[Path], profile_path: str | None = None) -> int:
-    """Run the hot-path analyzer and render its report.
-
-    With ``profile_path`` (a ``repro profile`` JSON), findings are
-    annotated with measured resume shares and ranked hottest-first.
-    """
-    import json as json_mod
-
-    from .hotpath import HOT_RULE_COUNT, run_hotpath
-
-    profile = None
-    if profile_path:
-        try:
-            data = json_mod.loads(
-                Path(profile_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"repro-check: cannot read profile {profile_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        profile = (data.get("attribution", data)
+def _load_profile(profile_path: str) -> "dict | None":
+    """The attribution dict of a ``repro profile`` JSON (``None`` after
+    printing why it is unusable)."""
+    try:
+        data = json.loads(Path(profile_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"repro-check: cannot read profile {profile_path}: {exc}",
+              file=sys.stderr)
+        return None
+    attribution = (data.get("attribution", data)
                    if isinstance(data, dict) else None)
-        if not isinstance(profile, dict) or "processes" not in profile:
-            print(f"repro-check: {profile_path} is not a repro profile "
-                  f"JSON (no attribution.processes)", file=sys.stderr)
-            return 2
-
-    report = run_hotpath(paths, profile=profile)
-    for failure in report.parse_failures:
-        shown = _display_path(failure.path)
-        print(f"{shown}:{failure.line}:{failure.col}: "
-              f"error PARSE: {failure.message}")
-    for finding in report.findings:
-        line = finding.diag.render(_display_path(finding.unit.path))
-        if report.profiled:
-            names = ",".join(finding.heat_names) or "<unattributed>"
-            line += (f"  [heat {100 * (finding.heat or 0.0):.1f}% "
-                     f"via {names}]")
-        print(line)
-    print(f"perf: {len(report.units)} file(s), "
-          f"{report.function_count} function(s), "
-          f"{report.hot_count} hot function(s), "
-          f"{report.root_count} service-loop root(s)")
-    if report.exit_code == 0:
-        note = (f", {report.suppressed} suppressed by noqa"
-                if report.suppressed else "")
-        print(f"{len(report.units)} file(s) perf-clean "
-              f"({HOT_RULE_COUNT} H rules{note})")
-    return report.exit_code
+    if not isinstance(attribution, dict) or "processes" not in attribution:
+        print(f"repro-check: {profile_path} is not a repro profile "
+              f"JSON (no attribution.processes)", file=sys.stderr)
+        return None
+    return attribution
 
 
-def _proto_main(paths: list[Path]) -> int:
-    """Run the typestate/protocol-conformance analyzer and render its
-    report."""
-    from .typestate import PROTO_RULE_COUNT, run_typestate
-
-    report = run_typestate(paths)
-    for failure in report.parse_failures:
-        shown = _display_path(failure.path)
-        print(f"{shown}:{failure.line}:{failure.col}: "
-              f"error PARSE: {failure.message}")
-    for unit, diag in report.findings:
-        print(diag.render(_display_path(unit.path)))
-    print(f"proto: {len(report.units)} file(s), "
-          f"{report.function_count} function(s), "
-          f"{report.acquisition_count} tracked acquisition(s), "
-          f"{report.declaration_count} machine declaration(s)")
-    if report.exit_code == 0:
-        note = (f", {report.suppressed} suppressed by noqa"
-                if report.suppressed else "")
-        print(f"{len(report.units)} file(s) proto-clean "
-              f"({PROTO_RULE_COUNT} S rules{note})")
-    return report.exit_code
+def _finding_line(finding: Finding) -> str:
+    line = finding.diag.render(_display_path(finding.unit.path))
+    if finding.heat is not None:
+        names = ",".join(finding.heat_names) or "<unattributed>"
+        line += f"  [heat {100 * finding.heat:.1f}% via {names}]"
+    return line
 
 
-def _engine_main(paths: list[Path], strict: bool) -> int:
-    """Run the per-file D/P/R rules and render their reports."""
-    reports = check_paths(paths)
-    findings = 0
-    errors = 0
-    suppressed = 0
-    for report in reports:
-        shown = _display_path(report.path)
-        if report.parse_error is not None:
-            print(f"{shown}:{report.parse_line}:{report.parse_col}: "
-                  f"error PARSE: {report.parse_error}")
-            findings += 1
-            errors += 1
-            continue
-        suppressed += report.suppressed
-        for diag in report.diagnostics:
-            print(diag.render(shown))
-            findings += 1
-            errors += diag.is_error
-    if findings == 0:
-        note = f", {suppressed} suppressed by noqa" if suppressed else ""
-        print(f"{len(reports)} file(s) clean "
-              f"({len(all_rules())} D/P/R rules{note})")
-    if errors or (strict and findings):
-        return 1
-    return 0
+def _render(report: Report, strict: bool) -> int:
+    """Print one block per gate: its lines, its summary, its clean note.
+
+    The per-file gate lists files in walk order with parse failures
+    inline; the whole-program gates print parse failures first.
+    """
+    walk = report.program.walk
+    n_files = len(report.units)
+    failures = [
+        (walk[f.path], f"{_display_path(f.path)}:{f.line}:{f.col}: "
+                       f"error PARSE: {f.message}")
+        for f in report.parse_failures]
+    for gate in report.gates:
+        found = [(walk[f.unit.path], _finding_line(f))
+                 for f in report.findings if f.gate == gate]
+        rows = failures + found
+        if not gate:
+            rows.sort(key=lambda row: row[0])
+        for _, line in rows:
+            print(line)
+        if report.stats[gate]:
+            counts = ", ".join(f"{count} {label}" for label, count
+                               in report.stats[gate].items())
+            print(f"{gate}: {n_files} file(s), {counts}")
+        if not rows:
+            hidden = sum(1 for f in report.suppressed if f.gate == gate)
+            note = f", {hidden} suppressed by noqa" if hidden else ""
+            letters = "/".join(s.letter for s in SERIES.values()
+                               if s.gate == gate)
+            rules = sum(1 for code in ANALYZER_CODES
+                        if series_of(code).gate == gate)
+            word = f"{gate}-clean" if gate else "clean"
+            print(f"{n_files} file(s) {word} ({rules} {letters} rules{note})")
+    return 1 if report.exit_code or (strict and report.findings) else 0
 
 
 def check_main(argv: list[str] | None = None) -> int:
+    from ..worlds import SMOKE_JOBS
+
     parser = argparse.ArgumentParser(
         prog="repro-check",
         description="Statically analyze the codebase for determinism "
@@ -248,9 +165,10 @@ def check_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule inventory and exit")
     parser.add_argument("--sanitize", metavar="SCENARIO",
-                        help="run SCENARIO (matmul, massd, or a path to a "
-                             "run(sim) file) under the happens-before race "
-                             "detector; exits 1 if any race is detected")
+                        help=f"run SCENARIO ({', '.join(sorted(SMOKE_JOBS))}, "
+                             "or a path to a run(sim) file) under the "
+                             "happens-before race detector; exits 1 if any "
+                             "race is detected")
     parser.add_argument("--flow", action="store_true",
                         help="run the whole-program message-flow/lifecycle "
                              "analyzer (F-series REPRO4xx) over the given "
@@ -303,18 +221,26 @@ def check_main(argv: list[str] | None = None) -> int:
             print(f"repro-check: no such path: {p}", file=sys.stderr)
         return 2
     if args.all:
-        engine_code = _engine_main(paths, strict=args.strict)
-        flow_code = _flow_main(paths, dot=args.dot, json_path=args.json)
-        perf_code = _perf_main(paths, profile_path=args.profile)
-        proto_code = _proto_main(paths)
-        return max(engine_code, flow_code, perf_code, proto_code)
-    if args.flow:
-        return _flow_main(paths, dot=args.dot, json_path=args.json)
-    if args.perf:
-        return _perf_main(paths, profile_path=args.profile)
-    if args.proto:
-        return _proto_main(paths)
-    return _engine_main(paths, strict=args.strict)
+        gates: tuple[str, ...] = ("", "flow", "perf", "proto")
+    else:
+        gates = (next((g for g in ("flow", "perf", "proto")
+                       if getattr(args, g)), ""),)
+    attribution = None
+    if args.profile:
+        attribution = _load_profile(args.profile)
+        if attribution is None:
+            return 2
+    report = run_checks(Program.load(paths), gates, attribution=attribution)
+    code = _render(report, strict=args.strict)
+    if args.dot:
+        Path(args.dot).write_text(
+            graph_dot(report.program.table, report.program.tags),
+            encoding="utf-8")
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps(graph_json(report.program.table, report.program.tags),
+                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return code
 
 
 def check_entry() -> None:

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 
 from ..lang.diagnostics import Diagnostic
 from .determinism import _root_name, _walk_runtime
-from .engine import FileContext, Rule, rule
+from .engine import FileUnit, Rule, rule
 
 __all__ = [
     "BLOCKING_RECV_ATTRS",
@@ -93,10 +93,10 @@ class BlockingRecvRule(Rule):
     code = "REPRO301"
     name = "blocking-recv"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         yield from self._visit(ctx, ctx.tree, guarded=False)
 
-    def _visit(self, ctx: FileContext, node: ast.AST,
+    def _visit(self, ctx: FileUnit, node: ast.AST,
                guarded: bool) -> Iterator[Diagnostic]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Try):
@@ -138,7 +138,7 @@ class UnhandledWireTagRule(Rule):
     code = "REPRO302"
     name = "unhandled-wire-tag"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         from ..core.records import WIRE_TAG_HANDLERS
 
         for node in _walk_runtime(ctx.tree):
@@ -175,7 +175,7 @@ class UntrackedSegmentWriteRule(Rule):
     code = "REPRO303"
     name = "untracked-segment-write"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(SEGMENT_ALLOWLIST):
             return
         uses_shared = any(
@@ -227,7 +227,7 @@ class CallbackMutatesSimRule(Rule):
     code = "REPRO304"
     name = "callback-mutates-sim"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         funcs: dict[str, ast.AST] = {
             n.name: n for n in ast.walk(ctx.tree)
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -276,7 +276,7 @@ class UnjoinedProcessRule(Rule):
     code = "REPRO305"
     name = "unjoined-process"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in _walk_runtime(ctx.tree):
             if not (isinstance(node, ast.Expr)
                     and isinstance(node.value, ast.Call)
@@ -309,7 +309,7 @@ class BareExceptChannelRule(Rule):
     code = "REPRO306"
     name = "bare-except-channel"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in _walk_runtime(ctx.tree):
             if not isinstance(node, ast.Try):
                 continue

@@ -23,7 +23,7 @@ import ast
 from typing import Iterable, Iterator, Optional
 
 from ..lang.diagnostics import Diagnostic
-from .engine import FileContext, Rule, rule
+from .engine import FileUnit, Rule, rule
 
 __all__ = [
     "RANDOM_ALLOWLIST",
@@ -98,7 +98,7 @@ class BareRandomRule(Rule):
     code = "REPRO101"
     name = "bare-random"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(RANDOM_ALLOWLIST):
             return
         for node in _walk_runtime(ctx.tree):
@@ -137,7 +137,7 @@ class WallClockRule(Rule):
     code = "REPRO102"
     name = "wall-clock"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(WALLCLOCK_ALLOWLIST):
             return
         for node in _walk_runtime(ctx.tree):
@@ -163,7 +163,7 @@ class CalendarClockRule(Rule):
     code = "REPRO103"
     name = "calendar-clock"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(WALLCLOCK_ALLOWLIST):
             return
         for node in _walk_runtime(ctx.tree):
@@ -186,7 +186,7 @@ class EntropyRule(Rule):
     code = "REPRO104"
     name = "os-entropy"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in _walk_runtime(ctx.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
@@ -226,7 +226,7 @@ class UnorderedSchedulingRule(Rule):
     code = "REPRO105"
     name = "unordered-scheduling"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in _walk_runtime(ctx.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
@@ -268,7 +268,7 @@ class FloatTimeEqualityRule(Rule):
     code = "REPRO106"
     name = "float-time-equality"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in _walk_runtime(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue

@@ -3,7 +3,7 @@
 Where :mod:`repro.lang.analysis` statically checks *requirement texts*,
 this engine statically checks the *Python source of the repo* — the
 monitoring plane monitoring itself.  Rules are small classes registered
-with :func:`rule`; each gets a parsed :class:`FileContext` and yields
+with :func:`rule`; each gets a parsed :class:`FileUnit` and yields
 :class:`~repro.lang.diagnostics.Diagnostic` objects (the same typed,
 span-carrying diagnostics the requirement analyzer emits, under the
 ``REPROxxx`` code namespace registered here).
@@ -19,6 +19,11 @@ Two rule families ship in sibling modules:
   ``core/records.py``/``core/probe.py`` must stay consistent with the
   22+10 variable registry of :mod:`repro.lang.variables`.
 
+This module is the base every series shares — the code and series
+tables, the parsed-file type, the per-file rule registry and the
+``noqa`` syntax; :mod:`repro.analysis.program` loads a tree once and
+drives any subset of the series over it.
+
 Suppression: a line carrying ``# repro: noqa[CODE]`` (comma-separated
 codes allowed) silences those codes on that line; a bare
 ``# repro: noqa`` silences every code on the line.
@@ -28,22 +33,25 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Type
 
-from ..lang.diagnostics import Diagnostic, Severity, register_codes
+from ..lang.diagnostics import Diagnostic, Severity, make, register_codes
 
 __all__ = [
     "ANALYZER_CODES",
-    "FileContext",
-    "FileReport",
+    "Series",
+    "SERIES",
+    "series_of",
+    "FileUnit",
+    "ParseFailure",
+    "module_name_for",
+    "parse_unit",
     "Rule",
     "rule",
     "all_rules",
-    "check_source",
-    "check_file",
-    "check_paths",
+    "noqa_map",
     "iter_python_files",
 ]
 
@@ -108,25 +116,67 @@ register_codes(ANALYZER_CODES)
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
 
 
-@dataclass
-class FileContext:
-    """Everything a rule needs about one parsed source file."""
+@dataclass(frozen=True)
+class Series:
+    """One rule series: the letter users know it by, its ``--list-rules``
+    header and the ``repro check`` gate (selector) that runs it."""
+
+    letter: str
+    title: str
+    #: ``""`` is the default per-file gate; the others are CLI flags
+    gate: str
+
+
+#: every rule series, keyed by the hundreds digit of its ``REPROxxx``
+#: codes — the one table ``--list-rules``, the driver and the renderer
+#: all read
+SERIES: dict[str, Series] = {
+    "1": Series("D", "determinism", ""),
+    "2": Series("P", "protocol consistency", ""),
+    "3": Series("R", "concurrency", ""),
+    "4": Series("F", "message flow", "flow"),
+    "5": Series("H", "hot-path performance", "perf"),
+    "6": Series("S", "typestate & protocol conformance", "proto"),
+}
+
+
+def series_of(code: str) -> Series:
+    """The series a ``REPROxxx`` code belongs to."""
+    return SERIES[code[len("REPRO")]]
+
+
+def module_name_for(path: Path) -> str:
+    """Dotted module name from a file path: everything from the
+    ``repro`` path segment on (``src/repro/core/records.py`` →
+    ``repro.core.records``); files outside a ``repro`` tree use their
+    stem, so a fixture's registry can point at
+    ``f400_registry_drift.Daemon.handle_ping`` and resolve."""
+    parts = path.as_posix().split("/")
+    stem = parts[-1][:-3] if parts[-1].endswith(".py") else parts[-1]
+    if "repro" in parts[:-1]:
+        dotted = parts[parts.index("repro"):-1] + [stem]
+        if dotted[-1] == "__init__":
+            dotted = dotted[:-1]
+        return ".".join(dotted)
+    return stem
+
+
+@dataclass(frozen=True)
+class FileUnit:
+    """One parsed source file: what every rule, per-file or
+    whole-program, gets to look at."""
 
     path: Path
-    source: str
-    tree: ast.Module
     #: forward-slash path used for rule path-scoping (allowlists match on
     #: suffix, so absolute vs relative does not matter)
-    posix: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.posix:
-            self.posix = self.path.as_posix()
+    posix: str
+    module: str
+    source: str
+    tree: ast.Module
 
     def diag(self, code: str, message: str, node: ast.AST) -> Diagnostic:
         """A diagnostic with the code's default severity, anchored at
         ``node`` (1-based line, 0-based column, like the lang analyzer)."""
-        from ..lang.diagnostics import make
         return make(code, message, line=getattr(node, "lineno", 0),
                     col=getattr(node, "col_offset", 0))
 
@@ -134,24 +184,26 @@ class FileContext:
         return any(self.posix.endswith(s) for s in suffixes)
 
 
-@dataclass
-class FileReport:
-    """Outcome of checking one file."""
+@dataclass(frozen=True)
+class ParseFailure:
+    """A file that did not parse (no rule ran on it)."""
 
     path: Path
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: findings silenced by ``# repro: noqa[...]`` comments
-    suppressed: int = 0
-    #: syntax-error text when the file did not parse (no rules ran)
-    parse_error: Optional[str] = None
-    parse_line: int = 0
-    parse_col: int = 0
+    line: int
+    col: int
+    message: str
 
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.is_error) + (
-            1 if self.parse_error is not None else 0
-        )
+
+def parse_unit(path: Path, source: str) -> "FileUnit | ParseFailure":
+    """Parse one source text — the only ``ast.parse`` in the analyzer."""
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return ParseFailure(path=path, line=exc.lineno or 0,
+                            col=(exc.offset or 1) - 1,
+                            message=exc.msg or "syntax error")
+    return FileUnit(path=path, posix=path.as_posix(),
+                    module=module_name_for(path), source=source, tree=tree)
 
 
 class Rule:
@@ -165,7 +217,7 @@ class Rule:
     code: str = ""
     name: str = ""
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         raise NotImplementedError
 
 
@@ -193,7 +245,7 @@ def _load_rule_modules() -> None:
     from . import concurrency, determinism, protocol  # noqa: F401
 
 
-def _noqa_map(source: str) -> dict[int, Optional[frozenset[str]]]:
+def noqa_map(source: str) -> dict[int, Optional[frozenset[str]]]:
     """line -> suppressed codes (``None`` means *all* codes)."""
     out: dict[int, Optional[frozenset[str]]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -210,36 +262,6 @@ def _noqa_map(source: str) -> dict[int, Optional[frozenset[str]]]:
     return out
 
 
-def check_source(source: str, path: Path,
-                 rules: Optional[list[Rule]] = None) -> FileReport:
-    """Run every rule over one source text."""
-    report = FileReport(path=path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        report.parse_error = exc.msg or "syntax error"
-        report.parse_line = exc.lineno or 0
-        report.parse_col = (exc.offset or 1) - 1
-        return report
-    ctx = FileContext(path=path, source=source, tree=tree)
-    noqa = _noqa_map(source)
-    findings: list[Diagnostic] = []
-    for r in (rules if rules is not None else all_rules()):
-        for diag in r.check(ctx):
-            silenced = noqa.get(diag.line, frozenset())
-            if silenced is None or (silenced and diag.code in silenced):
-                report.suppressed += 1
-            else:
-                findings.append(diag)
-    findings.sort(key=lambda d: (d.line, d.col, d.code))
-    report.diagnostics = findings
-    return report
-
-
-def check_file(path: Path, rules: Optional[list[Rule]] = None) -> FileReport:
-    return check_source(path.read_text(encoding="utf-8"), path, rules=rules)
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Expand files/directories into a sorted, de-duplicated file walk."""
     seen: set[Path] = set()
@@ -249,10 +271,3 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             if c not in seen:
                 seen.add(c)
                 yield c
-
-
-def check_paths(paths: Iterable[Path],
-                rules: Optional[list[Rule]] = None) -> list[FileReport]:
-    """Check every ``*.py`` under ``paths``; one report per file."""
-    active = rules if rules is not None else all_rules()
-    return [check_file(p, rules=active) for p in iter_python_files(paths)]

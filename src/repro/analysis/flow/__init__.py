@@ -8,10 +8,6 @@ analyzes ``src/repro`` as *one program*: a project symbol table
 a verified message-flow graph (:mod:`.messages`), static deadlock
 detection over the wait-for graph and client-path blocking-wait checks
 (:mod:`.deadlock`), and resource-lifecycle leak checks
-(:mod:`.lifecycle`) — exposed as ``repro check --flow`` via
-:mod:`.checker`.
+(:mod:`.lifecycle`) — run as the ``flow`` gate of
+:func:`repro.analysis.program.run_checks` (``repro check --flow``).
 """
-
-from .checker import FLOW_RULE_COUNT, FlowReport, run_flow
-
-__all__ = ["FLOW_RULE_COUNT", "FlowReport", "run_flow"]

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
 from ..concurrency import BLOCKING_RECV_ATTRS, _catches_interrupt
-from .symbols import FileUnit, FunctionInfo, SymbolTable
+from ..engine import FileUnit
+from .symbols import FunctionInfo, SymbolTable
 
 __all__ = ["FunctionTrace", "TraceExtractor", "deadlock_diagnostics",
            "client_path_diagnostics", "CLIENT_ENTRY_NAMES"]
@@ -85,12 +86,10 @@ class TraceExtractor:
 
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
-        self._unit_of: dict[str, FileUnit] = {
-            u.module: u for u in table.units}
         self.traces: dict[str, FunctionTrace] = {}
         for qual in sorted(table.functions):
             fn = table.functions[qual]
-            unit = self._unit_of[fn.module]
+            unit = table.unit_of[fn.module]
             ops = _FunctionWalker(table, fn).run()
             for op in ops:
                 op.unit = unit

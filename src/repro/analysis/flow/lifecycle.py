@@ -29,7 +29,8 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
-from .symbols import FileUnit, FunctionInfo, SymbolTable
+from ..engine import FileUnit
+from .symbols import FunctionInfo, SymbolTable
 
 __all__ = ["lifecycle_diagnostics"]
 
@@ -239,10 +240,9 @@ def lifecycle_diagnostics(
 ) -> list[tuple[FileUnit, Diagnostic]]:
     """All REPRO402/REPRO403 findings for the analyzed tree."""
     out: list[tuple[FileUnit, Diagnostic]] = []
-    unit_of = {u.module: u for u in table.units}
     for qual in sorted(table.functions):
         fn = table.functions[qual]
-        unit = unit_of[fn.module]
+        unit = table.unit_of[fn.module]
         _check_getter_races(fn, unit, out)
         _check_handle_leaks(fn, unit, out)
     return out

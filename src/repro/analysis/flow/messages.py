@@ -29,7 +29,8 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
-from .symbols import ClassInfo, FileUnit, FunctionInfo, SymbolTable
+from ..engine import FileUnit
+from .symbols import ClassInfo, FunctionInfo, SymbolTable
 
 __all__ = ["SendSite", "TagAnalysis", "graph_json", "graph_dot"]
 
@@ -55,8 +56,6 @@ class TagAnalysis:
         self.returns_tags: dict[str, frozenset[str]] = {}
         self.param_tags: dict[tuple[str, str], frozenset[str]] = {}
         self.send_sites: list[SendSite] = []
-        self._unit_of: dict[str, FileUnit] = {
-            u.module: u for u in table.units}
 
     # -- fixpoint driver ----------------------------------------------------
     def run(self) -> None:
@@ -96,7 +95,7 @@ class TagAnalysis:
         if merged != prev:
             self.returns_tags[fn.qualname] = merged
         # send sites + call-site parameter bindings (every call expr)
-        unit = self._unit_of[fn.module]
+        unit = self.table.unit_of[fn.module]
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue

@@ -10,51 +10,24 @@ that never names the tag still sends it), and what the live
 table from parsed ASTs only — nothing is imported or executed, so the
 analyzer runs on any tree, fixtures included.
 
-Module names are derived from the path: everything from the ``repro``
-path segment on becomes the dotted name (``src/repro/core/records.py``
-→ ``repro.core.records``); files outside a ``repro`` tree use their
-stem, so a fixture's registry can point at
-``f400_registry_drift.Daemon.handle_ping`` and resolve.
+Module names are derived from the path
+(:func:`repro.analysis.engine.module_name_for`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from ..engine import FileUnit
 
 __all__ = [
-    "FileUnit",
     "FunctionInfo",
     "ClassInfo",
     "RegistryEntry",
     "WireRegistry",
     "SymbolTable",
-    "module_name_for",
 ]
-
-
-@dataclass(frozen=True)
-class FileUnit:
-    """One parsed source file under analysis."""
-
-    path: Path
-    posix: str
-    module: str
-    source: str
-    tree: ast.Module
-
-
-def module_name_for(path: Path) -> str:
-    """Dotted module name from a file path (see module docstring)."""
-    parts = path.as_posix().split("/")
-    stem = parts[-1][:-3] if parts[-1].endswith(".py") else parts[-1]
-    if "repro" in parts[:-1]:
-        dotted = parts[parts.index("repro"):-1] + [stem]
-        if dotted[-1] == "__init__":
-            dotted = dotted[:-1]
-        return ".".join(dotted)
-    return stem
 
 
 @dataclass
@@ -114,6 +87,8 @@ class SymbolTable:
 
     def __init__(self, units: list[FileUnit]) -> None:
         self.units = units
+        #: module name -> the unit that defines it
+        self.unit_of = {u.module: u for u in units}
         self.functions: dict[str, FunctionInfo] = {}
         self.module_functions: dict[tuple[str, str], FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}

@@ -11,13 +11,12 @@ classic shapes (:mod:`.rules`): linear DB scans (REPRO500), full-DB
 copies per message (REPRO501), hoistable constructions (REPRO502),
 loop-invariant recomputation (REPRO503), unbounded blocking work on the
 event-dispatch path (REPRO504) and quadratic accumulation (REPRO505).
-Exposed as ``repro check --perf`` via :mod:`.checker`; feed it a
-``repro profile`` JSON with ``--profile`` and findings are ranked by
-*measured* heat instead of textual order.
+Run as the ``perf`` gate of :func:`repro.analysis.program.run_checks`
+(``repro check --perf``); feed it a ``repro profile`` JSON with
+``--profile`` and findings are ranked by *measured* heat instead of
+textual order.
 """
 
-from .checker import HOT_RULE_COUNT, HotFinding, HotpathReport, run_hotpath
-from .heat import HotContext, build_hot_context
+from .heat import HotContext, build_hot_context, heat_share
 
-__all__ = ["HOT_RULE_COUNT", "HotFinding", "HotpathReport", "run_hotpath",
-           "HotContext", "build_hot_context"]
+__all__ = ["HotContext", "build_hot_context", "heat_share"]

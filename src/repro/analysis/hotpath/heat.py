@@ -30,14 +30,40 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Any, Iterable
 
 from ..concurrency import BLOCKING_RECV_ATTRS
 from ..flow.symbols import FunctionInfo, SymbolTable
 
-__all__ = ["HotContext", "build_hot_context", "constant_true"]
+__all__ = ["HotContext", "build_hot_context", "constant_true", "heat_share"]
 
 #: yielded attributes that make a ``while True`` loop a service loop
 _LOOP_WAIT_ATTRS = BLOCKING_RECV_ATTRS | {"get", "timeout", "any_of", "all_of"}
+
+
+#: separators accepted between a heat name and a per-connection suffix
+#: when matching profiler process names (``wizard`` matches
+#: ``wizard-session-3``) — mirrors the profiler's group separators
+_NAME_SEPS = ("-", ":", "/", ".")
+
+
+def _matches(proc_name: str, heat_name: str) -> bool:
+    return proc_name == heat_name or any(
+        proc_name.startswith(heat_name + sep) for sep in _NAME_SEPS)
+
+
+def heat_share(attribution: "dict[str, Any]",
+               heat_names: Iterable[str]) -> float:
+    """Fraction of all profiled resumes owned by ``heat_names``."""
+    processes: dict[str, Any] = attribution.get("processes", {})
+    total = sum(row["resumes"] for row in processes.values())
+    if total == 0:
+        return 0.0
+    count = 0
+    for proc_name, row in processes.items():
+        if any(_matches(proc_name, h) for h in heat_names):
+            count += row["resumes"]
+    return count / total
 
 
 def constant_true(test: ast.expr) -> bool:

@@ -4,8 +4,9 @@ All six are *shape* rules over the hot context of :mod:`.heat`: they
 fire only in functions reachable from a service loop or a registered
 wire-tag handler (REPRO504 excepted — its context is the kernel
 event-dispatch path itself, via ``add_callback`` registration).  Each
-rule yields ``(FunctionInfo, Diagnostic)`` pairs; the checker attaches
-file units, applies ``noqa`` and sorts.
+rule yields ``(FunctionInfo, Diagnostic)`` pairs; the shared driver
+(:mod:`repro.analysis.program`) attaches file units, applies ``noqa``
+and sorts.
 
 The rules are deliberately conservative about what counts as evidence:
 
@@ -42,10 +43,7 @@ from ...lang.diagnostics import Diagnostic, make
 from ..flow.symbols import ClassInfo, FunctionInfo, SymbolTable
 from .heat import HotContext, constant_true
 
-__all__ = ["hot_rule_diagnostics", "HOT_RULE_COUNT", "DB_NAME_SUFFIXES"]
-
-#: the H-series surface: REPRO500..REPRO505
-HOT_RULE_COUNT = 6
+__all__ = ["hot_rule_diagnostics", "DB_NAME_SUFFIXES"]
 
 #: a lowercase local name denotes a status-DB/host registry when it ends
 #: with one of these or equals one of the exact names

@@ -6,11 +6,11 @@ events, using the opt-in kernel profiler
 (:meth:`~repro.sim.kernel.Simulator.enable_profile`).  Two kinds of
 scenario are accepted, mirroring ``--sanitize``:
 
-* a **named smoke scenario** — ``matmul`` or ``massd``, the same
-  sized-down testbed worlds the sanitizer runs;
+* a **named smoke scenario** — any :data:`repro.worlds.SMOKE_JOBS` name,
+  the same sized-down worlds the sanitizer runs;
 * a **path** to a Python file defining ``run(sim)``: the runner creates
-  a :class:`~repro.sim.kernel.Simulator`, enables the profiler, calls
-  ``run(sim)`` and reports whatever it saw.
+  a simulator with the profiler enabled, calls ``run(sim)`` and reports
+  whatever it saw.
 
 Output splits cleanly in two:
 
@@ -27,16 +27,16 @@ Output splits cleanly in two:
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from ..sim import Simulator
 from ..sim.profile import flame_tree, merge_attributions
+from ..worlds import run_scenario
 
-__all__ = ["ProfileResult", "NAMED_SCENARIOS", "profile_scenario",
-           "profile_main"]
+__all__ = ["ProfileResult", "profile_scenario", "profile_main"]
 
 
 @dataclass
@@ -80,75 +80,12 @@ class ProfileResult:
         return "\n".join(lines)
 
 
-def _run_matmul() -> list:
-    from ..bench.experiments import matmul_experiment
-
-    arms = matmul_experiment(
-        n_servers=2,
-        blk=120,
-        requirement="(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
-                    " && (host_memory_free > 5)",
-        random_servers=("lhost", "phoebe"),
-        n=240,
-        profile=True,
-    )
-    return [arm.attribution for arm in arms if arm.attribution is not None]
-
-
-def _run_massd() -> list:
-    from ..bench.experiments import massd_experiment
-
-    arms = massd_experiment(
-        group1_mbps=6.72,
-        group2_mbps=1.33,
-        requirement="monitor_network_bw > 6",
-        n_servers=1,
-        random_sets=[("pandora-x",)],
-        data_kb=2000,
-        profile=True,
-    )
-    return [arm.attribution for arm in arms if arm.attribution is not None]
-
-
-#: named smoke scenarios: name -> zero-arg runner returning the
-#: per-arm attribution dicts (same worlds ``--sanitize`` runs)
-NAMED_SCENARIOS: dict[str, Callable[[], list]] = {
-    "matmul": _run_matmul,
-    "massd": _run_massd,
-}
-
-
-def _run_path(path: Path) -> list:
-    source = path.read_text(encoding="utf-8")
-    code = compile(source, str(path), "exec")
-    namespace: dict = {"__name__": "repro_profile_scenario",
-                       "__file__": str(path)}
-    exec(code, namespace)  # noqa: S102 — the scenario file is the input
-    entry = namespace.get("run")
-    if not callable(entry):
-        raise ValueError(f"{path}: scenario must define run(sim)")
-    sim = Simulator()
-    profiler = sim.enable_profile()
-    entry(sim)
-    return [profiler.attribution()]
-
-
 def profile_scenario(scenario: str) -> ProfileResult:
     """Run one scenario (named or path) under the event profiler."""
-    if scenario in NAMED_SCENARIOS:
-        runner: Callable[[], list] = NAMED_SCENARIOS[scenario]
-        label = scenario
-    else:
-        path = Path(scenario)
-        if not (path.suffix == ".py" and path.exists()):
-            known = ", ".join(sorted(NAMED_SCENARIOS))
-            raise KeyError(f"unknown scenario {scenario!r}: expected one of "
-                           f"{known} or a path to a run(sim) scenario file")
-        runner = lambda: _run_path(path)  # noqa: E731
-        label = path.name
     start = time.perf_counter()
-    parts = runner()
+    label, arms = run_scenario(scenario, profile=True)
     wall = time.perf_counter() - start
+    parts = [arm.attribution for arm in arms if arm.attribution is not None]
     if not parts:
         raise ValueError(f"{scenario}: no arm produced an attribution")
     return ProfileResult(scenario=label,
@@ -156,18 +93,14 @@ def profile_scenario(scenario: str) -> ProfileResult:
                          arm_count=len(parts), wall_seconds=wall)
 
 
-def profile_main(scenario: str, json_path: "str | None" = None,
-                 out=None) -> int:
+def profile_main(scenario: str, json_path: "str | None" = None) -> int:
     """CLI body for ``repro profile``; returns the exit code."""
-    import sys
-
-    stream = out if out is not None else sys.stdout
     try:
         result = profile_scenario(scenario)
     except (KeyError, ValueError) as exc:
         print(f"repro-profile: {exc}", file=sys.stderr)
         return 2
-    print(result.render(), file=stream)
+    print(result.render())
     if json_path:
         Path(json_path).write_text(
             json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from ..lang.diagnostics import Diagnostic
 from ..lang.variables import SERVER_SIDE_VARS
-from .engine import FileContext, Rule, rule
+from .engine import FileUnit, Rule, rule
 
 __all__ = ["RECORD_HEADER_BYTES", "record_bytes_floor"]
 
@@ -60,7 +60,7 @@ class MessageConstantsRule(Rule):
     code = "REPRO201"
     name = "wire-constants"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         msgs: dict[int, str] = {}
         replies: dict[str, tuple[int, ast.Assign]] = {}
         for name, value, node in _module_int_constants(ctx.tree):
@@ -106,7 +106,7 @@ class WireDiagnosticFieldsRule(Rule):
     code = "REPRO202"
     name = "wire-diagnostic-fields"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         expected = tuple(f.name for f in dataclasses.fields(Diagnostic))
         for node in ctx.tree.body:
             if not (isinstance(node, ast.ClassDef)
@@ -160,7 +160,7 @@ class ProbeKeyRegistryRule(Rule):
     code = "REPRO203"
     name = "probe-key-registry"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         registry = set(SERVER_SIDE_VARS)
         for keys, node in _report_dicts(ctx.tree):
             missing = sorted(registry - set(keys))
@@ -190,7 +190,7 @@ class RecordBytesRule(Rule):
     code = "REPRO204"
     name = "record-byte-accounting"
 
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
+    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         floor = record_bytes_floor()
         for name, value, node in _module_int_constants(ctx.tree):
             if name == "SERVER_RECORD_BYTES" and value < floor:

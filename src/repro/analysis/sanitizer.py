@@ -5,14 +5,14 @@ scenario under the happens-before sanitizer
 (:class:`~repro.sim.hb.HBSanitizer`) and reports the races that actually
 execute.  Two kinds of scenario are accepted:
 
-* a **named smoke scenario** — ``matmul`` (2 smart + 2 random servers) or
-  ``massd`` (1-server transfer), the same testbed worlds CI runs, sized
-  down so a sanitized pass stays in the seconds range;
+* a **named smoke scenario** — any :data:`repro.worlds.SMOKE_JOBS` name
+  (``matmul``: 2 smart + 2 random servers, ``massd``: 1-server transfer,
+  ``failover``, ``grayfail``), the same worlds CI runs, sized down so a
+  sanitized pass stays in the seconds range;
 * a **path** to a Python file defining ``run(sim)``: the runner creates a
-  :class:`~repro.sim.kernel.Simulator`, enables the sanitizer, calls
-  ``run(sim)`` (which sets up shared state and drives the clock), then
-  reports whatever the detector saw.  This is how the golden seeded-race
-  fixture executes.
+  simulator with the sanitizer enabled, calls ``run(sim)`` (which sets up
+  shared state and drives the clock), then reports whatever the detector
+  saw.  This is how the golden seeded-race fixture executes.
 
 Output is deterministic (race sites are rendered with file basenames and
 simulated timestamps only), so ``--sanitize`` results can be pinned
@@ -22,14 +22,13 @@ any race was detected.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
 
-from ..sim import RaceReport, Simulator
+from ..sim import RaceReport
+from ..worlds import SMOKE_JOBS, run_scenario as run_instrumented
 
-__all__ = ["SanitizeResult", "NAMED_SCENARIOS", "run_scenario",
-           "sanitize_main"]
+__all__ = ["SanitizeResult", "run_scenario", "sanitize_main"]
 
 
 @dataclass
@@ -50,119 +49,25 @@ class SanitizeResult:
         return "\n".join(lines)
 
 
-def _run_matmul() -> list:
-    from ..bench.experiments import matmul_experiment
-
-    arms = matmul_experiment(
-        n_servers=2,
-        blk=120,
-        requirement="(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
-                    " && (host_memory_free > 5)",
-        random_servers=("lhost", "phoebe"),
-        n=240,
-        sanitize=True,
-    )
-    return [arm for arm in arms if arm.races is not None]
-
-
-def _run_massd() -> list:
-    from ..bench.experiments import massd_experiment
-
-    arms = massd_experiment(
-        group1_mbps=6.72,
-        group2_mbps=1.33,
-        requirement="monitor_network_bw > 6",
-        n_servers=1,
-        random_sets=[("pandora-x",)],
-        data_kb=2000,
-        sanitize=True,
-    )
-    return [arm for arm in arms if arm.races is not None]
-
-
-def _run_failover() -> list:
-    from ..bench.experiments import failover_experiment
-
-    arms = [
-        failover_experiment(scenario=scenario, sanitize=True)
-        for scenario in ("wizard_kill", "server_kill")
-    ]
-    return [arm for arm in arms if arm.races is not None]
-
-
-def _run_grayfail() -> list:
-    from ..bench.experiments import grayfail_experiment
-
-    arms = [
-        grayfail_experiment(scenario=scenario, detector="adaptive",
-                            sanitize=True)
-        for scenario in ("slow_server", "degraded_link")
-    ]
-    return [arm for arm in arms if arm.races is not None]
-
-
-#: named smoke scenarios: name -> zero-arg runner returning the arms that
-#: carried a sanitizer (each arm contributes its races/access count)
-NAMED_SCENARIOS: dict[str, Callable[[], list]] = {
-    "matmul": _run_matmul,
-    "massd": _run_massd,
-    "failover": _run_failover,
-    "grayfail": _run_grayfail,
-}
-
-
-def _run_named(name: str) -> SanitizeResult:
-    arms = NAMED_SCENARIOS[name]()
-    races: list[RaceReport] = []
-    accesses = 0
-    for arm in arms:
-        races.extend(arm.races or ())
-        accesses += arm.tracked_accesses
-    result = SanitizeResult(scenario=name, races=races)
-    result.summary = (f"{len(races)} race(s), {accesses} tracked "
-                      f"access(es) across {len(arms)} arm(s)")
-    return result
-
-
-def _run_path(path: Path) -> SanitizeResult:
-    source = path.read_text(encoding="utf-8")
-    code = compile(source, str(path), "exec")
-    namespace: dict = {"__name__": "repro_sanitize_scenario",
-                      "__file__": str(path)}
-    exec(code, namespace)  # noqa: S102 — the scenario file is the input
-    entry = namespace.get("run")
-    if not callable(entry):
-        raise ValueError(f"{path}: scenario must define run(sim)")
-    sim = Simulator()
-    sanitizer = sim.enable_sanitizer()
-    entry(sim)
-    result = SanitizeResult(scenario=path.name,
-                            races=list(sanitizer.races))
-    result.summary = sanitizer.summary()
-    return result
-
-
 def run_scenario(scenario: str) -> SanitizeResult:
     """Run one scenario (named or path) under the race detector."""
-    if scenario in NAMED_SCENARIOS:
-        return _run_named(scenario)
-    path = Path(scenario)
-    if path.suffix == ".py" and path.exists():
-        return _run_path(path)
-    known = ", ".join(sorted(NAMED_SCENARIOS))
-    raise KeyError(f"unknown scenario {scenario!r}: expected one of "
-                   f"{known} or a path to a run(sim) scenario file")
+    label, arms = run_instrumented(scenario, sanitize=True)
+    races = [race for arm in arms for race in arm.races or ()]
+    if scenario in SMOKE_JOBS:
+        accesses = sum(arm.tracked_accesses for arm in arms)
+        summary = (f"{len(races)} race(s), {accesses} tracked "
+                   f"access(es) across {len(arms)} arm(s)")
+    else:
+        summary = arms[0].race_summary
+    return SanitizeResult(scenario=label, races=races, summary=summary)
 
 
-def sanitize_main(scenario: str, out=None) -> int:
+def sanitize_main(scenario: str) -> int:
     """CLI body for ``repro check --sanitize``; returns the exit code."""
-    import sys
-
-    stream = out if out is not None else sys.stdout
     try:
         result = run_scenario(scenario)
     except (KeyError, ValueError) as exc:
         print(f"repro-check: {exc}", file=sys.stderr)
         return 2
-    print(result.render(), file=stream)
+    print(result.render())
     return 0 if result.clean else 1

@@ -8,13 +8,9 @@ conflicts, request–reply pairing, and declaration drift.  See
 DESIGN.md §16 for the rule catalogue.
 """
 
-from .checker import PROTO_RULE_COUNT, ProtoReport, run_typestate
 from .machines import EXCHANGES, MACHINES, Exchange, Machine
 
 __all__ = [
-    "ProtoReport",
-    "run_typestate",
-    "PROTO_RULE_COUNT",
     "MACHINES",
     "EXCHANGES",
     "Machine",

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ...lang.diagnostics import Diagnostic, make
-from ..flow.symbols import FileUnit, SymbolTable
+from ..engine import FileUnit
+from ..flow.symbols import SymbolTable
 
 __all__ = [
     "Machine",

@@ -22,7 +22,8 @@ from __future__ import annotations
 import ast
 
 from ...lang.diagnostics import Diagnostic, make
-from ..flow.symbols import FileUnit, FunctionInfo, SymbolTable
+from ..engine import FileUnit
+from ..flow.symbols import FunctionInfo, SymbolTable
 from .machines import EXCHANGES, Exchange
 
 __all__ = ["pairing_diagnostics"]
@@ -90,16 +91,13 @@ def pairing_diagnostics(
     table: SymbolTable,
 ) -> "list[tuple[FileUnit, Diagnostic]]":
     out: list[tuple[FileUnit, Diagnostic]] = []
-    unit_by_module = {u.module: u for u in table.units}
     for decl in sorted(EXCHANGES):
         exchange = EXCHANGES[decl]
         replies = frozenset(exchange.replies)
         needed = replies - {exchange.default}
         for qual in sorted(table.functions):
             fn = table.functions[qual]
-            unit = unit_by_module.get(fn.module)
-            if unit is None:
-                continue
+            unit = table.unit_of[fn.module]
             sites = _request_sites(fn, exchange)
             if not sites:
                 continue

@@ -1,12 +1,10 @@
 """Experiment harness regenerating every evaluation table and figure."""
 
+from ..worlds import MASSD_GROUP1, MASSD_GROUP2, TESTBED_SERVER_NAMES
 from .experiments import (
-    MASSD_GROUP1,
-    MASSD_GROUP2,
     MassdArm,
     MatmulArm,
     PAPER_SIZE_GROUPS,
-    TESTBED_SERVER_NAMES,
     bandwidth_probe_table,
     knee_slopes,
     massd_experiment,

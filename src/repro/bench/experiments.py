@@ -25,20 +25,25 @@ Tables 5.7–5.9 / 5.4–5.6   :func:`massd_experiment`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..apps import (
     FileServer,
     MassdClient,
     MatMulMaster,
-    MatMulWorker,
     flops_for,
     shape_host_egress,
 )
 from ..cluster import Cluster, Deployment, build_testbed, build_wan_paths
-from ..core import Config, estimate_bandwidth, pipechar_estimate, pathload_estimate, rtt_curve
+from ..core import (estimate_bandwidth, pathload_estimate, pipechar_estimate,
+                    rtt_curve, smart_sessions)
+from ..faults import ChaosController, FaultPlan
 from ..host import SuperPiWorkload
 from ..net import ETHERNET_100
+from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG, SERVICE_PORT,
+                      STALENESS_REQUIREMENT, TESTBED_SERVER_NAMES, Observed,
+                      Star, build_star, lab_world, massd_world, observe,
+                      star_uplink)
 
 __all__ = [
     "rtt_vs_size",
@@ -60,17 +65,9 @@ __all__ = [
     "GrayFailArm",
     "GRAYFAIL_SCENARIOS",
     "GRAYFAIL_DETECTORS",
-    "TESTBED_SERVER_NAMES",
 ]
 
-TESTBED_SERVER_NAMES = (
-    "sagit", "dalmatian", "mimas", "telesto", "lhost", "helene",
-    "phoebe", "calypso", "dione", "titan-x", "pandora-x",
-)
-
 MATMUL_N = 1500
-SERVICE_PORT = 9000
-BULK_MSS = 8192
 
 
 def _drive(cluster: Cluster, proc, horizon: float = 36000.0) -> None:
@@ -87,6 +84,37 @@ def _drive(cluster: Cluster, proc, horizon: float = 36000.0) -> None:
                 f"experiment still running at t={sim.now:.1f}s (horizon {horizon}s)"
             )
         sim.step()
+
+
+def _run_job(cluster: Cluster, dep: Deployment, host_name: str,
+             start_at: float, requirement: str, n_servers: int,
+             fixed_servers: Optional[Sequence[str]],
+             run: Callable[[Any, list], Any], horizon: float = 36000.0):
+    """From ``host_name`` at ``start_at``: open sockets to
+    ``fixed_servers`` — or, when ``None``, to the ``n_servers`` the
+    wizard picks for ``requirement`` — run the application generator
+    ``run(host, conns)`` over them and return its result."""
+    host = cluster.host(host_name)
+    out: dict = {}
+
+    def driver():
+        yield cluster.sim.timeout(start_at)
+        client = dep.client_for(host)
+        if fixed_servers is None:
+            conns = yield from client.smart_sockets(
+                requirement, n_servers, service_port=SERVICE_PORT, mss=BULK_MSS
+            )
+        else:
+            conns = []
+            for sname in fixed_servers:
+                conn = yield from host.stack.tcp.connect(
+                    cluster.network.resolve(sname), SERVICE_PORT, mss=BULK_MSS
+                )
+                conns.append(conn)
+        out["result"] = yield from run(host, conns)
+
+    _drive(cluster, cluster.sim.process(driver()), horizon)
+    return out["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +297,6 @@ def bandwidth_probe_table(groups: Sequence[tuple[int, int]] = PAPER_SIZE_GROUPS,
 
 
 # ---------------------------------------------------------------------------
-# shared world builder for the Chapter 5 experiments
-# ---------------------------------------------------------------------------
-
-def _testbed_world(config: Optional[Config] = None, seed: int = 0,
-                   mode: Optional[str] = None,
-                   pool: Sequence[str] = TESTBED_SERVER_NAMES,
-                   tie_break_seed: Optional[int] = None,
-                   trace_events: bool = False,
-                   sanitize: bool = False,
-                   profile: bool = False):
-    """Testbed + one 'lab' group over ``pool``, matmul workers everywhere."""
-    cluster = build_testbed(seed=seed, tie_break_seed=tie_break_seed,
-                            trace_events=trace_events, sanitize=sanitize,
-                            profile=profile)
-    cfg = config or Config()
-    dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"),
-                     config=cfg, mode=mode)
-    servers = [cluster.host(n) for n in pool]
-    dep.add_group("lab", monitor_host=cluster.host("dalmatian"), servers=servers)
-    workers = {}
-    for name in TESTBED_SERVER_NAMES:
-        worker = MatMulWorker(cluster.host(name), port=SERVICE_PORT, mss=BULK_MSS)
-        worker.start()
-        workers[name] = worker
-    dep.start()
-    return cluster, dep, workers
-
-
-# ---------------------------------------------------------------------------
 # Table 5.2 — per-component resource usage
 # ---------------------------------------------------------------------------
 
@@ -414,14 +413,8 @@ class MatmulArm:
     servers: list[str]
     elapsed: float
     blocks_per_server: dict[str, int] = field(default_factory=dict)
-    #: canonical kernel event trace (schedule-sanitizer runs only)
-    event_trace: Optional[tuple[str, ...]] = None
-    #: race reports + access count from the happens-before sanitizer
-    #: (``sanitize=True`` runs only)
-    races: Optional[tuple] = None
-    tracked_accesses: int = 0
-    #: deterministic event-attribution dict (``profile=True`` runs only)
-    attribution: Optional[dict] = None
+    #: what the armed kernel instruments saw (see ``**instruments``)
+    observed: Observed = Observed()
 
 
 def matmul_experiment(
@@ -435,10 +428,7 @@ def matmul_experiment(
     warmup: float = 60.0,
     seed: int = 0,
     pool: Sequence[str] = TESTBED_SERVER_NAMES,
-    tie_break_seed: Optional[int] = None,
-    trace_events: bool = False,
-    sanitize: bool = False,
-    profile: bool = False,
+    **instruments: Any,
 ) -> list[MatmulArm]:
     """One thesis matmul comparison (Tables 5.3–5.6).
 
@@ -447,47 +437,25 @@ def matmul_experiment(
     arm asks the wizard with ``requirement``.  ``loaded_hosts`` get a
     SuperPI workload from t=0 (Table 5.6's non-zero-workload setup).
     ``pool`` restricts the monitored server group (Table 5.6 uses only the
-    seven P4-1.6–1.8 machines).  ``tie_break_seed``/``trace_events`` arm
-    the schedule sanitizer: dual runs with different tie-break seeds must
-    produce identical ``event_trace`` tuples on every arm.  ``sanitize``
-    runs each arm under the happens-before race detector and fills
-    ``races``/``tracked_accesses`` on the arm; ``profile`` runs it under
-    the deterministic event profiler and fills ``attribution``.
+    seven P4-1.6–1.8 machines).  ``instruments`` go to every arm's
+    :class:`~repro.cluster.Cluster` unchanged and come back as the arm's
+    ``observed``: ``tie_break_seed``/``trace_events`` arm the schedule
+    sanitizer (dual runs with different tie-break seeds must produce
+    identical ``observed.event_trace`` tuples on every arm), ``sanitize``
+    the happens-before race detector, ``profile`` the deterministic
+    event profiler.
     """
     arms: list[MatmulArm] = []
 
     def run_arm(label: str, use_smart: bool):
-        cluster, dep, _ = _testbed_world(seed=seed, pool=pool,
-                                         tie_break_seed=tie_break_seed,
-                                         trace_events=trace_events,
-                                         sanitize=sanitize,
-                                         profile=profile)
+        cluster, dep = lab_world(seed=seed, pool=pool, **instruments)
         net = cluster.network
         for hname in loaded_hosts:
             SuperPiWorkload(cluster.sim, cluster.host(hname).machine).start()
-        out: dict = {}
-
-        def driver():
-            yield cluster.sim.timeout(max(warmup, dep.warm_up_seconds()))
-            client = dep.client_for(cluster.host(master))
-            if use_smart:
-                conns = yield from client.smart_sockets(
-                    requirement, n_servers, service_port=SERVICE_PORT, mss=BULK_MSS
-                )
-            else:
-                conns = []
-                for sname in random_servers:
-                    conn = yield from cluster.host(master).stack.tcp.connect(
-                        net.resolve(sname), SERVICE_PORT, mss=BULK_MSS
-                    )
-                    conns.append(conn)
-            master_prog = MatMulMaster(cluster.host(master))
-            result = yield from master_prog.run(conns, n=n, blk=blk)
-            out["result"] = result
-
-        proc = cluster.sim.process(driver())
-        _drive(cluster, proc)
-        result = out["result"]
+        result = _run_job(
+            cluster, dep, master, max(warmup, dep.warm_up_seconds()),
+            requirement, n_servers, None if use_smart else random_servers,
+            lambda host, conns: MatMulMaster(host).run(conns, n=n, blk=blk))
         arms.append(MatmulArm(
             label=label,
             servers=[net.hostname_of(a) for a in result.servers],
@@ -495,14 +463,7 @@ def matmul_experiment(
             blocks_per_server={
                 net.hostname_of(a): c for a, c in result.blocks_per_server.items()
             },
-            event_trace=(tuple(cluster.event_trace.canonical_lines())
-                         if cluster.event_trace is not None else None),
-            races=(tuple(cluster.sanitizer.races)
-                   if cluster.sanitizer is not None else None),
-            tracked_accesses=(cluster.sanitizer.accesses
-                              if cluster.sanitizer is not None else 0),
-            attribution=(cluster.profiler.attribution()
-                         if cluster.profiler is not None else None),
+            observed=observe(cluster),
         ))
 
     run_arm("random", use_smart=False)
@@ -511,8 +472,56 @@ def matmul_experiment(
 
 
 # ---------------------------------------------------------------------------
-# HA failover — recovery latency under wizard / server kills
+# HA failover and gray failures — the self-healing matmul on the star
 # ---------------------------------------------------------------------------
+
+#: when the star jobs' client asks the wizard
+_HA_REQUEST_AT = 6.0
+
+
+def _ha_matmul(
+    star: Star, n: int, blk: int, name: str,
+    pre_fault: Optional[FaultPlan],
+    mid_fault: Callable[[float, str], Optional[FaultPlan]],
+):
+    """Run the self-healing matmul (2 sessions) on a started HA star.
+
+    ``pre_fault`` is armed before the client's request;
+    ``mid_fault(now, victim)`` is asked for a plan the moment the
+    sessions are open, ``victim`` being the first chosen worker.
+    Returns ``(result, client, sessions)``.
+    """
+    cluster, dep = star.cluster, star.dep
+    out: dict = {}
+
+    def arm_chaos(plan):
+        chaos = ChaosController(dep, plan)
+        star.register_daemons(chaos)
+        chaos.start()
+
+    if pre_fault is not None:
+        arm_chaos(pre_fault)
+
+    def driver():
+        yield cluster.sim.timeout(_HA_REQUEST_AT)
+        client = dep.client_for(star.cli)
+        sessions = yield from smart_sessions(
+            client, STALENESS_REQUIREMENT, 2,
+            service_port=SERVICE_PORT, mss=BULK_MSS)
+        out.update(client=client, sessions=sessions)
+        plan = mid_fault(cluster.sim.now, star.name_of[sessions[0].addr])
+        if plan is not None:
+            arm_chaos(plan)
+        prog = MatMulMaster(star.cli)
+        result = yield from prog.run(sessions, n=n, blk=blk)
+        for session in sessions:
+            session.close()
+        out["result"] = result
+
+    proc = cluster.sim.process(driver(), name=name)
+    _drive(cluster, proc)
+    return out["result"], out["client"], out["sessions"]
+
 
 #: fault modes of :func:`failover_experiment`
 FAILOVER_SCENARIOS = ("none", "wizard_kill", "server_kill")
@@ -531,75 +540,8 @@ class FailoverArm:
     stale_rejections: int
     lease_expiries: int
     blocks_per_server: dict[str, int] = field(default_factory=dict)
-    #: race reports + access count (``sanitize=True`` runs only)
-    races: Optional[tuple] = None
-    tracked_accesses: int = 0
-
-
-def _failover_world(seed: int, sanitize: bool = False,
-                    watchdog: bool = False):
-    """The HA star (same shape as the chaos test world): a two-replica
-    wizard fleet, two 3-server groups with slow matmul CPUs (~2 s per
-    80x80 block), workers + lease responders on every server.
-
-    ``watchdog=True`` arms the sessions' throughput-floor watchdog (the
-    adaptive gray-failure detector); off, only the binary lease detector
-    runs — the two arms of :func:`grayfail_experiment`."""
-    from ..core import LeaseResponder
-
-    extra = {}
-    if watchdog:
-        # min_samples=3: a matmul session only records ~1 progress gap
-        # per block cycle, so demanding more would leave the detector
-        # cold past the fault window of a short benchmark job
-        extra = dict(session_watchdog_interval=0.5,
-                     session_watchdog_min_samples=3,
-                     session_watchdog_phi=2.5)
-    config = Config(
-        probe_interval=1.0, probe_miss_limit=3, transmit_interval=1.0,
-        netmon_interval=1.0, client_timeout=1.0, client_retries=2,
-        client_backoff_base=0.1, client_backoff_cap=1.0,
-        transmit_backoff_cap=2.0, transmit_stall_limit=3.0,
-        quarantine_period=5.0, wizard_staleness_limit=4.0,
-        wizard_quarantine_period=5.0, lease_interval=0.5,
-        lease_timeout=2.0, session_retries=3, **extra,
-    )
-    cluster = Cluster(seed=seed, sanitize=sanitize)
-    wiz = cluster.add_host("wiz")
-    wiz2 = cluster.add_host("wiz2")
-    cli = cluster.add_host("cli")
-    mon1 = cluster.add_host("mon1")
-    mon2 = cluster.add_host("mon2")
-    core = cluster.add_switch("core")
-    sw1 = cluster.add_switch("sw-g1")
-    sw2 = cluster.add_switch("sw-g2")
-    cluster.link(wiz, core, subnet="10.0.0")
-    cluster.link(wiz2, core, subnet="10.0.4")
-    cluster.link(cli, core, subnet="10.0.3")
-    cluster.link(mon1, sw1, subnet="10.0.1")
-    cluster.link(sw1, core, subnet="10.0.1")
-    cluster.link(mon2, sw2, subnet="10.0.2")
-    cluster.link(sw2, core, subnet="10.0.2")
-    servers = []
-    for i in range(6):
-        s = cluster.add_host(f"s{i}", speeds={"matmul": 1.5e6})
-        cluster.link(s, sw1 if i < 3 else sw2,
-                     subnet="10.0.1" if i < 3 else "10.0.2")
-        servers.append(s)
-    cluster.finalize()
-    dep = Deployment(cluster, config=config, wizard_hosts=[wiz, wiz2])
-    dep.add_group("g1", mon1, servers[:3])
-    dep.add_group("g2", mon2, servers[3:])
-    dep.start()
-    services, responders = {}, {}
-    for s in servers:
-        worker = MatMulWorker(s, port=SERVICE_PORT, mss=BULK_MSS)
-        worker.start()
-        services[s.name] = worker
-        responder = LeaseResponder(s, config)
-        responder.start()
-        responders[s.name] = responder
-    return cluster, dep, servers, services, responders
+    #: what the armed kernel instruments saw (see ``**instruments``)
+    observed: Observed = Observed()
 
 
 def failover_experiment(
@@ -607,7 +549,7 @@ def failover_experiment(
     seed: int = 0,
     n: int = 240,
     blk: int = 80,
-    sanitize: bool = False,
+    **instruments: Any,
 ) -> FailoverArm:
     """One self-healing matmul run (2 sessions) under a fault mode:
     ``none`` (baseline), ``wizard_kill`` (primary wizard replica killed
@@ -615,50 +557,23 @@ def failover_experiment(
     worker power-failed 2.5 s into the stream).  The arm's ``elapsed``
     minus the same-seed baseline's is the recovery latency.
     """
-    from ..faults import ChaosController, FaultPlan
-
     if scenario not in FAILOVER_SCENARIOS:
         raise ValueError(f"unknown failover scenario {scenario!r}")
-    requirement = "host_cpu_free > 0.1\nhost_status_age < 10"
-    request_at = 6.0
-    cluster, dep, servers, services, responders = _failover_world(
-        seed, sanitize=sanitize)
-    name_of = {s.addr: s.name for s in servers}
-    out: dict = {}
-
-    def arm_chaos(plan):
-        chaos = ChaosController(dep, plan)
-        for sname, worker in services.items():
-            chaos.register_daemon(sname, "worker", worker)
-        for sname, responder in responders.items():
-            chaos.register_daemon(sname, "lease", responder)
-        chaos.start()
-
+    star = build_star(seed, FAILOVER_CONFIG, replicas=2, app="matmul",
+                      **instruments)
+    pre_fault = None
     if scenario == "wizard_kill":
-        arm_chaos(FaultPlan().kill_wizard_during_request(
-            request_at - 0.2, "wiz"))
+        pre_fault = FaultPlan().kill_wizard_during_request(
+            _HA_REQUEST_AT - 0.2, "wiz")
 
-    def driver():
-        from ..core import smart_sessions
+    def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
+        if scenario != "server_kill":
+            return None
+        return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
 
-        yield cluster.sim.timeout(request_at)
-        client = dep.client_for(cluster.host("cli"))
-        out["client"] = client
-        sessions = yield from smart_sessions(
-            client, requirement, 2, service_port=SERVICE_PORT, mss=BULK_MSS)
-        out["sessions"] = sessions
-        if scenario == "server_kill":
-            arm_chaos(FaultPlan().kill_server_mid_stream(
-                cluster.sim.now + 2.5, name_of[sessions[0].addr]))
-        prog = MatMulMaster(cluster.host("cli"))
-        result = yield from prog.run(sessions, n=n, blk=blk)
-        for session in sessions:
-            session.close()
-        out["result"] = result
-
-    proc = cluster.sim.process(driver(), name="failover-driver")
-    _drive(cluster, proc)
-    result, client = out["result"], out["client"]
+    result, client, sessions = _ha_matmul(
+        star, n, blk, "failover-driver", pre_fault, mid_fault)
+    name_of = star.name_of
     return FailoverArm(
         label=scenario,
         seed=seed,
@@ -667,21 +582,14 @@ def failover_experiment(
         requeued_blocks=result.requeued_blocks,
         wizard_failovers=client.wizard_failovers,
         stale_rejections=client.stale_rejections,
-        lease_expiries=sum(s.lease_expiries for s in out["sessions"]),
+        lease_expiries=sum(s.lease_expiries for s in sessions),
         blocks_per_server={
             name_of.get(a, a): c
             for a, c in result.blocks_per_server.items()
         },
-        races=(tuple(cluster.sanitizer.races)
-               if cluster.sanitizer is not None else None),
-        tracked_accesses=(cluster.sanitizer.accesses
-                          if cluster.sanitizer is not None else 0),
+        observed=observe(star.cluster),
     )
 
-
-# ---------------------------------------------------------------------------
-# Gray failures — adaptive vs fixed-timeout detection under fail-slow faults
-# ---------------------------------------------------------------------------
 
 #: gray fault modes of :func:`grayfail_experiment`
 GRAYFAIL_SCENARIOS = ("none", "slow_server", "degraded_link")
@@ -706,9 +614,8 @@ class GrayFailArm:
     failovers: int
     requeued_blocks: int
     lease_expiries: int
-    #: race reports + access count (``sanitize=True`` runs only)
-    races: Optional[tuple] = None
-    tracked_accesses: int = 0
+    #: what the armed kernel instruments saw (see ``**instruments``)
+    observed: Observed = Observed()
 
     @property
     def time_to_demote(self) -> float:
@@ -725,7 +632,7 @@ def grayfail_experiment(
     seed: int = 0,
     n: int = 400,
     blk: int = 80,
-    sanitize: bool = False,
+    **instruments: Any,
 ) -> GrayFailArm:
     """One self-healing matmul run (2 sessions) under a *gray* fault.
 
@@ -739,82 +646,51 @@ def grayfail_experiment(
     slowdown ratio between the arms (each against its own same-seed
     ``none`` baseline) is the headline of ``BENCH_grayfail.json``.
     """
-    from ..faults import ChaosController, FaultPlan
-
     if scenario not in GRAYFAIL_SCENARIOS:
         raise ValueError(f"unknown grayfail scenario {scenario!r}")
     if detector not in GRAYFAIL_DETECTORS:
         raise ValueError(f"unknown detector arm {detector!r}")
-    requirement = "host_cpu_free > 0.1\nhost_status_age < 10"
-    request_at = 6.0
-    cluster, dep, servers, services, responders = _failover_world(
-        seed, sanitize=sanitize, watchdog=(detector == "adaptive"))
-    name_of = {s.addr: s.name for s in servers}
-    out: dict = {}
+    star = build_star(
+        seed, GRAYFAIL_CONFIG if detector == "adaptive" else FAILOVER_CONFIG,
+        replicas=2, app="matmul", **instruments)
+    fault_times: list[float] = []
 
-    def arm_chaos(plan):
-        chaos = ChaosController(dep, plan)
-        for sname, worker in services.items():
-            chaos.register_daemon(sname, "worker", worker)
-        for sname, responder in responders.items():
-            chaos.register_daemon(sname, "lease", responder)
-        chaos.start()
+    def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
+        if scenario == "none":
+            return None
+        # ~2 healthy block cycles first, so the adaptive watchdog has
+        # a learned progress baseline before the gray fault lands
+        fault_at = now + 8.0
+        fault_times.append(fault_at)
+        if scenario == "slow_server":
+            return FaultPlan().slow_host(
+                fault_at, victim, factor=10.0, duration=3600.0)
+        # degraded_link: the victim's access link goes sick.  Pure
+        # latency, no loss: +500 ms of RTT collapses TCP throughput (the
+        # window over a 1 s RTT) while the lease heartbeat still answers
+        # well inside its 2 s timeout — loss would hand the binary
+        # detector an expiry and turn the gray fault black
+        return FaultPlan().degrade_link(
+            fault_at, victim, star_uplink(victim), duration=3600.0,
+            latency=0.5)
 
-    def driver():
-        from ..core import smart_sessions
-
-        yield cluster.sim.timeout(request_at)
-        client = dep.client_for(cluster.host("cli"))
-        out["client"] = client
-        sessions = yield from smart_sessions(
-            client, requirement, 2, service_port=SERVICE_PORT, mss=BULK_MSS)
-        out["sessions"] = sessions
-        if scenario != "none":
-            # ~2 healthy block cycles first, so the adaptive watchdog has
-            # a learned progress baseline before the gray fault lands
-            fault_at = cluster.sim.now + 8.0
-            victim = name_of[sessions[0].addr]
-            out["fault_at"] = fault_at
-            if scenario == "slow_server":
-                plan = FaultPlan().slow_host(
-                    fault_at, victim, factor=10.0, duration=3600.0)
-            else:  # degraded_link: the victim's access link goes sick.
-                # Pure latency, no loss: +500 ms of RTT collapses TCP
-                # throughput (the window over a 1 s RTT) while the lease
-                # heartbeat still answers well inside its 2 s timeout —
-                # loss would hand the binary detector an expiry and turn
-                # the gray fault black
-                sw = "sw-g1" if int(victim[1:]) < 3 else "sw-g2"
-                plan = FaultPlan().degrade_link(
-                    fault_at, victim, sw, duration=3600.0, latency=0.5)
-            arm_chaos(plan)
-        prog = MatMulMaster(cluster.host("cli"))
-        result = yield from prog.run(sessions, n=n, blk=blk)
-        for session in sessions:
-            session.close()
-        out["result"] = result
-
-    proc = cluster.sim.process(driver(), name="grayfail-driver")
-    _drive(cluster, proc)
-    result = out["result"]
+    result, _, sessions = _ha_matmul(
+        star, n, blk, "grayfail-driver", None, mid_fault)
     watchdog_log = sorted(
-        entry for s in out["sessions"] for entry in s.watchdog_log
+        entry for s in sessions for entry in s.watchdog_log
     )
     return GrayFailArm(
         label=scenario,
         detector=detector,
         seed=seed,
         elapsed=result.elapsed,
-        fault_at=out.get("fault_at", -1.0),
+        fault_at=fault_times[0] if fault_times else -1.0,
         demote_at=watchdog_log[0][0] if watchdog_log else -1.0,
-        slow_migrations=sum(s.slow_migrations for s in out["sessions"]),
+        slow_migrations=sum(s.slow_migrations for s in sessions),
         failovers=result.failovers,
         requeued_blocks=result.requeued_blocks,
-        lease_expiries=sum(s.lease_expiries for s in out["sessions"]),
-        races=(tuple(cluster.sanitizer.races)
-               if cluster.sanitizer is not None else None),
-        tracked_accesses=(cluster.sanitizer.accesses
-                          if cluster.sanitizer is not None else 0),
+        lease_expiries=sum(s.lease_expiries for s in sessions),
+        observed=observe(star.cluster),
     )
 
 
@@ -863,25 +739,14 @@ def shaper_calibration(tests: int = 10, seed: int = 0):
 # Tables 5.7–5.9 / Figs 5.4–5.6 — massd: random sets vs Smart
 # ---------------------------------------------------------------------------
 
-#: the thesis' file-server split (§5.3.2)
-MASSD_GROUP1 = ("mimas", "telesto", "lhost")
-MASSD_GROUP2 = ("dione", "titan-x", "pandora-x")
-
-
 @dataclass
 class MassdArm:
     label: str
     servers: list[str]
     throughput_kbps: float
     elapsed: float
-    #: canonical kernel event trace (schedule-sanitizer runs only)
-    event_trace: Optional[tuple[str, ...]] = None
-    #: race reports + access count from the happens-before sanitizer
-    #: (``sanitize=True`` runs only)
-    races: Optional[tuple] = None
-    tracked_accesses: int = 0
-    #: deterministic event-attribution dict (``profile=True`` runs only)
-    attribution: Optional[dict] = None
+    #: what the armed kernel instruments saw (see ``**instruments``)
+    observed: Observed = Observed()
 
 
 def massd_experiment(
@@ -894,18 +759,15 @@ def massd_experiment(
     blk_kb: int = 100,
     client_host: str = "sagit",
     seed: int = 0,
-    tie_break_seed: Optional[int] = None,
-    trace_events: bool = False,
-    sanitize: bool = False,
-    profile: bool = False,
+    **instruments: Any,
 ) -> list[MassdArm]:
     """One thesis massd comparison (Tables 5.7/5.8/5.9).
 
     Six file servers in two rshaper-limited groups; each random arm uses a
     fixed server set from the thesis, the smart arm queries the wizard with
-    a ``monitor_network_bw`` requirement.  ``tie_break_seed``/
-    ``trace_events`` arm the schedule sanitizer (see
-    :func:`matmul_experiment`).
+    a ``monitor_network_bw`` requirement.  ``instruments`` arm the
+    kernel instruments on every arm's world and come back as the arm's
+    ``observed`` (see :func:`matmul_experiment`).
     """
     arms: list[MassdArm] = []
     all_arms: list[tuple[str, Optional[Sequence[str]]]] = [
@@ -914,65 +776,21 @@ def massd_experiment(
     all_arms.append(("smart", None))
 
     for label, fixed_servers in all_arms:
-        cluster = build_testbed(seed=seed, tie_break_seed=tie_break_seed,
-                                trace_events=trace_events, sanitize=sanitize,
-                                profile=profile)
+        cluster, dep = massd_world(group1_mbps, group2_mbps,
+                                   client_host=client_host, seed=seed,
+                                   **instruments)
         net = cluster.network
-        dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
-        # three groups: the client's own, and the two file-server groups,
-        # each monitored by one of its members so the group's shaper is
-        # visible to that monitor's outbound probes
-        # monitor-only group for the client's network: the client machine is
-        # not a candidate server, but its group needs a network monitor so
-        # path metrics to the file-server groups exist
-        dep.add_group("campus", monitor_host=cluster.host(client_host), servers=[])
-        dep.add_group("group-1", monitor_host=cluster.host(MASSD_GROUP1[0]),
-                      servers=[cluster.host(n) for n in MASSD_GROUP1])
-        dep.add_group("group-2", monitor_host=cluster.host(MASSD_GROUP2[0]),
-                      servers=[cluster.host(n) for n in MASSD_GROUP2])
-        for name in MASSD_GROUP1:
-            shape_host_egress(cluster.host(name), group1_mbps)
-        for name in MASSD_GROUP2:
-            shape_host_egress(cluster.host(name), group2_mbps)
-        for name in MASSD_GROUP1 + MASSD_GROUP2:
-            FileServer(cluster.host(name), port=SERVICE_PORT, mss=BULK_MSS).start()
-        dep.start()
-        out: dict = {}
-
-        def driver():
-            yield cluster.sim.timeout(dep.warm_up_seconds() + 4.0)
-            client_h = cluster.host(client_host)
-            client = dep.client_for(client_h)
-            if fixed_servers is None:
-                conns = yield from client.smart_sockets(
-                    requirement, n_servers, service_port=SERVICE_PORT, mss=BULK_MSS
-                )
-            else:
-                conns = []
-                for sname in fixed_servers:
-                    conn = yield from client_h.stack.tcp.connect(
-                        net.resolve(sname), SERVICE_PORT, mss=BULK_MSS
-                    )
-                    conns.append(conn)
-            massd = MassdClient(client_h)
-            result = yield from massd.run(conns, data_kb=data_kb, blk_kb=blk_kb)
-            out["result"] = result
-
-        proc = cluster.sim.process(driver())
-        _drive(cluster, proc, horizon=360000.0)
-        result = out["result"]
+        result = _run_job(
+            cluster, dep, client_host, dep.warm_up_seconds() + 4.0,
+            requirement, n_servers, fixed_servers,
+            lambda host, conns: MassdClient(host).run(
+                conns, data_kb=data_kb, blk_kb=blk_kb),
+            horizon=360000.0)
         arms.append(MassdArm(
             label=label,
             servers=[net.hostname_of(a) for a in result.servers],
             throughput_kbps=result.throughput_kbps,
             elapsed=result.elapsed,
-            event_trace=(tuple(cluster.event_trace.canonical_lines())
-                         if cluster.event_trace is not None else None),
-            races=(tuple(cluster.sanitizer.races)
-                   if cluster.sanitizer is not None else None),
-            tracked_accesses=(cluster.sanitizer.accesses
-                              if cluster.sanitizer is not None else 0),
-            attribution=(cluster.profiler.attribution()
-                         if cluster.profiler is not None else None),
+            observed=observe(cluster),
         ))
     return arms

@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as _replace
 
 from ..sim.rand import RandomStreams
+from ..worlds import STAR_WIZARDS
 from .invariants import Violation, check_all
 from .plan import FaultPlan
 from .scenarios import MUTANTS, SCENARIOS, fault_surface, run_trial, trial_deadline
@@ -92,7 +93,7 @@ def generate_plan(rng, spec, surface) -> FaultPlan:
                        duration=rng.uniform(1.0, 6.0))
     elif draw < 0.36 and spec.control_plane:
         plan.kill_wizard_during_request(
-            spec.request_at - 0.2, rng.choice(["wiz", "wiz2"]),
+            spec.request_at - 0.2, rng.choice(list(STAR_WIZARDS)),
             restart_after=rng.uniform(3.0, 8.0))
     elif draw < 0.36 and spec.gray:
         servers = [h for h in surface["hosts"] if h.startswith("s")]

@@ -33,21 +33,16 @@ actually finds real defects within budget.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..apps import (
-    FileServer,
-    MassdClient,
-    MatMulMaster,
-    MatMulWorker,
-    shape_host_egress,
-)
-from ..cluster import Cluster, Deployment
-from ..core import Config, LeaseResponder, smart_sessions
+from ..apps import MassdClient, MatMulMaster
+from ..core import smart_sessions
+from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
+                      SERVICE_PORT, STALENESS_REQUIREMENT, build_star,
+                      star_surface)
 from .controller import ChaosController
 from .invariants import TrialOutcome
 from .plan import FaultPlan
@@ -60,11 +55,7 @@ __all__ = [
     "run_trial",
     "trial_deadline",
     "LIVENESS_SLACK",
-    "SERVICE_PORT",
 ]
-
-SERVICE_PORT = 9000
-BULK_MSS = 8192
 
 #: liveness-deadline slack beyond the fault horizon.  Sized for the worst
 #: *correct* stall the net model can produce: a loss burst can back a
@@ -72,9 +63,6 @@ BULK_MSS = 8192
 #: lease detector (no watchdog) rides it out — two chained backoffs plus
 #: the healed job still fit.  Anything slower is a wedged recovery path.
 LIVENESS_SLACK = 150.0
-
-#: egress cap of every massd file server (8 Mbit/s ~ 1 MB/s)
-MASSD_SHAPE_MBPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -98,18 +86,18 @@ class Scenario:
     mean_outage: float = 4.0
 
 
-_STALENESS = "host_cpu_free > 0.1\nhost_status_age < 10"
-
 SCENARIOS: dict[str, Scenario] = {
     "matmul": Scenario(
-        name="matmul", app="matmul", sessions=2, requirement=_STALENESS,
+        name="matmul", app="matmul", sessions=2,
+        requirement=STALENESS_REQUIREMENT,
     ),
     "massd": Scenario(
-        name="massd", app="massd", sessions=1, requirement=_STALENESS,
+        name="massd", app="massd", sessions=1,
+        requirement=STALENESS_REQUIREMENT,
     ),
     "ha": Scenario(
-        name="ha", app="matmul", sessions=2, requirement=_STALENESS,
-        control_plane=True,
+        name="ha", app="matmul", sessions=2,
+        requirement=STALENESS_REQUIREMENT, control_plane=True,
     ),
     "grayfail": Scenario(
         # no staleness clause: a skewed clock ages reports, and starving
@@ -151,27 +139,8 @@ _APP_CLASSES = {
 
 
 def fault_surface(spec: Scenario) -> dict:
-    """What the plan generator may break: sorted host names, link
-    endpoint pairs and (host, role) daemons of the scenario."""
-    hosts = [f"s{i}" for i in range(6)]
-    links = [(f"s{i}", "sw-g1" if i < 3 else "sw-g2") for i in range(6)]
-    role = "worker" if spec.app == "matmul" else "fileserver"
-    daemons = [(f"s{i}", role) for i in range(6)]
-    daemons += [(f"s{i}", "lease") for i in range(6)]
-    daemons += [(f"s{i}", "probe") for i in range(6)]
-    if spec.control_plane:
-        hosts += ["wiz", "wiz2", "mon1", "mon2"]
-        links += [("sw-g1", "core"), ("sw-g2", "core"),
-                  ("wiz", "core"), ("wiz2", "core"),
-                  ("mon1", "sw-g1"), ("mon2", "sw-g2")]
-        daemons += [("wiz", "wizard"), ("wiz2", "wizard"),
-                    ("mon1", "sysmon"), ("mon1", "transmitter"),
-                    ("mon2", "sysmon"), ("mon2", "transmitter")]
-    return {
-        "hosts": sorted(hosts),
-        "links": sorted(links),
-        "daemons": sorted(daemons),
-    }
+    """What the plan generator may break in ``spec``'s world."""
+    return star_surface(spec.app, spec.control_plane)
 
 
 def trial_deadline(spec: Scenario, oracle_elapsed: float,
@@ -190,87 +159,6 @@ def _matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     a = ((idx % 7) - 3).astype(float).reshape(n, n)
     b = ((idx % 5) - 2).astype(float).reshape(n, n)
     return a, b
-
-
-def _reset_world_counters() -> None:
-    """Fresh global id counters before each trial world.
-
-    Connection/session/packet/allocation ids come from module-level
-    ``itertools.count`` streams, and some leak into kernel process names
-    (``lease-3-…``, ``tcp-send-17``) that the canonical event trace
-    records.  Trials are isolated worlds, so resetting gives every trial
-    the ids a fresh process would — the byte-stability contract (same
-    trace hash on every replay, any worker count) depends on it."""
-    from ..core import rsocket as _rsocket
-    from ..core import session as _session
-    from ..host import memory as _memory
-    from ..net import packet as _packet
-    from ..net import tcp as _tcp
-
-    _tcp._conn_ids = itertools.count(1)
-    _packet._ids = itertools.count(1)
-    _memory._alloc_ids = itertools.count(1)
-    _rsocket._session_ids = itertools.count(1)
-    _session._session_ids = itertools.count(1)
-
-
-def _build_world(spec: Scenario, seed: int, trace: bool):
-    """The HA star of ``_failover_world`` (bench/experiments.py), carrying
-    the scenario's application on every server."""
-    extra = {}
-    if spec.watchdog:
-        extra = dict(session_watchdog_interval=0.5,
-                     session_watchdog_min_samples=3,
-                     session_watchdog_phi=2.5)
-    config = Config(
-        probe_interval=1.0, probe_miss_limit=3, transmit_interval=1.0,
-        netmon_interval=1.0, client_timeout=1.0, client_retries=2,
-        client_backoff_base=0.1, client_backoff_cap=1.0,
-        transmit_backoff_cap=2.0, transmit_stall_limit=3.0,
-        quarantine_period=5.0, wizard_staleness_limit=4.0,
-        wizard_quarantine_period=5.0, lease_interval=0.5,
-        lease_timeout=2.0, session_retries=3, **extra,
-    )
-    cluster = Cluster(seed=seed, trace_events=trace)
-    wiz = cluster.add_host("wiz")
-    wiz2 = cluster.add_host("wiz2")
-    cli = cluster.add_host("cli")
-    mon1 = cluster.add_host("mon1")
-    mon2 = cluster.add_host("mon2")
-    core = cluster.add_switch("core")
-    sw1 = cluster.add_switch("sw-g1")
-    sw2 = cluster.add_switch("sw-g2")
-    cluster.link(wiz, core, subnet="10.0.0")
-    cluster.link(wiz2, core, subnet="10.0.4")
-    cluster.link(cli, core, subnet="10.0.3")
-    cluster.link(mon1, sw1, subnet="10.0.1")
-    cluster.link(sw1, core, subnet="10.0.1")
-    cluster.link(mon2, sw2, subnet="10.0.2")
-    cluster.link(sw2, core, subnet="10.0.2")
-    servers = []
-    for i in range(6):
-        s = cluster.add_host(f"s{i}", speeds={"matmul": 1.5e6})
-        cluster.link(s, sw1 if i < 3 else sw2,
-                     subnet="10.0.1" if i < 3 else "10.0.2")
-        servers.append(s)
-    cluster.finalize()
-    dep = Deployment(cluster, config=config, wizard_hosts=[wiz, wiz2])
-    dep.add_group("g1", mon1, servers[:3])
-    dep.add_group("g2", mon2, servers[3:])
-    dep.start()
-    services, responders = {}, {}
-    for s in servers:
-        if spec.app == "matmul":
-            service = MatMulWorker(s, port=SERVICE_PORT, mss=BULK_MSS)
-        else:
-            shape_host_egress(s, MASSD_SHAPE_MBPS)
-            service = FileServer(s, port=SERVICE_PORT, mss=BULK_MSS)
-        service.start()
-        services[s.name] = service
-        responder = LeaseResponder(s, config)
-        responder.start()
-        responders[s.name] = responder
-    return cluster, dep, cli, servers, services, responders
 
 
 #: exception messages of the *documented* loud-failure path — the plan
@@ -318,17 +206,14 @@ def run_trial(
         raise ValueError(f"unknown mutant {mutant!r}")
     if not deadline:
         deadline = trial_deadline(spec, 0.0, plan.horizon) + 60.0
-    _reset_world_counters()
-    cluster, dep, cli, servers, services, responders = _build_world(
-        spec, world_seed, trace)
+    star = build_star(
+        world_seed, GRAYFAIL_CONFIG if spec.watchdog else FAILOVER_CONFIG,
+        replicas=2, app=spec.app, trace_events=trace)
+    cluster, dep, cli = star.cluster, star.dep, star.cli
     sim = cluster.sim
-    name_of = {s.addr: s.name for s in servers}
+    name_of = star.name_of
     chaos = ChaosController(dep, plan)
-    role = "worker" if spec.app == "matmul" else "fileserver"
-    for sname in sorted(services):
-        chaos.register_daemon(sname, role, services[sname])
-    for sname in sorted(responders):
-        chaos.register_daemon(sname, "lease", responders[sname])
+    star.register_daemons(chaos)
     chaos.start()
     out: dict = {}
 

@@ -1,0 +1,433 @@
+"""The one home of every shared world: what it looks like, how it is
+timed, which smoke jobs run on it.
+
+Three worlds are built by more than one tool (thesis runners, chaos
+explorer, ``repro check --sanitize``, ``repro profile``, the fault test
+suites, ``benchmarks/bench_*.py``):
+
+* the **star** (:func:`build_star`) — a client, one or two wizard
+  replicas and two monitored 3-server groups, each behind its own
+  switch off the core — with its chaos/failover/grayfail timing configs
+  and a fault surface (:func:`star_surface`) derived from the same
+  definition that builds it;
+* the **lab world** (:func:`lab_world`) — the thesis testbed with one
+  ``lab`` group and a matmul worker on every machine (Tables 5.3–5.6);
+* the **massd world** (:func:`massd_world`) — the thesis testbed with
+  two rshaper-limited file-server groups (Tables 5.7–5.9).
+
+Every builder starts from fresh global ids (:func:`fresh_ids`) and
+forwards one ``**instruments`` pass-through (``tie_break_seed``,
+``trace_events``, ``sanitize``, ``profile``) to
+:class:`~repro.cluster.Cluster`; :func:`observe` harvests what they saw
+into one :class:`Observed`.  :data:`SMOKE_JOBS` names the sized-down
+runs that ``--sanitize`` and ``repro profile`` both accept.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Any, Optional, Sequence
+
+from .apps import FileServer, MatMulWorker, shape_host_egress
+from .cluster import TESTBED_MACHINES, Cluster, Deployment, build_testbed
+from .cluster.host import SmartHost
+from .core import Config, LeaseResponder
+from .core.config import DEFAULT_CONFIG
+
+__all__ = [
+    "fresh_ids", "Observed", "observe", "SERVICE_PORT", "BULK_MSS",
+    "CHAOS_CONFIG", "FAILOVER_CONFIG", "GRAYFAIL_CONFIG",
+    "STALENESS_REQUIREMENT", "StarGroup", "STAR_GROUPS", "STAR_WIZARDS",
+    "APP_ROLES", "Star", "build_star", "star_surface", "star_uplink",
+    "TESTBED_SERVER_NAMES", "MASSD_GROUP1", "MASSD_GROUP2", "lab_world",
+    "massd_world", "SMOKE_JOBS", "run_smoke", "run_scenario",
+]
+
+SERVICE_PORT = 9000
+BULK_MSS = 8192
+
+
+def fresh_ids() -> None:
+    """Restart the global id counters, as a fresh interpreter would.
+
+    Connection/session/packet/allocation ids come from module-level
+    ``itertools.count`` streams, and some leak into kernel process names
+    (``lease-3-…``, ``tcp-send-17``) that event traces and profiler
+    attributions record.  Every builder here calls this first, so a
+    world's ids — and with them its trace and attribution — do not
+    depend on what ran earlier in the process.  Build a world only after
+    the previous one has finished running: ids key live per-world state.
+    """
+    from .core import rsocket, session
+    from .host import memory
+    from .net import packet, tcp
+
+    tcp._conn_ids = itertools.count(1)
+    packet._ids = itertools.count(1)
+    memory._alloc_ids = itertools.count(1)
+    rsocket._session_ids = itertools.count(1)
+    session._session_ids = itertools.count(1)
+
+
+@dataclass(frozen=True)
+class Observed:
+    """What the opt-in kernel instruments saw during one run (every
+    field keeps its default when its instrument was not armed)."""
+
+    #: canonical kernel event trace (``trace_events``)
+    event_trace: Optional[tuple[str, ...]] = None
+    #: race reports, access count and the detector's own summary line
+    #: from the happens-before sanitizer (``sanitize``)
+    races: Optional[tuple] = None
+    tracked_accesses: int = 0
+    race_summary: str = ""
+    #: deterministic event-attribution dict (``profile``)
+    attribution: Optional[dict[str, Any]] = None
+
+
+def observe(cluster: Cluster) -> Observed:
+    """Harvest every armed instrument of ``cluster``."""
+    trace, sanitizer, profiler = (cluster.event_trace, cluster.sanitizer,
+                                  cluster.profiler)
+    return Observed(
+        event_trace=(tuple(trace.canonical_lines())
+                     if trace is not None else None),
+        races=tuple(sanitizer.races) if sanitizer is not None else None,
+        tracked_accesses=sanitizer.accesses if sanitizer is not None else 0,
+        race_summary=sanitizer.summary() if sanitizer is not None else "",
+        attribution=(profiler.attribution()
+                     if profiler is not None else None),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the star
+# ---------------------------------------------------------------------------
+
+#: chaos timing: 1 s probes, 3 misses, 1 s pushes — so a dead server
+#: expires after 3 s and the recovery budget
+#: (probe_miss_limit * probe_interval + transmit_interval) is 4 s
+CHAOS_CONFIG = replace(
+    DEFAULT_CONFIG,
+    probe_interval=1.0,
+    probe_miss_limit=3,
+    transmit_interval=1.0,
+    netmon_interval=1.0,
+    client_timeout=1.0,
+    client_retries=2,
+    client_backoff_base=0.1,
+    client_backoff_cap=1.0,
+    transmit_backoff_cap=2.0,
+    transmit_stall_limit=3.0,
+    quarantine_period=5.0,
+)
+
+#: failover timing: chaos timing plus the HA knobs — a replica whose
+#: freshest DB is older than 4 s answers REPLY_STALE, dead
+#: replicas/servers sit in quarantine for 5 s, and the health lease
+#: pings every 0.5 s declaring death after 2 s of silence
+FAILOVER_CONFIG = replace(
+    CHAOS_CONFIG,
+    wizard_staleness_limit=4.0,
+    wizard_quarantine_period=5.0,
+    lease_interval=0.5,
+    lease_timeout=2.0,
+    session_retries=3,
+)
+
+#: gray-failure timing: the failover knobs plus the sessions'
+#: throughput-floor watchdog — sample progress every 0.5 s, trust the
+#: learned cadence after 3 gaps, migrate at phi 2.5 (~99.7 % confidence
+#: the stall is abnormal).  min_samples=3 because a matmul session only
+#: records ~1 progress gap per block cycle, so demanding more would
+#: leave the detector cold past the fault window of a short job
+GRAYFAIL_CONFIG = replace(
+    FAILOVER_CONFIG,
+    session_watchdog_interval=0.5,
+    session_watchdog_min_samples=3,
+    session_watchdog_phi=2.5,
+)
+
+#: freshness demand of the star jobs: a record whose monitor path has
+#: been dead for >= 10 s no longer qualifies
+STALENESS_REQUIREMENT = "host_cpu_free > 0.1\nhost_status_age < 10"
+
+
+@dataclass(frozen=True)
+class StarGroup:
+    """One monitored server group of the star."""
+
+    name: str
+    monitor: str
+    switch: str
+    subnet: str
+    servers: tuple[str, ...]
+
+
+#: cutting ``sw-g1<->core`` partitions group g1 (monitor + 3 servers)
+#: from the wizard; g2 hangs off ``sw-g2`` next to its monitor mon2
+STAR_GROUPS = (
+    StarGroup("g1", "mon1", "sw-g1", "10.0.1", ("s0", "s1", "s2")),
+    StarGroup("g2", "mon2", "sw-g2", "10.0.2", ("s3", "s4", "s5")),
+)
+#: wizard machine -> its subnet; ``wiz2`` exists in replica sets only
+STAR_WIZARDS = {"wiz": "10.0.0", "wiz2": "10.0.4"}
+STAR_CORE = "core"
+
+#: application on every star server -> its daemon role on the fault plane
+APP_ROLES = {"matmul": "worker", "massd": "fileserver"}
+#: slow worker CPUs so one 80x80 matmul block takes ~2 s: a mid-run
+#: crash is genuinely mid-stream and recovery is measurable
+STAR_MATMUL_SPEED = 1.5e6
+#: file servers shaped to 8 Mbit/s so a massd block takes ~0.1 s
+STAR_MASSD_MBPS = 8.0
+
+
+@dataclass
+class Star:
+    """A started star: the cluster, its deployment and the handles the
+    tools keep reaching for."""
+
+    cluster: Cluster
+    dep: Deployment
+    cli: SmartHost
+    wizards: list[SmartHost]
+    servers: list[SmartHost]
+    app: Optional[str]
+    #: application service / lease responder per server name (empty
+    #: when no ``app`` was deployed)
+    services: dict[str, Any]
+    responders: dict[str, LeaseResponder]
+
+    @property
+    def addrs(self) -> dict[str, str]:
+        return {s.name: s.addr for s in self.servers}
+
+    @property
+    def name_of(self) -> dict[str, str]:
+        return {s.addr: s.name for s in self.servers}
+
+    def register_daemons(self, chaos: Any) -> None:
+        """Put the application-plane daemons on a ``ChaosController``'s
+        registry so ``crash-host`` stops them (and ``restart-host``
+        brings them back)."""
+        if self.app is not None:
+            for name, service in self.services.items():
+                chaos.register_daemon(name, APP_ROLES[self.app], service)
+        for name, responder in self.responders.items():
+            chaos.register_daemon(name, "lease", responder)
+
+
+def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
+               replicas: int = 1, app: Optional[str] = None,
+               **instruments: Any) -> Star:
+    """Build and start the star::
+
+        cli --- core --- wiz (--- wiz2)
+                 |\\
+           sw-g1 | sw-g2
+          /  |   |  |  \\
+      mon1 s0-s2 | s3-s5 (mon2)
+
+    ``replicas=2`` adds ``wiz2`` as a second wizard replica; ``app``
+    (``"matmul"`` or ``"massd"``) starts that service plus a
+    :class:`~repro.core.LeaseResponder` on every server.
+    """
+    if app is not None and app not in APP_ROLES:
+        raise ValueError(f"unknown star app {app!r}")
+    fresh_ids()
+    cluster = Cluster(seed=seed, **instruments)
+    wizards = [cluster.add_host(name)
+               for name in list(STAR_WIZARDS)[:replicas]]
+    cli = cluster.add_host("cli")
+    monitors = [cluster.add_host(g.monitor) for g in STAR_GROUPS]
+    core = cluster.add_switch(STAR_CORE)
+    switches = [cluster.add_switch(g.switch) for g in STAR_GROUPS]
+    for wizard in wizards:
+        cluster.link(wizard, core, subnet=STAR_WIZARDS[wizard.name])
+    cluster.link(cli, core, subnet="10.0.3")
+    for group, monitor, switch in zip(STAR_GROUPS, monitors, switches):
+        cluster.link(monitor, switch, subnet=group.subnet)
+        cluster.link(switch, core, subnet=group.subnet)
+    speeds = {"matmul": STAR_MATMUL_SPEED} if app == "matmul" else None
+    servers: dict[str, SmartHost] = {}
+    for group, switch in zip(STAR_GROUPS, switches):
+        for name in group.servers:
+            servers[name] = cluster.add_host(name, speeds=speeds)
+            cluster.link(servers[name], switch, subnet=group.subnet)
+    cluster.finalize()
+    dep = Deployment(cluster, config=config, wizard_hosts=wizards)
+    for group, monitor in zip(STAR_GROUPS, monitors):
+        dep.add_group(group.name, monitor,
+                      [servers[name] for name in group.servers])
+    dep.start()
+    star = Star(cluster, dep, cli, wizards, list(servers.values()), app,
+                {}, {})
+    if app is not None:
+        for server in star.servers:
+            service: Any
+            if app == "matmul":
+                service = MatMulWorker(server, port=SERVICE_PORT,
+                                       mss=BULK_MSS)
+            else:
+                shape_host_egress(server, STAR_MASSD_MBPS)
+                service = FileServer(server, port=SERVICE_PORT, mss=BULK_MSS)
+            service.start()
+            star.services[server.name] = service
+            responder = LeaseResponder(server, config)
+            responder.start()
+            star.responders[server.name] = responder
+    return star
+
+
+def star_surface(app: str, control_plane: bool = False) -> dict[str, list]:
+    """What a fault plan may break on a two-replica star running
+    ``app``: sorted host names, link endpoint pairs and (host, role)
+    daemons — the server plane, plus wizards, monitors and trunk links
+    with ``control_plane``."""
+    hosts = [name for g in STAR_GROUPS for name in g.servers]
+    links = [(name, g.switch) for g in STAR_GROUPS for name in g.servers]
+    daemons = [(name, role) for name in hosts
+               for role in (APP_ROLES[app], "lease", "probe")]
+    if control_plane:
+        monitors = [g.monitor for g in STAR_GROUPS]
+        hosts += [*STAR_WIZARDS, *monitors]
+        links += [(g.switch, STAR_CORE) for g in STAR_GROUPS]
+        links += [(name, STAR_CORE) for name in STAR_WIZARDS]
+        links += [(g.monitor, g.switch) for g in STAR_GROUPS]
+        daemons += [(name, "wizard") for name in STAR_WIZARDS]
+        daemons += [(name, role) for name in monitors
+                    for role in ("sysmon", "transmitter")]
+    return {"hosts": sorted(hosts), "links": sorted(links),
+            "daemons": sorted(daemons)}
+
+
+def star_uplink(server: str) -> str:
+    """The group switch a star server's access link hangs off."""
+    return next(g.switch for g in STAR_GROUPS if server in g.servers)
+
+
+# ---------------------------------------------------------------------------
+# the thesis-testbed worlds
+# ---------------------------------------------------------------------------
+
+TESTBED_SERVER_NAMES = tuple(m.name for m in TESTBED_MACHINES)
+
+#: the thesis' file-server split (§5.3.2)
+MASSD_GROUP1 = ("mimas", "telesto", "lhost")
+MASSD_GROUP2 = ("dione", "titan-x", "pandora-x")
+
+
+def lab_world(config: Optional[Config] = None, seed: int = 0,
+              mode: Optional[str] = None,
+              pool: Sequence[str] = TESTBED_SERVER_NAMES,
+              **instruments: Any) -> tuple[Cluster, Deployment]:
+    """Testbed + one 'lab' group over ``pool``, matmul workers everywhere."""
+    fresh_ids()
+    cluster = build_testbed(seed=seed, **instruments)
+    dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"),
+                     config=config or Config(), mode=mode)
+    dep.add_group("lab", monitor_host=cluster.host("dalmatian"),
+                  servers=[cluster.host(n) for n in pool])
+    for name in TESTBED_SERVER_NAMES:
+        MatMulWorker(cluster.host(name), port=SERVICE_PORT,
+                     mss=BULK_MSS).start()
+    dep.start()
+    return cluster, dep
+
+
+def massd_world(group1_mbps: float, group2_mbps: float,
+                client_host: str = "sagit", seed: int = 0,
+                **instruments: Any) -> tuple[Cluster, Deployment]:
+    """Testbed + six file servers in two rshaper-limited groups.
+
+    Three groups: the two file-server groups, each monitored by one of
+    its members so the group's shaper is visible to that monitor's
+    outbound probes, and a monitor-only group for the client's network —
+    the client machine is not a candidate server, but its group needs a
+    network monitor so path metrics to the file-server groups exist.
+    """
+    fresh_ids()
+    cluster = build_testbed(seed=seed, **instruments)
+    dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
+    dep.add_group("campus", monitor_host=cluster.host(client_host),
+                  servers=[])
+    for label, group, mbps in (("group-1", MASSD_GROUP1, group1_mbps),
+                               ("group-2", MASSD_GROUP2, group2_mbps)):
+        dep.add_group(label, monitor_host=cluster.host(group[0]),
+                      servers=[cluster.host(n) for n in group])
+        for name in group:
+            shape_host_egress(cluster.host(name), mbps)
+    for name in MASSD_GROUP1 + MASSD_GROUP2:
+        FileServer(cluster.host(name), port=SERVICE_PORT,
+                   mss=BULK_MSS).start()
+    dep.start()
+    return cluster, dep
+
+
+# ---------------------------------------------------------------------------
+# named smoke jobs — shared by ``check --sanitize`` and ``profile``
+# ---------------------------------------------------------------------------
+
+#: name -> (runner in :mod:`repro.bench.experiments`, one kwargs dict
+#: per call): the thesis worlds sized down so an instrumented pass stays
+#: in the seconds range.  Both CLIs accept exactly these names.
+SMOKE_JOBS: dict[str, tuple[str, tuple[dict[str, Any], ...]]] = {
+    "matmul": ("matmul_experiment", (dict(
+        n_servers=2, blk=120,
+        requirement="(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
+                    " && (host_memory_free > 5)",
+        random_servers=("lhost", "phoebe"), n=240),)),
+    "massd": ("massd_experiment", (dict(
+        group1_mbps=6.72, group2_mbps=1.33,
+        requirement="monitor_network_bw > 6", n_servers=1,
+        random_sets=[("pandora-x",)], data_kb=2000),)),
+    "failover": ("failover_experiment", (
+        dict(scenario="wizard_kill"), dict(scenario="server_kill"))),
+    "grayfail": ("grayfail_experiment", (
+        dict(scenario="slow_server", detector="adaptive"),
+        dict(scenario="degraded_link", detector="adaptive"))),
+}
+
+
+def run_smoke(name: str, **instruments: Any) -> list:
+    """Run one named smoke job; returns its arms (each carries an
+    ``observed`` :class:`Observed`)."""
+    from .bench import experiments
+
+    runner_name, calls = SMOKE_JOBS[name]
+    runner = getattr(experiments, runner_name)
+    arms: list = []
+    for kwargs in calls:
+        result = runner(**kwargs, **instruments)
+        arms.extend(result if isinstance(result, list) else [result])
+    return arms
+
+
+def run_scenario(scenario: str,
+                 **instruments: Any) -> tuple[str, list[Observed]]:
+    """Run a scenario under ``instruments``: a :data:`SMOKE_JOBS` name,
+    or a path to a Python file defining ``run(sim)`` (which sets up its
+    own state and drives the clock).  Returns the scenario's display
+    label and one :class:`Observed` per world it ran.
+    """
+    if scenario in SMOKE_JOBS:
+        return scenario, [arm.observed
+                          for arm in run_smoke(scenario, **instruments)]
+    path = Path(scenario)
+    if not (path.suffix == ".py" and path.exists()):
+        raise KeyError(f"unknown scenario {scenario!r}: expected one of "
+                       f"{', '.join(sorted(SMOKE_JOBS))} or a path to a "
+                       f"run(sim) scenario file")
+    namespace: dict[str, Any] = {"__name__": "repro_scenario",
+                                 "__file__": str(path)}
+    code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    exec(code, namespace)  # noqa: S102 — the scenario file is the input
+    entry = namespace.get("run")
+    if not callable(entry):
+        raise ValueError(f"{path}: scenario must define run(sim)")
+    cluster = Cluster(**instruments)
+    entry(cluster.sim)
+    return path.name, [observe(cluster)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,11 @@ from repro.analysis.engine import (
     ANALYZER_CODES,
     Rule,
     all_rules,
-    check_source,
     iter_python_files,
     rule,
 )
+from repro.analysis.flow.symbols import SymbolTable
+from repro.analysis.program import check_source
 from repro.lang.diagnostics import register_codes
 
 
@@ -22,37 +24,36 @@ class TestNoqa:
     def test_targeted_code_is_suppressed(self):
         src = "import time\n\nt = time.time()  # repro: noqa[REPRO102]\n"
         report = check_source(src, Path("x.py"))
-        assert report.diagnostics == []
-        assert report.suppressed == 1
+        assert report.findings == []
+        assert len(report.suppressed) == 1
 
     def test_bare_noqa_silences_every_code(self):
         src = "import random  # repro: noqa\n\nrandom.seed(1)\n"
         report = check_source(src, Path("x.py"))
-        assert [d.line for d in report.diagnostics] == [3]
-        assert report.suppressed == 1
+        assert [f.diag.line for f in report.findings] == [3]
+        assert len(report.suppressed) == 1
 
     def test_comma_separated_codes(self):
         src = ("import os, uuid\n\n"
                "x = (os.urandom(4), uuid.uuid4())"
                "  # repro: noqa[REPRO104, REPRO101]\n")
         report = check_source(src, Path("x.py"))
-        assert report.diagnostics == []
-        assert report.suppressed == 2
+        assert report.findings == []
+        assert len(report.suppressed) == 2
 
     def test_wrong_code_does_not_suppress(self):
         src = "import time\n\nt = time.time()  # repro: noqa[REPRO101]\n"
         report = check_source(src, Path("x.py"))
-        assert [d.code for d in report.diagnostics] == ["REPRO102"]
-        assert report.suppressed == 0
+        assert [f.diag.code for f in report.findings] == ["REPRO102"]
+        assert report.suppressed == []
 
 
 class TestEngine:
     def test_parse_error_reported_not_raised(self):
         report = check_source("def broken(:\n", Path("x.py"))
-        assert report.parse_error is not None
-        assert report.parse_line == 1
-        assert report.error_count == 1
-        assert report.diagnostics == []
+        assert [f.line for f in report.parse_failures] == [1]
+        assert report.exit_code == 1
+        assert report.findings == []
 
     def test_all_rules_cover_the_code_table(self):
         """Every non-F/non-H/non-S code has a per-file rule; F-series
@@ -104,12 +105,39 @@ class TestEngine:
                "if TYPE_CHECKING:\n"
                "    import random\n")
         report = check_source(src, Path("x.py"))
-        assert report.diagnostics == []
+        assert report.findings == []
 
     def test_allowlisted_file_skips_random_rule(self):
         report = check_source("import random\n",
                               Path("src/repro/sim/rand.py"))
-        assert report.diagnostics == []
+        assert report.findings == []
+
+
+class TestOneProgramModel:
+    def test_all_parses_each_file_once_and_builds_one_table(
+            self, monkeypatch, capsys):
+        """Structure, not timing: ``--all`` runs four gates over one
+        program — one ``ast.parse`` per file, one symbol table per run."""
+        fixtures = Path(__file__).parent / "fixtures"
+        parsed: list[str] = []
+        tables: list[SymbolTable] = []
+        real_parse, real_init = ast.parse, SymbolTable.__init__
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_init(self, units):
+            tables.append(self)
+            real_init(self, units)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(SymbolTable, "__init__", counting_init)
+        assert check_main(["--all", str(fixtures)]) == 1
+        capsys.readouterr()
+        assert sorted(parsed) == sorted(
+            str(p) for p in iter_python_files([fixtures]))
+        assert len(tables) == 1
 
 
 class TestCli:

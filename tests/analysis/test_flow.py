@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import check_main
-from repro.analysis.flow import run_flow
-from repro.analysis.flow.symbols import module_name_for
+from repro.analysis.engine import module_name_for
+from repro.analysis.program import Program, run_checks
 
 REPO = Path(__file__).parent.parent.parent
 SRC = REPO / "src" / "repro"
@@ -24,11 +24,11 @@ SRC = REPO / "src" / "repro"
 def analyze(tmp_path: Path, **files: str):
     for name, source in files.items():
         (tmp_path / f"{name}.py").write_text(source, encoding="utf-8")
-    return run_flow([tmp_path])
+    return run_checks(Program.load([tmp_path]), ("flow",))
 
 
 def codes(report) -> list[str]:
-    return [diag.code for _, diag in report.findings]
+    return [f.diag.code for f in report.findings]
 
 
 class TestSymbols:
@@ -52,9 +52,8 @@ class TestSymbols:
             "def send(conn):\n"
             "    conn.send(MSG_A, 8)\n"))
         assert report.findings == []
-        assert report.table is not None
-        assert report.table.tags == {"MSG_A": 1}
-        assert [r.tags for r in report.table.registries] == [("MSG_A",)]
+        assert report.program.table.tags == {"MSG_A": 1}
+        assert [r.tags for r in report.program.table.registries] == [("MSG_A",)]
 
 
 class TestTagPropagation:
@@ -74,8 +73,7 @@ class TestTagPropagation:
             "def main(conn):\n"
             "    push(conn, build())\n"))
         assert report.findings == []
-        assert report.analysis is not None
-        assert report.analysis.sent_tags() == frozenset({"MSG_A"})
+        assert report.program.tags.sent_tags() == frozenset({"MSG_A"})
 
     def test_dataclass_default_tag_counts_as_sent(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -90,8 +88,7 @@ class TestTagPropagation:
             "    reply = Reply(seq=seq)\n"
             "    sock.sendto(addr, port, payload=reply)\n"))
         assert report.findings == []
-        assert report.analysis is not None
-        assert report.analysis.sent_tags() == frozenset({"REPLY_OK"})
+        assert report.program.tags.sent_tags() == frozenset({"REPLY_OK"})
 
     def test_unsent_registered_tag_is_drift(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -101,7 +98,7 @@ class TestTagPropagation:
             "    return msg\n"))
         assert codes(report) == ["REPRO400"]
         assert "no statically discoverable send site" in \
-            report.findings[0][1].message
+            report.findings[0].diag.message
 
     def test_no_registry_skips_repro400(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -134,8 +131,8 @@ class TestDeadlock:
             a=self.DAEMON.format(name="A", mine="PORT_A", peer="PORT_B"),
             b=self.DAEMON.format(name="B", mine="PORT_B", peer="PORT_A"))
         assert codes(report) == ["REPRO401"]
-        assert "a.A.run" in report.findings[0][1].message
-        assert "b.B.run" in report.findings[0][1].message
+        assert "a.A.run" in report.findings[0].diag.message
+        assert "b.B.run" in report.findings[0].diag.message
 
     def test_timeout_on_one_edge_breaks_the_cycle(self, tmp_path):
         timed = (
@@ -225,7 +222,7 @@ class TestLifecycle:
             "    fired = yield sim.any_of([conn.recv(), sim.timeout(1.0)])\n"
             "    return fired\n"))
         assert codes(report) == ["REPRO402"]
-        assert "anonymous" in report.findings[0][1].message
+        assert "anonymous" in report.findings[0].diag.message
 
     def test_escaping_handle_is_not_a_leak(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -262,7 +259,7 @@ class TestClientPath:
             "    sock.close()\n"
             "    return reply\n"))
         assert codes(report) == ["REPRO404"]
-        assert "client_ask" in report.findings[0][1].message
+        assert "client_ask" in report.findings[0].diag.message
 
     def test_spawned_loop_is_not_on_the_request_path(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -300,7 +297,7 @@ class TestNoqaSuppression:
             "    sock = stack.udp_socket()  # repro: noqa[REPRO403]\n"
             "    sock.sendto('x', 9, payload=b'x')\n"))
         assert report.findings == []
-        assert report.suppressed == 1
+        assert len(report.suppressed) == 1
         assert report.exit_code == 0
 
 

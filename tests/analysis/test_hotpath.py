@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow.symbols import FileUnit, SymbolTable
-from repro.analysis.hotpath import build_hot_context, run_hotpath
-from repro.analysis.hotpath.checker import heat_share
+from repro.analysis.engine import FileUnit
+from repro.analysis.flow.symbols import SymbolTable
+from repro.analysis.hotpath import build_hot_context, heat_share
+from repro.analysis.program import Program, run_checks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,10 +22,11 @@ def table_for(source: str) -> SymbolTable:
     return SymbolTable([unit])
 
 
-def run_source(source: str, tmp_path, profile=None):
+def run_source(source: str, tmp_path, attribution=None):
     target = tmp_path / "mod.py"
     target.write_text(source, encoding="utf-8")
-    return run_hotpath([target], profile=profile)
+    return run_checks(Program.load([target]), ("perf",),
+                      attribution=attribution)
 
 
 SERVICE_LOOP = """
@@ -214,14 +216,15 @@ class W:
         codes = [f.diag.code for f in report.findings]
         assert codes == ["REPRO501", "REPRO500"]  # line order
         assert report.exit_code == 1
-        assert report.root_count == 1
+        assert report.stats["perf"]["service-loop root(s)"] == 1
 
     def test_parse_failure_sets_exit_code(self, tmp_path):
         report = run_source("def broken(:\n", tmp_path)
         assert report.parse_failures and report.exit_code == 1
 
     def test_fixture_dir_yields_exactly_the_six_codes(self):
-        report = run_hotpath([p for p in sorted(FIXTURES.glob("h5*.py"))])
+        report = run_checks(Program.load(sorted(FIXTURES.glob("h5*.py"))),
+                            ("perf",))
         codes = sorted({f.diag.code for f in report.findings})
         assert codes == ["REPRO500", "REPRO501", "REPRO502",
                          "REPRO503", "REPRO504", "REPRO505"]
@@ -265,10 +268,10 @@ class Hot:
             snap = dict(self.hostdb)
 """
         plain = run_source(src, tmp_path)
+        assert plain.findings[0].heat is None
         assert [f.qualname for f in plain.findings] == \
             ["mod.Cold.serve", "mod.Hot.serve"]
-        ranked = run_source(src, tmp_path, profile=PROFILE)
-        assert ranked.profiled
+        ranked = run_source(src, tmp_path, attribution=PROFILE)
         assert [f.qualname for f in ranked.findings] == \
             ["mod.Hot.serve", "mod.Cold.serve"]
         assert ranked.findings[0].heat == pytest.approx(0.8)

@@ -15,10 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import check_source
-from repro.analysis.flow import run_flow
-from repro.analysis.hotpath import run_hotpath
-from repro.analysis.typestate import run_typestate
+from repro.analysis.engine import SERIES
+from repro.analysis.program import Program, run_checks
 
 #: (series, code, template) — ``{noqa}`` is replaced per scenario and
 #: sits on the line that violates the rule
@@ -52,26 +50,12 @@ SEED_CASES = [
 
 
 def run_series(series: str, source: str, tmp_path: Path):
-    """(codes, suppressed) for one source under the right analyzer."""
-    if series == "F":
-        target = tmp_path / "mod.py"
-        target.write_text(source, encoding="utf-8")
-        report = run_flow([target])
-        return [d.code for _, d in report.findings], report.suppressed
-    if series == "H":
-        target = tmp_path / "mod.py"
-        target.write_text(source, encoding="utf-8")
-        hot_report = run_hotpath([target])
-        return ([f.diag.code for f in hot_report.findings],
-                hot_report.suppressed)
-    if series == "S":
-        target = tmp_path / "mod.py"
-        target.write_text(source, encoding="utf-8")
-        proto_report = run_typestate([target])
-        return ([d.code for _, d in proto_report.findings],
-                proto_report.suppressed)
-    file_report = check_source(source, tmp_path / "mod.py")
-    return [d.code for d in file_report.diagnostics], file_report.suppressed
+    """(codes, suppressed) for one source under the series' gate."""
+    target = tmp_path / "mod.py"
+    target.write_text(source, encoding="utf-8")
+    gate = next(s.gate for s in SERIES.values() if s.letter == series)
+    report = run_checks(Program.load([target]), (gate,))
+    return [f.diag.code for f in report.findings], len(report.suppressed)
 
 
 @pytest.mark.parametrize("series,code,template", SEED_CASES)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.cli import check_main
-from repro.analysis.typestate import MACHINES, run_typestate
+from repro.analysis.program import Program, run_checks
+from repro.analysis.typestate import MACHINES
 from repro.analysis.typestate.machines import EXCHANGES
 
 REPO = Path(__file__).parent.parent.parent
@@ -21,11 +22,11 @@ SRC = REPO / "src" / "repro"
 def analyze(tmp_path: Path, **files: str):
     for name, source in files.items():
         (tmp_path / f"{name}.py").write_text(source, encoding="utf-8")
-    return run_typestate([tmp_path])
+    return run_checks(Program.load([tmp_path]), ("proto",))
 
 
 def codes(report) -> list[str]:
-    return [diag.code for _, diag in report.findings]
+    return [f.diag.code for f in report.findings]
 
 
 class TestRegistry:
@@ -93,7 +94,7 @@ class TestExceptionEdges:
             "    sock.close()\n"
             "    return reply\n"))
         assert codes(report) == ["REPRO602"]
-        assert "Interrupt" in report.findings[0][1].message
+        assert "Interrupt" in report.findings[0].diag.message
 
     def test_finally_release_covers_inner_exits(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -245,10 +246,10 @@ class TestDeterminism:
             "    conn = stack.tcp.connect('h', 9)\n"
             "    conn.send(b'x', 8)\n")
         (tmp_path / "mod.py").write_text(source, encoding="utf-8")
-        first = run_typestate([tmp_path])
-        second = run_typestate([tmp_path])
-        render = lambda r: [(u.posix, d.render(u.posix))  # noqa: E731
-                            for u, d in r.findings]
+        first = analyze(tmp_path)
+        second = analyze(tmp_path)
+        render = lambda r: [f.diag.render(f.unit.posix)  # noqa: E731
+                            for f in r.findings]
         assert render(first) == render(second)
         assert codes(first) == ["REPRO600", "REPRO601"]
 
@@ -273,7 +274,7 @@ class TestDrift:
             "}\n"))
         assert codes(report) == ["REPRO606"]
         assert "unknown to the analyzer registry" in \
-            report.findings[0][1].message
+            report.findings[0].diag.message
 
     def test_exchange_vs_registry_reply_drift_is_flagged(self, tmp_path):
         report = analyze(tmp_path, mod=(
@@ -288,4 +289,4 @@ class TestDrift:
             "def handle(msg):\n"
             "    return msg\n"))
         assert codes(report) == ["REPRO606"]
-        assert "drifted apart" in report.findings[0][1].message
+        assert "drifted apart" in report.findings[0].diag.message

@@ -1,179 +1,38 @@
-"""Shared topology for the chaos suite: a 2-group, 6-server star.
-
-::
-
-    cli --- core --- wiz
-             |\
-       sw-g1 | sw-g2
-      /  |   |  |  \
-  mon1 s0-s2 | s3-s5 (mon2)
-
-Cutting sw-g1<->core partitions group g1 (monitor + 3 servers) from the
-wizard; the servers of g2 hang off sw-g2 next to their monitor mon2.
+"""Shared helpers for the chaos suite.  The 2-group, 6-server star and
+its timing configs live in :mod:`repro.worlds`; this file only adapts
+:func:`~repro.worlds.build_star` to the tuple shapes the tests unpack.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.apps import FileServer, MatMulWorker, shape_host_egress
-from repro.cluster import Cluster, Deployment
-from repro.core import LeaseResponder
-from repro.core.config import DEFAULT_CONFIG
-
-#: chaos-test timing: 1 s probes, 3 misses, 1 s pushes — so a dead
-#: server expires after 3 s and the acceptance recovery budget
-#: (probe_miss_limit * probe_interval + transmit_interval) is 4 s
-CHAOS_CONFIG = replace(
-    DEFAULT_CONFIG,
-    probe_interval=1.0,
-    probe_miss_limit=3,
-    transmit_interval=1.0,
-    netmon_interval=1.0,
-    client_timeout=1.0,
-    client_retries=2,
-    client_backoff_base=0.1,
-    client_backoff_cap=1.0,
-    transmit_backoff_cap=2.0,
-    transmit_stall_limit=3.0,
-    quarantine_period=5.0,
+from repro.worlds import (
+    CHAOS_CONFIG,
+    FAILOVER_CONFIG,
+    STALENESS_REQUIREMENT as CHAOS_REQUIREMENT,
+    build_star,
 )
-
-#: freshness demand used by the chaos scenarios: a record whose monitor
-#: path has been dead for >= 10 s no longer qualifies
-CHAOS_REQUIREMENT = "host_cpu_free > 0.1\nhost_status_age < 10"
 
 
 def build_chaos_world(seed: int = 0, config=CHAOS_CONFIG):
     """Cluster + started deployment; returns (cluster, dep, name->addr)."""
-    cluster = Cluster(seed=seed)
-    wiz = cluster.add_host("wiz")
-    cli = cluster.add_host("cli")
-    mon1 = cluster.add_host("mon1")
-    mon2 = cluster.add_host("mon2")
-    core = cluster.add_switch("core")
-    sw1 = cluster.add_switch("sw-g1")
-    sw2 = cluster.add_switch("sw-g2")
-    cluster.link(wiz, core, subnet="10.0.0")
-    cluster.link(cli, core, subnet="10.0.3")
-    cluster.link(mon1, sw1, subnet="10.0.1")
-    cluster.link(sw1, core, subnet="10.0.1")
-    cluster.link(mon2, sw2, subnet="10.0.2")
-    cluster.link(sw2, core, subnet="10.0.2")
-    servers = []
-    for i in range(6):
-        s = cluster.add_host(f"s{i}")
-        cluster.link(s, sw1 if i < 3 else sw2,
-                     subnet="10.0.1" if i < 3 else "10.0.2")
-        servers.append(s)
-    cluster.finalize()
-    dep = Deployment(cluster, wizard_host=wiz, config=config)
-    dep.add_group("g1", mon1, servers[:3])
-    dep.add_group("g2", mon2, servers[3:])
-    dep.start()
-    addrs = {s.name: s.addr for s in servers}
-    return cluster, dep, addrs
-
-
-#: failover-suite timing: chaos timing plus the HA knobs — a replica
-#: whose freshest DB is older than 4 s answers REPLY_STALE, dead
-#: replicas/servers sit in quarantine for 5 s, and the health lease
-#: pings every 0.5 s declaring death after 2 s of silence
-FAILOVER_CONFIG = replace(
-    CHAOS_CONFIG,
-    wizard_staleness_limit=4.0,
-    wizard_quarantine_period=5.0,
-    lease_interval=0.5,
-    lease_timeout=2.0,
-    session_retries=3,
-)
-
-#: slow worker CPUs so one matmul block takes ~2 s: the job is long
-#: enough that a mid-run crash is genuinely mid-stream, and recovery
-#: time is measurable against the no-fault baseline
-FAILOVER_MATMUL_SPEED = 1.5e6
-#: servers shaped to 8 Mbit/s so a massd block takes ~0.1 s
-FAILOVER_MASSD_MBPS = 8.0
+    star = build_star(seed, config)
+    return star.cluster, star.dep, star.addrs
 
 
 def build_failover_world(seed: int = 0, config=FAILOVER_CONFIG,
-                         sanitize: bool = False, app: str = "matmul"):
+                         app: str = "matmul", **instruments):
     """The chaos star plus the HA pieces: a second wizard machine
-    (``wiz2``, subnet 10.0.4) forming a replica set with ``wiz``, and an
-    application service (matmul worker or massd file server) with a
-    :class:`LeaseResponder` on every server.
+    (``wiz2``) forming a replica set with ``wiz``, and an application
+    service (matmul worker or massd file server) with a
+    ``LeaseResponder`` on every server.
 
-    Returns ``(cluster, dep, addrs, services, responders)`` where
-    ``addrs`` also maps ``wiz``/``wiz2`` and the two daemon dicts are
-    keyed by server name (for ``ChaosController.register_daemon``).
+    Returns ``(cluster, dep, addrs, star)`` where ``addrs`` also maps
+    ``wiz``/``wiz2`` and ``star.register_daemons(chaos)`` puts the
+    application-plane daemons on a ``ChaosController``.
     """
-    cluster = Cluster(seed=seed, sanitize=sanitize)
-    wiz = cluster.add_host("wiz")
-    wiz2 = cluster.add_host("wiz2")
-    cli = cluster.add_host("cli")
-    mon1 = cluster.add_host("mon1")
-    mon2 = cluster.add_host("mon2")
-    core = cluster.add_switch("core")
-    sw1 = cluster.add_switch("sw-g1")
-    sw2 = cluster.add_switch("sw-g2")
-    cluster.link(wiz, core, subnet="10.0.0")
-    cluster.link(wiz2, core, subnet="10.0.4")
-    cluster.link(cli, core, subnet="10.0.3")
-    cluster.link(mon1, sw1, subnet="10.0.1")
-    cluster.link(sw1, core, subnet="10.0.1")
-    cluster.link(mon2, sw2, subnet="10.0.2")
-    cluster.link(sw2, core, subnet="10.0.2")
-    servers = []
-    speeds = {"matmul": FAILOVER_MATMUL_SPEED} if app == "matmul" else None
-    for i in range(6):
-        s = cluster.add_host(f"s{i}", speeds=speeds)
-        cluster.link(s, sw1 if i < 3 else sw2,
-                     subnet="10.0.1" if i < 3 else "10.0.2")
-        servers.append(s)
-    cluster.finalize()
-    dep = Deployment(cluster, config=config, wizard_hosts=[wiz, wiz2])
-    dep.add_group("g1", mon1, servers[:3])
-    dep.add_group("g2", mon2, servers[3:])
-    dep.start()
-    services: dict[str, object] = {}
-    responders: dict[str, LeaseResponder] = {}
-    for s in servers:
-        if app == "matmul":
-            svc = MatMulWorker(s, mss=8192)
-        else:
-            svc = FileServer(s, mss=8192)
-            shape_host_egress(s, FAILOVER_MASSD_MBPS)
-        svc.start()
-        services[s.name] = svc
-        responder = LeaseResponder(s, config)
-        responder.start()
-        responders[s.name] = responder
-    addrs = {s.name: s.addr for s in servers}
-    addrs["wiz"] = wiz.addr
-    addrs["wiz2"] = wiz2.addr
-    return cluster, dep, addrs, services, responders
-
-
-#: gray-failure-suite timing: the failover knobs plus the sessions'
-#: throughput-floor watchdog — sample progress every 0.5 s, trust the
-#: learned cadence after 3 gaps, migrate at phi 2.5 (~99.7 % confidence
-#: the stall is abnormal).  min_samples=3 because a matmul session only
-#: records ~1 progress gap per block cycle.
-GRAYFAIL_CONFIG = replace(
-    FAILOVER_CONFIG,
-    session_watchdog_interval=0.5,
-    session_watchdog_min_samples=3,
-    session_watchdog_phi=2.5,
-)
-
-
-def register_app_daemons(chaos, services, responders, role: str) -> None:
-    """Put the application-plane daemons on the controller's registry so
-    ``crash-host`` stops them (and ``restart-host`` brings them back)."""
-    for name, svc in services.items():
-        chaos.register_daemon(name, role, svc)
-    for name, responder in responders.items():
-        chaos.register_daemon(name, "lease", responder)
+    star = build_star(seed, config, replicas=2, app=app, **instruments)
+    addrs = {**star.addrs, **{w.name: w.addr for w in star.wizards}}
+    return star.cluster, star.dep, addrs, star
 
 
 def poll_replies(cluster, dep, *, n: int, requirement: str = CHAOS_REQUIREMENT,

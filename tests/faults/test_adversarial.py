@@ -8,14 +8,14 @@ import pytest
 
 from repro.faults import ChaosController, FaultPlan
 
-from .conftest import build_failover_world, register_app_daemons
+from .conftest import build_failover_world
 
 
 def _run(plan: FaultPlan, until: float = 30.0):
     """Execute one plan on the failover world; returns the chaos log."""
-    cluster, dep, addrs, services, responders = build_failover_world()
+    cluster, dep, addrs, star = build_failover_world()
     chaos = ChaosController(dep, plan)
-    register_app_daemons(chaos, services, responders, "worker")
+    star.register_daemons(chaos)
     chaos.start()
     cluster.run(until=until)
     return chaos

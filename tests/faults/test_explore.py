@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults import ChaosController
 from repro.faults.explore import (
     Counterexample,
     ddmin,
@@ -24,6 +25,7 @@ from repro.faults.explore import (
 from repro.faults.invariants import TrialOutcome, check_all, invariant_names
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import SCENARIOS, fault_surface, run_trial
+from repro.worlds import build_star
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -104,6 +106,29 @@ class TestGeneratorCoverage:
             plan = generate_plan(rng, spec, surface)
             for event in plan:
                 assert event.target in hosts
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_fault_surface_names_real_things(self, name):
+        """Unknown targets are logged no-ops, so a surface that drifted
+        from the built world would make the explorer search nothing:
+        every host, link and daemon it names must resolve, and a
+        generated plan must apply without one unknown-target note."""
+        spec = SCENARIOS[name]
+        surface = fault_surface(spec)
+        star = build_star(replicas=2, app=spec.app)
+        plan = generate_plan(random.Random(0), spec, surface)
+        chaos = ChaosController(star.dep, plan)
+        star.register_daemons(chaos)
+        for host in surface["hosts"]:
+            assert host in star.cluster.hosts
+        for a, b in surface["links"]:
+            assert chaos._links_between(a, b), (a, b)
+        for host, role in surface["daemons"]:
+            assert chaos._daemon(host, role) is not None, (host, role)
+        chaos.start()
+        star.cluster.run(until=plan.horizon + 1.0)
+        assert chaos.log
+        assert [note for _, note in chaos.log if "(no such" in note] == []
 
     def test_coverage_buckets_by_phase(self):
         spec = SCENARIOS["matmul"]

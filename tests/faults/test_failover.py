@@ -16,10 +16,10 @@ import pytest
 from repro.apps import MassdClient, MatMulMaster
 from repro.core import smart_sessions
 from repro.faults import ChaosController, FaultPlan
+from repro.worlds import star_uplink
 from tests.faults.conftest import (
     CHAOS_REQUIREMENT,
     build_failover_world,
-    register_app_daemons,
 )
 
 pytestmark = pytest.mark.chaos
@@ -34,14 +34,14 @@ MASSD_DATA_KB = 3000
 MASSD_BLK_KB = 100
 
 
-def run_matmul_job(seed: int = 0, fault: str = "none", sanitize: bool = False):
+def run_matmul_job(seed: int = 0, fault: str = "none", **instruments):
     """Drive a 2-session matmul job to completion under one fault mode:
     ``none``, ``wizard`` (primary replica killed during the first
     request), ``server`` (chosen worker power-failed mid-stream) or
     ``partition`` (chosen worker silently cut off — lease-expiry path).
     """
-    cluster, dep, addrs, services, responders = build_failover_world(
-        seed=seed, sanitize=sanitize)
+    cluster, dep, addrs, star = build_failover_world(
+        seed=seed, **instruments)
     name_of = {a: n for n, a in addrs.items()}
     rng = np.random.default_rng(3)
     a = rng.random((MATMUL_N, MATMUL_N))
@@ -50,7 +50,7 @@ def run_matmul_job(seed: int = 0, fault: str = "none", sanitize: bool = False):
 
     def arm_chaos(plan):
         chaos = ChaosController(dep, plan)
-        register_app_daemons(chaos, services, responders, "worker")
+        star.register_daemons(chaos)
         chaos.start()
         out["chaos"] = chaos
 
@@ -76,9 +76,8 @@ def run_matmul_job(seed: int = 0, fault: str = "none", sanitize: bool = False):
                 arm_chaos(FaultPlan().kill_server_mid_stream(
                     cluster.sim.now + 2.5, victim))
             else:
-                uplink = "sw-g1" if victim in ("s0", "s1", "s2") else "sw-g2"
                 arm_chaos(FaultPlan().partition(
-                    cluster.sim.now + 2.5, victim, uplink))
+                    cluster.sim.now + 2.5, victim, star_uplink(victim)))
         master = MatMulMaster(cluster.host("cli"))
         result = yield from master.run(
             sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b)
@@ -90,7 +89,7 @@ def run_matmul_job(seed: int = 0, fault: str = "none", sanitize: bool = False):
     cluster.run(until=60.0)
     assert "result" in out, f"matmul job never completed (fault={fault})"
     np.testing.assert_allclose(out["result"].product, a @ b)
-    if sanitize:
+    if cluster.sanitizer is not None:
         out["races"] = tuple(cluster.sanitizer.races)
     return out
 
@@ -115,7 +114,7 @@ class TestReceiverKill:
     and clients must migrate to the fresh replica."""
 
     def test_stale_replica_rejected_and_clients_migrate(self):
-        cluster, dep, addrs, services, responders = build_failover_world()
+        cluster, dep, addrs, star = build_failover_world()
         chaos = ChaosController(
             dep, FaultPlan().kill_daemon(8.0, "wiz", "receiver"))
         chaos.start()
@@ -167,7 +166,7 @@ class TestServerKill:
         assert "crash-host" in kinds
 
     def test_massd_1v1_server_kill_fetches_every_block(self):
-        cluster, dep, addrs, services, responders = build_failover_world(
+        cluster, dep, addrs, star = build_failover_world(
             app="massd")
         name_of = {a: n for n, a in addrs.items()}
         out: dict = {}
@@ -182,7 +181,7 @@ class TestServerKill:
             out["victim"] = sessions[0].addr
             chaos = ChaosController(dep, FaultPlan().kill_server_mid_stream(
                 cluster.sim.now + 1.0, victim))
-            register_app_daemons(chaos, services, responders, "fileserver")
+            star.register_daemons(chaos)
             chaos.start()
             prog = MassdClient(cluster.host("cli"))
             result = yield from prog.run(

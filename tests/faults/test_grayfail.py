@@ -21,12 +21,8 @@ import pytest
 from repro.apps import MassdClient, MatMulMaster
 from repro.core import smart_sessions
 from repro.faults import ChaosController, FaultPlan
-from tests.faults.conftest import (
-    CHAOS_REQUIREMENT,
-    GRAYFAIL_CONFIG,
-    build_failover_world,
-    register_app_daemons,
-)
+from repro.worlds import GRAYFAIL_CONFIG, star_uplink
+from tests.faults.conftest import CHAOS_REQUIREMENT, build_failover_world
 
 pytestmark = pytest.mark.chaos
 
@@ -47,13 +43,8 @@ MASSD_BLK_KB = 100
 SLOW_FACTOR = 8.0
 
 
-def uplink_of(victim: str) -> str:
-    """The group switch a server's access link hangs off."""
-    return "sw-g1" if int(victim[1:]) < 3 else "sw-g2"
-
-
 def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
-                    sanitize: bool = False):
+                    **instruments):
     """Drive the 2-session matmul job to completion under one gray fault:
     ``none``, ``slow`` (chosen server throttled 8x for the rest of the
     job — it keeps heartbeating), or ``storm`` (the compound: fail-slow
@@ -61,8 +52,8 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
     ``watchdog=False`` is the binary-detector baseline arm."""
     config = GRAYFAIL_CONFIG if watchdog \
         else replace(GRAYFAIL_CONFIG, session_watchdog_interval=0.0)
-    cluster, dep, addrs, services, responders = build_failover_world(
-        seed=seed, config=config, sanitize=sanitize)
+    cluster, dep, addrs, star = build_failover_world(
+        seed=seed, config=config, **instruments)
     name_of = {a: n for n, a in addrs.items()}
     rng = np.random.default_rng(3)
     a = rng.random((MATMUL_N, MATMUL_N))
@@ -71,7 +62,7 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
 
     def arm_chaos(plan):
         chaos = ChaosController(dep, plan)
-        register_app_daemons(chaos, services, responders, "worker")
+        star.register_daemons(chaos)
         chaos.start()
         out["chaos"] = chaos
 
@@ -96,7 +87,7 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
                 plan = FaultPlan().gray_failure_storm(
                     fault_at, duration=3600.0,
                     slow_host=victim, slow_factor=SLOW_FACTOR,
-                    link=(uplink_of(victim), "core"), latency=0.05,
+                    link=(star_uplink(victim), "core"), latency=0.05,
                     loss=0.01, skew_host="mon1", skew_offset=120.0)
             arm_chaos(plan)
         master = MatMulMaster(cluster.host("cli"))
@@ -110,9 +101,9 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
     cluster.run(until=400.0)
     assert "result" in out, f"matmul job never completed (fault={fault})"
     np.testing.assert_allclose(out["result"].product, a @ b)
-    if sanitize:
+    if cluster.sanitizer is not None:
         out["races"] = tuple(cluster.sanitizer.races)
-    out["responders"] = responders
+    out["responders"] = star.responders
     out["name_of"] = name_of
     return out
 
@@ -175,7 +166,7 @@ class TestMassd:
     """massd 1v1 under gray faults: every block fetched exactly once."""
 
     def run_massd(self, plan_for=None, seed: int = 0):
-        cluster, dep, addrs, services, responders = build_failover_world(
+        cluster, dep, addrs, star = build_failover_world(
             seed=seed, config=GRAYFAIL_CONFIG, app="massd")
         name_of = {a: n for n, a in addrs.items()}
         out: dict = {}
@@ -191,8 +182,7 @@ class TestMassd:
             if plan_for is not None:
                 chaos = ChaosController(
                     dep, plan_for(cluster.sim.now + 2.0, victim))
-                register_app_daemons(chaos, services, responders,
-                                     "fileserver")
+                star.register_daemons(chaos)
                 chaos.start()
             prog = MassdClient(cluster.host("cli"))
             result = yield from prog.run(
@@ -223,7 +213,7 @@ class TestMassd:
         degrades) starves the download while PINGs still flow: the
         watchdog must migrate before the binary lease ever would."""
         out = self.run_massd(lambda at, victim: FaultPlan().degrade_link(
-            at, victim, uplink_of(victim), duration=3600.0,
+            at, victim, star_uplink(victim), duration=3600.0,
             direction="fwd", latency=0.4, loss=0.1))
         assert out["result"].failovers >= 1
         assert out["result"].requeued_blocks >= 1
@@ -236,7 +226,7 @@ class TestClockSkew:
     healthy replica keeps winning the ranking."""
 
     def poll_world(self, plan, until=26.0):
-        cluster, dep, addrs, services, responders = build_failover_world(
+        cluster, dep, addrs, star = build_failover_world(
             config=GRAYFAIL_CONFIG)
         chaos = ChaosController(dep, plan)
         chaos.start()

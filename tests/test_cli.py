@@ -5,7 +5,12 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from repro.__main__ import EXPERIMENTS, main
+from repro.analysis.profiler import profile_scenario
+from repro.analysis.sanitizer import run_scenario
+from repro.worlds import SMOKE_JOBS
 
 
 class TestCliInProcess:
@@ -41,6 +46,33 @@ class TestCliSubprocess:
         )
         assert result.returncode == 0
         assert "tab5.3" in result.stdout
+
+
+COMMANDS = [["check", "--sanitize"], ["profile"]]
+
+
+class TestSmokeScenarios:
+    """``check --sanitize`` and ``profile`` share one scenario registry."""
+
+    @pytest.mark.parametrize("name", sorted(SMOKE_JOBS))
+    @pytest.mark.parametrize("command", COMMANDS, ids=["sanitize", "profile"])
+    def test_both_commands_run_every_registered_name(self, command, name,
+                                                     capsys):
+        assert main([*command, name]) == 0
+        assert f"[{name}]: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["sanitize", "profile"])
+    def test_unknown_name_lists_the_registry(self, command, capsys):
+        assert main([*command, "nope"]) == 2
+        assert ", ".join(sorted(SMOKE_JOBS)) in capsys.readouterr().err
+
+    def test_in_process_reruns_are_identical(self):
+        """Every world starts from fresh global ids, so what a tool
+        reports does not depend on what ran earlier in the process."""
+        assert profile_scenario("massd").attribution == \
+            profile_scenario("massd").attribution
+        assert run_scenario("massd").render() == \
+            run_scenario("massd").render()
 
 
 class TestLint:

@@ -153,9 +153,11 @@ class TestExperimentDeterminism:
         assert [arm.label for arm in a] == [arm.label for arm in b]
         for arm_a, arm_b in zip(a, b):
             assert arm_a.servers == arm_b.servers
-            assert arm_a.event_trace and arm_b.event_trace
-            assert diff_traces(arm_a.event_trace, arm_b.event_trace) == []
-            assert arm_a.event_trace == arm_b.event_trace  # byte-identical
+            trace_a = arm_a.observed.event_trace
+            trace_b = arm_b.observed.event_trace
+            assert trace_a and trace_b
+            assert diff_traces(trace_a, trace_b) == []
+            assert trace_a == trace_b  # byte-identical
 
     def test_schedule_sanitizer_massd_dual_run(self):
         """Acceptance invariant: massd 1v1 dual runs under different
@@ -172,9 +174,11 @@ class TestExperimentDeterminism:
         a, b = run(1), run(2)
         for arm_a, arm_b in zip(a, b):
             assert arm_a.servers == arm_b.servers
-            assert arm_a.event_trace and arm_b.event_trace
-            assert diff_traces(arm_a.event_trace, arm_b.event_trace) == []
-            assert arm_a.event_trace == arm_b.event_trace
+            trace_a = arm_a.observed.event_trace
+            trace_b = arm_b.observed.event_trace
+            assert trace_a and trace_b
+            assert diff_traces(trace_a, trace_b) == []
+            assert trace_a == trace_b
 
     def test_trace_untouched_when_sanitizer_off(self):
         cluster = Cluster(seed=3)
