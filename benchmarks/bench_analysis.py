@@ -3,13 +3,15 @@
 The wizard answers every request by evaluating the requirement against
 each server's status record.  The seed pipeline re-parsed the text on
 every request; the analysis pipeline compiles once (analyze +
-constant-fold) into an LRU cache and evaluates the folded AST.  This
-benchmark measures three paths over a synthetic status DB:
+constant-fold + build closures) into an LRU cache and runs the compiled
+folded program.  This benchmark measures three paths over a synthetic
+status DB:
 
 * ``parse_every_time``  — seed behaviour: ``parse(text)`` then evaluate
-  the raw AST against every record, once per request;
-* ``cached_folded``     — ``CompileCache.get_or_compile`` then evaluate
-  the folded AST (first request misses, the rest hit);
+  the raw AST against every record, once per request — which since the
+  compile-once evaluator also means building its closures per request;
+* ``cached_folded``     — ``CompileCache.get_or_compile`` then run the
+  folded program's closures (first request misses, the rest hit);
 * ``static_reject``     — a provably-unsatisfiable requirement: the seed
   path scans the whole DB, the analysis path NAKs on a cache lookup.
 

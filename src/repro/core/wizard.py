@@ -11,8 +11,9 @@ A UDP daemon on port 1120 processing requests sequentially:
    LRU :class:`~repro.lang.analysis.CompileCache` keyed by the text; a
    provably-unsatisfiable requirement is **NAKed with its diagnostics
    before the status DB is read** (``requests_rejected_static``), and on
-   the accept path the folded AST is evaluated against each server's
-   status record; a server qualifies iff every logical statement holds;
+   the accept path the compiled requirement runs against each server's
+   status record, handed only the identifiers it can read; a server
+   qualifies iff every logical statement holds;
 4. apply the user-side slots: denied hosts are removed, preferred hosts
    are moved to the front of the candidate list;
 5. reply ``[seq, server_num, server...]`` (Table 3.6) capped at 60 hosts.
@@ -36,11 +37,12 @@ it) so requirements can demand fresh data with ``host_status_age < 10``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from ..lang import evaluate
 from ..lang.analysis import CompileCache, CompiledRequirement
 from ..lang.errors import LangError
+from ..lang.variables import MONITOR_VARS
 from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
@@ -130,13 +132,14 @@ class WizardReply:
                 + sum(d.wire_bytes for d in self.diagnostics))
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One qualified server with everything the ranking step needs."""
 
     addr: str
     host: str
-    params: dict[str, float] = field(default_factory=dict)
+    #: what ranking may sort by: numbers, or §6 string attributes
+    params: dict[str, Union[float, str]] = field(default_factory=dict)
     preferred: bool = False
 
 
@@ -243,29 +246,19 @@ class Wizard:
             sock.close()  # free the port so a restarted wizard can bind
 
     # -- databases ---------------------------------------------------------------
-    def _read_segment(self, key: int):
-        seg = self.shm.segment(key)
-        yield seg.lock.acquire()
-        try:
-            # full snapshot copy per request; replacing this with delta
-            # shipping + epoch reconciliation is the fleet-scaling item
-            # in ROADMAP.md ("Scale the wizard to fleet-sized traffic")
-            return dict(seg.read() or {})  # repro: noqa[REPRO501]
-        finally:
-            seg.lock.release()
-
     def databases(self):
-        """Process generator -> (sysdb, netdb, secdb) snapshots."""
+        """Process generator -> (sysdb, netdb, secdb), read in place.
+
+        No copy: every writer of these segments publishes a fresh dict
+        and never touches it again (copy-on-write, see DESIGN.md), and
+        :meth:`match` only reads."""
         shm_keys = self.config.shm
-        sysdb: dict[str, ServerStatusRecord] = yield from self._read_segment(
-            shm_keys.wizard_system
-        )
-        netdb: dict[str, NetStatusRecord] = yield from self._read_segment(
-            shm_keys.wizard_network
-        )
-        secdb: dict[str, SecurityRecord] = yield from self._read_segment(
-            shm_keys.wizard_security
-        )
+        sysdb: dict[str, ServerStatusRecord] = (
+            yield from self.shm.locked_read(shm_keys.wizard_system)) or {}
+        netdb: dict[str, NetStatusRecord] = (
+            yield from self.shm.locked_read(shm_keys.wizard_network)) or {}
+        secdb: dict[str, SecurityRecord] = (
+            yield from self.shm.locked_read(shm_keys.wizard_security)) or {}
         return sysdb, netdb, secdb
 
     def _candidate_order(self, sysdb: dict) -> list:
@@ -382,7 +375,17 @@ class Wizard:
             # statically false: no record can qualify, skip the scan
             return []
         program = compiled.folded
+        rank = _parse_option(request.option)
+        # all the evaluator can look up, plus what ranking will sort by
+        wanted = (compiled.reads | {rank[0]}) if rank else compiled.reads
+        want_age = "host_status_age" in wanted
+        want_security = "host_security_level" in wanted
+        want_network = not wanted.isdisjoint(MONITOR_VARS)
         client_group = self.group_of(client_addr)
+        now = self.sim.now
+        #: server group -> (delay ms, bandwidth Mbps) towards the client's
+        #: group, or None when neither side's monitor has probed the path
+        paths: dict[str, Optional[tuple[float, float]]] = {}
         candidates: list[Candidate] = []
         denied: set[str] = set()
         # insertion-ordered membership set: first-seen preference order is
@@ -392,91 +395,74 @@ class Wizard:
         # scan networks sequentially (Fig 1.4); order memoized per epoch
         for addr in self._candidate_order(sysdb):
             record = sysdb[addr]
-            params = self._params_for(record, client_group, netdb, secdb)
+            report = record.report
+            # the record's own parameters: §6 string attributes over probe
+            # values, then the wizard-derived variables over both
+            values, extras = report.values, report.extras
+            params: dict[str, Union[float, str]] = {}
+            for name in wanted:
+                if name in extras:
+                    params[name] = extras[name]
+                elif name in values:
+                    params[name] = values[name]
+            if want_age:
+                # how long ago the server's own monitor wrote this record
+                # (max with 0 guards distributed-mode snapshots whose
+                # transfer makes updated_at slightly "newer" than arrival).
+                # Measured on the monotonic clock — the receiver rebased
+                # every reporter stamp onto it, so neither a skewed
+                # reporter nor a skew step on this host can corrupt the
+                # age (relative epochs).
+                params["host_status_age"] = max(0.0, record.age(now))
+            if want_security:
+                sec = secdb.get(report.host)
+                if sec is not None:
+                    params["host_security_level"] = float(sec.level)
+            if want_network:
+                group = report.group
+                if group not in paths:
+                    paths[group] = _path_metrics(client_group, group, netdb)
+                path = paths[group]
+                # None: leave undefined -> requirements on them are false
+                if path is not None:
+                    (params["monitor_network_delay"],
+                     params["monitor_network_bw"]) = path
             result = evaluate(program, params)
-            if result.env is not None:
-                denied.update(result.env.denied_hosts())
-                for p in result.env.preferred_hosts():
+            env = result.env
+            if env is not None and env.user:
+                denied.update(env.denied_hosts())
+                for p in env.preferred_hosts():
                     preferred.setdefault(p)
             if result.qualified:
-                candidates.append(
-                    Candidate(addr=addr, host=record.host, params=params)
-                )
-        # blacklist: match on hostname or address
-        candidates = [
-            c for c in candidates if c.host not in denied and c.addr not in denied
-        ]
-        # preference: stable partition, preferred first
-        for c in candidates:
-            c.preferred = c.host in preferred or c.addr in preferred
-        candidates.sort(key=lambda c: (not c.preferred,))
-        candidates = self._apply_option(request.option, candidates)
+                candidates.append(Candidate(addr, report.host, params))
+        if denied:
+            # blacklist: match on hostname or address
+            candidates = [
+                c for c in candidates
+                if c.host not in denied and c.addr not in denied
+            ]
+        if preferred:
+            # preference: stable partition, preferred first
+            for c in candidates:
+                c.preferred = c.host in preferred or c.addr in preferred
+            candidates.sort(key=lambda c: (not c.preferred,))
+        candidates = self._apply_option(rank, candidates)
         limit = min(request.server_num, self.config.max_reply_servers)
         return [c.addr for c in candidates[:limit]]
 
-    def _params_for(
-        self,
-        record: ServerStatusRecord,
-        client_group: str,
-        netdb: dict[str, NetStatusRecord],
-        secdb: dict[str, SecurityRecord],
-    ) -> dict[str, float]:
-        params = dict(record.report.values)
-        params.update(record.report.extras)  # §6 string attributes
-        # derived freshness metric: how long ago the server's own monitor
-        # wrote this record (max with 0 guards distributed-mode snapshots
-        # whose transfer makes updated_at slightly "newer" than arrival).
-        # Measured on the monotonic clock — the receiver rebased every
-        # reporter stamp onto it, so neither a skewed reporter nor a skew
-        # step on this host can corrupt the age (relative epochs).
-        params["host_status_age"] = max(0.0, record.age(self.sim.now))
-        sec = secdb.get(record.host)
-        if sec is not None:
-            params["host_security_level"] = float(sec.level)
-        server_group = record.report.group
-        if server_group == client_group:
-            params["monitor_network_delay"] = LOCAL_DELAY_MS
-            params["monitor_network_bw"] = LOCAL_BW_MBPS
-        else:
-            # combine both probing directions conservatively: the usable
-            # bandwidth of the path is the minimum of what either group's
-            # monitor saw (an egress shaper on the server side is only
-            # visible to the server group's own outbound probes)
-            metrics = []
-            fwd_table = netdb.get(client_group)
-            if fwd_table is not None:
-                m = fwd_table.metrics.get(server_group)
-                if m is not None:
-                    metrics.append(m)
-            rev_table = netdb.get(server_group)
-            if rev_table is not None:
-                m = rev_table.metrics.get(client_group)
-                if m is not None:
-                    metrics.append(m)
-            if metrics:
-                params["monitor_network_delay"] = min(m.delay_ms for m in metrics)
-                params["monitor_network_bw"] = min(m.bw_mbps for m in metrics)
-            # else: leave undefined -> requirements on them evaluate false
-        return params
-
     def _apply_option(
-        self, option: str, candidates: list[Candidate]
+        self, rank: Optional[tuple[str, bool]], candidates: list[Candidate]
     ) -> list[Candidate]:
-        """Apply the Table 3.5 option string.  Never raises: a malformed
-        option (empty variable, unknown verb, non-numeric rank values) is
-        counted in :attr:`option_errors` and the candidates pass through
-        unranked — a bad option must not take the whole wizard down."""
-        option = (option or "").strip()
-        if not option:
+        """Apply the parsed Table 3.5 option (see :func:`_parse_option`).
+        Never raises: a malformed option (empty variable, unknown verb,
+        non-numeric rank values) is counted in :attr:`option_errors` and
+        the candidates pass through unranked — a bad option must not take
+        the whole wizard down."""
+        if rank is None:
             return candidates
-        if not option.startswith("rank:"):
-            self.option_errors += 1  # unknown verb: ignore (fwd compat)
-            return candidates
-        parts = option.split(":")
-        var = parts[1].strip() if len(parts) > 1 else ""
-        ascending = len(parts) > 2 and parts[2].strip() == "asc"
+        var, ascending = rank
         if not var:
-            self.option_errors += 1  # "rank:" with no variable
+            self.option_errors += 1  # unknown verb (fwd compat) or "rank:"
             return candidates
         missing = float("inf") if ascending else float("-inf")
 
@@ -491,3 +477,38 @@ class Wizard:
                 self.option_errors += 1  # var rankable in no candidate
             return candidates
         return sorted(candidates, key=keyfn)
+
+
+def _parse_option(option: str) -> Optional[tuple[str, bool]]:
+    """The Table 3.5 option string, parsed once per request:
+    ``(variable, ascending)`` for ``rank:<var>[:asc]``, ``None`` for no
+    option, and an empty variable for anything malformed (an unknown
+    verb, ``rank:`` with nothing after it)."""
+    option = (option or "").strip()
+    if not option:
+        return None
+    if not option.startswith("rank:"):
+        return "", False
+    parts = option.split(":")
+    return parts[1].strip(), len(parts) > 2 and parts[2].strip() == "asc"
+
+
+def _path_metrics(
+    client_group: str, server_group: str, netdb: dict[str, NetStatusRecord]
+) -> Optional[tuple[float, float]]:
+    """``(monitor_network_delay, monitor_network_bw)`` between the
+    requester's group and one server group; ``None`` when unknown."""
+    if server_group == client_group:
+        return LOCAL_DELAY_MS, LOCAL_BW_MBPS
+    # combine both probing directions conservatively: the usable
+    # bandwidth of the path is the minimum of what either group's
+    # monitor saw (an egress shaper on the server side is only
+    # visible to the server group's own outbound probes)
+    metrics = []
+    for near, far in ((client_group, server_group), (server_group, client_group)):
+        table = netdb.get(near)
+        if table is not None and far in table.metrics:
+            metrics.append(table.metrics[far])
+    if not metrics:
+        return None
+    return min(m.delay_ms for m in metrics), min(m.bw_mbps for m in metrics)

@@ -24,10 +24,17 @@ from .analysis import (
     analyze,
     compile_requirement,
 )
-from .builtins import BUILTINS, CONSTANTS, call_builtin
+from .builtins import BUILTINS, CONSTANTS, bind_builtin
 from .diagnostics import DIAGNOSTIC_CODES, Diagnostic, Severity, format_diagnostic
 from .errors import EvalError, LangError, LexError, ParseError
-from .evaluator import Environment, Evaluation, Undefined, evaluate
+from .evaluator import (
+    CompiledProgram,
+    Environment,
+    Evaluation,
+    Undefined,
+    compile_program,
+    evaluate,
+)
 from .lexer import Token, TokenKind, tokenize
 from .nodes import (
     Addr,
@@ -71,6 +78,8 @@ __all__ = [
     "format_diagnostic",
     "Parser",
     "evaluate",
+    "compile_program",
+    "CompiledProgram",
     "Evaluation",
     "Environment",
     "Undefined",
@@ -83,7 +92,7 @@ __all__ = [
     "EvalError",
     "BUILTINS",
     "CONSTANTS",
-    "call_builtin",
+    "bind_builtin",
     "Program",
     "Node",
     "Num",

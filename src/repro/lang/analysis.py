@@ -16,7 +16,8 @@ The pipeline runs between :func:`repro.lang.parse` and
    status DB) or *always true* / dead-branched (``REQ2xx`` warnings).
 3. A **constant-folded program** that evaluates to the same results as
    the original but with every pure-constant subtree collapsed to a
-   literal — what the wizard's compile cache stores and evaluates.
+   literal — what the wizard's compile cache stores, already compiled to
+   closures (:func:`repro.lang.evaluator.compile_program`), and runs.
 
 Soundness notes (what a verdict does and does not promise):
 
@@ -35,6 +36,7 @@ Soundness notes (what a verdict does and does not promise):
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import math
 from collections import OrderedDict
@@ -44,6 +46,7 @@ from typing import Optional, Union
 from .builtins import BUILTINS, CONSTANTS
 from .diagnostics import Diagnostic, make
 from .errors import EvalError, LangError, ParseError
+from .evaluator import compile_program
 from .nodes import (
     Addr,
     Assign,
@@ -58,6 +61,8 @@ from .nodes import (
     Num,
     Var,
     is_logical,
+    strip_parens,
+    walk,
 )
 from .parser import parse
 from .variables import (
@@ -326,21 +331,29 @@ class _Analyzer:
         )
 
     # -- recursive walk -----------------------------------------------------
-    def walk(self, node: Node, *, assign_rhs: bool = False
-             ) -> tuple[AbstractValue, Node]:
-        """Return ``(abstract value, constant-folded node)``."""
+    def walk(self, node: Node, *, assign_rhs: bool = False,
+             certain: bool = False) -> tuple[AbstractValue, Node]:
+        """Return ``(abstract value, constant-folded node)``.
+
+        Arithmetic folds to a literal only over operands that are literals
+        themselves: a comparison or ``&&`` whose *value* is known (``7 < 0``)
+        still has to run, since its other branch may fault or assign.
+
+        ``certain`` holds from a statement's root down through parentheses
+        and assignments only: there nothing can fault before an assignment
+        runs, anywhere deeper an earlier operand may."""
         if isinstance(node, Num):
             return AbstractValue.number(node.value), node
         if isinstance(node, Addr):
             return AbstractValue.string(node.value), node
         if isinstance(node, Paren):
-            return self.walk(node.inner, assign_rhs=assign_rhs)
+            return self.walk(node.inner, assign_rhs=assign_rhs, certain=certain)
         if isinstance(node, Var):
             return self._walk_var(node, assign_rhs=assign_rhs)
         if isinstance(node, Neg):
             return self._walk_neg(node, assign_rhs=assign_rhs)
         if isinstance(node, Assign):
-            return self._walk_assign(node)
+            return self._walk_assign(node, certain)
         if isinstance(node, Call):
             return self._walk_call(node, assign_rhs=assign_rhs)
         if isinstance(node, BinOp):
@@ -374,23 +387,34 @@ class _Analyzer:
                 f"arithmetic on address/hostname {value.describe()}", node)
             self._stmt_faulted = True
             return AbstractValue.top(), Neg(folded, line=node.line, col=node.col)
-        if value.is_const_num:
+        if value.is_const_num and isinstance(folded, Num):
             result = -float(value.const)
             return (AbstractValue.number(result),
                     Num(result, line=node.line, col=node.col))
         out = AbstractValue.interval(-value.hi, -value.lo)
         return out, Neg(folded, line=node.line, col=node.col)
 
-    def _walk_assign(self, node: Assign) -> tuple[AbstractValue, Node]:
+    def _walk_assign(self, node: Assign, certain: bool
+                     ) -> tuple[AbstractValue, Node]:
         if node.name in _READ_ONLY:
             self._emit(
                 "REQ005",
                 f"assignment to read-only predefined variable {node.name!r}",
                 node,
             )
-        value, folded_rhs = self.walk(node.value, assign_rhs=True)
+        value, folded_rhs = self.walk(node.value, assign_rhs=True, certain=certain)
+        if not isinstance(folded_rhs, (Num, Addr)):
+            # not a literal: the right-hand side can still fail at runtime
+            # (leaving the variable as it was) or re-join as a hostname from
+            # the names *as written* (titan-x), which a half-folded tree
+            # would spell differently ("need-x" as "5-x").  Keep the
+            # original, and let no later read fold to this value.
+            folded_rhs = node.value
+            value = dataclasses.replace(value, const=None)
         if node.name not in USER_SIDE_VARS:
-            self.temps[node.name] = value
+            # "cond && (need = 5)": when ``cond`` faults the assignment never
+            # runs, so an uncertain one tells nothing about later reads
+            self.temps[node.name] = value if certain else AbstractValue.top()
         folded = Assign(node.name, folded_rhs, line=node.line, col=node.col)
         return value, folded
 
@@ -426,7 +450,8 @@ class _Analyzer:
             )
             self._stmt_faulted = True
             return AbstractValue.top(), folded_call
-        if all(v.is_const_num for v in arg_values):
+        if (all(v.is_const_num for v in arg_values)
+                and all(isinstance(a, Num) for a in folded_args)):
             try:
                 result = fn(*[float(v.const) for v in arg_values])
             except EvalError as exc:
@@ -466,7 +491,8 @@ class _Analyzer:
                 f"arithmetic on address/hostname ({bad.describe()})", node)
             self._stmt_faulted = True
             return AbstractValue.top(), folded
-        if left.is_const_num and right.is_const_num:
+        if (left.is_const_num and right.is_const_num
+                and isinstance(lfold, Num) and isinstance(rfold, Num)):
             return self._fold_const_binop(
                 node, float(left.const), float(right.const), folded)
         ops = {
@@ -493,10 +519,10 @@ class _Analyzer:
                     raise ZeroDivisionError("division by 0")
                 result = left / right
             elif node.op == "^":
-                result = float(left ** right)
+                result = left ** right  # complex for (-8) ^ 0.5
             else:  # pragma: no cover - parser only builds the five ops
                 return AbstractValue.top(), folded
-            if math.isnan(result) or isinstance(result, complex):
+            if isinstance(result, complex) or math.isnan(result):
                 raise ValueError("domain error")
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             self._emit("REQ008", f"constant expression faults: {exc}", node)
@@ -508,8 +534,7 @@ class _Analyzer:
     # -- comparisons and logic ---------------------------------------------
     @staticmethod
     def _bare_unknown_var(node: Node) -> Optional[Var]:
-        while isinstance(node, Paren):
-            node = node.inner
+        node = strip_parens(node)
         if isinstance(node, Var) and node.name not in ALL_PREDEFINED \
                 and node.name not in CONSTANTS:
             return node
@@ -565,8 +590,7 @@ class _Analyzer:
 
     def _could_be_string(self, node: Node) -> bool:
         """Conservative: might this expression be a string at runtime?"""
-        while isinstance(node, Paren):
-            node = node.inner
+        node = strip_parens(node)
         if isinstance(node, Var):
             value = self._var_value(node.name)
             return value is None or value.kind in ("str", "any")
@@ -620,9 +644,7 @@ class _Analyzer:
                      right: AbstractValue) -> None:
         """REQ204: MB-unit variable compared against a byte-sized constant."""
         for side, other in ((node.left, right), (node.right, left)):
-            inner = side
-            while isinstance(inner, Paren):
-                inner = inner.inner
+            inner = strip_parens(side)
             if (isinstance(inner, Var) and inner.name in MB_UNIT_VARS
                     and other.kind == "num" and other.lo >= _MIB):
                 self._emit(
@@ -675,7 +697,7 @@ class _Analyzer:
         for stmt in program.statements:
             self._stmt_branch_error = False
             self._stmt_faulted = False
-            value, folded = self.walk(stmt)
+            value, folded = self.walk(stmt, certain=True)
             folded_program.statements.append(folded)
             if not is_logical(stmt):
                 if not _contains_assign(stmt):
@@ -703,17 +725,7 @@ class _Analyzer:
 
 
 def _contains_assign(node: Node) -> bool:
-    if isinstance(node, Assign):
-        return True
-    if isinstance(node, Paren):
-        return _contains_assign(node.inner)
-    if isinstance(node, (BinOp, Compare, Logic)):
-        return _contains_assign(node.left) or _contains_assign(node.right)
-    if isinstance(node, Neg):
-        return _contains_assign(node.operand)
-    if isinstance(node, Call):
-        return any(_contains_assign(a) for a in node.args)
-    return False
+    return any(isinstance(n, Assign) for n in walk(node))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +752,8 @@ def analyze(source: Union[str, Program], *, recover: bool = True
 
 @dataclass(frozen=True)
 class CompiledRequirement:
-    """Cacheable unit: analyzed + folded requirement, ready to evaluate."""
+    """Cacheable unit: analyzed + folded requirement, compiled to closures
+    and ready to evaluate (``evaluate(compiled.folded, params)``)."""
 
     source: str
     folded: Program
@@ -752,9 +765,16 @@ class CompiledRequirement:
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.is_error)
 
+    @property
+    def reads(self) -> frozenset[str]:
+        """Every identifier evaluating this requirement can look up."""
+        return compile_program(self.folded).reads
+
 
 def compile_requirement(text: str) -> CompiledRequirement:
-    """Parse (with recovery) + analyze + fold one requirement text."""
+    """Parse (with recovery) + analyze + fold one requirement text, and
+    build the folded program's closures — once, here, so no request pays
+    for it while matching."""
     try:
         result = analyze(text, recover=True)
     except LangError:
@@ -763,6 +783,7 @@ def compile_requirement(text: str) -> CompiledRequirement:
             source=text, folded=Program(), diagnostics=(),
             unsatisfiable=False, parse_failed=True,
         )
+    compile_program(result.folded)
     return CompiledRequirement(
         source=text,
         folded=result.folded,
@@ -776,7 +797,9 @@ class CompileCache:
 
     The wizard consults it once per request: repeated requirements (the
     common case — one application sends the same spec for every job) skip
-    lexing, parsing and analysis entirely and evaluate the folded AST.
+    lexing, parsing, analysis and closure building entirely and run the
+    compiled folded program.  The closures hang off the entry's folded
+    program, so evicting an entry frees them with it.
     """
 
     def __init__(self, maxsize: int = 256):

@@ -12,7 +12,7 @@ from typing import Callable
 
 from .errors import EvalError
 
-__all__ = ["BUILTINS", "CONSTANTS", "call_builtin"]
+__all__ = ["BUILTINS", "CONSTANTS", "bind_builtin"]
 
 
 def _checked(name: str, fn: Callable[..., float]) -> Callable[..., float]:
@@ -62,22 +62,33 @@ CONSTANTS: dict[str, float] = {
 }
 
 
-def call_builtin(name: str, args: list[float], line: int = 0,
-                 col: int = 0) -> float:
+def bind_builtin(name: str, nargs: int, line: int = 0,
+                 col: int = 0) -> Callable[..., float]:
+    """Resolve a call site once: the function behind ``name``, checked
+    against the ``nargs`` arguments written there.
+
+    Raises :class:`EvalError` (unknown function, wrong arity) carrying the
+    call site's span; the returned callable re-raises runtime domain
+    errors with that same span so diagnostics stay clickable — the
+    ``_checked`` wrappers cannot know source positions.
+    """
     entry = BUILTINS.get(name)
     if entry is None:
         raise EvalError(f"unknown function {name!r}", line=line, col=col)
     arity, fn = entry
-    if len(args) != arity:
+    if nargs != arity:
         raise EvalError(
-            f"{name} expects {arity} argument(s), got {len(args)}",
+            f"{name} expects {arity} argument(s), got {nargs}",
             line=line, col=col,
         )
-    try:
-        return fn(*args)
-    except EvalError as exc:
-        if not exc.line and line:
-            # the _checked wrappers cannot know source positions: re-raise
-            # with the call site's span so diagnostics stay clickable
+    if not line:
+        return fn
+
+    def located(*args: float) -> float:
+        try:
+            return fn(*args)
+        except EvalError as exc:
             raise EvalError(exc.message, line=line, col=col) from exc
-        raise
+
+    return located
+

@@ -16,14 +16,26 @@ Semantics follow thesis §3.6.1/Fig 4.2:
 Values are floats or strings (NETADDR literals and hostnames).  A bare
 identifier assigned to a user-side slot is taken as a *hostname* — the
 thesis' own experiments write ``user_denied_host1 = telesto``.
+
+A program is **compiled once** (:func:`compile_program`) into a tree of
+plain Python closures, one per AST node, and the wizard then runs those
+closures against every server's status record.  Everything that depends
+only on the requirement text is decided while compiling — which operator
+a node applies, whether a builtin exists and takes that many arguments,
+the source span an error will carry, whether a statement is logical,
+which parentheses are transparent — so a pass over one record is nothing
+but closure calls and dict lookups.  The closures are built from the AST
+only: no ``eval``, no ``exec``, no source text generated from what came
+over the wire.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
-from .builtins import CONSTANTS, call_builtin
+from .builtins import CONSTANTS, bind_builtin
 from .errors import EvalError
 from .nodes import (
     Addr,
@@ -39,12 +51,24 @@ from .nodes import (
     Num,
     Var,
     is_logical,
+    strip_parens,
+    walk,
 )
 from .variables import DENIED_VARS, PREFERRED_VARS, USER_SIDE_VARS
 
-__all__ = ["Environment", "Evaluation", "evaluate", "Undefined"]
+__all__ = ["CompiledProgram", "Environment", "Evaluation", "Undefined",
+           "compile_program", "evaluate"]
 
 Value = Union[float, str]
+#: one server's parameters: read, never written
+Params = Mapping[str, Value]
+#: temp variables / user-side slots: filled by assignments
+Scope = dict[str, Value]
+#: one compiled AST node, called as ``thunk(server, temps, user)``
+Thunk = Callable[[Params, Scope, Scope], Value]
+
+#: "no value" marker inside lookups; never escapes this module
+_MISSING: Any = object()
 
 
 class Undefined(Exception):
@@ -55,33 +79,37 @@ class Undefined(Exception):
         self.name = name
 
 
-@dataclass
+def _beyond_server(name: str, user: Scope) -> Any:
+    """Tail of the lookup order, for a name that is neither a temp nor a
+    server parameter: user-side slots, then constants, else ``_MISSING``."""
+    if name in user:
+        return user[name]
+    return CONSTANTS.get(name, _MISSING)
+
+
+@dataclass(slots=True)
 class Environment:
     """Name bindings for one evaluation pass (one server)."""
 
     #: server-side + monitor values for the server under consideration
-    server: dict[str, float] = field(default_factory=dict)
+    #: (the caller's own mapping — evaluation only reads it)
+    server: Params = field(default_factory=dict)
     #: temp variables defined by the requirement itself
-    temps: dict[str, Value] = field(default_factory=dict)
+    temps: Scope = field(default_factory=dict)
     #: user-side slots filled by assignments during evaluation
-    user: dict[str, Value] = field(default_factory=dict)
+    user: Scope = field(default_factory=dict)
 
     def lookup(self, name: str) -> Value:
+        """Temps shadow server parameters, which shadow user-side slots,
+        which shadow the named constants."""
         if name in self.temps:
             return self.temps[name]
-        if name in self.server:
-            return self.server[name]
-        if name in self.user:
-            return self.user[name]
-        if name in CONSTANTS:
-            return CONSTANTS[name]
-        raise Undefined(name)
-
-    def assign(self, name: str, value: Value) -> None:
-        if name in USER_SIDE_VARS:
-            self.user[name] = value
-        else:
-            self.temps[name] = value
+        value = self.server.get(name, _MISSING)
+        if value is _MISSING:
+            value = _beyond_server(name, self.user)
+            if value is _MISSING:
+                raise Undefined(name)
+        return value
 
     # -- convenience for the wizard ------------------------------------------
     def denied_hosts(self) -> list[str]:
@@ -91,7 +119,7 @@ class Environment:
         return [str(self.user[n]) for n in PREFERRED_VARS if n in self.user]
 
 
-@dataclass
+@dataclass(slots=True)
 class Evaluation:
     """Outcome of running a program against one server's status."""
 
@@ -102,127 +130,87 @@ class Evaluation:
     env: Optional[Environment] = None
 
 
-def _truthy(value: Value) -> bool:
-    if isinstance(value, str):
-        return bool(value)
-    return value != 0.0
+@dataclass(frozen=True, slots=True)
+class CompiledProgram:
+    """What :func:`compile_program` keeps per requirement."""
+
+    #: per statement: its closure, whether it is logical, its source line
+    statements: tuple[tuple[Thunk, bool, int], ...]
+    #: every identifier evaluation can look up — all a caller needs to
+    #: supply in ``server_params`` (anything else is never read)
+    reads: frozenset[str]
 
 
-def _numeric(value: Value, node: Node) -> float:
-    if isinstance(value, str):
-        raise EvalError(
-            f"arithmetic on address/hostname {value!r}",
-            line=node.line, col=node.col,
-        )
-    return value
+def _not_numeric(value: str, node: Node) -> EvalError:
+    return EvalError(f"arithmetic on address/hostname {value!r}",
+                     line=node.line, col=node.col)
 
 
-def _eval(node: Node, env: Environment) -> Value:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Addr):
-        return node.value
-    if isinstance(node, Var):
-        return env.lookup(node.name)
-    if isinstance(node, Paren):
-        return _eval(node.inner, env)
-    if isinstance(node, Neg):
-        return -_numeric(_eval(node.operand, env), node.operand)
-    if isinstance(node, Assign):
-        value = _eval_assign_rhs(node.value, env)
-        env.assign(node.name, value)
+# ---------------------------------------------------------------------------
+# the compiler: one closure per AST node
+# ---------------------------------------------------------------------------
+
+def _fault(message: str, node: Node) -> Thunk:
+    """A node that cannot be evaluated faults each time it is reached."""
+    line, col = getattr(node, "line", 0), getattr(node, "col", 0)
+
+    def fault(server: Params, temps: Scope, user: Scope) -> Value:
+        raise EvalError(message, line=line, col=col)
+
+    return fault
+
+
+def _literal(node: Union[Num, Addr]) -> Thunk:
+    value = node.value
+
+    def literal(server: Params, temps: Scope, user: Scope) -> Value:
         return value
-    if isinstance(node, Call):
-        args = [_numeric(_eval(a, env), a) for a in node.args]
-        return call_builtin(node.func, args, line=node.line, col=node.col)
-    if isinstance(node, BinOp):
-        left = _numeric(_eval(node.left, env), node.left)
-        right = _numeric(_eval(node.right, env), node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise EvalError("division by 0", line=node.line, col=node.col)
-            return left / right
-        if node.op == "^":
-            try:
-                return float(left ** right)
-            except (OverflowError, ZeroDivisionError, ValueError) as exc:
-                raise EvalError(f"power: {exc}", line=node.line,
-                                col=node.col) from exc
-        raise EvalError(f"unknown operator {node.op!r}",
-                        line=node.line, col=node.col)
-    if isinstance(node, Compare):
-        left, left_undef = _eval_compare_side(node.left, env)
-        right, right_undef = _eval_compare_side(node.right, env)
-        # §6 string attributes: in an equality test against a string value,
-        # a bare undefined identifier reads as a literal ("machine_type ==
-        # i386").  Anywhere else, undefined stays undefined (-> false).
-        if left_undef is not None:
-            if node.op in ("==", "!=") and isinstance(right, str):
-                left = left_undef
-            else:
-                raise Undefined(left_undef)
-        if right_undef is not None:
-            if node.op in ("==", "!=") and isinstance(left, str):
-                right = right_undef
-            else:
-                raise Undefined(right_undef)
-        if isinstance(left, str) or isinstance(right, str):
-            if node.op == "==":
-                return 1.0 if str(left) == str(right) else 0.0
-            if node.op == "!=":
-                return 1.0 if str(left) != str(right) else 0.0
-            raise EvalError(
-                "ordering comparison on address/hostname",
-                line=node.line, col=node.col,
-            )
-        table = {
-            ">": left > right,
-            ">=": left >= right,
-            "<": left < right,
-            "<=": left <= right,
-            "==": left == right,
-            "!=": left != right,
-        }
-        return 1.0 if table[node.op] else 0.0
-    if isinstance(node, Logic):
-        left = _truthy(_eval(node.left, env))
-        if node.op == "&&":
-            # no short-circuit: the thesis' yacc evaluates both sides, and
-            # assignments on the right-hand side must still take effect
-            right = _truthy(_eval(node.right, env))
-            return 1.0 if (left and right) else 0.0
-        right = _truthy(_eval(node.right, env))
-        return 1.0 if (left or right) else 0.0
-    raise EvalError(f"cannot evaluate node {node!r}",
-                    line=getattr(node, "line", 0), col=getattr(node, "col", 0))
+
+    return literal
 
 
-def _eval_compare_side(node: Node, env: Environment):
-    """Evaluate one side of a comparison.
+def _lookup(name: str, strict: bool = False) -> Thunk:
+    """``Environment.lookup`` for one name.  An undefined name raises
+    when ``strict``; otherwise the thunk yields ``_MISSING`` and its
+    caller (a comparison, an assignment) decides what the name means."""
 
-    Returns ``(value, None)`` normally, or ``(None, name)`` when the side
-    was a *bare* undefined identifier — the caller may then treat the name
-    as a string literal in equality tests (the §6 string-attribute form).
-    Undefined identifiers inside larger expressions still propagate.
-    """
-    while isinstance(node, Paren):
-        node = node.inner
-    if isinstance(node, Var):
-        try:
-            return env.lookup(node.name), None
-        except Undefined:
-            return None, node.name
-    return _eval(node, env), None
+    def lookup(server: Params, temps: Scope, user: Scope) -> Any:
+        if name in temps:
+            return temps[name]
+        value = server.get(name, _MISSING)
+        if value is _MISSING:
+            value = _beyond_server(name, user)
+            if strict and value is _MISSING:
+                raise Undefined(name)
+        return value
+
+    return lookup
 
 
-def _eval_assign_rhs(node: Node, env: Environment) -> Value:
-    """RHS of an assignment: undefined identifiers read as hostnames.
+def _var(node: Var) -> Thunk:
+    return _lookup(node.name, strict=True)
+
+
+def _paren(node: Paren) -> Thunk:
+    return _compile(node.inner)
+
+
+def _neg(node: Neg) -> Thunk:
+    operand = _compile(node.operand)
+    operand_node = node.operand
+
+    def neg(server: Params, temps: Scope, user: Scope) -> Value:
+        value = operand(server, temps, user)
+        if isinstance(value, str):
+            raise _not_numeric(value, operand_node)
+        return -value
+
+    return neg
+
+
+def _assigned_value(node: Node) -> Thunk:
+    """Right-hand side of an assignment: undefined identifiers read as
+    hostnames.
 
     Supports the thesis' ``user_denied_host1 = telesto`` idiom (a hostname
     without dots lexes as an identifier) and, because hostnames may carry
@@ -230,17 +218,273 @@ def _eval_assign_rhs(node: Node, env: Environment) -> Value:
     Table 5.5), a subtraction chain of undefined identifiers is re-joined
     into the hyphenated hostname.
     """
-    try:
-        return _eval(node, env)
-    except (Undefined, EvalError):
-        hostname = _hostname_from(node, env)
-        if hostname is not None:
+    bare = strip_parens(node)
+    if isinstance(bare, Var):
+        # the common form, settled without raising: an undefined bare
+        # identifier is the hostname itself
+        lookup, hostname = _lookup(bare.name), bare.name
+
+        def name_or_value(server: Params, temps: Scope, user: Scope) -> Value:
+            value = lookup(server, temps, user)
+            return hostname if value is _MISSING else value
+
+        return name_or_value
+
+    thunk = _compile(node)
+
+    def value_or_hostname(server: Params, temps: Scope, user: Scope) -> Value:
+        try:
+            return thunk(server, temps, user)
+        except (Undefined, EvalError):
+            hostname = _hostname_from(node, Environment(server, temps, user))
+            if hostname is None:
+                raise
             return hostname
-        raise
+
+    return value_or_hostname
+
+
+def _assign(node: Assign) -> Thunk:
+    name = node.name
+    value_of = _assigned_value(node.value)
+    user_side = name in USER_SIDE_VARS
+
+    def assign(server: Params, temps: Scope, user: Scope) -> Value:
+        value = value_of(server, temps, user)
+        (user if user_side else temps)[name] = value
+        return value
+
+    return assign
+
+
+def _unusable(exc: EvalError) -> Callable[..., float]:
+    """Stands in for a builtin that could not be bound (unknown name,
+    wrong arity): the call faults each time, after its arguments ran —
+    their own faults and assignments come first."""
+    message, line, col = exc.message, exc.line, exc.col
+
+    def unusable(*args: float) -> float:
+        raise EvalError(message, line=line, col=col)
+
+    return unusable
+
+
+def _call(node: Call) -> Thunk:
+    args = [(_compile(arg), arg) for arg in node.args]
+    try:
+        fn = bind_builtin(node.func, len(args), line=node.line, col=node.col)
+    except EvalError as exc:
+        fn = _unusable(exc)
+
+    def call(server: Params, temps: Scope, user: Scope) -> Value:
+        values = []
+        for arg, arg_node in args:
+            value = arg(server, temps, user)
+            if isinstance(value, str):
+                raise _not_numeric(value, arg_node)
+            values.append(value)
+        return fn(*values)
+
+    return call
+
+
+def _divide(node: BinOp) -> Callable[[float, float], float]:
+    line, col = node.line, node.col
+
+    def divide(left: float, right: float) -> float:
+        if right == 0.0:
+            raise EvalError("division by 0", line=line, col=col)
+        return left / right
+
+    return divide
+
+
+def _power(node: BinOp) -> Callable[[float, float], float]:
+    line, col = node.line, node.col
+
+    def power(left: float, right: float) -> float:
+        try:
+            result = left ** right
+            if isinstance(result, complex):  # negative base, fractional exponent
+                raise ValueError("domain error")
+            return float(result)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise EvalError(f"power: {exc}", line=line, col=col) from exc
+
+    return power
+
+
+_ARITHMETIC: dict[str, Callable[[BinOp], Callable[[float, float], float]]] = {
+    "+": lambda node: operator.add,
+    "-": lambda node: operator.sub,
+    "*": lambda node: operator.mul,
+    "/": _divide,
+    "^": _power,
+}
+
+
+def _binop(node: BinOp) -> Thunk:
+    if node.op not in _ARITHMETIC:
+        return _fault(f"unknown operator {node.op!r}", node)
+    apply = _ARITHMETIC[node.op](node)
+    left_node, right_node = node.left, node.right
+    left_thunk, right_thunk = _compile(left_node), _compile(right_node)
+
+    def binop(server: Params, temps: Scope, user: Scope) -> Value:
+        left = left_thunk(server, temps, user)
+        if isinstance(left, str):
+            raise _not_numeric(left, left_node)
+        right = right_thunk(server, temps, user)
+        if isinstance(right, str):
+            raise _not_numeric(right, right_node)
+        return apply(left, right)
+
+    return binop
+
+
+_COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def _compare_side(node: Node) -> tuple[Thunk, str]:
+    """One side of a comparison, and its name when it is a *bare*
+    identifier.  A bare identifier that turns out undefined yields
+    ``_MISSING`` instead of raising — the comparison may then treat the
+    name as a string literal in equality tests (the §6 string-attribute
+    form).  Undefined identifiers inside larger expressions still raise."""
+    inner = strip_parens(node)
+    if isinstance(inner, Var):
+        return _lookup(inner.name), inner.name
+    return _compile(inner), ""
+
+
+def _settle(node: Compare, left: Any, right: Any,
+            left_name: str, right_name: str) -> float:
+    """A comparison of anything but two plain floats: undefined sides,
+    strings, mixed types."""
+    equality = node.op in ("==", "!=")
+    # §6 string attributes: in an equality test against a string value,
+    # a bare undefined identifier reads as a literal ("machine_type ==
+    # i386").  Anywhere else, undefined stays undefined (-> false).
+    if left is _MISSING:
+        if equality and isinstance(right, str):
+            left = left_name
+        else:
+            raise Undefined(left_name)
+    if right is _MISSING:
+        if equality and isinstance(left, str):
+            right = right_name
+        else:
+            raise Undefined(right_name)
+    holds = _COMPARISONS[node.op]
+    if isinstance(left, str) or isinstance(right, str):
+        if not equality:
+            raise EvalError("ordering comparison on address/hostname",
+                            line=node.line, col=node.col)
+        return 1.0 if holds(str(left), str(right)) else 0.0
+    return 1.0 if holds(left, right) else 0.0
+
+
+def _compare(node: Compare) -> Thunk:
+    if node.op not in _COMPARISONS:
+        return _fault(f"unknown operator {node.op!r}", node)
+    holds = _COMPARISONS[node.op]
+    left_thunk, left_name = _compare_side(node.left)
+    number = strip_parens(node.right)
+    if isinstance(number, Num):
+        # the dominant form, "<expression> <op> <number>": the literal is
+        # known now, so only the left side is computed and inspected
+        limit = number.value
+
+        def compare_to_number(server: Params, temps: Scope, user: Scope) -> Value:
+            left = left_thunk(server, temps, user)
+            if left.__class__ is float:
+                return 1.0 if holds(left, limit) else 0.0
+            return _settle(node, left, limit, left_name, "")
+
+        return compare_to_number
+
+    right_thunk, right_name = _compare_side(node.right)
+
+    def compare(server: Params, temps: Scope, user: Scope) -> Value:
+        left = left_thunk(server, temps, user)
+        right = right_thunk(server, temps, user)
+        if left.__class__ is float and right.__class__ is float:
+            return 1.0 if holds(left, right) else 0.0
+        return _settle(node, left, right, left_name, right_name)
+
+    return compare
+
+
+def _logic(node: Logic) -> Thunk:
+    """No short-circuit: the thesis' yacc evaluates both sides, and
+    assignments on the right-hand side must still take effect."""
+    left_thunk, right_thunk = _compile(node.left), _compile(node.right)
+
+    if node.op == "&&":
+        def both(server: Params, temps: Scope, user: Scope) -> Value:
+            left = left_thunk(server, temps, user)
+            right = right_thunk(server, temps, user)
+            return 1.0 if left and right else 0.0
+        return both
+
+    def either(server: Params, temps: Scope, user: Scope) -> Value:
+        left = left_thunk(server, temps, user)
+        right = right_thunk(server, temps, user)
+        return 1.0 if left or right else 0.0
+    return either
+
+
+_COMPILERS: dict[type, Callable[[Any], Thunk]] = {
+    Num: _literal,
+    Addr: _literal,
+    Var: _var,
+    Paren: _paren,
+    Neg: _neg,
+    Assign: _assign,
+    Call: _call,
+    BinOp: _binop,
+    Compare: _compare,
+    Logic: _logic,
+}
+
+
+def _compile(node: Node) -> Thunk:
+    build = _COMPILERS.get(type(node))
+    if build is None:
+        return _fault(f"cannot evaluate node {node!r}", node)
+    return build(node)
+
+
+def compile_program(program: Program) -> CompiledProgram:
+    """The closures for ``program``, built on first request and kept on
+    the program itself — they live and die with it (for a wizard request:
+    with its :class:`~repro.lang.analysis.CompileCache` entry)."""
+    compiled = program.compiled
+    if compiled is None:
+        compiled = program.compiled = CompiledProgram(
+            statements=tuple(
+                (_compile(stmt), is_logical(stmt), stmt.line)
+                for stmt in program.statements
+            ),
+            reads=frozenset(
+                node.name for node in walk(program) if isinstance(node, Var)
+            ),
+        )
+    return compiled
 
 
 def _hostname_from(node: Node, env: Environment) -> Optional[str]:
-    """Reconstruct ``titan-x``-style names from ``Var - Var`` chains."""
+    """Reconstruct ``titan-x``-style names from ``Var - Var`` chains.
+
+    The one place evaluation still walks the AST: only reached after an
+    assignment's right-hand side has already failed to evaluate."""
     if isinstance(node, Paren):
         return _hostname_from(node.inner, env)
     if isinstance(node, Var):
@@ -259,39 +503,34 @@ def _hostname_from(node: Node, env: Environment) -> Optional[str]:
     return None
 
 
-def evaluate(program: Program, server_params: dict[str, float],
-             user_presets: Optional[dict[str, Value]] = None) -> Evaluation:
+def evaluate(program: Program, server_params: Mapping[str, Value],
+             user_presets: Optional[Mapping[str, Value]] = None) -> Evaluation:
     """Run ``program`` against one server's parameters.
 
+    ``server_params`` is read in place: never copied, never written to.
     ``user_presets`` seeds the user-side slots (e.g. options carried in the
     request separately from the requirement text).
     """
-    env = Environment(server=dict(server_params))
-    if user_presets:
-        env.user.update(user_presets)
+    temps: Scope = {}
+    user: Scope = dict(user_presets) if user_presets else {}
     logical_results: list[tuple[int, bool]] = []
     errors: list[str] = []
-    for stmt in program.statements:
-        logical = is_logical(stmt)
+    qualified = True
+    compiled = program.compiled or compile_program(program)
+    for thunk, logical, line in compiled.statements:
         try:
-            value = _eval(stmt, env)
-            if logical:
-                logical_results.append((stmt.line, _truthy(value)))
+            holds = True if thunk(server_params, temps, user) else False
         except Undefined as undef:
-            if logical:
-                # thesis: uninitialised variable in a logical statement
-                # makes the whole statement false
-                logical_results.append((stmt.line, False))
-            else:
+            # thesis: uninitialised variable in a logical statement
+            # makes the whole statement false
+            holds = False
+            if not logical:
                 errors.append(f"undefined variable {undef.name!r}")
         except EvalError as exc:
+            holds = False
             errors.append(str(exc))
-            if logical:
-                logical_results.append((stmt.line, False))
-    qualified = all(ok for _, ok in logical_results)
-    return Evaluation(
-        qualified=qualified,
-        logical_results=logical_results,
-        errors=errors,
-        env=env,
-    )
+        if logical:
+            logical_results.append((line, holds))
+            qualified = qualified and holds
+    return Evaluation(qualified, logical_results, errors,
+                      Environment(server_params, temps, user))

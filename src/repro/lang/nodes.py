@@ -10,6 +10,7 @@ instead of via yacc's global ``logic`` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 __all__ = [
     "Node",
@@ -26,6 +27,8 @@ __all__ = [
     "Program",
     "Statement",
     "is_logical",
+    "strip_parens",
+    "walk",
     "LOGICAL_OPS",
     "ARITH_OPS",
 ]
@@ -132,16 +135,49 @@ Statement = Node  # a statement is just a top-level expression/assignment
 
 @dataclass
 class Program(Node):
+    """A parsed requirement.  Treat it as immutable once built: the
+    evaluator compiles it on first use and keeps the result in
+    :attr:`compiled`, so later edits to ``statements`` would not run."""
+
     statements: list[Statement] = field(default_factory=list)
     #: parse errors collected in recovery mode (yacc's ``error '\n'`` rule)
     errors: list = field(default_factory=list)
+    #: memo slot owned by :func:`repro.lang.evaluator.compile_program` —
+    #: the closures live exactly as long as the program they were built from
+    compiled: Any = field(default=None, repr=False, compare=False)
 
     def logical_statements(self) -> list[Statement]:
         return [s for s in self.statements if is_logical(s)]
 
 
-def is_logical(node: Node) -> bool:
-    """True when the statement's main operator is logical (Fig 4.2 rule)."""
+def strip_parens(node: Node) -> Node:
+    """Parentheses are transparent (Fig 4.2: "will not change logic value")."""
     while isinstance(node, Paren):
         node = node.inner
-    return isinstance(node, (Compare, Logic))
+    return node
+
+
+def is_logical(node: Node) -> bool:
+    """True when the statement's main operator is logical (Fig 4.2 rule)."""
+    return isinstance(strip_parens(node), (Compare, Logic))
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """``node`` and every node below it, parents before children."""
+    yield node
+    if isinstance(node, Program):
+        children = node.statements
+    elif isinstance(node, (BinOp, Compare, Logic)):
+        children = [node.left, node.right]
+    elif isinstance(node, Call):
+        children = node.args
+    elif isinstance(node, Neg):
+        children = [node.operand]
+    elif isinstance(node, Assign):
+        children = [node.value]
+    elif isinstance(node, Paren):
+        children = [node.inner]
+    else:
+        return
+    for child in children:
+        yield from walk(child)

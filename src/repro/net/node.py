@@ -37,6 +37,8 @@ class Node:
         self.is_router = is_router
         self.proc_delay = proc_delay
         self.nics: list[NIC] = []
+        #: the addresses of ``nics``, for the per-frame "is it for me" test
+        self._local: set[str] = set()
         #: dst address -> NIC to use
         self.routes: dict[str, NIC] = {}
         self.stack: Optional["NetworkStack"] = None
@@ -51,6 +53,7 @@ class Node:
     # -- configuration ------------------------------------------------------
     def add_nic(self, nic: NIC) -> None:
         self.nics.append(nic)
+        self._local.add(nic.addr)
 
     @property
     def addresses(self) -> list[str]:
@@ -64,7 +67,7 @@ class Node:
         return self.nics[0].addr
 
     def is_local(self, addr: str) -> bool:
-        return any(nic.addr == addr for nic in self.nics)
+        return addr in self._local
 
     # -- data path ----------------------------------------------------------
     def receive(self, frame: Frame, nic: NIC) -> None:

@@ -32,6 +32,9 @@ class Network:
         self.sim = sim
         self.default_init_speed_bps = default_init_speed_bps
         self.nodes: dict[str, Node] = {}
+        #: every NIC address -> its node (filled by :meth:`connect`, the
+        #: only place NICs are created)
+        self._by_addr: dict[str, Node] = {}
         self.links: list[Link] = []
         self._next_subnet = 1
         self._next_host_octet: dict[str, int] = {}
@@ -91,6 +94,7 @@ class Network:
                 init_speed_bps=init,
             )
             node.add_nic(nic)
+            self._by_addr[nic.addr] = node
         return link
 
     # -- naming ----------------------------------------------------------------
@@ -99,19 +103,14 @@ class Network:
         node = self.nodes.get(name_or_addr)
         if node is not None:
             return node.addr
-        for node in self.nodes.values():
-            if name_or_addr in node.addresses:
-                return name_or_addr
-        raise KeyError(f"unknown host or address {name_or_addr!r}")
+        self.node_of(name_or_addr)  # an address resolves to itself, if known
+        return name_or_addr
 
     def node_of(self, name_or_addr: str) -> Node:
-        node = self.nodes.get(name_or_addr)
-        if node is not None:
-            return node
-        for node in self.nodes.values():
-            if name_or_addr in node.addresses:
-                return node
-        raise KeyError(f"unknown host or address {name_or_addr!r}")
+        node = self.nodes.get(name_or_addr) or self._by_addr.get(name_or_addr)
+        if node is None:
+            raise KeyError(f"unknown host or address {name_or_addr!r}")
+        return node
 
     def hostname_of(self, addr: str) -> str:
         return self.node_of(addr).name
@@ -158,7 +157,7 @@ class Network:
         target = self.resolve(dst)
         hops = [node.name]
         guard = 0
-        while target not in node.addresses:
+        while not node.is_local(target):
             nic = node.routes.get(target)
             if nic is None:
                 raise KeyError(f"no route from {src} to {dst}")

@@ -14,7 +14,6 @@ from repro.lang import (
     parse,
     tokenize,
 )
-from repro.lang.evaluator import Environment, _eval
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -86,8 +85,7 @@ class TestEvaluationProperties:
     @given(arith_exprs())
     @settings(max_examples=60)
     def test_arithmetic_matches_python(self, expr):
-        (stmt,) = parse(expr).statements
-        got = _eval(stmt, Environment())
+        got = evaluate(parse(f"got = {expr}"), {}).env.temps["got"]
         expected = eval(expr)  # same grammar subset as Python's
         assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
