@@ -36,6 +36,7 @@ from .engine import FileUnit, Rule, rule
 
 __all__ = [
     "BLOCKING_RECV_ATTRS",
+    "scheduled_call_target",
     "CHANNEL_OP_ATTRS",
     "SEGMENT_ALLOWLIST",
     "INTERRUPT_CATCHERS",
@@ -43,6 +44,21 @@ __all__ = [
 
 #: attribute calls whose yielded event blocks until a peer acts
 BLOCKING_RECV_ATTRS: frozenset[str] = frozenset({"recv", "accept"})
+
+#: ``sim.call_later(delay, fn, arg)`` / ``sim.call_at(when, fn, arg)``:
+#: attribute calls that hand the kernel a function to run from the event
+#: loop — an edge in every call graph, like an ``add_callback`` target
+SCHEDULED_CALL_ATTRS: frozenset[str] = frozenset({"call_later", "call_at"})
+
+
+def scheduled_call_target(call: ast.Call) -> Optional[ast.expr]:
+    """The function expression a scheduled call will run, if ``call`` is one."""
+    if (isinstance(call.func, ast.Attribute)
+            and call.func.attr in SCHEDULED_CALL_ATTRS
+            and len(call.args) >= 2):
+        return call.args[1]
+    return None
+
 
 #: attribute calls that move data through sockets/channels (REPRO306)
 CHANNEL_OP_ATTRS: frozenset[str] = frozenset({

@@ -45,7 +45,7 @@ WALLCLOCK_ALLOWLIST: tuple[str, ...] = ("repro/__main__.py",
 #: order feeding any of these becomes event order
 SCHEDULING_SINKS: frozenset[str] = frozenset({
     "timeout", "process", "schedule", "_schedule", "succeed", "fail",
-    "interrupt", "transmit", "sendto", "occupy", "start",
+    "call_later", "call_at", "interrupt", "transmit", "sendto", "occupy", "start",
 })
 
 _WALLCLOCK_FNS = frozenset({

@@ -12,7 +12,8 @@ Every analyzed function is abstracted into an ordered **op trace**:
 * ``CALL(qualname)`` — a call the symbol table resolves, inlined during
   expansion.  ``sim.process(...)`` spawn arguments are deliberately *not*
   inlined: a spawned loop runs concurrently, so its waits do not block
-  the spawning path.
+  the spawning path.  (A ``sim.call_later(d, fn, arg)`` target needs no
+  such rule: ``fn`` is a reference, not a call, so it is never an op.)
 
 Channels are canonical strings built from statically-known ports
 (``u:<port>`` datagram, ``lst:<port>`` listen/connect rendezvous,

@@ -11,7 +11,11 @@ call resolution) instead of re-deriving a call graph:
   wire wait (``recv``/``accept``/``get``) or a periodic ``timeout``
   (push/probe loops — the transmitter's per-replica fan-out runs at
   push rate, which is message rate from the receiver's side), plus
-  every handler path named by a parsed ``WIRE_TAG_HANDLERS`` registry;
+  every handler path named by a parsed ``WIRE_TAG_HANDLERS`` registry,
+  plus every function handed to ``sim.call_later``/``sim.call_at`` —
+  the kernel runs those once per frame, ack or timer, so they are a
+  service loop whose ``while True`` is the event loop itself (the TCP
+  sender is one: ``_on_wake`` pumps the window, with no process);
 * **hot functions** — everything reachable from a hot root through
   resolved calls, including ``sim.process(self._session(conn), ...)``
   spawn arguments (a per-connection spawn inside an accept loop runs
@@ -32,7 +36,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..concurrency import BLOCKING_RECV_ATTRS
+from ..concurrency import BLOCKING_RECV_ATTRS, scheduled_call_target
 from ..flow.symbols import FunctionInfo, SymbolTable
 
 __all__ = ["HotContext", "build_hot_context", "constant_true", "heat_share"]
@@ -165,6 +169,22 @@ def _spawn_names(table: SymbolTable) -> dict[str, str]:
     return names
 
 
+def _scheduled_roots(table: SymbolTable) -> set[str]:
+    """Qualnames of every resolvable ``call_later``/``call_at`` target."""
+    out: set[str] = set()
+    for fn in table.functions.values():
+        for node in ast.walk(fn.node):
+            if not isinstance(node, ast.Call):
+                continue
+            scheduled = scheduled_call_target(node)
+            if scheduled is None:
+                continue
+            target = table.resolve_call(scheduled, fn.module, fn.cls)
+            if isinstance(target, FunctionInfo):
+                out.add(target.qualname)
+    return out
+
+
 def build_hot_context(table: SymbolTable) -> HotContext:
     """Discover service loops, registry handlers, and their closure."""
     ctx = HotContext(table=table)
@@ -186,7 +206,8 @@ def build_hot_context(table: SymbolTable) -> HotContext:
     # closure over resolved calls, tracking which roots reach what
     reach: dict[str, set[str]] = {}
     callee_cache: dict[str, list[str]] = {}
-    for root in sorted(set(ctx.roots) | registry_roots):
+    for root in sorted(set(ctx.roots) | registry_roots
+                       | _scheduled_roots(table)):
         stack = [root]
         seen: set[str] = set()
         while stack:

@@ -3,7 +3,8 @@
 All six are *shape* rules over the hot context of :mod:`.heat`: they
 fire only in functions reachable from a service loop or a registered
 wire-tag handler (REPRO504 excepted — its context is the kernel
-event-dispatch path itself, via ``add_callback`` registration).  Each
+event-dispatch path itself, via ``add_callback`` registration or a
+``call_later``/``call_at`` scheduled call).  Each
 rule yields ``(FunctionInfo, Diagnostic)`` pairs; the shared driver
 (:mod:`repro.analysis.program`) attaches file units, applies ``noqa``
 and sorts.
@@ -24,8 +25,9 @@ The rules are deliberately conservative about what counts as evidence:
   ``compile``, ``min``/``max``/``sum``, ``re.compile``) inside a loop
   body with every argument loop-invariant — the missing-cache shape.
   A loop's *own* iterable is evaluated once per entry and is exempt.
-* **REPRO504** — a callback registered with ``add_callback`` whose call
-  closure contains a ``while True:`` with no ``break``/``return``/
+* **REPRO504** — a callback registered with ``add_callback`` (or handed
+  to ``call_later``/``call_at``) whose call closure contains a
+  ``while True:`` with no ``break``/``return``/
   ``yield``/``raise`` — unbounded blocking work inside
   :meth:`Simulator.step`, which stalls every other simulated host.
 * **REPRO505** — a list grown via ``append``/``extend``/``insert``/
@@ -40,6 +42,7 @@ import ast
 from typing import Iterator
 
 from ...lang.diagnostics import Diagnostic, make
+from ..concurrency import scheduled_call_target
 from ..flow.symbols import ClassInfo, FunctionInfo, SymbolTable
 from .heat import HotContext, constant_true
 
@@ -314,12 +317,15 @@ def _callback_targets(table: SymbolTable) -> "dict[str, str]":
     for qual in sorted(table.functions):
         fn = table.functions[qual]
         for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "add_callback"
-                    and node.args):
+            if not isinstance(node, ast.Call):
                 continue
-            target = table.resolve_call(node.args[0], fn.module, fn.cls)
+            callback = scheduled_call_target(node)
+            if (callback is None and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_callback" and node.args):
+                callback = node.args[0]
+            if callback is None:
+                continue
+            target = table.resolve_call(callback, fn.module, fn.cls)
             if isinstance(target, FunctionInfo):
                 out.setdefault(target.qualname, qual)
     return out

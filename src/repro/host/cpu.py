@@ -154,13 +154,10 @@ class CPU:
         self._version += 1
         if not self._tasks:
             return
-        version = self._version
         n = len(self._tasks)
         soonest = min(task.remaining for task in self._tasks)
         delay = max(0.0, soonest * n * self.throttle)
-        ev = self.sim.event()
-        ev.add_callback(lambda _ev: self._on_completion(version))
-        ev.succeed(delay=delay)
+        self.sim.call_later(delay, self._on_completion, self._version)
 
     def _on_completion(self, version: int) -> None:
         if version != self._version:

@@ -129,9 +129,7 @@ class Channel:
                 # a reordered frame is simply late: by more than the
                 # in-flight gap, so a successor genuinely overtakes it
                 deliver_at += self.reorder_extra
-        ev = self.sim.event()
-        ev.add_callback(lambda _ev: self._deliver(frame))
-        ev.succeed(delay=deliver_at - now)
+        self.sim.call_later(deliver_at - now, self._deliver, frame)
         return True
 
     def occupy(self, wire_bytes: int) -> None:

@@ -124,9 +124,7 @@ class Node:
             return
         self.forwarded += 1
         # d_proc: the lookup/forwarding cost before hitting the egress queue
-        ev = self.sim.event()
-        ev.add_callback(lambda _ev: nic.forward_frame(frame))
-        ev.succeed(delay=self.proc_delay)
+        self.sim.call_later(self.proc_delay, nic.forward_frame, frame)
 
     def send(self, dgram: Datagram) -> bool:
         """Originate a datagram from this node (kernel -> NIC)."""
@@ -137,9 +135,7 @@ class Node:
             # Loopback: no physical interface, no init term, tiny constant
             # delay — reproduces the thesis' flat localhost curve (Fig 3.6f,
             # base RTT 41 µs: ~one kernel traversal each way).
-            ev = self.sim.event()
-            ev.add_callback(lambda _ev: self.deliver_local(dgram))
-            ev.succeed(delay=self.proc_delay)
+            self.sim.call_later(self.proc_delay, self.deliver_local, dgram)
             return True
         nic = self.routes.get(dgram.dst)
         if nic is None:

@@ -52,6 +52,9 @@ def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
     header.  Each fragment carries its own ``IP_HEADER``; fragment payloads
     are multiples of 8 bytes except the last, per IPv4 — we keep the simpler
     equal-capacity split since only sizes matter for timing.
+
+    This list is the reference the closed forms below are tested against;
+    nothing on the per-frame path builds it.
     """
     if mtu <= IP_HEADER:
         raise ValueError(f"MTU {mtu} leaves no room for IP payload")
@@ -64,6 +67,18 @@ def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
         sizes.append(chunk + IP_HEADER)
         remaining -= chunk
     return sizes
+
+
+def _fragment_payload(mtu: int) -> int:
+    """IP payload bytes one fragment carries at ``mtu``."""
+    if mtu <= IP_HEADER:
+        raise ValueError(f"MTU {mtu} leaves no room for IP payload")
+    return mtu - IP_HEADER
+
+
+def _n_fragments(transport_bytes: int, mtu: int) -> int:
+    """``len(fragment_sizes(transport_bytes, mtu))`` without the list."""
+    return max(1, -(-transport_bytes // _fragment_payload(mtu)))
 
 
 @dataclass
@@ -100,15 +115,17 @@ class Datagram:
         return self.size + _PROTO_HEADER[self.proto]
 
     def wire_size(self, mtu: int) -> int:
-        """Total bytes on the wire after fragmentation at ``mtu``."""
-        return sum(fragment_sizes(self.transport_bytes, mtu))
+        """Total bytes on the wire after fragmentation at ``mtu``: the
+        transport bytes plus one IP header per fragment."""
+        transport = self.transport_bytes
+        return transport + IP_HEADER * _n_fragments(transport, mtu)
 
     def first_fragment_size(self, mtu: int) -> int:
         """Wire size of the first fragment — drives the NIC init term."""
-        return fragment_sizes(self.transport_bytes, mtu)[0]
+        return min(self.transport_bytes, _fragment_payload(mtu)) + IP_HEADER
 
     def n_fragments(self, mtu: int) -> int:
-        return len(fragment_sizes(self.transport_bytes, mtu))
+        return _n_fragments(self.transport_bytes, mtu)
 
     def reply_skeleton(self, proto: str, size: int, payload: Any = None) -> "Datagram":
         """A datagram heading back to this one's source."""
@@ -149,12 +166,21 @@ class Frame:
     payload_bytes: int
     first: bool  # carries the datagram's first transport byte
     burst: bool = False
+    #: the last MTU :meth:`wire_at` was asked about, and its answer: a
+    #: frame is sized by the NIC, the channel and both byte counters of
+    #: every hop, almost always at one MTU
+    _wire_mtu: Optional[int] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _wire: int = field(default=0, init=False, repr=False, compare=False)
 
     def wire_at(self, mtu: int) -> int:
         """Bytes this frame occupies on a wire with the given MTU."""
-        if self.burst:
-            return sum(fragment_sizes(self.payload_bytes, mtu))
-        return self.payload_bytes + IP_HEADER
+        if mtu == self._wire_mtu:
+            return self._wire
+        wire = self.payload_bytes
+        wire += IP_HEADER * _n_fragments(wire, mtu) if self.burst else IP_HEADER
+        self._wire_mtu, self._wire = mtu, wire
+        return wire
 
     def split(self, mtu: int) -> list["Frame"]:
         """Re-fragment for an egress link whose MTU is too small."""

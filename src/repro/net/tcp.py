@@ -16,6 +16,19 @@ So the implementation is a single-timer go-back-N with Jacobson/Karels
 adaptive RTO and cumulative acks.  Loss recovery is real (tests inject
 drops); congestion control is a fixed window, adequate for a testbed whose
 "packet loss rate is relatively low" (thesis §3.3.1).
+
+The sender is a state machine, not a process.  Whatever may let it make
+progress (``send``, ``close``, an ack that advances the window, a reset)
+asks for one *wake*: a zero-delay :class:`~repro.sim.Call` that pumps
+the window at the same timestamp, after the handler that asked has
+returned, however many asked in between.  Every wake that leaves data in
+flight restarts the retransmission deadline at ``now + rto``; the
+connection keeps **one** timer call in the event queue and re-arms it
+lazily — when it fires short of the deadline it moves itself there, by
+absolute time — so an ack costs no timer event at all.  The one case
+that must not wait for the armed call is a deadline that moved
+*earlier*: a fresh RTT sample shrinking ``rto`` under a backed-off timer
+arms a second, earlier call and the later one finds itself superseded.
 """
 
 from __future__ import annotations
@@ -140,14 +153,18 @@ class TcpConnection:
 
         # --- sender state (go-back-N) ---
         self._outq: list[tuple[Any, int]] = []   # (payload, nbytes) messages
-        self._segments: dict[int, tuple[int, Any]] = {}  # seq -> (bytes, meta)
-        self._send_times: dict[int, float] = {}
-        self._retransmitted: set[int] = set()
+        #: unacked segments in sequence order: seq -> [bytes, meta, first
+        #: sent at]; the time is None once the segment was retransmitted
+        #: (Karn: its ack is no RTT sample)
+        self._segments: dict[int, list] = {}
         self._base = 0
         self._next_seq = 0
         self._fin_queued = False
-        self._sender_proc = None
-        self._wake = None
+        self._wake_pending = False
+        #: when to go back N unless the window moves first (None = idle)
+        self._rto_deadline: Optional[float] = None
+        #: when the one armed timer call fires (None = none armed)
+        self._timer_at: Optional[float] = None
 
         # --- receiver state ---
         self._rcv_expected = 0
@@ -245,28 +262,47 @@ class TcpConnection:
         self.established = True
         if not self.established_ev.triggered:
             self.established_ev.succeed(self)
-        self._sender_proc = self.sim.process(self._sender(), name=f"tcp-send-{self.id}")
+        self._signal()
 
     def _signal(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        """Ask for one sender wake at the current timestamp."""
+        if self.established and not self._wake_pending:
+            self._wake_pending = True
+            self.sim.call_later(0.0, self._on_wake)
 
-    def _sender(self):
-        while True:
-            if self.reset:
-                return  # reset: stop (re)transmitting immediately
-            self._pump()
-            idle = self._base == self._next_seq and not self._outq
-            if idle and self.closed and not self._fin_queued:
-                return  # FIN sent and acked: sender done
-            self._wake = self.sim.event()
-            if idle:
-                yield self._wake
-            else:
-                timer = self.sim.timeout(self.rto)
-                fired = yield self.sim.any_of([self._wake, timer])
-                if self._wake not in fired and self._base != self._next_seq:
-                    self._retransmit_window()
+    def _on_wake(self, _arg: Any = None) -> None:
+        """One turn of the sender: pump the window, then restart (or
+        drop) the retransmission deadline."""
+        self._wake_pending = False
+        if self.reset:
+            self._rto_deadline = None  # reset: stop (re)transmitting
+            return
+        self._pump()
+        if self._base == self._next_seq and not self._outq:
+            self._rto_deadline = None  # nothing in flight, nothing to time
+            return
+        deadline = self._rto_deadline = self.sim.now + self.rto
+        if self._timer_at is None or deadline < self._timer_at:
+            # no timer armed, or rto shrank under a backed-off one
+            self._arm_timer(deadline)
+
+    def _arm_timer(self, when: float) -> None:
+        self._timer_at = when
+        self.sim.call_at(when, self._on_timer, when)
+
+    def _on_timer(self, armed_for: float) -> None:
+        if armed_for != self._timer_at:
+            return  # superseded by a call armed for an earlier deadline
+        self._timer_at = None
+        deadline = self._rto_deadline
+        if deadline is None:
+            return
+        if deadline > self.sim.now:
+            self._arm_timer(deadline)  # the window moved since: not yet
+            return
+        if self._base != self._next_seq:
+            self._retransmit_window()
+        self._on_wake()
 
     def _pump(self) -> None:
         """Emit segments while data is queued and the window allows."""
@@ -274,10 +310,7 @@ class TcpConnection:
             seg = self._next_segment()
             if seg is None:
                 break
-            nbytes, meta = seg
-            self._transmit_segment(self._next_seq, nbytes, meta, retransmission=False)
-            self._segments[self._next_seq] = (nbytes, meta)
-            self._next_seq += nbytes
+            self._emit(*seg)
         # FIN occupies one sequence unit once the data queue drains
         if (
             self._fin_queued
@@ -285,10 +318,14 @@ class TcpConnection:
             and self.in_flight < self.window
         ):
             self._fin_queued = False
-            meta = ("FIN",)
-            self._transmit_segment(self._next_seq, 1, meta, retransmission=False)
-            self._segments[self._next_seq] = (1, meta)
-            self._next_seq += 1
+            self._emit(1, ("FIN",))
+
+    def _emit(self, nbytes: int, meta: tuple) -> None:
+        """First transmission of the next segment in sequence."""
+        seq = self._next_seq
+        self._segments[seq] = [nbytes, meta, self.sim.now]
+        self._next_seq = seq + nbytes
+        self._transmit_segment(seq, nbytes, meta)
 
     def _next_segment(self) -> Optional[tuple[int, tuple]]:
         """Carve the next segment off the message queue.
@@ -315,8 +352,9 @@ class TcpConnection:
         # we pass only the last chunk marker. Kept as a hook for clarity.
         return last_chunk
 
-    def _transmit_segment(self, seq: int, nbytes: int, meta: tuple, retransmission: bool) -> None:
-        dgram = Datagram(
+    def _transmit_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
+        self.bytes_sent += nbytes
+        self.layer.stack.node.send(Datagram(
             proto=PROTO_TCP,
             src=self.layer.stack.node.addr,
             dst=self.remote_addr,
@@ -325,22 +363,15 @@ class TcpConnection:
             size=nbytes,
             payload=("SEG", seq, meta),
             created=self.sim.now,
-        )
-        if retransmission:
-            self._retransmitted.add(seq)
-            self.retransmit_count += 1
-        else:
-            self._send_times[seq] = self.sim.now
-        self.bytes_sent += nbytes
-        self.layer.stack.node.send(dgram)
+        ))
 
     def _retransmit_window(self) -> None:
         """Go-back-N: resend everything from ``base``; back the timer off."""
         self.rto = min(self.rto * 2, 60.0)
-        for seq in sorted(self._segments):
-            if seq >= self._base:
-                nbytes, meta = self._segments[seq]
-                self._transmit_segment(seq, nbytes, meta, retransmission=True)
+        for seq, segment in self._segments.items():
+            segment[2] = None
+            self.retransmit_count += 1
+            self._transmit_segment(seq, segment[0], segment[1])
 
     # -- inbound ------------------------------------------------------------------
     def _handle(self, dgram: Datagram) -> None:
@@ -383,19 +414,21 @@ class TcpConnection:
     def _handle_ack(self, ackno: int) -> None:
         if ackno <= self._base:
             return
+        # _segments holds exactly the unacked segments in sequence order
+        # (the pump appends, acks are cumulative): pop the acked prefix
+        segments = self._segments
+        sample = None
+        while segments:
+            seq = next(iter(segments))
+            if seq >= ackno:
+                break
+            nbytes, _, sent_at = segments.pop(seq)
+            self.bytes_acked += nbytes
+            if sent_at is not None:
+                sample = sent_at
         # RTT sample from the highest newly-acked, never-retransmitted segment
-        sample_seq = None
-        for seq in self._segments:
-            if self._base <= seq < ackno and seq not in self._retransmitted:
-                if sample_seq is None or seq > sample_seq:
-                    sample_seq = seq
-        if sample_seq is not None and sample_seq in self._send_times:
-            self._rtt_sample(self.sim.now - self._send_times[sample_seq])
-        for seq in [s for s in self._segments if s < ackno]:
-            self.bytes_acked += self._segments[seq][0]
-            del self._segments[seq]
-            self._send_times.pop(seq, None)
-            self._retransmitted.discard(seq)
+        if sample is not None:
+            self._rtt_sample(self.sim.now - sample)
         self._base = ackno
         self._signal()
 

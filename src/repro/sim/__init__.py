@@ -3,6 +3,7 @@
 from .kernel import (
     AllOf,
     AnyOf,
+    Call,
     Event,
     Interrupt,
     Process,
@@ -25,6 +26,7 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
+    "Call",
     "Process",
     "Interrupt",
     "AnyOf",

@@ -8,6 +8,10 @@ event loop in the style of SimPy:
 * a :class:`Process` wraps a Python generator; each ``yield``\\ ed event
   suspends the process until the event fires,
 * :class:`Timeout` models the passage of simulated time,
+* :class:`Call` runs one function at a point in simulated time without a
+  process, a callback list or a closure (``sim.call_later`` /
+  ``sim.call_at``) — the per-frame and per-timer primitive of the
+  network layer,
 * :class:`AnyOf` / :class:`AllOf` compose events (used e.g. for
   "receive with timeout" in the UDP socket layer).
 
@@ -17,6 +21,29 @@ Simulated time is a ``float`` of seconds.  Events scheduled at equal times are
 ordered FIFO by a monotonically increasing sequence number so runs are fully
 deterministic.  There is no wall-clock coupling anywhere: a whole testbed
 experiment runs in milliseconds of real time.
+
+Scheduled calls
+---------------
+"Call ``fn(arg)`` later" can be spelled with a plain event — ``ev =
+sim.event(); ev.add_callback(lambda _: fn(arg)); ev.succeed(delay=d)`` —
+at the price of an event, a callback list, a closure and three method
+calls to run one function, once per frame per hop.  :class:`Call` is that
+idiom as one object.  It is still an :class:`Event` — it goes through
+:meth:`Simulator._schedule` and :meth:`Simulator.step`, so it draws or
+inherits a tie key, is recorded by the event trace (as
+``call:<qualname>``), carries the scheduler's vector clock into the
+callee for the race detector and is counted by the profiler per target —
+and it can be yielded or given callbacks like any other event; ``fn``
+simply runs first.
+
+A call can be placed after a delay (``call_later``) or at an absolute
+time (``call_at``).  The absolute form exists for timers that are
+re-armed from their own expiry towards a deadline ``D`` computed
+earlier: ``now + (D - now)`` is not in general ``D`` in floating point.
+A timer re-armed by delay fires a last bit short of its deadline, finds
+it still in the future and has to go round again — or a last bit late,
+and every timestamp downstream moves with it.  ``call_at(D, ...)``
+fires once, at exactly ``D``.
 
 Schedule sanitizer
 ------------------
@@ -77,6 +104,7 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
+    "Call",
     "Process",
     "Interrupt",
     "AnyOf",
@@ -161,7 +189,8 @@ class Event:
         self._state = TRIGGERED
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._schedule(self, sim._now + delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -173,7 +202,8 @@ class Event:
         self._state = TRIGGERED
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._schedule(self, sim._now + delay)
         return self
 
     # -- kernel internals ----------------------------------------------------
@@ -209,7 +239,34 @@ class Timeout(Event):
         self._state = TRIGGERED
         self._ok = True
         self._value = value
-        sim._schedule(self, delay)
+        sim._schedule(self, sim._now + delay)
+
+
+def call_target_name(fn: Callable[[Any], Any]) -> str:
+    """What a :class:`Call`'s target goes by in event traces and profiler
+    attributions: its qualified name (``Channel._deliver``)."""
+    return getattr(fn, "__qualname__", type(fn).__name__)
+
+
+class Call(Event):
+    """``fn(arg)`` at a point in simulated time; see ``sim.call_later``
+    and ``sim.call_at`` (the only constructors: they also schedule it)."""
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[Any], Any], arg: Any):
+        super().__init__(sim)
+        self._state = TRIGGERED
+        self.fn = fn
+        self.arg = arg
+
+    def _process_callbacks(self) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        self._state = PROCESSED
+        self.fn(self.arg)
+        if callbacks:
+            for cb in callbacks:
+                cb(self)
 
 
 class Process(Event):
@@ -494,6 +551,25 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
 
+    def call_later(self, delay: float, fn: Callable[[Any], Any],
+                   arg: Any = None) -> Call:
+        """Run ``fn(arg)`` from the event loop ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative call delay {delay!r}")
+        call = Call(self, fn, arg)
+        self._schedule(call, self._now + delay)
+        return call
+
+    def call_at(self, when: float, fn: Callable[[Any], Any],
+                arg: Any = None) -> Call:
+        """Run ``fn(arg)`` from the event loop at exactly ``when``."""
+        if when < self._now:
+            raise SimulationError(
+                f"call_at({when!r}) is in the past (now={self._now!r})")
+        call = Call(self, fn, arg)
+        self._schedule(call, when)
+        return call
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -501,7 +577,7 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, when: float) -> None:
         # queue order: (time, tie, seq).  tie is 0.0 (pure FIFO) unless the
         # schedule sanitizer shuffles equal-time events; seq keeps the
         # order total so the Event objects are never compared
@@ -522,7 +598,7 @@ class Simulator:
         hook = self._profile_schedule
         if hook is not None:
             hook(event, self._active_proc)
-        heapq.heappush(self._queue, (self._now + delay, tie, next(self._seq), event))
+        heapq.heappush(self._queue, (when, tie, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

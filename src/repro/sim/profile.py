@@ -15,7 +15,12 @@ that are functions of the simulated execution, never of the wall clock:
   *scheduled* while active (every :class:`~repro.sim.kernel.Event`
   passes through ``_schedule`` exactly once, so this is the kernel's
   object-allocation pressure, attributed to whoever caused it);
-* **per-event-type counts** — Timeout vs Process vs bare Event volume;
+* **per-event-type counts** — Timeout vs Process vs Call vs bare Event
+  volume;
+* **per-target call counts** — processed :class:`~repro.sim.kernel.Call`
+  events by the qualified name of the function they ran
+  (``Channel._deliver``, ``TcpConnection._on_wake``): the work that runs
+  from the event loop without a process to attribute it to;
 * **sim-time spans** — first/last resume time per process.
 
 Because nothing here draws randomness or reads a clock, two runs of the
@@ -34,6 +39,8 @@ a glance shows which subsystem owns the event budget.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
+
+from .kernel import Call, call_target_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Event, Process
@@ -73,6 +80,9 @@ class SimProfiler:
         #: event class -> processed count (keyed by the class object in
         #: the hot hook; rendered to names in :meth:`attribution`)
         self._type_counts: dict[type, int] = {}
+        #: function object behind a processed Call -> count (one key per
+        #: function, not per bound method; named in :meth:`attribution`)
+        self._call_counts: dict[Any, int] = {}
         #: the simulator this profiler is attached to (set by
         #: ``enable_profile``); its clock supplies ``sim_time_s`` so the
         #: per-event hook does not have to store a timestamp
@@ -98,6 +108,13 @@ class SimProfiler:
             self._type_counts[kind] += 1
         except KeyError:
             self._type_counts[kind] = 1
+        if kind is Call:
+            fn = event.fn  # type: ignore[attr-defined]
+            fn = getattr(fn, "__func__", fn)
+            try:
+                self._call_counts[fn] += 1
+            except KeyError:
+                self._call_counts[fn] = 1
 
     def on_resume(self, name: str, now: float) -> None:
         key = name or ROOT_KEY
@@ -129,9 +146,14 @@ class SimProfiler:
             }
         event_types = {kind.__name__: count
                        for kind, count in self._type_counts.items()}
+        calls: dict[str, int] = {}
+        for fn, count in self._call_counts.items():
+            name = call_target_name(fn)
+            calls[name] = calls.get(name, 0) + count
         sim_time = self._sim.now if self._sim is not None else 0.0
         return {
             "processes": processes,
+            "calls": dict(sorted(calls.items())),
             "event_types": dict(sorted(event_types.items())),
             "total_events": sum(event_types.values()),
             "total_allocations": sum(self.allocations.values()),
@@ -142,11 +164,14 @@ class SimProfiler:
 def merge_attributions(parts: "list[dict[str, Any]]") -> dict[str, Any]:
     """Sum several attribution dicts (one per experiment arm) into one."""
     processes: dict[str, dict[str, Any]] = {}
+    calls: dict[str, int] = {}
     event_types: dict[str, int] = {}
     total_events = 0
     total_allocations = 0
     sim_time = 0.0
     for part in parts:
+        for name, count in part.get("calls", {}).items():
+            calls[name] = calls.get(name, 0) + count
         for name, row in part["processes"].items():
             slot = processes.setdefault(
                 name, {"resumes": 0, "allocations": 0,
@@ -162,6 +187,7 @@ def merge_attributions(parts: "list[dict[str, Any]]") -> dict[str, Any]:
         sim_time += part["sim_time_s"]
     return {
         "processes": dict(sorted(processes.items())),
+        "calls": dict(sorted(calls.items())),
         "event_types": dict(sorted(event_types.items())),
         "total_events": total_events,
         "total_allocations": total_allocations,
@@ -183,8 +209,8 @@ def flame_tree(attribution: dict[str, Any], width: int = 24) -> str:
     for name in processes:
         groups.setdefault(_group_of(name), []).append(name)
 
-    def bar(count: int) -> str:
-        filled = round(width * count / total)
+    def bar(count: int, of: int = total) -> str:
+        filled = round(width * count / of)
         return "█" * filled + "·" * (width - filled)
 
     lines = [f"flame (resume share of {total} resumes, "
@@ -206,4 +232,12 @@ def flame_tree(attribution: dict[str, Any], width: int = 24) -> str:
                 f"  ({row['resumes']} resumes, "
                 f"{row['allocations']} alloc, "
                 f"t={row['first_s']:.3f}..{row['last_s']:.3f}s)")
+    calls: dict[str, int] = attribution.get("calls", {})
+    if calls:
+        events = attribution["total_events"] or 1
+        lines.append(f"scheduled calls ({sum(calls.values())} of "
+                     f"{attribution['total_events']} events, by target)")
+        for name, count in sorted(calls.items(), key=lambda kv: (-kv[1], kv[0])):
+            lines.append(f"  {name:<26} {bar(count, events)} "
+                         f"{100 * count / events:5.1f}%  ({count} calls)")
     return "\n".join(lines)

@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .kernel import Event, Process, Simulator, Timeout
+from .kernel import Call, Event, Process, Simulator, Timeout, call_target_name
 
 __all__ = ["Tracer", "TraceRecord", "attach_node_tap",
            "EventTrace", "diff_traces"]
@@ -92,7 +92,8 @@ def _event_label(event: Event) -> str:
 
     Deliberately excludes object identities and payload ``repr``\\ s
     (memory addresses vary between runs); what remains — type, process
-    name, timeout delay — plus the exact timestamps is enough to catch
+    name, timeout delay, a scheduled call's target — plus the exact
+    timestamps is enough to catch
     any behavioural divergence, because a divergent execution shifts
     downstream event *times*.
     """
@@ -100,6 +101,8 @@ def _event_label(event: Event) -> str:
         return f"process:{event.name}"
     if isinstance(event, Timeout):
         return f"timeout:{event.delay!r}"
+    if isinstance(event, Call):
+        return f"call:{call_target_name(event.fn)}"
     return type(event).__name__.lower()
 
 

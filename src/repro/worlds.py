@@ -54,8 +54,7 @@ def fresh_ids() -> None:
 
     Connection/session/packet/allocation ids come from module-level
     ``itertools.count`` streams, and some leak into kernel process names
-    (``lease-3-…``, ``tcp-send-17``) that event traces and profiler
-    attributions record.  Every builder here calls this first, so a
+    (``lease-3-…``) that event traces and profiler attributions record.  Every builder here calls this first, so a
     world's ids — and with them its trace and attribution — do not
     depend on what ran earlier in the process.  Build a world only after
     the previous one has finished running: ids key live per-world state.

@@ -276,6 +276,16 @@ class TestClientPath:
             "    return sock\n"))
         assert codes(report) == []
 
+    def test_scheduled_call_is_not_on_the_request_path(self, tmp_path):
+        report = analyze(tmp_path, mod=(
+            "def _drain(sock):\n"
+            "    return (yield sock.recv())\n"
+            "def client_ask(stack, sim):\n"
+            "    sock = stack.udp_socket()\n"
+            "    sim.call_later(1.0, _drain, sock)\n"
+            "    sock.close()\n"))
+        assert codes(report) == []
+
     def test_interrupt_guard_satisfies_the_rule(self, tmp_path):
         report = analyze(tmp_path, mod=(
             "from repro.sim import Interrupt\n"

@@ -100,6 +100,49 @@ class Handler:
         assert ctx.is_hot("mod.Handler.on_pull")
         assert ctx.is_hot("mod.Handler.reply")
 
+    def test_scheduled_call_targets_are_roots(self):
+        src = """
+class Conn:
+    def signal(self):
+        self.sim.call_later(0.0, self.on_wake)
+
+    def arm(self, when):
+        self.sim.call_at(when, self.on_timer, when)
+
+    def on_wake(self, _arg=None):
+        self.pump()
+
+    def on_timer(self, when):
+        self.resend()
+
+    def pump(self):
+        pass
+
+    def resend(self):
+        pass
+
+    def never_scheduled(self):
+        pass
+"""
+        ctx = build_hot_context(table_for(src))
+        for name in ("on_wake", "pump", "on_timer", "resend"):
+            assert ctx.is_hot(f"mod.Conn.{name}")
+        assert ctx.roots_of("mod.Conn.pump") == ("mod.Conn.on_wake",)
+        assert not ctx.is_hot("mod.Conn.never_scheduled")
+        # scheduling is not itself message-rate work
+        assert not ctx.is_hot("mod.Conn.signal")
+
+    def test_tcp_sender_is_still_hot_without_a_process(self):
+        """The sender lost its ``while True`` generator; its pump must
+        not silently leave the policed closure with it."""
+        src = Path(__file__).parents[2] / "src" / "repro"
+        ctx = build_hot_context(Program.load([src]).table)
+        for name in ("_on_wake", "_pump", "_transmit_segment",
+                     "_on_timer", "_retransmit_window"):
+            assert ctx.is_hot(f"repro.net.tcp.TcpConnection.{name}"), name
+        assert "repro.net.tcp.TcpConnection._on_wake" in ctx.roots_of(
+            "repro.net.tcp.TcpConnection._pump")
+
 
 class TestRulePrecision:
     """Shapes that must NOT fire — the precision half of each rule."""
@@ -194,6 +237,46 @@ class Tap:
         sim.add_callback(self.on_event)
 
     def on_event(self, event):
+        while True:
+            if not self.queue:
+                return
+            self.queue.pop()
+""", tmp_path)
+        assert report.findings == []
+
+
+class TestScheduledCallDispatch:
+    SPIN = """
+class Poller:
+    def start(self):
+        self.sim.{schedule}
+
+    def _spin(self, _arg=None):
+        self._busy_wait()
+
+    def _busy_wait(self):
+        while True:
+            self.polls += 1
+"""
+
+    @pytest.mark.parametrize("schedule", [
+        "call_later(0.0, self._spin)",
+        "call_at(self.deadline, self._spin, None)",
+    ])
+    def test_unbounded_loop_behind_a_scheduled_call_is_repro504(
+            self, schedule, tmp_path):
+        report = run_source(self.SPIN.format(schedule=schedule), tmp_path)
+        assert [f.diag.code for f in report.findings] == ["REPRO504"]
+        assert "registered as a callback by mod.Poller.start" in \
+            report.findings[0].diag.message
+
+    def test_bounded_scheduled_call_is_clean(self, tmp_path):
+        report = run_source("""
+class Timer:
+    def arm(self, when):
+        self.sim.call_at(when, self._fire, when)
+
+    def _fire(self, when):
         while True:
             if not self.queue:
                 return

@@ -110,3 +110,67 @@ class TestFrame:
         d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=9000)
         f = Frame(d, d.transport_bytes, first=True, burst=True)
         assert f.split(1500) == [f]
+
+
+class TestClosedFormWireSizes:
+    """The per-frame sizes are closed forms; ``fragment_sizes`` is the
+    list arithmetic they replaced and must keep agreeing with."""
+
+    MTUS = (21, 22, 28, 29, 48, 100, 576, 1006, 1492, 1500, 4352, 8999, 9000)
+
+    @staticmethod
+    def _payloads(mtu):
+        """Transport payload sizes around every fragment boundary: 0 (a
+        bare ACK), and k * (mtu - 20) - header +/- 1 for small and large k."""
+        per_frag = mtu - IP_HEADER
+        out = {0, 1, 2, 7, 8, 9}
+        for k in (1, 2, 3, 7, 45, 64):
+            for header in (0, UDP_HEADER, TCP_HEADER):
+                for delta in (-1, 0, 1):
+                    out.add(k * per_frag - header + delta)
+        return sorted(n for n in out if n >= 0)
+
+    @pytest.mark.parametrize("mtu", MTUS)
+    @pytest.mark.parametrize("proto", [PROTO_UDP, PROTO_TCP, PROTO_ICMP])
+    def test_datagram_sizes_equal_the_fragment_list(self, proto, mtu):
+        for size in self._payloads(mtu):
+            d = Datagram(proto=proto, src="a", dst="b", sport=1, dport=2, size=size)
+            frag = fragment_sizes(d.transport_bytes, mtu)
+            assert d.wire_size(mtu) == sum(frag), (size, mtu)
+            assert d.first_fragment_size(mtu) == frag[0], (size, mtu)
+            assert d.n_fragments(mtu) == len(frag), (size, mtu)
+
+    @pytest.mark.parametrize("mtu", MTUS)
+    def test_frame_wire_equals_the_fragment_list(self, mtu):
+        d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=0)
+        for payload in self._payloads(mtu):
+            burst = Frame(d, payload, first=True, burst=True)
+            assert burst.wire_at(mtu) == sum(fragment_sizes(payload, mtu)), (payload, mtu)
+            fragment = Frame(d, payload, first=True)
+            assert fragment.wire_at(mtu) == payload + IP_HEADER
+
+    def test_every_mtu_from_21_to_9000_at_the_ethernet_segment(self):
+        d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=1460)
+        for mtu in range(21, 9001):
+            frame = Frame(d, d.transport_bytes, first=True, burst=True)
+            assert frame.wire_at(mtu) == sum(fragment_sizes(d.transport_bytes, mtu))
+
+    def test_a_frame_answers_for_the_mtu_it_is_asked_about(self):
+        """One frame crosses links of different MTU; the remembered
+        answer must never be served for another MTU."""
+        d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=8192)
+        frame = Frame(d, d.transport_bytes, first=True, burst=True)
+        for mtu in (1500, 1500, 576, 9000, 1500, 576):
+            assert frame.wire_at(mtu) == sum(fragment_sizes(d.transport_bytes, mtu))
+
+    @pytest.mark.parametrize("mtu", [IP_HEADER, IP_HEADER - 1, 0, -5])
+    def test_tiny_mtu_still_raises_the_same_error(self, mtu):
+        want = f"MTU {mtu} leaves no room for IP payload"
+        d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=100)
+        burst = Frame(d, d.transport_bytes, first=True, burst=True)
+        for size_of in (lambda: fragment_sizes(100, mtu), lambda: d.wire_size(mtu),
+                        lambda: d.first_fragment_size(mtu), lambda: d.n_fragments(mtu),
+                        lambda: burst.wire_at(mtu)):
+            with pytest.raises(ValueError) as err:
+                size_of()
+            assert str(err.value) == want

@@ -181,6 +181,40 @@ class TestHappensBeforeEdges:
         sim.run()
         assert sanitizer.races == []
 
+    def test_scheduled_call_runs_after_its_scheduler(self):
+        """scheduler -> callee is an edge: the call carries the clock of
+        the context that scheduled it, like any triggered event."""
+        sim, sanitizer, _, db = _world()
+
+        def writer():
+            yield sim.timeout(1.0)
+            db.write({"x": 1})
+            sim.call_later(0.0, lambda _arg: db.read())
+            sim.call_at(2.0, lambda _arg: db.read())
+
+        sim.process(writer(), name="w")
+        sim.run()
+        assert sanitizer.accesses == 3
+        assert sanitizer.races == []
+
+    def test_scheduled_call_from_elsewhere_still_races(self):
+        """... and only that edge: a call scheduled by an unrelated
+        context is as unordered as an unrelated process would be."""
+        sim, sanitizer, _, db = _world()
+
+        def writer():
+            yield sim.timeout(1.0)
+            db.write({"x": 1})
+
+        def bystander():
+            yield sim.timeout(0.5)
+            sim.call_later(0.5, lambda _arg: db.read())
+
+        sim.process(writer(), name="w")
+        sim.process(bystander(), name="b")
+        sim.run()
+        assert len(sanitizer.races) == 1
+
 
 class TestSanitizerPlumbing:
     def test_off_by_default(self):

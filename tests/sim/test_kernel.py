@@ -275,3 +275,147 @@ class TestConditionsUnderTieShuffle:
             assert res == fifo
         # all_of preserves creation order of its members in the result
         assert fifo["values"] == ["t0", "t1", "t2", "t3"]
+
+
+class TestScheduledCalls:
+    """``sim.call_later`` / ``sim.call_at``: one function, run from the
+    event loop, as an ordinary event."""
+
+    def test_runs_fn_with_arg_at_the_right_time(self, sim):
+        seen = []
+        sim.call_later(2.5, lambda arg: seen.append((arg, sim.now)), "later")
+        sim.call_at(1.5, lambda arg: seen.append((arg, sim.now)), "at")
+        sim.run()
+        assert seen == [("at", 1.5), ("later", 2.5)]
+
+    def test_fifo_against_plain_events_at_equal_timestamps(self, sim):
+        order = []
+        for i in range(6):
+            if i % 2:
+                sim.call_later(1.0, order.append, i)
+            else:
+                ev = sim.event()
+                ev.add_callback(lambda _ev, i=i: order.append(i))
+                ev.succeed(delay=1.0)
+        sim.call_at(1.0, order.append, 6)
+        sim.run()
+        assert order == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_is_an_event_that_can_be_waited_on(self, sim):
+        log = []
+
+        def waiter():
+            call = sim.call_later(3.0, log.append, "ran")
+            yield call
+            log.append(("resumed", sim.now, call.processed))
+
+        sim.process(waiter())
+        sim.run()
+        assert log == ["ran", ("resumed", 3.0, True)]
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.call_later(-1e-9, print)
+
+    def test_absolute_time_in_the_past_rejected(self, sim):
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.call_at(4.999, print)
+        sim.call_at(5.0, print, "now itself is fine")
+
+    def test_exception_in_fn_propagates_out_of_run(self, sim):
+        def boom(_arg):
+            raise RuntimeError("in the callee")
+
+        sim.call_later(1.0, boom)
+        with pytest.raises(RuntimeError, match="in the callee"):
+            sim.run()
+
+    @pytest.mark.parametrize("now, deadline, delay_form_is", [
+        (5.022385584334831, 62.79535873031775, "short"),
+        (5.396174484497788, 52.877235144450076, "late"),
+    ])
+    def test_absolute_rearm_lands_exactly_on_the_deadline(
+            self, sim, now, deadline, delay_form_is):
+        """A timer re-arms itself, from its own expiry at ``now``, for a
+        deadline computed earlier.  ``now + (deadline - now)`` is not
+        ``deadline`` in floating point: re-armed by delay the timer
+        fires a bit short (and has to go round again) or a bit late;
+        re-armed by absolute time it fires once, exactly there."""
+        by_delay = now + (deadline - now)
+        assert (by_delay < deadline) if delay_form_is == "short" else (by_delay > deadline)
+        fired = []
+
+        def on_timer(_arg):
+            fired.append(sim.now)
+            if sim.now < deadline:
+                sim.call_at(deadline, on_timer)
+
+        sim.call_at(now, on_timer)
+        sim.run()
+        assert fired == [now, deadline]
+
+    def test_rearm_for_the_very_next_instant_cannot_spin(self, sim):
+        import math
+
+        start = 1e6
+        deadline = math.nextafter(start, math.inf)
+        fired = []
+
+        def on_timer(_arg):
+            fired.append(sim.now)
+            assert len(fired) < 5, "timer is spinning"
+            if sim.now < deadline:
+                sim.call_at(deadline, on_timer)
+
+        sim.call_at(start, on_timer)
+        sim.run()
+        assert fired == [start, deadline]
+
+    @staticmethod
+    def _burst_run(tie_seed):
+        """Roots at one timestamp each fan out scheduled calls at another."""
+        from repro.sim import EventTrace, Simulator
+        from repro.sim.rand import RandomStreams
+
+        sim = Simulator()
+        if tie_seed is not None:
+            sim.enable_tie_shuffle(RandomStreams(tie_seed).stream("schedule-tiebreak"))
+        trace = EventTrace()
+        sim.enable_event_trace(trace)
+        arrivals = []
+
+        def deliver(item):
+            arrivals.append(item)
+
+        def source(tag):
+            yield sim.timeout(1.0)
+            # a burst onto one fixed-delay path, like frames on a link
+            for i in range(4):
+                sim.call_later(0.5, deliver, (tag, i))
+
+        for tag in "abc":
+            sim.process(source(tag), name=f"src-{tag}")
+        sim.run()
+        return arrivals, trace
+
+    def test_inherits_the_tie_key_of_its_cause(self):
+        for seed in (1, 2, 3, 4):
+            arrivals, _ = self._burst_run(seed)
+            # whichever order the three roots ran in, each burst stays
+            # contiguous and in program order: no reordering in a lineage
+            for tag in "abc":
+                first = arrivals.index((tag, 0))
+                assert arrivals[first:first + 4] == [(tag, i) for i in range(4)]
+        orders = {tuple(a for a, i in self._burst_run(seed)[0] if i == 0)
+                  for seed in range(1, 9)}
+        assert len(orders) > 1, "independent roots should actually shuffle"
+
+    def test_dual_run_traces_are_byte_identical(self):
+        _, fifo = self._burst_run(None)
+        lines = fifo.canonical_lines()
+        assert "1.5 call:TestScheduledCalls._burst_run.<locals>.deliver" in lines
+        for seed in (1, 2, 3):
+            _, shuffled = self._burst_run(seed)
+            assert shuffled.canonical_lines() == lines
+            assert shuffled.digest() == fifo.digest()

@@ -64,6 +64,31 @@ class TestAttribution:
         assert attr["total_events"] == sum(attr["event_types"].values())
         assert attr["event_types"]["Timeout"] == 5
 
+    def test_scheduled_calls_counted_per_target(self):
+        class Link:
+            def deliver(self, frame):
+                pass
+
+        def tick(_arg):
+            pass
+
+        sim = Simulator()
+        profiler = sim.enable_profile()
+        a, b = Link(), Link()
+        for i in range(3):
+            sim.call_later(1.0 + i, a.deliver, i)
+        sim.call_at(9.0, b.deliver, "other instance, same target")
+        sim.call_later(0.5, tick)
+        sim.run()
+        attr = profiler.attribution()
+        prefix = "TestAttribution.test_scheduled_calls_counted_per_target.<locals>."
+        assert attr["calls"] == {prefix + "Link.deliver": 4, prefix + "tick": 1}
+        assert list(attr["calls"]) == sorted(attr["calls"])
+        assert attr["event_types"]["Call"] == 5
+        assert attr["total_events"] == 5
+        # nobody scheduled these from inside a process
+        assert attr["processes"]["<kernel>"]["allocations"] == 5
+
     def test_two_runs_are_byte_identical(self):
         outs = []
         for _ in range(2):
@@ -125,6 +150,29 @@ class TestMergeAndRender:
         assert lines[0].startswith("flame (resume share")
         # hottest group first: ticker (two instances) beats sleeper
         assert lines[1].split()[0] == "ticker"
+
+    def test_merge_sums_calls_per_target(self):
+        sim = Simulator()
+        profiler = sim.enable_profile()
+        sim.call_later(1.0, print, "")
+        sim.run()
+        one = profiler.attribution()
+        merged = merge_attributions([one, one, self._attr()])
+        assert merged["calls"] == {"print": 2}
+
+    def test_flame_tree_names_scheduled_call_targets(self):
+        attr = {
+            "processes": {"wizard": {"resumes": 10, "allocations": 0,
+                                     "first_s": 0.0, "last_s": 1.0}},
+            "calls": {"Channel._deliver": 60, "TcpConnection._on_wake": 30},
+            "event_types": {"Call": 90, "Timeout": 10}, "total_events": 100,
+            "total_allocations": 0, "sim_time_s": 1.0,
+        }
+        lines = flame_tree(attr).splitlines()
+        at = lines.index("scheduled calls (90 of 100 events, by target)")
+        assert lines[at + 1].split()[0] == "Channel._deliver"
+        assert "60.0%" in lines[at + 1] and "(60 calls)" in lines[at + 1]
+        assert lines[at + 2].split()[0] == "TcpConnection._on_wake"
 
     def test_flame_tree_groups_by_name_prefix(self):
         attr = {

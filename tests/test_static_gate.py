@@ -101,6 +101,16 @@ def test_ci_runs_sanitize_job():
     assert "r300_seeded_race.py" in ci
 
 
+def test_ci_regenerates_the_committed_paper_tables():
+    """The tier-1 job reruns the bulk-TCP tables and fails when a
+    committed ``benchmarks/results/*.txt`` no longer regenerates."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    for table in ("tab5_3_matmul_2v2", "tab5_4_matmul_4v4",
+                  "tab5_7_massd_1v1", "tab5_8_massd_2v2"):
+        assert f"benchmarks/test_{table}.py" in ci
+    assert "git diff --exit-code benchmarks/results/*.txt" in ci
+
+
 def test_repro_check_clean_on_src():
     """The repo's own analyzer gate: ``repro check src`` must exit 0."""
     result = subprocess.run(
