@@ -13,8 +13,9 @@ The rules are deliberately conservative about what counts as evidence:
 
 * **REPRO500** — a ``for`` loop iterating a status-DB directly
   (``for addr in sorted(sysdb)``, ``for a in db.items()``); a memoized
-  candidate order (``for addr in self._candidate_order(sysdb)``) does
-  not match, which is exactly the fix the rule wants.
+  candidate order (``order, ranked = self._candidate_order(sysdb, rank)``
+  then ``for addr in order``) does not match, which is exactly the fix
+  the rule wants.
 * **REPRO501** — a full-copy/serialize call (``dict``, ``list``,
   ``tuple``, ``.copy()``, ``deepcopy``, ``dumps``) whose argument
   mentions a DB name or a shared-segment ``.read()``/``.snapshot()``.

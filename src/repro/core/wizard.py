@@ -11,12 +11,30 @@ A UDP daemon on port 1120 processing requests sequentially:
    LRU :class:`~repro.lang.analysis.CompileCache` keyed by the text; a
    provably-unsatisfiable requirement is **NAKed with its diagnostics
    before the status DB is read** (``requests_rejected_static``), and on
-   the accept path the compiled requirement runs against each server's
-   status record, handed only the identifiers it can read; a server
-   qualifies iff every logical statement holds;
+   the accept path the compiled requirement runs against the servers'
+   status records, each handed only the identifiers it can read; a
+   server qualifies iff every logical statement holds — **and the scan
+   stops at** ``server_num`` (capped at 60) **qualifiers** whenever the
+   scan order is already the reply order (list below);
 4. apply the user-side slots: denied hosts are removed, preferred hosts
-   are moved to the front of the candidate list;
-5. reply ``[seq, server_num, server...]`` (Table 3.6) capped at 60 hosts.
+   are moved to the front of the candidate list — a text that assigns a
+   slot is therefore swept to the end: slots are filled *while
+   evaluating* (``user_denied_host1 = host_machine_type`` names another
+   host per record), so the last record can remove or promote the first;
+5. reply ``[seq, server_num, server...]`` (Table 3.6): the first
+   ``min(server_num, 60)`` candidates, none for ``server_num <= 0``.
+
+Which requests stop early, and which sweep every record:
+
+* no option, no slot assigned — address order, **stops**;
+* ``rank:<var>``, no slot assigned, ``<var>`` a finite number in some
+  record — that variable's column (the rank order), **stops**;
+* any text assigning ``user_*_host*`` — sweeps (step 4);
+* ``rank:`` by ``host_status_age``, ``host_security_level`` or
+  ``monitor_network_*`` — sweeps: computed per request, in no record;
+* ``rank:`` by a string attribute or a variable no record has, an
+  unknown verb, ``rank:`` alone — sweeps, counted in
+  :attr:`option_errors` as before.
 
 Options (the Table 3.5 ``Option`` field):
 
@@ -42,7 +60,7 @@ from typing import Optional, Union
 from ..lang import evaluate
 from ..lang.analysis import CompileCache, CompiledRequirement
 from ..lang.errors import LangError
-from ..lang.variables import MONITOR_VARS
+from ..lang.variables import DERIVED_VARS, MONITOR_VARS
 from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
@@ -63,6 +81,12 @@ __all__ = ["Wizard", "WizardRequest", "WizardReply", "Candidate"]
 #: bandwidth and delay is sufficient for most applications" (§3.3.3)
 LOCAL_DELAY_MS = 0.2
 LOCAL_BW_MBPS = 100.0
+
+#: variables the wizard computes (or overrides from the security DB) per
+#: request: what ``rank:`` sorts by for them is in no record, so they
+#: have no column and a request ranked by one sweeps
+_PER_REQUEST_VARS = frozenset(MONITOR_VARS + DERIVED_VARS + ("host_security_level",))
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -183,11 +207,13 @@ class Wizard:
         self.requests_rejected_stale = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        #: memoized candidate scan order (see :meth:`_candidate_order`)
-        self._order: list[str] = []
-        self._order_keys: Optional[frozenset[str]] = None
-        self._order_epoch = -1.0
-        #: requests that reused the memoized order instead of re-sorting
+        #: the system DB version last matched against and its scan orders
+        #: (see :meth:`_candidate_order`): the sorted addresses, and per
+        #: ``(var, ascending)`` that rank column, ``None`` without one
+        self._orders_db: Optional[dict] = None
+        self._addresses: list[str] = []
+        self._columns: dict[tuple[str, bool], Optional[list[str]]] = {}
+        #: requests that found their DB version's address order memoized
         self.db_sort_reuses = 0
 
     # -- configuration ------------------------------------------------------
@@ -261,30 +287,37 @@ class Wizard:
             yield from self.shm.locked_read(shm_keys.wizard_security)) or {}
         return sysdb, netdb, secdb
 
-    def _candidate_order(self, sysdb: dict) -> list:
-        """Sorted scan order over the system DB, memoized per DB epoch.
+    def _candidate_order(
+        self, sysdb: dict, rank: Optional[tuple[str, bool]] = None
+    ) -> tuple[list[str], bool]:
+        """``(scan order, ranked)`` over one published system DB.
 
-        The sequential-scan order of Fig 1.4 depends only on the *key
-        set* of the DB, which changes at status-report rate (seconds),
-        not at request rate — re-sorting per request was the REPRO500
-        linear-scan finding.  Two-level invalidation: the receiver
-        epoch gives an O(1) freshness check in distributed mode (a new
-        snapshot always advances it); when that is unavailable or
-        stale, a key-set comparison (still O(n), but allocation-free
-        and far cheaper than a sort) decides whether the cached order
-        survives.  ``db_sort_reuses`` counts the requests that skipped
-        the sort."""
-        epoch = self.receiver.epoch() if self.receiver is not None else -1.0
-        if self._order_keys is not None:
-            if ((epoch > 0.0 and self._order_epoch == epoch)
-                    or self._order_keys == sysdb.keys()):
-                self.db_sort_reuses += 1
-                self._order_epoch = epoch
-                return self._order
-        self._order = sorted(sysdb)
-        self._order_keys = frozenset(self._order)
-        self._order_epoch = epoch
-        return self._order
+        Without ``rank`` the order is the sequential-scan order of
+        Fig 1.4, the sorted addresses.  With ``rank = (var, ascending)``
+        it is that variable's *column* — the address order stably sorted
+        by the key ``rank:<var>`` sorts by (:func:`_rank_column`) — and
+        ``ranked`` is true; a variable without a column falls back to the
+        address order, ``ranked`` false.
+
+        Both depend on the DB only, which changes at status-report rate,
+        not at request rate — sorting per request was the REPRO500
+        linear-scan finding — so they are built on first use and
+        memoized per DB *version*.  Every writer publishes a fresh dict
+        and never touches it again (DESIGN.md §9), so identity with the
+        dict held here is the version: a newly published DB drops every
+        order of the old one.  ``db_sort_reuses`` counts the requests
+        that skipped the address sort."""
+        if sysdb is not self._orders_db:
+            self._orders_db, self._addresses, self._columns = sysdb, sorted(sysdb), {}
+        else:
+            self.db_sort_reuses += 1
+        if rank is None:
+            return self._addresses, False
+        columns = self._columns
+        if rank not in columns:
+            columns[rank] = _rank_column(self._addresses, sysdb, *rank)
+        column = columns[rank]
+        return (self._addresses, False) if column is None else (column, True)
 
     # -- matching ------------------------------------------------------------------
     @property
@@ -365,7 +398,23 @@ class Wizard:
         secdb: dict[str, SecurityRecord],
         compiled: Optional[CompiledRequirement] = None,
     ) -> list[str]:
-        """Pure matching logic (also unit-testable without the daemon)."""
+        """Pure matching logic (also unit-testable without the daemon).
+
+        Read-in-place contract, shared with :meth:`databases`: a DB dict
+        handed to ``match`` is immutable from then on.  The scan orders
+        are memoized against the dict's identity, so a changed world must
+        arrive as a fresh dict (as every writer publishes it) — mutating
+        one that was already matched against leaves stale orders behind.
+
+        The reply is the first ``min(server_num, max_reply_servers)``
+        candidates, and when the requirement assigns no user-side slot
+        the scan **stops there**: evaluation then leaves nothing behind
+        but a verdict per record, so the first ``limit`` qualifiers in
+        scan order *are* the reply — in address order, or for
+        ``rank:<var>`` in that variable's column order.  A text that
+        assigns a slot sweeps every record (a deny or a preference
+        filled while evaluating the last record reorders the first), and
+        so does a rank variable without a column."""
         if compiled is None:
             compiled = self.compile_cache.get_or_compile(request.detail)
         if compiled.parse_failed:
@@ -373,6 +422,10 @@ class Wizard:
             return []
         if compiled.unsatisfiable:
             # statically false: no record can qualify, skip the scan
+            return []
+        limit = min(request.server_num, self.config.max_reply_servers)
+        if limit <= 0:
+            # off the wire server_num is any integer: nothing was asked for
             return []
         program = compiled.folded
         rank = _parse_option(request.option)
@@ -392,8 +445,15 @@ class Wizard:
         # preserved (the old list kept it too) but lookups are O(1) —
         # list membership here was the REPRO505 quadratic-scan finding
         preferred: dict[str, None] = {}
-        # scan networks sequentially (Fig 1.4); order memoized per epoch
-        for addr in self._candidate_order(sysdb):
+        # scan networks sequentially (Fig 1.4), or down the rank column;
+        # either order is memoized per DB version
+        slot_free = not compiled.assigns_user
+        order, ranked = self._candidate_order(
+            sysdb, rank if slot_free and rank and rank[0] else None)
+        # stop at ``limit`` when the scan order is the reply order; an
+        # option without a column needs every qualifier
+        bounded = slot_free and (ranked or rank is None)
+        for addr in order:
             record = sysdb[addr]
             report = record.report
             # the record's own parameters: §6 string attributes over probe
@@ -435,6 +495,15 @@ class Wizard:
                     preferred.setdefault(p)
             if result.qualified:
                 candidates.append(Candidate(addr, report.host, params))
+                if bounded and len(candidates) == limit:
+                    break  # the reply is full
+        if rank and ranked:
+            # already in rank order.  The column ends with the records
+            # ``var`` cannot rank, so an unrankable *first* qualifier means
+            # no qualifier was rankable: the reply is in address order
+            if candidates and not _rankable(candidates[0].params.get(rank[0])):
+                self.option_errors += 1
+            return [c.addr for c in candidates]
         if denied:
             # blacklist: match on hostname or address
             candidates = [
@@ -447,7 +516,6 @@ class Wizard:
                 c.preferred = c.host in preferred or c.addr in preferred
             candidates.sort(key=lambda c: (not c.preferred,))
         candidates = self._apply_option(rank, candidates)
-        limit = min(request.server_num, self.config.max_reply_servers)
         return [c.addr for c in candidates[:limit]]
 
     def _apply_option(
@@ -464,15 +532,11 @@ class Wizard:
         if not var:
             self.option_errors += 1  # unknown verb (fwd compat) or "rank:"
             return candidates
-        missing = float("inf") if ascending else float("-inf")
 
         def keyfn(c: Candidate):
-            val = c.params.get(var, missing)
-            if not isinstance(val, (int, float)):
-                val = missing  # string attribute (§6 extras): unrankable
-            return (not c.preferred, val if ascending else -val)
+            return (not c.preferred, _rank_key(c.params.get(var), ascending))
 
-        if not any(isinstance(c.params.get(var), (int, float)) for c in candidates):
+        if not any(_rankable(c.params.get(var)) for c in candidates):
             if candidates:
                 self.option_errors += 1  # var rankable in no candidate
             return candidates
@@ -491,6 +555,48 @@ def _parse_option(option: str) -> Optional[tuple[str, bool]]:
         return "", False
     parts = option.split(":")
     return parts[1].strip(), len(parts) > 2 and parts[2].strip() == "asc"
+
+
+def _rankable(value) -> bool:
+    """Numbers rank; a missing variable or a string attribute (§6 extras)
+    does not."""
+    return isinstance(value, (int, float))
+
+
+def _rank_key(value, ascending: bool) -> float:
+    """What ``rank:<var>`` sorts one record by: the unrankable go last
+    either way."""
+    if not _rankable(value):
+        return _INF
+    return value if ascending else -value
+
+
+def _rank_column(
+    addresses: list[str], sysdb: dict[str, ServerStatusRecord],
+    var: str, ascending: bool,
+) -> Optional[list[str]]:
+    """The column of ``var``: ``addresses`` (the address order) stably
+    sorted by :func:`_rank_key` of what each record itself carries for
+    ``var`` (extras before values, as ``match`` projects them) — the order
+    any subset of qualifiers ends up in after ranking.
+
+    ``None`` when there is no such order to scan by: the variable is
+    computed per request, no record carries it as a number, or some value
+    is not finite (an infinity would tie with the unrankable tail and a
+    NaN has no place in a sort)."""
+    if var in _PER_REQUEST_VARS:
+        return None
+    keys: dict[str, float] = {}
+    rankable = False
+    for addr in addresses:
+        report = sysdb[addr].report
+        value = report.extras[var] if var in report.extras else report.values.get(var)
+        if _rankable(value):
+            if not abs(value) < _INF:
+                return None
+            rankable = True
+        keys[addr] = _rank_key(value, ascending)
+    return sorted(addresses, key=keys.__getitem__) if rankable else None
 
 
 def _path_metrics(

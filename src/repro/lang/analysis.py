@@ -770,6 +770,11 @@ class CompiledRequirement:
         """Every identifier evaluating this requirement can look up."""
         return compile_program(self.folded).reads
 
+    @property
+    def assigns_user(self) -> bool:
+        """Whether evaluating it can fill a user-side slot."""
+        return compile_program(self.folded).assigns_user
+
 
 def compile_requirement(text: str) -> CompiledRequirement:
     """Parse (with recovery) + analyze + fold one requirement text, and

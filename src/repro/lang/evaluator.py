@@ -139,6 +139,11 @@ class CompiledProgram:
     #: every identifier evaluation can look up — all a caller needs to
     #: supply in ``server_params`` (anything else is never read)
     reads: frozenset[str]
+    #: whether any statement assigns a user-side slot.  When none does,
+    #: a pass over one record leaves nothing behind but its verdict:
+    #: records are independent and may be evaluated in any order, or not
+    #: at all once enough of them qualified
+    assigns_user: bool
 
 
 def _not_numeric(value: str, node: Node) -> EvalError:
@@ -468,13 +473,18 @@ def compile_program(program: Program) -> CompiledProgram:
     with its :class:`~repro.lang.analysis.CompileCache` entry)."""
     compiled = program.compiled
     if compiled is None:
+        nodes = list(walk(program))
         compiled = program.compiled = CompiledProgram(
             statements=tuple(
                 (_compile(stmt), is_logical(stmt), stmt.line)
                 for stmt in program.statements
             ),
             reads=frozenset(
-                node.name for node in walk(program) if isinstance(node, Var)
+                node.name for node in nodes if isinstance(node, Var)
+            ),
+            assigns_user=any(
+                isinstance(node, Assign) and node.name in USER_SIDE_VARS
+                for node in nodes
             ),
         )
     return compiled

@@ -306,7 +306,8 @@ class TestStatusAge:
 
 
 class TestCandidateOrderMemo:
-    """The REPRO500 fix: sorted scan order is memoized per DB epoch."""
+    """The REPRO500 fix: sorted scan order is memoized per DB version —
+    a published dict is immutable, a change arrives as a fresh dict."""
 
     def test_repeat_requests_reuse_the_sorted_order(self):
         wizard = make_wizard()
@@ -324,24 +325,24 @@ class TestCandidateOrderMemo:
         wizard = make_wizard()
         sysdb = {"10.1.1.1": record("a", "10.1.1.1")}
         wizard.match(request("host_cpu_free > 0.5"), CLIENT, sysdb, {}, {})
-        sysdb["10.1.1.2"] = record("b", "10.1.1.2")
+        sysdb = {**sysdb, "10.1.1.2": record("b", "10.1.1.2")}
         out = wizard.match(request("host_cpu_free > 0.5"), CLIENT,
                            sysdb, {}, {})
         assert out == ["10.1.1.1", "10.1.1.2"]
         assert wizard.db_sort_reuses == 0
 
-    def test_value_update_without_key_change_reuses(self):
+    def test_value_update_is_a_new_version(self):
         wizard = make_wizard()
         sysdb = {
             "10.1.1.1": record("a", "10.1.1.1"),
             "10.1.1.2": record("b", "10.1.1.2"),
         }
         wizard.match(request("host_cpu_free > 0.5"), CLIENT, sysdb, {}, {})
-        sysdb["10.1.1.1"] = record("a", "10.1.1.1", host_cpu_free=0.1)
+        sysdb = {**sysdb, "10.1.1.1": record("a", "10.1.1.1", host_cpu_free=0.1)}
         out = wizard.match(request("host_cpu_free > 0.5"), CLIENT,
                            sysdb, {}, {})
         assert out == ["10.1.1.2"]
-        assert wizard.db_sort_reuses == 1
+        assert wizard.db_sort_reuses == 0
 
     def test_preferred_partition_order_is_first_seen(self):
         """The REPRO505 fix (dict-backed membership) must keep the old
