@@ -54,6 +54,7 @@ it) so requirements can demand fresh data with ``host_status_age < 10``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -497,13 +498,6 @@ class Wizard:
                 candidates.append(Candidate(addr, report.host, params))
                 if bounded and len(candidates) == limit:
                     break  # the reply is full
-        if rank and ranked:
-            # already in rank order.  The column ends with the records
-            # ``var`` cannot rank, so an unrankable *first* qualifier means
-            # no qualifier was rankable: the reply is in address order
-            if candidates and not _rankable(candidates[0].params.get(rank[0])):
-                self.option_errors += 1
-            return [c.addr for c in candidates]
         if denied:
             # blacklist: match on hostname or address
             candidates = [
@@ -591,8 +585,8 @@ def _rank_column(
     for addr in addresses:
         report = sysdb[addr].report
         value = report.extras[var] if var in report.extras else report.values.get(var)
-        if _rankable(value):
-            if not abs(value) < _INF:
+        if isinstance(value, (int, float)):
+            if not math.isfinite(value):
                 return None
             rankable = True
         keys[addr] = _rank_key(value, ascending)
