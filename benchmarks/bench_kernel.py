@@ -1,9 +1,9 @@
 """Kernel event-loop benchmark: throughput and profiler overhead.
 
-The deterministic profiler (`Simulator.enable_profile`) sits behind a
-single ``is None`` check in the kernel's schedule/step/resume paths, so
-its cost when enabled must stay modest and its cost when *disabled*
-must be nothing.  This bench drives a synthetic churn world — many
+The deterministic profiler (`sim.observe(SimProfiler())`) sits behind
+the kernel's one observer slot — a single ``is None`` check at each
+hook site in the schedule/step/resume paths — so its cost when enabled
+must stay modest and its cost when *disabled* must be nothing.  This bench drives a synthetic churn world — many
 short-lived timer processes plus a few long-lived tickers, the same
 shape as a wizard fleet under message load — and measures:
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.sim import Simulator
+from repro.sim import SimProfiler, Simulator
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_kernel.json"
 
@@ -57,7 +57,7 @@ def churn_world(sim: Simulator) -> None:
 def one_run(profile: bool) -> "tuple[float, dict | None]":
     """(wall seconds, attribution dict or None when uninstrumented)."""
     sim = Simulator()
-    profiler = sim.enable_profile() if profile else None
+    profiler = sim.observe(SimProfiler()) if profile else None
     churn_world(sim)
     # keep collector pauses (triggered by the *previous* run's garbage)
     # out of the timed section

@@ -262,8 +262,11 @@ def lint_main(argv: list[str] | None = None) -> int:
 
 def profile_cli(argv: list[str] | None = None) -> int:
     """``python -m repro profile <scenario>`` — the event profiler."""
-    from .analysis.profiler import profile_main
-    from .worlds import SMOKE_JOBS
+    import json
+    from pathlib import Path
+
+    from .sim.profile import profile_report, render_report
+    from .worlds import SMOKE_JOBS, run_scenario
 
     names = ", ".join(sorted(SMOKE_JOBS))
     parser = argparse.ArgumentParser(
@@ -280,7 +283,22 @@ def profile_cli(argv: list[str] | None = None) -> int:
                         help="write the profile (attribution + wall "
                              "metrics) as JSON to PATH")
     args = parser.parse_args(argv)
-    return profile_main(args.scenario, json_path=args.json)
+    # the wall metrics are measured here, around the whole run, and stay
+    # outside the deterministic attribution
+    start = time.perf_counter()
+    try:
+        label, arms = run_scenario(args.scenario, profile=True)
+    except (KeyError, ValueError) as exc:
+        print(f"repro-profile: {exc}", file=sys.stderr)
+        return 2
+    report = profile_report(label, [arm.attribution for arm in arms],
+                            time.perf_counter() - start)
+    print(render_report(report))
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+    return 0
 
 
 def explore_cli(argv: list[str] | None = None) -> int:

@@ -139,6 +139,22 @@ def _render(report: Report, strict: bool) -> int:
     return 1 if report.exit_code or (strict and report.findings) else 0
 
 
+def _sanitize(scenario: str) -> int:
+    """``--sanitize``: run one scenario under the happens-before race
+    detector; its report is deterministic (file basenames and simulated
+    timestamps only), so goldens pin it byte-for-byte."""
+    from ..sim.hb import render_report
+    from ..worlds import run_scenario
+
+    try:
+        label, arms = run_scenario(scenario, sanitize=True)
+    except (KeyError, ValueError) as exc:
+        print(f"repro-check: {exc}", file=sys.stderr)
+        return 2
+    print(render_report(label, arms))
+    return 1 if any(arm.races for arm in arms) else 0
+
+
 def check_main(argv: list[str] | None = None) -> int:
     from ..worlds import SMOKE_JOBS
 
@@ -200,8 +216,7 @@ def check_main(argv: list[str] | None = None) -> int:
         _list_rules()
         return 0
     if args.sanitize:
-        from .sanitizer import sanitize_main
-        return sanitize_main(args.sanitize)
+        return _sanitize(args.sanitize)
     if (args.dot or args.json) and not (args.flow or args.all):
         print("repro-check: --dot/--json require --flow", file=sys.stderr)
         return 2

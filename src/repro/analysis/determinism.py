@@ -36,10 +36,9 @@ __all__ = [
 RANDOM_ALLOWLIST: tuple[str, ...] = ("repro/sim/rand.py",)
 
 #: files allowed to read the wall clock (CLI timing of real elapsed
-#: runs; the profiler runner keeps wall metrics *outside* the
+#: runs; ``repro profile`` keeps its wall metrics *outside* the
 #: deterministic attribution it reports)
-WALLCLOCK_ALLOWLIST: tuple[str, ...] = ("repro/__main__.py",
-                                        "repro/analysis/profiler.py")
+WALLCLOCK_ALLOWLIST: tuple[str, ...] = ("repro/__main__.py",)
 
 #: attribute/function names that put work on the event queue — iteration
 #: order feeding any of these becomes event order

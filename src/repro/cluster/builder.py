@@ -12,7 +12,7 @@ from typing import Optional
 from ..host import Machine
 from ..net import ETHERNET_100, Network, Node
 from ..net.link import Link
-from ..sim import EventTrace, HBSanitizer, RandomStreams, Simulator
+from ..sim import EventTrace, HBSanitizer, RandomStreams, SimProfiler, Simulator
 from .host import SmartHost
 
 __all__ = ["Cluster"]
@@ -21,16 +21,15 @@ __all__ = ["Cluster"]
 class Cluster:
     """A simulated computing environment under construction.
 
-    ``tie_break_seed`` / ``trace_events`` arm the kernel's schedule
-    sanitizer (see :mod:`repro.sim.kernel`): with a tie-break seed, the
-    FIFO order of equal-timestamp events is deterministically shuffled;
-    with tracing, :attr:`event_trace` records a canonical event trace so
-    dual runs under different shuffle seeds can be diffed.
-    ``sanitize`` installs the happens-before race detector
-    (:mod:`repro.sim.hb`) on the simulator; detected races accumulate in
-    :attr:`sanitizer`.  ``profile`` installs the deterministic event
-    profiler (:mod:`repro.sim.profile`); attribution accumulates in
-    :attr:`profiler`.
+    The four *instruments* every world builder passes through (see
+    :mod:`repro.sim.kernel`): with a ``tie_break_seed``, the FIFO order
+    of equal-timestamp events is deterministically shuffled;
+    ``trace_events`` attaches an :class:`~repro.sim.EventTrace`
+    (:attr:`event_trace`) so dual runs under different shuffle seeds can
+    be diffed; ``sanitize`` attaches the happens-before race detector
+    (:attr:`sanitizer`, :mod:`repro.sim.hb`); ``profile`` attaches the
+    deterministic event profiler (:attr:`profiler`,
+    :mod:`repro.sim.profile`).
     """
 
     def __init__(self, sim: Optional[Simulator] = None, seed: int = 0,
@@ -44,22 +43,18 @@ class Cluster:
         self.hosts: dict[str, SmartHost] = {}
         self.switches: dict[str, Node] = {}
         self._finalized = False
-        self.event_trace: Optional[EventTrace] = None
-        self.sanitizer: Optional[HBSanitizer] = None
-        self.profiler = None
         if tie_break_seed is not None:
             # the shuffle stream hangs off its own root seed so the
             # simulation's own draws (self.streams) stay untouched
             self.sim.enable_tie_shuffle(
                 RandomStreams(tie_break_seed).stream("schedule-tiebreak")
             )
-        if trace_events:
-            self.event_trace = EventTrace()
-            self.sim.enable_event_trace(self.event_trace)
-        if sanitize:
-            self.sanitizer = self.sim.enable_sanitizer()
-        if profile:
-            self.profiler = self.sim.enable_profile()
+        self.event_trace: Optional[EventTrace] = (
+            self.sim.observe(EventTrace()) if trace_events else None)
+        self.sanitizer: Optional[HBSanitizer] = (
+            self.sim.observe(HBSanitizer()) if sanitize else None)
+        self.profiler: Optional[SimProfiler] = (
+            self.sim.observe(SimProfiler()) if profile else None)
 
     # -- construction ---------------------------------------------------------
     def add_host(

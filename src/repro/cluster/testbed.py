@@ -16,6 +16,7 @@ calibrated so the Chapter 5 experiments land near the published times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..net import ETHERNET_100
 from ..sim import Simulator
@@ -89,22 +90,14 @@ def segment_partition_nodes(segment: str) -> tuple[str, str]:
 
 
 def build_testbed(sim: Simulator | None = None, seed: int = 0,
-                  tie_break_seed: int | None = None,
-                  trace_events: bool = False,
-                  sanitize: bool = False,
-                  profile: bool = False) -> Cluster:
+                  **instruments: Any) -> Cluster:
     """Construct the 11-machine testbed; returns a finalized cluster.
 
     Every segment is a switch; dalmatian has one NIC per lab segment (it is
     the gateway) plus one on the campus segment towards sagit.
-    ``tie_break_seed``/``trace_events`` arm the schedule sanitizer,
-    ``sanitize`` the happens-before race detector and ``profile`` the
-    deterministic event profiler
-    (:class:`~repro.cluster.builder.Cluster`).
+    ``instruments`` go to :class:`~repro.cluster.builder.Cluster`.
     """
-    cluster = Cluster(sim, seed=seed, tie_break_seed=tie_break_seed,
-                      trace_events=trace_events, sanitize=sanitize,
-                      profile=profile)
+    cluster = Cluster(sim, seed=seed, **instruments)
     hosts: dict[str, SmartHost] = {}
     for spec in TESTBED_MACHINES:
         hosts[spec.name] = cluster.add_host(

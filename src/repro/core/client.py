@@ -44,7 +44,7 @@ Gray failures (beyond the thesis): quarantine only catches replicas that
 the fixed timeout forever and would keep winning the ranking.  The
 client therefore feeds every request RTT into a per-replica
 :class:`~repro.core.detector.SuspicionDetector`; warm baselines shrink
-the request timeout (``baseline * client_timeout_scale``) and demote
+the request timeout (``baseline * TIMEOUT_SCALE``) and demote
 fail-slow replicas in the ranking (:meth:`SmartClient.slow_wizards`)
 before a single fixed timeout fires.  Replica epochs are compared on
 the *client's* clock by rebasing each reply's freshness age, so a
@@ -69,6 +69,16 @@ from .wizard import WizardReply, WizardRequest
 
 __all__ = ["SmartClient", "SmartReply", "Quarantine", "InsufficientServers",
            "RequirementRejected"]
+
+#: adaptive wizard-request timeout: clamp(baseline * scale, floor,
+#: client_timeout) — never waits longer than the fixed timeout, never
+#: hair-triggers below the floor
+TIMEOUT_FLOOR = 0.25
+TIMEOUT_SCALE = 3.0
+#: a wizard whose RTT baseline exceeds this multiple of the best
+#: replica's baseline is demoted in the failover ranking (fail-slow
+#: replicas lose to healthy ones before they ever time out)
+RTT_DEMOTE_FACTOR = 4.0
 
 
 class Quarantine(dict):
@@ -170,7 +180,7 @@ class SmartClient:
         # fallback derives one the same seeded way (never the global RNG)
         self.rng = rng or RandomStreams(0x5EED).stream("smart-client")
         #: client-side compile cache for the pre-submit static check
-        self.compile_cache = CompileCache(maxsize=config.compile_cache_size)
+        self.compile_cache = CompileCache()
         self.requests_sent = 0
         self.timeouts = 0
         self.connect_failures = 0
@@ -191,14 +201,10 @@ class SmartClient:
         #: replica the previous attempt used (failover telemetry)
         self.last_wizard: Optional[str] = None
         #: adaptive suspicion: per-replica RTT baselines.  Cold replicas
-        #: (< detector_min_samples answers) use the fixed client_timeout
+        #: (< ``detector.min_samples`` answers) use the fixed client_timeout
         #: and are never demoted, so deployments that never warm the
         #: detector behave exactly like the binary-timeout client.
-        self.detector = SuspicionDetector(
-            alpha=config.detector_alpha,
-            quantile=config.detector_quantile,
-            min_samples=config.detector_min_samples,
-        )
+        self.detector = SuspicionDetector()
 
     # -- pre-submit static check ---------------------------------------------
     def precheck_requirement(self, requirement: str) -> None:
@@ -247,13 +253,11 @@ class SmartClient:
         self-correcting: a demoted replica keeps answering (it still gets
         traffic when the healthy ones are quarantined), so a recovered
         baseline lifts the demotion — no sentence to wait out."""
-        return self.detector.slow_peers(
-            self.wizard_addrs, self.config.wizard_rtt_demote_factor
-        )
+        return self.detector.slow_peers(self.wizard_addrs, RTT_DEMOTE_FACTOR)
 
     def _request_timeout(self, target: str) -> float:
         """Adaptive per-replica request timeout: a warm RTT baseline cuts
-        the wait to ``baseline * client_timeout_scale`` (floored), so a
+        the wait to ``baseline * TIMEOUT_SCALE`` (floored), so a
         dead replica is abandoned in ~3 RTTs instead of the full fixed
         timeout; cold replicas keep the fixed timeout."""
         baseline = self.detector.baseline(target)
@@ -261,8 +265,7 @@ class SmartClient:
             return self.config.client_timeout
         return min(
             self.config.client_timeout,
-            max(self.config.client_timeout_floor,
-                baseline * self.config.client_timeout_scale),
+            max(TIMEOUT_FLOOR, baseline * TIMEOUT_SCALE),
         )
 
     def _note_wizard_failure(self, addr: str) -> None:

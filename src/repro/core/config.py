@@ -67,14 +67,8 @@ class Config:
     transmit_interval: float = 2.0
     #: network-monitor probing interval (thesis §5.2: every 2 s)
     netmon_interval: float = 2.0
-    #: probe packet sizes (thesis Table 3.3: optimal pair 1600/2900)
-    netmon_sizes: tuple[int, int] = (1600, 2900)
-    #: ICMP echo wait before declaring a probe lost
-    netmon_timeout: float = 1.0
     #: samples per bandwidth estimate
     netmon_samples: int = 4
-    #: hard cap on servers in one UDP reply (thesis §3.6.1: 60)
-    max_reply_servers: int = 60
     #: client request timeout and retries
     client_timeout: float = 2.0
     client_retries: int = 2
@@ -90,12 +84,6 @@ class Config:
     #: centralized transmitter: in-flight snapshot bytes unacked for this
     #: long means the path or peer silently died — drop and reconnect
     transmit_stall_limit: float = 6.0
-    #: distributed receiver: per-transmitter budget for one pull round trip
-    #: before the wizard falls back to last-known-good data
-    pull_timeout: float = 2.0
-    #: wizard compile cache: distinct requirement texts kept as analyzed,
-    #: constant-folded ASTs (LRU); repeated requests skip lex/parse/analyze
-    compile_cache_size: int = 256
     #: high availability: a wizard whose *freshest* status DB is older than
     #: this NAKs with REPLY_STALE so clients fail over to a fresher replica
     #: (``inf`` disables the check — single-wizard deployments)
@@ -110,26 +98,6 @@ class Config:
     lease_timeout: float = 2.0
     #: failover attempts a session makes before giving up its server slot
     session_retries: int = 3
-    #: adaptive suspicion (phi-accrual-style) detection — gray failures.
-    #: EWMA smoothing factor for per-peer RTT mean/variance
-    detector_alpha: float = 0.25
-    #: latency quantile tracked as the per-peer baseline (P² estimator)
-    detector_quantile: float = 0.95
-    #: observations before a baseline is trusted; colder peers fall back
-    #: to the fixed timeouts above
-    detector_min_samples: int = 5
-    #: adaptive wizard-request timeout: clamp(baseline * scale, floor,
-    #: client_timeout) — never waits longer than the fixed timeout, never
-    #: hair-triggers below the floor
-    client_timeout_floor: float = 0.25
-    client_timeout_scale: float = 3.0
-    #: a wizard whose RTT baseline exceeds this multiple of the best
-    #: replica's baseline is demoted in the failover ranking (fail-slow
-    #: replicas lose to healthy ones before they ever time out)
-    wizard_rtt_demote_factor: float = 4.0
-    #: monitor-clock skew a receiver tolerates before rebasing the
-    #: report timestamp onto its own clock and counting suspected_skew
-    skew_tolerance: float = 1.0
     #: self-healing sessions: throughput-floor watchdog sampling period
     #: (0 disables — plain lease-only sessions, the pre-gray behaviour)
     session_watchdog_interval: float = 0.0

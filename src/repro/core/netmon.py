@@ -42,6 +42,11 @@ __all__ = [
     "NetworkMonitor",
 ]
 
+#: probe packet sizes (thesis Table 3.3: optimal pair 1600/2900)
+PROBE_SIZES = (1600, 2900)
+#: ICMP echo wait before declaring a probe lost
+PROBE_TIMEOUT = 1.0
+
 
 # ---------------------------------------------------------------------------
 # measurement primitives (process generators: use with ``yield from``)
@@ -300,7 +305,7 @@ class NetworkMonitor:
 
     def _run(self):
         cfg = self.config
-        s1, s2 = cfg.netmon_sizes
+        s1, s2 = PROBE_SIZES
         try:
             while True:
                 # sequential probing, one peer after another (thesis §3.3.3)
@@ -309,7 +314,7 @@ class NetworkMonitor:
                         self.stack, addr, s1=s1, s2=s2,
                         samples=cfg.netmon_samples,
                         port=cfg.ports.probe_target,
-                        timeout=cfg.netmon_timeout,
+                        timeout=PROBE_TIMEOUT,
                     )
                     if est.ok and est.delay_s is not None:
                         metric = NetMetric(
@@ -333,11 +338,13 @@ class NetworkMonitor:
             # (netmon_interval), not request rate, so the copy is cheap;
             # delta shipping (ROADMAP: fleet-sized traffic) removes it.
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
-            rec = db.get(self.group) or NetStatusRecord(group=self.group)
-            rec.metrics = dict(rec.metrics)
-            rec.metrics[peer_group] = metric
-            rec.updated_at = self.sim.now
-            db[self.group] = rec
+            # ... and a fresh record too: the published dict, and any
+            # snapshot the transmitter has already handed to TCP, still
+            # hold the previous one
+            previous = db.get(self.group)
+            metrics = dict(previous.metrics) if previous is not None else {}
+            metrics[peer_group] = metric
+            db[self.group] = NetStatusRecord(self.group, metrics, self.sim.now)
             seg.write(db)
         finally:
             seg.lock.release()

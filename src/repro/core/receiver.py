@@ -11,7 +11,7 @@ only A's previous contribution.
 Failure hardening: a snapshot that arrives *partially* (the connection died
 between messages) applies whatever bodies made it — the untouched message
 types keep their last-known-good contents; distributed-mode pulls are
-bounded by ``config.pull_timeout`` so a wedged transmitter degrades the
+bounded by ``PULL_TIMEOUT`` so a wedged transmitter degrades the
 wizard to stale data instead of stalling it; and :meth:`staleness` exposes
 how old each database is so callers can flag degraded answers.
 
@@ -29,7 +29,7 @@ step).  All interval bookkeeping (``staleness``, ``epoch``,
 then runs on the monotonic clock, so neither a skewed reporter nor a
 skew step on the *receiver's own host* can make healthy data look stale.
 The wall clocks are still compared: a sender stamp that disagrees with
-this host's wall clock beyond ``config.skew_tolerance`` increments the
+this host's wall clock beyond ``SKEW_TOLERANCE`` increments the
 ``suspected_skew`` counter — the gray-failure telemetry signal.
 """
 
@@ -48,6 +48,11 @@ __all__ = ["Receiver"]
 #: resident size, thesis Table 5.2: the receiver "requires much more memory
 #: space, because it maintains the status reports" — 92 KB
 RESIDENT_BYTES = 92 * 1024
+#: distributed mode: per-transmitter budget for one pull round trip
+#: before the wizard falls back to last-known-good data
+PULL_TIMEOUT = 2.0
+#: monitor-clock skew tolerated before a stamp counts as suspected_skew
+SKEW_TOLERANCE = 1.0
 
 
 class Receiver:
@@ -80,7 +85,7 @@ class Receiver:
         self.pull_failures = 0
         self.pull_timeouts = 0
         #: snapshots whose sender clock disagreed with ours beyond
-        #: ``config.skew_tolerance`` (their record stamps were rebased)
+        #: ``SKEW_TOLERANCE`` (their record stamps were rebased)
         self.suspected_skew = 0
         for key, db_name in ((config.shm.wizard_system, "wizard-sysdb"),
                              (config.shm.wizard_network, "wizard-netdb"),
@@ -168,12 +173,12 @@ class Receiver:
         entirely on the sender's clock — a constant skew offset cancels,
         so freshness never trusts any wall clock (relative epochs).  A
         stamp that also disagrees with our *wall* clock beyond
-        ``config.skew_tolerance`` increments ``suspected_skew``: someone's
+        ``SKEW_TOLERANCE`` increments ``suspected_skew``: someone's
         clock (theirs or ours) is lying, and operators want to know."""
         per_src = self._sources.setdefault(src, {})
         fresh = dict(data)
         if stamp >= 0.0:
-            if abs(self._wall_now() - stamp) > self.config.skew_tolerance:
+            if abs(self._wall_now() - stamp) > SKEW_TOLERANCE:
                 self.suspected_skew += 1
             delta = self.sim.now - stamp
             fresh = {
@@ -236,7 +241,7 @@ class Receiver:
         """Process generator: request fresh snapshots from every registered
         transmitter (invoked by the wizard per user request, §3.5.2).
 
-        Each transmitter gets at most ``config.pull_timeout`` seconds to
+        Each transmitter gets at most ``PULL_TIMEOUT`` seconds to
         deliver its three databases; one that is dead, partitioned, or
         wedged is aborted and skipped so the wizard answers from
         last-known-good data instead of stalling the request."""
@@ -262,7 +267,7 @@ class Receiver:
                 continue
             pending = 3  # sysdb, netdb, secdb
             expected_type: Optional[int] = None
-            deadline = self.sim.timeout(self.config.pull_timeout)
+            deadline = self.sim.timeout(PULL_TIMEOUT)
             while pending > 0:
                 get = conn.recv()
                 try:

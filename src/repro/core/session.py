@@ -263,10 +263,7 @@ class SmartSession:
         Cold detectors never fire (min_samples guard), so a session that
         was slow from the start is not flapped."""
         detector = SuspicionDetector(
-            alpha=self.config.detector_alpha,
-            quantile=self.config.detector_quantile,
-            min_samples=self.config.session_watchdog_min_samples,
-        )
+            min_samples=self.config.session_watchdog_min_samples)
         last_mark = conn.bytes_received + conn.bytes_acked
         last_progress = self.sim.now
         try:

@@ -86,6 +86,9 @@ LOCAL_BW_MBPS = 100.0
 #: variables the wizard computes (or overrides from the security DB) per
 #: request: what ``rank:`` sorts by for them is in no record, so they
 #: have no column and a request ranked by one sweeps
+#: hard cap on servers in one UDP reply (thesis §3.6.1: 60)
+MAX_REPLY_SERVERS = 60
+
 _PER_REQUEST_VARS = frozenset(MONITOR_VARS + DERIVED_VARS + ("host_security_level",))
 _INF = float("inf")
 
@@ -196,7 +199,7 @@ class Wizard:
         self.default_group = "default"
         self._proc = None
         #: analyzed + folded ASTs keyed by requirement text (LRU)
-        self.compile_cache = CompileCache(maxsize=config.compile_cache_size)
+        self.compile_cache = CompileCache()
         self.requests_handled = 0
         self.parse_failures = 0
         self.option_errors = 0
@@ -356,7 +359,7 @@ class Wizard:
     @property
     def suspected_skew(self) -> int:
         """Snapshots whose reporter clock disagreed with this replica's
-        beyond ``config.skew_tolerance`` (receiver telemetry)."""
+        beyond the receiver's ``SKEW_TOLERANCE`` (receiver telemetry)."""
         return self.receiver.suspected_skew if self.receiver is not None else 0
 
     def _is_stale(self) -> bool:
@@ -407,7 +410,7 @@ class Wizard:
         arrive as a fresh dict (as every writer publishes it) — mutating
         one that was already matched against leaves stale orders behind.
 
-        The reply is the first ``min(server_num, max_reply_servers)``
+        The reply is the first ``min(server_num, MAX_REPLY_SERVERS)``
         candidates, and when the requirement assigns no user-side slot
         the scan **stops there**: evaluation then leaves nothing behind
         but a verdict per record, so the first ``limit`` qualifiers in
@@ -424,7 +427,7 @@ class Wizard:
         if compiled.unsatisfiable:
             # statically false: no record can qualify, skip the scan
             return []
-        limit = min(request.server_num, self.config.max_reply_servers)
+        limit = min(request.server_num, MAX_REPLY_SERVERS)
         if limit <= 0:
             # off the wire server_num is any integer: nothing was asked for
             return []

@@ -9,7 +9,7 @@ transport :class:`~repro.net.sockets.NetworkStack`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..sim import Simulator
 from .nic import NIC
@@ -42,8 +42,6 @@ class Node:
         #: dst address -> NIC to use
         self.routes: dict[str, NIC] = {}
         self.stack: Optional["NetworkStack"] = None
-        #: hook for tests/sniffers: fn(datagram, node) on local delivery
-        self.tap: Optional[Callable[[Datagram, "Node"], None]] = None
         self.forwarded = 0
         self.no_route = 0
         self.reassembly_failures = 0
@@ -104,8 +102,6 @@ class Node:
             # message edge: the sender's clock (stamped in send()) joins
             # the delivery context even across NIC queues and reassembly
             hb.on_message(dgram)
-        if self.tap is not None:
-            self.tap(dgram, self)
         if self.stack is None:
             # A router addressed directly with no stack: drop silently.
             return

@@ -11,6 +11,7 @@ hand-configured routes.
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import Optional
 
 from ..sim import Simulator
@@ -121,6 +122,9 @@ class Network:
 
         ``hop_bias`` is added per hop so that among equal-delay paths the
         one with fewer hops wins (and zero-delay topologies still route).
+        Among equal-cost paths the one found first wins — the heap breaks
+        distance ties in push order, so the choice follows the order the
+        links were connected in, never object addresses.
         """
         # adjacency: node -> list of (peer, cost, nic_on_node)
         adj: dict[Node, list[tuple[Node, float, NIC]]] = {n: [] for n in self.nodes.values()}
@@ -131,7 +135,8 @@ class Network:
         for src in self.nodes.values():
             dist: dict[Node, float] = {src: 0.0}
             first_nic: dict[Node, NIC] = {}
-            heap: list[tuple[float, int, Node]] = [(0.0, id(src), src)]
+            pushed = count()
+            heap: list[tuple[float, int, Node]] = [(0.0, next(pushed), src)]
             seen: set[Node] = set()
             while heap:
                 d, _, u = heapq.heappop(heap)
@@ -143,7 +148,7 @@ class Network:
                     if nd < dist.get(v, float("inf")):
                         dist[v] = nd
                         first_nic[v] = nic if u is src else first_nic[u]
-                        heapq.heappush(heap, (nd, id(v), v))
+                        heapq.heappush(heap, (nd, next(pushed), v))
             routes: dict[str, NIC] = {}
             for dst, nic in first_nic.items():
                 for addr in dst.addresses:

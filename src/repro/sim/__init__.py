@@ -6,6 +6,7 @@ from .kernel import (
     Call,
     Event,
     Interrupt,
+    Observer,
     Process,
     SimulationError,
     Simulator,
@@ -16,7 +17,7 @@ from .hb import Access, HBSanitizer, RaceReport, shared
 from .profile import SimProfiler
 from .rand import RandomStreams
 from .resources import Resource, Segment, SharedMemory, Store
-from .trace import EventTrace, TraceRecord, Tracer, attach_node_tap, diff_traces
+from .trace import EventTrace, diff_traces
 
 __all__ = [
     "HBSanitizer",
@@ -24,6 +25,7 @@ __all__ = [
     "Access",
     "shared",
     "Simulator",
+    "Observer",
     "Event",
     "Timeout",
     "Call",
@@ -39,9 +41,6 @@ __all__ = [
     "RandomStreams",
     "HostClock",
     "SimProfiler",
-    "Tracer",
-    "TraceRecord",
-    "attach_node_tap",
     "EventTrace",
     "diff_traces",
 ]

@@ -42,12 +42,13 @@ import sys
 from dataclasses import dataclass
 from itertools import count
 from os.path import basename
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from ..lang.diagnostics import Diagnostic, Severity, make, register_codes
+from .kernel import Observer
 
-__all__ = ["HBSanitizer", "RaceReport", "Access", "shared"]
+__all__ = ["HBSanitizer", "RaceReport", "Access", "shared", "render_report"]
 
 #: the dynamic sanitizer's diagnostic code (static R-series rules are
 #: REPRO301+ in :mod:`repro.analysis.concurrency`)
@@ -137,21 +138,24 @@ def shared(segment, name: str):
 
         self.db = shared(shm.segment(key), name="sysdb")
 
-    Tracking is inert until :meth:`Simulator.enable_sanitizer` installs a
-    detector on the segment's simulator.
+    Tracking is inert until an :class:`HBSanitizer` is attached to the
+    segment's simulator.
     """
     segment.hb_name = name
     return segment
 
 
-class HBSanitizer:
-    """Vector-clock happens-before checker (install via
-    :meth:`~repro.sim.kernel.Simulator.enable_sanitizer`).
+class HBSanitizer(Observer):
+    """Vector-clock happens-before checker (attach with
+    ``sim.observe(HBSanitizer())``).
 
-    The kernel calls the ``on_*``/``begin_*``/``end_*`` hooks; components
-    never talk to this class directly — they only mark state with
-    :func:`shared`.  After the run, :attr:`races` holds one
-    :class:`RaceReport` per distinct unordered pair of access sites.
+    The kernel announces the causal skeleton through the
+    :class:`~repro.sim.kernel.Observer` moments; the resource and
+    network layers add their edges through the ``sim._hb`` handle that
+    :meth:`attach` sets.  Components never talk to this class directly —
+    they only mark state with :func:`shared`.  After the run,
+    :attr:`races` holds one :class:`RaceReport` per distinct unordered
+    pair of access sites.
     """
 
     def __init__(self, max_reports: int = 50):
@@ -214,11 +218,12 @@ class HBSanitizer:
         else:
             self._frames[-1] = ("event", self._merged(data, clock))
 
-    # -- kernel hooks -----------------------------------------------------
+    # -- kernel moments ---------------------------------------------------
     def attach(self, sim) -> None:
         self._now = lambda: sim.now
+        sim._hb = self
 
-    def on_schedule(self, event) -> None:
+    def on_schedule(self, event, active) -> None:
         """An event was triggered: it carries the trigger context's clock."""
         event._hb = self._capture()
 
@@ -227,7 +232,7 @@ class HBSanitizer:
         if clock:
             event._hb = self._merged(event._hb, clock)
 
-    def join_condition(self, cond) -> None:
+    def on_join(self, cond) -> None:
         """AnyOf/AllOf fired: join every processed member's clock."""
         clock = cond._hb
         for ev in cond.events:
@@ -235,13 +240,13 @@ class HBSanitizer:
                 clock = self._merged(clock, ev._hb)
         cond._hb = clock
 
-    def begin_event(self, event) -> None:
+    def begin_event(self, when, event) -> None:
         self._frames.append(("event", event._hb))
 
-    def end_event(self) -> None:
+    def end_event(self, event) -> None:
         self._frames.pop()
 
-    def begin_process(self, proc, cause) -> None:
+    def begin_resume(self, when, proc, cause) -> None:
         tid = self._proc_ids.get(proc)
         if tid is None:
             tid = next(self._next_tid)
@@ -258,7 +263,7 @@ class HBSanitizer:
         own[tid] = own.get(tid, 0) + 1
         self._frames.append(("proc", tid))
 
-    def end_process(self) -> None:
+    def end_resume(self, proc) -> None:
         self._frames.pop()
 
     # -- message edges ----------------------------------------------------
@@ -327,3 +332,20 @@ class HBSanitizer:
         return (f"{len(self.races)} race(s), {self.accesses} tracked "
                 f"access(es) across {self.tracked_vars} shared var(s), "
                 f"{self.messages} message edge(s)")
+
+
+def render_report(label: str, arms: Sequence[Any]) -> str:
+    """What ``repro check --sanitize`` prints for one scenario: a
+    diagnostic per race, then a summary line.  ``arms`` are the worlds
+    the scenario ran, each with ``races``, ``tracked_accesses`` and
+    ``race_summary`` (:class:`repro.worlds.Observed`): one world keeps
+    the detector's own summary, several are summed."""
+    races = [race for arm in arms for race in arm.races or ()]
+    if len(arms) == 1:
+        summary = arms[0].race_summary
+    else:
+        accesses = sum(arm.tracked_accesses for arm in arms)
+        summary = (f"{len(races)} race(s), {accesses} tracked "
+                   f"access(es) across {len(arms)} arm(s)")
+    return "\n".join([*(race.render(label) for race in races),
+                      f"sanitize[{label}]: {summary}"])

@@ -45,17 +45,57 @@ it still in the future and has to go round again — or a last bit late,
 and every timestamp downstream moves with it.  ``call_at(D, ...)``
 fires once, at exactly ``D``.
 
+Observers
+---------
+The kernel knows nothing about its instruments.  It announces six
+moments to whatever was attached with :meth:`Simulator.observe` — one
+protocol, :class:`Observer`, a no-op base class — and every hook site
+tests the one name ``sim._observer``, so a run with nothing armed pays
+seven ``is None`` tests and nothing else:
+
+================================  ====================================
+``on_schedule(event, active)``    ``event`` was put on the queue while
+                                  process ``active`` ran (``None``:
+                                  from a callback or outside the loop)
+``begin_event(when, event)``      ``step`` popped ``event``; its
+                                  callbacks are about to run
+``end_event(event)``              they have run (or raised)
+``begin_resume(when, proc, ev)``  ``proc`` is handed the CPU because
+                                  ``ev`` fired
+``end_resume(proc)``              ``proc`` yielded, finished or failed
+``on_join(cond)``                 an :class:`AnyOf` / :class:`AllOf`
+                                  just fired
+================================  ====================================
+
+One instrument is held as it is; several go behind a fan-out that calls
+each in attachment order.  Three ship with the simulator, none of which
+draws randomness or reads a clock, so they neither disturb the run nor
+each other:
+
+* :class:`~repro.sim.trace.EventTrace` records every processed event in
+  a canonical, order-insensitive-within-a-timestamp form;
+* :class:`~repro.sim.hb.HBSanitizer` is a happens-before race detector:
+  the moments above are its causal skeleton (an event captures the
+  scheduling context's clock, a resume joins the clock of the event
+  that caused it, a condition joins its members'), and the resource and
+  network layers add the lock, channel and message edges through the
+  ``sim._hb`` handle it sets — the kernel itself never reads that;
+* :class:`~repro.sim.profile.SimProfiler` counts processed events by
+  type and call target, resumes by process name and scheduled events by
+  the process that scheduled them.
+
+A new instrument subclasses :class:`Observer`, overrides the moments it
+needs and is attached with ``sim.observe(...)``: no kernel edit.
+
 Schedule sanitizer
 ------------------
 "No outcome depends on the FIFO tie-break" is an *invariant*, and the
 kernel can check it TSan-style instead of assuming it:
-
-* :meth:`Simulator.enable_tie_shuffle` inserts a seeded random draw
-  between the timestamp and the sequence number in the queue ordering,
-  so events at equal times are processed in a (deterministically)
-  shuffled order instead of FIFO;
-* :meth:`Simulator.enable_event_trace` records every processed event
-  into an :class:`~repro.sim.trace.EventTrace`.
+:meth:`Simulator.enable_tie_shuffle` inserts a seeded random draw
+between the timestamp and the sequence number in the queue ordering, so
+events at equal times are processed in a (deterministically) shuffled
+order instead of FIFO.  It is not an observer: it changes the order, it
+does not watch it.
 
 The shuffle only randomises *causally independent* simultaneous events:
 an event scheduled while another event is being processed is a causal
@@ -68,30 +108,10 @@ packet reordering, not a tie-break, and no simulation could (or should)
 be invariant under it.  Only root events — those scheduled from outside
 the event loop, i.e. genuinely concurrent origins — draw fresh keys.
 
-Running the same experiment twice with *different* shuffle seeds and
-diffing the canonical traces (order-insensitive within one timestamp)
-proves the execution is tie-break independent: any divergence would
-change downstream event times and show up in the diff.
-
-Concurrency sanitizer
----------------------
-:meth:`Simulator.enable_sanitizer` installs a happens-before race
-detector (:class:`~repro.sim.hb.HBSanitizer`).  The kernel feeds it the
-causal skeleton — every event capture on ``succeed``/``fail``, every
-process resume, every :class:`AnyOf`/:class:`AllOf` join — while the
-resource and network layers add lock, channel and message edges.  All
-hooks are behind single ``is None`` checks, so the detector costs
-nothing when off.
-
-Profiler
---------
-:meth:`Simulator.enable_profile` installs a deterministic event
-profiler (:class:`~repro.sim.profile.SimProfiler`): every processed
-event, every process resume and every scheduled event (attributed to
-the process that scheduled it) is counted, giving per-handler event
-attribution that is a pure function of the simulated execution — no
-wall clock, no randomness, so dual runs agree byte-for-byte.  Same
-``is None`` discipline as the sanitizer: zero hot-path cost when off.
+Running the same experiment twice with *different* shuffle seeds, an
+:class:`~repro.sim.trace.EventTrace` attached to each, and diffing the
+canonical traces proves the execution is tie-break independent: any
+divergence would change downstream event times and show up in the diff.
 """
 
 from __future__ import annotations
@@ -102,6 +122,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Simulator",
+    "Observer",
     "Event",
     "Timeout",
     "Call",
@@ -226,6 +247,72 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now:.6f}>"
 
 
+class Observer:
+    """The six moments the kernel announces (all no-ops here); see the
+    Observers section of the module docstring.  An instrument overrides
+    what it needs and is attached with :meth:`Simulator.observe`.  Every
+    ``begin_*`` is paired with its ``end_*`` on the same observer, also
+    when the callbacks or the process raise."""
+
+    __slots__ = ()
+
+    def attach(self, sim: "Simulator") -> None:
+        """Called once by :meth:`Simulator.observe`, before any moment."""
+
+    def on_schedule(self, event: Event, active: Optional["Process"]) -> None:
+        pass
+
+    def begin_event(self, when: float, event: Event) -> None:
+        pass
+
+    def end_event(self, event: Event) -> None:
+        pass
+
+    def begin_resume(self, when: float, proc: "Process",
+                     cause: Optional[Event]) -> None:
+        pass
+
+    def end_resume(self, proc: "Process") -> None:
+        pass
+
+    def on_join(self, cond: "_Condition") -> None:
+        pass
+
+
+class _FanOut(Observer):
+    """Several observers behind the kernel's one slot, called in
+    attachment order."""
+
+    __slots__ = ("observers",)
+
+    def __init__(self, observers: tuple[Observer, ...]):
+        self.observers = observers
+
+    def on_schedule(self, event, active):
+        for obs in self.observers:
+            obs.on_schedule(event, active)
+
+    def begin_event(self, when, event):
+        for obs in self.observers:
+            obs.begin_event(when, event)
+
+    def end_event(self, event):
+        for obs in self.observers:
+            obs.end_event(event)
+
+    def begin_resume(self, when, proc, cause):
+        for obs in self.observers:
+            obs.begin_resume(when, proc, cause)
+
+    def end_resume(self, proc):
+        for obs in self.observers:
+            obs.end_resume(proc)
+
+    def on_join(self, cond):
+        for obs in self.observers:
+            obs.on_join(cond)
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay; ``yield sim.timeout(d)``."""
 
@@ -313,13 +400,11 @@ class Process(Event):
         wake.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        self.sim._active_proc = self
-        hb = self.sim._hb
-        if hb is not None:
-            hb.begin_process(self, event)
-        hook = self.sim._profile_resume
-        if hook is not None:
-            hook(self.name, self.sim._now)
+        sim = self.sim
+        sim._active_proc = self
+        obs = sim._observer
+        if obs is not None:
+            obs.begin_resume(sim._now, self, event)
         try:
             while True:
                 try:
@@ -365,9 +450,9 @@ class Process(Event):
             self._state = PENDING
             self.fail(exc)
         finally:
-            if hb is not None:
-                hb.end_process()
-            self.sim._active_proc = None
+            if obs is not None:
+                obs.end_resume(self)
+            sim._active_proc = None
 
     def _proceed(self, event: Event) -> None:
         self._target = None
@@ -413,9 +498,9 @@ class AnyOf(_Condition):
             event._ok = True
         else:
             self.succeed(self._collect())
-        hb = self.sim._hb
-        if hb is not None:
-            hb.join_condition(self)
+        obs = self.sim._observer
+        if obs is not None:
+            obs.on_join(self)
 
 
 class AllOf(_Condition):
@@ -434,9 +519,9 @@ class AllOf(_Condition):
         self._done += 1
         if self._done == len(self.events):
             self.succeed(self._collect())
-            hb = self.sim._hb
-            if hb is not None:
-                hb.join_condition(self)
+            obs = self.sim._observer
+            if obs is not None:
+                obs.on_join(self)
 
 
 class Simulator:
@@ -457,24 +542,21 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._active_proc: Optional[Process] = None
-        #: schedule-sanitizer hooks (both off by default, zero hot-path
-        #: cost beyond two ``is None`` checks)
+        #: seeded stream shuffling equal-time events (None = FIFO)
         self._tie_rng: Optional[Any] = None
-        self._event_trace: Optional[Any] = None
         #: tie key of the event currently being processed (None outside
         #: :meth:`step`); zero-delay descendants inherit it
         self._current_tie: Optional[float] = None
-        #: happens-before sanitizer (None = off, zero hot-path cost)
+        #: what :meth:`observe` attached: None, the one instrument, or a
+        #: fan-out over several — the only instrument name the kernel tests
+        self._observer: Optional[Observer] = None
+        #: the attached :class:`~repro.sim.hb.HBSanitizer`, if any: a
+        #: handle for the resource and network layers' lock / store /
+        #: message edges, which no other instrument understands (set by
+        #: its ``attach``; nothing in this module reads it)
         self._hb: Optional[Any] = None
-        #: deterministic event profiler (None = off, zero hot-path cost);
-        #: the three hook callables are cached pre-bound so the hot paths
-        #: skip per-call method binding
-        self._profile: Optional[Any] = None
-        self._profile_schedule: Optional[Callable[..., None]] = None
-        self._profile_event: Optional[Callable[..., None]] = None
-        self._profile_resume: Optional[Callable[..., None]] = None
 
-    # -- schedule sanitizer --------------------------------------------------
+    # -- instruments ---------------------------------------------------------
     def enable_tie_shuffle(self, rng) -> None:
         """Shuffle the processing order of equal-timestamp events.
 
@@ -483,54 +565,29 @@ class Simulator:
         event draws a tie-break key from it, replacing FIFO order among
         events that share a timestamp while keeping the run fully
         deterministic given the shuffle seed.  Dual runs with different
-        shuffle seeds + :meth:`enable_event_trace` turn "the simulation
-        does not depend on tie-break order" into a checked invariant.
+        shuffle seeds, each with an :class:`~repro.sim.trace.EventTrace`
+        attached, turn "the simulation does not depend on tie-break
+        order" into a checked invariant.
         """
         self._tie_rng = rng
 
-    def enable_event_trace(self, trace) -> None:
-        """Record every processed event into ``trace`` (any object with a
-        ``record(when, event)`` method, canonically
-        :class:`~repro.sim.trace.EventTrace`)."""
-        self._event_trace = trace
+    def observe(self, instrument):
+        """Attach ``instrument`` (an :class:`Observer`) and return it.
 
-    def enable_sanitizer(self, sanitizer=None):
-        """Install a happens-before race detector and return it.
-
-        ``sanitizer`` defaults to a fresh
-        :class:`~repro.sim.hb.HBSanitizer`.  Only state wrapped with
-        :func:`~repro.sim.hb.shared` is tracked; detected races end up
-        in ``sanitizer.races`` as
-        :class:`~repro.sim.hb.RaceReport` objects.
+        From its next ``begin_event`` / ``begin_resume`` on — so also
+        when attached mid-run, from inside the event loop — the
+        instrument is told every moment, after the ones attached before
+        it.  There is no detach: an instrument lives as long as the run.
         """
-        if sanitizer is None:
-            from .hb import HBSanitizer
-            sanitizer = HBSanitizer()
-        sanitizer.attach(self)
-        self._hb = sanitizer
-        return sanitizer
-
-    def enable_profile(self, profiler=None):
-        """Install a deterministic event profiler and return it.
-
-        ``profiler`` defaults to a fresh
-        :class:`~repro.sim.profile.SimProfiler`.  The profiler counts
-        processed events by type, resumes by process name, and scheduled
-        events by the process that scheduled them — nothing wall-clock
-        or RNG flavored, so a seeded run's attribution is reproducible
-        byte-for-byte and the schedule/HB sanitizers stay undisturbed.
-        """
-        if profiler is None:
-            from .profile import SimProfiler
-            profiler = SimProfiler()
-        bind = getattr(profiler, "bind_sim", None)
-        if bind is not None:
-            bind(self)
-        self._profile = profiler
-        self._profile_schedule = profiler.on_schedule
-        self._profile_event = profiler.on_event
-        self._profile_resume = profiler.on_resume
-        return profiler
+        instrument.attach(self)
+        held = self._observer
+        if held is None:
+            self._observer = instrument
+        elif isinstance(held, _FanOut):
+            self._observer = _FanOut(held.observers + (instrument,))
+        else:
+            self._observer = _FanOut((held, instrument))
+        return instrument
 
     @property
     def now(self) -> float:
@@ -593,11 +650,9 @@ class Simulator:
             tie = self._current_tie
         else:
             tie = self._tie_rng.random()
-        if self._hb is not None:
-            self._hb.on_schedule(event)
-        hook = self._profile_schedule
-        if hook is not None:
-            hook(event, self._active_proc)
+        obs = self._observer
+        if obs is not None:
+            obs.on_schedule(event, self._active_proc)
         heapq.heappush(self._queue, (when, tie, next(self._seq), event))
 
     def peek(self) -> float:
@@ -614,21 +669,16 @@ class Simulator:
         """
         when, tie, _, event = heapq.heappop(self._queue)
         self._now = when
-        if self._event_trace is not None:
-            self._event_trace.record(when, event)
-        hook = self._profile_event
-        if hook is not None:
-            hook(when, event)
         self._current_tie = tie
-        hb = self._hb
-        if hb is not None:
-            hb.begin_event(event)
+        obs = self._observer
+        if obs is not None:
+            obs.begin_event(when, event)
         try:
             event._process_callbacks()
         finally:
             self._current_tie = None
-            if hb is not None:
-                hb.end_event()
+            if obs is not None:
+                obs.end_event(event)
         if not event._ok:
             raise event._value
 

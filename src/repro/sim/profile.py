@@ -1,12 +1,10 @@
-"""Deterministic simulation profiler (``Simulator.enable_profile``).
+"""Deterministic simulation profiler (``sim.observe(SimProfiler())``).
 
 Where the happens-before sanitizer answers "is this world racy?", the
-profiler answers "where does this world spend its events?".  It hangs
-off the same three kernel seams the other opt-in instruments use — one
-``is None`` check each in :meth:`~repro.sim.kernel.Simulator._schedule`,
-:meth:`~repro.sim.kernel.Simulator.step` and
-:meth:`~repro.sim.kernel.Process._resume` — and records only quantities
-that are functions of the simulated execution, never of the wall clock:
+profiler answers "where does this world spend its events?".  It is an
+:class:`~repro.sim.kernel.Observer` like the other opt-in instruments
+and records only quantities that are functions of the simulated
+execution, never of the wall clock:
 
 * **per-process resume counts** — how many times each named process was
   handed the CPU (the per-handler event count the H-series lints rank
@@ -28,8 +26,8 @@ same seeded world produce *identical* attribution dicts — the property
 ``repro profile`` pins in CI and the reason profile JSON can feed
 ``repro check --perf --profile`` without destabilizing its byte-exact
 output.  Wall-clock throughput (events/sec of real time) is measured by
-the *runner* around the whole run and reported separately, outside the
-attribution.
+the CLI around the whole run and handed to :func:`profile_report`, which
+keeps it in a subtree of its own, outside the attribution.
 
 The flamegraph-style text tree groups processes by their name prefix
 (``receiver-listen``/``receiver-session`` fold under ``receiver``), so
@@ -40,15 +38,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from .kernel import Call, call_target_name
+from .kernel import Call, Observer, call_target_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Event, Process
 
-__all__ = ["SimProfiler", "flame_tree", "merge_attributions"]
+__all__ = ["SimProfiler", "flame_tree", "merge_attributions",
+           "profile_report", "render_report"]
 
-#: processes spawned without a name, and events scheduled while no
-#: process is active (network callbacks, timers armed at build time)
+#: events scheduled while no process is active (network callbacks,
+#: timers armed at build time)
 ROOT_KEY = "<kernel>"
 
 #: separators that end a process-name group prefix (``receiver-listen``
@@ -65,44 +64,43 @@ def _group_of(name: str) -> str:
     return name[:cut]
 
 
-class SimProfiler:
+class SimProfiler(Observer):
     """Event-attribution collector for one :class:`Simulator` run."""
 
     def __init__(self) -> None:
-        #: process name -> times the process was resumed
-        self.resumes: dict[str, int] = {}
-        #: process name -> events it scheduled while active
-        self.allocations: dict[str, int] = {}
-        #: process name -> first / last resume sim-time (split dicts so
-        #: the hot hook never builds a tuple)
-        self._first: dict[str, float] = {}
-        self._last: dict[str, float] = {}
+        #: process name -> [resumes, events it scheduled while active,
+        #: first resume sim-time, last resume sim-time]: one mutable row
+        #: per name, so a resume costs one dict lookup
+        self._root: list = [0, 0, 0.0, 0.0]
+        self._rows: dict[str, list] = {ROOT_KEY: self._root}
+        #: the row of the process whose resume began last — while a
+        #: process is active that is the active one, so ``on_schedule``
+        #: needs no lookup at all (a profiler attached from inside a
+        #: running process credits the rest of that resume to ROOT_KEY)
+        self._active = self._root
         #: event class -> processed count (keyed by the class object in
         #: the hot hook; rendered to names in :meth:`attribution`)
         self._type_counts: dict[type, int] = {}
         #: function object behind a processed Call -> count (one key per
         #: function, not per bound method; named in :meth:`attribution`)
         self._call_counts: dict[Any, int] = {}
-        #: the simulator this profiler is attached to (set by
-        #: ``enable_profile``); its clock supplies ``sim_time_s`` so the
-        #: per-event hook does not have to store a timestamp
+        #: the simulator this profiler is attached to; its clock
+        #: supplies ``sim_time_s`` so the per-event hook does not have
+        #: to store a timestamp
         self._sim: Any = None
 
-    def bind_sim(self, sim: Any) -> None:
+    def attach(self, sim: Any) -> None:
         self._sim = sim
 
-    # -- kernel hooks (must stay allocation-light and side-effect free;
+    # -- kernel moments (must stay allocation-light and side-effect free;
     # try/except counters because the miss happens once per key, and no
-    # running totals — those are sums over the dicts, computed once in
+    # running totals — those are sums over the rows, computed once in
     # :meth:`attribution` instead of twice per event) --------------------
     def on_schedule(self, event: "Event", active: "Process | None") -> None:
-        name = active.name if active is not None else ROOT_KEY
-        try:
-            self.allocations[name] += 1
-        except KeyError:
-            self.allocations[name] = 1
+        row = self._root if active is None else self._active
+        row[1] += 1
 
-    def on_event(self, when: float, event: "Event") -> None:
+    def begin_event(self, when: float, event: "Event") -> None:
         kind = type(event)
         try:
             self._type_counts[kind] += 1
@@ -116,14 +114,15 @@ class SimProfiler:
             except KeyError:
                 self._call_counts[fn] = 1
 
-    def on_resume(self, name: str, now: float) -> None:
-        key = name or ROOT_KEY
+    def begin_resume(self, when: float, proc: "Process",
+                     cause: "Event | None") -> None:
         try:
-            self.resumes[key] += 1
+            row = self._rows[proc.name]
         except KeyError:
-            self.resumes[key] = 1
-            self._first[key] = now
-        self._last[key] = now
+            row = self._rows[proc.name] = [0, 0, when, when]
+        row[0] += 1
+        row[3] = when
+        self._active = row
 
     # -- reporting -------------------------------------------------------
     def attribution(self) -> dict[str, Any]:
@@ -133,17 +132,11 @@ class SimProfiler:
         execution: identical seeds produce identical dicts, byte for
         byte once JSON-serialized with sorted keys.
         """
-        names = sorted(set(self.resumes) | set(self.allocations))
-        processes = {}
-        for name in names:
-            first = self._first.get(name, 0.0)
-            last = self._last.get(name, 0.0)
-            processes[name] = {
-                "resumes": self.resumes.get(name, 0),
-                "allocations": self.allocations.get(name, 0),
-                "first_s": round(first, 9),
-                "last_s": round(last, 9),
-            }
+        processes = {
+            name: {"resumes": resumes, "allocations": allocations,
+                   "first_s": round(first, 9), "last_s": round(last, 9)}
+            for name, (resumes, allocations, first, last)
+            in sorted(self._rows.items()) if resumes or allocations}
         event_types = {kind.__name__: count
                        for kind, count in self._type_counts.items()}
         calls: dict[str, int] = {}
@@ -156,7 +149,7 @@ class SimProfiler:
             "calls": dict(sorted(calls.items())),
             "event_types": dict(sorted(event_types.items())),
             "total_events": sum(event_types.values()),
-            "total_allocations": sum(self.allocations.values()),
+            "total_allocations": sum(row[1] for row in self._rows.values()),
             "sim_time_s": round(sim_time, 9),
         }
 
@@ -241,3 +234,31 @@ def flame_tree(attribution: dict[str, Any], width: int = 24) -> str:
             lines.append(f"  {name:<26} {bar(count, events)} "
                          f"{100 * count / events:5.1f}%  ({count} calls)")
     return "\n".join(lines)
+
+
+def profile_report(label: str, parts: "list[dict[str, Any]]",
+                   wall_seconds: float) -> dict[str, Any]:
+    """The ``repro profile --json`` document for one scenario: the
+    merged attribution of its arms (deterministic) and, in a subtree of
+    its own, the wall metrics measured around the whole run."""
+    attribution = merge_attributions(parts)
+    rate = attribution["total_events"] / wall_seconds if wall_seconds > 0 else 0.0
+    return {
+        "scenario": label,
+        "arms": len(parts),
+        "attribution": attribution,
+        "wall": {"seconds": round(wall_seconds, 3),
+                 "events_per_sec": round(rate, 1)},
+    }
+
+
+def render_report(report: dict[str, Any]) -> str:
+    """What ``repro profile`` prints: the flame tree, then a summary."""
+    attribution, wall = report["attribution"], report["wall"]
+    return "\n".join([
+        flame_tree(attribution),
+        f"profile[{report['scenario']}]: {attribution['total_events']} "
+        f"event(s) over {attribution['sim_time_s']:.3f} sim-s "
+        f"across {report['arms']} arm(s); "
+        f"{wall['seconds']:.2f} wall-s "
+        f"({wall['events_per_sec']:.0f} events/sec)"])

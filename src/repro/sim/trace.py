@@ -1,90 +1,20 @@
-"""Lightweight event tracing for debugging simulated systems.
+"""The canonical kernel event trace and its diff.
 
-A :class:`Tracer` collects timestamped, categorised records during a run —
-packet deliveries, daemon decisions, experiment milestones — without
-perturbing the simulation.  Components that support tracing accept a
-tracer and call :meth:`Tracer.log`; helpers below attach taps to network
-nodes so packet flows can be traced without touching component code.
-
-Typical use::
-
-    tracer = Tracer(sim, categories={"wizard", "net"})
-    attach_node_tap(tracer, some_node)
-    ... run ...
-    print(tracer.format())
+An :class:`EventTrace` attached with ``sim.observe(EventTrace())``
+records every event the kernel processes; two runs of one world under
+different tie-shuffle seeds must produce the same canonical trace (see
+the schedule-sanitizer notes in :mod:`repro.sim.kernel`), and
+:func:`diff_traces` names the first lines where they do not.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .kernel import Call, Event, Process, Simulator, Timeout, call_target_name
+from .kernel import Call, Event, Observer, Process, Timeout, call_target_name
 
-__all__ = ["Tracer", "TraceRecord", "attach_node_tap",
-           "EventTrace", "diff_traces"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    category: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.time:12.6f}] {self.category:>8}  {self.message}"
-
-
-class Tracer:
-    """Bounded in-memory trace log with category filtering."""
-
-    def __init__(self, sim: Simulator, categories: Optional[Iterable[str]] = None,
-                 max_records: int = 100_000):
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records}")
-        self.sim = sim
-        #: None = trace everything; otherwise only these categories
-        self.categories = set(categories) if categories is not None else None
-        self.max_records = max_records
-        self.records: list[TraceRecord] = []
-        self.dropped = 0
-
-    def wants(self, category: str) -> bool:
-        return self.categories is None or category in self.categories
-
-    def log(self, category: str, message: str) -> None:
-        if not self.wants(category):
-            return
-        if len(self.records) >= self.max_records:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(self.sim.now, category, message))
-
-    # -- querying -----------------------------------------------------------
-    def select(self, category: Optional[str] = None,
-               since: float = 0.0) -> list[TraceRecord]:
-        return [
-            r for r in self.records
-            if (category is None or r.category == category) and r.time >= since
-        ]
-
-    def format(self, category: Optional[str] = None, last: int = 0) -> str:
-        selected = self.select(category)
-        records = selected[-last:] if last else selected
-        lines = [str(r) for r in records]
-        # make every truncation visible: an elided head when `last` cuts
-        # the selection, a dropped-tail footer when the buffer capped out
-        if len(records) < len(selected):
-            lines.insert(
-                0, f"... showing last {len(records)} of {len(selected)} records")
-        if self.dropped:
-            lines.append(f"... {self.dropped} records dropped (max_records)")
-        return "\n".join(lines)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
+__all__ = ["EventTrace", "diff_traces"]
 
 
 def _event_label(event: Event) -> str:
@@ -106,15 +36,14 @@ def _event_label(event: Event) -> str:
     return type(event).__name__.lower()
 
 
-class EventTrace:
+class EventTrace(Observer):
     """Canonical record of every event the kernel processed.
 
     The *canonical* form is order-insensitive within one timestamp:
     lines for equal-time events are sorted, so two runs whose only
     difference is the (shuffled) tie-break order of simultaneous events
     produce byte-identical canonical traces — and any run that actually
-    *behaves* differently does not.  See the schedule-sanitizer notes in
-    :mod:`repro.sim.kernel`.
+    *behaves* differently does not.
     """
 
     __slots__ = ("entries",)
@@ -123,7 +52,7 @@ class EventTrace:
         #: (time, label) in processing order, appended by the kernel
         self.entries: list[tuple[float, str]] = []
 
-    def record(self, when: float, event: Event) -> None:
+    def begin_event(self, when: float, event: Event) -> None:
         self.entries.append((when, _event_label(event)))
 
     def __len__(self) -> int:
@@ -177,20 +106,3 @@ def diff_traces(a: Iterable[str], b: Iterable[str], context: int = 0,
                 out.append("... diff truncated")
                 break
     return out
-
-
-def attach_node_tap(tracer: Tracer, node, category: str = "net") -> None:
-    """Trace every datagram delivered locally at ``node``."""
-
-    previous = node.tap
-
-    def tap(dgram, n):
-        if previous is not None:
-            previous(dgram, n)
-        tracer.log(
-            category,
-            f"{n.name} <- {dgram.proto} {dgram.src}:{dgram.sport} -> "
-            f":{dgram.dport} ({dgram.size}B id={dgram.id})",
-        )
-
-    node.tap = tap

@@ -7,7 +7,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import (
     Config,
+    NetMetric,
     NetworkMonitor,
+    Transmitter,
     estimate_bandwidth,
     measure_rtt,
     pipechar_estimate,
@@ -176,6 +178,30 @@ class TestNetworkMonitorDaemon:
         assert metric.bw_mbps == pytest.approx(100.0, rel=0.15)
         assert 0 < metric.delay_ms < 5.0
         assert nm.probes_done >= 2
+
+    def test_publish_never_touches_what_it_published(self):
+        """Copy-on-write: the table a reader holds, and the snapshot a
+        transmitter has already taken, read the same after the next
+        publish as before it."""
+        cluster, m1, m2 = make_path()
+        sim = cluster.sim
+        nm = NetworkMonitor(sim, m1.stack, m1.shm, "g1")
+        tx = Transmitter(sim, m1.stack, m1.shm, receiver_addr=m2.addr)
+        seen = {}
+
+        def p():
+            yield from nm._publish("g2", NetMetric(delay_ms=1.0, bw_mbps=10.0))
+            seen["held"] = nm.table()
+            seen["shipped"] = (yield from tx.snapshot())[1].data["g1"]
+            yield sim.timeout(1.0)
+            yield from nm._publish("g3", NetMetric(delay_ms=2.0, bw_mbps=20.0))
+
+        run_process(sim, p())
+        for record in seen.values():
+            assert list(record.metrics) == ["g2"]
+            assert record.updated_at == 0.0
+        assert list(nm.table().metrics) == ["g2", "g3"]
+        assert nm.table().updated_at == 1.0
 
     def test_own_group_peer_rejected(self):
         cluster = Cluster(seed=6)

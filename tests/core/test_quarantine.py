@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import Config, Quarantine, SmartClient
+from repro.core.client import TIMEOUT_FLOOR, TIMEOUT_SCALE
 from repro.sim import Simulator
 from tests.conftest import run_process
 
@@ -145,10 +146,9 @@ class TestAdaptiveSuspicion:
 
     def test_warm_baseline_shrinks_the_timeout(self):
         cluster, client, w1, w2 = two_wizard_world()
-        for _ in range(client.config.detector_min_samples):
+        for _ in range(client.detector.min_samples):
             client.detector.record(w1.addr, 0.05)
-        want = max(client.config.client_timeout_floor,
-                   0.05 * client.config.client_timeout_scale)
+        want = max(TIMEOUT_FLOOR, 0.05 * TIMEOUT_SCALE)
         assert client._request_timeout(w1.addr) == pytest.approx(want)
 
     def test_adaptive_timeout_is_clamped(self):
@@ -156,8 +156,7 @@ class TestAdaptiveSuspicion:
         for _ in range(10):
             client.detector.record(w1.addr, 1e-4)   # LAN-fast
             client.detector.record(w2.addr, 30.0)   # glacial
-        assert client._request_timeout(w1.addr) == \
-            client.config.client_timeout_floor
+        assert client._request_timeout(w1.addr) == TIMEOUT_FLOOR
         assert client._request_timeout(w2.addr) == \
             client.config.client_timeout
 

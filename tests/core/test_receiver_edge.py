@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, Deployment
 from repro.core import Config
+from repro.core.receiver import SKEW_TOLERANCE
 from repro.core.records import MSG_SYSDB
 
 
@@ -125,7 +126,7 @@ class TestSkewRebase:
         cluster.run(until=10.0)
         before = dep.receiver.suspected_skew
         now = cluster.sim.now
-        tol = dep.config.skew_tolerance
+        tol = SKEW_TOLERANCE
         self.apply(cluster, dep.receiver,
                    stamp=now + 0.5 * tol, updated_at=now - 1.0)
         assert dep.receiver.suspected_skew == before

@@ -19,6 +19,7 @@ from repro.core import (
     ServerStatusReport,
     Transmitter,
 )
+from repro.core.receiver import PULL_TIMEOUT
 from tests.conftest import run_process
 
 
@@ -237,7 +238,7 @@ class TestPullHardening:
 
     def test_wedged_transmitter_times_out_not_stalls(self):
         """A transmitter that accepts but never answers must cost at most
-        config.pull_timeout, then be dropped (wizard serves stale data)."""
+        PULL_TIMEOUT, then be dropped (wizard serves stale data)."""
         cluster, cfg, receiver, _, monitors = make_world(Mode.DISTRIBUTED)
         mon = monitors[0]
         receiver.add_transmitter(mon.addr)
@@ -257,5 +258,5 @@ class TestPullHardening:
 
         run_process(cluster.sim, p(), until=30.0)
         assert receiver.pull_timeouts == 1
-        assert t["end"] - t["start"] == pytest.approx(cfg.pull_timeout, abs=0.1)
+        assert t["end"] - t["start"] == pytest.approx(PULL_TIMEOUT, abs=0.1)
         assert mon.addr not in receiver._pull_conns  # dropped for re-dial

@@ -33,6 +33,7 @@ from repro.core import (
     WizardRequest,
 )
 from repro.core.records import REPLY_OK
+from repro.core.wizard import MAX_REPLY_SERVERS
 from repro.lang import compile_requirement, evaluate
 from tests.conftest import run_process
 from tests.core.test_transmit import make_world
@@ -290,7 +291,7 @@ def test_the_reply_cap_holds_for_any_server_num():
         ServerStatusReport(host=f"h{i}", addr=addr, group="lab",
                            values={"host_cpu_free": 1.0}), updated_at=NOW)
         for i, addr in enumerate(addrs)}
-    cap = wizard.config.max_reply_servers
+    cap = MAX_REPLY_SERVERS
     for server_num in (-1, 0, 1, cap, cap + 1, 10 ** 6):
         reply = wizard.match(WizardRequest(1, server_num, "", ""), OUT_GROUP, sysdb, {}, {})
         assert len(reply) == max(0, min(server_num, cap))

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.net import Datagram, Network, NetworkStack, PROTO_UDP
+from repro.sim import Simulator
+
+
+def diamond_hops(node_order: str) -> list[list[str]]:
+    """a-b-d and a-c-d at equal delay, a-b and b-d connected first; the
+    nodes are created in ``node_order``.  Returns the a->d and d->a paths."""
+    net = Network(Simulator())
+    node = {name: net.add_router(name) for name in node_order}
+    for left, right in ("ab", "bd", "ac", "cd"):
+        net.connect(node[left], node[right], delay=1e-3)
+    net.build_routes()
+    return [net.path_hops("a", "d"), net.path_hops("d", "a")]
 
 
 def build_line(sim, n_routers=1, **link_kw):
@@ -55,6 +71,27 @@ class TestTopology:
         net.connect(c, b, delay=1e-3)
         net.build_routes()
         assert net.path_hops("a", "b") == ["a", "b"]
+
+    @pytest.mark.parametrize("node_order", ["abcd", "acbd", "dcba"])
+    def test_equal_cost_paths_take_the_first_connected_link(self, node_order):
+        """Whichever order (and so at whichever addresses) the nodes were
+        created, a tie between two paths goes to the link connected first."""
+        assert diamond_hops(node_order) == [["a", "b", "d"], ["d", "b", "a"]]
+
+    def test_equal_cost_choice_repeats_across_interpreters(self):
+        script = ("from tests.net.test_routing import diamond_hops\n"
+                  "print(diamond_hops('acbd'), diamond_hops('dcba'))")
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], cwd=root, timeout=60,
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                     "PYTHONPATH": os.path.join(root, "src")},
+            ).stdout
+            for hash_seed in ("1", "2")}
+        want = "[['a', 'b', 'd'], ['d', 'b', 'a']]"
+        assert outputs == {f"{want} {want}\n"}
 
     def test_routes_prefer_lower_delay(self, sim):
         net = Network(sim)

@@ -13,7 +13,7 @@ from repro.sim import (
 
 def _world():
     sim = Simulator()
-    sanitizer = sim.enable_sanitizer()
+    sanitizer = sim.observe(HBSanitizer())
     shm = SharedMemory(sim)
     db = shared(shm.segment(1), name="db")
     return sim, sanitizer, shm, db
@@ -80,7 +80,7 @@ class TestRaceDetection:
 
     def test_untracked_segment_is_invisible(self):
         sim = Simulator()
-        sanitizer = sim.enable_sanitizer()
+        sanitizer = sim.observe(HBSanitizer())
         seg = SharedMemory(sim).segment(7)  # no shared() wrapper
 
         def w():
@@ -225,7 +225,7 @@ class TestSanitizerPlumbing:
 
     def test_enable_returns_attached_instance(self):
         sim = Simulator()
-        sanitizer = sim.enable_sanitizer()
+        sanitizer = sim.observe(HBSanitizer())
         assert isinstance(sanitizer, HBSanitizer)
         assert sim._hb is sanitizer
 

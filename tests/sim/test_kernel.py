@@ -382,7 +382,7 @@ class TestScheduledCalls:
         if tie_seed is not None:
             sim.enable_tie_shuffle(RandomStreams(tie_seed).stream("schedule-tiebreak"))
         trace = EventTrace()
-        sim.enable_event_trace(trace)
+        sim.observe(trace)
         arrivals = []
 
         def deliver(item):

@@ -29,7 +29,7 @@ def ping_pong_world(sim):
 class TestAttribution:
     def test_resumes_and_spans_per_process(self):
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         ping_pong_world(sim)
         sim.run()
         attr = profiler.attribution()
@@ -43,7 +43,7 @@ class TestAttribution:
 
     def test_allocations_attributed_to_active_process(self):
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         ping_pong_world(sim)
         sim.run()
         attr = profiler.attribution()
@@ -57,7 +57,7 @@ class TestAttribution:
 
     def test_event_type_counts_cover_every_event(self):
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         ping_pong_world(sim)
         sim.run()
         attr = profiler.attribution()
@@ -73,7 +73,7 @@ class TestAttribution:
             pass
 
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         a, b = Link(), Link()
         for i in range(3):
             sim.call_later(1.0 + i, a.deliver, i)
@@ -93,7 +93,7 @@ class TestAttribution:
         outs = []
         for _ in range(2):
             sim = Simulator()
-            profiler = sim.enable_profile()
+            profiler = sim.observe(SimProfiler())
             ping_pong_world(sim)
             sim.run()
             outs.append(json.dumps(profiler.attribution(), sort_keys=True))
@@ -104,7 +104,7 @@ class TestAttribution:
         def run(profile):
             sim = Simulator()
             if profile:
-                sim.enable_profile()
+                sim.observe(SimProfiler())
             order = []
 
             def proc(tag, delay):
@@ -121,13 +121,13 @@ class TestAttribution:
     def test_custom_profiler_instance_is_returned(self):
         sim = Simulator()
         mine = SimProfiler()
-        assert sim.enable_profile(mine) is mine
+        assert sim.observe(mine) is mine
 
 
 class TestMergeAndRender:
     def _attr(self):
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         ping_pong_world(sim)
         sim.run()
         return profiler.attribution()
@@ -153,7 +153,7 @@ class TestMergeAndRender:
 
     def test_merge_sums_calls_per_target(self):
         sim = Simulator()
-        profiler = sim.enable_profile()
+        profiler = sim.observe(SimProfiler())
         sim.call_later(1.0, print, "")
         sim.run()
         one = profiler.attribution()

@@ -8,9 +8,8 @@ import sys
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
-from repro.analysis.profiler import profile_scenario
-from repro.analysis.sanitizer import run_scenario
-from repro.worlds import SMOKE_JOBS
+from repro.sim import hb, profile
+from repro.worlds import SMOKE_JOBS, run_scenario
 
 
 class TestCliInProcess:
@@ -69,10 +68,16 @@ class TestSmokeScenarios:
     def test_in_process_reruns_are_identical(self):
         """Every world starts from fresh global ids, so what a tool
         reports does not depend on what ran earlier in the process."""
-        assert profile_scenario("massd").attribution == \
-            profile_scenario("massd").attribution
-        assert run_scenario("massd").render() == \
-            run_scenario("massd").render()
+        def profiled():
+            label, arms = run_scenario("massd", profile=True)
+            return profile.profile_report(
+                label, [arm.attribution for arm in arms], 0.0)
+
+        def sanitized():
+            return hb.render_report(*run_scenario("massd", sanitize=True))
+
+        assert profiled() == profiled()
+        assert sanitized() == sanitized()
 
 
 class TestLint:

@@ -85,7 +85,7 @@ class TestExperimentDeterminism:
                     RandomStreams(tie_seed).stream("schedule-tiebreak")
                 )
             trace = EventTrace()
-            sim.enable_event_trace(trace)
+            sim.observe(trace)
             order = []
 
             def worker(i):

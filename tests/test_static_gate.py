@@ -93,12 +93,15 @@ def test_repro_check_clean_under_dash_O():
 
 def test_ci_runs_sanitize_job():
     """The CI ``sanitize`` job drives both smoke worlds under the
-    happens-before detector (zero races required) and re-runs the
-    seeded-race fixture expecting it to fail."""
+    happens-before detector (zero races required), re-runs the
+    seeded-race fixture expecting it to fail, and holds the detector to
+    its overhead budget."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "--sanitize matmul" in ci
     assert "--sanitize massd" in ci
     assert "r300_seeded_race.py" in ci
+    assert "bench_sanitizer.py" in ci
+    assert "r['all_within_2x'] and r['race_free']" in ci
 
 
 def test_ci_regenerates_the_committed_paper_tables():
