@@ -6,7 +6,8 @@ that *lead* to them before any run:
 
 * a blocking ``recv``/``accept`` yield with no timeout composition and no
   enclosing ``Interrupt`` guard hangs forever when the peer dies and
-  leaks on daemon shutdown (REPRO301);
+  leaks on daemon shutdown (REPRO301) — the guard is lexical, or the
+  ``serve`` skeleton's when the file hands the generator to one;
 * a ``MSG_``/``REPLY_`` wire tag nobody handles is a protocol hole — the
   send side works, the message vanishes (REPRO302, cross-checked against
   the live :data:`repro.core.records.WIRE_TAG_HANDLERS` registry the way
@@ -37,6 +38,7 @@ from .engine import FileUnit, Rule, rule
 __all__ = [
     "BLOCKING_RECV_ATTRS",
     "scheduled_call_target",
+    "served_handler",
     "CHANNEL_OP_ATTRS",
     "SEGMENT_ALLOWLIST",
     "INTERRUPT_CATCHERS",
@@ -55,6 +57,22 @@ def scheduled_call_target(call: ast.Call) -> Optional[ast.expr]:
     """The function expression a scheduled call will run, if ``call`` is one."""
     if (isinstance(call.func, ast.Attribute)
             and call.func.attr in SCHEDULED_CALL_ATTRS
+            and len(call.args) >= 2):
+        return call.args[1]
+    return None
+
+
+def served_handler(call: ast.Call) -> Optional[ast.expr]:
+    """The handler a ``<x>.serve(key, handler, name=..., session_name=...)``
+    call hands over, if ``call`` is one.
+
+    ``serve`` is the one spawn-per-connection primitive
+    (:meth:`repro.net.tcp.TcpLayer.serve`, and the block farm's
+    ``BlockService.serve`` on top of it): the skeleton behind it runs
+    ``handler`` in a process named ``session_name`` and catches its
+    ``ConnectionClosed`` and ``Interrupt`` — a spawned, guarded
+    generator, though neither shows in its own body."""
+    if (isinstance(call.func, ast.Attribute) and call.func.attr == "serve"
             and len(call.args) >= 2):
         return call.args[1]
     return None
@@ -97,31 +115,45 @@ def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
 @rule
 class BlockingRecvRule(Rule):
     """REPRO301: ``yield x.recv()`` / ``yield x.accept()`` with neither a
-    timeout composition (``any_of`` with a :class:`Timeout`) nor a
-    lexically enclosing ``except Interrupt``.
+    timeout composition (``any_of`` with a :class:`Timeout`) nor an
+    enclosing ``except Interrupt``.
 
     Such a yield blocks its process forever if the peer never sends —
     and a daemon ``stop()`` that interrupts the process crashes instead
     of unwinding.  Either compose the event with a timeout
     (``recv_timeout``) or guard the loop with ``except Interrupt``.
+    The guard is the lexically enclosing one, or — for a function the
+    same file hands to ``serve`` (:func:`served_handler`) — the one in
+    the skeleton that will run it; the same body handed to nobody fires.
     """
 
     code = "REPRO301"
     name = "blocking-recv"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        yield from self._visit(ctx, ctx.tree, guarded=False)
+        served: set[str] = set()
+        for node in ast.walk(ctx.tree):
+            handler = (served_handler(node)
+                       if isinstance(node, ast.Call) else None)
+            if isinstance(handler, ast.Attribute):
+                served.add(handler.attr)
+            elif isinstance(handler, ast.Name):
+                served.add(handler.id)
+        yield from self._visit(ctx, ctx.tree, False, frozenset(served))
 
-    def _visit(self, ctx: FileUnit, node: ast.AST,
-               guarded: bool) -> Iterator[Diagnostic]:
+    def _visit(self, ctx: FileUnit, node: ast.AST, guarded: bool,
+               served: frozenset[str]) -> Iterator[Diagnostic]:
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in served:
+                yield from self._visit(ctx, child, True, served)
+                continue
             if isinstance(child, ast.Try):
                 body_guarded = guarded or any(
                     _catches_interrupt(h) for h in child.handlers)
                 for stmt in child.body + child.orelse + child.finalbody:
-                    yield from self._visit(ctx, stmt, body_guarded)
+                    yield from self._visit(ctx, stmt, body_guarded, served)
                 for handler in child.handlers:
-                    yield from self._visit(ctx, handler, guarded)
+                    yield from self._visit(ctx, handler, guarded, served)
                 continue
             if isinstance(child, ast.Yield) and not guarded:
                 call = child.value
@@ -137,7 +169,7 @@ class BlockingRecvRule(Rule):
                         f"so shutdown can unwind it",
                         call,
                     )
-            yield from self._visit(ctx, child, guarded)
+            yield from self._visit(ctx, child, guarded, served)
 
 
 @rule

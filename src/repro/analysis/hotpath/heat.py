@@ -15,16 +15,19 @@ call resolution) instead of re-deriving a call graph:
   plus every function handed to ``sim.call_later``/``sim.call_at`` —
   the kernel runs those once per frame, ack or timer, so they are a
   service loop whose ``while True`` is the event loop itself (the TCP
-  sender is one: ``_on_wake`` pumps the window, with no process);
+  sender is one: ``_on_wake`` pumps the window, with no process) —
+  plus every handler handed to ``serve(key, handler, ...)``: the one
+  accept loop (``repro.net.tcp.TcpService``) spawns it per connection;
 * **hot functions** — everything reachable from a hot root through
   resolved calls, including ``sim.process(self._session(conn), ...)``
   spawn arguments (a per-connection spawn inside an accept loop runs
   per message, so its body is hot too);
 * **spawn names** — the ``name="wizard"`` literals on ``*.process``
-  calls, mapped to the generator function they spawn.  They are the
-  bridge to the dynamic profiler: a static finding reachable from
-  ``Wizard._serve`` is ranked by the measured heat of the process
-  named ``wizard``.
+  calls and the ``session_name="receiver-session"`` literals on
+  ``*.serve`` calls, mapped to the generator function they spawn.
+  They are the bridge to the dynamic profiler: a static finding
+  reachable from ``Wizard._serve`` is ranked by the measured heat of
+  the process named ``wizard``.
 
 Everything is AST-only and deterministic; nothing imports the analyzed
 code.
@@ -36,7 +39,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..concurrency import BLOCKING_RECV_ATTRS, scheduled_call_target
+from ..concurrency import (BLOCKING_RECV_ATTRS, scheduled_call_target,
+                           served_handler)
 from ..flow.symbols import FunctionInfo, SymbolTable
 
 __all__ = ["HotContext", "build_hot_context", "constant_true", "heat_share"]
@@ -122,67 +126,59 @@ def _is_service_loop(loop: ast.While) -> bool:
 
 
 def _callees(table: SymbolTable, fn: FunctionInfo) -> list[str]:
-    """Qualnames of every call (and spawn argument) the table resolves."""
+    """Qualnames of every call the table resolves.  The generator call
+    inside ``sim.process(self._session(conn), ...)`` is one of them: it
+    runs per spawn — per message inside a service loop."""
     out: list[str] = []
     for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        args = list(node.args)
-        # sim.process(self._session(conn), name=...): the spawned
-        # generator runs per spawn — per message inside a service loop
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "process"):
-            args = [a for a in node.args if isinstance(a, ast.Call)]
-            for arg in args:
-                target = table.resolve_call(arg.func, fn.module, fn.cls)
-                if isinstance(target, FunctionInfo):
-                    out.append(target.qualname)
-            continue
-        target = table.resolve_call(node.func, fn.module, fn.cls)
-        if isinstance(target, FunctionInfo):
-            out.append(target.qualname)
+        if isinstance(node, ast.Call):
+            target = table.resolve_call(node.func, fn.module, fn.cls)
+            if isinstance(target, FunctionInfo):
+                out.append(target.qualname)
     return out
 
 
-def _spawn_names(table: SymbolTable) -> dict[str, str]:
+def _spawn_walk(table: SymbolTable) -> tuple[dict[str, str], set[str]]:
+    """The one walk over everything handed to someone else to run ->
+    ``(spawn names, hand-off roots)``.
+
+    ``*.process(gen(...), name="x")`` names the generator it spawns.
+    ``*.serve(key, handler, session_name="x")`` names the handler too,
+    and makes it a root: the accept loop behind ``serve`` spawns it per
+    connection, through an attribute no call resolution can follow.  A
+    ``call_later``/``call_at`` target is a root with no process to name.
+    """
     names: dict[str, str] = {}
+    roots: set[str] = set()
     for qual in sorted(table.functions):
         fn = table.functions[qual]
         for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "process"):
-                continue
-            literal = None
-            for kw in node.keywords:
-                if (kw.arg == "name" and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)):
-                    literal = kw.value.value
-            if literal is None:
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Call):
-                    target = table.resolve_call(arg.func, fn.module, fn.cls)
-                    if (isinstance(target, FunctionInfo)
-                            and target.qualname not in names):
-                        names[target.qualname] = literal
-    return names
-
-
-def _scheduled_roots(table: SymbolTable) -> set[str]:
-    """Qualnames of every resolvable ``call_later``/``call_at`` target."""
-    out: set[str] = set()
-    for fn in table.functions.values():
-        for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
+            literal = {kw.arg: kw.value.value for kw in node.keywords
+                       if isinstance(kw.value, ast.Constant)
+                       and isinstance(kw.value.value, str)}
+            #: (function expression, its process name, runs as a root)
+            handed: list[tuple[ast.expr, "str | None", bool]] = []
             scheduled = scheduled_call_target(node)
-            if scheduled is None:
-                continue
-            target = table.resolve_call(scheduled, fn.module, fn.cls)
-            if isinstance(target, FunctionInfo):
-                out.add(target.qualname)
-    return out
+            if scheduled is not None:
+                handed.append((scheduled, None, True))
+            handler = served_handler(node)
+            if handler is not None:
+                handed.append((handler, literal.get("session_name"), True))
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "process"):
+                handed += [(arg.func, literal.get("name"), False)
+                           for arg in node.args if isinstance(arg, ast.Call)]
+            for expr, name, is_root in handed:
+                target = table.resolve_call(expr, fn.module, fn.cls)
+                if not isinstance(target, FunctionInfo):
+                    continue
+                if is_root:
+                    roots.add(target.qualname)
+                if name is not None:
+                    names.setdefault(target.qualname, name)
+    return names, roots
 
 
 def build_hot_context(table: SymbolTable) -> HotContext:
@@ -203,11 +199,12 @@ def build_hot_context(table: SymbolTable) -> HotContext:
                 if dotted in table.functions:
                     registry_roots.add(dotted)
 
+    ctx.spawn_names, handed_roots = _spawn_walk(table)
+
     # closure over resolved calls, tracking which roots reach what
     reach: dict[str, set[str]] = {}
     callee_cache: dict[str, list[str]] = {}
-    for root in sorted(set(ctx.roots) | registry_roots
-                       | _scheduled_roots(table)):
+    for root in sorted(set(ctx.roots) | registry_roots | handed_roots):
         stack = [root]
         seen: set[str] = set()
         while stack:
@@ -225,5 +222,4 @@ def build_hot_context(table: SymbolTable) -> HotContext:
 
     ctx.hot = {qual: tuple(sorted(roots))
                for qual, roots in sorted(reach.items())}
-    ctx.spawn_names = _spawn_names(table)
     return ctx

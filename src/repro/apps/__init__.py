@@ -1,5 +1,7 @@
-"""Applications from the thesis' evaluation: matmul and massd."""
+"""Applications from the thesis' evaluation: matmul and massd, two sets
+of blocks on the one block farm (:mod:`.farm`)."""
 
+from .farm import BlockService, Farm, FarmResult
 from .massd import FileServer, MassdClient, MassdResult, shape_host_egress
 from .matmul import (
     DOUBLE_BYTES,
@@ -13,6 +15,9 @@ from .matmul import (
 )
 
 __all__ = [
+    "Farm",
+    "FarmResult",
+    "BlockService",
     "MatMulWorker",
     "MatMulMaster",
     "MatMulResult",

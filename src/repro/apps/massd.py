@@ -10,35 +10,23 @@ The thesis drives it as ``massd (data, blk, bw)`` with sizes in KBytes and
 the *rshaper*-imposed bandwidth in KB/s — :class:`MassdClient.run` mirrors
 that parameterisation (we take sizes in KB too).
 
-Self-healing (HA extension): ``run`` accepts
-:class:`~repro.core.session.SmartSession` objects alongside plain
-connections — a fetcher whose server dies requeues only the in-flight
-block and fails over to a replacement file server.
+That algorithm is :mod:`.farm`'s; this module supplies the blocks: the
+file's cut into sizes, one block's ``GET`` / ``BLOCK`` exchange and the
+file server's (optional) disk read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..net.shaper import TokenBucket
-from ..net.tcp import ConnectionClosed
-from ..sim import Interrupt
 from ..cluster.host import SmartHost
+from ..net.shaper import TokenBucket
+from .farm import BlockService, Farm, FarmResult
 
 __all__ = ["FileServer", "MassdClient", "MassdResult", "shape_host_egress"]
 
 MASSD_PORT = 9000
 KB = 1024
-
-
-def _is_session(entry) -> bool:
-    """Duck-typed check for :class:`~repro.core.session.SmartSession`
-    (kept structural so the apps stay import-independent of core)."""
-    return hasattr(entry, "failover")
-
-
-def _addr_of(entry) -> str:
-    return entry.addr if _is_session(entry) else entry.remote_addr
 
 
 def shape_host_egress(host: SmartHost, rate_mbps: float,
@@ -59,78 +47,33 @@ def shape_host_egress(host: SmartHost, rate_mbps: float,
     return bucket
 
 
-class FileServer:
+class FileServer(BlockService):
     """Serves ``GET`` block requests on the service port."""
 
     def __init__(self, host: SmartHost, port: int = MASSD_PORT, mss: int = 8192,
                  read_from_disk: bool = False):
-        self.host = host
-        self.port = port
-        self.mss = mss
+        super().__init__(host, port, mss)
         self.read_from_disk = read_from_disk
         self.blocks_served = 0
         self.bytes_served = 0
-        self._proc = None
-        self._sessions: list = []
 
     def start(self) -> None:
-        self._proc = self.host.sim.process(
-            self._serve(), name=f"massd-server@{self.host.name}"
-        )
+        self.serve("GET", self._read, name="massd-server", session_name="massd-sess")
 
-    def stop(self) -> None:
-        for p in [self._proc] + self._sessions:
-            if p is not None and p.is_alive:
-                p.interrupt("stop")
-
-    def _serve(self):
-        listener = self.host.stack.tcp.listen(self.port, mss=self.mss)
-        try:
-            while True:
-                conn = yield listener.accept()
-                self._sessions.append(
-                    self.host.sim.process(
-                        self._session(conn), name=f"massd-sess@{self.host.name}"
-                    )
-                )
-        except Interrupt:
-            listener.close()
-
-    def _session(self, conn):
-        try:
-            while True:
-                try:
-                    msg, _ = yield conn.recv()
-                except ConnectionClosed:
-                    return
-                if msg[0] != "GET":
-                    continue
-                _, block_id, nbytes = msg
-                if self.read_from_disk:
-                    yield self.host.machine.disk.read(nbytes)
-                self.blocks_served += 1
-                self.bytes_served += nbytes
-                try:
-                    conn.send(("BLOCK", block_id), nbytes)
-                except ConnectionClosed:
-                    return  # downloader died mid-read; drop the block
-        except Interrupt:
-            conn.close()
+    def _read(self, block_id, nbytes):
+        if self.read_from_disk:
+            yield self.host.machine.disk.read(nbytes)
+        self.blocks_served += 1
+        self.bytes_served += nbytes
+        return ("BLOCK", block_id), nbytes
 
 
-@dataclass
-class MassdResult:
+@dataclass(kw_only=True)
+class MassdResult(FarmResult):
     """Outcome of one download."""
 
     data_kb: int
     blk_kb: int
-    servers: list[str]
-    elapsed: float
-    blocks_per_server: dict[str, int] = field(default_factory=dict)
-    #: blocks requeued after a connection died mid-fetch (checkpoints)
-    requeued_blocks: int = 0
-    #: successful server replacements across all session slots
-    failovers: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -164,92 +107,33 @@ class MassdResult:
         return digest.hexdigest()[:16]
 
 
-class MassdClient:
+class MassdClient(Farm):
     """The downloader (runs on the client host)."""
-
-    def __init__(self, host: SmartHost):
-        self.host = host
-        self.sim = host.sim
-
-    def _checkpoint(self, tasks: list, task, stats: dict) -> None:
-        """Requeue the in-flight block after its connection died — the
-        whole checkpoint (see :meth:`MatMulMaster._checkpoint`; the chaos
-        explorer's seeded mutants override this)."""
-        tasks.append(task)
-        stats["requeued"] += 1
 
     def run(self, conns, data_kb: int, blk_kb: int):
         """Process generator -> :class:`MassdResult`.
 
         ``conns`` are established TCP connections to file servers (from
         :meth:`~repro.core.client.SmartClient.smart_sockets` or manual
-        connects for the random baseline).
+        connects for the random baseline) or
+        :class:`~repro.core.session.SmartSession` slots.
         """
         if not conns:
             raise ValueError("no server connections supplied")
         if data_kb <= 0 or blk_kb <= 0:
             raise ValueError("data and block sizes must be positive")
-        sim = self.sim
         n_blocks, rem = divmod(data_kb, blk_kb)
         sizes = [blk_kb * KB] * n_blocks + ([rem * KB] if rem else [])
-        tasks = list(enumerate(sizes))
-        tasks.reverse()
-        done_counts: dict[str, int] = {_addr_of(c): 0 for c in conns}
-        stats = {"requeued": 0, "failovers": 0}
-        finished = sim.event()
-        live = {"n": len(conns)}
-        t0 = sim.now
 
-        def fetch(entry):
-            session = entry if _is_session(entry) else None
-            conn = session.conn if session is not None else entry
-            try:
-                while tasks:
-                    task = tasks.pop()
-                    block_id, nbytes = task
-                    try:
-                        conn.send(("GET", block_id, nbytes), 16)
-                        msg, got = yield conn.recv()
-                    except ConnectionClosed:
-                        # checkpoint: only the lost shard goes back
-                        self._checkpoint(tasks, task, stats)
-                        if session is None:
-                            break  # plain socket: retire, peers absorb
-                        conn = yield from session.failover()
-                        if conn is None:
-                            break  # slot lost for good
-                        stats["failovers"] += 1
-                        continue
-                    if msg[0] != "BLOCK" or msg[1] != block_id:
-                        raise RuntimeError(f"protocol violation: {msg[:2]}")
-                    if got != nbytes:
-                        raise RuntimeError(
-                            f"short block {block_id}: {got} != {nbytes}"
-                        )
-                    addr = conn.remote_addr
-                    done_counts[addr] = done_counts.get(addr, 0) + 1
-            except Interrupt:
-                return  # cancelled (e.g. server died); leave tasks to peers
-            live["n"] -= 1
-            if live["n"] == 0 and not finished.triggered:
-                finished.succeed()
+        def request(task):
+            return ("GET", *task), 16
 
-        fetchers = [
-            sim.process(fetch(entry), name=f"massd-fetch-{_addr_of(entry)}")
-            for entry in conns
-        ]
-        yield finished
-        assert all(f.triggered for f in fetchers), "a fetcher never finished"
-        if tasks:
-            raise RuntimeError(
-                f"{len(tasks)} blocks undone: every server slot died"
-            )
-        return MassdResult(
-            data_kb=data_kb,
-            blk_kb=blk_kb,
-            servers=[_addr_of(c) for c in conns],
-            elapsed=sim.now - t0,
-            blocks_per_server=done_counts,
-            requeued_blocks=stats["requeued"],
-            failovers=stats["failovers"],
-        )
+        def accept(task, _msg, got):
+            block_id, nbytes = task
+            if got != nbytes:
+                raise RuntimeError(f"short block {block_id}: {got} != {nbytes}")
+
+        farmed = yield from self._farm(
+            conns, list(enumerate(sizes)), request, accept,
+            reply="BLOCK", slot_name="massd-fetch")
+        return MassdResult(data_kb=data_kb, blk_kb=blk_kb, **farmed)

@@ -18,25 +18,21 @@ machine's ``matmul`` speed.  Transfers are real simulated TCP messages of
 ``8`` bytes per matrix entry, so communication overhead (which the thesis
 blames for the shrinking 6v6 gain) emerges from the network model.
 
-Self-healing (HA extension): ``run`` accepts
-:class:`~repro.core.session.SmartSession` objects alongside plain
-connections.  A feeder whose connection dies mid-block *checkpoints* by
-requeueing only the in-flight block, then asks its session for a
-replacement server; if failover succeeds the feeder resumes on the new
-worker, otherwise it retires and its remaining work drains to the peers.
-The run fails loudly only when every slot died with blocks left undone.
+The dispatch loop itself — slots, the requeue-the-in-flight-block
+checkpoint, session failover — is :mod:`.farm`'s, shared with massd; this
+module supplies the blocks: the tiling, one block's ``TASK`` / ``RESULT``
+exchange and the worker's multiply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..net.tcp import ConnectionClosed
-from ..sim import Interrupt, Simulator
 from ..cluster.host import SmartHost
+from .farm import BlockService, Farm, FarmResult
 
 __all__ = [
     "MatMulWorker",
@@ -51,16 +47,6 @@ __all__ = [
 
 DOUBLE_BYTES = 8
 MATMUL_PORT = 9000
-
-
-def _is_session(entry) -> bool:
-    """Duck-typed check for :class:`~repro.core.session.SmartSession`
-    (kept structural so the apps stay import-independent of core)."""
-    return hasattr(entry, "failover")
-
-
-def _addr_of(entry) -> str:
-    return entry.addr if _is_session(entry) else entry.remote_addr
 
 
 def flops_for(rows: int, cols: int, inner: int) -> float:
@@ -108,85 +94,36 @@ def blocked_multiply(a: np.ndarray, b: np.ndarray, blk: int) -> np.ndarray:
     return out
 
 
-class MatMulWorker:
+class MatMulWorker(BlockService):
     """The worker service: listens on the service port, multiplies stripes."""
 
     def __init__(self, host: SmartHost, port: int = MATMUL_PORT, mss: int = 8192):
-        self.host = host
-        self.port = port
-        self.mss = mss
+        super().__init__(host, port, mss)
         self.blocks_done = 0
-        self._proc = None
-        self._sessions: list = []
 
     def start(self) -> None:
-        self._proc = self.host.sim.process(
-            self._serve(), name=f"matmul-worker@{self.host.name}"
+        self.serve("TASK", self._multiply, name="matmul-worker", session_name="matmul-sess")
+
+    def _multiply(self, block_id, rows, cols, inner, a_stripe, b_stripe):
+        yield self.host.machine.compute(
+            flops_for(rows, cols, inner), kind="matmul",
+            name=f"matmul-blk{block_id}",
         )
-
-    def stop(self) -> None:
-        for p in [self._proc] + self._sessions:
-            if p is not None and p.is_alive:
-                p.interrupt("stop")
-
-    def _serve(self):
-        listener = self.host.stack.tcp.listen(self.port, mss=self.mss)
-        try:
-            while True:
-                conn = yield listener.accept()
-                self._sessions.append(
-                    self.host.sim.process(
-                        self._session(conn), name=f"matmul-sess@{self.host.name}"
-                    )
-                )
-        except Interrupt:
-            listener.close()
-
-    def _session(self, conn):
-        machine = self.host.machine
-        try:
-            while True:
-                try:
-                    msg, _ = yield conn.recv()
-                except ConnectionClosed:
-                    return
-                if msg[0] != "TASK":
-                    continue
-                _, block_id, rows, cols, inner, a_stripe, b_stripe = msg
-                yield machine.compute(
-                    flops_for(rows, cols, inner), kind="matmul",
-                    name=f"matmul-blk{block_id}",
-                )
-                if a_stripe is not None and b_stripe is not None:
-                    block = a_stripe @ b_stripe
-                else:
-                    block = None
-                self.blocks_done += 1
-                try:
-                    conn.send(
-                        ("RESULT", block_id, block),
-                        max(1, rows * cols * DOUBLE_BYTES),
-                    )
-                except ConnectionClosed:
-                    return  # master died mid-compute; drop the result
-        except Interrupt:
-            conn.close()
+        if a_stripe is not None and b_stripe is not None:
+            block = a_stripe @ b_stripe
+        else:
+            block = None
+        self.blocks_done += 1
+        return ("RESULT", block_id, block), max(1, rows * cols * DOUBLE_BYTES)
 
 
-@dataclass
-class MatMulResult:
+@dataclass(kw_only=True)
+class MatMulResult(FarmResult):
     """Outcome of one distributed run."""
 
     n: int
     blk: int
-    servers: list[str]
-    elapsed: float
-    blocks_per_server: dict[str, int] = field(default_factory=dict)
     product: Optional[np.ndarray] = None
-    #: blocks requeued after a connection died mid-multiply (checkpoints)
-    requeued_blocks: int = 0
-    #: successful server replacements across all session slots
-    failovers: int = 0
 
     @property
     def total_flops(self) -> float:
@@ -213,26 +150,15 @@ class MatMulResult:
         return digest.hexdigest()[:16]
 
 
-class MatMulMaster:
+class MatMulMaster(Farm):
     """The master program (runs on the client host).
 
     ``run(conns, n, blk)`` is a process generator: it drives the given
-    worker connections to completion and returns a :class:`MatMulResult`.
+    worker connections (or :class:`~repro.core.session.SmartSession`
+    slots) to completion and returns a :class:`MatMulResult`.
     Pass real matrices via ``a``/``b`` to verify numerics; omit them for a
     timing-only run (zero-copy symbolic payloads, same wire/CPU costs).
     """
-
-    def __init__(self, host: SmartHost):
-        self.host = host
-        self.sim: Simulator = host.sim
-
-    def _checkpoint(self, tasks: list, task, stats: dict) -> None:
-        """Requeue the in-flight block after its connection died — this
-        *is* the whole checkpoint.  Kept as a hook so the chaos explorer
-        can substitute a seeded-bug mutant (``repro explore --mutant``)
-        and prove the fault-space search finds real checkpoint defects."""
-        tasks.append(task)
-        stats["requeued"] += 1
 
     def run(self, conns, n: int, blk: int,
             a: Optional[np.ndarray] = None, b: Optional[np.ndarray] = None):
@@ -242,79 +168,24 @@ class MatMulMaster:
             raise ValueError("supply both matrices or neither")
         if a is not None and (a.shape != (n, n) or b.shape != (n, n)):
             raise ValueError(f"matrices must be {n}x{n}")
-        sim = self.sim
-        tasks = list(enumerate(block_grid(n, blk)))
-        tasks.reverse()  # pop() takes them in natural order
         product = np.zeros((n, n), dtype=float) if a is not None else None
-        done_counts: dict[str, int] = {_addr_of(c): 0 for c in conns}
-        stats = {"requeued": 0, "failovers": 0}
-        t0 = sim.now
-        finished = sim.event()
-        outstanding = {"n": 0}
 
-        def feed(entry):
-            """One per-slot driver: send task, await result, repeat.  A
-            session-backed slot survives its worker: the in-flight block
-            is requeued (the checkpoint) and the slot fails over."""
-            session = entry if _is_session(entry) else None
-            conn = session.conn if session is not None else entry
-            try:
-                while tasks:
-                    task = tasks.pop()
-                    block_id, (r0, rows, c0, cols) = task
-                    if a is not None:
-                        a_stripe = a[r0:r0 + rows, :]
-                        b_stripe = b[:, c0:c0 + cols]
-                    else:
-                        a_stripe = b_stripe = None
-                    nbytes = (rows * n + n * cols) * DOUBLE_BYTES
-                    try:
-                        conn.send(
-                            ("TASK", block_id, rows, cols, n,
-                             a_stripe, b_stripe),
-                            nbytes,
-                        )
-                        msg, _ = yield conn.recv()
-                    except ConnectionClosed:
-                        # checkpoint: only the lost shard goes back
-                        self._checkpoint(tasks, task, stats)
-                        if session is None:
-                            break  # plain socket: retire, peers absorb
-                        conn = yield from session.failover()
-                        if conn is None:
-                            break  # slot lost for good
-                        stats["failovers"] += 1
-                        continue
-                    if msg[0] != "RESULT" or msg[1] != block_id:
-                        raise RuntimeError(f"protocol violation: {msg[:2]}")
-                    if product is not None:
-                        product[r0:r0 + rows, c0:c0 + cols] = msg[2]
-                    addr = conn.remote_addr
-                    done_counts[addr] = done_counts.get(addr, 0) + 1
-            except Interrupt:
-                return  # cancelled (e.g. worker died); leave tasks to peers
-            outstanding["n"] -= 1
-            if outstanding["n"] == 0 and not finished.triggered:
-                finished.succeed()
+        def request(task):
+            block_id, (r0, rows, c0, cols) = task
+            if a is not None:
+                a_stripe = a[r0:r0 + rows, :]
+                b_stripe = b[:, c0:c0 + cols]
+            else:
+                a_stripe = b_stripe = None
+            return (("TASK", block_id, rows, cols, n, a_stripe, b_stripe),
+                    (rows * n + n * cols) * DOUBLE_BYTES)
 
-        outstanding["n"] = len(conns)
-        feeders = [
-            sim.process(feed(entry), name=f"matmul-feed-{_addr_of(entry)}")
-            for entry in conns
-        ]
-        yield finished
-        assert all(f.triggered for f in feeders), "a feeder never finished"
-        if tasks:
-            raise RuntimeError(
-                f"{len(tasks)} blocks undone: every server slot died"
-            )
-        return MatMulResult(
-            n=n,
-            blk=blk,
-            servers=[_addr_of(c) for c in conns],
-            elapsed=sim.now - t0,
-            blocks_per_server=done_counts,
-            product=product,
-            requeued_blocks=stats["requeued"],
-            failovers=stats["failovers"],
-        )
+        def accept(task, msg, _nbytes):
+            if product is not None:
+                _, (r0, rows, c0, cols) = task
+                product[r0:r0 + rows, c0:c0 + cols] = msg[2]
+
+        farmed = yield from self._farm(
+            conns, list(enumerate(block_grid(n, blk))), request, accept,
+            reply="RESULT", slot_name="matmul-feed")
+        return MatMulResult(n=n, blk=blk, product=product, **farmed)

@@ -54,7 +54,7 @@ replica with a skewed clock is ranked by the actual age of its data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from ..lang.analysis import CompileCache
 from ..net.tcp import ConnectError, TcpConnection
@@ -159,22 +159,17 @@ class SmartClient:
         self,
         sim: Simulator,
         stack,
-        wizard_addr: Optional[str] = None,
+        wizard_addrs: Sequence[str],
         config: Config = DEFAULT_CONFIG,
         rng: Optional["random.Random"] = None,
-        wizard_addrs: Optional[list[str]] = None,
     ):
         self.sim = sim
         self.stack = stack
-        #: ranked wizard replica fleet — the explicit list wins; the
-        #: single-address form is kept for one-wizard deployments
-        addrs = list(wizard_addrs) if wizard_addrs else []
-        if not addrs and wizard_addr is not None:
-            addrs = [wizard_addr]
-        if not addrs:
+        #: ranked wizard replica fleet (one address in the thesis'
+        #: one-wizard deployments)
+        self.wizard_addrs: list[str] = list(wizard_addrs)
+        if not self.wizard_addrs:
             raise ValueError("SmartClient needs at least one wizard address")
-        self.wizard_addrs: list[str] = addrs
-        self.wizard_addr = addrs[0]
         self.config = config
         # deployments hand in a per-client named stream; the standalone
         # fallback derives one the same seeded way (never the global RNG)

@@ -16,7 +16,7 @@ import re
 from typing import Optional
 
 from ..host.procfs import ProcFS
-from ..sim import Interrupt, Simulator
+from ..sim import HostClock, Interrupt, Simulator
 from .config import Config, DEFAULT_CONFIG
 from .records import ServerStatusReport
 
@@ -155,14 +155,14 @@ class ServerProbe:
         selected_params: Optional[set[str]] = None,
         security_level: int = 1,
         use_tcp: bool = False,
-        clock=None,
+        clock: Optional[HostClock] = None,
     ):
         self.sim = sim
         self.procfs = procfs
-        #: the host's (possibly skewed) wall clock; None = true sim time.
-        #: Only used for the inter-scan rate deltas — a constant offset
-        #: cancels, drift skews rates a little, as on a real drifty box.
-        self.clock = clock
+        #: the host's (possibly skewed) wall clock.  Only used for the
+        #: inter-scan rate deltas — a constant offset cancels, drift
+        #: skews rates a little, as on a real drifty box.
+        self.clock = clock or HostClock(sim)
         self.stack = stack
         self.monitor_addr = monitor_addr
         self.group = group
@@ -214,13 +214,10 @@ class ServerProbe:
             if self._alloc is not None and self._alloc.live:
                 machine.memory.free(self._alloc)
 
-    def _now(self) -> float:
-        return self.clock.now() if self.clock is not None else self.sim.now
-
     # -- scanning --------------------------------------------------------------
     def scan(self) -> ServerStatusReport:
         """One /proc sweep; returns the report (also kept as ``last_report``)."""
-        now = self._now()
+        now = self.clock.now()
         l1, l5, l15 = parse_loadavg(self.procfs.read("/proc/loadavg"))
         stat_text = self.procfs.read("/proc/stat")
         cpu = parse_stat_cpu(stat_text)

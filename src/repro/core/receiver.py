@@ -39,7 +39,7 @@ import dataclasses
 from typing import Optional
 
 from ..net.tcp import ConnectError, ConnectionClosed
-from ..sim import Interrupt, SharedMemory, Simulator, shared
+from ..sim import HostClock, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
 from .records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, WireMessage
 
@@ -64,19 +64,20 @@ class Receiver:
         stack,
         shm: SharedMemory,
         config: Config = DEFAULT_CONFIG,
-        clock=None,
+        clock: Optional[HostClock] = None,
     ):
         self.sim = sim
         self.stack = stack
         self.shm = shm
         self.config = config
-        #: the host's (possibly skewed) wall clock; None = true sim time
-        self.clock = clock
+        #: the host's (possibly skewed) wall clock.  Only used to *detect*
+        #: reporter/receiver clock disagreement — every freshness interval
+        #: is measured on the monotonic clock instead.
+        self.clock = clock or HostClock(sim)
         #: distributed mode: transmitter addresses to pull from
         self.transmitters: list[str] = []
         self._pull_conns: dict[str, object] = {}
-        self._listener_proc = None
-        self._sessions = []
+        self._service = None
         #: per-source contributions: src addr -> {msg_type: data}
         self._sources: dict[str, dict[int, dict]] = {}
         #: msg_type -> sim time of the last applied snapshot (staleness flag)
@@ -95,14 +96,14 @@ class Receiver:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         """Centralized mode: accept transmitter connections and apply pushes."""
-        self._listener_proc = self.sim.process(self._listen(), name="receiver-listen")
+        self._service = self.stack.tcp.serve(
+            self.config.ports.receiver, self._session,
+            name="receiver-listen", session_name="receiver-session",
+        )
 
     def stop(self) -> None:
-        if self._listener_proc is not None and self._listener_proc.is_alive:
-            self._listener_proc.interrupt("stop")
-        for proc in self._sessions:
-            if proc.is_alive:
-                proc.interrupt("stop")
+        if self._service is not None:
+            self._service.stop()
 
     def add_transmitter(self, addr: str) -> None:
         """Distributed mode: register a transmitter to pull from."""
@@ -110,13 +111,6 @@ class Receiver:
             self.transmitters.append(addr)
 
     # -- data access -------------------------------------------------------------
-    def _wall_now(self) -> float:
-        """This host's wall-clock reading (skewed when a skew-clock fault
-        is active); the simulator's true time without a clock.  Only used
-        to *detect* reporter/receiver clock disagreement — every freshness
-        interval is measured on the monotonic clock instead."""
-        return self.clock.now() if self.clock is not None else self.sim.now
-
     def _segment_key(self, msg_type: int) -> int:
         return {
             MSG_SYSDB: self.config.shm.wizard_system,
@@ -163,28 +157,25 @@ class Receiver:
             )
         return record
 
-    def _apply(self, src: str, msg_type: int, data: dict, stamp: float = -1.0):
+    def _apply(self, src: str, msg_type: int, data: dict, stamp: float):
         """Process generator: merge one snapshot into shared memory.
 
         ``stamp`` is the sender's wall-clock reading when the body left
-        it (-1 = unstamped, the pre-gray wire format).  Stamped records
-        are *always* rebased onto this host's monotonic clock as
-        ``arrival - age``, where ``age = stamp - updated_at`` is measured
-        entirely on the sender's clock — a constant skew offset cancels,
-        so freshness never trusts any wall clock (relative epochs).  A
-        stamp that also disagrees with our *wall* clock beyond
-        ``SKEW_TOLERANCE`` increments ``suspected_skew``: someone's
-        clock (theirs or ours) is lying, and operators want to know."""
+        it.  Records are *always* rebased onto this host's monotonic
+        clock as ``arrival - age``, where ``age = stamp - updated_at`` is
+        measured entirely on the sender's clock — a constant skew offset
+        cancels, so freshness never trusts any wall clock (relative
+        epochs).  A stamp that also disagrees with our *wall* clock
+        beyond ``SKEW_TOLERANCE`` increments ``suspected_skew``:
+        someone's clock (theirs or ours) is lying, and operators want to
+        know."""
         per_src = self._sources.setdefault(src, {})
-        fresh = dict(data)
-        if stamp >= 0.0:
-            if abs(self._wall_now() - stamp) > SKEW_TOLERANCE:
-                self.suspected_skew += 1
-            delta = self.sim.now - stamp
-            fresh = {
-                k: self._rebase_record(v, delta) for k, v in fresh.items()
-            }
-        per_src[msg_type] = fresh
+        if abs(self.clock.now() - stamp) > SKEW_TOLERANCE:
+            self.suspected_skew += 1
+        delta = self.sim.now - stamp
+        per_src[msg_type] = {
+            k: self._rebase_record(v, delta) for k, v in data.items()
+        }
         merged: dict = {}
         for contrib in self._sources.values():
             merged.update(contrib.get(msg_type, {}))
@@ -197,44 +188,31 @@ class Receiver:
         self._updated_at[msg_type] = self.sim.now
         self.messages_received += 1
 
-    # -- centralized: accept pushes --------------------------------------------------
-    def _listen(self):
-        listener = self.stack.tcp.listen(self.config.ports.receiver)
-        try:
-            while True:
-                conn = yield listener.accept()
-                self._sessions[:] = [p for p in self._sessions if p.is_alive]
-                proc = self.sim.process(self._session(conn), name="receiver-session")
-                self._sessions.append(proc)
-        except Interrupt:
-            listener.close()
+    def _on_frame(self, src: str, payload, announced: Optional[int]):
+        """Process generator: one frame of ``src``'s header / body stream,
+        pushed or pulled -> ``(announced, was_body)``.  A ``[type, size]``
+        header announces the body that follows (the receiver would size
+        its buffer here); a body consumes the announcement.  Frames come
+        from outside the process: a body too short to carry ``(type,
+        data, stamp)``, contradicting its header or naming no database
+        is skipped, never indexed past."""
+        kind, *fields = payload
+        if kind == "hdr" and fields:
+            return fields[0], False
+        if kind != "body":
+            return announced, False
+        if (len(fields) >= 3 and announced in (None, fields[0])
+                and fields[0] in (MSG_SYSDB, MSG_NETDB, MSG_SECDB)):
+            yield from self._apply(src, *fields[:3])
+        return None, True
 
+    # -- centralized: accept pushes --------------------------------------------------
     def _session(self, conn):
-        expected_type: Optional[int] = None
-        try:
-            while True:
-                try:
-                    payload, _ = yield conn.recv()
-                except ConnectionClosed:
-                    return
-                kind = payload[0]
-                if kind == "hdr":
-                    # [type, size] header: the receiver would allocate the
-                    # buffer here; we remember what body to expect
-                    expected_type = payload[1]
-                elif kind == "body":
-                    msg_type, data = payload[1], payload[2]
-                    # 4th element (when present): sender clock at send time
-                    stamp = payload[3] if len(payload) > 3 else -1.0
-                    if expected_type is not None and msg_type != expected_type:
-                        continue  # out-of-protocol; skip
-                    expected_type = None
-                    if msg_type in (MSG_SYSDB, MSG_NETDB, MSG_SECDB):
-                        yield from self._apply(
-                            conn.remote_addr, msg_type, data, stamp
-                        )
-        except Interrupt:
-            conn.close()
+        announced: Optional[int] = None
+        while True:
+            payload, _ = yield conn.recv()
+            announced, _ = yield from self._on_frame(
+                conn.remote_addr, payload, announced)
 
     # -- distributed: pull on demand ---------------------------------------------------
     def pull_all(self):
@@ -266,7 +244,7 @@ class Receiver:
                 self._pull_conns.pop(addr, None)
                 continue
             pending = 3  # sysdb, netdb, secdb
-            expected_type: Optional[int] = None
+            announced: Optional[int] = None
             deadline = self.sim.timeout(PULL_TIMEOUT)
             while pending > 0:
                 get = conn.recv()
@@ -284,13 +262,6 @@ class Receiver:
                     self._pull_conns.pop(addr, None)
                     break
                 payload, _ = fired[get]
-                kind = payload[0]
-                if kind == "hdr":
-                    expected_type = payload[1]
-                elif kind == "body":
-                    msg_type, data = payload[1], payload[2]
-                    stamp = payload[3] if len(payload) > 3 else -1.0
-                    expected_type = None
-                    if msg_type in (MSG_SYSDB, MSG_NETDB, MSG_SECDB):
-                        yield from self._apply(addr, msg_type, data, stamp)
-                    pending -= 1
+                announced, was_body = yield from self._on_frame(
+                    addr, payload, announced)
+                pending -= was_body

@@ -251,20 +251,17 @@ class ReliableServer:
         self.window = window
         self.sessions: dict[int, ReliableSession] = {}
         self.accepts = Store(stack.sim)
-        self._proc = None
-        self._greeters: list = []
+        self._service = None
 
     def start(self) -> None:
-        listener = self.stack.tcp.listen(self.port, mss=self.mss,
-                                         window=self.window)
-        self._proc = self.stack.sim.process(
-            self._accept_loop(listener), name=f"rserver-{self.port}"
+        self._service = self.stack.tcp.serve(
+            self.port, self._greet, name=f"rserver-{self.port}",
+            session_name="rserver-greet", mss=self.mss, window=self.window,
         )
 
     def stop(self) -> None:
-        for proc in [self._proc, *self._greeters]:
-            if proc is not None and proc.is_alive:
-                proc.interrupt("stop")
+        if self._service is not None:
+            self._service.stop()
         for session in self.sessions.values():
             session._detach()
 
@@ -273,26 +270,10 @@ class ReliableServer:
         (reconnects to existing sessions do not surface here)."""
         return self.accepts.get()
 
-    def _accept_loop(self, listener):
-        try:
-            while True:
-                conn = yield listener.accept()
-                self._greeters.append(self.stack.sim.process(
-                    self._greet(conn), name="rserver-greet"
-                ))
-        except Interrupt:
-            listener.close()
-
     def _greet(self, conn):
-        try:
-            msg, _ = yield conn.recv()
-        except ConnectionClosed:
-            return
-        except Interrupt:
-            # server stop() interrupts greeters mid-handshake; unwind
-            # cleanly instead of crashing the process with a traceback
-            conn.close()
-            return
+        """One connection's handshake; the session that adopts it owns
+        the transport from then on (``serve`` closes an interrupted one)."""
+        msg, _ = yield conn.recv()
         if msg[0] != "RHELLO":
             conn.close()
             return

@@ -10,8 +10,7 @@ intervals — this is how servers leave (and later rejoin) the pool.
 
 from __future__ import annotations
 
-
-from ..sim import Interrupt, SharedMemory, Simulator, shared
+from ..sim import HostClock, Interrupt, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
 from .records import ServerStatusRecord, ServerStatusReport
 
@@ -27,20 +26,19 @@ class SystemMonitor:
         stack,
         shm: SharedMemory,
         config: Config = DEFAULT_CONFIG,
-        clock=None,
+        clock: HostClock | None = None,
     ):
         self.sim = sim
         self.stack = stack
         self.shm = shm
         self.config = config
-        #: the host's (possibly skewed) wall clock; None = true sim time.
-        #: Records are stamped with it, exactly as a real monitor stamps
-        #: with gettimeofday() — downstream receivers rebase if it lies.
-        self.clock = clock
+        #: the host's (possibly skewed) wall clock.  Records are stamped
+        #: with it, exactly as a real monitor stamps with gettimeofday()
+        #: — downstream receivers rebase if it lies.
+        self.clock = clock or HostClock(sim)
         self.segment_key = config.shm.monitor_system
         self._listener = None
-        self._tcp_listener = None
-        self._tcp_sessions: list = []
+        self._service = None
         self._reaper = None
         self.reports_received = 0
         self.tcp_reports_received = 0
@@ -57,23 +55,20 @@ class SystemMonitor:
         self._listener = self.sim.process(self._listen(sock), name="sysmon-listen")
         # thesis §6 "UDP vs TCP": long reports on congested networks should
         # switch to TCP — the monitor accepts both on the same port number
-        self._tcp_listener = self.sim.process(
-            self._listen_tcp(), name="sysmon-listen-tcp"
+        self._service = self.stack.tcp.serve(
+            self.config.ports.system_monitor, self._tcp_session,
+            name="sysmon-listen-tcp", session_name="sysmon-tcp-session",
         )
         self._reaper = self.sim.process(self._reap(), name="sysmon-reap")
 
     def stop(self) -> None:
-        for proc in (self._listener, self._tcp_listener, self._reaper,
-                     *self._tcp_sessions):
+        for proc in (self._listener, self._reaper):
             if proc is not None and proc.is_alive:
                 proc.interrupt("stop")
+        if self._service is not None:
+            self._service.stop()
 
     # -- data access -------------------------------------------------------------
-    def _now(self) -> float:
-        """This host's wall-clock reading (skewed when a skew-clock fault
-        is active); the simulator's true time without a clock."""
-        return self.clock.now() if self.clock is not None else self.sim.now
-
     def database(self) -> dict[str, ServerStatusRecord]:
         """Snapshot of the server status DB (addr -> record)."""
         return dict(self.shm.segment(self.segment_key).read() or {})
@@ -95,42 +90,17 @@ class SystemMonitor:
         finally:
             sock.close()  # free the port so a restarted monitor can bind
 
-    def _listen_tcp(self):
-        listener = self.stack.tcp.listen(self.config.ports.system_monitor)
-        try:
-            while True:
-                conn = yield listener.accept()
-                # prune finished sessions so the list cannot grow without
-                # bound over a long run full of short-lived reporters
-                self._tcp_sessions[:] = [
-                    p for p in self._tcp_sessions if p.is_alive
-                ]
-                proc = self.sim.process(
-                    self._tcp_session(conn), name="sysmon-tcp-session"
-                )
-                self._tcp_sessions.append(proc)
-        except Interrupt:
-            listener.close()
-
     def _tcp_session(self, conn):
-        from ..net.tcp import ConnectionClosed
-
-        try:
-            while True:
-                try:
-                    payload, _ = yield conn.recv()
-                except ConnectionClosed:
-                    return
-                try:
-                    report = ServerStatusReport.from_wire(payload)
-                except (ValueError, TypeError):
-                    self.parse_errors += 1
-                    continue
-                self.reports_received += 1
-                self.tcp_reports_received += 1
-                yield from self._upsert(report)
-        except Interrupt:
-            conn.close()
+        while True:
+            payload, _ = yield conn.recv()
+            try:
+                report = ServerStatusReport.from_wire(payload)
+            except (ValueError, TypeError):
+                self.parse_errors += 1
+                continue
+            self.reports_received += 1
+            self.tcp_reports_received += 1
+            yield from self._upsert(report)
 
     def _upsert(self, report: ServerStatusReport):
         seg = self.shm.segment(self.segment_key)
@@ -141,7 +111,7 @@ class SystemMonitor:
             # apart per host), not per wizard request; delta shipping
             # (ROADMAP: fleet-sized traffic) is the structural fix.
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
-            db[report.addr] = ServerStatusRecord(report=report, updated_at=self._now())
+            db[report.addr] = ServerStatusRecord(report=report, updated_at=self.clock.now())
             seg.write(db)
         finally:
             seg.lock.release()
@@ -159,7 +129,7 @@ class SystemMonitor:
                     # shared()-tracking constraint and ROADMAP pointer as
                     # _upsert above
                     db = dict(seg.read() or {})  # repro: noqa[REPRO501]
-                    stale = [a for a, rec in db.items() if rec.age(self._now()) > limit]
+                    stale = [a for a, rec in db.items() if rec.age(self.clock.now()) > limit]
                     for addr in stale:
                         del db[addr]
                         self.expired += 1

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..net.tcp import ConnectError, ConnectionClosed
-from ..sim import Interrupt, SharedMemory, Simulator
+from ..sim import HostClock, Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
 from .records import MSG_PULL, WireMessage
 
@@ -63,29 +63,25 @@ class Transmitter:
         sim: Simulator,
         stack,
         shm: SharedMemory,
-        receiver_addr: Optional[str] = None,
+        receiver_addrs: Sequence[str] = (),
         config: Config = DEFAULT_CONFIG,
         mode: Optional[str] = None,
-        receiver_addrs: Optional[Sequence[str]] = None,
-        clock=None,
+        clock: Optional[HostClock] = None,
     ):
         self.sim = sim
         self.stack = stack
         self.shm = shm
         self.config = config
-        #: the host's (possibly skewed) wall clock; None = true sim time
-        self.clock = clock
+        #: the host's (possibly skewed) wall clock
+        self.clock = clock or HostClock(sim)
         self.mode = mode or config.mode
-        #: fan-out targets: explicit list wins; the single-address form is
-        #: kept for the thesis' one-wizard deployments
-        addrs = list(receiver_addrs) if receiver_addrs else []
-        if not addrs and receiver_addr is not None:
-            addrs = [receiver_addr]
+        #: fan-out targets (one wizard machine in the thesis' deployments)
+        addrs = list(receiver_addrs)
         self.receiver_addrs: list[str] = addrs
-        self.receiver_addr = addrs[0] if addrs else None
         if self.mode == Mode.CENTRALIZED and not addrs:
             raise ValueError("centralized transmitter needs a receiver address")
         self._procs: list = []
+        self._service = None
         #: per-receiver counters, in fan-out order
         self.push_stats: dict[str, PushStats] = {
             addr: PushStats(addr) for addr in addrs
@@ -121,26 +117,23 @@ class Transmitter:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
-        self._procs = []
         if self.mode == Mode.CENTRALIZED:
-            for addr in self.receiver_addrs:
-                self._procs.append(self.sim.process(
-                    self._push_loop(addr), name=f"transmitter-push-{addr}"
-                ))
+            self._procs = [
+                self.sim.process(self._push_loop(addr), name=f"transmitter-push-{addr}")
+                for addr in self.receiver_addrs
+            ]
         else:
-            self._procs.append(self.sim.process(
-                self._serve_pulls(), name="transmitter-serve"
-            ))
+            self._service = self.stack.tcp.serve(
+                self.config.ports.transmitter, self._session,
+                name="transmitter-serve", session_name="transmitter-session",
+            )
 
     def stop(self) -> None:
         for proc in self._procs:
-            if proc is not None and proc.is_alive:
+            if proc.is_alive:
                 proc.interrupt("stop")
-
-    @property
-    def _proc(self):
-        """First worker process (legacy single-loop accessor)."""
-        return self._procs[0] if self._procs else None
+        if self._service is not None:
+            self._service.stop()
 
     # -- snapshotting ------------------------------------------------------------
     def snapshot(self):
@@ -162,14 +155,9 @@ class Transmitter:
             messages.append(builder(dict(data)))
         return messages
 
-    def _now(self) -> float:
-        """This host's wall-clock reading (skewed when a skew-clock fault
-        is active); the simulator's true time without a clock."""
-        return self.clock.now() if self.clock is not None else self.sim.now
-
     def _send_messages(self, conn, messages) -> int:
         sent = 0
-        stamp = self._now()
+        stamp = self.clock.now()
         for msg in messages:
             # [type, size] header first, then the binary body — the header
             # is what lets the receiver size its buffer (thesis §3.5.1).
@@ -242,36 +230,14 @@ class Transmitter:
                 conn.close()
 
     # -- distributed serve -----------------------------------------------------------
-    def _serve_pulls(self):
-        listener = self.stack.tcp.listen(self.config.ports.transmitter)
-        sessions = []
-        try:
-            while True:
-                conn = yield listener.accept()
-                sessions[:] = [p for p in sessions if p.is_alive]
-                sessions.append(
-                    self.sim.process(self._session(conn), name="transmitter-session")
-                )
-        except Interrupt:
-            listener.close()
-            for proc in sessions:
-                if proc.is_alive:
-                    proc.interrupt("stop")
-
     def _session(self, conn):
-        try:
-            while True:
+        while True:
+            payload, _ = yield conn.recv()
+            if isinstance(payload, WireMessage) and payload.type == MSG_PULL:
+                messages = yield from self.snapshot()
                 try:
-                    payload, _ = yield conn.recv()
+                    self._pull_bytes += self._send_messages(conn, messages)
                 except ConnectionClosed:
+                    self._pull_send_failures += 1
                     return
-                if isinstance(payload, WireMessage) and payload.type == MSG_PULL:
-                    messages = yield from self.snapshot()
-                    try:
-                        self._pull_bytes += self._send_messages(conn, messages)
-                    except ConnectionClosed:
-                        self._pull_send_failures += 1
-                        return
-                    self._pull_snapshots += 1
-        except Interrupt:
-            conn.close()
+                self._pull_snapshots += 1

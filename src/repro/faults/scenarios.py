@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..apps import MassdClient, MatMulMaster
+from ..apps import Farm, MassdClient, MatMulMaster
 from ..core import smart_sessions
 from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
                       SERVICE_PORT, STALENESS_REQUIREMENT, build_star,
@@ -120,22 +120,15 @@ MUTANTS: dict[str, str] = {
 }
 
 
-class _DropCheckpointMaster(MatMulMaster):
+class _DropCheckpoint(Farm):
     def _checkpoint(self, tasks, task, stats) -> None:
         stats["requeued"] += 1  # the in-flight block is silently dropped
 
 
-class _DropCheckpointMassd(MassdClient):
-    def _checkpoint(self, tasks, task, stats) -> None:
-        stats["requeued"] += 1  # the in-flight block is silently dropped
-
-
-_APP_CLASSES = {
-    ("matmul", ""): MatMulMaster,
-    ("matmul", "drop-checkpoint"): _DropCheckpointMaster,
-    ("massd", ""): MassdClient,
-    ("massd", "drop-checkpoint"): _DropCheckpointMassd,
-}
+_APPS: dict[str, type[Farm]] = {"matmul": MatMulMaster, "massd": MassdClient}
+#: a mutant is a :class:`Farm` subclass, mixed in ahead of whichever
+#: application the scenario runs — one class per seeded bug
+_MUTANT_CLASSES: dict[str, type[Farm]] = {"drop-checkpoint": _DropCheckpoint}
 
 
 def fault_surface(spec: Scenario) -> dict:
@@ -224,7 +217,10 @@ def run_trial(
             client, spec.requirement, spec.sessions,
             service_port=SERVICE_PORT, mss=BULK_MSS)
         out["sessions"] = sessions
-        prog = _APP_CLASSES[(spec.app, mutant)](cli)
+        program = _APPS[spec.app]
+        if mutant:
+            program = type(mutant, (_MUTANT_CLASSES[mutant], program), {})
+        prog = program(cli)
         if spec.app == "matmul":
             a, b = _matrices(spec.n)
             result = yield from prog.run(sessions, n=spec.n, blk=spec.blk,

@@ -22,6 +22,7 @@ from .tcp import (
     TcpConnection,
     TcpLayer,
     TcpListener,
+    TcpService,
 )
 from .topology import ETHERNET_100, MBPS, Network
 
@@ -50,6 +51,7 @@ __all__ = [
     "TokenBucket",
     "TcpLayer",
     "TcpListener",
+    "TcpService",
     "TcpConnection",
     "ConnectionClosed",
     "ConnectError",

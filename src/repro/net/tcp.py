@@ -34,15 +34,16 @@ arms a second, earlier call and the later one finds itself superseded.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from ..sim import Store
+from ..sim import Interrupt, Store
 from .packet import Datagram, PROTO_TCP
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sockets import NetworkStack
 
-__all__ = ["TcpLayer", "TcpListener", "TcpConnection", "ConnectionClosed", "ConnectError"]
+__all__ = ["TcpLayer", "TcpListener", "TcpConnection", "TcpService",
+           "ConnectionClosed", "ConnectError"]
 
 #: default maximum segment size (Ethernet MSS)
 DEFAULT_MSS = 1460
@@ -450,6 +451,47 @@ class TcpConnection:
         )
 
 
+class TcpService:
+    """One served port — the accept loop and a process per live
+    connection; :meth:`TcpLayer.serve` states the contract."""
+
+    def __init__(self, layer: "TcpLayer", port: int, handler: Callable,
+                 name: str, session_name: str, mss: int, window: int):
+        self.layer = layer
+        self.handler = handler
+        self.session_name = session_name
+        #: per-connection processes, finished ones forgotten at accept
+        #: time (a long run of short-lived peers must not grow it)
+        self.sessions: list = []
+        self._loop = layer.stack.sim.process(
+            self._accept_loop(port, mss, window), name=name)
+
+    def stop(self) -> None:
+        """Close the listener and every live session's connection."""
+        for proc in (self._loop, *self.sessions):
+            proc.interrupt("stop")
+
+    def _accept_loop(self, port: int, mss: int, window: int):
+        listener = self.layer.listen(port, mss=mss, window=window)
+        sim = self.layer.stack.sim
+        try:
+            while True:
+                conn = yield listener.accept()
+                self.sessions[:] = [p for p in self.sessions if p.is_alive]
+                self.sessions.append(sim.process(
+                    self._session(conn), name=self.session_name))
+        except Interrupt:
+            listener.close()
+
+    def _session(self, conn: TcpConnection):
+        try:
+            yield from self.handler(conn)
+        except ConnectionClosed:
+            pass  # the peer went away: the session ends quietly
+        except Interrupt:
+            conn.close()
+
+
 class TcpLayer:
     """Per-host TCP demultiplexer and connection factory."""
 
@@ -467,6 +509,19 @@ class TcpLayer:
         lsn = TcpListener(self, port, mss=mss, window=window)
         self.listeners[port] = lsn
         return lsn
+
+    def serve(self, port: int, handler: Callable, *, name: str,
+              session_name: str, mss: int = DEFAULT_MSS,
+              window: int = DEFAULT_WINDOW) -> TcpService:
+        """Serve ``port``: a process ``name`` listens and accepts, and
+        runs the process generator ``handler(conn)`` in a process
+        ``session_name`` per connection.  A handler just talks to its
+        peer: ``ConnectionClosed`` escaping it (from ``recv`` or
+        ``send``) ends the session quietly; the ``Interrupt`` of a
+        ``stop()`` closes the connection; a handler that returns keeps
+        it — nothing is closed behind its back.
+        """
+        return TcpService(self, port, handler, name, session_name, mss, window)
 
     def connect(self, dst: str, dport: int, mss: int = DEFAULT_MSS,
                 window: int = DEFAULT_WINDOW, timeout: float = 5.0):

@@ -79,6 +79,33 @@ class Listener:
         assert ctx.is_hot("mod.Listener.session")
         assert ctx.spawn_names["mod.Listener.session"] == "peer-session"
 
+    def test_served_handler_is_a_named_root(self):
+        """``serve(key, handler, session_name=...)`` is the other spawn:
+        the handler is hot although no resolvable call reaches it (the
+        accept loop calls it through an attribute), loop or no loop."""
+        src = """
+class Greeter:
+    def start(self):
+        self._service = self.stack.tcp.serve(
+            7, self.greet, name="greet-listen", session_name="greet-session")
+
+    def greet(self, conn):
+        msg, _ = yield conn.recv()
+        self.adopt(conn, msg)
+
+    def adopt(self, conn, msg):
+        pass
+
+    def orphan(self, conn):
+        msg, _ = yield conn.recv()
+"""
+        ctx = build_hot_context(table_for(src))
+        assert ctx.roots_of("mod.Greeter.adopt") == ("mod.Greeter.greet",)
+        assert ctx.heat_names("mod.Greeter.adopt") == ("greet-session",)
+        assert not ctx.is_hot("mod.Greeter.orphan")
+        # handing over is not itself message-rate work
+        assert not ctx.is_hot("mod.Greeter.start")
+
     def test_heat_names_fall_back_to_bare_function_name(self):
         ctx = build_hot_context(table_for(SERVICE_LOOP))
         assert ctx.heat_names("mod.Daemon.decode") == ("serve",)

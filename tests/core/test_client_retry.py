@@ -75,7 +75,7 @@ class TestRetryBackoff:
             dep.wizard.stop()
             client = SmartClient(
                 cluster.sim, client_host.stack,
-                wizard_addr=dep.wizard_host.addr, config=dep.config,
+                wizard_addrs=[dep.wizard_host.addr], config=dep.config,
                 rng=random.Random(1234),
             )
 
@@ -109,7 +109,7 @@ class TestStaleReplies:
 
         cluster.sim.process(bogus_wizard())
         client = SmartClient(cluster.sim, cli.stack,
-                             wizard_addr=wiz.addr, config=cfg)
+                             wizard_addrs=[wiz.addr], config=cfg)
 
         def p():
             reply = yield from client.request_servers("host_cpu_free > 0", 1)

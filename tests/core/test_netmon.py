@@ -186,7 +186,7 @@ class TestNetworkMonitorDaemon:
         cluster, m1, m2 = make_path()
         sim = cluster.sim
         nm = NetworkMonitor(sim, m1.stack, m1.shm, "g1")
-        tx = Transmitter(sim, m1.stack, m1.shm, receiver_addr=m2.addr)
+        tx = Transmitter(sim, m1.stack, m1.shm, receiver_addrs=[m2.addr])
         seen = {}
 
         def p():

@@ -93,7 +93,7 @@ class TestClientStaleReplies:
         cluster.finalize()
         cfg = Config(client_timeout=2.0)
         client = SmartClient(cluster.sim, client_host.stack,
-                             wizard_addr=fake_wizard.addr, config=cfg)
+                             wizard_addrs=[fake_wizard.addr], config=cfg)
 
         def fake_daemon():
             sock = fake_wizard.stack.udp_socket(cfg.ports.wizard)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, Deployment
-from repro.core import Config
+from repro.core import Config, Receiver
 from repro.core.receiver import SKEW_TOLERANCE
-from repro.core.records import MSG_SYSDB
+from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
 
 
 def world():
@@ -48,7 +48,6 @@ class TestTransmitterRestart:
         dep.wizard_host.shm.segment(dep.config.shm.wizard_system).write({})
         dep.receiver._sources.clear()
         cluster.run(until=4.0)
-        dep.receiver._listener_proc = None
         # a fresh listen on the same port requires the old one gone;
         # Receiver.stop() closed it, so start() works again
         dep.receiver.start()
@@ -78,6 +77,63 @@ class TestReceiverSessionTermination:
         cluster.run(until=6.0)  # would raise if the EOF leaked
 
 
+class TestFrameStream:
+    """Frames come from outside the process: one handler for the push
+    and the pull path, and neither trusts a body's shape."""
+
+    @staticmethod
+    def two_hosts():
+        cluster = Cluster(seed=72)
+        w = cluster.add_host("w")
+        m = cluster.add_host("m")
+        cluster.link(w, m)
+        cluster.finalize()
+        cfg = Config()
+        return cluster, cfg, m, Receiver(cluster.sim, w.stack, w.shm, cfg)
+
+    def test_pull_skips_a_body_that_contradicts_its_header(self):
+        cluster, cfg, m, receiver = self.two_hosts()
+
+        def answer(conn):
+            while True:
+                yield conn.recv()  # whatever arrives counts as a pull
+                now = cluster.sim.now
+                for frame in (
+                    ("hdr", MSG_SYSDB, 1), ("body", MSG_SYSDB, {"s": 1}, now),
+                    ("hdr", MSG_NETDB, 1), ("body", MSG_SECDB, {"x": 1}, now),
+                    ("hdr", MSG_NETDB, 1), ("body", MSG_NETDB, {"n": 1}, now),
+                ):
+                    conn.send(frame, 8)
+
+        m.stack.tcp.serve(cfg.ports.transmitter, answer,
+                          name="fake-tx", session_name="fake-tx-session")
+        receiver.add_transmitter(m.addr)
+        done = cluster.sim.process(receiver.pull_all())
+        cluster.run(until=1.0)
+        assert done.processed  # three bodies seen: no wait for a fourth
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.database(MSG_NETDB) == {"n": 1}
+        assert receiver.database(MSG_SECDB) == {}
+        assert receiver.messages_received == 2
+        assert receiver.pull_timeouts == receiver.pull_failures == 0
+
+    def test_push_skips_a_body_too_short_to_carry_a_stamp(self):
+        cluster, cfg, m, receiver = self.two_hosts()
+        receiver.start()
+
+        def push():
+            conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
+            conn.send(("hdr", MSG_SYSDB, 1), 8)
+            conn.send(("body", MSG_SYSDB, {"old": 1}), 8)
+            conn.send(("hdr", MSG_SYSDB, 1), 8)
+            conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
+
+        cluster.sim.process(push())
+        cluster.run(until=1.0)  # would raise if the short body were indexed
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.messages_received == 1
+
+
 class TestSkewRebase:
     """Relative-epoch rebasing in :meth:`Receiver._apply` (gray
     failures): freshness must never trust a reporter's wall clock."""
@@ -99,13 +155,6 @@ class TestSkewRebase:
             until=at + 1.0,
         )
         return receiver.database(MSG_SYSDB)["10.0.0.9"], at
-
-    def test_unstamped_body_is_not_rebased(self):
-        cluster, dep = world()
-        cluster.run(until=10.0)
-        rec, _ = self.apply(cluster, dep.receiver, stamp=-1.0, updated_at=9.0)
-        assert rec.updated_at == 9.0
-        assert dep.receiver.suspected_skew == 0
 
     def test_skewed_stamp_is_rebased_to_arrival_minus_age(self):
         """Sender clock +300s: a record 2 s old on *its* clock lands as

@@ -40,7 +40,7 @@ def lease_world(**config_kwargs):
                  quarantine_period=30.0, **config_kwargs)
     sink_service(srv)
     client = SmartClient(cluster.sim, cli.stack,
-                         wizard_addr=srv.addr, config=cfg)
+                         wizard_addrs=[srv.addr], config=cfg)
     return cluster, cfg, client, srv
 
 

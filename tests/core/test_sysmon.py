@@ -90,31 +90,6 @@ class TestExpiry:
         assert len(sysmon.database()) == 1
         assert sysmon.expired == 0
 
-class TestSessionPruning:
-    def test_dead_tcp_sessions_pruned_on_accept(self):
-        """Short-lived TCP reporters must not grow _tcp_sessions without
-        bound — finished session processes are pruned at accept time."""
-        cluster, sysmon, probes, servers = make_world(1)
-        sysmon.start()
-        server = servers[0]
-        wire = probes[0].scan().to_wire()
-
-        def reporter():
-            for _ in range(6):
-                conn = yield from server.stack.tcp.connect(
-                    "monitor", sysmon.config.ports.system_monitor)
-                conn.send(wire, len(wire))
-                yield cluster.sim.timeout(0.2)
-                conn.close()
-                yield cluster.sim.timeout(0.2)
-
-        cluster.sim.process(reporter())
-        cluster.run(until=5.0)
-        assert sysmon.tcp_reports_received == 6
-        # all six connected, but dead sessions were reaped along the way
-        assert len(sysmon._tcp_sessions) <= 2
-
-
 class TestRestartability:
     def test_monitor_restarts_on_same_port(self):
         """stop() must release the UDP port so a restarted monitor can

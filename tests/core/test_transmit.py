@@ -55,7 +55,7 @@ def make_world(mode, n_monitors=1):
         seed_monitor_shm(m, cfg, i + 1)
         transmitters.append(Transmitter(
             cluster.sim, m.stack, m.shm,
-            receiver_addr=wizard_host.addr, config=cfg, mode=mode,
+            receiver_addrs=[wizard_host.addr], config=cfg, mode=mode,
         ))
     return cluster, cfg, receiver, transmitters, monitors
 
@@ -111,14 +111,14 @@ class TestCentralized:
         cluster.run(until=8.0)
         assert "10.0.1.1" in receiver.database(MSG_SYSDB)
 
-    def test_centralized_requires_receiver_addr(self):
+    def test_centralized_requires_a_receiver(self):
         cluster = Cluster(seed=8)
         m = cluster.add_host("m")
         other = cluster.add_host("o")
         cluster.link(m, other)
         cluster.finalize()
         with pytest.raises(ValueError):
-            Transmitter(cluster.sim, m.stack, m.shm, receiver_addr=None,
+            Transmitter(cluster.sim, m.stack, m.shm, receiver_addrs=[],
                         mode=Mode.CENTRALIZED)
 
 

@@ -1,0 +1,177 @@
+"""``TcpLayer.serve``: the one accept loop and what a handler may rely on,
+then every service built on it."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.apps import FileServer, MatMulWorker
+from repro.cluster import Cluster
+from repro.core import Config, Mode, Receiver, SystemMonitor, Transmitter
+from repro.core.rsocket import ReliableServer
+from repro.net.tcp import ConnectError
+
+PORT = 7000
+
+
+def pair():
+    cluster = Cluster(seed=5)
+    server = cluster.add_host("server")
+    client = cluster.add_host("client")
+    cluster.link(client, server)
+    cluster.finalize()
+    return cluster, server, client
+
+
+def serve_echo(server, seen):
+    def echo(conn):
+        seen.append(conn)
+        while True:
+            msg, nbytes = yield conn.recv()
+            conn.send(msg, nbytes)
+
+    return server.stack.tcp.serve(
+        PORT, echo, name="echo-listen", session_name="echo-session")
+
+
+class TestContract:
+    def test_handler_runs_per_connection_under_the_given_names(self):
+        cluster, server, client = pair()
+        service = serve_echo(server, [])
+        got = []
+
+        def talk():
+            conn = yield from client.stack.tcp.connect("server", PORT)
+            conn.send("ping", 4)
+            got.append((yield conn.recv()))
+
+        cluster.sim.process(talk())
+        cluster.run(until=1.0)
+        assert got == [("ping", 4)]
+        assert [p.name for p in service.sessions] == ["echo-session"]
+        assert service._loop.name == "echo-listen"
+
+    def test_peer_close_ends_the_session_quietly(self):
+        cluster, server, client = pair()
+        seen = []
+        service = serve_echo(server, seen)
+
+        def talk():
+            conn = yield from client.stack.tcp.connect("server", PORT)
+            conn.close()
+
+        cluster.sim.process(talk())
+        cluster.run(until=1.0)  # would raise if ConnectionClosed leaked
+        assert not service.sessions[0].is_alive
+        assert not seen[0].closed  # ... and nothing was closed behind it
+
+    def test_stop_closes_listener_and_live_connections(self):
+        cluster, server, client = pair()
+        seen = []
+        service = serve_echo(server, seen)
+        outcome = []
+
+        def talk():
+            yield from client.stack.tcp.connect("server", PORT)
+            yield cluster.sim.timeout(1.0)
+            service.stop()
+            yield cluster.sim.timeout(1.0)
+            try:
+                yield from client.stack.tcp.connect("server", PORT, timeout=1.0)
+            except ConnectError:
+                outcome.append("refused")
+
+        cluster.sim.process(talk())
+        cluster.run(until=5.0)
+        assert outcome == ["refused"]
+        assert seen[0].closed
+        assert not any(p.is_alive for p in (service._loop, *service.sessions))
+
+    def test_a_handler_that_returns_keeps_its_connection(self):
+        cluster, server, client = pair()
+        kept = []
+
+        def adopt(conn):
+            kept.append(conn)
+            yield cluster.sim.timeout(0)
+
+        server.stack.tcp.serve(
+            PORT, adopt, name="adopt-listen", session_name="adopt-session")
+
+        def talk():
+            yield from client.stack.tcp.connect("server", PORT)
+
+        cluster.sim.process(talk())
+        cluster.run(until=1.0)
+        assert not kept[0].closed
+
+    def test_stop_then_serve_at_the_same_instant_rebinds_the_port(self):
+        cluster, server, client = pair()
+        first = serve_echo(server, [])
+        cluster.run(until=1.0)
+        first.stop()
+        second = serve_echo(server, [])
+        cluster.run(until=2.0)
+        assert not first._loop.is_alive and second._loop.is_alive
+
+
+def _sysmon(host, cfg):
+    return (SystemMonitor(host.sim, host.stack, host.shm, cfg),
+            cfg.ports.system_monitor)
+
+
+def _receiver(host, cfg):
+    return Receiver(host.sim, host.stack, host.shm, cfg), cfg.ports.receiver
+
+
+def _transmitter(host, cfg):
+    return (Transmitter(host.sim, host.stack, host.shm, config=cfg,
+                        mode=Mode.DISTRIBUTED), cfg.ports.transmitter)
+
+
+def _rserver(host, cfg):
+    return ReliableServer(host.stack, PORT), PORT
+
+
+def _matmul_worker(host, cfg):
+    return MatMulWorker(host, port=PORT), PORT
+
+
+def _file_server(host, cfg):
+    return FileServer(host, port=PORT), PORT
+
+
+SERVICES = {
+    "sysmon": _sysmon,
+    "receiver": _receiver,
+    "transmitter": _transmitter,
+    "rserver": _rserver,
+    "matmul-worker": _matmul_worker,
+    "file-server": _file_server,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVICES))
+def test_finished_sessions_are_forgotten_at_accept_time(name):
+    """Short-lived peers must not grow a service's session list without
+    bound: every service built on ``serve`` drops finished session
+    processes when the next connection arrives."""
+    cluster, server, client = pair()
+    daemon, port = SERVICES[name](server, Config())
+    daemon.start()
+
+    def peers():
+        for _ in range(6):
+            conn = yield from client.stack.tcp.connect("server", port)
+            yield cluster.sim.timeout(0.2)
+            conn.close()
+            yield cluster.sim.timeout(0.2)
+
+    done = cluster.sim.process(peers())
+    cluster.run(until=5.0)
+    assert done.processed
+    # all six connected, but dead sessions were dropped along the way
+    assert len(daemon._service.sessions) <= 2
+    daemon.stop()
+    cluster.run(until=6.0)
+    assert not any(p.is_alive for p in daemon._service.sessions)

@@ -104,6 +104,18 @@ def test_ci_runs_sanitize_job():
     assert "r['all_within_2x'] and r['race_free']" in ci
 
 
+def test_ci_hunts_the_mutant_on_both_applications():
+    """The CI ``explore`` job hunts the farm's one seeded mutant through
+    matmul *and* massd, and the healthy build must survive both
+    searches."""
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
+                  .replace("\\\n", " ").split())
+    for app in ("matmul", "massd"):
+        search = f"repro explore --budget 60 --seed 0 --scenario {app}"
+        assert f"{search} --mutant drop-checkpoint" in ci
+        assert f"run: python -m {search} env:" in ci
+
+
 def test_ci_regenerates_the_committed_paper_tables():
     """The tier-1 job reruns the bulk-TCP tables and fails when a
     committed ``benchmarks/results/*.txt`` no longer regenerates — their
