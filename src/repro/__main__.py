@@ -342,9 +342,6 @@ def explore_cli(argv: list[str] | None = None) -> int:
     parser.add_argument("--mutant", default="",
                         choices=sorted(MUTANTS),
                         help="run against a seeded known-bug build")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel trial processes (default 1; the "
-                             "found counterexample is identical either way)")
     parser.add_argument("--world-seed", type=int, default=0,
                         help="world/topology seed (default 0)")
     parser.add_argument("--no-shrink", action="store_true",
@@ -394,8 +391,7 @@ def explore_cli(argv: list[str] | None = None) -> int:
     report = explore(
         budget=args.budget, seed=args.seed, scenarios=args.scenario,
         mutant=args.mutant, world_seed=args.world_seed,
-        workers=max(1, args.workers), shrink=not args.no_shrink,
-        progress=print,
+        shrink=not args.no_shrink, progress=print,
     )
     for name in report.scenarios:
         cov = report.coverage[name]

@@ -36,14 +36,13 @@ from ..apps import (
 )
 from ..cluster import Cluster, Deployment, build_testbed, build_wan_paths
 from ..core import (estimate_bandwidth, pathload_estimate, pipechar_estimate,
-                    rtt_curve, smart_sessions)
-from ..faults import ChaosController, FaultPlan
+                    rtt_curve)
+from ..faults import REQUEST_AT, FaultPlan, StarJob, star_job
 from ..host import SuperPiWorkload
 from ..net import ETHERNET_100
 from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG, SERVICE_PORT,
-                      STALENESS_REQUIREMENT, TESTBED_SERVER_NAMES, Observed,
-                      Star, build_star, lab_world, massd_world, observe,
-                      star_uplink)
+                      TESTBED_SERVER_NAMES, Observed, Star, build_star,
+                      lab_world, massd_world, observe, star_uplink)
 
 __all__ = [
     "rtt_vs_size",
@@ -475,52 +474,21 @@ def matmul_experiment(
 # HA failover and gray failures — the self-healing matmul on the star
 # ---------------------------------------------------------------------------
 
-#: when the star jobs' client asks the wizard
-_HA_REQUEST_AT = 6.0
-
-
 def _ha_matmul(
     star: Star, n: int, blk: int, name: str,
     pre_fault: Optional[FaultPlan],
     mid_fault: Callable[[float, str], Optional[FaultPlan]],
-):
-    """Run the self-healing matmul (2 sessions) on a started HA star.
-
-    ``pre_fault`` is armed before the client's request;
-    ``mid_fault(now, victim)`` is asked for a plan the moment the
-    sessions are open, ``victim`` being the first chosen worker.
-    Returns ``(result, client, sessions)``.
-    """
-    cluster, dep = star.cluster, star.dep
-    out: dict = {}
-
-    def arm_chaos(plan):
-        chaos = ChaosController(dep, plan)
-        star.register_daemons(chaos)
-        chaos.start()
-
-    if pre_fault is not None:
-        arm_chaos(pre_fault)
-
-    def driver():
-        yield cluster.sim.timeout(_HA_REQUEST_AT)
-        client = dep.client_for(star.cli)
-        sessions = yield from smart_sessions(
-            client, STALENESS_REQUIREMENT, 2,
-            service_port=SERVICE_PORT, mss=BULK_MSS)
-        out.update(client=client, sessions=sessions)
-        plan = mid_fault(cluster.sim.now, star.name_of[sessions[0].addr])
-        if plan is not None:
-            arm_chaos(plan)
-        prog = MatMulMaster(star.cli)
-        result = yield from prog.run(sessions, n=n, blk=blk)
-        for session in sessions:
-            session.close()
-        out["result"] = result
-
-    proc = cluster.sim.process(driver(), name=name)
-    _drive(cluster, proc)
-    return out["result"], out["client"], out["sessions"]
+) -> StarJob:
+    """Run the self-healing matmul (2 sessions) on a started HA star to
+    completion: the one :func:`~repro.faults.star_job` with ``pre_fault``
+    armed before the client's request and ``mid_fault(now, victim)``
+    asked for a plan the moment the sessions are open."""
+    job = star_job(
+        star, name,
+        lambda sessions: MatMulMaster(star.cli).run(sessions, n=n, blk=blk),
+        plan=pre_fault, mid_fault=mid_fault)
+    _drive(star.cluster, job.proc)
+    return job
 
 
 #: fault modes of :func:`failover_experiment`
@@ -564,15 +532,15 @@ def failover_experiment(
     pre_fault = None
     if scenario == "wizard_kill":
         pre_fault = FaultPlan().kill_wizard_during_request(
-            _HA_REQUEST_AT - 0.2, "wiz")
+            REQUEST_AT - 0.2, "wiz")
 
     def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
         if scenario != "server_kill":
             return None
         return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
 
-    result, client, sessions = _ha_matmul(
-        star, n, blk, "failover-driver", pre_fault, mid_fault)
+    job = _ha_matmul(star, n, blk, "failover-driver", pre_fault, mid_fault)
+    result, client, sessions = job.result, job.client, job.sessions
     name_of = star.name_of
     return FailoverArm(
         label=scenario,
@@ -674,8 +642,8 @@ def grayfail_experiment(
             fault_at, victim, star_uplink(victim), duration=3600.0,
             latency=0.5)
 
-    result, _, sessions = _ha_matmul(
-        star, n, blk, "grayfail-driver", None, mid_fault)
+    job = _ha_matmul(star, n, blk, "grayfail-driver", None, mid_fault)
+    result, sessions = job.result, job.sessions
     watchdog_log = sorted(
         entry for s in sessions for entry in s.watchdog_log
     )

@@ -19,7 +19,7 @@ primary replica.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..sim import Interrupt
 from ..core import (
@@ -96,6 +96,12 @@ class Deployment:
         self.wizard_hosts: list[SmartHost] = hosts
         self.wizard_host = hosts[0]
         self.groups: dict[str, GroupDeployment] = {}
+        #: application-plane daemons, as :meth:`install` received them
+        self._installed: list[tuple[str, str, Any]] = []
+        #: fault windows open on a channel or clock, shared by every
+        #: chaos controller armed on this deployment: target ->
+        #: (the values the first window found, the windows in entry order)
+        self.fault_windows: dict[Any, tuple[list, list]] = {}
         self._boot_proc = None
         #: the wizard replica set — one receiver + wizard pair per host
         self.replicas: list[WizardReplica] = []
@@ -193,6 +199,44 @@ class Deployment:
         self.groups[name] = group
         return group
 
+    # -- what runs where --------------------------------------------------------
+    def install(self, host: SmartHost, role: str, daemon: Any) -> None:
+        """Record an application-plane daemon (``worker``, ``fileserver``,
+        ``lease``, ...) the caller runs on ``host``, so the fault plane
+        stops it with the host and brings it back with it.  The daemon
+        must expose ``start()``/``stop()``."""
+        self._installed.append((host.name, role, daemon))
+
+    def daemons_on(self, host_name: str) -> list[tuple[str, Any]]:
+        """Ordered ``[(role, daemon)]`` wired onto ``host_name``: the
+        control plane as constructed, then what :meth:`install` added.
+        Answered from ``replicas``/``groups`` on demand — only the fault
+        plane asks, so fleet worlds keep no per-host table for it."""
+        out: list[tuple[str, Any]] = []
+        for replica in self.replicas:
+            if replica.host.name == host_name:
+                out += [("receiver", replica.receiver),
+                        ("wizard", replica.wizard)]
+        for group in self.groups.values():
+            if group.monitor_host.name == host_name:
+                out += [("sysmon", group.sysmon), ("netmon", group.netmon),
+                        ("secmon", group.secmon),
+                        ("transmitter", group.transmitter)]
+            out += [("probe", probe)
+                    for server, probe in zip(group.servers, group.probes)
+                    if server.name == host_name]
+        out += [(role, daemon) for name, role, daemon in self._installed
+                if name == host_name]
+        return out
+
+    def runs(self, role: str, daemon: Any) -> bool:
+        """Whether this deployment starts ``daemon`` at all: a
+        distributed receiver has no push listener to run, and a netmon
+        without peers (a single-group deployment) has nothing to probe."""
+        if role == "receiver":
+            return self.mode == Mode.CENTRALIZED
+        return role != "netmon" or bool(daemon.peers)
+
     # -- lifecycle ----------------------------------------------------------------
     def _boot_sequence(self) -> list:
         """Per-group daemon ``start`` callables in deterministic boot order.
@@ -206,7 +250,7 @@ class Deployment:
         for group in self.groups.values():
             seq.append(group.sysmon.start)
             seq.append(group.secmon.start)
-            if group.netmon.peers:
+            if self.runs("netmon", group.netmon):
                 seq.append(group.netmon.start)
             seq.append(group.transmitter.start)
             for probe in group.probes:
@@ -232,7 +276,7 @@ class Deployment:
             raise RuntimeError("deploy at least one group before start()")
         self._started = True
         for replica in self.replicas:
-            if self.mode == Mode.CENTRALIZED:
+            if self.runs("receiver", replica.receiver):
                 replica.receiver.start()
             replica.wizard.start()
         self._boot_proc = self.cluster.sim.process(self._boot(), name="deploy-boot")

@@ -78,13 +78,7 @@ class SystemMonitor:
         try:
             while True:
                 dgram = yield sock.recv()
-                try:
-                    report = ServerStatusReport.from_wire(dgram.payload)
-                except (ValueError, TypeError):
-                    self.parse_errors += 1
-                    continue
-                self.reports_received += 1
-                yield from self._upsert(report)
+                yield from self._on_report(dgram.payload)
         except Interrupt:
             pass
         finally:
@@ -93,14 +87,20 @@ class SystemMonitor:
     def _tcp_session(self, conn):
         while True:
             payload, _ = yield conn.recv()
-            try:
-                report = ServerStatusReport.from_wire(payload)
-            except (ValueError, TypeError):
-                self.parse_errors += 1
-                continue
-            self.reports_received += 1
-            self.tcp_reports_received += 1
-            yield from self._upsert(report)
+            if (yield from self._on_report(payload)):
+                self.tcp_reports_received += 1
+
+    def _on_report(self, payload):
+        """Parse, count and upsert one probe report, whichever transport
+        carried it; ``False`` when it did not parse."""
+        try:
+            report = ServerStatusReport.from_wire(payload)
+        except (ValueError, TypeError):
+            self.parse_errors += 1
+            return False
+        self.reports_received += 1
+        yield from self._upsert(report)
+        return True
 
     def _upsert(self, report: ServerStatusReport):
         seg = self.shm.segment(self.segment_key)

@@ -17,9 +17,14 @@ Quick use::
             .kill_daemon(20.0, "mimas", "transmitter")
             .restart_daemon(25.0, "mimas", "transmitter"))
     chaos = ChaosController(deployment, plan)
-    chaos.start()
+    chaos.start()   # the whole arming: the deployment knows its daemons
     cluster.run(until=90.0)
     chaos.log      # [(sim_time, "crash-host dione"), ...]
+
+Application daemons a world starts itself join the fault plane with one
+``deployment.install(host, role, daemon)`` each (``build_star`` does
+it); windowed faults on one target compose, so any overlap heals.
+:func:`star_job` is the one job every tool runs on the HA star.
 
 The chaos *explorer* (``repro explore``) builds on this: random plans
 over a scenario matrix, invariant oracles, counterexample shrinking —
@@ -29,7 +34,8 @@ see :mod:`repro.faults.explore`.
 from .controller import ChaosController
 from .invariants import INVARIANTS, TrialOutcome, Violation, check_all
 from .plan import DAEMON_ROLES, FAULT_KINDS, GRAY_KINDS, FaultEvent, FaultPlan
-from .scenarios import MUTANTS, SCENARIOS, run_trial
+from .scenarios import (MUTANTS, REQUEST_AT, SCENARIOS, StarJob, run_trial,
+                        star_job)
 
 __all__ = [
     "ChaosController",
@@ -45,4 +51,7 @@ __all__ = [
     "MUTANTS",
     "SCENARIOS",
     "run_trial",
+    "StarJob",
+    "star_job",
+    "REQUEST_AT",
 ]

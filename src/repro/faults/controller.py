@@ -12,21 +12,34 @@ plane* — all daemons die, established TCP connections are torn down with
 no FIN (peers discover via RST on their next segment), bound ports are
 released and shared memory is wiped.  The network node itself keeps
 forwarding (switches/routers are cabinet hardware, not the crashed OS).
-``restart-host`` relaunches exactly the daemons deployment wired onto
-that machine, with cold state — the recovery path the hardened control
-plane is designed to survive.
+``restart-host`` relaunches exactly the daemons the deployment says run
+on that machine (:meth:`Deployment.daemons_on`, which includes what the
+application plane :meth:`~Deployment.install`\\ ed), with cold state — the
+recovery path the hardened control plane is designed to survive.
+
+Windowed faults (``loss-burst``, ``slow-host``, ``degrade-link``, a
+bounded ``skew-clock``) share one process skeleton (:meth:`_window`),
+and windows on one channel or clock compose (:meth:`_overlay`): any
+overlap heals to the pre-fault state once the last window ends.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable, Sequence
 
 from ..cluster.deploy import Deployment
-from ..core.config import Mode
 from ..net.link import Link
 from ..sim import Interrupt
 from .plan import FaultEvent, FaultPlan
 
 __all__ = ["ChaosController"]
+
+#: what a fault window may touch on a channel / a host clock — saved by
+#: the first window in, restored whenever one leaves (``_set_at`` so a
+#: clock that was already drifting resumes exactly where it would be)
+_CHANNEL_STATE = ("loss_rate", "loss_rng", "extra_delay", "jitter",
+                  "reorder_rate", "reorder_extra", "degrade_rng")
+_CLOCK_STATE = ("offset", "drift", "_set_at")
 
 
 class ChaosController:
@@ -45,39 +58,15 @@ class ChaosController:
         self.down_hosts: set[str] = set()
         #: (host, role) pairs currently killed individually
         self.down_daemons: set[tuple[str, str]] = set()
-        self._daemons = self._build_registry()
 
-    # -- registry ----------------------------------------------------------
-    def _build_registry(self) -> dict[str, list[tuple[str, object]]]:
-        """host name -> ordered [(role, daemon)] as the deployment wired it."""
-        reg: dict[str, list[tuple[str, object]]] = {}
-
-        def put(host_name: str, role: str, daemon) -> None:
-            reg.setdefault(host_name, []).append((role, daemon))
-
-        dep = self.deployment
-        for replica in dep.replicas:
-            put(replica.host.name, "receiver", replica.receiver)
-            put(replica.host.name, "wizard", replica.wizard)
-        for group in dep.groups.values():
-            mon = group.monitor_host.name
-            put(mon, "sysmon", group.sysmon)
-            put(mon, "netmon", group.netmon)
-            put(mon, "secmon", group.secmon)
-            put(mon, "transmitter", group.transmitter)
-            for server, probe in zip(group.servers, group.probes):
-                put(server.name, "probe", probe)
-        return reg
-
+    # -- lookups -----------------------------------------------------------
     def _daemon(self, host: str, role: str):
         """The daemon of ``role`` on ``host``, or ``None`` when the
         deployment never wired one there.  Fault generators explore
         adversarial plans, so a miss must be a logged no-op — never a
         crash that takes the whole simulation down."""
-        for r, d in self._daemons.get(host, ()):
-            if r == role:
-                return d
-        return None
+        return next((d for r, d in self.deployment.daemons_on(host)
+                     if r == role), None)
 
     def _host(self, name: str):
         """The host named ``name``, or ``None`` (with a logged note) when
@@ -87,13 +76,6 @@ class ChaosController:
         if host is None:
             self._note(f"fault on {name} (no such host)")
         return host
-
-    def register_daemon(self, host_name: str, role: str, daemon) -> None:
-        """Add an application-plane daemon (``worker``, ``fileserver``,
-        ``lease``, ...) to the registry so ``crash-host`` stops it and
-        ``restart-host``/``restart-daemon`` can bring it back.  The
-        daemon must expose ``start()``/``stop()``."""
-        self._daemons.setdefault(host_name, []).append((role, daemon))
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -133,9 +115,9 @@ class ChaosController:
         elif kind == "restart-daemon":
             self._restart_daemon(event.target, event.peer)
         elif kind == "loss-burst":
-            self._start_burst(event)
+            self._host_window(event, "burst", self._burst)
         elif kind == "slow-host":
-            self._start_slow(event)
+            self._host_window(event, "slow", self._slow)
         elif kind == "degrade-link":
             self._start_degrade(event)
         elif kind == "skew-clock":
@@ -153,7 +135,7 @@ class ChaosController:
         # connection table when their next segment arrives
         for conn in list(host.stack.tcp.conns.values()):
             conn.abort()
-        for role, daemon in self._daemons.get(host_name, ()):
+        for role, daemon in self.deployment.daemons_on(host_name):
             daemon.stop()
             self.down_daemons.discard((host_name, role))
         # let the interrupts deliver so daemon cleanup (socket close,
@@ -175,16 +157,10 @@ class ChaosController:
             self._note(f"restart-host {host_name} (was not down)")
             return
         self.down_hosts.discard(host_name)
-        for role, daemon in self._daemons.get(host_name, ()):
-            self._launch(role, daemon)
+        for role, daemon in self.deployment.daemons_on(host_name):
+            if self.deployment.runs(role, daemon):
+                daemon.start()
         self._note(f"restart-host {host_name}")
-
-    def _launch(self, role: str, daemon) -> None:
-        if role == "receiver" and self.deployment.mode != Mode.CENTRALIZED:
-            return  # distributed receivers have no push listener to run
-        if role == "netmon" and not daemon.peers:
-            return  # single-group deployments never start the netmon
-        daemon.start()
 
     # -- daemon faults ------------------------------------------------------
     def _kill_daemon(self, host_name: str, role: str):
@@ -213,7 +189,8 @@ class ChaosController:
             self._note(f"restart-daemon {role}@{host_name} (not restartable)")
             return
         self.down_daemons.discard(key)
-        self._launch(role, daemon)
+        if self.deployment.runs(role, daemon):
+            daemon.start()
         self._note(f"restart-daemon {role}@{host_name}")
 
     # -- link faults -------------------------------------------------------
@@ -236,75 +213,94 @@ class ChaosController:
             link.set_up(up)
         self._note(f"{kind} {a}<->{b}")
 
-    # -- loss bursts --------------------------------------------------------
-    def _start_burst(self, event: FaultEvent) -> None:
-        host = self._host(event.target)
-        if host is None:
-            return
-        proc = self.sim.process(
-            self._burst(host, event), name=f"chaos-burst-{event.target}"
-        )
+    # -- windowed faults ----------------------------------------------------
+    def _window(self, name: str, duration: float,
+                enter: Callable[[], Callable[[], Any]]) -> None:
+        """The one windowed fault: a process that calls ``enter()`` —
+        which applies the fault and returns its undo — waits out
+        ``duration`` and undoes, also when :meth:`stop` cuts it short."""
+        def window():
+            undo = enter()
+            try:
+                yield self.sim.timeout(duration)
+            except Interrupt:
+                pass
+            finally:
+                undo()
+
         self._burst_procs = [p for p in self._burst_procs if p.is_alive]
-        self._burst_procs.append(proc)
-        self._note(event.describe())
+        self._burst_procs.append(self.sim.process(window(), name=name))
+
+    def _overlay(self, targets: Sequence[Any], attrs: tuple[str, ...],
+                 apply: Callable[[Any], None]) -> Callable[[], None]:
+        """Open one window on each of ``targets`` (channels or a clock):
+        ``apply(target)`` now, and return the undo that leaves them all.
+
+        Windows on one target compose: leaving one restores the ``attrs``
+        the first of them found and replays the windows still open, in
+        entry order — a window that outlives an earlier one stays in
+        force until its own end, and the last one out leaves the target
+        as it was before any fault.  The open windows live on the
+        deployment, so controllers sharing a world compose too."""
+        windows = self.deployment.fault_windows
+
+        def leave() -> None:
+            for target in targets:
+                base, still_open = windows[target]
+                still_open.remove(apply)
+                for attr, value in zip(attrs, base):
+                    setattr(target, attr, value)
+                for other in still_open:
+                    other(target)
+                if not still_open:
+                    del windows[target]
+
+        for target in targets:
+            if target not in windows:
+                windows[target] = ([getattr(target, a) for a in attrs], [])
+            windows[target][1].append(apply)
+            apply(target)
+        return leave
+
+    def _host_window(self, event: FaultEvent, label: str,
+                     enter: Callable[[Any, FaultEvent], Callable]) -> None:
+        host = self._host(event.target)
+        if host is not None:
+            self._window(f"chaos-{label}-{event.target}", event.duration,
+                         lambda: enter(host, event))
+            self._note(event.describe())
 
     def _burst(self, host, event: FaultEvent):
-        """Process: raise loss on every channel touching the host, then
-        restore the previous settings.  Overlapping bursts on the same
-        host restore last-writer-wins — schedule them disjoint.
+        """Raise loss on every channel touching the host.
         ``event.direction`` narrows the burst to frames the host sends
         (``tx``) or receives (``rx``)."""
         rng = self.cluster.streams.stream(
             f"chaos-loss-{event.target}-{event.at:g}"
         )
-        touched = []
+        channels: list = []
         for nic in host.node.nics:
             tx = nic.link.channel_from(host.node)
             rx = nic.link.ab if tx is nic.link.ba else nic.link.ba
-            channels = {"tx": (tx,), "rx": (rx,)}.get(
+            channels += {"tx": (tx,), "rx": (rx,)}.get(
                 event.direction, (tx, rx)
             )
-            for channel in channels:
-                touched.append(
-                    (channel, channel.loss_rate, channel.loss_rng)
-                )
-                channel.loss_rate = event.value
-                channel.loss_rng = rng
-        try:
-            yield self.sim.timeout(event.duration)
-        except Interrupt:
-            pass
-        finally:
-            for channel, rate, old_rng in touched:
-                channel.loss_rate = rate
-                channel.loss_rng = old_rng
+
+        def apply(channel) -> None:
+            channel.loss_rate = event.value
+            channel.loss_rng = rng
+
+        return self._overlay(channels, _CHANNEL_STATE, apply)
 
     # -- gray failures ------------------------------------------------------
-    def _start_slow(self, event: FaultEvent) -> None:
-        host = self._host(event.target)
-        if host is None:
-            return
-        proc = self.sim.process(
-            self._slow(host, event), name=f"chaos-slow-{event.target}"
-        )
-        self._burst_procs = [p for p in self._burst_procs if p.is_alive]
-        self._burst_procs.append(proc)
-        self._note(event.describe())
-
     def _slow(self, host, event: FaultEvent):
-        """Process: throttle the host's CPU for the window, then restore.
-        The host never stops answering — its probe, lease responder and
-        services all keep running, just ``value`` times slower."""
+        """Throttle the host's CPU.  The host never stops answering —
+        its probe, lease responder and services all keep running, just
+        ``value`` times slower (throttles compose multiplicatively)."""
         from ..host import CpuThrottle
 
         throttle = CpuThrottle(self.sim, host.machine, factor=event.value)
         throttle.start()
-        try:
-            yield self.sim.timeout(event.duration)
-        except Interrupt:
-            pass
-        finally:
-            throttle.stop()
+        return throttle.stop
 
     def _degrade_channels(self, event: FaultEvent) -> list:
         """The per-direction channels of the target<->peer link(s):
@@ -320,21 +316,16 @@ class ChaosController:
         return channels
 
     def _start_degrade(self, event: FaultEvent) -> None:
-        if not self._links_between(event.target, event.peer):
+        channels = self._degrade_channels(event)
+        if not channels:
             self._note(f"{event.describe()} (no such link)")
             return
-        proc = self.sim.process(
-            self._degrade(event),
-            name=f"chaos-degrade-{event.target}-{event.peer}",
-        )
-        self._burst_procs = [p for p in self._burst_procs if p.is_alive]
-        self._burst_procs.append(proc)
+        self._window(f"chaos-degrade-{event.target}-{event.peer}",
+                     event.duration, lambda: self._degrade(event, channels))
         self._note(event.describe())
 
-    def _degrade(self, event: FaultEvent):
-        """Process: degrade the selected channels for the window, then
-        restore the previous settings (same save/restore discipline as
-        :meth:`_burst`)."""
+    def _degrade(self, event: FaultEvent, channels: list):
+        """Degrade ``channels`` (every knob the event carries)."""
         rng = self.cluster.streams.stream(
             f"chaos-degrade-{event.target}-{event.peer}-{event.at:g}"
         )
@@ -342,12 +333,8 @@ class ChaosController:
         jitter = event.param("jitter")
         loss = event.param("loss")
         reorder = event.param("reorder")
-        touched = []
-        for ch in self._degrade_channels(event):
-            touched.append((
-                ch, ch.extra_delay, ch.jitter, ch.reorder_rate,
-                ch.reorder_extra, ch.degrade_rng, ch.loss_rate, ch.loss_rng,
-            ))
+
+        def apply(ch) -> None:
             ch.extra_delay += latency
             if jitter or reorder:
                 ch.jitter = jitter
@@ -360,43 +347,19 @@ class ChaosController:
             if loss:
                 ch.loss_rate = loss
                 ch.loss_rng = rng
-        try:
-            yield self.sim.timeout(event.duration)
-        except Interrupt:
-            pass
-        finally:
-            for (ch, extra, jit, ro_rate, ro_extra, d_rng,
-                 l_rate, l_rng) in touched:
-                ch.extra_delay = extra
-                ch.jitter = jit
-                ch.reorder_rate = ro_rate
-                ch.reorder_extra = ro_extra
-                ch.degrade_rng = d_rng
-                ch.loss_rate = l_rate
-                ch.loss_rng = l_rng
+
+        return self._overlay(channels, _CHANNEL_STATE, apply)
 
     def _apply_skew(self, event: FaultEvent) -> None:
-        """Program the target's wall clock; a bounded skew is stepped back
-        (NTP-style correction) by a restore process."""
+        """Program the target's wall clock now; a bounded skew is stepped
+        back (NTP-style correction) when its window ends."""
         host = self._host(event.target)
         if host is None:
             return
-        clock = host.clock
-        previous = (clock.offset, clock.drift)
-        clock.set_skew(event.value, event.param("drift"))
+        unskew = self._overlay(
+            [host.clock], _CLOCK_STATE,
+            lambda clock: clock.set_skew(event.value, event.param("drift")))
         self._note(event.describe())
         if event.duration > 0:
-            proc = self.sim.process(
-                self._unskew(clock, previous, event.duration),
-                name=f"chaos-unskew-{event.target}",
-            )
-            self._burst_procs = [p for p in self._burst_procs if p.is_alive]
-            self._burst_procs.append(proc)
-
-    def _unskew(self, clock, previous, duration: float):
-        try:
-            yield self.sim.timeout(duration)
-        except Interrupt:
-            pass
-        finally:
-            clock.set_skew(*previous)
+            self._window(f"chaos-unskew-{event.target}", event.duration,
+                         lambda: unskew)

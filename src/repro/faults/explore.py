@@ -20,9 +20,10 @@ Coverage accounting tallies which (fault kind × scenario phase) cells
 the executed trials exercised, so a green search that only ever crashed
 hosts before the request is visibly shallow.
 
-Parallel trials (``--workers N``) derive per-trial seeds up front and
-key results by trial index, so the *found* counterexample — the lowest
-violating index — is identical whatever the worker count.
+The search is one serial loop.  A trial's plan is a pure function of
+``(seed, scenario, per-scenario index)``, so process-level parallelism
+needs no code here: run one ``repro explore --scenario S --mutant M``
+per CI matrix cell, or fan a list of them out with ``xargs -P``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as _replace
 
 from ..sim.rand import RandomStreams
@@ -127,21 +127,16 @@ def plan_coverage(plan: FaultPlan, spec, oracle_elapsed: float) -> set[tuple[str
 # one trial
 # ---------------------------------------------------------------------------
 
-def _trial_job(payload: dict) -> dict:
-    """Run one trial from plain data to plain data (module-level so a
-    ProcessPoolExecutor can ship it to a worker)."""
-    outcome = run_trial(
-        payload["scenario"], payload["plan"],
+def _verdicts(payload: dict, plan: FaultPlan | None = None) -> list[Violation]:
+    """Run trial ``payload`` — with ``plan`` in place of its own, when
+    given — and judge the outcome."""
+    return check_all(run_trial(
+        payload["scenario"],
+        payload["plan"] if plan is None else plan.to_json(),
         world_seed=payload["world_seed"], mutant=payload["mutant"],
         deadline=payload["deadline"],
         oracle_fingerprint=payload["oracle_fingerprint"],
-    )
-    violations = check_all(outcome)
-    return {
-        "index": payload["index"],
-        "outcome": outcome.to_dict(),
-        "violations": [v.to_dict() for v in violations],
-    }
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +282,9 @@ class ExploreReport:
     budget: int
     scenarios: list[str]
     mutant: str
-    workers: int
     trials_run: int = 0
-    #: all violating trials, in index order: {trial, scenario, fingerprints}
+    #: the violating trial the search stopped at, if any:
+    #: {trial, scenario, fingerprints}
     violations: list[dict] = field(default_factory=list)
     counterexample: Counterexample | None = None
     #: scenario -> {"covered": ["kind/phase", ...], "cells": n, "total": n}
@@ -306,7 +301,6 @@ class ExploreReport:
             "budget": self.budget,
             "scenarios": self.scenarios,
             "mutant": self.mutant,
-            "workers": self.workers,
             "trials_run": self.trials_run,
             "violations": self.violations,
             "counterexample": (self.counterexample.to_dict()
@@ -316,17 +310,14 @@ class ExploreReport:
         }
 
 
-def _oracle_for(scenario: str, world_seed: int, cache: dict) -> tuple[str, float]:
-    """(fingerprint, elapsed) of the fault-free run, computed once."""
-    key = (scenario, world_seed)
-    if key not in cache:
-        outcome = run_trial(scenario, {}, world_seed=world_seed)
-        if not outcome.completed:
-            raise RuntimeError(
-                f"oracle run of scenario {scenario!r} did not complete: "
-                f"{outcome.exception or 'deadline'}")
-        cache[key] = (outcome.fingerprint, outcome.elapsed)
-    return cache[key]
+def _oracle_for(scenario: str, world_seed: int) -> tuple[str, float]:
+    """(fingerprint, elapsed) of the fault-free run."""
+    outcome = run_trial(scenario, {}, world_seed=world_seed)
+    if not outcome.completed:
+        raise RuntimeError(
+            f"oracle run of scenario {scenario!r} did not complete: "
+            f"{outcome.exception or 'deadline'}")
+    return outcome.fingerprint, outcome.elapsed
 
 
 def _make_payload(index: int, scenario: str, seed: int, world_seed: int,
@@ -360,18 +351,15 @@ def explore(
     scenarios: list[str] | None = None,
     mutant: str = "",
     world_seed: int = 0,
-    workers: int = 1,
     shrink: bool = True,
-    stop_on_first: bool = True,
     progress=None,
 ) -> ExploreReport:
     """Search ``budget`` random fault plans for invariant violations.
 
     Scenarios interleave round-robin.  The search stops at the first
-    violating trial (by index — deterministic across worker counts),
-    shrinks its plan to a :class:`Counterexample`, and reports coverage
-    over the executed trials.  ``progress(msg)`` gets occasional status
-    lines.
+    violating trial, shrinks its plan to a :class:`Counterexample`, and
+    reports coverage over the executed trials.  ``progress(msg)`` gets
+    occasional status lines.
     """
     if scenarios is None or not scenarios:
         scenarios = list(SCENARIOS)
@@ -382,10 +370,9 @@ def explore(
         raise ValueError(f"unknown mutant {mutant!r}")
     say = progress or (lambda msg: None)
     report = ExploreReport(seed=seed, budget=budget, scenarios=list(scenarios),
-                           mutant=mutant, workers=workers)
-    oracle_cache: dict = {}
-    oracles = {name: _oracle_for(name, world_seed, oracle_cache)
-               for name in scenarios}
+                           mutant=mutant)
+    oracles = {name: _oracle_for(name, world_seed)
+               for name in dict.fromkeys(scenarios)}
     say(f"oracles ready: " + ", ".join(
         f"{n}={oracles[n][0]} ({oracles[n][1]:.2f}s)" for n in scenarios))
 
@@ -397,46 +384,23 @@ def explore(
     ]
 
     covered: dict[str, set] = {name: set() for name in scenarios}
-    first_hit: dict | None = None
-
-    def absorb(result: dict) -> None:
-        payload = payloads[result["index"]]
-        spec = SCENARIOS[payload["scenario"]]
-        plan = FaultPlan.from_json(payload["plan"])
-        covered[payload["scenario"]].update(
-            plan_coverage(plan, spec, payload["oracle_elapsed"]))
+    found: tuple[dict, Violation] | None = None
+    for payload in payloads:
+        verdicts = _verdicts(payload)
+        covered[payload["scenario"]].update(plan_coverage(
+            FaultPlan.from_json(payload["plan"]),
+            SCENARIOS[payload["scenario"]], payload["oracle_elapsed"]))
         report.trials_run += 1
-        if result["violations"]:
+        if verdicts:
             report.violations.append({
-                "trial": result["index"],
+                "trial": payload["index"],
                 "scenario": payload["scenario"],
-                "fingerprints": [v["fingerprint"] for v in result["violations"]],
+                "fingerprints": [v.fingerprint for v in verdicts],
             })
-
-    if workers <= 1:
-        for payload in payloads:
-            result = _trial_job(payload)
-            absorb(result)
-            if result["violations"] and first_hit is None:
-                first_hit = result
-                if stop_on_first:
-                    break
-            if payload["index"] % 25 == 24:
-                say(f"{payload['index'] + 1}/{budget} trials, no violation yet")
-    else:
-        chunk = max(workers * 2, 8)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, budget, chunk):
-                batch = payloads[start:start + chunk]
-                for result in pool.map(_trial_job, batch):
-                    absorb(result)
-                    if result["violations"] and first_hit is None:
-                        first_hit = result
-                if first_hit is not None and stop_on_first:
-                    break
-                say(f"{min(start + chunk, budget)}/{budget} trials, "
-                    "no violation yet")
-    report.violations.sort(key=lambda v: v["trial"])
+            found = (payload, verdicts[0])
+            break
+        if payload["index"] % 25 == 24:
+            say(f"{payload['index'] + 1}/{budget} trials, no violation yet")
 
     # coverage summary (kinds that can appear x phases)
     for name in scenarios:
@@ -455,27 +419,19 @@ def explore(
             "total": len(kinds) * len(PHASES),
         }
 
-    if first_hit is None:
+    if found is None:
         return report
 
-    # -- minimize the first (lowest-index) violating trial ------------------
-    hit = (first_hit if stop_on_first or not report.violations else None)
-    if hit is None or hit["index"] != report.violations[0]["trial"]:
-        hit = _trial_job(payloads[report.violations[0]["trial"]])
-    payload = payloads[hit["index"]]
-    target = hit["violations"][0]["fingerprint"]
-    say(f"violation {target} at trial {hit['index']} "
+    # -- minimize the violating trial ---------------------------------------
+    payload, violation = found
+    target = violation.fingerprint
+    say(f"violation {target} at trial {payload['index']} "
         f"({payload['scenario']}); shrinking")
     original = FaultPlan.from_json(payload["plan"])
 
     def still_fails(candidate: FaultPlan) -> bool:
-        outcome = run_trial(
-            payload["scenario"], candidate.to_json(),
-            world_seed=world_seed, mutant=mutant,
-            deadline=payload["deadline"],
-            oracle_fingerprint=payload["oracle_fingerprint"],
-        )
-        return any(v.fingerprint == target for v in check_all(outcome))
+        return any(v.fingerprint == target
+                   for v in _verdicts(payload, candidate))
 
     minimized, predicate_runs = ((original, 0) if not shrink
                                  else shrink_plan(original, still_fails))
@@ -493,18 +449,14 @@ def explore(
         raise RuntimeError(
             f"minimized plan reproduced only {verified}/{RE_VERIFY} times — "
             "determinism broken, refusing to emit a counterexample")
-    violation = hit["violations"][0]
     report.counterexample = Counterexample(
         scenario=payload["scenario"], world_seed=world_seed, mutant=mutant,
-        seed=seed, trial=hit["index"],
-        invariant=violation["invariant"], site=violation["site"],
-        detail=violation["detail"], fingerprint=target,
+        seed=seed, trial=payload["index"],
+        invariant=violation.invariant, site=violation.site,
+        detail=violation.detail, fingerprint=target,
         deadline=payload["deadline"],
         oracle_fingerprint=payload["oracle_fingerprint"],
         plan=minimized.to_json(),
-        # trials_run is deliberately absent: it varies with the worker
-        # count (a parallel batch finishes its stragglers), and the CE
-        # must be byte-identical whatever the parallelism
         search={"budget": budget, **report.shrink},
     )
     return report

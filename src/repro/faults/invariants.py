@@ -70,19 +70,14 @@ class Violation:
         """The shrinker's equivalence class: invariant id + failure site."""
         return f"{self.invariant}@{self.site}"
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["fingerprint"] = self.fingerprint
-        return out
-
 
 @dataclass
 class TrialOutcome:
     """Everything the oracles need from one trial, as plain data.
 
     Produced by :func:`repro.faults.scenarios.run_trial`; deliberately
-    free of simulator objects so outcomes cross process boundaries
-    (parallel explorer workers) and serialize into corpus artifacts.
+    free of simulator objects so outcomes serialize into corpus
+    artifacts.
     """
 
     scenario: str

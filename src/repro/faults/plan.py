@@ -81,8 +81,8 @@ _DIRECTIONS = {
 _DEGRADE_KEYS = ("latency", "jitter", "loss", "reorder", "reorder_extra")
 
 #: daemon role names the controller can kill/restart individually —
-#: control-plane roles plus the application-plane roles deployments may
-#: register with :meth:`~repro.faults.controller.ChaosController.register_daemon`
+#: control-plane roles plus the application-plane roles a world hands to
+#: :meth:`~repro.cluster.deploy.Deployment.install`
 DAEMON_ROLES: tuple[str, ...] = (
     "probe", "sysmon", "netmon", "secmon", "transmitter", "receiver", "wizard",
     "worker", "fileserver", "lease",
@@ -500,7 +500,9 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Generate a seeded random plan: every fault that takes something
         down schedules the matching recovery, so the system always gets a
-        chance to heal before ``horizon``.
+        chance to heal before ``horizon`` — also when two draws hit one
+        target with overlapping windows, because windows compose (the
+        controller restores the pre-fault state when the last one ends).
 
         ``rng`` should come from a named
         :class:`~repro.sim.rand.RandomStreams` stream — the plan is then a

@@ -4,11 +4,12 @@ Each :class:`Scenario` is a complete, deterministic world the explorer
 can throw random :class:`~repro.faults.plan.FaultPlan`\\ s at: the HA
 star of the failover experiments (two wizard replicas, two monitored
 3-server groups, slow matmul CPUs) carrying one of the thesis
-applications end-to-end.  :func:`run_trial` executes one plan against
-one scenario and reduces the run to a plain
+applications end-to-end.  :func:`star_job` is the one driver every tool
+runs on that star (thesis runners, explorer, fault suites);
+:func:`run_trial` executes one plan against one scenario through it and
+reduces the run to a plain
 :class:`~repro.faults.invariants.TrialOutcome` for the invariant
-oracles — no simulator objects escape, so trials parallelise across
-processes and serialise into corpus artifacts.
+oracles, which serialises into corpus artifacts.
 
 The matrix:
 
@@ -34,14 +35,15 @@ from __future__ import annotations
 
 import hashlib
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..apps import Farm, MassdClient, MatMulMaster
 from ..core import smart_sessions
 from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
-                      SERVICE_PORT, STALENESS_REQUIREMENT, build_star,
+                      SERVICE_PORT, STALENESS_REQUIREMENT, Star, build_star,
                       star_surface)
 from .controller import ChaosController
 from .invariants import TrialOutcome
@@ -52,9 +54,12 @@ __all__ = [
     "SCENARIOS",
     "MUTANTS",
     "fault_surface",
+    "StarJob",
+    "star_job",
     "run_trial",
     "trial_deadline",
     "LIVENESS_SLACK",
+    "REQUEST_AT",
 ]
 
 #: liveness-deadline slack beyond the fault horizon.  Sized for the worst
@@ -63,6 +68,8 @@ __all__ = [
 #: lease detector (no watchdog) rides it out — two chained backoffs plus
 #: the healed job still fit.  Anything slower is a wedged recovery path.
 LIVENESS_SLACK = 150.0
+#: when a star job's client asks the wizard (comfortably past warm-up)
+REQUEST_AT = 6.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class Scenario:
     blk: int = 80               # matmul: block size (160/80 -> 2x2 grid)
     data_kb: int = 1200         # massd: file size
     blk_kb: int = 100           # massd: block size (-> 12 blocks)
-    request_at: float = 6.0     # when the client asks the wizard
+    request_at: float = REQUEST_AT  # when the client asks the wizard
     horizon: float = 20.0       # random-plan time horizon
     n_events: int = 8           # faults per random plan (pre-pairing)
     mean_outage: float = 4.0
@@ -145,6 +152,66 @@ def trial_deadline(spec: Scenario, oracle_elapsed: float,
             + plan_horizon + LIVENESS_SLACK)
 
 
+@dataclass
+class StarJob:
+    """One :func:`star_job`: filled in as its driver advances."""
+
+    #: the driver process — step the clock until it is ``processed``
+    proc: Any = None
+    client: Any = None
+    #: the open sessions; empty when the wizard had nothing to offer
+    sessions: list = field(default_factory=list)
+    #: name of the first session's server (``""`` without sessions)
+    victim: str = ""
+    #: the armed controllers: ``plan``'s, then ``mid_fault``'s
+    chaos: list[ChaosController] = field(default_factory=list)
+    #: what the application generator returned (``None`` until it does)
+    result: Any = None
+
+
+def star_job(
+    star: Star, name: str, app: Callable[[list], Any], *,
+    requirement: str = STALENESS_REQUIREMENT, sessions: int = 2,
+    request_at: float = REQUEST_AT, plan: Optional[FaultPlan] = None,
+    mid_fault: Optional[Callable[[float, str], Optional[FaultPlan]]] = None,
+) -> StarJob:
+    """Spawn the job every tool runs on a started star, as process
+    ``name``: arm ``plan`` now; at ``request_at`` open ``sessions``
+    sessions for ``requirement`` from ``star.cli``; arm what
+    ``mid_fault(now, victim)`` returns (the victim is only known then —
+    plans use absolute times, so arming mid-run stays deterministic);
+    run ``app(sessions)`` and close the sessions.
+
+    The caller steps the clock and reads the returned :class:`StarJob`;
+    a job cut short leaves its sessions open for the caller to close.
+    """
+    sim = star.cluster.sim
+    job = StarJob()
+
+    def arm(fault_plan: Optional[FaultPlan]) -> None:
+        if fault_plan is not None:
+            job.chaos.append(ChaosController(star.dep, fault_plan))
+            job.chaos[-1].start()
+
+    def driver():
+        yield sim.timeout(request_at)
+        job.client = star.dep.client_for(star.cli)
+        job.sessions = yield from smart_sessions(
+            job.client, requirement, sessions,
+            service_port=SERVICE_PORT, mss=BULK_MSS)
+        if job.sessions:
+            job.victim = star.name_of[job.sessions[0].addr]
+        if mid_fault is not None:
+            arm(mid_fault(sim.now, job.victim))
+        job.result = yield from app(job.sessions)
+        for session in job.sessions:
+            session.close()
+
+    arm(plan)
+    job.proc = sim.process(driver(), name=name)
+    return job
+
+
 def _matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Small deterministic integer matrices: products are exact in
     float64, so the result fingerprint is bit-stable by construction."""
@@ -202,37 +269,26 @@ def run_trial(
     star = build_star(
         world_seed, GRAYFAIL_CONFIG if spec.watchdog else FAILOVER_CONFIG,
         replicas=2, app=spec.app, trace_events=trace)
-    cluster, dep, cli = star.cluster, star.dep, star.cli
-    sim = cluster.sim
+    sim = star.cluster.sim
     name_of = star.name_of
-    chaos = ChaosController(dep, plan)
-    star.register_daemons(chaos)
-    chaos.start()
-    out: dict = {}
+    program = _APPS[spec.app]
+    if mutant:
+        program = type(mutant, (_MUTANT_CLASSES[mutant], program), {})
 
-    def driver():
-        yield sim.timeout(spec.request_at)
-        client = dep.client_for(cli)
-        sessions = yield from smart_sessions(
-            client, spec.requirement, spec.sessions,
-            service_port=SERVICE_PORT, mss=BULK_MSS)
-        out["sessions"] = sessions
-        program = _APPS[spec.app]
-        if mutant:
-            program = type(mutant, (_MUTANT_CLASSES[mutant], program), {})
-        prog = program(cli)
+    def app(sessions):
         if spec.app == "matmul":
             a, b = _matrices(spec.n)
-            result = yield from prog.run(sessions, n=spec.n, blk=spec.blk,
+            return program(star.cli).run(sessions, n=spec.n, blk=spec.blk,
                                          a=a, b=b)
-        else:
-            result = yield from prog.run(sessions, data_kb=spec.data_kb,
-                                         blk_kb=spec.blk_kb)
-        out["result"] = result
+        return program(star.cli).run(sessions, data_kb=spec.data_kb,
+                                     blk_kb=spec.blk_kb)
 
-    proc = sim.process(driver(), name="explore-driver")
+    job = star_job(star, "explore-driver", app, plan=plan,
+                   requirement=spec.requirement, sessions=spec.sessions,
+                   request_at=spec.request_at)
+    (chaos,) = job.chaos
     exc: BaseException | None = None
-    while not proc.processed:
+    while not job.proc.processed:
         nxt = sim.peek()
         if nxt == float("inf") or nxt > deadline:
             break
@@ -242,13 +298,12 @@ def run_trial(
             exc = e
             break
     chaos.stop()
-    sessions = out.get("sessions", [])
+    sessions, result = job.sessions, job.result
     for session in sessions:
         try:
             session.close()
         except Exception:
             pass  # a half-dead slot may refuse an orderly close
-    result = out.get("result")
 
     outcome = TrialOutcome(
         scenario=scenario, world_seed=world_seed, mutant=mutant,
@@ -287,7 +342,7 @@ def run_trial(
                     rehired.append(name_of.get(addr, addr))
                 seen.add(addr)
         outcome.rehired_corpses = sorted(set(rehired))
-    if trace and cluster.event_trace is not None:
-        text = "\n".join(cluster.event_trace.canonical_lines())
+    if trace and star.cluster.event_trace is not None:
+        text = "\n".join(star.cluster.event_trace.canonical_lines())
         outcome.trace_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     return outcome

@@ -194,11 +194,6 @@ class Star:
     cli: SmartHost
     wizards: list[SmartHost]
     servers: list[SmartHost]
-    app: Optional[str]
-    #: application service / lease responder per server name (empty
-    #: when no ``app`` was deployed)
-    services: dict[str, Any]
-    responders: dict[str, LeaseResponder]
 
     @property
     def addrs(self) -> dict[str, str]:
@@ -207,16 +202,6 @@ class Star:
     @property
     def name_of(self) -> dict[str, str]:
         return {s.addr: s.name for s in self.servers}
-
-    def register_daemons(self, chaos: Any) -> None:
-        """Put the application-plane daemons on a ``ChaosController``'s
-        registry so ``crash-host`` stops them (and ``restart-host``
-        brings them back)."""
-        if self.app is not None:
-            for name, service in self.services.items():
-                chaos.register_daemon(name, APP_ROLES[self.app], service)
-        for name, responder in self.responders.items():
-            chaos.register_daemon(name, "lease", responder)
 
 
 def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
@@ -232,7 +217,9 @@ def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
 
     ``replicas=2`` adds ``wiz2`` as a second wizard replica; ``app``
     (``"matmul"`` or ``"massd"``) starts that service plus a
-    :class:`~repro.core.LeaseResponder` on every server.
+    :class:`~repro.core.LeaseResponder` on every server and installs
+    both on the deployment, so the fault plane crashes and restarts them
+    with their host.
     """
     if app is not None and app not in APP_ROLES:
         raise ValueError(f"unknown star app {app!r}")
@@ -262,10 +249,8 @@ def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
         dep.add_group(group.name, monitor,
                       [servers[name] for name in group.servers])
     dep.start()
-    star = Star(cluster, dep, cli, wizards, list(servers.values()), app,
-                {}, {})
     if app is not None:
-        for server in star.servers:
+        for server in servers.values():
             service: Any
             if app == "matmul":
                 service = MatMulWorker(server, port=SERVICE_PORT,
@@ -273,12 +258,11 @@ def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
             else:
                 shape_host_egress(server, STAR_MASSD_MBPS)
                 service = FileServer(server, port=SERVICE_PORT, mss=BULK_MSS)
-            service.start()
-            star.services[server.name] = service
-            responder = LeaseResponder(server, config)
-            responder.start()
-            star.responders[server.name] = responder
-    return star
+            for role, daemon in ((APP_ROLES[app], service),
+                                 ("lease", LeaseResponder(server, config))):
+                daemon.start()
+                dep.install(server, role, daemon)
+    return Star(cluster, dep, cli, wizards, list(servers.values()))
 
 
 def star_surface(app: str, control_plane: bool = False) -> dict[str, list]:

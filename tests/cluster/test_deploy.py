@@ -132,3 +132,42 @@ class TestFailureHandling:
         cluster.sim.process(p())
         cluster.run(until=30.0)
         assert results == {"before": 2, "after": 1, "rejoined": 2}
+
+
+class TestWhatRunsWhere:
+    """The deployment is the one registry the fault plane asks."""
+
+    def test_daemons_on_lists_roles_in_wiring_order(self):
+        cluster, dep = two_group_world()
+        assert [r for r, _ in dep.daemons_on("wiz")] == ["receiver", "wizard"]
+        assert [r for r, _ in dep.daemons_on("mon1")] == [
+            "sysmon", "netmon", "secmon", "transmitter"]
+        assert dep.daemons_on("s1") == [("probe", dep.groups["g1"].probes[0])]
+        assert dep.daemons_on("core") == dep.daemons_on("nonesuch") == []
+
+    def test_installed_daemons_follow_the_control_plane(self):
+        cluster, dep = two_group_world()
+        worker, lease = object(), object()
+        dep.install(cluster.host("s1"), "worker", worker)
+        dep.install(cluster.host("s1"), "lease", lease)
+        assert dep.daemons_on("s1")[1:] == [("worker", worker),
+                                            ("lease", lease)]
+        assert [r for r, _ in dep.daemons_on("s2")] == ["probe"]
+
+    def test_runs_spells_the_two_start_conditions_once(self):
+        cluster, dep = two_group_world()
+        assert all(dep.runs(role, daemon) for host in cluster.hosts
+                   for role, daemon in dep.daemons_on(host))
+        # a distributed receiver has no push listener to run
+        _, pulled = two_group_world(mode=Mode.DISTRIBUTED)
+        assert not pulled.runs("receiver", pulled.receiver)
+        assert pulled.runs("wizard", pulled.wizard)
+        # a single-group deployment has no netmon peers to probe
+        lone = Cluster(seed=15)
+        w, s = lone.add_host("w"), lone.add_host("s")
+        lone.link(w, s)
+        lone.finalize()
+        single = Deployment(lone, wizard_host=w)
+        group = single.add_group("g", monitor_host=w, servers=[s])
+        assert not single.runs("netmon", group.netmon)
+        assert len(single._boot_sequence()) == 4  # sysmon, secmon, tx, probe

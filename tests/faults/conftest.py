@@ -1,41 +1,16 @@
-"""Shared helpers for the chaos suite.  The 2-group, 6-server star and
-its timing configs live in :mod:`repro.worlds`; this file only adapts
-:func:`~repro.worlds.build_star` to the tuple shapes the tests unpack.
+"""Shared helpers for the chaos suite.  The 2-group, 6-server star, its
+timing configs and the job the suites run on it live in
+:mod:`repro.worlds` / :mod:`repro.faults.scenarios`; the tests read the
+:class:`~repro.worlds.Star` that :func:`~repro.worlds.build_star` returns.
 """
 
 from __future__ import annotations
 
-from repro.worlds import (
-    CHAOS_CONFIG,
-    FAILOVER_CONFIG,
-    STALENESS_REQUIREMENT as CHAOS_REQUIREMENT,
-    build_star,
-)
+from repro.worlds import STALENESS_REQUIREMENT, Star
 
 
-def build_chaos_world(seed: int = 0, config=CHAOS_CONFIG):
-    """Cluster + started deployment; returns (cluster, dep, name->addr)."""
-    star = build_star(seed, config)
-    return star.cluster, star.dep, star.addrs
-
-
-def build_failover_world(seed: int = 0, config=FAILOVER_CONFIG,
-                         app: str = "matmul", **instruments):
-    """The chaos star plus the HA pieces: a second wizard machine
-    (``wiz2``) forming a replica set with ``wiz``, and an application
-    service (matmul worker or massd file server) with a
-    ``LeaseResponder`` on every server.
-
-    Returns ``(cluster, dep, addrs, star)`` where ``addrs`` also maps
-    ``wiz``/``wiz2`` and ``star.register_daemons(chaos)`` puts the
-    application-plane daemons on a ``ChaosController``.
-    """
-    star = build_star(seed, config, replicas=2, app=app, **instruments)
-    addrs = {**star.addrs, **{w.name: w.addr for w in star.wizards}}
-    return star.cluster, star.dep, addrs, star
-
-
-def poll_replies(cluster, dep, *, n: int, requirement: str = CHAOS_REQUIREMENT,
+def poll_replies(star: Star, *, n: int,
+                 requirement: str = STALENESS_REQUIREMENT,
                  until: float, period: float = 1.0, results: list | None = None):
     """Spawn a client process polling the wizard every ``period`` seconds.
 
@@ -43,7 +18,8 @@ def poll_replies(cluster, dep, *, n: int, requirement: str = CHAOS_REQUIREMENT,
     new list is returned when not supplied) until ``until``.
     """
     log = results if results is not None else []
-    client = dep.client_for(cluster.host("cli"))
+    cluster, dep = star.cluster, star.dep
+    client = dep.client_for(star.cli)
 
     def poller():
         yield cluster.sim.timeout(dep.warm_up_seconds())

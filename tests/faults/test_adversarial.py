@@ -7,17 +7,15 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ChaosController, FaultPlan
-
-from .conftest import build_failover_world
+from repro.worlds import FAILOVER_CONFIG, build_star
 
 
 def _run(plan: FaultPlan, until: float = 30.0):
     """Execute one plan on the failover world; returns the chaos log."""
-    cluster, dep, addrs, star = build_failover_world()
-    chaos = ChaosController(dep, plan)
-    star.register_daemons(chaos)
+    star = build_star(config=FAILOVER_CONFIG, replicas=2, app="matmul")
+    chaos = ChaosController(star.dep, plan)
     chaos.start()
-    cluster.run(until=until)
+    star.cluster.run(until=until)
     return chaos
 
 

@@ -14,11 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import ChaosController, FaultPlan
-from tests.faults.conftest import (
-    CHAOS_CONFIG,
-    build_chaos_world,
-    poll_replies,
-)
+from repro.worlds import CHAOS_CONFIG, build_star
+from tests.faults.conftest import poll_replies
 
 pytestmark = pytest.mark.chaos
 
@@ -48,12 +45,12 @@ def acceptance_plan() -> FaultPlan:
 
 
 def run_acceptance(seed: int = 0):
-    cluster, dep, addrs = build_chaos_world(seed=seed)
-    chaos = ChaosController(dep, acceptance_plan())
+    star = build_star(seed)
+    chaos = ChaosController(star.dep, acceptance_plan())
     chaos.start()
-    observed = poll_replies(cluster, dep, n=3, until=HORIZON)
-    cluster.run(until=HORIZON + 2.0)
-    return observed, chaos, addrs, dep
+    observed = poll_replies(star, n=3, until=HORIZON)
+    star.cluster.run(until=HORIZON + 2.0)
+    return observed, chaos, star.addrs, star.dep
 
 
 class TestAcceptanceScenario:
@@ -116,13 +113,14 @@ class TestAcceptanceScenario:
 
 class TestHostRestart:
     def test_crashed_server_rejoins_after_restart(self):
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = (FaultPlan()
                 .crash_host(5.0, "s4")
                 .restart_host(15.0, "s4"))
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=30.0)
+        observed = poll_replies(star, n=6, until=30.0)
         cluster.run(until=32.0)
         gone = [t for t, s in observed if addrs["s4"] not in s]
         back = [t for t, s in observed if t > 15.0 and addrs["s4"] in s]
@@ -133,13 +131,14 @@ class TestHostRestart:
             + CHAOS_CONFIG.transmit_interval + 1.0
 
     def test_monitor_host_crash_blinds_then_restores_group(self):
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = (FaultPlan()
                 .crash_host(5.0, "mon1")
                 .restart_host(25.0, "mon1"))
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=45.0)
+        observed = poll_replies(star, n=6, until=45.0)
         cluster.run(until=47.0)
         g1 = {addrs[n] for n in ("s0", "s1", "s2")}
         # crashed monitor loses its DB and pushes nothing: with the
@@ -152,13 +151,14 @@ class TestHostRestart:
 
 class TestWizardRestart:
     def test_client_rides_through_wizard_outage(self):
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = (FaultPlan()
                 .kill_daemon(6.0, "wiz", "wizard")
                 .restart_daemon(9.0, "wiz", "wizard"))
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=20.0)
+        observed = poll_replies(star, n=6, until=20.0)
         cluster.run(until=22.0)
         after = [(t, s) for t, s in observed if t > 9.0]
         assert after and any(len(s) == 6 for _, s in after)
@@ -169,11 +169,12 @@ class TestLossBurst:
         """SystemMonitor reaper round-trip: a total loss burst on a
         server's uplink starves its probe reports, the record expires,
         and it rejoins after the burst ends."""
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = FaultPlan().loss_burst(5.0, "s1", rate=1.0, duration=6.0)
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=25.0)
+        observed = poll_replies(star, n=6, until=25.0)
         cluster.run(until=27.0)
         sysmon = dep.groups["g1"].sysmon
         assert sysmon.expired >= 1
@@ -185,11 +186,12 @@ class TestLossBurst:
     def test_partial_loss_shrugged_off(self):
         """A mild loss burst must not expire anyone: UDP reports are sent
         every second and only need to land once per 3 s window."""
-        cluster, dep, addrs = build_chaos_world(seed=2)
+        star = build_star(seed=2)
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = FaultPlan().loss_burst(5.0, "s0", rate=0.3, duration=8.0)
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=20.0)
+        observed = poll_replies(star, n=6, until=20.0)
         cluster.run(until=22.0)
         assert all(addrs["s0"] in s for _, s in observed)
 
@@ -201,11 +203,12 @@ class TestDirectionalLossBurst:
     directions have opposite control-plane consequences."""
 
     def test_tx_burst_starves_the_probe_reports(self):
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = FaultPlan().loss_burst(5.0, "s1", rate=1.0, duration=6.0,
                                       direction="tx")
         ChaosController(dep, plan).start()
-        observed = poll_replies(cluster, dep, n=6, until=25.0)
+        observed = poll_replies(star, n=6, until=25.0)
         cluster.run(until=27.0)
         assert dep.groups["g1"].sysmon.expired >= 1
         assert any(addrs["s1"] not in s for _, s in observed), \
@@ -215,11 +218,12 @@ class TestDirectionalLossBurst:
         """The mirror image: a total *inbound* blackout on the same server
         for the same window must not expire anyone — its reports still
         reach the monitor on the healthy tx direction."""
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = FaultPlan().loss_burst(5.0, "s1", rate=1.0, duration=6.0,
                                       direction="rx")
         ChaosController(dep, plan).start()
-        observed = poll_replies(cluster, dep, n=6, until=25.0)
+        observed = poll_replies(star, n=6, until=25.0)
         cluster.run(until=27.0)
         assert dep.groups["g1"].sysmon.expired == 0
         assert all(addrs["s1"] in s for _, s in observed)
@@ -227,12 +231,13 @@ class TestDirectionalLossBurst:
 
 class TestLinkFlap:
     def test_flapping_uplink_recovers(self):
-        cluster, dep, addrs = build_chaos_world()
+        star = build_star()
+        cluster, dep, addrs = star.cluster, star.dep, star.addrs
         plan = FaultPlan().flap_link(8.0, "sw-g2", "core",
                                      period=2.0, count=3)
         chaos = ChaosController(dep, plan)
         chaos.start()
-        observed = poll_replies(cluster, dep, n=6, until=30.0)
+        observed = poll_replies(star, n=6, until=30.0)
         cluster.run(until=32.0)
         g2 = {addrs[n] for n in ("s3", "s4", "s5")}
         # flaps are shorter than the freshness demand: last-known-good

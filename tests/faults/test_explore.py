@@ -118,7 +118,6 @@ class TestGeneratorCoverage:
         star = build_star(replicas=2, app=spec.app)
         plan = generate_plan(random.Random(0), spec, surface)
         chaos = ChaosController(star.dep, plan)
-        star.register_daemons(chaos)
         for host in surface["hosts"]:
             assert host in star.cluster.hosts
         for a, b in surface["links"]:

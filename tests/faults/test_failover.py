@@ -10,22 +10,18 @@ happens-before sanitizer report.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.apps import MassdClient, MatMulMaster
-from repro.core import smart_sessions
-from repro.faults import ChaosController, FaultPlan
-from repro.worlds import star_uplink
-from tests.faults.conftest import (
-    CHAOS_REQUIREMENT,
-    build_failover_world,
-)
+from repro.faults import REQUEST_AT, ChaosController, FaultPlan, star_job
+from repro.worlds import (FAILOVER_CONFIG, STALENESS_REQUIREMENT, build_star,
+                          star_uplink)
 
 pytestmark = pytest.mark.chaos
 
-#: first client request goes out here (comfortably past warm-up)
-REQUEST_AT = 6.0
 #: matmul job sizing: 3x3 grid of 80x80 blocks, ~2 s of CPU per block
 MATMUL_N = 240
 MATMUL_BLK = 80
@@ -34,76 +30,76 @@ MASSD_DATA_KB = 3000
 MASSD_BLK_KB = 100
 
 
+def failover_star(app: str = "matmul", **kwargs):
+    """The HA star: two wizard replicas, an application service and a
+    lease responder on every server."""
+    return build_star(config=FAILOVER_CONFIG, replicas=2, app=app, **kwargs)
+
+
 def run_matmul_job(seed: int = 0, fault: str = "none", **instruments):
     """Drive a 2-session matmul job to completion under one fault mode:
     ``none``, ``wizard`` (primary replica killed during the first
     request), ``server`` (chosen worker power-failed mid-stream) or
     ``partition`` (chosen worker silently cut off — lease-expiry path).
     """
-    cluster, dep, addrs, star = build_failover_world(
-        seed=seed, **instruments)
-    name_of = {a: n for n, a in addrs.items()}
+    star = failover_star(seed=seed, **instruments)
     rng = np.random.default_rng(3)
     a = rng.random((MATMUL_N, MATMUL_N))
     b = rng.random((MATMUL_N, MATMUL_N))
-    out: dict = {"addrs": addrs}
+    out: dict = {}
 
-    def arm_chaos(plan):
-        chaos = ChaosController(dep, plan)
-        star.register_daemons(chaos)
-        chaos.start()
-        out["chaos"] = chaos
+    def mid_fault(now, victim):
+        # what only the moment right after connect can tell
+        out["victim"] = star.addrs[victim]
+        out["quarantined_wizards_at_connect"] = job.client.quarantined_wizards()
+        if fault == "server":
+            return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
+        if fault == "partition":
+            return FaultPlan().partition(now + 2.5, victim,
+                                         star_uplink(victim))
+        return None
 
-    if fault == "wizard":
+    job = star_job(
+        star, "matmul-job",
+        lambda sessions: MatMulMaster(star.cli).run(
+            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b),
         # both wizard + receiver die 0.2 s before the first request
-        arm_chaos(FaultPlan().kill_wizard_during_request(
-            REQUEST_AT - 0.2, "wiz"))
-
-    def driver():
-        yield cluster.sim.timeout(REQUEST_AT)
-        client = dep.client_for(cluster.host("cli"))
-        out["client"] = client
-        sessions = yield from smart_sessions(
-            client, CHAOS_REQUIREMENT, 2, mss=8192)
-        out["sessions"] = sessions
-        out["quarantined_wizards_at_connect"] = client.quarantined_wizards()
-        if fault in ("server", "partition"):
-            # the victim is only known now — plans use absolute times,
-            # so arming the controller mid-run stays deterministic
-            victim = name_of[sessions[0].addr]
-            out["victim"] = sessions[0].addr
-            if fault == "server":
-                arm_chaos(FaultPlan().kill_server_mid_stream(
-                    cluster.sim.now + 2.5, victim))
-            else:
-                arm_chaos(FaultPlan().partition(
-                    cluster.sim.now + 2.5, victim, star_uplink(victim)))
-        master = MatMulMaster(cluster.host("cli"))
-        result = yield from master.run(
-            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b)
-        for s in sessions:
-            s.close()
-        out["result"] = result
-
-    cluster.sim.process(driver(), name="matmul-job")
-    cluster.run(until=60.0)
-    assert "result" in out, f"matmul job never completed (fault={fault})"
-    np.testing.assert_allclose(out["result"].product, a @ b)
-    if cluster.sanitizer is not None:
-        out["races"] = tuple(cluster.sanitizer.races)
+        plan=(FaultPlan().kill_wizard_during_request(REQUEST_AT - 0.2, "wiz")
+              if fault == "wizard" else None),
+        mid_fault=mid_fault)
+    star.cluster.run(until=60.0)
+    assert job.result is not None, f"matmul job never completed (fault={fault})"
+    np.testing.assert_allclose(job.result.product, a @ b)
+    out.update(
+        star=star, client=job.client, sessions=job.sessions,
+        result=job.result,
+        chaos=job.chaos[-1] if job.chaos else None)
+    if star.cluster.sanitizer is not None:
+        out["races"] = tuple(star.cluster.sanitizer.races)
     return out
+
+
+#: one run per argument tuple, for the tests that only read the result
+matmul_job = functools.lru_cache(maxsize=None)(run_matmul_job)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_cached_worlds():
+    yield
+    matmul_job.cache_clear()
 
 
 class TestWizardKill:
     """(a) the primary wizard replica dies during the first request."""
 
     def test_matmul_completes_through_primary_wizard_kill(self):
-        out = run_matmul_job(fault="wizard")
+        out = matmul_job(fault="wizard")
         client = out["client"]
         assert client.timeouts >= 1          # the request to wiz died
         assert client.wizard_failovers >= 1  # ...and failed over
-        assert client.last_wizard == out["addrs"]["wiz2"]
-        assert out["addrs"]["wiz"] in out["quarantined_wizards_at_connect"]
+        wiz, wiz2 = (w.addr for w in out["star"].wizards)
+        assert client.last_wizard == wiz2
+        assert wiz in out["quarantined_wizards_at_connect"]
         kinds = [entry.split()[0] for _, entry in out["chaos"].log]
         assert kinds == ["kill-daemon", "kill-daemon"]
         assert out["result"].failovers == 0  # data plane was untouched
@@ -114,18 +110,20 @@ class TestReceiverKill:
     and clients must migrate to the fresh replica."""
 
     def test_stale_replica_rejected_and_clients_migrate(self):
-        cluster, dep, addrs, star = build_failover_world()
+        star = failover_star()
+        cluster, dep = star.cluster, star.dep
+        wiz, wiz2 = (w.addr for w in star.wizards)
         chaos = ChaosController(
             dep, FaultPlan().kill_daemon(8.0, "wiz", "receiver"))
         chaos.start()
-        client = dep.client_for(cluster.host("cli"))
+        client = dep.client_for(star.cli)
         log = []
 
         def poller():
             yield cluster.sim.timeout(REQUEST_AT)
             while cluster.sim.now < 25.0:
                 reply = yield from client.request_servers(
-                    CHAOS_REQUIREMENT, 2)
+                    STALENESS_REQUIREMENT, 2)
                 log.append((cluster.sim.now, reply.wizard,
                             tuple(sorted(reply.servers))))
                 yield cluster.sim.timeout(1.0)
@@ -134,7 +132,7 @@ class TestReceiverKill:
         cluster.run(until=27.0)
         # before the staleness limit trips, the primary answers normally
         early = [e for e in log if e[0] < 8.0]
-        assert early and all(w == addrs["wiz"] for _, w, _ in early)
+        assert early and all(w == wiz for _, w, _ in early)
         # the frozen replica turned at least one request away...
         assert client.stale_rejections >= 1
         assert dep.replicas[0].wizard.requests_rejected_stale >= 1
@@ -142,7 +140,7 @@ class TestReceiverKill:
         late = [e for e in log if e[0] >= 13.0]
         assert late
         for t, wizard, servers in late:
-            assert wizard == addrs["wiz2"], f"stale replica used at t={t}"
+            assert wizard == wiz2, f"stale replica used at t={t}"
             assert len(servers) == 2, f"degraded reply at t={t}: {servers}"
 
 
@@ -150,7 +148,7 @@ class TestServerKill:
     """(c) the chosen worker power-fails mid-stream: checkpoint + failover."""
 
     def test_matmul_server_kill_recovers_and_requeues(self):
-        out = run_matmul_job(fault="server")
+        out = matmul_job(fault="server")
         result = out["result"]
         sessions = out["sessions"]
         assert result.requeued_blocks >= 1   # the in-flight shard came back
@@ -166,49 +164,32 @@ class TestServerKill:
         assert "crash-host" in kinds
 
     def test_massd_1v1_server_kill_fetches_every_block(self):
-        cluster, dep, addrs, star = build_failover_world(
-            app="massd")
-        name_of = {a: n for n, a in addrs.items()}
-        out: dict = {}
-
-        def driver():
-            yield cluster.sim.timeout(REQUEST_AT)
-            client = dep.client_for(cluster.host("cli"))
-            sessions = yield from smart_sessions(
-                client, CHAOS_REQUIREMENT, 1, mss=8192)
-            out["sessions"] = sessions
-            victim = name_of[sessions[0].addr]
-            out["victim"] = sessions[0].addr
-            chaos = ChaosController(dep, FaultPlan().kill_server_mid_stream(
-                cluster.sim.now + 1.0, victim))
-            star.register_daemons(chaos)
-            chaos.start()
-            prog = MassdClient(cluster.host("cli"))
-            result = yield from prog.run(
-                sessions, data_kb=MASSD_DATA_KB, blk_kb=MASSD_BLK_KB)
-            for s in sessions:
-                s.close()
-            out["result"] = result
-
-        cluster.sim.process(driver(), name="massd-job")
-        cluster.run(until=60.0)
-        assert "result" in out, "massd job never completed"
-        result = out["result"]
+        star = failover_star(app="massd")
+        job = star_job(
+            star, "massd-job",
+            lambda sessions: MassdClient(star.cli).run(
+                sessions, data_kb=MASSD_DATA_KB, blk_kb=MASSD_BLK_KB),
+            sessions=1,
+            mid_fault=lambda now, victim:
+                FaultPlan().kill_server_mid_stream(now + 1.0, victim))
+        star.cluster.run(until=60.0)
+        result = job.result
+        assert result is not None, "massd job never completed"
         # every block fetched exactly once across old + replacement server
         assert sum(result.blocks_per_server.values()) \
             == MASSD_DATA_KB // MASSD_BLK_KB
         assert result.requeued_blocks >= 1
         assert result.failovers == 1
-        session = out["sessions"][0]
-        assert session.history == [out["victim"], session.addr]
-        assert session.addr != out["victim"]
+        (session,) = job.sessions
+        assert session.history == [star.addrs[job.victim], session.addr]
+        assert session.addr != star.addrs[job.victim]
 
 
 class TestSilentDeath:
     """A partition delivers no RST: only the health lease can notice."""
 
     def test_lease_expiry_drives_failover(self):
-        out = run_matmul_job(fault="partition")
+        out = matmul_job(fault="partition")
         sessions = out["sessions"]
         assert sum(s.lease_expiries for s in sessions) >= 1
         assert out["result"].failovers >= 1
@@ -218,8 +199,8 @@ class TestSilentDeath:
 
 class TestRecoveryBound:
     def test_recovery_under_2x_no_fault_wall_time(self):
-        base = run_matmul_job(fault="none")
-        faulted = run_matmul_job(fault="server")
+        base = matmul_job(fault="none")
+        faulted = matmul_job(fault="server")
         assert base["result"].failovers == 0
         assert faulted["result"].elapsed < 2.0 * base["result"].elapsed, (
             f"recovery blew the budget: {faulted['result'].elapsed:.2f}s "

@@ -13,21 +13,19 @@ bit-identical and the happens-before sanitizer stays clean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.apps import MassdClient, MatMulMaster
-from repro.core import smart_sessions
-from repro.faults import ChaosController, FaultPlan
-from repro.worlds import GRAYFAIL_CONFIG, star_uplink
-from tests.faults.conftest import CHAOS_REQUIREMENT, build_failover_world
+from repro.faults import REQUEST_AT, ChaosController, FaultPlan, star_job
+from repro.worlds import (GRAYFAIL_CONFIG, STALENESS_REQUIREMENT, build_star,
+                          star_uplink)
 
 pytestmark = pytest.mark.chaos
 
-#: first client request goes out here (comfortably past warm-up)
-REQUEST_AT = 6.0
 #: the gray fault lands this long after the sessions connect — ~2
 #: healthy block cycles, so the watchdog has a learned progress baseline
 FAULT_DELAY = 8.0
@@ -52,60 +50,50 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
     ``watchdog=False`` is the binary-detector baseline arm."""
     config = GRAYFAIL_CONFIG if watchdog \
         else replace(GRAYFAIL_CONFIG, session_watchdog_interval=0.0)
-    cluster, dep, addrs, star = build_failover_world(
-        seed=seed, config=config, **instruments)
-    name_of = {a: n for n, a in addrs.items()}
+    star = build_star(seed, config, replicas=2, app="matmul", **instruments)
     rng = np.random.default_rng(3)
     a = rng.random((MATMUL_N, MATMUL_N))
     b = rng.random((MATMUL_N, MATMUL_N))
-    out: dict = {"addrs": addrs}
+    out: dict = {}
 
-    def arm_chaos(plan):
-        chaos = ChaosController(dep, plan)
-        star.register_daemons(chaos)
-        chaos.start()
-        out["chaos"] = chaos
+    def mid_fault(now, victim):
+        if fault == "none":
+            return None
+        out["victim"] = star.addrs[victim]
+        out["fault_at"] = fault_at = now + FAULT_DELAY
+        if fault == "slow":
+            return FaultPlan().slow_host(
+                fault_at, victim, factor=SLOW_FACTOR, duration=3600.0)
+        # storm: everything degrades at once, nothing dies
+        return FaultPlan().gray_failure_storm(
+            fault_at, duration=3600.0,
+            slow_host=victim, slow_factor=SLOW_FACTOR,
+            link=(star_uplink(victim), "core"), latency=0.05,
+            loss=0.01, skew_host="mon1", skew_offset=120.0)
 
-    def driver():
-        yield cluster.sim.timeout(REQUEST_AT)
-        client = dep.client_for(cluster.host("cli"))
-        out["client"] = client
-        sessions = yield from smart_sessions(
-            client, CHAOS_REQUIREMENT, 2, mss=8192)
-        out["sessions"] = sessions
-        if fault != "none":
-            # the victim is only known now — plans use absolute times,
-            # so arming the controller mid-run stays deterministic
-            victim = name_of[sessions[0].addr]
-            out["victim"] = sessions[0].addr
-            fault_at = cluster.sim.now + FAULT_DELAY
-            out["fault_at"] = fault_at
-            if fault == "slow":
-                plan = FaultPlan().slow_host(
-                    fault_at, victim, factor=SLOW_FACTOR, duration=3600.0)
-            else:  # storm: everything degrades at once, nothing dies
-                plan = FaultPlan().gray_failure_storm(
-                    fault_at, duration=3600.0,
-                    slow_host=victim, slow_factor=SLOW_FACTOR,
-                    link=(star_uplink(victim), "core"), latency=0.05,
-                    loss=0.01, skew_host="mon1", skew_offset=120.0)
-            arm_chaos(plan)
-        master = MatMulMaster(cluster.host("cli"))
-        result = yield from master.run(
-            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b)
-        for s in sessions:
-            s.close()
-        out["result"] = result
-
-    cluster.sim.process(driver(), name="matmul-gray")
-    cluster.run(until=400.0)
-    assert "result" in out, f"matmul job never completed (fault={fault})"
-    np.testing.assert_allclose(out["result"].product, a @ b)
-    if cluster.sanitizer is not None:
-        out["races"] = tuple(cluster.sanitizer.races)
-    out["responders"] = star.responders
-    out["name_of"] = name_of
+    job = star_job(
+        star, "matmul-gray",
+        lambda sessions: MatMulMaster(star.cli).run(
+            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b),
+        mid_fault=mid_fault)
+    star.cluster.run(until=400.0)
+    assert job.result is not None, f"matmul job never completed (fault={fault})"
+    np.testing.assert_allclose(job.result.product, a @ b)
+    out.update(star=star, sessions=job.sessions, result=job.result,
+               chaos=job.chaos[-1] if job.chaos else None)
+    if star.cluster.sanitizer is not None:
+        out["races"] = tuple(star.cluster.sanitizer.races)
     return out
+
+
+#: one run per argument tuple, for the tests that only read the result
+matmul_gray = functools.lru_cache(maxsize=None)(run_matmul_gray)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_cached_worlds():
+    yield
+    matmul_gray.cache_clear()
 
 
 class TestFailSlowServer:
@@ -114,7 +102,7 @@ class TestFailSlowServer:
     watchdog can save the job."""
 
     def test_adaptive_detector_migrates_and_completes_bit_exact(self):
-        out = run_matmul_gray(fault="slow")
+        out = matmul_gray(fault="slow")
         sessions = out["sessions"]
         victim = out["victim"]
         # the watchdog pulled the session off the sick server...
@@ -127,7 +115,9 @@ class TestFailSlowServer:
         # detector (the lease) never fired
         assert sum(s.lease_expiries for s in sessions) == 0
         # the victim's responder really did keep heartbeating
-        assert out["responders"][out["name_of"][victim]].pings_answered > 0
+        star = out["star"]
+        on_victim = dict(star.dep.daemons_on(star.name_of[victim]))
+        assert on_victim["lease"].pings_answered > 0
         # and the migration was logged for telemetry
         t, addr = sessions[0].watchdog_log[0]
         assert addr == victim and t >= out["fault_at"]
@@ -135,8 +125,8 @@ class TestFailSlowServer:
     def test_fixed_detector_rides_the_slow_server_to_the_end(self):
         """The baseline arm: without the watchdog nothing ever notices a
         leased-but-starving server, so the job pays the full throttle."""
-        adaptive = run_matmul_gray(fault="slow", watchdog=True)
-        fixed = run_matmul_gray(fault="slow", watchdog=False)
+        adaptive = matmul_gray(fault="slow")
+        fixed = matmul_gray(fault="slow", watchdog=False)
         assert sum(s.slow_migrations for s in fixed["sessions"]) == 0
         assert fixed["result"].failovers == 0
         # both complete bit-exact (asserted in the runner); the adaptive
@@ -144,7 +134,7 @@ class TestFailSlowServer:
         assert adaptive["result"].elapsed < fixed["result"].elapsed
 
     def test_healthy_run_never_false_positives(self):
-        out = run_matmul_gray(fault="none")
+        out = matmul_gray(fault="none")
         assert sum(s.slow_migrations for s in out["sessions"]) == 0
         assert out["result"].failovers == 0
         assert out["result"].requeued_blocks == 0
@@ -155,7 +145,7 @@ class TestGrayStorm:
     reporter clock, simultaneously.  Nothing dies; the job completes."""
 
     def test_storm_completes_bit_exact(self):
-        out = run_matmul_gray(fault="storm")
+        out = matmul_gray(fault="storm")
         assert sum(s.slow_migrations for s in out["sessions"]) >= 1
         assert out["result"].failovers >= 1
         kinds = {entry.split()[0] for _, entry in out["chaos"].log}
@@ -165,38 +155,25 @@ class TestGrayStorm:
 class TestMassd:
     """massd 1v1 under gray faults: every block fetched exactly once."""
 
-    def run_massd(self, plan_for=None, seed: int = 0):
-        cluster, dep, addrs, star = build_failover_world(
-            seed=seed, config=GRAYFAIL_CONFIG, app="massd")
-        name_of = {a: n for n, a in addrs.items()}
+    def run_massd(self, plan_for):
+        star = build_star(0, GRAYFAIL_CONFIG, replicas=2, app="massd")
         out: dict = {}
 
-        def driver():
-            yield cluster.sim.timeout(REQUEST_AT)
-            client = dep.client_for(cluster.host("cli"))
-            sessions = yield from smart_sessions(
-                client, CHAOS_REQUIREMENT, 1, mss=8192)
-            out["sessions"] = sessions
-            victim = name_of[sessions[0].addr]
-            out["victim"] = sessions[0].addr
-            if plan_for is not None:
-                chaos = ChaosController(
-                    dep, plan_for(cluster.sim.now + 2.0, victim))
-                star.register_daemons(chaos)
-                chaos.start()
-            prog = MassdClient(cluster.host("cli"))
-            result = yield from prog.run(
-                sessions, data_kb=MASSD_DATA_KB, blk_kb=MASSD_BLK_KB)
-            for s in sessions:
-                s.close()
-            out["result"] = result
+        def mid_fault(now, victim):
+            out["victim"] = star.addrs[victim]
+            return plan_for(now + 2.0, victim)
 
-        cluster.sim.process(driver(), name="massd-gray")
-        cluster.run(until=400.0)
-        assert "result" in out, "massd job never completed"
+        job = star_job(
+            star, "massd-gray",
+            lambda sessions: MassdClient(star.cli).run(
+                sessions, data_kb=MASSD_DATA_KB, blk_kb=MASSD_BLK_KB),
+            sessions=1, mid_fault=mid_fault)
+        star.cluster.run(until=400.0)
+        assert job.result is not None, "massd job never completed"
         # every block fetched exactly once across old + replacement server
-        assert sum(out["result"].blocks_per_server.values()) \
+        assert sum(job.result.blocks_per_server.values()) \
             == MASSD_DATA_KB // MASSD_BLK_KB
+        out.update(sessions=job.sessions, result=job.result)
         return out
 
     def test_fail_slow_server_fetches_every_block(self):
@@ -226,18 +203,19 @@ class TestClockSkew:
     healthy replica keeps winning the ranking."""
 
     def poll_world(self, plan, until=26.0):
-        cluster, dep, addrs, star = build_failover_world(
-            config=GRAYFAIL_CONFIG)
+        star = build_star(0, GRAYFAIL_CONFIG, replicas=2, app="matmul")
+        cluster, dep = star.cluster, star.dep
+        addrs = {w.name: w.addr for w in star.wizards}
         chaos = ChaosController(dep, plan)
         chaos.start()
-        client = dep.client_for(cluster.host("cli"))
+        client = dep.client_for(star.cli)
         log = []
 
         def poller():
             yield cluster.sim.timeout(REQUEST_AT)
             while cluster.sim.now < until:
                 reply = yield from client.request_servers(
-                    CHAOS_REQUIREMENT, 2)
+                    STALENESS_REQUIREMENT, 2)
                 log.append((cluster.sim.now, reply.wizard,
                             tuple(sorted(reply.servers))))
                 yield cluster.sim.timeout(1.0)

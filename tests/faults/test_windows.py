@@ -1,0 +1,142 @@
+"""Windowed faults compose, and the fault plane asks the deployment.
+
+Two windows on one channel or clock that overlap without nesting used
+to never heal (each wrote back the absolute values it had saved); the
+one window primitive restores what the *first* window found and replays
+the windows still open.  Nested and disjoint windows are pinned to the
+values they always had.  And arming a plan is one step: the deployment
+already knows which application daemons run on a crashed host.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.faults import ChaosController, FaultPlan
+from repro.worlds import FAILOVER_CONFIG, SERVICE_PORT, build_star
+
+pytestmark = pytest.mark.chaos
+
+#: every channel attribute a window may touch, at rest
+HEALTHY = dict(loss_rate=0.0, loss_rng=None, extra_delay=0.0, jitter=0.0,
+               reorder_rate=0.0, reorder_extra=0.0, degrade_rng=None)
+
+
+def sample(plans, read, times, **star_args):
+    """Arm one controller per plan on a fresh star and return
+    ``read(star)`` at each of ``times``, plus the star."""
+    star = build_star(**star_args)
+    for plan in plans:
+        ChaosController(star.dep, plan).start()
+    seen = []
+    for t in times:
+        star.cluster.run(until=t)
+        seen.append(read(star))
+    return seen, star
+
+
+def s0_uplink(star):
+    """The s0 -> sw-g1 channel (s0 has exactly one NIC)."""
+    node = star.cluster.host("s0").node
+    (nic,) = node.nics
+    return nic.link.channel_from(node)
+
+
+def channel_state(star) -> dict:
+    return {attr: getattr(s0_uplink(star), attr) for attr in HEALTHY}
+
+
+class TestOverlapHeals:
+    """The three never-healing shapes of ISSUE 19, sampled mid-overlap,
+    after the first window ends and after the last one ends."""
+
+    TIMES = (9.0, 13.0, 18.0)
+
+    def test_loss_bursts(self):
+        plan = (FaultPlan().loss_burst(2.0, "s0", 0.5, 10.0)
+                .loss_burst(7.0, "s0", 0.9, 10.0))
+        rates, star = sample(
+            [plan], lambda s: s0_uplink(s).loss_rate, self.TIMES)
+        # the later burst stays in force until its own end...
+        assert rates == [0.9, 0.9, 0.0]
+        # ...and the last one out leaves everything as it was
+        assert channel_state(star) == HEALTHY
+        assert star.dep.fault_windows == {}
+
+    def test_degraded_link(self):
+        plan = (FaultPlan()
+                .degrade_link(2.0, "s0", "sw-g1", duration=10.0, latency=0.1)
+                .degrade_link(7.0, "s0", "sw-g1", duration=10.0,
+                              latency=0.05, jitter=0.01))
+        seen, star = sample([plan], channel_state, self.TIMES)
+        delays = [round(state["extra_delay"], 9) for state in seen]
+        assert delays == [0.15, 0.05, 0.0]
+        assert seen[1]["jitter"] == 0.01 and seen[1]["degrade_rng"] is not None
+        assert seen[2] == HEALTHY
+
+    def test_clock_skews(self):
+        plan = (FaultPlan().skew_clock(2.0, "s0", 20.0, duration=10.0)
+                .skew_clock(7.0, "s0", -5.0, duration=10.0))
+        offsets, star = sample(
+            [plan], lambda s: s.cluster.host("s0").clock.offset, self.TIMES)
+        assert offsets == [-5.0, -5.0, 0.0]
+        clock = star.cluster.host("s0").clock
+        assert not clock.skewed and clock.drift == 0.0
+
+    def test_loss_burst_over_lossy_degrade(self):
+        """Cross-kind overlap on one channel composes the same way."""
+        plan = (FaultPlan()
+                .degrade_link(2.0, "s0", "sw-g1", duration=10.0,
+                              latency=0.1, loss=0.2)
+                .loss_burst(7.0, "s0", 0.9, 10.0))
+        seen, _ = sample([plan], channel_state, self.TIMES)
+        assert [s["loss_rate"] for s in seen] == [0.9, 0.9, 0.0]
+        assert [s["extra_delay"] for s in seen] == [0.1, 0.0, 0.0]
+        assert seen[2] == HEALTHY
+
+    def test_windows_of_two_controllers_compose(self):
+        """The star job arms up to two controllers on one world: the
+        open windows live on the deployment, not in either of them."""
+        plans = [FaultPlan().loss_burst(2.0, "s0", 0.5, 10.0),
+                 FaultPlan().loss_burst(7.0, "s0", 0.9, 10.0)]
+        rates, star = sample(
+            plans, lambda s: s0_uplink(s).loss_rate, self.TIMES)
+        assert rates == [0.9, 0.9, 0.0]
+        assert channel_state(star) == HEALTHY
+
+
+class TestNestedAndDisjointUnchanged:
+    """Shapes that always healed keep the values they always had."""
+
+    def test_nested_bursts(self):
+        plan = (FaultPlan().loss_burst(2.0, "s0", 0.5, 10.0)
+                .loss_burst(4.0, "s0", 0.9, 3.0))
+        rates, star = sample(
+            [plan], lambda s: s0_uplink(s).loss_rate, (3.0, 5.0, 8.0, 13.0))
+        assert rates == [0.5, 0.9, 0.5, 0.0]
+        assert channel_state(star) == HEALTHY
+
+    def test_disjoint_bursts(self):
+        plan = (FaultPlan().loss_burst(2.0, "s0", 0.5, 3.0)
+                .loss_burst(7.0, "s0", 0.9, 3.0))
+        rates, star = sample(
+            [plan], lambda s: s0_uplink(s).loss_rate, (3.0, 6.0, 8.0, 11.0))
+        assert rates == [0.5, 0.0, 0.9, 0.0]
+        assert channel_state(star) == HEALTHY
+
+
+class TestNoRegistrationStep:
+    def test_restarted_server_listens_on_service_and_lease_ports(self):
+        """``ChaosController(dep, plan).start()`` is the whole arming:
+        ``build_star`` installed the worker and the lease responder on
+        the deployment, so crash + restart brings both back."""
+        plan = FaultPlan().crash_host(2.0, "s0").restart_host(5.0, "s0")
+        lease_port = FAILOVER_CONFIG.ports.lease
+        seen, star = sample(
+            [plan],
+            lambda s: sorted(s.cluster.host("s0").stack.tcp.listeners),
+            (4.0, 12.0), config=FAILOVER_CONFIG, replicas=2, app="matmul")
+        assert seen[0] == []
+        assert seen[1] == sorted([SERVICE_PORT, lease_port])
+        roles = [role for role, _ in star.dep.daemons_on("s0")]
+        assert roles == ["probe", "worker", "lease"]

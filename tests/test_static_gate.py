@@ -106,14 +106,16 @@ def test_ci_runs_sanitize_job():
 
 def test_ci_hunts_the_mutant_on_both_applications():
     """The CI ``explore`` job hunts the farm's one seeded mutant through
-    matmul *and* massd, and the healthy build must survive both
-    searches."""
+    matmul *and* massd, the healthy build must survive both searches,
+    and what the two hunts emit is pinned to the committed corpus."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
                   .replace("\\\n", " ").split())
     for app in ("matmul", "massd"):
         search = f"repro explore --budget 60 --seed 0 --scenario {app}"
-        assert f"{search} --mutant drop-checkpoint" in ci
+        assert (f"{search} --mutant drop-checkpoint --json hunt.json "
+                "--out hunt_ce") in ci
         assert f"run: python -m {search} env:" in ci
+    assert "run: diff -r hunt_ce tests/faults/corpus" in ci
 
 
 def test_ci_regenerates_the_committed_paper_tables():
