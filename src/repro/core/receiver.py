@@ -8,12 +8,24 @@ wizard may serve several server groups, each with its own transmitter, the
 receiver merges per-source snapshots: a new sysdb from group A replaces
 only A's previous contribution.
 
+Distributed mode (:meth:`Receiver.pull_all`): every transmitter is asked
+at once and the answers are applied as they arrive, so a round costs one
+round trip to the slowest transmitter, not the sum over all of them; and
+a transmitter answers a database that was not rewritten since this
+connection last carried it with a header announcing
+:data:`~repro.core.records.UNCHANGED` and no body — the contribution and
+the published dict stay as they are, only the freshness stamp moves.
+What a connection has delivered (:class:`_Feed`) lives and dies with it
+on both ends: a new connection is answered in full, and an *unchanged*
+for a database this connection never delivered drops the connection.
+
 Failure hardening: a snapshot that arrives *partially* (the connection died
 between messages) applies whatever bodies made it — the untouched message
-types keep their last-known-good contents; distributed-mode pulls are
-bounded by ``PULL_TIMEOUT`` so a wedged transmitter degrades the
-wizard to stale data instead of stalling it; and :meth:`staleness` exposes
-how old each database is so callers can flag degraded answers.
+types keep their last-known-good contents; a distributed-mode pull round
+is bounded by one ``PULL_TIMEOUT`` however many transmitters are wedged,
+which degrades the wizard to stale data instead of stalling it; a round
+cut short leaves no half-read connection behind; and :meth:`staleness`
+exposes how old each database is so callers can flag degraded answers.
 
 Clock-skew tolerance (beyond the thesis): record timestamps inside a
 snapshot were stamped by the *reporter's* wall clock, which a skew-clock
@@ -38,21 +50,38 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from ..net.tcp import ConnectError, ConnectionClosed
-from ..sim import HostClock, SharedMemory, Simulator, shared
+from ..net.tcp import ConnectError, ConnectionClosed, TcpConnection
+from ..sim import Event, HostClock, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
-from .records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, WireMessage
+from .records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
 
 __all__ = ["Receiver"]
 
 #: resident size, thesis Table 5.2: the receiver "requires much more memory
 #: space, because it maintains the status reports" — 92 KB
 RESIDENT_BYTES = 92 * 1024
-#: distributed mode: per-transmitter budget for one pull round trip
-#: before the wizard falls back to last-known-good data
+#: distributed mode: budget for one pull round — every transmitter
+#: asked at once — before the wizard falls back to last-known-good data
 PULL_TIMEOUT = 2.0
 #: monitor-clock skew tolerated before a stamp counts as suspected_skew
 SKEW_TOLERANCE = 1.0
+
+
+@dataclasses.dataclass(slots=True)
+class _Feed:
+    """One transmitter connection's place in its header / body stream,
+    pushed or pulled.  It lives and dies with the connection."""
+
+    src: str
+    conn: TcpConnection
+    #: the type the last header announced, until its body consumes it
+    announced: Optional[int] = None
+    #: the databases this connection has delivered — all an *unchanged*
+    #: header can refer to
+    held: set[int] = dataclasses.field(default_factory=set)
+    #: pull round in progress: answers still owed, the recv() waited on
+    owed: int = 0
+    get: Optional[Event] = None
 
 
 class Receiver:
@@ -76,7 +105,7 @@ class Receiver:
         self.clock = clock or HostClock(sim)
         #: distributed mode: transmitter addresses to pull from
         self.transmitters: list[str] = []
-        self._pull_conns: dict[str, object] = {}
+        self._pull_conns: dict[str, _Feed] = {}
         self._service = None
         #: per-source contributions: src addr -> {msg_type: data}
         self._sources: dict[str, dict[int, dict]] = {}
@@ -188,80 +217,135 @@ class Receiver:
         self._updated_at[msg_type] = self.sim.now
         self.messages_received += 1
 
-    def _on_frame(self, src: str, payload, announced: Optional[int]):
-        """Process generator: one frame of ``src``'s header / body stream,
-        pushed or pulled -> ``(announced, was_body)``.  A ``[type, size]``
-        header announces the body that follows (the receiver would size
-        its buffer here); a body consumes the announcement.  Frames come
-        from outside the process: a body too short to carry ``(type,
-        data, stamp)``, contradicting its header or naming no database
-        is skipped, never indexed past."""
+    def _on_frame(self, feed: _Feed, payload):
+        """Process generator: one frame of a transmitter's header / body
+        stream, pushed or pulled -> whether it answered for a database.
+
+        A ``[type, size]`` header announces the body that follows (the
+        receiver would size its buffer here); a body consumes the
+        announcement.  A header announcing ``UNCHANGED`` is an answer by
+        itself — "what you hold of this database from me is current": the
+        feed is live (``_updated_at`` moves, so ``epoch()``,
+        ``min_freshness_age()`` and REPLY_STALE see it) but nothing is
+        rebased, merged or published, so the wizard keeps the very dict
+        it has already sorted.  It carries no stamp: no skew check.
+
+        Frames come from outside the process: a body too short to carry
+        ``(type, data, stamp)``, contradicting its header or naming no
+        database is skipped, never indexed past — and then this
+        connection no longer holds that database.  An *unchanged* for a
+        database the connection does not hold cannot be honoured (the
+        sender's memory and ours disagree): ``ConnectionClosed``, the
+        connection is dropped and its successor is answered in full."""
         kind, *fields = payload
         if kind == "hdr" and fields:
-            return fields[0], False
+            if fields[1:2] != [UNCHANGED]:
+                feed.announced = fields[0]
+                return False
+            if fields[0] not in feed.held:
+                raise ConnectionClosed(
+                    f"{feed.src}: unchanged database {fields[0]} never held")
+            self._updated_at[fields[0]] = self.sim.now
+            self.messages_received += 1
+            return True
         if kind != "body":
-            return announced, False
+            return False
+        announced, feed.announced = feed.announced, None
         if (len(fields) >= 3 and announced in (None, fields[0])
                 and fields[0] in (MSG_SYSDB, MSG_NETDB, MSG_SECDB)):
-            yield from self._apply(src, *fields[:3])
-        return None, True
+            yield from self._apply(feed.src, *fields[:3])
+            feed.held.add(fields[0])
+        else:
+            feed.held -= {announced, *fields[:1]}
+        return True
 
     # -- centralized: accept pushes --------------------------------------------------
     def _session(self, conn):
-        announced: Optional[int] = None
+        feed = _Feed(conn.remote_addr, conn)
         while True:
             payload, _ = yield conn.recv()
-            announced, _ = yield from self._on_frame(
-                conn.remote_addr, payload, announced)
+            yield from self._on_frame(feed, payload)
 
     # -- distributed: pull on demand ---------------------------------------------------
+    def _drop(self, addr: str) -> None:
+        """Abort and forget ``addr``'s pull connection: the next round
+        dials a new one, which is answered in full."""
+        self._pull_conns.pop(addr).conn.abort()
+
     def pull_all(self):
         """Process generator: request fresh snapshots from every registered
         transmitter (invoked by the wizard per user request, §3.5.2).
 
-        Each transmitter gets at most ``PULL_TIMEOUT`` seconds to
-        deliver its three databases; one that is dead, partitioned, or
-        wedged is aborted and skipped so the wizard answers from
-        last-known-good data instead of stalling the request."""
-        for addr in self.transmitters:
-            conn = self._pull_conns.get(addr)
-            if conn is None or conn.peer_closed or conn.reset:
-                if conn is not None:
-                    conn.close()
+        Ask at once, gather as they come: every transmitter is sent its
+        ``MSG_PULL`` before any answer is read, then one loop applies the
+        answers in *arrival* order against one ``PULL_TIMEOUT`` deadline
+        for the whole round.  An answer that is in by the deadline is
+        applied wherever its transmitter sits in the list; only the
+        silent ones — dead, partitioned or wedged — are aborted and
+        dropped for re-dial, so the wizard answers from last-known-good
+        data instead of stalling the request, and k of them cost one
+        ``PULL_TIMEOUT``, not k.
+
+        A round that does not finish (the wizard is interrupted
+        mid-request, or anything else leaves the gather) likewise aborts
+        every connection it has asked and not fully read: an answer left
+        in a kept connection would be read by the next round as its own."""
+        #: asked and not yet fully read, by transmitter address
+        asked: dict[str, _Feed] = {}
+        try:
+            for addr in self.transmitters:
+                feed = self._pull_conns.get(addr)
+                if feed is not None and (feed.conn.peer_closed or feed.conn.reset):
+                    feed.conn.close()
+                    del self._pull_conns[addr]
+                    feed = None
+                if feed is None:
+                    try:
+                        conn = yield from self.stack.tcp.connect(
+                            addr, self.config.ports.transmitter
+                        )
+                    except ConnectError:
+                        self.pull_failures += 1
+                        continue
+                    feed = self._pull_conns[addr] = _Feed(addr, conn)
                 try:
-                    conn = yield from self.stack.tcp.connect(
-                        addr, self.config.ports.transmitter
-                    )
-                except ConnectError:
-                    self.pull_failures += 1
-                    self._pull_conns.pop(addr, None)
-                    continue
-                self._pull_conns[addr] = conn
-            try:
-                conn.send(WireMessage.pull(), 8)
-            except ConnectionClosed:
-                self.pull_failures += 1
-                self._pull_conns.pop(addr, None)
-                continue
-            pending = 3  # sysdb, netdb, secdb
-            announced: Optional[int] = None
-            deadline = self.sim.timeout(PULL_TIMEOUT)
-            while pending > 0:
-                get = conn.recv()
-                try:
-                    fired = yield self.sim.any_of([get, deadline])
+                    feed.conn.send(WireMessage.pull(), 8)
                 except ConnectionClosed:
                     self.pull_failures += 1
-                    self._pull_conns.pop(addr, None)
+                    del self._pull_conns[addr]
+                    continue
+                feed.owed = 3  # sysdb, netdb, secdb
+                asked[addr] = feed
+            deadline = self.sim.timeout(PULL_TIMEOUT)
+            while asked:
+                for feed in asked.values():
+                    if feed.get is None:
+                        feed.get = feed.conn.recv()
+                try:
+                    yield self.sim.any_of(
+                        [deadline, *(feed.get for feed in asked.values())])
+                except ConnectionClosed:
+                    pass  # a recv() failed: the sweep finds whose
+                for addr, feed in list(asked.items()):
+                    if not feed.get.processed:
+                        continue
+                    frame, feed.get = feed.get.value, None
+                    try:
+                        # the any_of defuses a recv() that failed and
+                        # leaves the exception as the event's value
+                        if isinstance(frame, ConnectionClosed):
+                            raise frame
+                        feed.owed -= yield from self._on_frame(feed, frame[0])
+                    except ConnectionClosed:
+                        # died mid-answer, or out of step (_on_frame)
+                        self.pull_failures += 1
+                        self._drop(addr)
+                        feed.owed = 0  # nothing more to wait for
+                    if not feed.owed:
+                        del asked[addr]
+                if deadline.processed:
+                    self.pull_timeouts += len(asked)
                     break
-                if get not in fired:
-                    # wedged or partitioned transmitter: abort the
-                    # connection so a fresh one is dialled next pull
-                    self.pull_timeouts += 1
-                    conn.abort()
-                    self._pull_conns.pop(addr, None)
-                    break
-                payload, _ = fired[get]
-                announced, was_body = yield from self._on_frame(
-                    addr, payload, announced)
-                pending -= was_body
+        finally:
+            for addr in asked:
+                self._drop(addr)

@@ -11,7 +11,11 @@ Two deliberately different encodings, as in the thesis:
   ``[type, size, data]`` messages because a monitor may handle many servers
   and "binary to ASCII conversion is resource consuming".  The simulator
   carries the Python objects but accounts the documented 204 bytes per
-  server record for sizing.
+  server record for sizing.  The ``[type, size]`` header of a database
+  announces the bytes its body is charged — never fewer than one
+  (:attr:`WireMessage.wire_size`) — which leaves :data:`UNCHANGED` free
+  to announce that *no* body follows: the answer of a pull session for
+  a database that was not rewritten since the connection last carried it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "MSG_NETDB",
     "MSG_SECDB",
     "MSG_PULL",
+    "UNCHANGED",
     "REPLY_OK",
     "REPLY_NAK",
     "REPLY_STALE",
@@ -63,6 +68,14 @@ MSG_SYSDB = 1
 MSG_NETDB = 2
 MSG_SECDB = 3
 MSG_PULL = 4  # distributed-mode snapshot request
+
+#: what a ``[type, size]`` header announces when no body follows it:
+#: "what you hold of this database from me is current".  The convention
+#: lives here and both ends name it — the transmitter's pull session
+#: sends it, :meth:`Receiver._on_frame` reads it.  It cannot be taken
+#: for an empty database, whose body is still charged (and announced
+#: as) one byte: see :attr:`WireMessage.wire_size`.
+UNCHANGED = 0
 
 #: wizard reply status (Table 3.6 extension): OK carries servers, NAK
 #: carries the static-analysis diagnostics that rejected the request, and
@@ -277,6 +290,19 @@ class WireMessage:
             raise ValueError(f"unknown message type {self.type}")
         if self.size < 0:
             raise ValueError(f"negative size {self.size}")
+
+    @property
+    def wire_size(self) -> int:
+        """Bytes the body is charged on the wire, and what its header
+        announces: at least one even for an empty database, so that a
+        header announcing :data:`UNCHANGED` can only mean "no body"."""
+        return max(1, self.size)
+
+    @staticmethod
+    def unchanged(msg_type: int) -> "WireMessage":
+        """Stand-in for a database that is not sent (``data`` is
+        ``None``): only its :data:`UNCHANGED` header crosses."""
+        return WireMessage(msg_type, UNCHANGED, None)
 
     @staticmethod
     def sysdb(records: dict[str, ServerStatusRecord]) -> "WireMessage":

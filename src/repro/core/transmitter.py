@@ -8,7 +8,15 @@ behaviours:
   segments to every receiver every interval over persistent connections;
 * **distributed** — passive: listens on its own port and answers each
   ``MSG_PULL`` with a fresh snapshot, so status only crosses the (wide
-  area) network when a wizard actually needs it.
+  area) network when a wizard actually needs it — and only the status
+  that *moved*: a pull session remembers, per connection, the version
+  (``Segment.writes``) of each database it last carried and answers one
+  that was not rewritten since with a header announcing
+  :data:`~repro.core.records.UNCHANGED` and no body.  Every monitor
+  republishes copy-on-write (DESIGN.md §9), so an unmoved write counter
+  is unmoved content.  The memory lives and dies with the connection: a
+  new one is answered in full.  The push loops remember nothing and ship
+  every database every interval.
 
 High availability (beyond the thesis): the centralized transmitter *fans
 out* — it accepts a list of receiver addresses and runs one fully
@@ -36,7 +44,7 @@ from typing import Optional, Sequence
 from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import HostClock, Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
-from .records import MSG_PULL, WireMessage
+from .records import MSG_NETDB, MSG_PULL, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
 
 __all__ = ["Transmitter", "PushStats"]
 
@@ -136,37 +144,56 @@ class Transmitter:
             self._service.stop()
 
     # -- snapshotting ------------------------------------------------------------
-    def snapshot(self):
+    def snapshot(self, carried: Optional[dict[int, int]] = None):
         """Process generator: read the 3 segments under their semaphores and
-        return the corresponding wire messages."""
+        return the corresponding wire messages.
+
+        ``carried`` is one pull connection's memory — message type ->
+        the ``Segment.writes`` of the database it last carried, read
+        here under the same lock hold as the data and updated in place.
+        A database not rewritten since comes back as
+        :meth:`WireMessage.unchanged`, without building the message that
+        will not be sent.  Without a memory (the push loops) all three
+        are built."""
         keys = self.config.shm
+        if carried is None:
+            carried = {}
         messages = []
-        for key, builder in (
-            (keys.monitor_system, WireMessage.sysdb),
-            (keys.monitor_network, WireMessage.netdb),
-            (keys.monitor_security, WireMessage.secdb),
+        for key, msg_type, builder in (
+            (keys.monitor_system, MSG_SYSDB, WireMessage.sysdb),
+            (keys.monitor_network, MSG_NETDB, WireMessage.netdb),
+            (keys.monitor_security, MSG_SECDB, WireMessage.secdb),
         ):
             seg = self.shm.segment(key)
             yield seg.lock.acquire()
             try:
-                data = seg.read() or {}
+                data, version = seg.read() or {}, seg.writes
             finally:
                 seg.lock.release()
-            messages.append(builder(dict(data)))
+            if carried.get(msg_type) == version:
+                messages.append(WireMessage.unchanged(msg_type))
+            else:
+                carried[msg_type] = version
+                messages.append(builder(dict(data)))
         return messages
 
     def _send_messages(self, conn, messages) -> int:
         sent = 0
         stamp = self.clock.now()
         for msg in messages:
+            if msg.data is None:
+                # WireMessage.unchanged: the header says so, no body
+                conn.send(("hdr", msg.type, UNCHANGED), 8)
+                sent += 8
+                continue
             # [type, size] header first, then the binary body — the header
             # is what lets the receiver size its buffer (thesis §3.5.1).
             # The body carries this clock's reading so the receiver can
             # spot (and rebase around) a skewed reporter clock; 8 stamp
             # bytes ride in the header's reserved field, no size change.
-            conn.send(("hdr", msg.type, msg.size), 8)
-            conn.send(("body", msg.type, msg.data, stamp), max(1, msg.size))
-            sent += 8 + max(1, msg.size)
+            conn.send(("hdr", msg.type, msg.wire_size), 8)
+            conn.send(("body", msg.type, msg.data, stamp), msg.wire_size)
+            sent += 8 + msg.wire_size
         return sent
 
     # -- centralized push ----------------------------------------------------------
@@ -231,10 +258,12 @@ class Transmitter:
 
     # -- distributed serve -----------------------------------------------------------
     def _session(self, conn):
+        #: what this connection last carried (see :meth:`snapshot`)
+        carried: dict[int, int] = {}
         while True:
             payload, _ = yield conn.recv()
             if isinstance(payload, WireMessage) and payload.type == MSG_PULL:
-                messages = yield from self.snapshot()
+                messages = yield from self.snapshot(carried)
                 try:
                     self._pull_bytes += self._send_messages(conn, messages)
                 except ConnectionClosed:

@@ -3,19 +3,20 @@
 A UDP daemon on port 1120 processing requests sequentially:
 
 1. receive ``[seq, server_num, option, request_detail]`` (Table 3.5);
-2. refresh the status structures — in *centralized* mode they are already
-   hot in shared memory; in *distributed* mode trigger the receiver to
-   pull fresh snapshots from every transmitter;
-3. compile the requirement — lex + parse (with line-level error
+2. compile the requirement — lex + parse (with line-level error
    recovery), statically analyze and constant-fold it, all served from an
    LRU :class:`~repro.lang.analysis.CompileCache` keyed by the text; a
    provably-unsatisfiable requirement is **NAKed with its diagnostics
-   before the status DB is read** (``requests_rejected_static``), and on
-   the accept path the compiled requirement runs against the servers'
-   status records, each handed only the identifiers it can read; a
-   server qualifies iff every logical statement holds — **and the scan
-   stops at** ``server_num`` (capped at 60) **qualifiers** whenever the
-   scan order is already the reply order (list below);
+   before the status DB is read — or, in distributed mode, pulled**
+   (``requests_rejected_static``);
+3. refresh the status structures — in *centralized* mode they are already
+   hot in shared memory; in *distributed* mode trigger the receiver to
+   pull from every transmitter at once — then run the compiled
+   requirement against the servers' status records, each handed only
+   the identifiers it can read; a server qualifies iff every logical
+   statement holds — **and the scan stops at** ``server_num`` (capped at
+   60) **qualifiers** whenever the scan order is already the reply order
+   (list below);
 4. apply the user-side slots: denied hosts are removed, preferred hosts
    are moved to the front of the candidate list — a text that assigns a
    slot is therefore swept to the end: slots are filled *while
@@ -246,14 +247,6 @@ class Wizard:
                     continue
                 request: WizardRequest = dgram.payload
                 self.bytes_in += request.wire_bytes
-                if self.mode == Mode.DISTRIBUTED:
-                    try:
-                        yield from self.receiver.pull_all()
-                    except Interrupt:
-                        raise
-                    except (ConnectError, ConnectionClosed):
-                        # degraded mode: answer from last-known-good data
-                        self.pull_failures += 1
                 try:
                     reply = yield from self._process(request, client_addr=dgram.src)
                 except Interrupt:
@@ -379,6 +372,14 @@ class Wizard:
         if compiled.unsatisfiable:
             self.requests_rejected_static += 1
             return self._nak_reply(request, compiled)
+        # only a request that will read the databases pays for refreshing
+        # them — before the staleness check, which reads what a pull moves
+        if self.mode == Mode.DISTRIBUTED:
+            try:
+                yield from self.receiver.pull_all()
+            except (ConnectError, ConnectionClosed):
+                # degraded mode: answer from last-known-good data
+                self.pull_failures += 1
         # staleness pre-flight: a replica whose feed died sends the
         # client to a fresher replica instead of serving ancient data
         if self._is_stale():

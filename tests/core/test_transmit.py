@@ -20,6 +20,8 @@ from repro.core import (
     Transmitter,
 )
 from repro.core.receiver import PULL_TIMEOUT
+from repro.core.records import UNCHANGED
+from repro.sim import Interrupt
 from tests.conftest import run_process
 
 
@@ -39,13 +41,16 @@ def seed_monitor_shm(host, cfg, tag):
     )
 
 
-def make_world(mode, n_monitors=1):
+def make_world(mode, n_monitors=1, delays=None):
+    """``delays``: the one-way delay of each monitor's link, if not the
+    default."""
     cluster = Cluster(seed=7)
     wizard_host = cluster.add_host("wizard")
     monitors = []
     for i in range(n_monitors):
         m = cluster.add_host(f"mon{i}")
-        cluster.link(m, wizard_host)
+        cluster.link(m, wizard_host,
+                     **({} if delays is None else {"delay": delays[i]}))
         monitors.append(m)
     cluster.finalize()
     cfg = Config(transmit_interval=1.0, mode=mode)
@@ -242,13 +247,7 @@ class TestPullHardening:
         cluster, cfg, receiver, _, monitors = make_world(Mode.DISTRIBUTED)
         mon = monitors[0]
         receiver.add_transmitter(mon.addr)
-
-        def black_hole():
-            lsn = mon.stack.tcp.listen(cfg.ports.transmitter)
-            while True:
-                yield lsn.accept()  # accept and say nothing
-
-        cluster.sim.process(black_hole())
+        self.wedge(cluster, cfg, mon)
         t = {}
 
         def p():
@@ -260,3 +259,172 @@ class TestPullHardening:
         assert receiver.pull_timeouts == 1
         assert t["end"] - t["start"] == pytest.approx(PULL_TIMEOUT, abs=0.1)
         assert mon.addr not in receiver._pull_conns  # dropped for re-dial
+
+    # -- the gather: ask at once, apply in arrival order, one deadline ------------
+
+    @staticmethod
+    def wedge(cluster, cfg, mon):
+        """``mon`` accepts pull connections and never answers."""
+        def black_hole():
+            lsn = mon.stack.tcp.listen(cfg.ports.transmitter)
+            while True:
+                yield lsn.accept()  # accept and say nothing
+
+        cluster.sim.process(black_hole())
+
+    def pull_three(self, wedged, delays=None):
+        """One round over three monitors, those in ``wedged`` silent ->
+        (receiver, monitors, seconds the round took)."""
+        cluster, cfg, receiver, txs, monitors = make_world(
+            Mode.DISTRIBUTED, n_monitors=3, delays=delays)
+        for i, (tx, mon) in enumerate(zip(txs, monitors)):
+            if i in wedged:
+                self.wedge(cluster, cfg, mon)
+            else:
+                tx.start()
+            receiver.add_transmitter(mon.addr)
+
+        def p():
+            start = cluster.sim.now
+            yield from receiver.pull_all()
+            return cluster.sim.now - start
+
+        return receiver, monitors, run_process(cluster.sim, p(), until=30.0)
+
+    def test_first_of_three_wedged_does_not_cost_the_healthy_two(self):
+        """Arrival order, not list order: the two answers that came in
+        2 s before the deadline are applied although the transmitter
+        ahead of them in the list never answers."""
+        receiver, monitors, elapsed = self.pull_three(wedged={0})
+        assert set(receiver.database(MSG_SYSDB)) == {"10.0.2.1", "10.0.3.1"}
+        assert set(receiver.database(MSG_SECDB)) == {"srv-2", "srv-3"}
+        assert (receiver.pull_timeouts, receiver.pull_failures) == (1, 0)
+        assert elapsed == pytest.approx(PULL_TIMEOUT, abs=0.1)
+        assert set(receiver._pull_conns) == {monitors[1].addr, monitors[2].addr}
+
+    def test_two_of_three_wedged_cost_one_timeout_not_two(self):
+        receiver, monitors, elapsed = self.pull_three(wedged={0, 2})
+        assert set(receiver.database(MSG_SYSDB)) == {"10.0.2.1"}
+        assert receiver.pull_timeouts == 2
+        assert elapsed == pytest.approx(PULL_TIMEOUT, abs=0.1)
+        assert set(receiver._pull_conns) == {monitors[1].addr}
+
+    def test_answers_in_reverse_list_order_build_the_same_databases(self):
+        """Unequal links: the first transmitter asked answers last."""
+        slow_first, monitors, _ = self.pull_three(
+            wedged=(), delays=(40e-3, 5e-3, 50e-6))
+        in_order, _, _ = self.pull_three(wedged=())
+        assert list(slow_first._sources) == [m.addr for m in reversed(monitors)]
+        assert list(in_order._sources) == [m.addr for m in monitors]
+        for msg_type in (MSG_SYSDB, MSG_NETDB, MSG_SECDB):
+            got, want = slow_first.database(msg_type), in_order.database(msg_type)
+            assert list(got) != [] and set(got) == set(want)
+        assert slow_first.messages_received == 9
+        assert slow_first.pull_timeouts == slow_first.pull_failures == 0
+
+    def test_transmitter_dying_after_its_first_body_fails_alone(self):
+        """One pull_failure for the one that died; what it delivered
+        before dying and everything it delivered earlier stays."""
+        cluster, cfg, receiver, txs, monitors = make_world(
+            Mode.DISTRIBUTED, n_monitors=3)
+        dying, *healthy = monitors
+        for tx in txs[1:]:
+            tx.start()
+        for mon in monitors:
+            receiver.add_transmitter(mon.addr)
+        now = cluster.sim.now
+
+        def one_body_then_die(conn):
+            yield conn.recv()
+            conn.send(("hdr", MSG_SYSDB, 204), 8)
+            conn.send(("body", MSG_SYSDB, {"10.0.1.1": "first"}, now), 204)
+            conn.send(("hdr", MSG_NETDB, 32), 8)
+            conn.send(("body", MSG_NETDB, {"g1": "kept"}, now), 32)
+            conn.close()
+            yield conn.recv()  # second round: body, then gone
+            conn.send(("hdr", MSG_SYSDB, 204), 8)
+            conn.send(("body", MSG_SYSDB, {"10.0.1.1": "second"}, now), 204)
+            conn.abort()
+
+        service = dying.stack.tcp.serve(
+            cfg.ports.transmitter, one_body_then_die,
+            name="dying-tx", session_name="dying-tx-session")
+
+        def p():
+            yield from receiver.pull_all()
+            first = receiver.pull_failures
+            service.stop()
+            return first
+
+        assert run_process(cluster.sim, p(), until=30.0) == 1
+        assert receiver.pull_timeouts == 0
+        sysdb = receiver.database(MSG_SYSDB)
+        assert sysdb["10.0.1.1"] == "first"             # the body that made it
+        assert {"10.0.2.1", "10.0.3.1"} <= set(sysdb)   # the others applied
+        assert receiver.database(MSG_NETDB)["g1"] == "kept"
+        assert dying.addr not in receiver._pull_conns
+        assert {m.addr for m in healthy} == set(receiver._pull_conns)
+
+    def test_group_without_servers_pulled_twice_stays_in_step(self):
+        """An empty database is announced (and charged) as one byte, so
+        its header is never taken for *unchanged*: the second round
+        reads three *unchanged* answers and nothing is left over."""
+        cluster, cfg, receiver, (tx,), (mon,) = make_world(Mode.DISTRIBUTED)
+        mon.shm.segment(cfg.shm.monitor_system).write({})  # no servers
+        tx.start()
+        receiver.add_transmitter(mon.addr)
+        sent = []
+
+        def p():
+            for _ in range(2):
+                yield from receiver.pull_all()
+                sent.append(tx.bytes_sent)
+                assert receiver.database(MSG_SYSDB) == {}
+                assert "g1" in receiver.database(MSG_NETDB)
+            yield cluster.sim.timeout(1.0)
+
+        run_process(cluster.sim, p(), until=30.0)
+        assert sent == [3 * 8 + 1 + 32 + 24, 3 * 8 + 1 + 32 + 24 + 3 * 8]
+        assert receiver.messages_received == 6
+        assert receiver.pull_timeouts == receiver.pull_failures == 0
+        assert len(receiver._pull_conns[mon.addr].conn.rx) == 0
+        assert UNCHANGED == 0 < tx.bytes_sent
+
+    # -- bug: an interrupted round must not poison the next ----------------------
+
+    def test_interrupted_round_leaves_no_answer_for_the_next(self):
+        """The wizard daemon killed between sending MSG_PULL and reading
+        the answer (``FaultPlan.kill_wizard_during_request``): the answer
+        must not sit in a kept connection, where the next round would
+        read it as its own — and every later round answer from the
+        round before."""
+        cluster, cfg, receiver, (tx,), (mon,) = make_world(Mode.DISTRIBUTED)
+        tx.start()
+        receiver.add_transmitter(mon.addr)
+        sim = cluster.sim
+
+        def killed_mid_pull():
+            try:
+                yield from receiver.pull_all()
+            except Interrupt:
+                return "interrupted"
+
+        def scenario():
+            yield from receiver.pull_all()                    # warm
+            victim = sim.process(killed_mid_pull())
+            yield sim.timeout(50e-6)                          # MSG_PULL is out
+            victim.interrupt("kill-daemon")
+            outcome = yield victim
+            yield sim.timeout(0.5)                            # the answer lands
+            report = ServerStatusReport(host="late", addr="10.9.9.1",
+                                        group="g1", values={})
+            seg = mon.shm.segment(cfg.shm.monitor_system)
+            seg.write({**seg.read(),
+                       "10.9.9.1": ServerStatusRecord(report, updated_at=sim.now)})
+            yield from receiver.pull_all()
+            return outcome, set(receiver.database(MSG_SYSDB))
+
+        outcome, sysdb = run_process(sim, scenario(), until=30.0)
+        assert outcome == "interrupted"
+        assert "10.9.9.1" in sysdb
+        assert receiver.pull_timeouts == receiver.pull_failures == 0

@@ -135,6 +135,30 @@ class TestEndToEnd:
         assert out["n"] == 4
         assert out["pulls"] == 1
 
+    def test_distributed_nak_pulls_nothing(self):
+        """A request answered before any database is read costs no round
+        trip to the transmitters; the next one that reads them pulls."""
+        cluster, dep = full_deployment(mode=Mode.DISTRIBUTED)
+        client = dep.client_for(cluster.host("sagit"))
+        tx = dep.groups["lab"].transmitter
+        out = {}
+
+        def p():
+            yield cluster.sim.timeout(5.0)
+            nak = yield from client.request_servers("host_cpu_free > 2", 4,
+                                                    precheck=False)
+            out["nak"] = nak.nak and [d.code for d in nak.diagnostics]
+            out["pulls_after_nak"] = tx.snapshots_sent
+            reply = yield from client.request_servers("host_cpu_free > 0.5", 4)
+            out["n"] = len(reply.servers)
+
+        proc = cluster.sim.process(p())
+        _drive(cluster, proc)
+        assert "REQ101" in out["nak"]
+        assert dep.wizard.requests_rejected_static == 1
+        assert out["pulls_after_nak"] == 0
+        assert (out["n"], tx.snapshots_sent) == (4, 1)
+
     def test_network_bw_selection_with_shapers(self):
         """A mini massd setup inside the integration suite."""
         cluster = build_testbed(seed=29)

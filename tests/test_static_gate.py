@@ -123,12 +123,17 @@ def test_ci_regenerates_the_committed_paper_tables():
     committed ``benchmarks/results/*.txt`` no longer regenerates — their
     server sets guard both halves of ``Wizard.match``: Table 5.5 fills
     five ``user_denied_host*`` slots (the sweep-everything path), the
-    others stop at ``server_num``."""
+    others stop at ``server_num``.  The modes ablation rides in the same
+    step, so the status bytes and request latency of distributed mode
+    are guarded like Tables 5.3–5.9."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     for table in ("tab5_3_matmul_2v2", "tab5_4_matmul_4v4", "tab5_5_matmul_6v6",
                   "tab5_6_matmul_4v4_loaded", "tab5_7_massd_1v1",
                   "tab5_8_massd_2v2", "tab5_9_massd_3v3"):
         assert f"benchmarks/test_{table}.py" in ci
+    # ... and the modes ablation with them: the only committed numbers
+    # distributed mode (the pull path) has
+    assert "benchmarks/test_ablation_modes_intervals.py" in ci
     assert "git diff --exit-code benchmarks/results/*.txt" in ci
 
 
