@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from conftest import record
 from repro.bench import format_table, resource_usage
+from repro.core import Transmitter
 
 PAPER = {
     "System Probe": ("<0.1%", "8 KB", "0.5~0.6 KBps(UDP)"),
@@ -51,3 +52,21 @@ def test_resource_usage(benchmark):
     assert by_name["Security Monitor"].net_kbps == 0
     # wizard answered requests but stayed under 1 KBps, like the paper
     assert 0 < by_name["Wizard"].net_kbps < 1.0
+
+
+def test_reshipping_transmitter_reads_the_figure_before_elision(monkeypatch):
+    """The thesis' transmitter re-ships all three databases every
+    interval (1.2 KBps); ours ships what moved (1.0).  A transmitter
+    that forgets what each connection carried — the always-in-full twin
+    of ``tests/core/test_pull_elision.py`` — reads the re-shipping
+    figure again, so the paper-faithful row stays reproducible without
+    a switch in ``src/``."""
+    remembering = Transmitter.snapshot
+
+    def in_full(self, carried=None):
+        return (yield from remembering(self))
+
+    monkeypatch.setattr(Transmitter, "snapshot", in_full)
+    by_name = {r.component: r for r in resource_usage(duration=60.0)}
+    assert f"{by_name['Transmitter'].net_kbps:.2f}" == "1.11"
+    assert by_name["Transmitter"].net_kbps == by_name["Receiver"].net_kbps

@@ -7,7 +7,8 @@ Workflow of :meth:`SmartClient.smart_sockets`:
    option string, and send the request to the wizard over UDP;
 3. wait for the matching reply (sequence numbers pair requests with
    replies; late/foreign replies are discarded), retrying on timeout;
-4. TCP-connect to the service port of every returned server and hand the
+4. TCP-connect to the service port of every returned server — all of
+   them at once, one handshake round trip for the group — and hand the
    caller the list of connected sockets — "the user's program and the
    actual service program ... should be aware of how to interact through
    the list of connected sockets".
@@ -20,8 +21,8 @@ Failure hardening (beyond the thesis):
   that just came back;
 * a server whose service port refused the connection is *quarantined*
   for ``config.quarantine_period`` seconds: subsequent ``smart_sockets``
-  calls connect to it last, so one dead-but-not-yet-expired server does
-  not slow every socket group down;
+  calls put it last in the group they hand back, behind the servers
+  that answered, while the wizard's database still lists it;
 * a **pre-submit static check**: the requirement is run through
   :func:`repro.lang.analysis` *before* any packet leaves the client —
   misspelled variables, arity errors and statically-unsatisfiable
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from ..lang.analysis import CompileCache
-from ..net.tcp import ConnectError, TcpConnection
+from ..net.tcp import TcpConnection
 from ..sim import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -382,7 +383,10 @@ class SmartClient:
         """Process generator -> list of connected :class:`TcpConnection`.
 
         The Smart analogue of calling ``socket(); connect()`` once per
-        server (thesis Fig 1.2): one call returns the whole socket group.
+        server (thesis Fig 1.2): one call returns the whole socket group,
+        dialled at once — one handshake round trip to the farthest
+        server, one connect timeout however many are dead — in the
+        wizard's order, quarantined servers last.
         With ``strict=True`` an :class:`InsufficientServers` error is raised
         when the wizard cannot satisfy the count (otherwise the caller gets
         however many qualified — the "Option field" behaviours of §3.6.1).
@@ -397,18 +401,18 @@ class SmartClient:
         if strict and len(reply.servers) < n:
             raise InsufficientServers(n, reply.servers)
         port = service_port if service_port is not None else self.config.ports.service
+        order = self._deprioritise(reply.servers)
+        dialled = yield from self.stack.tcp.connect_all(
+            order, port, **({} if mss is None else {"mss": mss}))
         conns: list[TcpConnection] = []
-        for addr in self._deprioritise(reply.servers):
-            kwargs = {} if mss is None else {"mss": mss}
-            try:
-                conn = yield from self.stack.tcp.connect(addr, port, **kwargs)
-            except ConnectError:
+        for addr, conn in zip(order, dialled):
+            if conn is None:
                 # dead server: skip, and remember — the wizard's database
                 # will not notice until the record expires, so deprioritise
                 # the host locally in the meantime
                 self._note_connect_failure(addr)
-                continue
-            conns.append(conn)
+            else:
+                conns.append(conn)
         if strict and len(conns) < n:
             for conn in conns:
                 conn.close()
@@ -431,7 +435,7 @@ class SmartClient:
         return self._quarantine.active()
 
     def _deprioritise(self, servers: list[str]) -> list[str]:
-        """Stable-sort a wizard reply so quarantined hosts connect last."""
+        """Stable-sort a wizard reply so quarantined hosts come last."""
         self._quarantine.decay()
         if not self._quarantine:
             return list(servers)

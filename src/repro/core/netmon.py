@@ -335,8 +335,8 @@ class NetworkMonitor:
         try:
             # copy-on-write is required here: mutating the stored dict in
             # place would bypass shared() tracking.  Runs at probe rate
-            # (netmon_interval), not request rate, so the copy is cheap;
-            # delta shipping (ROADMAP: fleet-sized traffic) removes it.
+            # (netmon_interval), not request rate, so the copy is cheap
+            # (DESIGN §9: every writer republishes, none mutates).
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
             # ... and a fresh record too: the published dict, and any
             # snapshot the transmitter has already handed to TCP, still

@@ -8,16 +8,20 @@ wizard may serve several server groups, each with its own transmitter, the
 receiver merges per-source snapshots: a new sysdb from group A replaces
 only A's previous contribution.
 
-Distributed mode (:meth:`Receiver.pull_all`): every transmitter is asked
-at once and the answers are applied as they arrive, so a round costs one
-round trip to the slowest transmitter, not the sum over all of them; and
-a transmitter answers a database that was not rewritten since this
-connection last carried it with a header announcing
-:data:`~repro.core.records.UNCHANGED` and no body — the contribution and
-the published dict stay as they are, only the freshness stamp moves.
-What a connection has delivered (:class:`_Feed`) lives and dies with it
-on both ends: a new connection is answered in full, and an *unchanged*
-for a database this connection never delivered drops the connection.
+A transmitter sends a database that was not rewritten since this
+connection last carried it as a header announcing
+:data:`~repro.core.records.UNCHANGED` and no body, pushed or pulled — the
+contribution and the published dict stay as they are, only the freshness
+stamp moves.  What a connection has delivered (:class:`_Feed`) lives and
+dies with it on both ends: a new connection is sent everything, and an
+*unchanged* for a database this connection never delivered aborts the
+connection (a push loop finds its next segment answered with RST and
+re-dials; a pull round drops it for re-dial).
+
+Distributed mode (:meth:`Receiver.pull_all`): every transmitter without
+a live connection is dialled at once, every transmitter is asked at once
+and the answers are applied as they arrive, so a round costs one round
+trip to the slowest transmitter, not the sum over all of them.
 
 Failure hardening: a snapshot that arrives *partially* (the connection died
 between messages) applies whatever bodies made it — the untouched message
@@ -50,7 +54,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from ..net.tcp import ConnectError, ConnectionClosed, TcpConnection
+from ..net.tcp import ConnectionClosed, TcpConnection
 from ..sim import Event, HostClock, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
 from .records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
@@ -235,8 +239,9 @@ class Receiver:
         database is skipped, never indexed past — and then this
         connection no longer holds that database.  An *unchanged* for a
         database the connection does not hold cannot be honoured (the
-        sender's memory and ours disagree): ``ConnectionClosed``, the
-        connection is dropped and its successor is answered in full."""
+        sender's memory and ours disagree): ``ConnectionClosed``, on
+        which both callers abort the connection, so that its successor
+        is sent everything."""
         kind, *fields = payload
         if kind == "hdr" and fields:
             if fields[1:2] != [UNCHANGED]:
@@ -264,7 +269,14 @@ class Receiver:
         feed = _Feed(conn.remote_addr, conn)
         while True:
             payload, _ = yield conn.recv()
-            yield from self._on_frame(feed, payload)
+            try:
+                yield from self._on_frame(feed, payload)
+            except ConnectionClosed:
+                # out of step.  Left open, the connection would go on
+                # acking and never carry that database again; aborted,
+                # it answers the push loop's next segment with RST
+                conn.abort()
+                raise
 
     # -- distributed: pull on demand ---------------------------------------------------
     def _drop(self, addr: str) -> None:
@@ -276,7 +288,9 @@ class Receiver:
         """Process generator: request fresh snapshots from every registered
         transmitter (invoked by the wizard per user request, §3.5.2).
 
-        Ask at once, gather as they come: every transmitter is sent its
+        Dial at once, ask at once, gather as they come: the transmitters
+        without a live connection are dialled together (k unreachable
+        ones cost one connect timeout), every transmitter is sent its
         ``MSG_PULL`` before any answer is read, then one loop applies the
         answers in *arrival* order against one ``PULL_TIMEOUT`` deadline
         for the whole round.  An answer that is in by the deadline is
@@ -292,27 +306,33 @@ class Receiver:
         in a kept connection would be read by the next round as its own."""
         #: asked and not yet fully read, by transmitter address
         asked: dict[str, _Feed] = {}
+        feeds = self._pull_conns
         try:
+            dial = []
             for addr in self.transmitters:
-                feed = self._pull_conns.get(addr)
+                feed = feeds.get(addr)
                 if feed is not None and (feed.conn.peer_closed or feed.conn.reset):
                     feed.conn.close()
-                    del self._pull_conns[addr]
-                    feed = None
+                    del feeds[addr]
+                if addr not in feeds:
+                    dial.append(addr)
+            # dial at once: k unreachable ones cost one connect timeout
+            dialled = yield from self.stack.tcp.connect_all(
+                dial, self.config.ports.transmitter)
+            for addr, conn in zip(dial, dialled):
+                if conn is None:
+                    self.pull_failures += 1
+                else:
+                    feeds[addr] = _Feed(addr, conn)
+            for addr in self.transmitters:
+                feed = feeds.get(addr)
                 if feed is None:
-                    try:
-                        conn = yield from self.stack.tcp.connect(
-                            addr, self.config.ports.transmitter
-                        )
-                    except ConnectError:
-                        self.pull_failures += 1
-                        continue
-                    feed = self._pull_conns[addr] = _Feed(addr, conn)
+                    continue
                 try:
                     feed.conn.send(WireMessage.pull(), 8)
                 except ConnectionClosed:
                     self.pull_failures += 1
-                    del self._pull_conns[addr]
+                    del feeds[addr]
                     continue
                 feed.owed = 3  # sysdb, netdb, secdb
                 asked[addr] = feed

@@ -107,9 +107,9 @@ class SystemMonitor:
         yield seg.lock.acquire()
         try:
             # copy-on-write upsert: in-place mutation of the stored dict
-            # would bypass shared() tracking.  Per status report (seconds
-            # apart per host), not per wizard request; delta shipping
-            # (ROADMAP: fleet-sized traffic) is the structural fix.
+            # would bypass shared() tracking and edit a snapshot already
+            # handed to TCP.  Per status report (seconds apart per
+            # host), not per wizard request (DESIGN §9).
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
             db[report.addr] = ServerStatusRecord(report=report, updated_at=self.clock.now())
             seg.write(db)
@@ -126,8 +126,7 @@ class SystemMonitor:
                 yield seg.lock.acquire()
                 try:
                     # copy-on-write reap, once per probe_interval — same
-                    # shared()-tracking constraint and ROADMAP pointer as
-                    # _upsert above
+                    # constraint as _upsert above
                     db = dict(seg.read() or {})  # repro: noqa[REPRO501]
                     stale = [a for a, rec in db.items() if rec.age(self.clock.now()) > limit]
                     for addr in stale:

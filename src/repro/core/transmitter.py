@@ -8,15 +8,17 @@ behaviours:
   segments to every receiver every interval over persistent connections;
 * **distributed** — passive: listens on its own port and answers each
   ``MSG_PULL`` with a fresh snapshot, so status only crosses the (wide
-  area) network when a wizard actually needs it — and only the status
-  that *moved*: a pull session remembers, per connection, the version
-  (``Segment.writes``) of each database it last carried and answers one
-  that was not rewritten since with a header announcing
-  :data:`~repro.core.records.UNCHANGED` and no body.  Every monitor
-  republishes copy-on-write (DESIGN.md §9), so an unmoved write counter
-  is unmoved content.  The memory lives and dies with the connection: a
-  new one is answered in full.  The push loops remember nothing and ship
-  every database every interval.
+  area) network when a wizard actually needs it.
+
+Either way only the status that *moved* crosses: a push loop and a pull
+session remember, per connection, the version (``Segment.writes``) of
+each database that connection last carried, and a database that was not
+rewritten since goes out as a header announcing
+:data:`~repro.core.records.UNCHANGED` and no body.  Every monitor
+republishes copy-on-write (DESIGN.md §9), so an unmoved write counter is
+unmoved content.  The memory lives and dies with the connection — one
+per receiver replica, one per pulling wizard: a new one is sent
+everything.
 
 High availability (beyond the thesis): the centralized transmitter *fans
 out* — it accepts a list of receiver addresses and runs one fully
@@ -148,13 +150,12 @@ class Transmitter:
         """Process generator: read the 3 segments under their semaphores and
         return the corresponding wire messages.
 
-        ``carried`` is one pull connection's memory — message type ->
-        the ``Segment.writes`` of the database it last carried, read
-        here under the same lock hold as the data and updated in place.
-        A database not rewritten since comes back as
+        ``carried`` is one connection's memory, pushed or pulled —
+        message type -> the ``Segment.writes`` of the database it last
+        carried, read here under the same lock hold as the data and
+        updated in place.  A database not rewritten since comes back as
         :meth:`WireMessage.unchanged`, without building the message that
-        will not be sent.  Without a memory (the push loops) all three
-        are built."""
+        will not be sent.  Without a memory all three are built."""
         keys = self.config.shm
         if carried is None:
             carried = {}
@@ -203,6 +204,8 @@ class Transmitter:
         stalls the fan-out to the live ones."""
         stats = self.push_stats[addr]
         conn = None
+        #: what ``conn`` last carried (see :meth:`snapshot`)
+        carried: dict[int, int] = {}
         backoff = self.config.transmit_interval
         acked_mark = 0
         progress_at = 0.0
@@ -237,10 +240,11 @@ class Transmitter:
                         )
                         continue
                     stats.connects += 1
+                    carried = {}  # a new connection is sent everything
                     backoff = self.config.transmit_interval
                     acked_mark = conn.bytes_acked
                     progress_at = self.sim.now
-                messages = yield from self.snapshot()
+                messages = yield from self.snapshot(carried)
                 try:
                     stats.bytes_sent += self._send_messages(conn, messages)
                 except ConnectionClosed:

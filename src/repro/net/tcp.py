@@ -34,7 +34,7 @@ arms a second, earlier call and the later one finds itself superseded.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from ..sim import Interrupt, Store
 from .packet import Datagram, PROTO_TCP
@@ -531,24 +531,67 @@ class TcpLayer:
         Raises :class:`ConnectError` if the handshake does not finish within
         ``timeout`` (retrying SYN once halfway through).
         """
-        sim = self.stack.sim
-        addr = self.stack.resolve(dst)
-        lport = next(self._ephemeral)
-        conn = TcpConnection(self, lport, addr, dport, mss=mss, window=window)
-        self.conns[(lport, addr, dport)] = conn
-        syn_sent_at = sim.now
-        self._send_ctrl(conn, "SYN")
-        half = sim.timeout(timeout / 2)
-        got = yield sim.any_of([conn.established_ev, half])
-        if conn.established_ev not in got:
-            self._send_ctrl(conn, "SYN")  # one retry
-            rest = sim.timeout(timeout / 2)
-            got = yield sim.any_of([conn.established_ev, rest])
-            if conn.established_ev not in got:
-                del self.conns[(lport, addr, dport)]
-                raise ConnectError(f"connect {dst}:{dport} timed out")
-        conn._rtt_sample(sim.now - syn_sent_at)
+        (conn,) = yield from self.connect_all(
+            [dst], dport, mss=mss, window=window, timeout=timeout)
+        if conn is None:
+            raise ConnectError(f"connect {dst}:{dport} timed out")
         return conn
+
+    def connect_all(self, dsts: Sequence[str], dport: int,
+                    mss: int = DEFAULT_MSS, window: int = DEFAULT_WINDOW,
+                    timeout: float = 5.0):
+        """Process generator: dial every destination at once -> one entry
+        per destination, in the order asked — the established
+        :class:`TcpConnection`, or ``None`` where the handshake did not
+        finish within ``timeout``.
+
+        Every SYN goes out before any answer is awaited, then one loop
+        takes the handshakes as they complete (each connection's RTT
+        sample at the moment it establishes), so the call costs one round
+        trip to the farthest destination, and k silent ones cost one
+        ``timeout``, not k.  Halfway through, the SYN is retried once —
+        for the destinations still outstanding only.
+
+        A dial that is not handed back — still outstanding at the
+        deadline, or any when the caller is interrupted — is aborted and
+        leaves the demux table: its late SYNACK is answered with RST
+        instead of establishing a connection nobody owns.
+        """
+        sim = self.stack.sim
+        dialled: list[TcpConnection] = []
+        #: dialled and not handed back: aborted on the way out
+        unreturned = dialled
+        try:
+            for dst in dsts:
+                addr = self.stack.resolve(dst)
+                lport = next(self._ephemeral)
+                conn = TcpConnection(self, lport, addr, dport,
+                                     mss=mss, window=window)
+                self.conns[(lport, addr, dport)] = conn
+                dialled.append(conn)
+            syn_sent_at = sim.now
+            pending = dialled
+            for _syn in range(2):  # the first, and one retry
+                if not pending:
+                    break
+                for conn in pending:
+                    self._send_ctrl(conn, "SYN")
+                deadline = sim.timeout(timeout / 2)
+                while pending and not deadline.processed:
+                    yield sim.any_of(
+                        [*(conn.established_ev for conn in pending), deadline])
+                    outstanding = []
+                    for conn in pending:
+                        if conn.established_ev.processed:
+                            conn._rtt_sample(sim.now - syn_sent_at)
+                        else:
+                            outstanding.append(conn)
+                    pending = outstanding
+            unreturned = pending
+            return [None if conn in pending else conn for conn in dialled]
+        finally:
+            for conn in unreturned:
+                conn.abort()
 
     def _send_ctrl(self, conn: TcpConnection, kind: str) -> None:
         dgram = Datagram(

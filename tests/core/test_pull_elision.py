@@ -1,19 +1,23 @@
-"""Oracle: a pull answered only with what moved leaves the receiver
-holding what a pull answered in full leaves it holding.
+"""Oracle: a feed that ships only what moved leaves the receiver holding
+what a feed shipped in full leaves it holding — pulled or pushed.
 
 Two sides live in one simulated world — the real transmitter, whose pull
-sessions elide what was not rewritten, and a reference that remembers
-nothing and always answers in full (the behaviour before elision).  A
-seeded script does the same thing to both at the same instant: monitor
-writes to the three segments (new content, equal content republished,
-emptied, none), pull rounds, receiver-side connection aborts, transmitter
-stop / start, and a body that contradicts its header.  After every round
-that reported no failure the three databases must agree record for
-record, and the eliding side must never have sent more bytes.
+sessions and push loops elide what was not rewritten since their
+connection last carried it, and a reference that remembers nothing and
+always ships in full (the behaviour before elision).  A seeded script
+does the same thing to both at the same instant: monitor writes to the
+three segments (new content, equal content republished, emptied, none),
+pull rounds or push intervals, receiver-side connection aborts,
+transmitter stop / start, receiver stop / start (pushes), and a body that
+contradicts its header.  After every round that reported no failure —
+every interval in which both receivers took in a whole snapshot — the
+three databases must agree record for record, and the eliding side must
+never have sent more bytes.
 
-The oracle earns its keep on two mutants: the remembered versions kept
-on the ``Transmitter`` instead of per connection, and a receiver that
-accepts *unchanged* for a database its connection never delivered.
+The oracle earns its keep on two mutants, in both modes: the remembered
+versions kept on the ``Transmitter`` instead of per connection, and a
+receiver that accepts *unchanged* for a database its connection never
+delivered.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from repro.core import (
     ServerStatusReport,
     Transmitter,
 )
+from repro.core.transmitter import PushStats
 from tests.conftest import run_process
 
 DATABASES = (MSG_SYSDB, MSG_NETDB, MSG_SECDB)
@@ -112,11 +117,18 @@ class Side:
         new, self.failures = seen - self.failures, seen
         return new
 
+    @property
+    def push(self) -> PushStats:
+        """Counters of the one push loop (centralized mode)."""
+        (stats,) = self.transmitter.push_stats.values()
+        return stats
 
-def build(transmitter=ScriptedTransmitter, receiver=Receiver):
+
+def build(mode=Mode.DISTRIBUTED, transmitter=ScriptedTransmitter,
+          receiver=Receiver):
     """-> (cluster, cfg, the side under test, the always-in-full twin)."""
     cluster = Cluster(seed=11)
-    cfg = Config(mode=Mode.DISTRIBUTED)
+    cfg = Config(mode=mode, transmit_interval=1.0, transmit_backoff_cap=1.0)
     hosts = {}
     for side in ("elided", "full"):
         wizard, monitor = (cluster.add_host(f"{role}-{side}")
@@ -129,9 +141,12 @@ def build(transmitter=ScriptedTransmitter, receiver=Receiver):
                                  ("full", Receiver, FullTransmitter)):
         wizard, monitor = hosts[side]
         rx = rx_cls(cluster.sim, wizard.stack, wizard.shm, cfg)
-        tx = tx_cls(cluster.sim, monitor.stack, monitor.shm, config=cfg,
-                    mode=Mode.DISTRIBUTED)
-        rx.add_transmitter(monitor.addr)
+        tx = tx_cls(cluster.sim, monitor.stack, monitor.shm,
+                    receiver_addrs=[wizard.addr], config=cfg, mode=mode)
+        if mode == Mode.DISTRIBUTED:
+            rx.add_transmitter(monitor.addr)
+        else:
+            rx.start()
         tx.start()
         sides.append(Side(rx, tx, monitor))
     return (cluster, cfg, *sides)
@@ -172,15 +187,9 @@ def assert_same_databases(elided: Side, full: Side, where: str) -> None:
     assert elided.transmitter.bytes_sent <= full.transmitter.bytes_sent, where
 
 
-def run_script(seed: int, steps: int = 70, **mutant):
-    """Drive one seeded interleaving; raises ``AssertionError`` where the
-    side under test stops agreeing with its twin."""
-    cluster, cfg, elided, full = build(**mutant)
-    sides = (elided, full)
-    sim = cluster.sim
-    rng = random.Random(seed)
+def writer(sides, cfg, sim):
+    """-> ``write(msg_type, kind)``: the same monitor write on every side."""
     serial = iter(range(1, 10_000))
-    compared = 0
 
     def write(msg_type, kind):
         n = next(serial)
@@ -189,6 +198,26 @@ def run_script(seed: int, steps: int = 70, **mutant):
             seg.write({"new": content(msg_type, n, sim.now), "empty": {},
                        # copy-on-write republish of what is there
                        "same": dict(seg.read() or {})}[kind])
+
+    return write
+
+
+def random_writes(rng, write) -> None:
+    for msg_type in DATABASES:
+        kind = rng.choice(("new", "same", "empty", None))
+        if kind:
+            write(msg_type, kind)
+
+
+def run_pull_script(seed: int, steps: int = 70, **mutant):
+    """Drive one seeded interleaving; raises ``AssertionError`` where the
+    side under test stops agreeing with its twin."""
+    cluster, cfg, elided, full = build(Mode.DISTRIBUTED, **mutant)
+    sides = (elided, full)
+    sim = cluster.sim
+    rng = random.Random(seed)
+    write = writer(sides, cfg, sim)
+    compared = 0
 
     def script():
         nonlocal compared
@@ -201,10 +230,7 @@ def run_script(seed: int, steps: int = 70, **mutant):
                 op = "pull"  # one per script: a second one could hit the
                 #              re-dial that repairs the first
             if op == "write":
-                for msg_type in DATABASES:
-                    kind = rng.choice(("new", "same", "empty", None))
-                    if kind:
-                        write(msg_type, kind)
+                random_writes(rng, write)
             elif op == "abort":  # receiver side: the connection is gone
                 for side in sides:
                     for feed in side.receiver._pull_conns.values():
@@ -239,29 +265,121 @@ def run_script(seed: int, steps: int = 70, **mutant):
     return compared
 
 
+def run_push_script(seed: int, steps: int = 70, **mutant):
+    """The same for pushes.  Every step is one thing done to both sides
+    followed by one transmit interval; the databases are compared after
+    every interval in which both receivers took in a whole snapshot.
+    The side under test may dial exactly once more than its twin: the
+    re-dial that repairs the one contradicting body."""
+    cluster, cfg, elided, full = build(Mode.CENTRALIZED, **mutant)
+    sides = (elided, full)
+    sim = cluster.sim
+    rng = random.Random(seed)
+    write = writer(sides, cfg, sim)
+    compared = 0
+
+    def interval():
+        """One transmit interval, ended clear of any snapshot in flight
+        -> whether each receiver took in a whole snapshot meanwhile (no
+        write falls inside, so it carried what the segments hold)."""
+        before = [s.receiver.messages_received for s in sides]
+        yield sim.timeout(cfg.transmit_interval)
+        while any(sim.now - s.push.last_push_at < SETTLE for s in sides):
+            yield sim.timeout(SETTLE)
+        return [s.receiver.messages_received - b >= len(DATABASES)
+                for s, b in zip(sides, before)]
+
+    def script():
+        nonlocal compared
+        sending = listening = True
+        in_step = False  # the last interval left both receivers current
+        repaired = 0
+        for step in range(steps):
+            where = f"seed {seed} step {step}"
+            op = rng.choice(("write", "write", "write", "quiet", "abort",
+                             "tx-bounce", "rx-bounce", "contradict"))
+            if op == "contradict" and (repaired or not in_step):
+                op = "quiet"  # one per script, from a steady feed
+            if op == "write":
+                random_writes(rng, write)
+            elif op == "abort":  # receiver side: the connection is gone
+                for side in sides:
+                    for conn in list(side.receiver.stack.tcp.conns.values()):
+                        conn.abort()
+            elif op == "tx-bounce":
+                for side in sides:
+                    side.transmitter.stop() if sending else side.transmitter.start()
+                sending = not sending
+            elif op == "rx-bounce":
+                for side in sides:
+                    side.receiver.stop() if listening else side.receiver.start()
+                listening = not listening
+            elif op == "contradict":
+                write(MSG_SYSDB, "new")  # so skipping the body shows
+                for side in sides:
+                    side.transmitter.contradict_next = True
+                # the garbled snapshot; the *unchanged* that is refused
+                # (the secdb of the same snapshot or, had that just been
+                # rewritten, the sysdb of the next) and the snapshot lost
+                # to the reset; the re-dial, answered in full
+                for _ in range(2):
+                    yield from interval()
+                repaired = 1
+            current = yield from interval()
+            if op == "contradict":
+                assert all(current), where
+            assert elided.push.connects == full.push.connects + repaired, where
+            in_step = all(current)
+            if in_step:
+                assert_same_databases(elided, full, where)
+                compared += 1
+        for side in sides:
+            side.transmitter.stop()  # or the loops push on to the horizon
+
+    run_process(sim, script(), until=100_000.0)
+    return compared
+
+
 SEEDS = range(12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_elided_pulls_build_what_full_pulls_build(seed):
-    assert run_script(seed) >= 5  # rounds actually compared
+    assert run_pull_script(seed) >= 5  # rounds actually compared
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_elided_pushes_build_what_full_pushes_build(seed):
+    assert run_push_script(seed) >= 5  # intervals actually compared
+
+
+def killed(run_script, **mutant) -> None:
+    with pytest.raises(AssertionError):
+        for seed in SEEDS:
+            run_script(seed, **mutant)
 
 
 def test_oracle_kills_memory_kept_on_the_transmitter():
     """A new connection must be answered in full: with the versions on
     the transmitter, the round after an abort or a restart is told
     *unchanged* about databases its connection never carried."""
-    with pytest.raises(AssertionError):
-        for seed in SEEDS:
-            run_script(seed, transmitter=MemoryOnTransmitter)
+    killed(run_pull_script, transmitter=MemoryOnTransmitter)
 
 
 def test_oracle_kills_receiver_accepting_unchanged_it_does_not_hold():
     """After a skipped body the receiver holds the version before it;
     honouring the next *unchanged* would serve that one as current."""
-    with pytest.raises(AssertionError):
-        for seed in SEEDS:
-            run_script(seed, receiver=CredulousReceiver)
+    killed(run_pull_script, receiver=CredulousReceiver)
+
+
+def test_push_oracle_kills_memory_kept_on_the_transmitter():
+    """Pushed, the re-dial after an abort is told *unchanged* about
+    everything, refused, and re-dialled again: the feed never resumes."""
+    killed(run_push_script, transmitter=MemoryOnTransmitter)
+
+
+def test_push_oracle_kills_receiver_accepting_unchanged_it_does_not_hold():
+    killed(run_push_script, receiver=CredulousReceiver)
 
 
 def test_resync_rule():
@@ -299,6 +417,43 @@ def test_resync_rule():
         return tx.snapshots_sent
 
     assert run_process(sim, script(), until=60.0) == 4
+
+
+def test_push_resync_rule():
+    """The same rule for a pushed feed, where nobody counts a failed
+    round: the refused *unchanged* aborts the connection, the push
+    loop's next snapshot is answered with RST, and it re-dials — once —
+    and ships in full.  Ended quietly instead, the session would leave
+    the connection open and acked and the sysdb stale for good."""
+    cluster, cfg, elided, full = build(Mode.CENTRALIZED)
+    rx, tx, push = elided.receiver, elided.transmitter, elided.push
+    sim = cluster.sim
+    for msg_type in DATABASES:
+        segment(elided, cfg, msg_type).write(content(msg_type, 1, 0.0))
+
+    def script():
+        yield sim.timeout(0.5)  # the first snapshot, in full
+        assert (push.connects, rx.messages_received) == (1, 3)
+        old = rx.database(MSG_SYSDB)
+        segment(elided, cfg, MSG_SYSDB).write(content(MSG_SYSDB, 2, sim.now))
+        tx.contradict_next = True
+        yield sim.timeout(1.0)
+        # body skipped, *unchanged* netdb honoured, *unchanged* secdb
+        # refused: last-known-good is served, the connection is gone
+        assert rx.messages_received == 4
+        assert rx.database(MSG_SYSDB).keys() == old.keys()
+        assert rx.stack.tcp.conns == {}
+        yield sim.timeout(1.0)  # a snapshot of headers, answered with RST
+        assert (push.connects, rx.messages_received) == (1, 4)
+        yield sim.timeout(1.0)  # the re-dial, sent everything
+        assert (push.connects, rx.messages_received) == (2, 7)
+        assert set(rx.database(MSG_SYSDB)) == {"10.0.0.1", "10.0.0.2"}
+        sent = push.bytes_sent
+        yield sim.timeout(1.0)  # and in step again: three headers
+        assert (push.connects, push.bytes_sent - sent) == (2, 3 * 8)
+        return push.snapshots_sent, push.send_failures
+
+    assert run_process(sim, script(), until=5.0) == (5, 0)
 
 
 def test_contradicting_body_unholds_the_database_it_claims_to_be_too():
@@ -342,3 +497,29 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
         assert rx.suspected_skew == 0
 
     run_process(sim, script(), until=60.0)
+
+
+def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
+    """Nothing rewritten: an interval's push is three headers, and the
+    receiver's freshness stamps follow the pushes all the same."""
+    cluster, cfg, elided, full = build(Mode.CENTRALIZED)
+    rx, push = elided.receiver, elided.push
+    sim = cluster.sim
+    for msg_type in DATABASES:
+        segment(elided, cfg, msg_type).write(content(msg_type, 2, 0.0))
+
+    def script():
+        yield sim.timeout(0.5)
+        published = {t: rx.shm.segment(rx._segment_key(t)).read() for t in DATABASES}
+        in_full = push.bytes_sent
+        yield sim.timeout(5.0)  # five more intervals
+        assert push.snapshots_sent == 6
+        assert push.bytes_sent - in_full == 5 * 3 * 8
+        assert rx.messages_received == 6 * 3
+        assert all(rx.staleness(t) < cfg.transmit_interval for t in DATABASES)
+        assert rx.min_freshness_age() < cfg.transmit_interval
+        for msg_type in DATABASES:  # the very dicts the wizard has sorted
+            assert rx.shm.segment(rx._segment_key(msg_type)).read() \
+                is published[msg_type]
+
+    run_process(sim, script(), until=6.0)

@@ -24,6 +24,9 @@ from repro.core.records import UNCHANGED
 from repro.sim import Interrupt
 from tests.conftest import run_process
 
+#: ``TcpLayer.connect``'s default handshake budget
+CONNECT_TIMEOUT = 5.0
+
 
 def seed_monitor_shm(host, cfg, tag):
     """Put recognisable data in the monitor-side segments."""
@@ -240,6 +243,28 @@ class TestPullHardening:
 
         run_process(cluster.sim, p(), until=30.0)
         assert receiver.pull_failures == 1
+
+    def test_two_of_three_unreachable_cost_one_connect_timeout_not_two(self):
+        """The dials go out at once, like the asks: the reachable
+        transmitter is pulled once the other two have timed out
+        together."""
+        cluster, cfg, receiver, txs, monitors = make_world(
+            Mode.DISTRIBUTED, n_monitors=3)
+        txs[1].start()  # nothing listens at the first and the third
+        for mon in monitors:
+            receiver.add_transmitter(mon.addr)
+
+        def p():
+            start = cluster.sim.now
+            yield from receiver.pull_all()
+            return cluster.sim.now - start
+
+        elapsed = run_process(cluster.sim, p(), until=30.0)
+        assert elapsed == pytest.approx(CONNECT_TIMEOUT, abs=0.1)
+        assert (receiver.pull_failures, receiver.pull_timeouts) == (2, 0)
+        assert set(receiver.database(MSG_SYSDB)) == {"10.0.2.1"}
+        assert set(receiver._pull_conns) == {monitors[1].addr}
+        assert len(receiver.stack.tcp.conns) == 1  # no dial left behind
 
     def test_wedged_transmitter_times_out_not_stalls(self):
         """A transmitter that accepts but never answers must cost at most

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.core import MSG_SYSDB, Config, Mode, Receiver, Transmitter
+from tests.conftest import run_process
 from tests.core.test_transmit import seed_monitor_shm
 
 
@@ -109,3 +110,32 @@ class TestFanOut:
         assert cut.last_push_at > 9.0   # pushing again post-heal
         # the healthy loop held its 1/s cadence throughout
         assert healthy.snapshots_sent >= 12
+
+    def test_each_replica_has_its_own_memory_of_what_it_was_sent(self):
+        """Pushes ship what moved *on that connection*: a replica that
+        lost its connection is sent everything on the new one while its
+        sibling, whose connection held, keeps receiving three headers."""
+        cluster, cfg, tx, receivers, wiz_hosts, _ = make_fanout_world(2)
+        for r in receivers:
+            r.start()
+        tx.start()
+        kept, redialled = (tx.push_stats[w.addr] for w in wiz_hosts)
+
+        def scenario():
+            yield cluster.sim.timeout(2.5)  # in full, then headers only
+            in_full = kept.bytes_sent - 2 * 3 * 8
+            assert redialled.bytes_sent == kept.bytes_sent
+            for conn in list(wiz_hosts[1].stack.tcp.conns.values()):
+                conn.abort()  # replica 1's end of the connection is gone
+            yield cluster.sim.timeout(1.0)  # headers into the void: RST
+            sent = kept.bytes_sent, redialled.bytes_sent
+            yield cluster.sim.timeout(1.0)
+            assert (kept.connects, redialled.connects) == (1, 2)
+            assert kept.bytes_sent - sent[0] == 3 * 8
+            assert redialled.bytes_sent - sent[1] == in_full
+            for r in receivers:
+                assert "10.0.1.1" in r.database(MSG_SYSDB)
+                assert r.staleness(MSG_SYSDB) < cfg.transmit_interval
+            tx.stop()
+
+        run_process(cluster.sim, scenario(), until=10.0)

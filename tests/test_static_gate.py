@@ -134,6 +134,9 @@ def test_ci_regenerates_the_committed_paper_tables():
     # ... and the modes ablation with them: the only committed numbers
     # distributed mode (the pull path) has
     assert "benchmarks/test_ablation_modes_intervals.py" in ci
+    # ... and Table 5.2, whose Transmitter / Receiver rows are what the
+    # push path ships
+    assert "benchmarks/test_tab5_2_resource_usage.py" in ci
     assert "git diff --exit-code benchmarks/results/*.txt" in ci
 
 
