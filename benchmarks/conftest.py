@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one table/figure of the thesis' evaluation,
-prints it in the paper's row/series format and writes it to
-``benchmarks/results/<name>.txt`` so the artefacts survive pytest's output
-capture.  Shape assertions (who wins, by roughly what factor, where the
-knees fall) make each benchmark a regression test for the reproduction.
+Every benchmark regenerates one table/figure — the thesis' evaluation
+from ``repro.bench.CATALOGUE`` in ``test_paper_tables.py``, the ablations
+in their own files — prints it in the paper's row/series format and
+writes it to ``benchmarks/results/<name>.txt`` so the artefacts survive
+pytest's output capture.  Shape assertions (who wins, by roughly what
+factor, where the knees fall) make each benchmark a regression test for
+the reproduction.
 """
 
 from __future__ import annotations
@@ -19,33 +21,3 @@ def record(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
-
-
-def matmul_report(name: str, title: str, arms, paper: dict) -> str:
-    """Render one Tables-5.3–5.6-style comparison and persist it.
-
-    ``paper`` maps arm label -> (server list string, seconds).
-    """
-    from repro.bench import format_table
-
-    by_label = {a.label: a for a in arms}
-    rows = []
-    for label, (paper_servers, paper_s) in paper.items():
-        arm = by_label[label]
-        rows.append((
-            label, ", ".join(arm.servers), round(arm.elapsed, 2),
-            paper_servers, paper_s,
-        ))
-    random_t = by_label["random"].elapsed
-    smart_t = by_label["smart"].elapsed
-    improvement = 100 * (random_t - smart_t) / random_t
-    paper_imp = 100 * (paper["random"][1] - paper["smart"][1]) / paper["random"][1]
-    table = format_table(
-        ["arm", "servers (measured)", "time_s", "servers (paper)", "paper_s"],
-        rows,
-        title=title,
-    )
-    table += (f"\nimprovement: measured {improvement:.1f}% "
-              f"vs paper {paper_imp:.1f}%")
-    record(name, table)
-    return table

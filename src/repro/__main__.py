@@ -47,159 +47,12 @@ import sys
 import time
 from typing import Callable
 
-from .bench import (
-    bandwidth_probe_table,
-    format_table,
-    knee_slopes,
-    massd_experiment,
-    matmul_experiment,
-    matrix_benchmark,
-    resource_usage,
-    rtt_vs_size,
-    series_to_text,
-    shaper_calibration,
-    six_paths,
-)
+from .bench import CATALOGUE
 
-
-def _rtt(mtu: int) -> str:
-    series = rtt_vs_size(mtu=mtu, sizes=range(1, 6001, 25))
-    below, above = knee_slopes(series, mtu)
-    return series_to_text(
-        [(s, round(t * 1e6, 1)) for s, t in series], "payload_B", "rtt_us",
-        title=(f"RTT vs UDP payload (MTU={mtu}): slope below knee "
-               f"{below*1e9:.1f} ns/B, above {above*1e9:.1f} ns/B"),
-    )
-
-
-def _six_paths() -> str:
-    results = six_paths()
-    blocks = []
-    for index, series in sorted(results.items()):
-        blocks.append(series_to_text(
-            [(s, round(t * 1e3, 3)) for s, t in series],
-            "payload_B", "rtt_ms", max_points=8, title=f"path {index}",
-        ))
-    return "\n\n".join(blocks)
-
-
-def _bw_table() -> str:
-    rows, extra = bandwidth_probe_table()
-    body = format_table(
-        ["Packet Size(Bytes)", "Min Bw(Mbps)", "Max Bw", "Avg Bw"],
-        [(r.label, r.min_mbps, r.max_mbps, r.avg_mbps) for r in rows],
-        title="Bandwidth Measurements using various Packet Size (Table 3.3)",
-    )
-    body += f"\npipechar: {extra['pipechar_mbps']:.1f} Mbps"
-    lo, hi = extra["pathload_mbps"]
-    body += f"\npathload: {lo:.1f}~{hi:.1f} Mbps"
-    return body
-
-
-def _resources() -> str:
-    rows = resource_usage()
-    return format_table(
-        ["Program", "CPU", "Memory", "Net bandwidth"],
-        [(r.component, f"{r.cpu_pct:.2f}%", f"{r.mem_kb:.0f} KB",
-          f"{r.net_kbps:.2f} KBps({r.transport})") for r in rows],
-        title="System Resource used with 11 Probes Running (Table 5.2)",
-    )
-
-
-def _fig5_2() -> str:
-    return format_table(
-        ["host", "benchmark_s"],
-        [(n, round(t, 2)) for n, t in matrix_benchmark()],
-        title="Matrix Benchmarking Results (Fig 5.2)",
-    )
-
-
-def _matmul(n_servers, blk, requirement, random_servers, loaded=(), pool=None, title=""):
-    def run() -> str:
-        kwargs = dict(n_servers=n_servers, blk=blk, requirement=requirement,
-                      random_servers=random_servers, loaded_hosts=loaded)
-        if loaded:
-            kwargs["warmup"] = 90.0
-        if pool is not None:
-            kwargs["pool"] = pool
-        arms = matmul_experiment(**kwargs)
-        return format_table(
-            ["arm", "servers", "time_s"],
-            [(a.label, ", ".join(a.servers), round(a.elapsed, 2)) for a in arms],
-            title=title,
-        )
-
-    return run
-
-
-def _shaper() -> str:
-    return format_table(
-        ["rshaper set (KB/s)", "massd measured (KB/s)"],
-        [(s, round(m, 1)) for s, m in shaper_calibration()],
-        title="Benchmark for rshaper and massd (Fig 5.3)",
-    )
-
-
-def _massd(g1, g2, requirement, n, random_sets, title):
-    def run() -> str:
-        arms = massd_experiment(group1_mbps=g1, group2_mbps=g2,
-                                requirement=requirement, n_servers=n,
-                                random_sets=random_sets)
-        return format_table(
-            ["arm", "servers", "throughput KB/s"],
-            [(a.label, ", ".join(a.servers), round(a.throughput_kbps, 1))
-             for a in arms],
-            title=title,
-        )
-
-    return run
-
-
+#: id -> run the experiment and return the report committed as
+#: ``benchmarks/results/<stem>.txt`` (one row of ``bench.catalogue`` each)
 EXPERIMENTS: dict[str, Callable[[], str]] = {
-    "fig3.3": lambda: _rtt(1500),
-    "fig3.4": lambda: _rtt(1000),
-    "fig3.5": lambda: _rtt(500),
-    "fig3.6": _six_paths,
-    "tab3.3": _bw_table,
-    "tab5.2": _resources,
-    "fig5.2": _fig5_2,
-    "tab5.3": _matmul(
-        2, 600,
-        "(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9) && (host_memory_free > 5)",
-        ("lhost", "phoebe"), title="matmul 2 vs 2 (Table 5.3)"),
-    "tab5.4": _matmul(
-        4, 200,
-        "((host_cpu_bogomips > 4000) || (host_cpu_bogomips < 2000)) && "
-        "(host_cpu_free > 0.9) && (host_memory_free > 5)",
-        ("phoebe", "pandora-x", "calypso", "telesto"),
-        title="matmul 4 vs 4 (Table 5.4)"),
-    "tab5.5": _matmul(
-        6, 200,
-        "(host_cpu_free > 0.9) && (host_memory_free > 5) && "
-        "(user_denied_host1 = telesto) && (user_denied_host2 = mimas) && "
-        "(user_denied_host3 = phoebe) && (user_denied_host4 = calypso) && "
-        "(user_denied_host5 = titan-x)",
-        ("phoebe", "pandora-x", "calypso", "telesto", "helene", "lhost"),
-        title="matmul 6 vs 6, blacklist (Table 5.5)"),
-    "tab5.6": _matmul(
-        4, 200,
-        "(host_cpu_free > 0.9) && (host_memory_free > 5) && (host_system_load1 < 0.5)",
-        ("mimas", "helene", "calypso", "telesto"),
-        loaded=("helene", "telesto", "mimas"),
-        pool=("mimas", "telesto", "helene", "phoebe", "calypso", "titan-x",
-              "pandora-x"),
-        title="matmul 4 vs 4 with SuperPI workload (Table 5.6)"),
-    "fig5.3": _shaper,
-    "tab5.7": _massd(6.72, 1.33, "monitor_network_bw > 6", 1,
-                     [("pandora-x",)], "massd 1 vs 1 (Table 5.7)"),
-    "tab5.8": _massd(5.01, 7.67, "monitor_network_bw > 7", 2,
-                     [("mimas", "telesto"), ("telesto", "titan-x")],
-                     "massd 2 vs 2 (Table 5.8)"),
-    "tab5.9": _massd(5.99, 2.92, "monitor_network_bw > 5", 3,
-                     [("dione", "titan-x", "pandora-x"),
-                      ("mimas", "titan-x", "dione"),
-                      ("telesto", "mimas", "dione")],
-                     "massd 3 vs 3 (Table 5.9)"),
+    exp.id: exp.report for exp in CATALOGUE
 }
 
 

@@ -2,9 +2,10 @@
 
 Each function builds a fresh deterministic world (testbed or purpose-built
 topology), runs the measurement, and returns plain data that the
-``benchmarks/`` files print in the thesis' row/series format.  Arms that
-the thesis compares (random vs Smart) run in *separate* simulations so one
-arm's traffic and load never contaminate the other.
+catalogue's renderers (:mod:`repro.bench.catalogue`) print in the thesis'
+row/series format.  Arms that the thesis compares (random vs Smart) run
+in *separate* simulations so one arm's traffic and load never contaminate
+the other.
 
 Index (see DESIGN.md §4):
 
@@ -47,6 +48,7 @@ from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG, SERVICE_PORT,
 __all__ = [
     "rtt_vs_size",
     "knee_slopes",
+    "locate_knee",
     "six_paths",
     "bandwidth_probe_table",
     "PAPER_SIZE_GROUPS",
@@ -202,6 +204,23 @@ def _slope(points: Sequence[tuple[int, float]]) -> float:
     if denom == 0:
         raise ValueError("degenerate x values")
     return (n * sxy - sx * sy) / denom
+
+
+def locate_knee(series: Sequence[tuple[int, float]]) -> Optional[int]:
+    """Payload size minimising two-piece linear fit error (coarse scan)."""
+    best, best_err = None, float("inf")
+    candidates = [s for s, _ in series][5:-5]
+    for cut in candidates[:: max(1, len(candidates) // 60)]:
+        lo = [(s, t) for s, t in series if s <= cut]
+        hi = [(s, t) for s, t in series if s > cut]
+        if len(lo) < 3 or len(hi) < 3:
+            continue
+        slo, shi = _slope(lo), _slope(hi)
+        err = sum((t - (lo[0][1] + slo * (s - lo[0][0]))) ** 2 for s, t in lo)
+        err += sum((t - (hi[0][1] + shi * (s - hi[0][0]))) ** 2 for s, t in hi)
+        if err < best_err:
+            best, best_err = cut, err
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ paper-vs-measured comparison where the thesis gives concrete numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "ComparisonRow", "format_comparison", "series_to_text"]
+__all__ = ["format_table", "ComparisonRow", "format_comparison",
+           "format_arm_comparison", "series_to_text"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
@@ -60,6 +61,30 @@ def format_comparison(rows: Sequence[ComparisonRow], title: str = "") -> str:
         [(r.label, r.paper, r.measured, r.note) for r in rows],
         title=title,
     )
+
+
+def format_arm_comparison(title: str, arms: Sequence[Any],
+                          paper: Mapping[str, tuple[Sequence[str], float]]) -> str:
+    """One Tables-5.3–5.6-style comparison: measured next to paper per
+    arm, then the smart arm's improvement over random in both.
+
+    ``paper`` maps arm label -> (servers, seconds); ``arms`` carry
+    ``label``, ``servers`` and ``elapsed``.
+    """
+    by_label = {a.label: a for a in arms}
+    table = format_table(
+        ["arm", "servers (measured)", "time_s", "servers (paper)", "paper_s"],
+        [(label, by_label[label].servers, round(by_label[label].elapsed, 2),
+          paper_servers, paper_s)
+         for label, (paper_servers, paper_s) in paper.items()],
+        title=title,
+    )
+    random_t = by_label["random"].elapsed
+    smart_t = by_label["smart"].elapsed
+    improvement = 100 * (random_t - smart_t) / random_t
+    paper_imp = 100 * (paper["random"][1] - paper["smart"][1]) / paper["random"][1]
+    return (table + f"\nimprovement: measured {improvement:.1f}% "
+                    f"vs paper {paper_imp:.1f}%")
 
 
 def series_to_text(series: Sequence[tuple], x_label: str, y_label: str,

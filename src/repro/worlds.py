@@ -354,19 +354,14 @@ def massd_world(group1_mbps: float, group2_mbps: float,
 # named smoke jobs — shared by ``check --sanitize`` and ``profile``
 # ---------------------------------------------------------------------------
 
-#: name -> (runner in :mod:`repro.bench.experiments`, one kwargs dict
-#: per call): the thesis worlds sized down so an instrumented pass stays
-#: in the seconds range.  Both CLIs accept exactly these names.
+#: name -> (what to run, one kwargs dict per call): the thesis worlds
+#: sized down so an instrumented pass stays in the seconds range.  What
+#: to run is a ``bench.catalogue`` id — that table's own runner and
+#: parameters, the dict overriding only its sizes — or a runner in
+#: :mod:`repro.bench.experiments`.  Both CLIs accept exactly these names.
 SMOKE_JOBS: dict[str, tuple[str, tuple[dict[str, Any], ...]]] = {
-    "matmul": ("matmul_experiment", (dict(
-        n_servers=2, blk=120,
-        requirement="(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
-                    " && (host_memory_free > 5)",
-        random_servers=("lhost", "phoebe"), n=240),)),
-    "massd": ("massd_experiment", (dict(
-        group1_mbps=6.72, group2_mbps=1.33,
-        requirement="monitor_network_bw > 6", n_servers=1,
-        random_sets=[("pandora-x",)], data_kb=2000),)),
+    "matmul": ("tab5.3", (dict(blk=120, n=240),)),
+    "massd": ("tab5.7", (dict(data_kb=2000),)),
     "failover": ("failover_experiment", (
         dict(scenario="wizard_kill"), dict(scenario="server_kill"))),
     "grayfail": ("grayfail_experiment", (
@@ -378,10 +373,12 @@ SMOKE_JOBS: dict[str, tuple[str, tuple[dict[str, Any], ...]]] = {
 def run_smoke(name: str, **instruments: Any) -> list:
     """Run one named smoke job; returns its arms (each carries an
     ``observed`` :class:`Observed`)."""
-    from .bench import experiments
+    # resolved here, not at import: repro.bench imports this module
+    from .bench import catalogue, experiments
 
-    runner_name, calls = SMOKE_JOBS[name]
-    runner = getattr(experiments, runner_name)
+    target, calls = SMOKE_JOBS[name]
+    row = catalogue.BY_ID.get(target)
+    runner = row.run if row is not None else getattr(experiments, target)
     arms: list = []
     for kwargs in calls:
         result = runner(**kwargs, **instruments)

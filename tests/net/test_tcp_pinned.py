@@ -27,9 +27,9 @@ import random
 
 import pytest
 
-from repro.bench.experiments import massd_experiment
 from repro.net import MBPS, ConnectionClosed, Network, NetworkStack, TokenBucket
 from repro.sim import Simulator
+from repro.worlds import run_smoke
 
 
 class _World:
@@ -243,10 +243,7 @@ def backoff_then_fresh_sample():
 
 
 def table_5_7_random1():
-    arms = massd_experiment(
-        group1_mbps=6.72, group2_mbps=1.33,
-        requirement="monitor_network_bw > 6", n_servers=1,
-        random_sets=[("pandora-x",)], data_kb=2000)
+    arms = run_smoke("massd")   # Table 5.7, 2000 KB
     return {a.label: {"servers": a.servers, "elapsed": repr(a.elapsed)}
             for a in arms}
 

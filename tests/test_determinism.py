@@ -7,10 +7,11 @@ benchmark harness — these tests pin that property at several levels.
 from __future__ import annotations
 
 from repro.bench import rtt_vs_size
-from repro.bench.experiments import _drive, massd_experiment, matmul_experiment
+from repro.bench.experiments import _drive
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, estimate_bandwidth
 from repro.sim import EventTrace, RandomStreams, Simulator, diff_traces
+from repro.worlds import run_smoke
 
 
 class TestRandomStreams:
@@ -139,15 +140,10 @@ class TestExperimentDeterminism:
     def test_schedule_sanitizer_matmul_dual_run(self):
         """Acceptance invariant: matmul 2v2 dual runs under different
         shuffle seeds are trace-identical and pick identical servers."""
-        req = ("(host_cpu_bogomips > 4000) && (host_cpu_free > 0.9)"
-               " && (host_memory_free > 5)")
 
         def run(tie_seed):
-            return matmul_experiment(
-                n_servers=2, blk=120, requirement=req,
-                random_servers=("lhost", "phoebe"), n=240,
-                tie_break_seed=tie_seed, trace_events=True,
-            )
+            return run_smoke("matmul", tie_break_seed=tie_seed,
+                             trace_events=True)
 
         a, b = run(1), run(2)
         assert [arm.label for arm in a] == [arm.label for arm in b]
@@ -164,12 +160,8 @@ class TestExperimentDeterminism:
         shuffle seeds are trace-identical and pick identical servers."""
 
         def run(tie_seed):
-            return massd_experiment(
-                group1_mbps=6.72, group2_mbps=1.33,
-                requirement="monitor_network_bw > 6",
-                n_servers=1, random_sets=[("pandora-x",)], data_kb=2000,
-                tie_break_seed=tie_seed, trace_events=True,
-            )
+            return run_smoke("massd", tie_break_seed=tie_seed,
+                             trace_events=True)
 
         a, b = run(1), run(2)
         for arm_a, arm_b in zip(a, b):

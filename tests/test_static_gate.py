@@ -8,6 +8,7 @@ the baked-in toolchain.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -119,25 +120,32 @@ def test_ci_hunts_the_mutant_on_both_applications():
 
 
 def test_ci_regenerates_the_committed_paper_tables():
-    """The tier-1 job reruns the bulk-TCP tables and fails when a
-    committed ``benchmarks/results/*.txt`` no longer regenerates — their
-    server sets guard both halves of ``Wizard.match``: Table 5.5 fills
-    five ``user_denied_host*`` slots (the sweep-everything path), the
-    others stop at ``server_num``.  The modes ablation rides in the same
-    step, so the status bytes and request latency of distributed mode
-    are guarded like Tables 5.3–5.9."""
-    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    for table in ("tab5_3_matmul_2v2", "tab5_4_matmul_4v4", "tab5_5_matmul_6v6",
-                  "tab5_6_matmul_4v4_loaded", "tab5_7_massd_1v1",
-                  "tab5_8_massd_2v2", "tab5_9_massd_3v3"):
-        assert f"benchmarks/test_{table}.py" in ci
-    # ... and the modes ablation with them: the only committed numbers
-    # distributed mode (the pull path) has
-    assert "benchmarks/test_ablation_modes_intervals.py" in ci
-    # ... and Table 5.2, whose Transmitter / Receiver rows are what the
-    # push path ships
-    assert "benchmarks/test_tab5_2_resource_usage.py" in ci
-    assert "git diff --exit-code benchmarks/results/*.txt" in ci
+    """The tier-1 job reruns every thesis table from the one catalogue
+    and fails when a committed ``benchmarks/results/*.txt`` no longer
+    regenerates — the bulk-TCP tables' server sets guard both halves of
+    ``Wizard.match``: Table 5.5 fills five ``user_denied_host*`` slots
+    (the sweep-everything path), the others stop at ``server_num``.  The
+    modes ablation rides in the same step, so the status bytes and
+    request latency of distributed mode (the pull path) are guarded like
+    Tables 5.3–5.9, and so does Table 5.2, whose Transmitter / Receiver
+    rows are what the push path ships."""
+    from repro.bench import CATALOGUE
+
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
+                  .replace("\\\n", " ").split())
+    writers = ("benchmarks/test_paper_tables.py",
+               "benchmarks/test_ablation_modes_intervals.py",
+               "benchmarks/test_ablation_probe_method.py")
+    assert (f"python -m pytest -q {' '.join(writers)} "
+            "git diff --exit-code benchmarks/results/*.txt") in ci
+    # ... and nothing committed escapes that step: every results/*.txt
+    # is written by a catalogue row, the fidelity summary or an ablation
+    written = {exp.stem for exp in CATALOGUE} | {"fidelity"}
+    for ablation in writers[1:]:
+        written |= set(re.findall(r'record\("(\w+)"',
+                                  (REPO / ablation).read_text()))
+    committed = {p.stem for p in (REPO / "benchmarks" / "results").glob("*.txt")}
+    assert committed == written
 
 
 def test_repro_check_clean_on_src():
