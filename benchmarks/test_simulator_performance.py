@@ -8,6 +8,9 @@ unlike the experiment regenerations, these are micro-benchmarks.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.cluster import Cluster
 from repro.host import CPU
 from repro.net import MBPS, Network, NetworkStack
 from repro.sim import Simulator, Store
@@ -85,6 +88,38 @@ def test_udp_datagram_cost(benchmark):
         assert len(inbox.rx) + inbox.rx.dropped == n
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("groups, ceiling_s", [(8, 0.25), (32, 2.0)],
+                         ids=["512", "2048"])
+def test_fleet_build_cost(benchmark, groups, ceiling_s):
+    """Hosts, links and routes of the ledger's fleet shape (a core switch,
+    ``groups`` switches of 64 servers and a monitor each) up to and
+    including ``finalize()`` — the world-size axis.  Only the switches
+    search and hold a table: switches x addresses entries, where one
+    search and one table per *node* cost 0.5 s at 512 servers and ~10 s
+    at 2,048."""
+
+    def build():
+        cluster = Cluster()
+        core = cluster.add_switch("core")
+        for name in ("wizard", "client0", "client1"):
+            cluster.link(cluster.add_host(name), core, subnet="10.0.0")
+        for g in range(groups):
+            switch = cluster.add_switch(f"sw{g}")
+            cluster.link(switch, core, subnet=f"10.1.{g}")
+            for name in [f"mon{g}", *(f"g{g}s{s:02d}" for s in range(64))]:
+                cluster.link(cluster.add_host(name), switch, subnet=f"10.1.{g}")
+        cluster.finalize()
+        return cluster
+
+    cluster = benchmark.pedantic(build, rounds=3, iterations=1)
+    nodes = list(cluster.network.nodes.values())
+    addresses = sum(len(n.addresses) for n in nodes)
+    assert sum(len(n.routes) for n in nodes) == sum(
+        addresses - len(n.addresses) for n in nodes if len(n.nics) > 1)
+    # ~10x what it takes, so CI noise doesn't flake
+    assert benchmark.stats.stats.min < ceiling_s
 
 
 def test_processor_sharing_churn(benchmark):

@@ -66,6 +66,7 @@ class Cluster:
         os_name: str = "Linux 2.4",
     ) -> SmartHost:
         node = self.network.add_host(name)
+        self._finalized = False
         machine = Machine(
             self.sim, name, bogomips=bogomips,
             mem_bytes=mem_mb << 20, speeds=speeds, os_name=os_name,
@@ -77,6 +78,7 @@ class Cluster:
     def add_switch(self, name: str) -> Node:
         """A switch/router node (forwards, no init-speed term, no stack)."""
         node = self.network.add_router(name)
+        self._finalized = False
         self.switches[name] = node
         return node
 
@@ -90,6 +92,7 @@ class Cluster:
         subnet: Optional[str] = None,
     ) -> Link:
         """Connect two endpoints (SmartHosts or switch nodes)."""
+        self._finalized = False
         node_a = a.node if isinstance(a, SmartHost) else a
         node_b = b.node if isinstance(b, SmartHost) else b
         return self.network.connect(
@@ -98,7 +101,9 @@ class Cluster:
 
     def finalize(self) -> None:
         """Build routing tables and sync /proc views.  Call after topology
-        construction, before starting daemons."""
+        construction, before starting daemons — and again after any later
+        ``add_host`` / ``add_switch`` / ``link``: those leave the tables
+        stale, so :meth:`run` refuses until they are rebuilt."""
         self.network.build_routes()
         for host in self.hosts.values():
             host.refresh_procfs_nics()

@@ -5,6 +5,11 @@ fragments are only reassembled at the destination host, like real IP.  Each
 hop adds a small processing delay (``d_proc`` in the thesis' Eq. 3.3)
 before the frame joins the egress queue.  Hosts additionally own a
 transport :class:`~repro.net.sockets.NetworkStack`.
+
+Only a node with a choice of interface holds a computed table.  A node
+with one NIC — every thesis machine but the gateway — has a
+:class:`DefaultRoute`: the one NIC, for any address of its own connected
+component, learned per destination on first use.
 """
 
 from __future__ import annotations
@@ -18,13 +23,40 @@ from .packet import Datagram, Frame
 if TYPE_CHECKING:  # pragma: no cover
     from .sockets import NetworkStack
 
-__all__ = ["Node", "DEFAULT_PROC_DELAY"]
+__all__ = ["Node", "DefaultRoute", "DEFAULT_PROC_DELAY"]
 
 #: per-hop processing delay; "usually negligible" per the thesis
 DEFAULT_PROC_DELAY = 20e-6
 
 #: reassembly buffers older than this are purged (fragment lost)
 REASSEMBLY_TIMEOUT = 30.0
+
+
+class DefaultRoute(dict[str, NIC]):
+    """The forwarding table of a node with exactly one NIC.
+
+    Every path out of such a node starts on that NIC, so nothing is
+    computed for it: the table starts empty and a missed lookup answers
+    the NIC for any address in ``reachable`` — the address set of the
+    node's connected component, one set shared by all its members —
+    except the node's own, and keeps the entry.  After that the
+    destination is an ordinary dict hit.  An address outside the
+    component stays a ``KeyError``: a default route into a network that
+    is not there would hide ``no_route`` from the sender.
+    """
+
+    __slots__ = ("nic", "reachable")
+
+    def __init__(self, nic: NIC, reachable: frozenset[str]):
+        super().__init__()
+        self.nic = nic
+        self.reachable = reachable
+
+    def __missing__(self, addr: str) -> NIC:
+        if addr not in self.reachable or addr == self.nic.addr:
+            raise KeyError(addr)
+        self[addr] = self.nic
+        return self.nic
 
 
 class Node:
@@ -37,9 +69,12 @@ class Node:
         self.is_router = is_router
         self.proc_delay = proc_delay
         self.nics: list[NIC] = []
-        #: the addresses of ``nics``, for the per-frame "is it for me" test
+        #: the addresses of ``nics``, in NIC order (do not mutate)
+        self.addresses: list[str] = []
+        #: the same, for the per-frame "is it for me" test
         self._local: set[str] = set()
-        #: dst address -> NIC to use
+        #: dst address -> NIC to use, read as ``routes[dst]`` (a miss is
+        #: ``KeyError``) so that a :class:`DefaultRoute` can answer it
         self.routes: dict[str, NIC] = {}
         self.stack: Optional["NetworkStack"] = None
         self.forwarded = 0
@@ -51,11 +86,8 @@ class Node:
     # -- configuration ------------------------------------------------------
     def add_nic(self, nic: NIC) -> None:
         self.nics.append(nic)
+        self.addresses.append(nic.addr)
         self._local.add(nic.addr)
-
-    @property
-    def addresses(self) -> list[str]:
-        return [nic.addr for nic in self.nics]
 
     @property
     def addr(self) -> str:
@@ -114,8 +146,9 @@ class Node:
             dgram.trace.append(self.name)
         if dgram.ttl <= 0:
             return  # TTL exceeded; nothing in the library relies on this
-        nic = self.routes.get(dgram.dst)
-        if nic is None:
+        try:
+            nic = self.routes[dgram.dst]
+        except KeyError:
             self.no_route += 1
             return
         self.forwarded += 1
@@ -133,8 +166,9 @@ class Node:
             # base RTT 41 µs: ~one kernel traversal each way).
             self.sim.call_later(self.proc_delay, self.deliver_local, dgram)
             return True
-        nic = self.routes.get(dgram.dst)
-        if nic is None:
+        try:
+            nic = self.routes[dgram.dst]
+        except KeyError:
             self.no_route += 1
             return False
         return nic.send_datagram(dgram)

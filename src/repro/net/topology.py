@@ -5,7 +5,10 @@ assigns dotted-quad addresses from per-segment subnets, keeps a hostname
 registry (the simulator's DNS), and computes static forwarding tables with
 Dijkstra over link propagation delays (small per-hop bias so equal-delay
 routes prefer fewer hops) — a reasonable stand-in for the thesis testbed's
-hand-configured routes.
+hand-configured routes.  As on that testbed, only a node with more than
+one interface (the gateway, a switch) holds a table with choices in it;
+a one-interface machine has a default route, confined to the addresses of
+its own connected component (:meth:`Network.build_routes`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 from ..sim import Simulator
 from .link import Link
 from .nic import DEFAULT_INIT_SPEED_BPS, NIC
-from .node import Node
+from .node import DefaultRoute, Node
 
 __all__ = ["Network", "MBPS", "ETHERNET_100"]
 
@@ -118,42 +121,91 @@ class Network:
 
     # -- routing -----------------------------------------------------------------
     def build_routes(self, hop_bias: float = 1e-4) -> None:
-        """Fill every node's forwarding table via Dijkstra on link delay.
+        """Give every node its forwarding table; Dijkstra on link delay
+        for the nodes that have a choice to make.
 
-        ``hop_bias`` is added per hop so that among equal-delay paths the
-        one with fewer hops wins (and zero-delay topologies still route).
-        Among equal-cost paths the one found first wins — the heap breaks
-        distance ties in push order, so the choice follows the order the
-        links were connected in, never object addresses.
+        A node with several NICs gets the full ``address -> NIC`` table
+        of :meth:`_first_hops`.  A node with one NIC has nothing to
+        choose — whatever the search, its first hop to everything it can
+        reach is that NIC — so it gets a :class:`~repro.net.node.DefaultRoute`
+        over the address set of its connected component and no search is
+        run for it.  Route state is therefore (multi-NIC nodes ×
+        addresses) plus what the leaves actually talk to, not nodes ×
+        addresses.  Calling this again replaces every table, learned
+        entries included.
         """
         # adjacency: node -> list of (peer, cost, nic_on_node)
-        adj: dict[Node, list[tuple[Node, float, NIC]]] = {n: [] for n in self.nodes.values()}
+        adj: dict[Node, list[tuple[Node, float, NIC]]] = {
+            node: [(nic.peer, nic.channel.delay + hop_bias, nic) for nic in node.nics]
+            for node in self.nodes.values()
+        }
+        reachable = self._component_addresses(adj)
         for node in self.nodes.values():
-            for nic in node.nics:
-                adj[node].append((nic.peer, nic.channel.delay + hop_bias, nic))
+            if len(node.nics) > 1:
+                node.routes = {
+                    addr: nic
+                    for dst, nic in self._first_hops(node, adj).items()
+                    for addr in dst.addresses
+                }
+            elif node.nics:
+                node.routes = DefaultRoute(node.nics[0], reachable[node])
+            else:
+                node.routes = {}
 
-        for src in self.nodes.values():
-            dist: dict[Node, float] = {src: 0.0}
-            first_nic: dict[Node, NIC] = {}
-            pushed = count()
-            heap: list[tuple[float, int, Node]] = [(0.0, next(pushed), src)]
-            seen: set[Node] = set()
-            while heap:
-                d, _, u = heapq.heappop(heap)
-                if u in seen:
-                    continue
-                seen.add(u)
-                for v, cost, nic in adj[u]:
-                    nd = d + cost
-                    if nd < dist.get(v, float("inf")):
-                        dist[v] = nd
-                        first_nic[v] = nic if u is src else first_nic[u]
-                        heapq.heappush(heap, (nd, next(pushed), v))
-            routes: dict[str, NIC] = {}
-            for dst, nic in first_nic.items():
-                for addr in dst.addresses:
-                    routes[addr] = nic
-            src.routes = routes
+    @staticmethod
+    def _first_hops(
+        src: Node, adj: dict[Node, list[tuple[Node, float, NIC]]]
+    ) -> dict[Node, NIC]:
+        """Dijkstra from ``src``: every other reachable node -> the NIC of
+        ``src`` its shortest path leaves by.
+
+        Costs are link delay plus a per-hop bias, so that among
+        equal-delay paths the one with fewer hops wins (and zero-delay
+        topologies still route).  Among equal-cost paths the one found
+        first wins — the heap breaks distance ties in push order, so the
+        choice follows the order the links were connected in, never
+        object addresses.
+        """
+        dist: dict[Node, float] = {src: 0.0}
+        first_nic: dict[Node, NIC] = {}
+        pushed = count()
+        heap: list[tuple[float, int, Node]] = [(0.0, next(pushed), src)]
+        seen: set[Node] = set()
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in seen:
+                continue
+            seen.add(u)
+            for v, cost, nic in adj[u]:
+                nd = d + cost
+                if nd < dist.get(v, float("inf")):
+                    dist[v] = nd
+                    first_nic[v] = nic if u is src else first_nic[u]
+                    heapq.heappush(heap, (nd, next(pushed), v))
+        return first_nic
+
+    @staticmethod
+    def _component_addresses(
+        adj: dict[Node, list[tuple[Node, float, NIC]]]
+    ) -> dict[Node, frozenset[str]]:
+        """Every node -> the addresses of all nodes it is linked to over
+        any number of hops, itself included: one set per connected
+        component, shared by its members."""
+        reachable: dict[Node, frozenset[str]] = {}
+        for start in adj:
+            if start in reachable:
+                continue
+            members = {start}
+            frontier = [start]
+            while frontier:
+                for peer, _, _ in adj[frontier.pop()]:
+                    if peer not in members:
+                        members.add(peer)
+                        frontier.append(peer)
+            addrs = frozenset(addr for node in members for addr in node.addresses)
+            for node in members:
+                reachable[node] = addrs
+        return reachable
 
     # -- convenience ---------------------------------------------------------------
     def path_hops(self, src: str, dst: str) -> list[str]:
@@ -163,9 +215,10 @@ class Network:
         hops = [node.name]
         guard = 0
         while not node.is_local(target):
-            nic = node.routes.get(target)
-            if nic is None:
-                raise KeyError(f"no route from {src} to {dst}")
+            try:
+                nic = node.routes[target]
+            except KeyError:
+                raise KeyError(f"no route from {src} to {dst}") from None
             node = nic.peer
             hops.append(node.name)
             guard += 1

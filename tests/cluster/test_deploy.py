@@ -134,6 +134,40 @@ class TestFailureHandling:
         assert results == {"before": 2, "after": 1, "rejoined": 2}
 
 
+class TestTopologyEditedAfterFinalize:
+    """Routes are computed once, by ``finalize()``; a world edited after
+    that is unrouted (or, with learned leaf entries, half-routed) until
+    they are computed again."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.add_host("late"),
+        lambda c: c.add_switch("late-sw"),
+        lambda c: c.link(c.host("s1"), c.host("s2")),
+    ], ids=["add_host", "add_switch", "link"])
+    def test_run_refuses_until_finalized_again(self, edit):
+        cluster, _ = two_group_world()
+        cluster.run(until=0.1)
+        edit(cluster)
+        with pytest.raises(RuntimeError, match="call finalize"):
+            cluster.run(until=0.2)
+        cluster.finalize()
+        cluster.run(until=0.2)
+
+    def test_rebuilding_routes_drops_what_the_leaves_learned(self):
+        cluster, _ = two_group_world()
+        net = cluster.network
+        wiz, s1, s2 = (cluster.host(n) for n in ("wiz", "s1", "s2"))
+        assert net.path_hops("wiz", "s2") == ["wiz", "core", "mon2", "s2"]
+        assert dict(wiz.node.routes) == {s2.addr: wiz.node.nics[0]}
+        # s1 and s2 get a second NIC each: s1 stops being a leaf, and the
+        # way from wiz to it is no news to wiz's (new, empty) table
+        cluster.link(s1, s2)
+        cluster.finalize()
+        assert dict(wiz.node.routes) == {}
+        assert net.path_hops("s1", "s2") == ["s1", "s2"]
+        assert net.path_hops("wiz", "s2") == ["wiz", "core", "mon2", "s2"]
+
+
 class TestWhatRunsWhere:
     """The deployment is the one registry the fault plane asks."""
 

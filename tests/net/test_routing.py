@@ -2,24 +2,35 @@
 
 from __future__ import annotations
 
+import heapq
 import os
+import random
 import subprocess
 import sys
+from itertools import count
 
 import pytest
 
+from repro import worlds
+from repro.cluster import build_testbed, build_wan_paths
 from repro.net import Datagram, Network, NetworkStack, PROTO_UDP
 from repro.sim import Simulator
 
 
-def diamond_hops(node_order: str) -> list[list[str]]:
+def diamond(node_order: str) -> Network:
     """a-b-d and a-c-d at equal delay, a-b and b-d connected first; the
-    nodes are created in ``node_order``.  Returns the a->d and d->a paths."""
+    nodes are created in ``node_order``."""
     net = Network(Simulator())
     node = {name: net.add_router(name) for name in node_order}
     for left, right in ("ab", "bd", "ac", "cd"):
         net.connect(node[left], node[right], delay=1e-3)
     net.build_routes()
+    return net
+
+
+def diamond_hops(node_order: str) -> list[list[str]]:
+    """The a->d and d->a paths of :func:`diamond`."""
+    net = diamond(node_order)
     return [net.path_hops("a", "d"), net.path_hops("d", "a")]
 
 
@@ -36,6 +47,219 @@ def build_line(sim, n_routers=1, **link_kw):
     net.connect(prev, b, **link_kw)
     net.build_routes()
     return net, a, b
+
+
+def star_of_stars(groups: int, per_group: int) -> Network:
+    """The ledger fleet's shape on a bare network: a core switch with a
+    wizard and two clients, ``groups`` switches on it, each with one
+    monitor and ``per_group`` leaves."""
+    net = Network(Simulator())
+    core = net.add_router("core")
+    for name in ("wizard", "client0", "client1"):
+        net.connect(net.add_host(name), core, subnet="10.0.0")
+    for g in range(groups):
+        switch = net.add_router(f"sw{g}")
+        net.connect(switch, core, subnet=f"10.1.{g}")
+        net.connect(net.add_host(f"mon{g}"), switch, subnet=f"10.1.{g}")
+        for s in range(per_group):
+            net.connect(net.add_host(f"g{g}s{s:02d}"), switch, subnet=f"10.1.{g}")
+    net.build_routes()
+    return net
+
+
+def random_graph(seed: int) -> Network:
+    """A seeded world of one to three islands of hosts and routers:
+    leaves, multi-homed hosts, a node with no link at all, delays from
+    so small a set that equal-cost paths are common, and in half the
+    islands one link laid twice — a certain exact tie."""
+    rng = random.Random(f"routing/{seed}")
+    net = Network(Simulator())
+    net.add_host("unplugged")
+    delays = (0.0, 1e-3, 2e-3)
+    for island in range(rng.randint(1, 3)):
+        nodes, links = [], []
+        for i in range(rng.randint(2, 7)):
+            add = net.add_router if rng.random() < 0.4 else net.add_host
+            node = add(f"n{island}-{i}")
+            if nodes:
+                links.append((node, rng.choice(nodes), rng.choice(delays)))
+            nodes.append(node)
+        for _ in range(rng.randint(0, len(nodes))):
+            links.append((*rng.sample(nodes, 2), rng.choice(delays)))
+        if rng.random() < 0.5:
+            links.append(rng.choice(links))
+        for a, b, delay in links:
+            net.connect(a, b, delay=delay)
+    net.build_routes()
+    return net
+
+
+def reference_routes(net: Network, hop_bias: float = 1e-4) -> dict:
+    """All-pairs routing as ``Network.build_routes`` computed it before
+    only multi-NIC nodes kept a table: one Dijkstra per node, one full
+    ``address -> NIC`` dict per node.  Returns them by node name."""
+    adj = {n: [] for n in net.nodes.values()}
+    for node in net.nodes.values():
+        for nic in node.nics:
+            adj[node].append((nic.peer, nic.channel.delay + hop_bias, nic))
+
+    tables = {}
+    for src in net.nodes.values():
+        dist = {src: 0.0}
+        first_nic = {}
+        pushed = count()
+        heap = [(0.0, next(pushed), src)]
+        seen = set()
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in seen:
+                continue
+            seen.add(u)
+            for v, cost, nic in adj[u]:
+                nd = d + cost
+                if nd < dist.get(v, float("inf")):
+                    dist[v] = nd
+                    first_nic[v] = nic if u is src else first_nic[u]
+                    heapq.heappush(heap, (nd, next(pushed), v))
+        routes = {}
+        for dst, nic in first_nic.items():
+            for addr in [nic.addr for nic in dst.nics]:
+                routes[addr] = nic
+        tables[src.name] = routes
+    return tables
+
+
+def next_hop(node, addr):
+    """The NIC ``node`` would send ``addr`` out of, as ``Node.send`` and
+    ``Node.forward`` look it up; ``None`` for no route."""
+    try:
+        return node.routes[addr]
+    except KeyError:
+        return None
+
+
+def assert_routes_as_all_pairs(net: Network) -> None:
+    """Every ordered (source node, destination address): same NIC, or no
+    route on both sides."""
+    reference = reference_routes(net)
+    addrs = [a for node in net.nodes.values() for a in node.addresses]
+    for src in net.nodes.values():
+        want = reference[src.name]
+        got = {addr: next_hop(src, addr) for addr in [*addrs, "203.0.113.9"]}
+        assert got == {addr: want.get(addr) for addr in got}, src.name
+        # nothing was learned beyond what the reference holds
+        assert dict(src.routes) == want, src.name
+
+
+class TestRoutesMatchAllPairs:
+    """Only nodes with more than one NIC run a search and hold a table;
+    every next hop must still be the one all-pairs Dijkstra picks."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_testbed().network,
+        lambda: build_wan_paths()[0].network,
+        lambda: worlds.build_star().cluster.network,
+        lambda: star_of_stars(2, 8),
+        lambda: diamond("abcd"),
+        lambda: diamond("acbd"),
+        lambda: diamond("dcba"),
+    ], ids=["testbed", "wan_paths", "star", "fleet_2x8",
+            "diamond_abcd", "diamond_acbd", "diamond_dcba"])
+    def test_on_the_shared_worlds(self, build):
+        assert_routes_as_all_pairs(build())
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_on_random_graphs(self, seed):
+        assert_routes_as_all_pairs(random_graph(seed))
+
+    def test_random_graphs_cover_the_cases_that_matter(self):
+        """The generator really draws leaves, multi-homed hosts, split
+        worlds and ties — or the test above proves less than it says."""
+        leaves = multihomed = split = tied = 0
+        for seed in range(60):
+            net = random_graph(seed)
+            nodes = list(net.nodes.values())
+            leaves += sum(len(n.nics) == 1 for n in nodes)
+            multihomed += sum(len(n.nics) > 1 and not n.is_router for n in nodes)
+            linked = [n for n in nodes if n.nics]
+            split += any(next_hop(linked[0], n.addr) is None for n in linked[1:])
+            laid = [(frozenset((l.a.name, l.b.name)), l.ab.delay) for l in net.links]
+            tied += len(set(laid)) < len(laid)
+        assert leaves > 60 and multihomed > 60 and split > 20 and tied > 20
+
+    def test_wan_paths_leaf_does_not_default_route_into_another_component(self):
+        cluster, endpoints = build_wan_paths()
+        src, dst_name = endpoints["c"]
+        near = cluster.network.resolve(dst_name)
+        far = cluster.host("cmui-b").addr
+        assert len(src.node.nics) == 1
+        assert next_hop(src.node, near) is src.node.nics[0]
+        assert next_hop(src.node, far) is None
+        dgram = Datagram(proto=PROTO_UDP, src=src.addr, dst=far,
+                         sport=1, dport=2, size=10)
+        assert not src.node.send(dgram)
+        assert src.node.no_route == 1
+        assert far not in src.node.routes
+
+    def test_a_leaf_never_routes_its_own_address(self, sim):
+        net, a, b = build_line(sim, n_routers=0)
+        assert next_hop(a, a.addr) is None and next_hop(b, b.addr) is None
+        assert next_hop(a, b.addr) is a.nics[0]
+
+    def test_emptied_table_cuts_a_leaf_off(self, sim):
+        """``node.routes = {}`` is how tests break a path; it must not
+        fall back on the one NIC."""
+        net, a, b = build_line(sim)
+        a.routes = {}
+        dgram = Datagram(proto=PROTO_UDP, src=a.addr, dst=b.addr,
+                         sport=1, dport=2, size=10)
+        assert not a.send(dgram)
+        assert a.no_route == 1
+        with pytest.raises(KeyError, match="no route from a to b"):
+            net.path_hops("a", "b")
+
+
+class TestRouteStateIsLinearInTheWorld:
+    """Counted, not timed: searches run and entries held."""
+
+    @pytest.mark.parametrize("groups", [8, 32], ids=["512", "2048"])
+    def test_star_of_stars(self, groups, monkeypatch):
+        searched = []
+        first_hops = Network._first_hops
+
+        def counting(src, adj):
+            searched.append(src)
+            return first_hops(src, adj)
+
+        monkeypatch.setattr(Network, "_first_hops", staticmethod(counting))
+        net = star_of_stars(groups, 64)
+        nodes = list(net.nodes.values())
+        addresses = sum(len(n.addresses) for n in nodes)
+        multi = [n for n in nodes if len(n.nics) > 1]
+        leaves = [n for n in nodes if len(n.nics) == 1]
+        servers = [n for n in leaves if n.name.startswith("g")]
+        assert len(servers) == groups * 64 and len(multi) == groups + 1
+
+        assert searched == multi
+        assert sum(len(n.routes) for n in nodes) <= len(multi) * addresses
+        assert all(len(n.routes) == 0 for n in leaves)
+        # one address set for the one component, not one per leaf
+        assert len({id(n.routes.reachable) for n in leaves}) == 1
+
+        # each server talks to its neighbour and to one in another group
+        def peers(i):
+            return servers[i ^ 1], servers[i - len(servers) // 2]
+
+        for i, node in enumerate(servers):
+            for peer in peers(i):
+                assert node.send(Datagram(proto=PROTO_UDP, src=node.addr,
+                                          dst=peer.addr, sport=1, dport=2, size=10))
+        net.sim.run()
+        assert sum(n.no_route for n in nodes) == 0
+        assert sum(n.forwarded for n in multi) == len(servers) * (1 + 3)
+        for i, node in enumerate(servers):
+            assert dict(node.routes) == {p.addr: node.nics[0] for p in peers(i)}
+        assert all(len(n.routes) == 0 for n in leaves if n not in servers)
 
 
 class TestTopology:
@@ -159,7 +383,8 @@ class TestDelivery:
         dgram = Datagram(proto=PROTO_UDP, src=a.addr, dst="203.0.113.9",
                          sport=1, dport=2, size=10)
         assert not a.send(dgram)
-        assert a.no_route == 1
+        assert a.no_route == 1  # at the sender, not at its next hop
+        assert sum(n.no_route for n in net.nodes.values()) == 1
 
     def test_nic_counters_track_traffic(self, sim):
         net, a, b = build_line(sim)

@@ -148,6 +148,22 @@ def test_ci_regenerates_the_committed_paper_tables():
     assert committed == written
 
 
+def test_ci_builds_the_fleet_at_two_world_sizes():
+    """Right after the tables step the tier-1 job builds the ledger's
+    fleet shape at 512 and 2,048 servers: the routing entries are
+    counted and the wall time has a ceiling the one-table-per-node
+    design misses by 2x and 5x, so route state growing with nodes x
+    addresses again fails CI rather than a later ledger run."""
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
+    step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
+            "-k fleet_build env: PYTHONPATH: src")
+    assert step in ci
+    assert (ci.index("git diff --exit-code benchmarks/results/*.txt")
+            < ci.index(step) < ci.index("run: python -m pytest benchmarks/ledger -q"))
+    bench = (REPO / "benchmarks" / "test_simulator_performance.py").read_text()
+    assert "def test_fleet_build_cost(" in bench and 'ids=["512", "2048"]' in bench
+
+
 def test_repro_check_clean_on_src():
     """The repo's own analyzer gate: ``repro check src`` must exit 0."""
     result = subprocess.run(
