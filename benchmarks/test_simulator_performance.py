@@ -13,7 +13,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.host import CPU
 from repro.net import MBPS, Network, NetworkStack
-from repro.sim import Simulator, Store
+from repro.sim import SimProfiler, Simulator, Store
+from repro.sim.profile import merge_attributions
+from repro.worlds import run_scenario
 
 
 def pump_timeouts(n: int) -> float:
@@ -60,34 +62,58 @@ def test_store_handoff_throughput(benchmark):
     benchmark.pedantic(run, rounds=5, iterations=1)
 
 
+def udp_across_one_switch(n: int, observer=None) -> None:
+    """``n`` datagrams a -> r -> b, watched by ``observer`` if given."""
+    sim = Simulator()
+    if observer is not None:
+        sim.observe(observer)
+    net = Network(sim)
+    a = net.add_host("a")
+    r = net.add_router("r")
+    b = net.add_host("b")
+    net.connect(a, r, rate_bps=1000 * MBPS)
+    net.connect(r, b, rate_bps=1000 * MBPS)
+    net.build_routes()
+    sa = NetworkStack(sim, a, net)
+    sb = NetworkStack(sim, b, net)
+    inbox = sb.udp_socket(9)
+    sock = sa.udp_socket()
+
+    def sender():
+        for i in range(n):
+            sock.sendto("b", 9, size=512)
+            yield sim.timeout(1e-5)
+
+    sim.process(sender())
+    sim.run()
+    assert len(inbox.rx) + inbox.rx.dropped == n
+
+
 def test_udp_datagram_cost(benchmark):
     """End-to-end cost per datagram across one switch (2 hops)."""
-    n = 2_000
+    benchmark.pedantic(lambda: udp_across_one_switch(2_000),
+                       rounds=3, iterations=1)
 
-    def run():
-        sim = Simulator()
-        net = Network(sim)
-        a = net.add_host("a")
-        r = net.add_router("r")
-        b = net.add_host("b")
-        net.connect(a, r, rate_bps=1000 * MBPS)
-        net.connect(r, b, rate_bps=1000 * MBPS)
-        net.build_routes()
-        sa = NetworkStack(sim, a, net)
-        sb = NetworkStack(sim, b, net)
-        inbox = sb.udp_socket(9)
-        sock = sa.udp_socket()
 
-        def sender():
-            for i in range(n):
-                sock.sendto("b", 9, size=512)
-                yield sim.timeout(1e-5)
+def test_hop_events_across_one_switch():
+    """A transit hop through a switch is one kernel event: n datagrams
+    over two channels are 2n deliveries and nothing else per frame."""
+    n, profiler = 500, SimProfiler()
+    udp_across_one_switch(n, profiler)
+    assert profiler.attribution()["calls"] == {"Channel._deliver": 2 * n}
 
-        sim.process(sender())
-        sim.run()
-        assert len(inbox.rx) + inbox.rx.dropped == n
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
+def test_hop_events_profile_matmul():
+    """``repro profile matmul``, counted: all 1,489 ``NIC.forward_frame``
+    events gone (10,734 -> 9,243; nothing in this job transits the
+    gateway), and two frames in flight at the horizon now land 20 us
+    past it (``Channel._deliver`` 2,980 -> 2,978)."""
+    _, arms = run_scenario("matmul", profile=True)
+    attribution = merge_attributions([arm.attribution for arm in arms])
+    assert attribution["total_events"] == 9_243
+    assert attribution["calls"]["Channel._deliver"] == 2_978
+    assert "NIC.forward_frame" not in attribution["calls"]
+    assert attribution["sim_time_s"] == 120.926051273
 
 
 @pytest.mark.parametrize("groups, ceiling_s", [(8, 0.25), (32, 2.0)],

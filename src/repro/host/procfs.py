@@ -32,19 +32,21 @@ class ProcFS:
         self.nics = list(nics)
 
     # -- files ------------------------------------------------------------
+    #: path -> name of the method that renders it
+    FILES = {
+        "/proc/loadavg": "loadavg",
+        "/proc/stat": "stat",
+        "/proc/meminfo": "meminfo",
+        "/proc/net/dev": "net_dev",
+        "/proc/cpuinfo": "cpuinfo",
+    }
+
     def read(self, path: str) -> str:
         """Dispatch like a tiny VFS."""
-        table = {
-            "/proc/loadavg": self.loadavg,
-            "/proc/stat": self.stat,
-            "/proc/meminfo": self.meminfo,
-            "/proc/net/dev": self.net_dev,
-            "/proc/cpuinfo": self.cpuinfo,
-        }
-        render = table.get(path)
+        render = self.FILES.get(path)
         if render is None:
             raise FileNotFoundError(path)
-        return render()
+        return getattr(self, render)()
 
     def loadavg(self) -> str:
         l1, l5, l15 = self.machine.cpu.loadavg.read()

@@ -5,7 +5,12 @@ performs *analytic* FIFO queueing: instead of pumping per-frame events it
 tracks ``next_free`` (when the transmitter drains) and computes each
 frame's start/finish time at enqueue.  Because the queue is FIFO this is
 exactly equivalent to event-by-event transmission while costing one
-simulator event per frame per hop.
+simulator event per frame per hop — the receiving node's ``d_proc``
+included when that node is a pure forwarder: a channel into a node
+without a :class:`~repro.net.sockets.NetworkStack` (every switch) delivers
+``hold`` = ``d_proc`` late and the node forwards on the spot
+(:meth:`~repro.net.node.Node.forward`).  Only a forwarding *host* pays a
+second event per transit frame.
 
 Queueing delay, the ``d_queue`` term of the thesis' Eq. 3.3, emerges as
 ``start - now``; transmission delay ``d_trans`` as the serialisation time;
@@ -74,6 +79,10 @@ class Channel:
         self.next_free = 0.0
         #: callback installed by the receiving endpoint: fn(frame)
         self.on_deliver: Optional[Callable[[Frame], None]] = None
+        #: the receiving node's ``d_proc`` while it has no stack, served
+        #: here so that its transit hop is this one event (set by
+        #: ``Node.add_nic``, cleared by ``Node.attach_stack``)
+        self.hold = 0.0
         # statistics
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -129,7 +138,11 @@ class Channel:
                 # a reordered frame is simply late: by more than the
                 # in-flight gap, so a successor genuinely overtakes it
                 deliver_at += self.reorder_extra
-        self.sim.call_later(deliver_at - now, self._deliver, frame)
+        # arrival is ``now + (deliver_at - now)``, not ``deliver_at``, and
+        # the hold is added to *that*: bit for bit the time a second
+        # ``call_later(hold, ...)`` made at arrival would have fired
+        self.sim.call_at((now + (deliver_at - now)) + self.hold,
+                         self._deliver, frame)
         return True
 
     def occupy(self, wire_bytes: int) -> None:

@@ -61,7 +61,8 @@ class NIC:
         self.rx_packets = 0
         self.tx_drops = 0
         # register as the receiver of the inbound channel
-        link.channel_from(self.peer).on_deliver = self._on_deliver
+        self.inbound = link.channel_from(self.peer)
+        self.inbound.on_deliver = self._on_deliver
 
     @property
     def mtu(self) -> int:

@@ -34,7 +34,9 @@ inherits a tie key, is recorded by the event trace (as
 ``call:<qualname>``), carries the scheduler's vector clock into the
 callee for the race detector and is counted by the profiler per target —
 and it can be yielded or given callbacks like any other event; ``fn``
-simply runs first.
+simply runs first.  When there is no tie stream to draw from and no
+observer to tell, ``_schedule`` has nothing to do but push, and the two
+constructors push the queue entry themselves.
 
 A call can be placed after a delay (``call_later``) or at an absolute
 time (``call_at``).  The absolute form exists for timers that are
@@ -51,7 +53,8 @@ The kernel knows nothing about its instruments.  It announces six
 moments to whatever was attached with :meth:`Simulator.observe` — one
 protocol, :class:`Observer`, a no-op base class — and every hook site
 tests the one name ``sim._observer``, so a run with nothing armed pays
-seven ``is None`` tests and nothing else:
+an ``is None`` test per site (seven, and one in each :class:`Call`
+constructor) and nothing else:
 
 ================================  ====================================
 ``on_schedule(event, active)``    ``event`` was put on the queue while
@@ -342,8 +345,14 @@ class Call(Event):
     __slots__ = ("fn", "arg")
 
     def __init__(self, sim: "Simulator", fn: Callable[[Any], Any], arg: Any):
-        super().__init__(sim)
+        # every slot of Event set here rather than through the super()
+        # chain: one of these is built per frame per hop and per timer
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
         self._state = TRIGGERED
+        self._hb = None
         self.fn = fn
         self.arg = arg
 
@@ -614,7 +623,12 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative call delay {delay!r}")
         call = Call(self, fn, arg)
-        self._schedule(call, self._now + delay)
+        if self._tie_rng is None and self._observer is None:
+            # nothing to draw and nobody to tell: what _schedule would do
+            heapq.heappush(self._queue,
+                           (self._now + delay, 0.0, next(self._seq), call))
+        else:
+            self._schedule(call, self._now + delay)
         return call
 
     def call_at(self, when: float, fn: Callable[[Any], Any],
@@ -624,7 +638,10 @@ class Simulator:
             raise SimulationError(
                 f"call_at({when!r}) is in the past (now={self._now!r})")
         call = Call(self, fn, arg)
-        self._schedule(call, when)
+        if self._tie_rng is None and self._observer is None:
+            heapq.heappush(self._queue, (when, 0.0, next(self._seq), call))
+        else:
+            self._schedule(call, when)
         return call
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError
+from repro.sim import Call, Event, Interrupt, Observer, SimulationError
+from repro.sim.kernel import TRIGGERED
 from tests.conftest import run_process
 
 
@@ -312,6 +313,33 @@ class TestScheduledCalls:
         sim.process(waiter())
         sim.run()
         assert log == ["ran", ("resumed", 3.0, True)]
+
+    def test_call_sets_every_slot_an_event_has(self, sim):
+        """``Call.__init__`` does not run ``Event.__init__``: a slot added
+        to ``Event`` must be added there too."""
+        call, event = Call(sim, print, "x"), Event(sim)
+        for slot in set(Event.__slots__) - {"__weakref__", "_state"}:
+            assert getattr(call, slot) == getattr(event, slot), slot
+        assert call._state == TRIGGERED and (call.fn, call.arg) == (print, "x")
+
+    def test_unobserved_push_and_observed_schedule_share_one_order(self, sim):
+        """With nothing armed ``call_later`` / ``call_at`` push straight
+        onto the queue; an observer attached in between sees what is
+        scheduled from then on, in one FIFO order with what came before."""
+        class Scheduled(Observer):
+            seen = 0
+
+            def on_schedule(self, event, active):
+                self.seen += 1
+
+        order = []
+        sim.call_later(1.0, order.append, 0)
+        sim.call_at(1.0, order.append, 1)
+        observer = sim.observe(Scheduled())
+        sim.call_later(1.0, order.append, 2)
+        sim.call_at(1.0, order.append, 3)
+        sim.run()
+        assert order == [0, 1, 2, 3] and observer.seen == 2
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
