@@ -32,7 +32,7 @@ class Ports:
     #: application service port on every worker/file server (not in the
     #: thesis tables; the client library connects here, §3.6.2 step 4)
     service: int = 9000
-    #: health-lease port: the reliable-socket heartbeat responder every
+    #: health-lease port: the plain-TCP heartbeat responder every
     #: self-healing session pings (beyond the thesis — HA extension)
     lease: int = 9001
     #: closed port targeted by the one-way UDP probes so the peer answers

@@ -12,6 +12,11 @@ acknowledges them, so after ``suspend()``/``resume()`` (or an involuntary
 connection loss) the stream continues with exactly-once, in-order
 delivery — no message lost, none duplicated.
 
+It is a library for applications that suspend and resume their own
+streams (``examples/fault_tolerance.py``); no daemon runs on it — the
+HA health lease is a plain TCP ping (:mod:`repro.core.session`), which
+has nothing to replay.
+
 Client side::
 
     rsock = ReliableSocket(stack, server_addr, port)

@@ -5,13 +5,14 @@ server that dies mid-job takes its share of the work down with it.  This
 module closes that gap with a session layer over the smart socket:
 
 * every server runs a :class:`LeaseResponder` — a tiny heartbeat service
-  on ``config.ports.lease`` built on the reliable-socket layer
-  (:mod:`repro.core.rsocket`), answering ``PING`` with ``PONG``;
+  on ``config.ports.lease``, a plain TCP ``serve`` handler answering
+  ``PING`` with ``PONG``;
 * a :class:`SmartSession` wraps one application connection plus a *health
   lease* to the same server: a background process pings every
-  ``config.lease_interval`` seconds and declares the server dead when no
-  answer lands within ``config.lease_timeout``.  Death by RST (crashed
-  host) and death by silence (partition, wedged peer) converge on the
+  ``config.lease_interval`` seconds over one TCP connection and declares
+  the server dead when no answer lands within ``config.lease_timeout``,
+  or at once when that connection ends (FIN, RST).  Death by FIN or RST
+  and death by silence (partition, wedged peer) converge on the
   same signal: the session **aborts the application connection**, so the
   application driver's pending ``recv()`` raises
   :class:`~repro.net.tcp.ConnectionClosed` exactly as it would for a
@@ -47,7 +48,6 @@ from ..net.tcp import ConnectError, ConnectionClosed, TcpConnection
 from ..sim import Interrupt
 from .config import Config, DEFAULT_CONFIG
 from .detector import SuspicionDetector
-from .rsocket import ReliableServer, ReliableSocket, SessionError
 
 __all__ = ["LeaseResponder", "SmartSession", "smart_sessions"]
 
@@ -58,54 +58,34 @@ HEARTBEAT_BYTES = 8
 
 
 class LeaseResponder:
-    """Per-server heartbeat service on ``config.ports.lease``.
-
-    Runs a :class:`~repro.core.rsocket.ReliableServer` so a lease
-    survives transport blips: only a server that is actually gone stops
-    answering.  Deployments start one next to every application service.
-    """
+    """Per-server heartbeat service on ``config.ports.lease``: answers
+    each ``("PING", seq)`` with ``("PONG", seq)``.  Deployments start one
+    next to every application service; ``stop()`` closes every lease
+    connection, so a leased client's next PING meets the FIN."""
 
     def __init__(self, host, config: Config = DEFAULT_CONFIG):
         self.host = host
         self.config = config
-        self.server = ReliableServer(host.stack, config.ports.lease)
         self.pings_answered = 0
-        self._proc = None
-        self._workers: list = []
+        self._service = None
 
     def start(self) -> None:
-        self.server.start()
-        self._proc = self.host.sim.process(
-            self._accept_loop(), name=f"lease-responder@{self.host.name}"
+        self._service = self.host.stack.tcp.serve(
+            self.config.ports.lease, self._answer,
+            name=f"lease-responder@{self.host.name}",
+            session_name=f"lease-answer@{self.host.name}",
         )
 
     def stop(self) -> None:
-        for proc in [self._proc, *self._workers]:
-            if proc is not None and proc.is_alive:
-                proc.interrupt("stop")
-        self.server.stop()
+        if self._service is not None:
+            self._service.stop()
 
-    def _accept_loop(self):
-        try:
-            while True:
-                session = yield self.server.accept()
-                self._workers[:] = [p for p in self._workers if p.is_alive]
-                self._workers.append(self.host.sim.process(
-                    self._answer(session),
-                    name=f"lease-answer@{self.host.name}",
-                ))
-        except Interrupt:
-            pass
-
-    def _answer(self, session):
-        try:
-            while True:
-                msg, _ = yield session.recv()
-                if msg[0] == "PING":
-                    session.send(("PONG", msg[1]), HEARTBEAT_BYTES)
-                    self.pings_answered += 1
-        except Interrupt:
-            pass
+    def _answer(self, conn: TcpConnection):
+        while True:
+            msg, _ = yield conn.recv()
+            if msg[0] == "PING":
+                conn.send(("PONG", msg[1]), HEARTBEAT_BYTES)
+                self.pings_answered += 1
 
 
 #: declared lifecycle of a :class:`SmartSession`, enforced statically
@@ -211,36 +191,42 @@ class SmartSession:
             self.conn.close()
 
     def _lease_loop(self, conn: TcpConnection, addr: str):
-        """Heartbeat ``addr`` until the connection ends or the lease
-        expires; on expiry abort ``conn`` so the driver's pending recv
-        raises ConnectionClosed — silent death becomes loud death."""
-        rsock = ReliableSocket(self.client.stack, addr, self.config.ports.lease)
+        """Heartbeat ``addr`` over one lease connection until ``conn``
+        ends.  ``lease_timeout`` of silence is an expiry; the lease
+        connection ending (FIN from a stopped responder, RST from a reset
+        host) is death at once.  Either way ``conn`` is aborted, so the
+        driver's pending recv raises ConnectionClosed — silent death
+        becomes loud death."""
         try:
-            try:
-                yield from rsock.connect(timeout=self.config.lease_timeout)
-            except (ConnectError, SessionError, ConnectionClosed):
-                self._declare_dead(conn, addr)
-                return
+            lease = yield from self.client.stack.tcp.connect(
+                addr, self.config.ports.lease,
+                timeout=self.config.lease_timeout)
+        except ConnectError:
+            self._declare_dead(conn, addr)
+            return
+        except Interrupt:
+            return
+        try:
             seq = 0
             while True:
                 yield self.sim.timeout(self.config.lease_interval)
                 if conn.reset or conn.peer_closed or conn.closed:
                     return  # the application path already knows
                 seq += 1
-                rsock.send(("PING", seq), HEARTBEAT_BYTES)
-                get = rsock.recv()
+                lease.send(("PING", seq), HEARTBEAT_BYTES)
+                get = lease.recv()
                 deadline = self.sim.timeout(self.config.lease_timeout)
                 fired = yield self.sim.any_of([get, deadline])
                 if get not in fired:
-                    # withdraw the abandoned getter, then declare death
-                    rsock.rx.cancel(get)
                     self.lease_expiries += 1
                     self._declare_dead(conn, addr)
                     return
+        except ConnectionClosed:
+            self._declare_dead(conn, addr)
         except Interrupt:
             pass
         finally:
-            rsock.suspend()  # release the lease transport
+            lease.close()  # the abandoned getter goes with it
 
     def _declare_dead(self, conn: TcpConnection, addr: str) -> None:
         self.client.quarantine_server(addr)

@@ -59,14 +59,13 @@ def fresh_ids() -> None:
     depend on what ran earlier in the process.  Build a world only after
     the previous one has finished running: ids key live per-world state.
     """
-    from .core import rsocket, session
+    from .core import session
     from .host import memory
     from .net import packet, tcp
 
     tcp._conn_ids = itertools.count(1)
     packet._ids = itertools.count(1)
     memory._alloc_ids = itertools.count(1)
-    rsocket._session_ids = itertools.count(1)
     session._session_ids = itertools.count(1)
 
 

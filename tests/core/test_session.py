@@ -103,6 +103,68 @@ class TestHealthLease:
         assert reset  # silent death surfaced as an abort to the driver
         assert srv.addr in quarantined
 
+    def test_lease_is_one_ping_and_one_pong_per_round(self):
+        """Plain TCP: a round is the PING, the PONG and one ACK each —
+        about four frames on the client's access link (the handshake
+        amortised over 50 s), with no session replay traffic on top."""
+        cluster, cfg, client, srv = lease_world()
+        responder = LeaseResponder(srv, cfg)
+        responder.start()
+        access = next(link for link in cluster.network.links
+                      if "cli" in (link.a.name, link.b.name))
+        frames, tags = [], []
+        for channel in (access.ab, access.ba):
+            def tap(frame, extra_start_delay=0.0, transmit=channel.transmit):
+                dgram = frame.dgram
+                if cfg.ports.lease in (dgram.sport, dgram.dport):
+                    frames.append(dgram)
+                    if dgram.payload[0] == "SEG" and dgram.payload[2][0] == "DATA":
+                        tags.append(dgram.payload[2][1][0])
+                return transmit(frame, extra_start_delay)
+            channel.transmit = tap
+
+        def p():
+            conn = yield from client.stack.tcp.connect(srv.addr, 9000)
+            session = SmartSession(client, conn, REQ)
+            session.start_lease()
+            yield cluster.sim.timeout(50.0)
+
+        cluster.sim.process(p())
+        cluster.run(until=50.0)
+        pings = responder.pings_answered
+        assert pings == 99
+        assert tags.count("PING") == tags.count("PONG") == pings
+        assert len(tags) == 2 * pings
+        assert len(frames) <= 4.1 * pings
+
+    def test_stopped_responder_is_dead_at_the_next_ping(self):
+        """``stop()`` closes the lease connection: the next PING meets the
+        FIN, so the server is dead within one ``lease_interval`` plus a
+        round trip — no ``lease_timeout`` of silence, no expiry."""
+        cluster, cfg, client, srv = lease_world()
+        responder = LeaseResponder(srv, cfg)
+        responder.start()
+
+        def p():
+            dialled_at = cluster.sim.now
+            conn = yield from client.stack.tcp.connect(srv.addr, 9000)
+            rtt = cluster.sim.now - dialled_at  # the handshake is one RTT
+            session = SmartSession(client, conn, REQ)
+            session.start_lease()
+            yield cluster.sim.timeout(2.0)
+            stopped_at = cluster.sim.now
+            responder.stop()
+            while not conn.reset:
+                yield cluster.sim.timeout(0.001)
+            return (cluster.sim.now - stopped_at, rtt, session.lease_expiries,
+                    client.quarantined())
+
+        delay, rtt, expiries, quarantined = run_process(
+            cluster.sim, p(), until=30.0)
+        assert delay <= cfg.lease_interval + rtt
+        assert expiries == 0
+        assert srv.addr in quarantined
+
     def test_orderly_close_stops_the_lease(self):
         cluster, cfg, client, srv = lease_world()
         responder = LeaseResponder(srv, cfg)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.apps import FileServer, MatMulWorker
 from repro.cluster import Cluster
-from repro.core import Config, Mode, Receiver, SystemMonitor, Transmitter
+from repro.core import (Config, LeaseResponder, Mode, Receiver, SystemMonitor,
+                        Transmitter)
 from repro.core.rsocket import ReliableServer
 from repro.net.tcp import ConnectError
 
@@ -129,6 +130,10 @@ def _transmitter(host, cfg):
                         mode=Mode.DISTRIBUTED), cfg.ports.transmitter)
 
 
+def _lease(host, cfg):
+    return LeaseResponder(host, cfg), cfg.ports.lease
+
+
 def _rserver(host, cfg):
     return ReliableServer(host.stack, PORT), PORT
 
@@ -145,6 +150,7 @@ SERVICES = {
     "sysmon": _sysmon,
     "receiver": _receiver,
     "transmitter": _transmitter,
+    "lease": _lease,
     "rserver": _rserver,
     "matmul-worker": _matmul_worker,
     "file-server": _file_server,

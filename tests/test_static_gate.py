@@ -7,6 +7,7 @@ the baked-in toolchain.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shutil
@@ -166,6 +167,44 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     assert bench.count("def test_hop_events_") == 2
 
 
+def test_the_one_accept_loop_is_in_tcp():
+    """Every TCP service is a handler on ``TcpLayer.serve``: a yielded
+    ``.accept()`` anywhere else in ``src/repro`` is a hand-written accept
+    loop growing back (the health lease was the last one)."""
+    loops = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Yield)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "accept"):
+                loops.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert loops and all(loop.startswith("src/repro/net/tcp.py:")
+                         for loop in loops), loops
+
+
+def test_perf_census_counts_the_service_loop_roots():
+    """The hot-path analyzer's census of ``src/repro``: a new daemon loop
+    (or a service that leaves ``serve``) moves this number on purpose."""
+    from repro.analysis.program import Program, run_checks
+
+    report = run_checks(Program.load([REPO / "src" / "repro"]), ("perf",))
+    assert report.stats["perf"]["service-loop root(s)"] == 22
+
+
+def test_ci_pins_the_fault_benchmarks_it_regenerates():
+    """``BENCH_failover.json`` and ``BENCH_grayfail.json`` hold simulated
+    time only, so the jobs that rewrite them fail on any drift: a traffic
+    change moves them in the commit that causes it, or not at all."""
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
+                  .replace("\\\n", " ").split())
+    for name in ("failover", "grayfail"):
+        regenerate = f"python benchmarks/bench_{name}.py"
+        pin = f"git diff --exit-code benchmarks/results/BENCH_{name}.json"
+        assert regenerate in ci and pin in ci
+        assert ci.index(regenerate) < ci.index(pin)
+
+
 def test_repro_check_clean_on_src():
     """The repo's own analyzer gate: ``repro check src`` must exit 0."""
     result = subprocess.run(
@@ -191,8 +230,6 @@ def test_repro_check_flags_seeded_fixtures():
 def test_no_syntax_errors_anywhere():
     """A pure-stdlib floor under the CI lint job: every tracked python
     file must at least compile."""
-    import ast
-
     failures = []
     for path in sorted(REPO.glob("src/**/*.py")) + sorted(REPO.glob("tests/**/*.py")):
         try:
