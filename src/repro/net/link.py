@@ -100,9 +100,6 @@ class Channel:
         return self.busy_time / horizon if horizon > 0 else 0.0
 
     # -- data path ----------------------------------------------------------
-    def tx_seconds(self, wire_bytes: int) -> float:
-        return wire_bytes * 8.0 / self.rate_bps
-
     def transmit(self, frame: Frame, extra_start_delay: float = 0.0) -> bool:
         """Enqueue ``frame``; returns ``False`` on drop.
 
@@ -124,7 +121,7 @@ class Channel:
         start = max(now + extra_start_delay, self.next_free)
         if self.shaper is not None:
             start = self.shaper.reserve(wire, start)
-        finish = start + self.tx_seconds(wire)
+        finish = start + wire * 8.0 / self.rate_bps
         self.next_free = finish
         self.busy_time += finish - start
         self.tx_frames += 1
@@ -150,7 +147,7 @@ class Channel:
         anything (the far end would just discard it)."""
         now = self.sim.now
         start = max(now, self.next_free)
-        finish = start + self.tx_seconds(wire_bytes)
+        finish = start + wire_bytes * 8.0 / self.rate_bps
         self.next_free = finish
         self.busy_time += finish - start
         self.tx_bytes += wire_bytes

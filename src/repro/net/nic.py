@@ -17,6 +17,12 @@ On egress, UDP/ICMP datagrams are cut into real IP fragments that travel
 *burst* frames (see :class:`~repro.net.packet.Frame`).  NICs keep the rx/tx
 byte and packet counters that the server probe later reads back out of the
 synthesized ``/proc/net/dev``.
+
+Nearly every frame is a TCP burst, so a hop is one straight pass: a
+segment's burst is built and handed to the channel in
+:meth:`NIC.send_datagram` without a fragment list, a transit frame is
+split only when it is a fragment larger than the egress MTU, and the
+MTU is read off the channel once per frame.
 """
 
 from __future__ import annotations
@@ -79,36 +85,49 @@ class NIC:
 
     # -- egress ---------------------------------------------------------------
     def send_datagram(self, dgram: Datagram) -> bool:
-        """Originate a datagram here: fragment (UDP/ICMP) or burst (TCP).
-
-        Returns ``False`` if every frame was dropped at the channel.
-        """
-        frames = self._frames_for(dgram)
-        first_wire = frames[0].wire_at(self.mtu)
+        """Originate a datagram here: one burst frame (TCP) or fragments
+        (UDP/ICMP).  Returns ``False`` if every frame was dropped at the
+        channel."""
+        channel = self.channel
+        mtu = channel.mtu
+        if dgram.proto == PROTO_TCP:
+            frame = Frame(dgram, dgram.transport_bytes, first=True, burst=True)
+            wire = frame.wire_at(mtu)
+            init = self.init_speed_bps
+            if channel.transmit(frame, 0.0 if init is None else wire * 8.0 / init):
+                self.tx_packets += 1
+                self.tx_bytes += wire
+                return True
+            self.tx_drops += 1
+            return False
+        frames = self._frames_for(dgram, mtu)
+        extra = self._init_delay(frames[0].wire_at(mtu))
         delivered_any = False
-        for i, frame in enumerate(frames):
-            extra = self._init_delay(first_wire) if i == 0 else 0.0
+        for frame in frames:
             delivered_any |= self._transmit(frame, extra)
+            extra = 0.0
         return delivered_any
 
     def forward_frame(self, frame: Frame) -> bool:
         """Forward a transit frame (router path: no init term)."""
+        mtu = self.channel.mtu
+        if frame.burst or frame.payload_bytes + IP_HEADER <= mtu:
+            return self._transmit(frame, 0.0)
         delivered_any = False
-        for piece in frame.split(self.mtu):
+        for piece in frame.split(mtu):
             delivered_any |= self._transmit(piece, 0.0)
         return delivered_any
 
-    def _frames_for(self, dgram: Datagram) -> list[Frame]:
-        transport = dgram.transport_bytes
-        if dgram.proto == PROTO_TCP:
-            return [Frame(dgram, transport, first=True, burst=True)]
-        per_frag = self.mtu - IP_HEADER
+    @staticmethod
+    def _frames_for(dgram: Datagram, mtu: int) -> list[Frame]:
+        """The IP fragments of a UDP/ICMP datagram at ``mtu``."""
+        per_frag = mtu - IP_HEADER
         frames = []
-        remaining = transport
+        remaining = dgram.transport_bytes
         first = True
         while True:
             chunk = min(per_frag, remaining)
-            frames.append(Frame(dgram, chunk, first=first, burst=False))
+            frames.append(Frame(dgram, chunk, first))
             first = False
             remaining -= chunk
             if remaining <= 0:
@@ -116,16 +135,16 @@ class NIC:
         return frames
 
     def _transmit(self, frame: Frame, extra: float) -> bool:
-        ok = self.channel.transmit(frame, extra_start_delay=extra)
-        if ok:
+        channel = self.channel
+        if channel.transmit(frame, extra):
             self.tx_packets += 1
-            self.tx_bytes += frame.wire_at(self.mtu)
-        else:
-            self.tx_drops += 1
-        return ok
+            self.tx_bytes += frame.wire_at(channel.mtu)
+            return True
+        self.tx_drops += 1
+        return False
 
     # -- ingress ----------------------------------------------------------------
     def _on_deliver(self, frame: Frame) -> None:
         self.rx_packets += 1
-        self.rx_bytes += frame.wire_at(self.mtu)
+        self.rx_bytes += frame.wire_at(self.channel.mtu)
         self.node.receive(frame, self)

@@ -122,16 +122,16 @@ class Node:
 
     # -- data path ----------------------------------------------------------
     def receive(self, frame: Frame, nic: NIC) -> None:
-        if self.is_local(frame.dgram.dst):
-            self._reassemble(frame)
-        else:
+        dgram = frame.dgram
+        if dgram.dst not in self._local:
             self.forward(frame)
+        elif frame.payload_bytes >= dgram.transport_bytes:
+            self.deliver_local(dgram)  # whole: a burst, or one fragment
+        else:
+            self._reassemble(frame)
 
     def _reassemble(self, frame: Frame) -> None:
         dgram = frame.dgram
-        if frame.payload_bytes >= dgram.transport_bytes:
-            self.deliver_local(dgram)
-            return
         entry = self._reassembly.get(dgram.id)
         if entry is None:
             entry = self._reassembly[dgram.id] = [0, self.sim.now]
@@ -164,7 +164,6 @@ class Node:
         dgram = frame.dgram
         if frame.first:
             dgram.ttl -= 1
-            dgram.trace.append(self.name)
         if dgram.ttl <= 0:
             return  # TTL exceeded; nothing in the library relies on this
         try:
@@ -185,7 +184,7 @@ class Node:
         hb = self.sim._hb
         if hb is not None:
             hb.stamp(dgram)
-        if self.is_local(dgram.dst):
+        if dgram.dst in self._local:
             # Loopback: no physical interface, no init term, tiny constant
             # delay — reproduces the thesis' flat localhost curve (Fig 3.6f,
             # base RTT 41 µs: ~one kernel traversal each way).

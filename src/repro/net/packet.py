@@ -9,13 +9,18 @@ exactly what the paper's Eq. 3.6 model needs.
 
 Header sizes follow IPv4/UDP/TCP/ICMP so the RTT-vs-payload knee lands at
 ``payload = MTU - 28`` for UDP, matching the thesis measurements.
+
+One :class:`Datagram` is made per segment, ack and probe and one
+:class:`Frame` per datagram per hop, so both are ``__slots__`` records
+whose constructor assigns and validates and nothing more:
+``transport_bytes`` is worked out once there, and a frame remembers its
+wire size for the last MTU asked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
@@ -81,38 +86,44 @@ def _n_fragments(transport_bytes: int, mtu: int) -> int:
     return max(1, -(-transport_bytes // _fragment_payload(mtu)))
 
 
-@dataclass
 class Datagram:
-    """One transport PDU travelling through the simulated network."""
+    """One transport PDU travelling through the simulated network.
 
-    proto: str
-    src: str
-    dst: str
-    sport: int
-    dport: int
-    size: int  # transport payload bytes
-    payload: Any = None
-    id: int = field(default_factory=lambda: next(_ids))
-    created: float = 0.0
-    ttl: int = 64
-    #: optional reference to a datagram this one is about (ICMP errors)
-    ref: Optional[int] = None
-    #: nodes traversed, appended by each forwarding node (traceroute-ish)
-    trace: list = field(default_factory=list)
-    #: sender's vector clock, stamped at origination when the
-    #: happens-before sanitizer is on (see :mod:`repro.sim.hb`)
-    hb_clock: Any = field(default=None, repr=False, compare=False)
+    ``transport_bytes`` (payload plus transport header) is computed at
+    construction, so ``proto`` and ``size`` must not change afterwards.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative payload size {self.size}")
-        if self.proto not in _PROTO_HEADER:
-            raise ValueError(f"unknown protocol {self.proto!r}")
+    __slots__ = ("proto", "src", "dst", "sport", "dport", "size", "payload",
+                 "id", "created", "ttl", "ref", "hb_clock", "transport_bytes")
 
-    @property
-    def transport_bytes(self) -> int:
-        """Payload plus transport header."""
-        return self.size + _PROTO_HEADER[self.proto]
+    def __init__(self, proto: str, src: str, dst: str, sport: int, dport: int,
+                 size: int, payload: Any = None, created: float = 0.0, ttl: int = 64,
+                 ref: Optional[int] = None) -> None:
+        if size < 0:
+            raise ValueError(f"negative payload size {size}")
+        header = _PROTO_HEADER.get(proto)
+        if header is None:
+            raise ValueError(f"unknown protocol {proto!r}")
+        self.proto = proto
+        self.src = src
+        self.dst = dst
+        self.sport = sport
+        self.dport = dport
+        self.size = size
+        self.payload = payload
+        self.id = next(_ids)
+        self.created = created
+        self.ttl = ttl
+        #: optional reference to a datagram this one is about (ICMP errors)
+        self.ref = ref
+        #: sender's vector clock, stamped at origination when the
+        #: happens-before sanitizer is on (see :mod:`repro.sim.hb`)
+        self.hb_clock: Any = None
+        self.transport_bytes = size + header
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"<Datagram #{self.id} {self.proto} {self.src}:{self.sport}"
+                f"->{self.dst}:{self.dport} size={self.size}>")
 
     def wire_size(self, mtu: int) -> int:
         """Total bytes on the wire after fragmentation at ``mtu``: the
@@ -129,19 +140,10 @@ class Datagram:
 
     def reply_skeleton(self, proto: str, size: int, payload: Any = None) -> "Datagram":
         """A datagram heading back to this one's source."""
-        return Datagram(
-            proto=proto,
-            src=self.dst,
-            dst=self.src,
-            sport=self.dport,
-            dport=self.sport,
-            size=size,
-            payload=payload,
-            ref=self.id,
-        )
+        return Datagram(proto, self.dst, self.src, self.dport, self.sport,
+                        size, payload, ref=self.id)
 
 
-@dataclass
 class Frame:
     """The unit a channel transmits and a router forwards.
 
@@ -162,16 +164,24 @@ class Frame:
     complete when the per-datagram sum reaches ``transport_bytes``.
     """
 
-    dgram: Datagram
-    payload_bytes: int
-    first: bool  # carries the datagram's first transport byte
-    burst: bool = False
-    #: the last MTU :meth:`wire_at` was asked about, and its answer: a
-    #: frame is sized by the NIC, the channel and both byte counters of
-    #: every hop, almost always at one MTU
-    _wire_mtu: Optional[int] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _wire: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("dgram", "payload_bytes", "first", "burst", "_wire_mtu", "_wire")
+
+    def __init__(self, dgram: Datagram, payload_bytes: int, first: bool,
+                 burst: bool = False) -> None:
+        self.dgram = dgram
+        self.payload_bytes = payload_bytes
+        #: carries the datagram's first transport byte
+        self.first = first
+        self.burst = burst
+        #: the last MTU :meth:`wire_at` was asked about, and its answer: a
+        #: frame is sized by the NIC, the channel and both byte counters
+        #: of every hop, almost always at one MTU
+        self._wire_mtu: Optional[int] = None
+        self._wire = 0
+
+    def __repr__(self) -> str:  # pragma: no cover
+        kind = "burst" if self.burst else "fragment"
+        return f"<Frame {kind} of #{self.dgram.id} bytes={self.payload_bytes}>"
 
     def wire_at(self, mtu: int) -> int:
         """Bytes this frame occupies on a wire with the given MTU."""
@@ -192,7 +202,7 @@ class Frame:
         first = self.first
         while remaining > 0:
             chunk = min(per_frag, remaining)
-            frames.append(Frame(self.dgram, chunk, first, burst=False))
+            frames.append(Frame(self.dgram, chunk, first))
             first = False
             remaining -= chunk
         return frames

@@ -153,18 +153,19 @@ class NetworkStack:
 
     # -- demux -----------------------------------------------------------------
     def deliver(self, dgram: Datagram) -> None:
-        if dgram.proto == PROTO_UDP:
+        proto = dgram.proto
+        if proto == PROTO_TCP:
+            self.tcp.deliver(dgram)
+        elif proto == PROTO_UDP:
             sock = self.udp_ports.get(dgram.dport)
             if sock is not None:
                 sock.rx.put(dgram)
             else:
                 self._send_port_unreachable(dgram)
-        elif dgram.proto == PROTO_ICMP:
+        elif proto == PROTO_ICMP:
             err = IcmpError(src=dgram.src, ref=dgram.ref, received_at=self.sim.now)
             for tap in self.icmp_taps:
                 tap.put(err)
-        elif dgram.proto == PROTO_TCP:
-            self.tcp.deliver(dgram)
         else:  # pragma: no cover - Datagram validates proto already
             raise ValueError(f"unknown protocol {dgram.proto!r}")
 

@@ -306,18 +306,24 @@ class TcpConnection:
         self._on_wake()
 
     def _pump(self) -> None:
-        """Emit segments while data is queued and the window allows."""
-        while self.in_flight < self.window:
-            seg = self._next_segment()
-            if seg is None:
-                break
-            self._emit(*seg)
+        """Emit segments while data is queued and the window allows.
+
+        Each data segment carves the next ``mss`` bytes off the head
+        message; its meta is ``("DATA", payload_or_None, end_of_message)``
+        — the payload rides on the message's last segment only, and the
+        receiver sums the segment sizes into the message length.
+        """
+        outq, mss, window = self._outq, self.mss, self.window
+        while outq and self._next_seq - self._base < window:
+            payload, remaining = outq[0]
+            if remaining <= mss:
+                outq.pop(0)
+                self._emit(remaining, ("DATA", payload, True))
+            else:
+                outq[0] = (payload, remaining - mss)
+                self._emit(mss, ("DATA", None, False))
         # FIN occupies one sequence unit once the data queue drains
-        if (
-            self._fin_queued
-            and not self._outq
-            and self.in_flight < self.window
-        ):
+        if self._fin_queued and not outq and self._next_seq - self._base < window:
             self._fin_queued = False
             self._emit(1, ("FIN",))
 
@@ -328,43 +334,12 @@ class TcpConnection:
         self._next_seq = seq + nbytes
         self._transmit_segment(seq, nbytes, meta)
 
-    def _next_segment(self) -> Optional[tuple[int, tuple]]:
-        """Carve the next segment off the message queue.
-
-        Returns ``(nbytes, meta)`` where meta describes message framing:
-        ``("DATA", payload_or_None, end_of_message, message_total)``.
-        """
-        if not self._outq:
-            return None
-        payload, remaining = self._outq[0]
-        take = min(self.mss, remaining)
-        last = take == remaining
-        total = remaining  # only meaningful alongside bookkeeping below
-        if last:
-            self._outq.pop(0)
-            meta = ("DATA", payload, True, self._msg_total_for(payload, take))
-        else:
-            self._outq[0] = (payload, remaining - take)
-            meta = ("DATA", None, False, 0)
-        return take, meta
-
-    def _msg_total_for(self, payload: Any, last_chunk: int) -> int:
-        # receiver reconstructs the total from accumulated partial bytes;
-        # we pass only the last chunk marker. Kept as a hook for clarity.
-        return last_chunk
-
     def _transmit_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
         self.bytes_sent += nbytes
-        self.layer.stack.node.send(Datagram(
-            proto=PROTO_TCP,
-            src=self.layer.stack.node.addr,
-            dst=self.remote_addr,
-            sport=self.local_port,
-            dport=self.remote_port,
-            size=nbytes,
-            payload=("SEG", seq, meta),
-            created=self.sim.now,
-        ))
+        node = self.layer.stack.node
+        node.send(Datagram(PROTO_TCP, node.addr, self.remote_addr,
+                           self.local_port, self.remote_port, nbytes,
+                           ("SEG", seq, meta), created=self.sim.now))
 
     def _retransmit_window(self) -> None:
         """Go-back-N: resend everything from ``base``; back the timer off."""
@@ -375,21 +350,13 @@ class TcpConnection:
             self._transmit_segment(seq, segment[0], segment[1])
 
     # -- inbound ------------------------------------------------------------------
-    def _handle(self, dgram: Datagram) -> None:
-        kind = dgram.payload[0]
-        if kind == "SEG":
-            _, seq, meta = dgram.payload
-            self._handle_segment(seq, dgram.size, meta)
-        elif kind == "ACK":
-            self._handle_ack(dgram.payload[1])
-
     def _handle_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
         if seq == self._rcv_expected:
             self._rcv_expected += nbytes
             if meta[0] == "DATA":
                 self.bytes_received += nbytes
                 self._partial_bytes += nbytes
-                _, payload, end, _ = meta
+                _, payload, end = meta
                 if end:
                     self.rx.put((payload, self._partial_bytes))
                     self._partial_bytes = 0
@@ -400,17 +367,10 @@ class TcpConnection:
         self._send_ack()
 
     def _send_ack(self) -> None:
-        ack = Datagram(
-            proto=PROTO_TCP,
-            src=self.layer.stack.node.addr,
-            dst=self.remote_addr,
-            sport=self.local_port,
-            dport=self.remote_port,
-            size=0,
-            payload=("ACK", self._rcv_expected),
-            created=self.sim.now,
-        )
-        self.layer.stack.node.send(ack)
+        node = self.layer.stack.node
+        node.send(Datagram(PROTO_TCP, node.addr, self.remote_addr,
+                           self.local_port, self.remote_port, 0,
+                           ("ACK", self._rcv_expected), created=self.sim.now))
 
     def _handle_ack(self, ackno: int) -> None:
         if ackno <= self._base:
@@ -610,9 +570,15 @@ class TcpLayer:
     def deliver(self, dgram: Datagram) -> None:
         key = (dgram.dport, dgram.src, dgram.sport)
         conn = self.conns.get(key)
-        kind = dgram.payload[0]
+        payload = dgram.payload
+        kind = payload[0]
         if conn is not None:
-            if kind == "SYN":  # duplicate SYN: re-ack
+            # data and acks first: they are nearly every arrival
+            if kind == "SEG":
+                conn._handle_segment(payload[1], dgram.size, payload[2])
+            elif kind == "ACK":
+                conn._handle_ack(payload[1])
+            elif kind == "SYN":  # duplicate SYN: re-ack
                 self._send_ctrl_reply(dgram, "SYNACK", conn)
             elif kind == "SYNACK":
                 if not conn.established:
@@ -623,8 +589,6 @@ class TcpLayer:
                     conn._start()
             elif kind == "RST":
                 conn._handle_reset()
-            else:
-                conn._handle(dgram)
             return
         if kind in ("SEG", "ACK", "SYNACK"):
             # traffic for a connection this host no longer knows about (it

@@ -38,7 +38,6 @@ def _next_hop(node, frame):
     dgram = frame.dgram
     if frame.first:
         dgram.ttl -= 1
-        dgram.trace.append(node.name)
     if dgram.ttl <= 0:
         return None
     try:

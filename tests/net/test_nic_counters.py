@@ -1,0 +1,212 @@
+"""The counters the probe reads, pinned as literals.
+
+The server probe learns a host's traffic from the synthesized
+``/proc/net/dev`` (Table 5.2), and that text is rendered from the NIC
+byte and packet counters that every frame hop bumps.  One world below
+drives every way a frame can leave a NIC: TCP segments as single burst
+frames, UDP datagrams fragmented on origin and re-fragmented at an
+MTU-576 egress, ICMP port-unreachable echoes, a lossy channel that makes
+TCP go back N, a forwarding host, a link that goes down mid-run and a
+destination nobody can route to.  The rows of every host's
+``/proc/net/dev``, every NIC's ``tx_drops``, every switch NIC's packet
+and byte counters and every node's ``forwarded`` / ``no_route`` must
+equal the literals below, which were captured by running this file
+(``PYTHONPATH=src python tests/net/test_nic_counters.py``) before the
+per-frame NIC path was fused into one pass.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro import worlds
+from repro.cluster import Cluster
+from repro.net import MBPS, ConnectionClosed
+
+
+def run_world() -> dict[str, object]:
+    worlds.fresh_ids()
+    cluster = Cluster()
+    sim = cluster.sim
+    h0, h1, gw, h2, h3 = (cluster.add_host(n) for n in ("h0", "h1", "gw", "h2", "h3"))
+    island = cluster.add_host("island")
+    sw, sw2, sw3 = (cluster.add_switch(n) for n in ("sw", "sw2", "sw3"))
+    cluster.link(h0, sw, rate_bps=100 * MBPS, subnet="10.0.0")
+    uplink = cluster.link(h1, sw, rate_bps=100 * MBPS, subnet="10.0.0")
+    cluster.link(gw, sw, rate_bps=100 * MBPS, subnet="10.0.0")
+    cluster.link(gw, sw2, rate_bps=10 * MBPS, subnet="10.0.1")
+    lossy = cluster.link(sw2, h2, rate_bps=10 * MBPS, subnet="10.0.1")
+    cluster.link(sw2, h3, rate_bps=10 * MBPS, mtu=576, subnet="10.0.1")
+    cluster.link(island, sw3, subnet="10.9.9")
+    cluster.finalize()
+
+    channel = lossy.channel_from(sw2)
+    channel.loss_rate = 0.02
+    channel.loss_rng = random.Random("nic-counters/loss")
+
+    def bulk(src, dst, port, sizes, mss=1460):
+        lsn = dst.stack.tcp.listen(port, mss=mss)
+
+        def server():
+            conn = yield lsn.accept()
+            try:
+                while True:
+                    yield conn.recv()
+            except ConnectionClosed:
+                conn.close()
+
+        def client():
+            conn = yield from src.stack.tcp.connect(dst.name, port, mss=mss)
+            for i, nbytes in enumerate(sizes):
+                conn.send(f"{src.name}#{i}", nbytes)
+            conn.close()
+        sim.process(server())
+        sim.process(client())
+
+    def udp(src, dst, port, n, sizes, bound=True, gap=300e-6):
+        rng = random.Random(f"nic-counters/{src.name}/{dst}/{port}")
+        if bound:
+            cluster.host(dst).stack.udp_socket(port)
+        sock = src.stack.udp_socket()
+
+        def sender():
+            for i in range(n):
+                yield sim.timeout(rng.uniform(0.0, gap))
+                sock.sendto(dst, port, rng.randint(*sizes), payload=i)
+        sim.process(sender())
+
+    bulk(h0, h2, 5001, [200_000, 1, 70_000])
+    bulk(h1, h3, 5002, [90_000, 3_000])
+    bulk(h3, h0, 5003, [40_000], mss=536)
+    udp(h0, "h3", 7001, 120, (400, 4_000))
+    udp(h3, "h1", 7002, 80, (600, 3_000))
+    udp(h1, "h2", 7003, 60, (100, 1_600), bound=False)
+    udp(h2, "gw", 7004, 40, (50, 2_000))
+    udp(h0, island.node.addr, 7005, 5, (100, 200), bound=False)
+
+    def flap():
+        yield sim.timeout(0.02)
+        uplink.set_up(False)
+        yield sim.timeout(0.05)
+        uplink.set_up(True)
+    sim.process(flap())
+    cluster.run(until=5.0)
+
+    net = cluster.network
+    return {
+        # the interface rows: the two header lines are constant text
+        "net_dev": {name: host.procfs.read("/proc/net/dev").splitlines()[2:]
+                    for name, host in cluster.hosts.items()},
+        "tx_drops": {name: [nic.tx_drops for nic in node.nics]
+                     for name, node in net.nodes.items()},
+        "switch_nics": {name: [(nic.tx_packets, nic.tx_bytes, nic.rx_packets,
+                                nic.rx_bytes) for nic in node.nics]
+                        for name, node in cluster.switches.items()},
+        "forwarded": {name: (node.forwarded, node.no_route)
+                      for name, node in net.nodes.items()},
+    }
+
+
+EXPECTED: dict[str, object] = {
+    "forwarded": {
+        "h0": (0, 5),
+        "h1": (0, 0),
+        "gw": (2185, 0),
+        "h2": (0, 0),
+        "h3": (0, 0),
+        "island": (0, 0),
+        "sw": (2185, 0),
+        "sw2": (2236, 0),
+        "sw3": (0, 0),
+    },
+    "tx_drops": {
+        "h0": [0],
+        "h1": [45],
+        "gw": [0, 0],
+        "h2": [0],
+        "h3": [0],
+        "island": [0],
+        "sw": [0, 61, 0],
+        "sw2": [0, 4, 0],
+        "sw3": [0],
+    },
+    "switch_nics": {
+        "sw": [(630, 185205, 863, 745105), (429, 127194, 202, 244165),
+               (1065, 989270, 1120, 343574)],
+        "sw2": [(1171, 388136, 1065, 989270), (389, 528429, 432, 60731),
+                (984, 467704, 739, 327405)],
+        "sw3": [(0, 0, 0, 0)],
+    },
+    "net_dev": {
+        "h0": [
+            "  eth0:  185205     630    0    0    0     0          0         0"
+            "   745105     863    0    0    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+        "h1": [
+            "  eth0:  127194     429    0    0    0     0          0         0"
+            "   244165     202    0   45    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+        "gw": [
+            "  eth0:  989270    1065    0    0    0     0          0         0"
+            "   343574    1120    0    0    0     0       0          0",
+            "  eth1:  388136    1171    0    0    0     0          0         0"
+            "   989270    1065    0    0    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+        "h2": [
+            "  eth0:  528429     389    0    0    0     0          0         0"
+            "    60731     432    0    0    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+        "h3": [
+            "  eth0:  467704     984    0    0    0     0          0         0"
+            "   327405     739    0    0    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+        "island": [
+            "  eth0:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+            "    lo:       0       0    0    0    0     0          0         0"
+            "        0       0    0    0    0     0       0          0",
+        ],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def counters():
+    return run_world()
+
+
+@pytest.mark.parametrize("what", sorted(EXPECTED))
+def test_counters_match_the_captured_literals(counters, what):
+    assert counters[what] == EXPECTED[what]
+
+
+def test_the_world_exercises_every_counted_path(counters):
+    """A guard on the guard: each path the literals are meant to pin
+    did happen in the world."""
+    drops, forwarded = counters["tx_drops"], counters["forwarded"]
+    assert drops["h1"][0] > 0          # the flapped uplink
+    assert drops["sw2"][1] > 0         # the lossy channel: go-back-N
+    assert forwarded["gw"][0] > 0      # a forwarding host
+    assert forwarded["h0"][1] > 0      # an unroutable destination
+    # re-fragmentation at the MTU-576 egress: more frames leave sw2
+    # than arrive at it
+    sw2_out = sum(tx for tx, *_ in counters["switch_nics"]["sw2"]) + sum(drops["sw2"])
+    assert sw2_out > forwarded["sw2"][0]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(run_world(), width=100)

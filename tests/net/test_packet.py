@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import (
     Datagram,
+    ICMP_HEADER,
     IP_HEADER,
     PROTO_ICMP,
     PROTO_TCP,
@@ -50,8 +51,10 @@ class TestDatagram:
                         sport=1, dport=2, size=size)
 
     def test_transport_bytes_adds_proto_header(self):
-        assert self._dgram(PROTO_UDP, 100).transport_bytes == 100 + UDP_HEADER
-        assert self._dgram(PROTO_TCP, 100).transport_bytes == 100 + TCP_HEADER
+        for proto, header in ((PROTO_UDP, UDP_HEADER), (PROTO_TCP, TCP_HEADER),
+                              (PROTO_ICMP, ICMP_HEADER)):
+            for size in (0, 1, 100, 1460):
+                assert self._dgram(proto, size).transport_bytes == size + header
 
     def test_wire_size_includes_per_fragment_ip_headers(self):
         d = self._dgram(size=3000)
@@ -63,22 +66,40 @@ class TestDatagram:
         assert self._dgram(size=10).first_fragment_size(1500) == 10 + UDP_HEADER + IP_HEADER
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             self._dgram(size=-1)
+        assert str(err.value) == "negative payload size -1"
 
     def test_unknown_proto_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             self._dgram(proto="quic")
+        assert str(err.value) == "unknown protocol 'quic'"
+
+    def test_records_are_slotted(self):
+        """One of each is made per segment and per hop: no ``__dict__``."""
+        d = self._dgram()
+        for record in (d, Frame(d, d.transport_bytes, first=True)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.trace = []
+
+    def test_hb_clock_is_settable(self):
+        """The happens-before sanitizer stamps it at origination."""
+        d = self._dgram()
+        assert d.hb_clock is None
+        d.hb_clock = {"p": 1}
+        assert d.hb_clock == {"p": 1}
 
     def test_ids_unique(self):
         assert self._dgram().id != self._dgram().id
 
     def test_reply_skeleton_swaps_endpoints(self):
         d = self._dgram()
-        r = d.reply_skeleton(PROTO_ICMP, 36)
+        r = d.reply_skeleton(PROTO_ICMP, 36, payload="why")
         assert (r.src, r.dst) == (d.dst, d.src)
         assert (r.sport, r.dport) == (d.dport, d.sport)
-        assert r.ref == d.id
+        assert (r.proto, r.size, r.payload, r.ref) == (PROTO_ICMP, 36, "why", d.id)
+        assert r.id != d.id and r.transport_bytes == 36 + ICMP_HEADER
 
 
 class TestFrame:
