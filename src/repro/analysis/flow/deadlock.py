@@ -1,5 +1,6 @@
-"""Wait-for graph extraction: static deadlock (REPRO401) and unguarded
-client-path blocking waits (REPRO404).
+"""The op-trace walk: static deadlock (REPRO401), getter races
+(REPRO402), leaked handles (REPRO403) and unguarded client-path blocking
+waits (REPRO404) — one walk per function decides all four.
 
 Every analyzed function is abstracted into an ordered **op trace**:
 
@@ -33,6 +34,26 @@ simulated world would hang forever.
 (``request_servers``/``smart_sockets``/``smart_sessions``/``failover``
 and any ``client_*`` function) and flags untimed wire waits with no
 ``Interrupt`` guard — the request path must never block unboundedly.
+
+The same walk gathers each function's lifecycle facts — nested defs and
+lambdas included, and decided by source position once it is done:
+
+**REPRO402** — an ``any_of``/``all_of`` (yielded or not) that races a
+getter (a name bound from ``.get()``/``.recv()``, or such a call written
+inline) against a non-getter competitor.  The losing getter must be
+withdrawn later in the source: passed to ``.cancel(...)``, its owner
+closed/aborted/stopped/suspended/cancelled, or its owner removed from a
+registry (``remove``/``discard``/``pop``).  An inline getter has no name
+to cancel and is flagged outright.  A getter whose owner is neither a
+parameter nor bound in the function (a closure or global) is skipped:
+the scope that owns it cleans up.  This is the ``recv_timeout`` leak
+shape: an abandoned getter silently eats the *next* item.
+
+**REPRO403** — a handle acquired into a local (``udp_socket``/``listen``/
+``icmp_tap``/``ReliableSocket(...)``) that neither escapes (argument,
+return, yield, attribute/subscript store, container literal) nor is
+released (``close``/``abort``/``stop``/``suspend``) anywhere in the
+function: it leaks on every path.
 """
 
 from __future__ import annotations
@@ -57,6 +78,16 @@ _SEND_ATTRS = frozenset({"send", "sendto"})
 _ACQUIRE_SOCKET = "udp_socket"
 _ACQUIRE_LISTEN = "listen"
 _MAX_INLINE_DEPTH = 6
+_CONDITION_ATTRS = ("any_of", "all_of")
+#: REPRO402: getters, and what withdraws one that lost its race
+_GETTER_ATTRS = frozenset({"get", "recv"})
+_RELEASE_ATTRS = frozenset({"close", "abort", "stop", "suspend", "cancel"})
+_UNREGISTER_ATTRS = frozenset({"remove", "discard", "pop"})
+#: REPRO403: acquisitions
+_ACQUIRE_ATTRS = frozenset({_ACQUIRE_SOCKET, _ACQUIRE_LISTEN, "icmp_tap"})
+_ACQUIRE_NAMES = frozenset({"ReliableSocket"})
+#: what a subtree does to the names in it (see :func:`_marks`)
+_ESCAPE, _BIND = 1, 2
 
 
 @dataclass
@@ -83,18 +114,23 @@ class FunctionTrace:
 
 
 class TraceExtractor:
-    """Builds the per-function op traces for a symbol table."""
+    """Builds the per-function op traces for a symbol table, and the
+    REPRO402/403 findings the same walks decide."""
 
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
         self.traces: dict[str, FunctionTrace] = {}
+        #: REPRO402/403 findings, in function order
+        self.leaks: list[tuple[FileUnit, Diagnostic]] = []
         for qual in sorted(table.functions):
             fn = table.functions[qual]
             unit = table.unit_of[fn.module]
-            ops = _FunctionWalker(table, fn).run()
-            for op in ops:
+            walker = _FunctionWalker(table, fn)
+            for op in walker.ops:
                 op.unit = unit
-            self.traces[qual] = FunctionTrace(fn=fn, unit=unit, ops=ops)
+            self.traces[qual] = FunctionTrace(fn=fn, unit=unit,
+                                              ops=walker.ops)
+            self.leaks.extend((unit, diag) for diag in walker.leaks())
 
     # -- expansion ----------------------------------------------------------
     def expanded(self, qualname: str) -> list[Op]:
@@ -123,11 +159,16 @@ class TraceExtractor:
 
 
 class _FunctionWalker:
-    """Single textual pass over one function body.
+    """One pass over one function: its op trace and its lifecycle facts.
 
-    Loop bodies are walked once (a trace is an abstraction of one
-    iteration); ``try`` bodies whose handlers catch ``Interrupt`` (or a
-    broader class) mark contained ops guarded.
+    Every node of the function is visited exactly once.  Ops come only
+    from *live* nodes — the function's own statements and the
+    expressions they evaluate.  Loop bodies are walked once (a trace is
+    an abstraction of one iteration); ``try`` bodies whose handlers catch
+    ``Interrupt`` (or a broader class) mark contained ops guarded.
+    Nested defs, assignment targets, spawn arguments and the members of
+    a yielded condition are *dead*: they add no op, but they still feed
+    the REPRO402/403 facts, which :meth:`leaks` decides at the end.
     """
 
     def __init__(self, table: SymbolTable, fn: FunctionInfo) -> None:
@@ -140,42 +181,81 @@ class _FunctionWalker:
         self.getters: dict[str, "str | None"] = {}
         #: names bound to ``timeout(...)`` handles
         self.timeouts: set[str] = set()
+        #: params, ``self`` and every name bound in the function
+        self.local: set[str] = set(fn.params) | {"self"}
+        #: name -> (owner, the ``.get()``/``.recv()`` call last bound to it)
+        self.pending: dict[str, tuple[str, ast.Call]] = {}
+        #: name -> (kind, the acquisition call last bound to it)
+        self.acquired: dict[str, tuple[str, ast.Call]] = {}
+        #: names that leave the function (see :func:`_marks`)
+        self.escaped: set[str] = set()
+        #: every ``any_of``/``all_of`` call, yielded or not
+        self.races: list[ast.Call] = []
+        #: (how, name) -> position of the last such release, ``how`` being
+        #: "cancel" (the getter), "release" or "unregister" (its owner)
+        self.released: dict[tuple[str, str], tuple[int, int]] = {}
+        self._visit(fn.node, guarded=False, live=True, marks=0)
 
-    def run(self) -> list[Op]:
-        self._walk_body(self.fn.node.body, guarded=False)
-        return self.ops
+    def _visit(self, node: ast.AST, guarded: bool, live: bool,
+               marks: int) -> None:
+        self._note(node, marks)
+        kids = self._emit(node, guarded) if live else {}
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, kids.get(child, guarded), child in kids,
+                        marks | _marks(node, child))
+        if live and isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._bind(target, node.value)
+        elif (live and isinstance(node, ast.AnnAssign)
+              and node.value is not None):
+            self._bind(node.target, node.value)
 
-    # -- statements ---------------------------------------------------------
-    def _walk_body(self, body: list[ast.stmt], guarded: bool) -> None:
-        for stmt in body:
-            self._walk_stmt(stmt, guarded)
-
-    def _walk_stmt(self, stmt: ast.stmt, guarded: bool) -> None:
-        if isinstance(stmt, ast.Try):
-            body_guarded = guarded or any(
-                _catches_interrupt(h) for h in stmt.handlers)
-            self._walk_body(stmt.body, body_guarded)
-            for handler in stmt.handlers:
-                self._walk_body(handler.body, guarded)
-            self._walk_body(stmt.orelse, guarded)
-            self._walk_body(stmt.finalbody, guarded)
-            return
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested defs get their own symbol-table entries
-        if isinstance(stmt, ast.Assign):
-            self._scan_expr(stmt.value, guarded)
-            for target in stmt.targets:
-                self._bind(target, stmt.value)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._scan_expr(stmt.value, guarded)
-            self._bind(stmt.target, stmt.value)
-            return
-        for child_expr in _stmt_exprs(stmt):
-            self._scan_expr(child_expr, guarded)
-        for child_body in _stmt_bodies(stmt):
-            self._walk_body(child_body, guarded)
+    # -- ops ----------------------------------------------------------------
+    def _emit(self, node: ast.AST, guarded: bool) -> dict[ast.AST, bool]:
+        """Append ``node``'s own ops; return its live children, each with
+        the guard it runs under."""
+        if isinstance(node, ast.Try):
+            kids: dict[ast.AST, bool] = dict.fromkeys(
+                [*node.handlers, *node.orelse, *node.finalbody], guarded)
+            kids.update(dict.fromkeys(node.body, guarded or any(
+                _catches_interrupt(h) for h in node.handlers)))
+            return kids
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) and node is not self.fn.node):
+            return {}
+        if isinstance(node, ast.Yield):
+            value = node.value
+            if (isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Attribute)):
+                if value.func.attr in BLOCKING_RECV_ATTRS:
+                    self._wait(value, value.func, False, guarded)
+                    return {}
+                if value.func.attr in _CONDITION_ATTRS:
+                    self._condition(value, guarded)
+                    return {}
+        elif isinstance(node, ast.YieldFrom):
+            value = node.value
+            if not isinstance(value, ast.Call):
+                return {}
+            if (isinstance(value.func, ast.Attribute)
+                    and value.func.attr in BLOCKING_RECV_ATTRS):
+                self._wait(value, value.func, False, guarded)
+            return {value: guarded}
+        elif isinstance(node, ast.Call):
+            return self._call(node, guarded)
+        live: list[ast.AST]
+        if isinstance(node, ast.expr):
+            live = [c for c in ast.iter_child_nodes(node)
+                    if isinstance(c, ast.expr)]
+        else:  # a statement, handler, with-item or keyword
+            live = [c for f in ("value", "test", "iter", "exc",
+                                "context_expr")
+                    if isinstance(c := getattr(node, f, None), ast.expr)]
+            for f in ("items", "body", "orelse", "finalbody"):
+                body = getattr(node, f, None)
+                if isinstance(body, list):
+                    live += body
+        return dict.fromkeys(live, guarded)
 
     # -- bindings -----------------------------------------------------------
     def _bind(self, target: ast.expr, value: ast.expr) -> None:
@@ -209,45 +289,13 @@ class _FunctionWalker:
             # un-yielded getter handle: g = conn.recv()
             self.getters[target.id] = self._wait_chan(func)
 
-    # -- expressions --------------------------------------------------------
-    def _scan_expr(self, expr: ast.expr, guarded: bool) -> None:
-        if isinstance(expr, ast.Yield) and expr.value is not None:
-            self._scan_yielded(expr.value, guarded)
-            return
-        if isinstance(expr, ast.YieldFrom):
-            if isinstance(expr.value, ast.Call):
-                self._scan_call(expr.value, guarded, yielded_from=True)
-            return
-        if isinstance(expr, ast.Call):
-            self._scan_call(expr, guarded, yielded_from=False)
-            return
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child, guarded)
+    def _wait(self, node: ast.expr, func: ast.Attribute, timed: bool,
+              guarded: bool) -> None:
+        self.ops.append(Op(kind="wait", node=node, chan=self._wait_chan(func),
+                           timed=timed, guarded=guarded))
 
-    def _scan_yielded(self, value: ast.expr, guarded: bool) -> None:
-        if not isinstance(value, ast.Call):
-            self._scan_expr(value, guarded)
-            return
-        func = value.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in BLOCKING_RECV_ATTRS:
-                self.ops.append(Op(kind="wait", node=value,
-                                   chan=self._wait_chan(func),
-                                   timed=False, guarded=guarded))
-                return
-            if func.attr in ("any_of", "all_of"):
-                self._scan_condition(value, guarded)
-                return
-        self._scan_call(value, guarded, yielded_from=False)
-
-    def _scan_condition(self, call: ast.Call, guarded: bool) -> None:
-        members: list[ast.expr] = []
-        for arg in call.args:
-            if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
-                members.extend(arg.elts)
-            else:
-                members.append(arg)
+    def _condition(self, call: ast.Call, guarded: bool) -> None:
+        members = _members(call)
         timed = any(self._is_timeout(m) for m in members)
         for member in members:
             if isinstance(member, ast.Name) and member.id in self.getters:
@@ -257,9 +305,7 @@ class _FunctionWalker:
             elif (isinstance(member, ast.Call)
                   and isinstance(member.func, ast.Attribute)
                   and member.func.attr in BLOCKING_RECV_ATTRS):
-                self.ops.append(Op(kind="wait", node=member,
-                                   chan=self._wait_chan(member.func),
-                                   timed=timed, guarded=guarded))
+                self._wait(member, member.func, timed, guarded)
 
     def _is_timeout(self, member: ast.expr) -> bool:
         if isinstance(member, ast.Name):
@@ -268,12 +314,11 @@ class _FunctionWalker:
                 and isinstance(member.func, ast.Attribute)
                 and member.func.attr == "timeout")
 
-    def _scan_call(self, call: ast.Call, guarded: bool,
-                   yielded_from: bool) -> None:
+    def _call(self, call: ast.Call, guarded: bool) -> dict[ast.AST, bool]:
         func = call.func
         if isinstance(func, ast.Attribute):
             if func.attr == "process":
-                return  # spawned: runs concurrently, never inlined
+                return {}  # spawned: runs concurrently, never inlined
             if func.attr in _SEND_ATTRS:
                 self.ops.append(Op(kind="send", node=call,
                                    chan=self._send_chan(func, call),
@@ -284,18 +329,95 @@ class _FunctionWalker:
                     kind="send", node=call,
                     chan=f"lst:{port}" if port is not None else None,
                     guarded=guarded))
-            elif func.attr in BLOCKING_RECV_ATTRS and yielded_from:
-                self.ops.append(Op(kind="wait", node=call,
-                                   chan=self._wait_chan(func),
-                                   timed=False, guarded=guarded))
         target = self.table.resolve_call(func, self.fn.module, self.fn.cls)
         if isinstance(target, FunctionInfo):
             self.ops.append(Op(kind="call", node=call, guarded=guarded,
                                callee=target.qualname))
-        for arg in call.args:
-            self._scan_expr(arg, guarded)
-        for kw in call.keywords:
-            self._scan_expr(kw.value, guarded)
+        return dict.fromkeys([*call.args, *call.keywords], guarded)
+
+    # -- lifecycle facts (REPRO402/403) -------------------------------------
+    def _note(self, node: ast.AST, marks: int) -> None:
+        if isinstance(node, ast.Name):
+            if marks & _ESCAPE:
+                self.escaped.add(node.id)
+            if marks & _BIND:
+                self.local.add(node.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr in _CONDITION_ATTRS:
+                self.races.append(node)
+            if attr in _RELEASE_ATTRS:
+                self._release("release", _recv_root(node.func), node)
+            if attr == "cancel" or attr in _UNREGISTER_ATTRS:
+                how = "cancel" if attr == "cancel" else "unregister"
+                for arg in node.args:
+                    if isinstance(arg, ast.Name):
+                        self._release(how, arg.id, node)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)):
+            name, func = node.targets[0].id, node.value.func
+            if isinstance(func, ast.Attribute):
+                if func.attr in _GETTER_ATTRS:
+                    self.pending[name] = (_recv_root(func), node.value)
+                elif func.attr in _ACQUIRE_ATTRS:
+                    self.acquired[name] = (func.attr, node.value)
+            elif isinstance(func, ast.Name) and func.id in _ACQUIRE_NAMES:
+                self.acquired[name] = (func.id, node.value)
+
+    def _release(self, how: str, name: str, call: ast.Call) -> None:
+        key, pos = (how, name), _pos(call)
+        self.released[key] = max(self.released.get(key, pos), pos)
+
+    def leaks(self) -> list[Diagnostic]:
+        """REPRO402 and REPRO403, decided from the whole function's facts."""
+        qual = self.fn.qualname
+        out: list[Diagnostic] = []
+        for race in self.races:
+            members = _members(race)
+            raced = [m.id for m in members
+                     if isinstance(m, ast.Name) and m.id in self.pending]
+            inline = [m for m in members
+                      if isinstance(m, ast.Call)
+                      and isinstance(m.func, ast.Attribute)
+                      and m.func.attr in _GETTER_ATTRS]
+            if len(raced) + len(inline) in (0, len(members)):
+                continue  # no getter, or nothing it races against
+            for call in inline:
+                out.append(make(
+                    "REPRO402",
+                    f"anonymous .{call.func.attr}() getter raced inside "  # type: ignore[attr-defined]
+                    f"{qual} can never be cancelled — bind it to a "
+                    f"name and cancel it on the losing path",
+                    line=call.lineno, col=call.col_offset))
+            for name in raced:
+                owner, call = self.pending[name]
+                if owner and owner not in self.local:
+                    continue  # closure-owned: the enclosing scope cleans up
+                withdrawals = [("cancel", name)]
+                if owner:
+                    withdrawals += [("release", owner), ("unregister", owner)]
+                if any(self.released.get(key, (0, 0)) > _pos(race)
+                       for key in withdrawals):
+                    continue
+                out.append(make(
+                    "REPRO402",
+                    f"getter {name!r} raced against a deadline in "
+                    f"{qual} is never cancelled on the losing path — "
+                    f"it would silently consume the next item "
+                    f"(the PR 4 recv_timeout leak shape)",
+                    line=call.lineno, col=call.col_offset))
+        for name in sorted(self.acquired):
+            if name in self.escaped or ("release", name) in self.released:
+                continue
+            kind, call = self.acquired[name]
+            out.append(make(
+                "REPRO403",
+                f"{kind} handle {name!r} acquired in {qual} neither "
+                f"escapes nor is released (close/abort/stop/suspend) — it "
+                f"leaks on every path",
+                line=call.lineno, col=call.col_offset))
+        return out
 
     # -- channel normalization ----------------------------------------------
     def _port(self, expr: ast.expr) -> "str | None":
@@ -363,24 +485,46 @@ def _recv_root(func: ast.Attribute) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def _stmt_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    out: list[ast.expr] = []
-    for fname in ("value", "test", "iter", "exc"):
-        child = getattr(stmt, fname, None)
-        if isinstance(child, ast.expr):
-            out.append(child)
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        out.extend(item.context_expr for item in stmt.items)
-    return out
+def _pos(node: ast.expr) -> tuple[int, int]:
+    return (node.lineno, node.col_offset)
 
 
-def _stmt_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-    out: list[list[ast.stmt]] = []
-    for fname in ("body", "orelse", "finalbody"):
-        child = getattr(stmt, fname, None)
-        if isinstance(child, list):
-            out.append(child)
-    return out
+def _members(call: ast.Call) -> list[ast.expr]:
+    """The competitors of an ``any_of``/``all_of`` call."""
+    members: list[ast.expr] = []
+    for arg in call.args:
+        if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
+            members.extend(arg.elts)
+        else:
+            members.append(arg)
+    return members
+
+
+def _marks(parent: ast.AST, child: ast.AST) -> int:
+    """What ``parent`` does to the names under ``child``: they escape the
+    function (call argument, return/yield value, value stored to an
+    attribute or subscript, a container element) or are bound in its
+    frame (an assignment or loop target)."""
+    if isinstance(parent, ast.Call):
+        return 0 if child is parent.func else _ESCAPE
+    if isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
+        return _ESCAPE
+    if isinstance(parent, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
+        return _ESCAPE if isinstance(child, ast.Name) else 0
+    if isinstance(parent, ast.Assign):
+        if child is not parent.value:
+            return _BIND
+        return _ESCAPE if any(isinstance(t, (ast.Attribute, ast.Subscript))
+                              for t in parent.targets) else 0
+    if isinstance(parent, (ast.For, ast.AsyncFor)):
+        return _BIND if child is parent.target else 0
+    if not isinstance(child, ast.Name):
+        return 0
+    if isinstance(parent, (ast.AnnAssign, ast.AugAssign)):
+        return _BIND if child is parent.target else 0
+    if isinstance(parent, ast.withitem):
+        return _BIND if child is parent.optional_vars else 0
+    return 0
 
 
 # -- REPRO401: wait-for cycles ----------------------------------------------

@@ -31,7 +31,6 @@ from .engine import (FileUnit, ParseFailure, all_rules, iter_python_files,
                      noqa_map, parse_unit, series_of)
 from .flow.deadlock import (TraceExtractor, client_path_diagnostics,
                             deadlock_diagnostics)
-from .flow.lifecycle import lifecycle_diagnostics
 from .flow.messages import TagAnalysis, registry_diagnostics
 from .flow.symbols import SymbolTable
 from .hotpath.heat import build_hot_context, heat_share
@@ -111,7 +110,7 @@ def _flow(program: Program) -> _GateResult:
     extractor = TraceExtractor(table)
     raw = [*registry_diagnostics(table, tags),
            *deadlock_diagnostics(extractor),
-           *lifecycle_diagnostics(table),
+           *extractor.leaks,
            *client_path_diagnostics(extractor)]
     registered = {entry.tag for registry in table.registries
                   for entry in registry.entries}

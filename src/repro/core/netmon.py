@@ -182,6 +182,7 @@ def pipechar_estimate(stack, dst: str, size: int = 1500, pairs: int = 4,
                 get = tap.get()
                 fired = yield sim.any_of([get, deadline])
                 if get not in fired:
+                    tap.cancel(get)  # else it eats the next pair's echo
                     break
                 err = fired[get]
                 if err.ref in (p1.id, p2.id):
@@ -228,6 +229,7 @@ def pathload_estimate(stack, dst: str, lo_bps: float = 1e6, hi_bps: float = 200e
             get = tap.get()
             fired = yield sim.any_of([get, deadline])
             if get not in fired:
+                tap.cancel(get)  # else it eats the next stream's echo
                 break
             err = fired[get]
             if err.ref in sent:
@@ -331,8 +333,9 @@ class NetworkMonitor:
 
     def _publish(self, peer_group: str, metric: NetMetric):
         seg = self.shm.segment(self.segment_key)
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             # copy-on-write is required here: mutating the stored dict in
             # place would bypass shared() tracking.  Runs at probe rate
             # (netmon_interval), not request rate, so the copy is cheap
@@ -347,4 +350,4 @@ class NetworkMonitor:
             db[self.group] = NetStatusRecord(self.group, metrics, self.sim.now)
             seg.write(db)
         finally:
-            seg.lock.release()
+            seg.lock.release(req)

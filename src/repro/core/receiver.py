@@ -213,11 +213,12 @@ class Receiver:
         for contrib in self._sources.values():
             merged.update(contrib.get(msg_type, {}))
         seg = self.shm.segment(self._segment_key(msg_type))
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             seg.write(merged)
         finally:
-            seg.lock.release()
+            seg.lock.release(req)
         self._updated_at[msg_type] = self.sim.now
         self.messages_received += 1
 

@@ -128,8 +128,9 @@ class SecurityMonitor:
             self.errors += 1
             return
         seg = self.shm.segment(self.segment_key)
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             db = {
                 host: SecurityRecord(host=host, level=level, updated_at=self.sim.now)
                 for host, level in entries
@@ -137,7 +138,7 @@ class SecurityMonitor:
             seg.write(db)
             self.scans += 1
         finally:
-            seg.lock.release()
+            seg.lock.release(req)
 
     def _run(self):
         try:

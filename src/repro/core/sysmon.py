@@ -104,8 +104,9 @@ class SystemMonitor:
 
     def _upsert(self, report: ServerStatusReport):
         seg = self.shm.segment(self.segment_key)
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             # copy-on-write upsert: in-place mutation of the stored dict
             # would bypass shared() tracking and edit a snapshot already
             # handed to TCP.  Per status report (seconds apart per
@@ -114,7 +115,7 @@ class SystemMonitor:
             db[report.addr] = ServerStatusRecord(report=report, updated_at=self.clock.now())
             seg.write(db)
         finally:
-            seg.lock.release()
+            seg.lock.release(req)
 
     def _reap(self):
         interval = self.config.probe_interval
@@ -123,8 +124,9 @@ class SystemMonitor:
         try:
             while True:
                 yield self.sim.timeout(interval)
-                yield seg.lock.acquire()
+                req = seg.lock.acquire()
                 try:
+                    yield req
                     # copy-on-write reap, once per probe_interval — same
                     # constraint as _upsert above
                     db = dict(seg.read() or {})  # repro: noqa[REPRO501]
@@ -135,6 +137,6 @@ class SystemMonitor:
                     if stale:
                         seg.write(db)
                 finally:
-                    seg.lock.release()
+                    seg.lock.release(req)
         except Interrupt:
             pass

@@ -166,11 +166,12 @@ class Transmitter:
             (keys.monitor_security, MSG_SECDB, WireMessage.secdb),
         ):
             seg = self.shm.segment(key)
-            yield seg.lock.acquire()
+            req = seg.lock.acquire()
             try:
+                yield req
                 data, version = seg.read() or {}, seg.writes
             finally:
-                seg.lock.release()
+                seg.lock.release(req)
             if carried.get(msg_type) == version:
                 messages.append(WireMessage.unchanged(msg_type))
             else:

@@ -111,9 +111,17 @@ class Resource:
 
     >>> lock = Resource(sim, capacity=1)
     >>> # inside a process:
-    >>> #   yield lock.acquire()
-    >>> #   ... critical section ...
-    >>> #   lock.release()
+    >>> #   req = lock.acquire()
+    >>> #   try:
+    >>> #       yield req
+    >>> #       ... critical section ...
+    >>> #   finally:
+    >>> #       lock.release(req)
+
+    The ``yield`` sits inside the ``try`` so that a process interrupted
+    while it still waits withdraws its request: left queued, the next
+    release would hand the slot to a process that is gone, and the lock
+    would stay held for good.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -139,7 +147,12 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
-    def release(self) -> None:
+    def release(self, request: Event) -> None:
+        """End ``request``: free its slot if it was granted, withdraw it
+        if it is still waiting."""
+        if not request.triggered:
+            self._waiters.remove(request)
+            return
         if self.in_use <= 0:
             raise SimulationError("release() without matching acquire()")
         hb = self.sim._hb
@@ -217,11 +230,12 @@ class SharedMemory:
     def locked_write(self, key: int, value: Any):
         """Process generator: acquire the segment lock, write, release."""
         seg = self.segment(key)
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             seg.write(value)
         finally:
-            seg.lock.release()
+            seg.lock.release(req)
 
     def locked_read(self, key: int):
         """Process generator: acquire the segment lock, read, release.
@@ -229,8 +243,9 @@ class SharedMemory:
         Returns the stored value as the generator's return value.
         """
         seg = self.segment(key)
-        yield seg.lock.acquire()
+        req = seg.lock.acquire()
         try:
+            yield req
             return seg.read()
         finally:
-            seg.lock.release()
+            seg.lock.release(req)

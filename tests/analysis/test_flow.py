@@ -238,6 +238,97 @@ class TestLifecycle:
             "    sock.sendto('x', 9, payload=b'x')\n"))
         assert codes(report) == ["REPRO403"]
 
+    @pytest.mark.parametrize("use", [
+        "    def hand_on():\n"
+        "        return sock\n"
+        "    return hand_on\n",
+        "    sim.call_later(1.0, lambda _: sock.sendto('x', 9, size=1))\n",
+    ], ids=["nested-def", "lambda"])
+    def test_handle_captured_by_nested_code_escapes(self, tmp_path, use):
+        report = analyze(tmp_path, mod=(
+            "def start(stack, sim):\n"
+            "    sock = stack.udp_socket()\n" + use))
+        assert codes(report) == []
+
+    @pytest.mark.parametrize("params, expected", [
+        ("sim", []),
+        ("inbox, sim", ["REPRO402"]),
+    ], ids=["closure-owner", "param-owner"])
+    def test_getter_owned_by_a_closure_variable_is_skipped(
+            self, tmp_path, params, expected):
+        report = analyze(tmp_path, mod=(
+            f"def watch({params}):\n"
+            "    get = inbox.get()\n"
+            "    fired = yield sim.any_of([get, sim.timeout(1.0)])\n"
+            "    return fired\n"))
+        assert codes(report) == expected
+
+    @pytest.mark.parametrize("race", [
+        "    fired = yield sim.all_of([get, sim.timeout(1.0)])\n",
+        "    race = sim.any_of([get, sim.timeout(1.0)])\n"
+        "    fired = yield race\n",
+    ], ids=["all_of", "any_of-built-before-yield"])
+    def test_every_condition_races_its_getters(self, tmp_path, race):
+        report = analyze(tmp_path, mod=(
+            "def pull(conn, sim):\n"
+            "    get = conn.recv()\n" + race + "    return fired\n"))
+        assert codes(report) == ["REPRO402"]
+        assert report.findings[0].diag.line == 2
+        assert "getter 'get'" in report.findings[0].diag.message
+
+    @pytest.mark.parametrize("release", [
+        "stack.icmp_taps.discard(tap)",
+        "stack.icmp_taps.pop(tap)",
+        "tap.stop()",
+        "tap.suspend()",
+    ])
+    def test_owner_release_or_unregistration_withdraws(self, tmp_path,
+                                                      release):
+        report = analyze(tmp_path, mod=(
+            "def probe(stack, sim, tap):\n"
+            "    get = tap.get()\n"
+            "    fired = yield sim.any_of([get, sim.timeout(1.0)])\n"
+            f"    {release}\n"
+            "    return fired\n"))
+        assert codes(report) == []
+
+    def test_release_before_the_race_does_not_count(self, tmp_path):
+        report = analyze(tmp_path, mod=(
+            "def probe(stack, sim, tap):\n"
+            "    get = tap.get()\n"
+            "    tap.stop()\n"
+            "    fired = yield sim.any_of([get, sim.timeout(1.0)])\n"
+            "    return fired\n"))
+        assert codes(report) == ["REPRO402"]
+
+    @pytest.mark.parametrize("acquire, kind", [
+        ("stack.icmp_tap()", "icmp_tap"),
+        ("ReliableSocket(sim, stack)", "ReliableSocket"),
+    ])
+    def test_every_acquisition_kind_is_tracked(self, tmp_path, acquire,
+                                               kind):
+        report = analyze(tmp_path, mod=(
+            "def start(stack, sim):\n"
+            f"    handle = {acquire}\n"
+            "    handle.poke()\n"))
+        assert codes(report) == ["REPRO403"]
+        assert report.findings[0].diag.message.startswith(
+            f"{kind} handle 'handle' acquired in mod.start")
+
+    @pytest.mark.parametrize("use", [
+        "    return sock\n",
+        "    yield sock\n",
+        "    self.sock = sock\n",
+        "    table['k'] = sock\n",
+        "    keep = [sock]\n",
+        "    keep = {'k': sock}\n",
+    ], ids=["return", "yield", "attribute", "subscript", "list", "dict"])
+    def test_each_escape_route_counts(self, tmp_path, use):
+        report = analyze(tmp_path, mod=(
+            "def start(self, stack, table):\n"
+            "    sock = stack.udp_socket()\n" + use))
+        assert codes(report) == []
+
 
 class TestClientPath:
     def test_untimed_client_wait_flagged(self, tmp_path):

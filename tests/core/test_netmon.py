@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster
@@ -30,6 +32,19 @@ def make_path(rate_mbps=100.0, shaper_mbps=None, seed=4):
 
         shape_host_egress(a, shaper_mbps)
     return cluster, a, b
+
+
+def lose_first_probes(cluster, host, heal_at):
+    """Drop everything ``host`` sends until ``heal_at``."""
+    channel = host.node.nics[0].channel
+    channel.loss_rate = 1.0
+    channel.loss_rng = random.Random(0)
+
+    def heal():
+        yield cluster.sim.timeout(heal_at)
+        channel.loss_rate = 0.0
+
+    cluster.sim.process(heal())
 
 
 class TestMeasureRtt:
@@ -132,8 +147,6 @@ class TestBandwidthEstimate:
             list(estimate_bandwidth(a.stack, b.addr, s1=2000, s2=2000))
 
     def test_lossy_path_counts_losses(self):
-        import random
-
         cluster, a, b = make_path()
         ch = a.node.nics[0].channel
         ch.loss_rate = 1.0
@@ -154,6 +167,21 @@ class TestPipechar:
 
         def p():
             return (yield from pipechar_estimate(a.stack, b.addr, pairs=4))
+
+        bps = run_process(cluster.sim, p())
+        assert bps == pytest.approx(100e6, rel=0.2)
+
+    def test_lost_pair_does_not_spoil_the_next(self):
+        """The first pair is lost, so its deadline wins the race against
+        a pending tap getter.  That getter must be withdrawn: left
+        registered, it swallows the first echo of every later pair and no
+        pair is ever measured."""
+        cluster, a, b = make_path(rate_mbps=100.0)
+        lose_first_probes(cluster, a, heal_at=0.1)
+
+        def p():
+            return (yield from pipechar_estimate(a.stack, b.addr, pairs=4,
+                                                 timeout=0.2))
 
         bps = run_process(cluster.sim, p())
         assert bps == pytest.approx(100e6, rel=0.2)

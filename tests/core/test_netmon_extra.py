@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.core import Config, NetworkMonitor, pathload_estimate
 from repro.net import MBPS
 from tests.conftest import run_process
+from tests.core.test_netmon import lose_first_probes
 
 
 class TestPathloadEstimate:
@@ -42,6 +43,27 @@ class TestPathloadEstimate:
 
         lo, hi = run_process(cluster.sim, p(), until=600.0)
         assert hi / lo < 1e9 / 1e6  # the bracket actually narrowed
+
+    def test_lost_stream_does_not_spoil_the_next(self):
+        """The first stream is lost, so its 2 s deadline wins the race
+        against a pending tap getter.  Withdrawn, it leaves every later
+        stream to collect all of its echoes at once; left registered, it
+        swallows each later stream's first echo, and each of them then
+        sits out the full deadline waiting for it."""
+        cluster = Cluster(seed=82)
+        a = cluster.add_host("a")
+        b = cluster.add_host("b")
+        cluster.link(a, b, rate_bps=100 * MBPS)
+        cluster.finalize()
+        lose_first_probes(cluster, a, heal_at=0.05)
+
+        def p():
+            yield from pathload_estimate(a.stack, b.addr, iterations=4)
+            return cluster.sim.now
+
+        # one 2 s deadline for the lost stream, four 0.1 s pauses, and a
+        # few ms of probing per stream
+        assert run_process(cluster.sim, p(), until=600.0) < 2.5
 
 
 class TestSequentialProbing:

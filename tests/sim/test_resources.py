@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Resource, SharedMemory, SimulationError, Store
+from repro.sim import Interrupt, Resource, SharedMemory, SimulationError, Store
 from tests.conftest import run_process
 
 
@@ -91,11 +91,12 @@ class TestResource:
         trace = []
 
         def worker(tag, hold):
-            yield lock.acquire()
+            req = lock.acquire()
+            yield req
             trace.append((tag, "in", sim.now))
             yield sim.timeout(hold)
             trace.append((tag, "out", sim.now))
-            lock.release()
+            lock.release(req)
 
         sim.process(worker("a", 2))
         sim.process(worker("b", 1))
@@ -118,28 +119,39 @@ class TestResource:
     def test_release_without_acquire(self, sim):
         res = Resource(sim)
         with pytest.raises(SimulationError):
-            res.release()
+            res.release(sim.event().succeed())
 
     def test_fifo_handoff(self, sim):
         lock = Resource(sim)
         order = []
 
         def holder():
-            yield lock.acquire()
+            req = lock.acquire()
+            yield req
             yield sim.timeout(5)
-            lock.release()
+            lock.release(req)
 
         def waiter(tag, arrive):
             yield sim.timeout(arrive)
-            yield lock.acquire()
+            req = lock.acquire()
+            yield req
             order.append(tag)
-            lock.release()
+            lock.release(req)
 
         sim.process(holder())
         sim.process(waiter("first", 1))
         sim.process(waiter("second", 2))
         sim.run()
         assert order == ["first", "second"]
+
+    def test_release_withdraws_a_waiting_request(self, sim):
+        lock = Resource(sim)
+        held = lock.acquire()
+        waiting = lock.acquire()
+        lock.release(waiting)
+        lock.release(held)
+        assert lock.in_use == 0
+        assert not waiting.triggered
 
 
 class TestSharedMemory:
@@ -184,10 +196,11 @@ class TestSharedMemory:
         times = {}
 
         def writer():
-            yield seg.lock.acquire()
+            req = seg.lock.acquire()
+            yield req
             yield sim.timeout(3)  # long critical section
             seg.write("fresh")
-            seg.lock.release()
+            seg.lock.release(req)
 
         def reader():
             yield sim.timeout(1)  # arrives while writer holds the lock
@@ -199,3 +212,28 @@ class TestSharedMemory:
         sim.process(reader())
         sim.run()
         assert times == {"read_at": 3.0, "value": "fresh"}
+
+    def test_reader_interrupted_while_waiting_frees_the_lock(self, sim):
+        """A crash that interrupts a reader queued behind another one: the
+        release hands the slot to the interrupted reader, whose request
+        must still be ended — otherwise the segment stays locked for
+        good and every later read hangs."""
+        shm = SharedMemory(sim)
+        shm.segment(1234).write("db")
+
+        def read_at(t):
+            yield sim.timeout(t)
+            try:
+                return (yield from shm.locked_read(1234))
+            except Interrupt:
+                return None
+
+        def crash():
+            yield sim.timeout(1)
+            queued.interrupt("crash")
+
+        sim.process(read_at(1))
+        queued = sim.process(read_at(1))
+        sim.process(crash())
+        assert run_process(sim, read_at(2)) == "db"
+        assert shm.segment(1234).lock.in_use == 0

@@ -75,6 +75,21 @@ def test_ci_runs_hotpath_gate():
     assert "bench_kernel.py" in ci
 
 
+def test_ci_seeded_fixtures_must_report_their_own_code():
+    """An uncaught exception exits 1 too, so "non-zero" proves nothing:
+    each seeded fixture must exit exactly 1 and print its own code
+    (``f402_…`` -> ``REPRO402``) under its gate's selector."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    step = ci.split("seeded fixtures are detected")[1].split("- name:")[0]
+    assert "|| true" not in step
+    assert '[ "$status" -ne 1 ]' in step
+    assert 'code="REPRO$(basename "$f" | cut -c2-4)"' in step
+    assert 'grep -q "$code"' in step
+    for selector, glob in (("--flow", "f40*.py"), ("--perf", "h50*.py"),
+                           ("--proto", "s60*.py")):
+        assert f"seeded {selector} '{glob}'" in step
+
+
 def test_ci_runs_static_gates_under_dash_O():
     """Every analyzer gate re-runs under ``python -O`` in CI so nothing
     load-bearing hides in an ``assert``."""
