@@ -9,7 +9,7 @@ of seeds and records how fast the wizard's reply quality recovers:
 * ``recovery_s`` — how long after the partition heal the client got back
   a full-quality reply (3 requested, 3 live);
 * ``budget_s``   — the plane's theoretical bound,
-  ``probe_miss_limit * probe_interval + transmit_interval``.
+  ``PROBE_MISS_LIMIT * probe_interval + transmit_interval``.
 
 The metrics are pure simulation time, so the JSON artefact
 (``benchmarks/results/BENCH_chaos.json``) is deterministic and later PRs
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from compare import report_drift
 
+from repro.core.sysmon import PROBE_MISS_LIMIT
 from repro.faults import ChaosController, FaultPlan
 from repro.worlds import (CHAOS_CONFIG as CONFIG,
                           STALENESS_REQUIREMENT as REQUIREMENT, build_star)
@@ -38,7 +39,7 @@ HEAL_AT = PARTITION_AT + PARTITION_FOR
 TX_KILL_AT = 20.0
 TX_RESTART_AT = 25.0
 HORIZON = 60.0
-BUDGET = CONFIG.probe_miss_limit * CONFIG.probe_interval + CONFIG.transmit_interval
+BUDGET = PROBE_MISS_LIMIT * CONFIG.probe_interval + CONFIG.transmit_interval
 
 
 def acceptance_plan() -> FaultPlan:

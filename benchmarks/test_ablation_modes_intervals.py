@@ -33,7 +33,7 @@ def build_world(mode, probe_interval=1.0):
     cluster.finalize()
     cfg = Config(probe_interval=probe_interval, transmit_interval=1.0,
                  mode=mode)
-    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg, mode=mode)
+    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg)
     dep.add_group("g", monitor_host=mon, servers=servers)
     dep.start()
     return cluster, dep

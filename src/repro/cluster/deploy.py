@@ -82,12 +82,10 @@ class Deployment:
         cluster: Cluster,
         wizard_host: Optional[SmartHost] = None,
         config: Config = DEFAULT_CONFIG,
-        mode: Optional[str] = None,
         wizard_hosts: Optional[list[SmartHost]] = None,
     ):
         self.cluster = cluster
         self.config = config
-        self.mode = mode or config.mode
         hosts = list(wizard_hosts) if wizard_hosts else []
         if not hosts and wizard_host is not None:
             hosts = [wizard_host]
@@ -112,14 +110,8 @@ class Deployment:
             # never makes its own data look stale
             receiver = Receiver(cluster.sim, host.stack, host.shm, config,
                                 clock=host.clock)
-            wizard = Wizard(
-                cluster.sim,
-                host.stack,
-                host.shm,
-                config,
-                mode=self.mode,
-                receiver=receiver,
-            )
+            wizard = Wizard(cluster.sim, host.stack, host.shm, config,
+                            receiver=receiver)
             self.replicas.append(WizardReplica(host, receiver, wizard))
         # the primary replica keeps the thesis-era attribute names
         self.receiver = self.replicas[0].receiver
@@ -152,7 +144,6 @@ class Deployment:
             monitor_host.shm,
             receiver_addrs=[h.addr for h in self.wizard_hosts],
             config=cfg,
-            mode=self.mode,
             clock=monitor_host.clock,
         )
         group = GroupDeployment(
@@ -193,7 +184,7 @@ class Deployment:
         for other in self.groups.values():
             other.netmon.add_peer(name, monitor_host.addr)
             netmon.add_peer(other.name, other.monitor_host.addr)
-        if self.mode == Mode.DISTRIBUTED:
+        if cfg.mode == Mode.DISTRIBUTED:
             for replica in self.replicas:
                 replica.receiver.add_transmitter(monitor_host.addr)
         self.groups[name] = group
@@ -234,7 +225,7 @@ class Deployment:
         distributed receiver has no push listener to run, and a netmon
         without peers (a single-group deployment) has nothing to probe."""
         if role == "receiver":
-            return self.mode == Mode.CENTRALIZED
+            return self.config.mode == Mode.CENTRALIZED
         return role != "netmon" or bool(daemon.peers)
 
     # -- lifecycle ----------------------------------------------------------------

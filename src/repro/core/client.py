@@ -35,7 +35,7 @@ list* of wizard replicas.  Every attempt re-ranks the fleet — replicas
 under quarantine sort last, then by the freshest replica epoch seen in
 their replies, then by configured order — and sends to the best one.  A
 replica that times out or answers ``REPLY_STALE`` (its status feed died)
-is quarantined for ``config.wizard_quarantine_period`` seconds, so the
+is quarantined for :data:`WIZARD_QUARANTINE_PERIOD` seconds, so the
 retry (after the usual jittered backoff) lands on the next-best replica
 instead of hammering the dead one.  Both the server and the wizard
 quarantines share one TTL-decay mechanism (:class:`Quarantine`).
@@ -80,6 +80,11 @@ TIMEOUT_SCALE = 3.0
 #: replica's baseline is demoted in the failover ranking (fail-slow
 #: replicas lose to healthy ones before they ever time out)
 RTT_DEMOTE_FACTOR = 4.0
+#: wizard-request retries after the first attempt
+CLIENT_RETRIES = 2
+#: how long a wizard replica is deprioritised after a timeout or a
+#: staleness NAK before it gets another chance
+WIZARD_QUARANTINE_PERIOD = 5.0
 
 
 class Quarantine(dict):
@@ -191,7 +196,7 @@ class SmartClient:
         #: dead-server quarantine: addr -> sim time the sentence ends
         self._quarantine = Quarantine(sim, config.quarantine_period)
         #: dead-replica quarantine (timeouts / staleness NAKs)
-        self._wizard_quarantine = Quarantine(sim, config.wizard_quarantine_period)
+        self._wizard_quarantine = Quarantine(sim, WIZARD_QUARANTINE_PERIOD)
         #: freshest epoch each replica has advertised in a reply
         self._wizard_epochs: dict[str, float] = {}
         #: replica the previous attempt used (failover telemetry)
@@ -267,12 +272,21 @@ class SmartClient:
     def _note_wizard_failure(self, addr: str) -> None:
         self._wizard_quarantine.add(addr)
 
+    def next_backoff(self, previous: float) -> float:
+        """The sleep before the next retry: decorrelated jitter, drawn
+        from ``U(base, 3 * previous)`` on the client's RNG and capped, so
+        the retries of many clients spread out instead of hammering in
+        lock-step.  Wizard retries and session failover rounds share it."""
+        return min(self.config.client_backoff_cap,
+                   self.rng.uniform(self.config.client_backoff_base,
+                                    previous * 3.0))
+
     # -- wizard round trip ---------------------------------------------------
     def request_servers(self, requirement: str, n: int, option: str = "",
                         precheck: bool = True):
         """Process generator -> :class:`SmartReply`.
 
-        Retries ``config.client_retries`` times on timeout; a reply whose
+        Retries :data:`CLIENT_RETRIES` times on timeout; a reply whose
         sequence number does not match is ignored (§3.6.2 step 3).  With
         ``precheck`` (the default) a statically-bad requirement raises
         :class:`RequirementRejected` before any packet is sent.
@@ -290,16 +304,9 @@ class SmartClient:
         stale_replies = 0
         timed_out = 0
         try:
-            for attempt in range(1 + self.config.client_retries):
+            for attempt in range(1 + CLIENT_RETRIES):
                 if attempt > 0:
-                    # decorrelated jitter: spread the retries of many
-                    # clients out instead of hammering in lock-step
-                    backoff = min(
-                        self.config.client_backoff_cap,
-                        self.rng.uniform(
-                            self.config.client_backoff_base, backoff * 3.0
-                        ),
-                    )
+                    backoff = self.next_backoff(backoff)
                     self.backoff_history.append(backoff)
                     yield self.sim.timeout(backoff)
                 target = self._rank_wizards()[0]
@@ -363,7 +370,7 @@ class SmartClient:
                         wizard=target, epoch=reply.epoch,
                     )
             return SmartReply(
-                seq=-1, servers=[], attempts=1 + self.config.client_retries,
+                seq=-1, servers=[], attempts=1 + CLIENT_RETRIES,
                 stale=stale_replies > 0 and timed_out == 0,
             )
         finally:

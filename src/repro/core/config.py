@@ -54,58 +54,38 @@ class ShmKeys:
 
 @dataclass(frozen=True)
 class Config:
-    """Tunable operational parameters."""
+    """Operational parameters that real deployments set differently.
+
+    A field exists only while two worlds in use run it at different
+    values; a parameter with one value in use is a constant in the module
+    that reads it, and one that follows another field is computed there.
+    """
 
     ports: Ports = Ports()
     shm: ShmKeys = ShmKeys()
     #: probe reporting interval, seconds (thesis: 2 s in the resource
     #: measurements, 5–10 s suggested in §3.2.2)
     probe_interval: float = 2.0
-    #: a server is dead after this many missed reports (thesis §4.1)
-    probe_miss_limit: int = 3
-    #: transmitter push interval in centralized mode
+    #: transmitter push interval in centralized mode; the push loop's
+    #: reconnect cap and stall limit follow it
     transmit_interval: float = 2.0
     #: network-monitor probing interval (thesis §5.2: every 2 s)
     netmon_interval: float = 2.0
-    #: samples per bandwidth estimate
-    netmon_samples: int = 4
-    #: client request timeout and retries
+    #: client request timeout
     client_timeout: float = 2.0
-    client_retries: int = 2
     #: client retry backoff: exponential with decorrelated jitter, the sleep
     #: before attempt k drawn from U(base, 3 * previous) capped at the cap
     client_backoff_base: float = 0.2
     client_backoff_cap: float = 5.0
     #: how long a server stays deprioritised after a failed TCP connect
     quarantine_period: float = 10.0
-    #: centralized transmitter: cap on the reconnect backoff after the
-    #: receiver became unreachable (doubles from transmit_interval)
-    transmit_backoff_cap: float = 4.0
-    #: centralized transmitter: in-flight snapshot bytes unacked for this
-    #: long means the path or peer silently died — drop and reconnect
-    transmit_stall_limit: float = 6.0
     #: high availability: a wizard whose *freshest* status DB is older than
     #: this NAKs with REPLY_STALE so clients fail over to a fresher replica
     #: (``inf`` disables the check — single-wizard deployments)
     wizard_staleness_limit: float = float("inf")
-    #: how long a client deprioritises a wizard replica after a timeout or
-    #: staleness NAK before giving it another chance
-    wizard_quarantine_period: float = 5.0
-    #: self-healing sessions: heartbeat period of the health lease
-    lease_interval: float = 0.5
-    #: a lease with no heartbeat answer for this long is expired — the
-    #: session declares the server dead and fails over
-    lease_timeout: float = 2.0
-    #: failover attempts a session makes before giving up its server slot
-    session_retries: int = 3
     #: self-healing sessions: throughput-floor watchdog sampling period
     #: (0 disables — plain lease-only sessions, the pre-gray behaviour)
     session_watchdog_interval: float = 0.0
-    #: inter-progress gaps observed before the watchdog may act
-    session_watchdog_min_samples: int = 4
-    #: phi threshold at which a stalled-but-leased transfer is declared
-    #: fail-slow and proactively migrated
-    session_watchdog_phi: float = 3.0
     mode: str = Mode.CENTRALIZED
 
 

@@ -35,6 +35,14 @@ __all__ = ["Ewma", "IncrementalQuantile", "SuspicionDetector"]
 #: phi is capped here: beyond it the tail probability underflows and the
 #: exact value carries no information ("the peer is definitely sick")
 PHI_MAX = 16.0
+#: a peer's baseline: the EWMA weight of each new sample and the running
+#: quantile the P² estimator tracks
+BASELINE_ALPHA = 0.25
+BASELINE_QUANTILE = 0.95
+#: phi's sigma is floored at this fraction of the mean and at this many
+#: seconds, so a too-regular baseline does not hair-trigger
+SIGMA_FLOOR_FRAC = 0.2
+SIGMA_FLOOR_ABS = 1e-4
 
 
 class Ewma:
@@ -151,9 +159,9 @@ class IncrementalQuantile:
 class _PeerStats:
     __slots__ = ("ewma", "quantile")
 
-    def __init__(self, alpha: float, p: float):
-        self.ewma = Ewma(alpha)
-        self.quantile = IncrementalQuantile(p)
+    def __init__(self):
+        self.ewma = Ewma(BASELINE_ALPHA)
+        self.quantile = IncrementalQuantile(BASELINE_QUANTILE)
 
 
 class SuspicionDetector:
@@ -170,20 +178,14 @@ class SuspicionDetector:
     for failover rankings.
     """
 
-    def __init__(self, *, alpha: float = 0.25, quantile: float = 0.95,
-                 min_samples: int = 5, sigma_floor_frac: float = 0.2,
-                 sigma_floor_abs: float = 1e-4):
-        self.alpha = alpha
-        self.quantile = quantile
+    def __init__(self, *, min_samples: int = 5):
         self.min_samples = max(1, int(min_samples))
-        self.sigma_floor_frac = sigma_floor_frac
-        self.sigma_floor_abs = sigma_floor_abs
         self._peers: dict[str, _PeerStats] = {}
 
     def _stats(self, peer: str) -> _PeerStats:
         stats = self._peers.get(peer)
         if stats is None:
-            stats = self._peers[peer] = _PeerStats(self.alpha, self.quantile)
+            stats = self._peers[peer] = _PeerStats()
         return stats
 
     # -- feeding -------------------------------------------------------------
@@ -225,9 +227,8 @@ class SuspicionDetector:
                    stats.ewma.mean + 2.0 * stats.ewma.std)
 
     def _sigma(self, stats: _PeerStats) -> float:
-        return max(stats.ewma.std,
-                   self.sigma_floor_frac * abs(stats.ewma.mean),
-                   self.sigma_floor_abs)
+        return max(stats.ewma.std, SIGMA_FLOOR_FRAC * abs(stats.ewma.mean),
+                   SIGMA_FLOOR_ABS)
 
     def phi(self, peer: str, elapsed: float) -> float:
         """Phi-accrual suspicion that ``elapsed`` seconds without an
@@ -256,5 +257,5 @@ class SuspicionDetector:
         if len(warm) < 2:
             return set()
         best = min(warm.values())
-        floor = max(best, self.sigma_floor_abs)
+        floor = max(best, SIGMA_FLOOR_ABS)
         return {p for p, b in warm.items() if b > demote_factor * floor}

@@ -46,6 +46,8 @@ __all__ = [
 PROBE_SIZES = (1600, 2900)
 #: ICMP echo wait before declaring a probe lost
 PROBE_TIMEOUT = 1.0
+#: samples per bandwidth estimate of the daemon
+ESTIMATE_SAMPLES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +64,33 @@ def measure_rtt(stack, dst: str, size: int, port: int = 33434,
     try:
         t0 = sim.now
         probe = sock.sendto(dst, port, size=size)
-        deadline = sim.timeout(timeout)
-        while True:
-            get = tap.get()
-            fired = yield sim.any_of([get, deadline])
-            if get not in fired:
-                return None
-            err = fired[get]
-            if err.ref == probe.id:
-                return sim.now - t0
-            # stale echo from an earlier probe: keep waiting
+        echoes = yield from _await_echoes(sim, tap, (probe.id,), timeout)
+        return echoes[probe.id] - t0 if echoes else None
     finally:
         sock.close()
         stack.icmp_taps.remove(tap)
+
+
+def _await_echoes(sim, tap, probe_ids, timeout: float):
+    """Wait up to ``timeout`` for the ICMP echoes of ``probe_ids`` on
+    ``tap``; returns ``{probe id: arrival time}`` in arrival order, lost
+    probes missing.  Echoes of other probes are skipped, and the getter
+    that loses the race to the deadline is withdrawn — abandoned, it
+    would eat the next probe's echo."""
+    pending = set(probe_ids)
+    echoes: dict[int, float] = {}
+    deadline = sim.timeout(timeout)
+    while pending:
+        get = tap.get()
+        fired = yield sim.any_of([get, deadline])
+        if get not in fired:
+            tap.cancel(get)
+            break
+        ref = fired[get].ref
+        if ref in pending:
+            pending.remove(ref)
+            echoes[ref] = sim.now
+    return echoes
 
 
 def rtt_curve(stack, dst: str, sizes, port: int = 33434, gap: float = 0.01,
@@ -176,17 +192,8 @@ def pipechar_estimate(stack, dst: str, size: int = 1500, pairs: int = 4,
         for _ in range(pairs):
             p1 = sock.sendto(dst, port, size=size)
             p2 = sock.sendto(dst, port, size=size)
-            echoes: dict[int, float] = {}
-            deadline = sim.timeout(timeout)
-            while len(echoes) < 2:
-                get = tap.get()
-                fired = yield sim.any_of([get, deadline])
-                if get not in fired:
-                    tap.cancel(get)  # else it eats the next pair's echo
-                    break
-                err = fired[get]
-                if err.ref in (p1.id, p2.id):
-                    echoes[err.ref] = sim.now
+            echoes = yield from _await_echoes(sim, tap, (p1.id, p2.id),
+                                              timeout)
             if len(echoes) == 2:
                 gap = echoes[p2.id] - echoes[p1.id]
                 if gap > 0:
@@ -218,23 +225,12 @@ def pathload_estimate(stack, dst: str, lo_bps: float = 1e6, hi_bps: float = 200e
     def stream_trend(rate_bps):
         spacing = size * 8.0 / rate_bps
         sent = {}
-        rtts = []
         for _ in range(stream_len):
             probe = sock.sendto(dst, port, size=size)
             sent[probe.id] = sim.now
             yield sim.timeout(spacing)
-        deadline = sim.timeout(2.0)
-        got = 0
-        while got < stream_len:
-            get = tap.get()
-            fired = yield sim.any_of([get, deadline])
-            if get not in fired:
-                tap.cancel(get)  # else it eats the next stream's echo
-                break
-            err = fired[get]
-            if err.ref in sent:
-                rtts.append(sim.now - sent.pop(err.ref))
-                got += 1
+        echoes = yield from _await_echoes(sim, tap, sent, 2.0)
+        rtts = [at - sent[ref] for ref, at in echoes.items()]
         if len(rtts) < stream_len // 2:
             return True  # heavy loss: treat as over-rate
         half = len(rtts) // 2
@@ -314,7 +310,7 @@ class NetworkMonitor:
                 for group, addr in list(self.peers.items()):
                     est = yield from estimate_bandwidth(
                         self.stack, addr, s1=s1, s2=s2,
-                        samples=cfg.netmon_samples,
+                        samples=ESTIMATE_SAMPLES,
                         port=cfg.ports.probe_target,
                         timeout=PROBE_TIMEOUT,
                     )
@@ -326,7 +322,7 @@ class NetworkMonitor:
                         yield from self._publish(group, metric)
                     self.probes_done += 1
                     # per sample: 3 reps of each size + the ICMP echoes
-                    self.probe_bytes += cfg.netmon_samples * 3 * (s1 + s2 + 2 * 84)
+                    self.probe_bytes += ESTIMATE_SAMPLES * 3 * (s1 + s2 + 2 * 84)
                 yield self.sim.timeout(cfg.netmon_interval)
         except Interrupt:
             pass

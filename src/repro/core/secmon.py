@@ -30,6 +30,9 @@ __all__ = [
     "SecurityMonitor",
 ]
 
+#: seconds between two reads of the security source
+SCAN_INTERVAL = 10.0
+
 
 class SecuritySource(Protocol):
     """Anything that can produce (host, level) pairs."""
@@ -97,13 +100,11 @@ class SecurityMonitor:
         shm: SharedMemory,
         source: SecuritySource,
         config: Config = DEFAULT_CONFIG,
-        interval: float = 10.0,
     ):
         self.sim = sim
         self.shm = shm
         self.source = source
         self.config = config
-        self.interval = interval
         self.segment_key = config.shm.monitor_security
         self._proc = None
         self.scans = 0
@@ -144,6 +145,6 @@ class SecurityMonitor:
         try:
             while True:
                 yield from self.refresh()
-                yield self.sim.timeout(self.interval)
+                yield self.sim.timeout(SCAN_INTERVAL)
         except Interrupt:
             pass

@@ -9,8 +9,8 @@ module closes that gap with a session layer over the smart socket:
   ``PING`` with ``PONG``;
 * a :class:`SmartSession` wraps one application connection plus a *health
   lease* to the same server: a background process pings every
-  ``config.lease_interval`` seconds over one TCP connection and declares
-  the server dead when no answer lands within ``config.lease_timeout``,
+  :data:`LEASE_INTERVAL` seconds over one TCP connection and declares
+  the server dead when no answer lands within :data:`LEASE_TIMEOUT`,
   or at once when that connection ends (FIN, RST).  Death by FIN or RST
   and death by silence (partition, wedged peer) converge on the
   same signal: the session **aborts the application connection**, so the
@@ -31,7 +31,7 @@ Gray failures (beyond dead servers): with
 *throughput-floor watchdog* — a fail-slow server keeps its lease alive
 while the transfer starves, so the watchdog learns the session's normal
 progress cadence and, when the current stall's phi-accrual suspicion
-crosses ``session_watchdog_phi``, proactively migrates through the very
+crosses :data:`WATCHDOG_PHI`, proactively migrates through the very
 same abort → ConnectionClosed → failover path (counted in
 :attr:`SmartSession.slow_migrations`).
 
@@ -55,6 +55,20 @@ _session_ids = itertools.count(1)
 
 #: wire size of one PING/PONG heartbeat payload (seq + tag)
 HEARTBEAT_BYTES = 8
+#: heartbeat period of the health lease
+LEASE_INTERVAL = 0.5
+#: a lease with no heartbeat answer for this long is expired — the
+#: session declares the server dead and fails over
+LEASE_TIMEOUT = 2.0
+#: failover rounds a session makes before giving up its server slot
+SESSION_RETRIES = 3
+#: inter-progress gaps the watchdog observes before it may act: a matmul
+#: session records only ~1 gap per block cycle, so demanding more would
+#: leave the detector cold past the fault window of a short job
+WATCHDOG_MIN_SAMPLES = 3
+#: phi at which a stalled-but-leased transfer is declared fail-slow and
+#: proactively migrated (~99.7 % confidence the stall is abnormal)
+WATCHDOG_PHI = 2.5
 
 
 class LeaseResponder:
@@ -192,7 +206,7 @@ class SmartSession:
 
     def _lease_loop(self, conn: TcpConnection, addr: str):
         """Heartbeat ``addr`` over one lease connection until ``conn``
-        ends.  ``lease_timeout`` of silence is an expiry; the lease
+        ends.  :data:`LEASE_TIMEOUT` of silence is an expiry; the lease
         connection ending (FIN from a stopped responder, RST from a reset
         host) is death at once.  Either way ``conn`` is aborted, so the
         driver's pending recv raises ConnectionClosed — silent death
@@ -200,7 +214,7 @@ class SmartSession:
         try:
             lease = yield from self.client.stack.tcp.connect(
                 addr, self.config.ports.lease,
-                timeout=self.config.lease_timeout)
+                timeout=LEASE_TIMEOUT)
         except ConnectError:
             self._declare_dead(conn, addr)
             return
@@ -209,13 +223,13 @@ class SmartSession:
         try:
             seq = 0
             while True:
-                yield self.sim.timeout(self.config.lease_interval)
+                yield self.sim.timeout(LEASE_INTERVAL)
                 if conn.reset or conn.peer_closed or conn.closed:
                     return  # the application path already knows
                 seq += 1
                 lease.send(("PING", seq), HEARTBEAT_BYTES)
                 get = lease.recv()
-                deadline = self.sim.timeout(self.config.lease_timeout)
+                deadline = self.sim.timeout(LEASE_TIMEOUT)
                 fired = yield self.sim.any_of([get, deadline])
                 if get not in fired:
                     self.lease_expiries += 1
@@ -243,13 +257,12 @@ class SmartSession:
         This loop samples connection progress (bytes received + bytes
         acked) every ``session_watchdog_interval`` seconds, learns the
         session's normal inter-progress gap, and when the current gap's
-        phi-accrual suspicion crosses ``session_watchdog_phi`` it migrates
+        phi-accrual suspicion crosses :data:`WATCHDOG_PHI` it migrates
         off the server through the exact same path a dead one takes
         (:meth:`_declare_dead` → driver's ConnectionClosed → failover).
         Cold detectors never fire (min_samples guard), so a session that
         was slow from the start is not flapped."""
-        detector = SuspicionDetector(
-            min_samples=self.config.session_watchdog_min_samples)
+        detector = SuspicionDetector(min_samples=WATCHDOG_MIN_SAMPLES)
         last_mark = conn.bytes_received + conn.bytes_acked
         last_progress = self.sim.now
         try:
@@ -265,7 +278,7 @@ class SmartSession:
                     last_progress = now
                     continue
                 gap = now - last_progress
-                if detector.phi(addr, gap) >= self.config.session_watchdog_phi:
+                if detector.phi(addr, gap) >= WATCHDOG_PHI:
                     self.slow_migrations += 1
                     self.watchdog_log.append((now, addr))
                     self._declare_dead(conn, addr)
@@ -298,7 +311,7 @@ class SmartSession:
     def failover(self):
         """Process generator -> replacement connection, or ``None``.
 
-        Retries up to ``config.session_retries`` times with the client's
+        Retries up to :data:`SESSION_RETRIES` times with the client's
         decorrelated-jitter backoff between rounds; each round re-queries
         the wizard fleet (which itself fails over across replicas) and
         tries every acceptable candidate in rank order.
@@ -308,14 +321,9 @@ class SmartSession:
         # ask for enough servers that the excluded ones leave us a spare
         want = 1 + len(self.excluded) + max(0, len(self._siblings) - 1)
         backoff = self.config.client_backoff_base
-        for attempt in range(max(1, self.config.session_retries)):
+        for attempt in range(SESSION_RETRIES):
             if attempt > 0:
-                backoff = min(
-                    self.config.client_backoff_cap,
-                    self.client.rng.uniform(
-                        self.config.client_backoff_base, backoff * 3.0
-                    ),
-                )
+                backoff = self.client.next_backoff(backoff)
                 yield self.sim.timeout(backoff)
             reply = yield from self.client.request_servers(
                 self.requirement, want, option=self.option, precheck=False,

@@ -4,7 +4,7 @@ Receives ASCII probe reports over UDP, parses them into
 :class:`~repro.core.records.ServerStatusRecord`\\ s and maintains the server
 status database in a keyed shared-memory segment (key 1234) under a
 semaphore, exactly like the paper's monitor machine.  A reaper process
-expires records whose probe has missed ``probe_miss_limit`` consecutive
+expires records whose probe has missed :data:`PROBE_MISS_LIMIT` consecutive
 intervals — this is how servers leave (and later rejoin) the pool.
 """
 
@@ -15,6 +15,9 @@ from .config import Config, DEFAULT_CONFIG
 from .records import ServerStatusRecord, ServerStatusReport
 
 __all__ = ["SystemMonitor"]
+
+#: a server is dead after this many missed reports (thesis §4.1)
+PROBE_MISS_LIMIT = 3
 
 
 class SystemMonitor:
@@ -119,7 +122,7 @@ class SystemMonitor:
 
     def _reap(self):
         interval = self.config.probe_interval
-        limit = self.config.probe_miss_limit * interval
+        limit = PROBE_MISS_LIMIT * interval
         seg = self.shm.segment(self.segment_key)
         try:
             while True:

@@ -30,12 +30,12 @@ never stall the others).
 
 Each push loop is failure-hardened: a send that hits a reset or
 locally-closed connection drops the connection instead of killing the
-daemon, reconnects back off exponentially (capped at
-``config.transmit_backoff_cap``), and a snapshot whose bytes sit unacked
-for ``config.transmit_stall_limit`` seconds — a partition or a silently
-crashed receiver — triggers an abort-and-reconnect, so recovery after a
-heal is bounded by the backoff cap rather than by TCP's backed-off
-retransmission timer.
+daemon, reconnects back off exponentially from ``transmit_interval`` up
+to :data:`BACKOFF_CAP_INTERVALS` intervals, and a snapshot whose bytes
+sit unacked for :data:`STALL_INTERVALS` intervals — a partition or a
+silently crashed receiver — triggers an abort-and-reconnect, so recovery
+after a heal is bounded by the backoff cap rather than by TCP's
+backed-off retransmission timer.  Both limits follow the push cadence.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ from .config import Config, DEFAULT_CONFIG, Mode
 from .records import MSG_NETDB, MSG_PULL, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
 
 __all__ = ["Transmitter", "PushStats"]
+
+#: cap on the push loop's reconnect backoff, in push intervals
+BACKOFF_CAP_INTERVALS = 2.0
+#: in-flight snapshot bytes unacked for this many push intervals mean the
+#: path or the peer silently died: drop the connection and reconnect
+STALL_INTERVALS = 3.0
 
 
 @dataclass
@@ -75,7 +81,6 @@ class Transmitter:
         shm: SharedMemory,
         receiver_addrs: Sequence[str] = (),
         config: Config = DEFAULT_CONFIG,
-        mode: Optional[str] = None,
         clock: Optional[HostClock] = None,
     ):
         self.sim = sim
@@ -84,11 +89,10 @@ class Transmitter:
         self.config = config
         #: the host's (possibly skewed) wall clock
         self.clock = clock or HostClock(sim)
-        self.mode = mode or config.mode
         #: fan-out targets (one wizard machine in the thesis' deployments)
         addrs = list(receiver_addrs)
         self.receiver_addrs: list[str] = addrs
-        if self.mode == Mode.CENTRALIZED and not addrs:
+        if config.mode == Mode.CENTRALIZED and not addrs:
             raise ValueError("centralized transmitter needs a receiver address")
         self._procs: list = []
         self._service = None
@@ -127,7 +131,7 @@ class Transmitter:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
-        if self.mode == Mode.CENTRALIZED:
+        if self.config.mode == Mode.CENTRALIZED:
             self._procs = [
                 self.sim.process(self._push_loop(addr), name=f"transmitter-push-{addr}")
                 for addr in self.receiver_addrs
@@ -204,10 +208,13 @@ class Transmitter:
         watchdog are all private to this loop, so a dead replica never
         stalls the fan-out to the live ones."""
         stats = self.push_stats[addr]
+        interval = self.config.transmit_interval
+        backoff_cap = BACKOFF_CAP_INTERVALS * interval
+        stall_limit = STALL_INTERVALS * interval
         conn = None
         #: what ``conn`` last carried (see :meth:`snapshot`)
         carried: dict[int, int] = {}
-        backoff = self.config.transmit_interval
+        backoff = interval
         acked_mark = 0
         progress_at = 0.0
         try:
@@ -222,10 +229,7 @@ class Transmitter:
                     if conn.bytes_acked > acked_mark:
                         acked_mark = conn.bytes_acked
                         progress_at = self.sim.now
-                    elif (
-                        self.sim.now - progress_at
-                        >= self.config.transmit_stall_limit
-                    ):
+                    elif self.sim.now - progress_at >= stall_limit:
                         stats.stalls += 1
                         conn.abort()
                         conn = None
@@ -236,13 +240,11 @@ class Transmitter:
                         )
                     except ConnectError:
                         yield self.sim.timeout(backoff)
-                        backoff = min(
-                            backoff * 2.0, self.config.transmit_backoff_cap
-                        )
+                        backoff = min(backoff * 2.0, backoff_cap)
                         continue
                     stats.connects += 1
                     carried = {}  # a new connection is sent everything
-                    backoff = self.config.transmit_interval
+                    backoff = interval
                     acked_mark = conn.bytes_acked
                     progress_at = self.sim.now
                 messages = yield from self.snapshot(carried)
@@ -256,7 +258,7 @@ class Transmitter:
                     continue
                 stats.snapshots_sent += 1
                 stats.last_push_at = self.sim.now
-                yield self.sim.timeout(self.config.transmit_interval)
+                yield self.sim.timeout(interval)
         except Interrupt:
             if conn is not None:
                 conn.close()

@@ -173,7 +173,13 @@ class Candidate:
 
 
 class Wizard:
-    """The request-handling daemon."""
+    """The request-handling daemon.
+
+    ``mode`` defaults to ``config.mode``.  An explicit one builds a
+    centralized matcher on a distributed world: a wizard that is never
+    started and has no receiver, which is how the placement ledger times
+    :meth:`match` alone on every workload.
+    """
 
     #: resident size, thesis Table 5.2 (96 KB)
     RESIDENT_BYTES = 96 * 1024

@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NetworkStack", "UdpSocket", "IcmpError", "PortInUse"]
 
 
+#: receive buffer of every UDP socket, in datagrams; the rest are dropped
+RCVBUF_DATAGRAMS = 512
+
+
 class PortInUse(Exception):
     """bind() on a port that already has a socket."""
 
@@ -61,10 +65,10 @@ UDP_SOCKET_MACHINE: dict[str, object] = {
 class UdpSocket:
     """Bound UDP endpoint with a drop-when-full receive buffer."""
 
-    def __init__(self, stack: "NetworkStack", port: int, rcvbuf_datagrams: int = 512):
+    def __init__(self, stack: "NetworkStack", port: int):
         self.stack = stack
         self.port = port
-        self.rx = Store(stack.sim, capacity=rcvbuf_datagrams, drop_when_full=True)
+        self.rx = Store(stack.sim, capacity=RCVBUF_DATAGRAMS, drop_when_full=True)
         self.closed = False
 
     def sendto(self, dst: str, dport: int, size: int, payload: Any = None) -> Datagram:

@@ -104,49 +104,27 @@ def observe(cluster: Cluster) -> Observed:
 # the star
 # ---------------------------------------------------------------------------
 
-#: chaos timing: 1 s probes, 3 misses, 1 s pushes — so a dead server
-#: expires after 3 s and the recovery budget
-#: (probe_miss_limit * probe_interval + transmit_interval) is 4 s
+#: chaos timing: 1 s probes and 1 s pushes — so a dead server expires
+#: after 3 s (``sysmon.PROBE_MISS_LIMIT`` misses) and the recovery budget
+#: (``PROBE_MISS_LIMIT * probe_interval + transmit_interval``) is 4 s
 CHAOS_CONFIG = replace(
     DEFAULT_CONFIG,
     probe_interval=1.0,
-    probe_miss_limit=3,
     transmit_interval=1.0,
     netmon_interval=1.0,
     client_timeout=1.0,
-    client_retries=2,
     client_backoff_base=0.1,
     client_backoff_cap=1.0,
-    transmit_backoff_cap=2.0,
-    transmit_stall_limit=3.0,
     quarantine_period=5.0,
 )
 
-#: failover timing: chaos timing plus the HA knobs — a replica whose
-#: freshest DB is older than 4 s answers REPLY_STALE, dead
-#: replicas/servers sit in quarantine for 5 s, and the health lease
-#: pings every 0.5 s declaring death after 2 s of silence
-FAILOVER_CONFIG = replace(
-    CHAOS_CONFIG,
-    wizard_staleness_limit=4.0,
-    wizard_quarantine_period=5.0,
-    lease_interval=0.5,
-    lease_timeout=2.0,
-    session_retries=3,
-)
+#: failover timing: chaos timing plus a staleness limit — a replica
+#: whose freshest DB is older than 4 s answers REPLY_STALE
+FAILOVER_CONFIG = replace(CHAOS_CONFIG, wizard_staleness_limit=4.0)
 
-#: gray-failure timing: the failover knobs plus the sessions'
-#: throughput-floor watchdog — sample progress every 0.5 s, trust the
-#: learned cadence after 3 gaps, migrate at phi 2.5 (~99.7 % confidence
-#: the stall is abnormal).  min_samples=3 because a matmul session only
-#: records ~1 progress gap per block cycle, so demanding more would
-#: leave the detector cold past the fault window of a short job
-GRAYFAIL_CONFIG = replace(
-    FAILOVER_CONFIG,
-    session_watchdog_interval=0.5,
-    session_watchdog_min_samples=3,
-    session_watchdog_phi=2.5,
-)
+#: gray-failure timing: the failover timing plus the sessions'
+#: throughput-floor watchdog, sampling progress every 0.5 s
+GRAYFAIL_CONFIG = replace(FAILOVER_CONFIG, session_watchdog_interval=0.5)
 
 #: freshness demand of the star jobs: a record whose monitor path has
 #: been dead for >= 10 s no longer qualifies
@@ -303,14 +281,13 @@ MASSD_GROUP2 = ("dione", "titan-x", "pandora-x")
 
 
 def lab_world(config: Optional[Config] = None, seed: int = 0,
-              mode: Optional[str] = None,
               pool: Sequence[str] = TESTBED_SERVER_NAMES,
               **instruments: Any) -> tuple[Cluster, Deployment]:
     """Testbed + one 'lab' group over ``pool``, matmul workers everywhere."""
     fresh_ids()
     cluster = build_testbed(seed=seed, **instruments)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"),
-                     config=config or Config(), mode=mode)
+                     config=config or Config())
     dep.add_group("lab", monitor_host=cluster.host("dalmatian"),
                   servers=[cluster.host(n) for n in pool])
     for name in TESTBED_SERVER_NAMES:

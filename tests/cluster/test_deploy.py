@@ -9,7 +9,7 @@ from repro.core import Config, Mode
 from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
 
 
-def two_group_world(mode=None):
+def two_group_world(mode=Mode.CENTRALIZED):
     cluster = Cluster(seed=13)
     wizard_host = cluster.add_host("wiz")
     mon1 = cluster.add_host("mon1")
@@ -22,8 +22,9 @@ def two_group_world(mode=None):
     cluster.link(s1, mon1)
     cluster.link(s2, mon2)
     cluster.finalize()
-    cfg = Config(probe_interval=0.5, transmit_interval=0.5, netmon_interval=1.0)
-    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg, mode=mode)
+    cfg = Config(probe_interval=0.5, transmit_interval=0.5, netmon_interval=1.0,
+                 mode=mode)
+    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg)
     dep.add_group("g1", monitor_host=mon1, servers=[s1],
                   security_levels={"s1": 2})
     dep.add_group("g2", monitor_host=mon2, servers=[s2])

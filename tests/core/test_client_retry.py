@@ -7,6 +7,7 @@ import random
 
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, SmartClient
+from repro.core.client import CLIENT_RETRIES
 from repro.core.wizard import WizardReply, WizardRequest
 from tests.conftest import run_process
 
@@ -33,7 +34,7 @@ def small_deployment(n_servers=3, **config_kwargs):
 class TestRetryBackoff:
     def test_backoff_sleeps_between_retries(self):
         cluster, dep, client_host, _ = small_deployment(
-            client_retries=3, client_backoff_base=0.2, client_backoff_cap=2.0)
+            client_backoff_base=0.2, client_backoff_cap=2.0)
         dep.wizard.stop()  # every request will time out
         client = dep.client_for(client_host)
 
@@ -43,14 +44,14 @@ class TestRetryBackoff:
 
         reply = run_process(cluster.sim, p(), until=60.0)
         assert reply.servers == []
-        assert client.timeouts == 4
+        assert client.timeouts == 1 + CLIENT_RETRIES
         # one sleep per retry, each inside the decorrelated-jitter window
-        assert len(client.backoff_history) == 3
+        assert len(client.backoff_history) == CLIENT_RETRIES
         assert all(0.2 <= b <= 2.0 for b in client.backoff_history)
 
     def test_total_time_includes_backoffs(self):
         cluster, dep, client_host, _ = small_deployment(
-            client_retries=2, client_backoff_base=0.5, client_backoff_cap=5.0)
+            client_backoff_base=0.5, client_backoff_cap=5.0)
         dep.wizard.stop()
         client = dep.client_for(client_host)
         span = {}
@@ -62,16 +63,15 @@ class TestRetryBackoff:
 
         run_process(cluster.sim, p(), until=60.0)
         elapsed = span["t1"] - span["t0"]
-        # 3 timeouts of 1 s plus the recorded backoff sleeps
-        expected = 3 * 1.0 + sum(client.backoff_history)
+        # one timeout of 1 s per attempt plus the recorded backoff sleeps
+        expected = (1 + CLIENT_RETRIES) * 1.0 + sum(client.backoff_history)
         assert abs(elapsed - expected) < 1e-6
 
     def test_backoff_deterministic_for_seeded_rng(self):
         histories = []
         for _ in range(2):
             cluster, dep, client_host, _ = small_deployment(
-                client_retries=3, client_backoff_base=0.2,
-                client_backoff_cap=2.0)
+                client_backoff_base=0.2, client_backoff_cap=2.0)
             dep.wizard.stop()
             client = SmartClient(
                 cluster.sim, client_host.stack,
@@ -96,7 +96,7 @@ class TestStaleReplies:
         cli = cluster.add_host("cli")
         cluster.link(cli, wiz)
         cluster.finalize()
-        cfg = Config(client_timeout=1.0, client_retries=1)
+        cfg = Config(client_timeout=1.0)
 
         def bogus_wizard():
             sock = wiz.stack.udp_socket(cfg.ports.wizard)
@@ -117,8 +117,8 @@ class TestStaleReplies:
 
         reply = run_process(cluster.sim, p(), until=30.0)
         assert reply.servers == []          # stale replies never accepted
-        assert client.timeouts == 2         # initial attempt + 1 retry
-        assert client.requests_sent == 2
+        assert client.timeouts == 1 + CLIENT_RETRIES  # every attempt
+        assert client.requests_sent == 1 + CLIENT_RETRIES
 
 
 class TestQuarantine:

@@ -10,14 +10,16 @@ from repro.cluster import Cluster, Deployment
 from repro.core import (
     Config,
     InsufficientServers,
+    Mode,
     RandomSelector,
     RoundRobinSelector,
     StaticSelector,
 )
+from repro.core.client import CLIENT_RETRIES
 from tests.conftest import run_process
 
 
-def small_deployment(n_servers=3, mode=None):
+def small_deployment(n_servers=3, mode=Mode.CENTRALIZED):
     cluster = Cluster(seed=11)
     wizard_host = cluster.add_host("wizard")
     client_host = cluster.add_host("client")
@@ -28,8 +30,9 @@ def small_deployment(n_servers=3, mode=None):
         cluster.link(s, wizard_host)
         servers.append(s)
     cluster.finalize()
-    cfg = Config(probe_interval=0.5, transmit_interval=0.5, client_timeout=1.0)
-    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg, mode=mode)
+    cfg = Config(probe_interval=0.5, transmit_interval=0.5, client_timeout=1.0,
+                 mode=mode)
+    dep = Deployment(cluster, wizard_host=wizard_host, config=cfg)
     dep.add_group("lab", monitor_host=wizard_host, servers=servers)
     dep.start()
     return cluster, dep, client_host, servers
@@ -104,7 +107,7 @@ class TestClientRoundTrip:
 
         reply = run_process(cluster.sim, p(), until=60.0)
         assert reply.servers == []
-        assert client.timeouts == 1 + client.config.client_retries
+        assert client.timeouts == 1 + CLIENT_RETRIES
 
     def test_dead_server_skipped_in_connect(self):
         cluster, dep, client_host, servers = small_deployment()

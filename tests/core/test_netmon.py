@@ -194,7 +194,7 @@ class TestNetworkMonitorDaemon:
         m2 = cluster.add_host("mon2")
         cluster.link(m1, m2, rate_bps=100 * MBPS)
         cluster.finalize()
-        cfg = Config(netmon_interval=1.0, netmon_samples=2)
+        cfg = Config(netmon_interval=1.0)
         nm = NetworkMonitor(cluster.sim, m1.stack, m1.shm, "g1", cfg)
         nm.add_peer("g2", m2.addr)
         nm.start()

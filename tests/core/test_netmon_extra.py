@@ -79,7 +79,7 @@ class TestSequentialProbing:
         for h in (mon, p1, p2):
             cluster.link(h, sw)
         cluster.finalize()
-        cfg = Config(netmon_interval=0.5, netmon_samples=2)
+        cfg = Config(netmon_interval=0.5)
         nm = NetworkMonitor(cluster.sim, mon.stack, mon.shm, "g0", cfg)
         nm.add_peer("g1", p1.addr)
         nm.add_peer("g2", p2.addr)

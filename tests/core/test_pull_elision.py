@@ -128,7 +128,7 @@ def build(mode=Mode.DISTRIBUTED, transmitter=ScriptedTransmitter,
           receiver=Receiver):
     """-> (cluster, cfg, the side under test, the always-in-full twin)."""
     cluster = Cluster(seed=11)
-    cfg = Config(mode=mode, transmit_interval=1.0, transmit_backoff_cap=1.0)
+    cfg = Config(mode=mode, transmit_interval=1.0)
     hosts = {}
     for side in ("elided", "full"):
         wizard, monitor = (cluster.add_host(f"{role}-{side}")
@@ -142,7 +142,7 @@ def build(mode=Mode.DISTRIBUTED, transmitter=ScriptedTransmitter,
         wizard, monitor = hosts[side]
         rx = rx_cls(cluster.sim, wizard.stack, wizard.shm, cfg)
         tx = tx_cls(cluster.sim, monitor.stack, monitor.shm,
-                    receiver_addrs=[wizard.addr], config=cfg, mode=mode)
+                    receiver_addrs=[wizard.addr], config=cfg)
         if mode == Mode.DISTRIBUTED:
             rx.add_transmitter(monitor.addr)
         else:

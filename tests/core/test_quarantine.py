@@ -8,7 +8,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import Config, Quarantine, SmartClient
-from repro.core.client import TIMEOUT_FLOOR, TIMEOUT_SCALE
+from repro.core.client import (CLIENT_RETRIES, TIMEOUT_FLOOR, TIMEOUT_SCALE,
+                               WIZARD_QUARANTINE_PERIOD)
 from repro.sim import Simulator
 from tests.conftest import run_process
 
@@ -88,9 +89,8 @@ def two_wizard_world(**config_kwargs):
     for h in (cli, w1, w2):
         cluster.link(h, sw)
     cluster.finalize()
-    cfg = Config(client_timeout=0.5, client_retries=2,
-                 client_backoff_base=0.1, client_backoff_cap=0.5,
-                 **config_kwargs)
+    cfg = Config(client_timeout=0.5, client_backoff_base=0.1,
+                 client_backoff_cap=0.5, **config_kwargs)
     client = SmartClient(cluster.sim, cli.stack, config=cfg,
                          wizard_addrs=[w1.addr, w2.addr])
     return cluster, client, w1, w2
@@ -98,7 +98,7 @@ def two_wizard_world(**config_kwargs):
 
 class TestWizardQuarantine:
     def test_timeouts_quarantine_and_fail_over(self):
-        cluster, client, w1, w2 = two_wizard_world(wizard_quarantine_period=5.0)
+        cluster, client, w1, w2 = two_wizard_world()
 
         def p():
             reply = yield from client.request_servers("host_cpu_free > 0", 1)
@@ -109,14 +109,14 @@ class TestWizardQuarantine:
         # first attempt hits w1, quarantines it; the retry fails over
         assert quarantined == {w1.addr, w2.addr}
         assert client.wizard_failovers >= 1
-        assert client.timeouts == 3
+        assert client.timeouts == 1 + CLIENT_RETRIES
 
     def test_wizard_quarantine_decays(self):
-        cluster, client, w1, w2 = two_wizard_world(wizard_quarantine_period=2.0)
+        cluster, client, w1, w2 = two_wizard_world()
 
         def p():
             yield from client.request_servers("host_cpu_free > 0", 1)
-            yield cluster.sim.timeout(5.0)
+            yield cluster.sim.timeout(2 * WIZARD_QUARANTINE_PERIOD)
 
         run_process(cluster.sim, p(), until=30.0)
         assert client.quarantined_wizards() == set()

@@ -10,6 +10,7 @@ from repro.core import (
     FingerprintScanner,
     SecurityMonitor,
 )
+from repro.core.secmon import SCAN_INTERVAL
 from repro.host import Machine
 
 
@@ -45,13 +46,13 @@ class TestFingerprintScanner:
 
 
 class TestSecurityMonitorDaemon:
-    def make(self, sim, source, interval=1.0):
+    def make(self, sim, source):
         cluster = Cluster(sim)
         host = cluster.add_host("monitor")
         other = cluster.add_host("x")
         cluster.link(host, other)
         cluster.finalize()
-        return SecurityMonitor(sim, host.shm, source, interval=interval)
+        return SecurityMonitor(sim, host.shm, source)
 
     def test_publishes_levels(self, sim):
         mon = self.make(sim, DummySecurityLog("mimas 2\ntelesto 1"))
@@ -63,23 +64,23 @@ class TestSecurityMonitorDaemon:
 
     def test_log_update_propagates(self, sim):
         log = DummySecurityLog("mimas 2")
-        mon = self.make(sim, log, interval=1.0)
+        mon = self.make(sim, log)
         mon.start()
         sim.run(until=0.5)
         log.set_text("mimas 0")  # compromised!
-        sim.run(until=2.0)
+        sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.database()["mimas"].level == 0
 
     def test_bad_source_counts_error_and_keeps_running(self, sim):
         log = DummySecurityLog("good 1")
-        mon = self.make(sim, log, interval=1.0)
+        mon = self.make(sim, log)
         mon.start()
         sim.run(until=0.5)
         log.set_text("broken line without level_number x y")
-        sim.run(until=2.0)
+        sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.errors >= 1
         log.set_text("good 3")
-        sim.run(until=4.0)
+        sim.run(until=2 * SCAN_INTERVAL + 0.5)
         assert mon.database()["good"].level == 3
 
     def test_stop(self, sim):
@@ -88,5 +89,5 @@ class TestSecurityMonitorDaemon:
         sim.run(until=0.5)
         mon.stop()
         scans = mon.scans
-        sim.run(until=5.0)
+        sim.run(until=2 * SCAN_INTERVAL)
         assert mon.scans == scans

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, LeaseResponder, SmartClient, SmartSession, smart_sessions
+from repro.core.session import LEASE_INTERVAL, LEASE_TIMEOUT, WATCHDOG_MIN_SAMPLES
 from repro.sim import Interrupt
 from tests.conftest import run_process
 
@@ -36,8 +37,7 @@ def lease_world(**config_kwargs):
     cluster.link(cli, sw)
     cluster.link(srv, sw)
     cluster.finalize()
-    cfg = Config(lease_interval=0.5, lease_timeout=1.5,
-                 quarantine_period=30.0, **config_kwargs)
+    cfg = Config(quarantine_period=30.0, **config_kwargs)
     sink_service(srv)
     client = SmartClient(cluster.sim, cli.stack,
                          wizard_addrs=[srv.addr], config=cfg)
@@ -61,7 +61,7 @@ class TestHealthLease:
             return state
 
         answered, expiries, reset = run_process(cluster.sim, p(), until=30.0)
-        # one ping per lease_interval: ~10 in 5 s, minus startup slack
+        # one ping per LEASE_INTERVAL: ~10 in 5 s, minus startup slack
         assert answered >= 8
         assert expiries == 0
         assert not reset
@@ -95,7 +95,7 @@ class TestHealthLease:
             yield cluster.sim.timeout(2.0)
             for link in links:
                 link.set_up(False)
-            yield cluster.sim.timeout(cfg.lease_timeout + 2 * cfg.lease_interval + 0.5)
+            yield cluster.sim.timeout(LEASE_TIMEOUT + 2 * LEASE_INTERVAL + 0.5)
             return session.lease_expiries, conn.reset, client.quarantined()
 
         expiries, reset, quarantined = run_process(cluster.sim, p(), until=30.0)
@@ -139,8 +139,8 @@ class TestHealthLease:
 
     def test_stopped_responder_is_dead_at_the_next_ping(self):
         """``stop()`` closes the lease connection: the next PING meets the
-        FIN, so the server is dead within one ``lease_interval`` plus a
-        round trip — no ``lease_timeout`` of silence, no expiry."""
+        FIN, so the server is dead within one ``LEASE_INTERVAL`` plus a
+        round trip — no ``LEASE_TIMEOUT`` of silence, no expiry."""
         cluster, cfg, client, srv = lease_world()
         responder = LeaseResponder(srv, cfg)
         responder.start()
@@ -161,7 +161,7 @@ class TestHealthLease:
 
         delay, rtt, expiries, quarantined = run_process(
             cluster.sim, p(), until=30.0)
-        assert delay <= cfg.lease_interval + rtt
+        assert delay <= LEASE_INTERVAL + rtt
         assert expiries == 0
         assert srv.addr in quarantined
 
@@ -204,10 +204,9 @@ def failover_world(n_servers=3, **config_kwargs):
         servers.append(s)
     cluster.finalize()
     cfg = Config(probe_interval=0.5, transmit_interval=0.5,
-                 client_timeout=1.0, client_retries=2,
-                 client_backoff_base=0.1, client_backoff_cap=0.5,
-                 lease_interval=0.5, lease_timeout=1.5,
-                 quarantine_period=30.0, **config_kwargs)
+                 client_timeout=1.0, client_backoff_base=0.1,
+                 client_backoff_cap=0.5, quarantine_period=30.0,
+                 **config_kwargs)
     dep = Deployment(cluster, wizard_host=wizard_host, config=cfg)
     dep.add_group("lab", monitor_host=wizard_host, servers=servers)
     dep.start()
@@ -283,7 +282,7 @@ class TestFailover:
 
     def test_failover_exhaustion_marks_slot_dead(self):
         cluster, dep, client_host, servers, responders = failover_world(
-            n_servers=1, session_retries=2)
+            n_servers=1)
         client = dep.client_for(client_host)
         by_addr = {s.addr: s for s in servers}
 
@@ -319,9 +318,7 @@ def drip_service(host, chunks, period, port=9100, size=4000):
     return host.sim.process(serve(), name=f"drip@{host.name}")
 
 
-WATCHDOG_CFG = dict(session_watchdog_interval=0.25,
-                    session_watchdog_min_samples=4,
-                    session_watchdog_phi=3.0)
+WATCHDOG_CFG = dict(session_watchdog_interval=0.25)
 
 
 class TestThroughputWatchdog:
@@ -370,7 +367,8 @@ class TestThroughputWatchdog:
     def test_cold_detector_never_fires(self):
         """A session that stalls before ``min_samples`` progress gaps has
         no baseline — suspicion stays 0 and the slot is not flapped."""
-        cluster, client, srv, responder = self.watchdog_world(chunks=2)
+        cluster, client, srv, responder = self.watchdog_world(
+            chunks=WATCHDOG_MIN_SAMPLES - 1)
         session, conn = self.run_session(cluster, client, srv)
         assert session.slow_migrations == 0
         assert not conn.reset

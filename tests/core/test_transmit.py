@@ -63,7 +63,7 @@ def make_world(mode, n_monitors=1, delays=None):
         seed_monitor_shm(m, cfg, i + 1)
         transmitters.append(Transmitter(
             cluster.sim, m.stack, m.shm,
-            receiver_addrs=[wizard_host.addr], config=cfg, mode=mode,
+            receiver_addrs=[wizard_host.addr], config=cfg,
         ))
     return cluster, cfg, receiver, transmitters, monitors
 
@@ -127,7 +127,7 @@ class TestCentralized:
         cluster.finalize()
         with pytest.raises(ValueError):
             Transmitter(cluster.sim, m.stack, m.shm, receiver_addrs=[],
-                        mode=Mode.CENTRALIZED)
+                        config=Config(mode=Mode.CENTRALIZED))
 
 
 class TestDistributed:

@@ -22,9 +22,7 @@ def make_fanout_world(n_receivers=2, **config_kwargs):
         cluster.link(w, sw)
         wiz_hosts.append(w)
     cluster.finalize()
-    cfg = Config(transmit_interval=1.0, transmit_stall_limit=3.0,
-                 transmit_backoff_cap=2.0, mode=Mode.CENTRALIZED,
-                 **config_kwargs)
+    cfg = Config(transmit_interval=1.0, mode=Mode.CENTRALIZED, **config_kwargs)
     seed_monitor_shm(mon, cfg, 1)
     receivers = [Receiver(cluster.sim, w.stack, w.shm, cfg) for w in wiz_hosts]
     tx = Transmitter(cluster.sim, mon.stack, mon.shm,

@@ -5,7 +5,7 @@ servers, partition one whole group for 30 simulated seconds, and
 kill+restart a transmitter — while a client polls the wizard once a
 second.  The client must (a) never be handed a dead server once its
 record expired, (b) recover full reply quality within
-``probe_miss_limit * probe_interval + transmit_interval`` of the heal,
+``PROBE_MISS_LIMIT * probe_interval + transmit_interval`` of the heal,
 and (c) produce bit-identical logs for a fixed seed.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sysmon import PROBE_MISS_LIMIT
 from repro.faults import ChaosController, FaultPlan
 from repro.worlds import CHAOS_CONFIG, build_star
 from tests.faults.conftest import poll_replies
@@ -29,7 +30,7 @@ TX_RESTART_AT = 25.0
 HORIZON = 60.0
 
 #: acceptance recovery budget after the heal
-BUDGET = (CHAOS_CONFIG.probe_miss_limit * CHAOS_CONFIG.probe_interval
+BUDGET = (PROBE_MISS_LIMIT * CHAOS_CONFIG.probe_interval
           + CHAOS_CONFIG.transmit_interval)
 #: dead records are guaranteed expired and the expiry propagated by then
 EXPIRY_DEADLINE = CRASH_AT + BUDGET + 1.0

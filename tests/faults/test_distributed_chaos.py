@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import Mode, SmartReply
+from repro.core.client import CLIENT_RETRIES
 from repro.core.receiver import PULL_TIMEOUT
 from repro.faults import ChaosController, FaultPlan
 from repro.worlds import CHAOS_CONFIG, build_star, observe
@@ -40,8 +41,8 @@ HEAL_AT = PARTITION_AT + PARTITION_FOR
 HORIZON = 36.0
 
 #: all a request can cost its caller: every attempt timing out, backed off
-CLIENT_BUDGET = ((1 + CONFIG.client_retries) * CONFIG.client_timeout
-                 + CONFIG.client_retries * CONFIG.client_backoff_cap)
+CLIENT_BUDGET = ((1 + CLIENT_RETRIES) * CONFIG.client_timeout
+                 + CLIENT_RETRIES * CONFIG.client_backoff_cap)
 
 
 def run_stream(**instruments):

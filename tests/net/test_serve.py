@@ -3,6 +3,8 @@ then every service built on it."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import FileServer, MatMulWorker
@@ -126,8 +128,9 @@ def _receiver(host, cfg):
 
 
 def _transmitter(host, cfg):
-    return (Transmitter(host.sim, host.stack, host.shm, config=cfg,
-                        mode=Mode.DISTRIBUTED), cfg.ports.transmitter)
+    return (Transmitter(host.sim, host.stack, host.shm,
+                        config=replace(cfg, mode=Mode.DISTRIBUTED)),
+            cfg.ports.transmitter)
 
 
 def _lease(host, cfg):

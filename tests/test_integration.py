@@ -16,11 +16,11 @@ SERVER_NAMES = ("sagit", "dalmatian", "mimas", "telesto", "lhost", "helene",
                 "phoebe", "calypso", "dione", "titan-x", "pandora-x")
 
 
-def full_deployment(mode=None, config=None):
+def full_deployment(mode=Mode.CENTRALIZED):
     cluster = build_testbed(seed=23)
-    cfg = config or Config(probe_interval=1.0, transmit_interval=1.0)
+    cfg = Config(probe_interval=1.0, transmit_interval=1.0, mode=mode)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"),
-                     config=cfg, mode=mode)
+                     config=cfg)
     dep.add_group("lab", monitor_host=cluster.host("dalmatian"),
                   servers=[cluster.host(n) for n in SERVER_NAMES])
     dep.start()

@@ -202,24 +202,74 @@ def test_the_one_accept_loop_is_in_tcp():
 
 def test_perf_census_counts_the_service_loop_roots():
     """The hot-path analyzer's census of ``src/repro``: a new daemon loop
-    (or a service that leaves ``serve``) moves this number on purpose."""
+    (or a service that leaves ``serve``) moves this number on purpose.
+    ``netmon.measure_rtt`` is not one: its bounded echo wait lives in
+    ``_await_echoes`` and is no ``while True`` loop."""
     from repro.analysis.program import Program, run_checks
 
     report = run_checks(Program.load([REPO / "src" / "repro"]), ("perf",))
-    assert report.stats["perf"]["service-loop root(s)"] == 22
+    assert report.stats["perf"]["service-loop root(s)"] == 21
 
 
 def test_ci_pins_the_fault_benchmarks_it_regenerates():
-    """``BENCH_failover.json`` and ``BENCH_grayfail.json`` hold simulated
-    time only, so the jobs that rewrite them fail on any drift: a traffic
-    change moves them in the commit that causes it, or not at all."""
+    """``BENCH_chaos.json``, ``BENCH_failover.json`` and
+    ``BENCH_grayfail.json`` hold simulated time only, so the jobs that
+    rewrite them fail on any drift: a traffic or timing change moves them
+    in the commit that causes it, or not at all."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
                   .replace("\\\n", " ").split())
-    for name in ("failover", "grayfail"):
+    for name in ("chaos", "failover", "grayfail"):
         regenerate = f"python benchmarks/bench_{name}.py"
         pin = f"git diff --exit-code benchmarks/results/BENCH_{name}.json"
         assert regenerate in ci and pin in ci
         assert ci.index(regenerate) < ci.index(pin)
+
+
+def _config_value(node: ast.expr):
+    """The value a ``Config`` keyword is set to, when the source spells
+    it out; ``ValueError`` for anything computed."""
+    from repro.core.config import Mode
+
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "Mode"):
+        return getattr(Mode, node.attr)
+    return ast.literal_eval(node)
+
+
+def test_every_config_field_has_a_second_value_in_use():
+    """A ``Config`` field exists because two real deployments run it at
+    different values: some ``Config(...)`` or ``replace(...)`` call in
+    ``src/`` or ``benchmarks/`` sets each one to a value other than its
+    default (``ports`` / ``shm`` are deployment settings and exempt).  A
+    knob only ever left at, or set to, its default belongs as a constant
+    in the module that reads it."""
+    from dataclasses import fields
+
+    from repro.core.config import Config
+
+    defaults = {f.name: f.default for f in fields(Config)
+                if f.name not in ("ports", "shm")}
+    varied = set()
+    for path in sorted([*(REPO / "src").rglob("*.py"),
+                        *(REPO / "benchmarks").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name not in ("Config", "replace"):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg not in defaults:
+                    continue
+                try:
+                    value = _config_value(keyword.value)
+                except ValueError:
+                    continue
+                if value != defaults[keyword.arg]:
+                    varied.add(keyword.arg)
+    assert sorted(set(defaults) - varied) == []
 
 
 def test_repro_check_clean_on_src():
