@@ -1,24 +1,24 @@
-"""Compile-cache benchmark: folded-AST evaluation vs the seed pipeline.
+"""Compile-cache benchmark: cached compiled evaluation vs the seed pipeline.
 
 The wizard answers every request by evaluating the requirement against
 each server's status record.  The seed pipeline re-parsed the text on
-every request; the analysis pipeline compiles once (analyze +
-constant-fold + build closures) into an LRU cache and runs the compiled
-folded program.  This benchmark measures three paths over a synthetic
+every request; the analysis pipeline compiles once (parse + analyze +
+build closures, literal subtrees folded) into an LRU cache and runs the
+compiled program.  This benchmark measures three paths over a synthetic
 status DB:
 
 * ``parse_every_time``  — seed behaviour: ``parse(text)`` then evaluate
   the raw AST against every record, once per request — which since the
   compile-once evaluator also means building its closures per request;
-* ``cached_folded``     — ``CompileCache.get_or_compile`` then run the
-  folded program's closures (first request misses, the rest hit);
+* ``cached``            — ``CompileCache.get_or_compile`` then run the
+  cached program's closures (first request misses, the rest hit);
 * ``static_reject``     — a provably-unsatisfiable requirement: the seed
   path scans the whole DB, the analysis path NAKs on a cache lookup.
 
 Writes ``benchmarks/results/BENCH_analysis.json``.  The acceptance bar:
-``cached_folded`` must be no slower than ``parse_every_time`` for
-repeated requests (it skips the parser entirely and evaluates fewer
-nodes), and ``static_reject`` must be orders of magnitude faster.
+``cached`` must be no slower than ``parse_every_time`` for repeated
+requests (it skips the parser and the closure building entirely), and
+``static_reject`` must be orders of magnitude faster.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_analysis.py``.
 """
@@ -75,7 +75,7 @@ def time_parse_every_time(reqs, db, n_requests) -> float:
     return time.perf_counter() - t0
 
 
-def time_cached_folded(reqs, db, n_requests) -> tuple[float, CompileCache]:
+def time_cached(reqs, db, n_requests) -> tuple[float, CompileCache]:
     cache = CompileCache(maxsize=64)
     t0 = time.perf_counter()
     for _ in range(n_requests):
@@ -84,19 +84,19 @@ def time_cached_folded(reqs, db, n_requests) -> tuple[float, CompileCache]:
             if compiled.unsatisfiable or compiled.parse_failed:
                 continue
             for params in db:
-                evaluate(compiled.folded, params)
+                evaluate(compiled.program, params)
     return time.perf_counter() - t0, cache
 
 
 def check_equivalence(reqs, db) -> None:
-    """The folded AST must qualify exactly the same records."""
+    """The cached program must qualify exactly the same records."""
     cache = CompileCache()
     for text in reqs:
         program = parse(text)
-        folded = cache.get_or_compile(text).folded
+        cached = cache.get_or_compile(text).program
         for params in db:
             a = evaluate(program, params)
-            b = evaluate(folded, params)
+            b = evaluate(cached, params)
             assert a.qualified == b.qualified, (text, params)
 
 
@@ -108,7 +108,7 @@ def main() -> None:
     for _ in range(N_TRIALS):
         seed_trials.append(
             time_parse_every_time(REQUIREMENTS, db, N_REQUESTS))
-        elapsed, cache = time_cached_folded(REQUIREMENTS, db, N_REQUESTS)
+        elapsed, cache = time_cached(REQUIREMENTS, db, N_REQUESTS)
         cached_trials.append(elapsed)
 
     # static-reject fast path: same request volume, unsatisfiable text
@@ -116,7 +116,7 @@ def main() -> None:
         time_parse_every_time([UNSATISFIABLE], db, N_REQUESTS)
         for _ in range(N_TRIALS))
     reject_cached = min(
-        time_cached_folded([UNSATISFIABLE], db, N_REQUESTS)[0]
+        time_cached([UNSATISFIABLE], db, N_REQUESTS)[0]
         for _ in range(N_TRIALS))
 
     seed_s = statistics.median(seed_trials)
@@ -127,7 +127,7 @@ def main() -> None:
         "n_requirements": len(REQUIREMENTS),
         "trials": N_TRIALS,
         "parse_every_time_s": round(seed_s, 4),
-        "cached_folded_s": round(cached_s, 4),
+        "cached_s": round(cached_s, 4),
         "speedup": round(seed_s / cached_s, 3),
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,

@@ -32,7 +32,7 @@ import ast
 from typing import Iterable, Iterator, Optional
 
 from ..lang.diagnostics import Diagnostic
-from .determinism import _root_name, _walk_runtime
+from .determinism import _root_name
 from .engine import FileUnit, Rule, rule
 
 __all__ = [
@@ -189,7 +189,7 @@ class UnhandledWireTagRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         from ..core.records import WIRE_TAG_HANDLERS
 
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -233,12 +233,12 @@ class UntrackedSegmentWriteRule(Rule):
         if uses_shared:
             return
         seg_names: set[str] = set()
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if isinstance(node, ast.Assign) and _is_segment_call(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         seg_names.add(target.id)
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "write"):
@@ -280,7 +280,7 @@ class CallbackMutatesSimRule(Rule):
             n.name: n for n in ast.walk(ctx.tree)
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add_callback"
@@ -325,7 +325,7 @@ class UnjoinedProcessRule(Rule):
     name = "unjoined-process"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Expr)
                     and isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Attribute)
@@ -358,7 +358,7 @@ class BareExceptChannelRule(Rule):
     name = "bare-except-channel"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not isinstance(node, ast.Try):
                 continue
             has_channel_op = any(

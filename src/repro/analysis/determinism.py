@@ -20,7 +20,7 @@ times wall-clock runs of whole experiments.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..lang.diagnostics import Diagnostic
 from .engine import FileUnit, Rule, rule
@@ -64,25 +64,6 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
-
-
-def _walk_runtime(tree: ast.Module) -> Iterator[ast.AST]:
-    """Like ast.walk but skipping ``if TYPE_CHECKING:`` bodies — imports
-    and names there never execute, so they cannot leak nondeterminism."""
-    stack: list[ast.AST] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.If) and _is_type_checking(node.test):
-            stack.extend(node.orelse)
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-        yield node
-
-
 @rule
 class BareRandomRule(Rule):
     """REPRO101: importing/calling the process-global ``random`` module.
@@ -100,7 +81,7 @@ class BareRandomRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(RANDOM_ALLOWLIST):
             return
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "random":
@@ -139,7 +120,7 @@ class WallClockRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(WALLCLOCK_ALLOWLIST):
             return
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 bad = [a.name for a in node.names if a.name in _WALLCLOCK_FNS]
                 if bad:
@@ -165,7 +146,7 @@ class CalendarClockRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         if ctx.in_allowlist(WALLCLOCK_ALLOWLIST):
             return
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
@@ -186,7 +167,7 @@ class EntropyRule(Rule):
     name = "os-entropy"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
@@ -226,7 +207,7 @@ class UnorderedSchedulingRule(Rule):
     name = "unordered-scheduling"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             what = _unordered_iterable(node.iter)
@@ -268,7 +249,7 @@ class FloatTimeEqualityRule(Rule):
     name = "float-time-equality"
 
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in _walk_runtime(ctx.tree):
+        for node in ctx.runtime_nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Type
 
@@ -161,6 +162,12 @@ def module_name_for(path: Path) -> str:
     return stem
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
 @dataclass(frozen=True)
 class FileUnit:
     """One parsed source file: what every rule, per-file or
@@ -173,6 +180,22 @@ class FileUnit:
     module: str
     source: str
     tree: ast.Module
+
+    @cached_property
+    def runtime_nodes(self) -> tuple[ast.AST, ...]:
+        """Every node of the tree, from one walk that every per-file rule
+        shares, skipping ``if TYPE_CHECKING:`` bodies — imports and names
+        there never execute, so they cannot leak nondeterminism."""
+        nodes: list[ast.AST] = []
+        stack: list[ast.AST] = [self.tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.If) and _is_type_checking(node.test):
+                stack.extend(node.orelse)
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            nodes.append(node)
+        return tuple(nodes)
 
     def diag(self, code: str, message: str, node: ast.AST) -> Diagnostic:
         """A diagnostic with the code's default severity, anchored at

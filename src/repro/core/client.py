@@ -346,15 +346,12 @@ class SmartClient:
                     # onto *our* clock, so a replica with a skewed clock
                     # (epoch far in its future or past) is judged by how
                     # fresh its data actually is, not by what its clock
-                    # claims.  Replies without an age (older wire format)
-                    # fall back to the raw epoch.
+                    # claims.
                     if reply.freshness_age >= 0.0:
-                        epoch_local = self.sim.now - reply.freshness_age
-                    else:
-                        epoch_local = reply.epoch
-                    self._wizard_epochs[target] = max(
-                        self._wizard_epochs.get(target, 0.0), epoch_local
-                    )
+                        self._wizard_epochs[target] = max(
+                            self._wizard_epochs.get(target, 0.0),
+                            self.sim.now - reply.freshness_age,
+                        )
                     if reply.status == REPLY_STALE:
                         # this replica's status feed died: quarantine it
                         # and retry against the next-freshest replica

@@ -4,11 +4,11 @@ A UDP daemon on port 1120 processing requests sequentially:
 
 1. receive ``[seq, server_num, option, request_detail]`` (Table 3.5);
 2. compile the requirement — lex + parse (with line-level error
-   recovery), statically analyze and constant-fold it, all served from an
-   LRU :class:`~repro.lang.analysis.CompileCache` keyed by the text; a
-   provably-unsatisfiable requirement is **NAKed with its diagnostics
-   before the status DB is read — or, in distributed mode, pulled**
-   (``requests_rejected_static``);
+   recovery), statically analyze it and compile the parse to closures,
+   all served from an LRU :class:`~repro.lang.analysis.CompileCache`
+   keyed by the text; a provably-unsatisfiable requirement is **NAKed
+   with its diagnostics before the status DB is read — or, in
+   distributed mode, pulled** (``requests_rejected_static``);
 3. refresh the status structures — in *centralized* mode they are already
    hot in shared memory; in *distributed* mode trigger the receiver to
    pull from every transmitter at once — then run the compiled
@@ -205,7 +205,7 @@ class Wizard:
         self.group_prefixes: dict[str, str] = {}
         self.default_group = "default"
         self._proc = None
-        #: analyzed + folded ASTs keyed by requirement text (LRU)
+        #: analyzed and compiled requirements keyed by text (LRU)
         self.compile_cache = CompileCache()
         self.requests_handled = 0
         self.parse_failures = 0
@@ -438,7 +438,7 @@ class Wizard:
         if limit <= 0:
             # off the wire server_num is any integer: nothing was asked for
             return []
-        program = compiled.folded
+        program = compiled.program
         rank = _parse_option(request.option)
         # all the evaluator can look up, plus what ranking will sort by
         wanted = (compiled.reads | {rank[0]}) if rank else compiled.reads

@@ -5,9 +5,11 @@ CPU pinned, ``load_1`` ≥ 1; Table 4.1 / §5.3.1 experiment 4).  The
 :class:`SuperPiWorkload` reproduces those observables: it allocates the
 memory up front and keeps exactly one runnable CPU task until stopped.
 
-:class:`PeriodicDiskLoad` and :class:`NetworkChatter` exist for the
-IO-bound selection scenarios and for cross-traffic in the bandwidth
-experiments.
+:class:`CpuThrottle` is the fault plane's fail-slow host (``slow-host``).
+:class:`PeriodicDiskLoad` is exercised by the host tests only; no world
+runs it.  Network cross traffic is not a host workload: the bandwidth
+experiments occupy their links in ``bench.experiments._cross_traffic``,
+and the WAN world jitters its links in ``cluster.wan._attach_jitter``.
 """
 
 from __future__ import annotations

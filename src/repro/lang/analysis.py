@@ -1,7 +1,9 @@
 """Static analysis for requirement programs: semantics + satisfiability.
 
 The pipeline runs between :func:`repro.lang.parse` and
-:func:`repro.lang.evaluate` and produces three artefacts:
+:func:`repro.lang.evaluate`.  It only reports; the program the wizard
+runs is the parse itself, compiled to closures
+(:func:`repro.lang.evaluator.compile_program`).  The two reports:
 
 1. **Typed diagnostics** (:mod:`repro.lang.diagnostics`): undefined and
    misspelled variables (with did-you-mean against the 22 server-side +
@@ -9,15 +11,12 @@ The pipeline runs between :func:`repro.lang.parse` and
    predefined variables, and string/number type mismatches.
 2. **Satisfiability verdicts** from interval analysis: every predefined
    variable has a known range (fractions in [0, 1], non-negative rates,
-   the MB-vs-bytes ``host_memory_free`` quirk), constants fold, and the
-   resulting intervals propagate through arithmetic, comparisons and
-   ``&&``/``||`` so the analyzer can prove a statement *always false*
+   the MB-vs-bytes ``host_memory_free`` quirk), constants are computed
+   by the evaluator itself (:func:`repro.lang.evaluator.constant_value`),
+   and the resulting intervals propagate through arithmetic, comparisons
+   and ``&&``/``||`` so the analyzer can prove a statement *always false*
    (``REQ1xx`` errors — the wizard NAKs these without scanning the
    status DB) or *always true* / dead-branched (``REQ2xx`` warnings).
-3. A **constant-folded program** that evaluates to the same results as
-   the original but with every pure-constant subtree collapsed to a
-   literal — what the wizard's compile cache stores, already compiled to
-   closures (:func:`repro.lang.evaluator.compile_program`), and runs.
 
 Soundness notes (what a verdict does and does not promise):
 
@@ -41,12 +40,12 @@ import difflib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Union, cast
 
 from .builtins import BUILTINS, CONSTANTS
 from .diagnostics import Diagnostic, make
 from .errors import EvalError, LangError, ParseError
-from .evaluator import compile_program
+from .evaluator import compile_program, constant_value
 from .nodes import (
     Addr,
     Assign,
@@ -159,10 +158,15 @@ class AbstractValue:
     hi: float = INF
     kind: str = "num"            # "num" | "str" | "any"
     const: Union[float, str, None] = None  # exact value when fully known
+    #: the number comes from literals alone — a number literal, a named
+    #: constant, a temp certainly bound to one, or arithmetic over those —
+    #: so it is the same on every record and the evaluator can compute it
+    literal: bool = False
 
     @staticmethod
-    def number(value: float) -> "AbstractValue":
-        return AbstractValue(lo=value, hi=value, kind="num", const=value)
+    def number(value: float, literal: bool = False) -> "AbstractValue":
+        return AbstractValue(lo=value, hi=value, kind="num", const=value,
+                             literal=literal)
 
     @staticmethod
     def string(value: str) -> "AbstractValue":
@@ -255,10 +259,8 @@ def _close_match(name: str, candidates) -> Optional[str]:
 class AnalysisResult:
     """Outcome of :func:`analyze` on one requirement program."""
 
-    #: the original parse
+    #: the parse the analysis reports on
     program: Program
-    #: constant-folded copy, safe to evaluate in place of ``program``
-    folded: Program
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: parse errors recovered line-by-line (yacc ``error '\n'`` style)
     parse_errors: list[ParseError] = field(default_factory=list)
@@ -299,7 +301,7 @@ class _Analyzer:
         self.diagnostics.append(make(code, message, line=node.line, col=node.col))
 
     def _var_value(self, name: str) -> Optional[AbstractValue]:
-        """Mirror ``Environment.lookup`` order: temps, server, user, consts."""
+        """Mirror the evaluator's lookup order: temps, server, user, consts."""
         if name in self.temps:
             return self.temps[name]
         if name in VAR_INTERVALS:
@@ -307,8 +309,24 @@ class _Analyzer:
         if name in USER_SIDE_VARS:
             return AbstractValue.top()
         if name in CONSTANTS:
-            return AbstractValue.number(CONSTANTS[name])
+            return AbstractValue.number(CONSTANTS[name], literal=True)
         return None
+
+    def _constant(self, node: Node) -> AbstractValue:
+        """An arithmetic node over literal operands, computed by the
+        evaluator's own closures; REQ008 when they fault."""
+        literals = {name: cast(float, value.const)
+                    for name, value in self.temps.items() if value.literal}
+        try:
+            number = float(constant_value(node, literals))
+            if math.isnan(number):
+                # no fault at runtime, but no ordering against NaN holds
+                raise EvalError("domain error")
+        except EvalError as exc:
+            self._emit("REQ008", f"constant expression faults: {exc.message}", node)
+            self._stmt_faulted = True
+            return AbstractValue.top()
+        return AbstractValue.number(number, literal=True)
 
     def _check_var_name(self, node: Var, *, assign_rhs: bool) -> None:
         """REQ001/REQ002 for names outside registry, temps and constants."""
@@ -332,20 +350,21 @@ class _Analyzer:
 
     # -- recursive walk -----------------------------------------------------
     def walk(self, node: Node, *, assign_rhs: bool = False,
-             certain: bool = False) -> tuple[AbstractValue, Node]:
-        """Return ``(abstract value, constant-folded node)``.
+             certain: bool = False) -> AbstractValue:
+        """What ``node`` can evaluate to.
 
-        Arithmetic folds to a literal only over operands that are literals
-        themselves: a comparison or ``&&`` whose *value* is known (``7 < 0``)
-        still has to run, since its other branch may fault or assign.
+        Arithmetic is ``literal`` only over operands that are literal
+        themselves: a comparison or ``&&`` whose *value* is known
+        (``7 < 0``) still has to run, since its other branch may fault or
+        assign.
 
         ``certain`` holds from a statement's root down through parentheses
         and assignments only: there nothing can fault before an assignment
         runs, anywhere deeper an earlier operand may."""
         if isinstance(node, Num):
-            return AbstractValue.number(node.value), node
+            return AbstractValue.number(node.value, literal=True)
         if isinstance(node, Addr):
-            return AbstractValue.string(node.value), node
+            return AbstractValue.string(node.value)
         if isinstance(node, Paren):
             return self.walk(node.inner, assign_rhs=assign_rhs, certain=certain)
         if isinstance(node, Var):
@@ -362,68 +381,54 @@ class _Analyzer:
             return self._walk_compare(node, assign_rhs=assign_rhs)
         if isinstance(node, Logic):
             return self._walk_logic(node, assign_rhs=assign_rhs)
-        return AbstractValue.top(), node
+        return AbstractValue.top()
 
-    def _walk_var(self, node: Var, *, assign_rhs: bool
-                  ) -> tuple[AbstractValue, Node]:
+    def _walk_var(self, node: Var, *, assign_rhs: bool) -> AbstractValue:
         value = self._var_value(node.name)
         if value is None:
             self._check_var_name(node, assign_rhs=assign_rhs)
             if assign_rhs:
                 # reads as the hostname string at runtime
-                return AbstractValue.string(node.name), node
-            return AbstractValue.top(), node
-        if value.is_const_num and node.name not in USER_SIDE_VARS:
-            # constants (PI) and constant temps fold to literals
-            return value, Num(float(value.const), line=node.line, col=node.col)
-        return value, node
+                return AbstractValue.string(node.name)
+            return AbstractValue.top()
+        return value
 
-    def _walk_neg(self, node: Neg, *, assign_rhs: bool
-                  ) -> tuple[AbstractValue, Node]:
-        value, folded = self.walk(node.operand, assign_rhs=assign_rhs)
+    def _walk_neg(self, node: Neg, *, assign_rhs: bool) -> AbstractValue:
+        value = self.walk(node.operand, assign_rhs=assign_rhs)
         if value.is_str and not assign_rhs:
             self._emit(
                 "REQ006",
                 f"arithmetic on address/hostname {value.describe()}", node)
             self._stmt_faulted = True
-            return AbstractValue.top(), Neg(folded, line=node.line, col=node.col)
-        if value.is_const_num and isinstance(folded, Num):
-            result = -float(value.const)
-            return (AbstractValue.number(result),
-                    Num(result, line=node.line, col=node.col))
-        out = AbstractValue.interval(-value.hi, -value.lo)
-        return out, Neg(folded, line=node.line, col=node.col)
+            return AbstractValue.top()
+        if value.literal:
+            return self._constant(node)
+        return AbstractValue.interval(-value.hi, -value.lo)
 
-    def _walk_assign(self, node: Assign, certain: bool
-                     ) -> tuple[AbstractValue, Node]:
+    def _walk_assign(self, node: Assign, certain: bool) -> AbstractValue:
         if node.name in _READ_ONLY:
             self._emit(
                 "REQ005",
                 f"assignment to read-only predefined variable {node.name!r}",
                 node,
             )
-        value, folded_rhs = self.walk(node.value, assign_rhs=True, certain=certain)
-        if not isinstance(folded_rhs, (Num, Addr)):
+        value = self.walk(node.value, assign_rhs=True, certain=certain)
+        if not (value.literal or isinstance(strip_parens(node.value), Addr)):
             # not a literal: the right-hand side can still fail at runtime
-            # (leaving the variable as it was) or re-join as a hostname from
-            # the names *as written* (titan-x), which a half-folded tree
-            # would spell differently ("need-x" as "5-x").  Keep the
-            # original, and let no later read fold to this value.
-            folded_rhs = node.value
+            # (leaving the variable as it was) or re-join as a hostname
+            # (titan-x), so let no later read take this value as known
             value = dataclasses.replace(value, const=None)
         if node.name not in USER_SIDE_VARS:
             # "cond && (need = 5)": when ``cond`` faults the assignment never
             # runs, so an uncertain one tells nothing about later reads
             self.temps[node.name] = value if certain else AbstractValue.top()
-        folded = Assign(node.name, folded_rhs, line=node.line, col=node.col)
-        return value, folded
+        # the assignment itself is no literal: "-(need = 5)" must run it
+        return dataclasses.replace(value, literal=False)
 
-    def _walk_call(self, node: Call, *, assign_rhs: bool
-                   ) -> tuple[AbstractValue, Node]:
+    def _walk_call(self, node: Call, *, assign_rhs: bool) -> AbstractValue:
         arg_values: list[AbstractValue] = []
-        folded_args: list[Node] = []
         for arg in node.args:
-            value, folded = self.walk(arg, assign_rhs=assign_rhs)
+            value = self.walk(arg, assign_rhs=assign_rhs)
             if value.is_str and not assign_rhs:
                 self._emit(
                     "REQ006",
@@ -432,16 +437,14 @@ class _Analyzer:
                 self._stmt_faulted = True
                 value = AbstractValue.top()
             arg_values.append(value)
-            folded_args.append(folded)
-        folded_call = Call(node.func, folded_args, line=node.line, col=node.col)
         entry = BUILTINS.get(node.func)
         if entry is None:
             suggestion = _close_match(node.func, BUILTINS)
             hint = f"; did you mean {suggestion!r}?" if suggestion else ""
             self._emit("REQ003", f"unknown function {node.func!r}{hint}", node)
             self._stmt_faulted = True
-            return AbstractValue.top(), folded_call
-        arity, fn = entry
+            return AbstractValue.top()
+        arity = entry[0]
         if len(node.args) != arity:
             self._emit(
                 "REQ004",
@@ -449,87 +452,47 @@ class _Analyzer:
                 node,
             )
             self._stmt_faulted = True
-            return AbstractValue.top(), folded_call
-        if (all(v.is_const_num for v in arg_values)
-                and all(isinstance(a, Num) for a in folded_args)):
-            try:
-                result = fn(*[float(v.const) for v in arg_values])
-            except EvalError as exc:
-                self._emit("REQ008", f"constant expression faults: "
-                           f"{exc.message}", node)
-                self._stmt_faulted = True
-                return AbstractValue.top(), folded_call
-            return (AbstractValue.number(result),
-                    Num(result, line=node.line, col=node.col))
+            return AbstractValue.top()
+        if all(v.literal for v in arg_values):
+            return self._constant(node)
         if node.func in _BUILTIN_RANGES:
-            return (AbstractValue.interval(*_BUILTIN_RANGES[node.func]),
-                    folded_call)
+            return AbstractValue.interval(*_BUILTIN_RANGES[node.func])
         if node.func in ("min", "max"):
             agg = min if node.func == "min" else max
             lo = agg(v.lo for v in arg_values)
             hi = agg(v.hi for v in arg_values)
-            return AbstractValue.interval(lo, hi), folded_call
+            return AbstractValue.interval(lo, hi)
         if node.func in ("int", "floor", "ceil"):
             a = arg_values[0]
-            return (AbstractValue.interval(
+            return AbstractValue.interval(
                 math.floor(a.lo) if a.lo > -INF else -INF,
-                math.ceil(a.hi) if a.hi < INF else INF), folded_call)
-        return AbstractValue.top(), folded_call
+                math.ceil(a.hi) if a.hi < INF else INF)
+        return AbstractValue.top()
 
-    def _walk_binop(self, node: BinOp, *, assign_rhs: bool
-                    ) -> tuple[AbstractValue, Node]:
-        left, lfold = self.walk(node.left, assign_rhs=assign_rhs)
-        right, rfold = self.walk(node.right, assign_rhs=assign_rhs)
-        folded = BinOp(node.op, lfold, rfold, line=node.line, col=node.col)
+    def _walk_binop(self, node: BinOp, *, assign_rhs: bool) -> AbstractValue:
+        left = self.walk(node.left, assign_rhs=assign_rhs)
+        right = self.walk(node.right, assign_rhs=assign_rhs)
         if assign_rhs and (left.is_str or right.is_str):
-            # hostname idiom: titan-x re-joins at runtime; keep the original
-            return AbstractValue.top(), folded
+            # hostname idiom: titan-x re-joins at runtime
+            return AbstractValue.top()
         bad = left if left.is_str else (right if right.is_str else None)
         if bad is not None:
             self._emit(
                 "REQ006",
                 f"arithmetic on address/hostname ({bad.describe()})", node)
             self._stmt_faulted = True
-            return AbstractValue.top(), folded
-        if (left.is_const_num and right.is_const_num
-                and isinstance(lfold, Num) and isinstance(rfold, Num)):
-            return self._fold_const_binop(
-                node, float(left.const), float(right.const), folded)
+            return AbstractValue.top()
+        if left.literal and right.literal:
+            return self._constant(node)
         ops = {
             "+": _iadd, "-": _isub, "*": _imul, "/": _idiv,
         }
         if node.op in ops:
             if node.op == "/" and right.lo <= 0.0 <= right.hi:
                 # may divide by zero at runtime -> value unknown
-                return AbstractValue.interval(-INF, INF), folded
-            return ops[node.op](left, right), folded
-        return AbstractValue.top(), folded  # ^ with non-constant operands
-
-    def _fold_const_binop(self, node: BinOp, left: float, right: float,
-                          folded: BinOp) -> tuple[AbstractValue, Node]:
-        try:
-            if node.op == "+":
-                result = left + right
-            elif node.op == "-":
-                result = left - right
-            elif node.op == "*":
-                result = left * right
-            elif node.op == "/":
-                if right == 0.0:
-                    raise ZeroDivisionError("division by 0")
-                result = left / right
-            elif node.op == "^":
-                result = left ** right  # complex for (-8) ^ 0.5
-            else:  # pragma: no cover - parser only builds the five ops
-                return AbstractValue.top(), folded
-            if isinstance(result, complex) or math.isnan(result):
-                raise ValueError("domain error")
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            self._emit("REQ008", f"constant expression faults: {exc}", node)
-            self._stmt_faulted = True
-            return AbstractValue.top(), folded
-        return (AbstractValue.number(result),
-                Num(result, line=node.line, col=node.col))
+                return AbstractValue.interval(-INF, INF)
+            return ops[node.op](left, right)
+        return AbstractValue.top()  # ^ with non-constant operands
 
     # -- comparisons and logic ---------------------------------------------
     @staticmethod
@@ -540,13 +503,12 @@ class _Analyzer:
             return node
         return None
 
-    def _walk_compare(self, node: Compare, *, assign_rhs: bool
-                      ) -> tuple[AbstractValue, Node]:
+    def _walk_compare(self, node: Compare, *, assign_rhs: bool) -> AbstractValue:
         # §6 string-attribute form: a bare unknown identifier in an
         # equality test reads as a string literal at runtime — analyze the
         # sides with that in mind so "host_machine_type == i386" is clean.
         string_eq = node.op in ("==", "!=")
-        sides: list[tuple[AbstractValue, Node]] = []
+        sides: list[AbstractValue] = []
         for child in (node.left, node.right):
             other = node.right if child is node.left else node.left
             bare = self._bare_unknown_var(child)
@@ -566,11 +528,10 @@ class _Analyzer:
                             "REQ002",
                             f"undefined variable {bare.name!r}; did you "
                             f"mean {suggestion!r}?", bare)
-                    sides.append((AbstractValue.top(), child))
+                    sides.append(AbstractValue.top())
                     continue
             sides.append(self.walk(child, assign_rhs=assign_rhs))
-        (left, lfold), (right, rfold) = sides
-        folded = Compare(node.op, lfold, rfold, line=node.line, col=node.col)
+        left, right = sides
         self._check_units(node, left, right)
         # ordering on a definite string faults at runtime (EvalError)
         if node.op not in ("==", "!=") and (left.is_str or right.is_str):
@@ -580,13 +541,13 @@ class _Analyzer:
                 f"ordering comparison on address/hostname "
                 f"({bad.describe()})", node)
             self._stmt_faulted = True
-            return AbstractValue.interval(0.0, 0.0), folded
+            return AbstractValue.interval(0.0, 0.0)
         truth = self._compare_truth(node.op, left, right)
         if truth == TRUE:
-            return AbstractValue.number(1.0), folded
+            return AbstractValue.number(1.0)
         if truth == FALSE:
-            return AbstractValue.number(0.0), folded
-        return AbstractValue.interval(0.0, 1.0), folded
+            return AbstractValue.number(0.0)
+        return AbstractValue.interval(0.0, 1.0)
 
     def _could_be_string(self, node: Node) -> bool:
         """Conservative: might this expression be a string at runtime?"""
@@ -654,11 +615,9 @@ class _Analyzer:
                     node,
                 )
 
-    def _walk_logic(self, node: Logic, *, assign_rhs: bool
-                    ) -> tuple[AbstractValue, Node]:
-        left, lfold = self.walk(node.left, assign_rhs=assign_rhs)
-        right, rfold = self.walk(node.right, assign_rhs=assign_rhs)
-        folded = Logic(node.op, lfold, rfold, line=node.line, col=node.col)
+    def _walk_logic(self, node: Logic, *, assign_rhs: bool) -> AbstractValue:
+        left = self.walk(node.left, assign_rhs=assign_rhs)
+        right = self.walk(node.right, assign_rhs=assign_rhs)
         lt, rt = left.truth(), right.truth()
         if node.op == "&&":
             for truth, child in ((lt, node.left), (rt, node.right)):
@@ -674,10 +633,10 @@ class _Analyzer:
                         "'&&' branch is always true — it never filters "
                         "anything", child)
             if FALSE in (lt, rt):
-                return AbstractValue.number(0.0), folded
+                return AbstractValue.number(0.0)
             if lt == rt == TRUE:
-                return AbstractValue.number(1.0), folded
-            return AbstractValue.interval(0.0, 1.0), folded
+                return AbstractValue.number(1.0)
+            return AbstractValue.interval(0.0, 1.0)
         # "||"
         for truth, child in ((lt, node.left), (rt, node.right)):
             if truth == FALSE:
@@ -685,20 +644,18 @@ class _Analyzer:
                     "REQ202",
                     "dead '||' branch: always false, never selected", child)
         if TRUE in (lt, rt):
-            return AbstractValue.number(1.0), folded
+            return AbstractValue.number(1.0)
         if lt == rt == FALSE:
-            return AbstractValue.number(0.0), folded
-        return AbstractValue.interval(0.0, 1.0), folded
+            return AbstractValue.number(0.0)
+        return AbstractValue.interval(0.0, 1.0)
 
     # -- statements ---------------------------------------------------------
-    def run(self, program: Program) -> tuple[Program, list[tuple[int, str]]]:
-        folded_program = Program(errors=list(program.errors))
+    def run(self, program: Program) -> list[tuple[int, str]]:
         truths: list[tuple[int, str]] = []
         for stmt in program.statements:
             self._stmt_branch_error = False
             self._stmt_faulted = False
-            value, folded = self.walk(stmt, certain=True)
-            folded_program.statements.append(folded)
+            value = self.walk(stmt, certain=True)
             if not is_logical(stmt):
                 if not _contains_assign(stmt):
                     self._emit(
@@ -721,7 +678,7 @@ class _Analyzer:
                     "REQ201",
                     "statement is always true — it never filters anything",
                     stmt)
-        return folded_program, truths
+        return truths
 
 
 def _contains_assign(node: Node) -> bool:
@@ -740,10 +697,9 @@ def analyze(source: Union[str, Program], *, recover: bool = True
     else:
         program = parse(source, recover=recover)
     analyzer = _Analyzer()
-    folded, truths = analyzer.run(program)
+    truths = analyzer.run(program)
     return AnalysisResult(
         program=program,
-        folded=folded,
         diagnostics=analyzer.diagnostics,
         parse_errors=list(program.errors),
         statement_truths=truths,
@@ -752,11 +708,12 @@ def analyze(source: Union[str, Program], *, recover: bool = True
 
 @dataclass(frozen=True)
 class CompiledRequirement:
-    """Cacheable unit: analyzed + folded requirement, compiled to closures
-    and ready to evaluate (``evaluate(compiled.folded, params)``)."""
+    """Cacheable unit: an analyzed requirement whose parse is compiled to
+    closures and ready to evaluate (``evaluate(compiled.program, params)``)."""
 
     source: str
-    folded: Program
+    #: the parse itself — the one program the wizard runs
+    program: Program
     diagnostics: tuple[Diagnostic, ...]
     unsatisfiable: bool
     parse_failed: bool = False
@@ -768,30 +725,29 @@ class CompiledRequirement:
     @property
     def reads(self) -> frozenset[str]:
         """Every identifier evaluating this requirement can look up."""
-        return compile_program(self.folded).reads
+        return compile_program(self.program).reads
 
     @property
     def assigns_user(self) -> bool:
         """Whether evaluating it can fill a user-side slot."""
-        return compile_program(self.folded).assigns_user
+        return compile_program(self.program).assigns_user
 
 
 def compile_requirement(text: str) -> CompiledRequirement:
-    """Parse (with recovery) + analyze + fold one requirement text, and
-    build the folded program's closures — once, here, so no request pays
-    for it while matching."""
+    """Parse (with recovery) + analyze one requirement text, and build
+    its closures — once, here, so no request pays for it while matching."""
     try:
         result = analyze(text, recover=True)
     except LangError:
         # even recovery failed (lexer-level garbage): unevaluable program
         return CompiledRequirement(
-            source=text, folded=Program(), diagnostics=(),
+            source=text, program=Program(), diagnostics=(),
             unsatisfiable=False, parse_failed=True,
         )
-    compile_program(result.folded)
+    compile_program(result.program)
     return CompiledRequirement(
         source=text,
-        folded=result.folded,
+        program=result.program,
         diagnostics=tuple(result.diagnostics),
         unsatisfiable=result.unsatisfiable,
     )
@@ -803,8 +759,8 @@ class CompileCache:
     The wizard consults it once per request: repeated requirements (the
     common case — one application sends the same spec for every job) skip
     lexing, parsing, analysis and closure building entirely and run the
-    compiled folded program.  The closures hang off the entry's folded
-    program, so evicting an entry frees them with it.
+    compiled program.  The closures hang off the entry's program, so
+    evicting an entry frees them with it.
     """
 
     def __init__(self, maxsize: int = 256):

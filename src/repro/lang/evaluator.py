@@ -23,10 +23,13 @@ closures against every server's status record.  Everything that depends
 only on the requirement text is decided while compiling — which operator
 a node applies, whether a builtin exists and takes that many arguments,
 the source span an error will carry, whether a statement is logical,
-which parentheses are transparent — so a pass over one record is nothing
-but closure calls and dict lookups.  The closures are built from the AST
+which parentheses are transparent, and the value of every subtree made
+only of number literals — so a pass over one record is nothing but
+closure calls and dict lookups.  The closures are built from the AST
 only: no ``eval``, no ``exec``, no source text generated from what came
-over the wire.
+over the wire.  :func:`constant_value` runs the same closures on no
+record; it is how the static analyzer learns every constant it reasons
+about.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .nodes import (
 from .variables import DENIED_VARS, PREFERRED_VARS, USER_SIDE_VARS
 
 __all__ = ["CompiledProgram", "Environment", "Evaluation", "Undefined",
-           "compile_program", "evaluate"]
+           "compile_program", "constant_value", "evaluate"]
 
 Value = Union[float, str]
 #: one server's parameters: read, never written
@@ -79,14 +82,6 @@ class Undefined(Exception):
         self.name = name
 
 
-def _beyond_server(name: str, user: Scope) -> Any:
-    """Tail of the lookup order, for a name that is neither a temp nor a
-    server parameter: user-side slots, then constants, else ``_MISSING``."""
-    if name in user:
-        return user[name]
-    return CONSTANTS.get(name, _MISSING)
-
-
 @dataclass(slots=True)
 class Environment:
     """Name bindings for one evaluation pass (one server)."""
@@ -98,18 +93,6 @@ class Environment:
     temps: Scope = field(default_factory=dict)
     #: user-side slots filled by assignments during evaluation
     user: Scope = field(default_factory=dict)
-
-    def lookup(self, name: str) -> Value:
-        """Temps shadow server parameters, which shadow user-side slots,
-        which shadow the named constants."""
-        if name in self.temps:
-            return self.temps[name]
-        value = self.server.get(name, _MISSING)
-        if value is _MISSING:
-            value = _beyond_server(name, self.user)
-            if value is _MISSING:
-                raise Undefined(name)
-        return value
 
     # -- convenience for the wizard ------------------------------------------
     def denied_hosts(self) -> list[str]:
@@ -165,9 +148,7 @@ def _fault(message: str, node: Node) -> Thunk:
     return fault
 
 
-def _literal(node: Union[Num, Addr]) -> Thunk:
-    value = node.value
-
+def _literal(value: Value) -> Thunk:
     def literal(server: Params, temps: Scope, user: Scope) -> Value:
         return value
 
@@ -175,16 +156,18 @@ def _literal(node: Union[Num, Addr]) -> Thunk:
 
 
 def _lookup(name: str, strict: bool = False) -> Thunk:
-    """``Environment.lookup`` for one name.  An undefined name raises
-    when ``strict``; otherwise the thunk yields ``_MISSING`` and its
-    caller (a comparison, an assignment) decides what the name means."""
+    """One name, in the one lookup order: temps shadow server parameters,
+    which shadow user-side slots, which shadow the named constants.  An
+    undefined name raises when ``strict``; otherwise the thunk yields
+    ``_MISSING`` and its caller (a comparison, an assignment, the
+    hostname re-join) decides what the name means."""
 
     def lookup(server: Params, temps: Scope, user: Scope) -> Any:
         if name in temps:
             return temps[name]
         value = server.get(name, _MISSING)
         if value is _MISSING:
-            value = _beyond_server(name, user)
+            value = user[name] if name in user else CONSTANTS.get(name, _MISSING)
             if strict and value is _MISSING:
                 raise Undefined(name)
         return value
@@ -241,7 +224,7 @@ def _assigned_value(node: Node) -> Thunk:
         try:
             return thunk(server, temps, user)
         except (Undefined, EvalError):
-            hostname = _hostname_from(node, Environment(server, temps, user))
+            hostname = _hostname_from(node, server, temps, user)
             if hostname is None:
                 raise
             return hostname
@@ -357,16 +340,19 @@ _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
-def _compare_side(node: Node) -> tuple[Thunk, str]:
-    """One side of a comparison, and its name when it is a *bare*
-    identifier.  A bare identifier that turns out undefined yields
-    ``_MISSING`` instead of raising — the comparison may then treat the
-    name as a string literal in equality tests (the §6 string-attribute
-    form).  Undefined identifiers inside larger expressions still raise."""
+def _compare_side(node: Node) -> tuple[Thunk, str, Any]:
+    """One side of a comparison: its closure, its name when it is a *bare*
+    identifier, and its value when it is made only of number literals
+    (else ``_MISSING``).  A bare identifier that turns out undefined
+    yields ``_MISSING`` instead of raising — the comparison may then
+    treat the name as a string literal in equality tests (the §6
+    string-attribute form).  Undefined identifiers inside larger
+    expressions still raise."""
     inner = strip_parens(node)
     if isinstance(inner, Var):
-        return _lookup(inner.name), inner.name
-    return _compile(inner), ""
+        return _lookup(inner.name), inner.name, _MISSING
+    thunk, value = _thunk_and_value(inner)
+    return thunk, "", value
 
 
 def _settle(node: Compare, left: Any, right: Any,
@@ -400,12 +386,12 @@ def _compare(node: Compare) -> Thunk:
     if node.op not in _COMPARISONS:
         return _fault(f"unknown operator {node.op!r}", node)
     holds = _COMPARISONS[node.op]
-    left_thunk, left_name = _compare_side(node.left)
-    number = strip_parens(node.right)
-    if isinstance(number, Num):
-        # the dominant form, "<expression> <op> <number>": the literal is
-        # known now, so only the left side is computed and inspected
-        limit = number.value
+    left_thunk, left_name, _ = _compare_side(node.left)
+    right_thunk, right_name, limit = _compare_side(node.right)
+    if limit is not _MISSING:
+        # the dominant form, "<expression> <op> <number>" (a literal, or
+        # arithmetic over literals): the number is known now, so only the
+        # left side is computed and inspected
 
         def compare_to_number(server: Params, temps: Scope, user: Scope) -> Value:
             left = left_thunk(server, temps, user)
@@ -414,8 +400,6 @@ def _compare(node: Compare) -> Thunk:
             return _settle(node, left, limit, left_name, "")
 
         return compare_to_number
-
-    right_thunk, right_name = _compare_side(node.right)
 
     def compare(server: Params, temps: Scope, user: Scope) -> Value:
         left = left_thunk(server, temps, user)
@@ -447,8 +431,8 @@ def _logic(node: Logic) -> Thunk:
 
 
 _COMPILERS: dict[type, Callable[[Any], Thunk]] = {
-    Num: _literal,
-    Addr: _literal,
+    Num: lambda node: _literal(node.value),
+    Addr: lambda node: _literal(node.value),
     Var: _var,
     Paren: _paren,
     Neg: _neg,
@@ -459,12 +443,42 @@ _COMPILERS: dict[type, Callable[[Any], Thunk]] = {
     Logic: _logic,
 }
 
+#: the node kinds a subtree made only of number literals consists of
+_NUMERIC = (Num, Paren, Neg, BinOp, Call)
 
-def _compile(node: Node) -> Thunk:
+
+def _thunk_and_value(node: Node) -> tuple[Thunk, Any]:
+    """``node``'s closure, and the value it always computes when ``node``
+    is made only of number literals (``_MISSING`` for any other node).
+
+    Such a subtree is evaluated once, here, by the closure just built
+    for it, and runs as that value from then on.  One that faults keeps
+    its closure, which faults on every record with its own span."""
     build = _COMPILERS.get(type(node))
     if build is None:
-        return _fault(f"cannot evaluate node {node!r}", node)
-    return build(node)
+        return _fault(f"cannot evaluate node {node!r}", node), _MISSING
+    thunk = build(node)
+    if not all(isinstance(inner, _NUMERIC) for inner in walk(node)):
+        return thunk, _MISSING
+    try:
+        value = thunk({}, {}, {})
+    except EvalError:
+        return thunk, _MISSING
+    return _literal(value), value
+
+
+def _compile(node: Node) -> Thunk:
+    return _thunk_and_value(node)[0]
+
+
+def constant_value(node: Node, temps: Mapping[str, Value]) -> Value:
+    """What ``node`` computes on no record with ``temps`` bound: the
+    closures the wizard runs, run once.  The static analyzer learns every
+    constant it reasons about here, for a subtree of literals, named
+    constants and temps bound to them, so it cannot fold a value the
+    runtime would not compute, nor miss a fault the runtime raises
+    (:class:`EvalError`, with the runtime's text and span)."""
+    return _compile(node)({}, dict(temps), {})
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -490,24 +504,24 @@ def compile_program(program: Program) -> CompiledProgram:
     return compiled
 
 
-def _hostname_from(node: Node, env: Environment) -> Optional[str]:
+def _hostname_from(node: Node, server: Params, temps: Scope,
+                   user: Scope) -> Optional[str]:
     """Reconstruct ``titan-x``-style names from ``Var - Var`` chains.
 
     The one place evaluation still walks the AST: only reached after an
     assignment's right-hand side has already failed to evaluate."""
     if isinstance(node, Paren):
-        return _hostname_from(node.inner, env)
+        return _hostname_from(node.inner, server, temps, user)
     if isinstance(node, Var):
-        try:
-            value = env.lookup(node.name)
-        except Undefined:
+        value = _lookup(node.name)(server, temps, user)
+        if value is _MISSING:
             return node.name
         return value if isinstance(value, str) else None
     if isinstance(node, Num) and node.value == int(node.value):
         return str(int(node.value))  # trailing digits, e.g. "node-07"... "7"
     if isinstance(node, BinOp) and node.op == "-":
-        left = _hostname_from(node.left, env)
-        right = _hostname_from(node.right, env)
+        left = _hostname_from(node.left, server, temps, user)
+        right = _hostname_from(node.right, server, temps, user)
         if left is not None and right is not None:
             return f"{left}-{right}"
     return None

@@ -10,6 +10,7 @@ from repro.cluster import Cluster
 from repro.core import Config, Quarantine, SmartClient
 from repro.core.client import (CLIENT_RETRIES, TIMEOUT_FLOOR, TIMEOUT_SCALE,
                                WIZARD_QUARANTINE_PERIOD)
+from repro.core.wizard import WizardReply
 from repro.sim import Simulator
 from tests.conftest import run_process
 
@@ -132,6 +133,32 @@ class TestWizardQuarantine:
         # quarantine trumps freshness
         client._note_wizard_failure(w2.addr)
         assert client._rank_wizards() == [w1.addr, w2.addr]
+
+    def test_reply_without_an_age_leaves_the_ranking_alone(self):
+        """A replica that has applied no snapshot, or runs without a
+        receiver, answers with ``freshness_age == -1`` and epoch 0: the
+        client records nothing for it, which ``_rank_wizards`` already
+        reads as epoch 0 — not even an epoch the reply claims."""
+        cluster, client, w1, w2 = two_wizard_world()
+        sock = w1.stack.udp_socket(client.config.ports.wizard)
+
+        def ageless_wizard():
+            dgram = yield sock.recv()
+            reply = WizardReply(seq=dgram.payload.seq, servers=(), epoch=7.5)
+            sock.sendto(dgram.src, dgram.sport, size=reply.wire_bytes,
+                        payload=reply)
+
+        responder = cluster.sim.process(ageless_wizard(), name="ageless")
+        before = client._rank_wizards()
+
+        def p():
+            return (yield from client.request_servers("host_cpu_free > 0", 1))
+
+        reply = run_process(cluster.sim, p(), until=30.0)
+        assert not responder.is_alive
+        assert (reply.wizard, reply.attempts) == (w1.addr, 1)
+        assert client._rank_wizards() == before == [w1.addr, w2.addr]
+        assert client._wizard_epochs == {}
 
 
 class TestAdaptiveSuspicion:

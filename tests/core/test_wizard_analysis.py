@@ -112,8 +112,9 @@ class TestCompileCache:
         assert wizard.compile_cache_hits == 1
 
     def test_match_still_correct_through_folded_ast(self):
-        """The cached folded AST must select exactly what the raw program
-        would: Table 5.3's requirement with a constant subexpression."""
+        """The cached program, whose constant subexpression the compiler
+        folds to one number, must select exactly what the text says:
+        Table 5.3's requirement with ``4*1000`` in place of 4000."""
         wizard = make_wizard()
         sysdb = {
             "10.1.1.1": record("fast", "10.1.1.1", host_cpu_bogomips=4771.0),

@@ -105,7 +105,7 @@ def reference(wizard, text, option, client, sysdb, netdb, secdb):
         path = path_between(wizard.group_of(client), report.group, netdb)
         if path is not None:
             params["monitor_network_delay"], params["monitor_network_bw"] = path
-        result = evaluate(compiled.folded, params)
+        result = evaluate(compiled.program, params)
         denied.update(result.env.denied_hosts())
         preferred.update(result.env.preferred_hosts())
         if result.qualified:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import random
-
 from repro.lang import (
+    BUILTINS,
     CompileCache,
-    Num,
     analyze,
+    compile_program,
     compile_requirement,
     evaluate,
     parse,
@@ -164,49 +163,60 @@ class TestSatisfiability:
 
 
 class TestConstantFolding:
-    def test_constant_subtree_folds_to_literal(self):
-        r = analyze("host_memory_used <= 250*1024*1024")
-        cmp_node = r.folded.statements[0]
-        assert isinstance(cmp_node.right, Num)
-        assert cmp_node.right.value == 250 * 1024 * 1024
+    """The compiler folds every subtree made only of number literals by
+    calling the closure it has just built for it; the analyzer keeps no
+    program of its own."""
 
-    def test_named_constants_fold(self):
-        r = analyze("host_cpu_free < PI / 4")
-        assert isinstance(r.folded.statements[0].right, Num)
+    def test_constant_subtree_folds_to_literal(self, monkeypatch):
+        """Evaluated once, at compile time, not per record.  Kills the
+        mutant that never folds (``_thunk_and_value`` always answering
+        ``_MISSING``): ``sqrt`` would not run while compiling, and would
+        run again for every record."""
+        calls = []
+        arity, sqrt = BUILTINS["sqrt"]
+        monkeypatch.setitem(
+            BUILTINS, "sqrt", (arity, lambda x: calls.append(x) or sqrt(x)))
+        program = parse("host_memory_used <= sqrt(16) * 1024 * 1024")
+        compile_program(program)
+        assert calls == [16.0]
+        records = [{"host_memory_used": mb * 1048576.0} for mb in (1, 4, 5)]
+        assert [evaluate(program, r).qualified for r in records] == [True, True, False]
+        assert calls == [16.0]
 
-    def test_folded_program_evaluates_identically(self):
-        source = (
-            "host_cpu_free > 0.25\n"
-            "host_memory_free > 2 + 3\n"
-            "x = 2 ^ 3\n"
-            "host_cpu_bogomips > x * 100\n"
-            "user_denied_host1 = telesto\n"
-            "(host_system_load1 < 0.5) || (host_cpu_idle > 0.9)\n"
-        )
-        original = parse(source)
-        folded = analyze(source).folded
-        rng = random.Random(42)
-        for _ in range(50):
-            params = {
-                "host_cpu_free": rng.random(),
-                "host_cpu_idle": rng.random(),
-                "host_memory_free": rng.uniform(0, 10),
-                "host_cpu_bogomips": rng.uniform(0, 5000),
-                "host_system_load1": rng.uniform(0, 2),
-            }
-            a = evaluate(original, params)
-            b = evaluate(folded, params)
-            assert a.qualified == b.qualified
-            assert a.logical_results == b.logical_results
-            assert a.env.denied_hosts() == b.env.denied_hosts()
+    def test_literal_right_hand_side_takes_the_number_fast_path(self):
+        """``x > 2 * 3`` compiles to ``compare_to_number``, as ``x > 6``
+        does.  Kills the mutant whose fast path takes a bare ``Num`` on
+        the right only."""
+        for text in ("host_cpu_bogomips > 2 * 3", "host_cpu_bogomips > (2 * 3)",
+                     "host_cpu_bogomips > -sqrt(36)", "host_cpu_bogomips > 6"):
+            (thunk, logical, line), = compile_program(parse(text)).statements
+            assert (thunk.__name__, logical, line) == ("compare_to_number", True, 1), text
+        (thunk, _, _), = compile_program(parse("host_cpu_bogomips > 2 * x")).statements
+        assert thunk.__name__ == "compare"
+        program = parse("host_cpu_bogomips > 2 * 3")
+        assert [evaluate(program, {"host_cpu_bogomips": b}).qualified
+                for b in (6.0, 6.5)] == [False, True]
+
+    def test_faulting_literal_subtree_faults_on_every_record(self):
+        """``1 / 0`` is not folded away: it faults on every record, with
+        the span of its ``/``.  Kills the mutant that folds a faulting
+        subtree to a value (``nan``) instead of keeping its closure."""
+        program = parse("host_cpu_free > 0.5\nhost_cpu_free > 1 / 0")
+        for free in (0.1, 0.9, 1.0):
+            result = evaluate(program, {"host_cpu_free": free})
+            assert result.errors == ["division by 0 at line 2, col 19"]
+            assert result.logical_results == [(1, free > 0.5), (2, False)]
+            assert not result.qualified
 
     def test_folding_preserves_logical_classification(self):
-        # a folded always-true comparison must stay a Compare node: the
-        # qualify-iff-every-logical-statement-true rule depends on it
-        r = analyze("(1 < 2) && (host_cpu_free > 0.1)")
-        from repro.lang import Logic, is_logical
-        assert isinstance(r.folded.statements[0], Logic)
-        assert is_logical(r.folded.statements[0])
+        # the compiler folds arithmetic only: a constant comparison stays a
+        # comparison, so the qualify-iff-every-logical-statement-true rule
+        # still sees a logical statement, evaluated per record
+        program = parse("(1 < 2) && (host_cpu_free > 0.1)")
+        (_, logical, _), = compile_program(program).statements
+        assert logical
+        assert evaluate(program, {"host_cpu_free": 0.5}).logical_results == [(1, True)]
+        assert not evaluate(program, {"host_cpu_free": 0.05}).qualified
 
 
 class TestCompileCache:

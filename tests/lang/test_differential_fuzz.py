@@ -1,19 +1,43 @@
-"""Differential oracle: a requirement evaluates the same folded and unfolded.
+"""Differential oracle: the compiled closures against a tree-walking reference.
 
 A seeded, grammar-driven generator (no hypothesis — ``random.Random``
 only) writes requirement programs that reach every node kind and every
-fault the evaluator knows, and each program is run twice against the same
-parameters: as parsed, and as the wizard runs it — analyzed,
-constant-folded and served from the compile cache.  The two must agree.
+fault the evaluator knows.  Each program runs the way the wizard runs it
+— analyzed, compiled and served from the compile cache, its literal
+subtrees folded at compile time — and through :func:`reference_evaluate`,
+a plain recursive walk over a separate parse that folds nothing and
+shares no code with the compiler.  The two must agree on every verdict,
+every error string with its span, every temp and every user-side slot.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
-from repro.lang import CompileCache, compile_requirement, evaluate, parse
+from repro.lang import (
+    BUILTINS,
+    CONSTANTS,
+    Addr,
+    Assign,
+    BinOp,
+    Call,
+    CompileCache,
+    Compare,
+    EvalError,
+    Logic,
+    Neg,
+    Num,
+    Paren,
+    Var,
+    compile_requirement,
+    evaluate,
+    is_logical,
+    parse,
+)
+from repro.lang.variables import DENIED_VARS, PREFERRED_VARS, USER_SIDE_VARS
 
 PROGRAMS = 2400
 SEEDS = (0, 1, 2)
@@ -50,6 +74,8 @@ PARAMS = (
      "host_system_load1": 0.0, "host_memory_total": 134217728.0,
      "monitor_network_bw": 100.0, "host_machine_type": "", "host_os": "telesto"},
 )
+#: user-side slots a request may carry besides its text
+PRESETS = (None, {"user_denied_host2": "mimas", "user_preferred_host1": "titan"})
 
 
 class Generator:
@@ -124,33 +150,231 @@ class Generator:
         return "\n".join(self.statement() for _ in range(self.rng.randint(1, 5)))
 
 
+# ---------------------------------------------------------------------------
+# the reference: the tree walk the evaluator was before it compiled anything,
+# plus the one fix made since — "^" on a negative base with a fractional
+# exponent is a domain error, not a TypeError out of float(complex)
+# ---------------------------------------------------------------------------
+
+class Undefined(Exception):
+    """A name with no value (thesis: a logical statement using it is false)."""
+
+
+class ReferenceEnv:
+    def __init__(self, server, user_presets):
+        self.server = dict(server)
+        self.temps = {}
+        self.user = dict(user_presets or {})
+
+    def lookup(self, name):
+        for scope in (self.temps, self.server, self.user, CONSTANTS):
+            if name in scope:
+                return scope[name]
+        raise Undefined(name)
+
+    def assign(self, name, value):
+        (self.user if name in USER_SIDE_VARS else self.temps)[name] = value
+
+
+def _truthy(value) -> bool:
+    return bool(value) if isinstance(value, str) else value != 0.0
+
+
+def _numeric(value, node):
+    if isinstance(value, str):
+        raise EvalError(f"arithmetic on address/hostname {value!r}",
+                        line=node.line, col=node.col)
+    return value
+
+
+def _call(node, args):
+    entry = BUILTINS.get(node.func)
+    if entry is None:
+        raise EvalError(f"unknown function {node.func!r}", line=node.line, col=node.col)
+    arity, fn = entry
+    if len(args) != arity:
+        raise EvalError(f"{node.func} expects {arity} argument(s), got {len(args)}",
+                        line=node.line, col=node.col)
+    try:
+        return fn(*args)
+    except EvalError as exc:
+        raise EvalError(exc.message, line=node.line, col=node.col) from exc
+
+
+def _arithmetic(node, left, right):
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if right == 0.0:
+            raise EvalError("division by 0", line=node.line, col=node.col)
+        return left / right
+    try:
+        result = left ** right
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise EvalError(f"power: {exc}", line=node.line, col=node.col) from exc
+    if isinstance(result, complex):
+        raise EvalError("power: domain error", line=node.line, col=node.col)
+    return float(result)
+
+
+_HOLDS = {
+    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+    "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+    "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
+}
+
+
+def _compare_side(node, env):
+    """``(value, None)``, or ``(None, name)`` for a bare undefined name."""
+    while isinstance(node, Paren):
+        node = node.inner
+    if isinstance(node, Var):
+        try:
+            return env.lookup(node.name), None
+        except Undefined:
+            return None, node.name
+    return _eval(node, env), None
+
+
+def _compare(node, env):
+    left, left_undef = _compare_side(node.left, env)
+    right, right_undef = _compare_side(node.right, env)
+    equality = node.op in ("==", "!=")
+    # §6: against a string, a bare undefined name is a string literal
+    if left_undef is not None:
+        if not (equality and isinstance(right, str)):
+            raise Undefined(left_undef)
+        left = left_undef
+    if right_undef is not None:
+        if not (equality and isinstance(left, str)):
+            raise Undefined(right_undef)
+        right = right_undef
+    if isinstance(left, str) or isinstance(right, str):
+        if not equality:
+            raise EvalError("ordering comparison on address/hostname",
+                            line=node.line, col=node.col)
+        left, right = str(left), str(right)
+    return 1.0 if _HOLDS[node.op](left, right) else 0.0
+
+
+def _hostname(node, env) -> Optional[str]:
+    """``titan-x`` re-joined from a subtraction of names."""
+    if isinstance(node, Paren):
+        return _hostname(node.inner, env)
+    if isinstance(node, Var):
+        try:
+            value = env.lookup(node.name)
+        except Undefined:
+            return node.name
+        return value if isinstance(value, str) else None
+    if isinstance(node, Num) and node.value == int(node.value):
+        return str(int(node.value))
+    if isinstance(node, BinOp) and node.op == "-":
+        left, right = _hostname(node.left, env), _hostname(node.right, env)
+        if left is not None and right is not None:
+            return f"{left}-{right}"
+    return None
+
+
+def _assigned(node, env):
+    try:
+        return _eval(node, env)
+    except (Undefined, EvalError):
+        hostname = _hostname(node, env)
+        if hostname is None:
+            raise
+        return hostname
+
+
+def _eval(node, env):
+    if isinstance(node, (Num, Addr)):
+        return node.value
+    if isinstance(node, Var):
+        return env.lookup(node.name)
+    if isinstance(node, Paren):
+        return _eval(node.inner, env)
+    if isinstance(node, Neg):
+        return -_numeric(_eval(node.operand, env), node.operand)
+    if isinstance(node, Assign):
+        value = _assigned(node.value, env)
+        env.assign(node.name, value)
+        return value
+    if isinstance(node, Call):
+        return _call(node, [_numeric(_eval(arg, env), arg) for arg in node.args])
+    if isinstance(node, BinOp):
+        left = _numeric(_eval(node.left, env), node.left)
+        right = _numeric(_eval(node.right, env), node.right)
+        return _arithmetic(node, left, right)
+    if isinstance(node, Compare):
+        return _compare(node, env)
+    assert isinstance(node, Logic)
+    # no short-circuit: both sides run, assignments included
+    left, right = _truthy(_eval(node.left, env)), _truthy(_eval(node.right, env))
+    return 1.0 if ((left and right) if node.op == "&&" else (left or right)) else 0.0
+
+
+def reference_evaluate(program, server, user_presets=None):
+    env = ReferenceEnv(server, user_presets)
+    logical_results, errors = [], []
+    for stmt in program.statements:
+        logical = is_logical(stmt)
+        try:
+            holds = _truthy(_eval(stmt, env))
+        except Undefined as undef:
+            holds = False
+            if not logical:
+                errors.append(f"undefined variable {undef.args[0]!r}")
+        except EvalError as exc:
+            holds = False
+            errors.append(str(exc))
+        if logical:
+            logical_results.append((stmt.line, holds))
+    return {
+        "qualified": all(holds for _, holds in logical_results),
+        "logical_results": logical_results,
+        "errors": errors,
+        "denied": [str(env.user[n]) for n in DENIED_VARS if n in env.user],
+        "preferred": [str(env.user[n]) for n in PREFERRED_VARS if n in env.user],
+        # repr: a NaN temp is equal to itself here
+        "temps": repr(sorted(env.temps.items())),
+    }
+
+
 def outcome(result):
+    """A compiled :class:`~repro.lang.Evaluation` in the reference's terms."""
     return {
         "qualified": result.qualified,
         "logical_results": result.logical_results,
+        "errors": result.errors,
         "denied": result.env.denied_hosts(),
         "preferred": result.env.preferred_hosts(),
-        "errors": len(result.errors),
-        # repr: a NaN temp is equal to itself here
         "temps": repr(sorted(result.env.temps.items())),
     }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_folded_and_unfolded_evaluation_agree(seed):
+def test_compiled_closures_agree_with_the_reference(seed):
+    """Kills, among others, a lookup that lets a server parameter shadow
+    a temp of the same name, and an operand error that points past its
+    parentheses instead of at the ``(``."""
     generator = Generator(seed)
     reached = set()
     for _ in range(PROGRAMS // len(SEEDS)):
         text = generator.program()
-        plain = parse(text, recover=True)
+        reference = parse(text, recover=True)
         compiled = compile_requirement(text)
-        assert not compiled.parse_failed and not plain.errors, text
+        assert not compiled.parse_failed and not reference.errors, text
         for params in PARAMS:
-            expected = outcome(evaluate(plain, params))
-            got = outcome(evaluate(compiled.folded, params))
-            assert got == expected, f"seed {seed}, params {params}:\n{text}"
-            reached.add((expected["qualified"], expected["errors"] > 0,
-                         bool(expected["denied"] or expected["preferred"])))
+            for presets in PRESETS:
+                expected = reference_evaluate(reference, params, presets)
+                got = outcome(evaluate(compiled.program, params, presets))
+                assert got == expected, f"seed {seed}, {params}, {presets}:\n{text}"
+                reached.add((expected["qualified"], bool(expected["errors"]),
+                             bool(expected["denied"] or expected["preferred"])))
     # the generator is not degenerate: qualifying and disqualified programs,
     # clean and faulting ones, with and without user-side slots
     assert len(reached) == 8
@@ -167,8 +391,8 @@ def test_integer_parameters_compare_like_floats():
     for text in ("host_cpu_bogomips > 4000 && host_memory_free >= 134",
                  "host_cpu_bogomips == 4771", "host_memory_free + 1 < host_cpu_bogomips",
                  "min(host_memory_free, 200) == 134"):
-        assert evaluate(parse(text), params).qualified, text
-        assert evaluate(compile_requirement(text).folded, params).qualified, text
+        assert reference_evaluate(parse(text), params)["qualified"], text
+        assert evaluate(compile_requirement(text).program, params).qualified, text
     assert not evaluate(parse("host_cpu_bogomips != 4771"), params).qualified
 
 
@@ -188,13 +412,13 @@ def test_evicted_requirement_recompiles_and_still_matches():
     text = "sqrt(host_cpu_bogomips) > 56 && host_memory_free > 100"
     params = {"host_cpu_bogomips": 4771.0, "host_memory_free": 134.0}
     first = cache.get_or_compile(text)
-    assert evaluate(first.folded, params).qualified
+    assert evaluate(first.program, params).qualified
     cache.get_or_compile("host_cpu_free > 0.1")
     cache.get_or_compile("host_cpu_free > 0.2")      # evicts ``text``
     assert len(cache) == 2
     again = cache.get_or_compile(text)
     assert again is not first and cache.misses == 4
     # new closures, built with the new entry
-    assert again.folded.compiled is not first.folded.compiled
-    assert outcome(evaluate(again.folded, params)) == outcome(evaluate(first.folded, params))
+    assert again.program.compiled is not first.program.compiled
+    assert outcome(evaluate(again.program, params)) == outcome(evaluate(first.program, params))
     assert again.reads == {"host_cpu_bogomips", "host_memory_free"}

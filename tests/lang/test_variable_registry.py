@@ -50,7 +50,7 @@ def test_numeric_var_parses_analyzes_evaluates(name):
     parse(source)  # must not raise
     result = analyze(source)
     assert result.diagnostics == [], result.diagnostics
-    ev = evaluate(result.folded, SYNTHETIC_RECORD)
+    ev = evaluate(result.program, SYNTHETIC_RECORD)
     assert ev.qualified  # 0.9 > 0.5 for every variable
     assert ev.errors == []
 
@@ -60,7 +60,7 @@ def test_user_side_var_accepts_hostname_assignment(name):
     source = f"{name} = telesto"
     result = analyze(source)
     assert result.diagnostics == [], result.diagnostics
-    ev = evaluate(result.folded, {})
+    ev = evaluate(result.program, {})
     assert ev.qualified  # assignments are not logical statements
     assert ev.errors == []
 

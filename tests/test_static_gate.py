@@ -75,6 +75,20 @@ def test_ci_runs_hotpath_gate():
     assert "bench_kernel.py" in ci
 
 
+def test_ci_runs_the_requirement_analysis_benchmark():
+    """The static job runs ``bench_analysis.py``: repeated requests served
+    from the compile cache are no slower than parsing per request, and
+    an unsatisfiable requirement is NAKed at least 100x faster than a
+    full scan."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    static = ci.split("\n  static:")[1].split("\n  sanitize:")[0]
+    run = "python benchmarks/bench_analysis.py"
+    check = ("assert r['cached_no_slower'] and "
+             "r['static_reject']['speedup'] >= 100, r")
+    assert run in static and check in static
+    assert static.index(run) < static.index(check)
+
+
 def test_ci_seeded_fixtures_must_report_their_own_code():
     """An uncaught exception exits 1 too, so "non-zero" proves nothing:
     each seeded fixture must exit exactly 1 and print its own code
