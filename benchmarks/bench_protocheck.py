@@ -1,11 +1,11 @@
 """Whole-repo typestate benchmark: `repro check --proto` must stay fast.
 
 The S-series analyzer is a CI gate over every push, so it carries an
-explicit wall-clock budget: analyzing all of ``src/repro`` (symbol
-table + machine-declaration drift check + path-sensitive typestate walk
-+ request-reply pairing) must finish within ``BUDGET_S`` seconds, and
-two runs must produce byte-identical findings (the determinism the
-golden fixtures rely on).
+explicit wall-clock budget: analyzing all of ``src/repro`` (the symbol
+table, the path-sensitive typestate walk and the request-reply
+pairing) must finish within ``BUDGET_S`` seconds, and two runs must
+produce byte-identical findings (the determinism the golden fixtures
+rely on).
 
 Writes ``benchmarks/results/BENCH_protocheck.json``.
 
@@ -62,7 +62,6 @@ def main() -> None:
         "files": len(report.units),
         "functions": stats["function(s)"],
         "acquisitions": stats["tracked acquisition(s)"],
-        "declarations": stats["machine declaration(s)"],
         "findings": len(report.findings),
         "trials": N_TRIALS,
         "median_s": round(median_s, 4),

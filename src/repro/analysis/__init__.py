@@ -1,12 +1,16 @@
-"""Codebase static analysis: determinism + wire-protocol consistency.
+"""Codebase static analysis: six rule series over the repo's own source.
 
 Sibling of :mod:`repro.lang.analysis` — that package checks requirement
 *texts*; this one checks the repo's own *Python source*, because the
 thesis' numbers are only reproducible while the simulation stays
-deterministic and the wire constants stay consistent with the variable
-registry.  Diagnostics reuse :class:`repro.lang.diagnostics.Diagnostic`
-under the ``REPROxxx`` namespace; run it with ``python -m repro check``
-or the ``repro-check`` entry point.
+deterministic, the wire constants agree with the variable registry and
+the daemons' protocols hold.  Per file: determinism (D), protocol
+consistency (P) and concurrency (R).  Whole program: message flow
+(``--flow``, F), hot-path performance (``--perf``, H) and typestate
+against the lifecycles declared beside their classes (``--proto``, S).
+Diagnostics reuse :class:`repro.lang.diagnostics.Diagnostic` under the
+``REPROxxx`` namespace; run it with ``python -m repro check`` or the
+``repro-check`` entry point.
 """
 
 from .engine import ANALYZER_CODES, FileUnit, Rule, all_rules, rule

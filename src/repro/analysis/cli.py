@@ -164,10 +164,10 @@ def check_main(argv: list[str] | None = None) -> int:
                     "hazards (D-series REPRO1xx: bare random/wall-clock/"
                     "entropy, unordered scheduling, float time equality), "
                     "wire-protocol drift (P-series REPRO2xx: message "
-                    "constants, record fields and byte accounting vs. the "
-                    "variable registry) and concurrency hazards (R-series "
-                    "REPRO3xx: unguarded blocking receives, unhandled wire "
-                    "tags, untracked shared segments); run the "
+                    "constants, NAK diagnostic fields and probe keys vs. "
+                    "the live registries) and concurrency hazards (R-series "
+                    "REPRO3xx: unguarded blocking receives, untracked "
+                    "shared segments); run the "
                     "whole-program flow (--flow, F-series REPRO4xx), "
                     "hot-path performance (--perf, H-series REPRO5xx) or "
                     "typestate/protocol-conformance (--proto, S-series "

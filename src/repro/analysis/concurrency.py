@@ -8,10 +8,6 @@ that *lead* to them before any run:
   enclosing ``Interrupt`` guard hangs forever when the peer dies and
   leaks on daemon shutdown (REPRO301) — the guard is lexical, or the
   ``serve`` skeleton's when the file hands the generator to one;
-* a ``MSG_``/``REPLY_`` wire tag nobody handles is a protocol hole — the
-  send side works, the message vanishes (REPRO302, cross-checked against
-  the live :data:`repro.core.records.WIRE_TAG_HANDLERS` registry the way
-  the P-series checks the variable registry);
 * writing a shared-memory segment in a module that never touches
   :func:`repro.sim.hb.shared` means the race detector is blind exactly
   where daemons share state (REPRO303);
@@ -170,44 +166,6 @@ class BlockingRecvRule(Rule):
                         call,
                     )
             yield from self._visit(ctx, child, guarded, served)
-
-
-@rule
-class UnhandledWireTagRule(Rule):
-    """REPRO302: a ``MSG_``/``REPLY_`` constant with no registered handler.
-
-    Cross-checked against the *live*
-    :data:`repro.core.records.WIRE_TAG_HANDLERS` registry: defining a new
-    wire tag without wiring a consumer means the send side type-checks
-    and the message silently disappears — the lint catches the hole the
-    moment the constant appears.
-    """
-
-    code = "REPRO302"
-    name = "unhandled-wire-tag"
-
-    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        from ..core.records import WIRE_TAG_HANDLERS
-
-        for node in ctx.runtime_nodes:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (isinstance(target, ast.Name)
-                        and target.id.startswith(("MSG_", "REPLY_"))):
-                    continue
-                if not isinstance(node.value, ast.Constant):
-                    continue
-                handlers = WIRE_TAG_HANDLERS.get(target.id)
-                if not handlers:
-                    yield ctx.diag(
-                        self.code,
-                        f"wire tag {target.id} has no handler in "
-                        f"WIRE_TAG_HANDLERS; a message sent with it would "
-                        f"be silently dropped — register the consumer in "
-                        f"core/records.py",
-                        node,
-                    )
 
 
 @rule

@@ -8,16 +8,20 @@ with :func:`rule`; each gets a parsed :class:`FileUnit` and yields
 span-carrying diagnostics the requirement analyzer emits, under the
 ``REPROxxx`` code namespace registered here).
 
-Two rule families ship in sibling modules:
+Three per-file rule families ship in sibling modules:
 
 * :mod:`repro.analysis.determinism` — **D-series** (``REPRO1xx``): no
   wall-clock, OS entropy or bare ``random`` in simulated code paths, no
   unordered iteration feeding the event scheduler, no float equality on
   event times.
 * :mod:`repro.analysis.protocol` — **P-series** (``REPRO2xx``): wire
-  constants, record field lists and byte accounting in
+  constants, the NAK diagnostic fields and the probe's report keys in
   ``core/records.py``/``core/probe.py`` must stay consistent with the
-  22+10 variable registry of :mod:`repro.lang.variables`.
+  live registries they copy.
+* :mod:`repro.analysis.concurrency` — **R-series** (``REPRO3xx``):
+  blocking receives with no timeout or interrupt guard, untracked
+  shared-segment writes, callbacks that mutate the kernel, dropped
+  process handles, bare ``except`` around channel operations.
 
 This module is the base every series shares — the code and series
 tables, the parsed-file type, the per-file rule registry and the
@@ -76,10 +80,8 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
     "REPRO201": (Severity.ERROR, "wire message constants inconsistent"),
     "REPRO202": (Severity.ERROR, "WireDiagnostic drifted from lang Diagnostic"),
     "REPRO203": (Severity.ERROR, "probe keys drifted from variable registry"),
-    "REPRO204": (Severity.ERROR, "server record byte accounting too small"),
     "REPRO301": (Severity.ERROR, "blocking receive without timeout or "
                                  "interrupt guard"),
-    "REPRO302": (Severity.ERROR, "wire tag defined but never handled"),
     "REPRO303": (Severity.ERROR, "shared segment written without shared() "
                                  "tracking"),
     "REPRO304": (Severity.ERROR, "event callback mutates simulator state"),
@@ -108,8 +110,6 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
     "REPRO603": (Severity.ERROR, "request site misses a declared reply tag"),
     "REPRO604": (Severity.ERROR, "failover/re-open from a forbidden state"),
     "REPRO605": (Severity.ERROR, "lifecycle op races a spawned owner"),
-    "REPRO606": (Severity.ERROR, "declared state machine drifted from the "
-                                 "analyzer registry"),
 }
 
 register_codes(ANALYZER_CODES)

@@ -27,7 +27,10 @@ call resolution) instead of re-deriving a call graph:
   ``*.serve`` calls, mapped to the generator function they spawn.
   They are the bridge to the dynamic profiler: a static finding
   reachable from ``Wizard._serve`` is ranked by the measured heat of
-  the process named ``wizard``.
+  the process named ``wizard``;
+* **callbacks** — every ``add_callback`` / ``call_later`` / ``call_at``
+  target and the first function registering it: the event-dispatch
+  path REPRO504 walks.
 
 Everything is AST-only and deterministic; nothing imports the analyzed
 code.
@@ -90,6 +93,10 @@ class HotContext:
     hot: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: generator qualname -> ``name=`` literal of its ``*.process`` spawn
     spawn_names: dict[str, str] = field(default_factory=dict)
+    #: every function the kernel runs from its event loop (an
+    #: ``add_callback`` / ``call_later`` / ``call_at`` target) -> the
+    #: first function that registers it (REPRO504)
+    callbacks: dict[str, str] = field(default_factory=dict)
 
     def is_hot(self, qualname: str) -> bool:
         return qualname in self.hot
@@ -138,17 +145,18 @@ def _callees(table: SymbolTable, fn: FunctionInfo) -> list[str]:
     return out
 
 
-def _spawn_walk(table: SymbolTable) -> tuple[dict[str, str], set[str]]:
-    """The one walk over everything handed to someone else to run ->
-    ``(spawn names, hand-off roots)``.
+def _spawn_walk(ctx: HotContext) -> set[str]:
+    """The one walk over everything handed to someone else to run: fills
+    ``ctx.spawn_names`` and ``ctx.callbacks``, returns the hand-off roots.
 
     ``*.process(gen(...), name="x")`` names the generator it spawns.
     ``*.serve(key, handler, session_name="x")`` names the handler too,
     and makes it a root: the accept loop behind ``serve`` spawns it per
     connection, through an attribute no call resolution can follow.  A
-    ``call_later``/``call_at`` target is a root with no process to name.
+    ``call_later``/``call_at`` target is a root with no process to name,
+    and a callback; an ``add_callback`` target is only a callback.
     """
-    names: dict[str, str] = {}
+    table = ctx.table
     roots: set[str] = set()
     for qual in sorted(table.functions):
         fn = table.functions[qual]
@@ -158,27 +166,34 @@ def _spawn_walk(table: SymbolTable) -> tuple[dict[str, str], set[str]]:
             literal = {kw.arg: kw.value.value for kw in node.keywords
                        if isinstance(kw.value, ast.Constant)
                        and isinstance(kw.value.value, str)}
-            #: (function expression, its process name, runs as a root)
-            handed: list[tuple[ast.expr, "str | None", bool]] = []
+            #: (function expression, its process name, runs as a root,
+            #: runs from the event loop)
+            handed: list[tuple[ast.expr, "str | None", bool, bool]] = []
             scheduled = scheduled_call_target(node)
             if scheduled is not None:
-                handed.append((scheduled, None, True))
+                handed.append((scheduled, None, True, True))
+            elif (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_callback" and node.args):
+                handed.append((node.args[0], None, False, True))
             handler = served_handler(node)
             if handler is not None:
-                handed.append((handler, literal.get("session_name"), True))
+                handed.append((handler, literal.get("session_name"), True,
+                               False))
             if (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "process"):
-                handed += [(arg.func, literal.get("name"), False)
+                handed += [(arg.func, literal.get("name"), False, False)
                            for arg in node.args if isinstance(arg, ast.Call)]
-            for expr, name, is_root in handed:
+            for expr, name, is_root, is_callback in handed:
                 target = table.resolve_call(expr, fn.module, fn.cls)
                 if not isinstance(target, FunctionInfo):
                     continue
                 if is_root:
                     roots.add(target.qualname)
+                if is_callback:
+                    ctx.callbacks.setdefault(target.qualname, qual)
                 if name is not None:
-                    names.setdefault(target.qualname, name)
-    return names, roots
+                    ctx.spawn_names.setdefault(target.qualname, name)
+    return roots
 
 
 def build_hot_context(table: SymbolTable) -> HotContext:
@@ -199,7 +214,7 @@ def build_hot_context(table: SymbolTable) -> HotContext:
                 if dotted in table.functions:
                     registry_roots.add(dotted)
 
-    ctx.spawn_names, handed_roots = _spawn_walk(table)
+    handed_roots = _spawn_walk(ctx)
 
     # closure over resolved calls, tracking which roots reach what
     reach: dict[str, set[str]] = {}

@@ -43,9 +43,8 @@ import ast
 from typing import Iterator
 
 from ...lang.diagnostics import Diagnostic, make
-from ..concurrency import scheduled_call_target
-from ..flow.symbols import ClassInfo, FunctionInfo, SymbolTable
-from .heat import HotContext, constant_true
+from ..flow.symbols import ClassInfo, FunctionInfo
+from .heat import HotContext, _callees, constant_true
 
 __all__ = ["hot_rule_diagnostics", "DB_NAME_SUFFIXES"]
 
@@ -312,34 +311,12 @@ def _unbounded_loops(fn: FunctionInfo) -> list[ast.While]:
     return out
 
 
-def _callback_targets(table: SymbolTable) -> "dict[str, str]":
-    """Callback qualname -> the registering function's qualname."""
-    out: dict[str, str] = {}
-    for qual in sorted(table.functions):
-        fn = table.functions[qual]
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callback = scheduled_call_target(node)
-            if (callback is None and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "add_callback" and node.args):
-                callback = node.args[0]
-            if callback is None:
-                continue
-            target = table.resolve_call(callback, fn.module, fn.cls)
-            if isinstance(target, FunctionInfo):
-                out.setdefault(target.qualname, qual)
-    return out
-
-
 def check_dispatch_blocking(
-    table: SymbolTable,
+    ctx: HotContext,
 ) -> "Iterator[tuple[FunctionInfo, Diagnostic]]":
-    """REPRO504 over the whole table (not hot-context scoped: the
-    dispatch path is hot by construction)."""
-    from .heat import _callees  # shared call-resolution walk
-
-    registered = _callback_targets(table)
+    """REPRO504 from every callback of the context (not hot-function
+    scoped: the dispatch path is hot by construction)."""
+    table, registered = ctx.table, ctx.callbacks
     for start in sorted(registered):
         stack = [start]
         seen: set[str] = set()
@@ -426,5 +403,5 @@ def hot_rule_diagnostics(
         for check in _HOT_CHECKS:
             for diag in check(ctx, fn):
                 out.append((fn, diag))
-    out.extend(check_dispatch_blocking(ctx.table))
+    out.extend(check_dispatch_blocking(ctx))
     return out

@@ -35,7 +35,6 @@ from .flow.messages import TagAnalysis, registry_diagnostics
 from .flow.symbols import SymbolTable
 from .hotpath.heat import build_hot_context, heat_share
 from .hotpath.rules import hot_rule_diagnostics
-from .typestate.machines import _decl_assigns, declaration_diagnostics
 from .typestate.pairing import pairing_diagnostics
 from .typestate.walker import TypestateWalker
 
@@ -135,9 +134,9 @@ def _perf(program: Program) -> _GateResult:
 
 def _proto(program: Program) -> _GateResult:
     table = program.table
-    raw = list(declaration_diagnostics(table))
     walker = TypestateWalker(table)
     acquisitions = 0
+    raw: list[tuple[FileUnit, Diagnostic]] = []
     for qual in sorted(table.functions):
         fn = table.functions[qual]
         diags, acquired = walker.walk_function(fn)
@@ -147,8 +146,6 @@ def _proto(program: Program) -> _GateResult:
     return [Finding(unit, diag) for unit, diag in raw], {
         "function(s)": len(table.functions),
         "tracked acquisition(s)": acquisitions,
-        "machine declaration(s)": sum(len(_decl_assigns(unit))
-                                      for unit in program.units),
     }
 
 

@@ -1,19 +1,20 @@
 """P-series rules (``REPRO20x``): wire protocol vs. variable registry.
 
 The probe, the records module and the requirement language each carry a
-copy of the same facts — the 22 server-side variable names, the record
-byte accounting, the NAK diagnostic wire fields, the message-type
-constants.  These rules cross-check the copies *statically*: constants
-and field lists are read out of the checked file's AST and compared
-against the authoritative live registries
-(:mod:`repro.lang.variables`, :class:`repro.lang.diagnostics.Diagnostic`)
-at analysis time, so a drifted edit fails ``repro check`` before it can
-ship skewed wire data.
+copy of the same facts — the 22 server-side variable names, the NAK
+diagnostic wire fields, the message-type constants.  These rules
+cross-check the copies *statically*: constants and field lists are read
+out of the checked file's AST and compared against the authoritative
+live registries (:mod:`repro.lang.variables`,
+:class:`repro.lang.diagnostics.Diagnostic`) at analysis time, so a
+drifted edit fails ``repro check`` before it can ship skewed wire data.
+The record-size floor is not among them: ``core/records.py`` checks it
+itself at every import.
 
 Each rule is shape-triggered: it only fires in files that define the
 relevant names (``MSG_*``/``REPLY_*``, ``class WireDiagnostic``, the
-probe's ``values = {...}`` report dict, ``SERVER_RECORD_BYTES``), so the
-whole tree can be scanned without path configuration.
+probe's ``values = {...}`` report dict), so the whole tree can be
+scanned without path configuration.
 """
 
 from __future__ import annotations
@@ -25,18 +26,6 @@ from typing import Iterable, Iterator
 from ..lang.diagnostics import Diagnostic
 from ..lang.variables import SERVER_SIDE_VARS
 from .engine import FileUnit, Rule, rule
-
-__all__ = ["RECORD_HEADER_BYTES", "record_bytes_floor"]
-
-#: bytes of the server-record struct not holding variable values: the
-#: host/addr/group identity strings of :class:`ServerStatusReport`
-RECORD_HEADER_BYTES = 24
-
-
-def record_bytes_floor() -> int:
-    """Smallest credible ``SERVER_RECORD_BYTES``: one 8-byte double per
-    registered server-side variable plus the identity header."""
-    return 8 * len(SERVER_SIDE_VARS) + RECORD_HEADER_BYTES
 
 
 def _module_int_constants(tree: ast.Module) -> Iterator[tuple[str, int, ast.Assign]]:
@@ -175,27 +164,3 @@ class ProbeKeyRegistryRule(Rule):
                     "probe report keys drifted from "
                     "lang.variables.SERVER_SIDE_VARS: "
                     f"{'; '.join(detail)}"), node)
-
-
-@rule
-class RecordBytesRule(Rule):
-    """REPRO204: ``SERVER_RECORD_BYTES`` must still fit the registry.
-
-    The transmitter accounts ``SERVER_RECORD_BYTES`` per server when
-    sizing binary DB transfers; if the variable registry grows past what
-    the record can hold, every timing figure built on it goes quietly
-    wrong.
-    """
-
-    code = "REPRO204"
-    name = "record-byte-accounting"
-
-    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        floor = record_bytes_floor()
-        for name, value, node in _module_int_constants(ctx.tree):
-            if name == "SERVER_RECORD_BYTES" and value < floor:
-                yield ctx.diag(self.code, (
-                    f"SERVER_RECORD_BYTES = {value} cannot hold the "
-                    f"{len(SERVER_SIDE_VARS)} registered server-side "
-                    f"variables (8 bytes each + {RECORD_HEADER_BYTES}-byte "
-                    f"identity header = {floor})"), node)

@@ -24,7 +24,7 @@ import ast
 from ...lang.diagnostics import Diagnostic, make
 from ..engine import FileUnit
 from ..flow.symbols import FunctionInfo, SymbolTable
-from .machines import EXCHANGES, Exchange
+from .machines import EXCHANGES
 
 __all__ = ["pairing_diagnostics"]
 
@@ -32,7 +32,7 @@ __all__ = ["pairing_diagnostics"]
 _CLOSURE_DEPTH = 6
 
 
-def _request_sites(fn: FunctionInfo, exchange: Exchange) -> list[ast.Call]:
+def _request_sites(fn: FunctionInfo, request: str) -> list[ast.Call]:
     sites: list[ast.Call] = []
     for node in ast.walk(fn.node):
         if not isinstance(node, ast.Call):
@@ -43,7 +43,7 @@ def _request_sites(fn: FunctionInfo, exchange: Exchange) -> list[ast.Call]:
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name == exchange.request:
+        if name == request:
             sites.append(node)
     sites.sort(key=lambda n: (n.lineno, n.col_offset))
     return sites
@@ -91,14 +91,14 @@ def pairing_diagnostics(
     table: SymbolTable,
 ) -> "list[tuple[FileUnit, Diagnostic]]":
     out: list[tuple[FileUnit, Diagnostic]] = []
-    for decl in sorted(EXCHANGES):
-        exchange = EXCHANGES[decl]
-        replies = frozenset(exchange.replies)
-        needed = replies - {exchange.default}
+    for exchange in EXCHANGES:
+        request, default = exchange["request"], exchange["default"]
+        replies = frozenset(exchange["replies"])
+        needed = replies - {default}
         for qual in sorted(table.functions):
             fn = table.functions[qual]
             unit = table.unit_of[fn.module]
-            sites = _request_sites(fn, exchange)
+            sites = _request_sites(fn, request)
             if not sites:
                 continue
             missing = sorted(needed - _handled_tags(table, fn, replies))
@@ -107,10 +107,10 @@ def pairing_diagnostics(
             for site in sites:
                 out.append((unit, make(
                     "REPRO603",
-                    f"{exchange.request} site never handles declared "
+                    f"{request} site never handles declared "
                     f"reply tag(s) {', '.join(missing)} — every "
-                    f"non-default {exchange.name} reply must be "
-                    f"dispatched ({exchange.default} is the "
+                    f"non-default {exchange['name']} reply must be "
+                    f"dispatched ({default} is the "
                     f"fall-through)",
                     line=site.lineno, col=site.col_offset)))
     return out

@@ -575,7 +575,7 @@ class TypestateWalker:
             if name not in self.released:
                 continue
             info = self.vars[name]
-            rel = set(info.machine.released) | set(info.machine.final)
+            rel = set(info.machine.released)
             leaks = [ex for ex in self.exits
                      if ex.exceptional and name in ex.env
                      and not ex.env[name].spawned

@@ -49,9 +49,9 @@ __all__ = [
 #: structure, which is 204 bytes long."
 SERVER_RECORD_BYTES = 204
 
-# Import-time mirror of the analyzer's REPRO204 rule: the record must hold
-# one 8-byte slot per server-side variable plus the 24-byte header, so
-# growing SERVER_SIDE_VARS without re-sizing the record fails immediately.
+# The one check of the record floor: the record must hold one 8-byte slot
+# per server-side variable plus the 24-byte identity header, so growing
+# SERVER_SIDE_VARS without re-sizing the record fails at the next import.
 # An explicit raise, not an assert: asserts vanish under ``python -O`` and
 # this guard must hold in every interpreter mode.
 def _verify_record_floor(record_bytes: int, n_vars: int) -> None:
@@ -86,10 +86,12 @@ REPLY_NAK = 1
 REPLY_STALE = 2
 
 #: live handler registry: every wire tag defined above names the dotted
-#: paths that consume it.  The REPRO302 analyzer rule cross-checks any
-#: ``MSG_``/``REPLY_`` constant against this table — a tag that is sent
-#: but never handled is a protocol hole, caught at lint time instead of
-#: as a silent hang in a chaos run.  tests/core verify the paths resolve.
+#: paths that consume it.  A tag with no row is a protocol hole — sent,
+#: never handled — so :func:`_verify_wire_tag_registry` below refuses to
+#: import a table that misses a tag or carries a stray one, and
+#: ``repro check --flow`` (REPRO400) matches the rows against the send
+#: sites and handlers of the tree it analyzes.  tests/core verify the
+#: paths resolve.
 WIRE_TAG_HANDLERS: dict[str, tuple[str, ...]] = {
     "MSG_SYSDB": ("repro.core.receiver.Receiver._apply",),
     "MSG_NETDB": ("repro.core.receiver.Receiver._apply",),
@@ -106,20 +108,21 @@ WIRE_TAG_HANDLERS: dict[str, tuple[str, ...]] = {
 #: declared request–reply exchange of the wizard round trip, enforced
 #: statically by ``repro check --proto``: a site constructing
 #: ``WizardRequest`` must dispatch every non-default reply tag
-#: (REPRO603), and this literal must stay in lockstep with both the
-#: analyzer registry and the ``REPLY_*`` rows of
-#: :data:`WIRE_TAG_HANDLERS` (REPRO606)
+#: (REPRO603).  The replies are the ``REPLY_*`` rows of
+#: :data:`WIRE_TAG_HANDLERS`, so the two cannot disagree.
 WIZARD_EXCHANGE: dict[str, object] = {
     "name": "wizard",
     "request": "WizardRequest",
-    "replies": ("REPLY_OK", "REPLY_NAK", "REPLY_STALE"),
+    "replies": tuple(tag for tag in WIRE_TAG_HANDLERS
+                     if tag.startswith("REPLY_")),
     "default": "REPLY_OK",
 }
 
 
 def _verify_wire_tag_registry(handlers: dict[str, tuple[str, ...]],
                               exported: "list[str] | tuple[str, ...]") -> None:
-    """Raise if the handler registry drifted from the wire-tag constants.
+    """Raise if the handler registry drifted from the wire-tag constants:
+    the one check that every tag has a row and every row a tag.
 
     An explicit ``RuntimeError`` rather than an assert so the guard
     survives ``python -O`` — a drifted registry must never import.

@@ -154,14 +154,16 @@ class _Endpoint:
             pass
 
 
-#: declared lifecycle of a :class:`ReliableSocket`, enforced statically
-#: by ``repro check --proto`` (REPRO601/604) and checked against the
-#: analyzer registry for drift (REPRO606).  The session outlives its
-#: transports, so there is no terminal state: *suspended* is a legal
-#: resting state (sends are buffered, ``recv`` drains the rx store) and
-#: ``resume``/``connect`` re-establish — but send/recv before the first
-#: ``connect()`` handshake, and ``resume()`` from anywhere other than
-#: *suspended*, are protocol violations.
+#: declared lifecycle of a :class:`ReliableSocket`: the machine
+#: ``repro check --proto`` builds from this dict and enforces
+#: (REPRO601/604).  The session outlives its transports, so there is no
+#: terminal state: *suspended* is a legal resting state (sends are
+#: buffered, ``recv`` drains the rx store) and ``resume``/``connect``
+#: re-establish — but send/recv before the first ``connect()``
+#: handshake, and ``resume()`` from anywhere other than *suspended*, are
+#: protocol violations.  With no terminal state to default to,
+#: ``released`` names the states the exception-path check (REPRO602)
+#: counts as let go.
 RELIABLE_SOCKET_MACHINE: dict[str, object] = {
     "name": "ReliableSocket",
     "initial": "created",
@@ -178,6 +180,10 @@ RELIABLE_SOCKET_MACHINE: dict[str, object] = {
         "suspended.resume": "connected",
         "suspended.connect": "connected",
     },
+    "data_ops": ("send", "recv"),
+    "close_ops": ("suspend",),
+    "reopen_ops": ("resume", "connect"),
+    "released": ("created", "suspended"),
 }
 
 

@@ -102,12 +102,12 @@ class LeaseResponder:
                 self.pings_answered += 1
 
 
-#: declared lifecycle of a :class:`SmartSession`, enforced statically
-#: by ``repro check --proto`` (REPRO600/604) and checked against the
-#: analyzer registry for drift (REPRO606).  ``failover()`` re-arms the
-#: lease on the replacement server (so it lands in *leased*, same as
-#: ``start_lease()``), but neither may be invoked once the session is
-#: *closed* or *dead*; ``stop_lease()`` is idempotent.
+#: declared lifecycle of a :class:`SmartSession`: the machine
+#: ``repro check --proto`` builds from this dict and enforces
+#: (REPRO600/604).  ``failover()`` re-arms the lease on the replacement
+#: server (so it lands in *leased*, same as ``start_lease()``), but
+#: neither may be invoked once the session is *closed* or *dead*;
+#: ``stop_lease()`` is idempotent.
 SMART_SESSION_MACHINE: dict[str, object] = {
     "name": "SmartSession",
     "initial": "open",
@@ -122,6 +122,9 @@ SMART_SESSION_MACHINE: dict[str, object] = {
         "leased.failover": "leased",
         "leased.close": "closed",
     },
+    "data_ops": (),
+    "close_ops": ("close",),
+    "reopen_ops": ("failover", "start_lease"),
 }
 
 

@@ -45,9 +45,9 @@ class IcmpError:
         return f"<IcmpError from {self.src} ref={self.ref} t={self.received_at:.6f}>"
 
 
-#: declared lifecycle of a :class:`UdpSocket` getter handle, enforced
-#: statically by ``repro check --proto`` (REPRO600/601/602) and checked
-#: against the analyzer registry for drift (REPRO606)
+#: declared lifecycle of a :class:`UdpSocket` getter handle: the
+#: machine ``repro check --proto`` builds from this dict and enforces
+#: (REPRO600/601/602)
 UDP_SOCKET_MACHINE: dict[str, object] = {
     "name": "UdpSocket",
     "initial": "open",
@@ -59,6 +59,9 @@ UDP_SOCKET_MACHINE: dict[str, object] = {
         "open.recv_timeout": "open",
         "open.close": "closed",
     },
+    "data_ops": ("sendto", "recv", "recv_timeout"),
+    "close_ops": ("close",),
+    "reopen_ops": (),
 }
 
 

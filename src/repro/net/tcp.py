@@ -69,9 +69,10 @@ class _EOF:
 
 EOF = _EOF()
 
-#: declared lifecycle of a :class:`TcpConnection`, enforced statically
-#: by ``repro check --proto`` (REPRO600/601/602) and checked against
-#: the analyzer registry for drift (REPRO606).  A driven
+#: declared lifecycle of a :class:`TcpConnection`: the machine
+#: ``repro check --proto`` builds from this dict and enforces
+#: (REPRO600/601/602).  ``data_ops`` move payload, ``close_ops`` end the
+#: lifecycle, ``reopen_ops`` re-establish it.  A driven
 #: ``yield from tcp.connect(...)`` (or a yielded ``listener.accept()``)
 #: hands back an *established* endpoint; binding the un-driven connect
 #: generator leaves it *connecting*, where no op is legal yet.
@@ -89,6 +90,9 @@ TCP_CONNECTION_MACHINE: dict[str, object] = {
         "established.abort": "closed",
         "closed.abort": "closed",
     },
+    "data_ops": ("send", "recv"),
+    "close_ops": ("close", "abort"),
+    "reopen_ops": (),
 }
 
 #: declared lifecycle of a :class:`TcpListener` (see above)
@@ -101,6 +105,9 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
         "listening.accept": "listening",
         "listening.close": "closed",
     },
+    "data_ops": ("accept",),
+    "close_ops": ("close",),
+    "reopen_ops": (),
 }
 
 

@@ -1,7 +1,5 @@
 """Clean under suppression: every R-series rule silenced by its noqa."""
 
-MSG_GHOST = 9  # repro: noqa[REPRO302]
-
 
 def fetch(conn):
     msg, _ = yield conn.recv()  # repro: noqa[REPRO301]

@@ -55,7 +55,6 @@ PROTO = {
     "s603_missing_reply",
     "s604_reopen_forbidden",
     "s605_spawn_conflict",
-    "s606_machine_drift",
 }
 
 
@@ -133,7 +132,7 @@ def test_warning_fixture_gates_only_under_strict(name, capsys):
 
 @pytest.mark.parametrize("name,suppressed", [
     ("clean_noqa_suppressed", 1),
-    ("clean_r_noqa", 6),
+    ("clean_r_noqa", 5),
 ])
 def test_noqa_fixtures_are_clean_but_counted(name, suppressed, capsys):
     code, out = run_check(FIXTURES / f"{name}.py", capsys)
@@ -192,12 +191,12 @@ def test_repo_source_tree_is_perf_clean(capsys):
 
 def test_repo_source_tree_is_proto_clean(capsys):
     """The typestate gate: zero S-series findings on the shipped tree,
-    with every declared machine literal verified against the registry."""
+    with every tracked acquisition walked against its declared machine."""
     code = check_main(["--proto", str(REPO / "src" / "repro")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "proto-clean (7 S rules)" in out
-    assert "6 machine declaration(s)" in out
+    assert "proto-clean (6 S rules)" in out
+    assert "12 tracked acquisition(s)" in out
 
 
 def test_repo_source_tree_passes_all_gates(capsys):

@@ -12,8 +12,9 @@ from pathlib import Path
 
 from repro.analysis.cli import check_main
 from repro.analysis.program import Program, run_checks
-from repro.analysis.typestate import MACHINES
-from repro.analysis.typestate.machines import EXCHANGES
+from repro.analysis.typestate import EXCHANGES, MACHINES
+from repro.core import records, rsocket, session
+from repro.net import sockets, tcp
 
 REPO = Path(__file__).parent.parent.parent
 SRC = REPO / "src" / "repro"
@@ -29,19 +30,63 @@ def codes(report) -> list[str]:
     return [f.diag.code for f in report.findings]
 
 
+def declarations() -> list[tuple[object, dict]]:
+    """``(module, *_MACHINE dict)`` for every lifecycle declared beside
+    the class it governs."""
+    return [(module, decl) for module in (tcp, sockets, rsocket, session)
+            for name, decl in sorted(vars(module).items())
+            if name.endswith("_MACHINE")]
+
+
 class TestRegistry:
+    """The runtime declarations are what ``--proto`` runs, so they are
+    checked directly."""
+
     def test_every_machine_transition_stays_inside_its_states(self):
-        for machine in MACHINES.values():
-            states = set(machine.states)
-            assert machine.initial in states
-            assert set(machine.final) <= states
-            assert set(machine.released) <= states
-            for (src, _op), dst in machine.transitions.items():
+        for _, decl in declarations():
+            states = set(decl["states"])
+            assert decl["initial"] in states
+            assert set(decl["final"]) <= states
+            assert set(decl.get("released", ())) <= states
+            for row, dst in decl["transitions"].items():
+                src, op = row.split(".")
                 assert src in states and dst in states
 
+    def test_every_op_category_is_named_by_a_transition(self):
+        for _, decl in declarations():
+            ops = {row.split(".")[1] for row in decl["transitions"]}
+            for category in ("data_ops", "close_ops", "reopen_ops"):
+                assert set(decl[category]) <= ops, (decl["name"], category)
+
     def test_exchange_default_is_a_declared_reply(self):
-        for exchange in EXCHANGES.values():
-            assert exchange.default in exchange.replies
+        replies = tuple(t for t in records.WIRE_TAG_HANDLERS
+                        if t.startswith("REPLY_"))
+        assert EXCHANGES == (records.WIZARD_EXCHANGE,)
+        for exchange in EXCHANGES:
+            assert exchange["replies"] == replies
+            assert exchange["default"] in exchange["replies"]
+
+    def test_every_machine_runs_its_modules_declaration(self):
+        """One machine per declaration, built from the dict beside the
+        class it governs — no second copy of any transition."""
+        declared = declarations()
+        assert sorted(MACHINES) == sorted(d["name"] for _, d in declared)
+        for module, decl in declared:
+            assert getattr(module, decl["name"]).__module__ == \
+                module.__name__
+            machine = MACHINES[decl["name"]]
+            assert {f"{src}.{op}": dst for (src, op), dst
+                    in machine.transitions.items()} == decl["transitions"]
+
+    def test_abort_after_close_is_declared_legal(self, tmp_path):
+        """``closed.abort`` is a row of ``TCP_CONNECTION_MACHINE``: the
+        idempotent hard teardown after a close is not a double close."""
+        report = analyze(tmp_path, mod=(
+            "def teardown(stack):\n"
+            "    conn = yield from stack.tcp.connect('h', 9)\n"
+            "    conn.close()\n"
+            "    conn.abort()\n"))
+        assert codes(report) == []
 
 
 class TestJoinPoints:
@@ -261,32 +306,3 @@ class TestDeterminism:
         assert (code_a, out_a) == (code_b, out_b)
         assert code_a == 0
 
-
-class TestDrift:
-    def test_unknown_machine_declaration_is_flagged(self, tmp_path):
-        report = analyze(tmp_path, mod=(
-            "CARRIER_PIGEON_MACHINE = {\n"
-            "    'name': 'CarrierPigeon',\n"
-            "    'initial': 'perched',\n"
-            "    'states': ('perched', 'flying'),\n"
-            "    'final': (),\n"
-            "    'transitions': {'perched.launch': 'flying'},\n"
-            "}\n"))
-        assert codes(report) == ["REPRO606"]
-        assert "unknown to the analyzer registry" in \
-            report.findings[0].diag.message
-
-    def test_exchange_vs_registry_reply_drift_is_flagged(self, tmp_path):
-        report = analyze(tmp_path, mod=(
-            "MSG_PING = 1\n"
-            "REPLY_OK = 0\n"
-            "REPLY_RETRY = 9\n"
-            "WIRE_TAG_HANDLERS = {\n"
-            "    'MSG_PING': ('mod.handle',),\n"
-            "    'REPLY_OK': ('mod.handle',),\n"
-            "    'REPLY_RETRY': ('mod.handle',),\n"
-            "}\n"
-            "def handle(msg):\n"
-            "    return msg\n"))
-        assert codes(report) == ["REPRO606"]
-        assert "drifted apart" in report.findings[0].diag.message

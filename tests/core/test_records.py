@@ -123,7 +123,9 @@ class TestWireMessages:
 
 
 class TestWireTagHandlers:
-    """The REPRO302 cross-check registry must itself stay honest."""
+    """The handler registry and the record floor are each checked once,
+    at import, by an explicit raise; these tests hold those two guards
+    and the registry's paths to account."""
 
     def test_every_wire_tag_has_a_handler(self):
         from repro.core import records

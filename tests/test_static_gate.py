@@ -92,14 +92,18 @@ def test_ci_runs_the_requirement_analysis_benchmark():
 def test_ci_seeded_fixtures_must_report_their_own_code():
     """An uncaught exception exits 1 too, so "non-zero" proves nothing:
     each seeded fixture must exit exactly 1 and print its own code
-    (``f402_…`` -> ``REPRO402``) under its gate's selector."""
+    (``f402_…`` -> ``REPRO402``) under its gate's selector.  The per-file
+    D/P/R fixtures run under ``--strict`` (two of them are warnings);
+    ``r300`` is the dynamic race, left to the sanitize job."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     step = ci.split("seeded fixtures are detected")[1].split("- name:")[0]
     assert "|| true" not in step
     assert '[ "$status" -ne 1 ]' in step
     assert 'code="REPRO$(basename "$f" | cut -c2-4)"' in step
     assert 'grep -q "$code"' in step
-    for selector, glob in (("--flow", "f40*.py"), ("--perf", "h50*.py"),
+    for selector, glob in (("--strict", "d10*.py"), ("--strict", "p20*.py"),
+                           ("--strict", "r30[1-6]*.py"),
+                           ("--flow", "f40*.py"), ("--perf", "h50*.py"),
                            ("--proto", "s60*.py")):
         assert f"seeded {selector} '{glob}'" in step
 
