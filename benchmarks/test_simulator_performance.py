@@ -8,6 +8,7 @@ unlike the experiment regenerations, these are micro-benchmarks.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -99,39 +100,90 @@ def test_udp_datagram_cost(benchmark):
 
 def test_hop_events_across_one_switch():
     """A transit hop through a switch is one kernel event: n datagrams
-    over two channels are 2n deliveries and nothing else per frame."""
+    over two channels are 2n deliveries, each the receiving NIC's
+    handler scheduled directly, and nothing else per frame."""
     n, profiler = 500, SimProfiler()
     udp_across_one_switch(n, profiler)
-    assert profiler.attribution()["calls"] == {"Channel._deliver": 2 * n}
+    assert profiler.attribution()["calls"] == {"NIC._on_deliver": 2 * n}
+
+
+def _profile(scenario):
+    _, arms = run_scenario(scenario, profile=True)
+    attribution = merge_attributions([arm.attribution for arm in arms])
+    resumes = sum(p["resumes"] for p in attribution["processes"].values())
+    return attribution, resumes
 
 
 def test_hop_events_profile_matmul():
-    """``repro profile matmul``, counted: all 1,489 ``NIC.forward_frame``
-    events gone (10,734 -> 9,243; nothing in this job transits the
-    gateway), and two frames in flight at the horizon now land 20 us
-    past it (``Channel._deliver`` 2,980 -> 2,978)."""
-    _, arms = run_scenario("matmul", profile=True)
-    attribution = merge_attributions([arm.attribution for arm in arms])
-    assert attribution["total_events"] == 9_243
-    assert attribution["calls"]["Channel._deliver"] == 2_978
+    """``repro profile matmul``, counted.  Every ``NIC.forward_frame``
+    event is gone (10,734 -> 9,243 events when the switches lost
+    theirs); an ack that moves the window runs its sender's turn in
+    place, so ``TcpConnection._on_wake`` calls fall 600 -> 90 and events
+    9,243 -> 8,733.  Resumes and simulated time do not move."""
+    attribution, resumes = _profile("matmul")
+    assert attribution["total_events"] == 8_733
+    assert attribution["calls"]["NIC._on_deliver"] == 2_978
+    assert attribution["calls"]["TcpConnection._on_wake"] == 90
     assert "NIC.forward_frame" not in attribution["calls"]
+    assert resumes == 3_583
     assert attribution["sim_time_s"] == 120.926051273
 
 
-def tcp_calls_per_segment(n: int) -> float:
-    """Python-level calls into ``repro`` per data segment and its ack:
-    one ``n``-segment message a -> r -> b on an established connection,
-    counted with ``sys.setprofile`` from ``send`` until the sender is
-    idle.  A call is a frame whose module is ``repro.*`` — generated
-    code such as a dataclass ``__init__`` counts for the module that
-    declared it.  Counted, not timed: the figure is deterministic."""
+def test_hop_events_profile_massd():
+    """``repro profile massd``, counted: bulk TCP through the gateway.
+    Its 6,941 transit frames were a second ``NIC.forward_frame`` event
+    each and are one event now, and ``_on_wake`` calls fall 1,000 ->
+    156: scheduled events 46,841 -> 39,056, with resumes and simulated
+    time where they were."""
+    attribution, resumes = _profile("massd")
+    assert attribution["total_allocations"] == 39_056
+    assert attribution["total_events"] == 38_875
+    assert attribution["calls"]["NIC._on_deliver"] == 28_948
+    assert "NIC.forward_frame" not in attribution["calls"]
+    assert resumes == 5_349
+    assert attribution["sim_time_s"] == 37.873958642
+
+
+def _count_calls(run) -> int:
+    """Python-level calls into ``repro`` made by ``run()``, counted
+    with ``sys.setprofile``.  A call is a frame whose module is
+    ``repro.*`` — generated code such as a dataclass ``__init__`` counts
+    for the module that declared it.  Counted, not timed: the figure is
+    deterministic, once garbage from earlier runs is collected first: a
+    suspended process generator the collector closes inside the window
+    would run its ``finally`` there and count."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
+            calls += 1
+
+    gc.collect()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def one_switch():
+    """Hosts a and b on a router r, each with a stack."""
     sim = Simulator()
     net = Network(sim)
     a, r, b = net.add_host("a"), net.add_router("r"), net.add_host("b")
     net.connect(a, r, rate_bps=1000 * MBPS)
     net.connect(r, b, rate_bps=1000 * MBPS)
     net.build_routes()
-    sa, sb = NetworkStack(sim, a, net), NetworkStack(sim, b, net)
+    return sim, NetworkStack(sim, a, net), NetworkStack(sim, b, net)
+
+
+def tcp_calls_per_segment(n: int) -> float:
+    """Python-level calls into ``repro`` per data segment and its ack:
+    one ``n``-segment message a -> r -> b on an established connection,
+    counted from ``send`` until the sender is idle."""
+    sim, sa, sb = one_switch()
     listener = sb.tcp.listen(80)
 
     def server():
@@ -145,19 +197,8 @@ def tcp_calls_per_segment(n: int) -> float:
     dial = sim.process(client())
     sim.run()
     conn = dial.value
-    calls = 0
-
-    def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
-            calls += 1
-
     conn.send("bulk", n * conn.mss)
-    sys.setprofile(count)
-    try:
-        sim.run()
-    finally:
-        sys.setprofile(None)
+    calls = _count_calls(sim.run)
     assert conn.bytes_acked == n * conn.mss
     return calls / n
 
@@ -166,12 +207,53 @@ def test_tcp_segment_call_budget():
     """A segment and its ack across one switch is one straight pass per
     frame hop: slotted ``Datagram`` / ``Frame``, the TCP burst built
     without the fragmenter, no split where nothing splits, no property
-    or helper asked twice per hop.  139.04 calls before (dataclass
-    records, the fragment list for one burst); 29 of them are the
-    kernel's."""
+    or helper asked twice per hop, the receiving NIC's handler scheduled
+    directly, one wire size per hop that both byte counters read, and
+    no wake event for the ack.  139.04 calls with dataclass records and
+    a fragment list for one burst, 92.02 with one event per hop and a
+    second one for the wake.  16 of them are the kernel's (29 before)."""
     per_segment = tcp_calls_per_segment(2_000)
-    assert round(per_segment, 2) == 92.02
-    assert per_segment <= 100
+    assert round(per_segment, 2) == 64.02
+    assert per_segment <= 65
+
+
+def tcp_calls_per_exchange(n: int) -> float:
+    """Python-level calls into ``repro`` per short connection: ``n``
+    times in a row, a -> r -> b, connect, send a 200-byte request,
+    receive the 1,000-byte response of a ``serve`` handler that closes
+    after answering, and close — counted from the first dial until the
+    run drains."""
+    sim, sa, sb = one_switch()
+
+    def handler(conn):
+        yield conn.recv()
+        conn.send("response", 1_000)
+        conn.close()
+
+    sb.tcp.serve(80, handler, name="server", session_name="session")
+    done = []
+
+    def client():
+        for _ in range(n):
+            conn = yield from sa.tcp.connect("b", 80)
+            conn.send("request", 200)
+            yield conn.recv()
+            conn.close()
+            done.append(conn)
+
+    sim.process(client())
+    calls = _count_calls(sim.run)
+    assert len(done) == n and all(conn.bytes_acked == 201 for conn in done)
+    return calls / n
+
+
+def test_connect_request_close_call_budget():
+    """The other per-connection cost: a handshake, one request and its
+    response, and both FINs across one switch.  It is what a short
+    placement exchange costs; at 560 calls it is nearly nine segments'
+    worth (694.02 with a wake event per ack that moved the window)."""
+    per_exchange = tcp_calls_per_exchange(1_000)
+    assert round(per_exchange, 2) == 560.02
 
 
 @pytest.mark.parametrize("groups, ceiling_s", [(8, 0.25), (32, 2.0)],

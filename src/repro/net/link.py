@@ -5,12 +5,14 @@ performs *analytic* FIFO queueing: instead of pumping per-frame events it
 tracks ``next_free`` (when the transmitter drains) and computes each
 frame's start/finish time at enqueue.  Because the queue is FIFO this is
 exactly equivalent to event-by-event transmission while costing one
-simulator event per frame per hop — the receiving node's ``d_proc``
-included when that node is a pure forwarder: a channel into a node
-without a :class:`~repro.net.sockets.NetworkStack` (every switch) delivers
-``hold`` = ``d_proc`` late and the node forwards on the spot
-(:meth:`~repro.net.node.Node.forward`).  Only a forwarding *host* pays a
-second event per transit frame.
+simulator event per frame per hop: the receiving NIC's handler, scheduled
+directly.  That event includes the receiving node's ``d_proc`` whenever
+the node is going to forward the frame.  Whether it will is known when
+the frame is sent — its destination is not one of the receiver's
+addresses, a set that never changes after build — so the channel
+delivers such a frame ``hold`` = ``d_proc`` late and the node forwards it
+on the spot (:meth:`~repro.net.node.Node.forward`), at a switch and at a
+forwarding host alike; a frame for the receiver itself arrives unheld.
 
 Queueing delay, the ``d_queue`` term of the thesis' Eq. 3.3, emerges as
 ``start - now``; transmission delay ``d_trans`` as the serialisation time;
@@ -20,7 +22,7 @@ the TCP recovery tests) and tail-drop (bounded buffers) are both available.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Collection, Optional, TYPE_CHECKING
 
 from ..sim import Simulator
 from .packet import Frame
@@ -77,12 +79,15 @@ class Channel:
         self.reorder_extra = 0.0
         self.degrade_rng: Optional["random.Random"] = None
         self.next_free = 0.0
-        #: callback installed by the receiving endpoint: fn(frame)
+        #: handler installed by the receiving endpoint, scheduled with
+        #: each frame: fn(frame)
         self.on_deliver: Optional[Callable[[Frame], None]] = None
-        #: the receiving node's ``d_proc`` while it has no stack, served
-        #: here so that its transit hop is this one event (set by
-        #: ``Node.add_nic``, cleared by ``Node.attach_stack``)
+        #: the receiving node's ``d_proc`` and addresses (set by
+        #: ``Node.add_nic``): a frame for none of ``local`` is one the
+        #: node forwards, and is delivered ``hold`` late so that its
+        #: transit hop is this one event
         self.hold = 0.0
+        self.local: Collection[str] = ()
         # statistics
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -106,7 +111,7 @@ class Channel:
         ``extra_start_delay`` delays the earliest start (used by host NICs
         for the initialisation term of Eq. 3.6 without blocking the caller).
         """
-        now = self.sim.now
+        now = self.sim._now
         if not self.up:
             self.drops += 1
             return False
@@ -117,6 +122,9 @@ class Channel:
             if self.loss_rng.random() < self.loss_rate:
                 self.drops += 1
                 return False
+        on_deliver = self.on_deliver
+        if on_deliver is None:
+            raise RuntimeError(f"channel {self.name!r} has no receiver attached")
         wire = frame.wire_at(self.mtu)
         start = max(now + extra_start_delay, self.next_free)
         if self.shaper is not None:
@@ -138,8 +146,10 @@ class Channel:
         # arrival is ``now + (deliver_at - now)``, not ``deliver_at``, and
         # the hold is added to *that*: bit for bit the time a second
         # ``call_later(hold, ...)`` made at arrival would have fired
-        self.sim.call_at((now + (deliver_at - now)) + self.hold,
-                         self._deliver, frame)
+        arrival = now + (deliver_at - now)
+        if frame.dgram.dst not in self.local:
+            arrival += self.hold
+        self.sim.call_at(arrival, on_deliver, frame)
         return True
 
     def occupy(self, wire_bytes: int) -> None:
@@ -151,11 +161,6 @@ class Channel:
         self.next_free = finish
         self.busy_time += finish - start
         self.tx_bytes += wire_bytes
-
-    def _deliver(self, frame: Frame) -> None:
-        if self.on_deliver is None:
-            raise RuntimeError(f"channel {self.name!r} has no receiver attached")
-        self.on_deliver(frame)
 
 
 class Link:

@@ -21,8 +21,10 @@ synthesized ``/proc/net/dev``.
 Nearly every frame is a TCP burst, so a hop is one straight pass: a
 segment's burst is built and handed to the channel in
 :meth:`NIC.send_datagram` without a fragment list, a transit frame is
-split only when it is a fragment larger than the egress MTU, and the
-MTU is read off the channel once per frame.
+transmitted by :meth:`NIC.forward_frame` itself and split only when it
+is a fragment larger than the egress MTU, and both byte counters read
+the wire size the channel left on the frame (``Frame.wire``).  The
+channel schedules :meth:`NIC._on_deliver` for each frame it delivers.
 """
 
 from __future__ import annotations
@@ -92,11 +94,11 @@ class NIC:
         mtu = channel.mtu
         if dgram.proto == PROTO_TCP:
             frame = Frame(dgram, dgram.transport_bytes, first=True, burst=True)
-            wire = frame.wire_at(mtu)
             init = self.init_speed_bps
-            if channel.transmit(frame, 0.0 if init is None else wire * 8.0 / init):
+            if channel.transmit(
+                    frame, 0.0 if init is None else frame.wire_at(mtu) * 8.0 / init):
                 self.tx_packets += 1
-                self.tx_bytes += wire
+                self.tx_bytes += frame.wire
                 return True
             self.tx_drops += 1
             return False
@@ -110,11 +112,16 @@ class NIC:
 
     def forward_frame(self, frame: Frame) -> bool:
         """Forward a transit frame (router path: no init term)."""
-        mtu = self.channel.mtu
-        if frame.burst or frame.payload_bytes + IP_HEADER <= mtu:
-            return self._transmit(frame, 0.0)
+        channel = self.channel
+        if frame.burst or frame.payload_bytes + IP_HEADER <= channel.mtu:
+            if channel.transmit(frame, 0.0):
+                self.tx_packets += 1
+                self.tx_bytes += frame.wire
+                return True
+            self.tx_drops += 1
+            return False
         delivered_any = False
-        for piece in frame.split(mtu):
+        for piece in frame.split(channel.mtu):
             delivered_any |= self._transmit(piece, 0.0)
         return delivered_any
 
@@ -138,7 +145,7 @@ class NIC:
         channel = self.channel
         if channel.transmit(frame, extra):
             self.tx_packets += 1
-            self.tx_bytes += frame.wire_at(channel.mtu)
+            self.tx_bytes += frame.wire
             return True
         self.tx_drops += 1
         return False
@@ -146,5 +153,5 @@ class NIC:
     # -- ingress ----------------------------------------------------------------
     def _on_deliver(self, frame: Frame) -> None:
         self.rx_packets += 1
-        self.rx_bytes += frame.wire_at(self.channel.mtu)
+        self.rx_bytes += frame.wire
         self.node.receive(frame, self)

@@ -6,15 +6,13 @@ hop adds a small processing delay (``d_proc`` in the thesis' Eq. 3.3)
 before the frame joins the egress queue.  Hosts additionally own a
 transport :class:`~repro.net.sockets.NetworkStack`.
 
-Where ``d_proc`` is served depends on whether the node has a stack.
-Without one (every switch) nothing that arrives is observed before it
-is forwarded, so the inbound channels deliver ``d_proc`` late
+``d_proc`` is served on the way in, per frame: the channel into a node
+delivers a frame for none of the node's addresses ``d_proc`` late
 (``Channel.hold``) and :meth:`Node.forward` reserves the egress on the
-spot: one kernel event per frame per hop, the reservation made at
-``t + d_proc`` in event order exactly as before.  A forwarding *host*
-(the testbed gateway) decides "is this frame for me" per frame, and a
-hold would delay what is, so there ``d_proc`` stays an event of its own
-behind the arrival.
+spot — one kernel event per frame per hop, the reservation made at
+``t + d_proc`` in event order as a second event would have made it.  A
+frame for the node itself is delivered on arrival, so a forwarding
+*host* (the testbed gateway) sees its own traffic undelayed.
 
 Only a node with a choice of interface holds a computed table.  A node
 with one NIC — every thesis machine but the gateway — has a
@@ -98,17 +96,9 @@ class Node:
         self.nics.append(nic)
         self.addresses.append(nic.addr)
         self._local.add(nic.addr)
-        if self.stack is None:
-            # a pure forwarder so far: d_proc is served on the way in
-            nic.inbound.hold = self.proc_delay
-
-    def attach_stack(self, stack: "NetworkStack") -> None:
-        """Become a host: arrivals are delivered to ``stack`` from here on,
-        so ``d_proc`` goes back to being an event of its own (see the
-        module docstring) — also on NICs linked before the stack came."""
-        self.stack = stack
-        for nic in self.nics:
-            nic.inbound.hold = 0.0
+        # d_proc is served on the way in, to the frames this node forwards
+        nic.inbound.hold = self.proc_delay
+        nic.inbound.local = self._local
 
     @property
     def addr(self) -> str:
@@ -172,12 +162,7 @@ class Node:
             self.no_route += 1
             return
         self.forwarded += 1
-        if self.stack is None:
-            # d_proc was served by the inbound channel's hold
-            nic.forward_frame(frame)
-        else:
-            # d_proc: the lookup/forwarding cost before the egress queue
-            self.sim.call_later(self.proc_delay, nic.forward_frame, frame)
+        nic.forward_frame(frame)  # d_proc was the inbound channel's hold
 
     def send(self, dgram: Datagram) -> bool:
         """Originate a datagram from this node (kernel -> NIC)."""

@@ -14,7 +14,8 @@ One :class:`Datagram` is made per segment, ack and probe and one
 :class:`Frame` per datagram per hop, so both are ``__slots__`` records
 whose constructor assigns and validates and nothing more:
 ``transport_bytes`` is worked out once there, and a frame remembers its
-wire size for the last MTU asked.
+wire size for the last MTU asked — the channel it is crossing asks, so
+``Frame.wire`` is that hop's wire size for both NIC byte counters.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class Frame:
     complete when the per-datagram sum reaches ``transport_bytes``.
     """
 
-    __slots__ = ("dgram", "payload_bytes", "first", "burst", "_wire_mtu", "_wire")
+    __slots__ = ("dgram", "payload_bytes", "first", "burst", "_wire_mtu", "wire")
 
     def __init__(self, dgram: Datagram, payload_bytes: int, first: bool,
                  burst: bool = False) -> None:
@@ -173,11 +174,12 @@ class Frame:
         #: carries the datagram's first transport byte
         self.first = first
         self.burst = burst
-        #: the last MTU :meth:`wire_at` was asked about, and its answer: a
-        #: frame is sized by the NIC, the channel and both byte counters
-        #: of every hop, almost always at one MTU
+        #: the last MTU :meth:`wire_at` was asked about, and its answer:
+        #: ``Channel.transmit`` asks at its own MTU, so ``wire`` is the
+        #: size on the hop the frame is crossing, which the NIC counters
+        #: of both ends read
         self._wire_mtu: Optional[int] = None
-        self._wire = 0
+        self.wire = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "burst" if self.burst else "fragment"
@@ -186,10 +188,10 @@ class Frame:
     def wire_at(self, mtu: int) -> int:
         """Bytes this frame occupies on a wire with the given MTU."""
         if mtu == self._wire_mtu:
-            return self._wire
+            return self.wire
         wire = self.payload_bytes
         wire += IP_HEADER * _n_fragments(wire, mtu) if self.burst else IP_HEADER
-        self._wire_mtu, self._wire = mtu, wire
+        self._wire_mtu, self.wire = mtu, wire
         return wire
 
     def split(self, mtu: int) -> list["Frame"]:

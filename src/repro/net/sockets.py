@@ -120,7 +120,7 @@ class NetworkStack:
         self.sim = sim
         self.node = node
         self.network = network  # used only for name resolution
-        node.attach_stack(self)
+        node.stack = self
         self.udp_ports: dict[int, UdpSocket] = {}
         self.icmp_taps: list[Store] = []
         self._ephemeral = itertools.count(32768)

@@ -17,12 +17,17 @@ adaptive RTO and cumulative acks.  Loss recovery is real (tests inject
 drops); congestion control is a fixed window, adequate for a testbed whose
 "packet loss rate is relatively low" (thesis §3.3.1).
 
-The sender is a state machine, not a process.  Whatever may let it make
-progress (``send``, ``close``, an ack that advances the window, a reset)
-asks for one *wake*: a zero-delay :class:`~repro.sim.Call` that pumps
-the window at the same timestamp, after the handler that asked has
-returned, however many asked in between.  Every wake that leaves data in
-flight restarts the retransmission deadline at ``now + rto``; the
+The sender is a state machine, not a process.  One *turn* pumps the
+window and restarts the retransmission deadline.  An ack that advances
+the window runs the turn in place: it is handled from an event callback,
+after its own bookkeeping, so there is nothing to wait for or coalesce.
+Everything else that may let the sender make progress (``send``,
+``close``, ``abort``, the handshake, a reset) comes from application
+code that may ask again at the same timestamp, and asks for one *wake*
+instead: a zero-delay :class:`~repro.sim.Call` that runs the turn after
+the caller has returned, however many asked in between — an ack that
+finds a wake pending leaves the turn to it.  Every turn that leaves data
+in flight restarts the retransmission deadline at ``now + rto``; the
 connection keeps **one** timer call in the event queue and re-arms it
 lazily — when it fires short of the deadline it moves itself there, by
 absolute time — so an ack costs no timer event at all.  The one case
@@ -146,6 +151,9 @@ class TcpConnection:
     ):
         self.layer = layer
         self.sim = layer.stack.sim
+        #: the host this endpoint sends from, and its source address
+        self._node = layer.stack.node
+        self._src = self._node.addr
         self.id = next(_conn_ids)
         self.local_port = local_port
         self.remote_addr = remote_addr
@@ -289,7 +297,7 @@ class TcpConnection:
         if self._base == self._next_seq and not self._outq:
             self._rto_deadline = None  # nothing in flight, nothing to time
             return
-        deadline = self._rto_deadline = self.sim.now + self.rto
+        deadline = self._rto_deadline = self.sim._now + self.rto
         if self._timer_at is None or deadline < self._timer_at:
             # no timer armed, or rto shrank under a backed-off one
             self._arm_timer(deadline)
@@ -337,16 +345,15 @@ class TcpConnection:
     def _emit(self, nbytes: int, meta: tuple) -> None:
         """First transmission of the next segment in sequence."""
         seq = self._next_seq
-        self._segments[seq] = [nbytes, meta, self.sim.now]
+        self._segments[seq] = [nbytes, meta, self.sim._now]
         self._next_seq = seq + nbytes
         self._transmit_segment(seq, nbytes, meta)
 
     def _transmit_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
         self.bytes_sent += nbytes
-        node = self.layer.stack.node
-        node.send(Datagram(PROTO_TCP, node.addr, self.remote_addr,
-                           self.local_port, self.remote_port, nbytes,
-                           ("SEG", seq, meta), created=self.sim.now))
+        self._node.send(Datagram(PROTO_TCP, self._src, self.remote_addr,
+                                 self.local_port, self.remote_port, nbytes,
+                                 ("SEG", seq, meta), created=self.sim._now))
 
     def _retransmit_window(self) -> None:
         """Go-back-N: resend everything from ``base``; back the timer off."""
@@ -374,10 +381,9 @@ class TcpConnection:
         self._send_ack()
 
     def _send_ack(self) -> None:
-        node = self.layer.stack.node
-        node.send(Datagram(PROTO_TCP, node.addr, self.remote_addr,
-                           self.local_port, self.remote_port, 0,
-                           ("ACK", self._rcv_expected), created=self.sim.now))
+        self._node.send(Datagram(PROTO_TCP, self._src, self.remote_addr,
+                                 self.local_port, self.remote_port, 0,
+                                 ("ACK", self._rcv_expected), created=self.sim._now))
 
     def _handle_ack(self, ackno: int) -> None:
         if ackno <= self._base:
@@ -396,9 +402,10 @@ class TcpConnection:
                 sample = sent_at
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
-            self._rtt_sample(self.sim.now - sample)
+            self._rtt_sample(self.sim._now - sample)
         self._base = ackno
-        self._signal()
+        if self.established and not self._wake_pending:
+            self._on_wake()  # the sender's turn, in place (module docstring)
 
     def _rtt_sample(self, rtt: float) -> None:
         if self._srtt is None:

@@ -334,7 +334,7 @@ class Timeout(Event):
 
 def call_target_name(fn: Callable[[Any], Any]) -> str:
     """What a :class:`Call`'s target goes by in event traces and profiler
-    attributions: its qualified name (``Channel._deliver``)."""
+    attributions: its qualified name (``NIC._on_deliver``)."""
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 

@@ -1,11 +1,13 @@
-"""Twin oracle for the one-event switch hop.
+"""Twin oracle for the one-event transit hop.
 
-A frame crossing a node without a stack used to cost two kernel events:
-the ``Channel._deliver`` that brought it in and, ``d_proc`` later, a
-``NIC.forward_frame`` call that reserved the egress.  The shipped path
-serves ``d_proc`` on the inbound channel (``Channel.hold``) and forwards
-on arrival.  The two-event forwarding lives on here as the reference:
-:func:`two_event_reference` puts the parent's ``Node.forward`` back on
+A frame crossing a node used to cost two kernel events: the delivery
+that brought it in and, ``d_proc`` later, a ``NIC.forward_frame`` call
+that reserved the egress.  The shipped path decides per frame, when the
+frame is sent: the channel into a node delivers a frame for none of the
+node's addresses ``d_proc`` late (``Channel.hold``) and the node forwards
+it on arrival; a frame for the node itself arrives unheld.  The
+two-event forwarding lives on here as the reference:
+:func:`two_event_reference` puts the two-event ``Node.forward`` back on
 every node of a built world and clears every hold.  On seeded worlds
 built to land things inside the ``d_proc`` window, every local delivery
 (time by ``repr``, node, datagram) and every channel / NIC / node counter
@@ -25,7 +27,7 @@ from repro import worlds
 from repro.cluster import build_testbed
 from repro.net import MBPS, ConnectionClosed, Network, NetworkStack, TokenBucket
 from repro.net.nic import NIC
-from repro.net.node import DEFAULT_PROC_DELAY, Node
+from repro.net.node import Node
 from repro.sim import Call, Observer, Simulator
 
 US = 1e-6
@@ -57,10 +59,9 @@ def reference_forward(node, frame):
         node.sim.call_later(node.proc_delay, nic.forward_frame, frame)
 
 
-def _replace_forward(net, forward, only=lambda node: True):
+def _replace_forward(net, forward):
     for node in net.nodes.values():
-        if only(node):
-            node.forward = MethodType(forward, node)
+        node.forward = MethodType(forward, node)
 
 
 def shipped(build):
@@ -93,33 +94,28 @@ def mutant_reserve_on_arrival(build):
     return world
 
 
-def mutant_hold_survives_attach(build):
-    """The hold decided once, when the NIC was made: a stack attached
-    after linking does not clear it."""
-    attach, Node.attach_stack = Node.attach_stack, (
-        lambda node, stack: setattr(node, "stack", stack))
-    try:
-        return build()
-    finally:
-        Node.attach_stack = attach
+def _forwarding_hosts(net):
+    return [node for node in net.nodes.values()
+            if node.stack is not None and len(node.nics) > 1]
 
 
 def mutant_hold_at_forwarding_host(build):
-    """The one-event hop at a node that has a stack: its own arrivals
-    are held too."""
-    def forward(node, frame):
-        nic = _next_hop(node, frame)
-        if nic is not None:
-            nic.forward_frame(frame)
-
-    def forwarding_host(node):
-        return node.stack is not None and len(node.nics) > 1
-
+    """The hold decided per node, not per frame, at a node that has a
+    stack: the frames addressed to it are held too."""
     world = build()
-    _replace_forward(world.net, forward, only=forwarding_host)
-    for node in filter(forwarding_host, world.net.nodes.values()):
+    for node in _forwarding_hosts(world.net):
         for nic in node.nics:
-            nic.inbound.hold = node.proc_delay
+            nic.inbound.local = ()
+    return world
+
+
+def mutant_no_hold_at_forwarding_host(build):
+    """A forwarding host forwards on arrival with no ``d_proc`` at all,
+    as if only stackless nodes had one to serve."""
+    world = build()
+    for node in _forwarding_hosts(world.net):
+        for nic in node.nics:
+            nic.inbound.hold = 0.0
     return world
 
 
@@ -408,9 +404,8 @@ def test_scenarios_cover_the_cases_that_matter():
     (mutant_reserve_on_arrival, link_down_during_the_hold),
     (mutant_reserve_on_arrival, shaper_with_tail_drop),
     (mutant_reserve_on_arrival, forwarding_host_that_also_sends),
-    (mutant_hold_survives_attach, stacks_before_between_and_after_linking),
-    (mutant_hold_survives_attach, egress_mtu_splits),
     (mutant_hold_at_forwarding_host, forwarding_host_that_also_sends),
+    (mutant_no_hold_at_forwarding_host, forwarding_host_that_also_sends),
 ], ids=lambda f: f.__name__)
 def test_mutants_are_killed(mutant, scenario):
     reference = run(scenario, 0, two_event_reference).observed()
@@ -418,35 +413,91 @@ def test_mutants_are_killed(mutant, scenario):
         != reference["deliveries"]
 
 
-# -- where the second event survives ----------------------------------------
+# -- the rule on the worlds everything else runs ---------------------------
 
-class ForwardCalls(Observer):
-    """The nodes whose ``NIC.forward_frame`` ran as an event of its own."""
+class Deliveries(Observer):
+    """Every ``NIC._on_deliver`` call: the node it hands the frame to,
+    the frame, when the frame reached the end of its channel and when it
+    was handed over — and every ``NIC.forward_frame`` that ran as an
+    event of its own."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.reached: dict[Call, float] = {}
+        self.handed: list[tuple[Node, object, float, float]] = []
+        self.forward_events = 0
+
+    def attach(self, sim):
+        self.sim = sim
+
+    def on_schedule(self, event, active):
+        if isinstance(event, Call) \
+                and getattr(event.fn, "__func__", None) is NIC._on_deliver:
+            # scheduled from Channel.transmit, which has just set
+            # next_free to the frame's finish (no jitter in these worlds)
+            channel, now = event.fn.__self__.inbound, self.sim.now
+            self.reached[event] = now + (
+                (channel.next_free + channel.delay + channel.extra_delay) - now)
 
     def begin_event(self, when, event):
-        if isinstance(event, Call) \
-                and getattr(event.fn, "__func__", None) is NIC.forward_frame:
-            self.nodes.append(event.fn.__self__.node)
+        if not isinstance(event, Call):
+            return
+        fn = getattr(event.fn, "__func__", None)
+        if fn is NIC.forward_frame:
+            self.forward_events += 1
+        elif fn is NIC._on_deliver:
+            self.handed.append((event.fn.__self__.node, event.arg,
+                                self.reached.pop(event), when))
 
 
-def test_two_event_path_survives_only_at_nodes_with_a_stack():
+def _all_pairs_udp(sim, net):
+    """One datagram from every host to every address of every other
+    host, to a closed port: the ICMP echo comes back the other way."""
+    hosts = [node for node in net.nodes.values() if node.stack is not None]
+
+    def sender(host):
+        sock = host.stack.udp_socket()
+        for other in hosts:
+            for addr in other.addresses:
+                if other is not host:
+                    sock.sendto(addr, 9, 600)
+                    yield sim.timeout(37e-6)
+    for host in hosts:
+        sim.process(sender(host))
+
+
+def _gateway_world():
     world = forwarding_host_that_also_sends(0)
-    calls = world.sim.observe(ForwardCalls())
-    world.sim.run()
-    gateway = world.net.nodes["gw"]
-    assert world.net.nodes["sw1"].forwarded > 0
-    assert calls.nodes == [gateway] * gateway.forwarded
+    return world.sim, world.net
 
 
-@pytest.mark.parametrize("build", [
-    build_testbed, lambda: worlds.build_star().cluster], ids=["testbed", "star"])
-def test_hold_follows_the_stack_on_the_shared_worlds(build):
-    """``Cluster`` attaches a host's stack before its links: d_proc is
-    held on exactly the channels into stackless nodes."""
-    cluster = build()
-    holds = {(node.stack is None, nic.inbound.hold)
-             for node in cluster.network.nodes.values() for nic in node.nics}
-    assert holds == {(True, DEFAULT_PROC_DELAY), (False, 0.0)}
+def _testbed():
+    cluster = build_testbed()
+    return cluster.sim, cluster.network
+
+
+def _star():
+    cluster = worlds.build_star().cluster
+    return cluster.sim, cluster.network
+
+
+@pytest.mark.parametrize("build", [_gateway_world, _testbed, _star],
+                         ids=["gateway", "testbed", "star"])
+def test_hold_is_decided_per_frame(build):
+    """No hop is a second event anywhere, a gateway included; a frame
+    is handed to a node ``d_proc`` after it reached it exactly when the
+    node forwards it, and on arrival when it is addressed to the node."""
+    sim, net = build()
+    seen = sim.observe(Deliveries())
+    _all_pairs_udp(sim, net)
+    sim.run(until=sim.now + 0.5)
+    assert seen.forward_events == 0
+    kinds = set()
+    for node, frame, reached, handed in seen.handed:
+        own = frame.dgram.dst in node.addresses
+        assert handed == (reached if own else reached + node.proc_delay)
+        kinds.add((node.name, own))
+    forwarders = {name for name, own in kinds if not own}
+    assert forwarders and forwarders <= {
+        name for name, node in net.nodes.items() if node.forwarded}
+    for gateway in _forwarding_hosts(net):
+        assert {(gateway.name, False), (gateway.name, True)} <= kinds

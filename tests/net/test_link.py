@@ -91,10 +91,12 @@ class TestDropPolicies:
             Channel(sim, rate_bps=1, delay=-1)
 
     def test_no_receiver_raises(self, sim):
+        """A frame has nowhere to go: the send fails, and nothing is
+        reserved or scheduled for it."""
         ch = Channel(sim, rate_bps=8e6, delay=0)
-        ch.transmit(frame_of())
         with pytest.raises(RuntimeError, match="no receiver"):
-            sim.run()
+            ch.transmit(frame_of())
+        assert (ch.next_free, ch.tx_frames, sim.peek()) == (0.0, 0, float("inf"))
 
 
 class ScriptedRandom:

@@ -188,8 +188,9 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     counted and the wall time has a ceiling the one-table-per-node
     design misses by 2x and 5x, so route state growing with nodes x
     addresses again fails CI rather than a later ledger run.  The same
-    step counts the kernel events of a switch hop (``hop_events``) and
-    the Python calls of a TCP segment and its ack (``call_budget``)."""
+    step counts the kernel events of a transit hop (``hop_events``: one
+    switch, the matmul and massd profiles) and the Python calls of a TCP
+    segment and its ack and of a short connection (``call_budget``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
     step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
             '-k "fleet_build or hop_events or call_budget" env: PYTHONPATH: src')
@@ -198,8 +199,10 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
             < ci.index(step) < ci.index("run: python -m pytest benchmarks/ledger -q"))
     bench = (REPO / "benchmarks" / "test_simulator_performance.py").read_text()
     assert "def test_fleet_build_cost(" in bench and 'ids=["512", "2048"]' in bench
-    assert bench.count("def test_hop_events_") == 2
+    assert bench.count("def test_hop_events_") == 3
+    assert bench.count("_call_budget(") == 2
     assert "def test_tcp_segment_call_budget(" in bench
+    assert "def test_connect_request_close_call_budget(" in bench
 
 
 def test_the_one_accept_loop_is_in_tcp():
