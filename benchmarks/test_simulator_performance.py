@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -254,6 +255,45 @@ def test_connect_request_close_call_budget():
     worth (694.02 with a wake event per ack that moved the window)."""
     per_exchange = tcp_calls_per_exchange(1_000)
     assert round(per_exchange, 2) == 560.02
+
+
+def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
+    """tracemalloc bytes still alive per connect + close a -> r -> b to
+    a port that listens and never accepts, once the run has drained:
+    both endpoints stay in their demux tables (and the server's in the
+    accept queue), as every connection of a ledger run does.  The
+    ``warm_up`` connections before the first reading size the tables."""
+    sim, sa, sb = one_switch()
+    sb.tcp.listen(80)
+
+    def traced_after(count: int) -> int:
+        def client():
+            for _ in range(count):
+                conn = yield from sa.tcp.connect("b", 80)
+                conn.close()
+
+        sim.process(client())
+        sim.run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        before = traced_after(warm_up)
+        after = traced_after(n)
+    finally:
+        tracemalloc.stop()
+    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
+    return (after - before) / n
+
+
+def test_connection_memory_budget():
+    """What one connection leaves behind: two slotted ``TcpConnection``
+    endpoints, their slotted receive ``Store``\\ s and the demux entries.
+    2,051 B on CPython 3.11; 4,835 B with an instance dict on each.  Dict
+    and list sizes differ between CPython versions, hence a ceiling, not
+    a reading."""
+    assert bytes_kept_per_connection(2_000) <= 2_500
 
 
 @pytest.mark.parametrize("groups, ceiling_s", [(8, 0.25), (32, 2.0)],

@@ -27,12 +27,14 @@ exchange and the worker's multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..cluster.host import SmartHost
 from .farm import BlockService, Farm, FarmResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    # imported where an array is built: a timing-only run never loads it
+    import numpy as np
 
 __all__ = [
     "MatMulWorker",
@@ -78,6 +80,8 @@ def local_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def blocked_multiply(a: np.ndarray, b: np.ndarray, blk: int) -> np.ndarray:
     """Blocked local multiply — the same tiling the distributed mode uses;
     tests assert it matches :func:`local_multiply` exactly."""
+    import numpy as np
+
     n, m = a.shape[0], b.shape[1]
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
@@ -126,10 +130,6 @@ class MatMulResult(FarmResult):
     product: Optional[np.ndarray] = None
 
     @property
-    def total_flops(self) -> float:
-        return flops_for(self.n, self.n, self.n)
-
-    @property
     def total_blocks(self) -> int:
         return len(block_grid(self.n, self.blk))
 
@@ -143,6 +143,8 @@ class MatMulResult(FarmResult):
 
         digest = hashlib.sha256(f"matmul:{self.n}:{self.blk}:".encode())
         if self.product is not None:
+            import numpy as np
+
             digest.update(np.ascontiguousarray(self.product).tobytes())
         else:
             done = sum(self.blocks_per_server.values())
@@ -168,7 +170,11 @@ class MatMulMaster(Farm):
             raise ValueError("supply both matrices or neither")
         if a is not None and (a.shape != (n, n) or b.shape != (n, n)):
             raise ValueError(f"matrices must be {n}x{n}")
-        product = np.zeros((n, n), dtype=float) if a is not None else None
+        product: Optional[np.ndarray] = None
+        if a is not None:
+            import numpy as np
+
+            product = np.zeros((n, n), dtype=float)
 
         def request(task):
             block_id, (r0, rows, c0, cols) = task

@@ -36,9 +36,7 @@ from __future__ import annotations
 import hashlib
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..apps import Farm, MassdClient, MatMulMaster
 from ..core import smart_sessions
@@ -48,6 +46,9 @@ from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
 from .controller import ChaosController
 from .invariants import TrialOutcome
 from .plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "Scenario",
@@ -215,6 +216,8 @@ def star_job(
 def _matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Small deterministic integer matrices: products are exact in
     float64, so the result fingerprint is bit-stable by construction."""
+    import numpy as np
+
     idx = np.arange(n * n, dtype=np.int64)
     a = ((idx % 7) - 3).astype(float).reshape(n, n)
     b = ((idx % 5) - 2).astype(float).reshape(n, n)

@@ -68,6 +68,8 @@ UDP_SOCKET_MACHINE: dict[str, object] = {
 class UdpSocket:
     """Bound UDP endpoint with a drop-when-full receive buffer."""
 
+    __slots__ = ("stack", "port", "rx", "closed")
+
     def __init__(self, stack: "NetworkStack", port: int):
         self.stack = stack
         self.port = port

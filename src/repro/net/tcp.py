@@ -119,6 +119,8 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
 class TcpListener:
     """Passive socket: accepted connections appear in :attr:`accepts`."""
 
+    __slots__ = ("layer", "port", "mss", "window", "accepts", "closed")
+
     def __init__(self, layer: "TcpLayer", port: int,
                  mss: int = DEFAULT_MSS, window: int = DEFAULT_WINDOW):
         self.layer = layer
@@ -138,7 +140,20 @@ class TcpListener:
 
 
 class TcpConnection:
-    """One endpoint of an established (or establishing) connection."""
+    """One endpoint of an established (or establishing) connection.
+
+    Slotted: the demux table keeps every endpoint until ``abort()``, so
+    what one endpoint holds is what a run's connection history costs.
+    """
+
+    __slots__ = ("layer", "sim", "_node", "_src", "id", "local_port",
+                 "remote_addr", "remote_port", "mss", "window",
+                 "established", "established_ev", "closed", "peer_closed",
+                 "reset", "_outq", "_segments", "_base", "_next_seq",
+                 "_fin_queued", "_wake_pending", "_rto_deadline", "_timer_at",
+                 "_rcv_expected", "rx", "_partial_bytes", "_srtt", "_rttvar",
+                 "rto", "retransmit_count", "bytes_sent", "bytes_acked",
+                 "bytes_received")
 
     def __init__(
         self,

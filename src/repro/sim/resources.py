@@ -32,8 +32,12 @@ class Store:
 
     ``put`` is immediate (dropping or raising when bounded and full —
     matching how a UDP receive buffer drops datagrams), ``get`` returns an
-    :class:`Event` that fires when an item is available.
+    :class:`Event` that fires when an item is available.  Slotted: every
+    socket's receive queue and every listener's accept queue is one.
     """
+
+    __slots__ = ("sim", "capacity", "drop_when_full", "items", "_getters",
+                 "dropped", "_hb_clocks")
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
                  drop_when_full: bool = False):

@@ -247,3 +247,19 @@ class TestThroughput:
         # 2 MB total through a 10 Mb/s uplink: ~1.6s; both finish near then
         assert max(done.values()) == pytest.approx(1.65, rel=0.15)
         assert abs(done["b"] - done["c"]) < 0.5
+
+
+class TestFootprint:
+    def test_per_connection_objects_are_slotted(self, sim):
+        """The demux table keeps every endpoint, and with it its receive
+        queue, until ``abort()``: none of the objects built per
+        connection or per socket carries an instance dict."""
+        _, sa, sb, _ = make_pair(sim)
+        lsn = sb.tcp.listen(80)
+        conn = run_process(sim, sa.tcp.connect("b", 80))
+        server = sb.tcp.conns[(80, sa.node.addr, conn.local_port)]
+        sock = sa.udp_socket()
+        for obj in (conn, server, conn.rx, lsn, lsn.accepts, sock, sock.rx):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            with pytest.raises(AttributeError):
+                obj.note = None

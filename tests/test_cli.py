@@ -46,6 +46,17 @@ class TestCliSubprocess:
         assert result.returncode == 0
         assert "tab5.3" in result.stdout
 
+    def test_imports_leave_numpy_unloaded(self):
+        """numpy is imported where an array is built, filled or hashed:
+        the applications, the fault plane and the CLI load none of it."""
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.apps, repro.faults, repro.__main__; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.stdout.strip() == "False", result.stderr
+
 
 COMMANDS = [["check", "--sanitize"], ["profile"]]
 

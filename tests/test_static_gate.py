@@ -189,11 +189,13 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     design misses by 2x and 5x, so route state growing with nodes x
     addresses again fails CI rather than a later ledger run.  The same
     step counts the kernel events of a transit hop (``hop_events``: one
-    switch, the matmul and massd profiles) and the Python calls of a TCP
-    segment and its ack and of a short connection (``call_budget``)."""
+    switch, the matmul and massd profiles), the Python calls of a TCP
+    segment and its ack and of a short connection (``call_budget``), and
+    the bytes a closed connection leaves alive (``memory_budget``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
     step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
-            '-k "fleet_build or hop_events or call_budget" env: PYTHONPATH: src')
+            '-k "fleet_build or hop_events or call_budget or memory_budget" '
+            "env: PYTHONPATH: src")
     assert step in ci
     assert (ci.index("git diff --exit-code benchmarks/results/*.txt")
             < ci.index(step) < ci.index("run: python -m pytest benchmarks/ledger -q"))
@@ -203,6 +205,7 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     assert bench.count("_call_budget(") == 2
     assert "def test_tcp_segment_call_budget(" in bench
     assert "def test_connect_request_close_call_budget(" in bench
+    assert "def test_connection_memory_budget(" in bench
 
 
 def test_the_one_accept_loop_is_in_tcp():
