@@ -15,7 +15,8 @@ import tracemalloc
 import pytest
 
 from repro.cluster import Cluster
-from repro.host import CPU
+from repro.core import Config, ServerProbe, SystemMonitor, probe, records
+from repro.host import CPU, procfs
 from repro.net import MBPS, Network, NetworkStack
 from repro.sim import SimProfiler, Simulator, Store
 from repro.sim.profile import merge_attributions
@@ -255,6 +256,60 @@ def test_connect_request_close_call_budget():
     worth (694.02 with a wake event per ack that moved the window)."""
     per_exchange = tcp_calls_per_exchange(1_000)
     assert round(per_exchange, 2) == 560.02
+
+
+def probe_calls_per_report(servers: int = 16) -> tuple[float, int]:
+    """Python-level calls into ``repro`` per status report: ``servers``
+    servers (3394 bogomips, 256 MB) and a monitor on one switch, a bare
+    ``SystemMonitor`` and one ``ServerProbe`` per server started 1 ms
+    apart at ``probe_interval`` 1.0 — scan, encode, send, deliver, parse
+    and upsert, counted from sim-time 10 s to 40 s.  Returns the calls
+    per report and the reports received in that window.  The report
+    memos start empty, so that what earlier runs in this process left in
+    them cannot turn a miss into a hit."""
+    for module in (procfs, probe, records):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    cluster = Cluster()
+    switch = cluster.add_switch("sw")
+    monitor = cluster.add_host("monitor")
+    cluster.link(monitor, switch)
+    hosts = [cluster.add_host(f"s{i:02d}", bogomips=3394.0, mem_mb=256)
+             for i in range(servers)]
+    for host in hosts:
+        cluster.link(host, switch)
+    cluster.finalize()
+    sim, cfg = cluster.sim, Config(probe_interval=1.0)
+    sysmon = SystemMonitor(sim, monitor.stack, monitor.shm, cfg)
+    sysmon.start()
+    probes = [ServerProbe(sim, host.procfs, host.stack, monitor_addr=monitor.addr,
+                          config=cfg) for host in hosts]
+
+    def boot():
+        for server_probe in probes:
+            server_probe.start()
+            yield sim.timeout(0.001)
+
+    sim.process(boot())
+    cluster.run(until=10.0)
+    before = sysmon.reports_received
+    calls = _count_calls(lambda: cluster.run(until=40.0))
+    reports = sysmon.reports_received - before
+    return calls / reports, reports
+
+
+def test_probe_report_call_budget():
+    """The monitoring plane's per-report cost: five ``/proc`` renders and
+    their parsers, the ``key=value`` encode, one datagram across the
+    switch, the decode and the upsert.  Every conversion on that path is
+    memoized on its input (DESIGN §21), so a report whose ``/proc`` texts
+    and pairs another host or an earlier scan already produced costs no
+    formatting or parsing frame.  229.82 calls before the memos."""
+    per_report, reports = probe_calls_per_report()
+    assert reports == 480
+    assert round(per_report, 2) == 170.27
+    assert per_report <= 190
 
 
 def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:

@@ -8,11 +8,20 @@ parameters as an ASCII string and sends it to the system monitor over UDP.
 To stay honest, the probe *parses the rendered /proc text* — it never
 touches the :class:`~repro.host.machine.Machine` object directly.  The
 parsers below accept real 2.4-kernel formats.
+
+A parser is a pure function of its text, and a fleet's texts repeat
+(DESIGN §21): the parsers of the four files hosts share are memoized on
+the text, module-wide (``/proc/cpuinfo`` names its host, so each probe
+remembers its own parse).  A parse that raises is not remembered, and
+no memo hands out a mutable
+result — ``parse_net_dev`` returns a dict, so what is remembered is the
+totals tuple :func:`_net_dev_totals` sums from it.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from ..host.procfs import ProcFS
@@ -35,6 +44,11 @@ __all__ = [
 # /proc parsers
 # ---------------------------------------------------------------------------
 
+#: entries each text-keyed parser memo keeps (least recently used go)
+PARSE_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_loadavg(text: str) -> tuple[float, float, float]:
     parts = text.split()
     if len(parts) < 3:
@@ -42,6 +56,7 @@ def parse_loadavg(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_stat_cpu(text: str) -> tuple[int, int, int, int]:
     """(user, nice, system, idle) jiffies from the aggregate ``cpu`` line."""
     for line in text.splitlines():
@@ -56,6 +71,7 @@ def parse_stat_cpu(text: str) -> tuple[int, int, int, int]:
 _DISK_RE = re.compile(r"\((\d+),(\d+)\):\((\d+),(\d+),(\d+),(\d+),(\d+)\)")
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_stat_disk(text: str) -> tuple[int, int, int, int, int]:
     """(allreq, rreq, rblocks, wreq, wblocks) summed over devices
     (2.4-kernel ``disk_io:`` format)."""
@@ -74,6 +90,7 @@ def parse_stat_disk(text: str) -> tuple[int, int, int, int, int]:
     return tuple(totals)  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_meminfo(text: str) -> tuple[int, int, int]:
     """(total, used, free) in bytes from the 2.4 ``Mem:`` byte table."""
     for line in text.splitlines():
@@ -106,6 +123,14 @@ def parse_net_dev(text: str) -> dict[str, tuple[int, int, int, int]]:
             continue
         result[name.strip()] = (int(cols[0]), int(cols[1]), int(cols[8]), int(cols[9]))
     return result
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _net_dev_totals(text: str) -> tuple[int, int, int, int]:
+    """(rbytes, rpackets, tbytes, tpackets) summed over the physical
+    interfaces of a ``/proc/net/dev`` text (loopback skipped)."""
+    rows = [row for name, row in parse_net_dev(text).items() if name != "lo"]
+    return tuple(sum(row[i] for row in rows) for i in range(4))  # type: ignore[return-value]
 
 
 def parse_cpuinfo_bogomips(text: str) -> float:
@@ -178,6 +203,8 @@ class ServerProbe:
         self._prev_cpu: Optional[tuple[int, int, int, int]] = None
         self._prev_net: Optional[tuple[int, int, int, int]] = None
         self._prev_scan_time: Optional[float] = None
+        self._cpuinfo_text: Optional[str] = None
+        self._bogomips = 0.0
         self.reports_sent = 0
         self.last_report: Optional[ServerStatusReport] = None
 
@@ -223,14 +250,15 @@ class ServerProbe:
         cpu = parse_stat_cpu(stat_text)
         allreq, rreq, rblocks, wreq, wblocks = parse_stat_disk(stat_text)
         total, used, free = parse_meminfo(self.procfs.read("/proc/meminfo"))
-        net = parse_net_dev(self.procfs.read("/proc/net/dev"))
-        bogomips = parse_cpuinfo_bogomips(self.procfs.read("/proc/cpuinfo"))
-
-        # aggregate across physical interfaces (skip loopback)
-        rbytes = sum(v[0] for k, v in net.items() if k != "lo")
-        rpackets = sum(v[1] for k, v in net.items() if k != "lo")
-        tbytes = sum(v[2] for k, v in net.items() if k != "lo")
-        tpackets = sum(v[3] for k, v in net.items() if k != "lo")
+        rbytes, rpackets, tbytes, tpackets = _net_dev_totals(
+            self.procfs.read("/proc/net/dev"))
+        # /proc/cpuinfo names its host: no other probe shares its text, so
+        # the parse is remembered here rather than module-wide
+        cpuinfo = self.procfs.read("/proc/cpuinfo")
+        if cpuinfo != self._cpuinfo_text:
+            self._bogomips = parse_cpuinfo_bogomips(cpuinfo)
+            self._cpuinfo_text = cpuinfo
+        bogomips = self._bogomips
 
         # CPU usage fractions from jiffy deltas between scans
         if self._prev_cpu is not None:

@@ -21,6 +21,7 @@ Two deliberately different encodings, as in the thesis:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from ..lang.variables import MONITOR_VARS, SERVER_SIDE_VARS
@@ -185,9 +186,9 @@ class ServerStatusReport:
 
     def to_wire(self) -> str:
         """ASCII encoding: ``host|addr|group|k=v ...[|k=s ...]``."""
-        pairs = " ".join(
-            f"{k}={_fmt_number(self.values[k])}" for k in sorted(self.values)
-        )
+        values = self.values
+        keys = sorted(values)
+        pairs = " ".join(map(_encode_pair, keys, map(values.__getitem__, keys)))
         wire = f"{self.host}|{self.addr}|{self.group}|{pairs}"
         if self.extras:
             spairs = " ".join(f"{k}={self.extras[k]}" for k in sorted(self.extras))
@@ -200,12 +201,9 @@ class ServerStatusReport:
         if len(parts) not in (4, 5):
             raise ValueError(f"malformed probe report: {text[:80]!r}")
         host, addr, group, rest = parts[:4]
-        values: dict[str, float] = {}
-        for pair in rest.split():
-            key, sep, raw = pair.partition("=")
-            if not sep or not key:
-                raise ValueError(f"malformed pair {pair!r} in probe report")
-            values[key] = float(raw)
+        # a fresh dict per report; only the key strings and the floats in
+        # it are shared with other reports that carried the same pair
+        values: dict[str, float] = dict(map(_decode_pair, rest.split()))
         extras: dict[str, str] = {}
         if len(parts) == 5:
             for pair in parts[4].split():
@@ -221,11 +219,36 @@ class ServerStatusReport:
         return len(self.to_wire())
 
 
+# The report's two conversions, memoized per ``key=value`` pair: across a
+# fleet most pairs repeat one another host or an earlier scan already
+# produced (DESIGN §21).  A pair that does not parse raises on every
+# arrival — ``lru_cache`` never remembers an exception.
+
+#: pairs each memo keeps (least recently used go)
+PAIR_MEMO_SIZE = 64
+
+
 def _fmt_number(x: float) -> str:
     """Compact numeric formatting (integers stay integral)."""
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return f"{x:.6g}"
+
+
+# Exact on equal keys: equal floats format alike (``0.0`` and ``-0.0``
+# both print ``0``), and ``typed`` keeps an int, a bool or any other
+# number type apart from the float it equals.
+@lru_cache(maxsize=PAIR_MEMO_SIZE, typed=True)
+def _encode_pair(key: str, value: float) -> str:
+    return f"{key}={_fmt_number(value)}"
+
+
+@lru_cache(maxsize=PAIR_MEMO_SIZE)
+def _decode_pair(pair: str) -> tuple[str, float]:
+    key, sep, raw = pair.partition("=")
+    if not sep or not key:
+        raise ValueError(f"malformed pair {pair!r} in probe report")
+    return key, float(raw)
 
 
 @dataclass
@@ -328,9 +351,20 @@ class WireMessage:
 # sanity: the requirement language and the reports must agree on names
 _KNOWN = set(SERVER_SIDE_VARS) | set(MONITOR_VARS)
 
+#: distinct key sets remembered; a fleet's probes send one or a few
+KEY_SET_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=KEY_SET_MEMO_SIZE)
+def _unknown_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(sorted(set(keys) - _KNOWN))
+
 
 def validate_report_keys(report: ServerStatusReport) -> None:
-    """Raise if a report carries keys the language does not define."""
-    unknown = set(report.values) - _KNOWN
+    """Raise if a report carries keys the language does not define (the
+    system monitor rejects such a report as it rejects one that does not
+    parse).  Memoized on the key tuple: every report of a probe carries
+    the same keys in the same order."""
+    unknown = _unknown_keys(tuple(report.values))
     if unknown:
-        raise ValueError(f"report from {report.host} has unknown keys: {sorted(unknown)}")
+        raise ValueError(f"report from {report.host} has unknown keys: {list(unknown)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..sim import HostClock, Interrupt, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
-from .records import ServerStatusRecord, ServerStatusReport
+from .records import ServerStatusRecord, ServerStatusReport, validate_report_keys
 
 __all__ = ["SystemMonitor"]
 
@@ -95,9 +95,12 @@ class SystemMonitor:
 
     def _on_report(self, payload):
         """Parse, count and upsert one probe report, whichever transport
-        carried it; ``False`` when it did not parse."""
+        carried it; ``False`` when it did not parse or names a key the
+        requirement language does not define (such a record would sit in
+        the database where no requirement can read it)."""
         try:
             report = ServerStatusReport.from_wire(payload)
+            validate_report_keys(report)
         except (ValueError, TypeError):
             self.parse_errors += 1
             return False

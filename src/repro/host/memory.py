@@ -71,10 +71,6 @@ class Memory:
         self._app_bytes -= handle.nbytes
 
     # -- accounting ---------------------------------------------------------------
-    @property
-    def app_bytes(self) -> int:
-        return self._app_bytes
-
     def snapshot(self) -> dict[str, int]:
         """total/used/free/shared/buffers/cached, 2.4-kernel style."""
         hard_used = self.kernel + self._app_bytes

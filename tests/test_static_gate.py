@@ -190,8 +190,9 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     addresses again fails CI rather than a later ledger run.  The same
     step counts the kernel events of a transit hop (``hop_events``: one
     switch, the matmul and massd profiles), the Python calls of a TCP
-    segment and its ack and of a short connection (``call_budget``), and
-    the bytes a closed connection leaves alive (``memory_budget``)."""
+    segment and its ack, of a short connection and of a probe report
+    (``call_budget``), and the bytes a closed connection leaves alive
+    (``memory_budget``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
     step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
             '-k "fleet_build or hop_events or call_budget or memory_budget" '
@@ -202,9 +203,10 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     bench = (REPO / "benchmarks" / "test_simulator_performance.py").read_text()
     assert "def test_fleet_build_cost(" in bench and 'ids=["512", "2048"]' in bench
     assert bench.count("def test_hop_events_") == 3
-    assert bench.count("_call_budget(") == 2
+    assert bench.count("_call_budget(") == 3
     assert "def test_tcp_segment_call_budget(" in bench
     assert "def test_connect_request_close_call_budget(" in bench
+    assert "def test_probe_report_call_budget(" in bench
     assert "def test_connection_memory_budget(" in bench
 
 
