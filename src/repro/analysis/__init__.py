@@ -1,11 +1,10 @@
-"""Codebase static analysis: six rule series over the repo's own source.
+"""Codebase static analysis: five rule series over the repo's own source.
 
 Sibling of :mod:`repro.lang.analysis` — that package checks requirement
 *texts*; this one checks the repo's own *Python source*, because the
 thesis' numbers are only reproducible while the simulation stays
-deterministic, the wire constants agree with the variable registry and
-the daemons' protocols hold.  Per file: determinism (D), protocol
-consistency (P) and concurrency (R).  Whole program: message flow
+deterministic and the daemons' protocols hold.  Per file: determinism
+(D) and concurrency (R).  Whole program: message flow
 (``--flow``, F), hot-path performance (``--perf``, H) and typestate
 against the lifecycles declared beside their classes (``--proto``, S).
 Diagnostics reuse :class:`repro.lang.diagnostics.Diagnostic` under the
@@ -14,7 +13,7 @@ Diagnostics reuse :class:`repro.lang.diagnostics.Diagnostic` under the
 """
 
 from .engine import ANALYZER_CODES, FileUnit, Rule, all_rules, rule
-from .program import Finding, Program, Report, check_source, run_checks
+from .program import Finding, Program, Report, run_checks
 from .cli import check_main
 
 __all__ = [
@@ -27,6 +26,5 @@ __all__ = [
     "Finding",
     "Report",
     "run_checks",
-    "check_source",
     "check_main",
 ]

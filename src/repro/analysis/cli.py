@@ -162,10 +162,8 @@ def check_main(argv: list[str] | None = None) -> int:
         prog="repro-check",
         description="Statically analyze the codebase for determinism "
                     "hazards (D-series REPRO1xx: bare random/wall-clock/"
-                    "entropy, unordered scheduling, float time equality), "
-                    "wire-protocol drift (P-series REPRO2xx: message "
-                    "constants, NAK diagnostic fields and probe keys vs. "
-                    "the live registries) and concurrency hazards (R-series "
+                    "entropy, unordered scheduling, float time equality) "
+                    "and concurrency hazards (R-series "
                     "REPRO3xx: unguarded blocking receives, untracked "
                     "shared segments); run the "
                     "whole-program flow (--flow, F-series REPRO4xx), "
@@ -201,7 +199,7 @@ def check_main(argv: list[str] | None = None) -> int:
                              "analyzer (S-series REPRO6xx) over the given "
                              "paths as one program")
     parser.add_argument("--all", action="store_true",
-                        help="run every static gate (per-file D/P/R, "
+                        help="run every static gate (per-file D/R, "
                              "--flow, --perf, --proto) in one process; "
                              "exit code is the worst of the four")
     parser.add_argument("--dot", metavar="PATH",

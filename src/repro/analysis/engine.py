@@ -8,16 +8,12 @@ with :func:`rule`; each gets a parsed :class:`FileUnit` and yields
 span-carrying diagnostics the requirement analyzer emits, under the
 ``REPROxxx`` code namespace registered here).
 
-Three per-file rule families ship in sibling modules:
+Two per-file rule families ship in sibling modules:
 
 * :mod:`repro.analysis.determinism` — **D-series** (``REPRO1xx``): no
   wall-clock, OS entropy or bare ``random`` in simulated code paths, no
   unordered iteration feeding the event scheduler, no float equality on
   event times.
-* :mod:`repro.analysis.protocol` — **P-series** (``REPRO2xx``): wire
-  constants, the NAK diagnostic fields and the probe's report keys in
-  ``core/records.py``/``core/probe.py`` must stay consistent with the
-  live registries they copy.
 * :mod:`repro.analysis.concurrency` — **R-series** (``REPRO3xx``):
   blocking receives with no timeout or interrupt guard, untracked
   shared-segment writes, callbacks that mutate the kernel, dropped
@@ -61,9 +57,9 @@ __all__ = [
 ]
 
 #: the REPROxxx diagnostic table — D-series (1xx) determinism rules,
-#: P-series (2xx) protocol-consistency rules, R-series (3xx)
-#: concurrency rules (REPRO300 is emitted by the *dynamic* happens-before
-#: sanitizer in :mod:`repro.sim.hb`, not by a static rule), F-series
+#: R-series (3xx) concurrency rules (REPRO300 is emitted by the
+#: *dynamic* happens-before sanitizer in :mod:`repro.sim.hb`, not by a
+#: static rule), F-series
 #: (4xx) whole-program message-flow/lifecycle analyses (emitted by
 #: :mod:`repro.analysis.flow` behind ``--flow``, not by per-file rules)
 #: H-series (5xx) hot-path performance analyses (emitted by
@@ -77,9 +73,6 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
     "REPRO104": (Severity.ERROR, "OS entropy source in simulated code"),
     "REPRO105": (Severity.ERROR, "unordered iteration feeds event scheduling"),
     "REPRO106": (Severity.WARNING, "float equality on event times"),
-    "REPRO201": (Severity.ERROR, "wire message constants inconsistent"),
-    "REPRO202": (Severity.ERROR, "WireDiagnostic drifted from lang Diagnostic"),
-    "REPRO203": (Severity.ERROR, "probe keys drifted from variable registry"),
     "REPRO301": (Severity.ERROR, "blocking receive without timeout or "
                                  "interrupt guard"),
     "REPRO303": (Severity.ERROR, "shared segment written without shared() "
@@ -133,7 +126,6 @@ class Series:
 #: all read
 SERIES: dict[str, Series] = {
     "1": Series("D", "determinism", ""),
-    "2": Series("P", "protocol consistency", ""),
     "3": Series("R", "concurrency", ""),
     "4": Series("F", "message flow", "flow"),
     "5": Series("H", "hot-path performance", "perf"),
@@ -265,7 +257,7 @@ def all_rules() -> list[Rule]:
 
 def _load_rule_modules() -> None:
     # imported lazily so engine <-> rule-module imports cannot cycle
-    from . import concurrency, determinism, protocol  # noqa: F401
+    from . import concurrency, determinism  # noqa: F401
 
 
 def noqa_map(source: str) -> dict[int, Optional[frozenset[str]]]:

@@ -98,9 +98,6 @@ class HotContext:
     #: first function that registers it (REPRO504)
     callbacks: dict[str, str] = field(default_factory=dict)
 
-    def is_hot(self, qualname: str) -> bool:
-        return qualname in self.hot
-
     def roots_of(self, qualname: str) -> tuple[str, ...]:
         return self.hot.get(qualname, ())
 

@@ -5,7 +5,7 @@ whole-program structures (the project
 :class:`~repro.analysis.flow.symbols.SymbolTable`, the wire-tag
 analysis) lazily, once, for whichever series ask for them.
 :func:`run_checks` runs any subset of the four *gates* over it — the
-default per-file D/P/R rules, ``flow`` (F-series), ``perf`` (H-series),
+default per-file D/R rules, ``flow`` (F-series), ``perf`` (H-series),
 ``proto`` (S-series) — applies ``# repro: noqa`` once, sorts once and
 returns one :class:`Report`; :mod:`repro.analysis.cli` renders it.
 
@@ -38,8 +38,7 @@ from .hotpath.rules import hot_rule_diagnostics
 from .typestate.pairing import pairing_diagnostics
 from .typestate.walker import TypestateWalker
 
-__all__ = ["Program", "Finding", "Report", "GATES", "run_checks",
-           "check_source"]
+__all__ = ["Program", "Finding", "Report", "GATES", "run_checks"]
 
 
 class Program:
@@ -222,8 +221,3 @@ def run_checks(program: Program, gates: Sequence[str] = ("",),
     kept.sort(key=order)
     return Report(program=program, gates=tuple(gates), findings=kept,
                   suppressed=suppressed, stats=stats)
-
-
-def check_source(source: str, path: Path) -> Report:
-    """Run the per-file rules over one source text."""
-    return run_checks(Program([(path, source)]))

@@ -9,7 +9,6 @@ from .matmul import (
     MatMulResult,
     MatMulWorker,
     block_grid,
-    blocked_multiply,
     flops_for,
     local_multiply,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "MatMulMaster",
     "MatMulResult",
     "local_multiply",
-    "blocked_multiply",
     "block_grid",
     "flops_for",
     "DOUBLE_BYTES",

@@ -54,8 +54,6 @@ class FileServer(BlockService):
                  read_from_disk: bool = False):
         super().__init__(host, port, mss)
         self.read_from_disk = read_from_disk
-        self.blocks_served = 0
-        self.bytes_served = 0
 
     def start(self) -> None:
         self.serve("GET", self._read, name="massd-server", session_name="massd-sess")
@@ -63,8 +61,6 @@ class FileServer(BlockService):
     def _read(self, block_id, nbytes):
         if self.read_from_disk:
             yield self.host.machine.disk.read(nbytes)
-        self.blocks_served += 1
-        self.bytes_served += nbytes
         return ("BLOCK", block_id), nbytes
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "MatMulMaster",
     "MatMulResult",
     "local_multiply",
-    "blocked_multiply",
     "block_grid",
     "flops_for",
     "DOUBLE_BYTES",
@@ -75,27 +74,6 @@ def local_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
     return a @ b
-
-
-def blocked_multiply(a: np.ndarray, b: np.ndarray, blk: int) -> np.ndarray:
-    """Blocked local multiply — the same tiling the distributed mode uses;
-    tests assert it matches :func:`local_multiply` exactly."""
-    import numpy as np
-
-    n, m = a.shape[0], b.shape[1]
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    if n != m or n != a.shape[1]:
-        # thesis uses square matrices; keep general anyway
-        pass
-    out = np.zeros((n, m), dtype=np.result_type(a, b))
-    for r0, rows, c0, cols in block_grid(max(n, m), blk):
-        if r0 >= n or c0 >= m:
-            continue
-        rows = min(rows, n - r0)
-        cols = min(cols, m - c0)
-        out[r0:r0 + rows, c0:c0 + cols] = a[r0:r0 + rows, :] @ b[:, c0:c0 + cols]
-    return out
 
 
 class MatMulWorker(BlockService):

@@ -8,7 +8,6 @@ from .testbed import (
     TESTBED_MACHINES,
     TESTBED_SEGMENTS,
     build_testbed,
-    segment_partition_nodes,
 )
 from .wan import WAN_PATHS, WanPathSpec, build_wan_paths
 
@@ -20,7 +19,6 @@ __all__ = [
     "build_testbed",
     "TESTBED_MACHINES",
     "TESTBED_SEGMENTS",
-    "segment_partition_nodes",
     "MachineSpec",
     "build_wan_paths",
     "WAN_PATHS",

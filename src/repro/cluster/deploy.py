@@ -298,12 +298,6 @@ class Deployment:
             wizard_addrs=[h.addr for h in self.wizard_hosts],
         )
 
-    def all_servers(self) -> list[SmartHost]:
-        out = []
-        for group in self.groups.values():
-            out.extend(group.servers)
-        return out
-
     def warm_up_seconds(self) -> float:
         """Sim time after which the wizard's DBs are fully populated."""
         return (

@@ -28,7 +28,6 @@ __all__ = [
     "MachineSpec",
     "build_testbed",
     "TESTBED_SEGMENTS",
-    "segment_partition_nodes",
 ]
 
 
@@ -73,20 +72,6 @@ TESTBED_SEGMENTS: tuple[str, ...] = (
 _SWITCH_DELAY = 25e-6
 #: extra propagation crossing the campus to the lab gateway
 _CAMPUS_DELAY = 60e-6
-
-
-def segment_partition_nodes(segment: str) -> tuple[str, str]:
-    """Endpoint names of the link to cut to partition a lab segment from
-    the rest of the testbed — feed straight into
-    :meth:`repro.faults.FaultPlan.partition`.  Every segment reaches the
-    world through the gateway *dalmatian*, so cutting the
-    dalmatian<->switch uplink isolates the whole segment (dalmatian's own
-    segment ``192.168.1`` cannot be cut away from itself)."""
-    if segment not in TESTBED_SEGMENTS:
-        raise KeyError(f"unknown segment {segment!r}; have {TESTBED_SEGMENTS}")
-    if segment == "192.168.1":
-        raise ValueError("192.168.1 is the gateway's own segment")
-    return ("dalmatian", f"sw-{segment}")
 
 
 def build_testbed(sim: Simulator | None = None, seed: int = 0,

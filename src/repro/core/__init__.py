@@ -39,16 +39,14 @@ from .records import (
     SecurityRecord,
     ServerStatusRecord,
     ServerStatusReport,
-    WireDiagnostic,
     WireMessage,
 )
 from .secmon import (
     DummySecurityLog,
-    FingerprintScanner,
     SecurityMonitor,
     SecuritySource,
 )
-from .selection import RandomSelector, RoundRobinSelector, Selector, StaticSelector
+from .selection import RandomSelector, RoundRobinSelector
 from .session import LeaseResponder, SmartSession, smart_sessions
 from .sysmon import SystemMonitor
 from .transmitter import PushStats, Transmitter
@@ -66,7 +64,6 @@ __all__ = [
     "SecurityMonitor",
     "SecuritySource",
     "DummySecurityLog",
-    "FingerprintScanner",
     "Transmitter",
     "Receiver",
     "Wizard",
@@ -102,7 +99,6 @@ __all__ = [
     "REPLY_OK",
     "REPLY_NAK",
     "REPLY_STALE",
-    "WireDiagnostic",
     "measure_rtt",
     "rtt_curve",
     "estimate_bandwidth",
@@ -111,6 +107,4 @@ __all__ = [
     "pathload_estimate",
     "RandomSelector",
     "RoundRobinSelector",
-    "StaticSelector",
-    "Selector",
 ]

@@ -245,10 +245,6 @@ class SmartClient:
             )
         ]
 
-    def quarantined_wizards(self) -> set[str]:
-        """Replicas currently serving a quarantine sentence."""
-        return self._wizard_quarantine.active()
-
     def slow_wizards(self) -> set[str]:
         """Replicas demoted for a fail-slow RTT baseline.  Relative and
         self-correcting: a demoted replica keeps answering (it still gets

@@ -196,10 +196,6 @@ class SuspicionDetector:
         stats.ewma.record(sample)
         stats.quantile.record(sample)
 
-    def forget(self, peer: str) -> None:
-        """Drop a peer's baseline (e.g. after it was replaced)."""
-        self._peers.pop(peer, None)
-
     # -- reading -------------------------------------------------------------
     def samples(self, peer: str) -> int:
         stats = self._peers.get(peer)

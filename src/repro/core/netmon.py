@@ -119,14 +119,6 @@ class BandwidthEstimate:
         return bool(self.samples_bps)
 
     @property
-    def min_bps(self) -> float:
-        return min(self.samples_bps)
-
-    @property
-    def max_bps(self) -> float:
-        return max(self.samples_bps)
-
-    @property
     def avg_bps(self) -> float:
         return sum(self.samples_bps) / len(self.samples_bps)
 

@@ -33,7 +33,6 @@ __all__ = [
     "NetStatusRecord",
     "SecurityRecord",
     "WireMessage",
-    "WireDiagnostic",
     "MSG_SYSDB",
     "MSG_NETDB",
     "MSG_SECDB",
@@ -121,51 +120,38 @@ WIZARD_EXCHANGE: dict[str, object] = {
 
 
 def _verify_wire_tag_registry(handlers: dict[str, tuple[str, ...]],
-                              exported: "list[str] | tuple[str, ...]") -> None:
-    """Raise if the handler registry drifted from the wire-tag constants:
-    the one check that every tag has a row and every row a tag.
+                              tags: dict[str, int]) -> None:
+    """Raise if the wire tags or their handler registry are inconsistent:
+    the one check that every tag has a row and every row a tag, that the
+    ``MSG_*`` tags are distinct and positive (0 is the unset tag) and
+    that the ``REPLY_*`` status bytes are distinct — two kinds sharing a
+    tag would silently cross wires at dispatch.
 
     An explicit ``RuntimeError`` rather than an assert so the guard
     survives ``python -O`` — a drifted registry must never import.
     """
-    expected = {name for name in exported
-                if name.startswith(("MSG_", "REPLY_"))}
-    missing = sorted(expected - set(handlers))
-    extra = sorted(set(handlers) - expected)
+    missing = sorted(set(tags) - set(handlers))
+    extra = sorted(set(handlers) - set(tags))
     if missing or extra:
         raise RuntimeError(
             "WIRE_TAG_HANDLERS drifted from the wire-tag constants: "
             f"missing={missing} extra={extra}"
         )
+    for prefix in ("MSG_", "REPLY_"):
+        kind = {name: value for name, value in tags.items()
+                if name.startswith(prefix)}
+        if len(set(kind.values())) < len(kind):
+            raise RuntimeError(f"two {prefix}* tags share a value: {kind}")
+    unset = sorted(name for name, value in tags.items()
+                   if name.startswith("MSG_") and value <= 0)
+    if unset:
+        raise RuntimeError(f"message type tags must be positive (0 is the "
+                           f"unset tag): {unset}")
 
 
-_verify_wire_tag_registry(WIRE_TAG_HANDLERS, __all__)
-
-
-@dataclass(frozen=True)
-class WireDiagnostic:
-    """Wire form of one analyzer :class:`~repro.lang.diagnostics.Diagnostic`
-    as carried in a NAK reply: ``[code, severity, line, col, message]``."""
-
-    code: str
-    severity: str
-    message: str
-    line: int = 0
-    col: int = 0
-
-    @classmethod
-    def from_diagnostic(cls, diag) -> "WireDiagnostic":
-        return cls(code=diag.code, severity=diag.severity,
-                   message=diag.message, line=diag.line, col=diag.col)
-
-    @property
-    def wire_bytes(self) -> int:
-        # code + 1-byte severity flag + 2x2-byte span + message + NUL
-        return len(self.code) + 1 + 4 + len(self.message) + 1
-
-    def render(self, filename: str = "<requirement>") -> str:
-        return (f"{filename}:{self.line}:{self.col}: "
-                f"{self.severity} {self.code}: {self.message}")
+_verify_wire_tag_registry(WIRE_TAG_HANDLERS, {
+    name: globals()[name] for name in __all__
+    if name.startswith(("MSG_", "REPLY_"))})
 
 
 @dataclass

@@ -70,8 +70,6 @@ class _Endpoint:
         # receiver state
         self._recv_seq = 0  # highest delivered
         self.rx = Store(sim)
-        self.messages_sent = 0
-        self.messages_delivered = 0
         self.retransmitted = 0
 
     # -- public API -----------------------------------------------------------
@@ -86,7 +84,6 @@ class _Endpoint:
         self._send_seq += 1
         seq = self._send_seq
         self._unacked[seq] = (payload, nbytes)
-        self.messages_sent += 1
         if self.attached:
             self._transmit(seq, payload, nbytes)
 
@@ -137,7 +134,6 @@ class _Endpoint:
                     _, _, seq, payload = msg
                     if seq == self._recv_seq + 1:
                         self._recv_seq = seq
-                        self.messages_delivered += 1
                         self.rx.put((payload, nbytes - ENVELOPE_BYTES))
                     # duplicates (seq <= recv_seq) are dropped silently;
                     # either way acknowledge what we have

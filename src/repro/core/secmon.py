@@ -6,13 +6,8 @@ and the correspondingly security levels."  The framework is deliberately
 open: any *source* implementing :class:`SecuritySource` can be plugged in —
 the thesis imagines Cisco-NAC-style trust agents feeding it.
 
-Two sources ship here:
-
-* :class:`DummySecurityLog` — the thesis' literal design: a text log of
-  ``host level`` lines re-read every interval;
-* :class:`FingerprintScanner` — an nmap-flavoured extension that "scans"
-  simulated hosts and derives a level from the advertised OS string,
-  standing in for the fingerprint-database probing of §3.4.2.
+One source ships here, :class:`DummySecurityLog` — the thesis' literal
+design: a text log of ``host level`` lines re-read every interval.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from .records import SecurityRecord
 __all__ = [
     "SecuritySource",
     "DummySecurityLog",
-    "FingerprintScanner",
     "SecurityMonitor",
 ]
 
@@ -46,9 +40,6 @@ class DummySecurityLog:
     def __init__(self, text: str = ""):
         self.text = text
 
-    def set_text(self, text: str) -> None:
-        self.text = text
-
     def collect(self) -> list[tuple[str, int]]:
         entries = []
         for lineno, line in enumerate(self.text.splitlines(), 1):
@@ -60,35 +51,6 @@ class DummySecurityLog:
                 raise ValueError(f"malformed security log line {lineno}: {line!r}")
             entries.append((parts[0], int(parts[1])))
         return entries
-
-
-class FingerprintScanner:
-    """nmap-style OS fingerprinting over the simulated cluster (extension).
-
-    Maps advertised OS strings to clearance levels through a fingerprint
-    table, defaulting unknown systems to level 0 (untrusted).
-    """
-
-    #: substring of the advertised OS string -> clearance level
-    DEFAULT_FINGERPRINTS = {
-        "2.4": 2,     # patched 2.4-series kernels (the testbed's fleet)
-        "2.6": 3,     # newer kernel, assumed better hardened
-        "Windows": 1,
-    }
-
-    def __init__(self, machines, fingerprints=None):
-        self.machines = list(machines)
-        self.fingerprints = dict(fingerprints or self.DEFAULT_FINGERPRINTS)
-
-    def collect(self) -> list[tuple[str, int]]:
-        out = []
-        for machine in self.machines:
-            level = 0
-            for needle, lvl in self.fingerprints.items():
-                if needle in machine.os_name:
-                    level = max(level, lvl)
-            out.append((machine.name, level))
-        return out
 
 
 class SecurityMonitor:

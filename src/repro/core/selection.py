@@ -3,26 +3,20 @@
 The evaluation chapters compare the Smart library against *random* server
 selection ("In the conventional socket library, users have to randomly
 select servers", §5.3.2); §3.3.3 also names blind *round-robin* as the
-classic technique.  All three share one interface so experiments can swap
-them freely.
+classic technique.  Both have the same ``select(n)``; the smart path is
+the wizard, reached through :class:`~repro.core.client.SmartClient`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from ..sim import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     import random
 
-__all__ = ["Selector", "RandomSelector", "RoundRobinSelector", "StaticSelector"]
-
-
-class Selector(Protocol):
-    """Pick ``n`` servers from a pool."""
-
-    def select(self, n: int) -> list[str]: ...
+__all__ = ["RandomSelector", "RoundRobinSelector"]
 
 
 class RandomSelector:
@@ -57,16 +51,3 @@ class RoundRobinSelector:
             picked.append(self.pool[self._cursor % len(self.pool)])
             self._cursor += 1
         return picked
-
-
-class StaticSelector:
-    """A fixed, hand-written server list — the "static configuration
-    statements manually prepared" the thesis' summary criticises."""
-
-    def __init__(self, servers: Sequence[str]):
-        self.servers = list(servers)
-
-    def select(self, n: int) -> list[str]:
-        if n > len(self.servers):
-            raise ValueError(f"static list has only {len(self.servers)} servers")
-        return self.servers[:n]

@@ -61,6 +61,7 @@ from typing import Optional, Union
 
 from ..lang import evaluate
 from ..lang.analysis import CompileCache, CompiledRequirement
+from ..lang.diagnostics import Diagnostic
 from ..lang.errors import LangError
 from ..lang.variables import DERIVED_VARS, MONITOR_VARS
 from ..net.tcp import ConnectError, ConnectionClosed
@@ -73,7 +74,6 @@ from .records import (
     NetStatusRecord,
     SecurityRecord,
     ServerStatusRecord,
-    WireDiagnostic,
 )
 from .receiver import Receiver
 
@@ -128,7 +128,7 @@ class WizardReply:
     seq: int
     servers: tuple[str, ...]
     status: int = REPLY_OK
-    diagnostics: tuple[WireDiagnostic, ...] = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
     #: replica epoch: sim time of the freshest DB snapshot behind this
     #: reply (0 when the wizard runs without a receiver).  Measured on
     #: the *replica's* clock, so a skewed host advertises a skewed epoch.
@@ -157,8 +157,11 @@ class WizardReply:
         # field (a NAK always has server_num == 0) and the epoch reuses
         # the reserved half of the 8-byte header, so OK replies cost
         # exactly what the thesis' Table 3.6 format costs
+        # each diagnostic: code + 1-byte severity flag + 2x2-byte span
+        # + message + NUL
         return (8 + sum(len(s) + 1 for s in self.servers)
-                + sum(d.wire_bytes for d in self.diagnostics))
+                + sum(len(d.code) + 1 + 4 + len(d.message) + 1
+                      for d in self.diagnostics))
 
 
 @dataclass(slots=True)
@@ -327,17 +330,10 @@ class Wizard:
     def compile_cache_hits(self) -> int:
         return self.compile_cache.hits
 
-    @property
-    def compile_cache_misses(self) -> int:
-        return self.compile_cache.misses
-
     def _nak_reply(self, request: WizardRequest,
                    compiled: CompiledRequirement) -> WizardReply:
-        diags = tuple(
-            WireDiagnostic.from_diagnostic(d) for d in compiled.diagnostics
-        )
         return WizardReply(seq=request.seq, servers=(), status=REPLY_NAK,
-                           diagnostics=diags)
+                           diagnostics=compiled.diagnostics)
 
     @property
     def epoch(self) -> float:
@@ -354,12 +350,6 @@ class Wizard:
             return -1.0
         age = self.receiver.min_freshness_age()
         return age if age != float("inf") else -1.0
-
-    @property
-    def suspected_skew(self) -> int:
-        """Snapshots whose reporter clock disagreed with this replica's
-        beyond the receiver's ``SKEW_TOLERANCE`` (receiver telemetry)."""
-        return self.receiver.suspected_skew if self.receiver is not None else 0
 
     def _is_stale(self) -> bool:
         """True when the whole status feed died: the freshest database is

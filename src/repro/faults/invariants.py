@@ -51,7 +51,6 @@ __all__ = [
     "TrialOutcome",
     "INVARIANTS",
     "check_all",
-    "invariant_names",
 ]
 
 
@@ -238,10 +237,6 @@ INVARIANTS: dict[str, Callable[[TrialOutcome], list[Violation]]] = {
     "safety.telemetry": _telemetry,
     "liveness.deadline": _deadline,
 }
-
-
-def invariant_names() -> list[str]:
-    return list(INVARIANTS)
 
 
 def check_all(outcome: TrialOutcome,

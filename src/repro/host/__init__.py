@@ -5,7 +5,7 @@ from .disk import BLOCK_BYTES, Disk
 from .machine import Machine
 from .memory import Allocation, Memory, OutOfMemory
 from .procfs import ProcFS
-from .workload import CpuThrottle, PeriodicDiskLoad, SuperPiWorkload
+from .workload import CpuThrottle, SuperPiWorkload
 
 __all__ = [
     "CPU",
@@ -19,6 +19,5 @@ __all__ = [
     "OutOfMemory",
     "ProcFS",
     "SuperPiWorkload",
-    "PeriodicDiskLoad",
     "CpuThrottle",
 ]

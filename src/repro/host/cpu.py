@@ -117,11 +117,6 @@ class CPU:
         self.throttle = float(factor)
         self._reschedule()
 
-    def utilisation_seconds(self) -> float:
-        """Cumulative busy time (any task runnable) since boot."""
-        self._progress()
-        return self._busy_seconds
-
     def stat_jiffies(self) -> tuple[int, int, int, int]:
         """(user, nice, system, idle) jiffies for the /proc/stat cpu line.
 

@@ -6,20 +6,17 @@ CPU pinned, ``load_1`` ≥ 1; Table 4.1 / §5.3.1 experiment 4).  The
 memory up front and keeps exactly one runnable CPU task until stopped.
 
 :class:`CpuThrottle` is the fault plane's fail-slow host (``slow-host``).
-:class:`PeriodicDiskLoad` is exercised by the host tests only; no world
-runs it.  Network cross traffic is not a host workload: the bandwidth
+Network cross traffic is not a host workload: the bandwidth
 experiments occupy their links in ``bench.experiments._cross_traffic``,
 and the WAN world jitters its links in ``cluster.wan._attach_jitter``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Interrupt, Simulator
 from .machine import Machine
 
-__all__ = ["SuperPiWorkload", "PeriodicDiskLoad", "CpuThrottle"]
+__all__ = ["SuperPiWorkload", "CpuThrottle"]
 
 
 class SuperPiWorkload:
@@ -43,7 +40,6 @@ class SuperPiWorkload:
         self.mem_bytes = digits_param * self.BYTES_PER_PARAM
         self._alloc = None
         self._proc = None
-        self.bursts_done = 0
 
     @property
     def running(self) -> bool:
@@ -71,7 +67,6 @@ class SuperPiWorkload:
         try:
             while True:
                 yield self.machine.cpu.run(self.burst, name="super_pi")
-                self.bursts_done += 1
         except Interrupt:
             pass
         finally:
@@ -116,34 +111,3 @@ class CpuThrottle:
             max(1.0, self.machine.cpu.throttle / self.factor)
         )
         self.active = False
-
-
-class PeriodicDiskLoad:
-    """Issues a disk write of ``nbytes`` every ``interval`` seconds."""
-
-    def __init__(self, sim: Simulator, machine: Machine, nbytes: int = 1 << 20,
-                 interval: float = 0.5, write: bool = True):
-        self.sim = sim
-        self.machine = machine
-        self.nbytes = nbytes
-        self.interval = interval
-        self.write = write
-        self._proc: Optional[object] = None
-
-    def start(self) -> None:
-        self._proc = self.sim.process(self._loop(), name=f"diskload@{self.machine.name}")
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:  # type: ignore[attr-defined]
-            self._proc.interrupt("stop")  # type: ignore[attr-defined]
-
-    def _loop(self):
-        try:
-            while True:
-                if self.write:
-                    yield self.machine.disk.write(self.nbytes)
-                else:
-                    yield self.machine.disk.read(self.nbytes)
-                yield self.sim.timeout(self.interval)
-        except Interrupt:
-            pass

@@ -25,7 +25,7 @@ from .analysis import (
     compile_requirement,
 )
 from .builtins import BUILTINS, CONSTANTS, bind_builtin
-from .diagnostics import DIAGNOSTIC_CODES, Diagnostic, Severity, format_diagnostic
+from .diagnostics import DIAGNOSTIC_CODES, Diagnostic, Severity
 from .errors import EvalError, LangError, LexError, ParseError
 from .evaluator import (
     CompiledProgram,
@@ -75,7 +75,6 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "DIAGNOSTIC_CODES",
-    "format_diagnostic",
     "Parser",
     "evaluate",
     "compile_program",

@@ -181,10 +181,6 @@ class AbstractValue:
         return AbstractValue(kind="any")
 
     @property
-    def is_const_num(self) -> bool:
-        return self.kind == "num" and isinstance(self.const, float)
-
-    @property
     def is_str(self) -> bool:
         return self.kind == "str"
 
@@ -270,10 +266,6 @@ class AnalysisResult:
     @property
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.is_error]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if not d.is_error]
 
     @property
     def ok(self) -> bool:

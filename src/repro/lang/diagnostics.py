@@ -41,7 +41,6 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "DIAGNOSTIC_CODES",
-    "format_diagnostic",
     "register_codes",
     "code_info",
 ]
@@ -121,10 +120,6 @@ class Diagnostic:
         """``file:line:col: severity CODE: message`` (ruff/gcc style)."""
         return (f"{filename}:{self.line}:{self.col}: "
                 f"{self.severity} {self.code}: {self.message}")
-
-
-def format_diagnostic(diag: Diagnostic, filename: str = "<requirement>") -> str:
-    return diag.render(filename)
 
 
 def make(code: str, message: str, line: int = 0, col: int = 0) -> Diagnostic:

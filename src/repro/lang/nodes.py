@@ -146,9 +146,6 @@ class Program(Node):
     #: the closures live exactly as long as the program they were built from
     compiled: Any = field(default=None, repr=False, compare=False)
 
-    def logical_statements(self) -> list[Statement]:
-        return [s for s in self.statements if is_logical(s)]
-
 
 def strip_parens(node: Node) -> Node:
     """Parentheses are transparent (Fig 4.2: "will not change logic value")."""

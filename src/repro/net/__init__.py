@@ -12,7 +12,6 @@ from .packet import (
     PROTO_UDP,
     TCP_HEADER,
     UDP_HEADER,
-    fragment_sizes,
 )
 from .shaper import TokenBucket
 from .sockets import IcmpError, NetworkStack, PortInUse, UdpSocket
@@ -28,7 +27,6 @@ from .topology import ETHERNET_100, MBPS, Network
 
 __all__ = [
     "Datagram",
-    "fragment_sizes",
     "IP_HEADER",
     "UDP_HEADER",
     "TCP_HEADER",

@@ -198,18 +198,7 @@ class Link:
             return self.a
         raise ValueError(f"{node.name} is not an endpoint of {self.name}")
 
-    def set_mtu(self, mtu: int) -> None:
-        """Reconfigure both directions (``ifconfig eth0 mtu N``)."""
-        if mtu <= 28:
-            raise ValueError(f"MTU {mtu} too small for IP+UDP headers")
-        self.ab.mtu = mtu
-        self.ba.mtu = mtu
-
     def set_up(self, up: bool) -> None:
         """Bring both directions up or down (partition / heal)."""
         self.ab.up = up
         self.ba.up = up
-
-    @property
-    def is_up(self) -> bool:
-        return self.ab.up and self.ba.up

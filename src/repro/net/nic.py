@@ -76,10 +76,6 @@ class NIC:
     def mtu(self) -> int:
         return self.channel.mtu
 
-    def set_mtu(self, mtu: int) -> None:
-        """Reconfigure the MTU on both directions of the attached link."""
-        self.link.set_mtu(mtu)
-
     def _init_delay(self, first_frame_wire: int) -> float:
         if self.init_speed_bps is None:
             return 0.0

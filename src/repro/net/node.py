@@ -107,9 +107,6 @@ class Node:
             raise RuntimeError(f"node {self.name} has no NIC")
         return self.nics[0].addr
 
-    def is_local(self, addr: str) -> bool:
-        return addr in self._local
-
     # -- data path ----------------------------------------------------------
     def receive(self, frame: Frame, nic: NIC) -> None:
         dgram = frame.dgram

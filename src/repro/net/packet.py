@@ -21,7 +21,6 @@ wire size for the last MTU asked — the channel it is crossing asks, so
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Optional
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "PROTO_UDP",
     "PROTO_TCP",
     "PROTO_ICMP",
-    "fragment_sizes",
 ]
 
 IP_HEADER = 20
@@ -51,30 +49,6 @@ _PROTO_HEADER = {PROTO_UDP: UDP_HEADER, PROTO_TCP: TCP_HEADER, PROTO_ICMP: ICMP_
 _ids = itertools.count(1)
 
 
-def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
-    """Wire sizes (incl. IP header) of the fragments of one IP packet.
-
-    ``transport_bytes`` is the transport segment: payload plus UDP/TCP/ICMP
-    header.  Each fragment carries its own ``IP_HEADER``; fragment payloads
-    are multiples of 8 bytes except the last, per IPv4 — we keep the simpler
-    equal-capacity split since only sizes matter for timing.
-
-    This list is the reference the closed forms below are tested against;
-    nothing on the per-frame path builds it.
-    """
-    if mtu <= IP_HEADER:
-        raise ValueError(f"MTU {mtu} leaves no room for IP payload")
-    per_frag = mtu - IP_HEADER
-    nfrag = max(1, math.ceil(transport_bytes / per_frag))
-    sizes = []
-    remaining = transport_bytes
-    for _ in range(nfrag):
-        chunk = min(per_frag, remaining)
-        sizes.append(chunk + IP_HEADER)
-        remaining -= chunk
-    return sizes
-
-
 def _fragment_payload(mtu: int) -> int:
     """IP payload bytes one fragment carries at ``mtu``."""
     if mtu <= IP_HEADER:
@@ -83,7 +57,8 @@ def _fragment_payload(mtu: int) -> int:
 
 
 def _n_fragments(transport_bytes: int, mtu: int) -> int:
-    """``len(fragment_sizes(transport_bytes, mtu))`` without the list."""
+    """Fragments of one IP packet: each carries its own ``IP_HEADER``
+    and a full payload but the last."""
     return max(1, -(-transport_bytes // _fragment_payload(mtu)))
 
 
@@ -131,13 +106,6 @@ class Datagram:
         transport bytes plus one IP header per fragment."""
         transport = self.transport_bytes
         return transport + IP_HEADER * _n_fragments(transport, mtu)
-
-    def first_fragment_size(self, mtu: int) -> int:
-        """Wire size of the first fragment — drives the NIC init term."""
-        return min(self.transport_bytes, _fragment_payload(mtu)) + IP_HEADER
-
-    def n_fragments(self, mtu: int) -> int:
-        return _n_fragments(self.transport_bytes, mtu)
 
     def reply_skeleton(self, proto: str, size: int, payload: Any = None) -> "Datagram":
         """A datagram heading back to this one's source."""

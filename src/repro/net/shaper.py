@@ -42,11 +42,6 @@ class TokenBucket:
             )
             self._stamp = t
 
-    def tokens_at(self, t: float) -> float:
-        """Bucket level at time ``t`` without consuming anything."""
-        dt = max(0.0, t - self._stamp)
-        return min(self.burst_bytes, self._tokens + dt * self.rate_bytes_per_s)
-
     def reserve(self, nbytes: int, t: float) -> float:
         """Earliest start time ≥ ``t`` for ``nbytes``; debits the bucket.
 

@@ -206,22 +206,3 @@ class Network:
             for node in members:
                 reachable[node] = addrs
         return reachable
-
-    # -- convenience ---------------------------------------------------------------
-    def path_hops(self, src: str, dst: str) -> list[str]:
-        """Node names a datagram from ``src`` to ``dst`` would traverse."""
-        node = self.node_of(src)
-        target = self.resolve(dst)
-        hops = [node.name]
-        guard = 0
-        while not node.is_local(target):
-            try:
-                nic = node.routes[target]
-            except KeyError:
-                raise KeyError(f"no route from {src} to {dst}") from None
-            node = nic.peer
-            hops.append(node.name)
-            guard += 1
-            if guard > 64:
-                raise RuntimeError("routing loop detected")
-        return hops

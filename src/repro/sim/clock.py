@@ -33,10 +33,6 @@ class HostClock:
         self.drift = 0.0
         self._set_at = 0.0
 
-    @property
-    def skewed(self) -> bool:
-        return self.offset != 0.0 or self.drift != 0.0
-
     def now(self) -> float:
         """The host's idea of the current time."""
         t = self.sim.now
@@ -50,7 +46,3 @@ class HostClock:
         self.offset = float(offset)
         self.drift = float(drift)
         self._set_at = self.sim.now
-
-    def clear_skew(self) -> None:
-        """Step the clock back to true time (an NTP correction)."""
-        self.set_skew(0.0, 0.0)

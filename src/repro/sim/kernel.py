@@ -603,10 +603,6 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
-
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
         return Event(self)

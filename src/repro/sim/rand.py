@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 __all__ = ["RandomStreams"]
 
@@ -49,9 +48,3 @@ class RandomStreams:
 
     def randint(self, name: str, lo: int, hi: int) -> int:
         return self.stream(name).randint(lo, hi)
-
-    def jittered(self, name: str, base: float, frac: float) -> Iterator[float]:
-        """Infinite generator of ``base`` ± ``frac``·``base`` values."""
-        rng = self.stream(name)
-        while True:
-            yield base * (1.0 + rng.uniform(-frac, frac))

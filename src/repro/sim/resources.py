@@ -89,16 +89,6 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; ``None`` when empty."""
-        if not self.items:
-            return None
-        item = self.items.pop(0)
-        hb = self.sim._hb
-        if hb is not None and self._hb_clocks:
-            hb._join_frame(self._hb_clocks.pop(0))
-        return item
-
     def cancel(self, getter: Event) -> None:
         """Withdraw a pending :meth:`get` (e.g. its timeout won the race).
 
@@ -230,16 +220,6 @@ class SharedMemory:
 
     def keys(self) -> list[int]:
         return sorted(self._segments)
-
-    def locked_write(self, key: int, value: Any):
-        """Process generator: acquire the segment lock, write, release."""
-        seg = self.segment(key)
-        req = seg.lock.acquire()
-        try:
-            yield req
-            seg.write(value)
-        finally:
-            seg.lock.release(req)
 
     def locked_read(self, key: int):
         """Process generator: acquire the segment lock, read, release.

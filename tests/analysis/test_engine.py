@@ -16,8 +16,13 @@ from repro.analysis.engine import (
     rule,
 )
 from repro.analysis.flow.symbols import SymbolTable
-from repro.analysis.program import check_source
+from repro.analysis.program import Program, Report, run_checks
 from repro.lang.diagnostics import register_codes
+
+
+def check_source(source: str, path: Path) -> Report:
+    """Run the per-file rules over one source text."""
+    return run_checks(Program([(path, source)]))
 
 
 class TestNoqa:

@@ -61,8 +61,8 @@ class TestHotContext:
         ctx = build_hot_context(table_for(SERVICE_LOOP))
         for qual in ("mod.Daemon.serve", "mod.Daemon.handle",
                      "mod.Daemon.decode"):
-            assert ctx.is_hot(qual)
-        assert not ctx.is_hot("mod.helper_never_called")
+            assert qual in ctx.hot
+        assert "mod.helper_never_called" not in ctx.hot
 
     def test_spawned_generator_is_hot(self):
         src = """
@@ -76,7 +76,7 @@ class Listener:
         yield conn.recv()
 """
         ctx = build_hot_context(table_for(src))
-        assert ctx.is_hot("mod.Listener.session")
+        assert "mod.Listener.session" in ctx.hot
         assert ctx.spawn_names["mod.Listener.session"] == "peer-session"
 
     def test_served_handler_is_a_named_root(self):
@@ -102,9 +102,9 @@ class Greeter:
         ctx = build_hot_context(table_for(src))
         assert ctx.roots_of("mod.Greeter.adopt") == ("mod.Greeter.greet",)
         assert ctx.heat_names("mod.Greeter.adopt") == ("greet-session",)
-        assert not ctx.is_hot("mod.Greeter.orphan")
+        assert "mod.Greeter.orphan" not in ctx.hot
         # handing over is not itself message-rate work
-        assert not ctx.is_hot("mod.Greeter.start")
+        assert "mod.Greeter.start" not in ctx.hot
 
     def test_heat_names_fall_back_to_bare_function_name(self):
         ctx = build_hot_context(table_for(SERVICE_LOOP))
@@ -124,8 +124,8 @@ class Handler:
         return msg
 """
         ctx = build_hot_context(table_for(src))
-        assert ctx.is_hot("mod.Handler.on_pull")
-        assert ctx.is_hot("mod.Handler.reply")
+        assert "mod.Handler.on_pull" in ctx.hot
+        assert "mod.Handler.reply" in ctx.hot
 
     def test_scheduled_call_targets_are_roots(self):
         src = """
@@ -153,11 +153,11 @@ class Conn:
 """
         ctx = build_hot_context(table_for(src))
         for name in ("on_wake", "pump", "on_timer", "resend"):
-            assert ctx.is_hot(f"mod.Conn.{name}")
+            assert f"mod.Conn.{name}" in ctx.hot
         assert ctx.roots_of("mod.Conn.pump") == ("mod.Conn.on_wake",)
-        assert not ctx.is_hot("mod.Conn.never_scheduled")
+        assert "mod.Conn.never_scheduled" not in ctx.hot
         # scheduling is not itself message-rate work
-        assert not ctx.is_hot("mod.Conn.signal")
+        assert "mod.Conn.signal" not in ctx.hot
 
     def test_tcp_sender_is_still_hot_without_a_process(self):
         """The sender lost its ``while True`` generator; its pump must
@@ -166,7 +166,7 @@ class Conn:
         ctx = build_hot_context(Program.load([src]).table)
         for name in ("_on_wake", "_pump", "_transmit_segment",
                      "_on_timer", "_retransmit_window"):
-            assert ctx.is_hot(f"repro.net.tcp.TcpConnection.{name}"), name
+            assert f"repro.net.tcp.TcpConnection.{name}" in ctx.hot, name
         assert "repro.net.tcp.TcpConnection._on_wake" in ctx.roots_of(
             "repro.net.tcp.TcpConnection._pump")
 

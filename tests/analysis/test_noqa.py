@@ -3,9 +3,9 @@
 One parametrized suite proving the suppression contract is uniform:
 a targeted code silences exactly that finding on that line, a bare
 ``noqa`` silences everything on the line, a wrong code silences
-nothing — for D-series (determinism), P-series (protocol), R-series
-(concurrency), F-series (whole-program ``--flow``), H-series (hot-path
-``--perf``) and S-series (typestate ``--proto``) alike, plus
+nothing — for D-series (determinism), R-series (concurrency), F-series
+(whole-program ``--flow``), H-series (hot-path ``--perf``) and S-series
+(typestate ``--proto``) alike, plus
 multi-code lines carrying findings from two different series.
 """
 
@@ -25,8 +25,6 @@ SEED_CASES = [
      "import time\n\n"
      "def stamp():\n"
      "    return time.time(){noqa}\n"),
-    ("P", "REPRO201",
-     "MSG_PULL = 0{noqa}\n"),
     ("R", "REPRO301",
      "def fetch(conn):\n"
      "    msg, _ = yield conn.recv(){noqa}\n"

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, Mode
 from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
+from tests.conftest import path_hops
 
 
 def two_group_world(mode=Mode.CENTRALIZED):
@@ -158,15 +159,15 @@ class TestTopologyEditedAfterFinalize:
         cluster, _ = two_group_world()
         net = cluster.network
         wiz, s1, s2 = (cluster.host(n) for n in ("wiz", "s1", "s2"))
-        assert net.path_hops("wiz", "s2") == ["wiz", "core", "mon2", "s2"]
+        assert path_hops(net, "wiz", "s2") == ["wiz", "core", "mon2", "s2"]
         assert dict(wiz.node.routes) == {s2.addr: wiz.node.nics[0]}
         # s1 and s2 get a second NIC each: s1 stops being a leaf, and the
         # way from wiz to it is no news to wiz's (new, empty) table
         cluster.link(s1, s2)
         cluster.finalize()
         assert dict(wiz.node.routes) == {}
-        assert net.path_hops("s1", "s2") == ["s1", "s2"]
-        assert net.path_hops("wiz", "s2") == ["wiz", "core", "mon2", "s2"]
+        assert path_hops(net, "s1", "s2") == ["s1", "s2"]
+        assert path_hops(net, "wiz", "s2") == ["wiz", "core", "mon2", "s2"]
 
 
 class TestWhatRunsWhere:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from typing import Any
+
 import pytest
 
-from repro.sim import Simulator
+from repro.net import IP_HEADER
+from repro.sim import SharedMemory, Simulator
 
 
 @pytest.fixture
@@ -18,3 +22,52 @@ def run_process(sim: Simulator, gen, until: float | None = None):
     sim.run(until)
     assert proc.processed, "process did not finish within the horizon"
     return proc.value
+
+
+def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
+    """Wire sizes (incl. IP header) of the fragments of one IP packet —
+    the list arithmetic the closed-form wire sizes of ``repro.net.packet``
+    are tested against.  Each fragment carries its own ``IP_HEADER``;
+    fragment payloads are equal-capacity rather than multiples of 8 bytes,
+    since only sizes matter for timing."""
+    if mtu <= IP_HEADER:
+        raise ValueError(f"MTU {mtu} leaves no room for IP payload")
+    per_frag = mtu - IP_HEADER
+    nfrag = max(1, math.ceil(transport_bytes / per_frag))
+    sizes = []
+    remaining = transport_bytes
+    for _ in range(nfrag):
+        chunk = min(per_frag, remaining)
+        sizes.append(chunk + IP_HEADER)
+        remaining -= chunk
+    return sizes
+
+
+def path_hops(net, src: str, dst: str) -> list[str]:
+    """Node names a datagram from ``src`` to ``dst`` traverses, read off
+    the routing tables of ``net`` (a :class:`repro.net.Network`)."""
+    node = net.node_of(src)
+    target = net.resolve(dst)
+    hops = [node.name]
+    while target not in node.addresses:
+        try:
+            nic = node.routes[target]
+        except KeyError:
+            raise KeyError(f"no route from {src} to {dst}") from None
+        node = nic.peer
+        hops.append(node.name)
+        if len(hops) > 64:
+            raise RuntimeError("routing loop detected")
+    return hops
+
+
+def locked_write(shm: SharedMemory, key: int, value: Any):
+    """Process generator: acquire segment ``key``'s lock, write, release.
+    Whether the segment is ``shared()``-tracked is the caller's choice."""
+    seg = shm.segment(key)
+    req = seg.lock.acquire()
+    try:
+        yield req
+        seg.write(value)  # repro: noqa[REPRO303]
+    finally:
+        seg.lock.release(req)

@@ -13,7 +13,6 @@ from repro.core import (
     Mode,
     RandomSelector,
     RoundRobinSelector,
-    StaticSelector,
 )
 from repro.core.client import CLIENT_RETRIES
 from tests.conftest import run_process
@@ -163,9 +162,6 @@ class TestSelectors:
     def test_round_robin_overdraw_rejected(self):
         with pytest.raises(ValueError):
             RoundRobinSelector(self.POOL).select(5)
-
-    def test_static_selector_is_prefix(self):
-        assert StaticSelector(self.POOL).select(2) == ["a", "b"]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):

@@ -145,15 +145,6 @@ class TestSuspicionDetector:
         assert det.phi("fast", 0.5) > 3.0
         assert det.phi("slow", 0.5) < 0.01
 
-    def test_forget_resets_the_peer(self):
-        det = SuspicionDetector(min_samples=2)
-        self.warm(det, n=5)
-        assert det.baseline("a") is not None
-        det.forget("a")
-        assert det.baseline("a") is None
-        assert det.samples("a") == 0
-        assert det.mean("a") == 0.0
-
     def test_slow_peers_is_relative(self):
         det = SuspicionDetector(min_samples=3)
         self.warm(det, "a", value=0.1, n=5)

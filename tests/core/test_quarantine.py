@@ -103,7 +103,7 @@ class TestWizardQuarantine:
 
         def p():
             reply = yield from client.request_servers("host_cpu_free > 0", 1)
-            return reply, client.quarantined_wizards()
+            return reply, client._wizard_quarantine.active()
 
         reply, quarantined = run_process(cluster.sim, p(), until=30.0)
         assert reply.servers == []
@@ -120,7 +120,7 @@ class TestWizardQuarantine:
             yield cluster.sim.timeout(2 * WIZARD_QUARANTINE_PERIOD)
 
         run_process(cluster.sim, p(), until=30.0)
-        assert client.quarantined_wizards() == set()
+        assert client._wizard_quarantine.active() == set()
         # ranking decays the dict in place: expired sentences purged,
         # configured order restored
         assert client._rank_wizards() == [w1.addr, w2.addr]

@@ -167,23 +167,45 @@ class TestWireTagHandlers:
         from repro.core.records import (WIRE_TAG_HANDLERS,
                                         _verify_wire_tag_registry)
 
-        exported = ["MSG_SYSDB", "MSG_PULL", "REPLY_OK"]
-        good = {t: ("x.y",) for t in exported}
-        _verify_wire_tag_registry(good, exported)  # no raise
+        tags = {"MSG_SYSDB": 1, "MSG_PULL": 4, "REPLY_OK": 0}
+        good = {t: ("x.y",) for t in tags}
+        _verify_wire_tag_registry(good, tags)  # no raise
 
         missing = dict(good)
         del missing["MSG_PULL"]
         with pytest.raises(RuntimeError, match=r"missing=\['MSG_PULL'\]"):
-            _verify_wire_tag_registry(missing, exported)
+            _verify_wire_tag_registry(missing, tags)
 
         extra = dict(good)
         extra["MSG_GHOST"] = ("x.y",)
         with pytest.raises(RuntimeError, match=r"extra=\['MSG_GHOST'\]"):
-            _verify_wire_tag_registry(extra, exported)
+            _verify_wire_tag_registry(extra, tags)
 
         # and the shipped registry passes its own guard
         from repro.core import records
-        _verify_wire_tag_registry(WIRE_TAG_HANDLERS, records.__all__)
+        _verify_wire_tag_registry(WIRE_TAG_HANDLERS, {
+            name: getattr(records, name) for name in WIRE_TAG_HANDLERS})
+
+    @pytest.mark.parametrize("change, match", [
+        # two message kinds sharing a tag cross wires at dispatch
+        ({"MSG_NETDB": 1}, r"two MSG_\* tags share a value"),
+        # 0 is the unset tag
+        ({"MSG_PULL": 0}, r"must be positive.*\['MSG_PULL'\]"),
+        # a STALE reply read as success: the collision the old per-file
+        # rule missed, since it compared only REPLY_OK with REPLY_NAK
+        ({"REPLY_STALE": 0}, r"two REPLY_\* tags share a value"),
+    ], ids=["msg-tags-collide", "msg-tag-unset", "reply-stale-equals-ok"])
+    def test_colliding_or_unset_tag_values_raise(self, change, match):
+        """The guard checks the tag values too, at every import and
+        under ``python -O``: kinds of one family must differ, and a
+        message tag must be positive."""
+        from repro.core import records
+        from repro.core.records import (WIRE_TAG_HANDLERS,
+                                        _verify_wire_tag_registry)
+
+        tags = {name: getattr(records, name) for name in WIRE_TAG_HANDLERS}
+        with pytest.raises(RuntimeError, match=match):
+            _verify_wire_tag_registry(WIRE_TAG_HANDLERS, {**tags, **change})
 
     def test_record_floor_guard_raises_runtime_error(self):
         from repro.core.records import _verify_record_floor

@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import (
-    DummySecurityLog,
-    FingerprintScanner,
-    SecurityMonitor,
-)
+from repro.core import DummySecurityLog, SecurityMonitor
 from repro.core.secmon import SCAN_INTERVAL
-from repro.host import Machine
 
 
 class TestDummySecurityLog:
@@ -28,21 +23,11 @@ class TestDummySecurityLog:
             DummySecurityLog("mimas\n").collect()
 
     def test_set_text_updates(self):
+        """The log is re-read on every collect: the monitor's next scan
+        sees an edited log."""
         log = DummySecurityLog("a 1")
-        log.set_text("b 2")
+        log.text = "b 2"
         assert log.collect() == [("b", 2)]
-
-
-class TestFingerprintScanner:
-    def test_maps_os_to_level(self, sim):
-        machines = [
-            Machine(sim, "old", 1000, 1 << 20, os_name="Redhat Linux 7.3 (2.4)"),
-            Machine(sim, "new", 1000, 1 << 20, os_name="Debian (Linux 2.6)"),
-            Machine(sim, "unknown", 1000, 1 << 20, os_name="BeOS"),
-        ]
-        scanner = FingerprintScanner(machines)
-        levels = dict(scanner.collect())
-        assert levels == {"old": 2, "new": 3, "unknown": 0}
 
 
 class TestSecurityMonitorDaemon:
@@ -67,7 +52,7 @@ class TestSecurityMonitorDaemon:
         mon = self.make(sim, log)
         mon.start()
         sim.run(until=0.5)
-        log.set_text("mimas 0")  # compromised!
+        log.text = "mimas 0"  # compromised!
         sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.database()["mimas"].level == 0
 
@@ -76,10 +61,10 @@ class TestSecurityMonitorDaemon:
         mon = self.make(sim, log)
         mon.start()
         sim.run(until=0.5)
-        log.set_text("broken line without level_number x y")
+        log.text = "broken line without level_number x y"
         sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.errors >= 1
-        log.set_text("good 3")
+        log.text = "good 3"
         sim.run(until=2 * SCAN_INTERVAL + 0.5)
         assert mon.database()["good"].level == 3
 

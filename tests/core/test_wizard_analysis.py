@@ -93,15 +93,15 @@ class TestCompileCache:
         sysdb = {"10.1.1.1": record("a", "10.1.1.1")}
         for _ in range(5):
             wizard.match(request("host_cpu_free > 0.5"), CLIENT, sysdb, {}, {})
-        assert wizard.compile_cache_misses == 1
-        assert wizard.compile_cache_hits == 4
+        assert wizard.compile_cache.misses == 1
+        assert wizard.compile_cache.hits == 4
 
     def test_distinct_requirements_miss_separately(self):
         wizard = make_wizard()
         sysdb = {"10.1.1.1": record("a", "10.1.1.1")}
         wizard.match(request("host_cpu_free > 0.5"), CLIENT, sysdb, {}, {})
         wizard.match(request("host_cpu_free > 0.6"), CLIENT, sysdb, {}, {})
-        assert wizard.compile_cache_misses == 2
+        assert wizard.compile_cache.misses == 2
 
     def test_parse_failures_counted_per_call_despite_cache(self):
         wizard = make_wizard()
@@ -109,7 +109,7 @@ class TestCompileCache:
         assert wizard.match(request("@@@ ???"), CLIENT, sysdb, {}, {}) == []
         assert wizard.match(request("@@@ ???"), CLIENT, sysdb, {}, {}) == []
         assert wizard.parse_failures == 2
-        assert wizard.compile_cache_hits == 1
+        assert wizard.compile_cache.hits == 1
 
     def test_match_still_correct_through_folded_ast(self):
         """The cached program, whose constant subexpression the compiler
@@ -123,7 +123,7 @@ class TestCompileCache:
         req = request("host_cpu_bogomips > 4*1000")
         assert wizard.match(req, CLIENT, sysdb, {}, {}) == ["10.1.1.1"]
         assert wizard.match(req, CLIENT, sysdb, {}, {}) == ["10.1.1.1"]
-        assert wizard.compile_cache_hits == 1
+        assert wizard.compile_cache.hits == 1
 
 
 class TestReplyWire:
@@ -133,13 +133,16 @@ class TestReplyWire:
         assert r.wire_bytes == 8 + len("10.0.0.1") + 1
 
     def test_nak_reply_pays_for_its_diagnostics(self):
-        from repro.core import WireDiagnostic
         from repro.lang import analyze
 
-        diags = tuple(WireDiagnostic.from_diagnostic(d)
-                      for d in analyze(UNSAT).diagnostics)
-        r = WizardReply(seq=9, servers=(), status=REPLY_NAK, diagnostics=diags)
-        assert r.wire_bytes == 8 + sum(d.wire_bytes for d in diags)
+        diags = analyze(UNSAT).diagnostics
+        assert diags
+        r = WizardReply(seq=9, servers=(), status=REPLY_NAK,
+                        diagnostics=tuple(diags))
+        # per diagnostic: code + 1-byte severity flag + 2x2-byte span
+        # + message + NUL
+        assert r.wire_bytes == 8 + sum(len(d.code) + 1 + 4 + len(d.message) + 1
+                                       for d in diags)
         assert r.server_num == 0  # status flag rides in the sign bit
 
     def test_request_wire_size_unchanged(self):

@@ -22,7 +22,7 @@ from repro.faults.explore import (
     shrink_plan,
     write_counterexample,
 )
-from repro.faults.invariants import TrialOutcome, check_all, invariant_names
+from repro.faults.invariants import INVARIANTS, TrialOutcome, check_all
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import SCENARIOS, fault_surface, run_trial
 from repro.worlds import build_star
@@ -47,7 +47,7 @@ class TestInvariants:
         assert check_all(_outcome()) == []
 
     def test_registry_order_is_verdict_order(self):
-        names = invariant_names()
+        names = list(INVARIANTS)
         assert names[0] == "safety.no-crash"
         assert names[-1] == "liveness.deadline"
 
@@ -213,7 +213,7 @@ class TestCorpus:
         corpus = load_corpus(str(CORPUS))
         assert len(corpus) >= 2
         for _path, ce in corpus:
-            assert ce.invariant in invariant_names()
+            assert ce.invariant in INVARIANTS
             assert FaultPlan.from_json(ce.plan).events()
             assert ce.mutant == "drop-checkpoint"
 

@@ -51,7 +51,7 @@ def run_matmul_job(seed: int = 0, fault: str = "none", **instruments):
     def mid_fault(now, victim):
         # what only the moment right after connect can tell
         out["victim"] = star.addrs[victim]
-        out["quarantined_wizards_at_connect"] = job.client.quarantined_wizards()
+        out["quarantined_wizards_at_connect"] = job.client._wizard_quarantine.active()
         if fault == "server":
             return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
         if fault == "partition":

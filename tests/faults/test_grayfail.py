@@ -257,7 +257,6 @@ class TestClockSkew:
         assert client.stale_rejections == 0
         # both replicas flagged the skewed reporter
         assert all(r.receiver.suspected_skew >= 1 for r in dep.replicas)
-        assert dep.replicas[0].wizard.suspected_skew >= 1
 
     def test_skewed_wizard_replica_is_not_deranked(self):
         """The *primary replica's* clock jumps +300 s: its advertised
@@ -274,7 +273,7 @@ class TestClockSkew:
             assert len(servers) == 2, f"degraded reply at t={t}: {servers}"
         assert client.stale_rejections == 0
         assert dep.replicas[0].wizard.requests_rejected_stale == 0
-        assert client.quarantined_wizards() == set()
+        assert client._wizard_quarantine.active() == set()
 
     def test_skew_steps_back_after_duration(self):
         """A bounded skew is an NTP-style step: programmed at 10 s,
@@ -283,7 +282,7 @@ class TestClockSkew:
             FaultPlan().skew_clock(10.0, "mon2", offset=-200.0,
                                    duration=6.0))
         clock = cluster.host("mon2").clock
-        assert not clock.skewed
+        assert (clock.offset, clock.drift) == (0.0, 0.0)
         late = [e for e in log if e[0] >= 17.0]
         assert late and all(len(s) == 2 for _, _, s in late)
 

@@ -110,7 +110,7 @@ class TestAccounting:
 
         sim.process(p())
         sim.run()
-        assert cpu.utilisation_seconds() == pytest.approx(2.0)
+        assert cpu._busy_seconds == pytest.approx(2.0)  # accounted per transition
 
     def test_stat_jiffies_split_busy_idle(self, sim):
         cpu = CPU(sim)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.host import Machine, ProcFS, SuperPiWorkload, PeriodicDiskLoad
+from repro.host import Machine, ProcFS, SuperPiWorkload
 
 
 @pytest.fixture
@@ -122,13 +122,3 @@ class TestSuperPiWorkload:
         sim.process(scenario())
         sim.run(until=100)
         assert times["contended"] == pytest.approx(2 * times["alone"], rel=0.05)
-
-
-class TestPeriodicDiskLoad:
-    def test_generates_disk_activity(self, sim, machine):
-        load = PeriodicDiskLoad(sim, machine, nbytes=1 << 20, interval=0.5)
-        load.start()
-        sim.run(until=5.0)
-        load.stop()
-        assert machine.disk.wreq >= 8
-        assert machine.disk.wblocks > 0

@@ -328,7 +328,7 @@ def link_down_during_the_hold(seed):
     link = next(l for l in w.net.links if l.b.name == "b")
 
     def flap():
-        link.set_up(not link.is_up)
+        link.set_up(not link.ab.up)
     w.udp("a", "b", 200, gap_us=(0, 100))
     w.every((5, 30), 0.025, flap)
     return w

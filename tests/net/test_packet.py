@@ -13,9 +13,10 @@ from repro.net import (
     PROTO_UDP,
     TCP_HEADER,
     UDP_HEADER,
-    fragment_sizes,
 )
+from repro.net.nic import NIC
 from repro.net.packet import Frame
+from tests.conftest import fragment_sizes
 
 
 class TestFragmentSizes:
@@ -58,12 +59,15 @@ class TestDatagram:
 
     def test_wire_size_includes_per_fragment_ip_headers(self):
         d = self._dgram(size=3000)
-        nfrags = d.n_fragments(1500)
+        nfrags = len(fragment_sizes(d.transport_bytes, 1500))
         assert d.wire_size(1500) == d.transport_bytes + nfrags * IP_HEADER
 
     def test_first_fragment_capped_at_mtu(self):
-        assert self._dgram(size=6000).first_fragment_size(1500) == 1500
-        assert self._dgram(size=10).first_fragment_size(1500) == 10 + UDP_HEADER + IP_HEADER
+        """The first fragment's wire size drives the NIC init term."""
+        def first(size):
+            return NIC._frames_for(self._dgram(size=size), 1500)[0].wire_at(1500)
+        assert first(6000) == 1500
+        assert first(10) == 10 + UDP_HEADER + IP_HEADER
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError) as err:
@@ -158,8 +162,6 @@ class TestClosedFormWireSizes:
             d = Datagram(proto=proto, src="a", dst="b", sport=1, dport=2, size=size)
             frag = fragment_sizes(d.transport_bytes, mtu)
             assert d.wire_size(mtu) == sum(frag), (size, mtu)
-            assert d.first_fragment_size(mtu) == frag[0], (size, mtu)
-            assert d.n_fragments(mtu) == len(frag), (size, mtu)
 
     @pytest.mark.parametrize("mtu", MTUS)
     def test_frame_wire_equals_the_fragment_list(self, mtu):
@@ -190,7 +192,6 @@ class TestClosedFormWireSizes:
         d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=100)
         burst = Frame(d, d.transport_bytes, first=True, burst=True)
         for size_of in (lambda: fragment_sizes(100, mtu), lambda: d.wire_size(mtu),
-                        lambda: d.first_fragment_size(mtu), lambda: d.n_fragments(mtu),
                         lambda: burst.wire_at(mtu)):
             with pytest.raises(ValueError) as err:
                 size_of()

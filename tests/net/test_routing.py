@@ -15,6 +15,7 @@ from repro import worlds
 from repro.cluster import build_testbed, build_wan_paths
 from repro.net import Datagram, Network, NetworkStack, PROTO_UDP
 from repro.sim import Simulator
+from tests.conftest import path_hops
 
 
 def diamond(node_order: str) -> Network:
@@ -31,7 +32,7 @@ def diamond(node_order: str) -> Network:
 def diamond_hops(node_order: str) -> list[list[str]]:
     """The a->d and d->a paths of :func:`diamond`."""
     net = diamond(node_order)
-    return [net.path_hops("a", "d"), net.path_hops("d", "a")]
+    return [path_hops(net, "a", "d"), path_hops(net, "d", "a")]
 
 
 def build_line(sim, n_routers=1, **link_kw):
@@ -216,7 +217,7 @@ class TestRoutesMatchAllPairs:
         assert not a.send(dgram)
         assert a.no_route == 1
         with pytest.raises(KeyError, match="no route from a to b"):
-            net.path_hops("a", "b")
+            path_hops(net, "a", "b")
 
 
 class TestRouteStateIsLinearInTheWorld:
@@ -285,7 +286,7 @@ class TestTopology:
 
     def test_path_hops(self, sim):
         net, a, b = build_line(sim, n_routers=2)
-        assert net.path_hops("a", "b") == ["a", "r0", "r1", "b"]
+        assert path_hops(net, "a", "b") == ["a", "r0", "r1", "b"]
 
     def test_routes_prefer_fewer_hops_at_equal_delay(self, sim):
         net = Network(sim)
@@ -294,7 +295,7 @@ class TestTopology:
         net.connect(a, c, delay=1e-3)
         net.connect(c, b, delay=1e-3)
         net.build_routes()
-        assert net.path_hops("a", "b") == ["a", "b"]
+        assert path_hops(net, "a", "b") == ["a", "b"]
 
     @pytest.mark.parametrize("node_order", ["abcd", "acbd", "dcba"])
     def test_equal_cost_paths_take_the_first_connected_link(self, node_order):
@@ -326,7 +327,7 @@ class TestTopology:
         net.connect(a, r_fast, delay=1e-3)
         net.connect(r_fast, b, delay=1e-3)
         net.build_routes()
-        assert "fast" in net.path_hops("a", "b")
+        assert "fast" in path_hops(net, "a", "b")
 
 
 class TestDelivery:
@@ -419,13 +420,16 @@ class TestInitSpeedEffect:
         assert a.nics[0].init_speed_bps == 25e6
 
     def test_init_delay_caps_at_mtu(self, sim):
+        def first_frame_wire(nic, dgram):
+            return nic._frames_for(dgram, nic.mtu)[0].wire_at(nic.mtu)
+
         net, a, b = build_line(sim)
         nic = a.nics[0]
         small = Datagram(proto=PROTO_UDP, src=a.addr, dst=b.addr,
                          sport=1, dport=2, size=100)
         huge = Datagram(proto=PROTO_UDP, src=a.addr, dst=b.addr,
                         sport=1, dport=2, size=60000)
-        assert nic._init_delay(small.first_fragment_size(nic.mtu)) < \
-            nic._init_delay(huge.first_fragment_size(nic.mtu))
-        assert nic._init_delay(huge.first_fragment_size(nic.mtu)) == \
+        assert nic._init_delay(first_frame_wire(nic, small)) < \
+            nic._init_delay(first_frame_wire(nic, huge))
+        assert nic._init_delay(first_frame_wire(nic, huge)) == \
             pytest.approx(1500 * 8 / 25e6)

@@ -37,7 +37,8 @@ class TestTokenBucket:
     def test_idle_time_refills_but_caps_at_burst(self):
         tb = TokenBucket(rate_bps=8e6, burst_bytes=2000)
         tb.reserve(2000, 0.0)  # drain
-        assert tb.tokens_at(100.0) == 2000  # capped, not 100 MB
+        tb._refill(100.0)
+        assert tb._tokens == 2000  # capped, not 100 MB
 
     def test_oversized_packet_admitted_at_full_bucket(self):
         tb = TokenBucket(rate_bps=8e6, burst_bytes=1000)

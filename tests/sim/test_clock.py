@@ -24,7 +24,7 @@ class TestHostClock:
         sim = Simulator()
         clock = HostClock(sim)
         assert clock.now() == sim.now
-        assert not clock.skewed
+        assert (clock.offset, clock.drift) == (0.0, 0.0)
         advance(sim, 7.5)
         assert clock.now() == sim.now == 7.5
 
@@ -32,7 +32,7 @@ class TestHostClock:
         sim = Simulator()
         clock = HostClock(sim)
         clock.set_skew(300.0)
-        assert clock.skewed
+        assert (clock.offset, clock.drift) != (0.0, 0.0)
         assert clock.now() == pytest.approx(300.0)
         advance(sim, 10.0)
         # a pure offset advances at true rate
@@ -66,10 +66,12 @@ class TestHostClock:
         assert clock.now() == pytest.approx(13.0)
 
     def test_clear_skew_steps_back_to_true_time(self):
+        """Clearing the skew (``set_skew(0.0)``) is an NTP step back to
+        true time: no offset and no accumulated drift remain."""
         sim = Simulator()
         clock = HostClock(sim)
         clock.set_skew(42.0, drift=0.1)
         advance(sim, 4.0)
-        clock.clear_skew()
-        assert not clock.skewed
+        clock.set_skew(0.0)
+        assert (clock.offset, clock.drift) == (0.0, 0.0)
         assert clock.now() == sim.now

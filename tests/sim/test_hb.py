@@ -9,6 +9,7 @@ from repro.sim import (
     Store,
     shared,
 )
+from tests.conftest import locked_write
 
 
 def _world():
@@ -105,7 +106,7 @@ class TestHappensBeforeEdges:
 
         def locked(val):
             yield sim.timeout(1.0)
-            yield from shm.locked_write(1, val)
+            yield from locked_write(shm, 1, val)
 
         sim.process(locked(1), name="w1")
         sim.process(locked(2), name="w2")

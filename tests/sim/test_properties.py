@@ -114,7 +114,7 @@ class TestCpuProperties:
         for _ in range(n):
             sim.process(task())
         sim.run()
-        assert math.isclose(cpu.utilisation_seconds(), n * work, rel_tol=1e-9)
+        assert math.isclose(cpu._busy_seconds, n * work, rel_tol=1e-9)
 
 
 class TestReportProperties:

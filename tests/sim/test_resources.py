@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import Interrupt, Resource, SharedMemory, SimulationError, Store
-from tests.conftest import run_process
+from tests.conftest import locked_write, run_process
 
 
 class TestStore:
@@ -62,12 +62,6 @@ class TestStore:
     def test_invalid_capacity(self, sim):
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put("a")
-        assert store.try_get() == "a"
 
     def test_put_skips_triggered_getter(self, sim):
         """A getter that lost a race (already triggered) must not swallow
@@ -166,7 +160,7 @@ class TestSharedMemory:
         shm = SharedMemory(sim)
 
         def p():
-            yield from shm.locked_write(4321, {"a": 1})
+            yield from locked_write(shm, 4321, {"a": 1})
             value = yield from shm.locked_read(4321)
             return value
 

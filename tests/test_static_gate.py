@@ -93,7 +93,7 @@ def test_ci_seeded_fixtures_must_report_their_own_code():
     """An uncaught exception exits 1 too, so "non-zero" proves nothing:
     each seeded fixture must exit exactly 1 and print its own code
     (``f402_…`` -> ``REPRO402``) under its gate's selector.  The per-file
-    D/P/R fixtures run under ``--strict`` (two of them are warnings);
+    D/R fixtures run under ``--strict`` (two of them are warnings);
     ``r300`` is the dynamic race, left to the sanitize job."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     step = ci.split("seeded fixtures are detected")[1].split("- name:")[0]
@@ -101,7 +101,7 @@ def test_ci_seeded_fixtures_must_report_their_own_code():
     assert '[ "$status" -ne 1 ]' in step
     assert 'code="REPRO$(basename "$f" | cut -c2-4)"' in step
     assert 'grep -q "$code"' in step
-    for selector, glob in (("--strict", "d10*.py"), ("--strict", "p20*.py"),
+    for selector, glob in (("--strict", "d10*.py"),
                            ("--strict", "r30[1-6]*.py"),
                            ("--flow", "f40*.py"), ("--perf", "h50*.py"),
                            ("--proto", "s60*.py")):
@@ -234,7 +234,7 @@ def test_perf_census_counts_the_service_loop_roots():
     from repro.analysis.program import Program, run_checks
 
     report = run_checks(Program.load([REPO / "src" / "repro"]), ("perf",))
-    assert report.stats["perf"]["service-loop root(s)"] == 21
+    assert report.stats["perf"]["service-loop root(s)"] == 20
 
 
 def test_ci_pins_the_fault_benchmarks_it_regenerates():
@@ -296,6 +296,107 @@ def test_every_config_field_has_a_second_value_in_use():
                 if value != defaults[keyword.arg]:
                     varied.add(keyword.arg)
     assert sorted(set(defaults) - varied) == []
+
+
+#: ``src/repro`` definitions whose only callers are tests, each kept for
+#: the reason given (``path::Qualname``, the path relative to
+#: ``src/repro``)
+TEST_ONLY_DEFINITIONS = {
+    "core/receiver.py::Receiver.staleness":
+        "DESIGN §8 names it as the read of what a failed pull left serving",
+    "core/selection.py::RoundRobinSelector":
+        "DESIGN §5: the thesis' round-robin baseline (§3.3.3)",
+    "core/wizard.py::Wizard.compile_cache_hits":
+        "read by tests/core/test_wizard_pinned.py, a capture kept byte-identical",
+    "sim/trace.py::diff_traces":
+        "DESIGN §10: compares the canonical traces of a dual run",
+}
+
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
+
+
+def _definitions(tree: ast.Module):
+    """``(qualname, node)`` for every function, method and class."""
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{prefix}{node.name}"
+            yield qualname, node
+            prefix = f"{qualname}."
+        stack.extend((prefix, child) for child in ast.iter_child_nodes(node))
+
+
+def _references(tree: ast.Module):
+    """``(name, line)`` for every use of a name: a load, an attribute,
+    or a part of a dotted string constant (``getattr`` tables, the paths
+    in ``WIRE_TAG_HANDLERS``).  Imports and ``__all__`` strings are no
+    use: a re-export calls nothing."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported and _DOTTED_NAME.match(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def _uncalled_definitions(repo: Path) -> tuple[set[str], set[str]]:
+    """``(definitions in src/repro that nothing outside the tests uses,
+    every definition)``, both as ``path::Qualname``.
+
+    A use is a reference from a file in ``src/``, ``benchmarks/`` or
+    ``examples/`` outside the definition's own body.  Dunder and
+    ``visit_*`` methods, ``@rule`` classes and ``[project.scripts]``
+    entry points are used by the machinery that dispatches to them."""
+    src = repo / "src" / "repro"
+    entry_points = set(re.findall(r'= "[\w.]+:(\w+)"',
+                                  (repo / "pyproject.toml").read_text()))
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    trees = {}
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((repo / top).rglob("*.py")):
+            trees[path] = tree = ast.parse(path.read_text(), filename=str(path))
+            for name, line in _references(tree):
+                uses.setdefault(name, []).append((path, line))
+    uncalled, defined = set(), set()
+    for path, tree in trees.items():
+        if src not in path.parents:
+            continue
+        for qualname, node in _definitions(tree):
+            key = f"{path.relative_to(src).as_posix()}::{qualname}"
+            defined.add(key)
+            name = node.name
+            if ((name.startswith("__") and name.endswith("__"))
+                    or name.startswith("visit_") or name in entry_points
+                    or any(isinstance(d, ast.Name) and d.id == "rule"
+                           for d in node.decorator_list)):
+                continue
+            if not any(site != path or not node.lineno <= line <= node.end_lineno
+                       for site, line in uses.get(name, ())):
+                uncalled.add(key)
+    return uncalled, defined
+
+
+def test_every_src_definition_has_a_caller():
+    """Every function, method and class in ``src/repro`` is used by
+    something that runs — the library, a benchmark or an example — not
+    only by the tests.  Code nothing runs goes, moves into the test that
+    uses it, or is named in :data:`TEST_ONLY_DEFINITIONS` with a reason;
+    an entry there that no longer exists, or that something outside the
+    tests now uses, fails too."""
+    uncalled, defined = _uncalled_definitions(REPO)
+    allowed = set(TEST_ONLY_DEFINITIONS)
+    assert sorted(uncalled - allowed) == []
+    assert sorted(allowed - defined) == [], "allow-list names a deleted definition"
+    assert sorted(allowed - uncalled) == [], "allow-list names a used definition"
 
 
 def test_repro_check_clean_on_src():
