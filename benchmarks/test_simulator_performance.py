@@ -18,7 +18,7 @@ from repro.cluster import Cluster
 from repro.core import Config, ServerProbe, SystemMonitor, probe, records
 from repro.host import CPU, procfs
 from repro.net import MBPS, Network, NetworkStack
-from repro.sim import SimProfiler, Simulator, Store
+from repro.sim import AnyOf, SimProfiler, Simulator, Store
 from repro.sim.profile import merge_attributions
 from repro.worlds import run_scenario
 
@@ -312,20 +312,15 @@ def test_probe_report_call_budget():
     assert per_report <= 190
 
 
-def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
-    """tracemalloc bytes still alive per connect + close a -> r -> b to
-    a port that listens and never accepts, once the run has drained:
-    both endpoints stay in their demux tables (and the server's in the
-    accept queue), as every connection of a ledger run does.  The
-    ``warm_up`` connections before the first reading size the tables."""
-    sim, sa, sb = one_switch()
-    sb.tcp.listen(80)
+def _bytes_kept(sim: Simulator, exchange, n: int, warm_up: int) -> float:
+    """tracemalloc bytes still alive per run of the process generator
+    ``exchange()`` once the run has drained.  The ``warm_up`` runs
+    before the first reading size the demux tables."""
 
     def traced_after(count: int) -> int:
         def client():
             for _ in range(count):
-                conn = yield from sa.tcp.connect("b", 80)
-                conn.close()
+                yield from exchange()
 
         sim.process(client())
         sim.run()
@@ -338,17 +333,105 @@ def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
         after = traced_after(n)
     finally:
         tracemalloc.stop()
-    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
     return (after - before) / n
+
+
+def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
+    """tracemalloc bytes still alive per connect + close a -> r -> b to
+    a port that listens and never accepts, once the run has drained:
+    both endpoints stay in their demux tables (and the server's in the
+    accept queue), as every connection of a ledger run does."""
+    sim, sa, sb = one_switch()
+    sb.tcp.listen(80)
+
+    def exchange():
+        conn = yield from sa.tcp.connect("b", 80)
+        conn.close()
+
+    kept = _bytes_kept(sim, exchange, n, warm_up)
+    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
+    return kept
+
+
+def bytes_kept_per_served_connection(n: int, warm_up: int = 50) -> float:
+    """The same for a connection a ``serve`` handler answers, the shape
+    of a status pull: the client sends a 200-byte request, takes the
+    1,000-byte response and closes, and the handler, waiting for the
+    next request, ends on ``ConnectionClosed``."""
+    sim, sa, sb = one_switch()
+
+    def handler(conn):
+        while True:
+            yield conn.recv()
+            conn.send("response", 1_000)
+
+    sb.tcp.serve(80, handler, name="server", session_name="session")
+
+    def exchange():
+        conn = yield from sa.tcp.connect("b", 80)
+        conn.send("request", 200)
+        yield conn.recv()
+        conn.close()
+
+    kept = _bytes_kept(sim, exchange, n, warm_up)
+    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
+    return kept
 
 
 def test_connection_memory_budget():
     """What one connection leaves behind: two slotted ``TcpConnection``
-    endpoints, their slotted receive ``Store``\\ s and the demux entries.
-    2,051 B on CPython 3.11; 4,835 B with an instance dict on each.  Dict
-    and list sizes differ between CPython versions, hence a ceiling, not
-    a reading."""
-    assert bytes_kept_per_connection(2_000) <= 2_500
+    endpoints and the demux entries.  Neither endpoint holds a receive
+    queue (nothing waited in one and nothing asked), a send queue or a
+    segment table (the FIN is acked).  1,045 / 1,037 / 1,053 B on
+    CPython 3.10 / 3.11 / 3.12; 2,067 / 2,050 / 2,066 B with every queue
+    built up front and kept, and 4,835 B on 3.11 with an instance dict
+    on each endpoint as well.  Dict and list sizes differ between
+    CPython versions, hence a ceiling, not a reading."""
+    assert bytes_kept_per_connection(2_000) <= 1_200
+
+
+def test_served_connection_memory_budget():
+    """What a served connection leaves behind: two endpoints with the
+    receive queues their ``recv()`` built, the server's holding the
+    EOF and its send queue and segment table (it never closes), the
+    client's sender state released at its FIN's ack.  1,961 / 1,972 /
+    1,964 B on CPython 3.10 / 3.11 / 3.12; 2,409 / 2,412 / 2,428 B with
+    every queue built up front and kept."""
+    assert bytes_kept_per_served_connection(2_000) <= 2_100
+
+
+def test_dial_leaves_no_condition_behind():
+    """A decided ``AnyOf`` lets go of its losers: after 1,000 four-way
+    ``connect_all`` calls that all completed, their 2.5 s deadlines
+    are still pending but keep no condition (nor its events and dials)
+    alive.  About three per dial stayed reachable when a deadline held
+    each condition's check."""
+    sim = Simulator()
+    net = Network(sim)
+    switch = net.add_router("r")
+    servers = [f"s{i}" for i in range(4)]
+    for name in ("a", *servers):
+        net.connect(net.add_host(name), switch, rate_bps=1000 * MBPS)
+    net.build_routes()
+    stacks = {name: NetworkStack(sim, node, net) for name, node in net.nodes.items()
+              if not node.is_router}
+    for name in servers:
+        stacks[name].tcp.listen(80)
+
+    def client():
+        for _ in range(1_000):
+            conns = yield from stacks["a"].tcp.connect_all(servers, 80)
+            assert None not in conns
+            for conn in conns:
+                conn.close()
+
+    dials = sim.process(client())
+    while not dials.processed:
+        sim.step()
+    assert sim.now < 2.5  # the last dial's deadlines have yet to fire
+    gc.collect()
+    assert sum(isinstance(obj, AnyOf) and obj.sim is sim
+               for obj in gc.get_objects()) == 0
 
 
 @pytest.mark.parametrize("groups, ceiling_s", [(8, 0.25), (32, 2.0)],

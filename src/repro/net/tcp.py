@@ -55,9 +55,6 @@ DEFAULT_MSS = 1460
 #: default send window in bytes (classic 64 KB)
 DEFAULT_WINDOW = 65535
 
-_conn_ids = itertools.count(1)
-
-
 class ConnectionClosed(Exception):
     """recv() on a connection whose peer sent FIN, or send() after close."""
 
@@ -144,14 +141,16 @@ class TcpConnection:
 
     Slotted: the demux table keeps every endpoint until ``abort()``, so
     what one endpoint holds is what a run's connection history costs.
+    Its queues are built on first use, and the sender's go once the FIN
+    is acked (DESIGN "What a connection keeps").
     """
 
-    __slots__ = ("layer", "sim", "_node", "_src", "id", "local_port",
+    __slots__ = ("layer", "sim", "_node", "_src", "local_port",
                  "remote_addr", "remote_port", "mss", "window",
                  "established", "established_ev", "closed", "peer_closed",
                  "reset", "_outq", "_segments", "_base", "_next_seq",
                  "_fin_queued", "_wake_pending", "_rto_deadline", "_timer_at",
-                 "_rcv_expected", "rx", "_partial_bytes", "_srtt", "_rttvar",
+                 "_rcv_expected", "_rx", "_partial_bytes", "_srtt", "_rttvar",
                  "rto", "retransmit_count", "bytes_sent", "bytes_acked",
                  "bytes_received")
 
@@ -169,7 +168,6 @@ class TcpConnection:
         #: the host this endpoint sends from, and its source address
         self._node = layer.stack.node
         self._src = self._node.addr
-        self.id = next(_conn_ids)
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
@@ -183,11 +181,13 @@ class TcpConnection:
         self.reset = False           # RST received, or abort() called
 
         # --- sender state (go-back-N) ---
-        self._outq: list[tuple[Any, int]] = []   # (payload, nbytes) messages
+        #: (payload, nbytes) messages; None before a send, after the FIN
+        self._outq: Optional[list[tuple[Any, int]]] = None
         #: unacked segments in sequence order: seq -> [bytes, meta, first
         #: sent at]; the time is None once the segment was retransmitted
-        #: (Karn: its ack is no RTT sample)
-        self._segments: dict[int, list] = {}
+        #: (Karn: its ack is no RTT sample).  None before the first
+        #: segment and once the FIN is acked
+        self._segments: Optional[dict[int, list]] = None
         self._base = 0
         self._next_seq = 0
         self._fin_queued = False
@@ -199,7 +199,7 @@ class TcpConnection:
 
         # --- receiver state ---
         self._rcv_expected = 0
-        self.rx = Store(self.sim)
+        self._rx: Optional[Store] = None  # see _queue()
         self._partial_bytes = 0
 
         # --- RTO estimation (Jacobson/Karels) ---
@@ -222,7 +222,11 @@ class TcpConnection:
             raise ConnectionClosed("send() after close()")
         if nbytes <= 0:
             raise ValueError(f"message size must be positive, got {nbytes}")
-        self._outq.append((payload, nbytes))
+        outq = self._outq
+        if outq is None:
+            self._outq = [(payload, nbytes)]
+        else:
+            outq.append((payload, nbytes))
         self._signal()
 
     def recv(self):
@@ -232,14 +236,19 @@ class TcpConnection:
         via the queued EOF sentinel — callers should catch it or check
         :attr:`peer_closed`.
         """
-        ev = self.rx.get()
+        rx = self._rx
+        if rx is None:  # _queue(), inlined: one call less per exchange
+            rx = self._rx = Store(self.sim)
+            if self.peer_closed:
+                rx.put(EOF)
+        ev = rx.get()
         wrapped = self.sim.event()
 
         def _unwrap(e):
             if not e.ok:  # pragma: no cover - store get never fails
                 wrapped.fail(e.value)
             elif isinstance(e.value, _EOF):
-                self.rx.put(EOF)  # keep EOF for subsequent recv() calls
+                rx.put(EOF)  # keep EOF for subsequent recv() calls
                 wrapped.fail(ConnectionClosed("peer closed"))
             else:
                 wrapped.succeed(e.value)
@@ -267,9 +276,9 @@ class TcpConnection:
         self.closed = True
         self.reset = True
         self.peer_closed = True
-        self._outq.clear()
+        self._outq = None
         self._fin_queued = False
-        self.rx.put(EOF)
+        self._put_eof()
         self.layer.conns.pop(
             (self.local_port, self.remote_addr, self.remote_port), None
         )
@@ -281,12 +290,30 @@ class TcpConnection:
             return
         self.reset = True
         self.peer_closed = True
-        self.rx.put(EOF)
+        self._put_eof()
         self._signal()
 
     @property
     def in_flight(self) -> int:
         return self._next_seq - self._base
+
+    # -- receiver -----------------------------------------------------------------
+    def _queue(self) -> Store:
+        """Build the receive queue once an item must wait or recv()
+        asks; an EOF that came first is its head."""
+        rx = self._rx = Store(self.sim)
+        if self.peer_closed:
+            rx.put(EOF)
+        return rx
+
+    def _put_eof(self) -> None:
+        """Queue the EOF — into a new queue only for the sanitizer,
+        so that it keeps this moment's clock."""
+        rx = self._rx
+        if rx is not None:
+            rx.put(EOF)
+        elif self.sim._hb is not None:
+            self._queue()
 
     # -- sender ----------------------------------------------------------------
     def _start(self) -> None:
@@ -355,12 +382,16 @@ class TcpConnection:
         # FIN occupies one sequence unit once the data queue drains
         if self._fin_queued and not outq and self._next_seq - self._base < window:
             self._fin_queued = False
+            self._outq = None  # closed: nothing more can be sent
             self._emit(1, ("FIN",))
 
     def _emit(self, nbytes: int, meta: tuple) -> None:
         """First transmission of the next segment in sequence."""
         seq = self._next_seq
-        self._segments[seq] = [nbytes, meta, self.sim._now]
+        segments = self._segments
+        if segments is None:
+            segments = self._segments = {}
+        segments[seq] = [nbytes, meta, self.sim._now]
         self._next_seq = seq + nbytes
         self._transmit_segment(seq, nbytes, meta)
 
@@ -387,11 +418,18 @@ class TcpConnection:
                 self._partial_bytes += nbytes
                 _, payload, end = meta
                 if end:
-                    self.rx.put((payload, self._partial_bytes))
+                    rx = self._rx
+                    if rx is None:
+                        rx = self._queue()
+                    rx.put((payload, self._partial_bytes))
                     self._partial_bytes = 0
             elif meta[0] == "FIN":
                 self.peer_closed = True
-                self.rx.put(EOF)
+                rx = self._rx  # _put_eof(), inlined: every close has a FIN
+                if rx is not None:
+                    rx.put(EOF)
+                elif self.sim._hb is not None:
+                    self._queue()
         # cumulative ack (also a dup-ack when the segment was out of order)
         self._send_ack()
 
@@ -415,6 +453,8 @@ class TcpConnection:
             self.bytes_acked += nbytes
             if sent_at is not None:
                 sample = sent_at
+        if not segments and self.closed and not self._fin_queued:
+            self._segments = None  # the FIN is acked: nothing to resend
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
             self._rtt_sample(self.sim._now - sample)
@@ -434,7 +474,7 @@ class TcpConnection:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<TcpConnection #{self.id} {self.layer.stack.node.name}:{self.local_port}"
+            f"<TcpConnection {self.layer.stack.node.name}:{self.local_port}"
             f"->{self.remote_addr}:{self.remote_port}"
             f" {'EST' if self.established else 'SYN'}>"
         )

@@ -491,15 +491,14 @@ class _Condition(Event):
 
 
 class AnyOf(_Condition):
-    """Fires as soon as *any* of the composed events fires."""
+    """Fires as soon as *any* of the composed events fires; then each
+    member still pending holds ``_defuse`` in place of its check, so a
+    late one (a deadline seconds away) keeps nothing else alive."""
 
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self._state != PENDING:
-            # the race is already decided; a losing member that fails late
-            # (e.g. a recv() beaten by its timeout, then the connection
-            # dies) has no waiter left — defuse so it cannot crash the loop
+        if self._state != PENDING:  # a member listed twice, or added late
             event._ok = True
             return
         if not event._ok:
@@ -507,6 +506,15 @@ class AnyOf(_Condition):
             event._ok = True
         else:
             self.succeed(self._collect())
+        # a loser that fails late (a recv() beaten by its timeout, then
+        # the connection dies) is defused; it cannot crash the loop
+        check = self._check
+        for member in self.events:
+            callbacks = member.callbacks
+            if callbacks:
+                for i, cb in enumerate(callbacks):
+                    if cb == check:
+                        callbacks[i] = _defuse
         obs = self.sim._observer
         if obs is not None:
             obs.on_join(self)

@@ -47,19 +47,20 @@ class Store:
         self.capacity = capacity
         self.drop_when_full = drop_when_full
         self.items: list[Any] = []
-        self._getters: list[Event] = []
+        self._getters: Optional[list[Event]] = None  # until one waits
         self.dropped = 0  # datagrams lost to a full buffer
         #: putter clocks for buffered items (happens-before sanitizer);
         #: parallel to ``items`` while the sanitizer is enabled
-        self._hb_clocks: list[Any] = []
+        self._hb_clocks: Optional[list[Any]] = None
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> bool:
         """Add ``item``; returns ``False`` if it was dropped (bounded+full)."""
-        while self._getters:
-            getter = self._getters.pop(0)
+        getters = self._getters
+        while getters:
+            getter = getters.pop(0)
             if getter.triggered:  # e.g. cancelled by a timeout race
                 continue
             getter.succeed(item)
@@ -74,7 +75,10 @@ class Store:
         if hb is not None:
             # a buffered item carries its putter's clock so the eventual
             # getter inherits the edge even without a direct hand-off
-            self._hb_clocks.append(hb._capture())
+            if self._hb_clocks is None:
+                self._hb_clocks = [hb._capture()]
+            else:
+                self._hb_clocks.append(hb._capture())
         return True
 
     def get(self) -> Event:
@@ -85,6 +89,8 @@ class Store:
             hb = self.sim._hb
             if hb is not None and self._hb_clocks:
                 hb.join_event(ev, self._hb_clocks.pop(0))
+        elif self._getters is None:
+            self._getters = [ev]
         else:
             self._getters.append(ev)
         return ev
@@ -96,7 +102,7 @@ class Store:
         ``put`` — for a socket that means a datagram is lost after every
         receive timeout.
         """
-        if getter in self._getters:
+        if self._getters and getter in self._getters:
             self._getters.remove(getter)
 
 

@@ -52,18 +52,19 @@ BULK_MSS = 8192
 def fresh_ids() -> None:
     """Restart the global id counters, as a fresh interpreter would.
 
-    Connection/session/packet/allocation ids come from module-level
+    Session/packet/allocation ids come from module-level
     ``itertools.count`` streams, and some leak into kernel process names
-    (``lease-3-…``) that event traces and profiler attributions record.  Every builder here calls this first, so a
-    world's ids — and with them its trace and attribution — do not
-    depend on what ran earlier in the process.  Build a world only after
-    the previous one has finished running: ids key live per-world state.
+    (``lease-3-…``) that event traces and profiler attributions record.
+    A TCP endpoint has no id: its host, port and peer name it.  Every
+    builder here calls this first, so a world's ids — and with them its
+    trace and attribution — do not depend on what ran earlier in the
+    process.  Build a world only after the previous one has finished
+    running: ids key live per-world state.
     """
     from .core import session
     from .host import memory
-    from .net import packet, tcp
+    from .net import packet
 
-    tcp._conn_ids = itertools.count(1)
     packet._ids = itertools.count(1)
     memory._alloc_ids = itertools.count(1)
     session._session_ids = itertools.count(1)

@@ -412,7 +412,7 @@ class TestPullHardening:
         assert sent == [3 * 8 + 1 + 32 + 24, 3 * 8 + 1 + 32 + 24 + 3 * 8]
         assert receiver.messages_received == 6
         assert receiver.pull_timeouts == receiver.pull_failures == 0
-        assert len(receiver._pull_conns[mon.addr].conn.rx) == 0
+        assert len(receiver._pull_conns[mon.addr].conn._rx) == 0
         assert UNCHANGED == 0 < tx.bytes_sent
 
     # -- bug: an interrupted round must not poison the next ----------------------

@@ -208,7 +208,7 @@ class TestRequestStreamUnderFaults:
     def test_receiver_ends_with_a_clean_connection_to_every_transmitter(self):
         rx = shuffled(1)["star"].dep.receiver
         assert set(rx._pull_conns) == set(rx.transmitters)
-        assert all(len(feed.conn.rx) == 0 for feed in rx._pull_conns.values())
+        assert all(len(feed.conn._rx) == 0 for feed in rx._pull_conns.values())
 
 
 class TestDeterminism:

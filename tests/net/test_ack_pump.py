@@ -178,7 +178,8 @@ class World:
 
     def observed(self):
         return {"deliveries": self.log,
-                "conns": [(c.id, c.bytes_acked, c.retransmit_count,
+                "conns": [(c.layer.stack.node.name, c.local_port, c.remote_addr,
+                           c.remote_port, c.bytes_acked, c.retransmit_count,
                            repr(c.rto), repr(c._srtt)) for c in self.conns]}
 
 

@@ -250,16 +250,24 @@ class TestThroughput:
 
 
 class TestFootprint:
+    """What a run's connection history costs: the demux table keeps every
+    endpoint until ``abort()``.  Here the objects are slotted; which
+    queues an endpoint builds on demand and releases, with the event
+    times that must not move, is ``tests/net/test_tcp_footprint.py``;
+    the bytes kept are ``benchmarks/test_simulator_performance.py``'s
+    memory budgets."""
+
     def test_per_connection_objects_are_slotted(self, sim):
-        """The demux table keeps every endpoint, and with it its receive
-        queue, until ``abort()``: none of the objects built per
-        connection or per socket carries an instance dict."""
+        """None of the objects built per connection or per socket — the
+        receive queue an endpoint's first ``recv()`` built included —
+        carries an instance dict."""
         _, sa, sb, _ = make_pair(sim)
         lsn = sb.tcp.listen(80)
         conn = run_process(sim, sa.tcp.connect("b", 80))
         server = sb.tcp.conns[(80, sa.node.addr, conn.local_port)]
         sock = sa.udp_socket()
-        for obj in (conn, server, conn.rx, lsn, lsn.accepts, sock, sock.rx):
+        conn.recv()
+        for obj in (conn, server, conn._rx, lsn, lsn.accepts, sock, sock.rx):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
             with pytest.raises(AttributeError):
                 obj.note = None

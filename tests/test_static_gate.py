@@ -191,11 +191,13 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     step counts the kernel events of a transit hop (``hop_events``: one
     switch, the matmul and massd profiles), the Python calls of a TCP
     segment and its ack, of a short connection and of a probe report
-    (``call_budget``), and the bytes a closed connection leaves alive
-    (``memory_budget``)."""
+    (``call_budget``), the bytes a closed and a served connection leave
+    alive (``memory_budget``), and that a finished dial leaves no
+    condition reachable (``condition_behind``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
     step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
-            '-k "fleet_build or hop_events or call_budget or memory_budget" '
+            '-k "fleet_build or hop_events or call_budget or memory_budget '
+            'or condition_behind" '
             "env: PYTHONPATH: src")
     assert step in ci
     assert (ci.index("git diff --exit-code benchmarks/results/*.txt")
@@ -208,6 +210,9 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     assert "def test_connect_request_close_call_budget(" in bench
     assert "def test_probe_report_call_budget(" in bench
     assert "def test_connection_memory_budget(" in bench
+    assert "def bytes_kept_per_served_connection(" in bench
+    assert "def test_served_connection_memory_budget(" in bench
+    assert "def test_dial_leaves_no_condition_behind(" in bench
 
 
 def test_the_one_accept_loop_is_in_tcp():
