@@ -312,7 +312,7 @@ class Receiver:
             dial = []
             for addr in self.transmitters:
                 feed = feeds.get(addr)
-                if feed is not None and (feed.conn.peer_closed or feed.conn.reset):
+                if feed is not None and feed.conn.peer_closed:
                     feed.conn.close()
                     del feeds[addr]
                 if addr not in feeds:

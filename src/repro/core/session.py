@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from ..net.tcp import ConnectError, ConnectionClosed, TcpConnection
+from ..net.tcp import ESTABLISHED, ConnectError, ConnectionClosed, TcpConnection
 from ..sim import Interrupt
 from .config import Config, DEFAULT_CONFIG
 from .detector import SuspicionDetector
@@ -204,7 +204,7 @@ class SmartSession:
     def close(self) -> None:
         """Orderly end of the slot: stop the lease, close the connection."""
         self.stop_lease()
-        if not (self.conn.closed or self.conn.reset):
+        if not self.conn.reset:
             self.conn.close()
 
     def _lease_loop(self, conn: TcpConnection, addr: str):
@@ -227,7 +227,7 @@ class SmartSession:
             seq = 0
             while True:
                 yield self.sim.timeout(LEASE_INTERVAL)
-                if conn.reset or conn.peer_closed or conn.closed:
+                if conn.state is not ESTABLISHED:
                     return  # the application path already knows
                 seq += 1
                 lease.send(("PING", seq), HEARTBEAT_BYTES)
@@ -271,7 +271,7 @@ class SmartSession:
         try:
             while True:
                 yield self.sim.timeout(self.config.session_watchdog_interval)
-                if conn.reset or conn.peer_closed or conn.closed:
+                if conn.state is not ESTABLISHED:
                     return  # the application path already knows
                 mark = conn.bytes_received + conn.bytes_acked
                 now = self.sim.now

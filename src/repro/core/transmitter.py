@@ -219,7 +219,7 @@ class Transmitter:
         progress_at = 0.0
         try:
             while True:
-                if conn is not None and (conn.peer_closed or conn.reset):
+                if conn is not None and conn.peer_closed:
                     conn.close()
                     conn = None
                 if conn is not None and conn.in_flight > 0:

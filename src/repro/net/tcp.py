@@ -71,6 +71,28 @@ class _EOF:
 
 EOF = _EOF()
 
+#: ``TcpConnection.state``: the RFC 793 states it can hold, then RESET (an
+#: RST arrived while the local side was open) and ABORTED (``abort()`` ran,
+#: or an RST arrived after ``close()``).  ``SYN_RCVD`` is never held: a
+#: server endpoint counts as established once it sees the SYN.
+SYN_SENT, ESTABLISHED, CLOSE_WAIT, LAST_ACK, CLOSED = (
+    "SYN_SENT", "ESTABLISHED", "CLOSE_WAIT", "LAST_ACK", "CLOSED")
+FIN_WAIT_1, FIN_WAIT_2, CLOSING, TIME_WAIT, RESET, ABORTED = (
+    "FIN_WAIT_1", "FIN_WAIT_2", "CLOSING", "TIME_WAIT", "RESET", "ABORTED")
+#: the transitions on close(), the peer's FIN and the ack of our FIN; a
+#: state a table does not name stays where it is
+_ON_CLOSE = {ESTABLISHED: FIN_WAIT_1, CLOSE_WAIT: LAST_ACK, RESET: ABORTED}
+_ON_FIN = {SYN_SENT: CLOSE_WAIT, ESTABLISHED: CLOSE_WAIT, FIN_WAIT_1: CLOSING,
+           FIN_WAIT_2: TIME_WAIT}
+_ON_FIN_ACKED = {FIN_WAIT_1: FIN_WAIT_2, CLOSING: TIME_WAIT, LAST_ACK: CLOSED}
+#: the local side is open: send() is legal, and an RST makes it RESET
+_OPEN = frozenset({SYN_SENT, ESTABLISHED, CLOSE_WAIT})
+_PEER_CLOSED = frozenset({CLOSE_WAIT, CLOSING, LAST_ACK, TIME_WAIT, CLOSED,
+                          RESET, ABORTED})
+_RESET = frozenset({RESET, ABORTED})
+#: the FIN's send-queue entry and segment meta: close() appends it last
+_FIN = ("FIN",)
+
 #: declared lifecycle of a :class:`TcpConnection`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
 #: (REPRO600/601/602).  ``data_ops`` move payload, ``close_ops`` end the
@@ -116,7 +138,7 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
 class TcpListener:
     """Passive socket: accepted connections appear in :attr:`accepts`."""
 
-    __slots__ = ("layer", "port", "mss", "window", "accepts", "closed")
+    __slots__ = ("layer", "port", "mss", "window", "accepts")
 
     def __init__(self, layer: "TcpLayer", port: int,
                  mss: int = DEFAULT_MSS, window: int = DEFAULT_WINDOW):
@@ -125,19 +147,24 @@ class TcpListener:
         self.mss = mss          # parameters for accepted (server-side) conns
         self.window = window
         self.accepts = Store(layer.stack.sim)
-        self.closed = False
 
     def accept(self):
         """Event firing with the next established server-side connection."""
         return self.accepts.get()
 
     def close(self) -> None:
-        self.closed = True
-        self.layer.listeners.pop(self.port, None)
+        listeners = self.layer.listeners
+        if listeners.get(self.port) is self:  # not a successor on the port
+            del listeners[self.port]
 
 
 class TcpConnection:
     """One endpoint of an established (or establishing) connection.
+
+    What it can still do is one value, :attr:`state` (DESIGN §19 "One
+    state"), that only this module decides; callers ask :attr:`peer_closed`
+    and :attr:`reset`.  Whether the handshake is done is ``established_ev``:
+    a FIN or an RST can overtake a lost SYNACK.
 
     Slotted: the demux table keeps every endpoint until ``abort()``, so
     what one endpoint holds is what a run's connection history costs.
@@ -146,10 +173,9 @@ class TcpConnection:
     """
 
     __slots__ = ("layer", "sim", "_node", "_src", "local_port",
-                 "remote_addr", "remote_port", "mss", "window",
-                 "established", "established_ev", "closed", "peer_closed",
-                 "reset", "_outq", "_segments", "_base", "_next_seq",
-                 "_fin_queued", "_wake_pending", "_rto_deadline", "_timer_at",
+                 "remote_addr", "remote_port", "mss", "window", "state",
+                 "established_ev", "_outq", "_segments", "_base", "_next_seq",
+                 "_wake_pending", "_rto_deadline", "_timer_at",
                  "_rcv_expected", "_rx", "_partial_bytes", "_srtt", "_rttvar",
                  "rto", "retransmit_count", "bytes_sent", "bytes_acked",
                  "bytes_received")
@@ -174,14 +200,12 @@ class TcpConnection:
         self.mss = mss
         self.window = window
 
-        self.established = False
+        self.state = SYN_SENT
         self.established_ev = self.sim.event()
-        self.closed = False          # local close() called
-        self.peer_closed = False     # FIN received
-        self.reset = False           # RST received, or abort() called
 
         # --- sender state (go-back-N) ---
-        #: (payload, nbytes) messages; None before a send, after the FIN
+        #: (payload, nbytes) messages, the FIN last; None before a send
+        #: or close(), and once the FIN is sent
         self._outq: Optional[list[tuple[Any, int]]] = None
         #: unacked segments in sequence order: seq -> [bytes, meta, first
         #: sent at]; the time is None once the segment was retransmitted
@@ -190,7 +214,6 @@ class TcpConnection:
         self._segments: Optional[dict[int, list]] = None
         self._base = 0
         self._next_seq = 0
-        self._fin_queued = False
         self._wake_pending = False
         #: when to go back N unless the window moves first (None = idle)
         self._rto_deadline: Optional[float] = None
@@ -216,10 +239,10 @@ class TcpConnection:
     # -- public API -----------------------------------------------------------
     def send(self, payload: Any, nbytes: int) -> None:
         """Queue one application message of ``nbytes`` bytes."""
-        if self.reset:
-            raise ConnectionClosed("connection reset")
-        if self.closed:
-            raise ConnectionClosed("send() after close()")
+        state = self.state
+        if state not in _OPEN:
+            raise ConnectionClosed("connection reset" if state in _RESET
+                                   else "send() after close()")
         if nbytes <= 0:
             raise ValueError(f"message size must be positive, got {nbytes}")
         outq = self._outq
@@ -239,7 +262,7 @@ class TcpConnection:
         rx = self._rx
         if rx is None:  # _queue(), inlined: one call less per exchange
             rx = self._rx = Store(self.sim)
-            if self.peer_closed:
+            if self.state in _PEER_CLOSED:
                 rx.put(EOF)
         ev = rx.get()
         wrapped = self.sim.event()
@@ -258,10 +281,14 @@ class TcpConnection:
 
     def close(self) -> None:
         """Flush pending data, then send FIN."""
-        if self.closed:
-            return
-        self.closed = True
-        self._fin_queued = True
+        state = self.state
+        if state not in _ON_CLOSE:
+            return  # closed already; SYN_SENT: no dial is handed back unopened
+        self.state = _ON_CLOSE[state]
+        if state is not RESET:  # a reset endpoint sends nothing more
+            if self._outq is None:
+                self._outq = []
+            self._outq.append((_FIN, 1))
         self._signal()
 
     def abort(self) -> None:
@@ -271,13 +298,10 @@ class TcpConnection:
         from the demux table, so the peer's next segment is answered with an
         RST instead of silently vanishing.
         """
-        if self.reset and self.closed:
+        if self.state is ABORTED:
             return
-        self.closed = True
-        self.reset = True
-        self.peer_closed = True
+        self.state = ABORTED
         self._outq = None
-        self._fin_queued = False
         self._put_eof()
         self.layer.conns.pop(
             (self.local_port, self.remote_addr, self.remote_port), None
@@ -286,12 +310,22 @@ class TcpConnection:
 
     def _handle_reset(self) -> None:
         """Peer answered with RST: the far endpoint no longer exists."""
-        if self.reset:
+        state = self.state
+        if state in _RESET:
             return
-        self.reset = True
-        self.peer_closed = True
+        self.state = RESET if state in _OPEN else ABORTED
         self._put_eof()
         self._signal()
+
+    @property
+    def peer_closed(self) -> bool:
+        """The peer's FIN or an RST arrived, or ``abort()`` ran."""
+        return self.state in _PEER_CLOSED
+
+    @property
+    def reset(self) -> bool:
+        """An RST arrived, or ``abort()`` ran."""
+        return self.state in _RESET
 
     @property
     def in_flight(self) -> int:
@@ -302,7 +336,7 @@ class TcpConnection:
         """Build the receive queue once an item must wait or recv()
         asks; an EOF that came first is its head."""
         rx = self._rx = Store(self.sim)
-        if self.peer_closed:
+        if self.state in _PEER_CLOSED:
             rx.put(EOF)
         return rx
 
@@ -317,14 +351,16 @@ class TcpConnection:
 
     # -- sender ----------------------------------------------------------------
     def _start(self) -> None:
-        self.established = True
+        if self.state is SYN_SENT:  # a FIN or RST may overtake the SYNACK
+            self.state = ESTABLISHED
         if not self.established_ev.triggered:
             self.established_ev.succeed(self)
         self._signal()
 
     def _signal(self) -> None:
-        """Ask for one sender wake at the current timestamp."""
-        if self.established and not self._wake_pending:
+        """Ask for one sender wake at the current timestamp, once the
+        handshake is done (``established_ev`` fired: ``_state`` not 0)."""
+        if self.established_ev._state and not self._wake_pending:
             self._wake_pending = True
             self.sim.call_later(0.0, self._on_wake)
 
@@ -332,7 +368,7 @@ class TcpConnection:
         """One turn of the sender: pump the window, then restart (or
         drop) the retransmission deadline."""
         self._wake_pending = False
-        if self.reset:
+        if self.state in _RESET:
             self._rto_deadline = None  # reset: stop (re)transmitting
             return
         self._pump()
@@ -368,22 +404,22 @@ class TcpConnection:
         Each data segment carves the next ``mss`` bytes off the head
         message; its meta is ``("DATA", payload_or_None, end_of_message)``
         — the payload rides on the message's last segment only, and the
-        receiver sums the segment sizes into the message length.
+        receiver sums the segment sizes into the message length.  The
+        FIN, queued last, occupies one sequence unit.
         """
         outq, mss, window = self._outq, self.mss, self.window
         while outq and self._next_seq - self._base < window:
             payload, remaining = outq[0]
-            if remaining <= mss:
-                outq.pop(0)
-                self._emit(remaining, ("DATA", payload, True))
-            else:
+            if remaining > mss:
                 outq[0] = (payload, remaining - mss)
                 self._emit(mss, ("DATA", None, False))
-        # FIN occupies one sequence unit once the data queue drains
-        if self._fin_queued and not outq and self._next_seq - self._base < window:
-            self._fin_queued = False
-            self._outq = None  # closed: nothing more can be sent
-            self._emit(1, ("FIN",))
+                continue
+            outq.pop(0)
+            if payload is _FIN:
+                self._outq = None  # closed: nothing more can be sent
+                self._emit(1, _FIN)
+            else:
+                self._emit(remaining, ("DATA", payload, True))
 
     def _emit(self, nbytes: int, meta: tuple) -> None:
         """First transmission of the next segment in sequence."""
@@ -424,7 +460,7 @@ class TcpConnection:
                     rx.put((payload, self._partial_bytes))
                     self._partial_bytes = 0
             elif meta[0] == "FIN":
-                self.peer_closed = True
+                self.state = _ON_FIN.get(self.state, self.state)
                 rx = self._rx  # _put_eof(), inlined: every close has a FIN
                 if rx is not None:
                     rx.put(EOF)
@@ -453,13 +489,14 @@ class TcpConnection:
             self.bytes_acked += nbytes
             if sent_at is not None:
                 sample = sent_at
-        if not segments and self.closed and not self._fin_queued:
+        if not segments and self._outq is None and self.state in _ON_FIN_ACKED:
+            self.state = _ON_FIN_ACKED[self.state]
             self._segments = None  # the FIN is acked: nothing to resend
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
             self._rtt_sample(self.sim._now - sample)
         self._base = ackno
-        if self.established and not self._wake_pending:
+        if self.established_ev._state and not self._wake_pending:
             self._on_wake()  # the sender's turn, in place (module docstring)
 
     def _rtt_sample(self, rtt: float) -> None:
@@ -476,7 +513,7 @@ class TcpConnection:
         return (
             f"<TcpConnection {self.layer.stack.node.name}:{self.local_port}"
             f"->{self.remote_addr}:{self.remote_port}"
-            f" {'EST' if self.established else 'SYN'}>"
+            f" {self.state}>"
         )
 
 
@@ -650,11 +687,11 @@ class TcpLayer:
             elif kind == "SYN":  # duplicate SYN: re-ack
                 self._send_ctrl_reply(dgram, "SYNACK", conn)
             elif kind == "SYNACK":
-                if not conn.established:
+                if not conn.established_ev._state:
                     conn._start()
                 self._send_ctrl_reply(dgram, "ACK1", conn)
             elif kind == "ACK1":
-                if not conn.established:
+                if not conn.established_ev._state:
                     conn._start()
             elif kind == "RST":
                 conn._handle_reset()
@@ -670,7 +707,7 @@ class TcpLayer:
             return
         if kind == "SYN":
             lsn = self.listeners.get(dgram.dport)
-            if lsn is None or lsn.closed:
+            if lsn is None:
                 return  # no RST modelling; connect() times out
             server = TcpConnection(
                 self, dgram.dport, dgram.src, dgram.sport,

@@ -162,48 +162,43 @@ def test_fixture_tree_exits_one(capsys):
     assert code == 1
 
 
-def test_repo_source_tree_is_clean(capsys):
+def test_repo_source_tree_is_clean(repo_check_all):
     """The gate the CI job runs: the repo's own code passes its analyzer."""
-    code = check_main([str(REPO / "src")])
-    out = capsys.readouterr().out
+    code, out = repo_check_all
     assert code == 0
     assert "file(s) clean" in out
 
 
-def test_repo_source_tree_is_flow_clean(capsys):
+def test_repo_source_tree_is_flow_clean(repo_check_all):
     """The whole-program gate: zero F-series findings on the shipped
     tree, with the full wire-tag surface verified against the registry."""
-    code = check_main(["--flow", str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
+    code, out = repo_check_all
     assert code == 0
     assert "flow-clean (5 F rules)" in out
     assert "7 wire tag(s)" in out
 
 
-def test_repo_source_tree_is_perf_clean(capsys):
+def test_repo_source_tree_is_perf_clean(repo_check_all):
     """The hot-path gate: zero H-series findings on the shipped tree
     (every real finding fixed, the justified copies noqa'd)."""
-    code = check_main(["--perf", str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
+    code, out = repo_check_all
     assert code == 0
     assert "perf-clean (6 H rules" in out
 
 
-def test_repo_source_tree_is_proto_clean(capsys):
+def test_repo_source_tree_is_proto_clean(repo_check_all):
     """The typestate gate: zero S-series findings on the shipped tree,
     with every tracked acquisition walked against its declared machine."""
-    code = check_main(["--proto", str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
+    code, out = repo_check_all
     assert code == 0
     assert "proto-clean (6 S rules)" in out
     assert "12 tracked acquisition(s)" in out
 
 
-def test_repo_source_tree_passes_all_gates(capsys):
+def test_repo_source_tree_passes_all_gates(repo_check_all):
     """``--all`` runs per-file D/P/R + --flow + --perf + --proto in one
     process."""
-    code = check_main(["--all", str(REPO / "src" / "repro")])
-    out = capsys.readouterr().out
+    code, out = repo_check_all
     assert code == 0
     assert "file(s) clean" in out
     assert "flow-clean" in out

@@ -2,18 +2,48 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+from pathlib import Path
 from typing import Any
 
 import pytest
 
 from repro.net import IP_HEADER
-from repro.sim import SharedMemory, Simulator
+from repro.sim import Observer, SharedMemory, Simulator
 
 
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture(scope="session")
+def repo_check_all() -> tuple[int, str]:
+    """``repro check --all src/repro`` run once in-process -> (exit code,
+    output).  The tests that the shipped tree passes a gate read it, each
+    with its own assertion; ``--all`` prints every gate's verdict and
+    census line."""
+    from repro.analysis.cli import check_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = check_main(["--all", str(Path(__file__).parent.parent / "src" / "repro")])
+    return code, out.getvalue()
+
+
+class Events(Observer):
+    """Kernel events: ``scheduled`` put on the queue, ``count`` processed."""
+
+    def __init__(self):
+        self.scheduled = self.count = 0
+
+    def on_schedule(self, event, active):
+        self.scheduled += 1
+
+    def begin_event(self, when, event):
+        self.count += 1
 
 
 def run_process(sim: Simulator, gen, until: float | None = None):

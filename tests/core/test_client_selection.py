@@ -15,6 +15,7 @@ from repro.core import (
     RoundRobinSelector,
 )
 from repro.core.client import CLIENT_RETRIES
+from repro.net.tcp import ESTABLISHED
 from tests.conftest import run_process
 
 
@@ -76,7 +77,7 @@ class TestClientRoundTrip:
 
         conns = run_process(cluster.sim, p(), until=30.0)
         assert len(conns) == 2
-        assert all(c.established for c in conns)
+        assert all(c.state == ESTABLISHED for c in conns)
 
     def test_strict_mode_raises_on_shortfall(self):
         cluster, dep, client_host, servers = small_deployment()

@@ -13,6 +13,7 @@ from repro.cluster import Cluster
 from repro.core import Config, InsufficientServers, SmartClient
 from repro.core.wizard import WizardReply
 from repro.net import ConnectionClosed
+from repro.net.tcp import ESTABLISHED, FIN_WAIT_1
 from repro.sim import Interrupt
 from tests.conftest import run_process
 from tests.core.test_transmit import CONNECT_TIMEOUT
@@ -96,7 +97,7 @@ def test_returned_in_reply_order_whatever_order_the_handshakes_finish():
     w = World(delays=(40e-3, 5e-3, 50e-6))
     conns, took = w.place()
     assert [c.remote_addr for c in conns] == w.addrs
-    assert all(c.established for c in conns)
+    assert all(c.state == ESTABLISHED for c in conns)
     # one round trip to the farthest, not the sum of the three
     assert took == pytest.approx(2 * 40e-3, abs=WIRE)
     # each sampled its own handshake when it completed, not when the
@@ -163,7 +164,7 @@ def test_strict_closes_the_partial_group_and_raises():
     assert err.value.got == w.addrs[:2]
     kept = list(w.cli.stack.tcp.conns.values())
     assert [c.remote_addr for c in kept] == w.addrs[:2]
-    assert all(c.closed and not c.reset for c in kept)
+    assert all(c.state == FIN_WAIT_1 for c in kept)
     w.sim.run(until=w.sim.now + 1.0)
     assert w.ended == [(addr, False) for addr in w.addrs[:2]]  # saw the FIN
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, LeaseResponder, SmartClient, SmartSession, smart_sessions
 from repro.core.session import LEASE_INTERVAL, LEASE_TIMEOUT, WATCHDOG_MIN_SAMPLES
+from repro.net.tcp import FIN_WAIT_2
 from repro.sim import Interrupt
 from tests.conftest import run_process
 
@@ -178,13 +179,13 @@ class TestHealthLease:
             session.close()
             answered_at_close = responder.pings_answered
             yield cluster.sim.timeout(3.0)
-            return (conn.closed, session.lease_expiries,
+            return (conn.state, session.lease_expiries,
                     responder.pings_answered, answered_at_close,
                     client.quarantined())
 
-        closed, expiries, after, at_close, quarantined = run_process(
+        state, expiries, after, at_close, quarantined = run_process(
             cluster.sim, p(), until=30.0)
-        assert closed
+        assert state == FIN_WAIT_2
         assert expiries == 0
         assert after == at_close  # no pings after close
         assert quarantined == set()

@@ -21,8 +21,9 @@ import pytest
 
 from repro import worlds
 from repro.net import MBPS, ConnectionClosed, Network, NetworkStack
-from repro.net.tcp import TcpConnection
-from repro.sim import Observer, Simulator
+from repro.net.tcp import TIME_WAIT, TcpConnection
+from repro.sim import Simulator
+from tests.conftest import Events
 
 US = 1e-6
 
@@ -59,20 +60,12 @@ def mutant_turn_before_base(conn, ackno):
     if ackno <= conn._base:
         return
     _pop_acked(conn, ackno)
-    if conn.established and not conn._wake_pending:
+    if conn.established_ev._state and not conn._wake_pending:
         conn._on_wake()
     conn._base = ackno
 
 
 # -- the seeded world ---------------------------------------------------------
-
-class Events(Observer):
-    def __init__(self):
-        self.count = 0
-
-    def begin_event(self, when, event):
-        self.count += 1
-
 
 class World:
     """a1, a2, a3 - sw1 - gw - sw2 - b1, b2, with ``gw`` a two-NIC host.
@@ -229,7 +222,7 @@ def test_the_world_does_what_it_says():
             if node == "a1" and kind == "ACK"]
     assert acks != sorted(acks)
     closing = [c for c in world.conns if c.local_port == 81 or c.remote_port == 81]
-    assert len(closing) == 2 and all(c.closed and c.peer_closed for c in closing)
+    assert len(closing) == 2 and all(c.state == TIME_WAIT for c in closing)
 
 
 def test_mutant_turn_before_base_is_killed():

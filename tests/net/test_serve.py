@@ -12,7 +12,7 @@ from repro.cluster import Cluster
 from repro.core import (Config, LeaseResponder, Mode, Receiver, SystemMonitor,
                         Transmitter)
 from repro.core.rsocket import ReliableServer
-from repro.net.tcp import ConnectError
+from repro.net.tcp import CLOSE_WAIT, ESTABLISHED, FIN_WAIT_2, ConnectError
 
 PORT = 7000
 
@@ -66,7 +66,7 @@ class TestContract:
         cluster.sim.process(talk())
         cluster.run(until=1.0)  # would raise if ConnectionClosed leaked
         assert not service.sessions[0].is_alive
-        assert not seen[0].closed  # ... and nothing was closed behind it
+        assert seen[0].state == CLOSE_WAIT  # ... and nothing was closed behind it
 
     def test_stop_closes_listener_and_live_connections(self):
         cluster, server, client = pair()
@@ -87,7 +87,7 @@ class TestContract:
         cluster.sim.process(talk())
         cluster.run(until=5.0)
         assert outcome == ["refused"]
-        assert seen[0].closed
+        assert seen[0].state == FIN_WAIT_2
         assert not any(p.is_alive for p in (service._loop, *service.sessions))
 
     def test_a_handler_that_returns_keeps_its_connection(self):
@@ -106,7 +106,7 @@ class TestContract:
 
         cluster.sim.process(talk())
         cluster.run(until=1.0)
-        assert not kept[0].closed
+        assert kept[0].state == ESTABLISHED
 
     def test_stop_then_serve_at_the_same_instant_rebinds_the_port(self):
         cluster, server, client = pair()

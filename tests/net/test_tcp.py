@@ -12,7 +12,11 @@ from repro.net import (
     NetworkStack,
     TokenBucket,
 )
-from tests.conftest import run_process
+from repro.net.packet import PROTO_TCP, Datagram
+from repro.net.tcp import (ABORTED, CLOSE_WAIT, CLOSED, CLOSING, EOF, ESTABLISHED,
+                           FIN_WAIT_1, FIN_WAIT_2, LAST_ACK, RESET, SYN_SENT,
+                           TIME_WAIT)
+from tests.conftest import Events, run_process
 
 
 def make_pair(sim, rate_bps=100 * MBPS, delay=100e-6, **kw):
@@ -35,12 +39,12 @@ class TestHandshake:
 
         def client():
             conn = yield from sa.tcp.connect("b", 80)
-            out["established"] = conn.established
+            out["state"] = conn.state
 
         sim.process(server())
         sim.process(client())
         sim.run()
-        assert out["established"]
+        assert out["state"] == ESTABLISHED
         assert out["server_peer"] == sa.node.addr
 
     def test_connect_to_closed_port_times_out(self, sim):
@@ -60,6 +64,24 @@ class TestHandshake:
         with pytest.raises(RuntimeError):
             sb.tcp.listen(80)
 
+    def test_a_second_close_leaves_the_ports_next_listener(self, sim):
+        """Closing a closed listener again unregisters nothing: the
+        listener that took the port since still accepts."""
+        _, sa, sb, _ = make_pair(sim)
+        old = sb.tcp.listen(80)
+        old.close()
+        new = sb.tcp.listen(80)
+        old.close()
+        assert sb.tcp.listeners == {80: new}
+        accepted = []
+
+        def server():
+            accepted.append((yield new.accept()))
+
+        sim.process(server())
+        conn = run_process(sim, sa.tcp.connect("b", 80, timeout=1.0))
+        assert accepted[0].remote_port == conn.local_port
+
     def test_handshake_survives_syn_loss(self, sim):
         import random
 
@@ -76,10 +98,10 @@ class TestHandshake:
 
         def client():
             conn = yield from sa.tcp.connect("b", 80, timeout=4.0)
-            return conn.established
+            return conn.state
 
         sim.process(heal())
-        assert run_process(sim, client()) is True
+        assert run_process(sim, client()) == ESTABLISHED
 
 
 class TestMessaging:
@@ -271,3 +293,265 @@ class TestFootprint:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
             with pytest.raises(AttributeError):
                 obj.note = None
+
+
+AFTER_CLOSE = "send() after close()"
+WAS_RESET = "connection reset"
+
+
+def row(conn):
+    """One endpoint's row of the state table: its state, the two
+    questions callers ask, and what ``send()`` says — ``None`` where it
+    queued its one byte."""
+    try:
+        conn.send("probe", 1)
+    except ConnectionClosed as exc:
+        return conn.state, conn.peer_closed, conn.reset, str(exc)
+    return conn.state, conn.peer_closed, conn.reset, None
+
+
+def walk(sim, *conns):
+    """Run ``sim`` dry one event at a time -> per endpoint, its row when
+    the walk starts and again each time its state changes."""
+    rows = [[row(conn)] for conn in conns]
+    while sim.peek() != float("inf"):
+        sim.step()
+        for log, conn in zip(rows, conns):
+            if conn.state != log[-1][0]:
+                log.append(row(conn))
+    return rows
+
+
+def established(sim, reset=False):
+    """-> (counts, client, server): a dialled and an accepted endpoint
+    over one 100 us link, the run drained.  With ``reset`` the server
+    has aborted and the client's next send drew the RST."""
+    counts = sim.observe(Events())
+    _, sa, sb, _ = make_pair(sim)
+    sb.tcp.listen(80)
+    client = run_process(sim, sa.tcp.connect("b", 80))
+    sim.run()
+    (server,) = sb.tcp.conns.values()
+    if reset:
+        server.abort()
+        client.send("x", 100)
+        sim.run()
+    return counts, client, server
+
+
+def scheduled_by(counts, call):
+    before = counts.scheduled
+    call()
+    return counts.scheduled - before
+
+
+class DropNth:
+    """A ``Channel`` loss hook that drops its ``n``-th frame only."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def random(self):
+        self.left -= 1
+        return 0.0 if self.left == 0 else 1.0
+
+
+class TestStateTable:
+    """Every state ``TcpConnection.state`` can hold, reached by the
+    transitions the stack makes: the handshake, ``close()``, the peer's
+    FIN, the ack of our FIN, an RST and ``abort()``."""
+
+    def test_handshake(self, sim):
+        _, sa, sb, _ = make_pair(sim)
+        sb.tcp.listen(80)
+        sim.process(sa.tcp.connect("b", 80))
+        sim.run(until=50e-6)  # the SYN is on the wire
+        (client,) = sa.tcp.conns.values()
+        assert walk(sim, client) == [[(SYN_SENT, False, False, None),
+                                      (ESTABLISHED, False, False, None)]]
+        (server,) = sb.tcp.conns.values()
+        assert row(server) == (ESTABLISHED, False, False, None)
+
+    def test_active_and_passive_close(self, sim):
+        _, client, server = established(sim)
+        client.close()
+        assert walk(sim, client, server) == [
+            [(FIN_WAIT_1, False, False, AFTER_CLOSE),
+             (FIN_WAIT_2, False, False, AFTER_CLOSE)],
+            [(ESTABLISHED, False, False, None),
+             (CLOSE_WAIT, True, False, None)]]
+        server.close()
+        assert walk(sim, client, server) == [
+            [(FIN_WAIT_2, False, False, AFTER_CLOSE),
+             (TIME_WAIT, True, False, AFTER_CLOSE)],
+            [(LAST_ACK, True, False, AFTER_CLOSE),
+             (CLOSED, True, False, AFTER_CLOSE)]]
+        assert client._segments is None and server._segments is None
+
+    def test_fins_that_cross(self, sim):
+        _, client, server = established(sim)
+        client.close()
+        server.close()
+        side = [(FIN_WAIT_1, False, False, AFTER_CLOSE),
+                (CLOSING, True, False, AFTER_CLOSE),
+                (TIME_WAIT, True, False, AFTER_CLOSE)]
+        assert walk(sim, client, server) == [side, side]
+
+    def test_rst_while_open(self, sim):
+        _, client, server = established(sim)
+        server.abort()  # the probe byte of the client's row draws the RST
+        assert walk(sim, client, server) == [
+            [(ESTABLISHED, False, False, None), (RESET, True, True, WAS_RESET)],
+            [(ABORTED, True, True, WAS_RESET)]]
+
+    def test_rst_after_close(self, sim):
+        _, client, server = established(sim)
+        server.abort()
+        client.close()  # the FIN draws the RST
+        assert walk(sim, client) == [[(FIN_WAIT_1, False, False, AFTER_CLOSE),
+                                      (ABORTED, True, True, WAS_RESET)]]
+
+    def test_close_in_reset_schedules_its_wake(self, sim):
+        counts, client, _ = established(sim, reset=True)
+        assert client.state == RESET
+        assert scheduled_by(counts, client.close) == 1  # a no-op wake
+        assert row(client) == (ABORTED, True, True, WAS_RESET)
+        sim.run()
+        assert counts.count == 18
+
+    def test_a_fin_after_the_rst_still_queues_its_eof(self, sim):
+        """A FIN the peer sent before its RST, overtaken by it."""
+        counts, client, _ = established(sim, reset=True)
+
+        def reader():
+            with pytest.raises(ConnectionClosed, match="peer closed"):
+                yield client.recv()
+
+        run_process(sim, reader())
+        assert client.state == RESET and client._rx.items == [EOF]
+        client.layer.deliver(Datagram(
+            PROTO_TCP, client.remote_addr, client.layer.stack.node.addr,
+            80, client.local_port, 1, ("SEG", client._rcv_expected, ("FIN",)),
+            created=sim.now))
+        assert client.state == RESET and client._rx.items == [EOF, EOF]
+        sim.run()
+        assert counts.count == 23
+
+    @pytest.mark.parametrize("before, wakes, events", [
+        (SYN_SENT, 0, 8), (ESTABLISHED, 1, 12), (RESET, 1, 18)])
+    def test_abort(self, sim, before, wakes, events):
+        """``abort()`` schedules a no-op wake, except on a dial that has
+        no sender yet — the one ``connect_all`` gives up on."""
+        if before == SYN_SENT:
+            counts = sim.observe(Events())
+            _, sa, sb, _ = make_pair(sim)
+
+            def dial():
+                with pytest.raises(ConnectError):
+                    yield from sa.tcp.connect("b", 81, timeout=1.0)
+
+            sim.process(dial())
+            sim.run(until=0.1)  # nobody listens on 81: no SYNACK comes
+            (conn,) = sa.tcp.conns.values()
+        else:
+            counts, conn, _ = established(sim, reset=before == RESET)
+        assert conn.state == before
+        assert scheduled_by(counts, conn.abort) == wakes
+        assert row(conn) == (ABORTED, True, True, WAS_RESET)
+        assert conn not in conn.layer.conns.values()
+        sim.run()
+        assert counts.count == events
+        assert scheduled_by(counts, conn.abort) == 0  # once is enough
+
+    @pytest.mark.parametrize("peer, after, events", [
+        ("close", CLOSE_WAIT, 27), ("abort", RESET, 30)])
+    def test_the_peer_ends_before_the_synack_arrives(self, sim, peer, after,
+                                                     events):
+        """The SYNACK is lost, and the server — established on the SYN —
+        closes (its FIN) or sends and aborts (the client's ack of the
+        segment draws the RST) before the retried SYN is answered.  The
+        late SYNACK completes the dial without undoing what came first."""
+        counts = sim.observe(Events())
+        _, sa, sb, link = make_pair(sim)
+        link.ba.loss_rate, link.ba.loss_rng = 0.5, DropNth(1)  # the SYNACK
+        lsn = sb.tcp.listen(80)
+
+        def server():
+            conn = yield lsn.accept()
+            if peer == "close":
+                conn.close()
+            else:
+                conn.send("x", 10)
+                yield sim.timeout(0)  # behind the sender's wake
+                conn.abort()
+
+        def client():
+            conn = yield from sa.tcp.connect("b", 80, timeout=1.0)
+            dialled, read = (repr(sim.now), row(conn)), []
+            with pytest.raises(ConnectionClosed, match="peer closed"):
+                while True:
+                    read.append((yield conn.recv()))
+            return dialled, read
+
+        sim.process(server())
+        reset = after is RESET
+        assert run_process(sim, client()) == (
+            ("0.500232", (after, True, reset, WAS_RESET if reset else None)),
+            [("x", 10)] if reset else [])
+        assert link.ba.drops == 1 and counts.count == events
+
+
+class TestTeardownPins:
+    """Two teardowns after which an endpoint must still answer: freeing
+    a closed endpoint once its FIN is acked would turn its ACK into an
+    RST (DESIGN "Why closed endpoints stay")."""
+
+    def test_a_client_closing_just_after_its_served_peer(self, sim):
+        """The handler closes after its response; the client closes 1 ms
+        after reading it, so its FIN reaches a peer whose own FIN is
+        already acked."""
+        _, sa, sb, _ = make_pair(sim)
+
+        def handler(conn):
+            yield conn.recv()
+            conn.send("response", 1_000)
+            conn.close()
+
+        sb.tcp.serve(80, handler, name="server", session_name="session")
+
+        def client():
+            conn = yield from sa.tcp.connect("b", 80)
+            conn.send("request", 200)
+            yield conn.recv()
+            yield sim.timeout(0.001)
+            conn.close()
+            return conn
+
+        conn = run_process(sim, client())
+        sim.run()
+        (server,) = sb.tcp.conns.values()
+        assert (conn.bytes_acked, conn.reset) == (201, False)
+        assert (conn.state, server.state) == (CLOSED, TIME_WAIT)
+
+    def test_a_lossy_passive_close(self, sim):
+        """The passive closer's ACK of the FIN is lost and its own FIN
+        gets through: the active closer acks that FIN, then resends its
+        own at the RTO, and the peer — done since — must ack it again."""
+        _, sa, sb, link = make_pair(sim)
+        link.ba.loss_rate, link.ba.loss_rng = 0.5, DropNth(2)  # SYNACK, ACK
+        lsn = sb.tcp.listen(80)
+
+        def server():
+            conn = yield lsn.accept()
+            with pytest.raises(ConnectionClosed):
+                yield conn.recv()
+            conn.close()
+            return conn
+
+        passive = sim.process(server())
+        active = run_process(sim, sa.tcp.connect("b", 80))
+        active.close()
+        sim.run()
+        assert link.ba.drops == 1
+        assert (active.bytes_acked, active.retransmit_count, active.reset) == (1, 1, False)
+        assert (active.state, passive.value.state) == (TIME_WAIT, CLOSED)

@@ -17,18 +17,10 @@ import gc
 import pytest
 
 from repro.net import MBPS, ConnectionClosed, Network, NetworkStack
-from repro.sim import (AnyOf, HBSanitizer, Observer, SharedMemory, Simulator,
-                       Store, shared)
+from repro.sim import (AnyOf, HBSanitizer, SharedMemory, Simulator, Store,
+                       shared)
 from repro.sim.kernel import _defuse
-from tests.conftest import run_process
-
-
-class Events(Observer):
-    def __init__(self):
-        self.count = 0
-
-    def begin_event(self, when, event):
-        self.count += 1
+from tests.conftest import Events, run_process
 
 
 def world(sim=None):
