@@ -296,6 +296,6 @@ def test_reshipping_transmitter_reads_the_figure_before_elision(monkeypatch):
         return (yield from remembering(self))
 
     monkeypatch.setattr(Transmitter, "snapshot", in_full)
-    by_name = {r.component: r for r in resource_usage(duration=60.0)}
+    by_name = {r.component: r for r in resource_usage()}
     assert f"{by_name['Transmitter'].net_kbps:.2f}" == "1.11"
     assert by_name["Transmitter"].net_kbps == by_name["Receiver"].net_kbps

@@ -86,7 +86,7 @@ def lint_main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        result = analyze(source, recover=True)
+        result = analyze(source)
     except LangError as exc:
         print(f"{filename}:{exc.line}:{exc.col}: error PARSE: {exc.message}")
         return 1

@@ -235,7 +235,7 @@ CATALOGUE: tuple[Experiment, ...] = (
     Experiment(
         "tab3.3", "tab3_3_fig3_7",
         "Thesis Table 3.3 — Bandwidth Measurements using various Packet Size",
-        bandwidth_probe_table, dict(runs=5, samples=4), _table_3_3,
+        bandwidth_probe_table, dict(runs=5), _table_3_3,
         paper={
             "100~500": 20.01,
             "500~1000": 18.39,
@@ -249,7 +249,7 @@ CATALOGUE: tuple[Experiment, ...] = (
     Experiment(
         "tab5.2", "tab5_2",
         "Thesis Table 5.2 — System Resource used with 11 Probes Running",
-        resource_usage, dict(duration=60.0), _table_5_2,
+        resource_usage, {}, _table_5_2,
         paper={
             "System Probe": ("<0.1%", "8 KB", "0.5~0.6 KBps(UDP)"),
             "System Monitor": ("0.7%", "8 KB", "5.7 KBps(UDP)"),
@@ -306,7 +306,7 @@ CATALOGUE: tuple[Experiment, ...] = (
                   "titan-x", "pandora-x")),
     Experiment(
         "fig5.3", "fig5_3", "Thesis Fig 5.3 — Benchmark for rshaper and massd",
-        shaper_calibration, dict(tests=10), _fig_5_3),
+        shaper_calibration, {}, _fig_5_3),
     _massd("5.7", "5.4", {"random1": 170.0, "smart": 860.0},
            group1_mbps=6.72, group2_mbps=1.33,
            requirement="monitor_network_bw > 6", n_servers=1,

@@ -122,15 +122,14 @@ def _run_job(cluster: Cluster, dep: Deployment, host_name: str,
 # §3.3.2 — RTT vs packet size (Figs 3.3–3.5)
 # ---------------------------------------------------------------------------
 
-def _lan_pair(mtu: int = 1500, rate_bps: float = ETHERNET_100,
-              cross_utilisation: float = 0.0, seed: int = 0):
+def _lan_pair(mtu: int = 1500, cross_utilisation: float = 0.0, seed: int = 0):
     """sagit — switch — suna, like the thesis' campus measurement pair."""
     cluster = Cluster(seed=seed)
     a = cluster.add_host("sagit")
     b = cluster.add_host("suna")
     sw = cluster.add_switch("sw")
-    l1 = cluster.link(a, sw, rate_bps=rate_bps, delay=60e-6, mtu=mtu)
-    l2 = cluster.link(sw, b, rate_bps=rate_bps, delay=60e-6, mtu=mtu)
+    l1 = cluster.link(a, sw, rate_bps=ETHERNET_100, delay=60e-6, mtu=mtu)
+    l2 = cluster.link(sw, b, rate_bps=ETHERNET_100, delay=60e-6, mtu=mtu)
     cluster.finalize()
     if cross_utilisation > 0:
         _cross_traffic(cluster, [l1.ab, l1.ba, l2.ab, l2.ba],
@@ -138,36 +137,40 @@ def _lan_pair(mtu: int = 1500, rate_bps: float = ETHERNET_100,
     return cluster, a, b
 
 
-def _cross_traffic(cluster: Cluster, channels, utilisation: float,
-                   frame_bytes: int = 1500) -> list:
-    """Poisson cross traffic occupying each channel at the given fraction.
+CROSS_FRAME_BYTES = 1500
+
+
+def _cross_traffic(cluster: Cluster, channels, utilisation: float) -> list:
+    """Poisson cross traffic of full frames occupying each channel at the
+    given fraction.
 
     Returns the chatter processes so callers can keep (or interrupt) them.
     """
     sim = cluster.sim
+
+    def chatter(ch, r, fps):
+        while True:
+            yield sim.timeout(r.expovariate(fps))
+            ch.occupy(CROSS_FRAME_BYTES)
+
     procs = []
     for i, channel in enumerate(channels):
         rng = cluster.streams.stream(f"cross-{i}")
-        rate_fps = utilisation * channel.rate_bps / (frame_bytes * 8.0)
-
-        def chatter(ch=channel, r=rng, fps=rate_fps):
-            while True:
-                yield sim.timeout(r.expovariate(fps))
-                ch.occupy(frame_bytes)
-
-        procs.append(sim.process(chatter(), name=f"cross-{i}"))
+        rate_fps = utilisation * channel.rate_bps / (CROSS_FRAME_BYTES * 8.0)
+        procs.append(sim.process(chatter(channel, rng, rate_fps), name=f"cross-{i}"))
     return procs
 
 
 def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None,
-                cross_utilisation: float = 0.02, seed: int = 0):
-    """UDP-probe RTT over payload size (thesis Figs 3.3/3.4/3.5).
+                seed: int = 0):
+    """UDP-probe RTT over payload size (thesis Figs 3.3/3.4/3.5), under
+    2 % cross traffic.
 
     Returns ``[(payload_bytes, rtt_seconds)]``.
     """
     if sizes is None:
         sizes = range(1, 6001, 10)
-    cluster, a, b = _lan_pair(mtu=mtu, cross_utilisation=cross_utilisation, seed=seed)
+    cluster, a, b = _lan_pair(mtu=mtu, cross_utilisation=0.02, seed=seed)
     out: dict = {}
 
     def prober():
@@ -275,24 +278,23 @@ class BandwidthRow:
     avg_mbps: float
 
 
-def bandwidth_probe_table(groups: Sequence[tuple[int, int]] = PAPER_SIZE_GROUPS,
-                          runs: int = 5, samples: int = 4,
-                          cross_utilisation: float = 0.05, seed: int = 0):
-    """Bandwidth estimates per probe-size group + pipechar/pathload rows.
+def bandwidth_probe_table(runs: int = 5, seed: int = 0):
+    """Bandwidth estimates per probe-size group (four samples a run) +
+    pipechar/pathload rows.
 
     The path is a 100 Mbps pair under ~5 % cross traffic, i.e. ~95 Mbps
     available — the thesis' measured ground truth.
     """
-    cluster, a, b = _lan_pair(cross_utilisation=cross_utilisation, seed=seed)
+    cluster, a, b = _lan_pair(cross_utilisation=0.05, seed=seed)
     rows: list[BandwidthRow] = []
     extra: dict[str, object] = {}
 
     def measure():
-        for s1, s2 in groups:
+        for s1, s2 in PAPER_SIZE_GROUPS:
             per_run = []
             for _ in range(runs):
                 est = yield from estimate_bandwidth(
-                    a.stack, b.name, s1=s1, s2=s2, samples=samples, gap=0.02
+                    a.stack, b.name, s1=s1, s2=s2, samples=4, gap=0.02
                 )
                 if est.ok:
                     per_run.append(est.avg_bps / 1e6)
@@ -327,8 +329,9 @@ class ResourceRow:
     transport: str
 
 
-def resource_usage(duration: float = 60.0, seed: int = 0) -> list[ResourceRow]:
-    """Measured per-component footprint with 11 probes running (Table 5.2).
+def resource_usage(seed: int = 0) -> list[ResourceRow]:
+    """Measured per-component footprint with 11 probes running over 60 s
+    (Table 5.2).
 
     Network figures come from live counters; CPU and memory combine the
     documented per-operation model constants with measured operation counts.
@@ -338,6 +341,7 @@ def resource_usage(duration: float = 60.0, seed: int = 0) -> list[ResourceRow]:
     """
     from ..core.probe import ServerProbe
 
+    duration = 60.0
     cluster = build_testbed(seed=seed)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
     lab_servers = [cluster.host(n) for n in TESTBED_SERVER_NAMES if n != "sagit"]
@@ -442,7 +446,6 @@ def matmul_experiment(
     random_servers: Sequence[str],
     loaded_hosts: Sequence[str] = (),
     n: int = MATMUL_N,
-    master: str = "dalmatian",
     warmup: float = 60.0,
     seed: int = 0,
     pool: Sequence[str] = TESTBED_SERVER_NAMES,
@@ -452,7 +455,8 @@ def matmul_experiment(
 
     ``random_servers`` is the baseline pick (the thesis reports the actual
     random draws, so experiments can reproduce its exact arms); the smart
-    arm asks the wizard with ``requirement``.  ``loaded_hosts`` get a
+    arm asks the wizard with ``requirement``; dalmatian is the master
+    either way.  ``loaded_hosts`` get a
     SuperPI workload from t=0 (Table 5.6's non-zero-workload setup).
     ``pool`` restricts the monitored server group (Table 5.6 uses only the
     seven P4-1.6–1.8 machines).  ``instruments`` go to every arm's
@@ -471,7 +475,7 @@ def matmul_experiment(
         for hname in loaded_hosts:
             SuperPiWorkload(cluster.sim, cluster.host(hname).machine).start()
         result = _run_job(
-            cluster, dep, master, max(warmup, dep.warm_up_seconds()),
+            cluster, dep, "dalmatian", max(warmup, dep.warm_up_seconds()),
             requirement, n_servers, None if use_smart else random_servers,
             lambda host, conns: MatMulMaster(host).run(conns, n=n, blk=blk))
         arms.append(MatmulArm(
@@ -685,16 +689,16 @@ def grayfail_experiment(
 # Fig 5.3 — rshaper / massd calibration
 # ---------------------------------------------------------------------------
 
-def shaper_calibration(tests: int = 10, seed: int = 0):
+def shaper_calibration(seed: int = 0):
     """rshaper-set bandwidth vs measured massd throughput (Fig 5.3).
 
     Test *i* transfers ``data = 10000·(i+1)`` KB with the server shaped to
     ``bw = 1 %`` of that figure in KB/s — the thesis' parameterisation
-    ``(data, blk, bw)`` with ``bw = data/100``.  Returns
+    ``(data, blk, bw)`` with ``bw = data/100``, for ten tests.  Returns
     ``[(bw_set_kbps, measured_kbps)]``.
     """
     points = []
-    for i in range(tests):
+    for i in range(10):
         data_kb = 10000 * (i + 1)
         bw_kbps = data_kb / 100.0
         cluster = Cluster(seed=seed + i)
@@ -743,16 +747,15 @@ def massd_experiment(
     n_servers: int,
     random_sets: Sequence[Sequence[str]],
     data_kb: int = 50000,
-    blk_kb: int = 100,
-    client_host: str = "sagit",
     seed: int = 0,
     **instruments: Any,
 ) -> list[MassdArm]:
     """One thesis massd comparison (Tables 5.7/5.8/5.9).
 
-    Six file servers in two rshaper-limited groups; each random arm uses a
-    fixed server set from the thesis, the smart arm queries the wizard with
-    a ``monitor_network_bw`` requirement.  ``instruments`` arm the
+    Six file servers in two rshaper-limited groups; the client on sagit
+    fetches ``data_kb`` in 100 KB blocks.  Each random arm uses a fixed
+    server set from the thesis, the smart arm queries the wizard with a
+    ``monitor_network_bw`` requirement.  ``instruments`` arm the
     kernel instruments on every arm's world and come back as the arm's
     ``observed`` (see :func:`matmul_experiment`).
     """
@@ -763,15 +766,14 @@ def massd_experiment(
     all_arms.append(("smart", None))
 
     for label, fixed_servers in all_arms:
-        cluster, dep = massd_world(group1_mbps, group2_mbps,
-                                   client_host=client_host, seed=seed,
+        cluster, dep = massd_world(group1_mbps, group2_mbps, seed=seed,
                                    **instruments)
         net = cluster.network
         result = _run_job(
-            cluster, dep, client_host, dep.warm_up_seconds() + 4.0,
+            cluster, dep, "sagit", dep.warm_up_seconds() + 4.0,
             requirement, n_servers, fixed_servers,
             lambda host, conns: MassdClient(host).run(
-                conns, data_kb=data_kb, blk_kb=blk_kb),
+                conns, data_kb=data_kb, blk_kb=100),
             horizon=360000.0)
         arms.append(MassdArm(
             label=label,

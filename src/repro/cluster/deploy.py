@@ -124,7 +124,6 @@ class Deployment:
         name: str,
         monitor_host: SmartHost,
         servers: list[SmartHost],
-        security_levels: Optional[dict[str, int]] = None,
     ) -> GroupDeployment:
         if name in self.groups:
             raise ValueError(f"group {name!r} already deployed")
@@ -133,10 +132,7 @@ class Deployment:
         sysmon = SystemMonitor(sim, monitor_host.stack, monitor_host.shm, cfg,
                                clock=monitor_host.clock)
         netmon = NetworkMonitor(sim, monitor_host.stack, monitor_host.shm, name, cfg)
-        levels = security_levels or {s.name: 1 for s in servers}
-        log = DummySecurityLog(
-            "\n".join(f"{host} {level}" for host, level in levels.items())
-        )
+        log = DummySecurityLog("\n".join(f"{s.name} 1" for s in servers))
         secmon = SecurityMonitor(sim, monitor_host.shm, log, cfg)
         transmitter = Transmitter(
             sim,
@@ -164,7 +160,6 @@ class Deployment:
                 monitor_addr=monitor_host.addr,
                 group=name,
                 config=cfg,
-                security_level=levels.get(server.name, 1),
                 clock=server.clock,
             )
             group.probes.append(probe)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..net import ETHERNET_100, MBPS
-from ..sim import Simulator
 from .builder import Cluster
 from .host import SmartHost
 
@@ -44,14 +43,14 @@ WAN_PATHS: tuple[WanPathSpec, ...] = (
 )
 
 
-def build_wan_paths(sim: Simulator | None = None, seed: int = 0):
+def build_wan_paths(seed: int = 0):
     """Build all 6 paths in one cluster.
 
     Returns ``(cluster, endpoints)`` where ``endpoints[index]`` is the
     ``(src_host, dst_name)`` pair to probe for that path.  Path *f* probes
     the source host's own address (loopback).
     """
-    cluster = Cluster(sim, seed=seed)
+    cluster = Cluster(seed=seed)
     endpoints: dict[str, tuple[SmartHost, str]] = {}
     made_hosts: dict[str, SmartHost] = {}
 

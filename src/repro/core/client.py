@@ -103,9 +103,9 @@ class Quarantine(dict):
         self.sim = sim
         self.period = period
 
-    def add(self, addr: str, period: Optional[float] = None) -> None:
+    def add(self, addr: str) -> None:
         """Start (or restart) a sentence of ``period`` seconds."""
-        self[addr] = self.sim.now + (self.period if period is None else period)
+        self[addr] = self.sim.now + self.period
 
     def active(self) -> set[str]:
         """Addresses currently serving a sentence (expired ones excluded)."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import Interrupt, SharedMemory, Simulator, shared
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, Ports
 from .records import NetMetric, NetStatusRecord
 
 __all__ = [
@@ -48,14 +48,25 @@ PROBE_SIZES = (1600, 2900)
 PROBE_TIMEOUT = 1.0
 #: samples per bandwidth estimate of the daemon
 ESTIMATE_SAMPLES = 4
+#: ICMP echo wait of the measurement tools (``rtt_curve``, pipechar)
+TOOL_TIMEOUT = 2.0
+#: pipechar's probe: one full Ethernet frame
+PIPECHAR_SIZE = 1500
+#: pathload's search: the rate bracket it starts from, the probes of one
+#: constant-rate stream (and their size) and the bisections of the bracket
+PATHLOAD_LO_BPS = 1e6
+PATHLOAD_HI_BPS = 200e6
+PATHLOAD_STREAM_LEN = 12
+PATHLOAD_SIZE = 1200
+PATHLOAD_ITERATIONS = 8
 
 
 # ---------------------------------------------------------------------------
 # measurement primitives (process generators: use with ``yield from``)
 # ---------------------------------------------------------------------------
 
-def measure_rtt(stack, dst: str, size: int, port: int = 33434,
-                timeout: float = 2.0):
+def measure_rtt(stack, dst: str, size: int, port: int = Ports.probe_target,
+                timeout: float = TOOL_TIMEOUT):
     """Send one UDP probe of ``size`` payload bytes; return the RTT to the
     ICMP port-unreachable echo, or ``None`` on timeout."""
     sim = stack.sim
@@ -93,13 +104,13 @@ def _await_echoes(sim, tap, probe_ids, timeout: float):
     return echoes
 
 
-def rtt_curve(stack, dst: str, sizes, port: int = 33434, gap: float = 0.01,
-              timeout: float = 2.0):
+def rtt_curve(stack, dst: str, sizes, port: int = Ports.probe_target,
+              gap: float = 0.01):
     """RTT for each payload size in ``sizes``; returns ``[(size, rtt)]``
     with lost probes omitted.  This regenerates thesis Figs 3.3–3.6."""
     results = []
     for size in sizes:
-        rtt = yield from measure_rtt(stack, dst, size, port=port, timeout=timeout)
+        rtt = yield from measure_rtt(stack, dst, size, port=port)
         if rtt is not None:
             results.append((size, rtt))
         yield stack.sim.timeout(gap)
@@ -124,8 +135,9 @@ class BandwidthEstimate:
 
 
 def estimate_bandwidth(stack, dst: str, s1: int = 1600, s2: int = 2900,
-                       samples: int = 4, reps: int = 3, port: int = 33434,
-                       gap: float = 0.05, timeout: float = 2.0):
+                       samples: int = 4, reps: int = 3,
+                       port: int = Ports.probe_target, gap: float = 0.05,
+                       timeout: float = TOOL_TIMEOUT):
     """One-way UDP *stream* estimate of available bandwidth (Eq. 3.5).
 
     Per sample, a short stream of ``reps`` probes is sent at each size and
@@ -167,14 +179,14 @@ def estimate_bandwidth(stack, dst: str, s1: int = 1600, s2: int = 2900,
     return est
 
 
-def pipechar_estimate(stack, dst: str, size: int = 1500, pairs: int = 4,
-                      port: int = 33434, timeout: float = 2.0):
+def pipechar_estimate(stack, dst: str, pairs: int = 4,
+                      port: int = Ports.probe_target):
     """Packet-pair dispersion (pipechar's core idea, §2.1).
 
-    Two equal, back-to-back probes; the echo-time gap estimates the
-    bottleneck serialisation of one probe: ``C = 8*size/gap``.  Highly
-    sensitive to delay fluctuation — exactly the weakness the thesis
-    observed on loaded paths.
+    Two equal, back-to-back probes of ``PIPECHAR_SIZE``; the echo-time
+    gap estimates the bottleneck serialisation of one probe:
+    ``C = 8*size/gap``.  Highly sensitive to delay fluctuation — exactly
+    the weakness the thesis observed on loaded paths.
     """
     sim = stack.sim
     sock = stack.udp_socket()
@@ -182,14 +194,14 @@ def pipechar_estimate(stack, dst: str, size: int = 1500, pairs: int = 4,
     estimates = []
     try:
         for _ in range(pairs):
-            p1 = sock.sendto(dst, port, size=size)
-            p2 = sock.sendto(dst, port, size=size)
+            p1 = sock.sendto(dst, port, size=PIPECHAR_SIZE)
+            p2 = sock.sendto(dst, port, size=PIPECHAR_SIZE)
             echoes = yield from _await_echoes(sim, tap, (p1.id, p2.id),
-                                              timeout)
+                                              TOOL_TIMEOUT)
             if len(echoes) == 2:
                 gap = echoes[p2.id] - echoes[p1.id]
                 if gap > 0:
-                    estimates.append((size + 28) * 8.0 / gap)
+                    estimates.append((PIPECHAR_SIZE + 28) * 8.0 / gap)
             yield sim.timeout(0.05)
     finally:
         sock.close()
@@ -200,9 +212,7 @@ def pipechar_estimate(stack, dst: str, size: int = 1500, pairs: int = 4,
     return estimates[len(estimates) // 2]  # median
 
 
-def pathload_estimate(stack, dst: str, lo_bps: float = 1e6, hi_bps: float = 200e6,
-                      stream_len: int = 12, size: int = 1200,
-                      iterations: int = 8, port: int = 33434):
+def pathload_estimate(stack, dst: str, port: int = Ports.probe_target):
     """SLoPS-style search (pathload's idea, §2.1 / §3.3.1).
 
     For a candidate rate R, send a constant-rate stream and test whether
@@ -215,15 +225,15 @@ def pathload_estimate(stack, dst: str, lo_bps: float = 1e6, hi_bps: float = 200e
     tap = stack.icmp_tap()
 
     def stream_trend(rate_bps):
-        spacing = size * 8.0 / rate_bps
+        spacing = PATHLOAD_SIZE * 8.0 / rate_bps
         sent = {}
-        for _ in range(stream_len):
-            probe = sock.sendto(dst, port, size=size)
+        for _ in range(PATHLOAD_STREAM_LEN):
+            probe = sock.sendto(dst, port, size=PATHLOAD_SIZE)
             sent[probe.id] = sim.now
             yield sim.timeout(spacing)
-        echoes = yield from _await_echoes(sim, tap, sent, 2.0)
+        echoes = yield from _await_echoes(sim, tap, sent, TOOL_TIMEOUT)
         rtts = [at - sent[ref] for ref, at in echoes.items()]
-        if len(rtts) < stream_len // 2:
+        if len(rtts) < PATHLOAD_STREAM_LEN // 2:
             return True  # heavy loss: treat as over-rate
         half = len(rtts) // 2
         early = sum(rtts[:half]) / half
@@ -231,8 +241,8 @@ def pathload_estimate(stack, dst: str, lo_bps: float = 1e6, hi_bps: float = 200e
         return late > early * 1.05  # >5 % delay growth = queue building
 
     try:
-        lo, hi = lo_bps, hi_bps
-        for _ in range(iterations):
+        lo, hi = PATHLOAD_LO_BPS, PATHLOAD_HI_BPS
+        for _ in range(PATHLOAD_ITERATIONS):
             mid = math.sqrt(lo * hi)  # geometric: rates span decades
             rising = yield from stream_trend(mid)
             if rising:

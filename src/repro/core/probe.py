@@ -176,9 +176,7 @@ class ServerProbe:
         monitor_addr: str,
         group: str = "default",
         config: Config = DEFAULT_CONFIG,
-        host_name: Optional[str] = None,
         selected_params: Optional[set[str]] = None,
-        security_level: int = 1,
         use_tcp: bool = False,
         clock: Optional[HostClock] = None,
     ):
@@ -192,9 +190,8 @@ class ServerProbe:
         self.monitor_addr = monitor_addr
         self.group = group
         self.config = config
-        self.host_name = host_name or stack.node.name
+        self.host_name = stack.node.name
         self.selected_params = selected_params
-        self.security_level = security_level
         self.use_tcp = use_tcp  # thesis §6: long reports should switch to TCP
         self._proc = None
         self._sock = None
@@ -311,7 +308,9 @@ class ServerProbe:
             "host_network_rpacketsps": rpps,
             "host_network_tbytesps": tbps,
             "host_network_tpacketsps": tpps,
-            "host_security_level": float(self.security_level),
+            # every deployed server is at level 1, as the dummy security
+            # log the deployment writes says
+            "host_security_level": 1.0,
         }
         if self.selected_params is not None:
             values = {k: v for k, v in values.items() if k in self.selected_params}

@@ -21,10 +21,9 @@ module closes that gap with a session layer over the smart socket:
   is quarantined in the owning :class:`~repro.core.client.SmartClient`
   and *excluded* for the rest of the job (a set shared by every session
   of the group, so two sessions never re-adopt each other's corpse), the
-  wizard fleet is re-queried, a replacement is connected, a fresh lease
-  is started and the application's ``on_resume`` hook fires.  The
-  application requeues only the in-flight shard — that is the whole
-  checkpoint.
+  wizard fleet is re-queried, a replacement is connected and a fresh
+  lease is started.  The application requeues only the in-flight shard —
+  that is the whole checkpoint.
 
 Gray failures (beyond dead servers): with
 ``config.session_watchdog_interval > 0`` each session also runs a
@@ -42,7 +41,7 @@ runs are bit-identical under ``repro check`` with failover enabled.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Optional
 
 from ..net.tcp import ESTABLISHED, ConnectError, ConnectionClosed, TcpConnection
 from ..sim import Interrupt
@@ -143,23 +142,17 @@ class SmartSession:
         client,
         conn: TcpConnection,
         requirement: str,
-        option: str = "",
         service_port: Optional[int] = None,
         mss: Optional[int] = None,
-        on_resume: Optional[Callable] = None,
         excluded: Optional[set[str]] = None,
     ):
         self.client = client
         self.sim = client.sim
         self.config: Config = client.config
         self.requirement = requirement
-        self.option = option
         self.service_port = (service_port if service_port is not None
                              else self.config.ports.service)
         self.mss = mss
-        #: ``on_resume(session, old_addr, new_addr)`` — the application
-        #: resume hook, fired after a replacement server is connected
-        self.on_resume = on_resume
         #: dead servers, shared by every session of the group: a server
         #: that died once is never re-adopted within the job
         self.excluded: set[str] = excluded if excluded is not None else set()
@@ -329,7 +322,7 @@ class SmartSession:
                 backoff = self.client.next_backoff(backoff)
                 yield self.sim.timeout(backoff)
             reply = yield from self.client.request_servers(
-                self.requirement, want, option=self.option, precheck=False,
+                self.requirement, want, precheck=False,
             )
             for addr in self._candidates(reply.servers):
                 kwargs = {} if self.mss is None else {"mss": self.mss}
@@ -345,8 +338,6 @@ class SmartSession:
                 self.history.append(addr)
                 self.failovers += 1
                 self.start_lease()
-                if self.on_resume is not None:
-                    self.on_resume(self, old_addr, addr)
                 return conn
         self.dead = True
         return None
@@ -356,12 +347,8 @@ def smart_sessions(
     client,
     requirement: str,
     n: int,
-    option: str = "",
     service_port: Optional[int] = None,
     mss: Optional[int] = None,
-    on_resume: Optional[Callable] = None,
-    strict: bool = False,
-    precheck: bool = True,
 ):
     """Process generator -> list of :class:`SmartSession`.
 
@@ -372,16 +359,11 @@ def smart_sessions(
     one dead-server exclusion set.
     """
     conns = yield from client.smart_sockets(
-        requirement, n, option=option, service_port=service_port, mss=mss,
-        strict=strict, precheck=precheck,
-    )
+        requirement, n, service_port=service_port, mss=mss)
     excluded: set[str] = set()
     sessions = [
-        SmartSession(
-            client, conn, requirement, option=option,
-            service_port=service_port, mss=mss, on_resume=on_resume,
-            excluded=excluded,
-        )
+        SmartSession(client, conn, requirement, service_port=service_port,
+                     mss=mss, excluded=excluded)
         for conn in conns
     ]
     for session in sessions:

@@ -44,7 +44,7 @@ invariant at the same site count as the same bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "Violation",
@@ -239,13 +239,10 @@ INVARIANTS: dict[str, Callable[[TrialOutcome], list[Violation]]] = {
 }
 
 
-def check_all(outcome: TrialOutcome,
-              only: Optional[list[str]] = None) -> list[Violation]:
+def check_all(outcome: TrialOutcome) -> list[Violation]:
     """Run every registered oracle over one outcome; violations come back
     in registry order (deterministic for a deterministic outcome)."""
     out: list[Violation] = []
-    for name, checker in INVARIANTS.items():
-        if only is not None and name not in only:
-            continue
+    for checker in INVARIANTS.values():
         out.extend(checker(outcome))
     return out

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, TYPE_CHECKING
 
@@ -108,6 +109,11 @@ class FaultEvent:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        # NaN slips past every comparison below, and an infinite time or
+        # window makes the plan's horizon infinite
+        if not all(map(math.isfinite, (self.at, self.value, self.duration,
+                                       *(v for _, v in self.params)))):
+            raise ValueError(f"fault fields must be finite: {self!r}")
         if self.at < 0:
             raise ValueError(f"fault time must be >= 0, got {self.at}")
         if self.kind not in FAULT_KINDS:
@@ -290,17 +296,15 @@ class FaultPlan:
         return self.add(FaultEvent(at, "restart-daemon", host, peer=role))
 
     def loss_burst(self, at: float, host: str, rate: float,
-                   duration: float, direction: str = "both") -> "FaultPlan":
+                   duration: float) -> "FaultPlan":
         """Drop each frame on every link of ``host`` with probability
-        ``rate`` for ``duration`` seconds (probe-report loss bursts).
-        ``direction`` narrows the burst to the host's transmit (``tx``)
-        or receive (``rx``) side — real NICs often fail one way."""
+        ``rate`` for ``duration`` seconds (probe-report loss bursts).  A
+        plan narrows a burst to the transmit or receive side with a
+        ``loss-burst`` event's ``direction`` (``tx`` / ``rx``)."""
         if duration <= 0:
             raise ValueError(f"burst duration must be > 0, got {duration}")
         return self.add(FaultEvent(
-            at, "loss-burst", host, value=rate, duration=duration,
-            direction="" if direction == "both" else direction,
-        ))
+            at, "loss-burst", host, value=rate, duration=duration))
 
     # -- gray failures (degrade, do not kill) ------------------------------
     def slow_host(self, at: float, host: str, factor: float,
@@ -314,17 +318,15 @@ class FaultPlan:
 
     def degrade_link(self, at: float, a: str, b: str, *, duration: float,
                      direction: str = "both", latency: float = 0.0,
-                     jitter: float = 0.0, loss: float = 0.0,
-                     reorder: float = 0.0) -> "FaultPlan":
+                     loss: float = 0.0) -> "FaultPlan":
         """Degrade the a<->b link for ``duration`` seconds: ``latency``
-        seconds of extra one-way delay, uniform [0, ``jitter``] delay
-        noise, random ``loss``, and a ``reorder`` fraction of frames
-        delivered late.  ``direction='fwd'`` degrades only a->b,
-        ``'rev'`` only b->a — an asymmetric gray partition."""
+        seconds of extra one-way delay and random ``loss``.
+        ``direction='fwd'`` degrades only a->b, ``'rev'`` only b->a — an
+        asymmetric gray partition.  Delay noise and reordering are the
+        ``jitter`` / ``reorder`` params of a ``degrade-link`` event."""
         params = tuple(sorted(
-            (k, float(v)) for k, v in (("latency", latency),
-                                       ("jitter", jitter), ("loss", loss),
-                                       ("reorder", reorder)) if v
+            (k, float(v)) for k, v in (("latency", latency), ("loss", loss))
+            if v
         ))
         return self.add(FaultEvent(
             at, "degrade-link", a, peer=b, duration=duration,
@@ -333,16 +335,14 @@ class FaultPlan:
         ))
 
     def skew_clock(self, at: float, host: str, offset: float, *,
-                   drift: float = 0.0, duration: float = 0.0) -> "FaultPlan":
+                   duration: float = 0.0) -> "FaultPlan":
         """Program ``host``'s wall clock ``offset`` seconds away from true
-        time (plus ``drift`` seconds of error per second).  A ``duration``
-        of 0 leaves the skew in place; otherwise an NTP-style correction
-        steps the clock back after ``duration`` seconds."""
-        params = (("drift", float(drift)),) if drift else ()
+        time.  A ``duration`` of 0 leaves the skew in place; otherwise an
+        NTP-style correction steps the clock back after ``duration``
+        seconds.  A drifting clock is a ``skew-clock`` event's ``drift``
+        param (seconds of error per second)."""
         return self.add(FaultEvent(
-            at, "skew-clock", host, value=offset, duration=duration,
-            params=params,
-        ))
+            at, "skew-clock", host, value=offset, duration=duration))
 
     # -- convenience scenarios (the HA acceptance faults) ------------------
     def kill_wizard_during_request(
@@ -368,56 +368,34 @@ class FaultPlan:
             self.restart_daemon(at + restart_after, wizard_host, "wizard")
         return self
 
-    def kill_server_mid_stream(
-        self, at: float, server_host: str,
-        restart_after: Optional[float] = None,
-    ) -> "FaultPlan":
+    def kill_server_mid_stream(self, at: float, server_host: str) -> "FaultPlan":
         """Power-fail an application server at ``at`` while connections
         are streaming: TCP teardown with no FIN, so the client side sees
         a reset (or a health-lease expiry) and the self-healing session
         must requeue the in-flight shard and fail over to a replacement
-        server.  With ``restart_after`` the host restarts later."""
-        self._record("kill_server_mid_stream", at=at,
-                     server_host=server_host, restart_after=restart_after)
-        self.crash_host(at, server_host)
-        if restart_after is not None:
-            if restart_after <= 0:
-                raise ValueError(
-                    f"restart_after must be > 0, got {restart_after}"
-                )
-            self.restart_host(at + restart_after, server_host)
-        return self
+        server.  The host stays down."""
+        self._record("kill_server_mid_stream", at=at, server_host=server_host)
+        return self.crash_host(at, server_host)
 
     def gray_failure_storm(
         self, at: float, *, duration: float,
         slow_host: str = "", slow_factor: float = 8.0,
-        link: Optional[tuple[str, str]] = None, latency: float = 0.25,
-        loss: float = 0.05, skew_host: str = "", skew_offset: float = 30.0,
-        drift: float = 0.0,
+        skew_host: str = "", skew_offset: float = 30.0,
     ) -> "FaultPlan":
         """The gray acceptance compound: everything degrades at once but
         nothing dies — a fail-slow server (``slow_host`` throttled by
-        ``slow_factor``), an asymmetric sick link (only the forward
-        direction of ``link`` gains ``latency``/``loss``) and a skewed
-        reporter clock on ``skew_host``, all for ``duration`` seconds.
-        Components whose argument is empty are skipped; at least one
-        must be given."""
-        if not (slow_host or link or skew_host):
+        ``slow_factor``) and a skewed reporter clock on ``skew_host``,
+        both for ``duration`` seconds.  A component whose host is empty
+        is skipped; at least one must be given."""
+        if not (slow_host or skew_host):
             raise ValueError("gray_failure_storm needs at least one victim")
         self._record("gray_failure_storm", at=at, duration=duration,
                      slow_host=slow_host or None, slow_factor=slow_factor,
-                     link=list(link) if link is not None else None,
-                     latency=latency, loss=loss, skew_host=skew_host or None,
-                     skew_offset=skew_offset, drift=drift)
+                     skew_host=skew_host or None, skew_offset=skew_offset)
         if slow_host:
             self.slow_host(at, slow_host, slow_factor, duration)
-        if link is not None:
-            a, b = link
-            self.degrade_link(at, a, b, duration=duration,
-                              direction="fwd", latency=latency, loss=loss)
         if skew_host:
-            self.skew_clock(at, skew_host, skew_offset, drift=drift,
-                            duration=duration)
+            self.skew_clock(at, skew_host, skew_offset, duration=duration)
         return self
 
     # -- reading ----------------------------------------------------------

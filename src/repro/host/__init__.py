@@ -1,7 +1,7 @@
 """Host substrate: machines with CPUs, memory, disks and a synthetic /proc."""
 
 from .cpu import CPU, LoadAverage, USER_HZ
-from .disk import BLOCK_BYTES, Disk
+from .disk import Disk
 from .machine import Machine
 from .memory import Allocation, Memory, OutOfMemory
 from .procfs import ProcFS
@@ -12,7 +12,6 @@ __all__ = [
     "LoadAverage",
     "USER_HZ",
     "Disk",
-    "BLOCK_BYTES",
     "Machine",
     "Memory",
     "Allocation",

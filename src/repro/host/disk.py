@@ -1,62 +1,22 @@
-"""Disk model: a serialised device with 2.4-kernel ``disk_io`` counters.
+"""Disk model: the 2.4-kernel ``disk_io`` counters.
 
 The probe reads ``allreq, rreq, rblocks, wreq, wblocks`` out of
 ``/proc/stat`` (thesis Table 3.1) to qualify servers for IO-bound tasks, so
-the counters here follow the 2.4 ``disk_io:`` semantics: requests and
-512-byte blocks, split by direction.
+a disk carries the 2.4 ``disk_io:`` counters: requests and 512-byte blocks,
+split by direction.  No simulated program does disk I/O (massd serves its
+blocks from memory), so they read 0 on every host.
 """
 
 from __future__ import annotations
 
-from ..sim import Event, Simulator
-
-__all__ = ["Disk", "BLOCK_BYTES"]
-
-BLOCK_BYTES = 512
+__all__ = ["Disk"]
 
 
 class Disk:
-    """FIFO-serialised disk with a fixed sustained throughput."""
+    """A host disk's ``disk_io`` counters."""
 
-    def __init__(self, sim: Simulator, throughput_bps: float = 40e6 * 8,
-                 seek_time: float = 5e-3):
-        if throughput_bps <= 0:
-            raise ValueError(f"throughput must be positive, got {throughput_bps}")
-        self.sim = sim
-        self.throughput_bps = float(throughput_bps)
-        self.seek_time = float(seek_time)
-        self._next_free = 0.0
-        # /proc/stat disk_io counters
+    def __init__(self):
         self.rreq = 0
         self.wreq = 0
         self.rblocks = 0
         self.wblocks = 0
-
-    @property
-    def allreq(self) -> int:
-        return self.rreq + self.wreq
-
-    def _io(self, nbytes: int, write: bool) -> Event:
-        if nbytes <= 0:
-            raise ValueError(f"io size must be positive, got {nbytes}")
-        blocks = max(1, (nbytes + BLOCK_BYTES - 1) // BLOCK_BYTES)
-        if write:
-            self.wreq += 1
-            self.wblocks += blocks
-        else:
-            self.rreq += 1
-            self.rblocks += blocks
-        start = max(self.sim.now, self._next_free) + self.seek_time
-        finish = start + nbytes * 8.0 / self.throughput_bps
-        self._next_free = finish
-        ev = self.sim.event()
-        ev.succeed(nbytes, delay=finish - self.sim.now)
-        return ev
-
-    def read(self, nbytes: int) -> Event:
-        """Event firing when ``nbytes`` have been read."""
-        return self._io(nbytes, write=False)
-
-    def write(self, nbytes: int) -> Event:
-        """Event firing when ``nbytes`` have been written."""
-        return self._io(nbytes, write=True)

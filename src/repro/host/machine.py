@@ -35,8 +35,6 @@ class Machine:
         mem_bytes: int,
         speeds: Optional[dict[str, float]] = None,
         os_name: str = "Linux 2.4",
-        disk: Optional[Disk] = None,
-        machine_type: str = "i386",
     ):
         if bogomips <= 0:
             raise ValueError(f"bogomips must be positive, got {bogomips}")
@@ -44,10 +42,10 @@ class Machine:
         self.name = name
         self.bogomips = float(bogomips)
         self.os_name = os_name
-        self.machine_type = machine_type
+        self.machine_type = "i386"
         self.cpu = CPU(sim, name=f"{name}.cpu")
         self.memory = Memory(mem_bytes)
-        self.disk = disk if disk is not None else Disk(sim)
+        self.disk = Disk()
         #: work units per dedicated-CPU-second, by task kind
         self.speeds: dict[str, float] = {"generic": self.bogomips}
         if speeds:

@@ -13,6 +13,12 @@ __all__ = ["Memory", "Allocation", "OutOfMemory"]
 
 _alloc_ids = itertools.count(1)
 
+#: the kernel's resident baseline (at most a quarter of the machine)
+KERNEL_BYTES = 24 << 20
+#: what the page cache holds when nothing presses on it
+BUFFERS_BYTES = 18 << 20
+CACHED_BYTES = 80 << 20
+
 
 class OutOfMemory(Exception):
     """Allocation would exceed physical memory."""
@@ -36,15 +42,11 @@ class Allocation:
 class Memory:
     """Byte-accurate allocator with kernel baseline and page-cache filler."""
 
-    def __init__(self, total_bytes: int, kernel_bytes: int = 24 << 20,
-                 buffers_bytes: int = 18 << 20, cached_bytes: int = 80 << 20):
+    def __init__(self, total_bytes: int):
         if total_bytes <= 0:
             raise ValueError(f"total must be positive, got {total_bytes}")
         self.total = int(total_bytes)
-        self.kernel = min(int(kernel_bytes), self.total // 4)
-        # buffers+cached shrink under pressure, like a real page cache
-        self._buffers_pref = int(buffers_bytes)
-        self._cached_pref = int(cached_bytes)
+        self.kernel = min(KERNEL_BYTES, self.total // 4)
         self._allocs: dict[int, Allocation] = {}
         self._app_bytes = 0
 
@@ -75,9 +77,10 @@ class Memory:
         """total/used/free/shared/buffers/cached, 2.4-kernel style."""
         hard_used = self.kernel + self._app_bytes
         slack = self.total - hard_used
-        # page cache fills what it can of the remaining space
-        buffers = min(self._buffers_pref, max(0, slack))
-        cached = min(self._cached_pref, max(0, slack - buffers))
+        # page cache fills what it can of the remaining space: buffers and
+        # cached shrink under pressure, like a real page cache
+        buffers = min(BUFFERS_BYTES, max(0, slack))
+        cached = min(CACHED_BYTES, max(0, slack - buffers))
         used = hard_used + buffers + cached
         free = self.total - used
         return {

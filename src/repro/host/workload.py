@@ -20,24 +20,20 @@ __all__ = ["SuperPiWorkload", "CpuThrottle"]
 
 
 class SuperPiWorkload:
-    """CPU+memory hog with a SuperPI-flavoured parameterisation.
+    """CPU+memory hog run as the thesis runs SuperPI: parameter 25, which
+    occupies ~150 MB."""
 
-    ``digits_param`` mirrors SuperPI's power-of-two parameter; the thesis
-    uses 25, which occupies ~150 MB.
-    """
-
+    #: SuperPI's power-of-two parameter, as the thesis sets it
+    DIGITS_PARAM = 25
     #: bytes per unit of the SuperPI parameter (25 -> ~150 MB, per thesis)
     BYTES_PER_PARAM = 6 << 20
+    #: CPU seconds of each run-queue burst
+    BURST_CPU_SECONDS = 0.5
 
-    def __init__(self, sim: Simulator, machine: Machine, digits_param: int = 25,
-                 burst_cpu_seconds: float = 0.5):
-        if digits_param <= 0:
-            raise ValueError(f"digits_param must be positive, got {digits_param}")
+    def __init__(self, sim: Simulator, machine: Machine):
         self.sim = sim
         self.machine = machine
-        self.digits_param = digits_param
-        self.burst = burst_cpu_seconds
-        self.mem_bytes = digits_param * self.BYTES_PER_PARAM
+        self.mem_bytes = self.DIGITS_PARAM * self.BYTES_PER_PARAM
         self._alloc = None
         self._proc = None
 
@@ -66,7 +62,7 @@ class SuperPiWorkload:
     def _spin(self):
         try:
             while True:
-                yield self.machine.cpu.run(self.burst, name="super_pi")
+                yield self.machine.cpu.run(self.BURST_CPU_SECONDS, name="super_pi")
         except Interrupt:
             pass
         finally:

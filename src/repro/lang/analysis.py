@@ -681,13 +681,13 @@ def _contains_assign(node: Node) -> bool:
 # entry points
 # ---------------------------------------------------------------------------
 
-def analyze(source: Union[str, Program], *, recover: bool = True
-            ) -> AnalysisResult:
-    """Run the full static-analysis pipeline on requirement text or AST."""
+def analyze(source: Union[str, Program]) -> AnalysisResult:
+    """Run the full static-analysis pipeline on requirement text (parsed
+    with recovery) or AST."""
     if isinstance(source, Program):
         program = source
     else:
-        program = parse(source, recover=recover)
+        program = parse(source, recover=True)
     analyzer = _Analyzer()
     truths = analyzer.run(program)
     return AnalysisResult(
@@ -729,7 +729,7 @@ def compile_requirement(text: str) -> CompiledRequirement:
     """Parse (with recovery) + analyze one requirement text, and build
     its closures — once, here, so no request pays for it while matching."""
     try:
-        result = analyze(text, recover=True)
+        result = analyze(text)
     except LangError:
         # even recovery failed (lexer-level garbage): unevaluable program
         return CompiledRequirement(

@@ -527,16 +527,14 @@ def _hostname_from(node: Node, server: Params, temps: Scope,
     return None
 
 
-def evaluate(program: Program, server_params: Mapping[str, Value],
-             user_presets: Optional[Mapping[str, Value]] = None) -> Evaluation:
+def evaluate(program: Program, server_params: Mapping[str, Value]) -> Evaluation:
     """Run ``program`` against one server's parameters.
 
     ``server_params`` is read in place: never copied, never written to.
-    ``user_presets`` seeds the user-side slots (e.g. options carried in the
-    request separately from the requirement text).
+    The user-side slots start empty: only the requirement text fills them.
     """
     temps: Scope = {}
-    user: Scope = dict(user_presets) if user_presets else {}
+    user: Scope = {}
     logical_results: list[tuple[int, bool]] = []
     errors: list[str] = []
     qualified = True

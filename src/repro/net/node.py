@@ -70,12 +70,11 @@ class DefaultRoute(dict[str, NIC]):
 class Node:
     """A network element with NICs and a forwarding table."""
 
-    def __init__(self, sim: Simulator, name: str, is_router: bool = False,
-                 proc_delay: float = DEFAULT_PROC_DELAY):
+    def __init__(self, sim: Simulator, name: str, is_router: bool = False):
         self.sim = sim
         self.name = name
         self.is_router = is_router
-        self.proc_delay = proc_delay
+        self.proc_delay = DEFAULT_PROC_DELAY
         self.nics: list[NIC] = []
         #: the addresses of ``nics``, in NIC order (do not mutate)
         self.addresses: list[str] = []

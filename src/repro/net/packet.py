@@ -73,7 +73,7 @@ class Datagram:
                  "id", "created", "ttl", "ref", "hb_clock", "transport_bytes")
 
     def __init__(self, proto: str, src: str, dst: str, sport: int, dport: int,
-                 size: int, payload: Any = None, created: float = 0.0, ttl: int = 64,
+                 size: int, payload: Any = None, created: float = 0.0,
                  ref: Optional[int] = None) -> None:
         if size < 0:
             raise ValueError(f"negative payload size {size}")
@@ -89,7 +89,7 @@ class Datagram:
         self.payload = payload
         self.id = next(_ids)
         self.created = created
-        self.ttl = ttl
+        self.ttl = 64  # the Linux default initial TTL
         #: optional reference to a datagram this one is about (ICMP errors)
         self.ref = ref
         #: sender's vector clock, stamped at origination when the

@@ -27,14 +27,19 @@ __all__ = ["Network", "MBPS", "ETHERNET_100"]
 MBPS = 1e6
 #: the testbed networks are all 100 Mbps Ethernet (thesis §5.1.1)
 ETHERNET_100 = 100 * MBPS
+#: routing cost per hop on top of link delay: among equal-delay paths
+#: the one with fewer hops wins
+HOP_BIAS = 1e-4
 
 
 class Network:
     """A collection of nodes and links plus routing and naming."""
 
-    def __init__(self, sim: Simulator, default_init_speed_bps: float = DEFAULT_INIT_SPEED_BPS):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.default_init_speed_bps = default_init_speed_bps
+        #: Speed_init of every host NIC (a probe-method ablation sets it
+        #: to None)
+        self.default_init_speed_bps: float | None = DEFAULT_INIT_SPEED_BPS
         self.nodes: dict[str, Node] = {}
         #: every NIC address -> its node (filled by :meth:`connect`, the
         #: only place NICs are created)
@@ -120,7 +125,7 @@ class Network:
         return self.node_of(addr).name
 
     # -- routing -----------------------------------------------------------------
-    def build_routes(self, hop_bias: float = 1e-4) -> None:
+    def build_routes(self) -> None:
         """Give every node its forwarding table; Dijkstra on link delay
         for the nodes that have a choice to make.
 
@@ -136,7 +141,7 @@ class Network:
         """
         # adjacency: node -> list of (peer, cost, nic_on_node)
         adj: dict[Node, list[tuple[Node, float, NIC]]] = {
-            node: [(nic.peer, nic.channel.delay + hop_bias, nic) for nic in node.nics]
+            node: [(nic.peer, nic.channel.delay + HOP_BIAS, nic) for nic in node.nics]
             for node in self.nodes.values()
         }
         reachable = self._component_addresses(adj)

@@ -63,13 +63,14 @@ _INTERNAL_SUFFIXES = ("/hb.py", "/resources.py", "/kernel.py")
 ROOT_THREAD = 0
 
 
-def _site(limit: int = 2) -> tuple[str, int]:
+def _site() -> tuple[str, int]:
     """Stack-lite location of the access: ``"file:line in func"`` chain
-    (innermost first, kernel frames skipped) plus the innermost line."""
+    of the two innermost frames (kernel frames skipped) plus the innermost
+    line."""
     frames: list[str] = []
     line = 0
     f = sys._getframe(2)
-    while f is not None and len(frames) < limit:
+    while f is not None and len(frames) < 2:
         filename = f.f_code.co_filename.replace("\\", "/")
         if not filename.endswith(_INTERNAL_SUFFIXES):
             if not frames:
@@ -158,8 +159,9 @@ class HBSanitizer(Observer):
     pair of access sites.
     """
 
-    def __init__(self, max_reports: int = 50):
-        self.max_reports = max_reports
+    def __init__(self):
+        #: races reported before the rest go uncounted
+        self.max_reports = 50
         self.races: list[RaceReport] = []
         self.accesses = 0
         self.messages = 0

@@ -217,8 +217,8 @@ class Event:
         sim._schedule(self, sim._now + delay)
         return self
 
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire by raising ``exc`` in waiters."""
+    def fail(self, exc: BaseException) -> "Event":
+        """Schedule this event to fire now by raising ``exc`` in waiters."""
         if self._state != PENDING:
             raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
@@ -227,7 +227,7 @@ class Event:
         self._ok = False
         self._value = exc
         sim = self.sim
-        sim._schedule(self, sim._now + delay)
+        sim._schedule(self, sim._now)
         return self
 
     # -- kernel internals ----------------------------------------------------
@@ -322,8 +322,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # NaN too: it would corrupt the queue order
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._state = TRIGGERED
@@ -624,8 +624,8 @@ class Simulator:
     def call_later(self, delay: float, fn: Callable[[Any], Any],
                    arg: Any = None) -> Call:
         """Run ``fn(arg)`` from the event loop ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative call delay {delay!r}")
+        if not delay >= 0:  # NaN too: it would corrupt the queue order
+            raise SimulationError(f"call delay must be >= 0, got {delay!r}")
         call = Call(self, fn, arg)
         if self._tie_rng is None and self._observer is None:
             # nothing to draw and nobody to tell: what _schedule would do
@@ -638,7 +638,7 @@ class Simulator:
     def call_at(self, when: float, fn: Callable[[Any], Any],
                 arg: Any = None) -> Call:
         """Run ``fn(arg)`` from the event loop at exactly ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # NaN too
             raise SimulationError(
                 f"call_at({when!r}) is in the past (now={self._now!r})")
         call = Call(self, fn, arg)

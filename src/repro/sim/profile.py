@@ -188,7 +188,11 @@ def merge_attributions(parts: "list[dict[str, Any]]") -> dict[str, Any]:
     }
 
 
-def flame_tree(attribution: dict[str, Any], width: int = 24) -> str:
+#: characters of one bar of :func:`flame_tree`
+FLAME_WIDTH = 24
+
+
+def flame_tree(attribution: dict[str, Any]) -> str:
     """A flamegraph-style text tree of the attribution.
 
     Two levels: name-prefix group, then full process name; each row gets
@@ -203,8 +207,8 @@ def flame_tree(attribution: dict[str, Any], width: int = 24) -> str:
         groups.setdefault(_group_of(name), []).append(name)
 
     def bar(count: int, of: int = total) -> str:
-        filled = round(width * count / of)
-        return "█" * filled + "·" * (width - filled)
+        filled = round(FLAME_WIDTH * count / of)
+        return "█" * filled + "·" * (FLAME_WIDTH - filled)
 
     lines = [f"flame (resume share of {total} resumes, "
              f"{attribution['total_allocations']} allocations)"]

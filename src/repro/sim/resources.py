@@ -107,9 +107,9 @@ class Store:
 
 
 class Resource:
-    """Counted semaphore with FIFO hand-off.
+    """Lock (a one-slot semaphore) with FIFO hand-off.
 
-    >>> lock = Resource(sim, capacity=1)
+    >>> lock = Resource(sim)
     >>> # inside a process:
     >>> #   req = lock.acquire()
     >>> #   try:
@@ -124,11 +124,8 @@ class Resource:
     would stay held for good.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self.in_use = 0
         self._waiters: list[Event] = []
         #: accumulated releaser clock (happens-before sanitizer): joins
@@ -137,8 +134,8 @@ class Resource:
 
     def acquire(self) -> Event:
         ev = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if not self.in_use:
+            self.in_use = 1
             ev.succeed(self)
             hb = self.sim._hb
             if hb is not None and self._hb_clock is not None:
@@ -164,11 +161,7 @@ class Resource:
                 continue
             waiter.succeed(self)  # hand the slot straight over
             return
-        self.in_use -= 1
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
+        self.in_use = 0
 
 
 class Segment:
@@ -183,7 +176,7 @@ class Segment:
         self.sim = sim
         self.key = key
         self.value: Any = None
-        self.lock = Resource(sim, capacity=1)
+        self.lock = Resource(sim)
         self.writes = 0
         self.reads = 0
         #: sanitizer tracking name; set by :func:`repro.sim.hb.shared`

@@ -298,8 +298,7 @@ def lab_world(config: Optional[Config] = None, seed: int = 0,
     return cluster, dep
 
 
-def massd_world(group1_mbps: float, group2_mbps: float,
-                client_host: str = "sagit", seed: int = 0,
+def massd_world(group1_mbps: float, group2_mbps: float, seed: int = 0,
                 **instruments: Any) -> tuple[Cluster, Deployment]:
     """Testbed + six file servers in two rshaper-limited groups.
 
@@ -308,11 +307,12 @@ def massd_world(group1_mbps: float, group2_mbps: float,
     outbound probes, and a monitor-only group for the client's network —
     the client machine is not a candidate server, but its group needs a
     network monitor so path metrics to the file-server groups exist.
+    The client is sagit.
     """
     fresh_ids()
     cluster = build_testbed(seed=seed, **instruments)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
-    dep.add_group("campus", monitor_host=cluster.host(client_host),
+    dep.add_group("campus", monitor_host=cluster.host("sagit"),
                   servers=[])
     for label, group, mbps in (("group-1", MASSD_GROUP1, group1_mbps),
                                ("group-2", MASSD_GROUP2, group2_mbps)):

@@ -83,23 +83,3 @@ class TestDownload:
         cluster, client, servers = make_world([("s1", None)])
         with pytest.raises(ValueError):
             shape_host_egress(servers[0], 0.0)
-
-    def test_disk_backed_server_counts_reads(self):
-        cluster = Cluster(seed=20)
-        client = cluster.add_host("client")
-        server = cluster.add_host("server")
-        cluster.link(client, server)
-        cluster.finalize()
-        FileServer(server, port=9000, read_from_disk=True).start()
-        result_holder = {}
-
-        def driver():
-            conn = yield from client.stack.tcp.connect(server.addr, 9000)
-            massd = MassdClient(client)
-            result = yield from massd.run([conn], data_kb=500, blk_kb=100)
-            result_holder["r"] = result
-
-        proc = cluster.sim.process(driver())
-        _drive(cluster, proc)
-        assert server.machine.disk.rreq == 5
-        assert server.machine.disk.rblocks == 500 * 1024 // 512

@@ -26,8 +26,7 @@ def two_group_world(mode=Mode.CENTRALIZED):
     cfg = Config(probe_interval=0.5, transmit_interval=0.5, netmon_interval=1.0,
                  mode=mode)
     dep = Deployment(cluster, wizard_host=wizard_host, config=cfg)
-    dep.add_group("g1", monitor_host=mon1, servers=[s1],
-                  security_levels={"s1": 2})
+    dep.add_group("g1", monitor_host=mon1, servers=[s1])
     dep.add_group("g2", monitor_host=mon2, servers=[s2])
     return cluster, dep
 
@@ -65,8 +64,7 @@ class TestDeployment:
         assert "g2" in netdb["g1"].metrics
         assert "g1" in netdb["g2"].metrics
         secdb = dep.receiver.database(MSG_SECDB)
-        assert secdb["s1"].level == 2
-        assert secdb["s2"].level == 1
+        assert secdb["s1"].level == secdb["s2"].level == 1
 
     def test_netmons_peer_all_to_all(self):
         cluster, dep = two_group_world()

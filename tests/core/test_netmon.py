@@ -180,8 +180,7 @@ class TestPipechar:
         lose_first_probes(cluster, a, heal_at=0.1)
 
         def p():
-            return (yield from pipechar_estimate(a.stack, b.addr, pairs=4,
-                                                 timeout=0.2))
+            return (yield from pipechar_estimate(a.stack, b.addr, pairs=4))
 
         bps = run_process(cluster.sim, p())
         assert bps == pytest.approx(100e6, rel=0.2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.core import Config, NetworkMonitor, pathload_estimate
+from repro.core.netmon import PATHLOAD_HI_BPS, PATHLOAD_LO_BPS
 from repro.net import MBPS
 from tests.conftest import run_process
 from tests.core.test_netmon import lose_first_probes
@@ -19,8 +20,7 @@ class TestPathloadEstimate:
         cluster.finalize()
 
         def p():
-            return (yield from pathload_estimate(
-                a.stack, b.addr, lo_bps=1e6, hi_bps=400e6, iterations=10))
+            return (yield from pathload_estimate(a.stack, b.addr))
 
         lo, hi = run_process(cluster.sim, p(), until=600.0)
         # SLoPS detects the rate at which queues *visibly* build within a
@@ -38,11 +38,11 @@ class TestPathloadEstimate:
         cluster.finalize()
 
         def p():
-            return (yield from pathload_estimate(
-                a.stack, b.addr, lo_bps=1e6, hi_bps=1e9, iterations=8))
+            return (yield from pathload_estimate(a.stack, b.addr))
 
         lo, hi = run_process(cluster.sim, p(), until=600.0)
-        assert hi / lo < 1e9 / 1e6  # the bracket actually narrowed
+        # the bracket actually narrowed
+        assert hi / lo < PATHLOAD_HI_BPS / PATHLOAD_LO_BPS
 
     def test_lost_stream_does_not_spoil_the_next(self):
         """The first stream is lost, so its 2 s deadline wins the race
@@ -58,12 +58,12 @@ class TestPathloadEstimate:
         lose_first_probes(cluster, a, heal_at=0.05)
 
         def p():
-            yield from pathload_estimate(a.stack, b.addr, iterations=4)
+            yield from pathload_estimate(a.stack, b.addr)
             return cluster.sim.now
 
-        # one 2 s deadline for the lost stream, four 0.1 s pauses, and a
+        # one 2 s deadline for the lost stream, eight 0.1 s pauses, and a
         # few ms of probing per stream
-        assert run_process(cluster.sim, p(), until=600.0) < 2.5
+        assert run_process(cluster.sim, p(), until=600.0) < 3.0
 
 
 class TestSequentialProbing:

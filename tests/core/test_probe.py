@@ -124,7 +124,7 @@ class TestProbeDaemon:
 
         cluster, server, probe, inbox = make_probe_world()
         probe.start()
-        SuperPiWorkload(cluster.sim, server.machine, digits_param=5).start()
+        SuperPiWorkload(cluster.sim, server.machine).start()
         cluster.run(until=6.5)
         report = ServerStatusReport.from_wire(inbox.rx.items[-1].payload)
         assert report.values["host_cpu_free"] < 0.1

@@ -67,17 +67,6 @@ class TestQuarantineDecay:
 
         assert run_process(sim, p(), until=10.0) == {"a"}
 
-    def test_custom_period_overrides_default(self):
-        sim = Simulator()
-        q = Quarantine(sim, period=100.0)
-        q.add("a", period=1.0)
-
-        def p():
-            yield sim.timeout(1.5)
-
-        run_process(sim, p(), until=10.0)
-        assert q.active() == set()
-
 
 def two_wizard_world(**config_kwargs):
     """cli plus two (silent) wizard hosts — nothing listens on the wizard

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.sysmon import PROBE_MISS_LIMIT
-from repro.faults import ChaosController, FaultPlan
+from repro.faults import ChaosController, FaultEvent, FaultPlan
 from repro.worlds import CHAOS_CONFIG, build_star
 from tests.faults.conftest import poll_replies
 
@@ -206,8 +206,8 @@ class TestDirectionalLossBurst:
     def test_tx_burst_starves_the_probe_reports(self):
         star = build_star()
         cluster, dep, addrs = star.cluster, star.dep, star.addrs
-        plan = FaultPlan().loss_burst(5.0, "s1", rate=1.0, duration=6.0,
-                                      direction="tx")
+        plan = FaultPlan().add(FaultEvent(5.0, "loss-burst", "s1", value=1.0,
+                                          duration=6.0, direction="tx"))
         ChaosController(dep, plan).start()
         observed = poll_replies(star, n=6, until=25.0)
         cluster.run(until=27.0)
@@ -221,8 +221,8 @@ class TestDirectionalLossBurst:
         reach the monitor on the healthy tx direction."""
         star = build_star()
         cluster, dep, addrs = star.cluster, star.dep, star.addrs
-        plan = FaultPlan().loss_burst(5.0, "s1", rate=1.0, duration=6.0,
-                                      direction="rx")
+        plan = FaultPlan().add(FaultEvent(5.0, "loss-burst", "s1", value=1.0,
+                                          duration=6.0, direction="rx"))
         ChaosController(dep, plan).start()
         observed = poll_replies(star, n=6, until=25.0)
         cluster.run(until=27.0)

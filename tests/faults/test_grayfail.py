@@ -65,11 +65,12 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
             return FaultPlan().slow_host(
                 fault_at, victim, factor=SLOW_FACTOR, duration=3600.0)
         # storm: everything degrades at once, nothing dies
-        return FaultPlan().gray_failure_storm(
-            fault_at, duration=3600.0,
-            slow_host=victim, slow_factor=SLOW_FACTOR,
-            link=(star_uplink(victim), "core"), latency=0.05,
-            loss=0.01, skew_host="mon1", skew_offset=120.0)
+        return (FaultPlan()
+                .slow_host(fault_at, victim, SLOW_FACTOR, 3600.0)
+                .degrade_link(fault_at, star_uplink(victim), "core",
+                              duration=3600.0, direction="fwd", latency=0.05,
+                              loss=0.01)
+                .skew_clock(fault_at, "mon1", 120.0, duration=3600.0))
 
     job = star_job(
         star, "matmul-gray",

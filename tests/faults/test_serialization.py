@@ -18,14 +18,20 @@ def _kitchen_sink() -> FaultPlan:
             .partition(12.0, "dalmatian", "sw-lab", duration=30.0)
             .kill_daemon(20.0, "mimas", "transmitter")
             .restart_daemon(25.0, "mimas", "transmitter")
-            .loss_burst(8.0, "titan-x", 0.25, 4.0, direction="tx")
+            .add(FaultEvent(8.0, "loss-burst", "titan-x", value=0.25,
+                            duration=4.0, direction="tx"))
             .slow_host(9.0, "lhost", 6.0, 5.0)
-            .skew_clock(10.0, "helene", 30.0, drift=0.01, duration=6.0)
-            .degrade_link(11.0, "s0", "sw-g1", duration=3.0, direction="fwd",
-                          latency=0.2, loss=0.02, jitter=0.01)
+            .add(FaultEvent(10.0, "skew-clock", "helene", value=30.0,
+                            duration=6.0, params=(("drift", 0.01),)))
+            .add(FaultEvent(11.0, "degrade-link", "s0", peer="sw-g1",
+                            duration=3.0, direction="fwd",
+                            params=(("jitter", 0.01), ("latency", 0.2),
+                                    ("loss", 0.02))))
             .flap_link(14.0, "s1", "sw-g1", period=1.0, count=2)
-            .gray_failure_storm(16.0, duration=2.0, slow_host="s2",
-                                link=("s3", "sw-g2"), skew_host="s4"))
+            .slow_host(16.0, "s2", 8.0, 2.0)
+            .degrade_link(16.0, "s3", "sw-g2", duration=2.0, direction="fwd",
+                          latency=0.25, loss=0.05)
+            .gray_failure_storm(16.0, duration=2.0, skew_host="s4"))
 
 
 class TestRoundTrip:
@@ -44,8 +50,9 @@ class TestRoundTrip:
         assert builders == ["partition", "flap_link", "gray_failure_storm"]
 
     def test_params_round_trip_exactly(self):
-        plan = FaultPlan().degrade_link(
-            1.0, "a", "b", duration=2.0, latency=0.123456789, jitter=0.01)
+        plan = FaultPlan().add(FaultEvent(
+            1.0, "degrade-link", "a", peer="b", duration=2.0,
+            params=(("jitter", 0.01), ("latency", 0.123456789))))
         (event,) = FaultPlan.from_json(plan.to_json()).events()
         assert event.param("latency") == 0.123456789
         assert event.param("jitter") == 0.01

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChaosController, FaultPlan
+from repro.faults import ChaosController, FaultEvent, FaultPlan
 from repro.worlds import FAILOVER_CONFIG, SERVICE_PORT, build_star
 
 pytestmark = pytest.mark.chaos
@@ -66,8 +66,9 @@ class TestOverlapHeals:
     def test_degraded_link(self):
         plan = (FaultPlan()
                 .degrade_link(2.0, "s0", "sw-g1", duration=10.0, latency=0.1)
-                .degrade_link(7.0, "s0", "sw-g1", duration=10.0,
-                              latency=0.05, jitter=0.01))
+                .add(FaultEvent(7.0, "degrade-link", "s0", peer="sw-g1",
+                                duration=10.0,
+                                params=(("jitter", 0.01), ("latency", 0.05)))))
         seen, star = sample([plan], channel_state, self.TIMES)
         delays = [round(state["extra_delay"], 9) for state in seen]
         assert delays == [0.15, 0.05, 0.0]

@@ -78,7 +78,7 @@ class TestMachine:
 
 class TestSuperPiWorkload:
     def test_occupies_memory_and_cpu(self, sim, machine):
-        w = SuperPiWorkload(sim, machine, digits_param=25)
+        w = SuperPiWorkload(sim, machine)
         free_before = machine.memory.snapshot()["free"]
         w.start()
         sim.run(until=120.0)
@@ -88,7 +88,7 @@ class TestSuperPiWorkload:
         assert w.mem_bytes == pytest.approx(150 << 20, rel=0.01)
 
     def test_stop_releases_memory_and_cpu(self, sim, machine):
-        w = SuperPiWorkload(sim, machine, digits_param=10)
+        w = SuperPiWorkload(sim, machine)
         free_before = machine.memory.snapshot()["free"]
         w.start()
         sim.run(until=10.0)
@@ -99,13 +99,13 @@ class TestSuperPiWorkload:
         assert not w.running
 
     def test_double_start_rejected(self, sim, machine):
-        w = SuperPiWorkload(sim, machine, digits_param=5)
+        w = SuperPiWorkload(sim, machine)
         w.start()
         with pytest.raises(RuntimeError):
             w.start()
 
     def test_slows_competing_compute(self, sim, machine):
-        w = SuperPiWorkload(sim, machine, digits_param=5)
+        w = SuperPiWorkload(sim, machine)
         times = {}
 
         def measured(tag):

@@ -75,8 +75,6 @@ PARAMS = (
      "monitor_network_bw": 100.0, "host_machine_type": "", "host_os": "telesto"},
 )
 #: user-side slots a request may carry besides its text
-PRESETS = (None, {"user_denied_host2": "mimas", "user_preferred_host1": "titan"})
-
 
 class Generator:
     def __init__(self, seed: int) -> None:
@@ -161,10 +159,10 @@ class Undefined(Exception):
 
 
 class ReferenceEnv:
-    def __init__(self, server, user_presets):
+    def __init__(self, server):
         self.server = dict(server)
         self.temps = {}
-        self.user = dict(user_presets or {})
+        self.user = {}
 
     def lookup(self, name):
         for scope in (self.temps, self.server, self.user, CONSTANTS):
@@ -317,8 +315,8 @@ def _eval(node, env):
     return 1.0 if ((left and right) if node.op == "&&" else (left or right)) else 0.0
 
 
-def reference_evaluate(program, server, user_presets=None):
-    env = ReferenceEnv(server, user_presets)
+def reference_evaluate(program, server):
+    env = ReferenceEnv(server)
     logical_results, errors = [], []
     for stmt in program.statements:
         logical = is_logical(stmt)
@@ -369,12 +367,11 @@ def test_compiled_closures_agree_with_the_reference(seed):
         compiled = compile_requirement(text)
         assert not compiled.parse_failed and not reference.errors, text
         for params in PARAMS:
-            for presets in PRESETS:
-                expected = reference_evaluate(reference, params, presets)
-                got = outcome(evaluate(compiled.program, params, presets))
-                assert got == expected, f"seed {seed}, {params}, {presets}:\n{text}"
-                reached.add((expected["qualified"], bool(expected["errors"]),
-                             bool(expected["denied"] or expected["preferred"])))
+            expected = reference_evaluate(reference, params)
+            got = outcome(evaluate(compiled.program, params))
+            assert got == expected, f"seed {seed}, {params}:\n{text}"
+            reached.add((expected["qualified"], bool(expected["errors"]),
+                         bool(expected["denied"] or expected["preferred"])))
     # the generator is not degenerate: qualifying and disqualified programs,
     # clean and faulting ones, with and without user-side slots
     assert len(reached) == 8

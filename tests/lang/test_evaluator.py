@@ -5,8 +5,8 @@ from __future__ import annotations
 from repro.lang import evaluate, parse
 
 
-def ev(src, params=None, presets=None):
-    return evaluate(parse(src), params or {}, user_presets=presets)
+def ev(src, params=None):
+    return evaluate(parse(src), params or {})
 
 
 class TestQualification:
@@ -116,11 +116,6 @@ class TestUserSideParams:
     def test_numeric_rhs_stays_arithmetic(self):
         result = ev("user_denied_host1 = 5 - 3")
         assert result.env.user["user_denied_host1"] == 2.0
-
-    def test_presets_visible_to_requirement(self):
-        result = ev("user_preferred_host1 == alpha.lab.net",
-                    presets={"user_preferred_host1": "alpha.lab.net"})
-        assert result.qualified
 
     def test_thesis_blacklist_requirement(self):
         src = ("(host_cpu_free > 0.9) && (host_memory_free > 5) && "

@@ -403,7 +403,8 @@ class TestDelivery:
         sa, sb = NetworkStack(sim, a, net), NetworkStack(sim, b, net)
         inbox = sb.udp_socket(5000)
         d = Datagram(proto=PROTO_UDP, src=a.addr, dst=b.addr,
-                     sport=1, dport=5000, size=10, ttl=2)
+                     sport=1, dport=5000, size=10)
+        d.ttl = 2
         a.send(d)
         sim.run()
         assert len(inbox.rx) == 0  # died at the second router

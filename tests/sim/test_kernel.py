@@ -35,6 +35,15 @@ class TestTimeAdvancement:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_nan_timeout_rejected(self, sim):
+        """A NaN heap key breaks the queue order and ``sim.now`` for good;
+        an infinite delay is legal (it never fires)."""
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+        sim.timeout(float("inf"))
+        sim.run(until=1.0)
+        assert sim.now == 1.0
+
     def test_zero_delay_events_fifo_order(self, sim):
         order = []
 
@@ -344,6 +353,14 @@ class TestScheduledCalls:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.call_later(-1e-9, print)
+
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.call_later(float("nan"), print)
+
+    def test_nan_absolute_time_rejected(self, sim):
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.call_at(float("nan"), print)
 
     def test_absolute_time_in_the_past_rejected(self, sim):
         sim.run(until=5.0)

@@ -81,7 +81,7 @@ class TestStore:
 
 class TestResource:
     def test_mutual_exclusion(self, sim):
-        lock = Resource(sim, capacity=1)
+        lock = Resource(sim)
         trace = []
 
         def worker(tag, hold):
@@ -99,16 +99,6 @@ class TestResource:
             ("a", "in", 0.0), ("a", "out", 2.0),
             ("b", "in", 2.0), ("b", "out", 3.0),
         ]
-
-    def test_capacity_two_allows_two(self, sim):
-        res = Resource(sim, capacity=2)
-
-        def p():
-            yield res.acquire()
-            yield res.acquire()
-            return res.available
-
-        assert run_process(sim, p()) == 0
 
     def test_release_without_acquire(self, sim):
         res = Resource(sim)

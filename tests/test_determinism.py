@@ -39,10 +39,8 @@ class TestExperimentDeterminism:
         assert s1 == s2
 
     def test_rtt_series_seed_sensitive(self):
-        s1 = rtt_vs_size(sizes=range(100, 3001, 100),
-                         cross_utilisation=0.05, seed=5)
-        s2 = rtt_vs_size(sizes=range(100, 3001, 100),
-                         cross_utilisation=0.05, seed=6)
+        s1 = rtt_vs_size(sizes=range(100, 3001, 100), seed=5)
+        s2 = rtt_vs_size(sizes=range(100, 3001, 100), seed=6)
         assert s1 != s2  # cross traffic differs by seed
 
     def test_full_deployment_reproducible(self):

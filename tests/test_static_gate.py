@@ -108,6 +108,18 @@ def test_ci_seeded_fixtures_must_report_their_own_code():
         assert f"seeded {selector} '{glob}'" in step
 
 
+def test_ci_runs_the_source_shape_gates_in_the_static_job():
+    """The lint job fails on a definition nothing calls or a parameter
+    nothing turns, before the tier-1 job runs the whole suite."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    static = ci.split("\n  static:")[1].split("\n  sanitize:")[0]
+    install = "python -m pip install pytest"
+    run = ('python -m pytest -q tests/test_static_gate.py '
+           '-k "second_value or has_a_caller"')
+    assert install in static and run in static
+    assert static.index(install) < static.index(run)
+
+
 def test_ci_runs_static_gates_under_dash_O():
     """Every analyzer gate re-runs under ``python -O`` in CI so nothing
     load-bearing hides in an ``assert``."""
@@ -400,6 +412,206 @@ def test_every_src_definition_has_a_caller():
     assert sorted(uncalled - allowed) == []
     assert sorted(allowed - defined) == [], "allow-list names a deleted definition"
     assert sorted(allowed - uncalled) == [], "allow-list names a used definition"
+
+
+def _value(node: ast.expr):
+    """What an argument or default spells: its literal value, or, for
+    anything computed, its source shape (equal only to the same shape)."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return ast.dump(node)
+
+
+def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
+    """``(name, position or None, default)`` for each defaulted parameter;
+    a method's positions are as its callers count them (``self`` off)."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for index, (arg, default) in enumerate(
+            zip(positional[first:], args.defaults), start=first - method):
+        yield arg.arg, index, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
+    """``(defaulted parameters in src/repro that nothing outside the tests
+    sets off their default, every defaulted parameter)``, both as
+    ``path::Qualname(parameter)``.
+
+    A parameter is turned by a call to its function's name (a class's
+    name, or a subclass's, for ``__init__``) in ``src/``, ``benchmarks/``
+    or ``examples/`` that passes it, by keyword or position, at another
+    value than the default; by such a call that splats ``*args`` or
+    ``**kwargs``; or by a ``dict(...)`` or dict-literal key of its name
+    holding another value (catalogue rows, ``SMOKE_JOBS``)."""
+    src = repo / "src" / "repro"
+    calls: dict[str, list[ast.Call]] = {}
+    keyed: dict[str, list] = {}
+    bases: dict[str, set[str]] = {}
+    trees = {}
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((repo / top).rglob("*.py")):
+            trees[path] = tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else \
+                        getattr(func, "id", None)
+                    calls.setdefault(name, []).append(node)
+                    if name == "dict":
+                        for keyword in node.keywords:
+                            keyed.setdefault(keyword.arg, []).append(
+                                _value(keyword.value))
+                elif isinstance(node, ast.Dict):
+                    for key, value in zip(node.keys, node.values):
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                            keyed.setdefault(key.value, []).append(_value(value))
+                elif isinstance(node, ast.ClassDef):
+                    for base in node.bases:
+                        if isinstance(base, (ast.Name, ast.Attribute)):
+                            bases.setdefault(getattr(base, "id", None)
+                                             or base.attr, set()).add(node.name)
+    unturned, defaulted = set(), set()
+    for path, tree in trees.items():
+        if src not in path.parents:
+            continue
+        classes = {qualname for qualname, node in _definitions(tree)
+                   if isinstance(node, ast.ClassDef)}
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            owner, _, name = qualname.rpartition(".")
+            method = owner in classes and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            names = {name}
+            if name == "__init__":
+                names, pending = set(), [owner.rpartition(".")[2]]
+                while pending:
+                    cls = pending.pop()
+                    names.add(cls)
+                    pending.extend(bases.get(cls, set()) - names)
+            sites = [call for n in names for call in calls.get(n, ())]
+            splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args) \
+                or any(k.arg is None for call in sites for k in call.keywords)
+            for param, position, default in _defaulted(node, method):
+                key = f"{path.relative_to(src).as_posix()}::{qualname}({param})"
+                defaulted.add(key)
+                value = _value(default)
+                passed = [_value(k.value) for call in sites for k in call.keywords
+                          if k.arg == param]
+                if position is not None:
+                    passed += [_value(call.args[position]) for call in sites
+                               if position < len(call.args)]
+                passed += keyed.get(param, [])
+                if not splat and all(v == value for v in passed):
+                    unturned.add(key)
+    return unturned, defaulted
+
+
+#: defaulted ``src/repro`` parameters that nothing outside the tests
+#: sets off their default, each kept for the reason given
+#: (``path::Qualname(parameter)``, the path relative to ``src/repro``);
+#: the parameters of :data:`TEST_ONLY_DEFINITIONS` are exempt as well
+UNTURNED_PARAMETERS = {
+    "__main__.py::main(argv)":
+        "entry point: ``python -m repro`` passes nothing, tests pass argv",
+    "net/tcp.py::TcpConnection._on_wake(_arg)":
+        "kernel callback signature: ``sim.call_later`` hands it one argument",
+    "core/netmon.py::rtt_curve(port)":
+        "a port is a deployment setting (``Ports.probe_target``)",
+    "core/netmon.py::pipechar_estimate(port)":
+        "a port is a deployment setting (``Ports.probe_target``)",
+    "core/netmon.py::pathload_estimate(port)":
+        "a port is a deployment setting (``Ports.probe_target``)",
+    "bench/experiments.py::matmul_experiment(loaded_hosts)":
+        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
+    "bench/experiments.py::matmul_experiment(warmup)":
+        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
+    "bench/experiments.py::matmul_experiment(pool)":
+        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
+    "core/probe.py::ServerProbe.__init__(use_tcp)":
+        "DESIGN §6 extension kept as a test-only switch: long reports over TCP",
+    "core/probe.py::ServerProbe.__init__(selected_params)":
+        "DESIGN §6 extension kept as a test-only switch: selected parameters",
+    "core/rsocket.py::ReliableSocket.__init__(window)":
+        "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
+    "core/rsocket.py::ReliableServer.__init__(window)":
+        "DESIGN §6: the reliable-socket library mirrors TcpLayer.serve",
+    "core/rsocket.py::ReliableSocket.resume(timeout)":
+        "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
+}
+
+
+def test_every_src_parameter_has_a_second_value_in_use():
+    """The :func:`test_every_config_field_has_a_second_value_in_use` rule
+    for every signature in ``src/repro``: a defaulted parameter exists
+    because something that runs — the library, a benchmark or an example
+    — sets it off its default.  A knob only the tests turn becomes a
+    constant and the path its default switched off goes, or it is named
+    in :data:`UNTURNED_PARAMETERS` with a reason; an entry there that no
+    longer exists, or that something now sets, fails too."""
+    assert _parameter_violations(REPO, UNTURNED_PARAMETERS) == NO_VIOLATIONS
+
+
+NO_VIOLATIONS = {"unturned": [], "deleted": [], "turned": []}
+
+
+def _parameter_violations(repo: Path, allowed) -> dict[str, list[str]]:
+    """What the parameter gate reports: unturned parameters not allowed,
+    and allow-list entries naming a deleted or a turned parameter."""
+    unturned, defaulted = _unturned_parameters(repo)
+    unturned = {key for key in unturned
+                if key.partition("(")[0] not in TEST_ONLY_DEFINITIONS}
+    return {"unturned": sorted(unturned - set(allowed)),
+            "deleted": sorted(set(allowed) - defaulted),
+            "turned": sorted(set(allowed) & defaulted - unturned)}
+
+
+def _parameter_tree(tmp_path: Path, caller: str) -> Path:
+    """A repo whose ``src/repro/mod.py`` defines ``knob(x, size=4)`` and
+    ``Box(width=2)``, and whose ``benchmarks/run.py`` is ``caller``."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "def knob(x, size=4):\n    return x * size\n\n\n"
+        "class Box:\n    def __init__(self, width=2):\n"
+        "        self.width = width\n")
+    (tmp_path / "benchmarks" / "run.py").write_text(caller)
+    return tmp_path
+
+
+class TestParameterGate:
+    """The gate itself, on synthetic trees."""
+
+    def test_flags_a_parameter_left_at_its_default(self, tmp_path):
+        repo = _parameter_tree(tmp_path, "knob(1)\nknob(2, size=4)\nBox()\n")
+        assert _parameter_violations(repo, {})["unturned"] == [
+            "mod.py::Box.__init__(width)", "mod.py::knob(size)"]
+
+    @pytest.mark.parametrize("caller", [
+        "knob(1, size=8)\nBox(width=3)\n",        # keyword
+        "knob(1, 8)\nBox(3)\n",                   # position, self off
+        "ROWS = [dict(size=8), {'width': 3}]\n",  # dict keys
+        "knob(*ARGS)\nBox(**KWARGS)\n",           # splats
+    ], ids=["keyword", "position", "dict-key", "splat"])
+    def test_a_second_value_clears_it(self, tmp_path, caller):
+        repo = _parameter_tree(tmp_path, caller)
+        assert _parameter_violations(repo, {}) == NO_VIOLATIONS
+
+    def test_stale_allow_list_entries_fail(self, tmp_path):
+        repo = _parameter_tree(tmp_path, "knob(1, size=8)\nBox()\n")
+        allowed = {"mod.py::Box.__init__(width)": "kept",
+                   "mod.py::knob(size)": "now turned",
+                   "mod.py::knob(depth)": "deleted"}
+        assert _parameter_violations(repo, allowed) == {
+            "unturned": [], "deleted": ["mod.py::knob(depth)"],
+            "turned": ["mod.py::knob(size)"]}
 
 
 def test_repro_check_clean_on_src():
