@@ -121,13 +121,16 @@ def test_hop_events_profile_matmul():
     event is gone (10,734 -> 9,243 events when the switches lost
     theirs); an ack that moves the window runs its sender's turn in
     place, so ``TcpConnection._on_wake`` calls fall 600 -> 90 and events
-    9,243 -> 8,733.  Resumes and simulated time do not move."""
+    9,243 -> 8,733.  Resumes and simulated time do not move.  One status
+    header per snapshot instead of one per database then took events
+    8,733 -> 8,237 and resumes 3,583 -> 3,459 (two sends and two receiver
+    reads fewer per push); deliveries and simulated time stayed."""
     attribution, resumes = _profile("matmul")
-    assert attribution["total_events"] == 8_733
+    assert attribution["total_events"] == 8_237
     assert attribution["calls"]["NIC._on_deliver"] == 2_978
     assert attribution["calls"]["TcpConnection._on_wake"] == 90
     assert "NIC.forward_frame" not in attribution["calls"]
-    assert resumes == 3_583
+    assert resumes == 3_459
     assert attribution["sim_time_s"] == 120.926051273
 
 
@@ -136,14 +139,17 @@ def test_hop_events_profile_massd():
     Its 6,941 transit frames were a second ``NIC.forward_frame`` event
     each and are one event now, and ``_on_wake`` calls fall 1,000 ->
     156: scheduled events 46,841 -> 39,056, with resumes and simulated
-    time where they were."""
+    time where they were.  One status header per snapshot instead of one
+    per database then took scheduled events 39,056 -> 38,336, deliveries
+    28,948 -> 28,468 and resumes 5,349 -> 5,229; fewer status frames
+    share the client's link, so the run ends 95 us sooner."""
     attribution, resumes = _profile("massd")
-    assert attribution["total_allocations"] == 39_056
-    assert attribution["total_events"] == 38_875
-    assert attribution["calls"]["NIC._on_deliver"] == 28_948
+    assert attribution["total_allocations"] == 38_336
+    assert attribution["total_events"] == 38_156
+    assert attribution["calls"]["NIC._on_deliver"] == 28_468
     assert "NIC.forward_frame" not in attribution["calls"]
-    assert resumes == 5_349
-    assert attribution["sim_time_s"] == 37.873958642
+    assert resumes == 5_229
+    assert attribution["sim_time_s"] == 37.873863404
 
 
 def _count_calls(run) -> int:

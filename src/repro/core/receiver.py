@@ -8,15 +8,17 @@ wizard may serve several server groups, each with its own transmitter, the
 receiver merges per-source snapshots: a new sysdb from group A replaces
 only A's previous contribution.
 
-A transmitter sends a database that was not rewritten since this
-connection last carried it as a header announcing
-:data:`~repro.core.records.UNCHANGED` and no body, pushed or pulled — the
-contribution and the published dict stay as they are, only the freshness
-stamp moves.  What a connection has delivered (:class:`_Feed`) lives and
-dies with it on both ends: a new connection is sent everything, and an
-*unchanged* for a database this connection never delivered aborts the
-connection (a push loop finds its next segment answered with RST and
-re-dials; a pull round drops it for re-dial).
+A transmitter's answer, pushed or pulled, is one header listing all
+three databases as ``(type, size)`` entries, 8 bytes each, then one body
+per database that moved, in header order.  A database that was not
+rewritten since this connection last carried it is announced as
+:data:`~repro.core.records.UNCHANGED` and has no body — the contribution
+and the published dict stay as they are, only the freshness stamp moves,
+as soon as the header is in.  What a connection has delivered
+(:class:`_Feed`) lives and dies with it on both ends: a new connection is
+sent everything, and an *unchanged* for a database this connection never
+delivered aborts the connection (a push loop finds its next segment
+answered with RST and re-dials; a pull round drops it for re-dial).
 
 Distributed mode (:meth:`Receiver.pull_all`): every transmitter without
 a live connection is dialled at once, every transmitter is asked at once
@@ -24,7 +26,7 @@ and the answers are applied as they arrive, so a round costs one round
 trip to the slowest transmitter, not the sum over all of them.
 
 Failure hardening: a snapshot that arrives *partially* (the connection died
-between messages) applies whatever bodies made it — the untouched message
+between bodies) applies whatever bodies made it — the untouched message
 types keep their last-known-good contents; a distributed-mode pull round
 is bounded by one ``PULL_TIMEOUT`` however many transmitters are wedged,
 which degrades the wizard to stale data instead of stalling it; a round
@@ -52,7 +54,7 @@ this host's wall clock beyond ``SKEW_TOLERANCE`` increments the
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..net.tcp import ConnectionClosed, TcpConnection
 from ..sim import Event, HostClock, SharedMemory, Simulator, shared
@@ -69,6 +71,8 @@ RESIDENT_BYTES = 92 * 1024
 PULL_TIMEOUT = 2.0
 #: monitor-clock skew tolerated before a stamp counts as suspected_skew
 SKEW_TOLERANCE = 1.0
+#: what a header may name, once each
+DATABASES = (MSG_SYSDB, MSG_NETDB, MSG_SECDB)
 
 
 @dataclasses.dataclass(slots=True)
@@ -78,14 +82,31 @@ class _Feed:
 
     src: str
     conn: TcpConnection
-    #: the type the last header announced, until its body consumes it
-    announced: Optional[int] = None
+    #: the databases whose bodies the last header announced and have not
+    #: arrived yet, in the order they must arrive; ``None`` while a
+    #: header is owed
+    announced: Optional[list[int]] = None
     #: the databases this connection has delivered — all an *unchanged*
-    #: header can refer to
+    #: entry can refer to
     held: set[int] = dataclasses.field(default_factory=set)
-    #: pull round in progress: answers still owed, the recv() waited on
-    owed: int = 0
+    #: pull round in progress: the recv() waited on
     get: Optional[Event] = None
+
+
+def _header_entries(fields: list) -> Optional[Sequence]:
+    """A header's ``(type, size)`` entries, or ``None`` for a header that
+    is not a sequence of such pairs, names a type twice or names no
+    database."""
+    entries = fields[0] if len(fields) == 1 else None
+    if not isinstance(entries, (tuple, list)) or not entries:
+        return None
+    for entry in entries:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and entry[0] in DATABASES and isinstance(entry[1], int)):
+            return None
+    if len({msg_type for msg_type, _ in entries}) < len(entries):
+        return None
+    return entries
 
 
 class Receiver:
@@ -115,6 +136,8 @@ class Receiver:
         self._sources: dict[str, dict[int, dict]] = {}
         #: msg_type -> sim time of the last applied snapshot (staleness flag)
         self._updated_at: dict[int, float] = {}
+        #: database answers taken in — a header's *unchanged* entries and
+        #: the bodies applied, one each — not TCP messages
         self.messages_received = 0
         self.pull_failures = 0
         self.pull_timeouts = 0
@@ -224,46 +247,56 @@ class Receiver:
 
     def _on_frame(self, feed: _Feed, payload):
         """Process generator: one frame of a transmitter's header / body
-        stream, pushed or pulled -> whether it answered for a database.
+        stream, pushed or pulled.
 
-        A ``[type, size]`` header announces the body that follows (the
-        receiver would size its buffer here); a body consumes the
-        announcement.  A header announcing ``UNCHANGED`` is an answer by
-        itself — "what you hold of this database from me is current": the
-        feed is live (``_updated_at`` moves, so ``epoch()``,
-        ``min_freshness_age()`` and REPLY_STALE see it) but nothing is
-        rebased, merged or published, so the wizard keeps the very dict
-        it has already sorted.  It carries no stamp: no skew check.
+        A snapshot's header lists every database it answers for as a
+        ``(type, size)`` entry (the receiver would size its buffers
+        here); the bodies of the entries that announce a size follow in
+        header order.  An entry announcing ``UNCHANGED`` is an answer by
+        itself, taken as the header arrives — "what you hold of this
+        database from me is current": the feed is live (``_updated_at``
+        moves, so ``epoch()``, ``min_freshness_age()`` and REPLY_STALE
+        see it) but nothing is rebased, merged or published, so the
+        wizard keeps the very dict it has already sorted.  It carries no
+        stamp: no skew check.
 
-        Frames come from outside the process: a body too short to carry
-        ``(type, data, stamp)``, contradicting its header or naming no
-        database is skipped, never indexed past — and then this
-        connection no longer holds that database.  An *unchanged* for a
-        database the connection does not hold cannot be honoured (the
-        sender's memory and ours disagree): ``ConnectionClosed``, on
-        which both callers abort the connection, so that its successor
-        is sent everything."""
+        Frames come from outside the process: a header that is not a
+        sequence of ``(type, size)`` pairs, names a type twice or names
+        no database, and a body too short to carry ``(type, data,
+        stamp)`` or other than the one announced next, are skipped,
+        never indexed past.  After a skipped body this connection no
+        longer holds the database announced nor the one the body
+        claims; a header also ends what the one before it still owed.
+        An *unchanged* for a database the connection does not hold
+        cannot be honoured (the sender's memory and ours disagree):
+        ``ConnectionClosed``, on which both callers abort the
+        connection, so that its successor is sent everything."""
         kind, *fields = payload
-        if kind == "hdr" and fields:
-            if fields[1:2] != [UNCHANGED]:
-                feed.announced = fields[0]
-                return False
-            if fields[0] not in feed.held:
+        if kind == "hdr":
+            # bodies the last header announced and that never came
+            feed.held.difference_update(feed.announced or ())
+            feed.announced = []
+            entries = _header_entries(fields)
+            if entries is None:
+                return
+            unchanged = [t for t, size in entries if size == UNCHANGED]
+            never_held = set(unchanged) - feed.held
+            if never_held:
                 raise ConnectionClosed(
-                    f"{feed.src}: unchanged database {fields[0]} never held")
-            self._updated_at[fields[0]] = self.sim.now
-            self.messages_received += 1
-            return True
+                    f"{feed.src}: unchanged databases never held: {sorted(never_held)}")
+            for msg_type in unchanged:
+                self._updated_at[msg_type] = self.sim.now
+            self.messages_received += len(unchanged)
+            feed.announced = [t for t, size in entries if size != UNCHANGED]
+            return
         if kind != "body":
-            return False
-        announced, feed.announced = feed.announced, None
-        if (len(fields) >= 3 and announced in (None, fields[0])
-                and fields[0] in (MSG_SYSDB, MSG_NETDB, MSG_SECDB)):
-            yield from self._apply(feed.src, *fields[:3])
-            feed.held.add(fields[0])
+            return
+        expected = feed.announced.pop(0) if feed.announced else None
+        if len(fields) >= 3 and expected is not None and fields[0] == expected:
+            yield from self._apply(feed.src, expected, *fields[1:3])
+            feed.held.add(expected)
         else:
-            feed.held -= {announced, *fields[:1]}
-        return True
+            feed.held -= {expected, *fields[:1]}
 
     # -- centralized: accept pushes --------------------------------------------------
     def _session(self, conn):
@@ -335,7 +368,7 @@ class Receiver:
                     self.pull_failures += 1
                     del feeds[addr]
                     continue
-                feed.owed = 3  # sysdb, netdb, secdb
+                feed.announced = None  # owed: a header, then its bodies
                 asked[addr] = feed
             deadline = self.sim.timeout(PULL_TIMEOUT)
             while asked:
@@ -356,13 +389,13 @@ class Receiver:
                         # leaves the exception as the event's value
                         if isinstance(frame, ConnectionClosed):
                             raise frame
-                        feed.owed -= yield from self._on_frame(feed, frame[0])
+                        yield from self._on_frame(feed, frame[0])
                     except ConnectionClosed:
                         # died mid-answer, or out of step (_on_frame)
                         self.pull_failures += 1
                         self._drop(addr)
-                        feed.owed = 0  # nothing more to wait for
-                    if not feed.owed:
+                        feed.announced = []  # nothing more to wait for
+                    if feed.announced == []:  # the header and its bodies
                         del asked[addr]
                 if deadline.processed:
                     self.pull_timeouts += len(asked)

@@ -11,11 +11,12 @@ Two deliberately different encodings, as in the thesis:
   ``[type, size, data]`` messages because a monitor may handle many servers
   and "binary to ASCII conversion is resource consuming".  The simulator
   carries the Python objects but accounts the documented 204 bytes per
-  server record for sizing.  The ``[type, size]`` header of a database
-  announces the bytes its body is charged — never fewer than one
-  (:attr:`WireMessage.wire_size`) — which leaves :data:`UNCHANGED` free
-  to announce that *no* body follows: the answer of a pull session for
-  a database that was not rewritten since the connection last carried it.
+  server record for sizing.  A snapshot's header holds one ``[type,
+  size]`` entry (8 bytes) per database, announcing the bytes its body is
+  charged — never fewer than one (:attr:`WireMessage.wire_size`) — which
+  leaves :data:`UNCHANGED` free to announce that *no* body follows: the
+  answer for a database that was not rewritten since the connection last
+  carried it.  The bodies of the others follow the header, in its order.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ MSG_NETDB = 2
 MSG_SECDB = 3
 MSG_PULL = 4  # distributed-mode snapshot request
 
-#: what a ``[type, size]`` header announces when no body follows it:
-#: "what you hold of this database from me is current".  The convention
-#: lives here and both ends name it — the transmitter's pull session
-#: sends it, :meth:`Receiver._on_frame` reads it.  It cannot be taken
-#: for an empty database, whose body is still charged (and announced
-#: as) one byte: see :attr:`WireMessage.wire_size`.
+#: what a ``[type, size]`` header entry announces when no body follows
+#: for it: "what you hold of this database from me is current".  The
+#: convention lives here and both ends name it — the transmitter's push
+#: loops and pull sessions send it, :meth:`Receiver._on_frame` reads it.
+#: It cannot be taken for an empty database, whose body is still charged
+#: (and announced as) one byte: see :attr:`WireMessage.wire_size`.
 UNCHANGED = 0
 
 #: wizard reply status (Table 3.6 extension): OK carries servers, NAK
@@ -313,7 +314,7 @@ class WireMessage:
     @staticmethod
     def unchanged(msg_type: int) -> "WireMessage":
         """Stand-in for a database that is not sent (``data`` is
-        ``None``): only its :data:`UNCHANGED` header crosses."""
+        ``None``): only its :data:`UNCHANGED` header entry crosses."""
         return WireMessage(msg_type, UNCHANGED, None)
 
     @staticmethod

@@ -1,8 +1,10 @@
 """Transmitter: ships the three status databases to the wizard machine
 (thesis §3.5.1), extended to a *replicated* control plane.
 
-Records cross in binary ``[type, size, data]`` messages over TCP.  Two
-behaviours:
+Records cross in binary ``[type, size, data]`` messages over TCP: each
+answer is one header listing all three databases as ``(type, size)``
+entries, 8 bytes each, then one body per database that moved, in header
+order.  Two behaviours:
 
 * **centralized** — actively pushes a snapshot of the three shared-memory
   segments to every receiver every interval over persistent connections;
@@ -13,8 +15,8 @@ behaviours:
 Either way only the status that *moved* crosses: a push loop and a pull
 session remember, per connection, the version (``Segment.writes``) of
 each database that connection last carried, and a database that was not
-rewritten since goes out as a header announcing
-:data:`~repro.core.records.UNCHANGED` and no body.  Every monitor
+rewritten since is an :data:`~repro.core.records.UNCHANGED` header
+entry with no body.  Every monitor
 republishes copy-on-write (DESIGN.md §9), so an unmoved write counter is
 unmoved content.  The memory lives and dies with the connection — one
 per receiver replica, one per pulling wizard: a new one is sent
@@ -184,22 +186,22 @@ class Transmitter:
         return messages
 
     def _send_messages(self, conn, messages) -> int:
-        sent = 0
+        # One header of [type, size] entries for the whole snapshot first
+        # — it is what lets the receiver size its buffers (thesis §3.5.1),
+        # 8 bytes per database, UNCHANGED for one that is not sent — then
+        # the binary bodies of the databases that moved, in header order.
+        # Each body carries this clock's reading so the receiver can spot
+        # (and rebase around) a skewed reporter clock; the 8 stamp bytes
+        # ride in the header's reserved field, no size change.
+        header = tuple((msg.type, UNCHANGED if msg.data is None else msg.wire_size)
+                       for msg in messages)
+        sent = 8 * len(header)
+        conn.send(("hdr", header), sent)
         stamp = self.clock.now()
         for msg in messages:
-            if msg.data is None:
-                # WireMessage.unchanged: the header says so, no body
-                conn.send(("hdr", msg.type, UNCHANGED), 8)
-                sent += 8
-                continue
-            # [type, size] header first, then the binary body — the header
-            # is what lets the receiver size its buffer (thesis §3.5.1).
-            # The body carries this clock's reading so the receiver can
-            # spot (and rebase around) a skewed reporter clock; 8 stamp
-            # bytes ride in the header's reserved field, no size change.
-            conn.send(("hdr", msg.type, msg.wire_size), 8)
-            conn.send(("body", msg.type, msg.data, stamp), msg.wire_size)
-            sent += 8 + msg.wire_size
+            if msg.data is not None:
+                conn.send(("body", msg.type, msg.data, stamp), msg.wire_size)
+                sent += msg.wire_size
         return sent
 
     # -- centralized push ----------------------------------------------------------

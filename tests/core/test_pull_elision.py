@@ -318,11 +318,11 @@ def run_push_script(seed: int, steps: int = 70, **mutant):
                 write(MSG_SYSDB, "new")  # so skipping the body shows
                 for side in sides:
                     side.transmitter.contradict_next = True
-                # the garbled snapshot; the *unchanged* that is refused
-                # (the secdb of the same snapshot or, had that just been
-                # rewritten, the sysdb of the next) and the snapshot lost
-                # to the reset; the re-dial, answered in full
-                for _ in range(2):
+                # the garbled snapshot, whose header was taken in before
+                # its stray body; the next, whose *unchanged* sysdb is
+                # refused; the snapshot lost to the reset; the re-dial,
+                # answered in full
+                for _ in range(3):
                     yield from interval()
                 repaired = 1
             current = yield from interval()
@@ -438,28 +438,32 @@ def test_push_resync_rule():
         segment(elided, cfg, MSG_SYSDB).write(content(MSG_SYSDB, 2, sim.now))
         tx.contradict_next = True
         yield sim.timeout(1.0)
-        # body skipped, *unchanged* netdb honoured, *unchanged* secdb
-        # refused: last-known-good is served, the connection is gone
-        assert rx.messages_received == 4
+        # the header's *unchanged* netdb and secdb honoured, then the
+        # body skipped: last-known-good is served, sysdb and secdb are
+        # no longer held
+        assert rx.messages_received == 5
         assert rx.database(MSG_SYSDB).keys() == old.keys()
+        assert len(rx.stack.tcp.conns) == 1
+        yield sim.timeout(1.0)  # *unchanged* sysdb refused: the connection is gone
+        assert rx.messages_received == 5
         assert rx.stack.tcp.conns == {}
-        yield sim.timeout(1.0)  # a snapshot of headers, answered with RST
-        assert (push.connects, rx.messages_received) == (1, 4)
+        yield sim.timeout(1.0)  # a snapshot's header, answered with RST
+        assert (push.connects, rx.messages_received) == (1, 5)
         yield sim.timeout(1.0)  # the re-dial, sent everything
-        assert (push.connects, rx.messages_received) == (2, 7)
+        assert (push.connects, rx.messages_received) == (2, 8)
         assert set(rx.database(MSG_SYSDB)) == {"10.0.0.1", "10.0.0.2"}
         sent = push.bytes_sent
-        yield sim.timeout(1.0)  # and in step again: three headers
+        yield sim.timeout(1.0)  # and in step again: one header
         assert (push.connects, push.bytes_sent - sent) == (2, 3 * 8)
         return push.snapshots_sent, push.send_failures
 
-    assert run_process(sim, script(), until=5.0) == (5, 0)
+    assert run_process(sim, script(), until=6.0) == (6, 0)
 
 
 def test_contradicting_body_unholds_the_database_it_claims_to_be_too():
-    """Header says sysdb, body says secdb: whichever the sender meant,
-    neither is held any more — the unchanged secdb of the same round is
-    already refused."""
+    """Header announces sysdb, body says secdb: whichever the sender
+    meant, neither is held any more — the next round's *unchanged*
+    secdb is refused although its sysdb comes in full."""
     cluster, cfg, elided, full = build()
     rx, tx = elided.receiver, elided.transmitter
 
@@ -467,6 +471,10 @@ def test_contradicting_body_unholds_the_database_it_claims_to_be_too():
         yield from rx.pull_all()
         segment(elided, cfg, MSG_SYSDB).write(content(MSG_SYSDB, 2, 0.0))
         tx.contradict_next = True
+        yield from rx.pull_all()
+        assert (rx.pull_failures, rx._pull_conns[elided.monitor.addr].held) \
+            == (0, {MSG_NETDB})
+        segment(elided, cfg, MSG_SYSDB).write(content(MSG_SYSDB, 3, 0.0))
         yield from rx.pull_all()
         return rx.pull_failures, list(rx._pull_conns)
 
@@ -487,7 +495,7 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
         yield sim.timeout(3.0)
         assert rx.min_freshness_age() == pytest.approx(3.0, abs=0.01)
         yield from rx.pull_all()
-        assert tx.bytes_sent - full_bytes == 3 * 8  # three headers, no body
+        assert tx.bytes_sent - full_bytes == 3 * 8  # one header entry each, no body
         assert rx.messages_received == 6
         assert rx.min_freshness_age() < 0.01
         assert all(rx.staleness(t) < 0.01 for t in DATABASES)
@@ -500,8 +508,9 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
 
 
 def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
-    """Nothing rewritten: an interval's push is three headers, and the
-    receiver's freshness stamps follow the pushes all the same."""
+    """Nothing rewritten: an interval's push is one header of three
+    *unchanged* entries, and the receiver's freshness stamps follow the
+    pushes all the same."""
     cluster, cfg, elided, full = build(Mode.CENTRALIZED)
     rx, push = elided.receiver, elided.push
     sim = cluster.sim

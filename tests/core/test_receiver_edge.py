@@ -7,7 +7,8 @@ import pytest
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, Receiver
 from repro.core.receiver import SKEW_TOLERANCE
-from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
+from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, UNCHANGED
+from tests.conftest import run_process
 
 
 def world():
@@ -99,9 +100,10 @@ class TestFrameStream:
                 yield conn.recv()  # whatever arrives counts as a pull
                 now = cluster.sim.now
                 for frame in (
-                    ("hdr", MSG_SYSDB, 1), ("body", MSG_SYSDB, {"s": 1}, now),
-                    ("hdr", MSG_NETDB, 1), ("body", MSG_SECDB, {"x": 1}, now),
-                    ("hdr", MSG_NETDB, 1), ("body", MSG_NETDB, {"n": 1}, now),
+                    ("hdr", ((MSG_SYSDB, 1), (MSG_NETDB, 1), (MSG_SECDB, 1))),
+                    ("body", MSG_SYSDB, {"s": 1}, now),
+                    ("body", MSG_SECDB, {"x": 1}, now),  # the netdb is next
+                    ("body", MSG_SECDB, {"y": 1}, now),
                 ):
                     conn.send(frame, 8)
 
@@ -110,10 +112,10 @@ class TestFrameStream:
         receiver.add_transmitter(m.addr)
         done = cluster.sim.process(receiver.pull_all())
         cluster.run(until=1.0)
-        assert done.processed  # three bodies seen: no wait for a fourth
+        assert done.processed  # three bodies announced: no wait for a fourth
         assert receiver.database(MSG_SYSDB) == {"s": 1}
-        assert receiver.database(MSG_NETDB) == {"n": 1}
-        assert receiver.database(MSG_SECDB) == {}
+        assert receiver.database(MSG_NETDB) == {}
+        assert receiver.database(MSG_SECDB) == {"y": 1}
         assert receiver.messages_received == 2
         assert receiver.pull_timeouts == receiver.pull_failures == 0
 
@@ -123,15 +125,109 @@ class TestFrameStream:
 
         def push():
             conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
-            conn.send(("hdr", MSG_SYSDB, 1), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
             conn.send(("body", MSG_SYSDB, {"old": 1}), 8)
-            conn.send(("hdr", MSG_SYSDB, 1), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
             conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
 
         cluster.sim.process(push())
         cluster.run(until=1.0)  # would raise if the short body were indexed
         assert receiver.database(MSG_SYSDB) == {"s": 1}
         assert receiver.messages_received == 1
+
+    def test_push_header_ends_what_the_last_one_owed(self):
+        """A header whose body never came leaves that database unheld:
+        the next header's *unchanged* for it aborts the connection."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        receiver.start()
+
+        def push():
+            conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
+            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
+            conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)  # its body never comes
+            conn.send(("hdr", ((MSG_SYSDB, UNCHANGED),)), 8)
+
+        cluster.sim.process(push())
+        cluster.run(until=1.0)
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.messages_received == 1
+        assert receiver.stack.tcp.conns == {}  # aborted
+
+    #: headers a receiver must skip, and must not index past
+    BAD_HEADERS = (
+        ("hdr",),  # no entries at all
+        ("hdr", MSG_SYSDB, 1),  # one database's header, unwrapped
+        ("hdr", 7),  # not a sequence
+        ("hdr", "ab"),  # a sequence, not of pairs
+        ("hdr", ()),  # names no database
+        ("hdr", ((MSG_SYSDB,),)),  # not a pair
+        ("hdr", ((MSG_SYSDB, 1, 2),)),  # nor this
+        ("hdr", ((MSG_SYSDB, "1"),)),  # the size is no number
+        ("hdr", ((9, 1),)),  # no such database
+        ("hdr", ((MSG_SYSDB, 1), (MSG_SYSDB, 1))),  # a type twice
+        ("hdr", ((MSG_SYSDB, UNCHANGED), (MSG_SYSDB, UNCHANGED))),
+    )
+
+    def test_push_skips_untrusted_headers_and_what_follows_them(self):
+        """Each bad header is skipped, and so are the bodies after it —
+        nothing announced them; an *unchanged* inside a bad header is not
+        read either, so it does not abort the connection.  The good
+        snapshot after them all is applied on the same connection."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        receiver.start()
+
+        def push():
+            conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
+            now = cluster.sim.now
+            for bad in self.BAD_HEADERS:
+                conn.send(bad, 8)
+                for msg_type in (9, MSG_SYSDB):
+                    conn.send(("body", msg_type, {"bad": 1}, now), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
+            conn.send(("body", MSG_SYSDB, {"s": 1}, now), 8)
+
+        cluster.sim.process(push())
+        cluster.run(until=1.0)
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.messages_received == 1
+        assert len(receiver.stack.tcp.conns) == 1  # not aborted
+
+    @pytest.mark.parametrize("bad", BAD_HEADERS, ids=repr)
+    def test_pull_round_ends_on_an_untrusted_header(self, bad):
+        """A header that cannot be read owes nothing: the round ends
+        without waiting out ``PULL_TIMEOUT``.  The body that followed it
+        is not taken by the next round as its own."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        rounds = iter(range(2))
+
+        def answer(conn):
+            while True:
+                yield conn.recv()
+                now = cluster.sim.now
+                if next(rounds) == 0:
+                    frames = (bad, ("body", MSG_SYSDB, {"stray": 1}, now))
+                else:
+                    frames = (("hdr", ((MSG_SYSDB, 1),)),
+                              ("body", MSG_SYSDB, {"s": 1}, now))
+                for frame in frames:
+                    conn.send(frame, 8)
+
+        m.stack.tcp.serve(cfg.ports.transmitter, answer,
+                          name="fake-tx", session_name="fake-tx-session")
+        receiver.add_transmitter(m.addr)
+
+        def two_rounds():
+            start = cluster.sim.now
+            yield from receiver.pull_all()
+            assert cluster.sim.now - start < 0.1
+            assert receiver.database(MSG_SYSDB) == {}
+            yield from receiver.pull_all()
+
+        run_process(cluster.sim, two_rounds(), until=10.0)
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.messages_received == 1
+        assert receiver.pull_timeouts == receiver.pull_failures == 0
 
 
 class TestSkewRebase:
@@ -146,7 +242,6 @@ class TestSkewRebase:
 
     def apply(self, cluster, receiver, stamp, updated_at):
         """Run one _apply; returns (record as stored, sim time of apply)."""
-        from tests.conftest import run_process
         data = {"10.0.0.9": self.record(updated_at)}
         at = cluster.sim.now
         run_process(

@@ -68,6 +68,30 @@ def make_world(mode, n_monitors=1, delays=None):
     return cluster, cfg, receiver, transmitters, monitors
 
 
+class _Tap:
+    """The connection a transmitter answers on, noting each message
+    handed to it: kind, the databases it names and its size."""
+
+    def __init__(self, conn, sends):
+        self.conn, self.sends = conn, sends
+
+    def send(self, payload, nbytes):
+        kind, what = payload[0], payload[1]
+        self.sends.append((kind, tuple(t for t, _ in what) if kind == "hdr"
+                           else what, nbytes))
+        self.conn.send(payload, nbytes)
+
+
+class TappedTransmitter(Transmitter):
+    """The real transmitter; ``sends`` is what its last answer sent."""
+
+    sends: list
+
+    def _send_messages(self, conn, messages):
+        self.sends = []
+        return super()._send_messages(_Tap(conn, self.sends), messages)
+
+
 class TestCentralized:
     def test_push_populates_wizard_segments(self):
         cluster, cfg, receiver, txs, _ = make_world(Mode.CENTRALIZED)
@@ -185,6 +209,46 @@ class TestDistributed:
         first, second = run_process(cluster.sim, p(), until=30.0)
         assert "10.9.9.9" not in first
         assert "10.9.9.9" in second
+
+    def test_a_round_is_one_header_then_the_bodies_that_moved(self):
+        """What a pull round puts on the wire: one header of 8 bytes per
+        database, sent before any body, then the bodies of the databases
+        that moved, in header order.  A round in which nothing moved is
+        MSG_PULL, the header and their two acks: 4 TCP segments."""
+        cluster, cfg, receiver, _, (mon,) = make_world(Mode.DISTRIBUTED)
+        sim = cluster.sim
+        wizard = cluster.host("wizard")
+        tx = TappedTransmitter(sim, mon.stack, mon.shm,
+                               receiver_addrs=[wizard.addr], config=cfg)
+        tx.start()
+        receiver.add_transmitter(mon.addr)
+        sysdb = mon.shm.segment(cfg.shm.monitor_system)
+
+        def segments():
+            return sum(nic.tx_packets for h in (mon, wizard) for nic in h.node.nics)
+
+        def one_round():
+            before, sent = segments(), tx.bytes_sent
+            yield from receiver.pull_all()
+            yield sim.timeout(0.1)  # the last ack is in
+            return segments() - before, tx.bytes_sent - sent, tx.sends
+
+        def rounds():
+            full = yield from one_round()
+            quiet = yield from one_round()
+            sysdb.write(dict(sysdb.read()))  # rewritten: a new version
+            moved = yield from one_round()
+            return full, quiet, moved
+
+        full, quiet, moved = run_process(sim, rounds(), until=30.0)
+        header = ("hdr", (MSG_SYSDB, MSG_NETDB, MSG_SECDB), 3 * 8)
+        assert full[1:] == (3 * 8 + 204 + 32 + 24, [
+            header, ("body", MSG_SYSDB, 204), ("body", MSG_NETDB, 32),
+            ("body", MSG_SECDB, 24)])
+        assert quiet == (4, 3 * 8, [header])
+        assert moved == (6, 3 * 8 + 204, [header, ("body", MSG_SYSDB, 204)])
+        assert receiver.pull_timeouts == receiver.pull_failures == 0
+
 
 class TestPushHardening:
     def test_push_loop_survives_receiver_crash_and_restart(self):
@@ -361,13 +425,12 @@ class TestPullHardening:
 
         def one_body_then_die(conn):
             yield conn.recv()
-            conn.send(("hdr", MSG_SYSDB, 204), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 204), (MSG_NETDB, 32), (MSG_SECDB, 24))), 24)
             conn.send(("body", MSG_SYSDB, {"10.0.1.1": "first"}, now), 204)
-            conn.send(("hdr", MSG_NETDB, 32), 8)
             conn.send(("body", MSG_NETDB, {"g1": "kept"}, now), 32)
-            conn.close()
+            conn.close()  # the secdb it announced never comes
             yield conn.recv()  # second round: body, then gone
-            conn.send(("hdr", MSG_SYSDB, 204), 8)
+            conn.send(("hdr", ((MSG_SYSDB, 204),)), 8)
             conn.send(("body", MSG_SYSDB, {"10.0.1.1": "second"}, now), 204)
             conn.abort()
 

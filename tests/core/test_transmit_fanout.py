@@ -112,7 +112,8 @@ class TestFanOut:
     def test_each_replica_has_its_own_memory_of_what_it_was_sent(self):
         """Pushes ship what moved *on that connection*: a replica that
         lost its connection is sent everything on the new one while its
-        sibling, whose connection held, keeps receiving three headers."""
+        sibling, whose connection held, keeps receiving a header of
+        three *unchanged* entries."""
         cluster, cfg, tx, receivers, wiz_hosts, _ = make_fanout_world(2)
         for r in receivers:
             r.start()
@@ -120,12 +121,12 @@ class TestFanOut:
         kept, redialled = (tx.push_stats[w.addr] for w in wiz_hosts)
 
         def scenario():
-            yield cluster.sim.timeout(2.5)  # in full, then headers only
+            yield cluster.sim.timeout(2.5)  # in full, then a header only
             in_full = kept.bytes_sent - 2 * 3 * 8
             assert redialled.bytes_sent == kept.bytes_sent
             for conn in list(wiz_hosts[1].stack.tcp.conns.values()):
                 conn.abort()  # replica 1's end of the connection is gone
-            yield cluster.sim.timeout(1.0)  # headers into the void: RST
+            yield cluster.sim.timeout(1.0)  # a header into the void: RST
             sent = kept.bytes_sent, redialled.bytes_sent
             yield cluster.sim.timeout(1.0)
             assert (kept.connects, redialled.connects) == (1, 2)

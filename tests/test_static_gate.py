@@ -227,6 +227,22 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     assert "def test_dial_leaves_no_condition_behind(" in bench
 
 
+def test_ci_runs_the_distributed_ledger_workload_as_a_smoke():
+    """Before the ledger self-test the tier-1 job runs the ledger's
+    distributed-mode workload once, untraced and short: the run exits
+    non-zero on any placement the ledger's oracle rejects, so the pull
+    path is checked end to end against an independent oracle on every
+    push."""
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
+    step = ("run: python benchmarks/ledger/run.py --workload testbed_pull "
+            "--seed 0 --seconds 3 --trace 0 env: PYTHONPATH: src")
+    assert step in ci
+    assert (ci.index("name: tier-1 pytest") < ci.index(step)
+            < ci.index("run: python -m pytest benchmarks/ledger -q"))
+    run = (REPO / "benchmarks" / "ledger" / "run.py").read_text()
+    assert '"correct": not failures' in run and "return 1 if failures else 0" in run
+
+
 def test_the_one_accept_loop_is_in_tcp():
     """Every TCP service is a handler on ``TcpLayer.serve``: a yielded
     ``.accept()`` anywhere else in ``src/repro`` is a hand-written accept
