@@ -164,8 +164,8 @@ def check_main(argv: list[str] | None = None) -> int:
                     "hazards (D-series REPRO1xx: bare random/wall-clock/"
                     "entropy, unordered scheduling, float time equality) "
                     "and concurrency hazards (R-series "
-                    "REPRO3xx: unguarded blocking receives, untracked "
-                    "shared segments); run the "
+                    "REPRO3xx: unguarded blocking receives, kernel-mutating "
+                    "callbacks, dropped processes, bare excepts); run the "
                     "whole-program flow (--flow, F-series REPRO4xx), "
                     "hot-path performance (--perf, H-series REPRO5xx) or "
                     "typestate/protocol-conformance (--proto, S-series "

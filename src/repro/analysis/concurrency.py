@@ -8,9 +8,6 @@ that *lead* to them before any run:
   enclosing ``Interrupt`` guard hangs forever when the peer dies and
   leaks on daemon shutdown (REPRO301) — the guard is lexical, or the
   ``serve`` skeleton's when the file hands the generator to one;
-* writing a shared-memory segment in a module that never touches
-  :func:`repro.sim.hb.shared` means the race detector is blind exactly
-  where daemons share state (REPRO303);
 * an event callback that mutates kernel internals corrupts the queue the
   kernel is iterating (REPRO304);
 * a spawned :class:`~repro.sim.kernel.Process` whose handle is dropped
@@ -18,8 +15,8 @@ that *lead* to them before any run:
 * ``except:`` around channel operations swallows ``Interrupt`` and the
   kernel's own :class:`~repro.sim.kernel.SimulationError` (REPRO306).
 
-Path scoping: ``repro/sim/`` is the synchronisation layer itself and is
-exempt from REPRO303 (it implements the wrapper the rule demands).
+The race detector needs no rule of its own: every shared-memory
+segment is tracked from birth (:class:`repro.sim.resources.Segment`).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "scheduled_call_target",
     "served_handler",
     "CHANNEL_OP_ATTRS",
-    "SEGMENT_ALLOWLIST",
     "INTERRUPT_CATCHERS",
 ]
 
@@ -78,10 +74,6 @@ def served_handler(call: ast.Call) -> Optional[ast.expr]:
 CHANNEL_OP_ATTRS: frozenset[str] = frozenset({
     "recv", "accept", "send", "sendto", "connect", "transmit",
 })
-
-#: the IPC layer itself may write segments without the shared() wrapper
-SEGMENT_ALLOWLIST: tuple[str, ...] = ("repro/sim/resources.py",
-                                     "repro/sim/hb.py")
 
 #: exception names whose handler counts as covering an Interrupt
 INTERRUPT_CATCHERS: frozenset[str] = frozenset({
@@ -166,58 +158,6 @@ class BlockingRecvRule(Rule):
                         call,
                     )
             yield from self._visit(ctx, child, guarded, served)
-
-
-@rule
-class UntrackedSegmentWriteRule(Rule):
-    """REPRO303: ``.segment(...).write(...)`` in a module that never
-    references :func:`~repro.sim.hb.shared`.
-
-    Segments written by daemons are exactly the state the happens-before
-    sanitizer exists to watch; an unwrapped segment is invisible to it,
-    so a racing read would pass every sanitized run unnoticed.
-    """
-
-    code = "REPRO303"
-    name = "untracked-segment-write"
-
-    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        if ctx.in_allowlist(SEGMENT_ALLOWLIST):
-            return
-        uses_shared = any(
-            isinstance(n, ast.Name) and n.id == "shared"
-            for n in ast.walk(ctx.tree)
-        )
-        if uses_shared:
-            return
-        seg_names: set[str] = set()
-        for node in ctx.runtime_nodes:
-            if isinstance(node, ast.Assign) and _is_segment_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        seg_names.add(target.id)
-        for node in ctx.runtime_nodes:
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "write"):
-                continue
-            base = node.func.value
-            direct = _is_segment_call(base)
-            via_name = isinstance(base, ast.Name) and base.id in seg_names
-            if direct or via_name:
-                yield ctx.diag(
-                    self.code,
-                    "segment written without shared() tracking: the "
-                    "happens-before sanitizer cannot see this state — "
-                    "wrap the segment with repro.sim.hb.shared(...)",
-                    node,
-                )
-
-
-def _is_segment_call(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "segment")
 
 
 @rule

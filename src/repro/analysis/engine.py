@@ -15,9 +15,9 @@ Two per-file rule families ship in sibling modules:
   unordered iteration feeding the event scheduler, no float equality on
   event times.
 * :mod:`repro.analysis.concurrency` — **R-series** (``REPRO3xx``):
-  blocking receives with no timeout or interrupt guard, untracked
-  shared-segment writes, callbacks that mutate the kernel, dropped
-  process handles, bare ``except`` around channel operations.
+  blocking receives with no timeout or interrupt guard, callbacks that
+  mutate the kernel, dropped process handles, bare ``except`` around
+  channel operations.
 
 This module is the base every series shares — the code and series
 tables, the parsed-file type, the per-file rule registry and the
@@ -75,8 +75,6 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
     "REPRO106": (Severity.WARNING, "float equality on event times"),
     "REPRO301": (Severity.ERROR, "blocking receive without timeout or "
                                  "interrupt guard"),
-    "REPRO303": (Severity.ERROR, "shared segment written without shared() "
-                                 "tracking"),
     "REPRO304": (Severity.ERROR, "event callback mutates simulator state"),
     "REPRO305": (Severity.WARNING, "spawned process is never joined or kept"),
     "REPRO306": (Severity.ERROR, "bare except around channel operations"),

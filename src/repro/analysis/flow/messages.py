@@ -10,6 +10,8 @@ it may carry.  Propagation follows the shapes the daemons actually use —
   (``status: int = REPLY_OK``) tags constructions that never name it;
 * ``WireMessage.pull()`` / ``reply = yield from self._process(...)`` —
   function return values, to a cross-function fixpoint;
+* ``for msg_type, db in STATUS_DATABASES.items()`` — a module-level
+  table that names a tag carries the tags of everything it holds;
 * ``self._send_messages(conn, messages)`` — tagged arguments flow into
   callee parameters (the generic send helper inherits the snapshot's
   tags);
@@ -56,6 +58,7 @@ class TagAnalysis:
         self.returns_tags: dict[str, frozenset[str]] = {}
         self.param_tags: dict[tuple[str, str], frozenset[str]] = {}
         self.send_sites: list[SendSite] = []
+        self._locals: dict[str, frozenset[str]] = {}
 
     # -- fixpoint driver ----------------------------------------------------
     def run(self) -> None:
@@ -73,6 +76,16 @@ class TagAnalysis:
         for site in self.send_sites:
             out.update(site.tags)
         return frozenset(out)
+
+    def _local_names(self, fn: FunctionInfo) -> frozenset[str]:
+        """Names ``fn`` binds (parameters, stores): none of them reads a
+        module-level table of the same name."""
+        names = self._locals.get(fn.qualname)
+        if names is None:
+            names = self._locals[fn.qualname] = frozenset(fn.params) | {
+                n.id for n in ast.walk(fn.node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        return names
 
     # -- one function -------------------------------------------------------
     def _analyze_function(self, fn: FunctionInfo) -> None:
@@ -203,6 +216,9 @@ class TagAnalysis:
         if isinstance(expr, ast.Name):
             if expr.id in self.table.tags:
                 return frozenset({expr.id})
+            if (expr.id in self.table.tables
+                    and expr.id not in self._local_names(fn)):
+                return self._tags_of(self.table.tables[expr.id], {}, fn)
             return env.get(expr.id, frozenset())
         if isinstance(expr, ast.Attribute):
             ref = self.table.resolve_call(expr, fn.module, fn.cls)

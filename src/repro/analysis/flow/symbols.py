@@ -96,9 +96,16 @@ class SymbolTable:
         self.constants: dict[tuple[str, str], int] = {}
         #: global ``MSG_``/``REPLY_`` int constants (wire tags)
         self.tags: dict[str, int] = {}
+        #: module-level container literals that name a wire tag, by name
+        #: (``STATUS_DATABASES``): a read of one carries what it holds
+        self.tables: dict[str, ast.expr] = {}
         self.registries: list[WireRegistry] = []
         for unit in units:
             self._index_unit(unit)
+        self.tables = {
+            name: value for name, value in self.tables.items()
+            if any(isinstance(n, ast.Name) and n.id in self.tags
+                   for n in ast.walk(value))}
 
     # -- construction -------------------------------------------------------
     def _index_unit(self, unit: FileUnit) -> None:
@@ -126,6 +133,8 @@ class SymbolTable:
             registry = _parse_registry(unit, value)
             if registry is not None:
                 self.registries.append(registry)
+        elif isinstance(value, (ast.Dict, ast.Tuple, ast.List)):
+            self.tables[name] = value
 
     def _add_function(self, unit: FileUnit, node: ast.FunctionDef,
                       cls: str) -> FunctionInfo:

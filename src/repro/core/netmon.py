@@ -330,22 +330,14 @@ class NetworkMonitor:
             pass
 
     def _publish(self, peer_group: str, metric: NetMetric):
-        seg = self.shm.segment(self.segment_key)
-        req = seg.lock.acquire()
-        try:
-            yield req
-            # copy-on-write is required here: mutating the stored dict in
-            # place would bypass shared() tracking.  Runs at probe rate
-            # (netmon_interval), not request rate, so the copy is cheap
-            # (DESIGN §9: every writer republishes, none mutates).
-            db = dict(seg.read() or {})  # repro: noqa[REPRO501]
-            # ... and a fresh record too: the published dict, and any
-            # snapshot the transmitter has already handed to TCP, still
-            # hold the previous one
+        def publish(db):
+            # a fresh record too: the published dict, and any snapshot
+            # the transmitter has already handed to TCP, still hold the
+            # previous one
             previous = db.get(self.group)
             metrics = dict(previous.metrics) if previous is not None else {}
             metrics[peer_group] = metric
             db[self.group] = NetStatusRecord(self.group, metrics, self.sim.now)
-            seg.write(db)
-        finally:
-            seg.lock.release(req)
+            return db
+
+        yield from self.shm.segment(self.segment_key).update(publish)

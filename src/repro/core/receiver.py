@@ -57,9 +57,9 @@ import dataclasses
 from typing import Optional, Sequence
 
 from ..net.tcp import ConnectionClosed, TcpConnection
-from ..sim import Event, HostClock, SharedMemory, Simulator, shared
+from ..sim import Event, HostClock, Segment, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
-from .records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
+from .records import STATUS_DATABASES, UNCHANGED, WireMessage
 
 __all__ = ["Receiver"]
 
@@ -71,9 +71,6 @@ RESIDENT_BYTES = 92 * 1024
 PULL_TIMEOUT = 2.0
 #: monitor-clock skew tolerated before a stamp counts as suspected_skew
 SKEW_TOLERANCE = 1.0
-#: what a header may name, once each
-DATABASES = (MSG_SYSDB, MSG_NETDB, MSG_SECDB)
-
 
 @dataclasses.dataclass(slots=True)
 class _Feed:
@@ -102,7 +99,7 @@ def _header_entries(fields: list) -> Optional[Sequence]:
         return None
     for entry in entries:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                and entry[0] in DATABASES and isinstance(entry[1], int)):
+                and entry[0] in STATUS_DATABASES and isinstance(entry[1], int)):
             return None
     if len({msg_type for msg_type, _ in entries}) < len(entries):
         return None
@@ -144,10 +141,9 @@ class Receiver:
         #: snapshots whose sender clock disagreed with ours beyond
         #: ``SKEW_TOLERANCE`` (their record stamps were rebased)
         self.suspected_skew = 0
-        for key, db_name in ((config.shm.wizard_system, "wizard-sysdb"),
-                             (config.shm.wizard_network, "wizard-netdb"),
-                             (config.shm.wizard_security, "wizard-secdb")):
-            shared(self.shm.segment(key), name=db_name).write({})
+        for db in STATUS_DATABASES.values():
+            shared(self.shm.segment(db.wizard_key(config.shm)),
+                   name=f"wizard-{db.name}").write({})
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -167,15 +163,11 @@ class Receiver:
             self.transmitters.append(addr)
 
     # -- data access -------------------------------------------------------------
-    def _segment_key(self, msg_type: int) -> int:
-        return {
-            MSG_SYSDB: self.config.shm.wizard_system,
-            MSG_NETDB: self.config.shm.wizard_network,
-            MSG_SECDB: self.config.shm.wizard_security,
-        }[msg_type]
+    def _segment(self, msg_type: int) -> Segment:
+        return self.shm.segment(STATUS_DATABASES[msg_type].wizard_key(self.config.shm))
 
     def database(self, msg_type: int) -> dict:
-        return dict(self.shm.segment(self._segment_key(msg_type)).read() or {})
+        return dict(self._segment(msg_type).read() or {})
 
     def staleness(self, msg_type: int) -> float:
         """Seconds since a snapshot of ``msg_type`` was last applied
@@ -235,13 +227,7 @@ class Receiver:
         merged: dict = {}
         for contrib in self._sources.values():
             merged.update(contrib.get(msg_type, {}))
-        seg = self.shm.segment(self._segment_key(msg_type))
-        req = seg.lock.acquire()
-        try:
-            yield req
-            seg.write(merged)
-        finally:
-            seg.lock.release(req)
+        yield from self._segment(msg_type).locked(merged)
         self._updated_at[msg_type] = self.sim.now
         self.messages_received += 1
 

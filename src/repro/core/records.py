@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from ..lang.variables import MONITOR_VARS, SERVER_SIDE_VARS
+from .config import ShmKeys
 
 __all__ = [
     "ServerStatusReport",
@@ -38,6 +40,7 @@ __all__ = [
     "MSG_NETDB",
     "MSG_SECDB",
     "MSG_PULL",
+    "STATUS_DATABASES",
     "UNCHANGED",
     "REPLY_OK",
     "REPLY_NAK",
@@ -65,6 +68,8 @@ def _verify_record_floor(record_bytes: int, n_vars: int) -> None:
 
 _verify_record_floor(SERVER_RECORD_BYTES, len(SERVER_SIDE_VARS))
 
+# the status databases' wire tags; which segment holds each on either
+# machine, and what builds its body, is STATUS_DATABASES below
 MSG_SYSDB = 1
 MSG_NETDB = 2
 MSG_SECDB = 3
@@ -333,6 +338,30 @@ class WireMessage:
     @staticmethod
     def pull() -> "WireMessage":
         return WireMessage(MSG_PULL, 8, None)
+
+
+@dataclass(frozen=True)
+class StatusDatabase:
+    """One of the three status databases (thesis Table 4.3): the
+    :class:`~repro.core.config.ShmKeys` key of its segment on the monitor
+    machine and on the wizard machine, and the builder of its body."""
+
+    name: str
+    monitor_key: Callable[[ShmKeys], int]
+    wizard_key: Callable[[ShmKeys], int]
+    message: Callable[[dict], WireMessage]
+
+
+#: wire tag -> database, in header order: the one table the transmitter,
+#: the receiver and the wizard read which segment holds what
+STATUS_DATABASES: dict[int, StatusDatabase] = {
+    MSG_SYSDB: StatusDatabase("sysdb", attrgetter("monitor_system"),
+                              attrgetter("wizard_system"), WireMessage.sysdb),
+    MSG_NETDB: StatusDatabase("netdb", attrgetter("monitor_network"),
+                              attrgetter("wizard_network"), WireMessage.netdb),
+    MSG_SECDB: StatusDatabase("secdb", attrgetter("monitor_security"),
+                              attrgetter("wizard_security"), WireMessage.secdb),
+}
 
 
 # sanity: the requirement language and the reports must agree on names

@@ -90,18 +90,12 @@ class SecurityMonitor:
         except (ValueError, TypeError):
             self.errors += 1
             return
-        seg = self.shm.segment(self.segment_key)
-        req = seg.lock.acquire()
-        try:
-            yield req
-            db = {
-                host: SecurityRecord(host=host, level=level, updated_at=self.sim.now)
-                for host, level in entries
-            }
-            seg.write(db)
-            self.scans += 1
-        finally:
-            seg.lock.release(req)
+        db = {
+            host: SecurityRecord(host=host, level=level, updated_at=self.sim.now)
+            for host, level in entries
+        }
+        yield from self.shm.segment(self.segment_key).locked(db)
+        self.scans += 1
 
     def _run(self):
         try:

@@ -48,7 +48,7 @@ class SystemMonitor:
         self.parse_errors = 0
         self.expired = 0
         # initialise the segment with an empty database; shared() names
-        # it for the happens-before sanitizer
+        # it in race reports
         shared(self.shm.segment(self.segment_key),
                name=f"sysdb@{stack.node.name}").write({})
 
@@ -109,40 +109,26 @@ class SystemMonitor:
         return True
 
     def _upsert(self, report: ServerStatusReport):
-        seg = self.shm.segment(self.segment_key)
-        req = seg.lock.acquire()
-        try:
-            yield req
-            # copy-on-write upsert: in-place mutation of the stored dict
-            # would bypass shared() tracking and edit a snapshot already
-            # handed to TCP.  Per status report (seconds apart per
-            # host), not per wizard request (DESIGN §9).
-            db = dict(seg.read() or {})  # repro: noqa[REPRO501]
+        def upsert(db):
             db[report.addr] = ServerStatusRecord(report=report, updated_at=self.clock.now())
-            seg.write(db)
-        finally:
-            seg.lock.release(req)
+            return db
+
+        yield from self.shm.segment(self.segment_key).update(upsert)
 
     def _reap(self):
-        interval = self.config.probe_interval
-        limit = PROBE_MISS_LIMIT * interval
-        seg = self.shm.segment(self.segment_key)
+        limit = PROBE_MISS_LIMIT * self.config.probe_interval
+
+        def reap(db):
+            now = self.clock.now()
+            stale = [a for a, rec in db.items() if rec.age(now) > limit]
+            for addr in stale:
+                del db[addr]
+            self.expired += len(stale)
+            return db if stale else None
+
         try:
             while True:
-                yield self.sim.timeout(interval)
-                req = seg.lock.acquire()
-                try:
-                    yield req
-                    # copy-on-write reap, once per probe_interval — same
-                    # constraint as _upsert above
-                    db = dict(seg.read() or {})  # repro: noqa[REPRO501]
-                    stale = [a for a, rec in db.items() if rec.age(self.clock.now()) > limit]
-                    for addr in stale:
-                        del db[addr]
-                        self.expired += 1
-                    if stale:
-                        seg.write(db)
-                finally:
-                    seg.lock.release(req)
+                yield self.sim.timeout(self.config.probe_interval)
+                yield from self.shm.segment(self.segment_key).update(reap)
         except Interrupt:
             pass

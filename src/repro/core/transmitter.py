@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import HostClock, Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
-from .records import MSG_NETDB, MSG_PULL, MSG_SECDB, MSG_SYSDB, UNCHANGED, WireMessage
+from .records import MSG_PULL, STATUS_DATABASES, UNCHANGED, WireMessage
 
 __all__ = ["Transmitter", "PushStats"]
 
@@ -162,27 +162,18 @@ class Transmitter:
         updated in place.  A database not rewritten since comes back as
         :meth:`WireMessage.unchanged`, without building the message that
         will not be sent.  Without a memory all three are built."""
-        keys = self.config.shm
         if carried is None:
             carried = {}
         messages = []
-        for key, msg_type, builder in (
-            (keys.monitor_system, MSG_SYSDB, WireMessage.sysdb),
-            (keys.monitor_network, MSG_NETDB, WireMessage.netdb),
-            (keys.monitor_security, MSG_SECDB, WireMessage.secdb),
-        ):
-            seg = self.shm.segment(key)
-            req = seg.lock.acquire()
-            try:
-                yield req
-                data, version = seg.read() or {}, seg.writes
-            finally:
-                seg.lock.release(req)
+        for msg_type, db in STATUS_DATABASES.items():
+            seg = self.shm.segment(db.monitor_key(self.config.shm))
+            data = yield from seg.locked()
+            version = seg.writes  # nothing has run since the read
             if carried.get(msg_type) == version:
                 messages.append(WireMessage.unchanged(msg_type))
             else:
                 carried[msg_type] = version
-                messages.append(builder(dict(data)))
+                messages.append(db.message(dict(data or {})))
         return messages
 
     def _send_messages(self, conn, messages) -> int:

@@ -71,6 +71,7 @@ from .records import (
     REPLY_NAK,
     REPLY_OK,
     REPLY_STALE,
+    STATUS_DATABASES,
     NetStatusRecord,
     SecurityRecord,
     ServerStatusRecord,
@@ -284,14 +285,11 @@ class Wizard:
         No copy: every writer of these segments publishes a fresh dict
         and never touches it again (copy-on-write, see DESIGN.md), and
         :meth:`match` only reads."""
-        shm_keys = self.config.shm
-        sysdb: dict[str, ServerStatusRecord] = (
-            yield from self.shm.locked_read(shm_keys.wizard_system)) or {}
-        netdb: dict[str, NetStatusRecord] = (
-            yield from self.shm.locked_read(shm_keys.wizard_network)) or {}
-        secdb: dict[str, SecurityRecord] = (
-            yield from self.shm.locked_read(shm_keys.wizard_security)) or {}
-        return sysdb, netdb, secdb
+        dbs = []
+        for db in STATUS_DATABASES.values():
+            seg = self.shm.segment(db.wizard_key(self.config.shm))
+            dbs.append((yield from seg.locked()) or {})
+        return tuple(dbs)
 
     def _candidate_order(
         self, sysdb: dict, rank: Optional[tuple[str, bool]] = None

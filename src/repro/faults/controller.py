@@ -145,10 +145,9 @@ class ChaosController:
             sock.close()
         for listener in list(host.stack.tcp.listeners.values()):
             listener.close()
-        for key in host.shm.keys():
-            # power loss: RAM is gone — intentionally invisible to the
-            # race sanitizer, a crash is not a synchronization bug
-            host.shm.segment(key).write(None)  # repro: noqa[REPRO303]
+        # power loss: RAM is gone.  Not a write — the segments start over
+        # empty, so the race sanitizer cannot take a crash for one
+        host.shm.power_loss()
         self.down_hosts.add(host_name)
         self._note(f"crash-host {host_name}")
 

@@ -28,9 +28,12 @@ Happens-before edge inventory
   :class:`~repro.sim.kernel.AllOf` joins the clocks of its already
   processed members when it fires.
 
-Only state wrapped with :func:`shared` is tracked (the wizard-side
-sysdb/netdb/secdb and the monitor status maps in the stock deployment);
-everything else runs at full speed.  Vector clocks are plain
+The tracked state is the shared-memory segments: every
+:class:`~repro.sim.resources.Segment` is a variable from birth, and
+:func:`shared` only names it (the wizard-side sysdb/netdb/secdb and the
+monitor status maps in the stock deployment).  A host's power loss is
+:meth:`~repro.sim.resources.SharedMemory.power_loss`, not a write: its
+segments start over as new variables.  Vector clocks are plain
 ``{thread_id: count}`` dicts with copy-on-escape: capturing a clock for
 an event marks it shared, and the owning thread copies before its next
 increment, so the common schedule-heavy path never copies at all.
@@ -133,11 +136,12 @@ class _VarState:
 
 
 def shared(segment, name: str):
-    """Mark a :class:`~repro.sim.resources.Segment` for access tracking.
+    """Name a :class:`~repro.sim.resources.Segment` in race reports (it
+    is tracked either way; unnamed, a report calls it by its key).
 
     Returns the segment so construction reads naturally::
 
-        self.db = shared(shm.segment(key), name="sysdb")
+        shared(shm.segment(key), name="sysdb").write({})
 
     Tracking is inert until an :class:`HBSanitizer` is attached to the
     segment's simulator.
@@ -154,7 +158,7 @@ class HBSanitizer(Observer):
     :class:`~repro.sim.kernel.Observer` moments; the resource and
     network layers add their edges through the ``sim._hb`` handle that
     :meth:`attach` sets.  Components never talk to this class directly —
-    they only mark state with :func:`shared`.  After the run,
+    they only name segments with :func:`shared`.  After the run,
     :attr:`races` holds one :class:`RaceReport` per distinct unordered
     pair of access sites.
     """

@@ -16,7 +16,7 @@ we model the same semantics:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .kernel import Event, Simulator, SimulationError
 
@@ -167,9 +167,13 @@ class Resource:
 class Segment:
     """One keyed shared-memory segment: a value slot plus its semaphore.
 
-    Wrapping a segment with :func:`repro.sim.hb.shared` names it for the
-    happens-before sanitizer; every :meth:`read`/:meth:`write` is then a
-    tracked access while a sanitizer is enabled on the simulator.
+    Every rule about a segment lives here.  A daemon takes the semaphore
+    through :meth:`update` (copy-on-write) or :meth:`locked` (publish or
+    read); the bare :meth:`read` / :meth:`write` are for a caller that
+    runs before any process does, or that only inspects.  A segment is
+    tracked from birth: while a happens-before sanitizer is attached to
+    the simulator every access is a tracked access, under ``hb_name``
+    (the key until :func:`repro.sim.hb.shared` names it).
     """
 
     def __init__(self, sim: Simulator, key: int):
@@ -178,24 +182,62 @@ class Segment:
         self.value: Any = None
         self.lock = Resource(sim)
         self.writes = 0
-        self.reads = 0
-        #: sanitizer tracking name; set by :func:`repro.sim.hb.shared`
-        self.hb_name: Optional[str] = None
+        #: what a race report calls this segment
+        self.hb_name = f"shm:{key}"
 
     def write(self, value: Any) -> None:
-        """Unlocked write (caller holds the semaphore)."""
+        """Unlocked write."""
         hb = self.sim._hb
-        if hb is not None and self.hb_name is not None:
+        if hb is not None:
             hb.on_access(self, "write")
         self.value = value
         self.writes += 1
 
     def read(self) -> Any:
+        """Unlocked read."""
         hb = self.sim._hb
-        if hb is not None and self.hb_name is not None:
+        if hb is not None:
             hb.on_access(self, "read")
-        self.reads += 1
         return self.value
+
+    def update(self, change: Callable[[dict], Optional[dict]]):
+        """Process generator: the one copy-on-write path.  Under the
+        semaphore, hand ``change`` a copy of the stored dict and publish
+        what it returns; ``None`` publishes nothing.
+
+        The tracked read and write are inlined (no :meth:`read` /
+        :meth:`write` calls): a probe report runs this once."""
+        req = self.lock.acquire()
+        try:
+            yield req
+            hb = self.sim._hb
+            if hb is not None:
+                hb.on_access(self, "read")
+            # copy, never mutate (DESIGN §9): the stored dict may already
+            # ride in a snapshot handed to TCP, and the wizard memoizes
+            # its scan orders against the identity of the dict it read.
+            # Per status report or reap, not per wizard request.
+            value = change(dict(self.value or {}))
+            if value is not None:
+                if hb is not None:
+                    hb.on_access(self, "write")
+                self.value = value
+                self.writes += 1
+        finally:
+            self.lock.release(req)
+
+    def locked(self, value: Any = None):
+        """Process generator: under the semaphore, publish ``value`` —
+        which its caller hands over and never touches again — or,
+        without one, return what the segment holds."""
+        req = self.lock.acquire()
+        try:
+            yield req
+            if value is None:
+                return self.read()
+            self.write(value)
+        finally:
+            self.lock.release(req)
 
 
 class SharedMemory:
@@ -217,18 +259,11 @@ class SharedMemory:
             seg = self._segments[key] = Segment(self.sim, key)
         return seg
 
-    def keys(self) -> list[int]:
-        return sorted(self._segments)
-
-    def locked_read(self, key: int):
-        """Process generator: acquire the segment lock, read, release.
-
-        Returns the stored value as the generator's return value.
-        """
-        seg = self.segment(key)
-        req = seg.lock.acquire()
-        try:
-            yield req
-            return seg.read()
-        finally:
-            seg.lock.release(req)
+    def power_loss(self) -> None:
+        """The host lost power and its RAM with it.  Every key starts over
+        as a fresh, empty segment under the same name: not a write, so no
+        sanitizer can read the crash as one, and a new variable to it, so
+        nothing after the crash is ordered against what came before."""
+        for key, seg in self._segments.items():
+            fresh = self._segments[key] = Segment(self.sim, key)
+            fresh.hb_name = seg.hb_name

@@ -6,10 +6,6 @@ def fetch(conn):
     return msg
 
 
-def forget(shm, key):
-    shm.segment(key).write(None)  # repro: noqa[REPRO303]
-
-
 def hijack(sim, event):
     def jump(ev):
         sim._now = 0.0  # repro: noqa[REPRO304]

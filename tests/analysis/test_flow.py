@@ -90,6 +90,28 @@ class TestTagPropagation:
         assert report.findings == []
         assert report.program.tags.sent_tags() == frozenset({"REPLY_OK"})
 
+    def test_tag_flows_out_of_a_module_level_table(self, tmp_path):
+        """A loop over a module-level table carries every tag the table
+        names (``STATUS_DATABASES``); a local of the same name does not
+        read the table."""
+        report = analyze(tmp_path, records=(
+            "MSG_A = 1\n"
+            "MSG_B = 2\n"
+            "WIRE_TAG_HANDLERS = {'MSG_A': ('records.handle',),\n"
+            "                     'MSG_B': ('records.handle',)}\n"
+            "TABLE = {MSG_A: 'a', MSG_B: 'b'}\n"
+            "def handle(msg):\n"
+            "    return msg\n"), daemon=(
+            "def push(conn):\n"
+            "    for kind, name in TABLE.items():\n"
+            "        conn.send((kind, name), 8)\n"
+            "def quiet(conn):\n"
+            "    TABLE = {}\n"
+            "    conn.send(TABLE, 8)\n"))
+        assert report.findings == []
+        assert [site.tags for site in report.program.tags.send_sites] == \
+            [("MSG_A", "MSG_B")]
+
     def test_unsent_registered_tag_is_drift(self, tmp_path):
         report = analyze(tmp_path, mod=(
             "MSG_A = 1\n"

@@ -6,12 +6,11 @@ import contextlib
 import io
 import math
 from pathlib import Path
-from typing import Any
 
 import pytest
 
 from repro.net import IP_HEADER
-from repro.sim import Observer, SharedMemory, Simulator
+from repro.sim import Observer, Simulator
 
 
 @pytest.fixture
@@ -89,15 +88,3 @@ def path_hops(net, src: str, dst: str) -> list[str]:
         if len(hops) > 64:
             raise RuntimeError("routing loop detected")
     return hops
-
-
-def locked_write(shm: SharedMemory, key: int, value: Any):
-    """Process generator: acquire segment ``key``'s lock, write, release.
-    Whether the segment is ``shared()``-tracked is the caller's choice."""
-    seg = shm.segment(key)
-    req = seg.lock.acquire()
-    try:
-        yield req
-        seg.write(value)  # repro: noqa[REPRO303]
-    finally:
-        seg.lock.release(req)

@@ -42,6 +42,7 @@ from repro.core import (
     ServerStatusReport,
     Transmitter,
 )
+from repro.core.records import STATUS_DATABASES
 from repro.core.transmitter import PushStats
 from tests.conftest import run_process
 
@@ -167,10 +168,8 @@ def content(msg_type: int, n: int, now: float) -> dict:
 
 
 def segment(side: Side, cfg: Config, msg_type: int):
-    keys = cfg.shm
-    return side.monitor.shm.segment({
-        MSG_SYSDB: keys.monitor_system, MSG_NETDB: keys.monitor_network,
-        MSG_SECDB: keys.monitor_security}[msg_type])
+    return side.monitor.shm.segment(
+        STATUS_DATABASES[msg_type].monitor_key(cfg.shm))
 
 
 def assert_same_databases(elided: Side, full: Side, where: str) -> None:
@@ -490,7 +489,7 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
 
     def script():
         yield from rx.pull_all()
-        published = {t: rx.shm.segment(rx._segment_key(t)).read() for t in DATABASES}
+        published = {t: rx._segment(t).read() for t in DATABASES}
         full_bytes = tx.bytes_sent
         yield sim.timeout(3.0)
         assert rx.min_freshness_age() == pytest.approx(3.0, abs=0.01)
@@ -500,7 +499,7 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
         assert rx.min_freshness_age() < 0.01
         assert all(rx.staleness(t) < 0.01 for t in DATABASES)
         for msg_type in DATABASES:  # the very dicts the wizard has sorted
-            assert rx.shm.segment(rx._segment_key(msg_type)).read() \
+            assert rx._segment(msg_type).read() \
                 is published[msg_type]
         assert rx.suspected_skew == 0
 
@@ -519,7 +518,7 @@ def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
 
     def script():
         yield sim.timeout(0.5)
-        published = {t: rx.shm.segment(rx._segment_key(t)).read() for t in DATABASES}
+        published = {t: rx._segment(t).read() for t in DATABASES}
         in_full = push.bytes_sent
         yield sim.timeout(5.0)  # five more intervals
         assert push.snapshots_sent == 6
@@ -528,7 +527,7 @@ def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
         assert all(rx.staleness(t) < cfg.transmit_interval for t in DATABASES)
         assert rx.min_freshness_age() < cfg.transmit_interval
         for msg_type in DATABASES:  # the very dicts the wizard has sorted
-            assert rx.shm.segment(rx._segment_key(msg_type)).read() \
+            assert rx._segment(msg_type).read() \
                 is published[msg_type]
 
     run_process(sim, script(), until=6.0)

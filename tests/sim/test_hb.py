@@ -9,7 +9,6 @@ from repro.sim import (
     Store,
     shared,
 )
-from tests.conftest import locked_write
 
 
 def _world():
@@ -79,10 +78,12 @@ class TestRaceDetection:
         sim.run()
         assert len(sanitizer.races) == 1
 
-    def test_untracked_segment_is_invisible(self):
+    def test_unnamed_segment_is_tracked(self):
+        """Every segment is tracked from birth: one nobody named with
+        shared() races like any other, reported under its key."""
         sim = Simulator()
         sanitizer = sim.observe(HBSanitizer())
-        seg = SharedMemory(sim).segment(7)  # no shared() wrapper
+        seg = SharedMemory(sim).segment(7)
 
         def w():
             yield sim.timeout(1.0)
@@ -92,21 +93,21 @@ class TestRaceDetection:
             yield sim.timeout(1.0)
             seg.read()
 
-        sim.process(w())
-        sim.process(r())
+        sim.process(w(), name="w")
+        sim.process(r(), name="r")
         sim.run()
-        assert sanitizer.races == []
-        assert sanitizer.accesses == 0
+        assert sanitizer.accesses == 2
+        assert [race.var for race in sanitizer.races] == ["shm:7"]
 
 
 class TestHappensBeforeEdges:
     def test_lock_edge_suppresses_race(self):
         """Same timing as the racing case, but lock-ordered: clean."""
-        sim, sanitizer, shm, db = _world()
+        sim, sanitizer, _, db = _world()
 
         def locked(val):
             yield sim.timeout(1.0)
-            yield from locked_write(shm, 1, val)
+            yield from db.locked(val)
 
         sim.process(locked(1), name="w1")
         sim.process(locked(2), name="w2")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import Interrupt, Resource, SharedMemory, SimulationError, Store
-from tests.conftest import locked_write, run_process
+from tests.conftest import run_process
 
 
 class TestStore:
@@ -144,17 +144,62 @@ class TestSharedMemory:
         seg = shm.segment(1234)
         assert seg.key == 1234
         assert shm.segment(1234) is seg
-        assert shm.keys() == [1234]
+        assert seg.value is None
 
     def test_locked_write_read_roundtrip(self, sim):
-        shm = SharedMemory(sim)
+        seg = SharedMemory(sim).segment(4321)
 
         def p():
-            yield from locked_write(shm, 4321, {"a": 1})
-            value = yield from shm.locked_read(4321)
+            yield from seg.locked({"a": 1})
+            value = yield from seg.locked()
             return value
 
         assert run_process(sim, p()) == {"a": 1}
+        assert seg.writes == 1
+        assert seg.lock.in_use == 0
+
+    def test_update_publishes_a_copy(self, sim):
+        """Copy-on-write: ``change`` edits a copy, and what it returns is
+        published; the dict a reader already holds never moves."""
+        seg = SharedMemory(sim).segment(1234)
+        seg.write({"a": 1})
+        before = seg.read()
+
+        def add_b(db):
+            db["b"] = 2
+            return db
+
+        run_process(sim, seg.update(add_b))
+        assert before == {"a": 1}
+        assert seg.read() == {"a": 1, "b": 2}
+        assert seg.writes == 2
+
+    def test_update_returning_none_publishes_nothing(self, sim):
+        seg = SharedMemory(sim).segment(1234)
+        seg.write({"a": 1})
+        before = seg.read()
+
+        def drop_a(db):
+            del db["a"]
+
+        run_process(sim, seg.update(drop_a))
+        assert seg.read() is before
+        assert before == {"a": 1}
+        assert seg.writes == 1
+        assert seg.lock.in_use == 0
+
+    def test_power_loss_starts_every_segment_over(self, sim):
+        """A crash is not a write: each key is a fresh, empty segment
+        (its own lock, its write count at zero) under the same name."""
+        shm = SharedMemory(sim)
+        old = shm.segment(1234)
+        old.hb_name = "sysdb"
+        old.write({"a": 1})
+        shm.power_loss()
+        fresh = shm.segment(1234)
+        assert fresh is not old
+        assert (fresh.value, fresh.writes, fresh.hb_name) == (None, 0, "sysdb")
+        assert old.value == {"a": 1}
 
     def test_distinct_keys_are_independent(self, sim):
         shm = SharedMemory(sim)
@@ -168,9 +213,8 @@ class TestSharedMemory:
         seg = shm.segment(1)
         seg.write(1)
         seg.write(2)
-        seg.read()
+        assert seg.read() == 2
         assert seg.writes == 2
-        assert seg.reads == 1
 
     def test_writer_excludes_reader(self, sim):
         """A slow writer holding the semaphore delays the reader — the
@@ -188,7 +232,7 @@ class TestSharedMemory:
 
         def reader():
             yield sim.timeout(1)  # arrives while writer holds the lock
-            value = yield from shm.locked_read(1234)
+            value = yield from seg.locked()
             times["read_at"] = sim.now
             times["value"] = value
 
@@ -208,7 +252,7 @@ class TestSharedMemory:
         def read_at(t):
             yield sim.timeout(t)
             try:
-                return (yield from shm.locked_read(1234))
+                return (yield from shm.segment(1234).locked())
             except Interrupt:
                 return None
 

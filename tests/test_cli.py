@@ -61,6 +61,16 @@ class TestCliSubprocess:
 COMMANDS = [["check", "--sanitize"], ["profile"]]
 
 
+#: what ``check --sanitize NAME`` ends with: what the detector tracks
+#: is pinned, not only that it finds no race
+SANITIZE_SUMMARIES = {
+    "matmul": "0 race(s), 1717 tracked access(es) across 2 arm(s)",
+    "massd": "0 race(s), 772 tracked access(es) across 2 arm(s)",
+    "failover": "0 race(s), 1170 tracked access(es) across 2 arm(s)",
+    "grayfail": "0 race(s), 4082 tracked access(es) across 2 arm(s)",
+}
+
+
 class TestSmokeScenarios:
     """``check --sanitize`` and ``profile`` share one scenario registry."""
 
@@ -69,7 +79,11 @@ class TestSmokeScenarios:
     def test_both_commands_run_every_registered_name(self, command, name,
                                                      capsys):
         assert main([*command, name]) == 0
-        assert f"[{name}]: " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"[{name}]: " in out
+        if command[-1] == "--sanitize":
+            assert out.splitlines()[-1] == \
+                f"sanitize[{name}]: {SANITIZE_SUMMARIES[name]}"
 
     @pytest.mark.parametrize("command", COMMANDS, ids=["sanitize", "profile"])
     def test_unknown_name_lists_the_registry(self, command, capsys):

@@ -139,13 +139,16 @@ def test_repro_check_clean_under_dash_O():
 
 
 def test_ci_runs_sanitize_job():
-    """The CI ``sanitize`` job drives both smoke worlds under the
-    happens-before detector (zero races required), re-runs the
-    seeded-race fixture expecting it to fail, and holds the detector to
-    its overhead budget."""
+    """CI drives every smoke scenario under the happens-before detector
+    (zero races required: the ``sanitize`` job runs matmul, massd and
+    failover, the ``grayfail`` job grayfail), re-runs the seeded-race
+    fixture expecting it to fail, and holds the detector to its overhead
+    budget."""
+    from repro.worlds import SMOKE_JOBS
+
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    assert "--sanitize matmul" in ci
-    assert "--sanitize massd" in ci
+    for name in SMOKE_JOBS:
+        assert f"python -m repro check --sanitize {name}\n" in ci, name
     assert "r300_seeded_race.py" in ci
     assert "bench_sanitizer.py" in ci
     assert "r['all_within_2x'] and r['race_free']" in ci
@@ -257,6 +260,24 @@ def test_the_one_accept_loop_is_in_tcp():
                 loops.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert loops and all(loop.startswith("src/repro/net/tcp.py:")
                          for loop in loops), loops
+
+
+def test_only_the_segment_takes_its_semaphore():
+    """Every rule about a shared-memory segment lives in
+    ``sim/resources.py`` (``Segment.update`` / ``locked``): a
+    ``.lock.acquire()`` or ``.lock.release()`` anywhere else in
+    ``src/repro`` is a hand-rolled critical section growing back."""
+    sites = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("acquire", "release")
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "lock"):
+                sites.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert sites and all(site.startswith("src/repro/sim/resources.py:")
+                         for site in sites), sites
 
 
 def test_perf_census_counts_the_service_loop_roots(repo_check_all):
