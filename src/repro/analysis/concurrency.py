@@ -11,18 +11,23 @@ that *lead* to them before any run:
 * an event callback that mutates kernel internals corrupts the queue the
   kernel is iterating (REPRO304);
 * a spawned :class:`~repro.sim.kernel.Process` whose handle is dropped
-  can never be joined, interrupted or error-checked (REPRO305);
-* ``except:`` around channel operations swallows ``Interrupt`` and the
-  kernel's own :class:`~repro.sim.kernel.SimulationError` (REPRO306).
+  can never be joined, interrupted or error-checked (REPRO305).
 
-The race detector needs no rule of its own: every shared-memory
-segment is tracked from birth (:class:`repro.sim.resources.Segment`).
+Two shapes need no rule of their own.  Every shared-memory segment is
+tracked from birth (:class:`repro.sim.resources.Segment`), so the race
+detector sees every write; and a bare ``except:`` around a channel
+operation, which swallows ``Interrupt``, is ruff's E722.
+
+All of ``analysis/`` learns which call hands code to something else to
+run from one classifier, :func:`handoff`, and reads its call tables
+(sends, getters, conditions, blocking waits) from this module.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Literal, Optional
 
 from ..lang.diagnostics import Diagnostic
 from .determinism import _root_name
@@ -30,33 +35,59 @@ from .engine import FileUnit, Rule, rule
 
 __all__ = [
     "BLOCKING_RECV_ATTRS",
-    "scheduled_call_target",
-    "served_handler",
-    "CHANNEL_OP_ATTRS",
+    "CONDITION_ATTRS",
+    "GETTER_ATTRS",
+    "SEND_ATTRS",
+    "Handoff",
+    "handoff",
     "INTERRUPT_CATCHERS",
 ]
 
 #: attribute calls whose yielded event blocks until a peer acts
 BLOCKING_RECV_ATTRS: frozenset[str] = frozenset({"recv", "accept"})
+#: attribute calls that return a getter event a condition can race
+GETTER_ATTRS: frozenset[str] = frozenset({"get", "recv"})
+#: attribute calls that build one event out of several
+CONDITION_ATTRS: frozenset[str] = frozenset({"any_of", "all_of"})
+#: attribute calls that put a message on the wire
+SEND_ATTRS: frozenset[str] = frozenset({"send", "sendto"})
 
-#: ``sim.call_later(delay, fn, arg)`` / ``sim.call_at(when, fn, arg)``:
-#: attribute calls that hand the kernel a function to run from the event
-#: loop — an edge in every call graph, like an ``add_callback`` target
-SCHEDULED_CALL_ATTRS: frozenset[str] = frozenset({"call_later", "call_at"})
+@dataclass(frozen=True)
+class Handoff:
+    """A call that gives code to the kernel or an accept loop to run
+    later: ``*.process(gen(...))`` spawns a generator, ``*.serve(key,
+    handler)`` has an accept loop spawn one per connection,
+    ``*.call_later`` / ``*.call_at`` schedule a function on the event
+    loop, ``*.add_callback`` runs one when an event fires."""
+
+    kind: Literal["process", "serve", "schedule", "callback"]
+    #: what is handed over: a ``process`` spawn's generator calls (maybe
+    #: none), else the one function expression
+    handed: tuple[ast.expr, ...]
+    #: the ``name=`` / ``session_name=`` literal naming the process that
+    #: runs it, if the call has one
+    name: Optional[str]
+
+    @property
+    def functions(self) -> tuple[ast.expr, ...]:
+        """The function expressions that will run: each spawned generator
+        call's callee, or the function handed over."""
+        if self.kind == "process":
+            return tuple(c.func for c in self.handed
+                         if isinstance(c, ast.Call))
+        return self.handed
 
 
-def scheduled_call_target(call: ast.Call) -> Optional[ast.expr]:
-    """The function expression a scheduled call will run, if ``call`` is one."""
-    if (isinstance(call.func, ast.Attribute)
-            and call.func.attr in SCHEDULED_CALL_ATTRS
-            and len(call.args) >= 2):
-        return call.args[1]
+def _literal(call: ast.Call, keyword: str) -> Optional[str]:
+    for kw in call.keywords:
+        if (kw.arg == keyword and isinstance(kw.value, ast.Constant)
+                and isinstance(kw.value.value, str)):
+            return kw.value.value
     return None
 
 
-def served_handler(call: ast.Call) -> Optional[ast.expr]:
-    """The handler a ``<x>.serve(key, handler, name=..., session_name=...)``
-    call hands over, if ``call`` is one.
+def handoff(call: ast.Call) -> Optional[Handoff]:
+    """The hand-off ``call`` makes, if it is one.
 
     ``serve`` is the one spawn-per-connection primitive
     (:meth:`repro.net.tcp.TcpLayer.serve`, and the block farm's
@@ -64,16 +95,22 @@ def served_handler(call: ast.Call) -> Optional[ast.expr]:
     ``handler`` in a process named ``session_name`` and catches its
     ``ConnectionClosed`` and ``Interrupt`` — a spawned, guarded
     generator, though neither shows in its own body."""
-    if (isinstance(call.func, ast.Attribute) and call.func.attr == "serve"
-            and len(call.args) >= 2):
-        return call.args[1]
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    args = call.args
+    if func.attr == "process":
+        return Handoff("process",
+                       tuple(a for a in args if isinstance(a, ast.Call)),
+                       _literal(call, "name"))
+    if func.attr == "serve" and len(args) >= 2:
+        return Handoff("serve", (args[1],), _literal(call, "session_name"))
+    if func.attr in ("call_later", "call_at") and len(args) >= 2:
+        return Handoff("schedule", (args[1],), None)
+    if func.attr == "add_callback" and args:
+        return Handoff("callback", (args[0],), None)
     return None
 
-
-#: attribute calls that move data through sockets/channels (REPRO306)
-CHANNEL_OP_ATTRS: frozenset[str] = frozenset({
-    "recv", "accept", "send", "sendto", "connect", "transmit",
-})
 
 #: exception names whose handler counts as covering an Interrupt
 INTERRUPT_CATCHERS: frozenset[str] = frozenset({
@@ -111,8 +148,9 @@ class BlockingRecvRule(Rule):
     of unwinding.  Either compose the event with a timeout
     (``recv_timeout``) or guard the loop with ``except Interrupt``.
     The guard is the lexically enclosing one, or — for a function the
-    same file hands to ``serve`` (:func:`served_handler`) — the one in
-    the skeleton that will run it; the same body handed to nobody fires.
+    same file hands to ``serve`` (a :func:`handoff` of kind ``serve``) —
+    the one in the skeleton that will run it; the same body handed to
+    nobody fires.
     """
 
     code = "REPRO301"
@@ -121,8 +159,10 @@ class BlockingRecvRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         served: set[str] = set()
         for node in ast.walk(ctx.tree):
-            handler = (served_handler(node)
-                       if isinstance(node, ast.Call) else None)
+            hand = handoff(node) if isinstance(node, ast.Call) else None
+            if hand is None or hand.kind != "serve":
+                continue
+            (handler,) = hand.handed
             if isinstance(handler, ast.Attribute):
                 served.add(handler.attr)
             elif isinstance(handler, ast.Name):
@@ -179,12 +219,10 @@ class CallbackMutatesSimRule(Rule):
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         for node in ctx.runtime_nodes:
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "add_callback"
-                    and node.args):
+            hand = handoff(node) if isinstance(node, ast.Call) else None
+            if hand is None or hand.kind != "callback":
                 continue
-            cb = node.args[0]
+            (cb,) = hand.handed
             body: Optional[ast.AST] = None
             if isinstance(cb, ast.Lambda):
                 body = cb.body
@@ -225,14 +263,16 @@ class UnjoinedProcessRule(Rule):
     def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
         for node in ctx.runtime_nodes:
             if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "process"):
+                    and isinstance(node.value, ast.Call)):
                 continue
-            root = _root_name(node.value.func)
-            if root in ("self", "sim", "cluster") or (
-                    isinstance(node.value.func.value, ast.Attribute)
-                    and node.value.func.value.attr == "sim"):
+            hand = handoff(node.value)
+            func = node.value.func
+            if (hand is None or hand.kind != "process"
+                    or not isinstance(func, ast.Attribute)):
+                continue
+            if _root_name(func) in ("self", "sim", "cluster") or (
+                    isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "sim"):
                 yield ctx.diag(
                     self.code,
                     "spawned process handle is discarded; keep the "
@@ -241,39 +281,3 @@ class UnjoinedProcessRule(Rule):
                     node,
                 )
 
-
-@rule
-class BareExceptChannelRule(Rule):
-    """REPRO306: ``except:`` with channel operations in the ``try`` body.
-
-    A bare except around ``send``/``recv``/``connect`` swallows
-    :class:`~repro.sim.kernel.Interrupt` (breaking daemon shutdown) and
-    :class:`~repro.sim.kernel.SimulationError` (hiding kernel misuse).
-    Catch the specific channel exceptions instead.
-    """
-
-    code = "REPRO306"
-    name = "bare-except-channel"
-
-    def check(self, ctx: FileUnit) -> Iterable[Diagnostic]:
-        for node in ctx.runtime_nodes:
-            if not isinstance(node, ast.Try):
-                continue
-            has_channel_op = any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr in CHANNEL_OP_ATTRS
-                for stmt in node.body for n in ast.walk(stmt)
-            )
-            if not has_channel_op:
-                continue
-            for handler in node.handlers:
-                if handler.type is None:
-                    yield ctx.diag(
-                        self.code,
-                        "bare `except:` around channel operations swallows "
-                        "Interrupt and SimulationError; catch the specific "
-                        "channel exceptions (ConnectionClosed, IcmpError "
-                        "timeouts, ...) instead",
-                        handler,
-                    )

@@ -77,7 +77,6 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
                                  "interrupt guard"),
     "REPRO304": (Severity.ERROR, "event callback mutates simulator state"),
     "REPRO305": (Severity.WARNING, "spawned process is never joined or kept"),
-    "REPRO306": (Severity.ERROR, "bare except around channel operations"),
     "REPRO400": (Severity.ERROR, "message-flow registry drift"),
     "REPRO401": (Severity.ERROR, "static wait-for deadlock cycle"),
     "REPRO402": (Severity.ERROR, "store getter leaked on losing race path"),

@@ -62,7 +62,9 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
-from ..concurrency import BLOCKING_RECV_ATTRS, _catches_interrupt
+from ..concurrency import (BLOCKING_RECV_ATTRS, CONDITION_ATTRS,
+                           GETTER_ATTRS, SEND_ATTRS, _catches_interrupt,
+                           handoff)
 from ..engine import FileUnit
 from .symbols import FunctionInfo, SymbolTable
 
@@ -74,13 +76,10 @@ CLIENT_ENTRY_NAMES = frozenset({
     "request_servers", "smart_sockets", "smart_sessions", "failover",
 })
 
-_SEND_ATTRS = frozenset({"send", "sendto"})
 _ACQUIRE_SOCKET = "udp_socket"
 _ACQUIRE_LISTEN = "listen"
 _MAX_INLINE_DEPTH = 6
-_CONDITION_ATTRS = ("any_of", "all_of")
-#: REPRO402: getters, and what withdraws one that lost its race
-_GETTER_ATTRS = frozenset({"get", "recv"})
+#: REPRO402: what withdraws a getter that lost its race
 _RELEASE_ATTRS = frozenset({"close", "abort", "stop", "suspend", "cancel"})
 _UNREGISTER_ATTRS = frozenset({"remove", "discard", "pop"})
 #: REPRO403: acquisitions
@@ -230,7 +229,7 @@ class _FunctionWalker:
                 if value.func.attr in BLOCKING_RECV_ATTRS:
                     self._wait(value, value.func, False, guarded)
                     return {}
-                if value.func.attr in _CONDITION_ATTRS:
+                if value.func.attr in CONDITION_ATTRS:
                     self._condition(value, guarded)
                     return {}
         elif isinstance(node, ast.YieldFrom):
@@ -315,11 +314,12 @@ class _FunctionWalker:
                 and member.func.attr == "timeout")
 
     def _call(self, call: ast.Call, guarded: bool) -> dict[ast.AST, bool]:
+        hand = handoff(call)
+        if hand is not None and hand.kind == "process":
+            return {}  # spawned: runs concurrently, never inlined
         func = call.func
         if isinstance(func, ast.Attribute):
-            if func.attr == "process":
-                return {}  # spawned: runs concurrently, never inlined
-            if func.attr in _SEND_ATTRS:
+            if func.attr in SEND_ATTRS:
                 self.ops.append(Op(kind="send", node=call,
                                    chan=self._send_chan(func, call),
                                    guarded=guarded))
@@ -344,7 +344,7 @@ class _FunctionWalker:
                 self.local.add(node.id)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             attr = node.func.attr
-            if attr in _CONDITION_ATTRS:
+            if attr in CONDITION_ATTRS:
                 self.races.append(node)
             if attr in _RELEASE_ATTRS:
                 self._release("release", _recv_root(node.func), node)
@@ -358,7 +358,7 @@ class _FunctionWalker:
                 and isinstance(node.value, ast.Call)):
             name, func = node.targets[0].id, node.value.func
             if isinstance(func, ast.Attribute):
-                if func.attr in _GETTER_ATTRS:
+                if func.attr in GETTER_ATTRS:
                     self.pending[name] = (_recv_root(func), node.value)
                 elif func.attr in _ACQUIRE_ATTRS:
                     self.acquired[name] = (func.attr, node.value)
@@ -380,7 +380,7 @@ class _FunctionWalker:
             inline = [m for m in members
                       if isinstance(m, ast.Call)
                       and isinstance(m.func, ast.Attribute)
-                      and m.func.attr in _GETTER_ATTRS]
+                      and m.func.attr in GETTER_ATTRS]
             if len(raced) + len(inline) in (0, len(members)):
                 continue  # no getter, or nothing it races against
             for call in inline:

@@ -31,12 +31,12 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
+from ..concurrency import SEND_ATTRS
 from ..engine import FileUnit
 from .symbols import ClassInfo, FunctionInfo, SymbolTable
 
 __all__ = ["SendSite", "TagAnalysis", "graph_json", "graph_dot"]
 
-_SEND_ATTRS = frozenset({"send", "sendto"})
 _MAX_ROUNDS = 12
 
 
@@ -114,7 +114,7 @@ class TagAnalysis:
                 continue
             self._bind_call_params(node, env, fn)
             if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SEND_ATTRS):
+                    and node.func.attr in SEND_ATTRS):
                 tags: set[str] = set()
                 for arg in node.args:
                     tags |= self._tags_of(arg, env, fn)

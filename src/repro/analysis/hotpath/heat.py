@@ -42,14 +42,15 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..concurrency import (BLOCKING_RECV_ATTRS, scheduled_call_target,
-                           served_handler)
+from ..concurrency import (BLOCKING_RECV_ATTRS, CONDITION_ATTRS,
+                           GETTER_ATTRS, handoff)
 from ..flow.symbols import FunctionInfo, SymbolTable
 
 __all__ = ["HotContext", "build_hot_context", "constant_true", "heat_share"]
 
 #: yielded attributes that make a ``while True`` loop a service loop
-_LOOP_WAIT_ATTRS = BLOCKING_RECV_ATTRS | {"get", "timeout", "any_of", "all_of"}
+_LOOP_WAIT_ATTRS = (BLOCKING_RECV_ATTRS | GETTER_ATTRS | CONDITION_ATTRS
+                    | {"timeout"})
 
 
 #: separators accepted between a heat name and a per-connection suffix
@@ -143,8 +144,9 @@ def _callees(table: SymbolTable, fn: FunctionInfo) -> list[str]:
 
 
 def _spawn_walk(ctx: HotContext) -> set[str]:
-    """The one walk over everything handed to someone else to run: fills
-    ``ctx.spawn_names`` and ``ctx.callbacks``, returns the hand-off roots.
+    """The one walk over every :func:`~repro.analysis.concurrency.handoff`:
+    fills ``ctx.spawn_names`` and ``ctx.callbacks``, returns the hand-off
+    roots.
 
     ``*.process(gen(...), name="x")`` names the generator it spawns.
     ``*.serve(key, handler, session_name="x")`` names the handler too,
@@ -158,38 +160,19 @@ def _spawn_walk(ctx: HotContext) -> set[str]:
     for qual in sorted(table.functions):
         fn = table.functions[qual]
         for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
+            hand = handoff(node) if isinstance(node, ast.Call) else None
+            if hand is None:
                 continue
-            literal = {kw.arg: kw.value.value for kw in node.keywords
-                       if isinstance(kw.value, ast.Constant)
-                       and isinstance(kw.value.value, str)}
-            #: (function expression, its process name, runs as a root,
-            #: runs from the event loop)
-            handed: list[tuple[ast.expr, "str | None", bool, bool]] = []
-            scheduled = scheduled_call_target(node)
-            if scheduled is not None:
-                handed.append((scheduled, None, True, True))
-            elif (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "add_callback" and node.args):
-                handed.append((node.args[0], None, False, True))
-            handler = served_handler(node)
-            if handler is not None:
-                handed.append((handler, literal.get("session_name"), True,
-                               False))
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "process"):
-                handed += [(arg.func, literal.get("name"), False, False)
-                           for arg in node.args if isinstance(arg, ast.Call)]
-            for expr, name, is_root, is_callback in handed:
+            for expr in hand.functions:
                 target = table.resolve_call(expr, fn.module, fn.cls)
                 if not isinstance(target, FunctionInfo):
                     continue
-                if is_root:
+                if hand.kind in ("serve", "schedule"):
                     roots.add(target.qualname)
-                if is_callback:
+                if hand.kind in ("schedule", "callback"):
                     ctx.callbacks.setdefault(target.qualname, qual)
-                if name is not None:
-                    ctx.spawn_names.setdefault(target.qualname, name)
+                if hand.name is not None:
+                    ctx.spawn_names.setdefault(target.qualname, hand.name)
     return roots
 
 

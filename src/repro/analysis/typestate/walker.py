@@ -49,6 +49,7 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
+from ..concurrency import handoff
 from ..flow.symbols import FunctionInfo, SymbolTable
 from .machines import (RELIABLE_SOCKET, SMART_SESSION, TCP_CONNECTION,
                        TCP_LISTENER, UDP_SOCKET, Machine)
@@ -393,8 +394,9 @@ class TypestateWalker:
             self._scan_expr(func.value, env)
         # 2. spawn-escape: sim.process(gen(conn)) hands conn to the
         # spawned generator, which owns its lifecycle from here on
-        if isinstance(func, ast.Attribute) and func.attr == "process":
-            for arg in call.args:
+        hand = handoff(call)
+        if hand is not None and hand.kind == "process":
+            for arg in hand.handed:
                 if not isinstance(arg, ast.Call):
                     continue
                 skip.add(id(arg))  # the generator call is consumed here

@@ -64,7 +64,6 @@ from ..lang.analysis import CompileCache, CompiledRequirement
 from ..lang.diagnostics import Diagnostic
 from ..lang.errors import LangError
 from ..lang.variables import DERIVED_VARS, MONITOR_VARS
-from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
 from .records import (
@@ -215,7 +214,6 @@ class Wizard:
         self.parse_failures = 0
         self.option_errors = 0
         self.request_errors = 0
-        self.pull_failures = 0
         #: requests NAKed by the static pre-flight (no DB scan performed)
         self.requests_rejected_static = 0
         #: requests answered REPLY_STALE because the status feed died
@@ -369,11 +367,7 @@ class Wizard:
         # only a request that will read the databases pays for refreshing
         # them — before the staleness check, which reads what a pull moves
         if self.mode == Mode.DISTRIBUTED:
-            try:
-                yield from self.receiver.pull_all()
-            except (ConnectError, ConnectionClosed):
-                # degraded mode: answer from last-known-good data
-                self.pull_failures += 1
+            yield from self.receiver.pull_all()
         # staleness pre-flight: a replica whose feed died sends the
         # client to a fresher replica instead of serving ancient data
         if self._is_stale():

@@ -373,7 +373,7 @@ def explore(
                            mutant=mutant)
     oracles = {name: _oracle_for(name, world_seed)
                for name in dict.fromkeys(scenarios)}
-    say(f"oracles ready: " + ", ".join(
+    say("oracles ready: " + ", ".join(
         f"{n}={oracles[n][0]} ({oracles[n][1]:.2f}s)" for n in scenarios))
 
     counters: dict[str, int] = {}

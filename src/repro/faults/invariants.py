@@ -43,7 +43,7 @@ invariant at the same site count as the same bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
@@ -75,8 +75,7 @@ class TrialOutcome:
     """Everything the oracles need from one trial, as plain data.
 
     Produced by :func:`repro.faults.scenarios.run_trial`; deliberately
-    free of simulator objects so outcomes serialize into corpus
-    artifacts.
+    free of simulator objects.
     """
 
     scenario: str
@@ -124,13 +123,6 @@ class TrialOutcome:
     chaos_applied: int = 0
     #: sha256 of the canonical kernel event trace (trace runs only)
     trace_hash: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrialOutcome":
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------

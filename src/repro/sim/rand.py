@@ -33,18 +33,3 @@ class RandomStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        return self.stream(name).uniform(lo, hi)
-
-    def expovariate(self, name: str, rate: float) -> float:
-        return self.stream(name).expovariate(rate)
-
-    def choice(self, name: str, seq):
-        return self.stream(name).choice(seq)
-
-    def sample(self, name: str, seq, k: int):
-        return self.stream(name).sample(seq, k)
-
-    def randint(self, name: str, lo: int, hi: int) -> int:
-        return self.stream(name).randint(lo, hi)

@@ -15,10 +15,3 @@ def hijack(sim, event):
 
 def spawn(sim, job):
     sim.process(job)  # repro: noqa[REPRO305]
-
-
-def shield(conn):
-    try:
-        conn.send(b"ping", 4)
-    except:  # repro: noqa[REPRO306]  # noqa: E722
-        pass

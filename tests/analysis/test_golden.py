@@ -132,7 +132,7 @@ def test_warning_fixture_gates_only_under_strict(name, capsys):
 
 @pytest.mark.parametrize("name,suppressed", [
     ("clean_noqa_suppressed", 1),
-    ("clean_r_noqa", 4),
+    ("clean_r_noqa", 3),
 ])
 def test_noqa_fixtures_are_clean_but_counted(name, suppressed, capsys):
     code, out = run_check(FIXTURES / f"{name}.py", capsys)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.concurrency import handoff
 from repro.analysis.engine import FileUnit
 from repro.analysis.flow.symbols import SymbolTable
 from repro.analysis.hotpath import build_hot_context, heat_share
@@ -50,6 +51,40 @@ class Daemon:
 def helper_never_called(x):
     return x
 """
+
+
+@pytest.mark.parametrize("source, expected", [
+    pytest.param(
+        'sim.process(self._session(conn), name="peer-session")',
+        ("process", ["self._session(conn)"], ["self._session"],
+         "peer-session"), id="process"),
+    pytest.param(
+        'self.stack.tcp.serve(7, self.greet, name="greet-listen", '
+        'session_name="greet-session")',
+        ("serve", ["self.greet"], ["self.greet"], "greet-session"),
+        id="serve"),
+    pytest.param("self.sim.call_later(0.0, self.on_wake)",
+                 ("schedule", ["self.on_wake"], ["self.on_wake"], None),
+                 id="call_later"),
+    pytest.param("self.sim.call_at(when, self.on_timer, when)",
+                 ("schedule", ["self.on_timer"], ["self.on_timer"], None),
+                 id="call_at"),
+    pytest.param("event.add_callback(jump)",
+                 ("callback", ["jump"], ["jump"], None), id="add_callback"),
+    # REPRO305's shape: a hand-off that hands over no generator call
+    pytest.param("sim.process(job)", ("process", [], [], None),
+                 id="process-bare-name"),
+    pytest.param('conn.send(b"ping", 4)', None, id="send"),
+    pytest.param("serve(7, handler)", None, id="bare-serve"),
+])
+def test_handoff_classifies_each_call_shape(source, expected):
+    call = ast.parse(source, mode="eval").body
+    assert isinstance(call, ast.Call)
+    hand = handoff(call)
+    got = None if hand is None else (
+        hand.kind, [ast.unparse(e) for e in hand.handed],
+        [ast.unparse(e) for e in hand.functions], hand.name)
+    assert got == expected
 
 
 class TestHotContext:

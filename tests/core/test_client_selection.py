@@ -67,7 +67,7 @@ class TestClientRoundTrip:
     def test_smart_sockets_returns_connected(self):
         cluster, dep, client_host, servers = small_deployment()
         for s in servers:
-            lsn = s.stack.tcp.listen(9000)
+            s.stack.tcp.listen(9000)
         client = dep.client_for(client_host)
 
         def p():

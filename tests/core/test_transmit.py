@@ -18,6 +18,9 @@ from repro.core import (
     ServerStatusRecord,
     ServerStatusReport,
     Transmitter,
+    Wizard,
+    WizardReply,
+    WizardRequest,
 )
 from repro.core.receiver import PULL_TIMEOUT
 from repro.core.records import UNCHANGED
@@ -299,14 +302,22 @@ class TestPushHardening:
 
 class TestPullHardening:
     def test_unreachable_transmitter_counts_pull_failure(self):
+        """The pull a request triggers fails inside ``pull_all``, which
+        counts it; the wizard still answers from what it holds."""
         cluster, cfg, receiver, _, monitors = make_world(Mode.DISTRIBUTED)
         receiver.add_transmitter(monitors[0].addr)  # nothing listens there
+        host = cluster.host("wizard")
+        wizard = Wizard(cluster.sim, host.stack, host.shm, cfg,
+                        receiver=receiver)
+        request = WizardRequest(seq=1, server_num=1, option="",
+                                detail="host_cpu_free > 0")
 
         def p():
-            yield from receiver.pull_all()
+            return (yield from wizard._process(request, monitors[0].addr))
 
-        run_process(cluster.sim, p(), until=30.0)
+        reply = run_process(cluster.sim, p(), until=30.0)
         assert receiver.pull_failures == 1
+        assert isinstance(reply, WizardReply) and reply.seq == 1
 
     def test_two_of_three_unreachable_cost_one_connect_timeout_not_two(self):
         """The dials go out at once, like the asks: the reachable

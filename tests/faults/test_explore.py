@@ -89,11 +89,6 @@ class TestInvariants:
         assert [v.fingerprint for v in vs] == \
             ["safety.no-crash@core.client.call"]
 
-    def test_outcome_round_trips_as_plain_data(self):
-        o = _outcome(live_on_excluded=["a"], chaos_applied=7)
-        data = json.loads(json.dumps(o.to_dict()))
-        assert TrialOutcome.from_dict(data) == o
-
 
 class TestGeneratorCoverage:
     def test_generated_plans_stay_on_surface(self):

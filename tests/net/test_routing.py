@@ -380,7 +380,7 @@ class TestDelivery:
 
     def test_no_route_counts(self, sim):
         net, a, b = build_line(sim)
-        sa = NetworkStack(sim, a, net)
+        NetworkStack(sim, a, net)
         dgram = Datagram(proto=PROTO_UDP, src=a.addr, dst="203.0.113.9",
                          sport=1, dport=2, size=10)
         assert not a.send(dgram)

@@ -94,7 +94,7 @@ class TestHandshake:
             yield sim.timeout(0.5)
             link.ab.loss_rate = 0.0
 
-        lsn = sb.tcp.listen(80)
+        sb.tcp.listen(80)
 
         def client():
             conn = yield from sa.tcp.connect("b", 80, timeout=4.0)

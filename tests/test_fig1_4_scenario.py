@@ -46,7 +46,7 @@ def world():
         monitors[net] = mon
         group = []
         for i in (1, 2, 3):
-            name = f"hacker.some.net" if (net, i) == ("C", 2) else f"{net.lower()}{i}"
+            name = "hacker.some.net" if (net, i) == ("C", 2) else f"{net.lower()}{i}"
             host = cluster.add_host(name, mem_mb=512, bogomips=3000)
             cluster.link(host, gw, delay=0.05e-3)
             group.append(host)
