@@ -2,7 +2,7 @@
 
 The F-series analyzer is a CI gate over every push, so it carries an
 explicit wall-clock budget: analyzing all of ``src/repro`` (symbol
-table + tag fixpoint + trace extraction + all four rule families) must
+table + tag fixpoint + trace extraction + every F rule) must
 finish within ``BUDGET_S`` seconds, and two runs must produce
 byte-identical findings and graph exports (the determinism the golden
 fixtures rely on).

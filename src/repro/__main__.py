@@ -127,8 +127,7 @@ def profile_cli(argv: list[str] | None = None) -> int:
         description=f"Run a scenario ({names}, or a path to a "
                     "run(sim) file) under the deterministic event "
                     "profiler: per-process resume/allocation attribution, "
-                    "a flamegraph-style text tree, and optional JSON for "
-                    "`repro check --perf --profile`.",
+                    "a flamegraph-style text tree, and optional JSON.",
     )
     parser.add_argument("scenario",
                         help=f"{names}, or a run(sim) scenario file")

@@ -12,7 +12,6 @@ Usage::
     repro-check --flow src/repro           # whole-program flow analysis
     repro-check --flow --json g.json src   # ... exporting the flow graph
     repro-check --perf src/repro           # hot-path performance lints
-    repro-check --perf --profile p.json src  # ... ranked by measured heat
     repro-check --proto src/repro          # typestate/protocol analysis
     repro-check --all src/repro            # every static gate in one run
 
@@ -32,7 +31,7 @@ from pathlib import Path
 
 from .engine import ANALYZER_CODES, SERIES, all_rules, series_of
 from .flow.messages import graph_dot, graph_json
-from .program import Finding, Program, Report, run_checks
+from .program import Program, Report, run_checks
 
 __all__ = ["check_main", "check_entry"]
 
@@ -77,32 +76,6 @@ def _list_rules() -> None:
         print(f"  {code}  {severity:<7}  {name}: {title}")
 
 
-def _load_profile(profile_path: str) -> "dict | None":
-    """The attribution dict of a ``repro profile`` JSON (``None`` after
-    printing why it is unusable)."""
-    try:
-        data = json.loads(Path(profile_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"repro-check: cannot read profile {profile_path}: {exc}",
-              file=sys.stderr)
-        return None
-    attribution = (data.get("attribution", data)
-                   if isinstance(data, dict) else None)
-    if not isinstance(attribution, dict) or "processes" not in attribution:
-        print(f"repro-check: {profile_path} is not a repro profile "
-              f"JSON (no attribution.processes)", file=sys.stderr)
-        return None
-    return attribution
-
-
-def _finding_line(finding: Finding) -> str:
-    line = finding.diag.render(_display_path(finding.unit.path))
-    if finding.heat is not None:
-        names = ",".join(finding.heat_names) or "<unattributed>"
-        line += f"  [heat {100 * finding.heat:.1f}% via {names}]"
-    return line
-
-
 def _render(report: Report, strict: bool) -> int:
     """Print one block per gate: its lines, its summary, its clean note.
 
@@ -116,7 +89,8 @@ def _render(report: Report, strict: bool) -> int:
                        f"error PARSE: {f.message}")
         for f in report.parse_failures]
     for gate in report.gates:
-        found = [(walk[f.unit.path], _finding_line(f))
+        found = [(walk[f.unit.path],
+                  f.diag.render(_display_path(f.unit.path)))
                  for f in report.findings if f.gate == gate]
         rows = failures + found
         if not gate:
@@ -191,9 +165,6 @@ def check_main(argv: list[str] | None = None) -> int:
                         help="run the hot-path performance analyzer "
                              "(H-series REPRO5xx) over the given paths as "
                              "one program")
-    parser.add_argument("--profile", metavar="PATH",
-                        help="with --perf/--all: rank findings by measured "
-                             "heat from a `repro profile` JSON")
     parser.add_argument("--proto", action="store_true",
                         help="run the typestate/protocol-conformance "
                              "analyzer (S-series REPRO6xx) over the given "
@@ -218,10 +189,6 @@ def check_main(argv: list[str] | None = None) -> int:
     if (args.dot or args.json) and not (args.flow or args.all):
         print("repro-check: --dot/--json require --flow", file=sys.stderr)
         return 2
-    if args.profile and not (args.perf or args.all):
-        print("repro-check: --profile requires --perf or --all",
-              file=sys.stderr)
-        return 2
     if not args.paths:
         parser.print_usage(sys.stderr)
         print("repro-check: no paths given", file=sys.stderr)
@@ -238,12 +205,7 @@ def check_main(argv: list[str] | None = None) -> int:
     else:
         gates = (next((g for g in ("flow", "perf", "proto")
                        if getattr(args, g)), ""),)
-    attribution = None
-    if args.profile:
-        attribution = _load_profile(args.profile)
-        if attribution is None:
-            return 2
-    report = run_checks(Program.load(paths), gates, attribution=attribution)
+    report = run_checks(Program.load(paths), gates)
     code = _render(report, strict=args.strict)
     if args.dot:
         Path(args.dot).write_text(

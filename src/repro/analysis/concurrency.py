@@ -4,10 +4,11 @@ The dynamic happens-before sanitizer (:mod:`repro.sim.hb`) catches races
 that actually execute; these static rules catch the concurrency shapes
 that *lead* to them before any run:
 
-* a blocking ``recv``/``accept`` yield with no timeout composition and no
-  enclosing ``Interrupt`` guard hangs forever when the peer dies and
-  leaks on daemon shutdown (REPRO301) — the guard is lexical, or the
-  ``serve`` skeleton's when the file hands the generator to one;
+* a blocking ``recv``/``accept`` yield — direct, or a getter raced in an
+  ``any_of``/``all_of`` with no ``timeout`` member — with no enclosing
+  ``Interrupt`` guard hangs forever when the peer dies and leaks on
+  daemon shutdown (REPRO301) — the guard is lexical, or the ``serve``
+  skeleton's when the file hands the generator to one;
 * an event callback that mutates kernel internals corrupts the queue the
   kernel is iterating (REPRO304);
 * a spawned :class:`~repro.sim.kernel.Process` whose handle is dropped
@@ -20,7 +21,9 @@ operation, which swallows ``Interrupt``, is ruff's E722.
 
 All of ``analysis/`` learns which call hands code to something else to
 run from one classifier, :func:`handoff`, and reads its call tables
-(sends, getters, conditions, blocking waits) from this module.
+(sends, getters, conditions, blocking waits) from this module; REPRO301
+and the flow op-trace walk learn which yielded race blocks untimed from
+one :class:`WaitNames`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "Handoff",
     "handoff",
     "INTERRUPT_CATCHERS",
+    "WaitNames",
+    "condition_members",
 ]
 
 #: attribute calls whose yielded event blocks until a peer acts
@@ -51,6 +56,7 @@ GETTER_ATTRS: frozenset[str] = frozenset({"get", "recv"})
 CONDITION_ATTRS: frozenset[str] = frozenset({"any_of", "all_of"})
 #: attribute calls that put a message on the wire
 SEND_ATTRS: frozenset[str] = frozenset({"send", "sendto"})
+
 
 @dataclass(frozen=True)
 class Handoff:
@@ -64,26 +70,6 @@ class Handoff:
     #: what is handed over: a ``process`` spawn's generator calls (maybe
     #: none), else the one function expression
     handed: tuple[ast.expr, ...]
-    #: the ``name=`` / ``session_name=`` literal naming the process that
-    #: runs it, if the call has one
-    name: Optional[str]
-
-    @property
-    def functions(self) -> tuple[ast.expr, ...]:
-        """The function expressions that will run: each spawned generator
-        call's callee, or the function handed over."""
-        if self.kind == "process":
-            return tuple(c.func for c in self.handed
-                         if isinstance(c, ast.Call))
-        return self.handed
-
-
-def _literal(call: ast.Call, keyword: str) -> Optional[str]:
-    for kw in call.keywords:
-        if (kw.arg == keyword and isinstance(kw.value, ast.Constant)
-                and isinstance(kw.value.value, str)):
-            return kw.value.value
-    return None
 
 
 def handoff(call: ast.Call) -> Optional[Handoff]:
@@ -92,24 +78,93 @@ def handoff(call: ast.Call) -> Optional[Handoff]:
     ``serve`` is the one spawn-per-connection primitive
     (:meth:`repro.net.tcp.TcpLayer.serve`, and the block farm's
     ``BlockService.serve`` on top of it): the skeleton behind it runs
-    ``handler`` in a process named ``session_name`` and catches its
-    ``ConnectionClosed`` and ``Interrupt`` — a spawned, guarded
-    generator, though neither shows in its own body."""
+    ``handler`` in its own process and catches its ``ConnectionClosed``
+    and ``Interrupt`` — a spawned, guarded generator, though neither
+    shows in its own body."""
     func = call.func
     if not isinstance(func, ast.Attribute):
         return None
     args = call.args
     if func.attr == "process":
         return Handoff("process",
-                       tuple(a for a in args if isinstance(a, ast.Call)),
-                       _literal(call, "name"))
+                       tuple(a for a in args if isinstance(a, ast.Call)))
     if func.attr == "serve" and len(args) >= 2:
-        return Handoff("serve", (args[1],), _literal(call, "session_name"))
+        return Handoff("serve", (args[1],))
     if func.attr in ("call_later", "call_at") and len(args) >= 2:
-        return Handoff("schedule", (args[1],), None)
+        return Handoff("schedule", (args[1],))
     if func.attr == "add_callback" and args:
-        return Handoff("callback", (args[0],), None)
+        return Handoff("callback", (args[0],))
     return None
+
+
+def condition_members(call: ast.Call) -> list[ast.expr]:
+    """The competitors of an ``any_of``/``all_of`` call."""
+    members: list[ast.expr] = []
+    for arg in call.args:
+        if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
+            members.extend(arg.elts)
+        else:
+            members.append(arg)
+    return members
+
+
+def _called_attr(expr: ast.expr) -> Optional[ast.Attribute]:
+    """The ``x.attr`` an ``x.attr(...)`` call calls, else ``None``."""
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
+        return expr.func
+    return None
+
+
+class WaitNames:
+    """The names one function has bound, in walk order, to a blocking
+    getter (``get = sock.recv()``) or a deadline (``t = sim.timeout(d)``)
+    — and so which members of a yielded ``any_of``/``all_of`` block with
+    nothing to bound them."""
+
+    def __init__(self) -> None:
+        #: name -> the ``x.recv`` / ``x.accept`` its getter was made by
+        self.getters: dict[str, ast.Attribute] = {}
+        self.timeouts: set[str] = set()
+
+    def bind(self, target: ast.expr, value: ast.expr) -> None:
+        """Note ``target = value``.  ``c = yield lst.accept()`` binds
+        the accepted connection, not a getter."""
+        if not isinstance(target, ast.Name):
+            return
+        accepted = False
+        if (isinstance(value, (ast.Yield, ast.YieldFrom))
+                and value.value is not None):
+            accepted = isinstance(value, ast.Yield)
+            value = value.value
+        func = _called_attr(value)
+        if func is None:
+            return
+        if func.attr == "timeout":
+            self.timeouts.add(target.id)
+        elif func.attr in BLOCKING_RECV_ATTRS and not (
+                accepted and func.attr == "accept"):
+            self.getters[target.id] = func
+
+    def untimed(
+        self, condition: ast.Call,
+    ) -> list[tuple[ast.expr, ast.Attribute]]:
+        """Each ``.recv()``/``.accept()`` getter member of ``condition``,
+        bound to a name or written inline, with the ``x.recv`` /
+        ``x.accept`` that made it; none when a ``timeout(...)`` member
+        bounds the race."""
+        out: list[tuple[ast.expr, ast.Attribute]] = []
+        for member in condition_members(condition):
+            if isinstance(member, ast.Name):
+                if member.id in self.timeouts:
+                    return []
+                func = self.getters.get(member.id)
+            else:
+                func = _called_attr(member)
+                if func is not None and func.attr == "timeout":
+                    return []
+            if func is not None and func.attr in BLOCKING_RECV_ATTRS:
+                out.append((member, func))
+        return out
 
 
 #: exception names whose handler counts as covering an Interrupt
@@ -139,9 +194,11 @@ def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
 
 @rule
 class BlockingRecvRule(Rule):
-    """REPRO301: ``yield x.recv()`` / ``yield x.accept()`` with neither a
-    timeout composition (``any_of`` with a :class:`Timeout`) nor an
-    enclosing ``except Interrupt``.
+    """REPRO301: a blocking wait with no timeout composition and no
+    enclosing ``except Interrupt``: ``yield x.recv()`` / ``yield
+    x.accept()``, or a yielded ``any_of``/``all_of`` that races a
+    ``.recv()``/``.accept()`` getter (inline, or a name the function
+    bound to one) with no ``timeout(...)`` member.
 
     Such a yield blocks its process forever if the peer never sends —
     and a daemon ``stop()`` that interrupts the process crashes instead
@@ -150,7 +207,7 @@ class BlockingRecvRule(Rule):
     The guard is the lexically enclosing one, or — for a function the
     same file hands to ``serve`` (a :func:`handoff` of kind ``serve``) —
     the one in the skeleton that will run it; the same body handed to
-    nobody fires.
+    nobody fires.  A raced getter is reported at its member of the race.
     """
 
     code = "REPRO301"
@@ -167,37 +224,57 @@ class BlockingRecvRule(Rule):
                 served.add(handler.attr)
             elif isinstance(handler, ast.Name):
                 served.add(handler.id)
-        yield from self._visit(ctx, ctx.tree, False, frozenset(served))
+        yield from self._visit(ctx, ctx.tree, False, frozenset(served),
+                               WaitNames())
 
     def _visit(self, ctx: FileUnit, node: ast.AST, guarded: bool,
-               served: frozenset[str]) -> Iterator[Diagnostic]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef) and child.name in served:
-                yield from self._visit(ctx, child, True, served)
-                continue
-            if isinstance(child, ast.Try):
-                body_guarded = guarded or any(
-                    _catches_interrupt(h) for h in child.handlers)
-                for stmt in child.body + child.orelse + child.finalbody:
-                    yield from self._visit(ctx, stmt, body_guarded, served)
-                for handler in child.handlers:
-                    yield from self._visit(ctx, handler, guarded, served)
-                continue
-            if isinstance(child, ast.Yield) and not guarded:
-                call = child.value
-                # unwrap `a, b = yield conn.recv()` style values
-                if (isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in BLOCKING_RECV_ATTRS):
-                    yield ctx.diag(
-                        self.code,
-                        f"`yield .{call.func.attr}()` blocks forever with "
-                        f"no timeout composition and no enclosing `except "
-                        f"Interrupt`; use a recv timeout or guard the loop "
-                        f"so shutdown can unwind it",
-                        call,
-                    )
-            yield from self._visit(ctx, child, guarded, served)
+               served: frozenset[str],
+               names: WaitNames) -> Iterator[Diagnostic]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            guarded = guarded or node.name in served
+            names = WaitNames()
+        if isinstance(node, ast.Yield) and not guarded:
+            yield from self._waits(ctx, node.value, names)
+        if isinstance(node, ast.Try):
+            body_guarded = guarded or any(
+                _catches_interrupt(h) for h in node.handlers)
+            for stmt in node.body + node.orelse + node.finalbody:
+                yield from self._visit(ctx, stmt, body_guarded, served, names)
+            for handler in node.handlers:
+                yield from self._visit(ctx, handler, guarded, served, names)
+        else:
+            for child in ast.iter_child_nodes(node):
+                yield from self._visit(ctx, child, guarded, served, names)
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.bind(target, node.value)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            names.bind(node.target, node.value)
+
+    def _waits(self, ctx: FileUnit, value: Optional[ast.expr],
+               names: WaitNames) -> Iterator[Diagnostic]:
+        if not (isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)):
+            return
+        attr = value.func.attr
+        if attr in BLOCKING_RECV_ATTRS:
+            yield ctx.diag(
+                self.code,
+                f"`yield .{attr}()` blocks forever with no timeout "
+                f"composition and no enclosing `except Interrupt`; use a "
+                f"recv timeout or guard the loop so shutdown can unwind it",
+                value,
+            )
+        elif attr in CONDITION_ATTRS:
+            for member, getter in names.untimed(value):
+                yield ctx.diag(
+                    self.code,
+                    f"`yield .{attr}()` races a `.{getter.attr}()` getter "
+                    f"with no timeout member and no enclosing `except "
+                    f"Interrupt`; race a timeout too or guard the loop so "
+                    f"shutdown can unwind it",
+                    member,
+                )
 
 
 @rule

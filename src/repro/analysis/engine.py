@@ -81,13 +81,8 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
     "REPRO401": (Severity.ERROR, "static wait-for deadlock cycle"),
     "REPRO402": (Severity.ERROR, "store getter leaked on losing race path"),
     "REPRO403": (Severity.ERROR, "resource handle never released"),
-    "REPRO404": (Severity.ERROR, "unguarded blocking wait on client "
-                                 "request path"),
     "REPRO500": (Severity.ERROR, "linear status-DB scan on the request path"),
     "REPRO501": (Severity.ERROR, "full-DB copy/serialization per message"),
-    "REPRO502": (Severity.ERROR, "hoistable construction in a hot loop"),
-    "REPRO503": (Severity.ERROR, "loop-invariant recomputation in a hot "
-                                 "loop"),
     "REPRO504": (Severity.ERROR, "unbounded blocking work on the "
                                  "event-dispatch path"),
     "REPRO505": (Severity.ERROR, "quadratic accumulation on message-rate "

@@ -1,13 +1,15 @@
 """The op-trace walk: static deadlock (REPRO401), getter races
-(REPRO402), leaked handles (REPRO403) and unguarded client-path blocking
-waits (REPRO404) — one walk per function decides all four.
+(REPRO402) and leaked handles (REPRO403) — one walk per function decides
+all three.
 
 Every analyzed function is abstracted into an ordered **op trace**:
 
-* ``WAIT(chan, timed, guarded)`` — a blocking wire wait: a direct
-  ``yield sock.recv()`` / ``yield listener.accept()``, or a
-  ``yield sim.any_of([...])`` whose members include a recv/accept getter
-  (timed iff any member is a ``timeout(...)`` handle);
+* ``WAIT(chan)`` — an untimed blocking wire wait: a direct
+  ``yield sock.recv()`` / ``yield listener.accept()``, or each recv/accept
+  getter member of a ``yield sim.any_of([...])`` with no ``timeout(...)``
+  member (the shape REPRO301 reports, read from the same
+  :class:`~repro.analysis.concurrency.WaitNames`; a timed race is no
+  wait at all);
 * ``SEND(chan)`` — a ``.send``/``.sendto`` call or a TCP ``connect``
   (a connect is the message an ``accept`` waits for);
 * ``CALL(qualname)`` — a call the symbol table resolves, inlined during
@@ -20,20 +22,15 @@ Channels are canonical strings built from statically-known ports
 (``u:<port>`` datagram, ``lst:<port>`` listen/connect rendezvous,
 ``d:<port>:a``/``d:<port>:c`` the two directions of an accepted stream).
 A port that cannot be resolved statically yields channel ``None`` —
-still a blocking wait for REPRO404, but unmatchable for REPRO401, which
-keeps the analysis conservative instead of speculative.
+unmatchable for REPRO401, which keeps the analysis conservative instead
+of speculative.
 
-**REPRO401** draws an edge ``F -> G`` on channel ``C`` when ``F`` has an
-untimed wait on ``C`` and *every* send of ``C`` in ``G``'s expanded
-trace happens after one of ``G``'s own untimed waits — G cannot feed F
-until G is itself fed.  A cycle in that graph (SCC of size >= 2, or a
-self-loop) is a static deadlock: no edge carries a timeout, so the
-simulated world would hang forever.
-
-**REPRO404** expands the trace of every client entry point
-(``request_servers``/``smart_sockets``/``smart_sessions``/``failover``
-and any ``client_*`` function) and flags untimed wire waits with no
-``Interrupt`` guard — the request path must never block unboundedly.
+**REPRO401** draws an edge ``F -> G`` on channel ``C`` when ``F`` has a
+wait on ``C`` and *every* send of ``C`` in ``G``'s expanded trace
+happens after one of ``G``'s own waits — G cannot feed F until G is
+itself fed.  A cycle in that graph (SCC of size >= 2, or a self-loop) is
+a static deadlock: no edge carries a timeout, so the simulated world
+would hang forever.
 
 The same walk gathers each function's lifecycle facts — nested defs and
 lambdas included, and decided by source position once it is done:
@@ -63,18 +60,12 @@ from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
 from ..concurrency import (BLOCKING_RECV_ATTRS, CONDITION_ATTRS,
-                           GETTER_ATTRS, SEND_ATTRS, _catches_interrupt,
-                           handoff)
+                           GETTER_ATTRS, SEND_ATTRS, WaitNames,
+                           condition_members, handoff)
 from ..engine import FileUnit
 from .symbols import FunctionInfo, SymbolTable
 
-__all__ = ["FunctionTrace", "TraceExtractor", "deadlock_diagnostics",
-           "client_path_diagnostics", "CLIENT_ENTRY_NAMES"]
-
-#: functions whose bodies form the client request path (plus ``client_*``)
-CLIENT_ENTRY_NAMES = frozenset({
-    "request_servers", "smart_sockets", "smart_sessions", "failover",
-})
+__all__ = ["FunctionTrace", "TraceExtractor", "deadlock_diagnostics"]
 
 _ACQUIRE_SOCKET = "udp_socket"
 _ACQUIRE_LISTEN = "listen"
@@ -96,11 +87,7 @@ class Op:
     kind: str  # "wait" | "send" | "call"
     node: ast.AST
     chan: "str | None" = None
-    timed: bool = False
-    guarded: bool = False
     callee: str = ""
-    #: the file the op's node lives in (survives call inlining)
-    unit: "FileUnit | None" = None
 
 
 @dataclass
@@ -125,8 +112,6 @@ class TraceExtractor:
             fn = table.functions[qual]
             unit = table.unit_of[fn.module]
             walker = _FunctionWalker(table, fn)
-            for op in walker.ops:
-                op.unit = unit
             self.traces[qual] = FunctionTrace(fn=fn, unit=unit,
                                               ops=walker.ops)
             self.leaks.extend((unit, diag) for diag in walker.leaks())
@@ -134,7 +119,7 @@ class TraceExtractor:
     # -- expansion ----------------------------------------------------------
     def expanded(self, qualname: str) -> list[Op]:
         """The trace with resolved calls inlined (depth-capped,
-        recursion-guarded); a guarded call site marks inlined ops guarded."""
+        recursion-guarded)."""
         return self._expand(qualname, 0, frozenset())
 
     def _expand(self, qualname: str, depth: int,
@@ -145,15 +130,10 @@ class TraceExtractor:
         out: list[Op] = []
         inner_stack = stack | {qualname}
         for op in trace.ops:
-            if op.kind != "call":
+            if op.kind == "call":
+                out.extend(self._expand(op.callee, depth + 1, inner_stack))
+            else:
                 out.append(op)
-                continue
-            for sub in self._expand(op.callee, depth + 1, inner_stack):
-                if op.guarded and not sub.guarded:
-                    sub = Op(kind=sub.kind, node=sub.node, chan=sub.chan,
-                             timed=sub.timed, guarded=True,
-                             callee=sub.callee, unit=sub.unit)
-                out.append(sub)
         return out
 
 
@@ -163,11 +143,10 @@ class _FunctionWalker:
     Every node of the function is visited exactly once.  Ops come only
     from *live* nodes — the function's own statements and the
     expressions they evaluate.  Loop bodies are walked once (a trace is
-    an abstraction of one iteration); ``try`` bodies whose handlers catch
-    ``Interrupt`` (or a broader class) mark contained ops guarded.
-    Nested defs, assignment targets, spawn arguments and the members of
-    a yielded condition are *dead*: they add no op, but they still feed
-    the REPRO402/403 facts, which :meth:`leaks` decides at the end.
+    an abstraction of one iteration).  Nested defs, assignment targets,
+    spawn arguments and the members of a yielded condition are *dead*:
+    they add no op, but they still feed the REPRO402/403 facts, which
+    :meth:`leaks` decides at the end.
     """
 
     def __init__(self, table: SymbolTable, fn: FunctionInfo) -> None:
@@ -176,10 +155,8 @@ class _FunctionWalker:
         self.ops: list[Op] = []
         #: local name -> ("udp"|"lst"|"acc"|"con", port-id or None)
         self.roles: dict[str, tuple[str, "str | None"]] = {}
-        #: recv/accept getter name -> its wait channel
-        self.getters: dict[str, "str | None"] = {}
-        #: names bound to ``timeout(...)`` handles
-        self.timeouts: set[str] = set()
+        #: names bound to recv/accept getters and ``timeout(...)`` handles
+        self.waits = WaitNames()
         #: params, ``self`` and every name bound in the function
         self.local: set[str] = set(fn.params) | {"self"}
         #: name -> (owner, the ``.get()``/``.recv()`` call last bound to it)
@@ -193,15 +170,13 @@ class _FunctionWalker:
         #: (how, name) -> position of the last such release, ``how`` being
         #: "cancel" (the getter), "release" or "unregister" (its owner)
         self.released: dict[tuple[str, str], tuple[int, int]] = {}
-        self._visit(fn.node, guarded=False, live=True, marks=0)
+        self._visit(fn.node, live=True, marks=0)
 
-    def _visit(self, node: ast.AST, guarded: bool, live: bool,
-               marks: int) -> None:
+    def _visit(self, node: ast.AST, live: bool, marks: int) -> None:
         self._note(node, marks)
-        kids = self._emit(node, guarded) if live else {}
+        kids = self._emit(node) if live else []
         for child in ast.iter_child_nodes(node):
-            self._visit(child, kids.get(child, guarded), child in kids,
-                        marks | _marks(node, child))
+            self._visit(child, child in kids, marks | _marks(node, child))
         if live and isinstance(node, ast.Assign):
             for target in node.targets:
                 self._bind(target, node.value)
@@ -210,38 +185,32 @@ class _FunctionWalker:
             self._bind(node.target, node.value)
 
     # -- ops ----------------------------------------------------------------
-    def _emit(self, node: ast.AST, guarded: bool) -> dict[ast.AST, bool]:
-        """Append ``node``'s own ops; return its live children, each with
-        the guard it runs under."""
-        if isinstance(node, ast.Try):
-            kids: dict[ast.AST, bool] = dict.fromkeys(
-                [*node.handlers, *node.orelse, *node.finalbody], guarded)
-            kids.update(dict.fromkeys(node.body, guarded or any(
-                _catches_interrupt(h) for h in node.handlers)))
-            return kids
+    def _emit(self, node: ast.AST) -> list[ast.AST]:
+        """Append ``node``'s own ops; return its live children."""
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)) and node is not self.fn.node):
-            return {}
+            return []
         if isinstance(node, ast.Yield):
             value = node.value
             if (isinstance(value, ast.Call)
                     and isinstance(value.func, ast.Attribute)):
                 if value.func.attr in BLOCKING_RECV_ATTRS:
-                    self._wait(value, value.func, False, guarded)
-                    return {}
+                    self._wait(value, value.func)
+                    return []
                 if value.func.attr in CONDITION_ATTRS:
-                    self._condition(value, guarded)
-                    return {}
+                    for member, getter in self.waits.untimed(value):
+                        self._wait(member, getter)
+                    return []
         elif isinstance(node, ast.YieldFrom):
             value = node.value
             if not isinstance(value, ast.Call):
-                return {}
+                return []
             if (isinstance(value.func, ast.Attribute)
                     and value.func.attr in BLOCKING_RECV_ATTRS):
-                self._wait(value, value.func, False, guarded)
-            return {value: guarded}
+                self._wait(value, value.func)
+            return [value]
         elif isinstance(node, ast.Call):
-            return self._call(node, guarded)
+            return self._call(node)
         live: list[ast.AST]
         if isinstance(node, ast.expr):
             live = [c for c in ast.iter_child_nodes(node)
@@ -250,14 +219,15 @@ class _FunctionWalker:
             live = [c for f in ("value", "test", "iter", "exc",
                                 "context_expr")
                     if isinstance(c := getattr(node, f, None), ast.expr)]
-            for f in ("items", "body", "orelse", "finalbody"):
+            for f in ("items", "body", "handlers", "orelse", "finalbody"):
                 body = getattr(node, f, None)
                 if isinstance(body, list):
                     live += body
-        return dict.fromkeys(live, guarded)
+        return live
 
     # -- bindings -----------------------------------------------------------
     def _bind(self, target: ast.expr, value: ast.expr) -> None:
+        self.waits.bind(target, value)
         if not isinstance(target, ast.Name):
             return
         inner = value
@@ -282,58 +252,30 @@ class _FunctionWalker:
         elif attr == "accept" and accepted:
             _, port = self.roles.get(_recv_root(func), ("", None))
             self.roles[target.id] = ("acc", port)
-        elif attr == "timeout":
-            self.timeouts.add(target.id)
-        elif attr in BLOCKING_RECV_ATTRS:
-            # un-yielded getter handle: g = conn.recv()
-            self.getters[target.id] = self._wait_chan(func)
 
-    def _wait(self, node: ast.expr, func: ast.Attribute, timed: bool,
-              guarded: bool) -> None:
-        self.ops.append(Op(kind="wait", node=node, chan=self._wait_chan(func),
-                           timed=timed, guarded=guarded))
+    def _wait(self, node: ast.expr, func: ast.Attribute) -> None:
+        self.ops.append(Op(kind="wait", node=node,
+                           chan=self._wait_chan(func)))
 
-    def _condition(self, call: ast.Call, guarded: bool) -> None:
-        members = _members(call)
-        timed = any(self._is_timeout(m) for m in members)
-        for member in members:
-            if isinstance(member, ast.Name) and member.id in self.getters:
-                self.ops.append(Op(kind="wait", node=member,
-                                   chan=self.getters[member.id],
-                                   timed=timed, guarded=guarded))
-            elif (isinstance(member, ast.Call)
-                  and isinstance(member.func, ast.Attribute)
-                  and member.func.attr in BLOCKING_RECV_ATTRS):
-                self._wait(member, member.func, timed, guarded)
-
-    def _is_timeout(self, member: ast.expr) -> bool:
-        if isinstance(member, ast.Name):
-            return member.id in self.timeouts
-        return (isinstance(member, ast.Call)
-                and isinstance(member.func, ast.Attribute)
-                and member.func.attr == "timeout")
-
-    def _call(self, call: ast.Call, guarded: bool) -> dict[ast.AST, bool]:
+    def _call(self, call: ast.Call) -> list[ast.AST]:
         hand = handoff(call)
         if hand is not None and hand.kind == "process":
-            return {}  # spawned: runs concurrently, never inlined
+            return []  # spawned: runs concurrently, never inlined
         func = call.func
         if isinstance(func, ast.Attribute):
             if func.attr in SEND_ATTRS:
                 self.ops.append(Op(kind="send", node=call,
-                                   chan=self._send_chan(func, call),
-                                   guarded=guarded))
+                                   chan=self._send_chan(func, call)))
             elif func.attr == "connect":
                 port = self._connect_port(call)
                 self.ops.append(Op(
                     kind="send", node=call,
-                    chan=f"lst:{port}" if port is not None else None,
-                    guarded=guarded))
+                    chan=f"lst:{port}" if port is not None else None))
         target = self.table.resolve_call(func, self.fn.module, self.fn.cls)
         if isinstance(target, FunctionInfo):
-            self.ops.append(Op(kind="call", node=call, guarded=guarded,
+            self.ops.append(Op(kind="call", node=call,
                                callee=target.qualname))
-        return dict.fromkeys([*call.args, *call.keywords], guarded)
+        return [*call.args, *call.keywords]
 
     # -- lifecycle facts (REPRO402/403) -------------------------------------
     def _note(self, node: ast.AST, marks: int) -> None:
@@ -374,7 +316,7 @@ class _FunctionWalker:
         qual = self.fn.qualname
         out: list[Diagnostic] = []
         for race in self.races:
-            members = _members(race)
+            members = condition_members(race)
             raced = [m.id for m in members
                      if isinstance(m, ast.Name) and m.id in self.pending]
             inline = [m for m in members
@@ -489,17 +431,6 @@ def _pos(node: ast.expr) -> tuple[int, int]:
     return (node.lineno, node.col_offset)
 
 
-def _members(call: ast.Call) -> list[ast.expr]:
-    """The competitors of an ``any_of``/``all_of`` call."""
-    members: list[ast.expr] = []
-    for arg in call.args:
-        if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
-            members.extend(arg.elts)
-        else:
-            members.append(arg)
-    return members
-
-
 def _marks(parent: ast.AST, child: ast.AST) -> int:
     """What ``parent`` does to the names under ``child``: they escape the
     function (call argument, return/yield value, value stored to an
@@ -531,18 +462,15 @@ def _marks(parent: ast.AST, child: ast.AST) -> int:
 
 def _blocked_sends(ops: list[Op]) -> frozenset[str]:
     """Channels this trace sends on, where *every* send happens after one
-    of the trace's own untimed waits (the sender cannot produce until it
-    has itself consumed)."""
-    first_untimed_wait = None
-    for i, op in enumerate(ops):
-        if op.kind == "wait" and not op.timed:
-            first_untimed_wait = i
-            break
+    of the trace's own waits (the sender cannot produce until it has
+    itself consumed)."""
+    first_wait = next(
+        (i for i, op in enumerate(ops) if op.kind == "wait"), None)
     sends: dict[str, bool] = {}
     for i, op in enumerate(ops):
         if op.kind != "send" or op.chan is None:
             continue
-        preceded = first_untimed_wait is not None and i > first_untimed_wait
+        preceded = first_wait is not None and i > first_wait
         sends[op.chan] = sends.get(op.chan, True) and preceded
     return frozenset(c for c, blocked in sends.items() if blocked)
 
@@ -556,8 +484,7 @@ def deadlock_diagnostics(
     for qual in sorted(extractor.traces):
         ops = extractor.expanded(qual)
         wait_ops = [op for op in ops
-                    if op.kind == "wait" and not op.timed
-                    and op.chan is not None]
+                    if op.kind == "wait" and op.chan is not None]
         if wait_ops:
             waits[qual] = wait_ops
         sends = _blocked_sends(ops)
@@ -656,40 +583,3 @@ def _cycles(edges: dict[str, set[str]]) -> list[frozenset[str]]:
         if node not in index:
             strongconnect(node)
     return sorted(sccs, key=lambda s: sorted(s))
-
-
-# -- REPRO404: client request path ------------------------------------------
-
-def _is_client_entry(fn: FunctionInfo) -> bool:
-    return fn.name in CLIENT_ENTRY_NAMES or fn.name.startswith("client_")
-
-
-def client_path_diagnostics(
-    extractor: TraceExtractor,
-) -> list[tuple[FileUnit, Diagnostic]]:
-    """REPRO404: untimed, unguarded wire waits reachable from client
-    entry points (spawn edges excluded — background loops guard
-    themselves)."""
-    best_root: dict[int, tuple[str, Op]] = {}
-    for qual in sorted(extractor.traces):
-        trace = extractor.traces[qual]
-        if not _is_client_entry(trace.fn):
-            continue
-        for op in extractor.expanded(qual):
-            if op.kind != "wait" or op.timed or op.guarded:
-                continue
-            key = id(op.node)
-            if key not in best_root or qual < best_root[key][0]:
-                best_root[key] = (qual, op)
-    out: list[tuple[FileUnit, Diagnostic]] = []
-    for qual, op in best_root.values():
-        if op.unit is None:
-            continue
-        out.append((op.unit, make(
-            "REPRO404",
-            f"blocking wire wait with no timeout and no Interrupt guard "
-            f"is reachable from client entry point {qual} — the request "
-            f"path can hang forever on a silent peer",
-            line=op.node.lineno,  # type: ignore[attr-defined]
-            col=op.node.col_offset)))  # type: ignore[attr-defined]
-    return out

@@ -22,12 +22,6 @@ call resolution) instead of re-deriving a call graph:
   resolved calls, including ``sim.process(self._session(conn), ...)``
   spawn arguments (a per-connection spawn inside an accept loop runs
   per message, so its body is hot too);
-* **spawn names** — the ``name="wizard"`` literals on ``*.process``
-  calls and the ``session_name="receiver-session"`` literals on
-  ``*.serve`` calls, mapped to the generator function they spawn.
-  They are the bridge to the dynamic profiler: a static finding
-  reachable from ``Wizard._serve`` is ranked by the measured heat of
-  the process named ``wizard``;
 * **callbacks** — every ``add_callback`` / ``call_later`` / ``call_at``
   target and the first function registering it: the event-dispatch
   path REPRO504 walks.
@@ -40,42 +34,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable
 
 from ..concurrency import (BLOCKING_RECV_ATTRS, CONDITION_ATTRS,
                            GETTER_ATTRS, handoff)
 from ..flow.symbols import FunctionInfo, SymbolTable
 
-__all__ = ["HotContext", "build_hot_context", "constant_true", "heat_share"]
+__all__ = ["HotContext", "build_hot_context", "constant_true"]
 
 #: yielded attributes that make a ``while True`` loop a service loop
 _LOOP_WAIT_ATTRS = (BLOCKING_RECV_ATTRS | GETTER_ATTRS | CONDITION_ATTRS
                     | {"timeout"})
-
-
-#: separators accepted between a heat name and a per-connection suffix
-#: when matching profiler process names (``wizard`` matches
-#: ``wizard-session-3``) — mirrors the profiler's group separators
-_NAME_SEPS = ("-", ":", "/", ".")
-
-
-def _matches(proc_name: str, heat_name: str) -> bool:
-    return proc_name == heat_name or any(
-        proc_name.startswith(heat_name + sep) for sep in _NAME_SEPS)
-
-
-def heat_share(attribution: "dict[str, Any]",
-               heat_names: Iterable[str]) -> float:
-    """Fraction of all profiled resumes owned by ``heat_names``."""
-    processes: dict[str, Any] = attribution.get("processes", {})
-    total = sum(row["resumes"] for row in processes.values())
-    if total == 0:
-        return 0.0
-    count = 0
-    for proc_name, row in processes.items():
-        if any(_matches(proc_name, h) for h in heat_names):
-            count += row["resumes"]
-    return count / total
 
 
 def constant_true(test: ast.expr) -> bool:
@@ -92,8 +60,6 @@ class HotContext:
     roots: dict[str, list[ast.While]] = field(default_factory=dict)
     #: every hot function: qualname -> sorted roots it is reachable from
     hot: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: generator qualname -> ``name=`` literal of its ``*.process`` spawn
-    spawn_names: dict[str, str] = field(default_factory=dict)
     #: every function the kernel runs from its event loop (an
     #: ``add_callback`` / ``call_later`` / ``call_at`` target) -> the
     #: first function that registers it (REPRO504)
@@ -101,19 +67,6 @@ class HotContext:
 
     def roots_of(self, qualname: str) -> tuple[str, ...]:
         return self.hot.get(qualname, ())
-
-    def heat_names(self, qualname: str) -> tuple[str, ...]:
-        """Profiler process names behind a hot function's roots: the
-        spawn-name literal of each root that has one, else the root's
-        own bare function name (the kernel's default process name)."""
-        out = []
-        for root in self.roots_of(qualname):
-            name = self.spawn_names.get(root)
-            if name is None:
-                name = root.rsplit(".", 1)[-1]
-            if name not in out:
-                out.append(name)
-        return tuple(out)
 
 
 def _is_service_loop(loop: ast.While) -> bool:
@@ -145,15 +98,14 @@ def _callees(table: SymbolTable, fn: FunctionInfo) -> list[str]:
 
 def _spawn_walk(ctx: HotContext) -> set[str]:
     """The one walk over every :func:`~repro.analysis.concurrency.handoff`:
-    fills ``ctx.spawn_names`` and ``ctx.callbacks``, returns the hand-off
-    roots.
+    fills ``ctx.callbacks``, returns the hand-off roots.
 
-    ``*.process(gen(...), name="x")`` names the generator it spawns.
-    ``*.serve(key, handler, session_name="x")`` names the handler too,
-    and makes it a root: the accept loop behind ``serve`` spawns it per
-    connection, through an attribute no call resolution can follow.  A
-    ``call_later``/``call_at`` target is a root with no process to name,
-    and a callback; an ``add_callback`` target is only a callback.
+    A ``*.serve(key, handler)`` handler is a root: the accept loop behind
+    ``serve`` spawns it per connection, through an attribute no call
+    resolution can follow.  A ``call_later``/``call_at`` target is a
+    root and a callback; an ``add_callback`` target is only a callback.
+    (A ``*.process(gen(...))`` spawn needs nothing here: the generator
+    call is an ordinary resolved call of the spawning function.)
     """
     table = ctx.table
     roots: set[str] = set()
@@ -161,18 +113,16 @@ def _spawn_walk(ctx: HotContext) -> set[str]:
         fn = table.functions[qual]
         for node in ast.walk(fn.node):
             hand = handoff(node) if isinstance(node, ast.Call) else None
-            if hand is None:
+            if hand is None or hand.kind == "process":
                 continue
-            for expr in hand.functions:
-                target = table.resolve_call(expr, fn.module, fn.cls)
-                if not isinstance(target, FunctionInfo):
-                    continue
-                if hand.kind in ("serve", "schedule"):
-                    roots.add(target.qualname)
-                if hand.kind in ("schedule", "callback"):
-                    ctx.callbacks.setdefault(target.qualname, qual)
-                if hand.name is not None:
-                    ctx.spawn_names.setdefault(target.qualname, hand.name)
+            (handed,) = hand.handed
+            target = table.resolve_call(handed, fn.module, fn.cls)
+            if not isinstance(target, FunctionInfo):
+                continue
+            if hand.kind in ("serve", "schedule"):
+                roots.add(target.qualname)
+            if hand.kind in ("schedule", "callback"):
+                ctx.callbacks.setdefault(target.qualname, qual)
     return roots
 
 

@@ -1,6 +1,6 @@
-"""The six H-series performance rules (REPRO500–505).
+"""The four H-series performance rules (REPRO500, 501, 504, 505).
 
-All six are *shape* rules over the hot context of :mod:`.heat`: they
+All four are *shape* rules over the hot context of :mod:`.heat`: they
 fire only in functions reachable from a service loop or a registered
 wire-tag handler (REPRO504 excepted — its context is the kernel
 event-dispatch path itself, via ``add_callback`` registration or a
@@ -19,13 +19,6 @@ The rules are deliberately conservative about what counts as evidence:
 * **REPRO501** — a full-copy/serialize call (``dict``, ``list``,
   ``tuple``, ``.copy()``, ``deepcopy``, ``dumps``) whose argument
   mentions a DB name or a shared-segment ``.read()``/``.snapshot()``.
-* **REPRO502** — construction of a project class inside a hot loop with
-  every argument loop-invariant (hoist it out or pool it); ``raise``
-  sites are exempt (error paths are cold).
-* **REPRO503** — a call to a known-expensive pure function (``sorted``,
-  ``compile``, ``min``/``max``/``sum``, ``re.compile``) inside a loop
-  body with every argument loop-invariant — the missing-cache shape.
-  A loop's *own* iterable is evaluated once per entry and is exempt.
 * **REPRO504** — a callback registered with ``add_callback`` (or handed
   to ``call_later``/``call_at``) whose call closure contains a
   ``while True:`` with no ``break``/``return``/
@@ -43,7 +36,7 @@ import ast
 from typing import Iterator
 
 from ...lang.diagnostics import Diagnostic, make
-from ..flow.symbols import ClassInfo, FunctionInfo
+from ..flow.symbols import FunctionInfo
 from .heat import HotContext, _callees, constant_true
 
 __all__ = ["hot_rule_diagnostics", "DB_NAME_SUFFIXES"]
@@ -56,8 +49,6 @@ _DB_EXACT = frozenset({"hosts", "registry", "host_registry"})
 _COPY_NAME_FUNCS = frozenset({"dict", "list", "tuple"})
 _COPY_ATTR_FUNCS = frozenset({"deepcopy", "dumps"})
 _SNAPSHOT_ATTRS = frozenset({"read", "snapshot"})
-_EXPENSIVE_NAME_FUNCS = frozenset({"sorted", "compile", "min", "max", "sum"})
-_EXPENSIVE_ATTR_FUNCS = frozenset({"compile"})
 _GROW_ATTRS = frozenset({"append", "extend", "insert"})
 
 
@@ -96,68 +87,6 @@ def _dotted(expr: ast.expr) -> "str | None":
     return ".".join(reversed(parts))
 
 
-def _assigned_names(node: ast.AST) -> set[str]:
-    """Every bare name (re)bound anywhere under ``node``."""
-    out: set[str] = set()
-
-    def bind(target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            out.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                bind(elt)
-        elif isinstance(target, ast.Starred):
-            bind(target.value)
-
-    for child in ast.walk(node):
-        if isinstance(child, ast.Assign):
-            for target in child.targets:
-                bind(target)
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign,
-                                ast.NamedExpr)):
-            bind(child.target)
-        elif isinstance(child, (ast.For, ast.AsyncFor)):
-            bind(child.target)
-        elif isinstance(child, (ast.With, ast.AsyncWith)):
-            for item in child.items:
-                if item.optional_vars is not None:
-                    bind(item.optional_vars)
-        elif isinstance(child, ast.comprehension):
-            bind(child.target)
-    return out
-
-
-def _loop_invariant(expr: ast.expr, assigned: set[str]) -> bool:
-    """Constants and names not rebound in the loop are invariant;
-    anything else (attributes, calls, subscripts) is conservatively
-    treated as loop-varying."""
-    if isinstance(expr, ast.Constant):
-        return True
-    if isinstance(expr, ast.Name):
-        return expr.id not in assigned
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        return all(_loop_invariant(e, assigned) for e in expr.elts)
-    if isinstance(expr, ast.UnaryOp):
-        return _loop_invariant(expr.operand, assigned)
-    return False
-
-
-def _loops_in(fn: FunctionInfo) -> "list[ast.For | ast.While]":
-    return [node for node in ast.walk(fn.node)
-            if isinstance(node, (ast.For, ast.While))]
-
-
-def _raised_calls(fn: FunctionInfo) -> set[int]:
-    """ids of Call nodes that construct a raised exception (cold path)."""
-    out: set[int] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            for sub in ast.walk(node.exc):
-                if isinstance(sub, ast.Call):
-                    out.add(id(sub))
-    return out
-
-
 def _hot_functions(ctx: HotContext) -> Iterator[FunctionInfo]:
     for qual in sorted(ctx.hot):
         fn = ctx.table.functions.get(qual)
@@ -190,7 +119,7 @@ def _scanned_db(iter_expr: ast.expr) -> "str | None":
 
 
 def _check_db_scan(ctx: HotContext, fn: FunctionInfo) -> Iterator[Diagnostic]:
-    for loop in _loops_in(fn):
+    for loop in ast.walk(fn.node):
         if not isinstance(loop, ast.For):
             continue
         db = _scanned_db(loop.iter)
@@ -231,69 +160,6 @@ def _check_db_copy(ctx: HotContext, fn: FunctionInfo) -> Iterator[Diagnostic]:
             f"deltas or reuse the last snapshot instead of re-copying "
             f"the full DB",
             line=node.lineno, col=node.col_offset)
-
-
-# -- REPRO502: hoistable construction in a hot loop --------------------------
-
-def _check_loop_construction(ctx: HotContext,
-                             fn: FunctionInfo) -> Iterator[Diagnostic]:
-    cold = _raised_calls(fn)
-    for loop in _loops_in(fn):
-        assigned = _assigned_names(loop)
-        for node in ast.walk(loop):
-            if not isinstance(node, ast.Call) or id(node) in cold:
-                continue
-            target = ctx.table.resolve_call(node.func, fn.module, fn.cls)
-            if not isinstance(target, ClassInfo):
-                continue
-            args = list(node.args) + [kw.value for kw in node.keywords]
-            if not all(_loop_invariant(a, assigned) for a in args):
-                continue
-            yield make(
-                "REPRO502",
-                f"{fn.qualname} constructs {target.name} with only "
-                f"loop-invariant arguments inside a per-event loop (hot "
-                f"via {_root_label(ctx, fn.qualname)}) — hoist the "
-                f"construction out of the loop or pool the object",
-                line=node.lineno, col=node.col_offset)
-
-
-# -- REPRO503: loop-invariant recomputation ----------------------------------
-
-def _check_invariant_recompute(ctx: HotContext,
-                               fn: FunctionInfo) -> Iterator[Diagnostic]:
-    loops = _loops_in(fn)
-    own_iters = {id(loop.iter) for loop in loops
-                 if isinstance(loop, ast.For)}
-    for loop in loops:
-        assigned = _assigned_names(loop)
-        for node in ast.walk(loop):
-            if (not isinstance(node, ast.Call) or not node.args
-                    or id(node) in own_iters):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-                if name not in _EXPENSIVE_NAME_FUNCS:
-                    continue
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-                if name not in _EXPENSIVE_ATTR_FUNCS:
-                    continue
-            else:
-                continue
-            args = list(node.args) + [kw.value for kw in node.keywords]
-            if not all(_loop_invariant(a, assigned) for a in args):
-                continue
-            if not any(isinstance(a, ast.Name) for a in node.args):
-                continue  # recomputing over literals is not a cache miss
-            yield make(
-                "REPRO503",
-                f"{fn.qualname} recomputes {name}() over loop-invariant "
-                f"arguments every iteration (hot via "
-                f"{_root_label(ctx, fn.qualname)}) — hoist it before the "
-                f"loop or cache the result",
-                line=node.lineno, col=node.col_offset)
 
 
 # -- REPRO504: unbounded blocking work on the dispatch path ------------------
@@ -388,8 +254,6 @@ def _check_quadratic_scan(ctx: HotContext,
 _HOT_CHECKS = (
     _check_db_scan,
     _check_db_copy,
-    _check_loop_construction,
-    _check_invariant_recompute,
     _check_quadratic_scan,
 )
 

@@ -15,8 +15,7 @@ function in :data:`GATES` returning ``(findings, summary stats)``.
 
 Output ordering is fully deterministic, so two runs over the same tree
 are byte-identical: per-file findings keep file-walk order,
-whole-program findings sort by (path, line, col, code) — or, given a
-``repro profile`` attribution, H-series findings rank hottest-first.
+whole-program findings sort by (path, line, col, code).
 """
 
 from __future__ import annotations
@@ -24,16 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..lang.diagnostics import Diagnostic
 from .engine import (FileUnit, ParseFailure, all_rules, iter_python_files,
                      noqa_map, parse_unit, series_of)
-from .flow.deadlock import (TraceExtractor, client_path_diagnostics,
-                            deadlock_diagnostics)
+from .flow.deadlock import TraceExtractor, deadlock_diagnostics
 from .flow.messages import TagAnalysis, registry_diagnostics
 from .flow.symbols import SymbolTable
-from .hotpath.heat import build_hot_context, heat_share
+from .hotpath.heat import build_hot_context
 from .hotpath.rules import hot_rule_diagnostics
 from .typestate.pairing import pairing_diagnostics
 from .typestate.walker import TypestateWalker
@@ -82,12 +80,6 @@ class Finding:
 
     unit: FileUnit
     diag: Diagnostic
-    #: H-series provenance: the function the finding is anchored in and
-    #: the profiler process names behind its hot roots
-    qualname: str = ""
-    heat_names: tuple[str, ...] = ()
-    #: measured resume share of those processes (``None`` = no profile)
-    heat: "float | None" = None
 
     @property
     def gate(self) -> str:
@@ -108,8 +100,7 @@ def _flow(program: Program) -> _GateResult:
     extractor = TraceExtractor(table)
     raw = [*registry_diagnostics(table, tags),
            *deadlock_diagnostics(extractor),
-           *extractor.leaks,
-           *client_path_diagnostics(extractor)]
+           *extractor.leaks]
     registered = {entry.tag for registry in table.registries
                   for entry in registry.entries}
     return [Finding(unit, diag) for unit, diag in raw], {
@@ -121,8 +112,7 @@ def _flow(program: Program) -> _GateResult:
 
 def _perf(program: Program) -> _GateResult:
     ctx = build_hot_context(program.table)
-    found = [Finding(program.table.unit_of[fn.module], diag, fn.qualname,
-                     ctx.heat_names(fn.qualname))
+    found = [Finding(program.table.unit_of[fn.module], diag)
              for fn, diag in hot_rule_diagnostics(ctx)]
     return found, {
         "function(s)": len(program.table.functions),
@@ -185,14 +175,8 @@ class Report:
                      or any(f.diag.is_error for f in self.findings)) else 0
 
 
-def run_checks(program: Program, gates: Sequence[str] = ("",),
-               attribution: "dict[str, Any] | None" = None) -> Report:
-    """Run ``gates`` over ``program``.
-
-    ``attribution`` is a profiler attribution dict (that subtree of a
-    ``repro profile`` JSON); when given, H-series findings carry a
-    measured :attr:`~Finding.heat` share and rank hottest-first.
-    """
+def run_checks(program: Program, gates: Sequence[str] = ("",)) -> Report:
+    """Run ``gates`` over ``program``."""
     raw: list[Finding] = []
     stats: dict[str, dict[str, int]] = {}
     for gate in gates:
@@ -209,13 +193,10 @@ def run_checks(program: Program, gates: Sequence[str] = ("",),
             suppressed.append(finding)
         else:
             kept.append(finding)
-            if attribution is not None and finding.gate == "perf":
-                finding.heat = heat_share(attribution, finding.heat_names)
 
-    def order(f: Finding) -> tuple[int, float, int, str, int, int, str]:
+    def order(f: Finding) -> tuple[int, int, str, int, int, str]:
         gate = f.gate
-        return (gates.index(gate), -(f.heat or 0.0),
-                0 if gate else program.walk[f.unit.path],
+        return (gates.index(gate), 0 if gate else program.walk[f.unit.path],
                 f.unit.posix, f.diag.line, f.diag.col, f.diag.code)
 
     kept.sort(key=order)

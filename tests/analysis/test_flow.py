@@ -353,17 +353,26 @@ class TestLifecycle:
 
 
 class TestClientPath:
+    """The client request path's blocking waits are REPRO301's: the
+    per-file rule flags each untimed, unguarded wait where it is written,
+    whoever reaches it, and the flow gate adds nothing to it."""
+
+    @staticmethod
+    def check(tmp_path: Path, source: str):
+        (tmp_path / "mod.py").write_text(source, encoding="utf-8")
+        return run_checks(Program.load([tmp_path]), ("", "flow"))
+
     def test_untimed_client_wait_flagged(self, tmp_path):
-        report = analyze(tmp_path, mod=(
+        report = self.check(tmp_path, (
             "def client_ask(stack):\n"
             "    sock = stack.udp_socket()\n"
             "    reply = yield sock.recv()\n"
             "    sock.close()\n"
             "    return reply\n"))
-        assert codes(report) == ["REPRO404"]
+        assert codes(report) == ["REPRO301"]
 
     def test_wait_behind_resolved_call_is_still_reachable(self, tmp_path):
-        report = analyze(tmp_path, mod=(
+        report = self.check(tmp_path, (
             "def _inner(sock):\n"
             "    return (yield sock.recv())\n"
             "def client_ask(stack):\n"
@@ -371,11 +380,29 @@ class TestClientPath:
             "    reply = yield from _inner(sock)\n"
             "    sock.close()\n"
             "    return reply\n"))
-        assert codes(report) == ["REPRO404"]
-        assert "client_ask" in report.findings[0].diag.message
+        assert codes(report) == ["REPRO301"]
+        assert report.findings[0].diag.line == 2  # in the helper
+
+    def test_caller_guard_does_not_cover_the_helper(self, tmp_path):
+        """The helper's wait blocks whichever caller reaches it; one
+        guarded caller does not make it safe for the next."""
+        report = self.check(tmp_path, (
+            "from repro.sim import Interrupt\n"
+            "def _inner(sock):\n"
+            "    return (yield sock.recv())\n"
+            "def client_ask(stack):\n"
+            "    sock = stack.udp_socket()\n"
+            "    try:\n"
+            "        reply = yield from _inner(sock)\n"
+            "    except Interrupt:\n"
+            "        reply = None\n"
+            "    sock.close()\n"
+            "    return reply\n"))
+        assert codes(report) == ["REPRO301"]
+        assert report.findings[0].diag.line == 3
 
     def test_spawned_loop_is_not_on_the_request_path(self, tmp_path):
-        report = analyze(tmp_path, mod=(
+        report = self.check(tmp_path, (
             "from repro.sim import Interrupt\n"
             "def _loop(sock):\n"
             "    try:\n"
@@ -385,22 +412,24 @@ class TestClientPath:
             "        sock.close()\n"
             "def client_ask(stack, sim):\n"
             "    sock = stack.udp_socket()\n"
-            "    sim.process(_loop(sock))\n"
-            "    return sock\n"))
+            "    return sock, sim.process(_loop(sock))\n"))
         assert codes(report) == []
 
     def test_scheduled_call_is_not_on_the_request_path(self, tmp_path):
-        report = analyze(tmp_path, mod=(
+        """The scheduled function's wait is its own finding, at its own
+        line: nothing is charged to the function that schedules it."""
+        report = self.check(tmp_path, (
             "def _drain(sock):\n"
             "    return (yield sock.recv())\n"
             "def client_ask(stack, sim):\n"
             "    sock = stack.udp_socket()\n"
             "    sim.call_later(1.0, _drain, sock)\n"
             "    sock.close()\n"))
-        assert codes(report) == []
+        assert codes(report) == ["REPRO301"]
+        assert report.findings[0].diag.line == 2
 
     def test_interrupt_guard_satisfies_the_rule(self, tmp_path):
-        report = analyze(tmp_path, mod=(
+        report = self.check(tmp_path, (
             "from repro.sim import Interrupt\n"
             "def client_ask(stack):\n"
             "    sock = stack.udp_socket()\n"
@@ -410,6 +439,36 @@ class TestClientPath:
             "        reply = None\n"
             "    sock.close()\n"
             "    return reply\n"))
+        assert codes(report) == []
+
+    @pytest.mark.parametrize("setup, race, col", [
+        ("get = sock.recv()", "sim.any_of([get, stop])", 30),
+        ("get = lst.accept()", "sim.all_of((stop, get))", 36),
+        ("pass", "sim.any_of([sock.recv(), stop])", 30),
+    ], ids=["named-recv", "named-accept", "inline-recv"])
+    def test_untimed_race_is_flagged_at_its_getter(self, tmp_path, setup,
+                                                   race, col):
+        report = self.check(tmp_path, (
+            "def client_ask(sim, sock, lst, stop):\n"
+            f"    {setup}\n"
+            f"    fired = yield {race}\n"
+            "    return fired\n"))
+        r301 = [f.diag for f in report.findings if f.diag.code == "REPRO301"]
+        assert [(d.line, d.col) for d in r301] == [(3, col)]
+
+    @pytest.mark.parametrize("setup, race", [
+        ("deadline = sim.timeout(1.0)", "sim.any_of([get, deadline])"),
+        ("pass", "sim.any_of([get, sim.timeout(1.0)])"),
+    ], ids=["named-timeout", "inline-timeout"])
+    def test_timed_race_is_clean(self, tmp_path, setup, race):
+        report = self.check(tmp_path, (
+            "def client_ask(sim, sock):\n"
+            "    get = sock.recv()\n"
+            f"    {setup}\n"
+            f"    fired = yield {race}\n"
+            "    if get not in fired:\n"
+            "        sock.rx.cancel(get)\n"
+            "    return fired\n"))
         assert codes(report) == []
 
 
@@ -425,27 +484,19 @@ class TestNoqaSuppression:
 
 
 class TestCliSurface:
-    def test_repo_flow_output_is_byte_stable(self, capsys):
-        check_main(["--flow", str(SRC)])
-        first = capsys.readouterr().out
-        check_main(["--flow", str(SRC)])
-        second = capsys.readouterr().out
-        assert first == second
-        assert first.endswith("flow-clean (5 F rules)\n")
-
-    def test_graph_exports_are_deterministic(self, tmp_path, capsys):
-        out1 = tmp_path / "g1.json"
-        out2 = tmp_path / "g2.json"
-        dot1 = tmp_path / "g1.dot"
-        dot2 = tmp_path / "g2.dot"
-        check_main(["--flow", "--json", str(out1), "--dot", str(dot1),
-                    str(SRC)])
-        check_main(["--flow", "--json", str(out2), "--dot", str(dot2),
-                    str(SRC)])
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-        assert dot1.read_bytes() == dot2.read_bytes()
-        graph = json.loads(out1.read_text())
+    def test_repo_flow_output_is_byte_stable(self, tmp_path, capsys):
+        """Two independent runs: stdout, JSON and DOT byte-for-byte."""
+        runs = []
+        for run in (1, 2):
+            graph, dot = tmp_path / f"g{run}.json", tmp_path / f"g{run}.dot"
+            check_main(["--flow", "--json", str(graph), "--dot", str(dot),
+                        str(SRC)])
+            runs.append((capsys.readouterr().out, graph.read_bytes(),
+                         dot.read_bytes()))
+        assert runs[0] == runs[1]
+        out, graph_bytes, _ = runs[0]
+        assert out.endswith("flow-clean (4 F rules)\n")
+        graph = json.loads(graph_bytes)
         assert sorted(graph["tags"]) == [
             "MSG_NETDB", "MSG_PULL", "MSG_SECDB", "MSG_SYSDB",
             "REPLY_NAK", "REPLY_OK", "REPLY_STALE"]
@@ -463,13 +514,3 @@ class TestCliSurface:
         assert check_main(["--flow", str(bad)]) == 1
         assert "error PARSE" in capsys.readouterr().out
 
-
-@pytest.mark.parametrize("entry", ["request_servers", "smart_sockets",
-                                   "smart_sessions", "failover"])
-def test_shipped_client_entry_points_exist(entry):
-    """The REPRO404 root set matches real client API names — if one is
-    renamed, the rule must be retargeted, not silently uprooted."""
-    sources = "\n".join(
-        p.read_text(encoding="utf-8")
-        for p in [SRC / "core" / "client.py", SRC / "core" / "session.py"])
-    assert f"def {entry}" in sources

@@ -36,14 +36,11 @@ FLOW = {
     "f401_recv_deadlock",
     "f402_store_getter_leak",
     "f403_socket_leak",
-    "f404_unguarded_client_wait",
 }
 #: fixtures exercised with ``--perf`` (whole-program H-series analyses)
 PERF = {
     "h500_db_scan",
     "h501_db_copy",
-    "h502_loop_construction",
-    "h503_invariant_recompute",
     "h504_dispatch_blocking",
     "h505_quadratic_growth",
 }
@@ -174,7 +171,7 @@ def test_repo_source_tree_is_flow_clean(repo_check_all):
     tree, with the full wire-tag surface verified against the registry."""
     code, out = repo_check_all
     assert code == 0
-    assert "flow-clean (5 F rules)" in out
+    assert "flow-clean (4 F rules)" in out
     assert "7 wire tag(s)" in out
 
 
@@ -183,7 +180,7 @@ def test_repo_source_tree_is_perf_clean(repo_check_all):
     (every real finding fixed, the justified copies noqa'd)."""
     code, out = repo_check_all
     assert code == 0
-    assert "perf-clean (6 H rules" in out
+    assert "perf-clean (4 H rules" in out
 
 
 def test_repo_source_tree_is_proto_clean(repo_check_all):

@@ -29,6 +29,11 @@ SEED_CASES = [
      "def fetch(conn):\n"
      "    msg, _ = yield conn.recv(){noqa}\n"
      "    return msg\n"),
+    ("R", "REPRO301",
+     "def fetch(sim, conn, cancelled):\n"
+     "    get = conn.recv()\n"
+     "    fired = yield sim.any_of([get, cancelled]){noqa}\n"
+     "    return fired\n"),
     ("F", "REPRO403",
      "def start(stack):\n"
      "    sock = stack.udp_socket(){noqa}\n"

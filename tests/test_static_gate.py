@@ -68,10 +68,11 @@ def test_ci_runs_flow_gate():
 
 
 def test_ci_runs_hotpath_gate():
-    """The CI ``hotpath`` job gates the H-series perf analyzer and the
+    """The CI ``static`` job gates the H-series perf analyzer and the
     sim profiler: clean tree, seeded fixtures must fail, byte-stable
     double run, deterministic dual-run attribution, and the kernel
-    benchmark's profiler-overhead criterion."""
+    benchmark's profiler-overhead criterion.  No step feeds the profile
+    to ``repro check``, which takes none."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "check --perf src/repro" in ci
     assert "h50*.py" in ci
