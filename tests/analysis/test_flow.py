@@ -8,6 +8,8 @@ guarantees of the CLI surface.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -483,20 +485,32 @@ class TestNoqaSuppression:
         assert report.exit_code == 0
 
 
-class TestCliSurface:
-    def test_repo_flow_output_is_byte_stable(self, tmp_path, capsys):
-        """Two independent runs: stdout, JSON and DOT byte-for-byte."""
-        runs = []
-        for run in (1, 2):
-            graph, dot = tmp_path / f"g{run}.json", tmp_path / f"g{run}.dot"
+@pytest.fixture(scope="class")
+def repo_flow_runs(tmp_path_factory):
+    """Two independent ``--flow --json --dot`` runs over the source tree:
+    (stdout, JSON bytes, DOT bytes) each, shared by the CLI tests."""
+    tmp = tmp_path_factory.mktemp("flow")
+    runs = []
+    for run in (1, 2):
+        graph, dot = tmp / f"g{run}.json", tmp / f"g{run}.dot"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             check_main(["--flow", "--json", str(graph), "--dot", str(dot),
                         str(SRC)])
-            runs.append((capsys.readouterr().out, graph.read_bytes(),
-                         dot.read_bytes()))
-        assert runs[0] == runs[1]
-        out, graph_bytes, _ = runs[0]
-        assert out.endswith("flow-clean (4 F rules)\n")
-        graph = json.loads(graph_bytes)
+        runs.append((out.getvalue(), graph.read_bytes(), dot.read_bytes()))
+    return runs
+
+
+class TestCliSurface:
+    def test_repo_flow_output_is_byte_stable(self, repo_flow_runs):
+        first, second = repo_flow_runs
+        assert first[0] == second[0]
+        assert first[0].endswith("flow-clean (4 F rules)\n")
+
+    def test_graph_exports_are_deterministic(self, repo_flow_runs):
+        (_, json1, dot1), (_, json2, dot2) = repo_flow_runs
+        assert json1 == json2
+        assert dot1 == dot2
+        graph = json.loads(json1)
         assert sorted(graph["tags"]) == [
             "MSG_NETDB", "MSG_PULL", "MSG_SECDB", "MSG_SYSDB",
             "REPLY_NAK", "REPLY_OK", "REPLY_STALE"]
