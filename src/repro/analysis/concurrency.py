@@ -202,8 +202,9 @@ class BlockingRecvRule(Rule):
 
     Such a yield blocks its process forever if the peer never sends —
     and a daemon ``stop()`` that interrupts the process crashes instead
-    of unwinding.  Either compose the event with a timeout
-    (``recv_timeout``) or guard the loop with ``except Interrupt``.
+    of unwinding.  Either race the event against a ``timeout(...)``
+    (and withdraw the losing getter) or guard the loop with
+    ``except Interrupt``.
     The guard is the lexically enclosing one, or — for a function the
     same file hands to ``serve`` (a :func:`handoff` of kind ``serve``) —
     the one in the skeleton that will run it; the same body handed to

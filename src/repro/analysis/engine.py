@@ -87,13 +87,11 @@ ANALYZER_CODES: dict[str, tuple[str, str]] = {
                                  "event-dispatch path"),
     "REPRO505": (Severity.ERROR, "quadratic accumulation on message-rate "
                                  "state"),
-    "REPRO600": (Severity.ERROR, "use after close / double close"),
-    "REPRO601": (Severity.ERROR, "lifecycle op before the machine permits "
-                                 "it"),
+    "REPRO600": (Severity.ERROR, "lifecycle op the declared machine does "
+                                 "not permit"),
     "REPRO602": (Severity.ERROR, "acquired resource not closed on an "
                                  "exception path"),
     "REPRO603": (Severity.ERROR, "request site misses a declared reply tag"),
-    "REPRO604": (Severity.ERROR, "failover/re-open from a forbidden state"),
     "REPRO605": (Severity.ERROR, "lifecycle op races a spawned owner"),
 }
 

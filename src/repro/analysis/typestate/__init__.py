@@ -1,6 +1,6 @@
 """Typestate & protocol-conformance analyzer (``repro check --proto``).
 
-The S-series (REPRO600–605): path-sensitive verification of
+The S-series (REPRO600, 602, 603, 605): path-sensitive verification of
 socket/session lifecycles against state machines declared next to the
 APIs they govern, exception-path release checking, spawn-ownership
 conflicts and request–reply pairing.  See :mod:`.machines` for how the

@@ -7,7 +7,9 @@ a plain ``*_MACHINE`` dict beside the class it governs
 module imports those dicts and builds each :class:`Machine` with
 :meth:`Machine.declared`, so the declaration a reader of the governed
 module sees is the machine ``repro check --proto`` runs; there is no
-second copy to keep in step.
+second copy to keep in step.  A declaration carries only what a rule
+reads: the transitions (REPRO600), the close and re-open ops
+(REPRO602, REPRO605) and the states that count as released (REPRO602).
 
 The wizard request–reply exchange is declared the same way, as
 :data:`repro.core.records.WIZARD_EXCHANGE`: one request class, the
@@ -48,17 +50,13 @@ class Machine:
     #: state a tracked object starts in after its canonical acquisition
     initial: str
     states: tuple[str, ...]
-    #: terminal states: close-class ops from here are double-closes,
-    #: data ops from here are use-after-close
-    final: tuple[str, ...]
-    #: ``(state, op) -> next state`` — an op with no row for the current
-    #: state is a protocol violation
+    #: ``(state, op) -> next state`` — an op with no row for any state
+    #: the object may be in is a protocol violation (REPRO600)
     transitions: Mapping[tuple[str, str], str]
-    #: ops that move payload — REPRO600/601 territory
-    data_ops: frozenset[str]
-    #: ops that end a lifecycle — REPRO600 (double close) territory
+    #: ops that end a lifecycle — a release for REPRO602, an owner
+    #: conflict after a spawn for REPRO605
     close_ops: frozenset[str]
-    #: ops that re-open / re-acquire — REPRO604 territory
+    #: ops that re-open / re-acquire — an owner conflict for REPRO605
     reopen_ops: frozenset[str]
     #: states in which the resource counts as released for the
     #: exception-path check (REPRO602)
@@ -67,19 +65,16 @@ class Machine:
     @classmethod
     def declared(cls, decl: Mapping[str, Any]) -> "Machine":
         """The machine a ``*_MACHINE`` dict declares.  Its transitions
-        are ``"state.op": next`` rows; ``released`` defaults to the
-        terminal states."""
+        are ``"state.op": next`` rows."""
         return cls(
             name=decl["name"],
             initial=decl["initial"],
             states=decl["states"],
-            final=decl["final"],
             transitions={tuple(row.split(".")): nxt
                          for row, nxt in decl["transitions"].items()},
-            data_ops=frozenset(decl["data_ops"]),
             close_ops=frozenset(decl["close_ops"]),
             reopen_ops=frozenset(decl["reopen_ops"]),
-            released=decl.get("released", decl["final"]),
+            released=decl["released"],
         )
 
     @property

@@ -1,4 +1,4 @@
-"""Path-sensitive typestate walker (REPRO600/601/602/604/605).
+"""Path-sensitive typestate walker (REPRO600/602/605).
 
 One function at a time, the walker tracks locals bound to a protocol
 resource — a ``TcpConnection`` from a driven ``yield from
@@ -6,7 +6,9 @@ tcp.connect(...)``, a ``TcpListener`` from ``.listen(...)``, a
 ``UdpSocket`` getter handle, a ``ReliableSocket``/``SmartSession``
 constructor call — as a *set of possible machine states*, and checks
 every op against the declared transition tables in
-:mod:`.machines`.
+:mod:`.machines`.  An op no possible state permits is REPRO600,
+whatever the op: a double close, a send after close or before the
+handshake and a re-open from a forbidden state are the same finding.
 
 The analysis is deliberately biased toward **definite** errors:
 
@@ -119,10 +121,6 @@ def _merge(*envs: "_Env | None") -> "_Env | None":
         spawn = max(s.spawn_line for s in sts)
         out[name] = _St(states, spawn)
     return out
-
-
-def _desc(states: frozenset[str]) -> str:
-    return "/".join(sorted(states))
 
 
 class TypestateWalker:
@@ -542,28 +540,13 @@ class TypestateWalker:
                 self.released.add(name)
             env[name] = _St(frozenset(nxt | stay), st.spawn_line)
             return
-        desc = _desc(st.states)
-        final = set(machine.final)
-        if op in machine.close_ops and st.states <= final:
-            code = "REPRO600"
-            msg = (f"double close: {op}() on {machine.name} '{name}' "
-                   f"already in terminal state {desc} on every path")
-        elif op in machine.data_ops and st.states <= final:
-            code = "REPRO600"
-            msg = (f"use after close: {op}() on {machine.name} '{name}' "
-                   f"closed on every path reaching here")
-        elif op in machine.reopen_ops:
-            sources = sorted(s for (s, o) in machine.transitions if o == op)
-            code = "REPRO604"
-            msg = (f"{op}() re-opens {machine.name} '{name}' from "
-                   f"forbidden state {desc} — legal from: "
-                   f"{', '.join(sources) or 'nowhere'}")
-        else:
-            code = "REPRO601"
-            msg = (f"{op}() on {machine.name} '{name}' in state {desc} — "
-                   f"the declared machine permits no such transition")
-        self.findings.append(make(code, msg, line=call.lineno,
-                                  col=call.col_offset))
+        sources = sorted(s for (s, o) in machine.transitions if o == op)
+        self.findings.append(make(
+            "REPRO600",
+            f"{op}() on {machine.name} '{name}' in state "
+            f"{'/'.join(sorted(st.states))} — the declared machine permits "
+            f"it only from {', '.join(sources)}",
+            line=call.lineno, col=call.col_offset))
         self._escape(name, env)
 
     # -- exception-path leaks (REPRO602) -------------------------------------

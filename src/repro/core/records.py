@@ -105,10 +105,8 @@ WIRE_TAG_HANDLERS: dict[str, tuple[str, ...]] = {
     "MSG_PULL": ("repro.core.transmitter.Transmitter._session",
                  "repro.core.receiver.Receiver.pull_all"),
     "REPLY_OK": ("repro.core.client.SmartClient.request_servers",),
-    "REPLY_NAK": ("repro.core.client.SmartClient.request_servers",
-                  "repro.core.wizard.WizardReply.is_nak"),
-    "REPLY_STALE": ("repro.core.client.SmartClient.request_servers",
-                    "repro.core.wizard.WizardReply.is_stale"),
+    "REPLY_NAK": ("repro.core.client.SmartClient.request_servers",),
+    "REPLY_STALE": ("repro.core.client.SmartClient.request_servers",),
 }
 
 #: declared request–reply exchange of the wizard round trip, enforced

@@ -152,19 +152,17 @@ class _Endpoint:
 
 #: declared lifecycle of a :class:`ReliableSocket`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
-#: (REPRO601/604).  The session outlives its transports, so there is no
+#: (REPRO600/602).  The session outlives its transports, so there is no
 #: terminal state: *suspended* is a legal resting state (sends are
 #: buffered, ``recv`` drains the rx store) and ``resume``/``connect``
 #: re-establish — but send/recv before the first ``connect()``
 #: handshake, and ``resume()`` from anywhere other than *suspended*, are
-#: protocol violations.  With no terminal state to default to,
-#: ``released`` names the states the exception-path check (REPRO602)
-#: counts as let go.
+#: protocol violations.  ``released`` names the states the
+#: exception-path check (REPRO602) counts as let go.
 RELIABLE_SOCKET_MACHINE: dict[str, object] = {
     "name": "ReliableSocket",
     "initial": "created",
     "states": ("created", "connected", "suspended"),
-    "final": (),
     "transitions": {
         "created.connect": "connected",
         "created.suspend": "created",
@@ -176,7 +174,6 @@ RELIABLE_SOCKET_MACHINE: dict[str, object] = {
         "suspended.resume": "connected",
         "suspended.connect": "connected",
     },
-    "data_ops": ("send", "recv"),
     "close_ops": ("suspend",),
     "reopen_ops": ("resume", "connect"),
     "released": ("created", "suspended"),

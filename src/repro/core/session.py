@@ -103,7 +103,7 @@ class LeaseResponder:
 
 #: declared lifecycle of a :class:`SmartSession`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
-#: (REPRO600/604).  ``failover()`` re-arms the lease on the replacement
+#: (REPRO600).  ``failover()`` re-arms the lease on the replacement
 #: server (so it lands in *leased*, same as ``start_lease()``), but
 #: neither may be invoked once the session is *closed* or *dead*;
 #: ``stop_lease()`` is idempotent.
@@ -111,7 +111,6 @@ SMART_SESSION_MACHINE: dict[str, object] = {
     "name": "SmartSession",
     "initial": "open",
     "states": ("open", "leased", "closed", "dead"),
-    "final": ("closed", "dead"),
     "transitions": {
         "open.start_lease": "leased",
         "open.stop_lease": "open",
@@ -121,9 +120,9 @@ SMART_SESSION_MACHINE: dict[str, object] = {
         "leased.failover": "leased",
         "leased.close": "closed",
     },
-    "data_ops": (),
     "close_ops": ("close",),
     "reopen_ops": ("failover", "start_lease"),
+    "released": ("closed", "dead"),
 }
 
 

@@ -140,14 +140,6 @@ class WizardReply:
     freshness_age: float = -1.0
 
     @property
-    def is_nak(self) -> bool:
-        return self.status == REPLY_NAK
-
-    @property
-    def is_stale(self) -> bool:
-        return self.status == REPLY_STALE
-
-    @property
     def server_num(self) -> int:
         return len(self.servers)
 

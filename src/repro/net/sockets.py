@@ -47,21 +47,19 @@ class IcmpError:
 
 #: declared lifecycle of a :class:`UdpSocket` getter handle: the
 #: machine ``repro check --proto`` builds from this dict and enforces
-#: (REPRO600/601/602)
+#: (REPRO600/602)
 UDP_SOCKET_MACHINE: dict[str, object] = {
     "name": "UdpSocket",
     "initial": "open",
     "states": ("open", "closed"),
-    "final": ("closed",),
     "transitions": {
         "open.sendto": "open",
         "open.recv": "open",
-        "open.recv_timeout": "open",
         "open.close": "closed",
     },
-    "data_ops": ("sendto", "recv", "recv_timeout"),
     "close_ops": ("close",),
     "reopen_ops": (),
+    "released": ("closed",),
 }
 
 
@@ -94,18 +92,6 @@ class UdpSocket:
     def recv(self):
         """Event firing with the next inbound :class:`Datagram`."""
         return self.rx.get()
-
-    def recv_timeout(self, timeout: float):
-        """Process generator: datagram or ``None`` after ``timeout``."""
-        get = self.rx.get()
-        to = self.stack.sim.timeout(timeout)
-        result = yield self.stack.sim.any_of([get, to])
-        if get in result:
-            return result[get]
-        # withdraw the pending get: an abandoned getter would swallow
-        # (and lose) the next datagram that arrives after the timeout
-        self.rx.cancel(get)
-        return None
 
     def close(self) -> None:
         if not self.closed:

@@ -95,8 +95,9 @@ _FIN = ("FIN",)
 
 #: declared lifecycle of a :class:`TcpConnection`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
-#: (REPRO600/601/602).  ``data_ops`` move payload, ``close_ops`` end the
-#: lifecycle, ``reopen_ops`` re-establish it.  A driven
+#: (REPRO600/602).  ``close_ops`` end the lifecycle, ``reopen_ops``
+#: re-establish it and ``released`` names the states in which it counts
+#: as let go.  A driven
 #: ``yield from tcp.connect(...)`` (or a yielded ``listener.accept()``)
 #: hands back an *established* endpoint; binding the un-driven connect
 #: generator leaves it *connecting*, where no op is legal yet.
@@ -106,7 +107,6 @@ TCP_CONNECTION_MACHINE: dict[str, object] = {
     "name": "TcpConnection",
     "initial": "established",
     "states": ("connecting", "established", "closed"),
-    "final": ("closed",),
     "transitions": {
         "established.send": "established",
         "established.recv": "established",
@@ -114,9 +114,9 @@ TCP_CONNECTION_MACHINE: dict[str, object] = {
         "established.abort": "closed",
         "closed.abort": "closed",
     },
-    "data_ops": ("send", "recv"),
     "close_ops": ("close", "abort"),
     "reopen_ops": (),
+    "released": ("closed",),
 }
 
 #: declared lifecycle of a :class:`TcpListener` (see above)
@@ -124,14 +124,13 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
     "name": "TcpListener",
     "initial": "listening",
     "states": ("listening", "closed"),
-    "final": ("closed",),
     "transitions": {
         "listening.accept": "listening",
         "listening.close": "closed",
     },
-    "data_ops": ("accept",),
     "close_ops": ("close",),
     "reopen_ops": (),
+    "released": ("closed",),
 }
 
 

@@ -74,8 +74,7 @@ class TestEngine:
         assert sorted(c for c in ANALYZER_CODES if c.startswith("REPRO5")) \
             == ["REPRO500", "REPRO501", "REPRO504", "REPRO505"]
         assert sorted(c for c in ANALYZER_CODES if c.startswith("REPRO6")) \
-            == ["REPRO600", "REPRO601", "REPRO602", "REPRO603",
-                "REPRO604", "REPRO605"]
+            == ["REPRO600", "REPRO602", "REPRO603", "REPRO605"]
 
     def test_rule_decorator_rejects_unknown_code(self):
         with pytest.raises(ValueError, match="unknown code"):

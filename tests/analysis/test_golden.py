@@ -46,11 +46,11 @@ PERF = {
 }
 #: fixtures exercised with ``--proto`` (whole-program S-series analyses)
 PROTO = {
+    "s600_reopen_forbidden",
+    "s600_send_before_permit",
     "s600_use_after_close",
-    "s601_send_before_permit",
     "s602_exception_leak",
     "s603_missing_reply",
-    "s604_reopen_forbidden",
     "s605_spawn_conflict",
 }
 
@@ -188,7 +188,7 @@ def test_repo_source_tree_is_proto_clean(repo_check_all):
     with every tracked acquisition walked against its declared machine."""
     code, out = repo_check_all
     assert code == 0
-    assert "proto-clean (6 S rules)" in out
+    assert "proto-clean (4 S rules)" in out
     assert "12 tracked acquisition(s)" in out
 
 

@@ -35,27 +35,6 @@ class TestUdpSockets:
         sock.close()
         sa.udp_socket(1000)  # no PortInUse
 
-    def test_recv_timeout_returns_none(self, sim, pair):
-        _, sa, _ = pair
-        sock = sa.udp_socket()
-
-        def p():
-            result = yield from sock.recv_timeout(0.5)
-            return (result, sim.now)
-
-        assert run_process(sim, p()) == (None, 0.5)
-
-    def test_recv_timeout_returns_datagram(self, sim, pair):
-        _, sa, sb = pair
-        sock = sb.udp_socket(4000)
-        sa.udp_socket().sendto("b", 4000, size=10, payload="hi")
-
-        def p():
-            dgram = yield from sock.recv_timeout(5.0)
-            return dgram.payload
-
-        assert run_process(sim, p()) == "hi"
-
     def test_rcvbuf_overflow_drops(self, sim, pair):
         _, sa, sb = pair
         sock = sb.udp_socket(4000)

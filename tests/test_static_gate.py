@@ -8,6 +8,7 @@ the baked-in toolchain.
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import re
 import shutil
@@ -18,6 +19,23 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(repo: Path) -> dict[Path, ast.Module]:
+    """Every ``*.py`` under ``src/``, ``benchmarks/`` and ``examples/``
+    of ``repo``, parsed once per repo: the repo-walk gates share these
+    trees and only read them."""
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for top in ("src", "benchmarks", "examples")
+            for path in sorted((repo / top).rglob("*.py"))}
+
+
+def _src_trees():
+    """``(path, tree)`` for every module of ``src/repro``."""
+    src = REPO / "src" / "repro"
+    return [(path, tree) for path, tree in _parsed(REPO).items()
+            if src in path.parents]
 
 
 def _run(tool: str, *args: str) -> subprocess.CompletedProcess:
@@ -256,8 +274,8 @@ def test_the_one_accept_loop_is_in_tcp():
     ``.accept()`` anywhere else in ``src/repro`` is a hand-written accept
     loop growing back (the health lease was the last one)."""
     loops = []
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Yield)
                     and isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Attribute)
@@ -273,8 +291,8 @@ def test_only_the_segment_takes_its_semaphore():
     ``.lock.acquire()`` or ``.lock.release()`` anywhere else in
     ``src/repro`` is a hand-rolled critical section growing back."""
     sites = []
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("acquire", "release")
@@ -333,9 +351,11 @@ def test_every_config_field_has_a_second_value_in_use():
     defaults = {f.name: f.default for f in fields(Config)
                 if f.name not in ("ports", "shm")}
     varied = set()
-    for path in sorted([*(REPO / "src").rglob("*.py"),
-                        *(REPO / "benchmarks").rglob("*.py")]):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    examples = REPO / "examples"
+    for path, tree in _parsed(REPO).items():
+        if examples in path.parents:
+            continue
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -420,12 +440,10 @@ def _uncalled_definitions(repo: Path) -> tuple[set[str], set[str]]:
     entry_points = set(re.findall(r'= "[\w.]+:(\w+)"',
                                   (repo / "pyproject.toml").read_text()))
     uses: dict[str, list[tuple[Path, int]]] = {}
-    trees = {}
-    for top in ("src", "benchmarks", "examples"):
-        for path in sorted((repo / top).rglob("*.py")):
-            trees[path] = tree = ast.parse(path.read_text(), filename=str(path))
-            for name, line in _references(tree):
-                uses.setdefault(name, []).append((path, line))
+    trees = _parsed(repo)
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((path, line))
     uncalled, defined = set(), set()
     for path, tree in trees.items():
         if src not in path.parents:
@@ -497,29 +515,27 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     calls: dict[str, list[ast.Call]] = {}
     keyed: dict[str, list] = {}
     bases: dict[str, set[str]] = {}
-    trees = {}
-    for top in ("src", "benchmarks", "examples"):
-        for path in sorted((repo / top).rglob("*.py")):
-            trees[path] = tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else \
-                        getattr(func, "id", None)
-                    calls.setdefault(name, []).append(node)
-                    if name == "dict":
-                        for keyword in node.keywords:
-                            keyed.setdefault(keyword.arg, []).append(
-                                _value(keyword.value))
-                elif isinstance(node, ast.Dict):
-                    for key, value in zip(node.keys, node.values):
-                        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                            keyed.setdefault(key.value, []).append(_value(value))
-                elif isinstance(node, ast.ClassDef):
-                    for base in node.bases:
-                        if isinstance(base, (ast.Name, ast.Attribute)):
-                            bases.setdefault(getattr(base, "id", None)
-                                             or base.attr, set()).add(node.name)
+    trees = _parsed(repo)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+                if name == "dict":
+                    for keyword in node.keywords:
+                        keyed.setdefault(keyword.arg, []).append(
+                            _value(keyword.value))
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        keyed.setdefault(key.value, []).append(_value(value))
+            elif isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    if isinstance(base, (ast.Name, ast.Attribute)):
+                        bases.setdefault(getattr(base, "id", None)
+                                         or base.attr, set()).add(node.name)
     unturned, defaulted = set(), set()
     for path, tree in trees.items():
         if src not in path.parents:
