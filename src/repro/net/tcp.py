@@ -24,7 +24,7 @@ after its own bookkeeping, so there is nothing to wait for or coalesce.
 Everything else that may let the sender make progress (``send``,
 ``close``, ``abort``, the handshake, a reset) comes from application
 code that may ask again at the same timestamp, and asks for one *wake*
-instead: a zero-delay :class:`~repro.sim.Call` that runs the turn after
+instead: a zero-delay ``sim.call_later`` that runs the turn after
 the caller has returned, however many asked in between — an ack that
 finds a wake pending leaves the turn to it.  Every turn that leaves data
 in flight restarts the retransmission deadline at ``now + rto``; the

@@ -8,10 +8,11 @@ event loop in the style of SimPy:
 * a :class:`Process` wraps a Python generator; each ``yield``\\ ed event
   suspends the process until the event fires,
 * :class:`Timeout` models the passage of simulated time,
-* :class:`Call` runs one function at a point in simulated time without a
-  process, a callback list or a closure (``sim.call_later`` /
-  ``sim.call_at``) — the per-frame and per-timer primitive of the
-  network layer,
+* ``sim.call_later`` / ``sim.call_at`` run one function at a point in
+  simulated time without a process, a callback list, a closure or (with
+  nothing armed) any object at all — the per-frame and per-timer
+  primitive of the network layer; instruments see such a call as a
+  :class:`Call`,
 * :class:`AnyOf` / :class:`AllOf` compose events (used e.g. for
   "receive with timeout" in the UDP socket layer).
 
@@ -27,16 +28,21 @@ Scheduled calls
 "Call ``fn(arg)`` later" can be spelled with a plain event — ``ev =
 sim.event(); ev.add_callback(lambda _: fn(arg)); ev.succeed(delay=d)`` —
 at the price of an event, a callback list, a closure and three method
-calls to run one function, once per frame per hop.  :class:`Call` is that
-idiom as one object.  It is still an :class:`Event` — it goes through
-:meth:`Simulator._schedule` and :meth:`Simulator.step`, so it draws or
-inherits a tie key, is recorded by the event trace (as
-``call:<qualname>``), carries the scheduler's vector clock into the
-callee for the race detector and is counted by the profiler per target —
-and it can be yielded or given callbacks like any other event; ``fn``
-simply runs first.  When there is no tie stream to draw from and no
-observer to tell, ``_schedule`` has nothing to do but push, and the two
-constructors push the queue entry themselves.
+calls to run one function, once per frame per hop.  A scheduled call is
+instead a queue entry ``(when, tie, seq, fn, arg)`` beside the events'
+``(when, tie, seq, None, event)``, in the one order they share.  When
+there is no tie stream to draw from and no observer to tell,
+``call_later`` / ``call_at`` push that entry and build nothing, and
+:meth:`Simulator.step` runs it as ``fn(arg)``.  Otherwise they build a
+:class:`Call` — an :class:`Event` whose processing runs ``fn(arg)`` — and
+hand it to :meth:`Simulator._schedule`, so it draws or inherits a tie
+key, is recorded by the event trace (as ``call:<qualname>``), carries
+the scheduler's vector clock into the callee for the race detector and
+is counted by the profiler per target.  An entry pushed plainly and
+popped after an instrument was attached becomes a :class:`Call` in
+``step``, so the instrument sees every call it would have seen had it
+been there all along.  Both constructors return ``None``: a call is not
+an event a process can wait on.
 
 A call can be placed after a delay (``call_later``) or at an absolute
 time (``call_at``).  The absolute form exists for timers that are
@@ -53,15 +59,17 @@ The kernel knows nothing about its instruments.  It announces six
 moments to whatever was attached with :meth:`Simulator.observe` — one
 protocol, :class:`Observer`, a no-op base class — and every hook site
 tests the one name ``sim._observer``, so a run with nothing armed pays
-an ``is None`` test per site (seven, and one in each :class:`Call`
-constructor) and nothing else:
+an ``is None`` test per site (seven, plus one in ``call_later`` /
+``call_at`` and one in ``step`` per scheduled call) and nothing else —
+not even a :class:`Call` object per scheduled call:
 
 ================================  ====================================
 ``on_schedule(event, active)``    ``event`` was put on the queue while
                                   process ``active`` ran (``None``:
                                   from a callback or outside the loop)
-``begin_event(when, event)``      ``step`` popped ``event``; its
-                                  callbacks are about to run
+``begin_event(when, event)``      ``step`` popped ``event`` (a
+                                  :class:`Call` for a scheduled call);
+                                  its callbacks are about to run
 ``end_event(event)``              they have run (or raised)
 ``begin_resume(when, proc, ev)``  ``proc`` is handed the CPU because
                                   ``ev`` fired
@@ -208,6 +216,8 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay`` seconds."""
+        if not delay >= 0:  # NaN too: it would corrupt the queue order
+            raise SimulationError(f"event delay must be >= 0, got {delay!r}")
         if self._state != PENDING:
             raise SimulationError("event already triggered")
         self._state = TRIGGERED
@@ -339,8 +349,10 @@ def call_target_name(fn: Callable[[Any], Any]) -> str:
 
 
 class Call(Event):
-    """``fn(arg)`` at a point in simulated time; see ``sim.call_later``
-    and ``sim.call_at`` (the only constructors: they also schedule it)."""
+    """``fn(arg)`` at a point in simulated time, as an instrument sees a
+    scheduled call: built by ``sim.call_later`` / ``sim.call_at`` when a
+    tie stream or an observer is armed, and by ``step`` for an entry
+    pushed before one was."""
 
     __slots__ = ("fn", "arg")
 
@@ -555,7 +567,11 @@ class Simulator:
     """
 
     def __init__(self):
-        self._queue: list[tuple[float, float, int, Event]] = []
+        #: entries ``(when, tie, seq, fn, arg)``: ``fn`` is None and
+        #: ``arg`` the event for an :class:`Event`, else a call pushed by
+        #: ``call_later`` / ``call_at`` with nothing armed
+        self._queue: list[tuple[float, float, int,
+                                Optional[Callable[[Any], Any]], Any]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._active_proc: Optional[Process] = None
@@ -622,31 +638,27 @@ class Simulator:
         return Process(self, gen, name)
 
     def call_later(self, delay: float, fn: Callable[[Any], Any],
-                   arg: Any = None) -> Call:
+                   arg: Any = None) -> None:
         """Run ``fn(arg)`` from the event loop ``delay`` seconds from now."""
         if not delay >= 0:  # NaN too: it would corrupt the queue order
             raise SimulationError(f"call delay must be >= 0, got {delay!r}")
-        call = Call(self, fn, arg)
         if self._tie_rng is None and self._observer is None:
-            # nothing to draw and nobody to tell: what _schedule would do
+            # nothing to draw and nobody to tell: the entry is the call
             heapq.heappush(self._queue,
-                           (self._now + delay, 0.0, next(self._seq), call))
+                           (self._now + delay, 0.0, next(self._seq), fn, arg))
         else:
-            self._schedule(call, self._now + delay)
-        return call
+            self._schedule(Call(self, fn, arg), self._now + delay)
 
     def call_at(self, when: float, fn: Callable[[Any], Any],
-                arg: Any = None) -> Call:
+                arg: Any = None) -> None:
         """Run ``fn(arg)`` from the event loop at exactly ``when``."""
         if not when >= self._now:  # NaN too
             raise SimulationError(
                 f"call_at({when!r}) is in the past (now={self._now!r})")
-        call = Call(self, fn, arg)
         if self._tie_rng is None and self._observer is None:
-            heapq.heappush(self._queue, (when, 0.0, next(self._seq), call))
+            heapq.heappush(self._queue, (when, 0.0, next(self._seq), fn, arg))
         else:
-            self._schedule(call, when)
-        return call
+            self._schedule(Call(self, fn, arg), when)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -658,7 +670,7 @@ class Simulator:
     def _schedule(self, event: Event, when: float) -> None:
         # queue order: (time, tie, seq).  tie is 0.0 (pure FIFO) unless the
         # schedule sanitizer shuffles equal-time events; seq keeps the
-        # order total so the Event objects are never compared
+        # order total so the entries' last two fields are never compared
         if self._tie_rng is None:
             tie = 0.0
         elif self._current_tie is not None:
@@ -674,7 +686,7 @@ class Simulator:
         obs = self._observer
         if obs is not None:
             obs.on_schedule(event, self._active_proc)
-        heapq.heappush(self._queue, (when, tie, next(self._seq), event))
+        heapq.heappush(self._queue, (when, tie, next(self._seq), None, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -688,10 +700,22 @@ class Simulator:
         loop — an uncaught crash inside a simulated daemon fails the run
         loudly instead of disappearing.
         """
-        when, tie, _, event = heapq.heappop(self._queue)
+        when, tie, _, fn, arg = heapq.heappop(self._queue)
         self._now = when
         self._current_tie = tie
         obs = self._observer
+        if fn is None:
+            event = arg
+        elif obs is None:
+            # a call pushed with nothing armed, and still nobody to tell
+            try:
+                fn(arg)
+            finally:
+                self._current_tie = None
+            return
+        else:
+            # an instrument was attached since the push: it sees a Call
+            event = Call(self, fn, arg)
         if obs is not None:
             obs.begin_event(when, event)
         try:

@@ -191,6 +191,22 @@ class TestEvents:
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
+    def test_negative_succeed_delay_rejected(self, sim):
+        """A delay would run the clock backwards, as it would for a
+        timeout or a scheduled call; the event stays pending."""
+        sim.run(until=5.0)
+        ev = sim.event()
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            ev.succeed(delay=-2.0)
+        assert not ev.triggered and sim.peek() == float("inf")
+
+    def test_nan_succeed_delay_rejected(self, sim):
+        sim.run(until=5.0)
+        ev = sim.event()
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            ev.succeed(delay=float("nan"))
+        assert not ev.triggered and sim.peek() == float("inf")
+
     def test_fail_requires_exception(self, sim):
         ev = sim.event()
         with pytest.raises(SimulationError):
@@ -289,7 +305,8 @@ class TestConditionsUnderTieShuffle:
 
 class TestScheduledCalls:
     """``sim.call_later`` / ``sim.call_at``: one function, run from the
-    event loop, as an ordinary event."""
+    event loop in one order with every event; an instrument sees it as a
+    :class:`Call`."""
 
     def test_runs_fn_with_arg_at_the_right_time(self, sim):
         seen = []
@@ -311,17 +328,23 @@ class TestScheduledCalls:
         sim.run()
         assert order == [0, 1, 2, 3, 4, 5, 6]
 
-    def test_is_an_event_that_can_be_waited_on(self, sim):
-        log = []
+    def test_unobserved_call_is_a_queue_entry_not_an_object(self, sim, monkeypatch):
+        """With nothing armed, ``call_later`` / ``call_at`` return
+        nothing and no :class:`Call` is built, neither when the call is
+        pushed nor when it runs."""
+        built = []
+        init = Call.__init__
 
-        def waiter():
-            call = sim.call_later(3.0, log.append, "ran")
-            yield call
-            log.append(("resumed", sim.now, call.processed))
+        def counting_init(call, *args):
+            built.append(args[1:])
+            init(call, *args)
 
-        sim.process(waiter())
+        monkeypatch.setattr(Call, "__init__", counting_init)
+        seen = []
+        assert sim.call_later(2.0, seen.append, "later") is None
+        assert sim.call_at(1.0, seen.append, "at") is None
         sim.run()
-        assert log == ["ran", ("resumed", 3.0, True)]
+        assert seen == ["at", "later"] and built == []
 
     def test_call_sets_every_slot_an_event_has(self, sim):
         """``Call.__init__`` does not run ``Event.__init__``: a slot added
@@ -334,21 +357,34 @@ class TestScheduledCalls:
     def test_unobserved_push_and_observed_schedule_share_one_order(self, sim):
         """With nothing armed ``call_later`` / ``call_at`` push straight
         onto the queue; an observer attached in between sees what is
-        scheduled from then on, in one FIFO order with what came before."""
+        scheduled from then on, in one FIFO order with what came before,
+        and is handed a :class:`Call` for every entry, also for those
+        pushed before it came."""
+        from repro.sim import EventTrace
+
         class Scheduled(Observer):
             seen = 0
+
+            def __init__(self):
+                self.began = []
 
             def on_schedule(self, event, active):
                 self.seen += 1
 
+            def begin_event(self, when, event):
+                assert type(event) is Call
+                self.began.append((when, event.fn, event.arg))
+
         order = []
         sim.call_later(1.0, order.append, 0)
         sim.call_at(1.0, order.append, 1)
-        observer = sim.observe(Scheduled())
+        observer, trace = sim.observe(Scheduled()), sim.observe(EventTrace())
         sim.call_later(1.0, order.append, 2)
         sim.call_at(1.0, order.append, 3)
         sim.run()
         assert order == [0, 1, 2, 3] and observer.seen == 2
+        assert observer.began == [(1.0, order.append, i) for i in range(4)]
+        assert trace.entries == [(1.0, "call:list.append")] * 4
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
@@ -369,12 +405,16 @@ class TestScheduledCalls:
         sim.call_at(5.0, print, "now itself is fine")
 
     def test_exception_in_fn_propagates_out_of_run(self, sim):
+        """Unobserved, so ``fn`` runs straight from the queue entry; the
+        tie key of the step it raised in is reset all the same."""
         def boom(_arg):
             raise RuntimeError("in the callee")
 
         sim.call_later(1.0, boom)
+        sim.call_later(2.0, print)
         with pytest.raises(RuntimeError, match="in the callee"):
             sim.run()
+        assert sim._current_tie is None and sim.now == 1.0
 
     @pytest.mark.parametrize("now, deadline, delay_form_is", [
         (5.022385584334831, 62.79535873031775, "short"),
