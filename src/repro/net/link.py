@@ -5,14 +5,19 @@ performs *analytic* FIFO queueing: instead of pumping per-frame events it
 tracks ``next_free`` (when the transmitter drains) and computes each
 frame's start/finish time at enqueue.  Because the queue is FIFO this is
 exactly equivalent to event-by-event transmission while costing one
-simulator event per frame per hop: the receiving NIC's handler, scheduled
-directly.  That event includes the receiving node's ``d_proc`` whenever
-the node is going to forward the frame.  Whether it will is known when
-the frame is sent — its destination is not one of the receiver's
-addresses, a set that never changes after build — so the channel
-delivers such a frame ``hold`` = ``d_proc`` late and the node forwards it
-on the spot (:meth:`~repro.net.node.Node.forward`), at a switch and at a
-forwarding host alike; a frame for the receiver itself arrives unheld.
+simulator event per frame per hop: the receiving node's
+:meth:`~repro.net.node.Node.receive`, scheduled directly, with the frame
+carrying the receiving NIC (``Frame.nic``, set here) so that the node
+counts it on the right interface.  That event includes the receiving
+node's ``d_proc`` whenever the node is going to forward the frame.
+Whether it will is known when the frame is sent — its destination is not
+one of the receiver's addresses, a set that never changes after build —
+so the channel delivers such a frame ``hold`` = ``d_proc`` late and the
+node forwards it on the spot, at a switch and at a forwarding host
+alike; a frame for the receiver itself arrives unheld.  The frame's wire
+size is read off the frame (``Frame.wire``) when it was last sized at
+this channel's MTU — by the NIC that originated it or on its previous
+hop — and worked out only otherwise.
 
 Queueing delay, the ``d_queue`` term of the thesis' Eq. 3.3, emerges as
 ``start - now``; transmission delay ``d_trans`` as the serialisation time;
@@ -31,6 +36,7 @@ from .shaper import TokenBucket
 if TYPE_CHECKING:  # pragma: no cover
     import random
 
+    from .nic import NIC
     from .node import Node
 
 __all__ = ["Channel", "Link"]
@@ -80,8 +86,10 @@ class Channel:
         self.degrade_rng: Optional["random.Random"] = None
         self.next_free = 0.0
         #: handler installed by the receiving endpoint, scheduled with
-        #: each frame: fn(frame)
+        #: each frame: fn(frame) — the receiving node's ``receive``
         self.on_deliver: Optional[Callable[[Frame], None]] = None
+        #: the receiving NIC, left on each frame as ``Frame.nic``
+        self.nic: Optional["NIC"] = None
         #: the receiving node's ``d_proc`` and addresses (set by
         #: ``Node.add_nic``): a frame for none of ``local`` is one the
         #: node forwards, and is delivered ``hold`` late so that its
@@ -125,7 +133,8 @@ class Channel:
         on_deliver = self.on_deliver
         if on_deliver is None:
             raise RuntimeError(f"channel {self.name!r} has no receiver attached")
-        wire = frame.wire_at(self.mtu)
+        mtu = self.mtu
+        wire = frame.wire if frame._wire_mtu == mtu else frame.wire_at(mtu)
         start = max(now + extra_start_delay, self.next_free)
         if self.shaper is not None:
             start = self.shaper.reserve(wire, start)
@@ -149,6 +158,7 @@ class Channel:
         arrival = now + (deliver_at - now)
         if frame.dgram.dst not in self.local:
             arrival += self.hold
+        frame.nic = self.nic
         self.sim.call_at(arrival, on_deliver, frame)
         return True
 

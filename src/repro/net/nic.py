@@ -23,8 +23,11 @@ segment's burst is built and handed to the channel in
 :meth:`NIC.send_datagram` without a fragment list, a transit frame is
 transmitted by :meth:`NIC.forward_frame` itself and split only when it
 is a fragment larger than the egress MTU, and both byte counters read
-the wire size the channel left on the frame (``Frame.wire``).  The
-channel schedules :meth:`NIC._on_deliver` for each frame it delivers.
+the wire size the channel left on the frame (``Frame.wire``).  A NIC
+has no receive handler of its own: it registers its node's
+:meth:`~repro.net.node.Node.receive` with the inbound channel, which
+schedules that for each frame it delivers and leaves the NIC on the
+frame (``Frame.nic``); the node bumps the NIC's ``rx_*`` counters.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ class NIC:
         self.rx_bytes = 0
         self.rx_packets = 0
         self.tx_drops = 0
-        # register as the receiver of the inbound channel
+        # the inbound channel hands each frame straight to the node,
+        # naming this NIC on the frame
         self.inbound = link.channel_from(self.peer)
-        self.inbound.on_deliver = self._on_deliver
+        self.inbound.on_deliver = node.receive
+        self.inbound.nic = self
 
     @property
     def mtu(self) -> int:
@@ -89,7 +94,7 @@ class NIC:
         channel = self.channel
         mtu = channel.mtu
         if dgram.proto == PROTO_TCP:
-            frame = Frame(dgram, dgram.transport_bytes, first=True, burst=True)
+            frame = Frame(dgram, dgram.transport_bytes, True, True)
             init = self.init_speed_bps
             if channel.transmit(
                     frame, 0.0 if init is None else frame.wire_at(mtu) * 8.0 / init):
@@ -145,9 +150,3 @@ class NIC:
             return True
         self.tx_drops += 1
         return False
-
-    # -- ingress ----------------------------------------------------------------
-    def _on_deliver(self, frame: Frame) -> None:
-        self.rx_packets += 1
-        self.rx_bytes += frame.wire
-        self.node.receive(frame, self)

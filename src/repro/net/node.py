@@ -6,13 +6,16 @@ hop adds a small processing delay (``d_proc`` in the thesis' Eq. 3.3)
 before the frame joins the egress queue.  Hosts additionally own a
 transport :class:`~repro.net.sockets.NetworkStack`.
 
-``d_proc`` is served on the way in, per frame: the channel into a node
-delivers a frame for none of the node's addresses ``d_proc`` late
-(``Channel.hold``) and :meth:`Node.forward` reserves the egress on the
-spot — one kernel event per frame per hop, the reservation made at
-``t + d_proc`` in event order as a second event would have made it.  A
-frame for the node itself is delivered on arrival, so a forwarding
-*host* (the testbed gateway) sees its own traffic undelayed.
+A hop is one kernel event and one pass: the channel into a node
+schedules :meth:`Node.receive` with the frame, which counts it on the
+NIC it came in on (``Frame.nic``) and then forwards it, delivers it or
+files it for reassembly.  ``d_proc`` is served on the way in, per frame:
+the channel delivers a frame for none of the node's addresses ``d_proc``
+late (``Channel.hold``) and ``receive`` reserves the egress on the spot
+— the reservation made at ``t + d_proc`` in event order as a second
+event would have made it.  A frame for the node itself is delivered on
+arrival, so a forwarding *host* (the testbed gateway) sees its own
+traffic undelayed.
 
 Only a node with a choice of interface holds a computed table.  A node
 with one NIC — every thesis machine but the gateway — has a
@@ -107,10 +110,26 @@ class Node:
         return self.nics[0].addr
 
     # -- data path ----------------------------------------------------------
-    def receive(self, frame: Frame, nic: NIC) -> None:
+    def receive(self, frame: Frame) -> None:
+        """One frame off the wire, scheduled by the inbound channel."""
+        nic = frame.nic
+        assert nic is not None  # Channel.transmit names it on every frame
+        nic.rx_packets += 1
+        nic.rx_bytes += frame.wire
         dgram = frame.dgram
         if dgram.dst not in self._local:
-            self.forward(frame)
+            # transit: d_proc was the inbound channel's hold
+            if frame.first:
+                dgram.ttl -= 1
+            if dgram.ttl <= 0:
+                return  # TTL exceeded; nothing in the library relies on this
+            try:
+                egress = self.routes[dgram.dst]
+            except KeyError:
+                self.no_route += 1
+                return
+            self.forwarded += 1
+            egress.forward_frame(frame)
         elif frame.payload_bytes >= dgram.transport_bytes:
             self.deliver_local(dgram)  # whole: a burst, or one fragment
         else:
@@ -145,20 +164,6 @@ class Node:
             # A router addressed directly with no stack: drop silently.
             return
         self.stack.deliver(dgram)
-
-    def forward(self, frame: Frame) -> None:
-        dgram = frame.dgram
-        if frame.first:
-            dgram.ttl -= 1
-        if dgram.ttl <= 0:
-            return  # TTL exceeded; nothing in the library relies on this
-        try:
-            nic = self.routes[dgram.dst]
-        except KeyError:
-            self.no_route += 1
-            return
-        self.forwarded += 1
-        nic.forward_frame(frame)  # d_proc was the inbound channel's hold
 
     def send(self, dgram: Datagram) -> bool:
         """Originate a datagram from this node (kernel -> NIC)."""

@@ -12,16 +12,25 @@ Header sizes follow IPv4/UDP/TCP/ICMP so the RTT-vs-payload knee lands at
 
 One :class:`Datagram` is made per segment, ack and probe and one
 :class:`Frame` per datagram per hop, so both are ``__slots__`` records
-whose constructor assigns and validates and nothing more:
+whose constructor assigns and validates and nothing more (the hot
+callers pass every argument positionally: a keyword call to a class
+builds a kwargs dict):
 ``transport_bytes`` is worked out once there, and a frame remembers its
-wire size for the last MTU asked — the channel it is crossing asks, so
-``Frame.wire`` is that hop's wire size for both NIC byte counters.
+wire size for the last MTU asked — the channel it is crossing reads it
+when the MTU matches and asks otherwise, so ``Frame.wire`` is that hop's
+wire size for both NIC byte counters.  ``Frame.wire_at`` computes the
+closed form inline; the channel also leaves the NIC at the far end on
+the frame (``Frame.nic``), which is how ``Node.receive`` knows which
+interface's receive counters to bump.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Any, Optional, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .nic import NIC
 
 __all__ = [
     "Datagram",
@@ -49,19 +58,6 @@ _PROTO_HEADER = {PROTO_UDP: UDP_HEADER, PROTO_TCP: TCP_HEADER, PROTO_ICMP: ICMP_
 _ids = itertools.count(1)
 
 
-def _fragment_payload(mtu: int) -> int:
-    """IP payload bytes one fragment carries at ``mtu``."""
-    if mtu <= IP_HEADER:
-        raise ValueError(f"MTU {mtu} leaves no room for IP payload")
-    return mtu - IP_HEADER
-
-
-def _n_fragments(transport_bytes: int, mtu: int) -> int:
-    """Fragments of one IP packet: each carries its own ``IP_HEADER``
-    and a full payload but the last."""
-    return max(1, -(-transport_bytes // _fragment_payload(mtu)))
-
-
 class Datagram:
     """One transport PDU travelling through the simulated network.
 
@@ -70,11 +66,10 @@ class Datagram:
     """
 
     __slots__ = ("proto", "src", "dst", "sport", "dport", "size", "payload",
-                 "id", "created", "ttl", "ref", "hb_clock", "transport_bytes")
+                 "id", "ttl", "ref", "hb_clock", "transport_bytes")
 
     def __init__(self, proto: str, src: str, dst: str, sport: int, dport: int,
-                 size: int, payload: Any = None, created: float = 0.0,
-                 ref: Optional[int] = None) -> None:
+                 size: int, payload: Any = None, ref: Optional[int] = None) -> None:
         if size < 0:
             raise ValueError(f"negative payload size {size}")
         header = _PROTO_HEADER.get(proto)
@@ -88,7 +83,6 @@ class Datagram:
         self.size = size
         self.payload = payload
         self.id = next(_ids)
-        self.created = created
         self.ttl = 64  # the Linux default initial TTL
         #: optional reference to a datagram this one is about (ICMP errors)
         self.ref = ref
@@ -103,9 +97,12 @@ class Datagram:
 
     def wire_size(self, mtu: int) -> int:
         """Total bytes on the wire after fragmentation at ``mtu``: the
-        transport bytes plus one IP header per fragment."""
+        transport bytes plus one IP header per fragment, each fragment
+        carrying a full payload but the last."""
+        if mtu <= IP_HEADER:
+            raise ValueError(f"MTU {mtu} leaves no room for IP payload")
         transport = self.transport_bytes
-        return transport + IP_HEADER * _n_fragments(transport, mtu)
+        return transport + IP_HEADER * max(1, -(-transport // (mtu - IP_HEADER)))
 
     def reply_skeleton(self, proto: str, size: int, payload: Any = None) -> "Datagram":
         """A datagram heading back to this one's source."""
@@ -133,7 +130,7 @@ class Frame:
     complete when the per-datagram sum reaches ``transport_bytes``.
     """
 
-    __slots__ = ("dgram", "payload_bytes", "first", "burst", "_wire_mtu", "wire")
+    __slots__ = ("dgram", "payload_bytes", "first", "burst", "_wire_mtu", "wire", "nic")
 
     def __init__(self, dgram: Datagram, payload_bytes: int, first: bool,
                  burst: bool = False) -> None:
@@ -143,11 +140,14 @@ class Frame:
         self.first = first
         self.burst = burst
         #: the last MTU :meth:`wire_at` was asked about, and its answer:
-        #: ``Channel.transmit`` asks at its own MTU, so ``wire`` is the
-        #: size on the hop the frame is crossing, which the NIC counters
-        #: of both ends read
+        #: ``Channel.transmit`` reads it at its own MTU (asking when the
+        #: MTU differs), so ``wire`` is the size on the hop the frame is
+        #: crossing, which the NIC counters of both ends read
         self._wire_mtu: Optional[int] = None
         self.wire = 0
+        #: the NIC at the far end of the channel the frame last crossed,
+        #: set by ``Channel.transmit`` (Linux's ``skb->dev``)
+        self.nic: Optional["NIC"] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "burst" if self.burst else "fragment"
@@ -158,7 +158,12 @@ class Frame:
         if mtu == self._wire_mtu:
             return self.wire
         wire = self.payload_bytes
-        wire += IP_HEADER * _n_fragments(wire, mtu) if self.burst else IP_HEADER
+        if not self.burst:
+            wire += IP_HEADER
+        elif mtu > IP_HEADER:  # one IP header per fragment the burst stands for
+            wire += IP_HEADER * max(1, -(-wire // (mtu - IP_HEADER)))
+        else:
+            raise ValueError(f"MTU {mtu} leaves no room for IP payload")
         self._wire_mtu, self.wire = mtu, wire
         return wire
 

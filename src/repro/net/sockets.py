@@ -84,7 +84,6 @@ class UdpSocket:
             dport=dport,
             size=size,
             payload=payload,
-            created=self.stack.sim.now,
         )
         self.stack.node.send(dgram)
         return dgram
@@ -171,6 +170,5 @@ class NetworkStack:
             size=IP_HEADER + 8,
             payload=("port-unreachable", offending.id),
         )
-        reply.created = self.sim.now
         self.icmp_sent += 1
         self.node.send(reply)

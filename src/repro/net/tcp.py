@@ -434,7 +434,7 @@ class TcpConnection:
         self.bytes_sent += nbytes
         self._node.send(Datagram(PROTO_TCP, self._src, self.remote_addr,
                                  self.local_port, self.remote_port, nbytes,
-                                 ("SEG", seq, meta), created=self.sim._now))
+                                 ("SEG", seq, meta)))
 
     def _retransmit_window(self) -> None:
         """Go-back-N: resend everything from ``base``; back the timer off."""
@@ -471,7 +471,7 @@ class TcpConnection:
     def _send_ack(self) -> None:
         self._node.send(Datagram(PROTO_TCP, self._src, self.remote_addr,
                                  self.local_port, self.remote_port, 0,
-                                 ("ACK", self._rcv_expected), created=self.sim._now))
+                                 ("ACK", self._rcv_expected)))
 
     def _handle_ack(self, ackno: int) -> None:
         if ackno <= self._base:
@@ -667,7 +667,6 @@ class TcpLayer:
             dport=conn.remote_port,
             size=0,
             payload=(kind,),
-            created=self.stack.sim.now,
         )
         self.stack.node.send(dgram)
 
@@ -700,9 +699,7 @@ class TcpLayer:
             # crashed, or the handshake was abandoned): answer with RST so
             # the peer learns the endpoint is gone instead of retrying
             # into the void
-            reply = dgram.reply_skeleton(PROTO_TCP, 0, ("RST",))
-            reply.created = self.stack.sim.now
-            self.stack.node.send(reply)
+            self.stack.node.send(dgram.reply_skeleton(PROTO_TCP, 0, ("RST",)))
             return
         if kind == "SYN":
             lsn = self.listeners.get(dgram.dport)
@@ -720,6 +717,4 @@ class TcpLayer:
             lsn.accepts.put(server)
 
     def _send_ctrl_reply(self, dgram: Datagram, kind: str, conn: TcpConnection) -> None:
-        reply = dgram.reply_skeleton(PROTO_TCP, 0, (kind,))
-        reply.created = self.stack.sim.now
-        self.stack.node.send(reply)
+        self.stack.node.send(dgram.reply_skeleton(PROTO_TCP, 0, (kind,)))

@@ -344,7 +344,7 @@ class Timeout(Event):
 
 def call_target_name(fn: Callable[[Any], Any]) -> str:
     """What a :class:`Call`'s target goes by in event traces and profiler
-    attributions: its qualified name (``NIC._on_deliver``)."""
+    attributions: its qualified name (``Node.receive``)."""
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 

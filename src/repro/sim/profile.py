@@ -17,7 +17,7 @@ execution, never of the wall clock:
   volume;
 * **per-target call counts** — processed :class:`~repro.sim.kernel.Call`
   events by the qualified name of the function they ran
-  (``NIC._on_deliver``, ``TcpConnection._on_timer``): the work that runs
+  (``Node.receive``, ``TcpConnection._on_timer``): the work that runs
   from the event loop without a process to attribute it to;
 * **sim-time spans** — first/last resume time per process.
 

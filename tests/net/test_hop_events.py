@@ -4,15 +4,16 @@ A frame crossing a node used to cost two kernel events: the delivery
 that brought it in and, ``d_proc`` later, a ``NIC.forward_frame`` call
 that reserved the egress.  The shipped path decides per frame, when the
 frame is sent: the channel into a node delivers a frame for none of the
-node's addresses ``d_proc`` late (``Channel.hold``) and the node forwards
-it on arrival; a frame for the node itself arrives unheld.  The
+node's addresses ``d_proc`` late (``Channel.hold``) and ``Node.receive``
+forwards it on arrival; a frame for the node itself arrives unheld.  The
 two-event forwarding lives on here as the reference:
-:func:`two_event_reference` puts the two-event ``Node.forward`` back on
-every node of a built world and clears every hold.  On seeded worlds
-built to land things inside the ``d_proc`` window, every local delivery
-(time by ``repr``, node, datagram) and every channel / NIC / node counter
-must come out equal on both paths — and three mutants of the shipped
-design must not.
+:func:`two_event_reference` hands every channel's frames to
+:func:`reference_receive` instead of ``Node.receive`` (the seam the
+channel schedules) and clears every hold.  On seeded worlds built to
+land things inside the ``d_proc`` window, every local delivery (time by
+``repr``, node, datagram) and every channel / NIC / node counter must
+come out equal on both paths — and three mutants of the shipped design
+must not.
 """
 
 from __future__ import annotations
@@ -35,33 +36,44 @@ US = 1e-6
 
 # -- the reference and the mutants ------------------------------------------
 
-def _next_hop(node, frame):
-    """What ``Node.forward`` does before it hands the frame to a NIC."""
+def _arrive(node, frame):
+    """What ``Node.receive`` does with a transit frame before it hands
+    the frame to a NIC: count it on the NIC it came in on, then TTL and
+    route.  Returns the egress NIC, or ``None``."""
+    nic = frame.nic
+    nic.rx_packets += 1
+    nic.rx_bytes += frame.wire
     dgram = frame.dgram
     if frame.first:
         dgram.ttl -= 1
     if dgram.ttl <= 0:
         return None
     try:
-        nic = node.routes[dgram.dst]
+        egress = node.routes[dgram.dst]
     except KeyError:
         node.no_route += 1
         return None
     node.forwarded += 1
-    return nic
+    return egress
 
 
-def reference_forward(node, frame):
-    """``Node.forward`` as it was: ``d_proc`` is a second event behind
-    the arrival, whatever the node is."""
-    nic = _next_hop(node, frame)
-    if nic is not None:
-        node.sim.call_later(node.proc_delay, nic.forward_frame, frame)
+def reference_receive(node, frame):
+    """``Node.receive`` with forwarding as it was: ``d_proc`` is a second
+    event behind the arrival, whatever the node is."""
+    if frame.dgram.dst in node.addresses:
+        Node.receive(node, frame)
+        return
+    egress = _arrive(node, frame)
+    if egress is not None:
+        node.sim.call_later(node.proc_delay, egress.forward_frame, frame)
 
 
-def _replace_forward(net, forward):
+def _replace_receive(net, receive):
+    """Every channel hands its frames to ``receive`` bound to the node
+    at its far end instead of to ``Node.receive``."""
     for node in net.nodes.values():
-        node.forward = MethodType(forward, node)
+        for nic in node.nics:
+            nic.inbound.on_deliver = MethodType(receive, node)
 
 
 def shipped(build):
@@ -70,7 +82,7 @@ def shipped(build):
 
 def two_event_reference(build):
     world = build()
-    _replace_forward(world.net, reference_forward)
+    _replace_receive(world.net, reference_receive)
     for node in world.net.nodes.values():
         for nic in node.nics:
             nic.inbound.hold = 0.0
@@ -83,14 +95,17 @@ def mutant_reserve_on_arrival(build):
     ``extra_start_delay`` — whatever else reserves that channel inside
     the window (cross traffic, a gateway's own sends) swaps places with
     the frame, and carrier and buffer are judged ``d_proc`` early."""
-    def forward(node, frame):
-        nic = _next_hop(node, frame)
-        if nic is not None:
-            for piece in frame.split(nic.mtu):
-                nic._transmit(piece, node.proc_delay)
+    def receive(node, frame):
+        if frame.dgram.dst in node.addresses:
+            Node.receive(node, frame)
+            return
+        egress = _arrive(node, frame)
+        if egress is not None:
+            for piece in frame.split(egress.mtu):
+                egress._transmit(piece, node.proc_delay)
 
     world = two_event_reference(build)
-    _replace_forward(world.net, forward)
+    _replace_receive(world.net, receive)
     return world
 
 
@@ -416,10 +431,10 @@ def test_mutants_are_killed(mutant, scenario):
 # -- the rule on the worlds everything else runs ---------------------------
 
 class Deliveries(Observer):
-    """Every ``NIC._on_deliver`` call: the node it hands the frame to,
-    the frame, when the frame reached the end of its channel and when it
-    was handed over — and every ``NIC.forward_frame`` that ran as an
-    event of its own."""
+    """Every ``Node.receive`` the channels schedule: the node, the frame,
+    when the frame reached the end of its channel and when it was handed
+    over — and every ``NIC.forward_frame`` that ran as an event of its
+    own."""
 
     def __init__(self):
         self.reached: dict[Call, float] = {}
@@ -431,10 +446,11 @@ class Deliveries(Observer):
 
     def on_schedule(self, event, active):
         if isinstance(event, Call) \
-                and getattr(event.fn, "__func__", None) is NIC._on_deliver:
-            # scheduled from Channel.transmit, which has just set
-            # next_free to the frame's finish (no jitter in these worlds)
-            channel, now = event.fn.__self__.inbound, self.sim.now
+                and getattr(event.fn, "__func__", None) is Node.receive:
+            # scheduled from Channel.transmit, which has just named the
+            # receiving NIC on the frame and set next_free to the
+            # frame's finish (no jitter in these worlds)
+            channel, now = event.arg.nic.inbound, self.sim.now
             self.reached[event] = now + (
                 (channel.next_free + channel.delay + channel.extra_delay) - now)
 
@@ -444,8 +460,8 @@ class Deliveries(Observer):
         fn = getattr(event.fn, "__func__", None)
         if fn is NIC.forward_frame:
             self.forward_events += 1
-        elif fn is NIC._on_deliver:
-            self.handed.append((event.fn.__self__.node, event.arg,
+        elif fn is Node.receive:
+            self.handed.append((event.fn.__self__, event.arg,
                                 self.reached.pop(event), when))
 
 

@@ -132,7 +132,7 @@ def reference_routes(net: Network, hop_bias: float = 1e-4) -> dict:
 
 def next_hop(node, addr):
     """The NIC ``node`` would send ``addr`` out of, as ``Node.send`` and
-    ``Node.forward`` look it up; ``None`` for no route."""
+    ``Node.receive`` look it up; ``None`` for no route."""
     try:
         return node.routes[addr]
     except KeyError:

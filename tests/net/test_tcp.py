@@ -431,8 +431,7 @@ class TestStateTable:
         assert client.state == RESET and client._rx.items == [EOF]
         client.layer.deliver(Datagram(
             PROTO_TCP, client.remote_addr, client.layer.stack.node.addr,
-            80, client.local_port, 1, ("SEG", client._rcv_expected, ("FIN",)),
-            created=sim.now))
+            80, client.local_port, 1, ("SEG", client._rcv_expected, ("FIN",))))
         assert client.state == RESET and client._rx.items == [EOF, EOF]
         sim.run()
         assert counts.count == 23
