@@ -52,13 +52,14 @@ class ComparisonRow:
     label: str
     paper: Any
     measured: Any
-    note: str = ""
 
 
 def format_comparison(rows: Sequence[ComparisonRow], title: str = "") -> str:
+    """The rows as a table; the committed tables keep an empty ``note``
+    column."""
     return format_table(
         ["metric", "paper", "measured", "note"],
-        [(r.label, r.paper, r.measured, r.note) for r in rows],
+        [(r.label, r.paper, r.measured, "") for r in rows],
         title=title,
     )
 

@@ -63,13 +63,12 @@ class Cluster:
         bogomips: float = 3000.0,
         mem_mb: int = 256,
         speeds: Optional[dict[str, float]] = None,
-        os_name: str = "Linux 2.4",
     ) -> SmartHost:
         node = self.network.add_host(name)
         self._finalized = False
         machine = Machine(
             self.sim, name, bogomips=bogomips,
-            mem_bytes=mem_mb << 20, speeds=speeds, os_name=os_name,
+            mem_bytes=mem_mb << 20, speeds=speeds,
         )
         host = SmartHost(self.sim, node, machine, network=self.network)
         self.hosts[name] = host

@@ -100,6 +100,10 @@ class Deployment:
         #: chaos controller armed on this deployment: target ->
         #: (the values the first window found, the windows in entry order)
         self.fault_windows: dict[Any, tuple[list, list]] = {}
+        #: hosts crashed and (host, role) daemons killed by the fault
+        #: plane, shared by every chaos controller like the windows
+        self.down_hosts: set[str] = set()
+        self.down_daemons: set[tuple[str, str]] = set()
         self._boot_proc = None
         #: the wizard replica set — one receiver + wizard pair per host
         self.replicas: list[WizardReplica] = []

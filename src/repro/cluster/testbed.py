@@ -33,30 +33,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """One row of thesis Table 5.1 (+ calibrated matmul speed, flops/s)."""
+    """One row of thesis Table 5.1 less its OS column, which no model
+    reads (+ calibrated matmul speed, flops/s)."""
 
     name: str
     cpu: str
     bogomips: float
     ram_mb: int
-    os: str
     matmul_flops: float
     segment: str
 
 
 #: Table 5.1, with matmul speeds calibrated to Fig 5.2's ranking
 TESTBED_MACHINES: tuple[MachineSpec, ...] = (
-    MachineSpec("sagit", "P3 866MHz", 1730.15, 128, "Debian Linux 3.0r2 (2.4)", 38e6, "137.132.81"),
-    MachineSpec("dalmatian", "P4 2.4GHz", 4771.02, 512, "Redhat Linux 8.0 (2.4)", 54e6, "192.168.1"),
-    MachineSpec("mimas", "P4 1.7GHz", 3394.76, 192, "Redhat Linux 9.0 (2.4)", 30e6, "192.168.1"),
-    MachineSpec("telesto", "P4 1.6GHz", 3185.04, 128, "Redhat Linux 7.3 (2.4)", 28e6, "192.168.2"),
-    MachineSpec("lhost", "P3 866MHz", 1730.15, 128, "Redhat Linux 9.0 (2.4)", 36e6, "192.168.2"),
-    MachineSpec("helene", "P4 1.7GHz", 3394.76, 256, "Redhat Linux 9.0 (2.4)", 32e6, "192.168.3"),
-    MachineSpec("phoebe", "P4 1.7GHz", 3394.76, 256, "Redhat Linux 9.0 (2.4)", 31e6, "192.168.3"),
-    MachineSpec("calypso", "P4 1.7GHz", 3394.76, 256, "Redhat Linux 9.0 (2.4)", 31.5e6, "192.168.4"),
-    MachineSpec("dione", "P4 2.4GHz", 4771.02, 512, "Redhat Linux 7.3 (2.4)", 53e6, "192.168.4"),
-    MachineSpec("titan-x", "P4 1.7GHz", 3394.76, 256, "Redhat Linux 7.3 (2.4)", 30.5e6, "192.168.5"),
-    MachineSpec("pandora-x", "P4 1.8GHz", 3591.37, 256, "Redhat Linux 9.0 (2.4)", 33e6, "192.168.5"),
+    MachineSpec("sagit", "P3 866MHz", 1730.15, 128, 38e6, "137.132.81"),
+    MachineSpec("dalmatian", "P4 2.4GHz", 4771.02, 512, 54e6, "192.168.1"),
+    MachineSpec("mimas", "P4 1.7GHz", 3394.76, 192, 30e6, "192.168.1"),
+    MachineSpec("telesto", "P4 1.6GHz", 3185.04, 128, 28e6, "192.168.2"),
+    MachineSpec("lhost", "P3 866MHz", 1730.15, 128, 36e6, "192.168.2"),
+    MachineSpec("helene", "P4 1.7GHz", 3394.76, 256, 32e6, "192.168.3"),
+    MachineSpec("phoebe", "P4 1.7GHz", 3394.76, 256, 31e6, "192.168.3"),
+    MachineSpec("calypso", "P4 1.7GHz", 3394.76, 256, 31.5e6, "192.168.4"),
+    MachineSpec("dione", "P4 2.4GHz", 4771.02, 512, 53e6, "192.168.4"),
+    MachineSpec("titan-x", "P4 1.7GHz", 3394.76, 256, 30.5e6, "192.168.5"),
+    MachineSpec("pandora-x", "P4 1.8GHz", 3591.37, 256, 33e6, "192.168.5"),
 )
 
 TESTBED_SEGMENTS: tuple[str, ...] = (
@@ -90,7 +90,6 @@ def build_testbed(sim: Simulator | None = None, seed: int = 0,
             bogomips=spec.bogomips,
             mem_mb=spec.ram_mb,
             speeds={"matmul": spec.matmul_flops},
-            os_name=spec.os,
         )
 
     switches = {seg: cluster.add_switch(f"sw-{seg}") for seg in TESTBED_SEGMENTS}

@@ -15,7 +15,10 @@ forwarding (switches/routers are cabinet hardware, not the crashed OS).
 ``restart-host`` relaunches exactly the daemons the deployment says run
 on that machine (:meth:`Deployment.daemons_on`, which includes what the
 application plane :meth:`~Deployment.install`\\ ed), with cold state — the
-recovery path the hardened control plane is designed to survive.
+recovery path the hardened control plane is designed to survive.  What
+is down is deployment state (``Deployment.down_hosts`` /
+``down_daemons``), so a restart armed by one controller brings back a
+host another one crashed.
 
 Windowed faults (``loss-burst``, ``slow-host``, ``degrade-link``, a
 bounded ``skew-clock``) share one process skeleton (:meth:`_window`),
@@ -54,10 +57,6 @@ class ChaosController:
         self._burst_procs: list = []
         #: (sim_time, description) of every fault actually applied
         self.log: list[tuple[float, str]] = []
-        #: hosts currently crashed
-        self.down_hosts: set[str] = set()
-        #: (host, role) pairs currently killed individually
-        self.down_daemons: set[tuple[str, str]] = set()
 
     # -- lookups -----------------------------------------------------------
     def _daemon(self, host: str, role: str):
@@ -125,7 +124,7 @@ class ChaosController:
 
     # -- host faults -------------------------------------------------------
     def _crash_host(self, host_name: str):
-        if host_name in self.down_hosts:
+        if host_name in self.deployment.down_hosts:
             self._note(f"crash-host {host_name} (already down)")
             return
         host = self._host(host_name)
@@ -137,7 +136,7 @@ class ChaosController:
             conn.abort()
         for role, daemon in self.deployment.daemons_on(host_name):
             daemon.stop()
-            self.down_daemons.discard((host_name, role))
+            self.deployment.down_daemons.discard((host_name, role))
         # let the interrupts deliver so daemon cleanup (socket close,
         # memory free) runs before we bulldoze what is left
         yield self.sim.timeout(0)
@@ -148,14 +147,14 @@ class ChaosController:
         # power loss: RAM is gone.  Not a write — the segments start over
         # empty, so the race sanitizer cannot take a crash for one
         host.shm.power_loss()
-        self.down_hosts.add(host_name)
+        self.deployment.down_hosts.add(host_name)
         self._note(f"crash-host {host_name}")
 
     def _restart_host(self, host_name: str) -> None:
-        if host_name not in self.down_hosts:
+        if host_name not in self.deployment.down_hosts:
             self._note(f"restart-host {host_name} (was not down)")
             return
-        self.down_hosts.discard(host_name)
+        self.deployment.down_hosts.discard(host_name)
         for role, daemon in self.deployment.daemons_on(host_name):
             if self.deployment.runs(role, daemon):
                 daemon.start()
@@ -167,15 +166,15 @@ class ChaosController:
         if daemon is None:
             self._note(f"kill-daemon {role}@{host_name} (no such daemon)")
             return
-        key = (host_name, role)
-        if host_name in self.down_hosts or key in self.down_daemons:
+        key, dep = (host_name, role), self.deployment
+        if host_name in dep.down_hosts or key in dep.down_daemons:
             self._note(f"kill-daemon {role}@{host_name} (already down)")
             return
         daemon.stop()
         # deliver the interrupt now so a paired restart (even at the same
         # sim time) finds ports released and the process dead
         yield self.sim.timeout(0)
-        self.down_daemons.add(key)
+        dep.down_daemons.add(key)
         self._note(f"kill-daemon {role}@{host_name}")
 
     def _restart_daemon(self, host_name: str, role: str) -> None:
@@ -183,12 +182,12 @@ class ChaosController:
         if daemon is None:
             self._note(f"restart-daemon {role}@{host_name} (no such daemon)")
             return
-        key = (host_name, role)
-        if host_name in self.down_hosts or key not in self.down_daemons:
+        key, dep = (host_name, role), self.deployment
+        if host_name in dep.down_hosts or key not in dep.down_daemons:
             self._note(f"restart-daemon {role}@{host_name} (not restartable)")
             return
-        self.down_daemons.discard(key)
-        if self.deployment.runs(role, daemon):
+        dep.down_daemons.discard(key)
+        if dep.runs(role, daemon):
             daemon.start()
         self._note(f"restart-daemon {role}@{host_name}")
 

@@ -20,10 +20,15 @@ Coverage accounting tallies which (fault kind × scenario phase) cells
 the executed trials exercised, so a green search that only ever crashed
 hosts before the request is visibly shallow.
 
-The search is one serial loop.  A trial's plan is a pure function of
-``(seed, scenario, per-scenario index)``, so process-level parallelism
-needs no code here: run one ``repro explore --scenario S --mutant M``
-per CI matrix cell, or fan a list of them out with ``xargs -P``.
+The search is one serial loop that draws trial *i*'s plan only when it
+reaches it (from stream ``explore-<scenario>-<i>``), and hands the
+:class:`FaultPlan` itself to :func:`run_trial` and the shrinker; JSON is
+only the corpus format.  The kinds a scenario's plans can hold — the
+coverage denominator — are :meth:`FaultPlan.random_kinds` over its
+surface.  A trial's plan is a pure function of ``(seed, scenario,
+per-scenario index)``, so process-level parallelism needs no code here:
+run one ``repro explore --scenario S --mutant M`` per CI matrix cell, or
+fan a list of them out with ``xargs -P``.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from dataclasses import dataclass, field, replace as _replace
 
 from ..sim.rand import RandomStreams
 from ..worlds import STAR_WIZARDS
-from .invariants import Violation, check_all
+from .invariants import check_all
 from .plan import FaultPlan
-from .scenarios import MUTANTS, SCENARIOS, fault_surface, run_trial, trial_deadline
+from .scenarios import (MUTANTS, REQUEST_AT, SCENARIOS, fault_surface,
+                        run_trial, trial_deadline)
 
 __all__ = [
     "ExploreReport",
@@ -64,6 +70,12 @@ SHRINK_BUDGET = 160
 #: stream, or after the healthy job would already be done
 PHASES = ("setup", "stream", "tail")
 
+#: every random plan: its time horizon, faults drawn (each outage then
+#: gets its recovery) and mean outage length, in sim seconds
+PLAN_HORIZON = 20.0
+PLAN_EVENTS = 8
+MEAN_OUTAGE = 4.0
+
 
 # ---------------------------------------------------------------------------
 # plan generation
@@ -76,29 +88,28 @@ def generate_plan(rng, spec, surface) -> FaultPlan:
     storms) so the search also walks the correlated-fault corners the
     hand-written suites care about."""
     plan = FaultPlan.random_plan(
-        rng, horizon=spec.horizon, hosts=surface["hosts"],
+        rng, horizon=PLAN_HORIZON, hosts=surface["hosts"],
         links=surface["links"], daemons=surface["daemons"],
-        n_events=spec.n_events, mean_outage=spec.mean_outage,
-        gray=spec.gray,
+        n_events=PLAN_EVENTS, mean_outage=MEAN_OUTAGE, gray=spec.gray,
     )
     draw = rng.random()
     if draw < 0.12:
         a, b = rng.choice(surface["links"])
-        plan.flap_link(rng.uniform(1.0, spec.request_at + 4.0), a, b,
+        plan.flap_link(rng.uniform(1.0, REQUEST_AT + 4.0), a, b,
                        period=rng.uniform(0.6, 2.0),
                        count=rng.randint(2, 4))
     elif draw < 0.24:
         a, b = rng.choice(surface["links"])
-        plan.partition(rng.uniform(1.0, 0.6 * spec.horizon), a, b,
+        plan.partition(rng.uniform(1.0, 0.6 * PLAN_HORIZON), a, b,
                        duration=rng.uniform(1.0, 6.0))
     elif draw < 0.36 and spec.control_plane:
         plan.kill_wizard_during_request(
-            spec.request_at - 0.2, rng.choice(list(STAR_WIZARDS)),
+            REQUEST_AT - 0.2, rng.choice(list(STAR_WIZARDS)),
             restart_after=rng.uniform(3.0, 8.0))
     elif draw < 0.36 and spec.gray:
         servers = [h for h in surface["hosts"] if h.startswith("s")]
         plan.gray_failure_storm(
-            rng.uniform(spec.request_at, spec.request_at + 3.0),
+            rng.uniform(REQUEST_AT, REQUEST_AT + 3.0),
             duration=rng.uniform(2.0, 8.0),
             slow_host=rng.choice(servers),
             slow_factor=rng.uniform(4.0, 10.0),
@@ -108,12 +119,12 @@ def generate_plan(rng, spec, surface) -> FaultPlan:
     return plan
 
 
-def plan_coverage(plan: FaultPlan, spec, oracle_elapsed: float) -> set[tuple[str, str]]:
+def plan_coverage(plan: FaultPlan, oracle_elapsed: float) -> set[tuple[str, str]]:
     """The (kind, phase) cells one plan touches."""
-    stream_end = spec.request_at + max(oracle_elapsed, 0.0) + 1.0
+    stream_end = REQUEST_AT + max(oracle_elapsed, 0.0) + 1.0
     cells = set()
     for event in plan.events():
-        if event.at < spec.request_at:
+        if event.at < REQUEST_AT:
             phase = "setup"
         elif event.at <= stream_end:
             phase = "stream"
@@ -121,22 +132,6 @@ def plan_coverage(plan: FaultPlan, spec, oracle_elapsed: float) -> set[tuple[str
             phase = "tail"
         cells.add((event.kind, phase))
     return cells
-
-
-# ---------------------------------------------------------------------------
-# one trial
-# ---------------------------------------------------------------------------
-
-def _verdicts(payload: dict, plan: FaultPlan | None = None) -> list[Violation]:
-    """Run trial ``payload`` — with ``plan`` in place of its own, when
-    given — and judge the outcome."""
-    return check_all(run_trial(
-        payload["scenario"],
-        payload["plan"] if plan is None else plan.to_json(),
-        world_seed=payload["world_seed"], mutant=payload["mutant"],
-        deadline=payload["deadline"],
-        oracle_fingerprint=payload["oracle_fingerprint"],
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -312,37 +307,12 @@ class ExploreReport:
 
 def _oracle_for(scenario: str, world_seed: int) -> tuple[str, float]:
     """(fingerprint, elapsed) of the fault-free run."""
-    outcome = run_trial(scenario, {}, world_seed=world_seed)
+    outcome = run_trial(scenario, FaultPlan(), world_seed=world_seed)
     if not outcome.completed:
         raise RuntimeError(
             f"oracle run of scenario {scenario!r} did not complete: "
             f"{outcome.exception or 'deadline'}")
     return outcome.fingerprint, outcome.elapsed
-
-
-def _make_payload(index: int, scenario: str, seed: int, world_seed: int,
-                  mutant: str, oracle: tuple[str, float],
-                  counters: dict) -> dict:
-    """Build trial ``index``'s payload; the per-scenario trial counter
-    names the RNG stream, so a scenario's i-th plan is the same whatever
-    the scenario mix of the run."""
-    spec = SCENARIOS[scenario]
-    surface = fault_surface(spec)
-    per_scenario = counters.get(scenario, 0)
-    counters[scenario] = per_scenario + 1
-    rng = RandomStreams(seed).stream(f"explore-{scenario}-{per_scenario}")
-    plan = generate_plan(rng, spec, surface)
-    oracle_fp, oracle_elapsed = oracle
-    return {
-        "index": index,
-        "scenario": scenario,
-        "plan": plan.to_json(),
-        "world_seed": world_seed,
-        "mutant": mutant,
-        "deadline": trial_deadline(spec, oracle_elapsed, plan.horizon),
-        "oracle_fingerprint": oracle_fp,
-        "oracle_elapsed": oracle_elapsed,
-    }
 
 
 def explore(
@@ -376,62 +346,60 @@ def explore(
     say("oracles ready: " + ", ".join(
         f"{n}={oracles[n][0]} ({oracles[n][1]:.2f}s)" for n in scenarios))
 
-    counters: dict[str, int] = {}
-    payloads = [
-        _make_payload(i, scenarios[i % len(scenarios)], seed, world_seed,
-                      mutant, oracles[scenarios[i % len(scenarios)]], counters)
-        for i in range(budget)
-    ]
-
+    # a scenario's trials count separately and name its RNG streams, so
+    # its i-th plan is the same whatever the scenario mix of the run
+    counters = dict.fromkeys(scenarios, 0)
     covered: dict[str, set] = {name: set() for name in scenarios}
-    found: tuple[dict, Violation] | None = None
-    for payload in payloads:
-        verdicts = _verdicts(payload)
-        covered[payload["scenario"]].update(plan_coverage(
-            FaultPlan.from_json(payload["plan"]),
-            SCENARIOS[payload["scenario"]], payload["oracle_elapsed"]))
-        report.trials_run += 1
-        if verdicts:
-            report.violations.append({
-                "trial": payload["index"],
-                "scenario": payload["scenario"],
-                "fingerprints": [v.fingerprint for v in verdicts],
-            })
-            found = (payload, verdicts[0])
-            break
-        if payload["index"] % 25 == 24:
-            say(f"{payload['index'] + 1}/{budget} trials, no violation yet")
+    for index in range(budget):
+        scenario = scenarios[index % len(scenarios)]
+        spec = SCENARIOS[scenario]
+        rng = RandomStreams(seed).stream(
+            f"explore-{scenario}-{counters[scenario]}")
+        counters[scenario] += 1
+        original = generate_plan(rng, spec, fault_surface(spec))
+        oracle_fp, oracle_elapsed = oracles[scenario]
+        deadline = trial_deadline(oracle_elapsed, original.horizon)
 
-    # coverage summary (kinds that can appear x phases)
+        def verdicts(plan: FaultPlan) -> list:
+            return check_all(run_trial(
+                scenario, plan, world_seed=world_seed, mutant=mutant,
+                deadline=deadline, oracle_fingerprint=oracle_fp))
+
+        found = verdicts(original)
+        covered[scenario].update(plan_coverage(original, oracle_elapsed))
+        report.trials_run += 1
+        if found:
+            report.violations.append({
+                "trial": index,
+                "scenario": scenario,
+                "fingerprints": [v.fingerprint for v in found],
+            })
+            break
+        if index % 25 == 24:
+            say(f"{index + 1}/{budget} trials, no violation yet")
+
+    # coverage summary: the kinds a plan can hold x phases
     for name in scenarios:
         spec = SCENARIOS[name]
         surface = fault_surface(spec)
-        kinds = {"crash-host", "restart-host", "loss-burst"}
-        if surface["links"]:
-            kinds.update({"link-down", "link-up"})
-        if surface["daemons"]:
-            kinds.update({"kill-daemon", "restart-daemon"})
-        if spec.gray:
-            kinds.update({"slow-host", "skew-clock", "degrade-link"})
+        kinds = FaultPlan.random_kinds(surface["links"], surface["daemons"],
+                                       spec.gray)
         report.coverage[name] = {
             "covered": sorted(f"{k}/{p}" for k, p in covered[name]),
             "cells": len(covered[name]),
             "total": len(kinds) * len(PHASES),
         }
 
-    if found is None:
+    if not report.violations:
         return report
 
     # -- minimize the violating trial ---------------------------------------
-    payload, violation = found
+    violation = found[0]
     target = violation.fingerprint
-    say(f"violation {target} at trial {payload['index']} "
-        f"({payload['scenario']}); shrinking")
-    original = FaultPlan.from_json(payload["plan"])
+    say(f"violation {target} at trial {index} ({scenario}); shrinking")
 
     def still_fails(candidate: FaultPlan) -> bool:
-        return any(v.fingerprint == target
-                   for v in _verdicts(payload, candidate))
+        return any(v.fingerprint == target for v in verdicts(candidate))
 
     minimized, predicate_runs = ((original, 0) if not shrink
                                  else shrink_plan(original, still_fails))
@@ -450,12 +418,11 @@ def explore(
             f"minimized plan reproduced only {verified}/{RE_VERIFY} times — "
             "determinism broken, refusing to emit a counterexample")
     report.counterexample = Counterexample(
-        scenario=payload["scenario"], world_seed=world_seed, mutant=mutant,
-        seed=seed, trial=payload["index"],
+        scenario=scenario, world_seed=world_seed, mutant=mutant,
+        seed=seed, trial=index,
         invariant=violation.invariant, site=violation.site,
         detail=violation.detail, fingerprint=target,
-        deadline=payload["deadline"],
-        oracle_fingerprint=payload["oracle_fingerprint"],
+        deadline=deadline, oracle_fingerprint=oracle_fp,
         plan=minimized.to_json(),
         search={"budget": budget, **report.shrink},
     )
@@ -498,10 +465,11 @@ def replay_counterexample(ce: Counterexample, mutant: str | None = None,
     recorded mutant (pass ``""`` to replay against the healthy build).
     """
     use_mutant = ce.mutant if mutant is None else mutant
+    plan = FaultPlan.from_json(ce.plan)
     observed = []
     for _ in range(runs):
         outcome = run_trial(
-            ce.scenario, ce.plan, world_seed=ce.world_seed,
+            ce.scenario, plan, world_seed=ce.world_seed,
             mutant=use_mutant, deadline=ce.deadline,
             oracle_fingerprint=ce.oracle_fingerprint, trace=True,
         )

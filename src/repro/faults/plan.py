@@ -224,6 +224,30 @@ class FaultEvent:
         return f"{self.kind} {self.target}"
 
 
+#: the recovery :meth:`FaultPlan.random_plan` schedules after each
+#: outage it draws
+_RECOVERY = {"crash-host": "restart-host", "link-down": "link-up",
+             "kill-daemon": "restart-daemon"}
+
+
+def _random_menu(links, daemons, gray: bool) -> list[str]:
+    """The kinds :meth:`FaultPlan.random_plan` draws from over a surface,
+    in draw order (``rng.choice`` indexes into it)."""
+    menu = ["crash-host", "loss-burst"]
+    if links:
+        menu.append("link-down")
+    if daemons:
+        menu.append("kill-daemon")
+    if gray:
+        # appended after the legacy kinds: rng.choice indexes shift
+        # only for plans that opted in
+        menu.append("slow-host")
+        menu.append("skew-clock")
+        if links:
+            menu.append("degrade-link")
+    return menu
+
+
 class FaultPlan:
     """An ordered schedule of :class:`FaultEvent`\\ s with builder helpers.
 
@@ -463,6 +487,14 @@ class FaultPlan:
         return digest.hexdigest()[:16]
 
     # -- randomised plans ---------------------------------------------------
+    @staticmethod
+    def random_kinds(links, daemons, gray: bool) -> set[str]:
+        """Every kind :meth:`random_plan` can put in a plan over this
+        surface: the kinds it draws and the recoveries it pairs them
+        with."""
+        menu = _random_menu(links, daemons, gray)
+        return set(menu) | {_RECOVERY[k] for k in menu if k in _RECOVERY}
+
     @classmethod
     def random_plan(
         cls,
@@ -499,18 +531,7 @@ class FaultPlan:
         plan = cls()
         plan._record("random_plan", horizon=horizon, n_events=n_events,
                      mean_outage=mean_outage, gray=gray or None)
-        menu = ["crash-host", "loss-burst"]
-        if links:
-            menu.append("link-down")
-        if daemons:
-            menu.append("kill-daemon")
-        if gray:
-            # appended after the legacy kinds: rng.choice indexes shift
-            # only for plans that opted in
-            menu.append("slow-host")
-            menu.append("skew-clock")
-            if links:
-                menu.append("degrade-link")
+        menu = _random_menu(links, daemons, gray)
         for _ in range(n_events):
             at = rng.uniform(0.05 * horizon, 0.6 * horizon)
             outage = min(

@@ -73,9 +73,16 @@ LIVENESS_SLACK = 150.0
 REQUEST_AT = 6.0
 
 
+#: the matmul job: matrix and block size (160/80 -> a 2x2 grid)
+MATMUL_N, MATMUL_BLK = 160, 80
+#: the massd job: file and block size in KB (-> 12 blocks)
+MASSD_KB, MASSD_BLK_KB = 1200, 100
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One explorable world + job, and the knobs the plan generator uses."""
+    """One explorable world + job: what the four rows of
+    :data:`SCENARIOS` set differently."""
 
     name: str
     app: str                    # "matmul" | "massd"
@@ -84,14 +91,6 @@ class Scenario:
     gray: bool = False          # random plans may draw gray kinds
     watchdog: bool = False      # sessions run the phi-accrual watchdog
     control_plane: bool = False  # wizards/monitors/trunks join the surface
-    n: int = 160                # matmul: matrix size
-    blk: int = 80               # matmul: block size (160/80 -> 2x2 grid)
-    data_kb: int = 1200         # massd: file size
-    blk_kb: int = 100           # massd: block size (-> 12 blocks)
-    request_at: float = REQUEST_AT  # when the client asks the wizard
-    horizon: float = 20.0       # random-plan time horizon
-    n_events: int = 8           # faults per random plan (pre-pairing)
-    mean_outage: float = 4.0
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -144,12 +143,11 @@ def fault_surface(spec: Scenario) -> dict:
     return star_surface(spec.app, spec.control_plane)
 
 
-def trial_deadline(spec: Scenario, oracle_elapsed: float,
-                   plan_horizon: float) -> float:
+def trial_deadline(oracle_elapsed: float, plan_horizon: float) -> float:
     """The liveness budget of one trial: every fault heals by the plan
     horizon, the healthy job takes ``oracle_elapsed``, and
     :data:`LIVENESS_SLACK` absorbs the slowest correct recovery."""
-    return (spec.request_at + 3.0 * max(oracle_elapsed, 0.0)
+    return (REQUEST_AT + 3.0 * max(oracle_elapsed, 0.0)
             + plan_horizon + LIVENESS_SLACK)
 
 
@@ -173,11 +171,11 @@ class StarJob:
 def star_job(
     star: Star, name: str, app: Callable[[list], Any], *,
     requirement: str = STALENESS_REQUIREMENT, sessions: int = 2,
-    request_at: float = REQUEST_AT, plan: Optional[FaultPlan] = None,
+    plan: Optional[FaultPlan] = None,
     mid_fault: Optional[Callable[[float, str], Optional[FaultPlan]]] = None,
 ) -> StarJob:
     """Spawn the job every tool runs on a started star, as process
-    ``name``: arm ``plan`` now; at ``request_at`` open ``sessions``
+    ``name``: arm ``plan`` now; at :data:`REQUEST_AT` open ``sessions``
     sessions for ``requirement`` from ``star.cli``; arm what
     ``mid_fault(now, victim)`` returns (the victim is only known then —
     plans use absolute times, so arming mid-run stays deterministic);
@@ -195,7 +193,7 @@ def star_job(
             job.chaos[-1].start()
 
     def driver():
-        yield sim.timeout(request_at)
+        yield sim.timeout(REQUEST_AT)
         job.client = star.dep.client_for(star.cli)
         job.sessions = yield from smart_sessions(
             job.client, requirement, sessions,
@@ -248,7 +246,7 @@ def _exc_site(exc: BaseException) -> str:
 
 def run_trial(
     scenario: str,
-    plan_json: dict,
+    plan: FaultPlan,
     *,
     world_seed: int = 0,
     mutant: str = "",
@@ -259,16 +257,15 @@ def run_trial(
     """Execute one fault plan against one scenario, deterministically.
 
     ``deadline`` is in sim seconds; ``0`` means a generous default
-    (request + plan horizon + 120 s).  The run never raises on
+    (request + plan horizon + 210 s).  The run never raises on
     application or daemon failure — everything lands in the outcome for
     the invariant oracles to judge.
     """
     spec = SCENARIOS[scenario]
-    plan = FaultPlan.from_json(plan_json) if plan_json else FaultPlan()
     if mutant not in MUTANTS:
         raise ValueError(f"unknown mutant {mutant!r}")
     if not deadline:
-        deadline = trial_deadline(spec, 0.0, plan.horizon) + 60.0
+        deadline = trial_deadline(0.0, plan.horizon) + 60.0
     star = build_star(
         world_seed, GRAYFAIL_CONFIG if spec.watchdog else FAILOVER_CONFIG,
         replicas=2, app=spec.app, trace_events=trace)
@@ -280,15 +277,14 @@ def run_trial(
 
     def app(sessions):
         if spec.app == "matmul":
-            a, b = _matrices(spec.n)
-            return program(star.cli).run(sessions, n=spec.n, blk=spec.blk,
+            a, b = _matrices(MATMUL_N)
+            return program(star.cli).run(sessions, n=MATMUL_N, blk=MATMUL_BLK,
                                          a=a, b=b)
-        return program(star.cli).run(sessions, data_kb=spec.data_kb,
-                                     blk_kb=spec.blk_kb)
+        return program(star.cli).run(sessions, data_kb=MASSD_KB,
+                                     blk_kb=MASSD_BLK_KB)
 
     job = star_job(star, "explore-driver", app, plan=plan,
-                   requirement=spec.requirement, sessions=spec.sessions,
-                   request_at=spec.request_at)
+                   requirement=spec.requirement, sessions=spec.sessions)
     (chaos,) = job.chaos
     exc: BaseException | None = None
     while not job.proc.processed:

@@ -34,14 +34,12 @@ class Machine:
         bogomips: float,
         mem_bytes: int,
         speeds: Optional[dict[str, float]] = None,
-        os_name: str = "Linux 2.4",
     ):
         if bogomips <= 0:
             raise ValueError(f"bogomips must be positive, got {bogomips}")
         self.sim = sim
         self.name = name
         self.bogomips = float(bogomips)
-        self.os_name = os_name
         self.machine_type = "i386"
         self.cpu = CPU(sim, name=f"{name}.cpu")
         self.memory = Memory(mem_bytes)

@@ -683,11 +683,11 @@ class TcpLayer:
             elif kind == "ACK":
                 conn._handle_ack(payload[1])
             elif kind == "SYN":  # duplicate SYN: re-ack
-                self._send_ctrl_reply(dgram, "SYNACK", conn)
+                self._send_ctrl_reply(dgram, "SYNACK")
             elif kind == "SYNACK":
                 if not conn.established_ev._state:
                     conn._start()
-                self._send_ctrl_reply(dgram, "ACK1", conn)
+                self._send_ctrl_reply(dgram, "ACK1")
             elif kind == "ACK1":
                 if not conn.established_ev._state:
                     conn._start()
@@ -710,11 +710,11 @@ class TcpLayer:
                 mss=lsn.mss, window=lsn.window,
             )
             self.conns[key] = server
-            self._send_ctrl_reply(dgram, "SYNACK", server)
+            self._send_ctrl_reply(dgram, "SYNACK")
             # server side considers itself established once SYN seen;
             # data cannot arrive before the client's ACK1 anyway (FIFO paths)
             server._start()
             lsn.accepts.put(server)
 
-    def _send_ctrl_reply(self, dgram: Datagram, kind: str, conn: TcpConnection) -> None:
+    def _send_ctrl_reply(self, dgram: Datagram, kind: str) -> None:
         self.stack.node.send(dgram.reply_skeleton(PROTO_TCP, 0, (kind,)))

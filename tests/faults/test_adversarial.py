@@ -23,11 +23,11 @@ class TestAdversarialOrderings:
     def test_restart_of_never_crashed_host(self):
         chaos = _run(FaultPlan().restart_host(2.0, "s0"))
         assert any("restart-host s0" in msg for _, msg in chaos.log)
-        assert "s0" not in chaos.down_hosts
+        assert "s0" not in chaos.deployment.down_hosts
 
     def test_double_crash_host(self):
         chaos = _run(FaultPlan().crash_host(2.0, "s0").crash_host(3.0, "s0"))
-        assert "s0" in chaos.down_hosts
+        assert "s0" in chaos.deployment.down_hosts
 
     def test_double_daemon_kill(self):
         plan = (FaultPlan()
@@ -35,7 +35,7 @@ class TestAdversarialOrderings:
                 .kill_daemon(3.0, "s1", "worker"))
         chaos = _run(plan)
         assert any("already down" in msg for _, msg in chaos.log)
-        assert ("s1", "worker") in chaos.down_daemons
+        assert ("s1", "worker") in chaos.deployment.down_daemons
 
     def test_link_up_on_up_link(self):
         chaos = _run(FaultPlan().link_up(2.0, "s0", "sw-g1"))
@@ -45,7 +45,7 @@ class TestAdversarialOrderings:
         # no 'fileserver' daemon exists in the matmul world
         chaos = _run(FaultPlan().kill_daemon(2.0, "s0", "fileserver"))
         assert any("no such daemon" in msg for _, msg in chaos.log)
-        assert ("s0", "fileserver") not in chaos.down_daemons
+        assert ("s0", "fileserver") not in chaos.deployment.down_daemons
 
     def test_restart_daemon_never_killed(self):
         chaos = _run(FaultPlan().restart_daemon(2.0, "s2", "worker"))
@@ -67,7 +67,7 @@ class TestAdversarialOrderings:
                 .kill_daemon(3.0, "s3", "worker")
                 .restart_host(5.0, "s3"))
         chaos = _run(plan)
-        assert "s3" not in chaos.down_hosts  # restart still lands
+        assert "s3" not in chaos.deployment.down_hosts  # restart still lands
 
     def test_gray_faults_on_crashed_host_are_noops(self):
         plan = (FaultPlan()
@@ -76,7 +76,7 @@ class TestAdversarialOrderings:
                 .skew_clock(3.5, "s4", 20.0, duration=2.0)
                 .loss_burst(4.0, "s4", 0.5, 2.0))
         chaos = _run(plan)
-        assert "s4" in chaos.down_hosts  # and nothing raised
+        assert "s4" in chaos.deployment.down_hosts  # and nothing raised
 
     def test_same_time_kill_restart_tie(self):
         plan = (FaultPlan()
@@ -84,7 +84,7 @@ class TestAdversarialOrderings:
                 .restart_daemon(2.0, "s5", "worker"))
         chaos = _run(plan)
         # insertion order breaks the tie: kill then restart -> up again
-        assert ("s5", "worker") not in chaos.down_daemons
+        assert ("s5", "worker") not in chaos.deployment.down_daemons
 
 
 class TestAdversarialFuzz:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.faults import ChaosController
+from repro.faults import explore as explore_module
 from repro.faults.explore import (
+    PHASES,
     Counterexample,
     ddmin,
     explore,
@@ -25,6 +27,7 @@ from repro.faults.explore import (
 from repro.faults.invariants import INVARIANTS, TrialOutcome, check_all
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import SCENARIOS, fault_surface, run_trial
+from repro.sim.rand import RandomStreams
 from repro.worlds import build_star
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -124,13 +127,28 @@ class TestGeneratorCoverage:
         assert chaos.log
         assert [note for _, note in chaos.log if "(no such" in note] == []
 
+    def test_every_drawn_kind_is_in_the_coverage_denominator(self):
+        """The denominator is the kinds the generator can draw, recoveries
+        included: 200 seeded plans per scenario hold none outside it, and
+        the cell totals stay 7 or 10 kinds x 3 phases."""
+        report = explore(budget=0)
+        for name, spec in SCENARIOS.items():
+            surface = fault_surface(spec)
+            kinds = FaultPlan.random_kinds(surface["links"], surface["daemons"],
+                                           spec.gray)
+            drawn = {event.kind for i in range(200) for event in generate_plan(
+                RandomStreams(i).stream(f"cover-{name}"), spec, surface)}
+            assert drawn <= kinds, name
+            assert report.coverage[name]["total"] == len(kinds) * len(PHASES)
+        assert {name: cov["total"] for name, cov in report.coverage.items()} == \
+            {"matmul": 21, "massd": 21, "ha": 21, "grayfail": 30}
+
     def test_coverage_buckets_by_phase(self):
-        spec = SCENARIOS["matmul"]
         plan = (FaultPlan()
-                .crash_host(1.0, "s0")          # before request_at=6.0
+                .crash_host(1.0, "s0")          # before REQUEST_AT=6.0
                 .loss_burst(8.0, "s1", 0.3, 2.0)  # mid-stream
                 .crash_host(60.0, "s2"))          # tail
-        cells = plan_coverage(plan, spec, oracle_elapsed=3.0)
+        cells = plan_coverage(plan, oracle_elapsed=3.0)
         assert ("crash-host", "setup") in cells
         assert ("loss-burst", "stream") in cells
         assert ("crash-host", "tail") in cells
@@ -196,6 +214,22 @@ class TestExplore:
         # first violating trial -> same minimum)
         assert (CORPUS / f"{ce.name}.json").exists()
 
+    def test_a_hunt_builds_only_the_plans_it_runs(self, monkeypatch):
+        """Trial i's plan is drawn when the loop reaches it: a 60-trial
+        hunt that stops at trial 0 builds one plan (it used to build all
+        60 up front)."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return generate_plan(*args)
+
+        monkeypatch.setattr(explore_module, "generate_plan", counted)
+        report = explore(budget=60, seed=0, scenarios=["matmul"],
+                         mutant="drop-checkpoint", shrink=False)
+        assert report.violations[0]["trial"] == 0
+        assert len(built) == 1
+
     def test_rejects_unknown_scenario_and_mutant(self):
         with pytest.raises(ValueError, match="scenario"):
             explore(budget=1, scenarios=["nope"])
@@ -242,21 +276,21 @@ class TestCorpus:
 
 class TestTrialHarness:
     def test_oracle_trial_completes_bit_exact(self):
-        a = run_trial("matmul", {})
-        b = run_trial("matmul", {})
+        a = run_trial("matmul", FaultPlan())
+        b = run_trial("matmul", FaultPlan())
         assert a.completed and a.fingerprint
         assert (a.fingerprint, a.elapsed) == (b.fingerprint, b.elapsed)
 
     def test_mutant_changes_nothing_without_faults(self):
-        healthy = run_trial("matmul", {})
-        mutant = run_trial("matmul", {}, mutant="drop-checkpoint")
+        healthy = run_trial("matmul", FaultPlan())
+        mutant = run_trial("matmul", FaultPlan(), mutant="drop-checkpoint")
         assert mutant.fingerprint == healthy.fingerprint
 
     def test_all_slots_dead_is_loud_but_not_a_violation(self):
         plan = FaultPlan()
         for i in range(6):
             plan.crash_host(1.0 + 0.1 * i, f"s{i}")
-        outcome = run_trial("matmul", plan.to_json(), deadline=60.0,
+        outcome = run_trial("matmul", plan, deadline=60.0,
                             oracle_fingerprint="whatever")
         assert outcome.all_slots_dead and not outcome.completed
         assert check_all(outcome) == []

@@ -141,3 +141,22 @@ class TestNoRegistrationStep:
         assert seen[1] == sorted([SERVICE_PORT, lease_port])
         roles = [role for role, _ in star.dep.daemons_on("s0")]
         assert roles == ["probe", "worker", "lease"]
+
+
+class TestDownStateIsShared:
+    def test_restart_by_one_controller_revives_a_crash_by_another(self):
+        """What is down lives on the deployment, like the windows: B's
+        restart brings back the host A crashed (B used to log ``(was not
+        down)`` and leave s0's probe dead)."""
+        star = build_star(config=FAILOVER_CONFIG, replicas=2, app="matmul")
+        a = ChaosController(star.dep, FaultPlan().crash_host(2.0, "s0"))
+        b = ChaosController(star.dep, FaultPlan().restart_host(4.0, "s0"))
+        a.start()
+        b.start()
+        probe = next(d for role, d in star.dep.daemons_on("s0") if role == "probe")
+        star.cluster.run(until=3.0)
+        sent = probe.reports_sent
+        star.cluster.run(until=12.0)
+        assert [note for _, note in b.log] == ["restart-host s0"]
+        assert probe.reports_sent > sent
+        assert star.dep.down_hosts == set()

@@ -500,6 +500,34 @@ def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
             yield arg.arg, None, default
 
 
+def _dataclass_fields(node: ast.ClassDef):
+    """A dataclass's defaulted fields as its generated ``__init__`` takes
+    them, in :func:`_defaulted`'s shape; nothing for any other class.  A
+    ``default_factory`` field is state, not a knob; ``Config`` keeps its
+    own gate (:func:`test_every_config_field_has_a_second_value_in_use`)."""
+    options = [d for d in node.decorator_list
+               if (getattr(getattr(d, "func", d), "id", None)
+                   or getattr(getattr(d, "func", d), "attr", None)) == "dataclass"]
+    if (not options or node.name == "Config"
+            or any(isinstance(s, ast.FunctionDef) and s.name == "__init__"
+                   for s in node.body)):
+        return
+    # a keyword-only or inherited field list has no positions to match
+    positional = not node.bases and not any(
+        k.arg == "kw_only" for d in options for k in getattr(d, "keywords", ()))
+    index = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        default = stmt.value
+        if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+            default = next((k.value for k in default.keywords if k.arg == "default"), None)
+        if default is not None:
+            yield stmt.target.id, index if positional else None, default
+        index += 1
+
+
 def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     """``(defaulted parameters in src/repro that nothing outside the tests
     sets off their default, every defaulted parameter)``, both as
@@ -510,14 +538,23 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     or ``examples/`` that passes it, by keyword or position, at another
     value than the default; by such a call that splats ``*args`` or
     ``**kwargs``; or by a ``dict(...)`` or dict-literal key of its name
-    holding another value (catalogue rows, ``SMOKE_JOBS``)."""
+    holding another value (catalogue rows, ``SMOKE_JOBS``).
+
+    A dataclass's defaulted fields count as its ``__init__`` parameters,
+    less those something assigns after construction (matched by name,
+    like every use here): those are state the object keeps, not knobs."""
     src = repo / "src" / "repro"
     calls: dict[str, list[ast.Call]] = {}
     keyed: dict[str, list] = {}
     bases: dict[str, set[str]] = {}
+    assigned: set[str] = set()
     trees = _parsed(repo)
     for tree in trees.values():
         for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                assigned.update(t.attr for target in targets for t in ast.walk(target)
+                                if isinstance(t, ast.Attribute))
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else \
@@ -544,11 +581,15 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                    if isinstance(node, ast.ClassDef)}
         for qualname, node in _definitions(tree):
             if isinstance(node, ast.ClassDef):
-                continue
-            owner, _, name = qualname.rpartition(".")
-            method = owner in classes and not any(
-                isinstance(d, ast.Name) and d.id == "staticmethod"
-                for d in node.decorator_list)
+                params = [(field, position, default) for field, position, default
+                          in _dataclass_fields(node) if field not in assigned]
+                owner, qualname, name = qualname, f"{qualname}.__init__", "__init__"
+            else:
+                owner, _, name = qualname.rpartition(".")
+                method = owner in classes and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                params = list(_defaulted(node, method))
             names = {name}
             if name == "__init__":
                 names, pending = set(), [owner.rpartition(".")[2]]
@@ -559,7 +600,7 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
             sites = [call for n in names for call in calls.get(n, ())]
             splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args) \
                 or any(k.arg is None for call in sites for k in call.keywords)
-            for param, position, default in _defaulted(node, method):
+            for param, position, default in params:
                 key = f"{path.relative_to(src).as_posix()}::{qualname}({param})"
                 defaulted.add(key)
                 value = _value(default)
@@ -605,13 +646,24 @@ UNTURNED_PARAMETERS = {
         "DESIGN §6: the reliable-socket library mirrors TcpLayer.serve",
     "core/rsocket.py::ReliableSocket.resume(timeout)":
         "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
+    # ``receiver`` and ``wizard`` pass by name: the deployment assigns
+    # attributes of those names
+    **{f"core/config.py::{table}.__init__({name})":
+       "deployment setting (thesis Tables 4.2 / 4.3)"
+       for table, names in (
+           ("Ports", ("system_monitor", "network_monitor", "security_monitor",
+                      "transmitter", "service", "lease", "probe_target")),
+           ("ShmKeys", ("monitor_system", "monitor_network", "monitor_security",
+                        "wizard_system", "wizard_network", "wizard_security")))
+       for name in names},
 }
 
 
 def test_every_src_parameter_has_a_second_value_in_use():
     """The :func:`test_every_config_field_has_a_second_value_in_use` rule
-    for every signature in ``src/repro``: a defaulted parameter exists
-    because something that runs — the library, a benchmark or an example
+    for every signature in ``src/repro``, a dataclass's fields included
+    (``Config`` has its own): a defaulted parameter exists because
+    something that runs — the library, a benchmark or an example
     — sets it off its default.  A knob only the tests turn becomes a
     constant and the path its default switched off goes, or it is named
     in :data:`UNTURNED_PARAMETERS` with a reason; an entry there that no
@@ -664,6 +716,20 @@ class TestParameterGate:
     def test_a_second_value_clears_it(self, tmp_path, caller):
         repo = _parameter_tree(tmp_path, caller)
         assert _parameter_violations(repo, {}) == NO_VIOLATIONS
+
+    def test_reads_a_dataclass_field_as_an_init_parameter(self, tmp_path):
+        """A row field no row sets is flagged, like ``Scenario.horizon``
+        was; a ``default_factory`` field and one assigned after
+        construction are state, and a row that sets a field turns it."""
+        repo = _parameter_tree(tmp_path, "knob(1, 8)\nBox(3)\nrow = Row(1, gray=True)\n"
+                                         "row.count += 1\n")
+        (repo / "src" / "repro" / "rows.py").write_text(
+            "from dataclasses import dataclass, field\n\n\n"
+            "@dataclass(frozen=True)\nclass Row:\n    name: int\n"
+            "    gray: bool = False\n    horizon: float = 20.0\n"
+            "    kept: list = field(default_factory=list)\n    count: int = 0\n")
+        assert _parameter_violations(repo, {})["unturned"] == [
+            "rows.py::Row.__init__(horizon)"]
 
     def test_stale_allow_list_entries_fail(self, tmp_path):
         repo = _parameter_tree(tmp_path, "knob(1, size=8)\nBox()\n")
