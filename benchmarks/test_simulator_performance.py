@@ -9,18 +9,34 @@ unlike the experiment regenerations, these are micro-benchmarks.
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro.core.wizard as wizard_module
 from repro.cluster import Cluster
-from repro.core import Config, ServerProbe, SystemMonitor, probe, records
+from repro.core import (
+    Config,
+    ServerProbe,
+    ServerStatusRecord,
+    ServerStatusReport,
+    SystemMonitor,
+    Wizard,
+    WizardRequest,
+    probe,
+    records,
+)
 from repro.host import CPU, procfs
 from repro.net import MBPS, Network, NetworkStack
 from repro.sim import AnyOf, SimProfiler, Simulator, Store
 from repro.sim.profile import merge_attributions
 from repro.worlds import run_scenario
+
+sys.path.insert(0, str(Path(__file__).parent / "ledger"))
+from ledger_worlds import fleet_specs  # noqa: E402
 
 
 def pump_timeouts(n: int) -> float:
@@ -484,6 +500,55 @@ def test_fleet_build_cost(benchmark, groups, ceiling_s):
         addresses - len(n.addresses) for n in nodes if len(n.nics) > 1)
     # ~10x what it takes, so CI noise doesn't flake
     assert benchmark.stats.stats.min < ceiling_s
+
+
+def fleet_status_db(groups: int = 8, per_group: int = 64) -> dict:
+    """The system DB a wizard holds for the ledger's fleet: hardware dealt
+    as ``fleet_world`` deals it, addresses as its links assign them (the
+    switch and the monitor take .1 and .2), and the machine type every
+    probe reports."""
+    sysdb = {}
+    for i, spec in enumerate(fleet_specs(random.Random("0/fleet"), groups, per_group)):
+        addr = f"10.1.{i // per_group}.{i % per_group + 3}"
+        sysdb[addr] = ServerStatusRecord(
+            ServerStatusReport(host=spec.name, addr=addr, group=spec.group,
+                               values={"host_cpu_bogomips": spec.bogomips,
+                                       "host_memory_total": spec.ram_mb * 1048576.0},
+                               extras={"host_machine_type": "i686"}),
+            updated_at=0.0)
+    return sysdb
+
+
+def test_slot_request_match_work(monkeypatch):
+    """What ``Wizard.match`` evaluates for ``fleet_requests``' slot
+    request (a threshold, one preferred host, one host both preferred and
+    denied) at ``server_num`` 4 over the 512-server fleet: the slots are
+    filled once, the preferred record is evaluated first, the denied one
+    is skipped, and the scan stops at the fourth server.  A slot that
+    reads a record variable still sweeps all 512 (counted, exact)."""
+    evaluated = []
+    real = wizard_module.evaluate
+    monkeypatch.setattr(wizard_module, "evaluate",
+                        lambda program, params: evaluated.append(1) or real(program, params))
+    cluster = Cluster(seed=0)
+    host = cluster.add_host("wizard")
+    cluster.finalize()
+    wizard = Wizard(cluster.sim, host.stack, host.shm)
+    sysdb = fleet_status_db()
+    base = "host_cpu_bogomips > 3000"
+    qualifiers = [addr for addr in sorted(sysdb)
+                  if sysdb[addr].report.values["host_cpu_bogomips"] > 3000]
+    keep, drop = (sysdb[addr].report.host for addr in (qualifiers[-1], qualifiers[0]))
+
+    def work(text):
+        del evaluated[:]
+        reply = wizard.match(WizardRequest(1, 4, "", text), "10.0.0.2", sysdb, {}, {})
+        return reply, len(evaluated)
+
+    assert len(sysdb) == 512
+    assert work(f"{base}\nuser_preferred_host1 = {keep}\nuser_preferred_host2 = {drop}\n"
+                f"user_denied_host1 = {drop}") == ([qualifiers[-1], *qualifiers[1:4]], 4)
+    assert work(f"{base}\nuser_denied_host1 = host_machine_type") == (qualifiers[:4], 512)
 
 
 def test_processor_sharing_churn(benchmark):

@@ -18,10 +18,13 @@ A UDP daemon on port 1120 processing requests sequentially:
    60) **qualifiers** whenever the scan order is already the reply order
    (list below);
 4. apply the user-side slots: denied hosts are removed, preferred hosts
-   are moved to the front of the candidate list — a text that assigns a
-   slot is therefore swept to the end: slots are filled *while
-   evaluating* (``user_denied_host1 = host_machine_type`` names another
-   host per record), so the last record can remove or promote the first;
+   are moved to the front of the candidate list.  Slots are filled
+   *while evaluating* (``user_denied_host1 = host_machine_type`` names
+   another host per record), so the last record can remove or promote
+   the first and a slot text is swept to the end — unless no record can
+   change its slots (``user_denied_host1 = telesto``, no option): they
+   are then filled once, the preferred records are evaluated first,
+   the denied ones not at all, and the scan stops;
 5. reply ``[seq, server_num, server...]`` (Table 3.6): the first
    ``min(server_num, 60)`` candidates, none for ``server_num <= 0``.
 
@@ -30,7 +33,12 @@ Which requests stop early, and which sweep every record:
 * no option, no slot assigned — address order, **stops**;
 * ``rank:<var>``, no slot assigned, ``<var>`` a finite number in some
   record — that variable's column (the rank order), **stops**;
-* any text assigning ``user_*_host*`` — sweeps (step 4);
+* no option, slots reading only literals, addresses, constants, other
+  slots and names no temp defines and no record carries — preferred
+  records, then address order without the denied, **stops** (step 4);
+* any other text assigning ``user_*_host*`` (a slot reading a record
+  variable, a temp or a carried name, Table 5.5's one-statement form,
+  any option) — sweeps (step 4);
 * ``rank:`` by ``host_status_age``, ``host_security_level`` or
   ``monitor_network_*`` — sweeps: computed per request, in no record;
 * ``rank:`` by a string attribute or a variable no record has, an
@@ -57,9 +65,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Union
 
-from ..lang import evaluate
+from ..lang import CompiledProgram, compile_program, evaluate, user_slots
 from ..lang.analysis import CompileCache, CompiledRequirement
 from ..lang.diagnostics import Diagnostic
 from ..lang.errors import LangError
@@ -218,6 +227,8 @@ class Wizard:
         self._orders_db: Optional[dict] = None
         self._addresses: list[str] = []
         self._columns: dict[tuple[str, bool], Optional[list[str]]] = {}
+        #: and its :func:`_slot_index`, built for the first slot text
+        self._slot_index: Optional[tuple[dict[str, list[str]], frozenset[str]]] = None
         #: requests that found their DB version's address order memoized
         self.db_sort_reuses = 0
 
@@ -303,6 +314,7 @@ class Wizard:
         that skipped the address sort."""
         if sysdb is not self._orders_db:
             self._orders_db, self._addresses, self._columns = sysdb, sorted(sysdb), {}
+            self._slot_index = None
         else:
             self.db_sort_reuses += 1
         if rank is None:
@@ -312,6 +324,32 @@ class Wizard:
             columns[rank] = _rank_column(self._addresses, sysdb, *rank)
         column = columns[rank]
         return (self._addresses, False) if column is None else (column, True)
+
+    def _slot_order(self, program: CompiledProgram,
+                    sysdb: dict) -> Optional[Iterator[str]]:
+        """The scan order of a no-option text whose user-side slots come
+        out the same on every record, or ``None`` when they may not.
+
+        They do when the slot-assigning statements read no temp and no
+        name a record supplies — nothing any record of this DB version
+        carries, nothing computed per request (:func:`_slot_index`) —
+        and :func:`~repro.lang.user_slots` then fills them once.  The
+        reply is then known in scan order: the preferred records first,
+        in address order, then the rest, with every denied record left
+        out unevaluated — the order the sweep's deny and stable
+        preferred-first partition leave the qualifiers in.  Call after
+        :meth:`_candidate_order`, which keeps the DB version."""
+        if self._slot_index is None:
+            self._slot_index = _slot_index(self._addresses, sysdb)
+        hosts, carried = self._slot_index
+        reads = program.slot_reads
+        if not (reads.isdisjoint(carried) and reads.isdisjoint(program.temps)):
+            return None
+        slots = user_slots(program)
+        skip = _addresses_named(slots.denied_hosts(), hosts, sysdb)
+        first = sorted(_addresses_named(slots.preferred_hosts(), hosts, sysdb) - skip)
+        skip.update(first)
+        return chain(first, (addr for addr in self._addresses if addr not in skip))
 
     # -- matching ------------------------------------------------------------------
     @property
@@ -396,10 +434,13 @@ class Wizard:
         the scan **stops there**: evaluation then leaves nothing behind
         but a verdict per record, so the first ``limit`` qualifiers in
         scan order *are* the reply — in address order, or for
-        ``rank:<var>`` in that variable's column order.  A text that
-        assigns a slot sweeps every record (a deny or a preference
-        filled while evaluating the last record reorders the first), and
-        so does a rank variable without a column."""
+        ``rank:<var>`` in that variable's column order.  So does a
+        no-option text whose slots no record can change
+        (:meth:`_slot_order`): they are filled once, and the scan takes
+        the preferred records first and skips the denied.  Any other
+        text that assigns a slot sweeps every record (a deny or a
+        preference filled while evaluating the last record reorders the
+        first), and so does a rank variable without a column."""
         if compiled is None:
             compiled = self.compile_cache.get_or_compile(request.detail)
         if compiled.parse_failed:
@@ -413,9 +454,10 @@ class Wizard:
             # off the wire server_num is any integer: nothing was asked for
             return []
         program = compiled.program
+        closures = compile_program(program)
         rank = _parse_option(request.option)
         # all the evaluator can look up, plus what ranking will sort by
-        wanted = (compiled.reads | {rank[0]}) if rank else compiled.reads
+        wanted = (closures.reads | {rank[0]}) if rank else closures.reads
         want_age = "host_status_age" in wanted
         want_security = "host_security_level" in wanted
         want_network = not wanted.isdisjoint(MONITOR_VARS)
@@ -432,12 +474,19 @@ class Wizard:
         preferred: dict[str, None] = {}
         # scan networks sequentially (Fig 1.4), or down the rank column;
         # either order is memoized per DB version
-        slot_free = not compiled.assigns_user
+        slot_free = not closures.assigns_user
+        order: Iterable[str]
         order, ranked = self._candidate_order(
             sysdb, rank if slot_free and rank and rank[0] else None)
         # stop at ``limit`` when the scan order is the reply order; an
         # option without a column needs every qualifier
         bounded = slot_free and (ranked or rank is None)
+        # slots filled while evaluating: every record, then deny and prefer
+        sweep = not slot_free
+        if sweep and rank is None:
+            slot_order = self._slot_order(closures, sysdb)
+            if slot_order is not None:
+                order, bounded, sweep = slot_order, True, False
         for addr in order:
             record = sysdb[addr]
             report = record.report
@@ -474,7 +523,7 @@ class Wizard:
                      params["monitor_network_bw"]) = path
             result = evaluate(program, params)
             env = result.env
-            if env is not None and env.user:
+            if sweep and env is not None and env.user:
                 denied.update(env.denied_hosts())
                 for p in env.preferred_hosts():
                     preferred.setdefault(p)
@@ -575,6 +624,36 @@ def _rank_column(
             rankable = True
         keys[addr] = _rank_key(value, ascending)
     return sorted(addresses, key=keys.__getitem__) if rankable else None
+
+
+def _slot_index(
+    addresses: list[str], sysdb: dict[str, ServerStatusRecord],
+) -> tuple[dict[str, list[str]], frozenset[str]]:
+    """``(hostname -> its addresses, every name a record supplies)``
+    over one system DB, whose sorted addresses are ``addresses``: what
+    :meth:`Wizard._slot_order` finds slots in and checks slot texts
+    against.  A record supplies its ``values`` and ``extras`` keys, and
+    the variables the wizard computes per request."""
+    hosts: dict[str, list[str]] = {}
+    carried = set(_PER_REQUEST_VARS)
+    for addr in addresses:
+        report = sysdb[addr].report
+        hosts.setdefault(report.host, []).append(addr)
+        carried.update(report.values)
+        carried.update(report.extras)
+    return hosts, frozenset(carried)
+
+
+def _addresses_named(names: list[str], hosts: dict[str, list[str]],
+                     sysdb: dict) -> set[str]:
+    """The addresses of the records a slot names, by hostname or by
+    address."""
+    found: set[str] = set()
+    for name in names:
+        found.update(hosts.get(name, ()))
+        if name in sysdb:
+            found.add(name)
+    return found
 
 
 def _path_metrics(

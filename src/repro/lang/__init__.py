@@ -34,6 +34,7 @@ from .evaluator import (
     Undefined,
     compile_program,
     evaluate,
+    user_slots,
 )
 from .lexer import Token, TokenKind, tokenize
 from .nodes import (
@@ -77,6 +78,7 @@ __all__ = [
     "DIAGNOSTIC_CODES",
     "Parser",
     "evaluate",
+    "user_slots",
     "compile_program",
     "CompiledProgram",
     "Evaluation",

@@ -714,16 +714,6 @@ class CompiledRequirement:
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.is_error)
 
-    @property
-    def reads(self) -> frozenset[str]:
-        """Every identifier evaluating this requirement can look up."""
-        return compile_program(self.program).reads
-
-    @property
-    def assigns_user(self) -> bool:
-        """Whether evaluating it can fill a user-side slot."""
-        return compile_program(self.program).assigns_user
-
 
 def compile_requirement(text: str) -> CompiledRequirement:
     """Parse (with recovery) + analyze one requirement text, and build

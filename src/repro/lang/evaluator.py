@@ -60,7 +60,7 @@ from .nodes import (
 from .variables import DENIED_VARS, PREFERRED_VARS, USER_SIDE_VARS
 
 __all__ = ["CompiledProgram", "Environment", "Evaluation", "Undefined",
-           "compile_program", "constant_value", "evaluate"]
+           "compile_program", "constant_value", "evaluate", "user_slots"]
 
 Value = Union[float, str]
 #: one server's parameters: read, never written
@@ -72,6 +72,8 @@ Thunk = Callable[[Params, Scope, Scope], Value]
 
 #: "no value" marker inside lookups; never escapes this module
 _MISSING: Any = object()
+#: the parameters of no record
+_NO_RECORD: Params = {}
 
 
 class Undefined(Exception):
@@ -122,11 +124,21 @@ class CompiledProgram:
     #: every identifier evaluation can look up — all a caller needs to
     #: supply in ``server_params`` (anything else is never read)
     reads: frozenset[str]
-    #: whether any statement assigns a user-side slot.  When none does,
-    #: a pass over one record leaves nothing behind but its verdict:
-    #: records are independent and may be evaluated in any order, or not
-    #: at all once enough of them qualified
-    assigns_user: bool
+    #: the closures of the statements that assign a user-side slot, in
+    #: program order (see :func:`user_slots`)
+    slot_statements: tuple[Thunk, ...]
+    #: every identifier those statements can look up
+    slot_reads: frozenset[str]
+    #: every name the program assigns as a temp variable
+    temps: frozenset[str]
+
+    @property
+    def assigns_user(self) -> bool:
+        """Whether any statement assigns a user-side slot.  When none
+        does, a pass over one record leaves nothing behind but its
+        verdict: records are independent and may be evaluated in any
+        order, or not at all once enough of them qualified."""
+        return bool(self.slot_statements)
 
 
 def _not_numeric(value: str, node: Node) -> EvalError:
@@ -487,21 +499,50 @@ def compile_program(program: Program) -> CompiledProgram:
     with its :class:`~repro.lang.analysis.CompileCache` entry)."""
     compiled = program.compiled
     if compiled is None:
-        nodes = list(walk(program))
+        statements = tuple(
+            (_compile(stmt), is_logical(stmt), stmt.line)
+            for stmt in program.statements
+        )
+        slots = [i for i, stmt in enumerate(program.statements)
+                 if any(isinstance(node, Assign) and node.name in USER_SIDE_VARS
+                        for node in walk(stmt))]
         compiled = program.compiled = CompiledProgram(
-            statements=tuple(
-                (_compile(stmt), is_logical(stmt), stmt.line)
-                for stmt in program.statements
-            ),
-            reads=frozenset(
-                node.name for node in nodes if isinstance(node, Var)
-            ),
-            assigns_user=any(
-                isinstance(node, Assign) and node.name in USER_SIDE_VARS
-                for node in nodes
+            statements=statements,
+            reads=_names_read(program),
+            slot_statements=tuple(statements[i][0] for i in slots),
+            slot_reads=frozenset().union(
+                *(_names_read(program.statements[i]) for i in slots)),
+            temps=frozenset(
+                node.name for node in walk(program)
+                if isinstance(node, Assign) and node.name not in USER_SIDE_VARS
             ),
         )
     return compiled
+
+
+def _names_read(node: Node) -> frozenset[str]:
+    return frozenset(inner.name for inner in walk(node) if isinstance(inner, Var))
+
+
+def user_slots(compiled: CompiledProgram) -> Environment:
+    """The user-side slots a compiled program fills on a record that
+    supplies none of the names its slot-assigning statements read
+    (:attr:`CompiledProgram.slot_reads`), when none of those names is a
+    temp (:attr:`CompiledProgram.temps`): those statements alone, run
+    once on no record.
+
+    Every other statement only reads the slots, so on such a record
+    evaluating the whole program leaves these very slots behind — or
+    faults in these statements the same way — and the caller may fill
+    them once instead of once per record."""
+    temps: Scope = {}
+    user: Scope = {}
+    for thunk in compiled.slot_statements:
+        try:
+            thunk(_NO_RECORD, temps, user)
+        except (Undefined, EvalError):
+            pass  # the assignments it made before faulting stand
+    return Environment(_NO_RECORD, temps, user)
 
 
 def _hostname_from(node: Node, server: Params, temps: Scope,

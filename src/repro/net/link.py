@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, Collection, Optional, TYPE_CHECKING
 
 from ..sim import Simulator
-from .packet import Frame
+from .packet import IP_HEADER, Frame
 from .shaper import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,6 +58,9 @@ class Channel:
             raise ValueError(f"rate must be positive, got {rate_bps}")
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
+        if mtu <= IP_HEADER:
+            # a fragment would carry no payload: fragmenting never ends
+            raise ValueError(f"MTU {mtu} leaves no room for IP payload")
         self.sim = sim
         self.rate_bps = float(rate_bps)
         self.delay = float(delay)

@@ -39,6 +39,15 @@ class TestClusterBuilder:
         assert "bogomips\t: 1234.50" in h.procfs.read("/proc/cpuinfo")
         assert "eth0:" in h.procfs.read("/proc/net/dev")
 
+    def test_a_link_whose_mtu_holds_only_an_ip_header_is_rejected(self):
+        """Fragments at MTU 20 carry nothing, so no datagram could ever be
+        sent: the link is refused when it is built, and none is left."""
+        cluster = Cluster(seed=0)
+        a, b = cluster.add_host("a"), cluster.add_host("b")
+        with pytest.raises(ValueError, match="MTU 20 leaves no room"):
+            cluster.link(a, b, mtu=20)
+        assert cluster.network.links == [] and a.node.nics == []
+
 
 class TestTestbed:
     @pytest.fixture(scope="class")

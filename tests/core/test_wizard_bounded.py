@@ -34,7 +34,7 @@ from repro.core import (
 )
 from repro.core.records import REPLY_OK
 from repro.core.wizard import MAX_REPLY_SERVERS
-from repro.lang import compile_requirement, evaluate
+from repro.lang import compile_program, compile_requirement, evaluate
 from tests.conftest import run_process
 from tests.core.test_transmit import make_world
 from tests.core.test_wizard_pinned import CASES, IN_GROUP, NOW, OUT_GROUP, _world
@@ -59,6 +59,9 @@ EXTRAS = {
     # string attributes shadowing a numeric probe value
     "host_system_load1": ("idle",),
     "host_memory_free": ("plenty",),
+    # ... and a slot's bare hostname: where a record carries it, the slot
+    # reads the record's value instead
+    "telesto": ("mimas", "h3"),
 }
 #: what the fuzzer's slot assignments name: hostnames, and two addresses
 NAMED_HOSTS = ("telesto", "mimas", "titan-x", "pandora-x-2", "node-07", "need", "7",
@@ -170,10 +173,18 @@ def random_databases(rng: random.Random):
     return sysdb, netdb, secdb
 
 
+#: what a slot names besides a host of the DB: hyphenated hostnames, a
+#: number, an address, another slot, a temp, a record variable, a
+#: hostname some records carry as a key
+SLOT_VALUES = ("titan-x", "pandora-x-2", "node-07", "7", "137.132.90.182",
+               "user_denied_host1", "need", "host_machine_type", "telesto")
+
+
 def plain_program(rng: random.Random, sysdb) -> str:
     """A selective requirement the fuzzer's grammar rarely writes: a few
     thresholds drawn from the value pools, sometimes with slots naming
-    hosts of this very DB (by name or by address)."""
+    hosts of this very DB (by name or by address) or anything of
+    :data:`SLOT_VALUES`, sometimes all in one statement."""
     clauses = []
     for _ in range(rng.randint(0, 2)):
         var = rng.choice(tuple(POOLS))
@@ -183,13 +194,23 @@ def plain_program(rng: random.Random, sysdb) -> str:
         clauses.append(f"host_machine_type {rng.choice(('==', '!='))} i386")
     if rng.random() < 0.2:
         clauses.append(rng.choice(("host_status_age < 10", "monitor_network_bw > 6")))
-    lines = [" && ".join(f"({c})" for c in clauses)] if clauses else []
+    # Table 5.5: one statement, where a comparison that faults on a
+    # record skips the assignments after it, naming hosts of the DB
+    mixed = bool(clauses) and rng.random() < 0.3
+    assignments, temps = [], []
     for slot in rng.sample(("user_denied_host1", "user_denied_host3",
                             "user_preferred_host1", "user_preferred_host2"),
                            rng.choice((0, 0, 1, 3))):
         record = sysdb[rng.choice(sorted(sysdb))]
-        lines.append(f"{slot} = {rng.choice((record.report.host, record.addr))}")
-    return "\n".join(lines)
+        named = (record.report.host, record.addr)
+        value = rng.choice(named if mixed else named * 3 + SLOT_VALUES)
+        if value == "need":
+            temps.append(f"need = {rng.choice(named)}")
+        assignments.append(f"{slot} = {value}")
+    if mixed:
+        return " && ".join(f"({c})" for c in clauses + assignments)
+    lines = [" && ".join(f"({c})" for c in clauses)] if clauses else []
+    return "\n".join(temps + lines + assignments)
 
 
 def options(rng: random.Random) -> tuple[str, ...]:
@@ -217,6 +238,8 @@ def evaluations(monkeypatch):
 
 def test_match_equals_the_sweep_everything_reference(evaluations):
     reached = set()
+    #: (slot text without an option, reply cut at n): whether it stopped
+    slot_texts = set()
     for seed in SEEDS:
         rng = random.Random(f"bounded/{seed}")
         generator = Generator(seed)
@@ -225,6 +248,7 @@ def test_match_equals_the_sweep_everything_reference(evaluations):
             sysdb, netdb, secdb = random_databases(rng)
             text = generator.program() if case % 2 else plain_program(rng, sysdb)
             client = rng.choice((OUT_GROUP, IN_GROUP))
+            assigns_user = compile_program(compile_requirement(text).program).assigns_user
             for kind, option in enumerate(options(rng)):
                 full, errors = reference(wizard, text, option, client, sysdb, netdb, secdb)
                 replies = []
@@ -239,6 +263,8 @@ def test_match_equals_the_sweep_everything_reference(evaluations):
                     stopped = len(evaluations) - evaluated < len(sysdb)
                     if full:
                         reached.add((kind, stopped, len(full) > n, errors))
+                    if kind == 0 and assigns_user and len(full) > n:
+                        slot_texts.add(stopped)
                 # asking for fewer is a prefix of asking for more
                 assert all(replies[k - 1] == replies[-1][:k] for k in range(1, MAX_N + 1))
     kinds = {kind: {r[1:] for r in reached if r[0] == kind} for kind in range(7)}
@@ -252,6 +278,9 @@ def test_match_equals_the_sweep_everything_reference(evaluations):
     assert (False, True, 1) in kinds[1] | kinds[2] | kinds[3]
     # ... and a malformed option always sweeps, and always counts
     assert {(r[0], r[2]) for r in kinds[4] | kinds[5]} == {(False, 1)}
+    # a slot text without an option: slots no record changes stop at n,
+    # slots a record can change sweep
+    assert slot_texts == {True, False}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -300,11 +329,13 @@ def test_the_reply_cap_holds_for_any_server_num():
 # -- work ---------------------------------------------------------------------------
 
 def fleet(cpu_free, memory_free):
-    """Hosts 10.1.1.1 ... in address order with these values."""
+    """Hosts 10.1.1.1 ... in address order with these values, each of
+    machine type ``h<i+1>``: the name of the next host."""
     return {
         f"10.1.1.{i}": ServerStatusRecord(
             ServerStatusReport(host=f"h{i}", addr=f"10.1.1.{i}", group="lab",
-                               values={"host_cpu_free": cpu, "host_memory_free": mem}),
+                               values={"host_cpu_free": cpu, "host_memory_free": mem},
+                               extras={"host_machine_type": f"h{i + 1}"}),
             updated_at=NOW)
         for i, (cpu, mem) in enumerate(zip(cpu_free, memory_free), start=1)
     }
@@ -334,8 +365,16 @@ def test_work_is_what_fills_the_reply(evaluations):
     assert work(2, "rank:host_memory_free") == (["10.1.1.7", "10.1.1.5"], 3)
     assert work(3, "rank:host_memory_free") == (["10.1.1.7", "10.1.1.5", "10.1.1.8"], 5)
     assert work(2, "rank:host_memory_free:asc") == (["10.1.1.4", "10.1.1.2"], 3)
-    # a slot, a rank variable without a column, a malformed option: everything
-    assert work(1, detail="host_cpu_free > 0.9\nuser_denied_host1 = h2") == (["10.1.1.4"], 8)
+    # a slot no record changes: filled once, the denied record skipped
+    assert work(1, detail="host_cpu_free > 0.9\nuser_denied_host1 = h2") == (["10.1.1.4"], 3)
+    assert work(2, detail="host_cpu_free > 0.9\nuser_preferred_host1 = h7\n"
+                          "user_denied_host1 = 10.1.1.2") == (["10.1.1.7", "10.1.1.4"], 4)
+    # a slot a record fills (each denies the next host, h2 ... h9: every
+    # qualifier), a rank variable without a column, a malformed option:
+    # everything
+    assert work(1, detail="host_cpu_free > 0.9\nuser_denied_host1 = host_machine_type") \
+        == ([], 8)
+    assert work(1, detail="host_cpu_free > 0.9\nuser_denied_host1 = host_status_age")[1] == 8
     assert work(1, "rank:host_status_age:asc")[1] == 8
     assert work(1, "rank:no_such_variable") == (["10.1.1.2"], 8)
     assert work(1, "fastest") == (["10.1.1.2"], 8)

@@ -32,10 +32,12 @@ from repro.lang import (
     Num,
     Paren,
     Var,
+    compile_program,
     compile_requirement,
     evaluate,
     is_logical,
     parse,
+    user_slots,
 )
 from repro.lang.variables import DENIED_VARS, PREFERRED_VARS, USER_SIDE_VARS
 
@@ -377,6 +379,29 @@ def test_compiled_closures_agree_with_the_reference(seed):
     assert len(reached) == 8
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slots_filled_once_are_the_slots_every_record_leaves(seed):
+    """Where the slot-assigning statements read no temp and nothing the
+    record carries, :func:`user_slots` — those statements alone, on no
+    record — leaves the very slots a whole evaluation leaves."""
+    generator = Generator(seed)
+    reached = set()
+    for _ in range(PROGRAMS // len(SEEDS) // 4):
+        program = compile_requirement(generator.program()).program
+        closures = compile_program(program)
+        if not closures.assigns_user:
+            continue
+        once = user_slots(closures).user
+        for params in PARAMS:
+            fixed = (closures.slot_reads.isdisjoint(closures.temps)
+                     and closures.slot_reads.isdisjoint(params))
+            if fixed:
+                # repr: a NaN slot is equal to itself here
+                assert repr(evaluate(program, params).env.user) == repr(once), params
+            reached.add((fixed, bool(once)))
+    assert reached == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_generator_is_deterministic():
     assert Generator(5).program() == Generator(5).program()
     assert ([Generator(6).program() for _ in range(3)]
@@ -418,4 +443,4 @@ def test_evicted_requirement_recompiles_and_still_matches():
     # new closures, built with the new entry
     assert again.program.compiled is not first.program.compiled
     assert outcome(evaluate(again.program, params)) == outcome(evaluate(first.program, params))
-    assert again.reads == {"host_cpu_bogomips", "host_memory_free"}
+    assert compile_program(again.program).reads == {"host_cpu_bogomips", "host_memory_free"}

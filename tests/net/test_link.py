@@ -90,6 +90,14 @@ class TestDropPolicies:
         with pytest.raises(ValueError):
             Channel(sim, rate_bps=1, delay=-1)
 
+    @pytest.mark.parametrize("mtu", (20, 1, 0, -1500))
+    def test_an_mtu_without_room_for_payload_is_rejected(self, sim, mtu):
+        """At ``mtu <= IP_HEADER`` a fragment carries no payload, so
+        fragmenting a datagram would never finish."""
+        with pytest.raises(ValueError, match="no room for IP payload"):
+            Channel(sim, rate_bps=8e6, delay=0, mtu=mtu)
+        assert Channel(sim, rate_bps=8e6, delay=0, mtu=21).mtu == 21
+
     def test_no_receiver_raises(self, sim):
         """A frame has nowhere to go: the send fails, and nothing is
         reserved or scheduled for it."""

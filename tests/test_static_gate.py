@@ -230,12 +230,13 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     switch, the matmul and massd profiles), the Python calls of a TCP
     segment and its ack, of a short connection and of a probe report
     (``call_budget``), the bytes a closed and a served connection leave
-    alive (``memory_budget``), and that a finished dial leaves no
-    condition reachable (``condition_behind``)."""
+    alive (``memory_budget``), that a finished dial leaves no condition
+    reachable (``condition_behind``), and the records the wizard
+    evaluates for the ledger's slot request (``slot_request``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
     step = ("run: python -m pytest -q benchmarks/test_simulator_performance.py "
             '-k "fleet_build or hop_events or call_budget or memory_budget '
-            'or condition_behind" '
+            'or condition_behind or slot_request" '
             "env: PYTHONPATH: src")
     assert step in ci
     assert (ci.index("git diff --exit-code benchmarks/results/*.txt")
@@ -248,6 +249,7 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     assert "def test_connect_request_close_call_budget(" in bench
     assert "def test_probe_report_call_budget(" in bench
     assert "def test_connection_memory_budget(" in bench
+    assert "def test_slot_request_match_work(" in bench
     assert "def bytes_kept_per_served_connection(" in bench
     assert "def test_served_connection_memory_budget(" in bench
     assert "def test_dial_leaves_no_condition_behind(" in bench
@@ -528,6 +530,18 @@ def _dataclass_fields(node: ast.ClassDef):
         index += 1
 
 
+def _assignments(tree: ast.Module):
+    """``(enclosing class name or None, node)`` for every assignment."""
+    stack: list[tuple[str | None, ast.AST]] = [(None, tree)]
+    while stack:
+        owner, node = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            yield owner, node
+        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+
+
 def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     """``(defaulted parameters in src/repro that nothing outside the tests
     sets off their default, every defaulted parameter)``, both as
@@ -537,24 +551,38 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     name, or a subclass's, for ``__init__``) in ``src/``, ``benchmarks/``
     or ``examples/`` that passes it, by keyword or position, at another
     value than the default; by such a call that splats ``*args`` or
-    ``**kwargs``; or by a ``dict(...)`` or dict-literal key of its name
-    holding another value (catalogue rows, ``SMOKE_JOBS``).
+    ``**kwargs``; or by a ``dict(...)`` or dict-literal key of its name,
+    or a keyword of its name in a call through a parameter, holding
+    another value (catalogue rows, ``SMOKE_JOBS``, the parser's
+    ``node_cls``).
 
     A dataclass's defaulted fields count as its ``__init__`` parameters,
-    less those something assigns after construction (matched by name,
-    like every use here): those are state the object keeps, not knobs."""
+    less those something assigns after construction: those are state the
+    object keeps, not knobs.  ``obj.<field> = ...`` is matched by name,
+    like every use here; ``self.<field> = ...`` counts only in the
+    dataclass itself or a subclass of it, so another class's attribute of
+    the same name (``Deployment.wizard`` for ``Ports.wizard``) hides
+    nothing."""
     src = repo / "src" / "repro"
     calls: dict[str, list[ast.Call]] = {}
     keyed: dict[str, list] = {}
     bases: dict[str, set[str]] = {}
     assigned: set[str] = set()
+    #: class name -> what its own methods assign on ``self``
+    assigned_on_self: dict[str, set[str]] = {}
     trees = _parsed(repo)
     for tree in trees.values():
+        for owner, node in _assignments(tree):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for target in targets:
+                for t in ast.walk(target):
+                    if not isinstance(t, ast.Attribute):
+                        continue
+                    if owner and isinstance(t.value, ast.Name) and t.value.id == "self":
+                        assigned_on_self.setdefault(owner, set()).add(t.attr)
+                    else:
+                        assigned.add(t.attr)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = getattr(node, "targets", [getattr(node, "target", None)])
-                assigned.update(t.attr for target in targets for t in ast.walk(target)
-                                if isinstance(t, ast.Attribute))
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else \
@@ -573,6 +601,16 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                     if isinstance(base, (ast.Name, ast.Attribute)):
                         bases.setdefault(getattr(base, "id", None)
                                          or base.attr, set()).add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a class handed in as an argument (the parser's
+                # ``node_cls(..., col=...)``) builds with keywords matched
+                # by name, like a dict key
+                handed = {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                          *node.args.kwonlyargs)}
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) in handed:
+                        for keyword in call.keywords:
+                            keyed.setdefault(keyword.arg, []).append(_value(keyword.value))
     unturned, defaulted = set(), set()
     for path, tree in trees.items():
         if src not in path.parents:
@@ -581,8 +619,6 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                    if isinstance(node, ast.ClassDef)}
         for qualname, node in _definitions(tree):
             if isinstance(node, ast.ClassDef):
-                params = [(field, position, default) for field, position, default
-                          in _dataclass_fields(node) if field not in assigned]
                 owner, qualname, name = qualname, f"{qualname}.__init__", "__init__"
             else:
                 owner, _, name = qualname.rpartition(".")
@@ -592,11 +628,16 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                 params = list(_defaulted(node, method))
             names = {name}
             if name == "__init__":
+                # the class and every subclass: what constructs it
                 names, pending = set(), [owner.rpartition(".")[2]]
                 while pending:
                     cls = pending.pop()
                     names.add(cls)
                     pending.extend(bases.get(cls, set()) - names)
+            if isinstance(node, ast.ClassDef):
+                kept = assigned.union(*(assigned_on_self.get(cls, ()) for cls in names))
+                params = [(field, position, default) for field, position, default
+                          in _dataclass_fields(node) if field not in kept]
             sites = [call for n in names for call in calls.get(n, ())]
             splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args) \
                 or any(k.arg is None for call in sites for k in call.keywords)
@@ -646,13 +687,12 @@ UNTURNED_PARAMETERS = {
         "DESIGN §6: the reliable-socket library mirrors TcpLayer.serve",
     "core/rsocket.py::ReliableSocket.resume(timeout)":
         "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
-    # ``receiver`` and ``wizard`` pass by name: the deployment assigns
-    # attributes of those names
     **{f"core/config.py::{table}.__init__({name})":
        "deployment setting (thesis Tables 4.2 / 4.3)"
        for table, names in (
            ("Ports", ("system_monitor", "network_monitor", "security_monitor",
-                      "transmitter", "service", "lease", "probe_target")),
+                      "receiver", "wizard", "transmitter", "service", "lease",
+                      "probe_target")),
            ("ShmKeys", ("monitor_system", "monitor_network", "monitor_security",
                         "wizard_system", "wizard_network", "wizard_security")))
        for name in names},
@@ -730,6 +770,22 @@ class TestParameterGate:
             "    kept: list = field(default_factory=list)\n    count: int = 0\n")
         assert _parameter_violations(repo, {})["unturned"] == [
             "rows.py::Row.__init__(horizon)"]
+
+    def test_a_self_assignment_is_state_only_of_its_own_class(self, tmp_path):
+        """``self.<field> = ...`` in another class hides nothing (like
+        ``Deployment.wizard`` and ``Ports.wizard``); in a subclass it is
+        the row's own state.  A keyword in a call through a parameter
+        (the parser's ``node_cls(..., col=...)``) turns a field by name."""
+        repo = _parameter_tree(tmp_path, "knob(1, 8)\nBox(3)\nRow()\n")
+        (repo / "src" / "repro" / "rows.py").write_text(
+            "from dataclasses import dataclass\n\n\n"
+            "@dataclass\nclass Row:\n    gray: bool = False\n    count: int = 0\n"
+            "    col: int = 0\n\n\n"
+            "class Tally(Row):\n    def bump(self):\n        self.count += 1\n\n\n"
+            "class Deployment:\n    def __init__(self):\n        self.gray = True\n\n\n"
+            "def build(node_cls):\n    return node_cls(col=3)\n")
+        assert _parameter_violations(repo, {})["unturned"] == [
+            "rows.py::Row.__init__(gray)"]
 
     def test_stale_allow_list_entries_fail(self, tmp_path):
         repo = _parameter_tree(tmp_path, "knob(1, size=8)\nBox()\n")
