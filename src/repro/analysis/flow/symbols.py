@@ -41,11 +41,6 @@ class FunctionInfo:
     node: ast.FunctionDef
     params: tuple[str, ...]
 
-    @property
-    def is_generator(self) -> bool:
-        return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                   for n in ast.walk(self.node))
-
 
 @dataclass
 class ClassInfo:

@@ -123,7 +123,7 @@ def _perf(program: Program) -> _GateResult:
 
 def _proto(program: Program) -> _GateResult:
     table = program.table
-    walker = TypestateWalker(table)
+    walker = TypestateWalker()
     acquisitions = 0
     raw: list[tuple[FileUnit, Diagnostic]] = []
     for qual in sorted(table.functions):

@@ -16,22 +16,13 @@ The analysis is deliberately biased toward **definite** errors:
   object may be in — after an ``if``/``else`` join where only one arm
   closed, the merged state set still contains a live state and a
   subsequent ``send`` stays silent (may-errors are not reported);
-* a tracked object that *escapes* — passed to an unresolvable call,
-  aliased, stored into an attribute/container, returned, yielded, or
-  captured by a nested ``def`` — stops being tracked entirely;
+* a tracked object that *escapes* — passed as an argument to any call
+  (the walker keeps no summary of what a callee does with it), aliased,
+  stored into an attribute/container, returned, yielded, or captured by
+  a nested ``def`` — stops being tracked entirely;
 * loops are walked with a zero-or-one-iteration abstraction (the body
   contributes its states to the join but is not iterated to fixpoint),
   which again only ever *widens* the state set.
-
-Calls that resolve through the flow symbol table get a conservative
-interprocedural summary per parameter: the ops the callee *must* apply
-(syntactically unconditional, top-level statements) vs *may* apply
-(anywhere, nested closures included), plus an escape bit.  A callee
-that touches none of the machine's ops preserves the caller's state —
-the common ``log(conn)``-shaped helper stays precise — while anything
-ambiguous ends tracking rather than guessing.  Generator callees only
-have their summary applied when the call is actually driven
-(``yield from``); an un-driven generator call escapes instead.
 
 Exception paths (REPRO602): every ``raise``, and every ``return``
 inside an ``except`` handler (``Interrupt`` included), is an
@@ -52,7 +43,7 @@ from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
 from ..concurrency import handoff
-from ..flow.symbols import FunctionInfo, SymbolTable
+from ..flow.symbols import FunctionInfo
 from .machines import (RELIABLE_SOCKET, SMART_SESSION, TCP_CONNECTION,
                        TCP_LISTENER, UDP_SOCKET, Machine)
 
@@ -90,15 +81,6 @@ class _Exit:
     label: str
 
 
-@dataclass(frozen=True)
-class _ParamSummary:
-    """What a callee does to one of its parameters."""
-
-    must_ops: frozenset[str]
-    may_ops: frozenset[str]
-    escapes: bool
-
-
 _Env = dict[str, _St]
 
 
@@ -124,16 +106,12 @@ def _merge(*envs: "_Env | None") -> "_Env | None":
 
 
 class TypestateWalker:
-    """Walk every function of a :class:`SymbolTable`, one at a time."""
+    """Walk functions one at a time."""
 
-    def __init__(self, table: SymbolTable) -> None:
-        self.table = table
-        self._summary_cache: dict[str, dict[str, _ParamSummary]] = {}
+    def __init__(self) -> None:
         # per-function state, reset by walk_function
-        self._fn: "FunctionInfo | None" = None
         self.findings: list[Diagnostic] = []
         self.vars: dict[str, _VarInfo] = {}
-        self.escaped: set[str] = set()
         self.released: set[str] = set()
         self.exits: list[_Exit] = []
         self._exc_labels: list[str] = []
@@ -142,10 +120,8 @@ class TypestateWalker:
     def walk_function(self, fn: FunctionInfo) -> tuple[list[Diagnostic], int]:
         """All S-series diagnostics for one function, plus the number of
         tracked acquisitions seen."""
-        self._fn = fn
         self.findings = []
         self.vars = {}
-        self.escaped = set()
         self.released = set()
         self.exits = []
         self._exc_labels = []
@@ -304,7 +280,6 @@ class TypestateWalker:
                     env[target.id] = _St(frozenset({state}))
                     self.vars[target.id] = _VarInfo(machine=machine,
                                                     line=stmt.lineno)
-                    self.escaped.discard(target.id)
                     self.released.discard(target.id)
                 else:
                     if isinstance(value, ast.Name):
@@ -357,15 +332,11 @@ class TypestateWalker:
         return None
 
     # -- expression scan -----------------------------------------------------
-    def _scan_expr(self, expr: "ast.expr | None", env: _Env,
-                   driven: bool = False) -> None:
+    def _scan_expr(self, expr: "ast.expr | None", env: _Env) -> None:
         if expr is None:
             return
         if isinstance(expr, ast.Call):
-            self._scan_call(expr, env, driven)
-            return
-        if isinstance(expr, ast.YieldFrom):
-            self._scan_expr(expr.value, env, driven=True)
+            self._scan_call(expr, env)
             return
         if isinstance(expr, ast.Lambda):
             for name in sorted({n.id for n in ast.walk(expr)
@@ -376,7 +347,7 @@ class TypestateWalker:
             if isinstance(child, ast.expr):
                 self._scan_expr(child, env)
 
-    def _scan_call(self, call: ast.Call, env: _Env, driven: bool) -> None:
+    def _scan_call(self, call: ast.Call, env: _Env) -> None:
         func = call.func
         skip: set[int] = set()
         # 1. an op on a tracked local: conn.send(...), sess.close(), ...
@@ -402,24 +373,19 @@ class TypestateWalker:
                     if isinstance(inner, ast.Name) and inner.id in env:
                         st = env[inner.id]
                         env[inner.id] = _St(st.states, call.lineno)
-                        self.escaped.add(inner.id)  # not a local leak
                     else:
                         self._scan_expr(inner, env)
-        # 3. remaining args: summary application or escape
-        resolved = self._resolve(func)
-        for pos, arg in enumerate(call.args):
-            self._scan_arg(arg, pos, env, resolved, call, driven, skip)
+        # 3. remaining args: a tracked local handed to a callee escapes
+        for arg in call.args:
+            self._scan_arg(arg, env, skip)
         for kw in call.keywords:
-            self._scan_arg(kw.value, None, env, None, call, driven, skip)
+            self._scan_arg(kw.value, env, skip)
 
-    def _scan_arg(self, arg: ast.expr, pos: "int | None", env: _Env,
-                  resolved: "FunctionInfo | None", call: ast.Call,
-                  driven: bool, skip: set[int]) -> None:
+    def _scan_arg(self, arg: ast.expr, env: _Env, skip: set[int]) -> None:
         if id(arg) in skip:
             return
         if isinstance(arg, ast.Name):
-            if arg.id in env:
-                self._apply_summary(arg.id, pos, env, resolved, call, driven)
+            self._escape(arg.id, env)
             return
         if isinstance(arg, ast.Starred):
             if isinstance(arg.value, ast.Name) and arg.value.id in env:
@@ -435,85 +401,9 @@ class TypestateWalker:
             return
         self._scan_expr(arg, env)
 
-    # -- interprocedural summaries -------------------------------------------
-    def _resolve(self, func: ast.expr) -> "FunctionInfo | None":
-        if self._fn is None:
-            return None
-        target = self.table.resolve_call(func, self._fn.module, self._fn.cls)
-        return target if isinstance(target, FunctionInfo) else None
-
-    def _apply_summary(self, name: str, pos: "int | None", env: _Env,
-                       resolved: "FunctionInfo | None", call: ast.Call,
-                       driven: bool) -> None:
-        """A tracked local passed as a call argument: consult the
-        callee's per-parameter summary; escape when in doubt."""
-        machine = self.vars[name].machine
-        if resolved is None or pos is None:
-            self._escape(name, env)
-            return
-        offset = 1 if resolved.cls else 0  # implicit self
-        if pos + offset >= len(resolved.params):
-            self._escape(name, env)
-            return
-        summary = self._summaries(resolved).get(
-            resolved.params[pos + offset])
-        if summary is None or summary.escapes:
-            self._escape(name, env)
-            return
-        may = summary.may_ops & machine.ops
-        if not may:
-            return  # callee never touches the machine: state preserved
-        must = summary.must_ops & machine.ops
-        if must == may and len(may) == 1 and not (
-                resolved.is_generator and not driven):
-            op = next(iter(may))
-            st = env.get(name)
-            if st is not None:
-                self._apply_op(name, st, op, call, env)
-            return
-        self._escape(name, env)  # ambiguous effect: stop tracking
-
-    def _summaries(self, fn: FunctionInfo) -> dict[str, _ParamSummary]:
-        cached = self._summary_cache.get(fn.qualname)
-        if cached is not None:
-            return cached
-        params = set(fn.params)
-        may: dict[str, set[str]] = {p: set() for p in params}
-        must: dict[str, set[str]] = {p: set() for p in params}
-        escapes: set[str] = set()
-        for stmt in fn.node.body:
-            op = _direct_op(stmt)
-            if op is not None and op[0] in params:
-                must[op[0]].add(op[1])
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                if (isinstance(node.func, ast.Attribute)
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id in params):
-                    may[node.func.value.id].add(node.func.attr)
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Name) and sub.id in params:
-                            escapes.add(sub.id)
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if isinstance(node.value, ast.Name):
-                    escapes.add(node.value.id)
-            elif isinstance(node, ast.Assign):
-                if isinstance(node.value, ast.Name):
-                    escapes.add(node.value.id)
-        out = {p: _ParamSummary(must_ops=frozenset(must[p]),
-                                may_ops=frozenset(may[p]),
-                                escapes=p in escapes)
-               for p in params}
-        self._summary_cache[fn.qualname] = out
-        return out
-
     # -- op application ------------------------------------------------------
     def _escape(self, name: str, env: _Env) -> None:
-        if name in env:
-            del env[name]
-        if name in self.vars:
-            self.escaped.add(name)
+        env.pop(name, None)
 
     def _apply_op(self, name: str, st: _St, op: str, call: ast.Call,
                   env: _Env) -> None:
@@ -607,18 +497,3 @@ def _raise_label(stmt: ast.Raise, exc_labels: list[str]) -> str:
         return exc.attr
     return exc_labels[-1] if exc_labels else "exception"
 
-
-def _direct_op(stmt: ast.stmt) -> "tuple[str, str] | None":
-    """``name.op(...)`` as a bare top-level statement, else None."""
-    value: "ast.expr | None" = None
-    if isinstance(stmt, ast.Expr):
-        value = stmt.value
-    elif isinstance(stmt, ast.Assign):
-        value = stmt.value
-    if isinstance(value, (ast.Yield, ast.YieldFrom)):
-        value = value.value
-    if (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and isinstance(value.func.value, ast.Name)):
-        return value.func.value.id, value.func.attr
-    return None

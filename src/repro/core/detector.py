@@ -197,14 +197,6 @@ class SuspicionDetector:
         stats.quantile.record(sample)
 
     # -- reading -------------------------------------------------------------
-    def samples(self, peer: str) -> int:
-        stats = self._peers.get(peer)
-        return stats.ewma.n if stats is not None else 0
-
-    def mean(self, peer: str) -> float:
-        stats = self._peers.get(peer)
-        return stats.ewma.mean if stats is not None else 0.0
-
     def baseline(self, peer: str):
         """The peer's latency baseline, or ``None`` while cold.
 

@@ -299,10 +299,6 @@ class NetworkMonitor:
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("stop")
 
-    def table(self) -> NetStatusRecord:
-        db = self.shm.segment(self.segment_key).read() or {}
-        return db.get(self.group, NetStatusRecord(group=self.group))
-
     def _run(self):
         cfg = self.config
         s1, s2 = PROBE_SIZES

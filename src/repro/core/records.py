@@ -248,14 +248,6 @@ class ServerStatusRecord:
     report: ServerStatusReport
     updated_at: float
 
-    @property
-    def addr(self) -> str:
-        return self.report.addr
-
-    @property
-    def host(self) -> str:
-        return self.report.host
-
     def age(self, now: float) -> float:
         return now - self.updated_at
 

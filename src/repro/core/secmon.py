@@ -80,9 +80,6 @@ class SecurityMonitor:
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("stop")
 
-    def database(self) -> dict[str, SecurityRecord]:
-        return dict(self.shm.segment(self.segment_key).read() or {})
-
     def refresh(self):
         """One collection pass (process generator)."""
         try:

@@ -93,12 +93,12 @@ __all__ = ["Wizard", "WizardRequest", "WizardReply", "Candidate"]
 LOCAL_DELAY_MS = 0.2
 LOCAL_BW_MBPS = 100.0
 
-#: variables the wizard computes (or overrides from the security DB) per
-#: request: what ``rank:`` sorts by for them is in no record, so they
-#: have no column and a request ranked by one sweeps
 #: hard cap on servers in one UDP reply (thesis §3.6.1: 60)
 MAX_REPLY_SERVERS = 60
 
+#: variables the wizard computes (or overrides from the security DB) per
+#: request: what ``rank:`` sorts by for them is in no record, so they
+#: have no column and a request ranked by one sweeps
 _PER_REQUEST_VARS = frozenset(MONITOR_VARS + DERIVED_VARS + ("host_security_level",))
 _INF = float("inf")
 

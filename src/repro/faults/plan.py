@@ -39,8 +39,6 @@ Gray failures (ISSUE 6): faults that *degrade* instead of kill —
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, TYPE_CHECKING
@@ -470,21 +468,6 @@ class FaultPlan:
         plan = cls(FaultEvent.from_dict(e) for e in data.get("events", ()))
         plan._provenance = [dict(p) for p in data.get("provenance", ())]
         return plan
-
-    def canonical_text(self) -> str:
-        """Canonical JSON of the executable part of the plan (events only,
-        sorted keys, no whitespace) — the input to :meth:`fingerprint`."""
-        return json.dumps(
-            [e.to_dict() for e in self._events],
-            sort_keys=True, separators=(",", ":"),
-        )
-
-    def fingerprint(self) -> str:
-        """Hex digest identifying this exact event schedule.  Two plans
-        with the same fingerprint replay identically (provenance is
-        metadata and deliberately excluded)."""
-        digest = hashlib.sha256(self.canonical_text().encode())
-        return digest.hexdigest()[:16]
 
     # -- randomised plans ---------------------------------------------------
     @staticmethod

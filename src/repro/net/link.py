@@ -111,10 +111,6 @@ class Channel:
         pending_s = max(0.0, self.next_free - self.sim.now)
         return pending_s * self.rate_bps / 8.0
 
-    def utilisation(self, horizon: float) -> float:
-        """Fraction of ``horizon`` seconds the transmitter was busy."""
-        return self.busy_time / horizon if horizon > 0 else 0.0
-
     # -- data path ----------------------------------------------------------
     def transmit(self, frame: Frame, extra_start_delay: float = 0.0) -> bool:
         """Enqueue ``frame``; returns ``False`` on drop.

@@ -77,10 +77,6 @@ class NIC:
         self.inbound.on_deliver = node.receive
         self.inbound.nic = self
 
-    @property
-    def mtu(self) -> int:
-        return self.channel.mtu
-
     def _init_delay(self, first_frame_wire: int) -> float:
         if self.init_speed_bps is None:
             return 0.0

@@ -95,15 +95,6 @@ class Datagram:
         return (f"<Datagram #{self.id} {self.proto} {self.src}:{self.sport}"
                 f"->{self.dst}:{self.dport} size={self.size}>")
 
-    def wire_size(self, mtu: int) -> int:
-        """Total bytes on the wire after fragmentation at ``mtu``: the
-        transport bytes plus one IP header per fragment, each fragment
-        carrying a full payload but the last."""
-        if mtu <= IP_HEADER:
-            raise ValueError(f"MTU {mtu} leaves no room for IP payload")
-        transport = self.transport_bytes
-        return transport + IP_HEADER * max(1, -(-transport // (mtu - IP_HEADER)))
-
     def reply_skeleton(self, proto: str, size: int, payload: Any = None) -> "Datagram":
         """A datagram heading back to this one's source."""
         return Datagram(proto, self.dst, self.src, self.dport, self.sport,

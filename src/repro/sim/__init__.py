@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate (kernel, IPC primitives, RNG streams)."""
 
 from .kernel import (
-    AllOf,
     AnyOf,
     Call,
     Event,
@@ -32,7 +31,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
-    "AllOf",
     "SimulationError",
     "Store",
     "Resource",

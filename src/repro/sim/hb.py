@@ -24,9 +24,8 @@ Happens-before edge inventory
 * **channel** — :class:`~repro.sim.resources.Store` piggybacks the
   putter's clock on buffered items; direct hand-offs ride the schedule
   edge.
-* **condition-join** — an :class:`~repro.sim.kernel.AnyOf` /
-  :class:`~repro.sim.kernel.AllOf` joins the clocks of its already
-  processed members when it fires.
+* **condition-join** — an :class:`~repro.sim.kernel.AnyOf` joins the
+  clocks of its already processed members when it fires.
 
 The tracked state is the shared-memory segments: every
 :class:`~repro.sim.resources.Segment` is a variable from birth, and
@@ -239,7 +238,7 @@ class HBSanitizer(Observer):
             event._hb = self._merged(event._hb, clock)
 
     def on_join(self, cond) -> None:
-        """AnyOf/AllOf fired: join every processed member's clock."""
+        """An AnyOf fired: join every processed member's clock."""
         clock = cond._hb
         for ev in cond.events:
             if ev.callbacks is None and ev._hb is not None:
@@ -330,9 +329,6 @@ class HBSanitizer(Observer):
     @property
     def tracked_vars(self) -> int:
         return len(self._vars)
-
-    def diagnostics(self) -> list[Diagnostic]:
-        return [r.to_diagnostic() for r in self.races]
 
     def summary(self) -> str:
         return (f"{len(self.races)} race(s), {self.accesses} tracked "

@@ -13,8 +13,8 @@ event loop in the style of SimPy:
   nothing armed) any object at all — the per-frame and per-timer
   primitive of the network layer; instruments see such a call as a
   :class:`Call`,
-* :class:`AnyOf` / :class:`AllOf` compose events (used e.g. for
-  "receive with timeout" in the UDP socket layer).
+* :class:`AnyOf` composes events (used e.g. for "receive with
+  timeout" in the UDP socket layer).
 
 Design notes
 ------------
@@ -59,7 +59,7 @@ The kernel knows nothing about its instruments.  It announces six
 moments to whatever was attached with :meth:`Simulator.observe` — one
 protocol, :class:`Observer`, a no-op base class — and every hook site
 tests the one name ``sim._observer``, so a run with nothing armed pays
-an ``is None`` test per site (seven, plus one in ``call_later`` /
+an ``is None`` test per site (six, plus one in ``call_later`` /
 ``call_at`` and one in ``step`` per scheduled call) and nothing else —
 not even a :class:`Call` object per scheduled call:
 
@@ -74,8 +74,7 @@ not even a :class:`Call` object per scheduled call:
 ``begin_resume(when, proc, ev)``  ``proc`` is handed the CPU because
                                   ``ev`` fired
 ``end_resume(proc)``              ``proc`` yielded, finished or failed
-``on_join(cond)``                 an :class:`AnyOf` / :class:`AllOf`
-                                  just fired
+``on_join(cond)``                 an :class:`AnyOf` just fired
 ================================  ====================================
 
 One instrument is held as it is; several go behind a fan-out that calls
@@ -140,7 +139,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
-    "AllOf",
     "SimulationError",
 ]
 
@@ -288,7 +286,7 @@ class Observer:
     def end_resume(self, proc: "Process") -> None:
         pass
 
-    def on_join(self, cond: "_Condition") -> None:
+    def on_join(self, cond: "AnyOf") -> None:
         pass
 
 
@@ -480,15 +478,16 @@ class Process(Event):
         self._resume(event)
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composition events."""
+class AnyOf(Event):
+    """Fires as soon as *any* of the composed events fires; then each
+    member still pending holds ``_defuse`` in place of its check, so a
+    late one (a deadline seconds away) keeps nothing else alive."""
 
-    __slots__ = ("events", "_done")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._done = 0
         if not self.events:
             self.succeed({})
             return
@@ -497,17 +496,6 @@ class _Condition(Event):
 
     def _collect(self) -> dict[Event, Any]:
         return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as *any* of the composed events fires; then each
-    member still pending holds ``_defuse`` in place of its check, so a
-    late one (a deadline seconds away) keeps nothing else alive."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._state != PENDING:  # a member listed twice, or added late
@@ -530,27 +518,6 @@ class AnyOf(_Condition):
         obs = self.sim._observer
         if obs is not None:
             obs.on_join(self)
-
-
-class AllOf(_Condition):
-    """Fires when *all* of the composed events have fired."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._state != PENDING:
-            event._ok = True  # late member of a failed condition: defuse
-            return
-        if not event._ok:
-            self.fail(event.value)
-            event._ok = True
-            return
-        self._done += 1
-        if self._done == len(self.events):
-            self.succeed(self._collect())
-            obs = self.sim._observer
-            if obs is not None:
-                obs.on_join(self)
 
 
 class Simulator:
@@ -662,9 +629,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, when: float) -> None:

@@ -9,7 +9,6 @@ the schedule-sanitizer notes in :mod:`repro.sim.kernel`), and
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Optional
 
 from .kernel import Call, Event, Observer, Process, Timeout, call_target_name
@@ -79,11 +78,6 @@ class EventTrace(Observer):
         if group:
             out.extend(f"{group_t!r} {label}" for label in sorted(group))
         return out
-
-    def digest(self) -> str:
-        """sha256 over the canonical trace (cheap equality witness)."""
-        payload = "\n".join(self.canonical_lines()).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 def diff_traces(a: Iterable[str], b: Iterable[str], context: int = 0,

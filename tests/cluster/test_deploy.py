@@ -59,7 +59,7 @@ class TestDeployment:
         dep.start()
         cluster.run(until=dep.warm_up_seconds() + 3.0)
         sysdb = dep.receiver.database(MSG_SYSDB)
-        assert {r.host for r in sysdb.values()} == {"s1", "s2"}
+        assert {r.report.host for r in sysdb.values()} == {"s1", "s2"}
         netdb = dep.receiver.database(MSG_NETDB)
         assert "g2" in netdb["g1"].metrics
         assert "g1" in netdb["g2"].metrics

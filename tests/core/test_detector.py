@@ -108,7 +108,7 @@ class TestSuspicionDetector:
         assert det.baseline("a") is None
         assert det.phi("a", 100.0) == 0.0
         det.record("a", 0.1)
-        assert det.samples("a") == 1
+        assert det._peers["a"].ewma.n == 1
         assert det.baseline("a") is None  # still below min_samples
         assert det.phi("a", 100.0) == 0.0
 
@@ -116,7 +116,7 @@ class TestSuspicionDetector:
         det = SuspicionDetector(min_samples=3)
         self.warm(det, n=3, value=0.2)
         assert det.baseline("a") == pytest.approx(0.2)
-        assert det.mean("a") == pytest.approx(0.2)
+        assert det._peers["a"].ewma.mean == pytest.approx(0.2)
 
     def test_rejects_negative_samples(self):
         det = SuspicionDetector()

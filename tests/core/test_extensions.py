@@ -33,7 +33,7 @@ class TestTcpReporting:
         assert sysmon.tcp_reports_received >= 3
         db = sysmon.database()
         assert len(db) == 1
-        assert list(db.values())[0].host == "server"
+        assert list(db.values())[0].report.host == "server"
 
     def test_udp_probe_does_not_touch_tcp_counter(self):
         cluster, sysmon, probe = make_world(use_tcp=False)
@@ -75,7 +75,7 @@ class TestTcpReporting:
         p_udp.start()
         p_tcp.start()
         cluster.run(until=4.0)
-        assert {r.host for r in sysmon.database().values()} == {"s1", "s2"}
+        assert {r.report.host for r in sysmon.database().values()} == {"s1", "s2"}
 
 
 class TestStringAttributes:

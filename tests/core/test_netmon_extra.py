@@ -97,8 +97,9 @@ class TestSequentialProbing:
         nm.start()
         cluster.run(until=4.0)
         nm.stop()
-        assert "g1" in nm.table().metrics
-        assert "g2" in nm.table().metrics
+        metrics = nm.shm.segment(nm.segment_key).read()[nm.group].metrics
+        assert "g1" in metrics
+        assert "g2" in metrics
         assert max_ports["n"] <= 1
 
 

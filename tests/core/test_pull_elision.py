@@ -244,7 +244,8 @@ def run_pull_script(seed: int, steps: int = 70, **mutant):
                     side.transmitter.contradict_next = True
             if op in ("pull", "contradict"):
                 rounds = [sim.process(s.receiver.pull_all()) for s in sides]
-                yield sim.all_of(rounds)
+                for pulled in rounds:
+                    yield pulled
                 mine, twins = (s.new_failures() for s in sides)
                 # the twin only ever fails to reach a stopped transmitter;
                 # the side under test may also lose one round to a resync:

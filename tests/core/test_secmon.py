@@ -43,7 +43,7 @@ class TestSecurityMonitorDaemon:
         mon = self.make(sim, DummySecurityLog("mimas 2\ntelesto 1"))
         mon.start()
         sim.run(until=0.5)
-        db = mon.database()
+        db = mon.shm.segment(mon.segment_key).read()
         assert db["mimas"].level == 2
         assert db["telesto"].level == 1
 
@@ -54,7 +54,7 @@ class TestSecurityMonitorDaemon:
         sim.run(until=0.5)
         log.text = "mimas 0"  # compromised!
         sim.run(until=SCAN_INTERVAL + 0.5)
-        assert mon.database()["mimas"].level == 0
+        assert mon.shm.segment(mon.segment_key).read()["mimas"].level == 0
 
     def test_bad_source_counts_error_and_keeps_running(self, sim):
         log = DummySecurityLog("good 1")
@@ -66,7 +66,7 @@ class TestSecurityMonitorDaemon:
         assert mon.errors >= 1
         log.text = "good 3"
         sim.run(until=2 * SCAN_INTERVAL + 0.5)
-        assert mon.database()["good"].level == 3
+        assert mon.shm.segment(mon.segment_key).read()["good"].level == 3
 
     def test_stop(self, sim):
         mon = self.make(sim, DummySecurityLog("a 1"))

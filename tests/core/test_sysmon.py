@@ -33,7 +33,7 @@ class TestCollection:
             p.start()
         cluster.run(until=2.5)
         db = sysmon.database()
-        assert {rec.host for rec in db.values()} == {"s0", "s1", "s2"}
+        assert {rec.report.host for rec in db.values()} == {"s0", "s1", "s2"}
 
     def test_records_update_in_place(self):
         cluster, sysmon, probes, _ = make_world(1)

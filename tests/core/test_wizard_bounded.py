@@ -5,7 +5,8 @@ Three kinds of evidence that stopping early changes nothing but the work:
 * a **differential oracle** — grammar-generated requirements (the PR 13
   fuzzer's generator) over random system / network / security DBs, every
   ``server_num`` from 1 to 60 and every kind of option, against a
-  sweep-everything reference that lives here, not in ``src``;
+  sweep-everything reference that lives here, not in ``src``, with one
+  targeted request per way a scan ends;
 * a **metamorphic** one — asking for fewer servers yields a prefix of
   asking for more, also over every pinned case of
   ``test_wizard_pinned.py``;
@@ -34,7 +35,7 @@ from repro.core import (
 )
 from repro.core.records import REPLY_OK
 from repro.core.wizard import MAX_REPLY_SERVERS
-from repro.lang import compile_program, compile_requirement, evaluate
+from repro.lang import compile_requirement, evaluate
 from tests.conftest import run_process
 from tests.core.test_transmit import make_world
 from tests.core.test_wizard_pinned import CASES, IN_GROUP, NOW, OUT_GROUP, _world
@@ -202,7 +203,7 @@ def plain_program(rng: random.Random, sysdb) -> str:
                             "user_preferred_host1", "user_preferred_host2"),
                            rng.choice((0, 0, 1, 3))):
         record = sysdb[rng.choice(sorted(sysdb))]
-        named = (record.report.host, record.addr)
+        named = (record.report.host, record.report.addr)
         value = rng.choice(named if mixed else named * 3 + SLOT_VALUES)
         if value == "need":
             temps.append(f"need = {rng.choice(named)}")
@@ -237,9 +238,6 @@ def evaluations(monkeypatch):
 # -- differential + metamorphic -------------------------------------------------
 
 def test_match_equals_the_sweep_everything_reference(evaluations):
-    reached = set()
-    #: (slot text without an option, reply cut at n): whether it stopped
-    slot_texts = set()
     for seed in SEEDS:
         rng = random.Random(f"bounded/{seed}")
         generator = Generator(seed)
@@ -248,7 +246,6 @@ def test_match_equals_the_sweep_everything_reference(evaluations):
             sysdb, netdb, secdb = random_databases(rng)
             text = generator.program() if case % 2 else plain_program(rng, sysdb)
             client = rng.choice((OUT_GROUP, IN_GROUP))
-            assigns_user = compile_program(compile_requirement(text).program).assigns_user
             for kind, option in enumerate(options(rng)):
                 full, errors = reference(wizard, text, option, client, sysdb, netdb, secdb)
                 replies = []
@@ -260,27 +257,67 @@ def test_match_equals_the_sweep_everything_reference(evaluations):
                     assert reply == full[:n], where
                     assert wizard.option_errors - before == errors, where
                     replies.append(reply)
-                    stopped = len(evaluations) - evaluated < len(sysdb)
-                    if full:
-                        reached.add((kind, stopped, len(full) > n, errors))
-                    if kind == 0 and assigns_user and len(full) > n:
-                        slot_texts.add(stopped)
+                    if full and kind in (3, 4, 5):
+                        # a derived variable has no column and a malformed
+                        # option needs every qualifier: both always sweep
+                        assert len(evaluations) - evaluated == len(sysdb), where
                 # asking for fewer is a prefix of asking for more
                 assert all(replies[k - 1] == replies[-1][:k] for k in range(1, MAX_N + 1))
-    kinds = {kind: {r[1:] for r in reached if r[0] == kind} for kind in range(7)}
-    # no option, a ranked one: scans cut short and full sweeps, replies cut
-    # at n and replies shorter than n ...
-    for kind in range(3):
-        assert {(True, True, 0), (False, False, 0), (False, True, 0)} <= kinds[kind], kind
-    assert {r[0] for r in kinds[3]} == {False}           # a derived variable: no column
-    # ... columns that rank nobody who qualified, swept rankings likewise
-    assert {r[2] for r in kinds[6] if r[0]} == {0, 1}
-    assert (False, True, 1) in kinds[1] | kinds[2] | kinds[3]
-    # ... and a malformed option always sweeps, and always counts
-    assert {(r[0], r[2]) for r in kinds[4] | kinds[5]} == {(False, 1)}
-    # a slot text without an option: slots no record changes stop at n,
-    # slots a record can change sweep
-    assert slot_texts == {True, False}
+
+
+#: six lab servers; only the one that fails ``host_cpu_free > 0.1``
+#: carries the sparse variable, so it heads that variable's column
+PATH_DB = tuple(
+    (f"h{i}", f"10.1.1.{i}", cpu, mem, extra)
+    for i, (cpu, mem, extra) in enumerate((
+        (0.9, 256.0, {}), (0.5, 4.0, {}), (0.95, 134.0, {}), (1.0, 4.0, {}),
+        (0.05, 256.0, {SPARSE: 10.0}), (0.9, 134.0, {})), start=1))
+#: a slot no record can change, and one filled from a temp, which any
+#: record might change
+SLOT_FIXED = "host_cpu_free > 0.1\nuser_preferred_host1 = h4"
+SLOT_TEMP = "need = h4\nhost_cpu_free > 0.1\nuser_preferred_host1 = need"
+#: id -> (text, option, server_num, (stopped early, reply cut at n, option errors))
+PATHS = {
+    "address-order-stops": ("host_cpu_free > 0.1", "", 2, (True, True, 0)),
+    "address-order-sweeps-all-in": ("host_cpu_free > 0.1", "", 60, (False, False, 0)),
+    "slot-a-record-may-change-sweeps": (SLOT_TEMP, "", 2, (False, True, 0)),
+    "fixed-slot-stops": (SLOT_FIXED, "", 2, (True, True, 0)),
+    "column-stops": ("host_cpu_free > 0.1", "rank:host_memory_free", 2, (True, True, 0)),
+    "column-asc-stops": ("host_cpu_free > 0.1", "rank:host_memory_free:asc", 2,
+                         (True, True, 0)),
+    "column-sweeps-all-in": ("host_cpu_free > 0.1", "rank:host_memory_free", 60,
+                             (False, False, 0)),
+    "ranked-slot-text-sweeps": (SLOT_TEMP, "rank:host_memory_free:asc", 2, (False, True, 0)),
+    "no-column-sweeps-and-counts": ("host_cpu_free > 0.1", "rank:no_such_variable", 2,
+                                    (False, True, 1)),
+    "derived-variable-sweeps": ("host_cpu_free > 0.1", "rank:host_status_age", 2,
+                                (False, True, 0)),
+    "sparse-column-ranks-a-qualifier": ("host_cpu_free > 0.01", f"rank:{SPARSE}", 2,
+                                        (True, True, 0)),
+    "sparse-column-ranks-no-qualifier": ("host_cpu_free > 0.1", f"rank:{SPARSE}", 2,
+                                         (True, True, 1)),
+    "empty-rank-sweeps-and-counts": ("host_cpu_free > 0.1", "rank:", 2, (False, True, 1)),
+    "unknown-verb-sweeps-and-counts": ("host_cpu_free > 0.1", "fastest", 2, (False, True, 1)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_each_scan_path_has_a_targeted_case(path, evaluations):
+    """One request per way a scan ends, each equal to the reference: the
+    random sweep above is the differential check, these pin that every
+    path it checks is taken."""
+    text, option, n, expected = PATHS[path]
+    wizard = _world()[0]
+    sysdb = {addr: ServerStatusRecord(
+        ServerStatusReport(host=host, addr=addr, group="lab", extras=extra,
+                           values={"host_cpu_free": cpu, "host_memory_free": mem}),
+        updated_at=NOW - 1.0)
+        for host, addr, cpu, mem, extra in PATH_DB}
+    full, errors = reference(wizard, text, option, IN_GROUP, sysdb, {}, {})
+    reply = wizard.match(WizardRequest(1, n, option, text), IN_GROUP, sysdb, {}, {})
+    assert reply == full[:n]
+    assert wizard.option_errors == errors
+    assert (len(evaluations) < len(sysdb), len(full) > n, errors) == expected
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

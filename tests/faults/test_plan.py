@@ -259,7 +259,6 @@ class TestRandomPlanProperties:
             # from_json revalidates every event through FaultEvent
             clone = FaultPlan.from_json(plan.to_json())
             assert clone.events() == plan.events()
-            assert clone.fingerprint() == plan.fingerprint()
 
     @pytest.mark.parametrize("gray", [False, True])
     def test_describe_is_byte_stable_across_dual_runs(self, gray):

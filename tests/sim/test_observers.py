@@ -43,16 +43,15 @@ class TestSeam:
 
         def waiter():
             yield sim.any_of([sim.timeout(1.0), sim.timeout(2.0)])
-            yield sim.all_of([sim.timeout(1.0), sim.timeout(2.0)])
 
         sim.process(waiter(), name="waiter")
         sim.call_later(0.5, lambda _arg: None)
         sim.run()
-        # boot + 4 timeouts + AnyOf + AllOf + the call + the process itself;
-        # resumed at boot and after each condition, which each fire once
+        # boot + 2 timeouts + AnyOf + the call + the process itself;
+        # resumed at boot and after the condition, which fires once
         assert moments.seen == {
-            "schedule": 9, "begin_event": 9, "end_event": 9,
-            "begin_resume": 3, "end_resume": 3, "join": 2}
+            "schedule": 6, "begin_event": 6, "end_event": 6,
+            "begin_resume": 2, "end_resume": 2, "join": 1}
 
     def test_every_begin_is_closed_when_the_run_raises(self):
         def crash(_arg=None):

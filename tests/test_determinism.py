@@ -107,7 +107,6 @@ class TestExperimentDeterminism:
         # ...but the canonical trace is identical across seeds (and FIFO)
         assert trace1.canonical_lines() == trace2.canonical_lines()
         assert trace1.canonical_lines() == fifo_trace.canonical_lines()
-        assert trace1.digest() == trace2.digest()
         assert not diff_traces(trace1.canonical_lines(), trace2.canonical_lines())
 
     def test_schedule_sanitizer_causal_order_preserved(self):
