@@ -29,7 +29,7 @@ Usage::
     python -m repro explore                          # chaos search, all scenarios
     python -m repro explore --budget 50 --seed 7 --scenario matmul
     python -m repro explore --mutant drop-checkpoint # prove the search finds a seeded bug
-    python -m repro explore --replay tests/faults/corpus/CE-matmul-cdf344a542.json
+    python -m repro explore --replay tests/faults/corpus/CE-matmul-33711487ac.json
     python -m repro explore --corpus tests/faults/corpus   # CI corpus gate
 
 Lint/check exit codes: 0 clean (warnings allowed), 1 diagnostics at
@@ -179,7 +179,7 @@ def explore_cli(argv: list[str] | None = None) -> int:
                "  repro explore --budget 200 --seed 0\n"
                "  repro explore --scenario matmul --scenario ha --budget 50\n"
                "  repro explore --mutant drop-checkpoint --out tests/faults/corpus\n"
-               "  repro explore --replay tests/faults/corpus/CE-matmul-cdf344a542.json\n"
+               "  repro explore --replay tests/faults/corpus/CE-matmul-33711487ac.json\n"
                "  repro explore --corpus tests/faults/corpus\n",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

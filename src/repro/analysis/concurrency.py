@@ -5,7 +5,7 @@ that actually execute; these static rules catch the concurrency shapes
 that *lead* to them before any run:
 
 * a blocking ``recv``/``accept`` yield — direct, or a getter raced in an
-  ``any_of``/``all_of`` with no ``timeout`` member — with no enclosing
+  ``any_of`` with no ``timeout`` member — with no enclosing
   ``Interrupt`` guard hangs forever when the peer dies and leaks on
   daemon shutdown (REPRO301) — the guard is lexical, or the ``serve``
   skeleton's when the file hands the generator to one;
@@ -53,7 +53,7 @@ BLOCKING_RECV_ATTRS: frozenset[str] = frozenset({"recv", "accept"})
 #: attribute calls that return a getter event a condition can race
 GETTER_ATTRS: frozenset[str] = frozenset({"get", "recv"})
 #: attribute calls that build one event out of several
-CONDITION_ATTRS: frozenset[str] = frozenset({"any_of", "all_of"})
+CONDITION_ATTRS: frozenset[str] = frozenset({"any_of"})
 #: attribute calls that put a message on the wire
 SEND_ATTRS: frozenset[str] = frozenset({"send", "sendto"})
 
@@ -98,7 +98,7 @@ def handoff(call: ast.Call) -> Optional[Handoff]:
 
 
 def condition_members(call: ast.Call) -> list[ast.expr]:
-    """The competitors of an ``any_of``/``all_of`` call."""
+    """The competitors of an ``any_of`` call."""
     members: list[ast.expr] = []
     for arg in call.args:
         if isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
@@ -118,7 +118,7 @@ def _called_attr(expr: ast.expr) -> Optional[ast.Attribute]:
 class WaitNames:
     """The names one function has bound, in walk order, to a blocking
     getter (``get = sock.recv()``) or a deadline (``t = sim.timeout(d)``)
-    — and so which members of a yielded ``any_of``/``all_of`` block with
+    — and so which members of a yielded ``any_of`` block with
     nothing to bound them."""
 
     def __init__(self) -> None:
@@ -196,7 +196,7 @@ def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
 class BlockingRecvRule(Rule):
     """REPRO301: a blocking wait with no timeout composition and no
     enclosing ``except Interrupt``: ``yield x.recv()`` / ``yield
-    x.accept()``, or a yielded ``any_of``/``all_of`` that races a
+    x.accept()``, or a yielded ``any_of`` that races a
     ``.recv()``/``.accept()`` getter (inline, or a name the function
     bound to one) with no ``timeout(...)`` member.
 

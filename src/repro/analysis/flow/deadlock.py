@@ -35,7 +35,7 @@ would hang forever.
 The same walk gathers each function's lifecycle facts — nested defs and
 lambdas included, and decided by source position once it is done:
 
-**REPRO402** — an ``any_of``/``all_of`` (yielded or not) that races a
+**REPRO402** — an ``any_of`` (yielded or not) that races a
 getter (a name bound from ``.get()``/``.recv()``, or such a call written
 inline) against a non-getter competitor.  The losing getter must be
 withdrawn later in the source: passed to ``.cancel(...)``, its owner
@@ -165,7 +165,7 @@ class _FunctionWalker:
         self.acquired: dict[str, tuple[str, ast.Call]] = {}
         #: names that leave the function (see :func:`_marks`)
         self.escaped: set[str] = set()
-        #: every ``any_of``/``all_of`` call, yielded or not
+        #: every ``any_of`` call, yielded or not
         self.races: list[ast.Call] = []
         #: (how, name) -> position of the last such release, ``how`` being
         #: "cancel" (the getter), "release" or "unregister" (its owner)

@@ -560,7 +560,7 @@ def failover_experiment(
     def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
         if scenario != "server_kill":
             return None
-        return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
+        return FaultPlan().crash_host(now + 2.5, victim)
 
     job = _ha_matmul(star, n, blk, "failover-driver", pre_fault, mid_fault)
     result, client, sessions = job.result, job.client, job.sessions

@@ -156,7 +156,6 @@ class Deployment:
             transmitter=transmitter,
         )
         for server in servers:
-            server.group = name
             probe = ServerProbe(
                 sim,
                 server.procfs,
@@ -273,7 +272,7 @@ class Deployment:
 
     def stop(self) -> None:
         self._started = False
-        if self._boot_proc is not None and self._boot_proc.is_alive:
+        if self._boot_proc is not None:
             self._boot_proc.interrupt("stop")
         for group in self.groups.values():
             for probe in group.probes:

@@ -30,8 +30,6 @@ class SmartHost:
         #: the host's wall clock — identity until a skew-clock fault
         #: programs an offset/drift (daemons stamp data through this)
         self.clock = HostClock(sim)
-        #: server-group label, set at deployment time
-        self.group: str = "default"
 
     @property
     def name(self) -> str:

@@ -296,7 +296,7 @@ class NetworkMonitor:
         self._proc = self.sim.process(self._run(), name=f"netmon-{self.group}")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
+        if self._proc is not None:
             self._proc.interrupt("stop")
 
     def _run(self):

@@ -215,7 +215,7 @@ class ServerProbe:
         self._proc = self.sim.process(self._run(), name=f"probe@{self.host_name}")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
+        if self._proc is not None:
             self._proc.interrupt("stop")
 
     def _run(self):

@@ -115,7 +115,7 @@ class _Endpoint:
         )
 
     def _detach(self) -> None:
-        if self._pump is not None and self._pump.is_alive:
+        if self._pump is not None:
             self._pump.interrupt("detach")
         self._pump = None
         self._conn = None

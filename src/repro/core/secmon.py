@@ -77,7 +77,7 @@ class SecurityMonitor:
         self._proc = self.sim.process(self._run(), name="secmon")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
+        if self._proc is not None:
             self._proc.interrupt("stop")
 
     def refresh(self):

@@ -186,10 +186,10 @@ class SmartSession:
             )
 
     def stop_lease(self) -> None:
-        if self._lease_proc is not None and self._lease_proc.is_alive:
+        if self._lease_proc is not None:
             self._lease_proc.interrupt("stop")
         self._lease_proc = None
-        if self._watchdog_proc is not None and self._watchdog_proc.is_alive:
+        if self._watchdog_proc is not None:
             self._watchdog_proc.interrupt("stop")
         self._watchdog_proc = None
 

@@ -66,7 +66,7 @@ class SystemMonitor:
 
     def stop(self) -> None:
         for proc in (self._listener, self._reaper):
-            if proc is not None and proc.is_alive:
+            if proc is not None:
                 proc.interrupt("stop")
         if self._service is not None:
             self._service.stop()

@@ -146,8 +146,7 @@ class Transmitter:
 
     def stop(self) -> None:
         for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("stop")
+            proc.interrupt("stop")
         if self._service is not None:
             self._service.stop()
 

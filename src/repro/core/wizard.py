@@ -247,7 +247,7 @@ class Wizard:
         self._proc = self.sim.process(self._serve(sock), name="wizard")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
+        if self._proc is not None:
             self._proc.interrupt("stop")
 
     def _serve(self, sock):

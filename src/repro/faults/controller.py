@@ -3,9 +3,11 @@ to a live deployment.
 
 The controller runs as one simulated process that sleeps to each event's
 time and executes it against the cluster.  Everything it does is
-reversible through the plan itself (restart/heal events); every applied
-fault is appended to :attr:`ChaosController.log` as ``(sim_time,
-description)`` so tests can assert on what actually happened.
+reversible through the plan itself (restart/heal events); every event is
+appended to :attr:`ChaosController.log` as ``(sim_time,
+event.describe())``, with a parenthesised reason when it was a no-op
+(``"(already down)"``, ``"(no such link)"``, ...), so tests can assert
+on what actually happened.
 
 Crash semantics: ``crash-host`` models a power failure of the *host
 plane* — all daemons die, established TCP connections are torn down with
@@ -73,7 +75,7 @@ class ChaosController:
         :meth:`_daemon` for plans drawn over a stale fault surface."""
         host = self.cluster.hosts.get(name)
         if host is None:
-            self._note(f"fault on {name} (no such host)")
+            self.log.append((self.sim.now, f"fault on {name} (no such host)"))
         return host
 
     # -- lifecycle ---------------------------------------------------------
@@ -84,7 +86,7 @@ class ChaosController:
 
     def stop(self) -> None:
         for proc in (self._proc, *self._burst_procs):
-            if proc is not None and proc.is_alive:
+            if proc is not None:
                 proc.interrupt("stop")
 
     # -- the driver --------------------------------------------------------
@@ -98,21 +100,23 @@ class ChaosController:
         except Interrupt:
             pass
 
-    def _note(self, text: str) -> None:
-        self.log.append((self.sim.now, text))
+    def _note(self, event: FaultEvent, why: str = "") -> None:
+        """Log ``event`` as applied, or with ``why`` it was a no-op."""
+        text = event.describe()
+        self.log.append((self.sim.now, f"{text} ({why})" if why else text))
 
     def _apply(self, event: FaultEvent):
         kind = event.kind
         if kind == "crash-host":
-            yield from self._crash_host(event.target)
+            yield from self._crash_host(event)
         elif kind == "restart-host":
-            self._restart_host(event.target)
+            self._restart_host(event)
         elif kind in ("link-down", "link-up"):
-            self._set_links(event.target, event.peer, up=(kind == "link-up"))
+            self._set_links(event)
         elif kind == "kill-daemon":
-            yield from self._kill_daemon(event.target, event.peer)
+            yield from self._kill_daemon(event)
         elif kind == "restart-daemon":
-            self._restart_daemon(event.target, event.peer)
+            self._restart_daemon(event)
         elif kind == "loss-burst":
             self._host_window(event, "burst", self._burst)
         elif kind == "slow-host":
@@ -123,9 +127,10 @@ class ChaosController:
             self._apply_skew(event)
 
     # -- host faults -------------------------------------------------------
-    def _crash_host(self, host_name: str):
+    def _crash_host(self, event: FaultEvent):
+        host_name = event.target
         if host_name in self.deployment.down_hosts:
-            self._note(f"crash-host {host_name} (already down)")
+            self._note(event, "already down")
             return
         host = self._host(host_name)
         if host is None:
@@ -148,48 +153,51 @@ class ChaosController:
         # empty, so the race sanitizer cannot take a crash for one
         host.shm.power_loss()
         self.deployment.down_hosts.add(host_name)
-        self._note(f"crash-host {host_name}")
+        self._note(event)
 
-    def _restart_host(self, host_name: str) -> None:
+    def _restart_host(self, event: FaultEvent) -> None:
+        host_name = event.target
         if host_name not in self.deployment.down_hosts:
-            self._note(f"restart-host {host_name} (was not down)")
+            self._note(event, "was not down")
             return
         self.deployment.down_hosts.discard(host_name)
         for role, daemon in self.deployment.daemons_on(host_name):
             if self.deployment.runs(role, daemon):
                 daemon.start()
-        self._note(f"restart-host {host_name}")
+        self._note(event)
 
     # -- daemon faults ------------------------------------------------------
-    def _kill_daemon(self, host_name: str, role: str):
+    def _kill_daemon(self, event: FaultEvent):
+        host_name, role = event.target, event.peer
         daemon = self._daemon(host_name, role)
         if daemon is None:
-            self._note(f"kill-daemon {role}@{host_name} (no such daemon)")
+            self._note(event, "no such daemon")
             return
         key, dep = (host_name, role), self.deployment
         if host_name in dep.down_hosts or key in dep.down_daemons:
-            self._note(f"kill-daemon {role}@{host_name} (already down)")
+            self._note(event, "already down")
             return
         daemon.stop()
         # deliver the interrupt now so a paired restart (even at the same
         # sim time) finds ports released and the process dead
         yield self.sim.timeout(0)
         dep.down_daemons.add(key)
-        self._note(f"kill-daemon {role}@{host_name}")
+        self._note(event)
 
-    def _restart_daemon(self, host_name: str, role: str) -> None:
+    def _restart_daemon(self, event: FaultEvent) -> None:
+        host_name, role = event.target, event.peer
         daemon = self._daemon(host_name, role)
         if daemon is None:
-            self._note(f"restart-daemon {role}@{host_name} (no such daemon)")
+            self._note(event, "no such daemon")
             return
         key, dep = (host_name, role), self.deployment
         if host_name in dep.down_hosts or key not in dep.down_daemons:
-            self._note(f"restart-daemon {role}@{host_name} (not restartable)")
+            self._note(event, "not restartable")
             return
         dep.down_daemons.discard(key)
         if dep.runs(role, daemon):
             daemon.start()
-        self._note(f"restart-daemon {role}@{host_name}")
+        self._note(event)
 
     # -- link faults -------------------------------------------------------
     def _links_between(self, a: str, b: str) -> list[Link]:
@@ -201,15 +209,14 @@ class ChaosController:
             if {link.a.name, link.b.name} == names
         ]
 
-    def _set_links(self, a: str, b: str, up: bool) -> None:
-        kind = "link-up" if up else "link-down"
-        links = self._links_between(a, b)
+    def _set_links(self, event: FaultEvent) -> None:
+        links = self._links_between(event.target, event.peer)
         if not links:
-            self._note(f"{kind} {a}<->{b} (no such link)")
+            self._note(event, "no such link")
             return
         for link in links:
-            link.set_up(up)
-        self._note(f"{kind} {a}<->{b}")
+            link.set_up(event.kind == "link-up")
+        self._note(event)
 
     # -- windowed faults ----------------------------------------------------
     def _window(self, name: str, duration: float,
@@ -266,7 +273,7 @@ class ChaosController:
         if host is not None:
             self._window(f"chaos-{label}-{event.target}", event.duration,
                          lambda: enter(host, event))
-            self._note(event.describe())
+            self._note(event)
 
     def _burst(self, host, event: FaultEvent):
         """Raise loss on every channel touching the host.
@@ -316,11 +323,11 @@ class ChaosController:
     def _start_degrade(self, event: FaultEvent) -> None:
         channels = self._degrade_channels(event)
         if not channels:
-            self._note(f"{event.describe()} (no such link)")
+            self._note(event, "no such link")
             return
         self._window(f"chaos-degrade-{event.target}-{event.peer}",
                      event.duration, lambda: self._degrade(event, channels))
-        self._note(event.describe())
+        self._note(event)
 
     def _degrade(self, event: FaultEvent, channels: list):
         """Degrade ``channels`` (every knob the event carries)."""
@@ -357,7 +364,7 @@ class ChaosController:
         unskew = self._overlay(
             [host.clock], _CLOCK_STATE,
             lambda clock: clock.set_skew(event.value, event.param("drift")))
-        self._note(event.describe())
+        self._note(event)
         if event.duration > 0:
             self._window(f"chaos-unskew-{event.target}", event.duration,
                          lambda: unskew)

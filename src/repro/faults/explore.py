@@ -36,14 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace as _replace
+from dataclasses import asdict, dataclass, field, replace as _replace
 
 from ..sim.rand import RandomStreams
-from ..worlds import STAR_WIZARDS
+from ..worlds import STAR_WIZARDS, star_surface
 from .invariants import check_all
 from .plan import FaultPlan
-from .scenarios import (MUTANTS, REQUEST_AT, SCENARIOS, fault_surface,
-                        run_trial, trial_deadline)
+from .scenarios import (MUTANTS, REQUEST_AT, SCENARIOS, run_trial,
+                        trial_deadline)
 
 __all__ = [
     "ExploreReport",
@@ -234,22 +234,7 @@ class Counterexample:
     search: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": CORPUS_VERSION,
-            "scenario": self.scenario,
-            "world_seed": self.world_seed,
-            "mutant": self.mutant,
-            "seed": self.seed,
-            "trial": self.trial,
-            "invariant": self.invariant,
-            "site": self.site,
-            "detail": self.detail,
-            "fingerprint": self.fingerprint,
-            "deadline": self.deadline,
-            "oracle_fingerprint": self.oracle_fingerprint,
-            "plan": self.plan,
-            "search": self.search,
-        }
+        return {"version": CORPUS_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Counterexample":
@@ -291,18 +276,8 @@ class ExploreReport:
         return bool(self.violations)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": self.budget,
-            "scenarios": self.scenarios,
-            "mutant": self.mutant,
-            "trials_run": self.trials_run,
-            "violations": self.violations,
-            "counterexample": (self.counterexample.to_dict()
-                               if self.counterexample else None),
-            "coverage": self.coverage,
-            "shrink": self.shrink,
-        }
+        return {**asdict(self), "counterexample": (
+            self.counterexample.to_dict() if self.counterexample else None)}
 
 
 def _oracle_for(scenario: str, world_seed: int) -> tuple[str, float]:
@@ -356,7 +331,8 @@ def explore(
         rng = RandomStreams(seed).stream(
             f"explore-{scenario}-{counters[scenario]}")
         counters[scenario] += 1
-        original = generate_plan(rng, spec, fault_surface(spec))
+        original = generate_plan(
+            rng, spec, star_surface(spec.app, spec.control_plane))
         oracle_fp, oracle_elapsed = oracles[scenario]
         deadline = trial_deadline(oracle_elapsed, original.horizon)
 
@@ -381,7 +357,7 @@ def explore(
     # coverage summary: the kinds a plan can hold x phases
     for name in scenarios:
         spec = SCENARIOS[name]
-        surface = fault_surface(spec)
+        surface = star_surface(spec.app, spec.control_plane)
         kinds = FaultPlan.random_kinds(surface["links"], surface["daemons"],
                                        spec.gray)
         report.coverage[name] = {

@@ -23,7 +23,7 @@ objects — and this module judges it against a registry of invariants:
     set leaked.  (A *sibling* session may keep riding a server another
     slot excluded — the shared exclusion set is deliberately pessimistic
     and lease expiry does not prove the server dead, so cross-session
-    overlap is recorded as telemetry, not flagged.)
+    overlap is deliberately not judged.)
 ``safety.telemetry``
     Recovery counters are consistent: failovers never exceed requeued
     checkpoints, per-session and per-result counts agree, nothing is
@@ -72,17 +72,13 @@ class Violation:
 
 @dataclass
 class TrialOutcome:
-    """Everything the oracles need from one trial, as plain data.
+    """Everything the oracles judge about one trial, as plain data.
 
     Produced by :func:`repro.faults.scenarios.run_trial`; deliberately
-    free of simulator objects.
+    free of simulator objects, and of the trial's inputs (scenario,
+    seed, mutant, plan), which its caller already holds.
     """
 
-    scenario: str
-    world_seed: int
-    mutant: str = ""
-    #: the executed plan, as ``FaultPlan.to_json()``
-    plan: dict = field(default_factory=dict)
     #: driver finished with a result before the deadline
     completed: bool = False
     deadline: float = 0.0
@@ -103,12 +99,6 @@ class TrialOutcome:
     session_failovers: int = 0
     lease_expiries: int = 0
     slow_migrations: int = 0
-    dead_sessions: int = 0
-    #: live sessions riding a server the *shared* exclusion set names —
-    #: informational only: a sibling's lease expiry is a pessimistic
-    #: signal, and the adoption may have raced the exclusion (seen on
-    #: healthy builds under trunk partitions)
-    live_on_excluded: list[str] = field(default_factory=list)
     #: addresses adopted twice by one session slot (corpse re-hired)
     rehired_corpses: list[str] = field(default_factory=list)
     #: the documented loud-failure path: every server slot died and the
@@ -119,8 +109,6 @@ class TrialOutcome:
     exception: str = ""
     #: coarse crash site: ``module.function`` of the deepest repro frame
     exc_site: str = ""
-    #: chaos-controller log length (how much of the plan actually fired)
-    chaos_applied: int = 0
     #: sha256 of the canonical kernel event trace (trace runs only)
     trace_hash: str = ""
 

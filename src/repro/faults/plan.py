@@ -3,9 +3,13 @@
 A :class:`FaultPlan` is a declarative, time-ordered schedule of faults to
 throw at a running deployment — the *what* and *when*, with no reference
 to live objects, so the same plan replays bit-identically across runs and
-can be generated from a seeded RNG (:meth:`FaultPlan.random_plan`).  The
+can be generated from a seeded RNG (:meth:`FaultPlan.random_plan`).  A
+plan is its events and nothing else: a compound builder (``partition``,
+``flap_link``, ...) appends the events it expands to, and the JSON form
+is those events.  The
 :class:`~repro.faults.controller.ChaosController` is the *how*: it turns
-each event into concrete operations on the cluster.
+each event into concrete operations on the cluster and logs each one as
+:meth:`FaultEvent.describe` says.
 
 Fault taxonomy (the ``kind`` field of :class:`FaultEvent`):
 
@@ -24,7 +28,7 @@ Fault taxonomy (the ``kind`` field of :class:`FaultEvent`):
                     are injected; ``direction`` restricts it to the
                     host's transmit (``tx``) or receive (``rx``) side.
 
-Gray failures (ISSUE 6): faults that *degrade* instead of kill —
+Gray failures: faults that *degrade* instead of kill —
 
 ``slow-host``       throttle a host's CPU by ``value`` (service times
                     stretch, the host keeps heartbeating: fail-slow).
@@ -195,6 +199,7 @@ class FaultEvent:
         )
 
     def describe(self) -> str:
+        """The event as one ``chaos.log`` line."""
         if self.kind in ("link-down", "link-up"):
             return f"{self.kind} {self.target}<->{self.peer}"
         if self.kind in ("kill-daemon", "restart-daemon"):
@@ -248,6 +253,8 @@ def _random_menu(links, daemons, gray: bool) -> list[str]:
 
 class FaultPlan:
     """An ordered schedule of :class:`FaultEvent`\\ s with builder helpers.
+    The events are the whole plan: builders append to them and keep no
+    other record.
 
     Builders return ``self`` so plans chain::
 
@@ -260,16 +267,6 @@ class FaultPlan:
 
     def __init__(self, events: Iterable[FaultEvent] = ()):
         self._events: list[FaultEvent] = list(events)
-        #: compound-builder call records ``{"builder": name, "args": {...}}``
-        #: — provenance metadata for corpus artifacts; the events list is
-        #: always the executable truth
-        self._provenance: list[dict] = []
-
-    def _record(self, builder: str, **args) -> None:
-        self._provenance.append({
-            "builder": builder,
-            "args": {k: v for k, v in sorted(args.items()) if v is not None},
-        })
 
     # -- builders ---------------------------------------------------------
     def add(self, event: FaultEvent) -> "FaultPlan":
@@ -291,7 +288,6 @@ class FaultPlan:
     def partition(self, at: float, a: str, b: str,
                   duration: Optional[float] = None) -> "FaultPlan":
         """Down the a<->b link; heal it ``duration`` seconds later."""
-        self._record("partition", at=at, a=a, b=b, duration=duration)
         self.link_down(at, a, b)
         if duration is not None:
             if duration <= 0:
@@ -305,7 +301,6 @@ class FaultPlan:
         later, repeating every ``period`` seconds."""
         if period <= 0 or count <= 0:
             raise ValueError("flap needs period > 0 and count > 0")
-        self._record("flap_link", at=at, a=a, b=b, period=period, count=count)
         for i in range(count):
             self.link_down(at + i * period, a, b)
             self.link_up(at + i * period + period / 2.0, a, b)
@@ -377,8 +372,6 @@ class FaultPlan:
         to the surviving replicas.  With ``restart_after`` the replica
         comes back that many seconds later — quarantine decay should then
         let clients re-adopt it."""
-        self._record("kill_wizard_during_request", at=at,
-                     wizard_host=wizard_host, restart_after=restart_after)
         self.kill_daemon(at, wizard_host, "wizard")
         self.kill_daemon(at, wizard_host, "receiver")
         if restart_after is not None:
@@ -389,15 +382,6 @@ class FaultPlan:
             self.restart_daemon(at + restart_after, wizard_host, "receiver")
             self.restart_daemon(at + restart_after, wizard_host, "wizard")
         return self
-
-    def kill_server_mid_stream(self, at: float, server_host: str) -> "FaultPlan":
-        """Power-fail an application server at ``at`` while connections
-        are streaming: TCP teardown with no FIN, so the client side sees
-        a reset (or a health-lease expiry) and the self-healing session
-        must requeue the in-flight shard and fail over to a replacement
-        server.  The host stays down."""
-        self._record("kill_server_mid_stream", at=at, server_host=server_host)
-        return self.crash_host(at, server_host)
 
     def gray_failure_storm(
         self, at: float, *, duration: float,
@@ -411,9 +395,6 @@ class FaultPlan:
         is skipped; at least one must be given."""
         if not (slow_host or skew_host):
             raise ValueError("gray_failure_storm needs at least one victim")
-        self._record("gray_failure_storm", at=at, duration=duration,
-                     slow_host=slow_host or None, slow_factor=slow_factor,
-                     skew_host=skew_host or None, skew_offset=skew_offset)
         if slow_host:
             self.slow_host(at, slow_host, slow_factor, duration)
         if skew_host:
@@ -439,22 +420,16 @@ class FaultPlan:
             return 0.0
         return max(e.at + e.duration for e in self._events)
 
-    @property
-    def provenance(self) -> list[dict]:
-        """Compound-builder call records, in call order (metadata only)."""
-        return list(self._provenance)
-
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
-        """Plain-data form of the plan: the full event list (insertion
-        order, so same-time ties replay identically) plus the
-        compound-builder provenance.  ``from_json(to_json(p))`` is the
-        identity on events and provenance — the backbone of replayable
-        corpus artifacts (``tests/faults/corpus/CE-*.json``)."""
+        """Plain-data form of the plan: its events, in insertion order
+        so same-time ties replay identically.  A compound builder leaves
+        only the events it added, so ``from_json(to_json(p))`` is the
+        identity on a plan — the backbone of replayable corpus artifacts
+        (``tests/faults/corpus/CE-*.json``)."""
         return {
             "version": PLAN_SCHEMA_VERSION,
             "events": [e.to_dict() for e in self._events],
-            "provenance": [dict(p) for p in self._provenance],
         }
 
     @classmethod
@@ -465,9 +440,7 @@ class FaultPlan:
         version = data.get("version", PLAN_SCHEMA_VERSION)
         if version != PLAN_SCHEMA_VERSION:
             raise ValueError(f"unsupported plan schema version {version!r}")
-        plan = cls(FaultEvent.from_dict(e) for e in data.get("events", ()))
-        plan._provenance = [dict(p) for p in data.get("provenance", ())]
-        return plan
+        return cls(FaultEvent.from_dict(e) for e in data.get("events", ()))
 
     # -- randomised plans ---------------------------------------------------
     @staticmethod
@@ -512,8 +485,6 @@ class FaultPlan:
         if not hosts:
             raise ValueError("random_plan needs at least one host")
         plan = cls()
-        plan._record("random_plan", horizon=horizon, n_events=n_events,
-                     mean_outage=mean_outage, gray=gray or None)
         menu = _random_menu(links, daemons, gray)
         for _ in range(n_events):
             at = rng.uniform(0.05 * horizon, 0.6 * horizon)

@@ -9,7 +9,7 @@ runs on that star (thesis runners, explorer, fault suites);
 :func:`run_trial` executes one plan against one scenario through it and
 reduces the run to a plain
 :class:`~repro.faults.invariants.TrialOutcome` for the invariant
-oracles, which serialises into corpus artifacts.
+oracles (never serialized: JSON exists only in corpus counterexamples).
 
 The matrix:
 
@@ -41,8 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from ..apps import Farm, MassdClient, MatMulMaster
 from ..core import smart_sessions
 from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
-                      SERVICE_PORT, STALENESS_REQUIREMENT, Star, build_star,
-                      star_surface)
+                      SERVICE_PORT, STALENESS_REQUIREMENT, Star, build_star)
 from .controller import ChaosController
 from .invariants import TrialOutcome
 from .plan import FaultPlan
@@ -54,7 +53,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "MUTANTS",
-    "fault_surface",
     "StarJob",
     "star_job",
     "run_trial",
@@ -82,9 +80,8 @@ MASSD_KB, MASSD_BLK_KB = 1200, 100
 @dataclass(frozen=True)
 class Scenario:
     """One explorable world + job: what the four rows of
-    :data:`SCENARIOS` set differently."""
+    :data:`SCENARIOS` set differently (a row's name is its key)."""
 
-    name: str
     app: str                    # "matmul" | "massd"
     sessions: int
     requirement: str
@@ -95,21 +92,21 @@ class Scenario:
 
 SCENARIOS: dict[str, Scenario] = {
     "matmul": Scenario(
-        name="matmul", app="matmul", sessions=2,
+        app="matmul", sessions=2,
         requirement=STALENESS_REQUIREMENT,
     ),
     "massd": Scenario(
-        name="massd", app="massd", sessions=1,
+        app="massd", sessions=1,
         requirement=STALENESS_REQUIREMENT,
     ),
     "ha": Scenario(
-        name="ha", app="matmul", sessions=2,
+        app="matmul", sessions=2,
         requirement=STALENESS_REQUIREMENT, control_plane=True,
     ),
     "grayfail": Scenario(
         # no staleness clause: a skewed clock ages reports, and starving
         # the wizard of candidates is not the bug this scenario hunts
-        name="grayfail", app="matmul", sessions=2,
+        app="matmul", sessions=2,
         requirement="host_cpu_free > 0.05",
         gray=True, watchdog=True,
     ),
@@ -136,11 +133,6 @@ _APPS: dict[str, type[Farm]] = {"matmul": MatMulMaster, "massd": MassdClient}
 #: a mutant is a :class:`Farm` subclass, mixed in ahead of whichever
 #: application the scenario runs — one class per seeded bug
 _MUTANT_CLASSES: dict[str, type[Farm]] = {"drop-checkpoint": _DropCheckpoint}
-
-
-def fault_surface(spec: Scenario) -> dict:
-    """What the plan generator may break in ``spec``'s world."""
-    return star_surface(spec.app, spec.control_plane)
 
 
 def trial_deadline(oracle_elapsed: float, plan_horizon: float) -> float:
@@ -304,12 +296,8 @@ def run_trial(
         except Exception:
             pass  # a half-dead slot may refuse an orderly close
 
-    outcome = TrialOutcome(
-        scenario=scenario, world_seed=world_seed, mutant=mutant,
-        plan=plan.to_json(), deadline=deadline, end_time=sim.now,
-        oracle_fingerprint=oracle_fingerprint,
-        chaos_applied=len(chaos.log),
-    )
+    outcome = TrialOutcome(deadline=deadline, end_time=sim.now,
+                           oracle_fingerprint=oracle_fingerprint)
     if exc is not None:
         if any(marker in str(exc) for marker in _ALL_DEAD_MARKERS):
             outcome.all_slots_dead = True
@@ -328,11 +316,6 @@ def run_trial(
         outcome.session_failovers = sum(s.failovers for s in sessions)
         outcome.lease_expiries = sum(s.lease_expiries for s in sessions)
         outcome.slow_migrations = sum(s.slow_migrations for s in sessions)
-        outcome.dead_sessions = sum(1 for s in sessions if s.dead)
-        outcome.live_on_excluded = sorted(
-            name_of.get(s.addr, s.addr) for s in sessions
-            if not s.dead and s.addr in s.excluded
-        )
         rehired = []
         for s in sessions:
             seen = set()

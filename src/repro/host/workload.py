@@ -56,7 +56,7 @@ class SuperPiWorkload:
         self._proc = self.sim.process(self._spin(), name=f"superpi@{self.machine.name}")
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
+        if self._proc is not None:
             self._proc.interrupt("stop")
 
     def _spin(self):

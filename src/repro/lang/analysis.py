@@ -703,7 +703,6 @@ class CompiledRequirement:
     """Cacheable unit: an analyzed requirement whose parse is compiled to
     closures and ready to evaluate (``evaluate(compiled.program, params)``)."""
 
-    source: str
     #: the parse itself — the one program the wizard runs
     program: Program
     diagnostics: tuple[Diagnostic, ...]
@@ -723,12 +722,11 @@ def compile_requirement(text: str) -> CompiledRequirement:
     except LangError:
         # even recovery failed (lexer-level garbage): unevaluable program
         return CompiledRequirement(
-            source=text, program=Program(), diagnostics=(),
+            program=Program(), diagnostics=(),
             unsatisfiable=False, parse_failed=True,
         )
     compile_program(result.program)
     return CompiledRequirement(
-        source=text,
         program=result.program,
         diagnostics=tuple(result.diagnostics),
         unsatisfiable=result.unsatisfiable,

@@ -288,10 +288,10 @@ class TestLifecycle:
         assert codes(report) == expected
 
     @pytest.mark.parametrize("race", [
-        "    fired = yield sim.all_of([get, sim.timeout(1.0)])\n",
+        "    fired = yield sim.any_of([get, sim.timeout(1.0)])\n",
         "    race = sim.any_of([get, sim.timeout(1.0)])\n"
         "    fired = yield race\n",
-    ], ids=["all_of", "any_of-built-before-yield"])
+    ], ids=["any_of-yielded", "any_of-built-before-yield"])
     def test_every_condition_races_its_getters(self, tmp_path, race):
         report = analyze(tmp_path, mod=(
             "def pull(conn, sim):\n"
@@ -445,7 +445,7 @@ class TestClientPath:
 
     @pytest.mark.parametrize("setup, race, col", [
         ("get = sock.recv()", "sim.any_of([get, stop])", 30),
-        ("get = lst.accept()", "sim.all_of((stop, get))", 36),
+        ("get = lst.accept()", "sim.any_of((stop, get))", 36),
         ("pass", "sim.any_of([sock.recv(), stop])", 30),
     ], ids=["named-recv", "named-accept", "inline-recv"])
     def test_untimed_race_is_flagged_at_its_getter(self, tmp_path, setup,

@@ -4,9 +4,11 @@ logged no-op — never a crash — when its precondition does not hold."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.faults import ChaosController, FaultPlan
+from repro.faults import FAULT_KINDS, ChaosController, FaultEvent, FaultPlan
 from repro.worlds import FAILOVER_CONFIG, build_star
 
 
@@ -85,6 +87,43 @@ class TestAdversarialOrderings:
         chaos = _run(plan)
         # insertion order breaks the tie: kill then restart -> up again
         assert ("s5", "worker") not in chaos.deployment.down_daemons
+
+
+#: one event of every kind, each applicable on the failover world once
+#: the event its kind undoes (``_UNDOES``) has run
+_EVENT = {e.kind: e for e in (
+    FaultEvent(3.0, "crash-host", "s0"),
+    FaultEvent(3.0, "restart-host", "s0"),
+    FaultEvent(3.0, "link-down", "s0", peer="sw-g1"),
+    FaultEvent(3.0, "link-up", "s0", peer="sw-g1"),
+    FaultEvent(3.0, "kill-daemon", "s1", peer="worker"),
+    FaultEvent(3.0, "restart-daemon", "s1", peer="worker"),
+    FaultEvent(3.0, "loss-burst", "s0", value=0.5, duration=1.0,
+               direction="tx"),
+    FaultEvent(3.0, "slow-host", "s0", value=4.0, duration=1.0),
+    FaultEvent(3.0, "degrade-link", "s0", peer="sw-g1", duration=1.0,
+               direction="fwd", params=(("jitter", 0.01), ("latency", 0.2))),
+    FaultEvent(3.0, "skew-clock", "s0", value=-5.0, duration=1.0,
+               params=(("drift", 0.01),)),
+)}
+_UNDOES = {"restart-host": "crash-host", "link-up": "link-down",
+           "restart-daemon": "kill-daemon"}
+
+
+class TestLogLines:
+    def test_every_kind_has_a_case(self):
+        assert set(_EVENT) == FAULT_KINDS
+
+    @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+    def test_applied_event_logs_its_description(self, kind):
+        """The controller writes no text of its own: an applied event's
+        ``chaos.log`` line is ``event.describe()``."""
+        event, plan = _EVENT[kind], FaultPlan()
+        if kind in _UNDOES:
+            plan.add(replace(_EVENT[_UNDOES[kind]], at=2.0))
+        chaos = _run(plan.add(event), until=5.0)
+        assert chaos.log[-1] == (3.0, event.describe())
+        assert len(chaos.log) == len(plan)  # no event was a no-op
 
 
 class TestAdversarialFuzz:

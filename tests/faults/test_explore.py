@@ -26,9 +26,9 @@ from repro.faults.explore import (
 )
 from repro.faults.invariants import INVARIANTS, TrialOutcome, check_all
 from repro.faults.plan import FaultPlan
-from repro.faults.scenarios import SCENARIOS, fault_surface, run_trial
+from repro.faults.scenarios import SCENARIOS, run_trial
 from repro.sim.rand import RandomStreams
-from repro.worlds import build_star
+from repro.worlds import build_star, star_surface
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -36,8 +36,7 @@ CORPUS = Path(__file__).parent / "corpus"
 def _outcome(**kw) -> TrialOutcome:
     """A clean, completed trial; override fields to trip one oracle."""
     base = dict(
-        scenario="matmul", world_seed=0, completed=True, deadline=100.0,
-        end_time=10.0, elapsed=4.0, fingerprint="abc",
+        completed=True, deadline=100.0, end_time=10.0, elapsed=4.0, fingerprint="abc",
         oracle_fingerprint="abc", blocks_done=160, blocks_total=160,
         requeued=2, failovers=1, session_failovers=1,
     )
@@ -68,9 +67,6 @@ class TestInvariants:
         (v,) = check_all(_outcome(rehired_corpses=["10.0.1.4:9000"]))
         assert v.invariant == "safety.lease-owner"
         assert v.site == "session.rehire"
-        # a sibling's pessimistic exclusion racing a re-adoption is
-        # documented telemetry, not an ownership violation
-        assert check_all(_outcome(live_on_excluded=["10.0.1.4:9000"])) == []
 
     def test_telemetry_counters(self):
         (v,) = check_all(_outcome(slow_migrations=-1))
@@ -96,7 +92,7 @@ class TestInvariants:
 class TestGeneratorCoverage:
     def test_generated_plans_stay_on_surface(self):
         spec = SCENARIOS["grayfail"]
-        surface = fault_surface(spec)
+        surface = star_surface(spec.app, spec.control_plane)
         hosts = set(surface["hosts"]) | {a for a, _ in surface["links"]} | \
             {b for _, b in surface["links"]}
         for seed in range(10):
@@ -112,7 +108,7 @@ class TestGeneratorCoverage:
         every host, link and daemon it names must resolve, and a
         generated plan must apply without one unknown-target note."""
         spec = SCENARIOS[name]
-        surface = fault_surface(spec)
+        surface = star_surface(spec.app, spec.control_plane)
         star = build_star(replicas=2, app=spec.app)
         plan = generate_plan(random.Random(0), spec, surface)
         chaos = ChaosController(star.dep, plan)
@@ -133,7 +129,7 @@ class TestGeneratorCoverage:
         the cell totals stay 7 or 10 kinds x 3 phases."""
         report = explore(budget=0)
         for name, spec in SCENARIOS.items():
-            surface = fault_surface(spec)
+            surface = star_surface(spec.app, spec.control_plane)
             kinds = FaultPlan.random_kinds(surface["links"], surface["daemons"],
                                            spec.gray)
             drawn = {event.kind for i in range(200) for event in generate_plan(
@@ -166,7 +162,8 @@ class TestShrinker:
         """Synthetic failing predicate whose minimal plan is one event:
         ddmin must reach it and the result must still satisfy it."""
         spec = SCENARIOS["matmul"]
-        plan = generate_plan(random.Random(3), spec, fault_surface(spec))
+        plan = generate_plan(random.Random(3), spec,
+                             star_surface(spec.app, spec.control_plane))
         plan.crash_host(2.0, "s0")
 
         def failing(p: FaultPlan) -> bool:
@@ -182,7 +179,8 @@ class TestShrinker:
 
     def test_shrink_budget_exhaustion_still_returns_failing_plan(self):
         spec = SCENARIOS["matmul"]
-        plan = generate_plan(random.Random(3), spec, fault_surface(spec))
+        plan = generate_plan(random.Random(3), spec,
+                             star_surface(spec.app, spec.control_plane))
         plan.crash_host(2.0, "s0")
 
         def failing(p: FaultPlan) -> bool:
@@ -243,6 +241,8 @@ class TestCorpus:
         assert len(corpus) >= 2
         for _path, ce in corpus:
             assert ce.invariant in INVARIANTS
+            # a plan is its events: nothing else rides in the artifact
+            assert set(ce.plan) == {"version", "events"}
             assert FaultPlan.from_json(ce.plan).events()
             assert ce.mutant == "drop-checkpoint"
 

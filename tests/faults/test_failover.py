@@ -53,7 +53,7 @@ def run_matmul_job(seed: int = 0, fault: str = "none", **instruments):
         out["victim"] = star.addrs[victim]
         out["quarantined_wizards_at_connect"] = job.client._wizard_quarantine.active()
         if fault == "server":
-            return FaultPlan().kill_server_mid_stream(now + 2.5, victim)
+            return FaultPlan().crash_host(now + 2.5, victim)
         if fault == "partition":
             return FaultPlan().partition(now + 2.5, victim,
                                          star_uplink(victim))
@@ -171,7 +171,7 @@ class TestServerKill:
                 sessions, data_kb=MASSD_DATA_KB, blk_kb=MASSD_BLK_KB),
             sessions=1,
             mid_fault=lambda now, victim:
-                FaultPlan().kill_server_mid_stream(now + 1.0, victim))
+                FaultPlan().crash_host(now + 1.0, victim))
         star.cluster.run(until=60.0)
         result = job.result
         assert result is not None, "massd job never completed"

@@ -11,6 +11,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
+from repro.sim.rand import RandomStreams
 
 
 def _kitchen_sink() -> FaultPlan:
@@ -44,12 +45,22 @@ class TestRoundTrip:
         clone = FaultPlan.from_json(plan.to_json())
         assert clone.events() == plan.events()
 
-    def test_provenance_survives(self):
-        plan = _kitchen_sink()
-        clone = FaultPlan.from_json(plan.to_json())
-        assert clone.provenance == plan.provenance
-        builders = [p["builder"] for p in plan.provenance]
-        assert builders == ["partition", "flap_link", "gray_failure_storm"]
+    def test_json_is_version_and_events(self):
+        """Every compound builder leaves only its events behind."""
+        plan = (FaultPlan.random_plan(RandomStreams(0).stream("json"),
+                                      horizon=20.0,
+                                      hosts=["s0", "s1"],
+                                      links=[("s0", "sw")],
+                                      daemons=[("s1", "worker")], gray=True)
+                .partition(1.0, "s0", "sw", duration=2.0)
+                .flap_link(4.0, "s1", "sw", period=1.0, count=2)
+                .kill_wizard_during_request(5.0, "wiz", restart_after=3.0)
+                .gray_failure_storm(6.0, duration=2.0, slow_host="s0",
+                                    skew_host="s1"))
+        data = plan.to_json()
+        assert set(data) == {"version", "events"}
+        assert len(data["events"]) == len(plan)
+        assert FaultPlan.from_json(data).to_json() == data
 
     def test_params_round_trip_exactly(self):
         plan = FaultPlan().add(FaultEvent(
@@ -92,7 +103,7 @@ class TestValidation:
 
 def fingerprint(plan: FaultPlan) -> str:
     """Digest of the plan's serialized events (sorted keys, no
-    whitespace); the provenance is left out."""
+    whitespace)."""
     text = json.dumps(plan.to_json()["events"], sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -105,14 +116,14 @@ class TestGoldenFingerprint:
     def test_kitchen_sink_fingerprint(self):
         assert fingerprint(_kitchen_sink()) == "295c7a947e4d5e62"
 
-    def test_fingerprint_ignores_provenance(self):
-        with_prov = FaultPlan().partition(1.0, "a", "b", duration=2.0)
+    def test_compound_builder_is_its_events(self):
+        built = FaultPlan().partition(1.0, "a", "b", duration=2.0)
         bare = FaultPlan([
             FaultEvent(1.0, "link-down", "a", peer="b"),
             FaultEvent(3.0, "link-up", "a", peer="b"),
         ])
-        assert with_prov.provenance and not bare.provenance
-        assert fingerprint(with_prov) == fingerprint(bare)
+        assert built.to_json() == bare.to_json()
+        assert fingerprint(built) == fingerprint(bare)
 
     def test_fingerprint_sensitive_to_values(self):
         a = FaultPlan().crash_host(1.0, "x")
