@@ -4,9 +4,10 @@ stability.
 Three measurements:
 
 * ``search``      — a healthy-build sweep (no mutant) over the matmul
-  and massd scenarios: trials/minute of the single-worker engine, and
-  the kind x phase coverage those trials bought.  A healthy build must
-  come back violation-free.
+  and massd scenarios, run ``SWEEP_RUNS`` times: trials/minute of the
+  single-worker engine as the median and quartiles of those runs, and
+  the kind x phase coverage the trials bought (identical in every run).
+  A healthy build must come back violation-free.
 * ``mutant_hunt`` — the seeded ``drop-checkpoint`` mutant: how fast the
   search trips an invariant, and how far ddmin + value shrinking get
   the triggering plan (the acceptance bar is <= 25% of the original
@@ -16,8 +17,12 @@ Three measurements:
   recorded invariant must trip again.
 
 Wall-clock figures (``wall_s``, ``trials_per_min``) vary with the
-machine; everything else in the artefact is pure simulation output and
-deterministic.  The criterion gates only the deterministic metrics.
+machine and from run to run; everything else in the artefact is pure
+simulation output and deterministic.  The criterion gates only the
+deterministic metrics.  ``search.resolves_10_pct`` says whether the
+distance between the quartiles of trials/min is under 10 % of their
+median: only then does a 10 % change of the median stand out from the
+run-to-run spread.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_explore.py``.
 """
@@ -25,6 +30,7 @@ Run with ``PYTHONPATH=src python benchmarks/bench_explore.py``.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -37,13 +43,23 @@ CORPUS = Path(__file__).parent.parent / "tests" / "faults" / "corpus"
 
 HEALTHY_BUDGET = 40
 MUTANT_BUDGET = 10
+#: healthy sweeps timed: one run's trials/min spreads by over 40 %
+SWEEP_RUNS = 5
 
 
 def main() -> dict:
-    t0 = time.perf_counter()
-    healthy = explore(budget=HEALTHY_BUDGET, seed=0,
-                      scenarios=["matmul", "massd"])
-    sweep_s = time.perf_counter() - t0
+    sweeps, walls = [], []
+    for _ in range(SWEEP_RUNS):
+        t0 = time.perf_counter()
+        sweeps.append(explore(budget=HEALTHY_BUDGET, seed=0,
+                              scenarios=["matmul", "massd"]))
+        walls.append(time.perf_counter() - t0)
+    healthy = sweeps[0]
+    same = all((s.trials_run, len(s.violations), s.coverage)
+               == (healthy.trials_run, len(healthy.violations),
+                   healthy.coverage) for s in sweeps)
+    rates = [healthy.trials_run / (wall / 60.0) for wall in walls]
+    q1, median, q3 = statistics.quantiles(rates, n=4)
 
     t0 = time.perf_counter()
     hunt = explore(budget=MUTANT_BUDGET, seed=0, scenarios=["matmul"],
@@ -61,8 +77,13 @@ def main() -> dict:
             "budget": HEALTHY_BUDGET,
             "trials_run": healthy.trials_run,
             "violations": len(healthy.violations),
-            "wall_s": round(sweep_s, 1),
-            "trials_per_min": round(healthy.trials_run / (sweep_s / 60.0), 1),
+            "runs": SWEEP_RUNS,
+            "runs_identical": same,
+            "wall_s": round(statistics.median(walls), 1),
+            "trials_per_min": {"q1": round(q1, 1),
+                               "median": round(median, 1),
+                               "q3": round(q3, 1)},
+            "resolves_10_pct": q3 - q1 < 0.1 * median,
             "coverage_cells": {
                 name: f"{cov['cells']}/{cov['total']}"
                 for name, cov in healthy.coverage.items()
@@ -83,11 +104,13 @@ def main() -> dict:
             "all_stable": all(r["stable"] for r in replays),
             "all_reproduced": all(r["reproduced"] for r in replays),
         },
-        "criterion": ("healthy sweep violation-free; mutant found and "
-                      "shrunk to <= 25% of original events; every corpus "
-                      "CE replays byte-stably and reproduces"),
+        "criterion": ("healthy sweeps violation-free and identical; "
+                      "mutant found and shrunk to <= 25% of original "
+                      "events; every corpus CE replays byte-stably and "
+                      "reproduces"),
         "criterion_met": (
             not healthy.found
+            and same
             and hunt.found
             and ratio <= 0.25
             and bool(replays)

@@ -127,22 +127,21 @@ class WaitNames:
         self.timeouts: set[str] = set()
 
     def bind(self, target: ast.expr, value: ast.expr) -> None:
-        """Note ``target = value``.  ``c = yield lst.accept()`` binds
-        the accepted connection, not a getter."""
+        """Note ``target = value``.  A yielded receive (``c = yield
+        lst.accept()``) binds what it received, not a getter."""
         if not isinstance(target, ast.Name):
             return
-        accepted = False
+        received = False
         if (isinstance(value, (ast.Yield, ast.YieldFrom))
                 and value.value is not None):
-            accepted = isinstance(value, ast.Yield)
+            received = isinstance(value, ast.Yield)
             value = value.value
         func = _called_attr(value)
         if func is None:
             return
         if func.attr == "timeout":
             self.timeouts.add(target.id)
-        elif func.attr in BLOCKING_RECV_ATTRS and not (
-                accepted and func.attr == "accept"):
+        elif func.attr in BLOCKING_RECV_ATTRS and not received:
             self.getters[target.id] = func
 
     def untimed(

@@ -39,18 +39,18 @@ lambdas included, and decided by source position once it is done:
 getter (a name bound from ``.get()``/``.recv()``, or such a call written
 inline) against a non-getter competitor.  The losing getter must be
 withdrawn later in the source: passed to ``.cancel(...)``, its owner
-closed/aborted/stopped/suspended/cancelled, or its owner removed from a
-registry (``remove``/``discard``/``pop``).  An inline getter has no name
-to cancel and is flagged outright.  A getter whose owner is neither a
+released (``_RELEASE_ATTRS``) or removed from a registry
+(``_UNREGISTER_ATTRS``).  An inline getter has no name to cancel and is
+flagged outright.  A getter whose owner is neither a
 parameter nor bound in the function (a closure or global) is skipped:
 the scope that owns it cleans up.  This is the ``recv_timeout`` leak
 shape: an abandoned getter silently eats the *next* item.
 
-**REPRO403** — a handle acquired into a local (``udp_socket``/``listen``/
-``icmp_tap``/``ReliableSocket(...)``) that neither escapes (argument,
-return, yield, attribute/subscript store, container literal) nor is
-released (``close``/``abort``/``stop``/``suspend``) anywhere in the
-function: it leaks on every path.
+**REPRO403** — a handle acquired into a local (what
+:func:`~repro.analysis.typestate.machines.acquisition` classifies) that
+neither escapes (argument, return, yield, attribute/subscript store,
+container literal) nor is released by its machine's own ``close_ops``
+anywhere in the function: it leaks on every path.
 """
 
 from __future__ import annotations
@@ -63,19 +63,23 @@ from ..concurrency import (BLOCKING_RECV_ATTRS, CONDITION_ATTRS,
                            GETTER_ATTRS, SEND_ATTRS, WaitNames,
                            condition_members, handoff)
 from ..engine import FileUnit
+from ..typestate.machines import (TCP_CONNECTION, TCP_LISTENER, UDP_SOCKET,
+                                  Acquisition, acquisition)
 from .symbols import FunctionInfo, SymbolTable
 
 __all__ = ["FunctionTrace", "TraceExtractor", "deadlock_diagnostics"]
 
-_ACQUIRE_SOCKET = "udp_socket"
-_ACQUIRE_LISTEN = "listen"
 _MAX_INLINE_DEPTH = 6
-#: REPRO402: what withdraws a getter that lost its race
+#: REPRO402: what withdraws a getter that lost its race (its owner is
+#: untyped, so no declared machine says)
 _RELEASE_ATTRS = frozenset({"close", "abort", "stop", "suspend", "cancel"})
 _UNREGISTER_ATTRS = frozenset({"remove", "discard", "pop"})
-#: REPRO403: acquisitions
-_ACQUIRE_ATTRS = frozenset({_ACQUIRE_SOCKET, _ACQUIRE_LISTEN, "icmp_tap"})
-_ACQUIRE_NAMES = frozenset({"ReliableSocket"})
+#: machine -> channel role of a handle acquired with its port first;
+#: role -> the channel a wait on it blocks on / a send on it feeds
+_PORT_ROLES = {UDP_SOCKET.name: "udp", TCP_LISTENER.name: "lst"}
+_WAIT_CHANS = {"udp": "u:{}", "lst": "lst:{}", "acc": "d:{}:a",
+               "con": "d:{}:c"}
+_SEND_CHANS = {"acc": "d:{}:c", "con": "d:{}:a"}
 #: what a subtree does to the names in it (see :func:`_marks`)
 _ESCAPE, _BIND = 1, 2
 
@@ -94,7 +98,6 @@ class Op:
 class FunctionTrace:
     """The ordered op trace of one function."""
 
-    fn: FunctionInfo
     unit: FileUnit
     ops: list[Op]
 
@@ -112,8 +115,7 @@ class TraceExtractor:
             fn = table.functions[qual]
             unit = table.unit_of[fn.module]
             walker = _FunctionWalker(table, fn)
-            self.traces[qual] = FunctionTrace(fn=fn, unit=unit,
-                                              ops=walker.ops)
+            self.traces[qual] = FunctionTrace(unit=unit, ops=walker.ops)
             self.leaks.extend((unit, diag) for diag in walker.leaks())
 
     # -- expansion ----------------------------------------------------------
@@ -161,15 +163,17 @@ class _FunctionWalker:
         self.local: set[str] = set(fn.params) | {"self"}
         #: name -> (owner, the ``.get()``/``.recv()`` call last bound to it)
         self.pending: dict[str, tuple[str, ast.Call]] = {}
-        #: name -> (kind, the acquisition call last bound to it)
-        self.acquired: dict[str, tuple[str, ast.Call]] = {}
+        #: name -> the acquisition last bound to it
+        self.acquired: dict[str, Acquisition] = {}
         #: names that leave the function (see :func:`_marks`)
         self.escaped: set[str] = set()
         #: every ``any_of`` call, yielded or not
         self.races: list[ast.Call] = []
-        #: (how, name) -> position of the last such release, ``how`` being
-        #: "cancel" (the getter), "release" or "unregister" (its owner)
+        #: (how, name) -> position of the last call handing ``name`` to
+        #: ``cancel`` (a getter) or to ``remove``/... (``unregister``)
         self.released: dict[tuple[str, str], tuple[int, int]] = {}
+        #: (name, attr) -> position of the last ``name[.x].attr(...)`` call
+        self.called: dict[tuple[str, str], tuple[int, int]] = {}
         self._visit(fn.node, live=True, marks=0)
 
     def _visit(self, node: ast.AST, live: bool, marks: int) -> None:
@@ -230,32 +234,22 @@ class _FunctionWalker:
         self.waits.bind(target, value)
         if not isinstance(target, ast.Name):
             return
-        inner = value
-        accepted = False
-        if isinstance(inner, (ast.Yield, ast.YieldFrom)) and inner.value is not None:
-            accepted = isinstance(inner, ast.Yield)
-            inner = inner.value
-        if not isinstance(inner, ast.Call):
+        acq = acquisition(value)
+        if acq is None or acq.machine is None:
             return
-        func = inner.func
-        if not isinstance(func, ast.Attribute):
-            return
-        attr = func.attr
-        if attr == _ACQUIRE_SOCKET:
-            port = self._port(inner.args[0]) if inner.args else None
-            self.roles[target.id] = ("udp", port)
-        elif attr == _ACQUIRE_LISTEN:
-            port = self._port(inner.args[0]) if inner.args else None
-            self.roles[target.id] = ("lst", port)
-        elif attr == "connect":
-            self.roles[target.id] = ("con", self._connect_port(inner))
-        elif attr == "accept" and accepted:
-            _, port = self.roles.get(_recv_root(func), ("", None))
-            self.roles[target.id] = ("acc", port)
+        call, name = acq.call, target.id
+        if acq.name in BLOCKING_RECV_ATTRS:
+            _, port = self.roles.get(_recv_root(call.func), ("", None))
+            self.roles[name] = ("acc", port)
+        elif acq.machine is TCP_CONNECTION:
+            self.roles[name] = ("con", self._connect_port(call))
+        elif acq.machine.name in _PORT_ROLES:
+            port = self._port(call.args[0]) if call.args else None
+            self.roles[name] = (_PORT_ROLES[acq.machine.name], port)
 
     def _wait(self, node: ast.expr, func: ast.Attribute) -> None:
         self.ops.append(Op(kind="wait", node=node,
-                           chan=self._wait_chan(func)))
+                           chan=self._role_chan(_WAIT_CHANS, func)))
 
     def _call(self, call: ast.Call) -> list[ast.AST]:
         hand = handoff(call)
@@ -266,7 +260,8 @@ class _FunctionWalker:
             if func.attr in SEND_ATTRS:
                 self.ops.append(Op(kind="send", node=call,
                                    chan=self._send_chan(func, call)))
-            elif func.attr == "connect":
+            elif (acq := acquisition(call)) and acq.machine is TCP_CONNECTION:
+                # a connect is the message an accept waits for
                 port = self._connect_port(call)
                 self.ops.append(Op(
                     kind="send", node=call,
@@ -288,28 +283,24 @@ class _FunctionWalker:
             attr = node.func.attr
             if attr in CONDITION_ATTRS:
                 self.races.append(node)
-            if attr in _RELEASE_ATTRS:
-                self._release("release", _recv_root(node.func), node)
+            key, pos = (_recv_root(node.func), attr), _pos(node)
+            self.called[key] = max(self.called.get(key, pos), pos)
             if attr == "cancel" or attr in _UNREGISTER_ATTRS:
                 how = "cancel" if attr == "cancel" else "unregister"
                 for arg in node.args:
                     if isinstance(arg, ast.Name):
-                        self._release(how, arg.id, node)
+                        key = (how, arg.id)
+                        self.released[key] = max(
+                            self.released.get(key, pos), pos)
         elif (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)):
-            name, func = node.targets[0].id, node.value.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in GETTER_ATTRS:
-                    self.pending[name] = (_recv_root(func), node.value)
-                elif func.attr in _ACQUIRE_ATTRS:
-                    self.acquired[name] = (func.attr, node.value)
-            elif isinstance(func, ast.Name) and func.id in _ACQUIRE_NAMES:
-                self.acquired[name] = (func.id, node.value)
-
-    def _release(self, how: str, name: str, call: ast.Call) -> None:
-        key, pos = (how, name), _pos(call)
-        self.released[key] = max(self.released.get(key, pos), pos)
+                and isinstance(node.targets[0], ast.Name)):
+            name, value = node.targets[0].id, node.value
+            if (isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Attribute)
+                    and value.func.attr in GETTER_ATTRS):
+                self.pending[name] = (_recv_root(value.func), value)
+            elif (acq := acquisition(value)) is not None:
+                self.acquired[name] = acq
 
     def leaks(self) -> list[Diagnostic]:
         """REPRO402 and REPRO403, decided from the whole function's facts."""
@@ -336,11 +327,14 @@ class _FunctionWalker:
                 owner, call = self.pending[name]
                 if owner and owner not in self.local:
                     continue  # closure-owned: the enclosing scope cleans up
-                withdrawals = [("cancel", name)]
+                withdrawals = [self.released.get(("cancel", name))]
                 if owner:
-                    withdrawals += [("release", owner), ("unregister", owner)]
-                if any(self.released.get(key, (0, 0)) > _pos(race)
-                       for key in withdrawals):
+                    withdrawals += [self.called.get((owner, attr))
+                                    for attr in _RELEASE_ATTRS]
+                    withdrawals.append(self.released.get(("unregister",
+                                                          owner)))
+                if any(pos is not None and pos > _pos(race)
+                       for pos in withdrawals):
                     continue
                 out.append(make(
                     "REPRO402",
@@ -350,15 +344,17 @@ class _FunctionWalker:
                     f"(the PR 4 recv_timeout leak shape)",
                     line=call.lineno, col=call.col_offset))
         for name in sorted(self.acquired):
-            if name in self.escaped or ("release", name) in self.released:
+            acq = self.acquired[name]
+            ops = sorted(acq.machine.close_ops) if acq.machine else []
+            if name in self.escaped or any((name, op) in self.called
+                                           for op in ops):
                 continue
-            kind, call = self.acquired[name]
+            by = f" ({'/'.join(ops)})" if ops else ""
             out.append(make(
                 "REPRO403",
-                f"{kind} handle {name!r} acquired in {qual} neither "
-                f"escapes nor is released (close/abort/stop/suspend) — it "
-                f"leaks on every path",
-                line=call.lineno, col=call.col_offset))
+                f"{acq.name} handle {name!r} acquired in {qual} neither "
+                f"escapes nor is released{by} — it leaks on every path",
+                line=acq.call.lineno, col=acq.call.col_offset))
         return out
 
     # -- channel normalization ----------------------------------------------
@@ -387,41 +383,25 @@ class _FunctionWalker:
                 return self._port(kw.value)
         return None
 
-    def _wait_chan(self, func: ast.Attribute) -> "str | None":
-        kind, port = self.roles.get(_recv_root(func), ("", None))
-        if port is None:
-            return None
-        if kind == "udp":
-            return f"u:{port}"
-        if kind == "lst":
-            return f"lst:{port}"
-        if kind == "acc":
-            return f"d:{port}:a"
-        if kind == "con":
-            return f"d:{port}:c"
-        return None
-
     def _send_chan(self, func: ast.Attribute,
                    call: ast.Call) -> "str | None":
         if func.attr == "sendto":
             port = (self._port(call.args[1])
                     if len(call.args) >= 2 else None)
             return f"u:{port}" if port is not None else None
+        return self._role_chan(_SEND_CHANS, func)
+
+    def _role_chan(self, chans: dict[str, str],
+                   func: ast.Attribute) -> "str | None":
         kind, port = self.roles.get(_recv_root(func), ("", None))
-        if port is None:
-            return None
-        # a send on the accepted side feeds the connecting side's recv
-        if kind == "acc":
-            return f"d:{port}:c"
-        if kind == "con":
-            return f"d:{port}:a"
-        return None
+        return (chans[kind].format(port)
+                if port is not None and kind in chans else None)
 
 
-def _recv_root(func: ast.Attribute) -> str:
+def _recv_root(func: ast.expr) -> str:
     """The local name a channel method hangs off (``sock.recv`` ->
     ``sock``, ``sock.rx.get`` -> ``sock``)."""
-    node: ast.expr = func.value
+    node = func
     while isinstance(node, ast.Attribute):
         node = node.value
     return node.id if isinstance(node, ast.Name) else ""

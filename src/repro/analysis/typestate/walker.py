@@ -1,14 +1,13 @@
 """Path-sensitive typestate walker (REPRO600/602/605).
 
 One function at a time, the walker tracks locals bound to a protocol
-resource — a ``TcpConnection`` from a driven ``yield from
-tcp.connect(...)``, a ``TcpListener`` from ``.listen(...)``, a
-``UdpSocket`` getter handle, a ``ReliableSocket``/``SmartSession``
-constructor call — as a *set of possible machine states*, and checks
-every op against the declared transition tables in
-:mod:`.machines`.  An op no possible state permits is REPRO600,
-whatever the op: a double close, a send after close or before the
-handshake and a re-open from a forbidden state are the same finding.
+resource — every handle :func:`.machines.acquisition` classifies, an
+accepted ``TcpConnection`` only from a tracked listener — as a *set of
+possible machine states*, and checks every op against the declared
+transition tables in :mod:`.machines`.  An op no possible state permits
+is REPRO600, whatever the op: a double close, a send after close or
+before the handshake and a re-open from a forbidden state are the same
+finding.
 
 The analysis is deliberately biased toward **definite** errors:
 
@@ -42,10 +41,9 @@ import ast
 from dataclasses import dataclass
 
 from ...lang.diagnostics import Diagnostic, make
-from ..concurrency import handoff
+from ..concurrency import BLOCKING_RECV_ATTRS, handoff
 from ..flow.symbols import FunctionInfo
-from .machines import (RELIABLE_SOCKET, SMART_SESSION, TCP_CONNECTION,
-                       TCP_LISTENER, UDP_SOCKET, Machine)
+from .machines import TCP_CONNECTION, Machine, acquisition
 
 __all__ = ["TypestateWalker"]
 
@@ -56,10 +54,6 @@ class _St:
 
     states: frozenset[str]
     spawn_line: int = 0  # non-zero once the object escaped into a spawn
-
-    @property
-    def spawned(self) -> bool:
-        return self.spawn_line != 0
 
 
 @dataclass
@@ -84,10 +78,6 @@ class _Exit:
 _Env = dict[str, _St]
 
 
-def _copy(env: _Env) -> _Env:
-    return dict(env)
-
-
 def _merge(*envs: "_Env | None") -> "_Env | None":
     """Join point: union the state sets; a name must be tracked on
     every live path to stay tracked."""
@@ -108,13 +98,12 @@ def _merge(*envs: "_Env | None") -> "_Env | None":
 class TypestateWalker:
     """Walk functions one at a time."""
 
-    def __init__(self) -> None:
-        # per-function state, reset by walk_function
-        self.findings: list[Diagnostic] = []
-        self.vars: dict[str, _VarInfo] = {}
-        self.released: set[str] = set()
-        self.exits: list[_Exit] = []
-        self._exc_labels: list[str] = []
+    # per-function state, reset by walk_function
+    findings: list[Diagnostic]
+    vars: dict[str, _VarInfo]
+    released: set[str]
+    exits: list[_Exit]
+    _exc_labels: list[str]
 
     # -- entry ---------------------------------------------------------------
     def walk_function(self, fn: FunctionInfo) -> tuple[list[Diagnostic], int]:
@@ -146,19 +135,19 @@ class TypestateWalker:
     def _walk_stmt(self, stmt: ast.stmt, env: _Env) -> "_Env | None":
         if isinstance(stmt, ast.If):
             self._scan_expr(stmt.test, env)
-            then_out = self._walk_body(stmt.body, _copy(env))
-            else_out = self._walk_body(stmt.orelse, _copy(env))
+            then_out = self._walk_body(stmt.body, dict(env))
+            else_out = self._walk_body(stmt.orelse, dict(env))
             return _merge(then_out, else_out)
         if isinstance(stmt, ast.While):
             self._scan_expr(stmt.test, env)
-            body_out = self._walk_body(stmt.body, _copy(env))
+            body_out = self._walk_body(stmt.body, dict(env))
             merged = _merge(env, body_out)
             return self._walk_body(stmt.orelse, merged)
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._scan_expr(stmt.iter, env)
             for name in _target_names(stmt.target):
                 env.pop(name, None)
-            body_out = self._walk_body(stmt.body, _copy(env))
+            body_out = self._walk_body(stmt.body, dict(env))
             merged = _merge(env, body_out)
             return self._walk_body(stmt.orelse, merged)
         if isinstance(stmt, ast.Try):
@@ -172,18 +161,18 @@ class TypestateWalker:
             return self._walk_body(stmt.body, env)
         if isinstance(stmt, ast.Return):
             if isinstance(stmt.value, ast.Name):
-                self._escape(stmt.value.id, env)
+                env.pop(stmt.value.id, None)
             else:
                 self._scan_expr(stmt.value, env)
             self.exits.append(_Exit(
-                line=stmt.lineno, col=stmt.col_offset, env=_copy(env),
+                line=stmt.lineno, col=stmt.col_offset, env=dict(env),
                 exceptional=bool(self._exc_labels),
                 label=self._exc_labels[-1] if self._exc_labels else ""))
             return None
         if isinstance(stmt, ast.Raise):
             self._scan_expr(stmt.exc, env)
             self.exits.append(_Exit(
-                line=stmt.lineno, col=stmt.col_offset, env=_copy(env),
+                line=stmt.lineno, col=stmt.col_offset, env=dict(env),
                 exceptional=True, label=_raise_label(stmt, self._exc_labels)))
             return None
         if isinstance(stmt, (ast.Break, ast.Continue)):
@@ -192,9 +181,8 @@ class TypestateWalker:
                              ast.ClassDef)):
             # a nested def capturing a tracked local may drive its
             # lifecycle later — that is an escape
-            for name in sorted({n.id for n in ast.walk(stmt)
-                                if isinstance(n, ast.Name)} & env.keys()):
-                self._escape(name, env)
+            for name in _target_names(stmt):
+                env.pop(name, None)
             return env
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             return self._walk_assign(stmt, env)
@@ -202,7 +190,7 @@ class TypestateWalker:
             value = stmt.value
             if (isinstance(value, ast.Yield)
                     and isinstance(value.value, ast.Name)):
-                self._escape(value.value.id, env)  # consumer owns it now
+                env.pop(value.value.id, None)  # consumer owns it now
             else:
                 self._scan_expr(value, env)
             return env
@@ -217,7 +205,7 @@ class TypestateWalker:
         return env
 
     def _walk_try(self, stmt: ast.Try, env: _Env) -> "_Env | None":
-        before = _copy(env)
+        before = dict(env)
         mark = len(self.exits)
         body_out = self._walk_body(stmt.body, env)
         # a handler can be entered from any point inside the body
@@ -226,7 +214,7 @@ class TypestateWalker:
         for handler in stmt.handlers:
             label = _handler_label(handler)
             self._exc_labels.append(label)
-            outs.append(self._walk_body(handler.body, _copy(handler_entry)))
+            outs.append(self._walk_body(handler.body, dict(handler_entry)))
             self._exc_labels.pop()
         if stmt.orelse:
             body_out = self._walk_body(stmt.orelse, body_out)
@@ -240,7 +228,7 @@ class TypestateWalker:
                     ex.env.pop(name, None)
             merged = self._walk_body(stmt.finalbody,
                                      merged if merged is not None
-                                     else _copy(handler_entry))
+                                     else dict(handler_entry))
             if not outs or all(o is None for o in outs):
                 return None
         return merged
@@ -284,52 +272,36 @@ class TypestateWalker:
                 else:
                     if isinstance(value, ast.Name):
                         # aliasing: two names, one lifecycle — stop
-                        self._escape(value.id, env)
+                        env.pop(value.id, None)
                     env.pop(target.id, None)
             elif isinstance(target, (ast.Tuple, ast.List)):
                 for name in _target_names(target):
                     env.pop(name, None)
             else:  # attribute/subscript store
                 if isinstance(value, ast.Name):
-                    self._escape(value.id, env)
+                    env.pop(value.id, None)
         return env
 
     def _acquisition(self, value: ast.expr,
                      env: _Env) -> "tuple[Machine, str] | None":
         """Does this RHS bind a fresh protocol resource, and in which
         state?"""
-        yielded = isinstance(value, ast.Yield) and value.value is not None
-        driven = isinstance(value, ast.YieldFrom)
-        inner = value.value if isinstance(
-            value, (ast.Yield, ast.YieldFrom)) else value
-        if not isinstance(inner, ast.Call):
+        acq = acquisition(value)
+        if acq is None or acq.machine is None:
             return None
-        func = inner.func
-        if isinstance(func, ast.Name):
-            if func.id == RELIABLE_SOCKET.name:
-                return RELIABLE_SOCKET, RELIABLE_SOCKET.initial
-            if func.id == SMART_SESSION.name:
-                return SMART_SESSION, SMART_SESSION.initial
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        attr = func.attr
-        if attr == "udp_socket":
-            return UDP_SOCKET, UDP_SOCKET.initial
-        if attr == "listen":
-            return TCP_LISTENER, TCP_LISTENER.initial
-        if (attr == "connect" and isinstance(func.value, ast.Attribute)
-                and func.value.attr == "tcp"):
-            # driven handshake lands established; binding the un-driven
-            # generator leaves a connection no op is legal on yet
-            state = "established" if driven else "connecting"
-            return TCP_CONNECTION, state
-        if attr == "accept" and yielded and isinstance(func.value, ast.Name):
-            info = self.vars.get(func.value.id)
-            if (info is not None and info.machine is TCP_LISTENER
-                    and func.value.id in env):
-                return TCP_CONNECTION, "established"
-        return None
+        call, name, machine = acq
+        if name in BLOCKING_RECV_ATTRS:
+            # tracked only when received from a tracked handle that
+            # declares the op (``listener.accept()``)
+            owner = getattr(getattr(call.func, "value", None), "id", "")
+            if owner not in env or name not in self.vars[owner].machine.ops:
+                return None
+        elif (machine is TCP_CONNECTION
+              and not isinstance(value, ast.YieldFrom)):
+            # binding the un-driven generator leaves a connection no op
+            # is legal on yet; a driven handshake lands established
+            return machine, "connecting"
+        return machine, machine.initial
 
     # -- expression scan -----------------------------------------------------
     def _scan_expr(self, expr: "ast.expr | None", env: _Env) -> None:
@@ -339,9 +311,8 @@ class TypestateWalker:
             self._scan_call(expr, env)
             return
         if isinstance(expr, ast.Lambda):
-            for name in sorted({n.id for n in ast.walk(expr)
-                                if isinstance(n, ast.Name)} & env.keys()):
-                self._escape(name, env)
+            for name in _target_names(expr):
+                env.pop(name, None)
             return
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
@@ -385,32 +356,28 @@ class TypestateWalker:
         if id(arg) in skip:
             return
         if isinstance(arg, ast.Name):
-            self._escape(arg.id, env)
+            env.pop(arg.id, None)
             return
         if isinstance(arg, ast.Starred):
             if isinstance(arg.value, ast.Name) and arg.value.id in env:
-                self._escape(arg.value.id, env)
+                env.pop(arg.value.id, None)
             else:
                 self._scan_expr(arg.value, env)
             return
         if isinstance(arg, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
             # stored into a container: the container owns it now
-            for name in sorted({n.id for n in ast.walk(arg)
-                                if isinstance(n, ast.Name)} & env.keys()):
-                self._escape(name, env)
+            for name in _target_names(arg):
+                env.pop(name, None)
             return
         self._scan_expr(arg, env)
 
     # -- op application ------------------------------------------------------
-    def _escape(self, name: str, env: _Env) -> None:
-        env.pop(name, None)
-
     def _apply_op(self, name: str, st: _St, op: str, call: ast.Call,
                   env: _Env) -> None:
         machine = self.vars[name].machine
         if op not in machine.ops:
             return  # not a lifecycle op of this machine
-        if st.spawned and (op in machine.close_ops
+        if st.spawn_line and (op in machine.close_ops
                            or op in machine.reopen_ops):
             self.findings.append(make(
                 "REPRO605",
@@ -418,7 +385,7 @@ class TypestateWalker:
                 f"{st.spawn_line} but {op}() continues locally — the "
                 f"spawned generator owns its lifecycle",
                 line=call.lineno, col=call.col_offset))
-            self._escape(name, env)
+            env.pop(name, None)
             return
         nxt = {machine.transitions[(s, op)] for s in st.states
                if (s, op) in machine.transitions}
@@ -437,7 +404,7 @@ class TypestateWalker:
             f"{'/'.join(sorted(st.states))} — the declared machine permits "
             f"it only from {', '.join(sources)}",
             line=call.lineno, col=call.col_offset))
-        self._escape(name, env)
+        env.pop(name, None)
 
     # -- exception-path leaks (REPRO602) -------------------------------------
     def _leak_check(self) -> None:
@@ -453,7 +420,7 @@ class TypestateWalker:
             rel = set(info.machine.released)
             leaks = [ex for ex in self.exits
                      if ex.exceptional and name in ex.env
-                     and not ex.env[name].spawned
+                     and not ex.env[name].spawn_line
                      and not ex.env[name].states <= rel]
             if not leaks:
                 continue

@@ -235,6 +235,7 @@ class ServerProbe:
             if self._tcp_conn is not None:
                 self._tcp_conn.close()
                 self._tcp_conn = None
+            self._sock.close()  # each start binds a fresh port: free this one
             if self._alloc is not None and self._alloc.live:
                 machine.memory.free(self._alloc)
 

@@ -344,12 +344,13 @@ class Receiver:
                     self.pull_failures += 1
                 else:
                     feeds[addr] = _Feed(addr, conn)
+            pull = WireMessage.pull()
             for addr in self.transmitters:
                 feed = feeds.get(addr)
                 if feed is None:
                     continue
                 try:
-                    feed.conn.send(WireMessage.pull(), 8)
+                    feed.conn.send(pull, pull.wire_size)
                 except ConnectionClosed:
                     self.pull_failures += 1
                     del feeds[addr]

@@ -161,6 +161,7 @@ class _Endpoint:
 #: exception-path check (REPRO602) counts as let go.
 RELIABLE_SOCKET_MACHINE: dict[str, object] = {
     "name": "ReliableSocket",
+    "acquire": ("ReliableSocket",),
     "initial": "created",
     "states": ("created", "connected", "suspended"),
     "transitions": {

@@ -109,6 +109,7 @@ class LeaseResponder:
 #: ``stop_lease()`` is idempotent.
 SMART_SESSION_MACHINE: dict[str, object] = {
     "name": "SmartSession",
+    "acquire": ("SmartSession",),
     "initial": "open",
     "states": ("open", "leased", "closed", "dead"),
     "transitions": {

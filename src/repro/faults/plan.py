@@ -434,13 +434,18 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_json` output.  Every event is
-        re-validated through :class:`FaultEvent`, so a corrupt artifact
-        fails loudly instead of replaying something else."""
-        version = data.get("version", PLAN_SCHEMA_VERSION)
-        if version != PLAN_SCHEMA_VERSION:
-            raise ValueError(f"unsupported plan schema version {version!r}")
-        return cls(FaultEvent.from_dict(e) for e in data.get("events", ()))
+        """Rebuild a plan from :meth:`to_json` output.  The keys must be
+        exactly the ones it writes, and every event is re-validated
+        through :class:`FaultEvent`, so a corrupt or stale artifact fails
+        loudly instead of replaying something else."""
+        keys = {"version", "events"}
+        if set(data) != keys:
+            raise ValueError(f"plan keys: unknown {sorted(set(data) - keys)}"
+                             f", missing {sorted(keys - set(data))}")
+        if data["version"] != PLAN_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported plan schema version {data['version']!r}")
+        return cls(FaultEvent.from_dict(e) for e in data["events"])
 
     # -- randomised plans ---------------------------------------------------
     @staticmethod

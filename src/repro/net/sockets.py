@@ -50,6 +50,7 @@ class IcmpError:
 #: (REPRO600/602)
 UDP_SOCKET_MACHINE: dict[str, object] = {
     "name": "UdpSocket",
+    "acquire": ("udp_socket",),
     "initial": "open",
     "states": ("open", "closed"),
     "transitions": {
@@ -71,7 +72,7 @@ class UdpSocket:
     def __init__(self, stack: "NetworkStack", port: int):
         self.stack = stack
         self.port = port
-        self.rx = Store(stack.sim, capacity=RCVBUF_DATAGRAMS, drop_when_full=True)
+        self.rx = Store(stack.sim, capacity=RCVBUF_DATAGRAMS)
         self.closed = False
 
     def sendto(self, dst: str, dport: int, size: int, payload: Any = None) -> Datagram:

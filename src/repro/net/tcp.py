@@ -95,9 +95,9 @@ _FIN = ("FIN",)
 
 #: declared lifecycle of a :class:`TcpConnection`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
-#: (REPRO600/602).  ``close_ops`` end the lifecycle, ``reopen_ops``
-#: re-establish it and ``released`` names the states in which it counts
-#: as let go.  A driven
+#: (REPRO600/602).  ``acquire`` names the calls that bind one,
+#: ``close_ops`` end the lifecycle, ``reopen_ops`` re-establish it and
+#: ``released`` names the states in which it counts as let go.  A driven
 #: ``yield from tcp.connect(...)`` (or a yielded ``listener.accept()``)
 #: hands back an *established* endpoint; binding the un-driven connect
 #: generator leaves it *connecting*, where no op is legal yet.
@@ -105,6 +105,7 @@ _FIN = ("FIN",)
 #: after close.
 TCP_CONNECTION_MACHINE: dict[str, object] = {
     "name": "TcpConnection",
+    "acquire": ("tcp.connect", "accept"),
     "initial": "established",
     "states": ("connecting", "established", "closed"),
     "transitions": {
@@ -122,6 +123,7 @@ TCP_CONNECTION_MACHINE: dict[str, object] = {
 #: declared lifecycle of a :class:`TcpListener` (see above)
 TCP_LISTENER_MACHINE: dict[str, object] = {
     "name": "TcpListener",
+    "acquire": ("listen",),
     "initial": "listening",
     "states": ("listening", "closed"),
     "transitions": {

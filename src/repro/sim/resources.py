@@ -23,29 +23,23 @@ from .kernel import Event, Simulator, SimulationError
 __all__ = ["Store", "Resource", "SharedMemory", "Segment"]
 
 
-class StoreFull(SimulationError):
-    """Raised when putting into a bounded :class:`Store` past capacity."""
-
-
 class Store:
     """FIFO queue of items with event-based ``get``.
 
-    ``put`` is immediate (dropping or raising when bounded and full —
-    matching how a UDP receive buffer drops datagrams), ``get`` returns an
+    ``put`` is immediate (a bounded, full store drops the item and counts
+    it, as a UDP receive buffer drops datagrams), ``get`` returns an
     :class:`Event` that fires when an item is available.  Slotted: every
     socket's receive queue and every listener's accept queue is one.
     """
 
-    __slots__ = ("sim", "capacity", "drop_when_full", "items", "_getters",
-                 "dropped", "_hb_clocks")
+    __slots__ = ("sim", "capacity", "items", "_getters", "dropped",
+                 "_hb_clocks")
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 drop_when_full: bool = False):
+    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.drop_when_full = drop_when_full
         self.items: list[Any] = []
         self._getters: Optional[list[Event]] = None  # until one waits
         self.dropped = 0  # datagrams lost to a full buffer
@@ -66,10 +60,8 @@ class Store:
             getter.succeed(item)
             return True
         if self.capacity is not None and len(self.items) >= self.capacity:
-            if self.drop_when_full:
-                self.dropped += 1
-                return False
-            raise StoreFull(f"store at capacity {self.capacity}")
+            self.dropped += 1
+            return False
         self.items.append(item)
         hb = self.sim._hb
         if hb is not None:

@@ -17,7 +17,9 @@ import pytest
 
 from repro.analysis.cli import check_main
 from repro.analysis.engine import module_name_for
+from repro.analysis.concurrency import BLOCKING_RECV_ATTRS
 from repro.analysis.program import Program, run_checks
+from repro.analysis.typestate.machines import ACQUISITIONS
 
 REPO = Path(__file__).parent.parent.parent
 SRC = REPO / "src" / "repro"
@@ -31,6 +33,24 @@ def analyze(tmp_path: Path, **files: str):
 
 def codes(report) -> list[str]:
     return [f.diag.code for f in report.findings]
+
+
+def _acquisitions() -> list[tuple[str, str, object]]:
+    """``(right-hand side, call name, machine)`` for each acquisition
+    the declarations name: a constructor called by its class, a method
+    on ``stack`` (under its declared owner), a blocking receive
+    yielded."""
+    out = []
+    for call, machine in sorted(ACQUISITIONS.items()):
+        name = call.rpartition(".")[2]
+        if machine is not None and name == machine.name:
+            rhs = f"{name}(sim, stack)"
+        else:
+            rhs = f"stack.{call}()"
+        if name in BLOCKING_RECV_ATTRS:
+            rhs = f"yield {rhs}"
+        out.append((rhs, name, machine))
+    return out
 
 
 class TestSymbols:
@@ -325,12 +345,12 @@ class TestLifecycle:
             "    return fired\n"))
         assert codes(report) == ["REPRO402"]
 
-    @pytest.mark.parametrize("acquire, kind", [
-        ("stack.icmp_tap()", "icmp_tap"),
-        ("ReliableSocket(sim, stack)", "ReliableSocket"),
-    ])
+    @pytest.mark.parametrize("acquire, kind",
+                             [(rhs, kind) for rhs, kind, _ in _acquisitions()])
     def test_every_acquisition_kind_is_tracked(self, tmp_path, acquire,
                                                kind):
+        """Every call a ``*_MACHINE`` declaration names, plus
+        ``icmp_tap``: a new declaration is covered here unedited."""
         report = analyze(tmp_path, mod=(
             "def start(stack, sim):\n"
             f"    handle = {acquire}\n"
@@ -338,6 +358,44 @@ class TestLifecycle:
         assert codes(report) == ["REPRO403"]
         assert report.findings[0].diag.message.startswith(
             f"{kind} handle 'handle' acquired in mod.start")
+
+    @pytest.mark.parametrize("release, expected", [
+        ("sock.close()", []),
+        ("sock.stop()", ["REPRO403"]),
+        ("sock.abort()", ["REPRO403"]),
+    ], ids=["close", "stop", "abort"])
+    def test_only_a_declared_close_op_releases(self, tmp_path, release,
+                                               expected):
+        """A ``UdpSocket`` declares ``close`` alone: ``stop()`` or
+        ``abort()`` on it releases nothing, and the finding names the
+        declared op."""
+        report = analyze(tmp_path, mod=(
+            "def start(stack):\n"
+            "    sock = stack.udp_socket()\n"
+            f"    {release}\n"))
+        assert codes(report) == expected
+        if expected:
+            assert "is released (close) —" in report.findings[0].diag.message
+
+    def test_a_connect_off_the_tcp_layer_is_no_acquisition(self, tmp_path):
+        """``tcp.connect`` is declared with its owner: a topology's
+        ``net.connect`` makes a link, not a connection."""
+        report = analyze(tmp_path, mod=(
+            "def wire(net, a, b):\n"
+            "    link = net.connect(a, b)\n"
+            "    link.poke()\n"))
+        assert codes(report) == []
+
+    def test_each_machine_is_released_by_its_own_close_ops(self, tmp_path):
+        body = "".join(
+            f"def start_{i}_{op}(stack, sim):\n"
+            f"    handle = {acquire}\n"
+            f"    handle.{op}()\n"
+            for i, (acquire, _, machine) in enumerate(_acquisitions())
+            if machine is not None
+            for op in sorted(machine.close_ops))
+        assert body
+        assert codes(analyze(tmp_path, mod=body)) == []
 
     @pytest.mark.parametrize("use", [
         "    return sock\n",

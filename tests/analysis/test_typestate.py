@@ -13,6 +13,7 @@ from pathlib import Path
 from repro.analysis.cli import check_main
 from repro.analysis.program import Program, run_checks
 from repro.analysis.typestate import EXCHANGES, MACHINES
+from repro.analysis.typestate.machines import ACQUISITIONS
 from repro.core import records, rsocket, session
 from repro.net import sockets, tcp
 
@@ -56,6 +57,16 @@ class TestRegistry:
             ops = {row.split(".")[1] for row in decl["transitions"]}
             for category in ("close_ops", "reopen_ops"):
                 assert set(decl[category]) <= ops, (decl["name"], category)
+
+    def test_each_acquisition_names_one_machine(self):
+        """A call two declarations both named would acquire whichever
+        was read last."""
+        calls = [call for _, decl in declarations()
+                 for call in decl["acquire"]]
+        assert len(calls) == len(set(calls))
+        for _, decl in declarations():
+            for call in decl["acquire"]:
+                assert ACQUISITIONS[call] is MACHINES[decl["name"]]
 
     def test_exchange_default_is_a_declared_reply(self):
         replies = tuple(t for t in records.WIRE_TAG_HANDLERS

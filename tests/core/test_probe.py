@@ -137,6 +137,23 @@ class TestProbeDaemon:
         used = free_before - server.machine.memory.snapshot()["free"]
         assert used == ServerProbe.RESIDENT_BYTES
 
+    def test_restart_binds_only_what_the_first_start_bound(self):
+        """Stop closes the report socket, so a stop/start pair (what a
+        kill-daemon / restart-daemon probe pair does) leaks no port."""
+        cluster, server, probe, _ = make_probe_world()
+        before = set(server.stack.udp_ports)
+        probe.start()
+        cluster.run(until=1.5)
+        first = set(server.stack.udp_ports) - before
+        probe.stop()
+        cluster.run(until=2.0)
+        assert set(server.stack.udp_ports) == before
+        probe.start()
+        cluster.run(until=3.5)
+        again = set(server.stack.udp_ports) - before
+        assert len(first) == len(again) == 1
+        assert probe.reports_sent >= 3
+
     def test_stop_ends_reporting_and_frees_memory(self):
         cluster, server, probe, inbox = make_probe_world()
         free_before = server.machine.memory.snapshot()["free"]

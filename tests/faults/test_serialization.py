@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -93,6 +94,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown"):
             FaultEvent.from_dict(
                 {"at": 1.0, "kind": "crash-host", "target": "a", "boom": 1})
+
+    def test_unknown_plan_key_rejected(self):
+        """A key no writer emits (a stale ``provenance`` list) is named,
+        not ignored."""
+        data = _kitchen_sink().to_json()
+        data["provenance"] = []
+        with pytest.raises(ValueError, match=re.escape(
+                "plan keys: unknown ['provenance'], missing []")):
+            FaultPlan.from_json(data)
+
+    @pytest.mark.parametrize("key", ["version", "events"])
+    def test_missing_plan_key_rejected(self, key):
+        data = _kitchen_sink().to_json()
+        del data[key]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown [], missing ['{key}']")):
+            FaultPlan.from_json(data)
 
     def test_events_revalidated_on_load(self):
         data = _kitchen_sink().to_json()

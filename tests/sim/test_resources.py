@@ -46,18 +46,12 @@ class TestStore:
         assert run_process(sim, p()) == [0, 1, 2, 3, 4]
 
     def test_bounded_drop_when_full(self, sim):
-        store = Store(sim, capacity=2, drop_when_full=True)
+        store = Store(sim, capacity=2)
         assert store.put(1)
         assert store.put(2)
         assert not store.put(3)
         assert store.dropped == 1
         assert len(store) == 2
-
-    def test_bounded_raise_when_full(self, sim):
-        store = Store(sim, capacity=1)
-        store.put(1)
-        with pytest.raises(SimulationError):
-            store.put(2)
 
     def test_invalid_capacity(self, sim):
         with pytest.raises(SimulationError):
