@@ -5,13 +5,7 @@ network / security), the transmitter/receiver pair, the wizard, and the
 client library; plus the selection baselines used by the evaluation.
 """
 
-from .client import (
-    InsufficientServers,
-    Quarantine,
-    RequirementRejected,
-    SmartClient,
-    SmartReply,
-)
+from .client import Quarantine, RequirementRejected, SmartClient
 from .config import Config, DEFAULT_CONFIG, Mode, Ports, ShmKeys
 from .detector import Ewma, IncrementalQuantile, SuspicionDetector
 from .netmon import (
@@ -71,12 +65,10 @@ __all__ = [
     "WizardReply",
     "Candidate",
     "SmartClient",
-    "SmartReply",
     "Quarantine",
     "Ewma",
     "IncrementalQuantile",
     "SuspicionDetector",
-    "InsufficientServers",
     "RequirementRejected",
     "SmartSession",
     "LeaseResponder",

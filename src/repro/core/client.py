@@ -28,14 +28,15 @@ Failure hardening (beyond the thesis):
   misspelled variables, arity errors and statically-unsatisfiable
   constraints raise :class:`RequirementRejected` locally with the full
   diagnostics instead of burning a wizard round trip (disable with
-  ``precheck=False``); a wizard NAK reply is surfaced the same way.
+  ``precheck=False``); a wizard NAK reply raises it the same way.
 
 High availability (beyond the thesis): the client accepts a *ranked
 list* of wizard replicas.  Every attempt re-ranks the fleet — replicas
-under quarantine sort last, then by the freshest replica epoch seen in
-their replies, then by configured order — and sends to the best one.  A
-replica that times out or answers ``REPLY_STALE`` (its status feed died)
-is quarantined for :data:`WIZARD_QUARANTINE_PERIOD` seconds, so the
+under quarantine sort last, then fail-slow ones (below), then by the
+freshest data their replies declared, then by configured order — and
+sends to the best one.  A replica that times out or answers
+``REPLY_STALE`` (its status feed died) is quarantined for
+:data:`WIZARD_QUARANTINE_PERIOD` seconds, so the
 retry (after the usual jittered backoff) lands on the next-best replica
 instead of hammering the dead one.  Both the server and the wizard
 quarantines share one TTL-decay mechanism (:class:`Quarantine`).
@@ -47,14 +48,13 @@ client therefore feeds every request RTT into a per-replica
 :class:`~repro.core.detector.SuspicionDetector`; warm baselines shrink
 the request timeout (``baseline * TIMEOUT_SCALE``) and demote
 fail-slow replicas in the ranking (:meth:`SmartClient.slow_wizards`)
-before a single fixed timeout fires.  Replica epochs are compared on
-the *client's* clock by rebasing each reply's freshness age, so a
+before a single fixed timeout fires.  Replicas' freshness is compared
+on the *client's* clock by rebasing each reply's freshness age, so a
 replica with a skewed clock is ranked by the actual age of its data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from ..lang.analysis import CompileCache
@@ -68,8 +68,7 @@ from .detector import SuspicionDetector
 from .records import REPLY_NAK, REPLY_STALE
 from .wizard import WizardReply, WizardRequest
 
-__all__ = ["SmartClient", "SmartReply", "Quarantine", "InsufficientServers",
-           "RequirementRejected"]
+__all__ = ["SmartClient", "Quarantine", "RequirementRejected"]
 
 #: adaptive wizard-request timeout: clamp(baseline * scale, floor,
 #: client_timeout) — never waits longer than the fixed timeout, never
@@ -120,15 +119,6 @@ class Quarantine(dict):
                 del self[addr]
 
 
-class InsufficientServers(Exception):
-    """Raised in strict mode when fewer servers qualified than requested."""
-
-    def __init__(self, wanted: int, got: list[str]):
-        super().__init__(f"wanted {wanted} servers, wizard returned {len(got)}")
-        self.wanted = wanted
-        self.got = got
-
-
 class RequirementRejected(Exception):
     """A requirement failed static analysis (locally or via wizard NAK)."""
 
@@ -137,25 +127,6 @@ class RequirementRejected(Exception):
         super().__init__("\n".join(lines))
         self.reason = reason
         self.diagnostics = list(diagnostics)
-
-
-@dataclass
-class SmartReply:
-    """Outcome of one wizard round-trip."""
-
-    seq: int
-    servers: list[str] = field(default_factory=list)
-    attempts: int = 1
-    #: True when the wizard NAKed the request after static analysis
-    nak: bool = False
-    #: analyzer findings carried in a NAK reply
-    diagnostics: list = field(default_factory=list)
-    #: True when every answering replica was stale (feed dead fleet-wide)
-    stale: bool = False
-    #: which replica answered ("" when every attempt timed out)
-    wizard: str = ""
-    #: replica epoch carried in the reply (freshness of its status view)
-    epoch: float = 0.0
 
 
 class SmartClient:
@@ -197,8 +168,9 @@ class SmartClient:
         self._quarantine = Quarantine(sim, config.quarantine_period)
         #: dead-replica quarantine (timeouts / staleness NAKs)
         self._wizard_quarantine = Quarantine(sim, WIZARD_QUARANTINE_PERIOD)
-        #: freshest epoch each replica has advertised in a reply
-        self._wizard_epochs: dict[str, float] = {}
+        #: when (on our clock) the freshest data each replica has declared
+        #: in a reply was current: reply arrival minus its freshness age
+        self._wizard_fresh_at: dict[str, float] = {}
         #: replica the previous attempt used (failover telemetry)
         self.last_wizard: Optional[str] = None
         #: adaptive suspicion: per-replica RTT baselines.  Cold replicas
@@ -226,8 +198,8 @@ class SmartClient:
     def _rank_wizards(self) -> list[str]:
         """Replicas in send preference order: non-quarantined first, then
         fast before fail-slow (RTT baseline beyond ``demote_factor`` times
-        the best replica's), then by the freshest epoch each has
-        advertised, then configured order (a deterministic total order —
+        the best replica's), then by the freshest data each has
+        declared, then configured order (a deterministic total order —
         no set iteration feeds this)."""
         self._wizard_quarantine.decay()
         active = self._wizard_quarantine.active()
@@ -239,7 +211,7 @@ class SmartClient:
                 key=lambda i: (
                     self.wizard_addrs[i] in active,
                     self.wizard_addrs[i] in demoted,
-                    -self._wizard_epochs.get(self.wizard_addrs[i], 0.0),
+                    -self._wizard_fresh_at.get(self.wizard_addrs[i], 0.0),
                     i,
                 ),
             )
@@ -280,12 +252,15 @@ class SmartClient:
     # -- wizard round trip ---------------------------------------------------
     def request_servers(self, requirement: str, n: int, option: str = "",
                         precheck: bool = True):
-        """Process generator -> :class:`SmartReply`.
+        """Process generator -> the :class:`WizardReply` that answered.
 
         Retries :data:`CLIENT_RETRIES` times on timeout; a reply whose
-        sequence number does not match is ignored (§3.6.2 step 3).  With
-        ``precheck`` (the default) a statically-bad requirement raises
-        :class:`RequirementRejected` before any packet is sent.
+        sequence number does not match is ignored (§3.6.2 step 3).  Once
+        the retries are spent the result is ``WizardReply(seq=-1,
+        servers=())``; the client's counters say what the attempts met.
+        With ``precheck`` (the default) a statically-bad requirement
+        raises :class:`RequirementRejected` before any packet is sent; a
+        wizard NAK raises it when the reply arrives.
 
         Every attempt is addressed to the best-ranked wizard replica
         (:meth:`_rank_wizards`); a replica that times out or answers
@@ -297,8 +272,6 @@ class SmartClient:
             self.precheck_requirement(requirement)
         sock = self.stack.udp_socket()
         backoff = self.config.client_backoff_base
-        stale_replies = 0
-        timed_out = 0
         try:
             for attempt in range(1 + CLIENT_RETRIES):
                 if attempt > 0:
@@ -327,7 +300,6 @@ class SmartClient:
                     fired = yield self.sim.any_of([get, deadline])
                     if get not in fired:
                         self.timeouts += 1
-                        timed_out += 1
                         self._note_wizard_failure(target)
                         # withdraw the pending getter: abandoned, it would
                         # swallow the next attempt's reply
@@ -338,34 +310,28 @@ class SmartClient:
                     if not (isinstance(reply, WizardReply) and reply.seq == seq):
                         continue  # late/foreign reply: keep waiting
                     self.detector.record(target, self.sim.now - sent_at)
-                    # epoch for ranking: rebase the reply's freshness age
-                    # onto *our* clock, so a replica with a skewed clock
-                    # (epoch far in its future or past) is judged by how
-                    # fresh its data actually is, not by what its clock
-                    # claims.
+                    # freshness for ranking: rebase the reply's age onto
+                    # *our* clock, so a replica with a skewed clock is
+                    # judged by how fresh its data actually is, not by
+                    # what its clock claims.
                     if reply.freshness_age >= 0.0:
-                        self._wizard_epochs[target] = max(
-                            self._wizard_epochs.get(target, 0.0),
+                        self._wizard_fresh_at[target] = max(
+                            self._wizard_fresh_at.get(target, 0.0),
                             self.sim.now - reply.freshness_age,
                         )
                     if reply.status == REPLY_STALE:
                         # this replica's status feed died: quarantine it
                         # and retry against the next-freshest replica
                         self.stale_rejections += 1
-                        stale_replies += 1
                         self._note_wizard_failure(target)
                         break
-                    return SmartReply(
-                        seq=seq, servers=list(reply.servers),
-                        attempts=attempt + 1,
-                        nak=reply.status == REPLY_NAK,
-                        diagnostics=list(reply.diagnostics),
-                        wizard=target, epoch=reply.epoch,
-                    )
-            return SmartReply(
-                seq=-1, servers=[], attempts=1 + CLIENT_RETRIES,
-                stale=stale_replies > 0 and timed_out == 0,
-            )
+                    if reply.status == REPLY_NAK:
+                        raise RequirementRejected(
+                            "wizard rejected the requirement (static analysis NAK)",
+                            diagnostics=reply.diagnostics,
+                        )
+                    return reply
+            return WizardReply(seq=-1, servers=())
         finally:
             sock.close()
 
@@ -377,7 +343,6 @@ class SmartClient:
         option: str = "",
         service_port: Optional[int] = None,
         mss: Optional[int] = None,
-        strict: bool = False,
         precheck: bool = True,
     ):
         """Process generator -> list of connected :class:`TcpConnection`.
@@ -386,20 +351,12 @@ class SmartClient:
         server (thesis Fig 1.2): one call returns the whole socket group,
         dialled at once — one handshake round trip to the farthest
         server, one connect timeout however many are dead — in the
-        wizard's order, quarantined servers last.
-        With ``strict=True`` an :class:`InsufficientServers` error is raised
-        when the wizard cannot satisfy the count (otherwise the caller gets
-        however many qualified — the "Option field" behaviours of §3.6.1).
+        wizard's order, quarantined servers last.  The caller gets however
+        many qualified and answered — the "Option field" behaviours of
+        §3.6.1.
         """
         reply = yield from self.request_servers(requirement, n, option=option,
                                                 precheck=precheck)
-        if reply.nak:
-            raise RequirementRejected(
-                "wizard rejected the requirement (static analysis NAK)",
-                diagnostics=reply.diagnostics,
-            )
-        if strict and len(reply.servers) < n:
-            raise InsufficientServers(n, reply.servers)
         port = service_port if service_port is not None else self.config.ports.service
         order = self._deprioritise(reply.servers)
         dialled = yield from self.stack.tcp.connect_all(
@@ -413,10 +370,6 @@ class SmartClient:
                 self._note_connect_failure(addr)
             else:
                 conns.append(conn)
-        if strict and len(conns) < n:
-            for conn in conns:
-                conn.close()
-            raise InsufficientServers(n, [c.remote_addr for c in conns])
         return conns
 
     # -- dead-server quarantine ----------------------------------------------

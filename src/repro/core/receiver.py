@@ -42,7 +42,7 @@ wall clock: every record timestamp is rebased to ``arrival - age``,
 where the age is measured on the sender's own clock (``stamp -
 updated_at`` — a skew offset cancels in the subtraction), and arrival is
 this host's monotonic clock (``sim.now``, which no skew-clock fault can
-step).  All interval bookkeeping (``staleness``, ``epoch``,
+step).  All interval bookkeeping (``staleness``,
 ``min_freshness_age``, the wizard's ``host_status_age`` and REPLY_STALE)
 then runs on the monotonic clock, so neither a skewed reporter nor a
 skew step on the *receiver's own host* can make healthy data look stale.
@@ -177,22 +177,18 @@ class Receiver:
             return float("inf")
         return self.sim.now - last
 
-    def epoch(self) -> float:
-        """Sim time of the freshest applied snapshot (0 when none ever
-        arrived) — the replica-epoch clients use to prefer the wizard
-        replica with the most recent view of the world."""
-        return max(self._updated_at.values(), default=0.0)
-
     def min_freshness_age(self) -> float:
         """Age of the *freshest* database (``inf`` before any snapshot).
 
         The wizard's staleness NAK keys off this: a replica whose newest
         data is older than ``wizard_staleness_limit`` has lost its feed
         entirely (receiver dead, all transmitters partitioned) and should
-        send clients to a healthier replica."""
+        send clients to a healthier replica.  Every reply declares it, so
+        clients can prefer the replica with the most recent view of the
+        world."""
         if not self._updated_at:
             return float("inf")
-        return self.sim.now - self.epoch()
+        return self.sim.now - max(self._updated_at.values())
 
     # -- merging ---------------------------------------------------------------
     @staticmethod
@@ -241,8 +237,8 @@ class Receiver:
         header order.  An entry announcing ``UNCHANGED`` is an answer by
         itself, taken as the header arrives — "what you hold of this
         database from me is current": the feed is live (``_updated_at``
-        moves, so ``epoch()``, ``min_freshness_age()`` and REPLY_STALE
-        see it) but nothing is rebased, merged or published, so the
+        moves, so ``min_freshness_age()`` and REPLY_STALE see it) but
+        nothing is rebased, merged or published, so the
         wizard keeps the very dict it has already sorted.  It carries no
         stamp: no skew check.
 

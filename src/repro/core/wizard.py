@@ -119,8 +119,8 @@ class WizardRequest:
 
 @dataclass(frozen=True)
 class WizardReply:
-    """Wire format of Table 3.6, extended with a status byte and a
-    replica epoch.
+    """Wire format of Table 3.6, extended with a status byte and the
+    replica's freshness age.
 
     ``status == REPLY_NAK`` means the static analyzer proved the
     requirement unsatisfiable: no status DB was scanned, ``servers`` is
@@ -129,8 +129,8 @@ class WizardReply:
     ``status == REPLY_STALE`` means this replica's status feed died (its
     freshest DB is older than ``config.wizard_staleness_limit``): the
     client should fail over to a healthier replica instead of acting on
-    ancient data.  ``epoch`` is the sim time of the replica's freshest
-    applied snapshot — clients rank replicas by it so requests prefer
+    ancient data.  ``freshness_age`` is how old the replica's freshest
+    applied snapshot is — clients rank replicas by it so requests prefer
     the wizard with the most recent view of the world.
     """
 
@@ -138,14 +138,11 @@ class WizardReply:
     servers: tuple[str, ...]
     status: int = REPLY_OK
     diagnostics: tuple[Diagnostic, ...] = ()
-    #: replica epoch: sim time of the freshest DB snapshot behind this
-    #: reply (0 when the wizard runs without a receiver).  Measured on
-    #: the *replica's* clock, so a skewed host advertises a skewed epoch.
-    epoch: float = 0.0
-    #: age in seconds of that freshest snapshot at reply time (-1 when
-    #: unknown).  A *relative* quantity: offsets cancel when the replica
-    #: measures now and the stamp on the same (possibly skewed) clock, so
-    #: clients rank replicas by this instead of trusting ``epoch``.
+    #: age in seconds of the freshest DB snapshot behind this reply (-1
+    #: when unknown: no receiver, or no snapshot yet).  A *relative*
+    #: quantity: offsets cancel when the replica measures now and the
+    #: stamp on the same (possibly skewed) clock, so clients can rank
+    #: replicas by it whatever their clocks say.
     freshness_age: float = -1.0
 
     @property
@@ -155,8 +152,8 @@ class WizardReply:
     @property
     def wire_bytes(self) -> int:
         # the status flag rides in the sign bit of the server_num header
-        # field (a NAK always has server_num == 0) and the epoch reuses
-        # the reserved half of the 8-byte header, so OK replies cost
+        # field (a NAK always has server_num == 0) and the freshness age
+        # reuses the reserved half of the 8-byte header, so OK replies cost
         # exactly what the thesis' Table 3.6 format costs
         # each diagnostic: code + 1-byte severity flag + 2x2-byte span
         # + message + NUL
@@ -362,12 +359,6 @@ class Wizard:
                            diagnostics=compiled.diagnostics)
 
     @property
-    def epoch(self) -> float:
-        """Replica epoch stamped on every reply: sim time of the freshest
-        DB snapshot this wizard's receiver applied (0 without one)."""
-        return self.receiver.epoch() if self.receiver is not None else 0.0
-
-    @property
     def freshness_age(self) -> float:
         """Age of the freshest DB snapshot (-1 when unknown).  Relative —
         skew offsets cancel — so replies stay comparable across replicas
@@ -403,13 +394,12 @@ class Wizard:
         if self._is_stale():
             self.requests_rejected_stale += 1
             return WizardReply(seq=request.seq, servers=(),
-                               status=REPLY_STALE, epoch=self.epoch,
+                               status=REPLY_STALE,
                                freshness_age=self.freshness_age)
         sysdb, netdb, secdb = yield from self.databases()
         servers = self.match(request, client_addr, sysdb, netdb, secdb,
                              compiled=compiled)
         return WizardReply(seq=request.seq, servers=tuple(servers),
-                           epoch=self.epoch,
                            freshness_age=self.freshness_age)
 
     def match(

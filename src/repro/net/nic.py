@@ -99,7 +99,7 @@ class NIC:
                 return True
             self.tx_drops += 1
             return False
-        frames = self._frames_for(dgram, mtu)
+        frames = Frame(dgram, dgram.transport_bytes, True).split(mtu)
         extra = self._init_delay(frames[0].wire_at(mtu))
         delivered_any = False
         for frame in frames:
@@ -121,22 +121,6 @@ class NIC:
         for piece in frame.split(channel.mtu):
             delivered_any |= self._transmit(piece, 0.0)
         return delivered_any
-
-    @staticmethod
-    def _frames_for(dgram: Datagram, mtu: int) -> list[Frame]:
-        """The IP fragments of a UDP/ICMP datagram at ``mtu``."""
-        per_frag = mtu - IP_HEADER
-        frames = []
-        remaining = dgram.transport_bytes
-        first = True
-        while True:
-            chunk = min(per_frag, remaining)
-            frames.append(Frame(dgram, chunk, first))
-            first = False
-            remaining -= chunk
-            if remaining <= 0:
-                break
-        return frames
 
     def _transmit(self, frame: Frame, extra: float) -> bool:
         channel = self.channel

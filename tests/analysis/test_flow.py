@@ -411,6 +411,16 @@ class TestLifecycle:
             "    sock = stack.udp_socket()\n" + use))
         assert codes(report) == []
 
+    def test_the_test_tree_leaks_only_in_its_seeded_fixtures(self):
+        """Test code releases every handle it acquires: over ``tests/``,
+        REPRO403 fires only on the fixtures that seed a leak."""
+        report = run_checks(Program.load([REPO / "tests"]), ("flow",))
+        fixtures = REPO / "tests" / "analysis" / "fixtures"
+        leaks = {f.unit.path for f in report.findings
+                 if f.diag.code == "REPRO403"}
+        assert leaks and all(path.parent == fixtures for path in leaks), \
+            sorted(leaks)
+
 
 class TestClientPath:
     """The client request path's blocking waits are REPRO301's: the

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RequirementRejected
+from repro.core import REPLY_OK, RequirementRejected
 from tests.conftest import run_process
 from tests.core.test_client_selection import small_deployment
 
@@ -47,8 +47,8 @@ class TestLocalPrecheck:
             return reply
 
         reply = run_process(cluster.sim, p(), until=30.0)
-        assert not reply.nak
-        assert reply.servers == []  # undefined var disqualifies everyone
+        assert reply.status == REPLY_OK
+        assert reply.servers == ()  # undefined var disqualifies everyone
         assert client.requests_sent == 1
         assert client.precheck_rejections == 0
 
@@ -70,13 +70,15 @@ class TestWizardNakEndToEnd:
 
         def p():
             yield cluster.sim.timeout(3.0)
-            reply = yield from client.request_servers(UNSAT, 2, precheck=False)
-            return reply
+            try:
+                yield from client.request_servers(UNSAT, 2, precheck=False)
+            except RequirementRejected as exc:
+                return exc
 
-        reply = run_process(cluster.sim, p(), until=30.0)
-        assert reply.nak
-        assert reply.servers == []
-        assert any(d.code == "REQ101" for d in reply.diagnostics)
+        exc = run_process(cluster.sim, p(), until=30.0)
+        assert isinstance(exc, RequirementRejected)
+        assert any(d.code == "REQ101" for d in exc.diagnostics)
+        assert client.requests_sent == 1
         assert dep.wizard.requests_rejected_static == 1
 
     def test_smart_sockets_raises_on_nak(self):

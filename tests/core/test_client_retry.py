@@ -43,7 +43,7 @@ class TestRetryBackoff:
             return reply
 
         reply = run_process(cluster.sim, p(), until=60.0)
-        assert reply.servers == []
+        assert reply.servers == ()
         assert client.timeouts == 1 + CLIENT_RETRIES
         # one sleep per retry, each inside the decorrelated-jitter window
         assert len(client.backoff_history) == CLIENT_RETRIES
@@ -116,7 +116,7 @@ class TestStaleReplies:
             return reply
 
         reply = run_process(cluster.sim, p(), until=30.0)
-        assert reply.servers == []          # stale replies never accepted
+        assert reply.servers == ()          # stale replies never accepted
         assert client.timeouts == 1 + CLIENT_RETRIES  # every attempt
         assert client.requests_sent == 1 + CLIENT_RETRIES
 

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import Config, InsufficientServers, SmartClient
+from repro.core import Config, SmartClient
 from repro.core.wizard import WizardReply
 from repro.net import ConnectionClosed
-from repro.net.tcp import ESTABLISHED, FIN_WAIT_1
+from repro.net.tcp import ESTABLISHED
 from repro.sim import Interrupt
 from tests.conftest import run_process
 from tests.core.test_transmit import CONNECT_TIMEOUT
@@ -82,12 +82,12 @@ class World:
                 self.ended.append((addr, conn.reset))
         return session
 
-    def place(self, **kwargs):
+    def place(self):
         """One ``smart_sockets`` call -> (connections, sim-seconds the
         dial took: from the first SYN to the group handed back)."""
         def p():
             conns = yield from self.client.smart_sockets(
-                TEXT, len(self.servers), service_port=PORT, **kwargs)
+                TEXT, len(self.servers), service_port=PORT)
             return conns, self.sim.now - self.first_syn.value
 
         return run_process(self.sim, p(), until=60.0)
@@ -154,19 +154,6 @@ def test_lost_first_syn_is_retried_for_that_destination_only():
     # the straggler's sample spans its whole handshake, first SYN on
     assert conns[1]._srtt == pytest.approx(took)
     assert conns[0]._srtt == pytest.approx(2 * 50e-6, abs=WIRE)
-
-
-def test_strict_closes_the_partial_group_and_raises():
-    w = World(delays=(50e-6,) * 3, dead={2})
-    with pytest.raises(InsufficientServers) as err:
-        w.place(strict=True)
-    assert err.value.wanted == 3
-    assert err.value.got == w.addrs[:2]
-    kept = list(w.cli.stack.tcp.conns.values())
-    assert [c.remote_addr for c in kept] == w.addrs[:2]
-    assert all(c.state == FIN_WAIT_1 for c in kept)
-    w.sim.run(until=w.sim.now + 1.0)
-    assert w.ended == [(addr, False) for addr in w.addrs[:2]]  # saw the FIN
 
 
 def test_handshakes_completing_in_one_timestamp_are_all_seen():

@@ -138,4 +138,4 @@ class TestClientStaleReplies:
             reply = yield from client.request_servers("a > 0", 1)
             return reply.servers
 
-        assert run_process(cluster.sim, p(), until=30.0) == ["10.0.0.1"]
+        assert run_process(cluster.sim, p(), until=30.0) == ("10.0.0.1",)

@@ -204,3 +204,4 @@ class TestProbeDaemon:
         cluster.run(until=3.5)
         report = ServerStatusReport.from_wire(inbox.rx.items[-1].payload)
         assert report.values["host_network_tbytesps"] > 50000
+        sock.close()

@@ -95,7 +95,7 @@ class TestWizardQuarantine:
             return reply, client._wizard_quarantine.active()
 
         reply, quarantined = run_process(cluster.sim, p(), until=30.0)
-        assert reply.servers == []
+        assert reply.servers == ()
         # first attempt hits w1, quarantines it; the retry fails over
         assert quarantined == {w1.addr, w2.addr}
         assert client.wizard_failovers >= 1
@@ -117,7 +117,7 @@ class TestWizardQuarantine:
 
     def test_ranking_prefers_fresher_epoch(self):
         cluster, client, w1, w2 = two_wizard_world()
-        client._wizard_epochs[w2.addr] = 7.5
+        client._wizard_fresh_at[w2.addr] = 7.5
         assert client._rank_wizards() == [w2.addr, w1.addr]
         # quarantine trumps freshness
         client._note_wizard_failure(w2.addr)
@@ -125,15 +125,15 @@ class TestWizardQuarantine:
 
     def test_reply_without_an_age_leaves_the_ranking_alone(self):
         """A replica that has applied no snapshot, or runs without a
-        receiver, answers with ``freshness_age == -1`` and epoch 0: the
-        client records nothing for it, which ``_rank_wizards`` already
-        reads as epoch 0 — not even an epoch the reply claims."""
+        receiver, answers with ``freshness_age == -1``: the client
+        records nothing for it, which ``_rank_wizards`` already reads as
+        the stalest data there is."""
         cluster, client, w1, w2 = two_wizard_world()
         sock = w1.stack.udp_socket(client.config.ports.wizard)
 
         def ageless_wizard():
             dgram = yield sock.recv()
-            reply = WizardReply(seq=dgram.payload.seq, servers=(), epoch=7.5)
+            reply = WizardReply(seq=dgram.payload.seq, servers=())
             sock.sendto(dgram.src, dgram.sport, size=reply.wire_bytes,
                         payload=reply)
 
@@ -145,9 +145,10 @@ class TestWizardQuarantine:
 
         reply = run_process(cluster.sim, p(), until=30.0)
         assert not responder.is_alive
-        assert (reply.wizard, reply.attempts) == (w1.addr, 1)
+        assert reply.seq > 0
+        assert (client.last_wizard, client.requests_sent) == (w1.addr, 1)
         assert client._rank_wizards() == before == [w1.addr, w2.addr]
-        assert client._wizard_epochs == {}
+        assert client._wizard_fresh_at == {}
 
 
 class TestAdaptiveSuspicion:
@@ -179,12 +180,12 @@ class TestAdaptiveSuspicion:
     def test_fail_slow_replica_ranks_last_despite_fresh_epoch(self):
         """The binary quarantine never catches a slow-but-answering
         replica; the detector's relative demotion must, and it must
-        outweigh epoch freshness in the ranking."""
+        outweigh data freshness in the ranking."""
         cluster, client, w1, w2 = two_wizard_world()
         for _ in range(10):
             client.detector.record(w1.addr, 0.02)
             client.detector.record(w2.addr, 0.02 * 10)
-        client._wizard_epochs[w2.addr] = 100.0  # freshest data, but slow
+        client._wizard_fresh_at[w2.addr] = 100.0  # freshest data, but slow
         assert client.slow_wizards() == {w2.addr}
         assert client._rank_wizards() == [w1.addr, w2.addr]
 

@@ -129,11 +129,13 @@ class TestFrameStream:
             conn.send(("body", MSG_SYSDB, {"old": 1}), 8)
             conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
             conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
+            return conn
 
-        cluster.sim.process(push())
+        pusher = cluster.sim.process(push())
         cluster.run(until=1.0)  # would raise if the short body were indexed
         assert receiver.database(MSG_SYSDB) == {"s": 1}
         assert receiver.messages_received == 1
+        pusher.value.close()
 
     def test_push_header_ends_what_the_last_one_owed(self):
         """A header whose body never came leaves that database unheld:
@@ -147,12 +149,14 @@ class TestFrameStream:
             conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
             conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)  # its body never comes
             conn.send(("hdr", ((MSG_SYSDB, UNCHANGED),)), 8)
+            return conn
 
-        cluster.sim.process(push())
+        pusher = cluster.sim.process(push())
         cluster.run(until=1.0)
         assert receiver.database(MSG_SYSDB) == {"s": 1}
         assert receiver.messages_received == 1
         assert receiver.stack.tcp.conns == {}  # aborted
+        pusher.value.close()
 
     #: headers a receiver must skip, and must not index past
     BAD_HEADERS = (
@@ -186,12 +190,14 @@ class TestFrameStream:
                     conn.send(("body", msg_type, {"bad": 1}, now), 8)
             conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
             conn.send(("body", MSG_SYSDB, {"s": 1}, now), 8)
+            return conn
 
-        cluster.sim.process(push())
+        pusher = cluster.sim.process(push())
         cluster.run(until=1.0)
         assert receiver.database(MSG_SYSDB) == {"s": 1}
         assert receiver.messages_received == 1
         assert len(receiver.stack.tcp.conns) == 1  # not aborted
+        pusher.value.close()
 
     @pytest.mark.parametrize("bad", BAD_HEADERS, ids=repr)
     def test_pull_round_ends_on_an_untrusted_header(self, bad):

@@ -469,6 +469,7 @@ class TestSystemMonitor:
             sock.sendto("monitor", cfg.ports.system_monitor, size=len(payload),
                         payload=payload)
         cluster.run(until=cluster.sim.now + 0.5)
+        sock.close()
 
     def test_identical_malformed_reports_count_twice_then_a_good_one_parses(self):
         cluster, sysmon, server, cfg = sysmon_world()

@@ -75,11 +75,12 @@ class TestHealthLease:
             session = SmartSession(client, conn, REQ)
             session.start_lease()
             yield cluster.sim.timeout(3.0)
-            return conn.reset, client.quarantined()
+            return session, conn.reset, client.quarantined()
 
-        reset, quarantined = run_process(cluster.sim, p(), until=30.0)
+        session, reset, quarantined = run_process(cluster.sim, p(), until=30.0)
         assert reset  # lease connect failed -> conn aborted for the driver
         assert srv.addr in quarantined
+        session.close()
 
     def test_silent_death_expires_the_lease(self):
         """Partition (no RST ever arrives): only the lease can notice."""
@@ -128,15 +129,16 @@ class TestHealthLease:
             conn = yield from client.stack.tcp.connect(srv.addr, 9000)
             session = SmartSession(client, conn, REQ)
             session.start_lease()
-            yield cluster.sim.timeout(50.0)
+            return session
 
-        cluster.sim.process(p())
+        leased = cluster.sim.process(p())
         cluster.run(until=50.0)
         pings = responder.pings_answered
         assert pings == 99
         assert tags.count("PING") == tags.count("PONG") == pings
         assert len(tags) == 2 * pings
         assert len(frames) <= 4.1 * pings
+        leased.value.close()
 
     def test_stopped_responder_is_dead_at_the_next_ping(self):
         """``stop()`` closes the lease connection: the next PING meets the
@@ -302,6 +304,7 @@ def drip_service(host, chunks, period, port=9100, size=4000):
     server as the data plane sees it)."""
     def serve():
         listener = host.stack.tcp.listen(port)
+        conn = None
         try:
             conn = yield listener.accept()
             for _ in range(chunks):
@@ -310,6 +313,8 @@ def drip_service(host, chunks, period, port=9100, size=4000):
             yield host.sim.timeout(10_000.0)  # stall, forever
         except Interrupt:
             listener.close()
+            if conn is not None:
+                conn.close()
 
     return host.sim.process(serve(), name=f"drip@{host.name}")
 

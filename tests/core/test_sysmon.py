@@ -54,6 +54,7 @@ class TestCollection:
         cluster.run(until=1.0)
         assert sysmon.parse_errors == 1
         assert sysmon.database() == {}
+        sock.close()
 
 
 class TestExpiry:

@@ -69,7 +69,7 @@ class TestScaleAndConcurrency:
     def test_concurrent_clients_each_get_correct_answer(self, world):
         dep, replies = world
         assert len(replies[1].servers) == 10
-        assert replies[2].servers == []  # impossible requirement
+        assert replies[2].servers == ()  # impossible requirement
 
     def test_all_requests_processed(self, world):
         dep, replies = world

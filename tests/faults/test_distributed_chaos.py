@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import Mode, SmartReply
+from repro.core import REPLY_OK, Mode, WizardReply
 from repro.core.client import CLIENT_RETRIES
 from repro.core.receiver import PULL_TIMEOUT
 from repro.faults import ChaosController, FaultPlan
@@ -92,9 +92,10 @@ def run_stream(**instruments):
                     sim.now + KILL_DELAY, "wiz",
                     restart_after=WIZARD_DOWN_FOR)).start()
                 sim.process(witness(), name="kill-witness")
-            start = sim.now
+            start, sent = sim.now, client.requests_sent
             reply = yield from client.request_servers(REQUIREMENT, 6)
-            out["log"].append((start, sim.now, reply, *sysdb_stamps()))
+            out["log"].append((start, sim.now, reply,
+                               client.requests_sent - sent, *sysdb_stamps()))
             yield sim.timeout(THINK)
 
     sim.process(stream(), name="request-stream")
@@ -146,15 +147,16 @@ class TestRequestStreamUnderFaults:
     def test_every_reply_is_well_formed(self):
         out = shuffled(1)
         servers = set(out["star"].addrs.values())
-        for start, end, reply, _, _ in out["log"]:
-            assert isinstance(reply, SmartReply), start
-            assert not reply.nak and not reply.stale, start
+        for start, end, reply, _, _, _ in out["log"]:
+            assert isinstance(reply, WizardReply), start
+            assert reply.status == REPLY_OK, start
             assert len(set(reply.servers)) == len(reply.servers) <= 6, start
             assert set(reply.servers) <= servers, start
+        assert out["client"].stale_rejections == 0  # no replica turned one away
 
     def test_no_request_outlasts_pull_timeout_plus_the_clients_budget(self):
         out = shuffled(1)
-        for start, end, reply, _, _ in out["log"]:
+        for start, end, reply, _, _, _ in out["log"]:
             assert end - start <= PULL_TIMEOUT + CLIENT_BUDGET, (start, end)
 
     def test_quiet_stretches_answer_at_once_from_the_monitors_latest(self):
@@ -170,8 +172,8 @@ class TestRequestStreamUnderFaults:
                  or WIZARD_KILL_AFTER + 2.0 < entry[0] and entry[1] < PARTITION_AT
                  or HEAL_AT + CONFIG.probe_interval <= entry[0]]
         assert len(quiet) >= 50
-        for start, end, reply, wizard_side, monitor_side in quiet:
-            assert (reply.attempts, len(reply.servers)) == (1, 6), start
+        for start, end, reply, sends, wizard_side, monitor_side in quiet:
+            assert (sends, len(reply.servers)) == (1, 6), start
             assert len(monitor_side) == 6, start
             assert abs(lag(wizard_side, monitor_side)) < IN_STEP, start
 
@@ -184,7 +186,7 @@ class TestRequestStreamUnderFaults:
         requests come back empty until the heal.)"""
         out = shuffled(1)
         during = [(wizard_side, monitor_side)
-                  for start, end, _, wizard_side, monitor_side in out["log"]
+                  for start, end, _, _, wizard_side, monitor_side in out["log"]
                   if PARTITION_AT < start and end < HEAL_AT]
         assert any(len(monitor_side) == 3 for _, monitor_side in during)
         assert all(len(wizard_side) == 6 for wizard_side, _ in during)
@@ -195,14 +197,14 @@ class TestRequestStreamUnderFaults:
         log = out["log"]
         # it had fallen behind: by the end of the partition the wizard
         # side trails by most of it
-        assert max(lag(w, m) for start, _, _, w, m in log
+        assert max(lag(w, m) for start, _, _, _, w, m in log
                    if PARTITION_AT < start < HEAL_AT) > PARTITION_FOR / 2
         # every reply from one probe interval after the heal on — the
         # first is the request the heal overtook — finds it in step
         after = [entry for entry in log
                  if entry[1] >= HEAL_AT + CONFIG.probe_interval]
         assert after[0][0] < HEAL_AT + CONFIG.probe_interval
-        for start, _, _, wizard_side, monitor_side in after:
+        for start, _, _, _, wizard_side, monitor_side in after:
             assert abs(lag(wizard_side, monitor_side)) < IN_STEP, start
 
     def test_receiver_ends_with_a_clean_connection_to_every_transmitter(self):
@@ -216,8 +218,8 @@ class TestDeterminism:
         a, b = shuffled(1), shuffled(2)
         assert a["observed"].event_trace
         assert a["observed"].event_trace == b["observed"].event_trace
-        assert [(s, e, r) for s, e, r, _, _ in a["log"]] == \
-            [(s, e, r) for s, e, r, _, _ in b["log"]]
+        assert [entry[:4] for entry in a["log"]] == \
+            [entry[:4] for entry in b["log"]]
 
     def test_sanitizer_clean(self):
         out = run_stream(sanitize=True)

@@ -124,7 +124,7 @@ class TestReceiverKill:
             while cluster.sim.now < 25.0:
                 reply = yield from client.request_servers(
                     STALENESS_REQUIREMENT, 2)
-                log.append((cluster.sim.now, reply.wizard,
+                log.append((cluster.sim.now, client.last_wizard,
                             tuple(sorted(reply.servers))))
                 yield cluster.sim.timeout(1.0)
 

@@ -236,7 +236,7 @@ class TestClockSkew:
             while cluster.sim.now < until:
                 reply = yield from client.request_servers(
                     STALENESS_REQUIREMENT, 2)
-                log.append((cluster.sim.now, reply.wizard,
+                log.append((cluster.sim.now, client.last_wizard,
                             tuple(sorted(reply.servers))))
                 yield cluster.sim.timeout(1.0)
 
@@ -260,8 +260,8 @@ class TestClockSkew:
         assert all(r.receiver.suspected_skew >= 1 for r in dep.replicas)
 
     def test_skewed_wizard_replica_is_not_deranked(self):
-        """The *primary replica's* clock jumps +300 s: its advertised
-        epoch is far in the future and host_status_age would be ~300 s
+        """The *primary replica's* clock jumps +300 s: its freshest
+        snapshot would read ~300 s old, and so would host_status_age,
         without rebasing.  It must keep serving (no REPLY_STALE) and the
         client must keep ranking it first (freshness ages are relative,
         so skew offsets cancel)."""

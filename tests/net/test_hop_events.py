@@ -200,6 +200,7 @@ class World:
             for i in range(n):
                 yield self.sim.timeout(rng.uniform(*gap_us) * US)
                 sock.sendto(dst, port, rng.randint(*size), payload=f"{src}#{i}")
+            sock.close()
         self.sim.process(sender())
 
     def tcp(self, src, dst, port, messages, mss=1460):
@@ -477,6 +478,7 @@ def _all_pairs_udp(sim, net):
                 if other is not host:
                     sock.sendto(addr, 9, 600)
                     yield sim.timeout(37e-6)
+        sock.close()
     for host in hosts:
         sim.process(sender(host))
 

@@ -65,6 +65,7 @@ def _run_world():
             for _ in range(n):
                 sock.sendto(dst, 9, rng.randint(*sizes))
                 yield sim.timeout(rng.uniform(0, 300e-6))
+            sock.close()
         sim.process(sender())
 
     listener = stacks["c"].tcp.listen(80)

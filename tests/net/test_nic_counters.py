@@ -75,6 +75,7 @@ def run_world() -> dict[str, object]:
             for i in range(n):
                 yield sim.timeout(rng.uniform(0.0, gap))
                 sock.sendto(dst, port, rng.randint(*sizes), payload=i)
+            sock.close()
         sim.process(sender())
 
     bulk(h0, h2, 5001, [200_000, 1, 70_000])

@@ -14,7 +14,6 @@ from repro.net import (
     TCP_HEADER,
     UDP_HEADER,
 )
-from repro.net.nic import NIC
 from repro.net.packet import Frame
 from tests.conftest import fragment_sizes
 
@@ -66,7 +65,8 @@ class TestDatagram:
     def test_first_fragment_capped_at_mtu(self):
         """The first fragment's wire size drives the NIC init term."""
         def first(size):
-            return NIC._frames_for(self._dgram(size=size), 1500)[0].wire_at(1500)
+            d = self._dgram(size=size)
+            return Frame(d, d.transport_bytes, True).split(1500)[0].wire_at(1500)
         assert first(6000) == 1500
         assert first(10) == 10 + UDP_HEADER + IP_HEADER
 

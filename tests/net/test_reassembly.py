@@ -70,3 +70,5 @@ class TestReassembly:
         payloads = [d.payload for d in inbox.rx.items]
         assert sorted(payloads) == ["first", "second"]
         assert all(d.size == 5000 for d in inbox.rx.items)
+        s1.close()
+        s2.close()

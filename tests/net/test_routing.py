@@ -14,6 +14,7 @@ import pytest
 from repro import worlds
 from repro.cluster import build_testbed, build_wan_paths
 from repro.net import Datagram, Network, NetworkStack, PROTO_UDP
+from repro.net.packet import Frame
 from repro.sim import Simulator
 from tests.conftest import path_hops
 
@@ -423,7 +424,7 @@ class TestInitSpeedEffect:
     def test_init_delay_caps_at_mtu(self, sim):
         def first_frame_wire(nic, dgram):
             mtu = nic.channel.mtu
-            return nic._frames_for(dgram, mtu)[0].wire_at(mtu)
+            return Frame(dgram, dgram.transport_bytes, True).split(mtu)[0].wire_at(mtu)
 
         net, a, b = build_line(sim)
         nic = a.nics[0]

@@ -45,6 +45,7 @@ class TestUdpSockets:
         sim.run()
         assert len(sock.rx) == 3
         assert sock.rx.dropped == 7
+        sender.close()
 
 
 class TestIcmp:

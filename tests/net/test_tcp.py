@@ -192,6 +192,7 @@ class TestMessaging:
             conn = yield from sa.tcp.connect("b", 80)
             with pytest.raises(ValueError):
                 conn.send("x", 0)
+            conn.close()
 
         run_process(sim, client())
 

@@ -211,6 +211,7 @@ class TestSenderState:
         assert conn.bytes_acked == 5_001
         assert conn._outq is None and conn._segments is None
         assert server._outq is None and server._segments is None
+        lsn.close()
 
     def test_endpoints_share_no_send_queue(self):
         """Each endpoint sends its own messages only: the first's is

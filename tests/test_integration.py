@@ -9,7 +9,7 @@ from __future__ import annotations
 from repro.apps import MatMulMaster, MatMulWorker, shape_host_egress
 from repro.bench.experiments import _drive
 from repro.cluster import Deployment, build_testbed
-from repro.core import Config, Mode
+from repro.core import Config, Mode, RequirementRejected
 from repro.host import SuperPiWorkload
 
 SERVER_NAMES = ("sagit", "dalmatian", "mimas", "telesto", "lhost", "helene",
@@ -145,9 +145,11 @@ class TestEndToEnd:
 
         def p():
             yield cluster.sim.timeout(5.0)
-            nak = yield from client.request_servers("host_cpu_free > 2", 4,
-                                                    precheck=False)
-            out["nak"] = nak.nak and [d.code for d in nak.diagnostics]
+            try:
+                yield from client.request_servers("host_cpu_free > 2", 4,
+                                                  precheck=False)
+            except RequirementRejected as exc:
+                out["nak"] = [d.code for d in exc.diagnostics]
             out["pulls_after_nak"] = tx.snapshots_sent
             reply = yield from client.request_servers("host_cpu_free > 0.5", 4)
             out["n"] = len(reply.servers)
