@@ -8,17 +8,17 @@ wizard may serve several server groups, each with its own transmitter, the
 receiver merges per-source snapshots: a new sysdb from group A replaces
 only A's previous contribution.
 
-A transmitter's answer, pushed or pulled, is one header listing all
-three databases as ``(type, size)`` entries, 8 bytes each, then one body
-per database that moved, in header order.  A database that was not
-rewritten since this connection last carried it is announced as
-:data:`~repro.core.records.UNCHANGED` and has no body — the contribution
-and the published dict stay as they are, only the freshness stamp moves,
-as soon as the header is in.  What a connection has delivered
-(:class:`_Feed`) lives and dies with it on both ends: a new connection is
-sent everything, and an *unchanged* for a database this connection never
-delivered aborts the connection (a push loop finds its next segment
-answered with RST and re-dials; a pull round drops it for re-dial).
+A transmitter's answer, pushed or pulled, is one header listing the
+databases that moved as ``(type, size)`` entries, 8 bytes each (one
+8-byte header for an answer that lists none), then their bodies, in
+header order.  A database the header leaves out was not rewritten since
+this connection last carried it — the contribution and the published
+dict stay as they are, only the freshness stamp moves, as soon as the
+header is in.  What a connection has delivered (:class:`_Feed`) lives
+and dies with it on both ends: a new connection is sent everything, and
+a header that leaves out a database this connection never delivered
+aborts the connection (a push loop finds its next segment answered with
+RST and re-dials; a pull round drops it for re-dial).
 
 Distributed mode (:meth:`Receiver.pull_all`): every transmitter without
 a live connection is dialled at once, every transmitter is asked at once
@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 from ..net.tcp import ConnectionClosed, TcpConnection
 from ..sim import Event, HostClock, Segment, SharedMemory, Simulator, shared
 from .config import Config, DEFAULT_CONFIG
-from .records import STATUS_DATABASES, UNCHANGED, WireMessage
+from .records import STATUS_DATABASES, WireMessage
 
 __all__ = ["Receiver"]
 
@@ -83,23 +83,25 @@ class _Feed:
     #: arrived yet, in the order they must arrive; ``None`` while a
     #: header is owed
     announced: Optional[list[int]] = None
-    #: the databases this connection has delivered — all an *unchanged*
-    #: entry can refer to
+    #: the databases this connection has delivered — all a header can
+    #: leave out
     held: set[int] = dataclasses.field(default_factory=set)
     #: pull round in progress: the recv() waited on
     get: Optional[Event] = None
 
 
 def _header_entries(fields: list) -> Optional[Sequence]:
-    """A header's ``(type, size)`` entries, or ``None`` for a header that
-    is not a sequence of such pairs, names a type twice or names no
-    database."""
+    """A header's ``(type, size)`` entries — none for an answer in which
+    nothing moved — or ``None`` for a header that is not a sequence of
+    such pairs, names a type twice or announces a size that is not a
+    positive ``int`` (a ``bool`` is not one)."""
     entries = fields[0] if len(fields) == 1 else None
-    if not isinstance(entries, (tuple, list)) or not entries:
+    if not isinstance(entries, (tuple, list)):
         return None
     for entry in entries:
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                and entry[0] in STATUS_DATABASES and isinstance(entry[1], int)):
+                and entry[0] in STATUS_DATABASES
+                and type(entry[1]) is int and entry[1] > 0):
             return None
     if len({msg_type for msg_type, _ in entries}) < len(entries):
         return None
@@ -133,8 +135,8 @@ class Receiver:
         self._sources: dict[str, dict[int, dict]] = {}
         #: msg_type -> sim time of the last applied snapshot (staleness flag)
         self._updated_at: dict[int, float] = {}
-        #: database answers taken in — a header's *unchanged* entries and
-        #: the bodies applied, one each — not TCP messages
+        #: database answers taken in — the databases a header leaves out
+        #: and the bodies applied, one each — not TCP messages
         self.messages_received = 0
         self.pull_failures = 0
         self.pull_timeouts = 0
@@ -231,28 +233,28 @@ class Receiver:
         """Process generator: one frame of a transmitter's header / body
         stream, pushed or pulled.
 
-        A snapshot's header lists every database it answers for as a
-        ``(type, size)`` entry (the receiver would size its buffers
-        here); the bodies of the entries that announce a size follow in
-        header order.  An entry announcing ``UNCHANGED`` is an answer by
-        itself, taken as the header arrives — "what you hold of this
-        database from me is current": the feed is live (``_updated_at``
-        moves, so ``min_freshness_age()`` and REPLY_STALE see it) but
-        nothing is rebased, merged or published, so the
-        wizard keeps the very dict it has already sorted.  It carries no
-        stamp: no skew check.
+        A snapshot's header lists, as ``(type, size)`` entries, the
+        databases whose bodies follow in header order (the receiver
+        would size its buffers here).  Every database it leaves out is
+        an answer by itself, taken as the header arrives — "what you
+        hold of this database from me is current": the feed is live
+        (``_updated_at`` moves, so ``min_freshness_age()`` and
+        REPLY_STALE see it) but nothing is rebased, merged or published,
+        so the wizard keeps the very dict it has already sorted.  It
+        carries no stamp: no skew check.
 
         Frames come from outside the process: a header that is not a
-        sequence of ``(type, size)`` pairs, names a type twice or names
-        no database, and a body too short to carry ``(type, data,
-        stamp)`` or other than the one announced next, are skipped,
-        never indexed past.  After a skipped body this connection no
-        longer holds the database announced nor the one the body
-        claims; a header also ends what the one before it still owed.
-        An *unchanged* for a database the connection does not hold
-        cannot be honoured (the sender's memory and ours disagree):
-        ``ConnectionClosed``, on which both callers abort the
-        connection, so that its successor is sent everything."""
+        sequence of ``(type, size)`` pairs, names a type twice or
+        announces a size that is not a positive ``int``, and a body too
+        short to carry ``(type, data, stamp)`` or other than the one
+        announced next, are skipped, never indexed past.  After a
+        skipped body this connection no longer holds the database
+        announced nor the one the body claims; a header also ends what
+        the one before it still owed.  A header that leaves out a
+        database the connection does not hold cannot be honoured (the
+        sender's memory and ours disagree): ``ConnectionClosed``, on
+        which both callers abort the connection, so that its successor
+        is sent everything."""
         kind, *fields = payload
         if kind == "hdr":
             # bodies the last header announced and that never came
@@ -261,15 +263,16 @@ class Receiver:
             entries = _header_entries(fields)
             if entries is None:
                 return
-            unchanged = [t for t, size in entries if size == UNCHANGED]
-            never_held = set(unchanged) - feed.held
+            announced = [msg_type for msg_type, _ in entries]
+            current = [t for t in STATUS_DATABASES if t not in announced]
+            never_held = set(current) - feed.held
             if never_held:
                 raise ConnectionClosed(
-                    f"{feed.src}: unchanged databases never held: {sorted(never_held)}")
-            for msg_type in unchanged:
+                    f"{feed.src}: databases left out, never held: {sorted(never_held)}")
+            for msg_type in current:
                 self._updated_at[msg_type] = self.sim.now
-            self.messages_received += len(unchanged)
-            feed.announced = [t for t, size in entries if size != UNCHANGED]
+            self.messages_received += len(current)
+            feed.announced = announced
             return
         if kind != "body":
             return

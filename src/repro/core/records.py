@@ -12,11 +12,11 @@ Two deliberately different encodings, as in the thesis:
   and "binary to ASCII conversion is resource consuming".  The simulator
   carries the Python objects but accounts the documented 204 bytes per
   server record for sizing.  A snapshot's header holds one ``[type,
-  size]`` entry (8 bytes) per database, announcing the bytes its body is
-  charged — never fewer than one (:attr:`WireMessage.wire_size`) — which
-  leaves :data:`UNCHANGED` free to announce that *no* body follows: the
-  answer for a database that was not rewritten since the connection last
-  carried it.  The bodies of the others follow the header, in its order.
+  size]`` entry (8 bytes) per database whose body follows, announcing
+  the bytes that body is charged — never fewer than one
+  (:attr:`WireMessage.wire_size`).  A database the header leaves out was
+  not rewritten since the connection last carried it; the bodies follow
+  the header, in its order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "MSG_SECDB",
     "MSG_PULL",
     "STATUS_DATABASES",
-    "UNCHANGED",
     "REPLY_OK",
     "REPLY_NAK",
     "REPLY_STALE",
@@ -74,14 +73,6 @@ MSG_SYSDB = 1
 MSG_NETDB = 2
 MSG_SECDB = 3
 MSG_PULL = 4  # distributed-mode snapshot request
-
-#: what a ``[type, size]`` header entry announces when no body follows
-#: for it: "what you hold of this database from me is current".  The
-#: convention lives here and both ends name it — the transmitter's push
-#: loops and pull sessions send it, :meth:`Receiver._on_frame` reads it.
-#: It cannot be taken for an empty database, whose body is still charged
-#: (and announced as) one byte: see :attr:`WireMessage.wire_size`.
-UNCHANGED = 0
 
 #: wizard reply status (Table 3.6 extension): OK carries servers, NAK
 #: carries the static-analysis diagnostics that rejected the request, and
@@ -302,15 +293,10 @@ class WireMessage:
     @property
     def wire_size(self) -> int:
         """Bytes the body is charged on the wire, and what its header
-        announces: at least one even for an empty database, so that a
-        header announcing :data:`UNCHANGED` can only mean "no body"."""
+        entry announces: at least one even for an empty database, since
+        TCP sends no empty message and the receiver trusts only a
+        positive size."""
         return max(1, self.size)
-
-    @staticmethod
-    def unchanged(msg_type: int) -> "WireMessage":
-        """Stand-in for a database that is not sent (``data`` is
-        ``None``): only its :data:`UNCHANGED` header entry crosses."""
-        return WireMessage(msg_type, UNCHANGED, None)
 
     @staticmethod
     def sysdb(records: dict[str, ServerStatusRecord]) -> "WireMessage":

@@ -2,9 +2,9 @@
 (thesis §3.5.1), extended to a *replicated* control plane.
 
 Records cross in binary ``[type, size, data]`` messages over TCP: each
-answer is one header listing all three databases as ``(type, size)``
-entries, 8 bytes each, then one body per database that moved, in header
-order.  Two behaviours:
+answer is one header listing the databases that moved as ``(type,
+size)`` entries, 8 bytes each (8 for an answer that lists none), then
+their bodies, in header order.  Two behaviours:
 
 * **centralized** — actively pushes a snapshot of the three shared-memory
   segments to every receiver every interval over persistent connections;
@@ -15,10 +15,10 @@ order.  Two behaviours:
 Either way only the status that *moved* crosses: a push loop and a pull
 session remember, per connection, the version (``Segment.writes``) of
 each database that connection last carried, and a database that was not
-rewritten since is an :data:`~repro.core.records.UNCHANGED` header
-entry with no body.  Every monitor
-republishes copy-on-write (DESIGN.md §9), so an unmoved write counter is
-unmoved content.  The memory lives and dies with the connection — one
+rewritten since is left out of the header and sent no body.  Every
+monitor republishes copy-on-write (DESIGN.md §9), so an unmoved write
+counter is unmoved content, and the dict a monitor published is shipped
+as it is.  The memory lives and dies with the connection — one
 per receiver replica, one per pulling wizard: a new one is sent
 everything.
 
@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 from ..net.tcp import ConnectError, ConnectionClosed
 from ..sim import HostClock, Interrupt, SharedMemory, Simulator
 from .config import Config, DEFAULT_CONFIG, Mode
-from .records import MSG_PULL, STATUS_DATABASES, UNCHANGED, WireMessage
+from .records import MSG_PULL, STATUS_DATABASES, WireMessage
 
 __all__ = ["Transmitter", "PushStats"]
 
@@ -153,14 +153,14 @@ class Transmitter:
     # -- snapshotting ------------------------------------------------------------
     def snapshot(self, carried: Optional[dict[int, int]] = None):
         """Process generator: read the 3 segments under their semaphores and
-        return the corresponding wire messages.
+        return the wire messages of the databases that moved.
 
         ``carried`` is one connection's memory, pushed or pulled —
         message type -> the ``Segment.writes`` of the database it last
         carried, read here under the same lock hold as the data and
-        updated in place.  A database not rewritten since comes back as
-        :meth:`WireMessage.unchanged`, without building the message that
-        will not be sent.  Without a memory all three are built."""
+        updated in place.  A database not rewritten since is left out.
+        Without a memory all three are built.  A body is the dict the
+        monitor published: every writer publishes a fresh one."""
         if carried is None:
             carried = {}
         messages = []
@@ -168,30 +168,27 @@ class Transmitter:
             seg = self.shm.segment(db.monitor_key(self.config.shm))
             data = yield from seg.locked()
             version = seg.writes  # nothing has run since the read
-            if carried.get(msg_type) == version:
-                messages.append(WireMessage.unchanged(msg_type))
-            else:
+            if carried.get(msg_type) != version:
                 carried[msg_type] = version
-                messages.append(db.message(dict(data or {})))
+                messages.append(db.message(data or {}))
         return messages
 
     def _send_messages(self, conn, messages) -> int:
         # One header of [type, size] entries for the whole snapshot first
         # — it is what lets the receiver size its buffers (thesis §3.5.1),
-        # 8 bytes per database, UNCHANGED for one that is not sent — then
-        # the binary bodies of the databases that moved, in header order.
-        # Each body carries this clock's reading so the receiver can spot
-        # (and rebase around) a skewed reporter clock; the 8 stamp bytes
-        # ride in the header's reserved field, no size change.
-        header = tuple((msg.type, UNCHANGED if msg.data is None else msg.wire_size)
-                       for msg in messages)
-        sent = 8 * len(header)
+        # 8 bytes per database that moved, and 8 for an answer that lists
+        # none (TCP sends no empty message) — then the binary bodies, in
+        # header order.  Each body carries this clock's reading so the
+        # receiver can spot (and rebase around) a skewed reporter clock;
+        # the 8 stamp bytes ride in the header's reserved field, no size
+        # change.
+        header = tuple((msg.type, msg.wire_size) for msg in messages)
+        sent = 8 * max(1, len(header))
         conn.send(("hdr", header), sent)
         stamp = self.clock.now()
         for msg in messages:
-            if msg.data is not None:
-                conn.send(("body", msg.type, msg.data, stamp), msg.wire_size)
-                sent += msg.wire_size
+            conn.send(("body", msg.type, msg.data, stamp), msg.wire_size)
+            sent += msg.wire_size
         return sent
 
     # -- centralized push ----------------------------------------------------------

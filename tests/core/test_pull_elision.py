@@ -16,8 +16,8 @@ never have sent more bytes.
 
 The oracle earns its keep on two mutants, in both modes: the remembered
 versions kept on the ``Transmitter`` instead of per connection, and a
-receiver that accepts *unchanged* for a database its connection never
-delivered.
+receiver that takes a database a header leaves out as unchanged although
+its connection never delivered it.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class MemoryOnTransmitter(ScriptedTransmitter):
 
 
 class CredulousReceiver(Receiver):
-    """Mutant: takes *unchanged* for a database it does not hold."""
+    """Mutant: takes a database left out as unchanged although it does
+    not hold it."""
 
     def _on_frame(self, feed, payload):
         feed.held.update(DATABASES)
@@ -249,8 +250,8 @@ def run_pull_script(seed: int, steps: int = 70, **mutant):
                 mine, twins = (s.new_failures() for s in sides)
                 # the twin only ever fails to reach a stopped transmitter;
                 # the side under test may also lose one round to a resync:
-                # the skipped body's round (an *unchanged* secdb follows
-                # it) or, failing that, the next
+                # the skipped body's round (a header leaving out the
+                # secdb follows it) or, failing that, the next
                 contradicted = contradicted or op == "contradict"
                 assert twins == (0 if running else 1), where
                 assert mine == (0 if running else 1) or (
@@ -319,8 +320,8 @@ def run_push_script(seed: int, steps: int = 70, **mutant):
                 for side in sides:
                     side.transmitter.contradict_next = True
                 # the garbled snapshot, whose header was taken in before
-                # its stray body; the next, whose *unchanged* sysdb is
-                # refused; the snapshot lost to the reset; the re-dial,
+                # its stray body; the next, which leaves out the sysdb and
+                # is refused; the snapshot lost to the reset; the re-dial,
                 # answered in full
                 for _ in range(3):
                     yield from interval()
@@ -362,19 +363,20 @@ def killed(run_script, **mutant) -> None:
 def test_oracle_kills_memory_kept_on_the_transmitter():
     """A new connection must be answered in full: with the versions on
     the transmitter, the round after an abort or a restart is told
-    *unchanged* about databases its connection never carried."""
+    nothing moved in databases its connection never carried."""
     killed(run_pull_script, transmitter=MemoryOnTransmitter)
 
 
 def test_oracle_kills_receiver_accepting_unchanged_it_does_not_hold():
     """After a skipped body the receiver holds the version before it;
-    honouring the next *unchanged* would serve that one as current."""
+    honouring the next header that leaves it out would serve that one
+    as current."""
     killed(run_pull_script, receiver=CredulousReceiver)
 
 
 def test_push_oracle_kills_memory_kept_on_the_transmitter():
-    """Pushed, the re-dial after an abort is told *unchanged* about
-    everything, refused, and re-dialled again: the feed never resumes."""
+    """Pushed, the re-dial after an abort is told nothing moved,
+    refused, and re-dialled again: the feed never resumes."""
     killed(run_push_script, transmitter=MemoryOnTransmitter)
 
 
@@ -384,7 +386,8 @@ def test_push_oracle_kills_receiver_accepting_unchanged_it_does_not_hold():
 
 def test_resync_rule():
     """Skipped body -> the connection no longer holds the databases it
-    named -> the *unchanged* that follows drops the connection (one
+    named -> the header that follows, leaving them out, drops the
+    connection (one
     ``pull_failure``) -> its successor is answered in full."""
     cluster, cfg, elided, full = build()
     rx, tx = elided.receiver, elided.transmitter
@@ -421,7 +424,7 @@ def test_resync_rule():
 
 def test_push_resync_rule():
     """The same rule for a pushed feed, where nobody counts a failed
-    round: the refused *unchanged* aborts the connection, the push
+    round: the refused header aborts the connection, the push
     loop's next snapshot is answered with RST, and it re-dials — once —
     and ships in full.  Ended quietly instead, the session would leave
     the connection open and acked and the sysdb stale for good."""
@@ -438,13 +441,13 @@ def test_push_resync_rule():
         segment(elided, cfg, MSG_SYSDB).write(content(MSG_SYSDB, 2, sim.now))
         tx.contradict_next = True
         yield sim.timeout(1.0)
-        # the header's *unchanged* netdb and secdb honoured, then the
+        # the netdb and secdb the header leaves out honoured, then the
         # body skipped: last-known-good is served, sysdb and secdb are
         # no longer held
         assert rx.messages_received == 5
         assert rx.database(MSG_SYSDB).keys() == old.keys()
         assert len(rx.stack.tcp.conns) == 1
-        yield sim.timeout(1.0)  # *unchanged* sysdb refused: the connection is gone
+        yield sim.timeout(1.0)  # a header leaving out sysdb refused: conn gone
         assert rx.messages_received == 5
         assert rx.stack.tcp.conns == {}
         yield sim.timeout(1.0)  # a snapshot's header, answered with RST
@@ -454,7 +457,7 @@ def test_push_resync_rule():
         assert set(rx.database(MSG_SYSDB)) == {"10.0.0.1", "10.0.0.2"}
         sent = push.bytes_sent
         yield sim.timeout(1.0)  # and in step again: one header
-        assert (push.connects, push.bytes_sent - sent) == (2, 3 * 8)
+        assert (push.connects, push.bytes_sent - sent) == (2, 8)
         return push.snapshots_sent, push.send_failures
 
     assert run_process(sim, script(), until=6.0) == (6, 0)
@@ -462,8 +465,8 @@ def test_push_resync_rule():
 
 def test_contradicting_body_unholds_the_database_it_claims_to_be_too():
     """Header announces sysdb, body says secdb: whichever the sender
-    meant, neither is held any more — the next round's *unchanged*
-    secdb is refused although its sysdb comes in full."""
+    meant, neither is held any more — the next round, which leaves out
+    the secdb, is refused although its sysdb comes in full."""
     cluster, cfg, elided, full = build()
     rx, tx = elided.receiver, elided.transmitter
 
@@ -495,7 +498,7 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
         yield sim.timeout(3.0)
         assert rx.min_freshness_age() == pytest.approx(3.0, abs=0.01)
         yield from rx.pull_all()
-        assert tx.bytes_sent - full_bytes == 3 * 8  # one header entry each, no body
+        assert tx.bytes_sent - full_bytes == 8  # one header listing nothing
         assert rx.messages_received == 6
         assert rx.min_freshness_age() < 0.01
         assert all(rx.staleness(t) < 0.01 for t in DATABASES)
@@ -508,9 +511,9 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
 
 
 def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
-    """Nothing rewritten: an interval's push is one header of three
-    *unchanged* entries, and the receiver's freshness stamps follow the
-    pushes all the same."""
+    """Nothing rewritten: an interval's push is one 8-byte header that
+    lists nothing, and the receiver's freshness stamps follow the pushes
+    all the same."""
     cluster, cfg, elided, full = build(Mode.CENTRALIZED)
     rx, push = elided.receiver, elided.push
     sim = cluster.sim
@@ -523,7 +526,7 @@ def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
         in_full = push.bytes_sent
         yield sim.timeout(5.0)  # five more intervals
         assert push.snapshots_sent == 6
-        assert push.bytes_sent - in_full == 5 * 3 * 8
+        assert push.bytes_sent - in_full == 5 * 8
         assert rx.messages_received == 6 * 3
         assert all(rx.staleness(t) < cfg.transmit_interval for t in DATABASES)
         assert rx.min_freshness_age() < cfg.transmit_interval

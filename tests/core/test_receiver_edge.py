@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, Deployment
 from repro.core import Config, Receiver
 from repro.core.receiver import SKEW_TOLERANCE
-from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB, UNCHANGED
+from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
 from tests.conftest import run_process
 
 
@@ -82,6 +82,10 @@ class TestFrameStream:
     """Frames come from outside the process: one handler for the push
     and the pull path, and neither trusts a body's shape."""
 
+    #: a first answer on a connection: every database announced, since a
+    #: database left out must be one the connection already delivered
+    HDR_ALL = ("hdr", ((MSG_SYSDB, 1), (MSG_NETDB, 1), (MSG_SECDB, 1)))
+
     @staticmethod
     def two_hosts():
         cluster = Cluster(seed=72)
@@ -125,9 +129,9 @@ class TestFrameStream:
 
         def push():
             conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
-            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
+            conn.send(self.HDR_ALL, 24)
             conn.send(("body", MSG_SYSDB, {"old": 1}), 8)
-            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
+            conn.send(self.HDR_ALL, 24)
             conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
             return conn
 
@@ -139,22 +143,26 @@ class TestFrameStream:
 
     def test_push_header_ends_what_the_last_one_owed(self):
         """A header whose body never came leaves that database unheld:
-        the next header's *unchanged* for it aborts the connection."""
+        the next header, which leaves it out, aborts the connection."""
         cluster, cfg, m, receiver = self.two_hosts()
         receiver.start()
 
         def push():
             conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
-            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
-            conn.send(("body", MSG_SYSDB, {"s": 1}, cluster.sim.now), 8)
+            now = cluster.sim.now
+            conn.send(self.HDR_ALL, 24)
+            conn.send(("body", MSG_SYSDB, {"s": 1}, now), 8)
+            conn.send(("body", MSG_NETDB, {}, now), 8)
+            conn.send(("body", MSG_SECDB, {}, now), 8)
             conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)  # its body never comes
-            conn.send(("hdr", ((MSG_SYSDB, UNCHANGED),)), 8)
+            conn.send(("hdr", ()), 8)  # nothing moved
             return conn
 
         pusher = cluster.sim.process(push())
         cluster.run(until=1.0)
         assert receiver.database(MSG_SYSDB) == {"s": 1}
-        assert receiver.messages_received == 1
+        # the three bodies, and the netdb and secdb the second header left out
+        assert receiver.messages_received == 5
         assert receiver.stack.tcp.conns == {}  # aborted
         pusher.value.close()
 
@@ -164,19 +172,21 @@ class TestFrameStream:
         ("hdr", MSG_SYSDB, 1),  # one database's header, unwrapped
         ("hdr", 7),  # not a sequence
         ("hdr", "ab"),  # a sequence, not of pairs
-        ("hdr", ()),  # names no database
         ("hdr", ((MSG_SYSDB,),)),  # not a pair
         ("hdr", ((MSG_SYSDB, 1, 2),)),  # nor this
         ("hdr", ((MSG_SYSDB, "1"),)),  # the size is no number
+        ("hdr", ((MSG_SYSDB, True),)),  # a bool is no size
+        ("hdr", ((MSG_SYSDB, 0),)),  # no body is announced as nothing
+        ("hdr", ((MSG_SYSDB, -5),)),  # nor as less
         ("hdr", ((9, 1),)),  # no such database
         ("hdr", ((MSG_SYSDB, 1), (MSG_SYSDB, 1))),  # a type twice
-        ("hdr", ((MSG_SYSDB, UNCHANGED), (MSG_SYSDB, UNCHANGED))),
     )
 
     def test_push_skips_untrusted_headers_and_what_follows_them(self):
         """Each bad header is skipped, and so are the bodies after it —
-        nothing announced them; an *unchanged* inside a bad header is not
-        read either, so it does not abort the connection.  The good
+        nothing announced them; nor is a bad header read as leaving out
+        the databases it does not name, which this connection never
+        delivered, so it does not abort the connection.  The good
         snapshot after them all is applied on the same connection."""
         cluster, cfg, m, receiver = self.two_hosts()
         receiver.start()
@@ -188,7 +198,7 @@ class TestFrameStream:
                 conn.send(bad, 8)
                 for msg_type in (9, MSG_SYSDB):
                     conn.send(("body", msg_type, {"bad": 1}, now), 8)
-            conn.send(("hdr", ((MSG_SYSDB, 1),)), 8)
+            conn.send(self.HDR_ALL, 24)
             conn.send(("body", MSG_SYSDB, {"s": 1}, now), 8)
             return conn
 
@@ -214,8 +224,9 @@ class TestFrameStream:
                 if next(rounds) == 0:
                     frames = (bad, ("body", MSG_SYSDB, {"stray": 1}, now))
                 else:
-                    frames = (("hdr", ((MSG_SYSDB, 1),)),
-                              ("body", MSG_SYSDB, {"s": 1}, now))
+                    frames = (self.HDR_ALL, ("body", MSG_SYSDB, {"s": 1}, now),
+                              ("body", MSG_NETDB, {}, now),
+                              ("body", MSG_SECDB, {}, now))
                 for frame in frames:
                     conn.send(frame, 8)
 
@@ -232,8 +243,98 @@ class TestFrameStream:
 
         run_process(cluster.sim, two_rounds(), until=10.0)
         assert receiver.database(MSG_SYSDB) == {"s": 1}
-        assert receiver.messages_received == 1
+        assert receiver.messages_received == 3  # the second round's bodies
         assert receiver.pull_timeouts == receiver.pull_failures == 0
+
+    def test_empty_header_vouches_for_every_database_held(self):
+        """A header that lists nothing is an answer for all three held
+        databases: their freshness stamps move and ``messages_received``
+        by three, and nothing is rebased or republished."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        receiver.start()
+        sim = cluster.sim
+        record = TestSkewRebase.record(updated_at=0.0)
+
+        def push():
+            conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
+            conn.send(self.HDR_ALL, 24)
+            for msg_type in (MSG_SYSDB, MSG_NETDB, MSG_SECDB):
+                conn.send(("body", msg_type, {"10.0.0.9": record}, sim.now), 8)
+            yield sim.timeout(1.0)
+            published = {t: receiver._segment(t).read()
+                         for t in (MSG_SYSDB, MSG_NETDB, MSG_SECDB)}
+            stamps = dict(receiver._updated_at)
+            conn.send(("hdr", ()), 8)
+            yield sim.timeout(1.0)
+            conn.close()
+            return published, stamps
+
+        published, stamps = run_process(sim, push(), until=5.0)
+        assert receiver.messages_received == 3 + 3
+        for msg_type, before in stamps.items():
+            assert receiver._updated_at[msg_type] - before == pytest.approx(1.0, abs=0.01)
+            # the very dict, so the very records: nothing was rebased
+            assert receiver._segment(msg_type).read() is published[msg_type]
+        assert receiver.suspected_skew == 0
+
+    def test_pull_header_leaving_out_what_was_never_delivered_is_redialled(self):
+        """A first answer that leaves out the netdb and the secdb vouches
+        for databases the connection never delivered: the round counts a
+        ``pull_failure`` and drops the connection, and the next round
+        dials a new one, which is answered in full."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        dials = []
+
+        def answer(conn):
+            dials.append(conn)
+            while True:
+                yield conn.recv()
+                now = cluster.sim.now
+                if len(dials) == 1:
+                    frames = (("hdr", ((MSG_SYSDB, 1),)),
+                              ("body", MSG_SYSDB, {"early": 1}, now))
+                else:
+                    frames = (self.HDR_ALL, ("body", MSG_SYSDB, {"s": 1}, now),
+                              ("body", MSG_NETDB, {}, now),
+                              ("body", MSG_SECDB, {}, now))
+                for frame in frames:
+                    conn.send(frame, 8)
+
+        m.stack.tcp.serve(cfg.ports.transmitter, answer,
+                          name="fake-tx", session_name="fake-tx-session")
+        receiver.add_transmitter(m.addr)
+
+        def two_rounds():
+            yield from receiver.pull_all()
+            assert (receiver.pull_failures, receiver.pull_timeouts) == (1, 0)
+            assert m.addr not in receiver._pull_conns
+            yield from receiver.pull_all()
+
+        run_process(cluster.sim, two_rounds(), until=10.0)
+        assert len(dials) == 2 and dials[0].reset
+        assert receiver._pull_conns[m.addr].held == {MSG_SYSDB, MSG_NETDB, MSG_SECDB}
+        assert receiver.database(MSG_SYSDB) == {"s": 1}
+        assert receiver.messages_received == 3
+        assert (receiver.pull_failures, receiver.pull_timeouts) == (1, 0)
+
+    def test_push_header_leaving_out_what_was_never_delivered_aborts(self):
+        """Pushed, the first header on a connection that lists nothing
+        vouches for three databases never delivered: the connection is
+        aborted and nothing is taken in."""
+        cluster, cfg, m, receiver = self.two_hosts()
+        receiver.start()
+
+        def push():
+            conn = yield from m.stack.tcp.connect("w", cfg.ports.receiver)
+            conn.send(("hdr", ()), 8)
+            return conn
+
+        pusher = cluster.sim.process(push())
+        cluster.run(until=1.0)
+        assert receiver.stack.tcp.conns == {}  # aborted
+        assert receiver.messages_received == 0
+        assert receiver._updated_at == {}
+        pusher.value.close()
 
 
 class TestSkewRebase:

@@ -16,7 +16,7 @@ from repro.core import (
     ServerStatusReport,
     WireMessage,
 )
-from repro.core.records import SERVER_RECORD_BYTES, UNCHANGED, validate_report_keys
+from repro.core.records import SERVER_RECORD_BYTES, validate_report_keys
 from repro.lang.variables import SERVER_SIDE_VARS
 
 
@@ -101,15 +101,13 @@ class TestWireMessages:
 
     def test_an_empty_database_never_announces_unchanged(self):
         """The header announces what the body is charged — at least one
-        byte — so ``UNCHANGED`` can only mean "no body follows"."""
+        byte — so an empty database that moved is announced with the
+        positive size a receiver trusts, never taken for one left out."""
         empty = WireMessage.sysdb({})
         assert (empty.size, empty.wire_size) == (0, 1)
-        assert empty.wire_size != UNCHANGED
         assert WireMessage.sysdb(
             {"a": ServerStatusRecord(sample_report(), 0.0)}
         ).wire_size == SERVER_RECORD_BYTES
-        marker = WireMessage.unchanged(MSG_NETDB)
-        assert (marker.type, marker.size, marker.data) == (MSG_NETDB, UNCHANGED, None)
 
     def test_invalid_type_rejected(self):
         with pytest.raises(ValueError):

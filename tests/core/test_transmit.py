@@ -23,7 +23,6 @@ from repro.core import (
     WizardRequest,
 )
 from repro.core.receiver import PULL_TIMEOUT
-from repro.core.records import UNCHANGED
 from repro.sim import Interrupt
 from tests.conftest import run_process
 
@@ -215,9 +214,10 @@ class TestDistributed:
 
     def test_a_round_is_one_header_then_the_bodies_that_moved(self):
         """What a pull round puts on the wire: one header of 8 bytes per
-        database, sent before any body, then the bodies of the databases
-        that moved, in header order.  A round in which nothing moved is
-        MSG_PULL, the header and their two acks: 4 TCP segments."""
+        database that moved, sent before any body, then their bodies, in
+        header order.  A round in which nothing moved is MSG_PULL, an
+        8-byte header that lists nothing and their two acks: 4 TCP
+        segments."""
         cluster, cfg, receiver, _, (mon,) = make_world(Mode.DISTRIBUTED)
         sim = cluster.sim
         wizard = cluster.host("wizard")
@@ -244,12 +244,41 @@ class TestDistributed:
             return full, quiet, moved
 
         full, quiet, moved = run_process(sim, rounds(), until=30.0)
-        header = ("hdr", (MSG_SYSDB, MSG_NETDB, MSG_SECDB), 3 * 8)
         assert full[1:] == (3 * 8 + 204 + 32 + 24, [
-            header, ("body", MSG_SYSDB, 204), ("body", MSG_NETDB, 32),
+            ("hdr", (MSG_SYSDB, MSG_NETDB, MSG_SECDB), 3 * 8),
+            ("body", MSG_SYSDB, 204), ("body", MSG_NETDB, 32),
             ("body", MSG_SECDB, 24)])
-        assert quiet == (4, 3 * 8, [header])
-        assert moved == (6, 3 * 8 + 204, [header, ("body", MSG_SYSDB, 204)])
+        assert quiet == (4, 8, [("hdr", (), 8)])
+        assert moved == (6, 8 + 204, [("hdr", (MSG_SYSDB,), 8),
+                                      ("body", MSG_SYSDB, 204)])
+        assert receiver.pull_timeouts == receiver.pull_failures == 0
+
+    def test_a_quiet_round_costs_each_transmitter_one_8_byte_header(self):
+        """Three transmitters, nothing moved since the round before: each
+        sends one 8-byte header that lists nothing, and each exchange is
+        still MSG_PULL, the header and their two acks."""
+        cluster, cfg, receiver, txs, monitors = make_world(
+            Mode.DISTRIBUTED, n_monitors=3)
+        sim = cluster.sim
+        for tx in txs:
+            tx.start()
+        for mon in monitors:
+            receiver.add_transmitter(mon.addr)
+        hosts = [*monitors, cluster.host("wizard")]
+
+        def segments():
+            return sum(nic.tx_packets for h in hosts for nic in h.node.nics)
+
+        def rounds():
+            yield from receiver.pull_all()  # in full
+            yield sim.timeout(0.1)
+            before, sent = segments(), [tx.bytes_sent for tx in txs]
+            yield from receiver.pull_all()
+            yield sim.timeout(0.1)  # the last ack is in
+            return segments() - before, [tx.bytes_sent - s for tx, s in zip(txs, sent)]
+
+        assert run_process(sim, rounds(), until=30.0) == (3 * 4, [8, 8, 8])
+        assert receiver.messages_received == 2 * 3 * 3
         assert receiver.pull_timeouts == receiver.pull_failures == 0
 
 
@@ -465,9 +494,10 @@ class TestPullHardening:
         assert {m.addr for m in healthy} == set(receiver._pull_conns)
 
     def test_group_without_servers_pulled_twice_stays_in_step(self):
-        """An empty database is announced (and charged) as one byte, so
-        its header is never taken for *unchanged*: the second round
-        reads three *unchanged* answers and nothing is left over."""
+        """An empty database is announced (and charged) as one byte, a
+        size the receiver trusts: the first round takes in three bodies,
+        the second, told nothing moved, three answers, and nothing is
+        left over."""
         cluster, cfg, receiver, (tx,), (mon,) = make_world(Mode.DISTRIBUTED)
         mon.shm.segment(cfg.shm.monitor_system).write({})  # no servers
         tx.start()
@@ -483,11 +513,10 @@ class TestPullHardening:
             yield cluster.sim.timeout(1.0)
 
         run_process(cluster.sim, p(), until=30.0)
-        assert sent == [3 * 8 + 1 + 32 + 24, 3 * 8 + 1 + 32 + 24 + 3 * 8]
+        assert sent == [3 * 8 + 1 + 32 + 24, 3 * 8 + 1 + 32 + 24 + 8]
         assert receiver.messages_received == 6
         assert receiver.pull_timeouts == receiver.pull_failures == 0
         assert len(receiver._pull_conns[mon.addr].conn._rx) == 0
-        assert UNCHANGED == 0 < tx.bytes_sent
 
     # -- bug: an interrupted round must not poison the next ----------------------
 
