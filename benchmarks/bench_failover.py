@@ -28,12 +28,14 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.bench.experiments import failover_experiment
+from repro.bench.experiments import star_experiment
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_failover.json"
 
 SEEDS = (0, 1, 2)
 FAULTS = ("wizard_kill", "server_kill")
+#: matrix size (3x3 blocks of ``STAR_MATMUL_BLK``)
+N = 240
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -44,13 +46,13 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def main() -> dict:
-    baselines = {seed: failover_experiment("none", seed=seed)
+    baselines = {seed: star_experiment("none", seed, watchdog=False, n=N)
                  for seed in SEEDS}
     scenarios = {}
     for fault in FAULTS:
         runs = []
         for seed in SEEDS:
-            arm = failover_experiment(fault, seed=seed)
+            arm = star_experiment(fault, seed, watchdog=False, n=N)
             base = baselines[seed]
             runs.append({
                 "seed": seed,

@@ -6,8 +6,8 @@ sick while its health lease stays green:
 
 * ``slow_server``   — the chosen worker's CPU is throttled 10x (it keeps
   heartbeating, so the binary lease detector never fires);
-* ``degraded_link`` — the worker's access link gains 300 ms latency and
-  3 % loss (sick but connected).
+* ``degraded_link`` — the worker's access link gains 500 ms latency and
+  no loss (sick but connected).
 
 Each scenario runs two detector arms per seed: ``adaptive`` sessions arm
 the phi-accrual throughput-floor watchdog and migrate off the sick
@@ -33,15 +33,17 @@ from pathlib import Path
 
 from compare import report_drift
 
-from repro.bench.experiments import (
-    GRAYFAIL_DETECTORS,
-    grayfail_experiment,
-)
+from repro.bench.experiments import star_experiment
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_grayfail.json"
 
 SEEDS = (0, 1, 2)
 FAULTS = ("slow_server", "degraded_link")
+#: detector arm -> whether its sessions run the watchdog: the adaptive
+#: phi-accrual watchdog vs the binary lease-only baseline
+DETECTORS = {"adaptive": True, "fixed": False}
+#: matrix size (5x5 blocks of ``STAR_MATMUL_BLK``)
+N = 400
 
 #: the acceptance bar: adaptive excess slowdown at least this many times
 #: smaller than fixed on every seed of every scenario
@@ -59,17 +61,17 @@ def main() -> dict:
     # the watchdog config changes the event schedule, so each detector
     # arm is judged against its *own* same-seed no-fault baseline
     baselines = {
-        (detector, seed): grayfail_experiment("none", detector, seed=seed)
-        for detector in GRAYFAIL_DETECTORS
+        (detector, seed): star_experiment("none", seed, watchdog=watchdog, n=N)
+        for detector, watchdog in DETECTORS.items()
         for seed in SEEDS
     }
     scenarios = {}
     for fault in FAULTS:
         arms = {}
-        for detector in GRAYFAIL_DETECTORS:
+        for detector, watchdog in DETECTORS.items():
             runs = []
             for seed in SEEDS:
-                arm = grayfail_experiment(fault, detector, seed=seed)
+                arm = star_experiment(fault, seed, watchdog=watchdog, n=N)
                 base = baselines[(detector, seed)]
                 runs.append({
                     "seed": seed,

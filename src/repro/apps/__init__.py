@@ -1,7 +1,7 @@
 """Applications from the thesis' evaluation: matmul and massd, two sets
 of blocks on the one block farm (:mod:`.farm`)."""
 
-from .farm import BlockService, Farm, FarmResult
+from .farm import AllSlotsDead, BlockService, Farm, FarmResult
 from .massd import FileServer, MassdClient, MassdResult, shape_host_egress
 from .matmul import (
     DOUBLE_BYTES,
@@ -14,6 +14,7 @@ from .matmul import (
 )
 
 __all__ = [
+    "AllSlotsDead",
     "Farm",
     "FarmResult",
     "BlockService",

@@ -10,8 +10,8 @@ program" (thesis §5.3.2); it lives here once, and :mod:`.matmul` /
   (:meth:`Farm._checkpoint`); backed by a
   :class:`~repro.core.session.SmartSession` it then fails over to a
   replacement server, a plain connection retires and its work drains to
-  the peers.  The run fails loudly only when every slot died with blocks
-  left undone.
+  the peers.  The run fails loudly (:class:`AllSlotsDead`) only when
+  every slot died with blocks left undone, or it had none.
 * **server side** — :class:`BlockService` answers one request tag, one
   block per request, on :meth:`repro.net.tcp.TcpLayer.serve`.
 """
@@ -25,7 +25,12 @@ from ..cluster.host import SmartHost
 from ..net.tcp import ConnectionClosed
 from ..sim import Interrupt
 
-__all__ = ["Farm", "FarmResult", "BlockService"]
+__all__ = ["AllSlotsDead", "Farm", "FarmResult", "BlockService"]
+
+
+class AllSlotsDead(RuntimeError):
+    """The farm's documented loud failure: it was given no server slot,
+    or every slot died with blocks left undone."""
 
 
 def _is_session(entry) -> bool:
@@ -76,6 +81,8 @@ class Farm:
         message for the same block, which ``accept(task, msg, nbytes)``
         takes in (raising on a bad one).
         """
+        if not conns:
+            raise AllSlotsDead("no server slots supplied")
         sim = self.sim
         tasks = tasks[::-1]  # pop() takes them in natural order
         done_counts: dict[str, int] = {_addr_of(c): 0 for c in conns}
@@ -124,9 +131,8 @@ class Farm:
         yield finished
         assert all(s.triggered for s in slots), "a slot never finished"
         if tasks:
-            raise RuntimeError(
-                f"{len(tasks)} blocks undone: every server slot died"
-            )
+            raise AllSlotsDead(
+                f"{len(tasks)} blocks undone: every server slot died")
         return {
             "servers": [_addr_of(c) for c in conns],
             "elapsed": sim.now - t0,

@@ -114,8 +114,6 @@ class MassdClient(Farm):
         connects for the random baseline) or
         :class:`~repro.core.session.SmartSession` slots.
         """
-        if not conns:
-            raise ValueError("no server connections supplied")
         if data_kb <= 0 or blk_kb <= 0:
             raise ValueError("data and block sizes must be positive")
         n_blocks, rem = divmod(data_kb, blk_kb)

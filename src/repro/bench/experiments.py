@@ -38,12 +38,12 @@ from ..apps import (
 from ..cluster import Cluster, Deployment, build_testbed, build_wan_paths
 from ..core import (estimate_bandwidth, pathload_estimate, pipechar_estimate,
                     rtt_curve)
-from ..faults import REQUEST_AT, FaultPlan, StarJob, star_job
+from ..faults import REQUEST_AT, FaultPlan, star_job
 from ..host import SuperPiWorkload
 from ..net import ETHERNET_100
-from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG, SERVICE_PORT,
-                      TESTBED_SERVER_NAMES, Observed, Star, build_star,
-                      lab_world, massd_world, observe, star_uplink)
+from ..worlds import (BULK_MSS, SERVICE_PORT, STAR_MATMUL_BLK,
+                      TESTBED_SERVER_NAMES, Observed, build_star, lab_world,
+                      massd_world, observe, star_config, star_uplink)
 
 __all__ = [
     "rtt_vs_size",
@@ -59,13 +59,9 @@ __all__ = [
     "shaper_calibration",
     "massd_experiment",
     "MassdArm",
-    "failover_experiment",
-    "FailoverArm",
-    "FAILOVER_SCENARIOS",
-    "grayfail_experiment",
-    "GrayFailArm",
-    "GRAYFAIL_SCENARIOS",
-    "GRAYFAIL_DETECTORS",
+    "STAR_FAULTS",
+    "StarArm",
+    "star_experiment",
 ]
 
 MATMUL_N = 1500
@@ -497,190 +493,93 @@ def matmul_experiment(
 # HA failover and gray failures — the self-healing matmul on the star
 # ---------------------------------------------------------------------------
 
-def _ha_matmul(
-    star: Star, n: int, blk: int, name: str,
-    pre_fault: Optional[FaultPlan],
-    mid_fault: Callable[[float, str], Optional[FaultPlan]],
-) -> StarJob:
-    """Run the self-healing matmul (2 sessions) on a started HA star to
-    completion: the one :func:`~repro.faults.star_job` with ``pre_fault``
-    armed before the client's request and ``mid_fault(now, victim)``
-    asked for a plan the moment the sessions are open."""
-    job = star_job(
-        star, name,
-        lambda sessions: MatMulMaster(star.cli).run(sessions, n=n, blk=blk),
-        plan=pre_fault, mid_fault=mid_fault)
-    _drive(star.cluster, job.proc)
-    return job
-
-
-#: fault modes of :func:`failover_experiment`
-FAILOVER_SCENARIOS = ("none", "wizard_kill", "server_kill")
+#: the HA star's fault modes: name -> (the plan armed before the
+#: client's request, ``(now, victim) -> plan`` armed once the sessions
+#: are open — the victim is the first session's server)
+STAR_FAULTS: dict[str, tuple[Optional[FaultPlan],
+                             Optional[Callable[[float, str], FaultPlan]]]] = {
+    "none": (None, None),
+    # the primary wizard replica dies just before the first request
+    "wizard_kill": (
+        FaultPlan().kill_wizard_during_request(REQUEST_AT - 0.2, "wiz"), None),
+    # the victim power-fails 2.5 s into the stream
+    "server_kill": (
+        None, lambda now, victim: FaultPlan().crash_host(now + 2.5, victim)),
+    # gray faults land after ~2 healthy block cycles, so the watchdog
+    # has a learned progress baseline.  slow_server: the victim's CPU is
+    # throttled 10x (it keeps heartbeating, so the lease never expires)
+    "slow_server": (None, lambda now, victim: FaultPlan().slow_host(
+        now + 8.0, victim, factor=10.0, duration=3600.0)),
+    # degraded_link: the victim's access link goes sick.  Pure latency,
+    # no loss: +500 ms of RTT collapses TCP throughput (the window over
+    # a 1 s RTT) while the lease heartbeat still answers well inside its
+    # 2 s timeout — loss would hand the binary detector an expiry and
+    # turn the gray fault black
+    "degraded_link": (None, lambda now, victim: FaultPlan().degrade_link(
+        now + 8.0, victim, star_uplink(victim), duration=3600.0,
+        latency=0.5)),
+}
 
 
 @dataclass
-class FailoverArm:
-    """One failover run: elapsed wall time plus the recovery telemetry."""
+class StarArm:
+    """One :func:`star_experiment` run: elapsed time plus the recovery
+    and detection telemetry."""
 
-    label: str
-    seed: int
     elapsed: float
     failovers: int
     requeued_blocks: int
     wizard_failovers: int
-    stale_rejections: int
     lease_expiries: int
-    blocks_per_server: dict[str, int] = field(default_factory=dict)
-    #: what the armed kernel instruments saw (see ``**instruments``)
-    observed: Observed = Observed()
-
-
-def failover_experiment(
-    scenario: str = "server_kill",
-    seed: int = 0,
-    n: int = 240,
-    blk: int = 80,
-    **instruments: Any,
-) -> FailoverArm:
-    """One self-healing matmul run (2 sessions) under a fault mode:
-    ``none`` (baseline), ``wizard_kill`` (primary wizard replica killed
-    just before the first request) or ``server_kill`` (the first chosen
-    worker power-failed 2.5 s into the stream).  The arm's ``elapsed``
-    minus the same-seed baseline's is the recovery latency.
-    """
-    if scenario not in FAILOVER_SCENARIOS:
-        raise ValueError(f"unknown failover scenario {scenario!r}")
-    star = build_star(seed, FAILOVER_CONFIG, replicas=2, app="matmul",
-                      **instruments)
-    pre_fault = None
-    if scenario == "wizard_kill":
-        pre_fault = FaultPlan().kill_wizard_during_request(
-            REQUEST_AT - 0.2, "wiz")
-
-    def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
-        if scenario != "server_kill":
-            return None
-        return FaultPlan().crash_host(now + 2.5, victim)
-
-    job = _ha_matmul(star, n, blk, "failover-driver", pre_fault, mid_fault)
-    result, client, sessions = job.result, job.client, job.sessions
-    name_of = star.name_of
-    return FailoverArm(
-        label=scenario,
-        seed=seed,
-        elapsed=result.elapsed,
-        failovers=result.failovers,
-        requeued_blocks=result.requeued_blocks,
-        wizard_failovers=client.wizard_failovers,
-        stale_rejections=client.stale_rejections,
-        lease_expiries=sum(s.lease_expiries for s in sessions),
-        blocks_per_server={
-            name_of.get(a, a): c
-            for a, c in result.blocks_per_server.items()
-        },
-        observed=observe(star.cluster),
-    )
-
-
-#: gray fault modes of :func:`grayfail_experiment`
-GRAYFAIL_SCENARIOS = ("none", "slow_server", "degraded_link")
-#: detector arms: the adaptive (watchdog) sessions vs the binary
-#: lease-only baseline
-GRAYFAIL_DETECTORS = ("adaptive", "fixed")
-
-
-@dataclass
-class GrayFailArm:
-    """One gray-failure run of the self-healing matmul."""
-
-    label: str
-    detector: str
-    seed: int
-    elapsed: float
-    #: sim time the gray fault started (-1 in the ``none`` baseline)
+    slow_migrations: int
+    #: sim time the mid-stream fault landed (-1 without one)
     fault_at: float
     #: sim time of the first proactive watchdog migration (-1 = never)
     demote_at: float
-    slow_migrations: int
-    failovers: int
-    requeued_blocks: int
-    lease_expiries: int
     #: what the armed kernel instruments saw (see ``**instruments``)
-    observed: Observed = Observed()
+    observed: Observed
 
     @property
     def time_to_demote(self) -> float:
-        """Seconds from fault injection to the watchdog pulling the
+        """Seconds from the mid-stream fault to the watchdog pulling the
         session off the sick server (-1 when either never happened)."""
         if self.fault_at < 0 or self.demote_at < 0:
             return -1.0
         return self.demote_at - self.fault_at
 
 
-def grayfail_experiment(
-    scenario: str = "slow_server",
-    detector: str = "adaptive",
-    seed: int = 0,
-    n: int = 400,
-    blk: int = 80,
-    **instruments: Any,
-) -> GrayFailArm:
-    """One self-healing matmul run (2 sessions) under a *gray* fault.
+def star_experiment(fault: str, seed: int, *, watchdog: bool, n: int,
+                    **instruments: Any) -> StarArm:
+    """One self-healing matmul run (2 sessions) on the two-replica HA
+    star under one :data:`STAR_FAULTS` mode: the one
+    :func:`~repro.faults.star_job` with the row's plans armed.
 
-    Unlike :func:`failover_experiment` the injected server never dies: in
-    ``slow_server`` its CPU is throttled 8x (it keeps heartbeating, so
-    the lease never expires); in ``degraded_link`` its access link gains
-    half a second of latency (sick but connected).  The ``detector`` arm picks
-    what catches it: ``adaptive`` sessions run the phi-accrual
-    throughput-floor watchdog, ``fixed`` sessions have only the binary
-    lease — they ride the sick server to the end of the job.  The
-    slowdown ratio between the arms (each against its own same-seed
-    ``none`` baseline) is the headline of ``BENCH_grayfail.json``.
+    ``watchdog`` picks the detector: the sessions run the phi-accrual
+    throughput-floor watchdog, or have only the binary lease and ride a
+    sick server to the end of the job.  An arm's ``elapsed`` against the
+    same-seed, same-detector ``none`` arm is the fault's price.
     """
-    if scenario not in GRAYFAIL_SCENARIOS:
-        raise ValueError(f"unknown grayfail scenario {scenario!r}")
-    if detector not in GRAYFAIL_DETECTORS:
-        raise ValueError(f"unknown detector arm {detector!r}")
-    star = build_star(
-        seed, GRAYFAIL_CONFIG if detector == "adaptive" else FAILOVER_CONFIG,
-        replicas=2, app="matmul", **instruments)
-    fault_times: list[float] = []
-
-    def mid_fault(now: float, victim: str) -> Optional[FaultPlan]:
-        if scenario == "none":
-            return None
-        # ~2 healthy block cycles first, so the adaptive watchdog has
-        # a learned progress baseline before the gray fault lands
-        fault_at = now + 8.0
-        fault_times.append(fault_at)
-        if scenario == "slow_server":
-            return FaultPlan().slow_host(
-                fault_at, victim, factor=10.0, duration=3600.0)
-        # degraded_link: the victim's access link goes sick.  Pure
-        # latency, no loss: +500 ms of RTT collapses TCP throughput (the
-        # window over a 1 s RTT) while the lease heartbeat still answers
-        # well inside its 2 s timeout — loss would hand the binary
-        # detector an expiry and turn the gray fault black
-        return FaultPlan().degrade_link(
-            fault_at, victim, star_uplink(victim), duration=3600.0,
-            latency=0.5)
-
-    job = _ha_matmul(star, n, blk, "grayfail-driver", None, mid_fault)
+    pre_fault, mid_fault = STAR_FAULTS[fault]
+    star = build_star(seed, star_config(watchdog), replicas=2, app="matmul",
+                      **instruments)
+    job = star_job(
+        star, "star-driver",
+        lambda sessions: MatMulMaster(star.cli).run(
+            sessions, n=n, blk=STAR_MATMUL_BLK),
+        plan=pre_fault, mid_fault=mid_fault)
+    _drive(star.cluster, job.proc)
     result, sessions = job.result, job.sessions
-    watchdog_log = sorted(
-        entry for s in sessions for entry in s.watchdog_log
-    )
-    return GrayFailArm(
-        label=scenario,
-        detector=detector,
-        seed=seed,
+    demotions = sorted(entry for s in sessions for entry in s.watchdog_log)
+    return StarArm(
         elapsed=result.elapsed,
-        fault_at=fault_times[0] if fault_times else -1.0,
-        demote_at=watchdog_log[0][0] if watchdog_log else -1.0,
-        slow_migrations=sum(s.slow_migrations for s in sessions),
         failovers=result.failovers,
         requeued_blocks=result.requeued_blocks,
+        wizard_failovers=job.client.wizard_failovers,
         lease_expiries=sum(s.lease_expiries for s in sessions),
+        slow_migrations=sum(s.slow_migrations for s in sessions),
+        fault_at=(job.chaos[-1].plan.events()[0].at
+                  if mid_fault is not None else -1.0),
+        demote_at=demotions[0][0] if demotions else -1.0,
         observed=observe(star.cluster),
     )
 

@@ -32,12 +32,12 @@ class Cluster:
     :mod:`repro.sim.profile`).
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0,
+    def __init__(self, seed: int = 0,
                  tie_break_seed: Optional[int] = None,
                  trace_events: bool = False,
                  sanitize: bool = False,
                  profile: bool = False):
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.network = Network(self.sim)
         self.streams = RandomStreams(seed)
         self.hosts: dict[str, SmartHost] = {}

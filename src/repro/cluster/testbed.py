@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..net import ETHERNET_100
-from ..sim import Simulator
 from .builder import Cluster
 from .host import SmartHost
 
@@ -74,15 +73,14 @@ _SWITCH_DELAY = 25e-6
 _CAMPUS_DELAY = 60e-6
 
 
-def build_testbed(sim: Simulator | None = None, seed: int = 0,
-                  **instruments: Any) -> Cluster:
+def build_testbed(seed: int = 0, **instruments: Any) -> Cluster:
     """Construct the 11-machine testbed; returns a finalized cluster.
 
     Every segment is a switch; dalmatian has one NIC per lab segment (it is
     the gateway) plus one on the campus segment towards sagit.
     ``instruments`` go to :class:`~repro.cluster.builder.Cluster`.
     """
-    cluster = Cluster(sim, seed=seed, **instruments)
+    cluster = Cluster(seed=seed, **instruments)
     hosts: dict[str, SmartHost] = {}
     for spec in TESTBED_MACHINES:
         hosts[spec.name] = cluster.add_host(

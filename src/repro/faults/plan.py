@@ -318,8 +318,6 @@ class FaultPlan:
         ``rate`` for ``duration`` seconds (probe-report loss bursts).  A
         plan narrows a burst to the transmit or receive side with a
         ``loss-burst`` event's ``direction`` (``tx`` / ``rx``)."""
-        if duration <= 0:
-            raise ValueError(f"burst duration must be > 0, got {duration}")
         return self.add(FaultEvent(
             at, "loss-burst", host, value=rate, duration=duration))
 

@@ -38,10 +38,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..apps import Farm, MassdClient, MatMulMaster
+from ..apps import AllSlotsDead, Farm, MassdClient, MatMulMaster
 from ..core import smart_sessions
-from ..worlds import (BULK_MSS, FAILOVER_CONFIG, GRAYFAIL_CONFIG,
-                      SERVICE_PORT, STALENESS_REQUIREMENT, Star, build_star)
+from ..worlds import (BULK_MSS, SERVICE_PORT, STALENESS_REQUIREMENT,
+                      STAR_MATMUL_BLK, Star, build_star, star_config)
 from .controller import ChaosController
 from .invariants import TrialOutcome
 from .plan import FaultPlan
@@ -71,8 +71,8 @@ LIVENESS_SLACK = 150.0
 REQUEST_AT = 6.0
 
 
-#: the matmul job: matrix and block size (160/80 -> a 2x2 grid)
-MATMUL_N, MATMUL_BLK = 160, 80
+#: the matmul job's matrix size (2x2 blocks of ``STAR_MATMUL_BLK``)
+MATMUL_N = 160
 #: the massd job: file and block size in KB (-> 12 blocks)
 MASSD_KB, MASSD_BLK_KB = 1200, 100
 
@@ -214,15 +214,6 @@ def _matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-#: exception messages of the *documented* loud-failure path — the plan
-#: killed every server the job had; not an invariant breach
-_ALL_DEAD_MARKERS = (
-    "every server slot died",
-    "no worker connections supplied",
-    "no server connections supplied",
-)
-
-
 def _exc_site(exc: BaseException) -> str:
     """Coarse, shrink-stable crash site: the deepest repro frame as
     ``module.function`` (no line numbers — those move as plans shrink)."""
@@ -258,9 +249,8 @@ def run_trial(
         raise ValueError(f"unknown mutant {mutant!r}")
     if not deadline:
         deadline = trial_deadline(0.0, plan.horizon) + 60.0
-    star = build_star(
-        world_seed, GRAYFAIL_CONFIG if spec.watchdog else FAILOVER_CONFIG,
-        replicas=2, app=spec.app, trace_events=trace)
+    star = build_star(world_seed, star_config(spec.watchdog), replicas=2,
+                      app=spec.app, trace_events=trace)
     sim = star.cluster.sim
     name_of = star.name_of
     program = _APPS[spec.app]
@@ -270,8 +260,8 @@ def run_trial(
     def app(sessions):
         if spec.app == "matmul":
             a, b = _matrices(MATMUL_N)
-            return program(star.cli).run(sessions, n=MATMUL_N, blk=MATMUL_BLK,
-                                         a=a, b=b)
+            return program(star.cli).run(sessions, n=MATMUL_N,
+                                         blk=STAR_MATMUL_BLK, a=a, b=b)
         return program(star.cli).run(sessions, data_kb=MASSD_KB,
                                      blk_kb=MASSD_BLK_KB)
 
@@ -299,7 +289,9 @@ def run_trial(
     outcome = TrialOutcome(deadline=deadline, end_time=sim.now,
                            oracle_fingerprint=oracle_fingerprint)
     if exc is not None:
-        if any(marker in str(exc) for marker in _ALL_DEAD_MARKERS):
+        # the documented loud failure: the plan left the job no live
+        # server, which is not an invariant breach
+        if isinstance(exc, AllSlotsDead):
             outcome.all_slots_dead = True
         else:
             outcome.exception = f"{type(exc).__name__}: {exc}"

@@ -38,8 +38,9 @@ from .core.config import DEFAULT_CONFIG
 
 __all__ = [
     "fresh_ids", "Observed", "observe", "SERVICE_PORT", "BULK_MSS",
-    "CHAOS_CONFIG", "FAILOVER_CONFIG", "GRAYFAIL_CONFIG",
-    "STALENESS_REQUIREMENT", "StarGroup", "STAR_GROUPS", "STAR_WIZARDS",
+    "CHAOS_CONFIG", "FAILOVER_CONFIG", "GRAYFAIL_CONFIG", "star_config",
+    "STALENESS_REQUIREMENT", "STAR_MATMUL_BLK", "StarGroup", "STAR_GROUPS",
+    "STAR_WIZARDS",
     "APP_ROLES", "Star", "build_star", "star_surface", "star_uplink",
     "TESTBED_SERVER_NAMES", "MASSD_GROUP1", "MASSD_GROUP2", "lab_world",
     "massd_world", "SMOKE_JOBS", "run_smoke", "run_scenario",
@@ -127,6 +128,12 @@ FAILOVER_CONFIG = replace(CHAOS_CONFIG, wizard_staleness_limit=4.0)
 #: throughput-floor watchdog, sampling progress every 0.5 s
 GRAYFAIL_CONFIG = replace(FAILOVER_CONFIG, session_watchdog_interval=0.5)
 
+
+def star_config(watchdog: bool) -> Config:
+    """The HA star's timing: :data:`GRAYFAIL_CONFIG` when the sessions
+    run the watchdog, else :data:`FAILOVER_CONFIG`."""
+    return GRAYFAIL_CONFIG if watchdog else FAILOVER_CONFIG
+
 #: freshness demand of the star jobs: a record whose monitor path has
 #: been dead for >= 10 s no longer qualifies
 STALENESS_REQUIREMENT = "host_cpu_free > 0.1\nhost_status_age < 10"
@@ -155,9 +162,11 @@ STAR_CORE = "core"
 
 #: application on every star server -> its daemon role on the fault plane
 APP_ROLES = {"matmul": "worker", "massd": "fileserver"}
-#: slow worker CPUs so one 80x80 matmul block takes ~2 s: a mid-run
-#: crash is genuinely mid-stream and recovery is measurable
+#: slow worker CPUs so one ``STAR_MATMUL_BLK``-square matmul block takes
+#: ~2 s: a mid-run crash is genuinely mid-stream and recovery is measurable
 STAR_MATMUL_SPEED = 1.5e6
+#: the block size of every matmul job on the star
+STAR_MATMUL_BLK = 80
 #: file servers shaped to 8 Mbit/s so a massd block takes ~0.1 s
 STAR_MASSD_MBPS = 8.0
 
@@ -281,14 +290,12 @@ MASSD_GROUP1 = ("mimas", "telesto", "lhost")
 MASSD_GROUP2 = ("dione", "titan-x", "pandora-x")
 
 
-def lab_world(config: Optional[Config] = None, seed: int = 0,
-              pool: Sequence[str] = TESTBED_SERVER_NAMES,
+def lab_world(seed: int = 0, pool: Sequence[str] = TESTBED_SERVER_NAMES,
               **instruments: Any) -> tuple[Cluster, Deployment]:
     """Testbed + one 'lab' group over ``pool``, matmul workers everywhere."""
     fresh_ids()
     cluster = build_testbed(seed=seed, **instruments)
-    dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"),
-                     config=config or Config())
+    dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
     dep.add_group("lab", monitor_host=cluster.host("dalmatian"),
                   servers=[cluster.host(n) for n in pool])
     for name in TESTBED_SERVER_NAMES:
@@ -339,11 +346,12 @@ def massd_world(group1_mbps: float, group2_mbps: float, seed: int = 0,
 SMOKE_JOBS: dict[str, tuple[str, tuple[dict[str, Any], ...]]] = {
     "matmul": ("tab5.3", (dict(blk=120, n=240),)),
     "massd": ("tab5.7", (dict(data_kb=2000),)),
-    "failover": ("failover_experiment", (
-        dict(scenario="wizard_kill"), dict(scenario="server_kill"))),
-    "grayfail": ("grayfail_experiment", (
-        dict(scenario="slow_server", detector="adaptive"),
-        dict(scenario="degraded_link", detector="adaptive"))),
+    "failover": ("star_experiment", tuple(
+        dict(fault=fault, seed=0, watchdog=False, n=240)
+        for fault in ("wizard_kill", "server_kill"))),
+    "grayfail": ("star_experiment", tuple(
+        dict(fault=fault, seed=0, watchdog=True, n=400)
+        for fault in ("slow_server", "degraded_link"))),
 }
 
 

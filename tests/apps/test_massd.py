@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import FileServer, MassdClient, shape_host_egress
+from repro.apps import (AllSlotsDead, FileServer, MassdClient,
+                        shape_host_egress)
 from repro.bench.experiments import _drive
 from repro.cluster import Cluster
 
@@ -76,7 +77,7 @@ class TestDownload:
     def test_invalid_args_rejected(self):
         cluster, client, servers = make_world([("s1", None)])
         massd = MassdClient(client)
-        with pytest.raises(ValueError):
+        with pytest.raises(AllSlotsDead, match="no server slots"):
             list(massd.run([], data_kb=100, blk_kb=10))
 
     def test_shaper_requires_positive_rate(self):

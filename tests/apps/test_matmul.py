@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps import (
+    AllSlotsDead,
     MatMulMaster,
     MatMulWorker,
     block_grid,
@@ -149,7 +150,7 @@ class TestDistributedRun:
     def test_no_connections_rejected(self):
         cluster, master, _ = make_world([("w1", 1e8)])
         prog = MatMulMaster(master)
-        with pytest.raises(ValueError):
+        with pytest.raises(AllSlotsDead, match="no server slots"):
             list(prog.run([], n=10, blk=5))
 
     def test_matrix_shape_validated(self):

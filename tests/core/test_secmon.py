@@ -31,48 +31,48 @@ class TestDummySecurityLog:
 
 
 class TestSecurityMonitorDaemon:
-    def make(self, sim, source):
-        cluster = Cluster(sim)
+    def make(self, source):
+        cluster = Cluster()
         host = cluster.add_host("monitor")
         other = cluster.add_host("x")
         cluster.link(host, other)
         cluster.finalize()
-        return SecurityMonitor(sim, host.shm, source)
+        return SecurityMonitor(cluster.sim, host.shm, source)
 
-    def test_publishes_levels(self, sim):
-        mon = self.make(sim, DummySecurityLog("mimas 2\ntelesto 1"))
+    def test_publishes_levels(self):
+        mon = self.make(DummySecurityLog("mimas 2\ntelesto 1"))
         mon.start()
-        sim.run(until=0.5)
+        mon.sim.run(until=0.5)
         db = mon.shm.segment(mon.segment_key).read()
         assert db["mimas"].level == 2
         assert db["telesto"].level == 1
 
-    def test_log_update_propagates(self, sim):
+    def test_log_update_propagates(self):
         log = DummySecurityLog("mimas 2")
-        mon = self.make(sim, log)
+        mon = self.make(log)
         mon.start()
-        sim.run(until=0.5)
+        mon.sim.run(until=0.5)
         log.text = "mimas 0"  # compromised!
-        sim.run(until=SCAN_INTERVAL + 0.5)
+        mon.sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.shm.segment(mon.segment_key).read()["mimas"].level == 0
 
-    def test_bad_source_counts_error_and_keeps_running(self, sim):
+    def test_bad_source_counts_error_and_keeps_running(self):
         log = DummySecurityLog("good 1")
-        mon = self.make(sim, log)
+        mon = self.make(log)
         mon.start()
-        sim.run(until=0.5)
+        mon.sim.run(until=0.5)
         log.text = "broken line without level_number x y"
-        sim.run(until=SCAN_INTERVAL + 0.5)
+        mon.sim.run(until=SCAN_INTERVAL + 0.5)
         assert mon.errors >= 1
         log.text = "good 3"
-        sim.run(until=2 * SCAN_INTERVAL + 0.5)
+        mon.sim.run(until=2 * SCAN_INTERVAL + 0.5)
         assert mon.shm.segment(mon.segment_key).read()["good"].level == 3
 
-    def test_stop(self, sim):
-        mon = self.make(sim, DummySecurityLog("a 1"))
+    def test_stop(self):
+        mon = self.make(DummySecurityLog("a 1"))
         mon.start()
-        sim.run(until=0.5)
+        mon.sim.run(until=0.5)
         mon.stop()
         scans = mon.scans
-        sim.run(until=2 * SCAN_INTERVAL)
+        mon.sim.run(until=2 * SCAN_INTERVAL)
         assert mon.scans == scans

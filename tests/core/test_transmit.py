@@ -453,7 +453,9 @@ class TestPullHardening:
 
     def test_transmitter_dying_after_its_first_body_fails_alone(self):
         """One pull_failure for the one that died; what it delivered
-        before dying and everything it delivered earlier stays."""
+        before dying and everything it delivered earlier stays.  Round 1
+        is a full answer; round 2 announces two bodies, sends one and
+        closes (an ``abort()`` would discard the queued body unsent)."""
         cluster, cfg, receiver, txs, monitors = make_world(
             Mode.DISTRIBUTED, n_monitors=3)
         dying, *healthy = monitors
@@ -463,33 +465,36 @@ class TestPullHardening:
             receiver.add_transmitter(mon.addr)
         now = cluster.sim.now
 
-        def one_body_then_die(conn):
+        def full_answer_then_one_body(conn):
             yield conn.recv()
             conn.send(("hdr", ((MSG_SYSDB, 204), (MSG_NETDB, 32), (MSG_SECDB, 24))), 24)
             conn.send(("body", MSG_SYSDB, {"10.0.1.1": "first"}, now), 204)
             conn.send(("body", MSG_NETDB, {"g1": "kept"}, now), 32)
-            conn.close()  # the secdb it announced never comes
-            yield conn.recv()  # second round: body, then gone
-            conn.send(("hdr", ((MSG_SYSDB, 204),)), 8)
+            conn.send(("body", MSG_SECDB, {"srv-1": "kept"}, now), 24)
+            yield conn.recv()
+            conn.send(("hdr", ((MSG_SYSDB, 204), (MSG_NETDB, 32))), 16)
             conn.send(("body", MSG_SYSDB, {"10.0.1.1": "second"}, now), 204)
-            conn.abort()
+            conn.close()  # the netdb it announced never comes
 
         service = dying.stack.tcp.serve(
-            cfg.ports.transmitter, one_body_then_die,
+            cfg.ports.transmitter, full_answer_then_one_body,
             name="dying-tx", session_name="dying-tx-session")
 
         def p():
-            yield from receiver.pull_all()
-            first = receiver.pull_failures
+            failures = []
+            for _ in range(2):
+                yield from receiver.pull_all()
+                failures.append(receiver.pull_failures)
             service.stop()
-            return first
+            return failures
 
-        assert run_process(cluster.sim, p(), until=30.0) == 1
+        assert run_process(cluster.sim, p(), until=30.0) == [0, 1]
         assert receiver.pull_timeouts == 0
         sysdb = receiver.database(MSG_SYSDB)
-        assert sysdb["10.0.1.1"] == "first"             # the body that made it
+        assert sysdb["10.0.1.1"] == "second"            # round 2's body applied
         assert {"10.0.2.1", "10.0.3.1"} <= set(sysdb)   # the others applied
-        assert receiver.database(MSG_NETDB)["g1"] == "kept"
+        assert receiver.database(MSG_NETDB)["g1"] == "kept"     # round 1's stay
+        assert receiver.database(MSG_SECDB)["srv-1"] == "kept"
         assert dying.addr not in receiver._pull_conns
         assert {m.addr for m in healthy} == set(receiver._pull_conns)
 

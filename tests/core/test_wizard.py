@@ -15,8 +15,8 @@ from repro.core import (
 )
 
 
-def make_wizard(sim=None):
-    cluster = Cluster(sim, seed=9)
+def make_wizard():
+    cluster = Cluster(seed=9)
     w = cluster.add_host("wiz")
     o = cluster.add_host("other")
     cluster.link(w, o, subnet="10.0.0")

@@ -142,7 +142,7 @@ CASES: dict[str, tuple[str, str, str, int, list[str]]] = {
 
 
 def _world():
-    cluster = Cluster(None, seed=3)
+    cluster = Cluster(seed=3)
     wiz, other = cluster.add_host("wiz"), cluster.add_host("other")
     cluster.link(wiz, other, subnet="10.0.0")
     cluster.finalize()

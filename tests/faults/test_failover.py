@@ -17,14 +17,13 @@ import pytest
 
 from repro.apps import MassdClient, MatMulMaster
 from repro.faults import REQUEST_AT, ChaosController, FaultPlan, star_job
-from repro.worlds import (FAILOVER_CONFIG, STALENESS_REQUIREMENT, build_star,
-                          star_uplink)
+from repro.worlds import (FAILOVER_CONFIG, STALENESS_REQUIREMENT,
+                          STAR_MATMUL_BLK, build_star, star_uplink)
 
 pytestmark = pytest.mark.chaos
 
 #: matmul job sizing: 3x3 grid of 80x80 blocks, ~2 s of CPU per block
 MATMUL_N = 240
-MATMUL_BLK = 80
 #: massd job sizing: 30 blocks of 100 KB at 8 Mbit/s per server
 MASSD_DATA_KB = 3000
 MASSD_BLK_KB = 100
@@ -62,7 +61,7 @@ def run_matmul_job(seed: int = 0, fault: str = "none", **instruments):
     job = star_job(
         star, "matmul-job",
         lambda sessions: MatMulMaster(star.cli).run(
-            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b),
+            sessions, n=MATMUL_N, blk=STAR_MATMUL_BLK, a=a, b=b),
         # both wizard + receiver die 0.2 s before the first request
         plan=(FaultPlan().kill_wizard_during_request(REQUEST_AT - 0.2, "wiz")
               if fault == "wizard" else None),

@@ -21,8 +21,8 @@ import pytest
 
 from repro.apps import MassdClient, MatMulMaster
 from repro.faults import REQUEST_AT, ChaosController, FaultPlan, star_job
-from repro.worlds import (GRAYFAIL_CONFIG, STALENESS_REQUIREMENT, build_star,
-                          star_uplink)
+from repro.worlds import (GRAYFAIL_CONFIG, STALENESS_REQUIREMENT,
+                          STAR_MATMUL_BLK, build_star, star_uplink)
 
 pytestmark = pytest.mark.chaos
 
@@ -33,7 +33,6 @@ FAULT_DELAY = 8.0
 #: long enough that most of the job still lies ahead when the gray
 #: fault lands, so riding the sick server is measurably expensive
 MATMUL_N = 320
-MATMUL_BLK = 80
 #: massd job sizing: 30 blocks of 100 KB at 8 Mbit/s per server
 MASSD_DATA_KB = 3000
 MASSD_BLK_KB = 100
@@ -75,7 +74,7 @@ def run_matmul_gray(seed: int = 0, fault: str = "slow", watchdog: bool = True,
     job = star_job(
         star, "matmul-gray",
         lambda sessions: MatMulMaster(star.cli).run(
-            sessions, n=MATMUL_N, blk=MATMUL_BLK, a=a, b=b),
+            sessions, n=MATMUL_N, blk=STAR_MATMUL_BLK, a=a, b=b),
         mid_fault=mid_fault)
     star.cluster.run(until=400.0)
     assert job.result is not None, f"matmul job never completed (fault={fault})"

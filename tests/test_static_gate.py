@@ -542,6 +542,25 @@ def _assignments(tree: ast.Module):
         stack.extend((owner, child) for child in ast.iter_child_nodes(node))
 
 
+def _forwarding_calls(func: ast.FunctionDef | ast.AsyncFunctionDef):
+    """The calls in ``func``, its closures included, that splat
+    ``func``'s own ``**`` parameter (a closure rebinding the name hides
+    its calls)."""
+    kwarg = func.args.kwarg.arg
+    stack: list[ast.AST] = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                and kwarg in {a.arg for a in ast.walk(node.args)
+                              if isinstance(a, ast.arg)}:
+            continue
+        if isinstance(node, ast.Call) and any(
+                k.arg is None and isinstance(k.value, ast.Name) and k.value.id == kwarg
+                for k in node.keywords):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     """``(defaulted parameters in src/repro that nothing outside the tests
     sets off their default, every defaulted parameter)``, both as
@@ -551,7 +570,10 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
     name, or a subclass's, for ``__init__``) in ``src/``, ``benchmarks/``
     or ``examples/`` that passes it, by keyword or position, at another
     value than the default; by such a call that splats ``*args`` or
-    ``**kwargs``; or by a ``dict(...)`` or dict-literal key of its name,
+    ``**kwargs``, unless the splat forwards the calling function's own
+    ``**`` parameter: then only the keywords that function's callers
+    put into it count, followed through further forwards; or by a
+    ``dict(...)`` or dict-literal key of its name,
     or a keyword of its name in a call through a parameter, holding
     another value (catalogue rows, ``SMOKE_JOBS``, the parser's
     ``node_cls``).
@@ -611,6 +633,55 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                     if isinstance(call, ast.Call) and getattr(call.func, "id", None) in handed:
                         for keyword in call.keywords:
                             keyed.setdefault(keyword.arg, []).append(_value(keyword.value))
+    def callers(qualname: str) -> set[str]:
+        """The names a call to the function ``qualname`` goes by: its
+        own, or for ``__init__`` its class's and every subclass's."""
+        owner, _, name = qualname.rpartition(".")
+        if name != "__init__":
+            return {name}
+        names, pending = set(), [owner.rpartition(".")[2]]
+        while pending:
+            cls = pending.pop()
+            names.add(cls)
+            pending.extend(bases.get(cls, set()) - names)
+        return names
+
+    #: id of a call forwarding its function's ``**`` parameter -> (that
+    #: parameter, the names the function is called by, the parameters
+    #: a keyword binds before it reaches the ``**`` one)
+    forwards: dict[int, tuple[str, set[str], set[str]]] = {}
+    for tree in trees.values():
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef) or node.args.kwarg is None:
+                continue
+            named = {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
+            for call in _forwarding_calls(node):
+                forwards[id(call)] = (node.args.kwarg.arg, callers(qualname), named)
+
+    def through(call: ast.Call, seen: frozenset = frozenset()):
+        """The ``(keyword, value)`` pairs ``call``'s ``**`` splats pass:
+        for a forward of its function's own ``**`` parameter, what that
+        function's callers put into it, followed through their own
+        forwards; ``None`` when a splat is anything else."""
+        out: list = []
+        for keyword in call.keywords:
+            if keyword.arg is not None:
+                continue
+            kwarg, names, named = forwards.get(id(call), ("", set(), set()))
+            if getattr(keyword.value, "id", None) != kwarg or not kwarg:
+                return None
+            if id(call) in seen:
+                continue
+            for site in (c for n in names for c in calls.get(n, ())):
+                inner = through(site, seen | {id(call)})
+                if inner is None:
+                    return None
+                out += [(name, value) for name, value in
+                        [(k.arg, _value(k.value)) for k in site.keywords
+                         if k.arg is not None] + inner
+                        if name not in named]
+        return out
+
     unturned, defaulted = set(), set()
     for path, tree in trees.items():
         if src not in path.parents:
@@ -626,21 +697,18 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                     isinstance(d, ast.Name) and d.id == "staticmethod"
                     for d in node.decorator_list)
                 params = list(_defaulted(node, method))
-            names = {name}
-            if name == "__init__":
-                # the class and every subclass: what constructs it
-                names, pending = set(), [owner.rpartition(".")[2]]
-                while pending:
-                    cls = pending.pop()
-                    names.add(cls)
-                    pending.extend(bases.get(cls, set()) - names)
+            names = callers(qualname)
             if isinstance(node, ast.ClassDef):
                 kept = assigned.union(*(assigned_on_self.get(cls, ()) for cls in names))
                 params = [(field, position, default) for field, position, default
                           in _dataclass_fields(node) if field not in kept]
             sites = [call for n in names for call in calls.get(n, ())]
-            splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args) \
-                or any(k.arg is None for call in sites for k in call.keywords)
+            splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args)
+            forwarded: list = []
+            for call in sites:
+                pairs = through(call)
+                splat = splat or pairs is None
+                forwarded += pairs or []
             for param, position, default in params:
                 key = f"{path.relative_to(src).as_posix()}::{qualname}({param})"
                 defaulted.add(key)
@@ -651,6 +719,7 @@ def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
                     passed += [_value(call.args[position]) for call in sites
                                if position < len(call.args)]
                 passed += keyed.get(param, [])
+                passed += [v for name, v in forwarded if name == param]
                 if not splat and all(v == value for v in passed):
                     unturned.add(key)
     return unturned, defaulted
@@ -677,6 +746,10 @@ UNTURNED_PARAMETERS = {
         "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
     "bench/experiments.py::matmul_experiment(pool)":
         "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
+    "cluster/builder.py::Cluster.__init__(tie_break_seed)":
+        "a kernel instrument, like ``sanitize`` and ``profile``: the "
+        "schedule sanitizer's dual runs (``tests/test_determinism.py``) arm "
+        "it through a world builder's ``**instruments``",
     "core/probe.py::ServerProbe.__init__(use_tcp)":
         "DESIGN §6 extension kept as a test-only switch: long reports over TCP",
     "core/probe.py::ServerProbe.__init__(selected_params)":
@@ -756,6 +829,24 @@ class TestParameterGate:
     def test_a_second_value_clears_it(self, tmp_path, caller):
         repo = _parameter_tree(tmp_path, caller)
         assert _parameter_violations(repo, {}) == NO_VIOLATIONS
+
+    @pytest.mark.parametrize("caller, unturned", [
+        ("wrap(tag=1)\n", ["mod.py::Box.__init__(width)"]),
+        ("relay(width=3)\n", []),
+        ("relay(width=2)\n", ["mod.py::Box.__init__(width)"]),
+        ("wrap(**ROW)\n", []),
+    ], ids=["forwarded", "forwarded-twice", "forwarded-default", "other-splat"])
+    def test_a_forwarded_splat_passes_what_its_callers_set(self, tmp_path, caller,
+                                                           unturned):
+        """``Box(**opts)`` in ``wrap(**opts)`` sets only what calls to
+        ``wrap`` put into ``opts``, through a closure's forward too; a
+        splat of anything else still turns every parameter."""
+        repo = _parameter_tree(tmp_path, "knob(1, 8)\n" + caller)
+        (repo / "src" / "repro" / "fwd.py").write_text(
+            "def wrap(**opts):\n    return Box(**opts)\n\n\n"
+            "def relay(**kw):\n    def go():\n        return wrap(**kw)\n"
+            "    return go()\n")
+        assert _parameter_violations(repo, {})["unturned"] == unturned
 
     def test_reads_a_dataclass_field_as_an_init_parameter(self, tmp_path):
         """A row field no row sets is flagged, like ``Scenario.horizon``
