@@ -22,15 +22,23 @@ simulation output and deterministic.  The criterion gates only the
 deterministic metrics.  ``search.resolves_10_pct`` says whether the
 distance between the quartiles of trials/min is under 10 % of their
 median: only then does a 10 % change of the median stand out from the
-run-to-run spread.
+run-to-run spread.  On a loaded 2-core box it often does not (the
+quartiles have lain 20 % apart), so after the timed sweeps the sweep
+is run ``COUNT_RUNS`` more times under a ``sys.setprofile`` counter:
+``search.calls_per_trial`` is the Python-level calls into ``repro`` per
+healthy trial, identical in every counted run and under any
+``PYTHONHASHSEED``, the exact figure a change to the cost of a trial is
+judged by.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_explore.py``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -45,14 +53,48 @@ HEALTHY_BUDGET = 40
 MUTANT_BUDGET = 10
 #: healthy sweeps timed: one run's trials/min spreads by over 40 %
 SWEEP_RUNS = 5
+#: healthy sweeps counted: the counts must agree, two runs show it
+COUNT_RUNS = 2
+
+
+def healthy_sweep():
+    return explore(budget=HEALTHY_BUDGET, seed=0,
+                   scenarios=["matmul", "massd"])
+
+
+def counted_calls(run) -> int:
+    """Python-level calls into ``repro`` made by ``run()``, counted with
+    ``sys.setprofile`` (a frame whose module is ``repro.*``).  Every
+    module-level memo in ``repro`` is emptied first and earlier garbage
+    collected, so what an earlier sweep left behind cannot turn a counted
+    miss into a hit or run a closed generator's ``finally`` inside the
+    window."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for memo in vars(module).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
+            calls += 1
+
+    gc.collect()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def main() -> dict:
     sweeps, walls = [], []
     for _ in range(SWEEP_RUNS):
         t0 = time.perf_counter()
-        sweeps.append(explore(budget=HEALTHY_BUDGET, seed=0,
-                              scenarios=["matmul", "massd"]))
+        sweeps.append(healthy_sweep())
         walls.append(time.perf_counter() - t0)
     healthy = sweeps[0]
     same = all((s.trials_run, len(s.violations), s.coverage)
@@ -60,6 +102,8 @@ def main() -> dict:
                    healthy.coverage) for s in sweeps)
     rates = [healthy.trials_run / (wall / 60.0) for wall in walls]
     q1, median, q3 = statistics.quantiles(rates, n=4)
+    counts = [counted_calls(healthy_sweep) for _ in range(COUNT_RUNS)]
+    counts_identical = len(set(counts)) == 1
 
     t0 = time.perf_counter()
     hunt = explore(budget=MUTANT_BUDGET, seed=0, scenarios=["matmul"],
@@ -84,6 +128,9 @@ def main() -> dict:
                                "median": round(median, 1),
                                "q3": round(q3, 1)},
             "resolves_10_pct": q3 - q1 < 0.1 * median,
+            "counted_runs": COUNT_RUNS,
+            "calls_per_trial": round(counts[0] / healthy.trials_run, 1),
+            "counts_identical": counts_identical,
             "coverage_cells": {
                 name: f"{cov['cells']}/{cov['total']}"
                 for name, cov in healthy.coverage.items()
@@ -104,13 +151,15 @@ def main() -> dict:
             "all_stable": all(r["stable"] for r in replays),
             "all_reproduced": all(r["reproduced"] for r in replays),
         },
-        "criterion": ("healthy sweeps violation-free and identical; "
+        "criterion": ("healthy sweeps violation-free and identical, "
+                      "their call counts too; "
                       "mutant found and shrunk to <= 25% of original "
                       "events; every corpus CE replays byte-stably and "
                       "reproduces"),
         "criterion_met": (
             not healthy.found
             and same
+            and counts_identical
             and hunt.found
             and ratio <= 0.25
             and bool(replays)

@@ -259,8 +259,10 @@ class ServerProbe:
         bogomips = self._bogomips
 
         # CPU usage fractions from jiffy deltas between scans
+        cu, cn, cs, ci = cpu
         if self._prev_cpu is not None:
-            du, dn, ds, di = (c - p for c, p in zip(cpu, self._prev_cpu))
+            pu, pn, ps, pi = self._prev_cpu
+            du, dn, ds, di = cu - pu, cn - pn, cs - ps, ci - pi
             dtotal = du + dn + ds + di
             if dtotal <= 0:
                 u_frac = n_frac = s_frac = 0.0
@@ -270,8 +272,10 @@ class ServerProbe:
                     du / dtotal, dn / dtotal, ds / dtotal, di / dtotal
                 )
         else:
-            total_j = sum(cpu) or 1
-            u_frac, n_frac, s_frac, i_frac = (c / total_j for c in cpu)
+            total_j = (cu + cn + cs + ci) or 1
+            u_frac, n_frac, s_frac, i_frac = (
+                cu / total_j, cn / total_j, cs / total_j, ci / total_j
+            )
         self._prev_cpu = cpu
 
         # NIC rates from byte/packet deltas

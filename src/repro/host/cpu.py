@@ -40,12 +40,13 @@ class LoadAverage:
         self._stamp = 0.0
 
     def _settle(self) -> None:
-        dt = self.sim.now - self._stamp
+        now = self.sim._now
+        dt = now - self._stamp
         if dt > 0:
             for i, tau in enumerate(_LOAD_TAUS):
                 decay = math.exp(-dt / tau)
                 self.values[i] = self._n + (self.values[i] - self._n) * decay
-            self._stamp = self.sim.now
+            self._stamp = now
 
     def set_runnable(self, n: int) -> None:
         self._settle()
@@ -96,9 +97,12 @@ class CPU:
         Returns an event that fires (with the elapsed wall time) when the
         work completes under processor sharing.
         """
-        if cpu_seconds < 0:
-            raise ValueError(f"negative cpu_seconds {cpu_seconds}")
-        done = self.sim.event()
+        if not 0 <= cpu_seconds < math.inf:
+            # NaN too: a NaN task would finish under neither list and
+            # its waiter never wake
+            raise ValueError(f"cpu_seconds must be finite and >= 0, "
+                             f"got {cpu_seconds}")
+        done = Event(self.sim)
         if cpu_seconds == 0:
             done.succeed(0.0)
             return done
@@ -111,7 +115,7 @@ class CPU:
     def set_throttle(self, factor: float) -> None:
         """Change the fail-slow factor mid-run; in-flight tasks keep the
         progress they already made and finish at the new speed."""
-        if factor < 1.0:
+        if not factor >= 1.0:  # NaN too
             raise ValueError(f"throttle factor must be >= 1, got {factor}")
         self._progress()
         self.throttle = float(factor)
@@ -125,7 +129,7 @@ class CPU:
         only cares about the busy:idle ratio.
         """
         self._progress()
-        elapsed = self.sim.now - self._boot_time
+        elapsed = self.sim._now - self._boot_time
         busy = self._busy_seconds
         idle = max(0.0, elapsed - busy)
         return (int(busy * USER_HZ), 0, 0, int(idle * USER_HZ))
@@ -133,7 +137,7 @@ class CPU:
     # -- internals -----------------------------------------------------------
     def _progress(self) -> None:
         """Account work done since the last transition."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._stamp
         self._stamp = now
         n = len(self._tasks)
@@ -150,7 +154,10 @@ class CPU:
         if not self._tasks:
             return
         n = len(self._tasks)
-        soonest = min(task.remaining for task in self._tasks)
+        soonest = math.inf
+        for task in self._tasks:
+            if task.remaining < soonest:
+                soonest = task.remaining
         delay = max(0.0, soonest * n * self.throttle)
         self.sim.call_later(delay, self._on_completion, self._version)
 
@@ -159,10 +166,18 @@ class CPU:
             return  # superseded by a later arrival/departure
         self._progress()
         eps = 1e-12
-        finished = [t for t in self._tasks if t.remaining <= eps]
-        self._tasks = [t for t in self._tasks if t.remaining > eps]
+        finished = []
+        running = []
+        for task in self._tasks:
+            if task.remaining <= eps:
+                finished.append(task)
+            else:
+                running.append(task)
+        if finished:
+            self._tasks = running
         self.loadavg.set_runnable(len(self._tasks))
+        now = self.sim._now
         for task in finished:
             self.completed_tasks += 1
-            task.done_ev.succeed(self.sim.now)
+            task.done_ev.succeed(now)
         self._reschedule()

@@ -87,7 +87,7 @@ class CpuThrottle:
     """
 
     def __init__(self, sim: Simulator, machine: Machine, factor: float):
-        if factor < 1.0:
+        if not factor >= 1.0:  # NaN too
             raise ValueError(f"throttle factor must be >= 1, got {factor}")
         self.sim = sim
         self.machine = machine

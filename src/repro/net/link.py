@@ -54,10 +54,12 @@ class Channel:
         buffer_bytes: Optional[int] = None,
         name: str = "",
     ):
-        if rate_bps <= 0:
+        # NaN fails both tests too: it would surface only at the first
+        # transmit, as a call_at() "in the past"
+        if not rate_bps > 0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         if mtu <= IP_HEADER:
             # a fragment would carry no payload: fragmenting never ends
             raise ValueError(f"MTU {mtu} leaves no room for IP payload")

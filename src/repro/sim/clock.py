@@ -35,7 +35,7 @@ class HostClock:
 
     def now(self) -> float:
         """The host's idea of the current time."""
-        t = self.sim.now
+        t = self.sim._now
         if self.offset == 0.0 and self.drift == 0.0:
             return t
         return t + self.offset + self.drift * (t - self._set_at)

@@ -53,15 +53,29 @@ it still in the future and has to go round again — or a last bit late,
 and every timestamp downstream moves with it.  ``call_at(D, ...)``
 fires once, at exactly ``D``.
 
+Process wake-ups
+----------------
+A process wait is on the path of every daemon, so it calls no helper
+it can do without.  A :class:`Timeout` sets its slots itself, and it
+and :meth:`Event.succeed`, with no tie stream armed, push their entry
+``(when, 0.0, seq, None, event)`` directly, telling an attached
+observer's ``on_schedule`` first, exactly as :meth:`Simulator._schedule`
+would.  ``_schedule`` stays the one path that draws or inherits a tie
+key.  A yielding process appends its ``_resume`` to the target's
+callback list itself, and ``_resume`` reads ``_ok`` / ``_value``
+directly: a timeout wake is ``step``, ``_process_callbacks``,
+``_resume``, ``sim.timeout`` and ``Timeout.__init__`` — five calls.
+
 Observers
 ---------
 The kernel knows nothing about its instruments.  It announces six
 moments to whatever was attached with :meth:`Simulator.observe` — one
 protocol, :class:`Observer`, a no-op base class — and every hook site
 tests the one name ``sim._observer``, so a run with nothing armed pays
-an ``is None`` test per site (six, plus one in ``call_later`` /
-``call_at`` and one in ``step`` per scheduled call) and nothing else —
-not even a :class:`Call` object per scheduled call:
+an ``is None`` test per site (six, of which ``on_schedule`` sits in
+``_schedule``, ``Timeout`` and ``Event.succeed``, plus one in
+``call_later`` / ``call_at`` and one in ``step`` per scheduled call)
+and nothing else — not even a :class:`Call` object per scheduled call:
 
 ================================  ====================================
 ``on_schedule(event, active)``    ``event`` was put on the queue while
@@ -222,7 +236,15 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        sim._schedule(self, sim._now + delay)
+        if sim._tie_rng is None:
+            # nothing to draw: push the entry _schedule would push
+            obs = sim._observer
+            if obs is not None:
+                obs.on_schedule(self, sim._active_proc)
+            heapq.heappush(sim._queue,
+                           (sim._now + delay, 0.0, next(sim._seq), None, self))
+        else:
+            sim._schedule(self, sim._now + delay)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -332,12 +354,23 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # NaN too: it would corrupt the queue order
             raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._state = TRIGGERED
-        self._ok = True
+        # every slot set here rather than through the super() chain, and
+        # the entry pushed as in Event.succeed: one per process wait
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, sim._now + delay)
+        self._ok = True
+        self._state = TRIGGERED
+        self._hb = None
+        self.delay = delay
+        if sim._tie_rng is None:
+            obs = sim._observer
+            if obs is not None:
+                obs.on_schedule(self, sim._active_proc)
+            heapq.heappush(sim._queue,
+                           (sim._now + delay, 0.0, next(sim._seq), None, self))
+        else:
+            sim._schedule(self, sim._now + delay)
 
 
 def call_target_name(fn: Callable[[Any], Any]) -> str:
@@ -411,14 +444,15 @@ class Process(Event):
             # fire later but will find no waiter — defuse any failure it
             # carries so an abandoned error does not crash the event loop.
             target, self._target = self._target, None
-            if target.callbacks is not None and self._proceed in target.callbacks:
-                target.callbacks.remove(self._proceed)
+            if target.callbacks is not None and self._resume in target.callbacks:
+                target.callbacks.remove(self._resume)
                 target.add_callback(_defuse)
         wake = Event(self.sim)
         wake.succeed()
         wake.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
+        self._target = None
         sim = self.sim
         sim._active_proc = self
         obs = sim._observer
@@ -436,12 +470,12 @@ class Process(Event):
                     elif self._interrupts:
                         interrupt = self._interrupts.pop(0)
                         target = self.gen.throw(interrupt)
-                    elif event is not None and not event.ok:
-                        exc = event.value
+                    elif event is not None and not event._ok:
+                        exc = event._value
                         event._ok = True  # mark as handled by this process
                         target = self.gen.throw(exc)
                     else:
-                        target = self.gen.send(event.value if event is not None else None)
+                        target = self.gen.send(event._value if event is not None else None)
                 except StopIteration as stop:
                     self._state = PENDING  # allow succeed()
                     self.succeed(stop.value)
@@ -461,7 +495,7 @@ class Process(Event):
                     event = target
                     continue
                 self._target = target
-                target.add_callback(self._proceed)
+                target.callbacks.append(self._resume)
                 return
         except BaseException as exc:
             if isinstance(exc, SimulationError):
@@ -472,10 +506,6 @@ class Process(Event):
             if obs is not None:
                 obs.end_resume(self)
             sim._active_proc = None
-
-    def _proceed(self, event: Event) -> None:
-        self._target = None
-        self._resume(event)
 
 
 class AnyOf(Event):

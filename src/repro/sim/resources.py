@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .kernel import Event, Simulator, SimulationError
+from .kernel import PENDING, Event, Simulator, SimulationError
 
 __all__ = ["Store", "Resource", "SharedMemory", "Segment"]
 
@@ -55,7 +55,7 @@ class Store:
         getters = self._getters
         while getters:
             getter = getters.pop(0)
-            if getter.triggered:  # e.g. cancelled by a timeout race
+            if getter._state != PENDING:  # e.g. cancelled by a timeout race
                 continue
             getter.succeed(item)
             return True
@@ -75,7 +75,7 @@ class Store:
 
     def get(self) -> Event:
         """Event that fires with the oldest item."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self.items:
             ev.succeed(self.items.pop(0))
             hb = self.sim._hb
@@ -125,7 +125,7 @@ class Resource:
         self._hb_clock: Optional[Any] = None
 
     def acquire(self) -> Event:
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if not self.in_use:
             self.in_use = 1
             ev.succeed(self)

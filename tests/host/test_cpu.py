@@ -98,6 +98,24 @@ class TestProcessorSharing:
         with pytest.raises(ValueError):
             cpu.run(-1.0)
 
+    @pytest.mark.parametrize("work", (math.nan, math.inf))
+    def test_non_finite_work_rejected(self, sim, work):
+        """A NaN task would be filed as neither finished nor running at
+        its completion (every comparison with NaN is false): its waiter
+        would never wake and the CPU would read idle.  An infinite one
+        would never finish."""
+        cpu = CPU(sim)
+        with pytest.raises(ValueError, match="finite"):
+            cpu.run(work)
+        assert cpu.n_running == 0
+        assert sim.peek() == math.inf  # nothing was scheduled
+
+    def test_nan_throttle_rejected(self, sim):
+        cpu = CPU(sim)
+        with pytest.raises(ValueError, match="throttle"):
+            cpu.set_throttle(math.nan)
+        assert cpu.throttle == 1.0
+
 
 class TestAccounting:
     def test_busy_time_tracks_activity(self, sim):

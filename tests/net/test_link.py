@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -88,6 +89,12 @@ class TestDropPolicies:
             Channel(sim, rate_bps=0, delay=0)
         with pytest.raises(ValueError):
             Channel(sim, rate_bps=1, delay=-1)
+        # NaN at construction, not as a call_at() "in the past" at the
+        # first transmit (``nan <= 0`` is false)
+        with pytest.raises(ValueError):
+            Channel(sim, rate_bps=math.nan, delay=0)
+        with pytest.raises(ValueError):
+            Channel(sim, rate_bps=1, delay=math.nan)
 
     @pytest.mark.parametrize("mtu", (20, 1, 0, -1500))
     def test_an_mtu_without_room_for_payload_is_rejected(self, sim, mtu):

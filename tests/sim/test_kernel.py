@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Call, Event, Interrupt, Observer, SimulationError
+from repro.sim import (Call, Event, Interrupt, Observer, SimulationError,
+                       Simulator, Store)
 from repro.sim.kernel import TRIGGERED
 from tests.conftest import run_process
 
@@ -465,3 +466,87 @@ class TestScheduledCalls:
         for seed in (1, 2, 3):
             _, shuffled = self._burst_run(seed)
             assert shuffled.canonical_lines() == lines
+
+
+class _ZeroTies:
+    """A tie stream that always draws 0.0: every event goes through
+    ``_schedule`` and the queue keeps FIFO order."""
+
+    def random(self):
+        return 0.0
+
+
+class TestWakeUps:
+    """``Timeout`` and ``Event.succeed`` push their own queue entry when
+    no tie stream is armed; ``_schedule`` is the armed path."""
+
+    def test_timeout_sets_every_slot_an_event_has(self, sim):
+        """``Timeout.__init__`` does not run ``Event.__init__``: a slot
+        added to ``Event`` must be added there too."""
+        timeout, event = sim.timeout(1.0, "v"), Event(sim)
+        for slot in set(Event.__slots__) - {"__weakref__", "_state", "_value"}:
+            assert getattr(timeout, slot) == getattr(event, slot), slot
+        assert timeout._state == TRIGGERED
+        assert (timeout._value, timeout.delay) == ("v", 1.0)
+
+    @pytest.mark.parametrize("observed", (False, True))
+    def test_the_push_is_the_entry_schedule_pushes(self, observed):
+        """A run whose every event goes through ``_schedule`` (a tie
+        stream drawing 0.0) and one that pushes directly hold the same
+        queue entries after every step, sequence numbers included, and
+        tell an observer the same ``on_schedule`` moments."""
+        def run(armed):
+            sim = Simulator()
+            if armed:
+                sim.enable_tie_shuffle(_ZeroTies())
+            log = []
+            if observed:
+                class Told(Observer):
+                    def on_schedule(self, event, active):
+                        log.append((type(event).__name__,
+                                    active and active.name))
+
+                sim.observe(Told())
+            store = Store(sim)
+
+            def producer():
+                for i in range(3):
+                    yield sim.timeout(0.5, i)
+                    store.put(i)
+                sim.event().succeed("late", delay=0.25)
+
+            def consumer():
+                for _ in range(3):
+                    log.append((sim.now, (yield store.get())))
+
+            sim.process(producer(), name="producer")
+            sim.process(consumer(), name="consumer")
+            while sim._queue:
+                log.append(sorted((when, tie, seq, type(arg).__name__)
+                                  for when, tie, seq, _, arg in sim._queue))
+                sim.step()
+            return log
+
+        assert run(armed=False) == run(armed=True)
+
+    def test_an_interrupted_wait_is_withdrawn(self, sim):
+        """The waiting process's ``_resume`` is what an interrupt takes
+        off its target: the target firing later wakes nobody."""
+        target = sim.event()
+        seen = []
+
+        def waiter():
+            try:
+                yield target
+            except Interrupt as interrupt:
+                seen.append(("interrupted", interrupt.cause))
+            yield sim.timeout(5.0)
+            seen.append(("done", sim.now))
+
+        proc = sim.process(waiter())
+        sim.run(until=1.0)
+        proc.interrupt("stop")
+        assert proc._resume not in target.callbacks and proc._target is None
+        target.succeed("late")
+        sim.run()
+        assert seen == [("interrupted", "stop"), ("done", 6.0)]

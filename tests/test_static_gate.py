@@ -227,10 +227,11 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     design misses by 2x and 5x, so route state growing with nodes x
     addresses again fails CI rather than a later ledger run.  The same
     step counts the kernel events of a transit hop (``hop_events``: one
-    switch, the matmul and massd profiles), the Python calls of a TCP
-    segment and its ack, of a short connection and of a probe report
-    (``call_budget``), the bytes a closed and a served connection leave
-    alive (``memory_budget``), that a finished dial leaves no condition
+    switch, the matmul and massd profiles), the Python calls of a
+    process wake-up, of a store hand-off, of a TCP segment and its ack,
+    of a short connection and of a probe report (``call_budget``), the
+    bytes a closed and a served connection leave alive
+    (``memory_budget``), that a finished dial leaves no condition
     reachable (``condition_behind``), and the records the wizard
     evaluates for the ledger's slot request (``slot_request``)."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text().split())
@@ -244,7 +245,9 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     bench = (REPO / "benchmarks" / "test_simulator_performance.py").read_text()
     assert "def test_fleet_build_cost(" in bench and 'ids=["512", "2048"]' in bench
     assert bench.count("def test_hop_events_") == 3
-    assert bench.count("_call_budget(") == 3
+    assert bench.count("_call_budget(") == 5
+    assert "def test_timeout_wake_call_budget(" in bench
+    assert "def test_store_handoff_call_budget(" in bench
     assert "def test_tcp_segment_call_budget(" in bench
     assert "def test_connect_request_close_call_budget(" in bench
     assert "def test_probe_report_call_budget(" in bench
