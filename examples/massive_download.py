@@ -41,7 +41,7 @@ def run_arm(label: str, servers_or_requirement, n_servers: int):
     for name in GROUP2:
         shape_host_egress(cluster.host(name), 1.5)
     for name in GROUP1 + GROUP2:
-        FileServer(cluster.host(name), mss=8192).start()
+        FileServer(cluster.host(name)).start()
     deployment.start()
 
     out: dict = {}

@@ -39,7 +39,7 @@ def run_arm(label: str, smart: bool, a: np.ndarray, b: np.ndarray):
     deployment.add_group("lab", monitor_host=cluster.host("dalmatian"),
                          servers=[cluster.host(n) for n in SERVER_NAMES])
     for name in SERVER_NAMES:
-        MatMulWorker(cluster.host(name), mss=8192).start()
+        MatMulWorker(cluster.host(name)).start()
     deployment.start()
 
     out: dict = {}

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..cluster.host import SmartHost
+from ..core.config import Ports
 from ..net.tcp import ConnectionClosed
 from ..sim import Interrupt
 
@@ -142,10 +143,15 @@ class Farm:
         }
 
 
+#: the MSS of the block services' bulk TCP transfers
+BULK_MSS = 8192
+
+
 class BlockService:
     """A server program answering block requests on the service port."""
 
-    def __init__(self, host: SmartHost, port: int, mss: int):
+    def __init__(self, host: SmartHost, port: int = Ports.service,
+                 mss: int = BULK_MSS):
         self.host = host
         self.port = port
         self.mss = mss

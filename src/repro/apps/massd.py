@@ -24,7 +24,6 @@ from .farm import BlockService, Farm, FarmResult
 
 __all__ = ["FileServer", "MassdClient", "MassdResult", "shape_host_egress"]
 
-MASSD_PORT = 9000
 KB = 1024
 
 
@@ -51,9 +50,6 @@ def shape_host_egress(host: SmartHost, rate_mbps: float) -> TokenBucket:
 
 class FileServer(BlockService):
     """Serves ``GET`` block requests on the service port."""
-
-    def __init__(self, host: SmartHost, port: int = MASSD_PORT, mss: int = 8192):
-        super().__init__(host, port, mss)
 
     def start(self) -> None:
         self.serve("GET", self._read, name="massd-server", session_name="massd-sess")

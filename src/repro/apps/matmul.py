@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.host import SmartHost
-from .farm import BlockService, Farm, FarmResult
+from ..core.config import Ports
+from .farm import BULK_MSS, BlockService, Farm, FarmResult
 
 if TYPE_CHECKING:  # pragma: no cover
     # imported where an array is built: a timing-only run never loads it
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 DOUBLE_BYTES = 8
-MATMUL_PORT = 9000
 
 
 def flops_for(rows: int, cols: int, inner: int) -> float:
@@ -79,7 +79,8 @@ def local_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class MatMulWorker(BlockService):
     """The worker service: listens on the service port, multiplies stripes."""
 
-    def __init__(self, host: SmartHost, port: int = MATMUL_PORT, mss: int = 8192):
+    def __init__(self, host: SmartHost, port: int = Ports.service,
+                 mss: int = BULK_MSS):
         super().__init__(host, port, mss)
         self.blocks_done = 0
 

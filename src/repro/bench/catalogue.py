@@ -235,7 +235,7 @@ CATALOGUE: tuple[Experiment, ...] = (
     Experiment(
         "tab3.3", "tab3_3_fig3_7",
         "Thesis Table 3.3 — Bandwidth Measurements using various Packet Size",
-        bandwidth_probe_table, dict(runs=5), _table_3_3,
+        bandwidth_probe_table, {}, _table_3_3,
         paper={
             "100~500": 20.01,
             "500~1000": 18.39,

@@ -118,9 +118,9 @@ def _run_job(cluster: Cluster, dep: Deployment, host_name: str,
 # §3.3.2 — RTT vs packet size (Figs 3.3–3.5)
 # ---------------------------------------------------------------------------
 
-def _lan_pair(mtu: int = 1500, cross_utilisation: float = 0.0, seed: int = 0):
+def _lan_pair(mtu: int = 1500, cross_utilisation: float = 0.0):
     """sagit — switch — suna, like the thesis' campus measurement pair."""
-    cluster = Cluster(seed=seed)
+    cluster = Cluster()
     a = cluster.add_host("sagit")
     b = cluster.add_host("suna")
     sw = cluster.add_switch("sw")
@@ -157,8 +157,7 @@ def _cross_traffic(cluster: Cluster, channels, utilisation: float) -> list:
     return procs
 
 
-def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None,
-                seed: int = 0):
+def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None):
     """UDP-probe RTT over payload size (thesis Figs 3.3/3.4/3.5), under
     2 % cross traffic.
 
@@ -166,7 +165,7 @@ def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None,
     """
     if sizes is None:
         sizes = range(1, 6001, 10)
-    cluster, a, b = _lan_pair(mtu=mtu, cross_utilisation=0.02, seed=seed)
+    cluster, a, b = _lan_pair(mtu=mtu, cross_utilisation=0.02)
     out: dict = {}
 
     def prober():
@@ -226,14 +225,14 @@ def locate_knee(series: Sequence[tuple[int, float]]) -> Optional[int]:
 # §3.3.2 — six sample paths (Fig 3.6 / Table 3.2)
 # ---------------------------------------------------------------------------
 
-def six_paths(sizes: Optional[Iterable[int]] = None, seed: int = 0):
+def six_paths(sizes: Optional[Iterable[int]] = None):
     """RTT curves on the six Table 3.2 paths.
 
     Returns ``{path_index: [(size, rtt_s)]}`` for indices a–f.
     """
     if sizes is None:
         sizes = range(100, 6001, 100)
-    cluster, endpoints = build_wan_paths(seed=seed)
+    cluster, endpoints = build_wan_paths()
     results: dict[str, list] = {}
 
     def prober(index, src, dst_name):
@@ -274,21 +273,21 @@ class BandwidthRow:
     avg_mbps: float
 
 
-def bandwidth_probe_table(runs: int = 5, seed: int = 0):
+def bandwidth_probe_table():
     """Bandwidth estimates per probe-size group (four samples a run) +
     pipechar/pathload rows.
 
     The path is a 100 Mbps pair under ~5 % cross traffic, i.e. ~95 Mbps
     available — the thesis' measured ground truth.
     """
-    cluster, a, b = _lan_pair(cross_utilisation=0.05, seed=seed)
+    cluster, a, b = _lan_pair(cross_utilisation=0.05)
     rows: list[BandwidthRow] = []
     extra: dict[str, object] = {}
 
     def measure():
         for s1, s2 in PAPER_SIZE_GROUPS:
             per_run = []
-            for _ in range(runs):
+            for _ in range(5):  # the thesis' five runs per size group
                 est = yield from estimate_bandwidth(
                     a.stack, b.name, s1=s1, s2=s2, samples=4, gap=0.02
                 )
@@ -325,7 +324,7 @@ class ResourceRow:
     transport: str
 
 
-def resource_usage(seed: int = 0) -> list[ResourceRow]:
+def resource_usage() -> list[ResourceRow]:
     """Measured per-component footprint with 11 probes running over 60 s
     (Table 5.2).
 
@@ -338,7 +337,7 @@ def resource_usage(seed: int = 0) -> list[ResourceRow]:
     from ..core.probe import ServerProbe
 
     duration = 60.0
-    cluster = build_testbed(seed=seed)
+    cluster = build_testbed()
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
     lab_servers = [cluster.host(n) for n in TESTBED_SERVER_NAMES if n != "sagit"]
     dep.add_group("lab", monitor_host=cluster.host("dalmatian"), servers=lab_servers)
@@ -398,20 +397,20 @@ def resource_usage(seed: int = 0) -> list[ResourceRow]:
 # Fig 5.2 — per-host matmul benchmark
 # ---------------------------------------------------------------------------
 
-def matrix_benchmark(n: int = MATMUL_N, blk: int = 200, seed: int = 0):
+def matrix_benchmark():
     """Local-mode benchmark time per testbed host (Fig 5.2).
 
     Returns ``[(host, seconds)]`` in testbed order.
     """
-    cluster = build_testbed(seed=seed)
+    cluster = build_testbed()
     times: dict[str, float] = {}
 
     def bench(host):
         t0 = cluster.sim.now
         # local mode runs block by block, same tiling as distributed
         from ..apps.matmul import block_grid
-        for _, rows, _, cols in [(r0, r, c0, c) for r0, r, c0, c in block_grid(n, blk)]:
-            yield host.machine.compute(flops_for(rows, cols, n), kind="matmul")
+        for _, rows, _, cols in block_grid(MATMUL_N, 200):
+            yield host.machine.compute(flops_for(rows, cols, MATMUL_N), kind="matmul")
         times[host.name] = cluster.sim.now - t0
 
     procs = [cluster.sim.process(bench(cluster.host(name)))
@@ -443,7 +442,6 @@ def matmul_experiment(
     loaded_hosts: Sequence[str] = (),
     n: int = MATMUL_N,
     warmup: float = 60.0,
-    seed: int = 0,
     pool: Sequence[str] = TESTBED_SERVER_NAMES,
     **instruments: Any,
 ) -> list[MatmulArm]:
@@ -466,7 +464,7 @@ def matmul_experiment(
     arms: list[MatmulArm] = []
 
     def run_arm(label: str, use_smart: bool):
-        cluster, dep = lab_world(seed=seed, pool=pool, **instruments)
+        cluster, dep = lab_world(pool=pool, **instruments)
         net = cluster.network
         for hname in loaded_hosts:
             SuperPiWorkload(cluster.sim, cluster.host(hname).machine).start()
@@ -588,7 +586,7 @@ def star_experiment(fault: str, seed: int, *, watchdog: bool, n: int,
 # Fig 5.3 — rshaper / massd calibration
 # ---------------------------------------------------------------------------
 
-def shaper_calibration(seed: int = 0):
+def shaper_calibration():
     """rshaper-set bandwidth vs measured massd throughput (Fig 5.3).
 
     Test *i* transfers ``data = 10000·(i+1)`` KB with the server shaped to
@@ -600,7 +598,7 @@ def shaper_calibration(seed: int = 0):
     for i in range(10):
         data_kb = 10000 * (i + 1)
         bw_kbps = data_kb / 100.0
-        cluster = Cluster(seed=seed + i)
+        cluster = Cluster(seed=i)
         server = cluster.add_host("server")
         client = cluster.add_host("client")
         sw = cluster.add_switch("sw")
@@ -608,7 +606,7 @@ def shaper_calibration(seed: int = 0):
         cluster.link(sw, client)
         cluster.finalize()
         shape_host_egress(server, rate_mbps=bw_kbps * 1024 * 8 / 1e6)
-        FileServer(server, port=SERVICE_PORT, mss=BULK_MSS).start()
+        FileServer(server).start()
         out: dict = {}
 
         def download():
@@ -646,7 +644,6 @@ def massd_experiment(
     n_servers: int,
     random_sets: Sequence[Sequence[str]],
     data_kb: int = 50000,
-    seed: int = 0,
     **instruments: Any,
 ) -> list[MassdArm]:
     """One thesis massd comparison (Tables 5.7/5.8/5.9).
@@ -665,8 +662,7 @@ def massd_experiment(
     all_arms.append(("smart", None))
 
     for label, fixed_servers in all_arms:
-        cluster, dep = massd_world(group1_mbps, group2_mbps, seed=seed,
-                                   **instruments)
+        cluster, dep = massd_world(group1_mbps, group2_mbps, **instruments)
         net = cluster.network
         result = _run_job(
             cluster, dep, "sagit", dep.warm_up_seconds() + 4.0,

@@ -286,8 +286,8 @@ class Deployment:
             replica.wizard.stop()
 
     # -- client access -----------------------------------------------------------
-    def client_for(self, host: SmartHost, seed: int = 1) -> SmartClient:
-        rng = self.cluster.streams.stream(f"client-{host.name}-{seed}")
+    def client_for(self, host: SmartHost) -> SmartClient:
+        rng = self.cluster.streams.stream(f"client-{host.name}-1")
         return SmartClient(
             self.cluster.sim,
             host.stack,

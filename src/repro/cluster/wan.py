@@ -43,14 +43,14 @@ WAN_PATHS: tuple[WanPathSpec, ...] = (
 )
 
 
-def build_wan_paths(seed: int = 0):
+def build_wan_paths():
     """Build all 6 paths in one cluster.
 
     Returns ``(cluster, endpoints)`` where ``endpoints[index]`` is the
     ``(src_host, dst_name)`` pair to probe for that path.  Path *f* probes
     the source host's own address (loopback).
     """
-    cluster = Cluster(seed=seed)
+    cluster = Cluster()
     endpoints: dict[str, tuple[SmartHost, str]] = {}
     made_hosts: dict[str, SmartHost] = {}
 

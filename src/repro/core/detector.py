@@ -48,7 +48,7 @@ SIGMA_FLOOR_ABS = 1e-4
 class Ewma:
     """Exponentially-weighted running mean and variance (West 1979)."""
 
-    def __init__(self, alpha: float = 0.25):
+    def __init__(self, alpha: float):
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
@@ -82,7 +82,7 @@ class IncrementalQuantile:
     latency baseline inside a long-lived client needs.
     """
 
-    def __init__(self, p: float = 0.95):
+    def __init__(self, p: float):
         if not (0.0 < p < 1.0):
             raise ValueError(f"quantile must be in (0, 1), got {p}")
         self.p = p

@@ -104,13 +104,12 @@ def _await_echoes(sim, tap, probe_ids, timeout: float):
     return echoes
 
 
-def rtt_curve(stack, dst: str, sizes, port: int = Ports.probe_target,
-              gap: float = 0.01):
+def rtt_curve(stack, dst: str, sizes, gap: float = 0.01):
     """RTT for each payload size in ``sizes``; returns ``[(size, rtt)]``
     with lost probes omitted.  This regenerates thesis Figs 3.3–3.6."""
     results = []
     for size in sizes:
-        rtt = yield from measure_rtt(stack, dst, size, port=port)
+        rtt = yield from measure_rtt(stack, dst, size)
         if rtt is not None:
             results.append((size, rtt))
         yield stack.sim.timeout(gap)
@@ -179,8 +178,7 @@ def estimate_bandwidth(stack, dst: str, s1: int = 1600, s2: int = 2900,
     return est
 
 
-def pipechar_estimate(stack, dst: str, pairs: int = 4,
-                      port: int = Ports.probe_target):
+def pipechar_estimate(stack, dst: str, pairs: int = 4):
     """Packet-pair dispersion (pipechar's core idea, §2.1).
 
     Two equal, back-to-back probes of ``PIPECHAR_SIZE``; the echo-time
@@ -194,8 +192,8 @@ def pipechar_estimate(stack, dst: str, pairs: int = 4,
     estimates = []
     try:
         for _ in range(pairs):
-            p1 = sock.sendto(dst, port, size=PIPECHAR_SIZE)
-            p2 = sock.sendto(dst, port, size=PIPECHAR_SIZE)
+            p1 = sock.sendto(dst, Ports.probe_target, size=PIPECHAR_SIZE)
+            p2 = sock.sendto(dst, Ports.probe_target, size=PIPECHAR_SIZE)
             echoes = yield from _await_echoes(sim, tap, (p1.id, p2.id),
                                               TOOL_TIMEOUT)
             if len(echoes) == 2:
@@ -212,7 +210,7 @@ def pipechar_estimate(stack, dst: str, pairs: int = 4,
     return estimates[len(estimates) // 2]  # median
 
 
-def pathload_estimate(stack, dst: str, port: int = Ports.probe_target):
+def pathload_estimate(stack, dst: str):
     """SLoPS-style search (pathload's idea, §2.1 / §3.3.1).
 
     For a candidate rate R, send a constant-rate stream and test whether
@@ -228,7 +226,7 @@ def pathload_estimate(stack, dst: str, port: int = Ports.probe_target):
         spacing = PATHLOAD_SIZE * 8.0 / rate_bps
         sent = {}
         for _ in range(PATHLOAD_STREAM_LEN):
-            probe = sock.sendto(dst, port, size=PATHLOAD_SIZE)
+            probe = sock.sendto(dst, Ports.probe_target, size=PATHLOAD_SIZE)
             sent[probe.id] = sim.now
             yield sim.timeout(spacing)
         echoes = yield from _await_echoes(sim, tap, sent, TOOL_TIMEOUT)

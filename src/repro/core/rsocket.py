@@ -184,22 +184,16 @@ RELIABLE_SOCKET_MACHINE: dict[str, object] = {
 class ReliableSocket(_Endpoint):
     """Client end of a reliable session."""
 
-    def __init__(self, stack, dst: str, port: int,
-                 mss: int = 1460, window: int = 65535):
+    def __init__(self, stack, dst: str, port: int):
         super().__init__(stack.sim, next(_session_ids))
         self.stack = stack
         self.dst = dst
         self.port = port
-        self.mss = mss
-        self.window = window
         self.reconnects = -1  # first connect is not a reconnect
 
-    def connect(self, timeout: float = 5.0):
+    def connect(self):
         """Process generator: establish (or re-establish) the session."""
-        conn = yield from self.stack.tcp.connect(
-            self.dst, self.port, mss=self.mss, window=self.window,
-            timeout=timeout,
-        )
+        conn = yield from self.stack.tcp.connect(self.dst, self.port)
         conn.send(("RHELLO", self.session_id, self._recv_seq), ENVELOPE_BYTES)
         try:
             msg, _ = yield conn.recv()
@@ -229,9 +223,9 @@ class ReliableSocket(_Endpoint):
         if conn is not None:
             conn.close()
 
-    def resume(self, timeout: float = 5.0):
+    def resume(self):
         """Process generator: reconnect and continue the stream."""
-        return (yield from self.connect(timeout=timeout))
+        return (yield from self.connect())
 
 
 class ReliableSession(_Endpoint):
@@ -249,11 +243,9 @@ class ReliableSession(_Endpoint):
 class ReliableServer:
     """Accepts reliable sessions; reconnects re-bind to the same session."""
 
-    def __init__(self, stack, port: int, mss: int = 1460, window: int = 65535):
+    def __init__(self, stack, port: int):
         self.stack = stack
         self.port = port
-        self.mss = mss
-        self.window = window
         self.sessions: dict[int, ReliableSession] = {}
         self.accepts = Store(stack.sim)
         self._service = None
@@ -261,8 +253,7 @@ class ReliableServer:
     def start(self) -> None:
         self._service = self.stack.tcp.serve(
             self.port, self._greet, name=f"rserver-{self.port}",
-            session_name="rserver-greet", mss=self.mss, window=self.window,
-        )
+            session_name="rserver-greet")
 
     def stop(self) -> None:
         if self._service is not None:

@@ -184,19 +184,19 @@ def _value_candidates(event) -> list:
     return out
 
 
-def shrink_plan(plan: FaultPlan, predicate, budget: int = SHRINK_BUDGET):
+def shrink_plan(plan: FaultPlan, predicate):
     """Minimize ``plan`` while ``predicate(FaultPlan)`` stays True.
 
     Phase 1 is :func:`ddmin` over the time-ordered event list; phase 2
     simplifies the surviving events field by field.  Returns
     ``(minimized_plan, predicate_runs)``; the predicate is never called
-    more than ``budget`` times — on exhaustion the best plan so far is
+    more than ``SHRINK_BUDGET`` times — on exhaustion the best plan so far is
     returned (still a verified failing plan, just maybe not minimal).
     """
     runs = {"n": 0}
 
     def pred_events(events) -> bool:
-        if runs["n"] >= budget:
+        if runs["n"] >= SHRINK_BUDGET:
             return False
         runs["n"] += 1
         return predicate(FaultPlan(events))

@@ -186,12 +186,11 @@ class Link:
         delay: float,
         mtu: int = 1500,
         buffer_bytes: Optional[int] = None,
-        name: str = "",
     ):
         self.sim = sim
         self.a = a
         self.b = b
-        self.name = name or f"{a.name}<->{b.name}"
+        self.name = f"{a.name}<->{b.name}"
         self.ab = Channel(sim, rate_bps, delay, mtu, buffer_bytes, f"{a.name}->{b.name}")
         self.ba = Channel(sim, rate_bps, delay, mtu, buffer_bytes, f"{b.name}->{a.name}")
 

@@ -52,8 +52,8 @@ __all__ = ["TcpLayer", "TcpListener", "TcpConnection", "TcpService",
 
 #: default maximum segment size (Ethernet MSS)
 DEFAULT_MSS = 1460
-#: default send window in bytes (classic 64 KB)
-DEFAULT_WINDOW = 65535
+#: send window in bytes (classic 64 KB)
+WINDOW = 65535
 
 class ConnectionClosed(Exception):
     """recv() on a connection whose peer sent FIN, or send() after close."""
@@ -139,14 +139,12 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
 class TcpListener:
     """Passive socket: accepted connections appear in :attr:`accepts`."""
 
-    __slots__ = ("layer", "port", "mss", "window", "accepts")
+    __slots__ = ("layer", "port", "mss", "accepts")
 
-    def __init__(self, layer: "TcpLayer", port: int,
-                 mss: int = DEFAULT_MSS, window: int = DEFAULT_WINDOW):
+    def __init__(self, layer: "TcpLayer", port: int, mss: int = DEFAULT_MSS):
         self.layer = layer
         self.port = port
-        self.mss = mss          # parameters for accepted (server-side) conns
-        self.window = window
+        self.mss = mss          # for accepted (server-side) conns
         self.accepts = Store(layer.stack.sim)
 
     def accept(self):
@@ -174,7 +172,7 @@ class TcpConnection:
     """
 
     __slots__ = ("layer", "sim", "_node", "_src", "local_port",
-                 "remote_addr", "remote_port", "mss", "window", "state",
+                 "remote_addr", "remote_port", "mss", "state",
                  "established_ev", "_outq", "_segments", "_base", "_next_seq",
                  "_wake_pending", "_rto_deadline", "_timer_at",
                  "_rcv_expected", "_rx", "_partial_bytes", "_srtt", "_rttvar",
@@ -188,7 +186,6 @@ class TcpConnection:
         remote_addr: str,
         remote_port: int,
         mss: int = DEFAULT_MSS,
-        window: int = DEFAULT_WINDOW,
     ):
         self.layer = layer
         self.sim = layer.stack.sim
@@ -199,7 +196,6 @@ class TcpConnection:
         self.remote_addr = remote_addr
         self.remote_port = remote_port
         self.mss = mss
-        self.window = window
 
         self.state = SYN_SENT
         self.established_ev = self.sim.event()
@@ -408,8 +404,8 @@ class TcpConnection:
         receiver sums the segment sizes into the message length.  The
         FIN, queued last, occupies one sequence unit.
         """
-        outq, mss, window = self._outq, self.mss, self.window
-        while outq and self._next_seq - self._base < window:
+        outq, mss = self._outq, self.mss
+        while outq and self._next_seq - self._base < WINDOW:
             payload, remaining = outq[0]
             if remaining > mss:
                 outq[0] = (payload, remaining - mss)
@@ -523,7 +519,7 @@ class TcpService:
     connection; :meth:`TcpLayer.serve` states the contract."""
 
     def __init__(self, layer: "TcpLayer", port: int, handler: Callable,
-                 name: str, session_name: str, mss: int, window: int):
+                 name: str, session_name: str, mss: int):
         self.layer = layer
         self.handler = handler
         self.session_name = session_name
@@ -531,15 +527,15 @@ class TcpService:
         #: time (a long run of short-lived peers must not grow it)
         self.sessions: list = []
         self._loop = layer.stack.sim.process(
-            self._accept_loop(port, mss, window), name=name)
+            self._accept_loop(port, mss), name=name)
 
     def stop(self) -> None:
         """Close the listener and every live session's connection."""
         for proc in (self._loop, *self.sessions):
             proc.interrupt("stop")
 
-    def _accept_loop(self, port: int, mss: int, window: int):
-        listener = self.layer.listen(port, mss=mss, window=window)
+    def _accept_loop(self, port: int, mss: int):
+        listener = self.layer.listen(port, mss=mss)
         sim = self.layer.stack.sim
         try:
             while True:
@@ -569,17 +565,15 @@ class TcpLayer:
         self._ephemeral = itertools.count(40000)
 
     # -- API ------------------------------------------------------------------
-    def listen(self, port: int, mss: int = DEFAULT_MSS,
-               window: int = DEFAULT_WINDOW) -> TcpListener:
+    def listen(self, port: int, mss: int = DEFAULT_MSS) -> TcpListener:
         if port in self.listeners:
             raise RuntimeError(f"tcp port {port} already listening on {self.stack.node.name}")
-        lsn = TcpListener(self, port, mss=mss, window=window)
+        lsn = TcpListener(self, port, mss=mss)
         self.listeners[port] = lsn
         return lsn
 
     def serve(self, port: int, handler: Callable, *, name: str,
-              session_name: str, mss: int = DEFAULT_MSS,
-              window: int = DEFAULT_WINDOW) -> TcpService:
+              session_name: str, mss: int = DEFAULT_MSS) -> TcpService:
         """Serve ``port``: a process ``name`` listens and accepts, and
         runs the process generator ``handler(conn)`` in a process
         ``session_name`` per connection.  A handler just talks to its
@@ -588,10 +582,10 @@ class TcpLayer:
         ``stop()`` closes the connection; a handler that returns keeps
         it — nothing is closed behind its back.
         """
-        return TcpService(self, port, handler, name, session_name, mss, window)
+        return TcpService(self, port, handler, name, session_name, mss)
 
     def connect(self, dst: str, dport: int, mss: int = DEFAULT_MSS,
-                window: int = DEFAULT_WINDOW, timeout: float = 5.0):
+                timeout: float = 5.0):
         """Process generator returning an established :class:`TcpConnection`.
 
         Usage inside a process: ``conn = yield from stack.tcp.connect(...)``.
@@ -599,14 +593,13 @@ class TcpLayer:
         ``timeout`` (retrying SYN once halfway through).
         """
         (conn,) = yield from self.connect_all(
-            [dst], dport, mss=mss, window=window, timeout=timeout)
+            [dst], dport, mss=mss, timeout=timeout)
         if conn is None:
             raise ConnectError(f"connect {dst}:{dport} timed out")
         return conn
 
     def connect_all(self, dsts: Sequence[str], dport: int,
-                    mss: int = DEFAULT_MSS, window: int = DEFAULT_WINDOW,
-                    timeout: float = 5.0):
+                    mss: int = DEFAULT_MSS, timeout: float = 5.0):
         """Process generator: dial every destination at once -> one entry
         per destination, in the order asked — the established
         :class:`TcpConnection`, or ``None`` where the handshake did not
@@ -632,8 +625,7 @@ class TcpLayer:
             for dst in dsts:
                 addr = self.stack.resolve(dst)
                 lport = next(self._ephemeral)
-                conn = TcpConnection(self, lport, addr, dport,
-                                     mss=mss, window=window)
+                conn = TcpConnection(self, lport, addr, dport, mss=mss)
                 self.conns[(lport, addr, dport)] = conn
                 dialled.append(conn)
             syn_sent_at = sim.now
@@ -708,9 +700,7 @@ class TcpLayer:
             if lsn is None:
                 return  # no RST modelling; connect() times out
             server = TcpConnection(
-                self, dgram.dport, dgram.src, dgram.sport,
-                mss=lsn.mss, window=lsn.window,
-            )
+                self, dgram.dport, dgram.src, dgram.sport, mss=lsn.mss)
             self.conns[key] = server
             self._send_ctrl_reply(dgram, "SYNACK")
             # server side considers itself established once SYN seen;

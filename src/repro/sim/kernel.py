@@ -351,14 +351,14 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if not delay >= 0:  # NaN too: it would corrupt the queue order
             raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         # every slot set here rather than through the super() chain, and
         # the entry pushed as in Event.succeed: one per process wait
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._state = TRIGGERED
         self._hb = None
@@ -414,7 +414,7 @@ class Process(Event):
     the uncaught exception).
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts", "_started")
+    __slots__ = ("gen", "name", "_target", "_interrupts", "_started", "_waking")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -425,6 +425,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
         self._started = False
+        #: a wake is pending (the boot, or one interrupt() scheduled): a
+        #: process holds at most one, so each wait resumes it once
+        self._waking = True
         # Kick the process off at the current sim time.
         boot = Event(sim)
         boot.succeed()
@@ -435,7 +438,9 @@ class Process(Event):
         return self._state == PENDING
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+        One that arrives while a wake is pending only queues: each resume
+        throws one, so each wait the process yields resumes it once."""
         if not self.is_alive:
             return
         self._interrupts.append(Interrupt(cause))
@@ -447,12 +452,15 @@ class Process(Event):
             if target.callbacks is not None and self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
                 target.add_callback(_defuse)
-        wake = Event(self.sim)
-        wake.succeed()
-        wake.add_callback(self._resume)
+        if not self._waking:
+            self._waking = True
+            wake = Event(self.sim)
+            wake.succeed()
+            wake.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
         self._target = None
+        self._waking = False
         sim = self.sim
         sim._active_proc = self
         obs = sim._observer
@@ -489,6 +497,18 @@ class Process(Event):
                     raise SimulationError(
                         f"process {self.name!r} yielded non-event {target!r}"
                     )
+                if self._interrupts:
+                    # one queued interrupt per resume: the process gives
+                    # up what it yielded, as interrupt() gives up a wait,
+                    # and the next one is thrown at its next wake
+                    if target.callbacks is not None:
+                        target.callbacks.append(_defuse)
+                    if not self._waking:
+                        self._waking = True
+                        wake = Event(sim)
+                        wake.succeed()
+                        wake.add_callback(self._resume)
+                    return
                 if target.callbacks is None:
                     # Already processed: loop immediately with its value
                     # (the top of the loop re-raises if it had failed).
@@ -628,8 +648,8 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)

@@ -31,10 +31,11 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .apps import FileServer, MatMulWorker, shape_host_egress
+from .apps.farm import BULK_MSS
 from .cluster import TESTBED_MACHINES, Cluster, Deployment, build_testbed
 from .cluster.host import SmartHost
 from .core import Config, LeaseResponder
-from .core.config import DEFAULT_CONFIG
+from .core.config import DEFAULT_CONFIG, Ports
 
 __all__ = [
     "fresh_ids", "Observed", "observe", "SERVICE_PORT", "BULK_MSS",
@@ -46,8 +47,7 @@ __all__ = [
     "massd_world", "SMOKE_JOBS", "run_smoke", "run_scenario",
 ]
 
-SERVICE_PORT = 9000
-BULK_MSS = 8192
+SERVICE_PORT = Ports.service
 
 
 def fresh_ids() -> None:
@@ -240,11 +240,10 @@ def build_star(seed: int = 0, config: Config = CHAOS_CONFIG, *,
         for server in servers.values():
             service: Any
             if app == "matmul":
-                service = MatMulWorker(server, port=SERVICE_PORT,
-                                       mss=BULK_MSS)
+                service = MatMulWorker(server)
             else:
                 shape_host_egress(server, STAR_MASSD_MBPS)
-                service = FileServer(server, port=SERVICE_PORT, mss=BULK_MSS)
+                service = FileServer(server)
             for role, daemon in ((APP_ROLES[app], service),
                                  ("lease", LeaseResponder(server, config))):
                 daemon.start()
@@ -290,22 +289,21 @@ MASSD_GROUP1 = ("mimas", "telesto", "lhost")
 MASSD_GROUP2 = ("dione", "titan-x", "pandora-x")
 
 
-def lab_world(seed: int = 0, pool: Sequence[str] = TESTBED_SERVER_NAMES,
+def lab_world(pool: Sequence[str] = TESTBED_SERVER_NAMES,
               **instruments: Any) -> tuple[Cluster, Deployment]:
     """Testbed + one 'lab' group over ``pool``, matmul workers everywhere."""
     fresh_ids()
-    cluster = build_testbed(seed=seed, **instruments)
+    cluster = build_testbed(**instruments)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
     dep.add_group("lab", monitor_host=cluster.host("dalmatian"),
                   servers=[cluster.host(n) for n in pool])
     for name in TESTBED_SERVER_NAMES:
-        MatMulWorker(cluster.host(name), port=SERVICE_PORT,
-                     mss=BULK_MSS).start()
+        MatMulWorker(cluster.host(name)).start()
     dep.start()
     return cluster, dep
 
 
-def massd_world(group1_mbps: float, group2_mbps: float, seed: int = 0,
+def massd_world(group1_mbps: float, group2_mbps: float,
                 **instruments: Any) -> tuple[Cluster, Deployment]:
     """Testbed + six file servers in two rshaper-limited groups.
 
@@ -317,7 +315,7 @@ def massd_world(group1_mbps: float, group2_mbps: float, seed: int = 0,
     The client is sagit.
     """
     fresh_ids()
-    cluster = build_testbed(seed=seed, **instruments)
+    cluster = build_testbed(**instruments)
     dep = Deployment(cluster, wizard_host=cluster.host("dalmatian"))
     dep.add_group("campus", monitor_host=cluster.host("sagit"),
                   servers=[])
@@ -328,8 +326,7 @@ def massd_world(group1_mbps: float, group2_mbps: float, seed: int = 0,
         for name in group:
             shape_host_egress(cluster.host(name), mbps)
     for name in MASSD_GROUP1 + MASSD_GROUP2:
-        FileServer(cluster.host(name), port=SERVICE_PORT,
-                   mss=BULK_MSS).start()
+        FileServer(cluster.host(name)).start()
     dep.start()
     return cluster, dep
 

@@ -19,7 +19,7 @@ from repro.core.detector import (
 
 class TestEwma:
     def test_first_sample_is_the_mean(self):
-        e = Ewma()
+        e = Ewma(0.25)
         e.record(3.0)
         assert e.mean == 3.0
         assert e.var == 0.0
@@ -36,7 +36,7 @@ class TestEwma:
         assert e.mean == pytest.approx(5.0, abs=1e-3)
 
     def test_constant_series_has_zero_variance(self):
-        e = Ewma()
+        e = Ewma(0.25)
         for _ in range(20):
             e.record(2.5)
         assert e.var == pytest.approx(0.0)
@@ -60,7 +60,7 @@ class TestEwma:
 class TestIncrementalQuantile:
     def test_value_before_any_sample_raises(self):
         with pytest.raises(ValueError, match="no samples"):
-            IncrementalQuantile().value()
+            IncrementalQuantile(0.95).value()
 
     def test_small_window_uses_nearest_rank(self):
         q = IncrementalQuantile(p=0.5)

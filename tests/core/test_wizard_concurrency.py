@@ -45,7 +45,7 @@ class TestScaleAndConcurrency:
         replies = {}
 
         def one_client(i, host, requirement, n):
-            client = dep.client_for(host, seed=i)
+            client = dep.client_for(host)
             yield cluster.sim.timeout(4.0)
             reply = yield from client.request_servers(requirement, n)
             replies[i] = reply

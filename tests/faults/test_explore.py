@@ -177,7 +177,7 @@ class TestShrinker:
         assert failing(small)  # the minimum re-verifies
         assert 0 < runs <= 160
 
-    def test_shrink_budget_exhaustion_still_returns_failing_plan(self):
+    def test_shrink_budget_exhaustion_still_returns_failing_plan(self, monkeypatch):
         spec = SCENARIOS["matmul"]
         plan = generate_plan(random.Random(3), spec,
                              star_surface(spec.app, spec.control_plane))
@@ -187,7 +187,8 @@ class TestShrinker:
             return any(e.kind == "crash-host" and e.target == "s0"
                        for e in p)
 
-        small, runs = shrink_plan(plan, failing, budget=3)
+        monkeypatch.setattr(explore_module, "SHRINK_BUDGET", 3)
+        small, runs = shrink_plan(plan, failing)
         assert failing(small)
         assert runs <= 3
 

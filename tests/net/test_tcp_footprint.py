@@ -255,7 +255,7 @@ class TestStore:
 class TestAnyOfRelease:
     def test_a_loser_that_fails_after_the_release_is_defused(self):
         sim = Simulator()
-        winner, loser = sim.timeout(1.0, "won"), sim.event()
+        winner, loser = sim.event().succeed("won", delay=1.0), sim.event()
         others = []
         loser.add_callback(lambda ev: None)
         log = []

@@ -157,12 +157,57 @@ class TestProcessSemantics:
         sim.run(until=50)
         assert wakes == ["interrupt"]
 
+    def test_two_interrupts_at_one_instant_wake_each_wait_once(self, sim):
+        """The second interrupt only queues its ``Interrupt``: it is
+        thrown at the wake after the first one, and the sleep the first
+        handler started is given up, not resumed a second time (a second
+        wake once made the next 100 s sleep end after 0 s)."""
+        log = []
+
+        def sleeper():
+            for _ in range(4):
+                try:
+                    yield sim.timeout(100.0)
+                    log.append(sim.now)
+                except Interrupt as i:
+                    log.append(i.cause)
+
+        target = sim.process(sleeper())
+
+        def killer():
+            yield sim.timeout(1.0)
+            target.interrupt("a")
+            target.interrupt("b")
+
+        sim.process(killer())
+        sim.run()
+        assert log == ["a", "b", 101.0, 201.0]
+
+    def test_an_interrupt_before_the_first_run_wakes_once(self, sim):
+        """The boot is the pending wake: the process starts, gives up the
+        wait it yielded and takes the interrupt at its next wake; no
+        second resume comes from that abandoned wait."""
+        log = []
+
+        def sleeper():
+            for _ in range(3):
+                try:
+                    yield sim.timeout(100.0)
+                    log.append(sim.now)
+                except Interrupt as i:
+                    log.append(i.cause)
+
+        target = sim.process(sleeper())
+        target.interrupt("early")
+        sim.run()
+        assert log == ["early", 100.0, 200.0]
+
 
 class TestConditions:
     def test_any_of_returns_first(self, sim):
         def p():
-            fast = sim.timeout(1, value="fast")
-            slow = sim.timeout(5, value="slow")
+            fast = sim.event().succeed("fast", delay=1)
+            slow = sim.event().succeed("slow", delay=5)
             result = yield sim.any_of([fast, slow])
             return (fast in result, slow in result, sim.now)
 
@@ -250,7 +295,7 @@ class TestConditionsUnderTieShuffle:
 
         def waiter():
             # three same-deadline timeouts: the tie is as hard as it gets
-            events = [sim.timeout(1.0, value=f"t{i}") for i in range(3)]
+            events = [sim.event().succeed(f"t{i}", delay=1.0) for i in range(3)]
             fired = yield sim.any_of(events)
             outcome["winners"] = sorted(fired.values())
             outcome["now"] = sim.now
@@ -483,11 +528,11 @@ class TestWakeUps:
     def test_timeout_sets_every_slot_an_event_has(self, sim):
         """``Timeout.__init__`` does not run ``Event.__init__``: a slot
         added to ``Event`` must be added there too."""
-        timeout, event = sim.timeout(1.0, "v"), Event(sim)
-        for slot in set(Event.__slots__) - {"__weakref__", "_state", "_value"}:
+        timeout, event = sim.timeout(1.0), Event(sim)
+        for slot in set(Event.__slots__) - {"__weakref__", "_state"}:
             assert getattr(timeout, slot) == getattr(event, slot), slot
         assert timeout._state == TRIGGERED
-        assert (timeout._value, timeout.delay) == ("v", 1.0)
+        assert timeout.delay == 1.0
 
     @pytest.mark.parametrize("observed", (False, True))
     def test_the_push_is_the_entry_schedule_pushes(self, observed):
@@ -511,7 +556,7 @@ class TestWakeUps:
 
             def producer():
                 for i in range(3):
-                    yield sim.timeout(0.5, i)
+                    yield sim.timeout(0.5)
                     store.put(i)
                 sim.event().succeed("late", delay=0.25)
 

@@ -7,9 +7,10 @@ benchmark harness — these tests pin that property at several levels.
 from __future__ import annotations
 
 from repro.bench import rtt_vs_size
-from repro.bench.experiments import _drive
+from repro.bench.experiments import _cross_traffic, _drive
 from repro.cluster import Cluster, Deployment
-from repro.core import Config, estimate_bandwidth
+from repro.core import Config, estimate_bandwidth, rtt_curve
+from repro.net import ETHERNET_100
 from repro.sim import EventTrace, RandomStreams, Simulator, diff_traces
 from repro.worlds import run_smoke
 
@@ -32,16 +33,36 @@ class TestRandomStreams:
             RandomStreams(2).stream("x").random()
 
 
+SIZES = range(100, 3001, 100)
+
+
+def seeded_rtt_series(seed: int):
+    """:func:`rtt_vs_size`'s measurement — the LAN pair under 2 % cross
+    traffic — on a world seeded with ``seed``."""
+    cluster = Cluster(seed=seed)
+    a, b = cluster.add_host("sagit"), cluster.add_host("suna")
+    sw = cluster.add_switch("sw")
+    l1 = cluster.link(a, sw, rate_bps=ETHERNET_100, delay=60e-6)
+    l2 = cluster.link(sw, b, rate_bps=ETHERNET_100, delay=60e-6)
+    cluster.finalize()
+    _cross_traffic(cluster, [l1.ab, l1.ba, l2.ab, l2.ba], utilisation=0.02)
+    out = {}
+
+    def prober():
+        out["series"] = yield from rtt_curve(a.stack, b.name, list(SIZES), gap=0.002)
+
+    _drive(cluster, cluster.sim.process(prober()))
+    return out["series"]
+
+
 class TestExperimentDeterminism:
     def test_rtt_series_reproducible(self):
-        s1 = rtt_vs_size(sizes=range(100, 3001, 100), seed=5)
-        s2 = rtt_vs_size(sizes=range(100, 3001, 100), seed=5)
-        assert s1 == s2
+        assert rtt_vs_size(sizes=SIZES) == rtt_vs_size(sizes=SIZES)
+        assert seeded_rtt_series(0) == rtt_vs_size(sizes=SIZES)
 
     def test_rtt_series_seed_sensitive(self):
-        s1 = rtt_vs_size(sizes=range(100, 3001, 100), seed=5)
-        s2 = rtt_vs_size(sizes=range(100, 3001, 100), seed=6)
-        assert s1 != s2  # cross traffic differs by seed
+        assert seeded_rtt_series(5) == seeded_rtt_series(5)
+        assert seeded_rtt_series(5) != seeded_rtt_series(6)  # cross traffic differs
 
     def test_full_deployment_reproducible(self):
         def run():

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
+import json
 import os
 import re
 import shutil
@@ -19,6 +21,19 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).parent.parent
+
+
+def _load_census():
+    """``benchmarks/census.py``: the runtime census and the tree walk
+    that lists what it must record."""
+    spec = importlib.util.spec_from_file_location(
+        "census", REPO / "benchmarks" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+census = _load_census()
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,6 +346,19 @@ def test_ci_pins_the_fault_benchmarks_it_regenerates():
         assert ci.index(regenerate) < ci.index(pin)
 
 
+def test_ci_regenerates_the_census():
+    """``benchmarks/results/census.json`` records which parameters the
+    drivers turn and which functions they enter; the parameter gate reads
+    it, so CI regenerates it and fails on any drift: a change that moves
+    what the drivers do commits the census it produces."""
+    ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
+                  .replace("\\\n", " ").split())
+    regenerate = "python benchmarks/census.py"
+    pin = "git diff --exit-code benchmarks/results/census.json"
+    assert regenerate in ci and pin in ci
+    assert ci.index(regenerate) < ci.index(pin)
+
+
 def _config_value(node: ast.expr):
     """The value a ``Config`` keyword is set to, when the source spells
     it out; ``ValueError`` for anything computed."""
@@ -397,18 +425,6 @@ TEST_ONLY_DEFINITIONS = {
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
 
 
-def _definitions(tree: ast.Module):
-    """``(qualname, node)`` for every function, method and class."""
-    stack = [("", node) for node in tree.body]
-    while stack:
-        prefix, node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qualname = f"{prefix}{node.name}"
-            yield qualname, node
-            prefix = f"{qualname}."
-        stack.extend((prefix, child) for child in ast.iter_child_nodes(node))
-
-
 def _references(tree: ast.Module):
     """``(name, line)`` for every use of a name: a load, an attribute,
     or a part of a dotted string constant (``getattr`` tables, the paths
@@ -453,7 +469,7 @@ def _uncalled_definitions(repo: Path) -> tuple[set[str], set[str]]:
     for path, tree in trees.items():
         if src not in path.parents:
             continue
-        for qualname, node in _definitions(tree):
+        for qualname, node in census.definitions(tree):
             key = f"{path.relative_to(src).as_posix()}::{qualname}"
             defined.add(key)
             name = node.name
@@ -482,254 +498,11 @@ def test_every_src_definition_has_a_caller():
     assert sorted(allowed - uncalled) == [], "allow-list names a used definition"
 
 
-def _value(node: ast.expr):
-    """What an argument or default spells: its literal value, or, for
-    anything computed, its source shape (equal only to the same shape)."""
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, TypeError, SyntaxError):
-        return ast.dump(node)
+#: the committed runtime census (``python benchmarks/census.py``)
+CENSUS = REPO / "benchmarks" / "results" / "census.json"
 
-
-def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
-    """``(name, position or None, default)`` for each defaulted parameter;
-    a method's positions are as its callers count them (``self`` off)."""
-    args = node.args
-    positional = [*args.posonlyargs, *args.args]
-    first = len(positional) - len(args.defaults)
-    for index, (arg, default) in enumerate(
-            zip(positional[first:], args.defaults), start=first - method):
-        yield arg.arg, index, default
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            yield arg.arg, None, default
-
-
-def _dataclass_fields(node: ast.ClassDef):
-    """A dataclass's defaulted fields as its generated ``__init__`` takes
-    them, in :func:`_defaulted`'s shape; nothing for any other class.  A
-    ``default_factory`` field is state, not a knob; ``Config`` keeps its
-    own gate (:func:`test_every_config_field_has_a_second_value_in_use`)."""
-    options = [d for d in node.decorator_list
-               if (getattr(getattr(d, "func", d), "id", None)
-                   or getattr(getattr(d, "func", d), "attr", None)) == "dataclass"]
-    if (not options or node.name == "Config"
-            or any(isinstance(s, ast.FunctionDef) and s.name == "__init__"
-                   for s in node.body)):
-        return
-    # a keyword-only or inherited field list has no positions to match
-    positional = not node.bases and not any(
-        k.arg == "kw_only" for d in options for k in getattr(d, "keywords", ()))
-    index = 0
-    for stmt in node.body:
-        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)) \
-                or "ClassVar" in ast.unparse(stmt.annotation):
-            continue
-        default = stmt.value
-        if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
-            default = next((k.value for k in default.keywords if k.arg == "default"), None)
-        if default is not None:
-            yield stmt.target.id, index if positional else None, default
-        index += 1
-
-
-def _assignments(tree: ast.Module):
-    """``(enclosing class name or None, node)`` for every assignment."""
-    stack: list[tuple[str | None, ast.AST]] = [(None, tree)]
-    while stack:
-        owner, node = stack.pop()
-        if isinstance(node, ast.ClassDef):
-            owner = node.name
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            yield owner, node
-        stack.extend((owner, child) for child in ast.iter_child_nodes(node))
-
-
-def _forwarding_calls(func: ast.FunctionDef | ast.AsyncFunctionDef):
-    """The calls in ``func``, its closures included, that splat
-    ``func``'s own ``**`` parameter (a closure rebinding the name hides
-    its calls)."""
-    kwarg = func.args.kwarg.arg
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
-                and kwarg in {a.arg for a in ast.walk(node.args)
-                              if isinstance(a, ast.arg)}:
-            continue
-        if isinstance(node, ast.Call) and any(
-                k.arg is None and isinstance(k.value, ast.Name) and k.value.id == kwarg
-                for k in node.keywords):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _unturned_parameters(repo: Path) -> tuple[set[str], set[str]]:
-    """``(defaulted parameters in src/repro that nothing outside the tests
-    sets off their default, every defaulted parameter)``, both as
-    ``path::Qualname(parameter)``.
-
-    A parameter is turned by a call to its function's name (a class's
-    name, or a subclass's, for ``__init__``) in ``src/``, ``benchmarks/``
-    or ``examples/`` that passes it, by keyword or position, at another
-    value than the default; by such a call that splats ``*args`` or
-    ``**kwargs``, unless the splat forwards the calling function's own
-    ``**`` parameter: then only the keywords that function's callers
-    put into it count, followed through further forwards; or by a
-    ``dict(...)`` or dict-literal key of its name,
-    or a keyword of its name in a call through a parameter, holding
-    another value (catalogue rows, ``SMOKE_JOBS``, the parser's
-    ``node_cls``).
-
-    A dataclass's defaulted fields count as its ``__init__`` parameters,
-    less those something assigns after construction: those are state the
-    object keeps, not knobs.  ``obj.<field> = ...`` is matched by name,
-    like every use here; ``self.<field> = ...`` counts only in the
-    dataclass itself or a subclass of it, so another class's attribute of
-    the same name (``Deployment.wizard`` for ``Ports.wizard``) hides
-    nothing."""
-    src = repo / "src" / "repro"
-    calls: dict[str, list[ast.Call]] = {}
-    keyed: dict[str, list] = {}
-    bases: dict[str, set[str]] = {}
-    assigned: set[str] = set()
-    #: class name -> what its own methods assign on ``self``
-    assigned_on_self: dict[str, set[str]] = {}
-    trees = _parsed(repo)
-    for tree in trees.values():
-        for owner, node in _assignments(tree):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            for target in targets:
-                for t in ast.walk(target):
-                    if not isinstance(t, ast.Attribute):
-                        continue
-                    if owner and isinstance(t.value, ast.Name) and t.value.id == "self":
-                        assigned_on_self.setdefault(owner, set()).add(t.attr)
-                    else:
-                        assigned.add(t.attr)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else \
-                    getattr(func, "id", None)
-                calls.setdefault(name, []).append(node)
-                if name == "dict":
-                    for keyword in node.keywords:
-                        keyed.setdefault(keyword.arg, []).append(
-                            _value(keyword.value))
-            elif isinstance(node, ast.Dict):
-                for key, value in zip(node.keys, node.values):
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        keyed.setdefault(key.value, []).append(_value(value))
-            elif isinstance(node, ast.ClassDef):
-                for base in node.bases:
-                    if isinstance(base, (ast.Name, ast.Attribute)):
-                        bases.setdefault(getattr(base, "id", None)
-                                         or base.attr, set()).add(node.name)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # a class handed in as an argument (the parser's
-                # ``node_cls(..., col=...)``) builds with keywords matched
-                # by name, like a dict key
-                handed = {a.arg for a in (*node.args.posonlyargs, *node.args.args,
-                                          *node.args.kwonlyargs)}
-                for call in ast.walk(node):
-                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) in handed:
-                        for keyword in call.keywords:
-                            keyed.setdefault(keyword.arg, []).append(_value(keyword.value))
-    def callers(qualname: str) -> set[str]:
-        """The names a call to the function ``qualname`` goes by: its
-        own, or for ``__init__`` its class's and every subclass's."""
-        owner, _, name = qualname.rpartition(".")
-        if name != "__init__":
-            return {name}
-        names, pending = set(), [owner.rpartition(".")[2]]
-        while pending:
-            cls = pending.pop()
-            names.add(cls)
-            pending.extend(bases.get(cls, set()) - names)
-        return names
-
-    #: id of a call forwarding its function's ``**`` parameter -> (that
-    #: parameter, the names the function is called by, the parameters
-    #: a keyword binds before it reaches the ``**`` one)
-    forwards: dict[int, tuple[str, set[str], set[str]]] = {}
-    for tree in trees.values():
-        for qualname, node in _definitions(tree):
-            if isinstance(node, ast.ClassDef) or node.args.kwarg is None:
-                continue
-            named = {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
-            for call in _forwarding_calls(node):
-                forwards[id(call)] = (node.args.kwarg.arg, callers(qualname), named)
-
-    def through(call: ast.Call, seen: frozenset = frozenset()):
-        """The ``(keyword, value)`` pairs ``call``'s ``**`` splats pass:
-        for a forward of its function's own ``**`` parameter, what that
-        function's callers put into it, followed through their own
-        forwards; ``None`` when a splat is anything else."""
-        out: list = []
-        for keyword in call.keywords:
-            if keyword.arg is not None:
-                continue
-            kwarg, names, named = forwards.get(id(call), ("", set(), set()))
-            if getattr(keyword.value, "id", None) != kwarg or not kwarg:
-                return None
-            if id(call) in seen:
-                continue
-            for site in (c for n in names for c in calls.get(n, ())):
-                inner = through(site, seen | {id(call)})
-                if inner is None:
-                    return None
-                out += [(name, value) for name, value in
-                        [(k.arg, _value(k.value)) for k in site.keywords
-                         if k.arg is not None] + inner
-                        if name not in named]
-        return out
-
-    unturned, defaulted = set(), set()
-    for path, tree in trees.items():
-        if src not in path.parents:
-            continue
-        classes = {qualname for qualname, node in _definitions(tree)
-                   if isinstance(node, ast.ClassDef)}
-        for qualname, node in _definitions(tree):
-            if isinstance(node, ast.ClassDef):
-                owner, qualname, name = qualname, f"{qualname}.__init__", "__init__"
-            else:
-                owner, _, name = qualname.rpartition(".")
-                method = owner in classes and not any(
-                    isinstance(d, ast.Name) and d.id == "staticmethod"
-                    for d in node.decorator_list)
-                params = list(_defaulted(node, method))
-            names = callers(qualname)
-            if isinstance(node, ast.ClassDef):
-                kept = assigned.union(*(assigned_on_self.get(cls, ()) for cls in names))
-                params = [(field, position, default) for field, position, default
-                          in _dataclass_fields(node) if field not in kept]
-            sites = [call for n in names for call in calls.get(n, ())]
-            splat = any(isinstance(a, ast.Starred) for call in sites for a in call.args)
-            forwarded: list = []
-            for call in sites:
-                pairs = through(call)
-                splat = splat or pairs is None
-                forwarded += pairs or []
-            for param, position, default in params:
-                key = f"{path.relative_to(src).as_posix()}::{qualname}({param})"
-                defaulted.add(key)
-                value = _value(default)
-                passed = [_value(k.value) for call in sites for k in call.keywords
-                          if k.arg == param]
-                if position is not None:
-                    passed += [_value(call.args[position]) for call in sites
-                               if position < len(call.args)]
-                passed += keyed.get(param, [])
-                passed += [v for name, v in forwarded if name == param]
-                if not splat and all(v == value for v in passed):
-                    unturned.add(key)
-    return unturned, defaulted
-
-
-#: defaulted ``src/repro`` parameters that nothing outside the tests
-#: sets off their default, each kept for the reason given
+#: defaulted ``src/repro`` parameters that no driver in the census sets
+#: off their default, each kept for the reason given
 #: (``path::Qualname(parameter)``, the path relative to ``src/repro``);
 #: the parameters of :data:`TEST_ONLY_DEFINITIONS` are exempt as well
 UNTURNED_PARAMETERS = {
@@ -737,32 +510,48 @@ UNTURNED_PARAMETERS = {
         "entry point: ``python -m repro`` passes nothing, tests pass argv",
     "net/tcp.py::TcpConnection._on_wake(_arg)":
         "kernel callback signature: ``sim.call_later`` hands it one argument",
-    "core/netmon.py::rtt_curve(port)":
-        "a port is a deployment setting (``Ports.probe_target``)",
-    "core/netmon.py::pipechar_estimate(port)":
-        "a port is a deployment setting (``Ports.probe_target``)",
-    "core/netmon.py::pathload_estimate(port)":
-        "a port is a deployment setting (``Ports.probe_target``)",
-    "bench/experiments.py::matmul_experiment(loaded_hosts)":
-        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
-    "bench/experiments.py::matmul_experiment(warmup)":
-        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
-    "bench/experiments.py::matmul_experiment(pool)":
-        "Table 5.6's catalogue row sets it through ``_matmul(**kwargs)``",
+    "core/netmon.py::measure_rtt(port)":
+        "the network monitor passes the deployment's ``Ports.probe_target``",
+    "core/netmon.py::estimate_bandwidth(port)":
+        "the network monitor passes the deployment's ``Ports.probe_target``",
+    **{f"apps/{service}.__init__({name})":
+       "benchmarks/ledger passes it, at its default, by keyword; the "
+       "ledger changes only in a benchmark-only PR"
+       for service in ("farm.py::BlockService", "matmul.py::MatMulWorker")
+       for name in ("port", "mss")},
+    "faults/explore.py::explore(seed)":
+        "command-line input: ``repro explore --seed``",
+    "faults/explore.py::explore(world_seed)":
+        "command-line input: ``repro explore --world-seed``",
+    "faults/explore.py::explore(shrink)":
+        "command-line input: ``repro explore --no-shrink``",
+    "faults/scenarios.py::run_trial(world_seed)":
+        "``explore --world-seed``, and the one a counterexample records",
+    "faults/plan.py::FaultEvent.param(default)":
+        "only a degrade event with ``reorder`` reaches ``reorder_extra``'s "
+        "default, and no driver's plan draws one",
+    "sim/clock.py::HostClock.set_skew(drift)":
+        "only a skew event's ``drift`` reaches it, and no driver's plan "
+        "draws one",
+    "lang/analysis.py::CompiledRequirement.__init__(parse_failed)":
+        "the error branch: a requirement that does not parse",
     "cluster/builder.py::Cluster.__init__(tie_break_seed)":
         "a kernel instrument, like ``sanitize`` and ``profile``: the "
         "schedule sanitizer's dual runs (``tests/test_determinism.py``) arm "
         "it through a world builder's ``**instruments``",
+    "worlds.py::Observed.__init__(event_trace)":
+        "what ``Cluster(trace_events=True)`` records, read by the dual "
+        "runs of ``tests/test_determinism.py``",
     "core/probe.py::ServerProbe.__init__(use_tcp)":
         "DESIGN §6 extension kept as a test-only switch: long reports over TCP",
     "core/probe.py::ServerProbe.__init__(selected_params)":
         "DESIGN §6 extension kept as a test-only switch: selected parameters",
-    "core/rsocket.py::ReliableSocket.__init__(window)":
-        "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
-    "core/rsocket.py::ReliableServer.__init__(window)":
-        "DESIGN §6: the reliable-socket library mirrors TcpLayer.serve",
-    "core/rsocket.py::ReliableSocket.resume(timeout)":
-        "DESIGN §6: the reliable-socket library mirrors TcpLayer.connect",
+    **{f"net/{path}::{name}(buffer_bytes)":
+       "the tail-drop buffer: tests/net/test_tcp_pinned.py and "
+       "tests/net/test_hop_events.py drive go-back-N through it"
+       for path, name in (("link.py", "Channel.__init__"),
+                          ("link.py", "Link.__init__"),
+                          ("topology.py", "Network.connect"))},
     **{f"core/config.py::{table}.__init__({name})":
        "deployment setting (thesis Tables 4.2 / 4.3)"
        for table, names in (
@@ -779,114 +568,146 @@ def test_every_src_parameter_has_a_second_value_in_use():
     """The :func:`test_every_config_field_has_a_second_value_in_use` rule
     for every signature in ``src/repro``, a dataclass's fields included
     (``Config`` has its own): a defaulted parameter exists because
-    something that runs — the library, a benchmark or an example
-    — sets it off its default.  A knob only the tests turn becomes a
-    constant and the path its default switched off goes, or it is named
-    in :data:`UNTURNED_PARAMETERS` with a reason; an entry there that no
-    longer exists, or that something now sets, fails too."""
-    assert _parameter_violations(REPO, UNTURNED_PARAMETERS) == NO_VIOLATIONS
+    something that runs — the library, a benchmark or an example — sets
+    it off its default.  What the drivers set is measured, not matched
+    by name: the committed census records it.  A knob only the tests
+    turn becomes a constant and the path its default switched off goes,
+    or it is named in :data:`UNTURNED_PARAMETERS` with a reason; an entry
+    there that no longer exists, or that something now sets, fails too."""
+    params, _ = census.universe(REPO)
+    recorded = json.loads(CENSUS.read_text())["parameters"]
+    assert sorted(set(census.parameter_keys(params)) ^ set(recorded)) == [], (
+        "the census does not list the tree's defaulted parameters: "
+        "regenerate the census (python benchmarks/census.py)")
+    assert _parameter_violations(recorded, UNTURNED_PARAMETERS) == NO_VIOLATIONS
 
 
 NO_VIOLATIONS = {"unturned": [], "deleted": [], "turned": []}
 
 
-def _parameter_violations(repo: Path, allowed) -> dict[str, list[str]]:
-    """What the parameter gate reports: unturned parameters not allowed,
-    and allow-list entries naming a deleted or a turned parameter."""
-    unturned, defaulted = _unturned_parameters(repo)
-    unturned = {key for key in unturned
-                if key.partition("(")[0] not in TEST_ONLY_DEFINITIONS}
+def _parameter_violations(recorded: dict, allowed) -> dict[str, list[str]]:
+    """What the parameter gate reports for a census's ``parameters``
+    (key -> the first driver that turned it, or None): unturned
+    parameters not allowed, and allow-list entries naming a deleted or a
+    turned parameter."""
+    unturned = {key for key, turned_by in recorded.items() if turned_by is None
+                and key.partition("(")[0] not in TEST_ONLY_DEFINITIONS}
     return {"unturned": sorted(unturned - set(allowed)),
-            "deleted": sorted(set(allowed) - defaulted),
-            "turned": sorted(set(allowed) & defaulted - unturned)}
+            "deleted": sorted(set(allowed) - set(recorded)),
+            "turned": sorted(set(allowed) & set(recorded) - unturned)}
 
 
-def _parameter_tree(tmp_path: Path, caller: str) -> Path:
-    """A repo whose ``src/repro/mod.py`` defines ``knob(x, size=4)`` and
-    ``Box(width=2)``, and whose ``benchmarks/run.py`` is ``caller``."""
+def census_run(tree: Path, argv: tuple[str, ...], expected: int = 0) -> dict:
+    """One census driver, ``python *argv`` in ``tree`` under the hook,
+    and what it recorded (``entered``, ``turned``)."""
+    params, _ = census.universe(tree)
+    params_file = tree.parent / f"{tree.name}-params.json"
+    params_file.write_text(json.dumps({k: sorted(v) for k, v in params.items()}))
+    work = tree.parent / f"{tree.name}-work"
+    work.mkdir()
+    return census.observe(argv, expected, None, tree, params_file, work)
+
+
+def _parameter_tree(tmp_path: Path, rows: str = "") -> Path:
+    """A repo whose ``src/repro/mod.py`` defines ``knob(x, size=4)``,
+    ``Box(width=2)`` and then ``rows``, with nothing else to read."""
     (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "examples").mkdir()
     (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
         "def knob(x, size=4):\n    return x * size\n\n\n"
         "class Box:\n    def __init__(self, width=2):\n"
-        "        self.width = width\n")
-    (tmp_path / "benchmarks" / "run.py").write_text(caller)
+        "        self.width = width\n\n\n" + rows)
     return tmp_path
 
 
+def _census_verdict(tmp_path: Path, caller: str) -> dict[str, list[str]]:
+    """The gate's verdict on :func:`_parameter_tree` driven by
+    ``benchmarks/run.py`` = ``caller`` alone."""
+    repo = _parameter_tree(tmp_path)
+    (repo / "src" / "repro" / "fwd.py").write_text(
+        "from .mod import Box\n\n\n"
+        "def wrap(**opts):\n    return Box(**opts)\n\n\n"
+        "def relay(**kw):\n    def go():\n        return wrap(**kw)\n"
+        "    return go()\n")
+    (repo / "benchmarks" / "run.py").write_text(
+        "from repro.fwd import relay, wrap\nfrom repro.mod import Box, knob\n"
+        + caller)
+    turned = census_run(repo, ("benchmarks/run.py",))["turned"]
+    params, _ = census.universe(repo)
+    recorded = {key: "run" if key in turned else None
+                for key in census.parameter_keys(params)}
+    return _parameter_violations(recorded, {})
+
+
 class TestParameterGate:
-    """The gate itself, on synthetic trees."""
+    """The gate itself, on synthetic trees and censuses: the census sees
+    the values a call passes however it spells them."""
 
     def test_flags_a_parameter_left_at_its_default(self, tmp_path):
-        repo = _parameter_tree(tmp_path, "knob(1)\nknob(2, size=4)\nBox()\n")
-        assert _parameter_violations(repo, {})["unturned"] == [
-            "mod.py::Box.__init__(width)", "mod.py::knob(size)"]
+        assert _census_verdict(tmp_path, "knob(1)\nknob(2, size=4)\nBox()\n")[
+            "unturned"] == ["mod.py::Box.__init__(width)", "mod.py::knob(size)"]
 
     @pytest.mark.parametrize("caller", [
-        "knob(1, size=8)\nBox(width=3)\n",        # keyword
-        "knob(1, 8)\nBox(3)\n",                   # position, self off
-        "ROWS = [dict(size=8), {'width': 3}]\n",  # dict keys
-        "knob(*ARGS)\nBox(**KWARGS)\n",           # splats
+        "knob(1, size=8)\nBox(width=3)\n",                      # keyword
+        "knob(1, 8)\nBox(3)\n",                                 # position
+        "knob(1, **dict(size=8))\nBox(**{'width': 3})\n",       # dict keys
+        "ARGS, KWARGS = (1, 8), {'width': 3}\n"
+        "knob(*ARGS)\nBox(**KWARGS)\n",                         # splats
     ], ids=["keyword", "position", "dict-key", "splat"])
     def test_a_second_value_clears_it(self, tmp_path, caller):
-        repo = _parameter_tree(tmp_path, caller)
-        assert _parameter_violations(repo, {}) == NO_VIOLATIONS
+        assert _census_verdict(tmp_path, caller) == NO_VIOLATIONS
 
     @pytest.mark.parametrize("caller, unturned", [
-        ("wrap(tag=1)\n", ["mod.py::Box.__init__(width)"]),
+        ("wrap()\n", ["mod.py::Box.__init__(width)"]),
         ("relay(width=3)\n", []),
         ("relay(width=2)\n", ["mod.py::Box.__init__(width)"]),
-        ("wrap(**ROW)\n", []),
+        ("ROW = {'width': 5}\nwrap(**ROW)\n", []),
     ], ids=["forwarded", "forwarded-twice", "forwarded-default", "other-splat"])
     def test_a_forwarded_splat_passes_what_its_callers_set(self, tmp_path, caller,
                                                            unturned):
-        """``Box(**opts)`` in ``wrap(**opts)`` sets only what calls to
-        ``wrap`` put into ``opts``, through a closure's forward too; a
-        splat of anything else still turns every parameter."""
-        repo = _parameter_tree(tmp_path, "knob(1, 8)\n" + caller)
-        (repo / "src" / "repro" / "fwd.py").write_text(
-            "def wrap(**opts):\n    return Box(**opts)\n\n\n"
-            "def relay(**kw):\n    def go():\n        return wrap(**kw)\n"
-            "    return go()\n")
-        assert _parameter_violations(repo, {})["unturned"] == unturned
+        """``Box(**opts)`` in ``wrap(**opts)`` gets what calls to ``wrap``
+        put into ``opts``, through a closure's forward too — the name
+        matcher this census replaced had to follow each forward by hand."""
+        assert _census_verdict(tmp_path, "knob(1, 8)\n" + caller)["unturned"] == unturned
 
     def test_reads_a_dataclass_field_as_an_init_parameter(self, tmp_path):
-        """A row field no row sets is flagged, like ``Scenario.horizon``
-        was; a ``default_factory`` field and one assigned after
-        construction are state, and a row that sets a field turns it."""
-        repo = _parameter_tree(tmp_path, "knob(1, 8)\nBox(3)\nrow = Row(1, gray=True)\n"
-                                         "row.count += 1\n")
-        (repo / "src" / "repro" / "rows.py").write_text(
-            "from dataclasses import dataclass, field\n\n\n"
+        """A row's defaulted field is a parameter of its ``__init__``; a
+        ``default_factory`` field and one assigned after construction
+        (``row.count += 1``) are state, not knobs."""
+        repo = _parameter_tree(
+            tmp_path,
             "@dataclass(frozen=True)\nclass Row:\n    name: int\n"
             "    gray: bool = False\n    horizon: float = 20.0\n"
             "    kept: list = field(default_factory=list)\n    count: int = 0\n")
-        assert _parameter_violations(repo, {})["unturned"] == [
-            "rows.py::Row.__init__(horizon)"]
+        (repo / "benchmarks" / "run.py").write_text("row.count += 1\n")
+        params, _ = census.universe(repo)
+        assert census.parameter_keys(params) == [
+            "mod.py::Box.__init__(width)", "mod.py::Row.__init__(gray)",
+            "mod.py::Row.__init__(horizon)", "mod.py::knob(size)"]
 
     def test_a_self_assignment_is_state_only_of_its_own_class(self, tmp_path):
         """``self.<field> = ...`` in another class hides nothing (like
         ``Deployment.wizard`` and ``Ports.wizard``); in a subclass it is
-        the row's own state.  A keyword in a call through a parameter
-        (the parser's ``node_cls(..., col=...)``) turns a field by name."""
-        repo = _parameter_tree(tmp_path, "knob(1, 8)\nBox(3)\nRow()\n")
-        (repo / "src" / "repro" / "rows.py").write_text(
-            "from dataclasses import dataclass\n\n\n"
-            "@dataclass\nclass Row:\n    gray: bool = False\n    count: int = 0\n"
-            "    col: int = 0\n\n\n"
+        the row's own state."""
+        repo = _parameter_tree(
+            tmp_path,
+            "@dataclass\nclass Row:\n    gray: bool = False\n    count: int = 0\n\n\n"
             "class Tally(Row):\n    def bump(self):\n        self.count += 1\n\n\n"
-            "class Deployment:\n    def __init__(self):\n        self.gray = True\n\n\n"
-            "def build(node_cls):\n    return node_cls(col=3)\n")
-        assert _parameter_violations(repo, {})["unturned"] == [
-            "rows.py::Row.__init__(gray)"]
+            "class Deployment:\n    def __init__(self):\n        self.gray = True\n")
+        params, _ = census.universe(repo)
+        assert census.parameter_keys(params) == [
+            "mod.py::Box.__init__(width)", "mod.py::Row.__init__(gray)",
+            "mod.py::knob(size)"]
 
-    def test_stale_allow_list_entries_fail(self, tmp_path):
-        repo = _parameter_tree(tmp_path, "knob(1, size=8)\nBox()\n")
+    def test_stale_allow_list_entries_fail(self):
+        recorded = {"mod.py::Box.__init__(width)": None, "mod.py::knob(size)": "python run.py"}
         allowed = {"mod.py::Box.__init__(width)": "kept",
                    "mod.py::knob(size)": "now turned",
                    "mod.py::knob(depth)": "deleted"}
-        assert _parameter_violations(repo, allowed) == {
+        assert _parameter_violations(recorded, allowed) == {
             "unturned": [], "deleted": ["mod.py::knob(depth)"],
             "turned": ["mod.py::knob(size)"]}
 
