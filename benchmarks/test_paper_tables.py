@@ -293,7 +293,7 @@ def test_reshipping_transmitter_reads_the_figure_before_elision(monkeypatch):
     remembering = Transmitter.snapshot
 
     def in_full(self, carried=None):
-        return (yield from remembering(self))
+        return remembering(self)
 
     monkeypatch.setattr(Transmitter, "snapshot", in_full)
     by_name = {r.component: r for r in resource_usage()}

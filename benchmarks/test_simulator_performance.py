@@ -20,10 +20,14 @@ import repro.core.wizard as wizard_module
 from repro.cluster import Cluster
 from repro.core import (
     Config,
+    Mode,
+    Receiver,
     ServerProbe,
     ServerStatusRecord,
     ServerStatusReport,
+    SmartClient,
     SystemMonitor,
+    Transmitter,
     Wizard,
     WizardRequest,
     probe,
@@ -142,13 +146,18 @@ def test_hop_events_profile_matmul():
     8,733 -> 8,237 and resumes 3,583 -> 3,459 (two sends and two receiver
     reads fewer per push); deliveries and simulated time stayed.  The
     deliveries are ``Node.receive`` calls since the channel schedules
-    the node itself (``NIC._on_deliver`` before, the same count)."""
+    the node itself (``NIC._on_deliver`` before, the same count).  A
+    segment access that is a plain call instead of a semaphore grant, a
+    recv() that is its queue's get and a handshake with nothing to send
+    that asks for no wake then took events 8,237 -> 7,046, resumes
+    3,459 -> 2,436 and ``_on_wake`` calls 90 -> 78; deliveries and
+    simulated time stayed."""
     attribution, resumes = _profile("matmul")
-    assert attribution["total_events"] == 8_237
+    assert attribution["total_events"] == 7_046
     assert attribution["calls"]["Node.receive"] == 2_978
-    assert attribution["calls"]["TcpConnection._on_wake"] == 90
+    assert attribution["calls"]["TcpConnection._on_wake"] == 78
     assert "NIC.forward_frame" not in attribution["calls"]
-    assert resumes == 3_459
+    assert resumes == 2_436
     assert attribution["sim_time_s"] == 120.926051273
 
 
@@ -164,13 +173,17 @@ def test_hop_events_profile_massd():
     that lists only the databases whose bodies follow (8 bytes when
     nothing moved, instead of 24) moves no count and ends it 19 us
     sooner still.  Deliveries are ``Node.receive`` calls, as in the
-    matmul profile."""
+    matmul profile.  Same-instant hand-offs that cost no event (a segment
+    access, a recv(), an idle handshake's wake; see the matmul profile)
+    then took scheduled events 38,336 -> 37,521, processed ones 38,156 ->
+    37,341 and resumes 5,229 -> 4,676; deliveries and simulated time
+    stayed."""
     attribution, resumes = _profile("massd")
-    assert attribution["total_allocations"] == 38_336
-    assert attribution["total_events"] == 38_156
+    assert attribution["total_allocations"] == 37_521
+    assert attribution["total_events"] == 37_341
     assert attribution["calls"]["Node.receive"] == 28_468
     assert "NIC.forward_frame" not in attribution["calls"]
-    assert resumes == 5_229
+    assert resumes == 4_676
     assert attribution["sim_time_s"] == 37.873844356
 
 
@@ -345,15 +358,18 @@ def tcp_calls_per_exchange(n: int) -> float:
 def test_connect_request_close_call_budget():
     """The other per-connection cost: a handshake, one request and its
     response, and both FINs across one switch.  It is what a short
-    placement exchange costs; at 386 calls it is nine segments' worth
-    (694.02 with a wake event per ack that moved the window, 560.02 with
-    a ``Call`` object per hop, 500.02 with two more calls per frame hop
-    and a ``sim.now`` read for each handshake datagram's unread
-    ``created`` stamp, 420.02 while a process wake-up cost eleven calls
-    and each ``Timeout`` or granted event went through ``_schedule``)."""
+    placement exchange costs; at 356 calls it is eight and a half
+    segments' worth (694.02 with a wake event per ack that moved the
+    window, 560.02 with a ``Call`` object per hop, 500.02 with two more
+    calls per frame hop and a ``sim.now`` read for each handshake
+    datagram's unread ``created`` stamp, 420.02 while a process wake-up
+    cost eleven calls and each ``Timeout`` or granted event went through
+    ``_schedule``, 386.02 while each recv() relayed its queue's get
+    through a second event and each handshake end asked for a wake with
+    nothing to send)."""
     per_exchange = tcp_calls_per_exchange(1_000)
-    assert round(per_exchange, 2) == 386.02
-    assert per_exchange <= 387
+    assert round(per_exchange, 2) == 356.02
+    assert per_exchange <= 357
 
 
 def probe_calls_per_report(servers: int = 16) -> tuple[float, int]:
@@ -410,11 +426,71 @@ def test_probe_report_call_budget():
     157.58 while a process wake-up cost eleven calls, ``Timeout`` and
     ``succeed`` went through ``_schedule``, the clocks through
     ``sim.now`` and the scan's jiffy deltas and the CPU's completion
-    through generator expressions."""
+    through generator expressions, 110.77 while the upsert was a
+    generator of its own that took the segment's semaphore through a
+    granted event and a process wake-up."""
     per_report, reports = probe_calls_per_report()
     assert reports == 480
-    assert round(per_report, 2) == 110.77
-    assert per_report <= 111
+    assert round(per_report, 2) == 97.15
+    assert per_report <= 98
+
+
+def pull_calls_per_request(n: int, groups: int = 3) -> float:
+    """Python-level calls into ``repro`` per distributed-mode wizard
+    request: a client, a wizard and ``groups`` monitor hosts on one
+    switch, each monitor's three databases written once and served by
+    its ``Transmitter``.  ``n`` requests in a row, each pulling every
+    group over the connections the first request dialled — a quiet
+    round, one 8-byte header per transmitter — then reading the
+    databases, matching and replying; counted after that first request
+    until the run drains."""
+    cluster = Cluster()
+    switch = cluster.add_switch("sw")
+    wizard_host, client_host = cluster.add_host("wizard"), cluster.add_host("client")
+    monitors = [cluster.add_host(f"mon{i}") for i in range(groups)]
+    for host in (wizard_host, client_host, *monitors):
+        cluster.link(host, switch)
+    cluster.finalize()
+    sim, cfg = cluster.sim, Config(mode=Mode.DISTRIBUTED)
+    receiver = Receiver(sim, wizard_host.stack, wizard_host.shm, cfg)
+    for i, host in enumerate(monitors):
+        report = ServerStatusReport(host=f"s{i}", addr=f"10.9.{i}.1",
+                                    group=f"g{i}", values={"host_cpu_free": 0.5})
+        host.shm.segment(cfg.shm.monitor_system).write(
+            {report.addr: ServerStatusRecord(report, updated_at=0.0)})
+        host.shm.segment(cfg.shm.monitor_network).write({})
+        host.shm.segment(cfg.shm.monitor_security).write({})
+        Transmitter(sim, host.stack, host.shm, receiver_addrs=[wizard_host.addr],
+                    config=cfg).start()
+        receiver.add_transmitter(host.addr)
+    Wizard(sim, wizard_host.stack, wizard_host.shm, cfg, receiver=receiver).start()
+    client = SmartClient(sim, client_host.stack, [wizard_host.addr], cfg)
+    replies = []
+
+    def requests(count):
+        for _ in range(count):
+            replies.append((yield from client.request_servers("host_cpu_free > 0.1", 3)))
+
+    sim.process(requests(1))
+    sim.run()
+    sim.process(requests(n))
+    calls = _count_calls(sim.run)
+    assert len(replies) == n + 1 and all(len(r.servers) == groups for r in replies)
+    return calls / n
+
+
+def test_pull_round_call_budget():
+    """The request path of distributed mode, where the wizard pulls
+    status on every request: the client's datagram, the wizard's
+    compile-cache hit, the pull of three groups (a ``MSG_PULL`` to each
+    transmitter, each reading its three segments and answering with
+    one header), the wizard's read of its three segments, the match and
+    the reply.  893.45 calls while each of those twelve segment accesses
+    took a semaphore through a granted event and a process wake-up and
+    each recv() relayed its queue's get through a second event."""
+    per_request = pull_calls_per_request(200)
+    assert round(per_request, 2) == 689.45
+    assert per_request <= 690
 
 
 def _bytes_kept(sim: Simulator, exchange, n: int, warm_up: int) -> float:
@@ -497,11 +573,12 @@ def test_connection_memory_budget():
 
 def test_served_connection_memory_budget():
     """What a served connection leaves behind: two endpoints with the
-    receive queues their ``recv()`` built, the server's holding the
-    EOF and its send queue and segment table (it never closes), the
-    client's sender state released at its FIN's ack.  1,961 / 1,972 /
-    1,964 B on CPython 3.10 / 3.11 / 3.12; 2,409 / 2,412 / 2,428 B with
-    every queue built up front and kept."""
+    receive queues their ``recv()`` built, the server's ended, and its
+    send queue and segment table (it never closes), the client's sender
+    state released at its FIN's ack.  1,961 / 1,972 / 1,964 B on CPython
+    3.10 / 3.11 / 3.12; 2,409 / 2,412 / 2,428 B with every queue built
+    up front and kept.  1,795.75 B on 3.11 once an ended queue holds no
+    EOF item (1,875.75 B before)."""
     assert bytes_kept_per_served_connection(2_000) <= 2_100
 
 

@@ -315,7 +315,7 @@ class NetworkMonitor:
                             delay_ms=est.delay_s * 1e3 / 2,  # one-way ≈ RTT/2
                             bw_mbps=est.avg_bps / 1e6,
                         )
-                        yield from self._publish(group, metric)
+                        self._publish(group, metric)
                     self.probes_done += 1
                     # per sample: 3 reps of each size + the ICMP echoes
                     self.probe_bytes += ESTIMATE_SAMPLES * 3 * (s1 + s2 + 2 * 84)
@@ -323,7 +323,7 @@ class NetworkMonitor:
         except Interrupt:
             pass
 
-    def _publish(self, peer_group: str, metric: NetMetric):
+    def _publish(self, peer_group: str, metric: NetMetric) -> None:
         def publish(db):
             # a fresh record too: the published dict, and any snapshot
             # the transmitter has already handed to TCP, still hold the
@@ -334,4 +334,4 @@ class NetworkMonitor:
             db[self.group] = NetStatusRecord(self.group, metrics, self.sim.now)
             return db
 
-        yield from self.shm.segment(self.segment_key).update(publish)
+        self.shm.segment(self.segment_key).update(publish)

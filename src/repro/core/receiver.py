@@ -204,7 +204,7 @@ class Receiver:
         return record
 
     def _apply(self, src: str, msg_type: int, data: dict, stamp: float):
-        """Process generator: merge one snapshot into shared memory.
+        """Merge one snapshot into shared memory.
 
         ``stamp`` is the sender's wall-clock reading when the body left
         it.  Records are *always* rebased onto this host's monotonic
@@ -225,13 +225,13 @@ class Receiver:
         merged: dict = {}
         for contrib in self._sources.values():
             merged.update(contrib.get(msg_type, {}))
-        yield from self._segment(msg_type).locked(merged)
+        self._segment(msg_type).locked(merged)
         self._updated_at[msg_type] = self.sim.now
         self.messages_received += 1
 
     def _on_frame(self, feed: _Feed, payload):
-        """Process generator: one frame of a transmitter's header / body
-        stream, pushed or pulled.
+        """One frame of a transmitter's header / body stream, pushed or
+        pulled.
 
         A snapshot's header lists, as ``(type, size)`` entries, the
         databases whose bodies follow in header order (the receiver
@@ -278,7 +278,7 @@ class Receiver:
             return
         expected = feed.announced.pop(0) if feed.announced else None
         if len(fields) >= 3 and expected is not None and fields[0] == expected:
-            yield from self._apply(feed.src, expected, *fields[1:3])
+            self._apply(feed.src, expected, *fields[1:3])
             feed.held.add(expected)
         else:
             feed.held -= {expected, *fields[:1]}
@@ -289,7 +289,7 @@ class Receiver:
         while True:
             payload, _ = yield conn.recv()
             try:
-                yield from self._on_frame(feed, payload)
+                self._on_frame(feed, payload)
             except ConnectionClosed:
                 # out of step.  Left open, the connection would go on
                 # acking and never carry that database again; aborted,
@@ -375,7 +375,7 @@ class Receiver:
                         # leaves the exception as the event's value
                         if isinstance(frame, ConnectionClosed):
                             raise frame
-                        yield from self._on_frame(feed, frame[0])
+                        self._on_frame(feed, frame[0])
                     except ConnectionClosed:
                         # died mid-answer, or out of step (_on_frame)
                         self.pull_failures += 1

@@ -80,8 +80,8 @@ class SecurityMonitor:
         if self._proc is not None:
             self._proc.interrupt("stop")
 
-    def refresh(self):
-        """One collection pass (process generator)."""
+    def refresh(self) -> None:
+        """One collection pass."""
         try:
             entries = list(self.source.collect())
         except (ValueError, TypeError):
@@ -91,13 +91,13 @@ class SecurityMonitor:
             host: SecurityRecord(host=host, level=level, updated_at=self.sim.now)
             for host, level in entries
         }
-        yield from self.shm.segment(self.segment_key).locked(db)
+        self.shm.segment(self.segment_key).locked(db)
         self.scans += 1
 
     def _run(self):
         try:
             while True:
-                yield from self.refresh()
+                self.refresh()
                 yield self.sim.timeout(SCAN_INTERVAL)
         except Interrupt:
             pass

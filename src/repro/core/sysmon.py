@@ -2,10 +2,11 @@
 
 Receives ASCII probe reports over UDP, parses them into
 :class:`~repro.core.records.ServerStatusRecord`\\ s and maintains the server
-status database in a keyed shared-memory segment (key 1234) under a
-semaphore, exactly like the paper's monitor machine.  A reaper process
-expires records whose probe has missed :data:`PROBE_MISS_LIMIT` consecutive
-intervals — this is how servers leave (and later rejoin) the pool.
+status database in a keyed shared-memory segment (key 1234) whose
+critical sections are ordered, as the paper's semaphore orders them on
+the monitor machine.  A reaper process expires records whose probe has
+missed :data:`PROBE_MISS_LIMIT` consecutive intervals — this is how
+servers leave (and later rejoin) the pool.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class SystemMonitor:
         try:
             while True:
                 dgram = yield sock.recv()
-                yield from self._on_report(dgram.payload)
+                self._on_report(dgram.payload)
         except Interrupt:
             pass
         finally:
@@ -90,10 +91,10 @@ class SystemMonitor:
     def _tcp_session(self, conn):
         while True:
             payload, _ = yield conn.recv()
-            if (yield from self._on_report(payload)):
+            if self._on_report(payload):
                 self.tcp_reports_received += 1
 
-    def _on_report(self, payload):
+    def _on_report(self, payload) -> bool:
         """Parse, count and upsert one probe report, whichever transport
         carried it; ``False`` when it did not parse or names a key the
         requirement language does not define (such a record would sit in
@@ -105,15 +106,13 @@ class SystemMonitor:
             self.parse_errors += 1
             return False
         self.reports_received += 1
-        yield from self._upsert(report)
-        return True
 
-    def _upsert(self, report: ServerStatusReport):
         def upsert(db):
             db[report.addr] = ServerStatusRecord(report=report, updated_at=self.clock.now())
             return db
 
-        yield from self.shm.segment(self.segment_key).update(upsert)
+        self.shm.segment(self.segment_key).update(upsert)
+        return True
 
     def _reap(self):
         limit = PROBE_MISS_LIMIT * self.config.probe_interval
@@ -129,6 +128,6 @@ class SystemMonitor:
         try:
             while True:
                 yield self.sim.timeout(self.config.probe_interval)
-                yield from self.shm.segment(self.segment_key).update(reap)
+                self.shm.segment(self.segment_key).update(reap)
         except Interrupt:
             pass

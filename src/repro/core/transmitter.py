@@ -152,12 +152,12 @@ class Transmitter:
 
     # -- snapshotting ------------------------------------------------------------
     def snapshot(self, carried: Optional[dict[int, int]] = None):
-        """Process generator: read the 3 segments under their semaphores and
-        return the wire messages of the databases that moved.
+        """Read the 3 segments, each in a critical section, and return
+        the wire messages of the databases that moved.
 
         ``carried`` is one connection's memory, pushed or pulled —
         message type -> the ``Segment.writes`` of the database it last
-        carried, read here under the same lock hold as the data and
+        carried, read right after the data (nothing runs in between) and
         updated in place.  A database not rewritten since is left out.
         Without a memory all three are built.  A body is the dict the
         monitor published: every writer publishes a fresh one."""
@@ -166,7 +166,7 @@ class Transmitter:
         messages = []
         for msg_type, db in STATUS_DATABASES.items():
             seg = self.shm.segment(db.monitor_key(self.config.shm))
-            data = yield from seg.locked()
+            data = seg.locked()
             version = seg.writes  # nothing has run since the read
             if carried.get(msg_type) != version:
                 carried[msg_type] = version
@@ -236,7 +236,7 @@ class Transmitter:
                     backoff = interval
                     acked_mark = conn.bytes_acked
                     progress_at = self.sim.now
-                messages = yield from self.snapshot(carried)
+                messages = self.snapshot(carried)
                 try:
                     stats.bytes_sent += self._send_messages(conn, messages)
                 except ConnectionClosed:
@@ -259,7 +259,7 @@ class Transmitter:
         while True:
             payload, _ = yield conn.recv()
             if isinstance(payload, WireMessage) and payload.type == MSG_PULL:
-                messages = yield from self.snapshot(carried)
+                messages = self.snapshot(carried)
                 try:
                     self._pull_bytes += self._send_messages(conn, messages)
                 except ConnectionClosed:

@@ -278,7 +278,7 @@ class Wizard:
 
     # -- databases ---------------------------------------------------------------
     def databases(self):
-        """Process generator -> (sysdb, netdb, secdb), read in place.
+        """(sysdb, netdb, secdb), read in place.
 
         No copy: every writer of these segments publishes a fresh dict
         and never touches it again (copy-on-write, see DESIGN.md), and
@@ -286,7 +286,7 @@ class Wizard:
         dbs = []
         for db in STATUS_DATABASES.values():
             seg = self.shm.segment(db.wizard_key(self.config.shm))
-            dbs.append((yield from seg.locked()) or {})
+            dbs.append(seg.locked() or {})
         return tuple(dbs)
 
     def _candidate_order(
@@ -396,7 +396,7 @@ class Wizard:
             return WizardReply(seq=request.seq, servers=(),
                                status=REPLY_STALE,
                                freshness_age=self.freshness_age)
-        sysdb, netdb, secdb = yield from self.databases()
+        sysdb, netdb, secdb = self.databases()
         servers = self.match(request, client_addr, sysdb, netdb, secdb,
                              compiled=compiled)
         return WizardReply(seq=request.seq, servers=tuple(servers),

@@ -22,18 +22,26 @@ window and restarts the retransmission deadline.  An ack that advances
 the window runs the turn in place: it is handled from an event callback,
 after its own bookkeeping, so there is nothing to wait for or coalesce.
 Everything else that may let the sender make progress (``send``,
-``close``, ``abort``, the handshake, a reset) comes from application
-code that may ask again at the same timestamp, and asks for one *wake*
-instead: a zero-delay ``sim.call_later`` that runs the turn after
-the caller has returned, however many asked in between — an ack that
-finds a wake pending leaves the turn to it.  Every turn that leaves data
-in flight restarts the retransmission deadline at ``now + rto``; the
-connection keeps **one** timer call in the event queue and re-arms it
-lazily — when it fires short of the deadline it moves itself there, by
-absolute time — so an ack costs no timer event at all.  The one case
+``close``, ``abort``, a reset, the handshake when ``send`` ran before
+it) comes from application code that may ask again at the same
+timestamp, and asks for one *wake* instead: a zero-delay
+``sim.call_later`` that runs the turn after the caller has returned,
+however many asked in between — an ack that finds a wake pending leaves
+the turn to it.  A handshake with nothing queued asks for none.  Every
+turn that leaves data in flight restarts the retransmission deadline at
+``now + rto``; the connection keeps **one** timer call in the event
+queue and re-arms it lazily — when it fires short of the deadline it
+moves itself there, by absolute time — so an ack costs no timer event
+at all.  The one case
 that must not wait for the armed call is a deadline that moved
 *earlier*: a fresh RTT sample shrinking ``rto`` under a backed-off timer
 arms a second, earlier call and the later one finds itself superseded.
+
+The receive side is the endpoint's receive queue: ``recv()`` hands back
+the queue's own get event, and the peer's FIN, an RST or ``abort()``
+ends the queue, so a recv that finds it empty then fails with
+:class:`ConnectionClosed` — the one still waiting at that instant, and
+every later one at once.
 """
 
 from __future__ import annotations
@@ -63,13 +71,9 @@ class ConnectError(Exception):
     """connect() failed (no listener / handshake timeout)."""
 
 
-class _EOF:
-    """Sentinel queued into the receive store when a FIN arrives."""
-
-    __repr__ = lambda self: "<EOF>"  # noqa: E731  pragma: no cover
-
-
-EOF = _EOF()
+def _peer_closed() -> ConnectionClosed:
+    """What a recv() fails with once the stream has ended."""
+    return ConnectionClosed("peer closed")
 
 #: ``TcpConnection.state``: the RFC 793 states it can hold, then RESET (an
 #: RST arrived while the local side was open) and ABORTED (``abort()`` ran,
@@ -252,29 +256,17 @@ class TcpConnection:
     def recv(self):
         """Event firing with ``(payload, nbytes)`` of the next whole message.
 
-        Yielding this after the peer closed raises :class:`ConnectionClosed`
-        via the queued EOF sentinel — callers should catch it or check
-        :attr:`peer_closed`.
+        The receive queue's own get: once the messages that came before
+        the peer's FIN (or an RST, or ``abort()``) are taken, yielding it
+        raises :class:`ConnectionClosed` — callers should catch it or
+        check :attr:`peer_closed`.
         """
         rx = self._rx
         if rx is None:  # _queue(), inlined: one call less per exchange
             rx = self._rx = Store(self.sim)
             if self.state in _PEER_CLOSED:
-                rx.put(EOF)
-        ev = rx.get()
-        wrapped = self.sim.event()
-
-        def _unwrap(e):
-            if not e.ok:  # pragma: no cover - store get never fails
-                wrapped.fail(e.value)
-            elif isinstance(e.value, _EOF):
-                rx.put(EOF)  # keep EOF for subsequent recv() calls
-                wrapped.fail(ConnectionClosed("peer closed"))
-            else:
-                wrapped.succeed(e.value)
-
-        ev.add_callback(_unwrap)
-        return wrapped
+                rx.end(_peer_closed)
+        return rx.get()
 
     def close(self) -> None:
         """Flush pending data, then send FIN."""
@@ -299,7 +291,7 @@ class TcpConnection:
             return
         self.state = ABORTED
         self._outq = None
-        self._put_eof()
+        self._end_stream()
         self.layer.conns.pop(
             (self.local_port, self.remote_addr, self.remote_port), None
         )
@@ -311,7 +303,7 @@ class TcpConnection:
         if state in _RESET:
             return
         self.state = RESET if state in _OPEN else ABORTED
-        self._put_eof()
+        self._end_stream()
         self._signal()
 
     @property
@@ -331,18 +323,18 @@ class TcpConnection:
     # -- receiver -----------------------------------------------------------------
     def _queue(self) -> Store:
         """Build the receive queue once an item must wait or recv()
-        asks; an EOF that came first is its head."""
+        asks; a stream that ended first leaves it ended."""
         rx = self._rx = Store(self.sim)
         if self.state in _PEER_CLOSED:
-            rx.put(EOF)
+            rx.end(_peer_closed)
         return rx
 
-    def _put_eof(self) -> None:
-        """Queue the EOF — into a new queue only for the sanitizer,
-        so that it keeps this moment's clock."""
+    def _end_stream(self) -> None:
+        """End the receive queue — a new one only for the sanitizer,
+        so that its failures keep this moment's clock."""
         rx = self._rx
         if rx is not None:
-            rx.put(EOF)
+            rx.end(_peer_closed)
         elif self.sim._hb is not None:
             self._queue()
 
@@ -352,7 +344,8 @@ class TcpConnection:
             self.state = ESTABLISHED
         if not self.established_ev.triggered:
             self.established_ev.succeed(self)
-        self._signal()
+        if self._outq:  # send() ran before the SYNACK: a turn has work
+            self._signal()
 
     def _signal(self) -> None:
         """Ask for one sender wake at the current timestamp, once the
@@ -458,9 +451,9 @@ class TcpConnection:
                     self._partial_bytes = 0
             elif meta[0] == "FIN":
                 self.state = _ON_FIN.get(self.state, self.state)
-                rx = self._rx  # _put_eof(), inlined: every close has a FIN
+                rx = self._rx  # _end_stream(), inlined: every close has a FIN
                 if rx is not None:
-                    rx.put(EOF)
+                    rx.end(_peer_closed)
                 elif self.sim._hb is not None:
                     self._queue()
         # cumulative ack (also a dup-ack when the segment was out of order)

@@ -15,7 +15,7 @@ from .clock import HostClock
 from .hb import Access, HBSanitizer, RaceReport, shared
 from .profile import SimProfiler
 from .rand import RandomStreams
-from .resources import Resource, Segment, SharedMemory, Store
+from .resources import Segment, SharedMemory, Store
 from .trace import EventTrace, diff_traces
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "AnyOf",
     "SimulationError",
     "Store",
-    "Resource",
     "SharedMemory",
     "Segment",
     "RandomStreams",

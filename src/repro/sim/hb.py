@@ -18,11 +18,13 @@ Happens-before edge inventory
   stamped with the sender's clock in ``Node.send`` and joined into the
   delivery context in ``Node.deliver_local``, so the edge survives NIC
   queueing and fragment reassembly.
-* **lock** — :class:`~repro.sim.resources.Resource` accumulates the
-  releasing context's clock and joins it into the next grant, totally
-  ordering critical sections per semaphore.
+* **segment** — a :class:`~repro.sim.resources.Segment` keeps the clock
+  its last critical section left and joins it into the next one, totally
+  ordering critical sections per segment (the paper's semaphore).  A
+  critical section is a plain call, so no event carries this edge.
 * **channel** — :class:`~repro.sim.resources.Store` piggybacks the
-  putter's clock on buffered items; direct hand-offs ride the schedule
+  putter's clock on buffered items, and an ended one keeps the end's
+  clock for the gets it fails later; direct hand-offs ride the schedule
   edge.
 * **condition-join** — an :class:`~repro.sim.kernel.AnyOf` joins the
   clocks of its already processed members when it fires.
@@ -233,7 +235,7 @@ class HBSanitizer(Observer):
         event._hb = self._capture()
 
     def join_event(self, event, clock: Optional[dict]) -> None:
-        """Add an extra inbound edge (lock grant, buffered store item)."""
+        """Add an extra inbound edge (a buffered store item, an end)."""
         if clock:
             event._hb = self._merged(event._hb, clock)
 

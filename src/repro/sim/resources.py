@@ -4,14 +4,19 @@ The paper's components coordinate through classic System V IPC: semaphores
 and keyed shared-memory segments (thesis Table 4.3).  Inside the event loop
 we model the same semantics:
 
-* :class:`Store` — an unbounded (or bounded) FIFO message queue.  UDP/TCP
-  socket receive queues and monitor in-boxes are Stores.
-* :class:`Resource` — a counted semaphore with FIFO hand-off, used for the
-  shared-memory locks.
+* :class:`Store` — an unbounded (or bounded) FIFO message queue that can
+  be ended.  UDP/TCP socket receive queues and monitor in-boxes are
+  Stores.
 * :class:`SharedMemory` — a keyed segment registry mirroring the
   ``shmget``/``semget`` key scheme of the paper so a monitor machine and a
   wizard machine can each own segments under keys 1234/1235/1236 and
   4321/5321/6321 without clashing.
+
+A semop on a free semaphore returns at once, and no critical section
+here waits on anything, so a :class:`Segment` access is a plain call
+that runs at its caller's instant: nothing can interleave with it.  The
+one thing the semaphore still models is the happens-before edge between
+consecutive critical sections on a segment.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Any, Callable, Optional
 
 from .kernel import PENDING, Event, Simulator, SimulationError
 
-__all__ = ["Store", "Resource", "SharedMemory", "Segment"]
+__all__ = ["Store", "SharedMemory", "Segment"]
 
 
 class Store:
@@ -28,12 +33,14 @@ class Store:
 
     ``put`` is immediate (a bounded, full store drops the item and counts
     it, as a UDP receive buffer drops datagrams), ``get`` returns an
-    :class:`Event` that fires when an item is available.  Slotted: every
-    socket's receive queue and every listener's accept queue is one.
+    :class:`Event` that fires when an item is available.  :meth:`end`
+    says no item will follow the ones queued: a ``get`` that finds the
+    queue empty then fails.  Slotted: every socket's receive queue and
+    every listener's accept queue is one.
     """
 
     __slots__ = ("sim", "capacity", "items", "_getters", "dropped",
-                 "_hb_clocks")
+                 "_hb_clocks", "_end")
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
@@ -44,8 +51,11 @@ class Store:
         self._getters: Optional[list[Event]] = None  # until one waits
         self.dropped = 0  # datagrams lost to a full buffer
         #: putter clocks for buffered items (happens-before sanitizer);
-        #: parallel to ``items`` while the sanitizer is enabled
+        #: parallel to ``items`` while the sanitizer is enabled, then the
+        #: clock of the end last once the queue has ended
         self._hb_clocks: Optional[list[Any]] = None
+        #: what an empty, ended queue fails a get with (None: not ended)
+        self._end: Optional[Callable[[], BaseException]] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -74,13 +84,19 @@ class Store:
         return True
 
     def get(self) -> Event:
-        """Event that fires with the oldest item."""
+        """Event that fires with the oldest item, or fails at once with
+        :meth:`end`'s error when the queue has ended and is empty."""
         ev = Event(self.sim)
         if self.items:
             ev.succeed(self.items.pop(0))
             hb = self.sim._hb
             if hb is not None and self._hb_clocks:
                 hb.join_event(ev, self._hb_clocks.pop(0))
+        elif self._end is not None:
+            ev.fail(self._end())
+            hb = self.sim._hb
+            if hb is not None and self._hb_clocks:
+                hb.join_event(ev, self._hb_clocks[0])  # the end's clock
         elif self._getters is None:
             self._getters = [ev]
         else:
@@ -97,85 +113,51 @@ class Store:
         if self._getters and getter in self._getters:
             self._getters.remove(getter)
 
-
-class Resource:
-    """Lock (a one-slot semaphore) with FIFO hand-off.
-
-    >>> lock = Resource(sim)
-    >>> # inside a process:
-    >>> #   req = lock.acquire()
-    >>> #   try:
-    >>> #       yield req
-    >>> #       ... critical section ...
-    >>> #   finally:
-    >>> #       lock.release(req)
-
-    The ``yield`` sits inside the ``try`` so that a process interrupted
-    while it still waits withdraws its request: left queued, the next
-    release would hand the slot to a process that is gone, and the lock
-    would stay held for good.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.in_use = 0
-        self._waiters: list[Event] = []
-        #: accumulated releaser clock (happens-before sanitizer): joins
-        #: into every later grant so critical sections are totally ordered
-        self._hb_clock: Optional[Any] = None
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if not self.in_use:
-            self.in_use = 1
-            ev.succeed(self)
-            hb = self.sim._hb
-            if hb is not None and self._hb_clock is not None:
-                hb.join_event(ev, self._hb_clock)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self, request: Event) -> None:
-        """End ``request``: free its slot if it was granted, withdraw it
-        if it is still waiting."""
-        if not request.triggered:
-            self._waiters.remove(request)
+    def end(self, error: Callable[[], BaseException]) -> None:
+        """No item follows the ones queued: every getter still waiting
+        fails now with ``error()``, and so does every later get that
+        finds the queue empty.  Under the sanitizer each failure carries
+        this moment's clock.  A second end changes nothing."""
+        if self._end is not None:
             return
-        if self.in_use <= 0:
-            raise SimulationError("release() without matching acquire()")
+        self._end = error
+        getters, self._getters = self._getters, None
+        if getters:
+            for getter in getters:
+                if getter._state == PENDING:
+                    getter.fail(error())
         hb = self.sim._hb
         if hb is not None:
-            self._hb_clock = hb._merged(self._hb_clock, hb._capture())
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            if waiter.triggered:
-                continue
-            waiter.succeed(self)  # hand the slot straight over
-            return
-        self.in_use = 0
+            if self._hb_clocks is None:
+                self._hb_clocks = [hb._capture()]
+            else:
+                self._hb_clocks.append(hb._capture())
 
 
 class Segment:
-    """One keyed shared-memory segment: a value slot plus its semaphore.
+    """One keyed shared-memory segment: a value slot whose critical
+    sections are ordered.
 
-    Every rule about a segment lives here.  A daemon takes the semaphore
-    through :meth:`update` (copy-on-write) or :meth:`locked` (publish or
-    read); the bare :meth:`read` / :meth:`write` are for a caller that
-    runs before any process does, or that only inspects.  A segment is
-    tracked from birth: while a happens-before sanitizer is attached to
-    the simulator every access is a tracked access, under ``hb_name``
-    (the key until :func:`repro.sim.hb.shared` names it).
+    Every rule about a segment lives here.  A daemon accesses it through
+    :meth:`update` (copy-on-write) or :meth:`locked` (publish or read):
+    plain calls, each a critical section that runs at its caller's
+    instant.  The bare :meth:`read` / :meth:`write` are for a caller
+    that runs before any process does, or that only inspects.  A segment
+    is tracked from birth: while a happens-before sanitizer is attached
+    to the simulator every access is a tracked access, under ``hb_name``
+    (the key until :func:`repro.sim.hb.shared` names it), and each
+    critical section joins the clock the one before it left.
     """
 
     def __init__(self, sim: Simulator, key: int):
         self.sim = sim
         self.key = key
         self.value: Any = None
-        self.lock = Resource(sim)
         self.writes = 0
         #: what a race report calls this segment
         self.hb_name = f"shm:{key}"
+        #: the clock the last critical section left (sanitizer only)
+        self._hb_clock: Optional[Any] = None
 
     def write(self, value: Any) -> None:
         """Unlocked write."""
@@ -192,44 +174,45 @@ class Segment:
             hb.on_access(self, "read")
         return self.value
 
-    def update(self, change: Callable[[dict], Optional[dict]]):
-        """Process generator: the one copy-on-write path.  Under the
-        semaphore, hand ``change`` a copy of the stored dict and publish
-        what it returns; ``None`` publishes nothing.
+    def update(self, change: Callable[[dict], Optional[dict]]) -> None:
+        """The one copy-on-write path: in a critical section, hand
+        ``change`` a copy of the stored dict and publish what it
+        returns; ``None`` publishes nothing.
 
         The tracked read and write are inlined (no :meth:`read` /
         :meth:`write` calls): a probe report runs this once."""
-        req = self.lock.acquire()
-        try:
-            yield req
-            hb = self.sim._hb
+        hb = self.sim._hb
+        if hb is not None:
+            hb._join_frame(self._hb_clock)
+            hb.on_access(self, "read")
+        # copy, never mutate (DESIGN §9): the stored dict may already
+        # ride in a snapshot handed to TCP, and the wizard memoizes
+        # its scan orders against the identity of the dict it read.
+        # Per status report or reap, not per wizard request.
+        value = change(dict(self.value or {}))
+        if value is not None:
             if hb is not None:
-                hb.on_access(self, "read")
-            # copy, never mutate (DESIGN §9): the stored dict may already
-            # ride in a snapshot handed to TCP, and the wizard memoizes
-            # its scan orders against the identity of the dict it read.
-            # Per status report or reap, not per wizard request.
-            value = change(dict(self.value or {}))
-            if value is not None:
-                if hb is not None:
-                    hb.on_access(self, "write")
-                self.value = value
-                self.writes += 1
-        finally:
-            self.lock.release(req)
+                hb.on_access(self, "write")
+            self.value = value
+            self.writes += 1
+        if hb is not None:
+            self._hb_clock = hb._capture()
 
-    def locked(self, value: Any = None):
-        """Process generator: under the semaphore, publish ``value`` —
-        which its caller hands over and never touches again — or,
-        without one, return what the segment holds."""
-        req = self.lock.acquire()
-        try:
-            yield req
-            if value is None:
-                return self.read()
+    def locked(self, value: Any = None) -> Any:
+        """In a critical section, publish ``value`` — which its caller
+        hands over and never touches again — or, without one, return
+        what the segment holds."""
+        hb = self.sim._hb
+        if hb is not None:
+            hb._join_frame(self._hb_clock)
+        held = None
+        if value is None:
+            held = self.read()
+        else:
             self.write(value)
-        finally:
-            self.lock.release(req)
+        if hb is not None:
+            self._hb_clock = hb._capture()
+        return held
 
 
 class SharedMemory:

@@ -222,11 +222,11 @@ class TestNetworkMonitorDaemon:
         seen = {}
 
         def p():
-            yield from nm._publish("g2", NetMetric(delay_ms=1.0, bw_mbps=10.0))
+            nm._publish("g2", NetMetric(delay_ms=1.0, bw_mbps=10.0))
             seen["held"] = published(nm)
-            seen["shipped"] = (yield from tx.snapshot())[1].data["g1"]
+            seen["shipped"] = tx.snapshot()[1].data["g1"]
             yield sim.timeout(1.0)
-            yield from nm._publish("g3", NetMetric(delay_ms=2.0, bw_mbps=20.0))
+            nm._publish("g3", NetMetric(delay_ms=2.0, bw_mbps=20.0))
 
         run_process(sim, p())
         for record in seen.values():

@@ -82,7 +82,7 @@ class FullTransmitter(ScriptedTransmitter):
     """Reference: no memory, so every database crosses on every pull."""
 
     def snapshot(self, carried=None):
-        return (yield from super().snapshot())
+        return super().snapshot()
 
 
 class MemoryOnTransmitter(ScriptedTransmitter):
@@ -93,8 +93,7 @@ class MemoryOnTransmitter(ScriptedTransmitter):
         self._carried = {}
 
     def snapshot(self, carried=None):
-        return (yield from super().snapshot(
-            None if carried is None else self._carried))
+        return super().snapshot(None if carried is None else self._carried)
 
 
 class CredulousReceiver(Receiver):
@@ -103,7 +102,7 @@ class CredulousReceiver(Receiver):
 
     def _on_frame(self, feed, payload):
         feed.held.update(DATABASES)
-        return (yield from super()._on_frame(feed, payload))
+        return super()._on_frame(feed, payload)
 
 
 @dataclasses.dataclass

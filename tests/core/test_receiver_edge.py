@@ -351,11 +351,8 @@ class TestSkewRebase:
         """Run one _apply; returns (record as stored, sim time of apply)."""
         data = {"10.0.0.9": self.record(updated_at)}
         at = cluster.sim.now
-        run_process(
-            cluster.sim,
-            receiver._apply("10.0.1.2", MSG_SYSDB, data, stamp),
-            until=at + 1.0,
-        )
+        receiver._apply("10.0.1.2", MSG_SYSDB, data, stamp)
+        cluster.run(until=at + 1.0)
         return receiver.database(MSG_SYSDB)["10.0.0.9"], at
 
     def test_skewed_stamp_is_rebased_to_arrival_minus_age(self):

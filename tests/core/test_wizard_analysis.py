@@ -37,16 +37,14 @@ class TestStaticNak:
         assert reply.wire_bytes > 8  # diagnostics cost wire space
 
     def test_nak_happens_before_any_db_read(self):
-        """The NAK path must return without a single yield: reading the
-        shared-memory databases requires acquiring segment locks, which
-        would suspend the generator."""
+        """The NAK path returns before the shared-memory databases are
+        read (and, in distributed mode, before they are pulled)."""
         wizard = make_wizard()
         calls = []
 
         def fake_databases():
             calls.append(1)
             return {}, {}, {}
-            yield  # pragma: no cover - generator marker
 
         wizard.databases = fake_databases
         drive(wizard._process(request(UNSAT), CLIENT))
@@ -59,7 +57,6 @@ class TestStaticNak:
         def fake_databases():
             calls.append(1)
             return {"10.1.1.1": record("a", "10.1.1.1")}, {}, {}
-            yield  # pragma: no cover - generator marker
 
         wizard.databases = fake_databases
         reply = drive(wizard._process(request("host_cpu_free > 0.5"), CLIENT))

@@ -4,11 +4,21 @@ from __future__ import annotations
 
 from repro.sim import (
     HBSanitizer,
+    Segment,
     SharedMemory,
     Simulator,
     Store,
     shared,
 )
+
+
+class _SkipsTheJoin(Segment):
+    """A segment whose critical section does not join the clock the
+    previous one left."""
+
+    def locked(self, value=None):
+        self._hb_clock = None
+        return super().locked(value)
 
 
 def _world():
@@ -102,18 +112,36 @@ class TestRaceDetection:
 
 class TestHappensBeforeEdges:
     def test_lock_edge_suppresses_race(self):
-        """Same timing as the racing case, but lock-ordered: clean."""
+        """Same timing as the racing case, but each write a critical
+        section (a plain call) on the segment: clean."""
         sim, sanitizer, _, db = _world()
 
         def locked(val):
             yield sim.timeout(1.0)
-            yield from db.locked(val)
+            db.locked(val)
 
         sim.process(locked(1), name="w1")
         sim.process(locked(2), name="w2")
         sim.run()
         assert sanitizer.races == []
         assert sanitizer.accesses >= 2
+
+    def test_a_segment_that_skips_the_join_reports_the_race(self):
+        """Mutant: the same critical sections, each forgetting the clock
+        the one before it left — the race the segment edge orders comes
+        back."""
+        sim = Simulator()
+        sanitizer = sim.observe(HBSanitizer())
+        db = shared(_SkipsTheJoin(sim, 1), name="db")
+
+        def locked(val):
+            yield sim.timeout(1.0)
+            db.locked(val)
+
+        sim.process(locked(1), name="w1")
+        sim.process(locked(2), name="w2")
+        sim.run()
+        assert [race.var for race in sanitizer.races] == ["db"]
 
     def test_store_edge_orders_producer_and_consumer(self):
         sim, sanitizer, _, db = _world()

@@ -1,10 +1,11 @@
-"""Unit tests for Store, Resource and SharedMemory."""
+"""Unit tests for Store and SharedMemory."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SharedMemory, SimulationError, Store
+from repro.net import ConnectionClosed
+from repro.sim import SharedMemory, SimulationError, Store
 from tests.conftest import run_process
 
 
@@ -72,64 +73,33 @@ class TestStore:
         store.put("now")
         assert run_process(sim, p()) == "now"
 
+    def test_end_fails_the_waiting_getter_and_every_later_empty_get(self, sim):
+        """A getter waiting at the end fails then; items put before the
+        end still come first, then every get fails at once; a second end
+        changes nothing."""
+        waited, drained = Store(sim), Store(sim)
+        log = []
 
-class TestResource:
-    def test_mutual_exclusion(self, sim):
-        lock = Resource(sim)
-        trace = []
+        def getter(store, times):
+            for _ in range(times):
+                try:
+                    log.append((sim.now, (yield store.get())))
+                except ConnectionClosed as exc:
+                    log.append((sim.now, str(exc)))
 
-        def worker(tag, hold):
-            req = lock.acquire()
-            yield req
-            trace.append((tag, "in", sim.now))
-            yield sim.timeout(hold)
-            trace.append((tag, "out", sim.now))
-            lock.release(req)
+        def ender():
+            yield sim.timeout(1.0)
+            for store in (waited, drained):
+                store.end(lambda: ConnectionClosed("ended"))
+                store.end(lambda: ConnectionClosed("ended twice"))
 
-        sim.process(worker("a", 2))
-        sim.process(worker("b", 1))
+        drained.put("queued first")
+        sim.process(getter(waited, 1))
+        sim.process(ender())
         sim.run()
-        assert trace == [
-            ("a", "in", 0.0), ("a", "out", 2.0),
-            ("b", "in", 2.0), ("b", "out", 3.0),
-        ]
-
-    def test_release_without_acquire(self, sim):
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release(sim.event().succeed())
-
-    def test_fifo_handoff(self, sim):
-        lock = Resource(sim)
-        order = []
-
-        def holder():
-            req = lock.acquire()
-            yield req
-            yield sim.timeout(5)
-            lock.release(req)
-
-        def waiter(tag, arrive):
-            yield sim.timeout(arrive)
-            req = lock.acquire()
-            yield req
-            order.append(tag)
-            lock.release(req)
-
-        sim.process(holder())
-        sim.process(waiter("first", 1))
-        sim.process(waiter("second", 2))
-        sim.run()
-        assert order == ["first", "second"]
-
-    def test_release_withdraws_a_waiting_request(self, sim):
-        lock = Resource(sim)
-        held = lock.acquire()
-        waiting = lock.acquire()
-        lock.release(waiting)
-        lock.release(held)
-        assert lock.in_use == 0
-        assert not waiting.triggered
+        run_process(sim, getter(drained, 3))
+        assert log == [(1.0, "ended"), (1.0, "queued first"),
+                       (1.0, "ended"), (1.0, "ended")]
 
 
 class TestSharedMemory:
@@ -142,15 +112,9 @@ class TestSharedMemory:
 
     def test_locked_write_read_roundtrip(self, sim):
         seg = SharedMemory(sim).segment(4321)
-
-        def p():
-            yield from seg.locked({"a": 1})
-            value = yield from seg.locked()
-            return value
-
-        assert run_process(sim, p()) == {"a": 1}
+        assert seg.locked({"a": 1}) is None
+        assert seg.locked() == {"a": 1}
         assert seg.writes == 1
-        assert seg.lock.in_use == 0
 
     def test_update_publishes_a_copy(self, sim):
         """Copy-on-write: ``change`` edits a copy, and what it returns is
@@ -163,7 +127,7 @@ class TestSharedMemory:
             db["b"] = 2
             return db
 
-        run_process(sim, seg.update(add_b))
+        assert seg.update(add_b) is None
         assert before == {"a": 1}
         assert seg.read() == {"a": 1, "b": 2}
         assert seg.writes == 2
@@ -176,15 +140,14 @@ class TestSharedMemory:
         def drop_a(db):
             del db["a"]
 
-        run_process(sim, seg.update(drop_a))
+        seg.update(drop_a)
         assert seg.read() is before
         assert before == {"a": 1}
         assert seg.writes == 1
-        assert seg.lock.in_use == 0
 
     def test_power_loss_starts_every_segment_over(self, sim):
         """A crash is not a write: each key is a fresh, empty segment
-        (its own lock, its write count at zero) under the same name."""
+        (its write count at zero) under the same name."""
         shm = SharedMemory(sim)
         old = shm.segment(1234)
         old.hb_name = "sysdb"
@@ -209,53 +172,3 @@ class TestSharedMemory:
         seg.write(2)
         assert seg.read() == 2
         assert seg.writes == 2
-
-    def test_writer_excludes_reader(self, sim):
-        """A slow writer holding the semaphore delays the reader — the
-        System V discipline of thesis §3.2.2."""
-        shm = SharedMemory(sim)
-        seg = shm.segment(1234)
-        times = {}
-
-        def writer():
-            req = seg.lock.acquire()
-            yield req
-            yield sim.timeout(3)  # long critical section
-            seg.write("fresh")
-            seg.lock.release(req)
-
-        def reader():
-            yield sim.timeout(1)  # arrives while writer holds the lock
-            value = yield from seg.locked()
-            times["read_at"] = sim.now
-            times["value"] = value
-
-        sim.process(writer())
-        sim.process(reader())
-        sim.run()
-        assert times == {"read_at": 3.0, "value": "fresh"}
-
-    def test_reader_interrupted_while_waiting_frees_the_lock(self, sim):
-        """A crash that interrupts a reader queued behind another one: the
-        release hands the slot to the interrupted reader, whose request
-        must still be ended — otherwise the segment stays locked for
-        good and every later read hangs."""
-        shm = SharedMemory(sim)
-        shm.segment(1234).write("db")
-
-        def read_at(t):
-            yield sim.timeout(t)
-            try:
-                return (yield from shm.segment(1234).locked())
-            except Interrupt:
-                return None
-
-        def crash():
-            yield sim.timeout(1)
-            queued.interrupt("crash")
-
-        sim.process(read_at(1))
-        queued = sim.process(read_at(1))
-        sim.process(crash())
-        assert run_process(sim, read_at(2)) == "db"
-        assert shm.segment(1234).lock.in_use == 0

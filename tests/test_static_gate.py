@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -19,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.sim import Segment
 
 REPO = Path(__file__).parent.parent
 
@@ -244,7 +247,8 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     step counts the kernel events of a transit hop (``hop_events``: one
     switch, the matmul and massd profiles), the Python calls of a
     process wake-up, of a store hand-off, of a TCP segment and its ack,
-    of a short connection and of a probe report (``call_budget``), the
+    of a short connection, of a probe report and of a distributed-mode
+    request pulling three groups (``call_budget``), the
     bytes a closed and a served connection leave alive
     (``memory_budget``), that a finished dial leaves no condition
     reachable (``condition_behind``), and the records the wizard
@@ -260,12 +264,13 @@ def test_ci_builds_the_fleet_at_two_world_sizes():
     bench = (REPO / "benchmarks" / "test_simulator_performance.py").read_text()
     assert "def test_fleet_build_cost(" in bench and 'ids=["512", "2048"]' in bench
     assert bench.count("def test_hop_events_") == 3
-    assert bench.count("_call_budget(") == 5
+    assert bench.count("_call_budget(") == 6
     assert "def test_timeout_wake_call_budget(" in bench
     assert "def test_store_handoff_call_budget(" in bench
     assert "def test_tcp_segment_call_budget(" in bench
     assert "def test_connect_request_close_call_budget(" in bench
     assert "def test_probe_report_call_budget(" in bench
+    assert "def test_pull_round_call_budget(" in bench
     assert "def test_connection_memory_budget(" in bench
     assert "def test_slot_request_match_work(" in bench
     assert "def bytes_kept_per_served_connection(" in bench
@@ -305,22 +310,29 @@ def test_the_one_accept_loop_is_in_tcp():
                          for loop in loops), loops
 
 
-def test_only_the_segment_takes_its_semaphore():
-    """Every rule about a shared-memory segment lives in
-    ``sim/resources.py`` (``Segment.update`` / ``locked``): a
-    ``.lock.acquire()`` or ``.lock.release()`` anywhere else in
-    ``src/repro`` is a hand-rolled critical section growing back."""
-    sites = []
+def test_no_segment_access_is_yielded_on():
+    """A shared-memory critical section (``Segment.update`` /
+    ``locked``) is a plain call that runs at its caller's instant: it is
+    no generator, and a ``yield`` or ``yield from`` on one anywhere in
+    ``src/repro`` is an event trip per access growing back.  An access
+    is an ``update`` / ``locked`` call on an expression that names a
+    segment (every such call site in ``src/`` does)."""
+    assert not inspect.isgeneratorfunction(Segment.update)
+    assert not inspect.isgeneratorfunction(Segment.locked)
+
+    def access(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "locked")
+                and "seg" in ast.unparse(node.func.value))
+
+    accesses, yielded = 0, []
     for path, tree in _src_trees():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("acquire", "release")
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr == "lock"):
-                sites.append(f"{path.relative_to(REPO)}:{node.lineno}")
-    assert sites and all(site.startswith("src/repro/sim/resources.py:")
-                         for site in sites), sites
+            accesses += access(node)
+            if isinstance(node, (ast.Yield, ast.YieldFrom)) and access(node.value):
+                yielded.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert accesses and not yielded, yielded
 
 
 def test_perf_census_counts_the_service_loop_roots(repo_check_all):
