@@ -13,7 +13,8 @@ of seeds and records how fast the wizard's reply quality recovers:
 
 The metrics are pure simulation time, so the JSON artefact
 (``benchmarks/results/BENCH_chaos.json``) is deterministic and later PRs
-can diff it to track the robustness trajectory.
+can diff it to track the robustness trajectory.  The script exits
+non-zero when a recovery exceeds ``budget_s`` (plus one poll).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_chaos.py``.
 """
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-
-from compare import report_drift
 
 from repro.core.sysmon import PROBE_MISS_LIMIT
 from repro.faults import ChaosController, FaultPlan
@@ -97,9 +96,9 @@ def main() -> dict:
         "all_within_budget": all(r["within_budget"] for r in runs),
     }
     RESULTS.parent.mkdir(exist_ok=True)
-    report_drift(report, RESULTS)
     RESULTS.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
+    assert report["all_within_budget"], "a recovery exceeded the plane's budget"
     return report
 
 

@@ -28,7 +28,7 @@ is run ``COUNT_RUNS`` more times under a ``sys.setprofile`` counter:
 ``search.calls_per_trial`` is the Python-level calls into ``repro`` per
 healthy trial, identical in every counted run and under any
 ``PYTHONHASHSEED``, the exact figure a change to the cost of a trial is
-judged by.
+judged by.  The script exits non-zero when the criterion is not met.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_explore.py``.
 """
@@ -41,8 +41,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-
-from compare import report_drift
 
 from repro.faults.explore import explore, load_corpus, replay_counterexample
 
@@ -167,9 +165,9 @@ def main() -> dict:
         ),
     }
     RESULTS.parent.mkdir(exist_ok=True)
-    report_drift(report, RESULTS)
     RESULTS.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
+    assert report["criterion_met"], "explorer criterion not met"
     return report
 
 

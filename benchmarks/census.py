@@ -60,9 +60,8 @@ SCENARIOS = ("matmul", "massd", "ha", "grayfail")
 EXAMPLES = ("bandwidth_probing", "fault_tolerance", "massive_download",
             "matrix_multiplication", "quickstart", "requirement_language")
 CATALOGUE_IDS = ("tab3.3", "tab5.2", "tab5.3", "tab5.6", "tab5.7", "fig5.3")
-BENCHES = ("analysis", "chaos", "explore", "failover", "flowcheck",
-           "grayfail", "kernel", "protocheck", "sanitizer")
-WALL_CLOCK_GATED = ("analysis", "flowcheck", "kernel", "protocheck", "sanitizer")
+BENCHES = ("analysis", "chaos", "check", "explore", "instruments", "star")
+WALL_CLOCK_GATED = ("analysis", "check", "instruments")
 #: the seeded fixtures CI checks under a selector (``seeded`` in ci.yml)
 SEEDED = (("--strict", "d10"), ("--strict", "r30"), ("--flow", "f40"),
           ("--perf", "h50"), ("--proto", "s60"))
@@ -132,9 +131,9 @@ def drivers(repo: Path = REPO) -> list[tuple[tuple[str, ...], int, str | None]]:
     table.append((("-m", "repro", "lint", "-"), 1, "host_cpu_free > 2\n"))
     table.append((("-m", "repro", "list"), 0, None))
     table += [(("-m", "repro", name), 0, None) for name in CATALOGUE_IDS]
-    # five scripts assert a wall-clock criterion (a time budget or a
+    # three scripts assert a wall-clock criterion (a time budget or a
     # ratio of two timed runs) that the hook, slowing every call, moves:
-    # bench_kernel's profiled / plain ratio reads 1.32 against its 1.3.
+    # bench_instruments' profiled / plain ratio reads 1.32 against its 1.3.
     # Under -O the assert goes and the same work runs
     table += [(("-O",) * (name in WALL_CLOCK_GATED) + (f"benchmarks/bench_{name}.py",),
                0, None) for name in BENCHES]

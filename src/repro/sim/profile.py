@@ -23,7 +23,7 @@ execution, never of the wall clock:
 
 Because nothing here draws randomness or reads a clock, two runs of the
 same seeded world produce *identical* attribution dicts — the property
-``repro profile`` pins in CI and ``benchmarks/bench_kernel.py``
+``repro profile`` pins in CI and ``benchmarks/bench_instruments.py``
 asserts.  Wall-clock throughput (events/sec of real time) is measured by
 the CLI around the whole run and handed to :func:`profile_report`, which
 keeps it in a subtree of its own, outside the attribution.

@@ -87,6 +87,14 @@ def test_pyproject_configures_both_gates():
     assert "mypy src/repro" in ci
 
 
+def _asserted(script: str) -> set[str]:
+    """The conditions ``benchmarks/bench_<script>.py`` asserts, as
+    source: the script's exit status is its criterion."""
+    tree = _parsed(REPO)[REPO / "benchmarks" / f"bench_{script}.py"]
+    return {ast.unparse(node.test) for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)}
+
+
 def test_ci_runs_repro_check_gate():
     """The lint job runs every static gate through the --all umbrella."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
@@ -94,40 +102,42 @@ def test_ci_runs_repro_check_gate():
 
 
 def test_ci_runs_flow_gate():
-    """The CI ``flow`` job gates the whole-program message-flow analyzer:
-    clean tree, seeded fixtures must fail, byte-stable double run, and the
-    analysis-time benchmark criterion."""
+    """The CI ``static`` job gates the whole-program message-flow
+    analyzer: clean tree, seeded fixtures must fail, byte-stable double
+    run, and the analysis-time benchmark criterion, which
+    ``bench_check.py`` asserts for ``--flow`` and ``--proto``."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "check --flow src/repro" in ci
     assert "f40*.py" in ci
-    assert "bench_flowcheck.py" in ci
+    assert "python benchmarks/bench_check.py" in ci
+    assert "not failed" in _asserted("check")
 
 
 def test_ci_runs_hotpath_gate():
     """The CI ``static`` job gates the H-series perf analyzer and the
     sim profiler: clean tree, seeded fixtures must fail, byte-stable
-    double run, deterministic dual-run attribution, and the kernel
-    benchmark's profiler-overhead criterion.  No step feeds the profile
-    to ``repro check``, which takes none."""
+    double run, deterministic dual-run attribution; the ``sanitize`` job
+    runs ``bench_instruments.py``, which asserts the profiler-overhead
+    criterion.  No step feeds the profile to ``repro check``, which
+    takes none."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "check --perf src/repro" in ci
     assert "h50*.py" in ci
     assert "repro profile matmul" in ci
-    assert "bench_kernel.py" in ci
+    assert "python benchmarks/bench_instruments.py" in ci
+    assert "profiler['criterion_met']" in _asserted("instruments")
 
 
 def test_ci_runs_the_requirement_analysis_benchmark():
-    """The static job runs ``bench_analysis.py``: repeated requests served
-    from the compile cache are no slower than parsing per request, and
-    an unsatisfiable requirement is NAKed at least 100x faster than a
-    full scan."""
+    """The static job runs ``bench_analysis.py``, which asserts that
+    repeated requests served from the compile cache are no slower than
+    parsing per request, and that an unsatisfiable requirement is NAKed
+    at least 100x faster than a full scan."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     static = ci.split("\n  static:")[1].split("\n  sanitize:")[0]
-    run = "python benchmarks/bench_analysis.py"
-    check = ("assert r['cached_no_slower'] and "
-             "r['static_reject']['speedup'] >= 100, r")
-    assert run in static and check in static
-    assert static.index(run) < static.index(check)
+    assert "python benchmarks/bench_analysis.py" in static
+    assert {"result['cached_no_slower']",
+            "result['static_reject']['speedup'] >= 100"} <= _asserted("analysis")
 
 
 def test_ci_seeded_fixtures_must_report_their_own_code():
@@ -184,15 +194,15 @@ def test_ci_runs_sanitize_job():
     (zero races required: the ``sanitize`` job runs matmul, massd and
     failover, the ``grayfail`` job grayfail), re-runs the seeded-race
     fixture expecting it to fail, and holds the detector to its overhead
-    budget."""
+    budget and race freedom, which ``bench_instruments.py`` asserts."""
     from repro.worlds import SMOKE_JOBS
 
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     for name in SMOKE_JOBS:
         assert f"python -m repro check --sanitize {name}\n" in ci, name
     assert "r300_seeded_race.py" in ci
-    assert "bench_sanitizer.py" in ci
-    assert "r['all_within_2x'] and r['race_free']" in ci
+    assert "python benchmarks/bench_instruments.py" in ci
+    assert {"detector['all_within_2x']", "detector['race_free']"} <= _asserted("instruments")
 
 
 def test_ci_hunts_the_mutant_on_both_applications():
@@ -348,11 +358,12 @@ def test_ci_pins_the_fault_benchmarks_it_regenerates():
     """``BENCH_chaos.json``, ``BENCH_failover.json`` and
     ``BENCH_grayfail.json`` hold simulated time only, so the jobs that
     rewrite them fail on any drift: a traffic or timing change moves them
-    in the commit that causes it, or not at all."""
+    in the commit that causes it, or not at all.  ``bench_star.py``
+    writes the failover and gray-failure reports."""
     ci = " ".join((REPO / ".github" / "workflows" / "ci.yml").read_text()
                   .replace("\\\n", " ").split())
-    for name in ("chaos", "failover", "grayfail"):
-        regenerate = f"python benchmarks/bench_{name}.py"
+    for script, name in (("chaos", "chaos"), ("star", "failover"), ("star", "grayfail")):
+        regenerate = f"python benchmarks/bench_{script}.py"
         pin = f"git diff --exit-code benchmarks/results/BENCH_{name}.json"
         assert regenerate in ci and pin in ci
         assert ci.index(regenerate) < ci.index(pin)
@@ -369,6 +380,52 @@ def test_ci_regenerates_the_census():
     pin = "git diff --exit-code benchmarks/results/census.json"
     assert regenerate in ci and pin in ci
     assert ci.index(regenerate) < ci.index(pin)
+
+
+def test_every_bench_script_is_run_and_writes_its_own_results():
+    """The ``benchmarks/bench_*.py`` scripts are the census's ``BENCHES``
+    and the scripts CI runs, each asserts its criterion (a failed one
+    fails the script), and every committed ``BENCH_*.json`` is named as
+    a path by exactly one of them."""
+    scripts = {path.stem.removeprefix("bench_")
+               for path in (REPO / "benchmarks").glob("bench_*.py")}
+    assert scripts == set(census.BENCHES)
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert set(re.findall(r"python benchmarks/bench_(\w+)\.py", ci)) == scripts
+    writers: dict[str, set[str]] = {}
+    for script in scripts:
+        assert _asserted(script), script
+        tree = _parsed(REPO)[REPO / "benchmarks" / f"bench_{script}.py"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"BENCH_\w+\.json", node.value):
+                writers.setdefault(node.value, set()).add(script)
+    committed = {p.name for p in (REPO / "benchmarks" / "results").glob("BENCH_*.json")}
+    assert set(writers) == committed, writers
+    shared = {name: names for name, names in writers.items() if len(names) > 1}
+    assert not shared, shared
+
+
+def test_committed_analyzer_counts_are_the_trees(repo_check_all):
+    """``BENCH_flowcheck.json`` / ``BENCH_protocheck.json`` count what
+    ``repro check --all src/repro`` counts: every count field equals its
+    census line (``flow: N file(s), N function(s), ...``), and
+    ``findings`` the selector's diagnostics.  A change that adds or
+    deletes a function regenerates them (``bench_check.py``)."""
+    _, out = repo_check_all
+    flow = {"files": "file(s)", "functions": "function(s)",
+            "send_sites": "tagged send site(s)", "wire_tags": "wire tag(s)"}
+    proto = {"files": "file(s)", "functions": "function(s)",
+             "acquisitions": "tracked acquisition(s)"}
+    for selector, name, series, labels in (("flow", "flowcheck", 4, flow),
+                                           ("proto", "protocheck", 6, proto)):
+        line = re.search(rf"^{selector}: (.*)$", out, re.MULTILINE).group(1)
+        counted = {label: int(n) for n, label in re.findall(r"(\d+) ([^,]+)", line)}
+        committed = json.loads(
+            (REPO / "benchmarks" / "results" / f"BENCH_{name}.json").read_text())
+        expected = {key: counted[label] for key, label in labels.items()}
+        expected["findings"] = len(re.findall(rf" REPRO{series}\d\d: ", out))
+        assert {key: committed.get(key) for key in expected} == expected, name
 
 
 def _config_value(node: ast.expr):
