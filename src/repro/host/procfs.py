@@ -137,9 +137,10 @@ class ProcFS:
                                snap["shared"], snap["buffers"], snap["cached"])
 
     def net_dev(self) -> str:
+        # a NIC's transmit counters are its outbound channel's
         return _render_net_dev(tuple([
-            (nic.name, nic.rx_bytes, nic.rx_packets, nic.tx_bytes,
-             nic.tx_packets, nic.tx_drops)
+            (nic.name, nic.rx_bytes, nic.rx_packets, nic.channel.tx_bytes,
+             nic.channel.tx_frames, nic.channel.drops)
             for nic in self.nics
         ]))
 

@@ -19,6 +19,13 @@ size is read off the frame (``Frame.wire``) when it was last sized at
 this channel's MTU — by the NIC that originated it or on its previous
 hop — and worked out only otherwise.
 
+Every frame a NIC sends, originated or forwarded, is handed to that
+NIC's outbound channel and nothing else, so the channel's ``tx_frames``
+/ ``tx_bytes`` / ``drops`` *are* the NIC's transmit counters, the ones
+``/proc/net/dev`` shows.  Cross traffic injected with :meth:`Channel.occupy`
+holds the transmitter but was sent by no NIC: it is counted apart, in
+``cross_bytes``.
+
 Queueing delay, the ``d_queue`` term of the thesis' Eq. 3.3, emerges as
 ``start - now``; transmission delay ``d_trans`` as the serialisation time;
 propagation delay ``d_prop`` is the configured constant.  Random loss (for
@@ -101,10 +108,13 @@ class Channel:
         #: transit hop is this one event
         self.hold = 0.0
         self.local: Collection[str] = ()
-        # statistics
+        # statistics: the sending NIC's transmit counters, which
+        # ``/proc/net/dev`` reads here, plus the cross traffic that
+        # ``occupy`` injected, which no NIC sent
         self.tx_frames = 0
         self.tx_bytes = 0
         self.drops = 0
+        self.cross_bytes = 0
         self.busy_time = 0.0
 
     # -- instrumentation ----------------------------------------------------
@@ -136,7 +146,9 @@ class Channel:
             raise RuntimeError(f"channel {self.name!r} has no receiver attached")
         mtu = self.mtu
         wire = frame.wire if frame._wire_mtu == mtu else frame.wire_at(mtu)
-        start = max(now + extra_start_delay, self.next_free)
+        start = now + extra_start_delay
+        if start < self.next_free:
+            start = self.next_free
         if self.shaper is not None:
             start = self.shaper.reserve(wire, start)
         finish = start + wire * 8.0 / self.rate_bps
@@ -171,7 +183,7 @@ class Channel:
         finish = start + wire_bytes * 8.0 / self.rate_bps
         self.next_free = finish
         self.busy_time += finish - start
-        self.tx_bytes += wire_bytes
+        self.cross_bytes += wire_bytes
 
 
 class Link:

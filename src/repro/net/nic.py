@@ -14,20 +14,22 @@ loopback/virtual interfaces (Fig 3.6f).
 
 On egress, UDP/ICMP datagrams are cut into real IP fragments that travel
 (and pipeline across hops) independently; TCP segments travel as single
-*burst* frames (see :class:`~repro.net.packet.Frame`).  NICs keep the rx/tx
-byte and packet counters that the server probe later reads back out of the
-synthesized ``/proc/net/dev``.
+*burst* frames (see :class:`~repro.net.packet.Frame`).  The server probe
+reads a NIC's rx/tx byte and packet counters back out of the synthesized
+``/proc/net/dev``.
 
-Nearly every frame is a TCP burst, so a hop is one straight pass: a
-segment's burst is built and handed to the channel in
-:meth:`NIC.send_datagram` without a fragment list, a transit frame is
-transmitted by :meth:`NIC.forward_frame` itself and split only when it
-is a fragment larger than the egress MTU, and both byte counters read
-the wire size the channel left on the frame (``Frame.wire``).  A NIC
-has no receive handler of its own: it registers its node's
+A NIC holds no frame path of its own beyond origination.  A segment's
+burst is built and handed to the outbound channel in
+:meth:`NIC.send_datagram` without a fragment list; a transit frame goes
+from :meth:`~repro.net.node.Node.receive` straight to the egress NIC's
+channel.  Every frame a NIC sends therefore crosses its own outbound
+channel, so the transmit counters are the channel's (``tx_frames``,
+``tx_bytes``, ``drops``) and are kept there only; the NIC keeps the
+receive side.  It has no receive handler either: it registers its node's
 :meth:`~repro.net.node.Node.receive` with the inbound channel, which
 schedules that for each frame it delivers and leaves the NIC on the
-frame (``Frame.nic``); the node bumps the NIC's ``rx_*`` counters.
+frame (``Frame.nic``); the node bumps the NIC's ``rx_*`` counters with
+the wire size the channel left on the frame (``Frame.wire``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from .link import Link
-from .packet import Datagram, Frame, IP_HEADER, PROTO_TCP
+from .packet import Datagram, Frame, PROTO_TCP
 
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
@@ -65,12 +67,9 @@ class NIC:
         self.init_speed_bps = init_speed_bps
         self.channel = link.channel_from(node)
         self.peer = link.peer_of(node)
-        # /proc/net/dev counters
-        self.tx_bytes = 0
-        self.tx_packets = 0
+        # /proc/net/dev receive counters (transmit: ``channel``'s)
         self.rx_bytes = 0
         self.rx_packets = 0
-        self.tx_drops = 0
         # the inbound channel hands each frame straight to the node,
         # naming this NIC on the frame
         self.inbound = link.channel_from(self.peer)
@@ -92,41 +91,12 @@ class NIC:
         if dgram.proto == PROTO_TCP:
             frame = Frame(dgram, dgram.transport_bytes, True, True)
             init = self.init_speed_bps
-            if channel.transmit(
-                    frame, 0.0 if init is None else frame.wire_at(mtu) * 8.0 / init):
-                self.tx_packets += 1
-                self.tx_bytes += frame.wire
-                return True
-            self.tx_drops += 1
-            return False
+            return channel.transmit(
+                frame, 0.0 if init is None else frame.wire_at(mtu) * 8.0 / init)
         frames = Frame(dgram, dgram.transport_bytes, True).split(mtu)
         extra = self._init_delay(frames[0].wire_at(mtu))
         delivered_any = False
         for frame in frames:
-            delivered_any |= self._transmit(frame, extra)
+            delivered_any |= channel.transmit(frame, extra)
             extra = 0.0
         return delivered_any
-
-    def forward_frame(self, frame: Frame) -> bool:
-        """Forward a transit frame (router path: no init term)."""
-        channel = self.channel
-        if frame.burst or frame.payload_bytes + IP_HEADER <= channel.mtu:
-            if channel.transmit(frame, 0.0):
-                self.tx_packets += 1
-                self.tx_bytes += frame.wire
-                return True
-            self.tx_drops += 1
-            return False
-        delivered_any = False
-        for piece in frame.split(channel.mtu):
-            delivered_any |= self._transmit(piece, 0.0)
-        return delivered_any
-
-    def _transmit(self, frame: Frame, extra: float) -> bool:
-        channel = self.channel
-        if channel.transmit(frame, extra):
-            self.tx_packets += 1
-            self.tx_bytes += frame.wire
-            return True
-        self.tx_drops += 1
-        return False

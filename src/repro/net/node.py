@@ -9,13 +9,19 @@ transport :class:`~repro.net.sockets.NetworkStack`.
 A hop is one kernel event and one pass: the channel into a node
 schedules :meth:`Node.receive` with the frame, which counts it on the
 NIC it came in on (``Frame.nic``) and then forwards it, delivers it or
-files it for reassembly.  ``d_proc`` is served on the way in, per frame:
-the channel delivers a frame for none of the node's addresses ``d_proc``
-late (``Channel.hold``) and ``receive`` reserves the egress on the spot
-— the reservation made at ``t + d_proc`` in event order as a second
-event would have made it.  A frame for the node itself is delivered on
-arrival, so a forwarding *host* (the testbed gateway) sees its own
-traffic undelayed.
+files it for reassembly.  Forwarding hands the frame straight to the
+egress NIC's channel (``Channel.transmit``), cutting it first only when
+it is a fragment larger than that channel's MTU; delivering hands the
+whole datagram straight to the host's
+:meth:`~repro.net.sockets.NetworkStack.deliver`, the one delivery path
+that loopback and reassembly take too.  ``d_proc`` is served on the way
+in, per frame: the channel delivers a frame for none of the node's
+addresses ``d_proc`` late (``Channel.hold``) and ``receive`` reserves
+the egress on the spot — the reservation made at ``t + d_proc`` in event
+order as a second event would have made it.  A frame for the node itself
+is delivered on arrival, so a forwarding *host* (the testbed gateway)
+sees its own traffic undelayed.  A router addressed directly has no
+stack and drops the datagram.
 
 Only a node with a choice of interface holds a computed table.  A node
 with one NIC — every thesis machine but the gateway — has a
@@ -29,7 +35,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..sim import Simulator
 from .nic import NIC
-from .packet import Datagram, Frame
+from .packet import IP_HEADER, Datagram, Frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sockets import NetworkStack
@@ -129,11 +135,16 @@ class Node:
                 self.no_route += 1
                 return
             self.forwarded += 1
-            egress.forward_frame(frame)
-        elif frame.payload_bytes >= dgram.transport_bytes:
-            self.deliver_local(dgram)  # whole: a burst, or one fragment
-        else:
+            channel = egress.channel
+            if frame.burst or frame.payload_bytes + IP_HEADER <= channel.mtu:
+                channel.transmit(frame, 0.0)
+            else:
+                for piece in frame.split(channel.mtu):
+                    channel.transmit(piece, 0.0)
+        elif frame.payload_bytes < dgram.transport_bytes:
             self._reassemble(frame)
+        elif self.stack is not None:
+            self.stack.deliver(dgram)  # whole: a burst, or one fragment
 
     def _reassemble(self, frame: Frame) -> None:
         dgram = frame.dgram
@@ -143,7 +154,8 @@ class Node:
         entry[0] += frame.payload_bytes
         if entry[0] >= dgram.transport_bytes:
             del self._reassembly[dgram.id]
-            self.deliver_local(dgram)
+            if self.stack is not None:
+                self.stack.deliver(dgram)
         elif len(self._reassembly) > 256:
             self._purge_reassembly()
 
@@ -154,17 +166,6 @@ class Node:
             del self._reassembly[k]
             self.reassembly_failures += 1
 
-    def deliver_local(self, dgram: Datagram) -> None:
-        hb = self.sim._hb
-        if hb is not None:
-            # message edge: the sender's clock (stamped in send()) joins
-            # the delivery context even across NIC queues and reassembly
-            hb.on_message(dgram)
-        if self.stack is None:
-            # A router addressed directly with no stack: drop silently.
-            return
-        self.stack.deliver(dgram)
-
     def send(self, dgram: Datagram) -> bool:
         """Originate a datagram from this node (kernel -> NIC)."""
         hb = self.sim._hb
@@ -174,7 +175,8 @@ class Node:
             # Loopback: no physical interface, no init term, tiny constant
             # delay — reproduces the thesis' flat localhost curve (Fig 3.6f,
             # base RTT 41 µs: ~one kernel traversal each way).
-            self.sim.call_later(self.proc_delay, self.deliver_local, dgram)
+            assert self.stack is not None  # only a stack sends
+            self.sim.call_later(self.proc_delay, self.stack.deliver, dgram)
             return True
         try:
             nic = self.routes[dgram.dst]

@@ -18,10 +18,14 @@ builds a kwargs dict):
 ``transport_bytes`` is worked out once there, and a frame remembers its
 wire size for the last MTU asked — the channel it is crossing reads it
 when the MTU matches and asks otherwise, so ``Frame.wire`` is that hop's
-wire size for both NIC byte counters.  ``Frame.wire_at`` computes the
-closed form inline; the channel also leaves the NIC at the far end on
-the frame (``Frame.nic``), which is how ``Node.receive`` knows which
-interface's receive counters to bump.
+wire size for both byte counters: the channel's ``tx_bytes`` and the
+receiving NIC's ``rx_bytes``.  ``Frame.wire_at`` computes the closed
+form inline; the channel also leaves the NIC at the far end on the
+frame (``Frame.nic``), which is how ``Node.receive`` knows which
+interface's receive counters to bump.  A transit hop is three calls
+(``Node.receive``, the egress ``Channel.transmit`` and its ``call_at``)
+and a whole datagram's arrival two (``Node.receive``,
+``NetworkStack.deliver``).
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ class Frame:
         #: the last MTU :meth:`wire_at` was asked about, and its answer:
         #: ``Channel.transmit`` reads it at its own MTU (asking when the
         #: MTU differs), so ``wire`` is the size on the hop the frame is
-        #: crossing, which the NIC counters of both ends read
+        #: crossing, which the byte counters of both ends read
         self._wire_mtu: Optional[int] = None
         self.wire = 0
         #: the NIC at the far end of the channel the frame last crossed,

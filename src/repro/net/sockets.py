@@ -10,7 +10,6 @@ any raw ICMP listener on the sending host.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..sim import Simulator, Store
@@ -25,6 +24,11 @@ __all__ = ["NetworkStack", "UdpSocket", "IcmpError", "PortInUse"]
 
 #: receive buffer of every UDP socket, in datagrams; the rest are dropped
 RCVBUF_DATAGRAMS = 512
+
+#: the IANA dynamic range (RFC 6335) that ephemeral UDP ports come from:
+#: below it sit the well-known ports a peer probes, ``probe_target``
+#: 33434 among them, which an ephemeral socket must never take
+EPHEMERAL_PORTS = (49152, 65535)
 
 
 class PortInUse(Exception):
@@ -77,16 +81,11 @@ class UdpSocket:
 
     def sendto(self, dst: str, dport: int, size: int, payload: Any = None) -> Datagram:
         """Transmit one datagram; returns it (its ``id`` keys ICMP echoes)."""
-        dgram = Datagram(
-            proto=PROTO_UDP,
-            src=self.stack.node.addr,
-            dst=self.stack.resolve(dst),
-            sport=self.port,
-            dport=dport,
-            size=size,
-            payload=payload,
-        )
-        self.stack.node.send(dgram)
+        stack = self.stack
+        node = stack.node
+        dgram = Datagram(PROTO_UDP, node.addr, stack.resolve(dst), self.port,
+                         dport, size, payload)
+        node.send(dgram)
         return dgram
 
     def recv(self):
@@ -111,7 +110,7 @@ class NetworkStack:
         node.stack = self
         self.udp_ports: dict[int, UdpSocket] = {}
         self.icmp_taps: list[Store] = []
-        self._ephemeral = itertools.count(32768)
+        self._next_port = EPHEMERAL_PORTS[0]
         # imported lazily to avoid a cycle
         from .tcp import TcpLayer
 
@@ -141,13 +140,25 @@ class NetworkStack:
         return tap
 
     def _alloc_port(self) -> int:
-        while True:
-            port = next(self._ephemeral)
+        """The next free port of the dynamic range, wrapping at its end."""
+        low, high = EPHEMERAL_PORTS
+        for _ in range(high - low + 1):
+            port = self._next_port
+            self._next_port = low if port == high else port + 1
             if port not in self.udp_ports:
                 return port
+        raise PortInUse(f"no free ephemeral udp port on {self.node.name}")
 
     # -- demux -----------------------------------------------------------------
     def deliver(self, dgram: Datagram) -> None:
+        """A whole datagram for this host: off the wire, reassembled or
+        looped back — the one delivery path."""
+        hb = self.sim._hb
+        if hb is not None:
+            # message edge: the sender's clock (stamped in Node.send)
+            # joins the delivery context even across NIC queues and
+            # reassembly
+            hb.on_message(dgram)
         proto = dgram.proto
         if proto == PROTO_TCP:
             self.tcp.deliver(dgram)
@@ -158,7 +169,7 @@ class NetworkStack:
             else:
                 self._send_port_unreachable(dgram)
         elif proto == PROTO_ICMP:
-            err = IcmpError(src=dgram.src, ref=dgram.ref, received_at=self.sim.now)
+            err = IcmpError(dgram.src, dgram.ref, self.sim._now)
             for tap in self.icmp_taps:
                 tap.put(err)
         else:  # pragma: no cover - Datagram validates proto already
@@ -166,10 +177,8 @@ class NetworkStack:
 
     def _send_port_unreachable(self, offending: Datagram) -> None:
         # ICMP type 3 code 3 carries the original IP header + 8 payload bytes.
-        reply = offending.reply_skeleton(
-            proto=PROTO_ICMP,
-            size=IP_HEADER + 8,
-            payload=("port-unreachable", offending.id),
-        )
+        ref = offending.id
+        reply = Datagram(PROTO_ICMP, offending.dst, offending.src, offending.dport,
+                         offending.sport, IP_HEADER + 8, ("port-unreachable", ref), ref)
         self.icmp_sent += 1
         self.node.send(reply)

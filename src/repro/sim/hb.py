@@ -16,7 +16,7 @@ Happens-before edge inventory
   spawn, timeout wake-ups, interrupts and direct event hand-offs.
 * **message** — an originated :class:`~repro.net.packet.Datagram` is
   stamped with the sender's clock in ``Node.send`` and joined into the
-  delivery context in ``Node.deliver_local``, so the edge survives NIC
+  delivery context in ``NetworkStack.deliver``, so the edge survives NIC
   queueing and fragment reassembly.
 * **segment** — a :class:`~repro.sim.resources.Segment` keeps the clock
   its last critical section left and joins it into the next one, totally

@@ -96,11 +96,12 @@ def ref_net_dev(nics) -> str:
     )
     rows = []
     for nic in nics:
+        ch = nic.channel  # the transmit counters are the channel's
         rows.append(
             f"{nic.name:>6}:{nic.rx_bytes:8d} {nic.rx_packets:7d}"
             f"    0    0    0     0          0         0"
-            f" {nic.tx_bytes:8d} {nic.tx_packets:7d}    0"
-            f" {nic.tx_drops:4d}    0     0       0          0"
+            f" {ch.tx_bytes:8d} {ch.tx_frames:7d}    0"
+            f" {ch.drops:4d}    0     0       0          0"
         )
     rows.append(
         f"{'lo':>6}:       0       0    0    0    0     0          0         0"
@@ -276,11 +277,17 @@ def fake_machine(rng: random.Random, name: str = "m"):
 
 
 def fake_nics(rng: random.Random):
-    return [SimpleNamespace(name=f"eth{i}", rx_bytes=rng.choice([0, 64, 99999999]),
-                            rx_packets=rng.choice([0, 1, 5]),
-                            tx_bytes=rng.choice([0, 64, 1500]),
-                            tx_packets=rng.choice([0, 2]), tx_drops=rng.choice([0, 3]))
+    return [fake_nic(f"eth{i}", rng.choice([0, 64, 99999999]), rng.choice([0, 1, 5]),
+                     rng.choice([0, 64, 1500]), rng.choice([0, 2]), rng.choice([0, 3]))
             for i in range(rng.randint(0, 2))]
+
+
+def fake_nic(name, rx_bytes, rx_packets, tx_bytes, tx_packets, tx_drops):
+    """A NIC as ``ProcFS.net_dev`` reads it: the receive counters on the
+    NIC, the transmit ones on its outbound channel."""
+    return SimpleNamespace(name=name, rx_bytes=rx_bytes, rx_packets=rx_packets,
+                           channel=SimpleNamespace(tx_bytes=tx_bytes, tx_frames=tx_packets,
+                                                   drops=tx_drops))
 
 
 REFERENCE_RENDERS = {
@@ -372,8 +379,7 @@ class TestRendersAndParsers:
 
     def test_net_dev_dict_is_never_shared(self):
         text = ref_net_dev(fake_nics(random.Random(3)) or
-                           [SimpleNamespace(name="eth0", rx_bytes=1, rx_packets=2,
-                                            tx_bytes=3, tx_packets=4, tx_drops=0)])
+                           [fake_nic("eth0", 1, 2, 3, 4, 0)])
         first = parse_net_dev(text)
         first.clear()
         assert parse_net_dev(text) == ref_parse_net_dev(text) != {}
@@ -435,8 +441,7 @@ class TestReportCodec:
             wire = ServerStatusReport("h", "a", "g", values={"host_cpu_user": x,
                                                             "host_cpu_idle": -x}).to_wire()
             ServerStatusReport.from_wire(wire)
-            nic = SimpleNamespace(name="eth0", rx_bytes=i, rx_packets=i,
-                                  tx_bytes=i, tx_packets=i, tx_drops=0)
+            nic = fake_nic("eth0", i, i, i, i, 0)
             machine = fake_machine(random.Random(i))
             machine.cpu.completed_tasks = i
             fs = ProcFS(machine, [nic])

@@ -228,7 +228,7 @@ class TestDistributed:
         sysdb = mon.shm.segment(cfg.shm.monitor_system)
 
         def segments():
-            return sum(nic.tx_packets for h in (mon, wizard) for nic in h.node.nics)
+            return sum(nic.channel.tx_frames for h in (mon, wizard) for nic in h.node.nics)
 
         def one_round():
             before, sent = segments(), tx.bytes_sent
@@ -267,7 +267,7 @@ class TestDistributed:
         hosts = [*monitors, cluster.host("wizard")]
 
         def segments():
-            return sum(nic.tx_packets for h in hosts for nic in h.node.nics)
+            return sum(nic.channel.tx_frames for h in hosts for nic in h.node.nics)
 
         def rounds():
             yield from receiver.pull_all()  # in full

@@ -96,8 +96,8 @@ class World:
         self.stacks = {name: NetworkStack(self.sim, node, self.net)
                        for name, node in self.net.nodes.items()
                        if not node.is_router}
-        for node in self.net.nodes.values():
-            node.deliver_local = self._recording(node)
+        for name, stack in self.stacks.items():
+            stack.deliver = self._recording(name, stack)
         lossy = self.channel("gw", "sw2")
         lossy.loss_rate, lossy.loss_rng = 0.02, self.rng_for("loss")
         back = self.channel("sw2", "gw")
@@ -111,14 +111,14 @@ class World:
     def rng_for(self, what):
         return random.Random(f"{self.rng.random()}/{what}")
 
-    def _recording(self, node):
-        deliver = node.deliver_local
+    def _recording(self, name, stack):
+        deliver = stack.deliver
 
-        def deliver_local(dgram):
-            self.log.append((repr(self.sim.now), node.name, dgram.id,
+        def recording_deliver(dgram):
+            self.log.append((repr(self.sim.now), name, dgram.id,
                              dgram.payload[0], dgram.size))
             deliver(dgram)
-        return deliver_local
+        return recording_deliver
 
     def _messages(self, what, n):
         rng = self.rng_for(what)

@@ -1,24 +1,27 @@
 """Twin oracle for the one-event transit hop.
 
 A frame crossing a node used to cost two kernel events: the delivery
-that brought it in and, ``d_proc`` later, a ``NIC.forward_frame`` call
-that reserved the egress.  The shipped path decides per frame, when the
-frame is sent: the channel into a node delivers a frame for none of the
-node's addresses ``d_proc`` late (``Channel.hold``) and ``Node.receive``
-forwards it on arrival; a frame for the node itself arrives unheld.  The
+that brought it in and, ``d_proc`` later, a forwarding call that
+reserved the egress (:func:`forward_frame` below).  The shipped path
+decides per frame, when the frame is sent: the channel into a node
+delivers a frame for none of the node's addresses ``d_proc`` late
+(``Channel.hold``) and ``Node.receive`` forwards it on arrival; a frame
+for the node itself arrives unheld.  The
 two-event forwarding lives on here as the reference:
 :func:`two_event_reference` hands every channel's frames to
 :func:`reference_receive` instead of ``Node.receive`` (the seam the
 channel schedules) and clears every hold.  On seeded worlds built to
 land things inside the ``d_proc`` window, every local delivery (time by
-``repr``, node, datagram) and every channel / NIC / node counter must
-come out equal on both paths — and three mutants of the shipped design
+``repr``, node, datagram — recorded at ``NetworkStack.deliver``, the one
+delivery path) and every channel / NIC / node counter must come out
+equal on both paths — and three mutants of the shipped design
 must not.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import count
 from types import MethodType
 
@@ -27,8 +30,8 @@ import pytest
 from repro import worlds
 from repro.cluster import build_testbed
 from repro.net import MBPS, ConnectionClosed, Network, NetworkStack, TokenBucket
-from repro.net.nic import NIC
 from repro.net.node import Node
+from repro.net.packet import Frame
 from repro.sim import Call, Observer, Simulator
 
 US = 1e-6
@@ -57,6 +60,15 @@ def _arrive(node, frame):
     return egress
 
 
+def forward_frame(egress, frame):
+    """The forwarding event of the two-event hop: transmit on the egress
+    NIC's channel, cut first where the frame is a fragment larger than
+    its MTU."""
+    channel = egress.channel
+    for piece in frame.split(channel.mtu):
+        channel.transmit(piece, 0.0)
+
+
 def reference_receive(node, frame):
     """``Node.receive`` with forwarding as it was: ``d_proc`` is a second
     event behind the arrival, whatever the node is."""
@@ -65,7 +77,7 @@ def reference_receive(node, frame):
         return
     egress = _arrive(node, frame)
     if egress is not None:
-        node.sim.call_later(node.proc_delay, egress.forward_frame, frame)
+        node.sim.call_later(node.proc_delay, partial(forward_frame, egress), frame)
 
 
 def _replace_receive(net, receive):
@@ -102,7 +114,7 @@ def mutant_reserve_on_arrival(build):
         egress = _arrive(node, frame)
         if egress is not None:
             for piece in frame.split(egress.channel.mtu):
-                egress._transmit(piece, node.proc_delay)
+                egress.channel.transmit(piece, node.proc_delay)
 
     world = two_event_reference(build)
     _replace_receive(world.net, receive)
@@ -170,18 +182,19 @@ class World:
         for name, node in self.net.nodes.items():
             if not node.is_router and node.stack is None:
                 self.stack(name)
-            node.deliver_local = self._recording(node)
+            if node.stack is not None:
+                node.stack.deliver = self._recording(name, node.stack)
         return self
 
-    def _recording(self, node):
-        deliver = node.deliver_local
+    def _recording(self, name, stack):
+        deliver = stack.deliver
 
-        def deliver_local(dgram):
-            self.log.append((repr(self.sim.now), node.name, dgram.id,
+        def recording_deliver(dgram):
+            self.log.append((repr(self.sim.now), name, dgram.id,
                              dgram.proto, dgram.src, dgram.size,
                              repr(dgram.payload)))
             deliver(dgram)
-        return deliver_local
+        return recording_deliver
 
     def rng_for(self, what):
         return random.Random(f"{self.rng.random()}/{what}")
@@ -236,10 +249,10 @@ class World:
     def observed(self):
         channels = {
             nic.channel.name: (nic.channel.tx_frames, nic.channel.tx_bytes,
-                               nic.channel.drops, repr(nic.channel.busy_time),
+                               nic.channel.drops, nic.channel.cross_bytes,
+                               repr(nic.channel.busy_time),
                                repr(nic.channel.next_free),
-                               nic.rx_packets, nic.rx_bytes, nic.tx_packets,
-                               nic.tx_bytes, nic.tx_drops)
+                               nic.rx_packets, nic.rx_bytes)
             for node in self.net.nodes.values() for nic in node.nics}
         nodes = {name: (node.forwarded, node.no_route)
                  for name, node in self.net.nodes.items()}
@@ -434,8 +447,8 @@ def test_mutants_are_killed(mutant, scenario):
 class Deliveries(Observer):
     """Every ``Node.receive`` the channels schedule: the node, the frame,
     when the frame reached the end of its channel and when it was handed
-    over — and every ``NIC.forward_frame`` that ran as an event of its
-    own."""
+    over — and every other event that carried a frame (a forwarding step
+    run as an event of its own)."""
 
     def __init__(self):
         self.reached: dict[Call, float] = {}
@@ -458,12 +471,11 @@ class Deliveries(Observer):
     def begin_event(self, when, event):
         if not isinstance(event, Call):
             return
-        fn = getattr(event.fn, "__func__", None)
-        if fn is NIC.forward_frame:
-            self.forward_events += 1
-        elif fn is Node.receive:
+        if getattr(event.fn, "__func__", None) is Node.receive:
             self.handed.append((event.fn.__self__, event.arg,
                                 self.reached.pop(event), when))
+        elif isinstance(event.arg, Frame):
+            self.forward_events += 1
 
 
 def _all_pairs_udp(sim, net):

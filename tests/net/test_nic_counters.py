@@ -13,6 +13,12 @@ and byte counters and every node's ``forwarded`` / ``no_route`` must
 equal the literals below, which were captured by running this file
 (``PYTHONPATH=src python tests/net/test_nic_counters.py``) before the
 per-frame NIC path was fused into one pass.
+
+A second world pins the full ``/proc/net/dev`` text of every host where
+cross traffic (``Channel.occupy``) shares the channels with real
+frames, tail drops and losses, as captured while each NIC kept transmit
+counters of its own: the channel now keeps them, and counts the cross
+traffic apart, off the rows.
 """
 
 from __future__ import annotations
@@ -100,10 +106,10 @@ def run_world() -> dict[str, object]:
         # the interface rows: the two header lines are constant text
         "net_dev": {name: host.procfs.read("/proc/net/dev").splitlines()[2:]
                     for name, host in cluster.hosts.items()},
-        "tx_drops": {name: [nic.tx_drops for nic in node.nics]
+        "tx_drops": {name: [nic.channel.drops for nic in node.nics]
                      for name, node in net.nodes.items()},
-        "switch_nics": {name: [(nic.tx_packets, nic.tx_bytes, nic.rx_packets,
-                                nic.rx_bytes) for nic in node.nics]
+        "switch_nics": {name: [(nic.channel.tx_frames, nic.channel.tx_bytes,
+                                nic.rx_packets, nic.rx_bytes) for nic in node.nics]
                         for name, node in cluster.switches.items()},
         "forwarded": {name: (node.forwarded, node.no_route)
                       for name, node in net.nodes.items()},
@@ -205,6 +211,120 @@ def test_the_world_exercises_every_counted_path(counters):
     # than arrive at it
     sw2_out = sum(tx for tx, *_ in counters["switch_nics"]["sw2"]) + sum(drops["sw2"])
     assert sw2_out > forwarded["sw2"][0]
+
+
+def run_cross_world():
+    """h0, h1 and h2 on sw: cross traffic occupies h0's uplink, whose
+    20 kB buffer then tail-drops, and the switch's port to h1, and h2's
+    uplink loses 5 % of its frames, while TCP and UDP cross all three
+    hosts.  Returns each host's ``/proc/net/dev`` text and the two
+    occupied channels."""
+    worlds.fresh_ids()
+    cluster = Cluster()
+    sim = cluster.sim
+    h0, h1, h2 = (cluster.add_host(n) for n in ("h0", "h1", "h2"))
+    sw = cluster.add_switch("sw")
+    uplink = cluster.link(h0, sw, rate_bps=100 * MBPS, subnet="10.0.0")
+    port = cluster.link(h1, sw, rate_bps=100 * MBPS, subnet="10.0.0")
+    lossy = cluster.link(h2, sw, rate_bps=10 * MBPS, subnet="10.0.0")
+    cluster.finalize()
+    occupied = [uplink.channel_from(h0.node), port.channel_from(sw)]
+    occupied[0].buffer_bytes = 20_000
+    channel = lossy.channel_from(h2.node)
+    channel.loss_rate = 0.05
+    channel.loss_rng = random.Random("nic-counters/cross/loss")
+    rng = random.Random("nic-counters/cross")
+
+    def cross():
+        while sim.now < 0.5:
+            yield sim.timeout(rng.uniform(0.0, 200e-6))
+            for ch in occupied:
+                ch.occupy(rng.randint(64, 1500))
+
+    lsn = h2.stack.tcp.listen(5001)
+
+    def server():
+        conn = yield lsn.accept()
+        try:
+            while True:
+                yield conn.recv()
+        except ConnectionClosed:
+            conn.close()
+
+    def client():
+        conn = yield from h0.stack.tcp.connect("h2", 5001)
+        conn.send("bulk", 150_000)
+        conn.close()
+
+    def udp(src, dst, dport, n):
+        sock = src.stack.udp_socket()
+
+        def sender():
+            for i in range(n):
+                yield sim.timeout(rng.uniform(0.0, 400e-6))
+                sock.sendto(dst, dport, rng.randint(64, 3_000), payload=i)
+            sock.close()
+        sim.process(sender())
+
+    h1.stack.udp_socket(7001)
+    sim.process(cross())
+    sim.process(server())
+    sim.process(client())
+    udp(h0, "h1", 7001, 150)
+    udp(h1, "h2", 7002, 80)  # closed: ICMP back
+    cluster.run(until=5.0)
+    texts = {name: host.procfs.read("/proc/net/dev")
+             for name, host in cluster.hosts.items()}
+    return texts, occupied
+
+
+#: ``run_cross_world``'s ``/proc/net/dev`` texts, captured while the NIC
+#: kept transmit counters of its own (which ``occupy`` never touched)
+CROSS_NET_DEV: dict[str, str] = {
+    "h0": (
+        'Inter-|   Receive                                                |'
+        '  Transmit\n'
+        ' face |bytes    packets errs drop fifo frame compressed multicast|'
+        'bytes    packets errs drop fifo colls carrier compressed\n'
+        '  eth0:    4760     119    0    0    0     0          0         0 '
+        '  312675     243    0  357    0     0       0          0\n'
+        '    lo:       0       0    0    0    0     0          0         0 '
+        '       0       0    0    0    0     0       0          0\n'
+    ),
+    "h1": (
+        'Inter-|   Receive                                                |'
+        '  Transmit\n'
+        ' face |bytes    packets errs drop fifo frame compressed multicast|'
+        'bytes    packets errs drop fifo colls carrier compressed\n'
+        '  eth0:  129578     189    0    0    0     0          0         0 '
+        '  127419     125    0    0    0     0       0          0\n'
+        '    lo:       0       0    0    0    0     0          0         0 '
+        '       0       0    0    0    0     0       0          0\n'
+    ),
+    "h2": (
+        'Inter-|   Receive                                                |'
+        '  Transmit\n'
+        ' face |bytes    packets errs drop fifo frame compressed multicast|'
+        'bytes    packets errs drop fifo colls carrier compressed\n'
+        '  eth0:  314660     253    0    0    0     0          0         0 '
+        '    8904     193    0   14    0     0       0          0\n'
+        '    lo:       0       0    0    0    0     0          0         0 '
+        '       0       0    0    0    0     0       0          0\n'
+    ),
+}
+
+
+def test_cross_traffic_stays_off_the_nic_rows():
+    """The rows are the frames each NIC sent, byte for byte as before
+    the channel took over the transmit counters: tail drops and losses
+    in the drop column, and none of the cross traffic ``occupy``
+    injected on the same channels, which the channel counts apart."""
+    texts, (uplink, port) = run_cross_world()
+    assert texts == CROSS_NET_DEV
+    assert uplink.drops > 0 and uplink.cross_bytes > uplink.tx_bytes > 0
+    assert port.cross_bytes > port.tx_bytes > 0
+    row = f" {uplink.tx_bytes:8d} {uplink.tx_frames:7d}    0 {uplink.drops:4d} "
+    assert row in texts["h0"]
 
 
 if __name__ == "__main__":

@@ -395,9 +395,9 @@ class TestDelivery:
         sa.udp_socket().sendto("b", 5000, size=3000)
         sim.run()
         nic_a, nic_b = a.nics[0], b.nics[0]
-        assert nic_a.tx_packets == 3  # 3 fragments
+        assert nic_a.channel.tx_frames == 3  # 3 fragments
         assert nic_b.rx_packets == 3
-        assert nic_a.tx_bytes == nic_b.rx_bytes > 3000
+        assert nic_a.channel.tx_bytes == nic_b.rx_bytes > 3000
 
     def test_ttl_expiry_drops(self, sim):
         net, a, b = build_line(sim, n_routers=3)

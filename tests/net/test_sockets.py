@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import Network, NetworkStack, PortInUse
+from repro.core.netmon import measure_rtt
+from repro.net import Network, NetworkStack, PortInUse, sockets
 from tests.conftest import run_process
 
 
@@ -28,6 +29,30 @@ class TestUdpSockets:
         _, sa, _ = pair
         ports = {sa.udp_socket().port for _ in range(10)}
         assert len(ports) == 10
+
+    def test_ephemeral_ports_come_from_the_dynamic_range(self, sim, pair):
+        """Opened and closed one at a time, ephemeral ports run through
+        49152-65535 and wrap, skipping a port that is still bound."""
+        _, sa, _ = pair
+        held = sa.udp_socket(49153)
+        ports = []
+        for _ in range(16_385):
+            sock = sa.udp_socket()
+            ports.append(sock.port)
+            sock.close()
+        assert ports[:2] == [49152, 49154]
+        assert ports[-3:] == [65535, 49152, 49154]
+        assert held.port not in ports and all(49152 <= p <= 65535 for p in ports)
+        held.close()
+
+    def test_no_free_ephemeral_port_raises(self, sim, monkeypatch):
+        monkeypatch.setattr(sockets, "EPHEMERAL_PORTS", (50000, 50002))
+        net = Network(sim)
+        stack = NetworkStack(sim, net.add_host("a"), net)
+        stack.udp_socket(50001)
+        assert [stack.udp_socket().port for _ in range(2)] == [50000, 50002]
+        with pytest.raises(PortInUse):
+            stack.udp_socket()
 
     def test_close_releases_port(self, sim, pair):
         _, sa, _ = pair
@@ -70,6 +95,26 @@ class TestIcmp:
         sim.run()
         assert len(tap) == 0
         assert sb.icmp_sent == 0
+
+    def test_a_busy_host_still_echoes_every_probe(self, sim, pair):
+        """Two monitors probe each other at once, each opening a fresh
+        ephemeral socket per probe (``measure_rtt``).  Over 1,000 probes
+        each way, neither binds the probe-target port, so every probe is
+        answered with ICMP, not swallowed by a socket of the prober."""
+        _, sa, sb = pair
+
+        def prober(stack, dst):
+            rtts = []
+            for _ in range(1_000):
+                rtts.append((yield from measure_rtt(stack, dst, 64)))
+            return rtts
+
+        a_to_b = sim.process(prober(sa, "b"))
+        b_to_a = sim.process(prober(sb, "a"))
+        sim.run()
+        assert None not in a_to_b.value and None not in b_to_a.value
+        assert sa.icmp_sent == sb.icmp_sent == 1_000
+        assert sa._next_port == sb._next_port == 49152 + 1_000
 
     def test_multiple_taps_all_receive(self, sim, pair):
         _, sa, _ = pair
