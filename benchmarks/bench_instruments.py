@@ -11,8 +11,12 @@ per-pair ratio cancels load drift that a ratio of per-arm medians keeps.
 * ``kernel`` (``BENCH_kernel.json``) — the profiler on a churn world of
   short-lived timer processes spawned by long-lived tickers (a wizard
   fleet's shape), with the plain run's events per wall-second; the
-  criterion is overhead <= ``PROFILER_BUDGET`` and one attribution in
-  every profiled run (the determinism ``repro profile`` relies on).
+  criterion is overhead <= ``PROFILER_BUDGET``, one attribution in
+  every profiled run (the determinism ``repro profile`` relies on), and
+  the clock's counted twin: Python calls into ``repro`` per event of
+  the profiled world, <= ``PROFILER_CALLS_PER_EVENT``.  The calls are
+  counted in a run of their own, after the timed pairs, because the
+  counting hook costs more than what it counts.
 * ``matmul_2v2`` / ``massd_1v1`` (``BENCH_sanitizer.json``) — the race
   detector on the ``matmul`` / ``massd`` smoke jobs CI sanitizes; the
   criterion is overhead <= ``SANITIZER_BUDGET`` and no race.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import gc
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -41,6 +46,9 @@ N_SPAWNS = 100
 #: on / off wall-time ratio each instrument may cost at most
 PROFILER_BUDGET = 1.3
 SANITIZER_BUDGET = 2.0
+#: Python calls into ``repro`` per event the profiled churn world may
+#: cost: what it costs (``BENCH_kernel.json``), plus less than one
+PROFILER_CALLS_PER_EVENT = 10.5
 
 
 def _timed(fn):
@@ -55,9 +63,9 @@ def _timed(fn):
     return elapsed, value
 
 
-def profiled_churn(on: bool):
-    """Tickers that each spawn a stream of short-lived worker timers;
-    the profiled run's value is its attribution."""
+def churn_world(on: bool) -> tuple[Simulator, SimProfiler | None]:
+    """Tickers that each spawn a stream of short-lived worker timers,
+    and the profiler observing them when ``on``."""
     sim = Simulator()
     profiler = sim.observe(SimProfiler()) if on else None
 
@@ -71,8 +79,36 @@ def profiled_churn(on: bool):
 
     for idx in range(N_TICKERS):
         sim.process(ticker(idx), name=f"ticker-{idx}")
+    return sim, profiler
+
+
+def profiled_churn(on: bool):
+    """The churn world's arm; the profiled run's value is its
+    attribution."""
+    sim, profiler = churn_world(on)
     elapsed, _ = _timed(sim.run)
     return elapsed, profiler and profiler.attribution()
+
+
+def profiled_calls_per_event() -> float:
+    """Python-level calls into ``repro`` (frames of a ``repro.*``
+    module, counted with ``sys.setprofile``) per event of the profiled
+    churn world: counted, not timed, so the same in every run."""
+    sim, profiler = churn_world(True)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
+            calls += 1
+
+    gc.collect()
+    sys.setprofile(count)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    return calls / profiler.attribution()["total_events"]
 
 
 def sanitized(job: str):
@@ -101,7 +137,7 @@ def paired(arm, pairs: int) -> dict:
             "overhead": median, "q1": q1, "q3": q3, "values": values}
 
 
-def kernel(row: dict) -> dict:
+def kernel(row: dict, calls_per_event: float) -> dict:
     attributions = {json.dumps(a, sort_keys=True) for a in row["values"]}
     # the world is deterministic: a profiled run counts the plain run's events
     events = row["values"][-1]["total_events"]
@@ -116,8 +152,11 @@ def kernel(row: dict) -> dict:
         "overhead_q1": round(row["q1"], 3),
         "overhead_q3": round(row["q3"], 3),
         "overhead_budget": PROFILER_BUDGET,
+        "profiled_calls_per_event": round(calls_per_event, 4),
+        "profiled_calls_budget": PROFILER_CALLS_PER_EVENT,
         "byte_stable": len(attributions) == 1,
-        "criterion_met": row["overhead"] <= PROFILER_BUDGET and len(attributions) == 1,
+        "criterion_met": (row["overhead"] <= PROFILER_BUDGET and len(attributions) == 1
+                          and calls_per_event <= PROFILER_CALLS_PER_EVENT),
     }
 
 
@@ -142,13 +181,14 @@ def sanitizer(rows: dict[str, dict]) -> dict:
 
 def main() -> None:
     rows = {name: paired(arm, pairs) for name, (arm, pairs) in ROWS.items()}
-    profiler, detector = kernel(rows.pop("kernel")), sanitizer(rows)
+    profiler = kernel(rows.pop("kernel"), profiled_calls_per_event())
+    detector = sanitizer(rows)
     for name, report in (("BENCH_kernel.json", profiler),
                          ("BENCH_sanitizer.json", detector)):
         text = json.dumps(report, indent=2) + "\n"
         (RESULTS / name).write_text(text)
         print(text, end="")
-    assert profiler["criterion_met"], "profiler overhead or attribution"
+    assert profiler["criterion_met"], "profiler overhead, calls or attribution"
     assert detector["all_within_2x"], "sanitizer overhead"
     assert detector["race_free"], "a smoke job raced under the detector"
 

@@ -370,10 +370,16 @@ def test_connect_request_close_call_budget():
     through a second event and each handshake end asked for a wake with
     nothing to send, 356.02 with a relay call per frame hop: transit
     through ``NIC.forward_frame``, delivery through
-    ``Node.deliver_local``)."""
+    ``Node.deliver_local``).  343.75 since endpoints leave the demux
+    table, 9.73 more than 334.02: ``sockets.free_port`` (the shared
+    port walk, where ``next()`` on a counter was a C call) and the
+    ``TcpLayer.__contains__`` it asks, once per dial; per endpoint,
+    ``_admit``, ``_hold`` when it reaches CLOSED or TIME_WAIT, ``_reap``
+    at the next dial or accepted SYN, and ``_forget`` once its hold is
+    over (1.735 per connection: the last ones are still held)."""
     per_exchange = tcp_calls_per_exchange(1_000)
-    assert round(per_exchange, 2) == 334.02
-    assert per_exchange <= 335
+    assert round(per_exchange, 2) == 343.75
+    assert per_exchange <= 344
 
 
 def probe_calls_per_report(servers: int = 16) -> tuple[float, int]:
@@ -546,7 +552,11 @@ def bytes_kept_per_served_connection(n: int, warm_up: int = 50) -> float:
     """The same for a connection a ``serve`` handler answers, the shape
     of a status pull: the client sends a 200-byte request, takes the
     1,000-byte response and closes, and the handler, waiting for the
-    next request, ends on ``ConnectionClosed``."""
+    next request, ends on ``ConnectionClosed`` and its session closes
+    the served end.  Both ends are then held for ``HOLD_RTOS`` of their
+    RTOs and reaped at a later dial, so the demux tables end up holding
+    only the connections of the last hold (133 of 2,050 here), however
+    long the run."""
     sim, sa, sb = one_switch()
 
     def handler(conn):
@@ -563,7 +573,7 @@ def bytes_kept_per_served_connection(n: int, warm_up: int = 50) -> float:
         conn.close()
 
     kept = _bytes_kept(sim, exchange, n, warm_up)
-    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
+    assert len(sa.tcp.conns) == len(sb.tcp.conns) <= 150
     return kept
 
 
@@ -580,14 +590,16 @@ def test_connection_memory_budget():
 
 
 def test_served_connection_memory_budget():
-    """What a served connection leaves behind: two endpoints with the
-    receive queues their ``recv()`` built, the server's ended, and its
-    send queue and segment table (it never closes), the client's sender
-    state released at its FIN's ack.  1,961 / 1,972 / 1,964 B on CPython
-    3.10 / 3.11 / 3.12; 2,409 / 2,412 / 2,428 B with every queue built
-    up front and kept.  1,795.75 B on 3.11 once an ended queue holds no
-    EOF item (1,875.75 B before)."""
-    assert bytes_kept_per_served_connection(2_000) <= 2_100
+    """What a served connection leaves behind once its ends' holds are
+    over: nothing but the slack of tables sized for the endpoints still
+    held — 72.87 B per connection on CPython 3.11.  1,795.75 B while
+    the served end stayed in CLOSE_WAIT and both ends stayed in their
+    demux tables for good: two endpoints with the receive queues their
+    ``recv()`` built and the server's send queue and segment table
+    (1,961 / 1,972 / 1,964 B on CPython 3.10 / 3.11 / 3.12 with an EOF
+    item in each ended queue, 2,409 / 2,412 / 2,428 B with every queue
+    built up front)."""
+    assert bytes_kept_per_served_connection(2_000) <= 150
 
 
 def test_dial_leaves_no_condition_behind():

@@ -10,7 +10,8 @@ any raw ICMP listener on the sending host.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from itertools import chain, count, islice
+from typing import Any, Container, Optional, TYPE_CHECKING
 
 from ..sim import Simulator, Store
 from .node import Node
@@ -25,14 +26,33 @@ __all__ = ["NetworkStack", "UdpSocket", "IcmpError", "PortInUse"]
 #: receive buffer of every UDP socket, in datagrams; the rest are dropped
 RCVBUF_DATAGRAMS = 512
 
-#: the IANA dynamic range (RFC 6335) that ephemeral UDP ports come from:
-#: below it sit the well-known ports a peer probes, ``probe_target``
-#: 33434 among them, which an ephemeral socket must never take
+#: the IANA dynamic range (RFC 6335) that ephemeral UDP and TCP ports
+#: come from: below it sit the well-known ports a peer probes,
+#: ``probe_target`` 33434 among them, which an ephemeral socket must
+#: never take
 EPHEMERAL_PORTS = (49152, 65535)
 
 
 class PortInUse(Exception):
     """bind() on a port that already has a socket."""
+
+
+def free_port(start: int, in_use: Container[int], proto: str,
+              host: str) -> tuple[int, int]:
+    """``(port, next start)``: the first port of the dynamic range at or
+    after ``start`` that ``in_use`` does not hold, wrapping at the
+    range's end (a ``start`` past it starts the walk over) — the one
+    walk both transports allocate with."""
+    low, high = EPHEMERAL_PORTS
+    if not low <= start <= high:
+        start = low
+    # count() builds each port as a 28-byte int where ``+ 1`` builds a
+    # 32-byte one, and every live endpoint keeps its port
+    for port in chain(islice(count(start), high - start + 1),
+                      islice(count(low), start - low)):
+        if port not in in_use:
+            return port, port + 1
+    raise PortInUse(f"no free ephemeral {proto} port on {host}")
 
 
 class IcmpError:
@@ -126,7 +146,8 @@ class NetworkStack:
     # -- sockets ------------------------------------------------------------
     def udp_socket(self, port: Optional[int] = None) -> UdpSocket:
         if port is None:
-            port = self._alloc_port()
+            port, self._next_port = free_port(
+                self._next_port, self.udp_ports, "udp", self.node.name)
         if port in self.udp_ports:
             raise PortInUse(f"udp port {port} on {self.node.name}")
         sock = UdpSocket(self, port)
@@ -138,16 +159,6 @@ class NetworkStack:
         tap = Store(self.sim)
         self.icmp_taps.append(tap)
         return tap
-
-    def _alloc_port(self) -> int:
-        """The next free port of the dynamic range, wrapping at its end."""
-        low, high = EPHEMERAL_PORTS
-        for _ in range(high - low + 1):
-            port = self._next_port
-            self._next_port = low if port == high else port + 1
-            if port not in self.udp_ports:
-                return port
-        raise PortInUse(f"no free ephemeral udp port on {self.node.name}")
 
     # -- demux -----------------------------------------------------------------
     def deliver(self, dgram: Datagram) -> None:

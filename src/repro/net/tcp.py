@@ -42,15 +42,30 @@ the queue's own get event, and the peer's FIN, an RST or ``abort()``
 ends the queue, so a recv that finds it empty then fails with
 :class:`ConnectionClosed` — the one still waiting at that instant, and
 every later one at once.
+
+A close takes three segments.  A FIN carries the cumulative ack, and
+the ack of the peer's FIN waits for the sender's turn at that instant
+when a ``recv()`` was waiting for it: a reader that closes as soon as
+its recv fails — a :meth:`TcpLayer.serve` session does — answers with
+one FIN that acks the peer's, not an ACK and then a FIN.
+
+An endpoint leaves its layer's demux table once nothing can reach it:
+at once when it is ABORTED, and after a hold of ``HOLD_RTOS`` of its
+RTOs once it is CLOSED or in TIME_WAIT — held, it still acks a FIN the
+peer resends.  Reaping is lazy, when the layer next dials or accepts a
+SYN, so a connection schedules no timer for it.  Local ports come from the
+dynamic range ``sockets.EPHEMERAL_PORTS`` and wrap, skipping a port a
+listener or a live endpoint holds.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter, deque
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from ..sim import Interrupt, Store
 from .packet import Datagram, PROTO_TCP
+from . import sockets
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sockets import NetworkStack
@@ -62,6 +77,10 @@ __all__ = ["TcpLayer", "TcpListener", "TcpConnection", "TcpService",
 DEFAULT_MSS = 1460
 #: send window in bytes (classic 64 KB)
 WINDOW = 65535
+#: how long an endpoint that reached CLOSED or TIME_WAIT stays in its
+#: layer's demux table, in its own RTOs (Linux's TIME_WAIT recycling
+#: rule): long enough to ack a FIN the peer resends twice
+HOLD_RTOS = 3.5
 
 class ConnectionClosed(Exception):
     """recv() on a connection whose peer sent FIN, or send() after close."""
@@ -94,8 +113,15 @@ _OPEN = frozenset({SYN_SENT, ESTABLISHED, CLOSE_WAIT})
 _PEER_CLOSED = frozenset({CLOSE_WAIT, CLOSING, LAST_ACK, TIME_WAIT, CLOSED,
                           RESET, ABORTED})
 _RESET = frozenset({RESET, ABORTED})
+#: the states an endpoint is held in before it leaves the demux table
+_HELD = frozenset({CLOSED, TIME_WAIT})
 #: the FIN's send-queue entry and segment meta: close() appends it last
+#: (on the wire its meta is ``("FIN", ack)``: a FIN carries the
+#: cumulative ack)
 _FIN = ("FIN",)
+#: ``_wake_pending`` when the pending turn also owes the peer's FIN its
+#: ack (truthy, like ``True``)
+_ACK_DUE = "ACK"
 
 #: declared lifecycle of a :class:`TcpConnection`: the machine
 #: ``repro check --proto`` builds from this dict and enforces
@@ -169,10 +195,11 @@ class TcpConnection:
     and :attr:`reset`.  Whether the handshake is done is ``established_ev``:
     a FIN or an RST can overtake a lost SYNACK.
 
-    Slotted: the demux table keeps every endpoint until ``abort()``, so
-    what one endpoint holds is what a run's connection history costs.
-    Its queues are built on first use, and the sender's go once the FIN
-    is acked (DESIGN "What a connection keeps").
+    Slotted: the demux table keeps an endpoint until it has been held
+    in CLOSED or TIME_WAIT (or until it is ABORTED), so what one holds
+    is what every open connection costs.  Its queues are built on first
+    use, and the sender's go once the FIN is acked (DESIGN "What a
+    connection keeps").
     """
 
     __slots__ = ("layer", "sim", "_node", "_src", "local_port",
@@ -215,7 +242,8 @@ class TcpConnection:
         self._segments: Optional[dict[int, list]] = None
         self._base = 0
         self._next_seq = 0
-        self._wake_pending = False
+        #: a wake is queued (``_ACK_DUE``: one that also acks the FIN)
+        self._wake_pending: object = False
         #: when to go back N unless the window moves first (None = idle)
         self._rto_deadline: Optional[float] = None
         #: when the one armed timer call fires (None = none armed)
@@ -274,7 +302,9 @@ class TcpConnection:
         if state not in _ON_CLOSE:
             return  # closed already; SYN_SENT: no dial is handed back unopened
         self.state = _ON_CLOSE[state]
-        if state is not RESET:  # a reset endpoint sends nothing more
+        if state is RESET:  # a reset endpoint sends nothing more: it leaves
+            self.layer._forget(self)
+        else:
             if self._outq is None:
                 self._outq = []
             self._outq.append((_FIN, 1))
@@ -292,9 +322,7 @@ class TcpConnection:
         self.state = ABORTED
         self._outq = None
         self._end_stream()
-        self.layer.conns.pop(
-            (self.local_port, self.remote_addr, self.remote_port), None
-        )
+        self.layer._forget(self)
         self._signal()
 
     def _handle_reset(self) -> None:
@@ -302,7 +330,11 @@ class TcpConnection:
         state = self.state
         if state in _RESET:
             return
-        self.state = RESET if state in _OPEN else ABORTED
+        if state in _OPEN:
+            self.state = RESET
+        else:  # closed already: nothing is left to tell the application
+            self.state = ABORTED
+            self.layer._forget(self)
         self._end_stream()
         self._signal()
 
@@ -355,13 +387,21 @@ class TcpConnection:
             self.sim.call_later(0.0, self._on_wake)
 
     def _on_wake(self, _arg: Any = None) -> None:
-        """One turn of the sender: pump the window, then restart (or
-        drop) the retransmission deadline."""
+        """One turn of the sender: pump the window (acking the peer's
+        FIN if the turn owes that and sent no FIN of its own to carry
+        the ack), then restart (or drop) the retransmission deadline."""
+        ack_due = self._wake_pending is _ACK_DUE
         self._wake_pending = False
         if self.state in _RESET:
             self._rto_deadline = None  # reset: stop (re)transmitting
             return
-        self._pump()
+        if ack_due:
+            queued = self._outq
+            self._pump()
+            if queued is None or self._outq is not None:  # no FIN went out
+                self._send_ack()
+        else:
+            self._pump()
         if self._base == self._next_seq and not self._outq:
             self._rto_deadline = None  # nothing in flight, nothing to time
             return
@@ -423,6 +463,8 @@ class TcpConnection:
 
     def _transmit_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
         self.bytes_sent += nbytes
+        if meta is _FIN:  # a FIN, sent or resent, carries the ack
+            meta = ("FIN", self._rcv_expected)
         self._node.send(Datagram(PROTO_TCP, self._src, self.remote_addr,
                                  self.local_port, self.remote_port, nbytes,
                                  ("SEG", seq, meta)))
@@ -437,9 +479,9 @@ class TcpConnection:
 
     # -- inbound ------------------------------------------------------------------
     def _handle_segment(self, seq: int, nbytes: int, meta: tuple) -> None:
-        if seq == self._rcv_expected:
-            self._rcv_expected += nbytes
-            if meta[0] == "DATA":
+        if meta[0] == "DATA":
+            if seq == self._rcv_expected:
+                self._rcv_expected += nbytes
                 self.bytes_received += nbytes
                 self._partial_bytes += nbytes
                 _, payload, end = meta
@@ -449,11 +491,26 @@ class TcpConnection:
                         rx = self._queue()
                     rx.put((payload, self._partial_bytes))
                     self._partial_bytes = 0
-            elif meta[0] == "FIN":
-                self.state = _ON_FIN.get(self.state, self.state)
+        else:  # the FIN: the ack it carries first, as RFC 793 orders it
+            if meta[1] > self._base:
+                self._handle_ack(meta[1])
+            if seq == self._rcv_expected:
+                self._rcv_expected = seq + 1
+                state = self.state = _ON_FIN.get(self.state, self.state)
+                if state is TIME_WAIT:
+                    self.layer._hold(self)
                 rx = self._rx  # _end_stream(), inlined: every close has a FIN
                 if rx is not None:
+                    reader = rx._getters
                     rx.end(_peer_closed)
+                    if reader and self.established_ev._state:
+                        # the reader may close at this instant: the turn
+                        # queued behind its wake-up sends the ack, on the
+                        # reader's FIN if it closed
+                        if not self._wake_pending:
+                            self.sim.call_later(0.0, self._on_wake)
+                        self._wake_pending = _ACK_DUE
+                        return
                 elif self.sim._hb is not None:
                     self._queue()
         # cumulative ack (also a dup-ack when the segment was out of order)
@@ -480,8 +537,10 @@ class TcpConnection:
             if sent_at is not None:
                 sample = sent_at
         if not segments and self._outq is None and self.state in _ON_FIN_ACKED:
-            self.state = _ON_FIN_ACKED[self.state]
+            state = self.state = _ON_FIN_ACKED[self.state]
             self._segments = None  # the FIN is acked: nothing to resend
+            if state in _HELD:
+                self.layer._hold(self)
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
             self._rtt_sample(self.sim._now - sample)
@@ -542,20 +601,31 @@ class TcpService:
     def _session(self, conn: TcpConnection):
         try:
             yield from self.handler(conn)
-        except ConnectionClosed:
-            pass  # the peer went away: the session ends quietly
-        except Interrupt:
-            conn.close()
+        except (ConnectionClosed, Interrupt):
+            conn.close()  # the peer went away, or stop(): close our end
 
 
 class TcpLayer:
-    """Per-host TCP demultiplexer and connection factory."""
+    """Per-host TCP demultiplexer and connection factory.
+
+    An endpoint leaves :attr:`conns` when it is ABORTED, or once it has
+    been held ``HOLD_RTOS`` of its RTOs in CLOSED or TIME_WAIT: it is
+    reaped lazily, when the layer next dials or accepts a SYN, so a
+    connection costs no timer event.  Local ports come from the dynamic
+    range and wrap (see :meth:`__contains__`).
+    """
 
     def __init__(self, stack: "NetworkStack"):
         self.stack = stack
         self.listeners: dict[int, TcpListener] = {}
         self.conns: dict[tuple[int, str, int], TcpConnection] = {}
-        self._ephemeral = itertools.count(40000)
+        #: where the next local-port walk starts
+        self._next_port = sockets.EPHEMERAL_PORTS[0]
+        #: live endpoints per local port; None until the walk first wraps
+        self._ports: Optional[Counter[int]] = None
+        #: ``(reap at, endpoint)`` per held endpoint, in the order they
+        #: were held; None while there is none
+        self._held: Optional[deque[tuple[float, TcpConnection]]] = None
 
     # -- API ------------------------------------------------------------------
     def listen(self, port: int, mss: int = DEFAULT_MSS) -> TcpListener:
@@ -571,9 +641,11 @@ class TcpLayer:
         runs the process generator ``handler(conn)`` in a process
         ``session_name`` per connection.  A handler just talks to its
         peer: ``ConnectionClosed`` escaping it (from ``recv`` or
-        ``send``) ends the session quietly; the ``Interrupt`` of a
-        ``stop()`` closes the connection; a handler that returns keeps
-        it — nothing is closed behind its back.
+        ``send``) ends the session and closes the connection, as a
+        process closing its socket would — so a finished connection
+        can leave the demux table; the ``Interrupt`` of a ``stop()``
+        closes it too; a handler that returns keeps it — nothing is
+        closed behind its back.
         """
         return TcpService(self, port, handler, name, session_name, mss)
 
@@ -614,12 +686,15 @@ class TcpLayer:
         dialled: list[TcpConnection] = []
         #: dialled and not handed back: aborted on the way out
         unreturned = dialled
+        if self._held is not None:
+            self._reap()
         try:
             for dst in dsts:
                 addr = self.stack.resolve(dst)
-                lport = next(self._ephemeral)
+                lport, self._next_port = sockets.free_port(
+                    self._next_port, self, "tcp", self.stack.node.name)
                 conn = TcpConnection(self, lport, addr, dport, mss=mss)
-                self.conns[(lport, addr, dport)] = conn
+                self._admit((lport, addr, dport), conn)
                 dialled.append(conn)
             syn_sent_at = sim.now
             pending = dialled
@@ -645,6 +720,57 @@ class TcpLayer:
             for conn in unreturned:
                 conn.abort()
 
+    # -- the demux table ------------------------------------------------------
+    def _reap(self) -> None:
+        """Before the layer admits an endpoint: take out every held one
+        whose hold is over (a longer hold ahead of it keeps it a while)."""
+        held = self._held
+        now = self.stack.sim._now
+        while held and held[0][0] <= now:
+            self._forget(held.popleft()[1])
+        if not held:
+            self._held = None
+
+    def _admit(self, key: tuple[int, str, int], conn: TcpConnection) -> None:
+        """Enter a new endpoint in the demux table."""
+        self.conns[key] = conn
+        if self._ports is not None:
+            self._ports[key[0]] += 1
+
+    def _hold(self, conn: TcpConnection) -> None:
+        """``conn`` reached CLOSED or TIME_WAIT: it still answers a late
+        FIN for ``HOLD_RTOS`` of its RTOs, then it may be reaped."""
+        held = self._held
+        if held is None:
+            held = self._held = deque()
+        held.append((self.stack.sim._now + HOLD_RTOS * conn.rto, conn))
+
+    def _forget(self, conn: TcpConnection) -> None:
+        """Take ``conn`` out of the demux table, if it is still there."""
+        key = (conn.local_port, conn.remote_addr, conn.remote_port)
+        if self.conns.get(key) is conn:
+            del self.conns[key]
+            ports = self._ports
+            if ports is not None:
+                ports[key[0]] -= 1
+                if not ports[key[0]]:
+                    del ports[key[0]]
+
+    def __contains__(self, port: int) -> bool:
+        """Whether a listener or a live endpoint holds local ``port`` —
+        the question the port walk asks.  Until the walk first wraps,
+        no port at or past where it starts was handed out, so only a
+        listener can hold one; the per-port count of live endpoints is
+        built at that first wrap and kept from then on."""
+        if port in self.listeners:
+            return True
+        ports = self._ports
+        if ports is None:
+            if port >= self._next_port:
+                return False
+            ports = self._ports = Counter(lport for lport, _, _ in self.conns)
+        return port in ports
+
     def _send_ctrl(self, conn: TcpConnection, kind: str) -> None:
         dgram = Datagram(
             proto=PROTO_TCP,
@@ -669,8 +795,14 @@ class TcpLayer:
                 conn._handle_segment(payload[1], dgram.size, payload[2])
             elif kind == "ACK":
                 conn._handle_ack(payload[1])
-            elif kind == "SYN":  # duplicate SYN: re-ack
-                self._send_ctrl_reply(dgram, "SYNACK")
+            elif kind == "SYN":
+                if conn.state in _HELD:
+                    # a new dial from the port of a connection that ended
+                    # here: the held endpoint makes way for it
+                    self._forget(conn)
+                    self.deliver(dgram)
+                else:  # duplicate SYN: re-ack
+                    self._send_ctrl_reply(dgram, "SYNACK")
             elif kind == "SYNACK":
                 if not conn.established_ev._state:
                     conn._start()
@@ -692,9 +824,11 @@ class TcpLayer:
             lsn = self.listeners.get(dgram.dport)
             if lsn is None:
                 return  # no RST modelling; connect() times out
+            if self._held is not None:
+                self._reap()
             server = TcpConnection(
                 self, dgram.dport, dgram.src, dgram.sport, mss=lsn.mss)
-            self.conns[key] = server
+            self._admit(key, server)
             self._send_ctrl_reply(dgram, "SYNACK")
             # server side considers itself established once SYN seen;
             # data cannot arrive before the client's ACK1 anyway (FIFO paths)

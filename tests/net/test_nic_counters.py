@@ -12,7 +12,11 @@ destination nobody can route to.  The rows of every host's
 and byte counters and every node's ``forwarded`` / ``no_route`` must
 equal the literals below, which were captured by running this file
 (``PYTHONPATH=src python tests/net/test_nic_counters.py``) before the
-per-frame NIC path was fused into one pass.
+per-frame NIC path was fused into one pass, and captured again when a
+FIN came to carry the cumulative ack: each bulk server closes as soon
+as its ``recv()`` fails, so its FIN now acks the client's FIN and the
+bare 40-byte ACK it sent before goes — one frame fewer per connection,
+on the server's row and on every hop of its path.
 
 A second world pins the full ``/proc/net/dev`` text of every host where
 cross traffic (``Channel.occupy``) shares the channels with real
@@ -120,12 +124,12 @@ EXPECTED: dict[str, object] = {
     "forwarded": {
         "h0": (0, 5),
         "h1": (0, 0),
-        "gw": (2185, 0),
+        "gw": (2182, 0),
         "h2": (0, 0),
         "h3": (0, 0),
         "island": (0, 0),
-        "sw": (2185, 0),
-        "sw2": (2236, 0),
+        "sw": (2182, 0),
+        "sw2": (2233, 0),
         "sw3": (0, 0),
     },
     "tx_drops": {
@@ -140,42 +144,42 @@ EXPECTED: dict[str, object] = {
         "sw3": [0],
     },
     "switch_nics": {
-        "sw": [(630, 185205, 863, 745105), (429, 127194, 202, 244165),
-               (1065, 989270, 1120, 343574)],
-        "sw2": [(1171, 388136, 1065, 989270), (389, 528429, 432, 60731),
-                (984, 467704, 739, 327405)],
+        "sw": [(629, 185165, 862, 745065), (428, 127154, 202, 244165),
+               (1064, 989230, 1118, 343494)],
+        "sw2": [(1169, 388056, 1064, 989230), (389, 528429, 431, 60691),
+                (983, 467664, 738, 327365)],
         "sw3": [(0, 0, 0, 0)],
     },
     "net_dev": {
         "h0": [
-            "  eth0:  185205     630    0    0    0     0          0         0"
-            "   745105     863    0    0    0     0       0          0",
+            "  eth0:  185165     629    0    0    0     0          0         0"
+            "   745065     862    0    0    0     0       0          0",
             "    lo:       0       0    0    0    0     0          0         0"
             "        0       0    0    0    0     0       0          0",
         ],
         "h1": [
-            "  eth0:  127194     429    0    0    0     0          0         0"
+            "  eth0:  127154     428    0    0    0     0          0         0"
             "   244165     202    0   45    0     0       0          0",
             "    lo:       0       0    0    0    0     0          0         0"
             "        0       0    0    0    0     0       0          0",
         ],
         "gw": [
-            "  eth0:  989270    1065    0    0    0     0          0         0"
-            "   343574    1120    0    0    0     0       0          0",
-            "  eth1:  388136    1171    0    0    0     0          0         0"
-            "   989270    1065    0    0    0     0       0          0",
+            "  eth0:  989230    1064    0    0    0     0          0         0"
+            "   343494    1118    0    0    0     0       0          0",
+            "  eth1:  388056    1169    0    0    0     0          0         0"
+            "   989230    1064    0    0    0     0       0          0",
             "    lo:       0       0    0    0    0     0          0         0"
             "        0       0    0    0    0     0       0          0",
         ],
         "h2": [
             "  eth0:  528429     389    0    0    0     0          0         0"
-            "    60731     432    0    0    0     0       0          0",
+            "    60691     431    0    0    0     0       0          0",
             "    lo:       0       0    0    0    0     0          0         0"
             "        0       0    0    0    0     0       0          0",
         ],
         "h3": [
-            "  eth0:  467704     984    0    0    0     0          0         0"
-            "   327405     739    0    0    0     0       0          0",
+            "  eth0:  467664     983    0    0    0     0          0         0"
+            "   327365     738    0    0    0     0       0          0",
             "    lo:       0       0    0    0    0     0          0         0"
             "        0       0    0    0    0     0       0          0",
         ],

@@ -12,7 +12,8 @@ from repro.cluster import Cluster
 from repro.core import (Config, LeaseResponder, Mode, Receiver, SystemMonitor,
                         Transmitter)
 from repro.core.rsocket import ReliableServer
-from repro.net.tcp import CLOSE_WAIT, ESTABLISHED, FIN_WAIT_2, ConnectError
+from repro.net.tcp import (CLOSED, ESTABLISHED, FIN_WAIT_2, TIME_WAIT,
+                           ConnectError)
 
 PORT = 7000
 
@@ -54,19 +55,34 @@ class TestContract:
         assert [p.name for p in service.sessions] == ["echo-session"]
         assert service._loop.name == "echo-listen"
 
-    def test_peer_close_ends_the_session_quietly(self):
+    def test_peer_close_closes_the_served_end(self):
+        """``ConnectionClosed`` escaping the handler ends the session and
+        closes its end, as a process closing its socket would.  The
+        handler was waiting in ``recv()``, so the served end's FIN
+        carries the ack of the peer's FIN: one segment, no bare ACK."""
         cluster, server, client = pair()
-        seen = []
+        seen, dials, sent = [], [], []
         service = serve_echo(server, seen)
+        node = server.stack.node
+        send = node.send
+
+        def recording_send(dgram):
+            sent.append(dgram.payload)
+            return send(dgram)
+
+        node.send = recording_send
 
         def talk():
             conn = yield from client.stack.tcp.connect("server", PORT)
+            dials.append(conn)
             conn.close()
 
         cluster.sim.process(talk())
         cluster.run(until=1.0)  # would raise if ConnectionClosed leaked
         assert not service.sessions[0].is_alive
-        assert seen[0].state == CLOSE_WAIT  # ... and nothing was closed behind it
+        assert sent == [("SYNACK",), ("SEG", 0, ("FIN", 1))]
+        assert (dials[0].state, seen[0].state) == (TIME_WAIT, CLOSED)
+        assert dials[0].bytes_acked == seen[0].bytes_acked == 1
 
     def test_stop_closes_listener_and_live_connections(self):
         cluster, server, client = pair()

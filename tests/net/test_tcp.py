@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.net import (
@@ -10,12 +12,14 @@ from repro.net import (
     MBPS,
     Network,
     NetworkStack,
+    PortInUse,
     TokenBucket,
+    sockets,
 )
 from repro.net.packet import PROTO_TCP, Datagram
 from repro.net.tcp import (ABORTED, CLOSE_WAIT, CLOSED, CLOSING, ESTABLISHED,
-                           FIN_WAIT_1, FIN_WAIT_2, LAST_ACK, RESET, SYN_SENT,
-                           TIME_WAIT)
+                           FIN_WAIT_1, FIN_WAIT_2, HOLD_RTOS, LAST_ACK, RESET,
+                           SYN_SENT, TIME_WAIT)
 from tests.conftest import Events, run_process
 
 
@@ -436,7 +440,8 @@ class TestStateTable:
         assert client.state == RESET and log == [("2.55", "peer closed")]
         client.layer.deliver(Datagram(
             PROTO_TCP, client.remote_addr, client.layer.stack.node.addr,
-            80, client.local_port, 1, ("SEG", client._rcv_expected, ("FIN",))))
+            80, client.local_port, 1,
+            ("SEG", client._rcv_expected, ("FIN", client._base))))
         assert client.state == RESET
         run_process(sim, reader())
         assert log == [("2.55", "peer closed")] * 2
@@ -508,9 +513,11 @@ class TestStateTable:
 
 
 class TestTeardownPins:
-    """Two teardowns after which an endpoint must still answer: freeing
-    a closed endpoint once its FIN is acked would turn its ACK into an
-    RST (DESIGN "Why closed endpoints stay")."""
+    """Teardowns after which an endpoint must still answer a late FIN,
+    with reaping on: an endpoint that reached CLOSED or TIME_WAIT stays
+    in its demux table for ``HOLD_RTOS`` of its RTOs, where a freed one
+    would turn its ACK into an RST (DESIGN "How long a closed endpoint
+    stays"), and leaves once that hold is over."""
 
     def test_a_client_closing_just_after_its_served_peer(self, sim):
         """The handler closes after its response; the client closes 1 ms
@@ -540,11 +547,13 @@ class TestTeardownPins:
         assert (conn.state, server.state) == (CLOSED, TIME_WAIT)
 
     def test_a_lossy_passive_close(self, sim):
-        """The passive closer's ACK of the FIN is lost and its own FIN
-        gets through: the active closer acks that FIN, then resends its
-        own at the RTO, and the peer — done since — must ack it again."""
+        """The passive closer closes as soon as its ``recv()`` fails, so
+        one FIN carries its ACK of the peer's FIN, and that segment is
+        lost: the active closer resends its FIN at its RTO and the
+        passive closer acks it again, then resends its own FIN at its
+        (unsampled, 1 s) RTO, which the active closer acks."""
         _, sa, sb, link = make_pair(sim)
-        link.ba.loss_rate, link.ba.loss_rng = 0.5, DropNth(2)  # SYNACK, ACK
+        link.ba.loss_rate, link.ba.loss_rng = 0.5, DropNth(2)  # SYNACK, FIN
         lsn = sb.tcp.listen(80)
 
         def server():
@@ -560,4 +569,161 @@ class TestTeardownPins:
         sim.run()
         assert link.ba.drops == 1
         assert (active.bytes_acked, active.retransmit_count, active.reset) == (1, 1, False)
+        assert (passive.value.retransmit_count, passive.value.reset) == (1, False)
         assert (active.state, passive.value.state) == (TIME_WAIT, CLOSED)
+
+    def test_a_lost_final_ack(self, sim):
+        """The client's ACK of the served end's FIN is lost, and the
+        client dials again before that FIN comes back: held in
+        TIME_WAIT, the first client endpoint is not reaped by the new
+        dial and acks the resent FIN, so the served end reaches CLOSED,
+        not ABORTED."""
+        _, sa, sb, link = make_pair(sim)
+        # a -> b: SYN, ACK1, request, ACK of the response, FIN, final ACK
+        link.ab.loss_rate, link.ab.loss_rng = 0.5, DropNth(6)
+        served = []
+
+        def handler(conn):
+            served.append(conn)
+            while True:
+                yield conn.recv()
+                conn.send("response", 1_000)
+
+        sb.tcp.serve(80, handler, name="server", session_name="session")
+
+        def exchange():
+            conn = yield from sa.tcp.connect("b", 80)
+            conn.send("request", 200)
+            yield conn.recv()
+            conn.close()
+            return conn
+
+        def client():
+            first = yield from exchange()
+            yield sim.timeout(0.01)
+            assert first.state == TIME_WAIT
+            yield from exchange()
+            return first
+
+        first = run_process(sim, client())
+        sim.run()
+        assert link.ab.drops == 1
+        assert (served[0].state, served[0].retransmit_count, served[0].reset) == (
+            CLOSED, 1, False)
+        assert (first.state, first.reset) == (TIME_WAIT, False)
+
+    def test_the_hold_ends_and_the_next_dial_reaps(self, sim):
+        """Once every endpoint's hold is over, one more dial from each
+        host — to a port nobody listens on, so that dial is aborted —
+        leaves both demux tables empty."""
+        _, sa, sb, _ = make_pair(sim)
+
+        def handler(conn):
+            while True:
+                yield conn.recv()
+                conn.send("response", 1_000)
+
+        sb.tcp.serve(80, handler, name="server", session_name="session")
+
+        def exchange():
+            conn = yield from sa.tcp.connect("b", 80)
+            conn.send("request", 200)
+            yield conn.recv()
+            conn.close()
+            return conn
+
+        client = run_process(sim, exchange())
+        sim.run()
+        (server,) = sb.tcp.conns.values()
+        assert (client.state, server.state) == (TIME_WAIT, CLOSED)
+        assert list(sa.tcp.conns.values()) == [client]
+        hold = HOLD_RTOS * max(client.rto, server.rto)
+
+        def dial_nowhere(stack, dst):
+            with pytest.raises(ConnectError):
+                yield from stack.tcp.connect(dst, 81, timeout=0.1)
+
+        sim.run(until=sim.now + hold)
+        for stack, dst in ((sa, "b"), (sb, "a")):
+            run_process(sim, dial_nowhere(stack, dst))
+        assert sa.tcp.conns == {} and sb.tcp.conns == {}
+        assert sa.tcp._held is None and sb.tcp._held is None
+
+
+class TestPorts:
+    def test_a_dial_from_a_port_whose_connection_ended(self, sim, monkeypatch):
+        """With one port in the range, the second dial reaps the first
+        client endpoint to take its port, and its SYN finds the served
+        end of the first connection still held (its layer admitted
+        nothing since): that endpoint makes way and the SYN is accepted."""
+        monkeypatch.setattr(sockets, "EPHEMERAL_PORTS", (50000, 50000))
+        _, sa, sb, _ = make_pair(sim)
+        served = []
+
+        def handler(conn):
+            served.append(conn)
+            while True:
+                yield conn.recv()
+                conn.send("response", 1_000)
+
+        sb.tcp.serve(80, handler, name="server", session_name="session")
+
+        def exchange():
+            conn = yield from sa.tcp.connect("b", 80)
+            conn.send("request", 200)
+            yield conn.recv()
+            conn.close()
+            return conn
+
+        first = run_process(sim, exchange())
+        sim.run()
+        sim.run(until=sim.now + HOLD_RTOS * max(first.rto, served[0].rto))
+        assert list(sb.tcp.conns.values()) == served and served[0].state == CLOSED
+        second = run_process(sim, exchange(), until=sim.now + 1.0)
+        sim.run(until=sim.now + 1.0)
+        assert first.local_port == second.local_port == 50000
+        assert (second.bytes_acked, second.reset, second.state) == (201, False, TIME_WAIT)
+        assert list(sb.tcp.conns.values()) == [served[1]]
+
+    def test_local_ports_wrap_and_skip_what_is_held(self, sim, monkeypatch):
+        """Over three laps of a 32-port range, dialling from one host:
+        every local port comes from the range, a listener's port is
+        never handed out, no two live endpoints (open, held or kept
+        open for good) share one, and once every port is held the next
+        dial raises ``PortInUse``."""
+        monkeypatch.setattr(sockets, "EPHEMERAL_PORTS", (50000, 50031))
+        _, sa, sb, _ = make_pair(sim)
+        sa.tcp.listen(50003)
+
+        def handler(conn):
+            while True:
+                yield conn.recv()
+                conn.send("response", 100)
+
+        sb.tcp.serve(80, handler, name="server", session_name="session")
+        handed_out, kept = [], []
+
+        def client():
+            for i in range(100):
+                conn = yield from sa.tcp.connect("b", 80)
+                handed_out.append(conn.local_port)
+                ports = [lport for lport, _, _ in sa.tcp.conns]
+                assert len(ports) == len(set(ports))
+                conn.send("request", 100)
+                yield conn.recv()
+                if i % 10 == 0:
+                    kept.append(conn)  # open to the end of the test
+                else:
+                    conn.close()
+                yield sim.timeout(0.01)
+            with pytest.raises(PortInUse):
+                while True:
+                    kept.append((yield from sa.tcp.connect("b", 80)))
+
+        run_process(sim, client())
+        assert set(handed_out) == set(range(50000, 50032)) - {50003}
+        # the first lap ends at 50031; the second skips 50000, kept open
+        assert handed_out[30:33] == [50031, 50001, 50002]
+        ports = collections.Counter(lport for lport, _, _ in sa.tcp.conns)
+        assert len(ports) == 31 and set(ports.values()) == {1}
+        assert sa.tcp._ports == ports

@@ -1,8 +1,7 @@
 """What a TCP endpoint holds, and that holding less changes nothing.
 
-The demux table keeps every endpoint until ``abort()``, so each queue of
-a :class:`~repro.net.tcp.TcpConnection` exists only while something can
-still use it: the receive queue is built when an item has to wait or
+Each queue of a :class:`~repro.net.tcp.TcpConnection` exists only
+while something can still use it: the receive queue is built when an item has to wait or
 ``recv()`` asks, the send queue and segment table on the first send,
 and both go once the local side has closed and its FIN is acked.  A
 decided ``AnyOf`` hands its pending losers ``_defuse`` in place of its
@@ -10,7 +9,9 @@ check.  Every case pins the event times and the outcomes that queues
 built up front gave, and the kernel event count: the count queues built
 up front gave less one event per ``recv()`` (it was a relay event
 around the queue's get) and one per handshake end (a wake with nothing
-to send).
+to send), plus one where a FIN finds a ``recv()`` waiting: its ack is
+left to a sender turn at that instant, so that a reader who closes at
+once answers with one FIN that carries it.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class TestReceiveQueue:
         sim.process(client())
         sim.run()
         assert log == [("0.0053484000000000005", "peer closed")]
-        assert events.count == 18  # 21 with a relay per recv, a wake per end
+        # 21 with a relay per recv, a wake per end; the FIN found a reader
+        # waiting, so its ack goes out on a sender turn (the 19th event)
+        assert events.count == 19
 
     def test_data_then_fin(self):
         sim, events, sa, sb = world()
