@@ -151,9 +151,11 @@ def test_hop_events_profile_matmul():
     recv() that is its queue's get and a handshake with nothing to send
     that asks for no wake then took events 8,237 -> 7,046, resumes
     3,459 -> 2,436 and ``_on_wake`` calls 90 -> 78; deliveries and
-    simulated time stayed."""
+    simulated time stayed.  An accepted end that shares its layer's
+    processed handshake event instead of firing one of its own nobody
+    waits on took events 7,046 -> 7,040 (six accepted ends)."""
     attribution, resumes = _profile("matmul")
-    assert attribution["total_events"] == 7_046
+    assert attribution["total_events"] == 7_040
     assert attribution["calls"]["Node.receive"] == 2_978
     assert attribution["calls"]["TcpConnection._on_wake"] == 78
     assert "NIC.forward_frame" not in attribution["calls"]
@@ -177,10 +179,12 @@ def test_hop_events_profile_massd():
     access, a recv(), an idle handshake's wake; see the matmul profile)
     then took scheduled events 38,336 -> 37,521, processed ones 38,156 ->
     37,341 and resumes 5,229 -> 4,676; deliveries and simulated time
-    stayed."""
+    stayed.  An accepted end's shared, processed handshake event (see
+    the matmul profile) then took both counts down by its eight
+    accepted ends, to 37,513 and 37,333."""
     attribution, resumes = _profile("massd")
-    assert attribution["total_allocations"] == 37_521
-    assert attribution["total_events"] == 37_341
+    assert attribution["total_allocations"] == 37_513
+    assert attribution["total_events"] == 37_333
     assert attribution["calls"]["Node.receive"] == 28_468
     assert "NIC.forward_frame" not in attribution["calls"]
     assert resumes == 4_676
@@ -376,10 +380,15 @@ def test_connect_request_close_call_budget():
     ``TcpLayer.__contains__`` it asks, once per dial; per endpoint,
     ``_admit``, ``_hold`` when it reaches CLOSED or TIME_WAIT, ``_reap``
     at the next dial or accepted SYN, and ``_forget`` once its hold is
-    over (1.735 per connection: the last ones are still held)."""
+    over (1.735 per connection: the last ones are still held).  335.75
+    since an accepted end shares its layer's processed handshake event:
+    the served end's ``sim.event()``, ``Event.__init__``, ``_start``,
+    the ``triggered`` property it read, ``succeed`` and the kernel's
+    processing of that event nobody waited on are gone, and a dial's
+    ``_start`` reads no property either."""
     per_exchange = tcp_calls_per_exchange(1_000)
-    assert round(per_exchange, 2) == 343.75
-    assert per_exchange <= 344
+    assert round(per_exchange, 2) == 335.75
+    assert per_exchange <= 336
 
 
 def probe_calls_per_report(servers: int = 16) -> tuple[float, int]:
@@ -534,8 +543,11 @@ def _bytes_kept(sim: Simulator, exchange, n: int, warm_up: int) -> float:
 def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
     """tracemalloc bytes still alive per connect + close a -> r -> b to
     a port that listens and never accepts, once the run has drained:
-    both endpoints stay in their demux tables (and the server's in the
-    accept queue), as every connection of a ledger run does."""
+    the server's endpoint stays in its demux table and the accept
+    queue, as every placement's of a ``fleet_requests`` run does.  The
+    client's is an orphan (closed, nobody reads it), held for
+    ``HOLD_RTOS`` of its RTO and reaped at a later dial, so the client
+    table holds only the dials of the last hold (377 of 2,050 here)."""
     sim, sa, sb = one_switch()
     sb.tcp.listen(80)
 
@@ -544,7 +556,8 @@ def bytes_kept_per_connection(n: int, warm_up: int = 50) -> float:
         conn.close()
 
     kept = _bytes_kept(sim, exchange, n, warm_up)
-    assert len(sa.tcp.conns) == len(sb.tcp.conns) == warm_up + n
+    assert len(sb.tcp.conns) == warm_up + n
+    assert len(sa.tcp.conns) <= 400
     return kept
 
 
@@ -578,21 +591,24 @@ def bytes_kept_per_served_connection(n: int, warm_up: int = 50) -> float:
 
 
 def test_connection_memory_budget():
-    """What one connection leaves behind: two slotted ``TcpConnection``
-    endpoints and the demux entries.  Neither endpoint holds a receive
-    queue (nothing waited in one and nothing asked), a send queue or a
-    segment table (the FIN is acked).  1,045 / 1,037 / 1,053 B on
-    CPython 3.10 / 3.11 / 3.12; 2,067 / 2,050 / 2,066 B with every queue
-    built up front and kept, and 4,835 B on 3.11 with an instance dict
-    on each endpoint as well.  Dict and list sizes differ between
-    CPython versions, hence a ceiling, not a reading."""
-    assert bytes_kept_per_connection(2_000) <= 1_200
+    """What one connection to a listen-only port leaves behind: the
+    server's slotted ``TcpConnection`` endpoint, with no receive queue
+    (nothing waited in one and nothing asked), send queue or segment
+    table, and its demux and accept-queue entries — 499.2 B on CPython
+    3.11.  956.58 B while the client's endpoint stayed in FIN_WAIT_2
+    for good and the server's had a handshake event of its own;
+    earlier 1,045 / 1,037 / 1,053 B on CPython 3.10 / 3.11 / 3.12,
+    2,067 / 2,050 / 2,066 B with every queue built up front and kept,
+    and 4,835 B on 3.11 with an instance dict on each endpoint as well.  Dict and list sizes differ
+    between CPython versions, hence a ceiling, not a reading."""
+    assert bytes_kept_per_connection(2_000) <= 600
 
 
 def test_served_connection_memory_budget():
     """What a served connection leaves behind once its ends' holds are
     over: nothing but the slack of tables sized for the endpoints still
-    held — 72.87 B per connection on CPython 3.11.  1,795.75 B while
+    held — 72.37 B per connection on CPython 3.11 (72.87 B while the
+    served end had a handshake event of its own).  1,795.75 B while
     the served end stayed in CLOSE_WAIT and both ends stayed in their
     demux tables for good: two endpoints with the receive queues their
     ``recv()`` built and the server's send queue and segment table

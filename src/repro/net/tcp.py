@@ -52,8 +52,10 @@ one FIN that acks the peer's, not an ACK and then a FIN.
 An endpoint leaves its layer's demux table once nothing can reach it:
 at once when it is ABORTED, and after a hold of ``HOLD_RTOS`` of its
 RTOs once it is CLOSED or in TIME_WAIT — held, it still acks a FIN the
-peer resends.  Reaping is lazy, when the layer next dials or accepts a
-SYN, so a connection schedules no timer for it.  Local ports come from the
+peer resends — or once it is an *orphan*: closed, with no ``recv()``
+waiting when its FIN is acked, in FIN_WAIT_2.  Reaping is lazy, when
+the layer next dials or accepts a SYN, so a connection schedules no
+timer for it; a reaped orphan ends CLOSED.  Local ports come from the
 dynamic range ``sockets.EPHEMERAL_PORTS`` and wrap, skipping a port a
 listener or a live endpoint holds.
 """
@@ -63,7 +65,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
-from ..sim import Interrupt, Store
+from ..sim import Event, Interrupt, Store
+from ..sim.kernel import PROCESSED
 from .packet import Datagram, PROTO_TCP
 from . import sockets
 
@@ -77,9 +80,11 @@ __all__ = ["TcpLayer", "TcpListener", "TcpConnection", "TcpService",
 DEFAULT_MSS = 1460
 #: send window in bytes (classic 64 KB)
 WINDOW = 65535
-#: how long an endpoint that reached CLOSED or TIME_WAIT stays in its
-#: layer's demux table, in its own RTOs (Linux's TIME_WAIT recycling
-#: rule): long enough to ack a FIN the peer resends twice
+#: how long an endpoint that reached CLOSED or TIME_WAIT, or an orphan
+#: in FIN_WAIT_2, stays in its layer's demux table, in its own RTOs
+#: (Linux's TIME_WAIT recycling rule, which an orphaned FIN_WAIT2
+#: socket falls under too): long enough to ack a FIN the peer resends
+#: twice
 HOLD_RTOS = 3.5
 
 class ConnectionClosed(Exception):
@@ -169,22 +174,30 @@ TCP_LISTENER_MACHINE: dict[str, object] = {
 class TcpListener:
     """Passive socket: accepted connections appear in :attr:`accepts`."""
 
-    __slots__ = ("layer", "port", "mss", "accepts")
+    __slots__ = ("layer", "port", "mss", "accepts", "_accepting")
 
     def __init__(self, layer: "TcpLayer", port: int, mss: int = DEFAULT_MSS):
         self.layer = layer
         self.port = port
         self.mss = mss          # for accepted (server-side) conns
         self.accepts = Store(layer.stack.sim)
+        #: the event the last accept() returned
+        self._accepting: Optional[Event] = None
 
     def accept(self):
         """Event firing with the next established server-side connection."""
-        return self.accepts.get()
+        accepting = self._accepting = self.accepts.get()
+        return accepting
 
     def close(self) -> None:
+        """Stop listening: the port is free, and each endpoint still
+        waiting to be accepted is aborted, so that its peer's next
+        segment draws an RST (Linux resets them too)."""
         listeners = self.layer.listeners
         if listeners.get(self.port) is self:  # not a successor on the port
             del listeners[self.port]
+        for conn in self.accepts.items:
+            conn.abort()
 
 
 class TcpConnection:
@@ -196,10 +209,10 @@ class TcpConnection:
     a FIN or an RST can overtake a lost SYNACK.
 
     Slotted: the demux table keeps an endpoint until it has been held
-    in CLOSED or TIME_WAIT (or until it is ABORTED), so what one holds
-    is what every open connection costs.  Its queues are built on first
-    use, and the sender's go once the FIN is acked (DESIGN "What a
-    connection keeps").
+    in CLOSED or TIME_WAIT, or as an orphan in FIN_WAIT_2 (or until it
+    is ABORTED), so what one holds is what every open connection costs.
+    Its queues are built on first use, and the sender's go once the FIN
+    is acked (DESIGN "What a connection keeps").
     """
 
     __slots__ = ("layer", "sim", "_node", "_src", "local_port",
@@ -208,7 +221,7 @@ class TcpConnection:
                  "_wake_pending", "_rto_deadline", "_timer_at",
                  "_rcv_expected", "_rx", "_partial_bytes", "_srtt", "_rttvar",
                  "rto", "retransmit_count", "bytes_sent", "bytes_acked",
-                 "bytes_received")
+                 "bytes_received", "_reap_at")
 
     def __init__(
         self,
@@ -216,6 +229,7 @@ class TcpConnection:
         local_port: int,
         remote_addr: str,
         remote_port: int,
+        established_ev: Event,
         mss: int = DEFAULT_MSS,
     ):
         self.layer = layer
@@ -228,8 +242,11 @@ class TcpConnection:
         self.remote_port = remote_port
         self.mss = mss
 
-        self.state = SYN_SENT
-        self.established_ev = self.sim.event()
+        #: a dial's own event, fired by its SYNACK; an accepted endpoint
+        #: shares its layer's, processed already: it is established on
+        #: the SYN
+        self.established_ev = established_ev
+        self.state = ESTABLISHED if established_ev._state else SYN_SENT
 
         # --- sender state (go-back-N) ---
         #: (payload, nbytes) messages, the FIN last; None before a send
@@ -265,6 +282,10 @@ class TcpConnection:
         self.bytes_acked = 0
         self.bytes_received = 0
 
+        #: when the layer may reap this endpoint: the end of its latest
+        #: hold (None: not held, or an orphan's hold a recv() cancelled)
+        self._reap_at: Optional[float] = None
+
     # -- public API -----------------------------------------------------------
     def send(self, payload: Any, nbytes: int) -> None:
         """Queue one application message of ``nbytes`` bytes."""
@@ -287,8 +308,11 @@ class TcpConnection:
         The receive queue's own get: once the messages that came before
         the peer's FIN (or an RST, or ``abort()``) are taken, yielding it
         raises :class:`ConnectionClosed` — callers should catch it or
-        check :attr:`peer_closed`.
+        check :attr:`peer_closed`.  A recv() on an orphan cancels its
+        hold: somebody reads it after all.
         """
+        if self.state is FIN_WAIT_2:
+            self._reap_at = None
         rx = self._rx
         if rx is None:  # _queue(), inlined: one call less per exchange
             rx = self._rx = Store(self.sim)
@@ -372,10 +396,10 @@ class TcpConnection:
 
     # -- sender ----------------------------------------------------------------
     def _start(self) -> None:
+        """A dial's SYNACK arrived: the handshake is done."""
         if self.state is SYN_SENT:  # a FIN or RST may overtake the SYNACK
             self.state = ESTABLISHED
-        if not self.established_ev.triggered:
-            self.established_ev.succeed(self)
+        self.established_ev.succeed(self)
         if self._outq:  # send() ran before the SYNACK: a turn has work
             self._signal()
 
@@ -539,7 +563,10 @@ class TcpConnection:
         if not segments and self._outq is None and self.state in _ON_FIN_ACKED:
             state = self.state = _ON_FIN_ACKED[self.state]
             self._segments = None  # the FIN is acked: nothing to resend
-            if state in _HELD:
+            rx = self._rx
+            if state in _HELD or (state is FIN_WAIT_2
+                                  and (rx is None or not rx._getters)):
+                # closed, or an orphan: closed, and nobody waits to read
                 self.layer._hold(self)
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
@@ -596,6 +623,11 @@ class TcpService:
                 self.sessions.append(sim.process(
                     self._session(conn), name=self.session_name))
         except Interrupt:
+            # the accept given up: a SYN in the instant of stop() may
+            # have handed it an endpoint, which nobody will take now
+            accepting = listener._accepting
+            if accepting.triggered:
+                accepting.value.abort()
             listener.close()
 
     def _session(self, conn: TcpConnection):
@@ -609,9 +641,9 @@ class TcpLayer:
     """Per-host TCP demultiplexer and connection factory.
 
     An endpoint leaves :attr:`conns` when it is ABORTED, or once it has
-    been held ``HOLD_RTOS`` of its RTOs in CLOSED or TIME_WAIT: it is
-    reaped lazily, when the layer next dials or accepts a SYN, so a
-    connection costs no timer event.  Local ports come from the dynamic
+    been held ``HOLD_RTOS`` of its RTOs in CLOSED or TIME_WAIT, or as
+    an orphan in FIN_WAIT_2: it is reaped lazily, when the layer next
+    dials or accepts a SYN, so a connection costs no timer event.  Local ports come from the dynamic
     range and wrap (see :meth:`__contains__`).
     """
 
@@ -623,9 +655,13 @@ class TcpLayer:
         self._next_port = sockets.EPHEMERAL_PORTS[0]
         #: live endpoints per local port; None until the walk first wraps
         self._ports: Optional[Counter[int]] = None
-        #: ``(reap at, endpoint)`` per held endpoint, in the order they
-        #: were held; None while there is none
+        #: ``(reap at, endpoint)`` per hold, in the order they began;
+        #: None while there is none
         self._held: Optional[deque[tuple[float, TcpConnection]]] = None
+        #: the handshake event every accepted endpoint shares: processed
+        #: already, since a server endpoint is established on the SYN
+        self._accepted = accepted = stack.sim.event()
+        accepted.callbacks, accepted._state = None, PROCESSED
 
     # -- API ------------------------------------------------------------------
     def listen(self, port: int, mss: int = DEFAULT_MSS) -> TcpListener:
@@ -693,7 +729,8 @@ class TcpLayer:
                 addr = self.stack.resolve(dst)
                 lport, self._next_port = sockets.free_port(
                     self._next_port, self, "tcp", self.stack.node.name)
-                conn = TcpConnection(self, lport, addr, dport, mss=mss)
+                conn = TcpConnection(self, lport, addr, dport, sim.event(),
+                                     mss=mss)
                 self._admit((lport, addr, dport), conn)
                 dialled.append(conn)
             syn_sent_at = sim.now
@@ -723,11 +760,18 @@ class TcpLayer:
     # -- the demux table ------------------------------------------------------
     def _reap(self) -> None:
         """Before the layer admits an endpoint: take out every held one
-        whose hold is over (a longer hold ahead of it keeps it a while)."""
+        whose hold is over (a longer hold ahead of it keeps it a while).
+        An entry a later hold superseded, or of an orphan whose hold a
+        recv() cancelled, reaps nothing; a reaped orphan ends CLOSED."""
         held = self._held
         now = self.stack.sim._now
         while held and held[0][0] <= now:
-            self._forget(held.popleft()[1])
+            when, conn = held.popleft()
+            if conn._reap_at == when:
+                if conn.state is FIN_WAIT_2:
+                    conn.state = CLOSED
+                    conn._end_stream()
+                self._forget(conn)
         if not held:
             self._held = None
 
@@ -738,12 +782,15 @@ class TcpLayer:
             self._ports[key[0]] += 1
 
     def _hold(self, conn: TcpConnection) -> None:
-        """``conn`` reached CLOSED or TIME_WAIT: it still answers a late
-        FIN for ``HOLD_RTOS`` of its RTOs, then it may be reaped."""
+        """``conn`` reached CLOSED or TIME_WAIT, or is an orphan in
+        FIN_WAIT_2: it still answers a late FIN for ``HOLD_RTOS`` of its
+        RTOs, then it may be reaped.  A hold supersedes any earlier
+        one: an orphan the peer's FIN moves to TIME_WAIT is held anew."""
         held = self._held
         if held is None:
             held = self._held = deque()
-        held.append((self.stack.sim._now + HOLD_RTOS * conn.rto, conn))
+        when = conn._reap_at = self.stack.sim._now + HOLD_RTOS * conn.rto
+        held.append((when, conn))
 
     def _forget(self, conn: TcpConnection) -> None:
         """Take ``conn`` out of the demux table, if it is still there."""
@@ -807,9 +854,6 @@ class TcpLayer:
                 if not conn.established_ev._state:
                     conn._start()
                 self._send_ctrl_reply(dgram, "ACK1")
-            elif kind == "ACK1":
-                if not conn.established_ev._state:
-                    conn._start()
             elif kind == "RST":
                 conn._handle_reset()
             return
@@ -826,13 +870,13 @@ class TcpLayer:
                 return  # no RST modelling; connect() times out
             if self._held is not None:
                 self._reap()
-            server = TcpConnection(
-                self, dgram.dport, dgram.src, dgram.sport, mss=lsn.mss)
+            # server side considers itself established once SYN seen
+            # (the client's ACK1 changes nothing); data cannot arrive
+            # before that ACK1 anyway (FIFO paths)
+            server = TcpConnection(self, dgram.dport, dgram.src, dgram.sport,
+                                   self._accepted, mss=lsn.mss)
             self._admit(key, server)
             self._send_ctrl_reply(dgram, "SYNACK")
-            # server side considers itself established once SYN seen;
-            # data cannot arrive before the client's ACK1 anyway (FIFO paths)
-            server._start()
             lsn.accepts.put(server)
 
     def _send_ctrl_reply(self, dgram: Datagram, kind: str) -> None:

@@ -12,8 +12,8 @@ from repro.cluster import Cluster
 from repro.core import (Config, LeaseResponder, Mode, Receiver, SystemMonitor,
                         Transmitter)
 from repro.core.rsocket import ReliableServer
-from repro.net.tcp import (CLOSED, ESTABLISHED, FIN_WAIT_2, TIME_WAIT,
-                           ConnectError)
+from repro.net.tcp import (ABORTED, CLOSED, ESTABLISHED, FIN_WAIT_2,
+                           TIME_WAIT, ConnectError)
 
 PORT = 7000
 
@@ -105,6 +105,35 @@ class TestContract:
         assert outcome == ["refused"]
         assert seen[0].state == FIN_WAIT_2
         assert not any(p.is_alive for p in (service._loop, *service.sessions))
+
+    @pytest.mark.parametrize("first", ["syn", "stop"])
+    def test_a_syn_accepted_in_the_instant_of_stop(self, first):
+        """The SYN reaches the listener in the instant ``stop()`` runs,
+        before it (``"syn"``) or after it (``"stop"``).  Its endpoint was
+        handed to the accept the loop gave up, so the loop aborts it:
+        the client's FIN draws an RST, and both tables end empty where
+        the served end stayed in CLOSE_WAIT for good."""
+        cluster, server, client = pair()
+        sim = cluster.sim
+        if first == "stop":  # learn the SYN's instant from a twin world
+            twin, twin_server, twin_client = pair()
+            serve_echo(twin_server, [])
+            twin.sim.process(twin_client.stack.tcp.connect("server", PORT))
+            while not twin_server.stack.tcp.conns:
+                twin.sim.step()
+        service = serve_echo(server, [])
+        if first == "stop":
+            sim.call_at(twin.sim.now, lambda _: service.stop())
+        dial = sim.process(client.stack.tcp.connect("server", PORT))
+        if first == "syn":
+            while not server.stack.tcp.conns:
+                sim.step()
+            service.stop()
+        cluster.run(until=1.0)
+        dial.value.close()
+        cluster.run(until=2.0)
+        assert service.sessions == [] and dial.value.state == ABORTED
+        assert server.stack.tcp.conns == client.stack.tcp.conns == {}
 
     def test_a_handler_that_returns_keeps_its_connection(self):
         cluster, server, client = pair()

@@ -86,6 +86,20 @@ class TestHandshake:
         conn = run_process(sim, sa.tcp.connect("b", 80, timeout=1.0))
         assert accepted[0].remote_port == conn.local_port
 
+    def test_closing_a_listener_aborts_what_waits_to_be_accepted(self, sim):
+        """Ends the listener never handed out are aborted when it
+        closes, so the peer's next segment — here its FIN — draws an
+        RST, and both tables end empty."""
+        _, sa, sb, _ = make_pair(sim)
+        lsn = sb.tcp.listen(80)
+        client = run_process(sim, sa.tcp.connect("b", 80))
+        (server,) = lsn.accepts.items
+        lsn.close()
+        assert server.state == ABORTED and sb.tcp.conns == {}
+        client.close()
+        sim.run()
+        assert client.state == ABORTED and sa.tcp.conns == {}
+
     def test_handshake_survives_syn_loss(self, sim):
         import random
 
@@ -344,6 +358,19 @@ def established(sim, reset=False):
     return counts, client, server
 
 
+def dial_nowhere(stack, dst):
+    """Process generator: a 10 ms dial from ``stack`` to a port nobody
+    listens on at ``dst``.  It is aborted, and it makes the dialling
+    layer reap every endpoint whose hold is over."""
+    with pytest.raises(ConnectError):
+        yield from stack.tcp.connect(dst, 81, timeout=0.01)
+
+
+def reap(sim, stack, dst):
+    """Run :func:`dial_nowhere` to its end, and no further."""
+    run_process(sim, dial_nowhere(stack, dst), until=sim.now + 0.015)
+
+
 def scheduled_by(counts, call):
     before = counts.scheduled
     call()
@@ -422,7 +449,9 @@ class TestStateTable:
         assert scheduled_by(counts, client.close) == 1  # a no-op wake
         assert row(client) == (ABORTED, True, True, WAS_RESET)
         sim.run()
-        assert counts.count == 16  # 18 with a no-op wake per handshake end
+        # 18 with a no-op wake per handshake end, 16 with a handshake event
+        # for the accepted end, which nothing waits on
+        assert counts.count == 15
 
     def test_a_fin_after_the_rst_still_queues_its_eof(self, sim):
         """A FIN the peer sent before its RST, overtaken by it: after
@@ -446,10 +475,10 @@ class TestStateTable:
         run_process(sim, reader())
         assert log == [("2.55", "peer closed")] * 2
         sim.run()
-        assert counts.count == 23
+        assert counts.count == 22
 
     @pytest.mark.parametrize("before, wakes, events", [
-        (SYN_SENT, 0, 8), (ESTABLISHED, 1, 10), (RESET, 1, 16)])
+        (SYN_SENT, 0, 8), (ESTABLISHED, 1, 9), (RESET, 1, 15)])
     def test_abort(self, sim, before, wakes, events):
         """``abort()`` schedules a no-op wake, except on a dial that has
         no sender yet — the one ``connect_all`` gives up on."""
@@ -475,13 +504,16 @@ class TestStateTable:
         assert scheduled_by(counts, conn.abort) == 0  # once is enough
 
     @pytest.mark.parametrize("peer, after, events", [
-        ("close", CLOSE_WAIT, 24), ("abort", RESET, 25)])
+        ("close", CLOSE_WAIT, 23), ("abort", RESET, 23)])
     def test_the_peer_ends_before_the_synack_arrives(self, sim, peer, after,
                                                      events):
         """The SYNACK is lost, and the server — established on the SYN —
         closes (its FIN) or sends and aborts (the client's ack of the
         segment draws the RST) before the retried SYN is answered.  The
-        late SYNACK completes the dial without undoing what came first."""
+        late SYNACK completes the dial without undoing what came first.
+        After the abort the retried SYN is accepted anew, so that run has
+        two accepted ends (24 / 25 events while each had its own
+        handshake event)."""
         counts = sim.observe(Events())
         _, sa, sb, link = make_pair(sim)
         link.ba.loss_rate, link.ba.loss_rng = 0.5, DropNth(1)  # the SYNACK
@@ -638,16 +670,148 @@ class TestTeardownPins:
         assert (client.state, server.state) == (TIME_WAIT, CLOSED)
         assert list(sa.tcp.conns.values()) == [client]
         hold = HOLD_RTOS * max(client.rto, server.rto)
-
-        def dial_nowhere(stack, dst):
-            with pytest.raises(ConnectError):
-                yield from stack.tcp.connect(dst, 81, timeout=0.1)
-
         sim.run(until=sim.now + hold)
         for stack, dst in ((sa, "b"), (sb, "a")):
             run_process(sim, dial_nowhere(stack, dst))
         assert sa.tcp.conns == {} and sb.tcp.conns == {}
         assert sa.tcp._held is None and sb.tcp._held is None
+
+
+def orphan(sim):
+    """-> (sa, sb, client, server, acked_at): a dial to a port that
+    listens and never accepts, closed at once and run to the ack of its
+    FIN at ``acked_at``: closed, with no ``recv()`` waiting — an orphan,
+    in FIN_WAIT_2.  ``server`` waits in the accept queue."""
+    _, sa, sb, _ = make_pair(sim)
+    sb.tcp.listen(80)
+    client = run_process(sim, sa.tcp.connect("b", 80))
+    client.close()
+    while client.state is not FIN_WAIT_2:
+        sim.step()
+    (server,) = sb.tcp.conns.values()
+    return sa, sb, client, server, sim.now
+
+
+class TestOrphans:
+    """An endpoint that is closed and that nobody reads — no ``recv()``
+    waits when its FIN is acked — is held in FIN_WAIT_2 for
+    ``HOLD_RTOS`` of its RTOs and reaped at its layer's next dial or
+    accepted SYN, as Linux recycles an orphaned FIN_WAIT2 socket.
+    Without this, every placement's connection to a fleet server that
+    never accepts left its client endpoint behind for good."""
+
+    def test_an_unread_client_of_a_listen_only_port_is_reaped(self, sim):
+        sa, sb, client, server, acked_at = orphan(sim)
+        hold = HOLD_RTOS * client.rto
+        sim.run(until=acked_at + hold - 0.02)
+        reap(sim, sa, "b")  # the hold is not over
+        assert list(sa.tcp.conns.values()) == [client]
+        assert client.state == FIN_WAIT_2
+        sim.run(until=acked_at + hold)
+        reap(sim, sa, "b")
+        assert sa.tcp.conns == {} and sa.tcp._held is None
+        assert client.state == CLOSED
+        assert list(sb.tcp.conns.values()) == [server]
+        assert server.state == CLOSE_WAIT
+
+    def test_a_peer_fin_inside_the_hold_is_acked_and_held_in_full(self, sim):
+        """The peer's FIN halfway through the hold is acked (the peer
+        ends CLOSED, not reset) and moves the endpoint to TIME_WAIT,
+        whose hold starts again in full: the orphan's entry, due first,
+        does not reap it."""
+        sa, sb, client, server, acked_at = orphan(sim)
+        hold = HOLD_RTOS * client.rto
+        sim.run(until=acked_at + hold / 2)
+        server.close()
+        while client.state is FIN_WAIT_2:
+            sim.step()
+        fin_at = sim.now
+        assert client.state == TIME_WAIT
+        sim.run(until=fin_at + hold - 0.02)  # past the orphan's hold
+        assert (server.state, server.reset) == (CLOSED, False)
+        reap(sim, sa, "b")
+        assert list(sa.tcp.conns.values()) == [client]
+        sim.run(until=fin_at + hold)
+        reap(sim, sa, "b")
+        assert sa.tcp.conns == {} and client.state == TIME_WAIT
+
+    def test_a_late_reply_reaches_a_recv_that_was_waiting(self, sim):
+        """The client closes with its ``recv()`` waiting, so it is no
+        orphan: the reply sent ten holds after its close still arrives,
+        though its host dials every 20 ms (each dial reaps)."""
+        _, sa, sb, _ = make_pair(sim)
+        lsn = sb.tcp.listen(80)
+        dials, log = [], []
+
+        def server():
+            conn = yield lsn.accept()
+            yield conn.recv()
+            yield sim.timeout(10 * HOLD_RTOS * dials[0].rto)
+            conn.send("reply", 100)
+            conn.close()
+            return conn
+
+        def client():
+            conn = yield from sa.tcp.connect("b", 80)
+            dials.append(conn)
+            conn.send("request", 100)
+            conn.close()
+            for _ in range(2):
+                try:
+                    msg = yield conn.recv()
+                except ConnectionClosed as exc:
+                    msg = str(exc)
+                log.append((sim.now, msg))
+
+        def dialler():
+            while len(log) < 2:
+                yield from dial_nowhere(sa, "b")
+                yield sim.timeout(0.01)
+
+        served = sim.process(server())
+        sim.process(client())
+        sim.process(dialler())
+        sim.run()
+        (conn,) = dials
+        assert [msg for _, msg in log] == [("reply", 100), "peer closed"]
+        assert log[0][0] > 10 * HOLD_RTOS * conn.rto
+        assert (conn.state, served.value.state, served.value.reset) == (
+            TIME_WAIT, CLOSED, False)
+
+    def test_a_recv_cancels_the_hold(self, sim):
+        """A ``recv()`` on a held orphan: somebody reads it after all.
+        It is not reaped, and what the peer sends later arrives."""
+        sa, sb, client, server, acked_at = orphan(sim)
+        hold = HOLD_RTOS * client.rto
+        def read():
+            return (yield client.recv())
+
+        reader = sim.process(read())
+        sim.run(until=acked_at + 2 * hold)
+        reap(sim, sa, "b")
+        assert list(sa.tcp.conns.values()) == [client]
+        server.send("late", 100)
+        sim.run()
+        assert reader.value == ("late", 100)
+
+    def test_a_reaped_orphan_resets_the_peer_and_fails_a_recv(self, sim):
+        """Once reaped, the peer's late FIN draws an RST (the peer ends
+        ABORTED and leaves its table) and a ``recv()`` fails at once."""
+        sa, sb, client, server, acked_at = orphan(sim)
+        sim.run(until=acked_at + HOLD_RTOS * client.rto)
+        reap(sim, sa, "b")
+        assert client.state == CLOSED
+        server.close()
+        sim.run()
+        assert (server.state, sb.tcp.conns) == (ABORTED, {})
+
+        def reader():
+            with pytest.raises(ConnectionClosed, match="peer closed"):
+                yield client.recv()
+            return sim.now
+
+        now = sim.now
+        assert run_process(sim, reader()) == now
 
 
 class TestPorts:

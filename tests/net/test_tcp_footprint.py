@@ -8,10 +8,12 @@ decided ``AnyOf`` hands its pending losers ``_defuse`` in place of its
 check.  Every case pins the event times and the outcomes that queues
 built up front gave, and the kernel event count: the count queues built
 up front gave less one event per ``recv()`` (it was a relay event
-around the queue's get) and one per handshake end (a wake with nothing
-to send), plus one where a FIN finds a ``recv()`` waiting: its ack is
-left to a sender turn at that instant, so that a reader who closes at
-once answers with one FIN that carries it.
+around the queue's get), one per handshake end (a wake with nothing
+to send) and one per accepted end (its handshake event, which nothing
+waits on: an accepted end shares its layer's, processed already), plus
+one where a FIN finds a ``recv()`` waiting: its ack is left to a sender
+turn at that instant, so that a reader who closes at once answers with
+one FIN that carries it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class TestReceiveQueue:
         sim.process(client())
         sim.run()
         assert log == [("0.010116", "peer closed"), ("0.010116", "peer closed")]
-        assert events.count == 19  # 23 with a relay per recv, a wake per end
+        assert events.count == 18  # 23 with a relay per recv, a wake per end
 
     def test_recv_pending_before_the_fin(self):
         sim, events, sa, sb = world()
@@ -91,8 +93,8 @@ class TestReceiveQueue:
         sim.run()
         assert log == [("0.0053484000000000005", "peer closed")]
         # 21 with a relay per recv, a wake per end; the FIN found a reader
-        # waiting, so its ack goes out on a sender turn (the 19th event)
-        assert events.count == 19
+        # waiting, so its ack goes out on a sender turn (the 18th event)
+        assert events.count == 18
 
     def test_data_then_fin(self):
         sim, events, sa, sb = world()
@@ -116,7 +118,7 @@ class TestReceiveQueue:
         sim.run()
         assert log == [("0.010116", ("m1", 300)), ("0.010116", ("m2", 3_000)),
                        ("0.010116", "peer closed")]
-        assert events.count == 28  # 33 with a relay per recv, a wake per end
+        assert events.count == 27  # 33 with a relay per recv, a wake per end
 
     def test_fin_then_rst(self):
         sim, events, sa, sb = world()
@@ -144,7 +146,7 @@ class TestReceiveQueue:
         sim.run()
         assert log == [("0.020116000000000002", "peer closed"),
                        ("0.020116000000000002", "peer closed")]
-        assert events.count == 27  # 31 with a relay per recv, a wake per end
+        assert events.count == 26  # 31 with a relay per recv, a wake per end
 
     def test_abort_on_a_never_read_endpoint(self):
         sim, events, sa, sb = world()
@@ -169,7 +171,7 @@ class TestReceiveQueue:
         sim.process(client())
         sim.run()
         assert log == [("0.000116", "peer closed"), ("0.011232", "peer closed")]
-        assert events.count == 22  # 26 with a relay per recv, a wake per end
+        assert events.count == 21  # 26 with a relay per recv, a wake per end
 
     def test_half_close_still_receives(self):
         """The client closes after its request; the server's answer,
@@ -197,7 +199,7 @@ class TestReceiveQueue:
                        ("0.00043128", "peer closed"),
                        ("0.0011776800000000002", ("reply", 2_000)),
                        ("0.0011809600000000002", "peer closed")]
-        assert events.count == 32  # 38 with a relay per recv, a wake per end
+        assert events.count == 31  # 38 with a relay per recv, a wake per end
         conn = proc.value
         assert conn._segments is None and conn._outq is None  # the FIN is acked
 
@@ -302,7 +304,7 @@ class TestAnyOfRelease:
         sim.process(client())
         sim.run()
         assert log == [("0.005116", 1)]
-        assert events.count == 21  # 24 with a relay per recv, a wake per end
+        assert events.count == 20  # 24 with a relay per recv, a wake per end
 
     def test_a_decided_condition_is_unreachable_from_a_late_deadline(self):
         sim = Simulator()
