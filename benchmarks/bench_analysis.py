@@ -18,8 +18,15 @@ status DB:
 Writes ``benchmarks/results/BENCH_analysis.json``.  The acceptance bar:
 ``cached`` must be no slower than ``parse_every_time`` for repeated
 requests (it skips the parser and the closure building entirely), and
-``static_reject`` must be at least 100x faster.  The script exits
-non-zero when either fails.
+``static_reject`` must be at least 100x faster.  The wall clock's
+counted twin: the same two paths run once more under a
+``sys.setprofile`` counter, and the Python-level calls into ``repro``
+per record evaluation of each must stay under its ceiling
+(``CACHED_CALLS_PER_EVAL`` / ``UNCACHED_CALLS_PER_EVAL``).  The counts
+are the same in every run and under any ``PYTHONHASHSEED``, so they
+judge a change to the cost of an evaluation exactly, where the timed
+medians move with the machine's load.  The script exits non-zero when
+any of these fails.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_analysis.py``.
 """
@@ -31,6 +38,7 @@ import statistics
 import time
 from pathlib import Path
 
+from bench_explore import counted_calls
 from repro.lang import evaluate, parse
 from repro.lang.analysis import CompileCache
 
@@ -49,6 +57,10 @@ UNSATISFIABLE = "(host_cpu_free > 2) && (host_memory_free > 5)"
 N_RECORDS = 60           # the wizard's hard reply cap is 60 hosts
 N_REQUESTS = 200         # repeated requests per requirement text
 N_TRIALS = 5
+#: ceilings of the counted twin, Python calls into ``repro`` per record
+#: evaluation: the measured value plus less than one
+CACHED_CALLS_PER_EVAL = 11.0
+UNCACHED_CALLS_PER_EVAL = 25.0
 
 
 def synthetic_db(n: int) -> list[dict[str, float]]:
@@ -99,6 +111,14 @@ def check_equivalence(reqs, db) -> None:
             assert a.qualified == b.qualified, (text, params)
 
 
+def calls_per_eval(timed, db) -> float:
+    """Python-level calls into ``repro`` per record evaluation of one
+    timed path over the whole request volume, its cache misses
+    included."""
+    calls = counted_calls(lambda: timed(REQUIREMENTS, db, N_REQUESTS))
+    return calls / (N_REQUESTS * len(REQUIREMENTS) * len(db))
+
+
 def main() -> None:
     db = synthetic_db(N_RECORDS)
     check_equivalence(REQUIREMENTS, db)
@@ -120,6 +140,8 @@ def main() -> None:
 
     seed_s = statistics.median(seed_trials)
     cached_s = statistics.median(cached_trials)
+    cached_calls = calls_per_eval(time_cached, db)
+    uncached_calls = calls_per_eval(time_parse_every_time, db)
     result = {
         "n_records": N_RECORDS,
         "n_requests_per_requirement": N_REQUESTS,
@@ -136,6 +158,12 @@ def main() -> None:
             "speedup": round(reject_seed / max(reject_cached, 1e-9), 1),
         },
         "cached_no_slower": cached_s <= seed_s * 1.05,
+        "calls_per_eval": {
+            "cached": round(cached_calls, 4),
+            "cached_ceiling": CACHED_CALLS_PER_EVAL,
+            "parse_every_time": round(uncached_calls, 4),
+            "parse_every_time_ceiling": UNCACHED_CALLS_PER_EVAL,
+        },
     }
     RESULTS.parent.mkdir(parents=True, exist_ok=True)
     RESULTS.write_text(json.dumps(result, indent=2) + "\n")
@@ -144,6 +172,12 @@ def main() -> None:
         f"compile-cache path regressed: {cached_s:.4f}s vs seed {seed_s:.4f}s")
     assert result["static_reject"]["speedup"] >= 100, (
         f"static NAK only {result['static_reject']['speedup']}x faster than a full scan")
+    assert cached_calls <= CACHED_CALLS_PER_EVAL, (
+        f"a cached evaluation costs {cached_calls:.4f} calls, "
+        f"over its ceiling of {CACHED_CALLS_PER_EVAL}")
+    assert uncached_calls <= UNCACHED_CALLS_PER_EVAL, (
+        f"an uncached evaluation costs {uncached_calls:.4f} calls, "
+        f"over its ceiling of {UNCACHED_CALLS_PER_EVAL}")
 
 
 if __name__ == "__main__":

@@ -63,10 +63,12 @@ def healthy_sweep():
 def counted_calls(run) -> int:
     """Python-level calls into ``repro`` made by ``run()``, counted with
     ``sys.setprofile`` (a frame whose module is ``repro.*``).  Every
-    module-level memo in ``repro`` is emptied first and earlier garbage
-    collected, so what an earlier sweep left behind cannot turn a counted
-    miss into a hit or run a closed generator's ``finally`` inside the
-    window."""
+    module-level memo in ``repro`` is emptied first, so what an earlier
+    sweep left behind cannot turn a counted miss into a hit.  A trial
+    closes its simulator before it returns, so each world's ``finally``
+    blocks run (and are counted) inside the trial; earlier garbage is
+    still collected first, so a generator some world left unclosed
+    cannot be resumed by the collector inside the window."""
     for name, module in list(sys.modules.items()):
         if name.startswith("repro."):
             for memo in vars(module).values():

@@ -55,7 +55,7 @@ PROFILER_CALLS_PER_EVENT = 10.5
 #: Python calls into ``repro`` per tracked access each sanitized smoke
 #: job may cost: what it costs (``BENCH_sanitizer.json``), plus less
 #: than one
-SANITIZER_CALLS_PER_ACCESS = {"matmul_2v2": 115.0, "massd_1v1": 896.0}
+SANITIZER_CALLS_PER_ACCESS = {"matmul_2v2": 107.0, "massd_1v1": 800.0}
 
 
 def _timed(fn):

@@ -607,8 +607,10 @@ def test_connection_memory_budget():
 def test_served_connection_memory_budget():
     """What a served connection leaves behind once its ends' holds are
     over: nothing but the slack of tables sized for the endpoints still
-    held — 72.37 B per connection on CPython 3.11 (72.87 B while the
-    served end had a handshake event of its own).  1,795.75 B while
+    held — 68.78 B per connection on CPython 3.11 (72.37 B while the
+    client's FIN+ACK held it twice, leaving a superseded hold entry,
+    72.87 B while the served end had a handshake event of its own as
+    well).  1,795.75 B while
     the served end stayed in CLOSE_WAIT and both ends stayed in their
     demux tables for good: two endpoints with the receive queues their
     ``recv()`` built and the server's send queue and segment table
@@ -644,8 +646,7 @@ def test_dial_leaves_no_condition_behind():
                 conn.close()
 
     dials = sim.process(client())
-    while not dials.processed:
-        sim.step()
+    sim.run(stop=dials)
     assert sim.now < 2.5  # the last dial's deadlines have yet to fire
     gc.collect()
     assert sum(isinstance(obj, AnyOf) and obj.sim is sim

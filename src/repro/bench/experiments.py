@@ -68,19 +68,12 @@ MATMUL_N = 1500
 
 
 def _drive(cluster: Cluster, proc, horizon: float = 36000.0) -> None:
-    """Step the simulation until ``proc`` finishes.
-
-    Experiment worlds contain immortal daemons (probes, monitors, cross
-    traffic), so draining the event queue would never terminate — instead
-    we stop the moment the experiment driver completes.
-    """
-    sim = cluster.sim
-    while not proc.processed:
-        if sim.peek() > horizon:
-            raise RuntimeError(
-                f"experiment still running at t={sim.now:.1f}s (horizon {horizon}s)"
-            )
-        sim.step()
+    """Run until ``proc`` finishes: experiment worlds hold immortal
+    daemons (probes, monitors, cross traffic), so the queue never drains."""
+    cluster.sim.run(horizon, stop=proc)
+    if not proc.processed:
+        raise RuntimeError(f"experiment still running at t={cluster.sim.now:.1f}s"
+                           f" (horizon {horizon}s)")
 
 
 def _run_job(cluster: Cluster, dep: Deployment, host_name: str,
@@ -136,12 +129,9 @@ def _lan_pair(mtu: int = 1500, cross_utilisation: float = 0.0):
 CROSS_FRAME_BYTES = 1500
 
 
-def _cross_traffic(cluster: Cluster, channels, utilisation: float) -> list:
+def _cross_traffic(cluster: Cluster, channels, utilisation: float) -> None:
     """Poisson cross traffic of full frames occupying each channel at the
-    given fraction.
-
-    Returns the chatter processes so callers can keep (or interrupt) them.
-    """
+    given fraction, for as long as the world runs."""
     sim = cluster.sim
 
     def chatter(ch, r, fps):
@@ -149,12 +139,10 @@ def _cross_traffic(cluster: Cluster, channels, utilisation: float) -> list:
             yield sim.timeout(r.expovariate(fps))
             ch.occupy(CROSS_FRAME_BYTES)
 
-    procs = []
     for i, channel in enumerate(channels):
         rng = cluster.streams.stream(f"cross-{i}")
         rate_fps = utilisation * channel.rate_bps / (CROSS_FRAME_BYTES * 8.0)
-        procs.append(sim.process(chatter(channel, rng, rate_fps), name=f"cross-{i}"))
-    return procs
+        sim.process(chatter(channel, rng, rate_fps), name=f"cross-{i}")  # repro: noqa[REPRO305]
 
 
 def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None):
@@ -174,6 +162,7 @@ def rtt_vs_size(mtu: int = 1500, sizes: Optional[Iterable[int]] = None):
 
     proc = cluster.sim.process(prober())
     _drive(cluster, proc)
+    cluster.sim.close()
     return out["series"]
 
 
@@ -246,6 +235,7 @@ def six_paths(sizes: Optional[Iterable[int]] = None):
     ]
     for proc in procs:
         _drive(cluster, proc)
+    cluster.sim.close()
     return results
 
 
@@ -308,6 +298,7 @@ def bandwidth_probe_table():
 
     proc = cluster.sim.process(measure())
     _drive(cluster, proc)
+    cluster.sim.close()
     return rows, extra
 
 
@@ -353,7 +344,7 @@ def resource_usage() -> list[ResourceRow]:
             yield cluster.sim.timeout(2.0)
 
     # deliberately fire-and-forget: the requester is an immortal load
-    # generator that dies with the world when _drive hits the horizon
+    # generator, closed with the world once the counters are read
     cluster.sim.process(requester(), name="resource-requester")  # repro: noqa[REPRO305]
     horizon = cluster.sim.event()
     horizon.succeed(delay=duration)
@@ -379,6 +370,7 @@ def resource_usage() -> list[ResourceRow]:
     wiz = dep.wizard
     wizard_kbps = (wiz.bytes_in + wiz.bytes_out) / duration / 1024
     wizard_cpu = 100 * wiz.requests_handled * 5e-4 / duration
+    cluster.sim.close()
 
     return [
         ResourceRow("System Probe", probe_cpu, ServerProbe.RESIDENT_BYTES / 1024,
@@ -481,6 +473,7 @@ def matmul_experiment(
             },
             observed=observe(cluster),
         ))
+        cluster.sim.close()
 
     run_arm("random", use_smart=False)
     run_arm("smart", use_smart=True)
@@ -568,7 +561,7 @@ def star_experiment(fault: str, seed: int, *, watchdog: bool, n: int,
     _drive(star.cluster, job.proc)
     result, sessions = job.result, job.sessions
     demotions = sorted(entry for s in sessions for entry in s.watchdog_log)
-    return StarArm(
+    arm = StarArm(
         elapsed=result.elapsed,
         failovers=result.failovers,
         requeued_blocks=result.requeued_blocks,
@@ -580,6 +573,8 @@ def star_experiment(fault: str, seed: int, *, watchdog: bool, n: int,
         demote_at=demotions[0][0] if demotions else -1.0,
         observed=observe(star.cluster),
     )
+    star.cluster.sim.close()
+    return arm
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +615,7 @@ def shaper_calibration():
         proc = cluster.sim.process(download())
         _drive(cluster, proc, horizon=360000.0)
         points.append((bw_kbps, out["kbps"]))
+        cluster.sim.close()
     return points
 
 
@@ -677,4 +673,5 @@ def massd_experiment(
             elapsed=result.elapsed,
             observed=observe(cluster),
         ))
+        cluster.sim.close()
     return arms

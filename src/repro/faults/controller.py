@@ -34,7 +34,6 @@ from typing import Any, Callable, Sequence
 
 from ..cluster.deploy import Deployment
 from ..net.link import Link
-from ..sim import Interrupt
 from .plan import FaultEvent, FaultPlan
 
 __all__ = ["ChaosController"]
@@ -56,7 +55,6 @@ class ChaosController:
         self.sim = self.cluster.sim
         self.plan = plan
         self._proc = None
-        self._burst_procs: list = []
         #: (sim_time, description) of every fault actually applied
         self.log: list[tuple[float, str]] = []
 
@@ -84,21 +82,13 @@ class ChaosController:
             raise RuntimeError("chaos controller already running")
         self._proc = self.sim.process(self._run(), name="chaos-controller")
 
-    def stop(self) -> None:
-        for proc in (self._proc, *self._burst_procs):
-            if proc is not None:
-                proc.interrupt("stop")
-
     # -- the driver --------------------------------------------------------
     def _run(self):
-        try:
-            for event in self.plan.events():
-                delay = event.at - self.sim.now
-                if delay > 0:
-                    yield self.sim.timeout(delay)
-                yield from self._apply(event)
-        except Interrupt:
-            pass
+        for event in self.plan.events():
+            delay = event.at - self.sim.now
+            if delay > 0:
+                yield self.sim.timeout(delay)
+            yield from self._apply(event)
 
     def _note(self, event: FaultEvent, why: str = "") -> None:
         """Log ``event`` as applied, or with ``why`` it was a no-op."""
@@ -223,18 +213,15 @@ class ChaosController:
                 enter: Callable[[], Callable[[], Any]]) -> None:
         """The one windowed fault: a process that calls ``enter()`` —
         which applies the fault and returns its undo — waits out
-        ``duration`` and undoes, also when :meth:`stop` cuts it short."""
+        ``duration`` and undoes, also when the run is closed first."""
         def window():
             undo = enter()
             try:
                 yield self.sim.timeout(duration)
-            except Interrupt:
-                pass
             finally:
                 undo()
 
-        self._burst_procs = [p for p in self._burst_procs if p.is_alive]
-        self._burst_procs.append(self.sim.process(window(), name=name))
+        self.sim.process(window(), name=name)  # repro: noqa[REPRO305]
 
     def _overlay(self, targets: Sequence[Any], attrs: tuple[str, ...],
                  apply: Callable[[Any], None]) -> Callable[[], None]:

@@ -174,7 +174,7 @@ def star_job(
     run ``app(sessions)`` and close the sessions.
 
     The caller steps the clock and reads the returned :class:`StarJob`;
-    a job cut short leaves its sessions open for the caller to close.
+    a job cut short leaves its sessions open.
     """
     sim = star.cluster.sim
     job = StarJob()
@@ -267,25 +267,14 @@ def run_trial(
 
     job = star_job(star, "explore-driver", app, plan=plan,
                    requirement=spec.requirement, sessions=spec.sessions)
-    (chaos,) = job.chaos
     exc: BaseException | None = None
-    while not job.proc.processed:
-        nxt = sim.peek()
-        if nxt == float("inf") or nxt > deadline:
-            break
+    # the run, then its end: open fault windows undo, finally blocks run
+    for end in (lambda: sim.run(deadline, stop=job.proc), sim.close):
         try:
-            sim.step()
+            end()
         except Exception as e:  # the oracle records it; never propagate
-            exc = e
-            break
-    chaos.stop()
+            exc = exc or e
     sessions, result = job.sessions, job.result
-    for session in sessions:
-        try:
-            session.close()
-        except Exception:
-            pass  # a half-dead slot may refuse an orderly close
-
     outcome = TrialOutcome(deadline=deadline, end_time=sim.now,
                            oracle_fingerprint=oracle_fingerprint)
     if exc is not None:

@@ -517,7 +517,7 @@ class TcpConnection:
                     self._partial_bytes = 0
         else:  # the FIN: the ack it carries first, as RFC 793 orders it
             if meta[1] > self._base:
-                self._handle_ack(meta[1])
+                self._handle_ack(meta[1], seq == self._rcv_expected)
             if seq == self._rcv_expected:
                 self._rcv_expected = seq + 1
                 state = self.state = _ON_FIN.get(self.state, self.state)
@@ -545,7 +545,7 @@ class TcpConnection:
                                  self.local_port, self.remote_port, 0,
                                  ("ACK", self._rcv_expected)))
 
-    def _handle_ack(self, ackno: int) -> None:
+    def _handle_ack(self, ackno: int, fin_follows: bool = False) -> None:
         if ackno <= self._base:
             return
         # _segments holds exactly the unacked segments in sequence order
@@ -564,9 +564,9 @@ class TcpConnection:
             state = self.state = _ON_FIN_ACKED[self.state]
             self._segments = None  # the FIN is acked: nothing to resend
             rx = self._rx
-            if state in _HELD or (state is FIN_WAIT_2
+            if state in _HELD or (state is FIN_WAIT_2 and not fin_follows
                                   and (rx is None or not rx._getters)):
-                # closed, or an orphan: closed, and nobody waits to read
+                # closed, or an orphan no recv() waits on and no FIN follows
                 self.layer._hold(self)
         # RTT sample from the highest newly-acked, never-retransmitted segment
         if sample is not None:
@@ -634,6 +634,8 @@ class TcpService:
         try:
             yield from self.handler(conn)
         except (ConnectionClosed, Interrupt):
+            if conn._rx is not None:  # stop(): the recv() it waited in goes
+                conn._rx._getters = None
             conn.close()  # the peer went away, or stop(): close our end
 
 

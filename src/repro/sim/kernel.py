@@ -428,6 +428,7 @@ class Process(Event):
         #: a wake is pending (the boot, or one interrupt() scheduled): a
         #: process holds at most one, so each wait resumes it once
         self._waking = True
+        sim._live[self] = None
         # Kick the process off at the current sim time.
         boot = Event(sim)
         boot.succeed()
@@ -486,6 +487,7 @@ class Process(Event):
                         target = self.gen.send(event._value if event is not None else None)
                 except StopIteration as stop:
                     self._state = PENDING  # allow succeed()
+                    del sim._live[self]
                     self.succeed(stop.value)
                     return
                 except Interrupt:
@@ -521,6 +523,7 @@ class Process(Event):
             if isinstance(exc, SimulationError):
                 raise
             self._state = PENDING
+            del sim._live[self]
             self.fail(exc)
         finally:
             if obs is not None:
@@ -605,6 +608,8 @@ class Simulator:
         #: message edges, which no other instrument understands (set by
         #: its ``attach``; nothing in this module reads it)
         self._hb: Optional[Any] = None
+        #: the processes not yet finished, in creation order (:meth:`close`)
+        self._live: dict[Process, None] = {}
 
     # -- instruments ---------------------------------------------------------
     def enable_tie_shuffle(self, rng) -> None:
@@ -741,17 +746,37 @@ class Simulator:
         if not event._ok:
             raise event._value
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or simulated time reaches ``until``.
-
-        When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier.
-        """
+    def run(self, until: Optional[float] = None, *,
+            stop: Optional[Event] = None) -> None:
+        """Run until the queue drains, the next event lies past ``until``
+        or ``stop`` has been processed.  Only without ``stop`` does a
+        given ``until`` then move the clock to exactly ``until``."""
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                break
+        horizon = float("inf") if until is None else until
+        while (self._queue and self._queue[0][0] <= horizon
+               and (stop is None or stop._state != PROCESSED)):
             self.step()
-        if until is not None:
+        if until is not None and stop is None:
             self._now = max(self._now, until)
+
+    def close(self) -> int:
+        """End the run: close each started, unfinished process's generator
+        in creation order, so its ``finally`` runs now and not at some
+        garbage collection; drop what those scheduled; return how many
+        closed.  A ``finally``'s exception propagates once all are."""
+        closed, failure, live = 0, None, self._live
+        while live:  # a finally may spawn a process: it is dropped too
+            procs = list(live)
+            live.clear()
+            for proc in procs:
+                if proc._started:
+                    closed += 1
+                    try:
+                        proc.gen.close()
+                    except Exception as exc:
+                        failure = failure or exc
+        self._queue.clear()
+        if failure is not None:
+            raise failure
+        return closed

@@ -10,10 +10,13 @@ already knows which application daemons run on a crashed host.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.faults import ChaosController, FaultEvent, FaultPlan
-from repro.worlds import FAILOVER_CONFIG, SERVICE_PORT, build_star
+from repro.host import CpuThrottle
+from repro.worlds import FAILOVER_CONFIG, SERVICE_PORT, build_star, star_uplink
 
 pytestmark = pytest.mark.chaos
 
@@ -160,3 +163,59 @@ class TestDownStateIsShared:
         assert [note for _, note in b.log] == ["restart-host s0"]
         assert probe.reports_sent > sent
         assert star.dep.down_hosts == set()
+
+
+class TestATrialEndsWithItsWindows:
+    """A window that outlives its trial is undone inside ``run_trial``,
+    by the simulator's close, not when the garbage collector gets to
+    its generator: with the collector off, the world ``run_trial``
+    built reads its pre-fault values the moment it returns."""
+
+    @staticmethod
+    def trial(monkeypatch, plan):
+        from repro.faults import scenarios
+
+        real, built = scenarios.build_star, []
+
+        def build_star(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(scenarios, "build_star", build_star)
+        gc.disable()
+        try:
+            return scenarios.run_trial("grayfail", plan), built[0]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan().slow_host(5.0, "s1", factor=4.0, duration=10000.0),
+        (FaultPlan().slow_host(5.0, "s1", factor=4.0, duration=10000.0)
+         .loss_burst(5.0, "s4", rate=0.5, duration=10000.0)
+         .degrade_link(5.0, "s5", star_uplink("s5"), duration=10000.0,
+                       latency=0.2)
+         .skew_clock(5.0, "s4", 3.0, duration=10000.0)),
+    ], ids=["slow-host", "every-window-kind"])
+    def test_every_window_is_undone_when_the_trial_returns(
+            self, monkeypatch, plan):
+        outcome, star = self.trial(monkeypatch, plan)
+        assert outcome.completed and outcome.end_time < 20.0
+        assert star.cluster.host("s1").machine.cpu.throttle == 1.0
+        for link in star.cluster.network.links:
+            for channel in (link.ab, link.ba):
+                assert {attr: getattr(channel, attr) for attr in HEALTHY} \
+                    == HEALTHY
+        assert star.cluster.host("s4").clock.offset == 0.0
+        assert star.dep.fault_windows == {}
+
+    def test_an_undo_that_raises_is_recorded_as_a_step_failure_is(
+            self, monkeypatch):
+        def broken_stop(self):
+            raise RuntimeError("undo failed")
+
+        monkeypatch.setattr(CpuThrottle, "stop", broken_stop)
+        outcome, _ = self.trial(monkeypatch, FaultPlan().slow_host(
+            5.0, "s1", factor=4.0, duration=10000.0))
+        assert outcome.completed
+        assert outcome.exception == "RuntimeError: undo failed"
+        assert outcome.exc_site == "faults.controller.window"

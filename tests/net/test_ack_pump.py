@@ -46,7 +46,7 @@ def _pop_acked(conn, ackno):
         conn._rtt_sample(conn.sim.now - sample)
 
 
-def deferred_wake(conn, ackno):
+def deferred_wake(conn, ackno, _fin_follows=False):
     """``_handle_ack`` with the turn deferred to a zero-delay wake."""
     if ackno <= conn._base:
         return
@@ -55,7 +55,7 @@ def deferred_wake(conn, ackno):
     conn._signal()
 
 
-def mutant_turn_before_base(conn, ackno):
+def mutant_turn_before_base(conn, ackno, _fin_follows=False):
     """The turn taken in place, but before the window has moved."""
     if ackno <= conn._base:
         return

@@ -84,6 +84,25 @@ class TestContract:
         assert (dials[0].state, seen[0].state) == (TIME_WAIT, CLOSED)
         assert dials[0].bytes_acked == seen[0].bytes_acked == 1
 
+    def test_a_fin_that_acks_the_clients_fin_holds_it_once(self):
+        """The served end's FIN+ACK moves the client through FIN_WAIT_2
+        to TIME_WAIT in one segment: one hold, in TIME_WAIT, where the
+        ack used to hold it as an orphan first and leave that entry
+        behind, superseded."""
+        cluster, server, client = pair()
+        serve_echo(server, [])
+        dials = []
+
+        def talk():
+            dials.append((yield from client.stack.tcp.connect("server", PORT)))
+            dials[0].close()
+
+        cluster.sim.process(talk())
+        cluster.run(until=1.0)
+        (conn,) = dials
+        assert conn.state == TIME_WAIT
+        assert list(client.stack.tcp._held) == [(conn._reap_at, conn)]
+
     def test_stop_closes_listener_and_live_connections(self):
         cluster, server, client = pair()
         seen = []
@@ -105,6 +124,37 @@ class TestContract:
         assert outcome == ["refused"]
         assert seen[0].state == FIN_WAIT_2
         assert not any(p.is_alive for p in (service._loop, *service.sessions))
+
+    def test_a_stopped_sessions_end_is_held_then_reaped(self):
+        """``stop()`` found the session waiting in ``recv()``: that get is
+        withdrawn with the session, so the closed end is an orphan once
+        its FIN is acked — held, and reaped at the layer's next dial
+        after its hold, where the abandoned get kept it for good."""
+        cluster, server, client = pair()
+        seen = []
+        service = serve_echo(server, seen)
+
+        def talk():
+            yield from client.stack.tcp.connect("server", PORT)
+            yield cluster.sim.timeout(1.0)
+            service.stop()
+
+        cluster.sim.process(talk())
+        cluster.run(until=5.0)
+        (end,) = seen
+        assert end.state == FIN_WAIT_2 and end._reap_at is not None
+        assert end._reap_at < 5.0 and end in server.stack.tcp.conns.values()
+
+        def dial():
+            try:
+                yield from server.stack.tcp.connect("client", PORT, timeout=0.5)
+            except ConnectError:
+                pass
+
+        cluster.sim.process(dial())
+        cluster.run(until=6.0)
+        assert end.state == CLOSED
+        assert end not in server.stack.tcp.conns.values()
 
     @pytest.mark.parametrize("first", ["syn", "stop"])
     def test_a_syn_accepted_in_the_instant_of_stop(self, first):

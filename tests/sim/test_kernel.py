@@ -203,6 +203,160 @@ class TestProcessSemantics:
         assert log == ["early", 100.0, 200.0]
 
 
+class TestHowARunEnds:
+    """``run(stop=)`` ends a run at a simulated instant, and ``close()``
+    runs every live process's ``finally`` there, in creation order,
+    instead of at whatever garbage collection finds the generator."""
+
+    @staticmethod
+    def ticker(sim, times):
+        for t in times:
+            yield sim.timeout(t - sim.now)
+
+    def test_run_stops_once_the_stop_event_is_processed(self, sim):
+        job = sim.process(self.ticker(sim, [1.0, 2.0]))
+        sim.process(self.ticker(sim, [1.5, 3.0, 9.0]))
+        sim.run(50.0, stop=job)
+        assert job.processed and sim.now == 2.0
+        assert sim.peek() == 3.0  # the rest of the world is still queued
+
+    def test_a_stop_processed_already_runs_nothing(self, sim):
+        job = sim.process(self.ticker(sim, [1.0]))
+        sim.process(self.ticker(sim, [1.0, 4.0]))
+        sim.run(stop=job)
+        sim.run(stop=job)
+        assert sim.now == 1.0 and sim.peek() == 4.0
+
+    def test_until_cuts_a_stopped_run_at_the_last_event(self, sim):
+        job = sim.process(self.ticker(sim, [3.0, 7.0]))
+        sim.run(5.0, stop=job)
+        assert not job.processed
+        assert sim.now == 3.0 and sim.peek() == 7.0
+
+    def test_a_drained_queue_ends_a_stopped_run_at_the_last_event(self, sim):
+        never = sim.event()
+        sim.process(self.ticker(sim, [1.0, 2.5]))
+        sim.run(10.0, stop=never)
+        assert sim.now == 2.5 and sim.peek() == float("inf")
+
+    def test_until_alone_still_moves_the_clock_to_until(self, sim):
+        sim.process(self.ticker(sim, [1.0, 4.0, 4.5]))
+        sim.run(until=4.0)
+        assert sim.now == 4.0 and sim.peek() == 4.5  # 4.0 itself ran
+        sim.run(until=6.0)
+        assert sim.now == 6.0
+
+    def test_close_runs_each_finally_in_creation_order(self, sim):
+        order = []
+
+        def daemon(tag, delay):
+            try:
+                yield sim.timeout(delay)
+            finally:
+                order.append((tag, sim.now))
+
+        for tag, delay in (("a", 9.0), ("b", 5.0), ("c", 7.0)):
+            sim.process(daemon(tag, delay))
+        sim.run(until=2.0)
+        assert order == []
+        assert sim.close() == 3
+        assert order == [("a", 2.0), ("b", 2.0), ("c", 2.0)]
+        assert sim.close() == 0
+
+    def test_close_reaches_a_finally_down_a_yield_from_chain(self, sim):
+        order = []
+
+        def inner():
+            try:
+                yield sim.timeout(10.0)
+            finally:
+                order.append("inner")
+
+        def outer():
+            try:
+                yield from inner()
+            finally:
+                order.append("outer")
+
+        sim.process(outer())
+        sim.run(until=1.0)
+        sim.close()
+        assert order == ["inner", "outer"]
+
+    def test_unstarted_and_finished_processes_are_left_alone(self, sim):
+        ran = []
+
+        def body(tag):
+            try:
+                ran.append(tag)
+                yield sim.timeout(1.0)
+            finally:
+                ran.append(f"{tag} finally")
+
+        sim.process(body("done"))
+        sim.run()
+        sim.process(body("unstarted"))
+        assert sim.close() == 0
+        assert ran == ["done", "done finally"]
+
+    def test_what_a_finally_schedules_is_dropped(self, sim):
+        ran = []
+
+        def daemon():
+            wake = sim.event()
+            try:
+                yield wake
+            finally:
+                wake.succeed()
+                sim.call_later(0.0, ran.append, "call")
+                sim.process(self.ticker(sim, [sim.now + 1.0]))
+
+        sim.process(daemon())
+        sim.run(until=1.0)
+        assert sim.close() == 1
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert ran == [] and sim.now == 1.0
+
+    def test_a_process_spawned_in_a_finally_never_runs(self, sim):
+        ran = []
+
+        def child():
+            ran.append("child")
+            yield sim.timeout(0.0)
+
+        def parent():
+            try:
+                yield sim.timeout(5.0)
+            finally:
+                sim.process(child())
+
+        sim.process(parent())
+        sim.run(until=1.0)
+        assert sim.close() == 1
+        sim.run()
+        assert ran == []
+
+    def test_a_raising_finally_propagates_once_every_process_is_closed(self, sim):
+        closed = []
+
+        def daemon(tag):
+            try:
+                yield sim.timeout(5.0)
+            finally:
+                closed.append(tag)
+                if tag == "a":
+                    raise ValueError("undo failed")
+
+        sim.process(daemon("a"))
+        sim.process(daemon("b"))
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="undo failed"):
+            sim.close()
+        assert closed == ["a", "b"]
+        assert sim.peek() == float("inf")
+
+
 class TestConditions:
     def test_any_of_returns_first(self, sim):
         def p():
