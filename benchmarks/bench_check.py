@@ -6,7 +6,15 @@ every push, so each has a wall-clock budget: analyzing all of
 ``src/repro`` under its selector must take at most ``BUDGET_S`` seconds
 in the median of ``N_TRIALS`` runs, every run must render the same
 output (findings, and for ``--flow`` the graph exports: the determinism
-the golden fixtures rely on), and the tree must have no findings.
+the golden fixtures rely on), and the tree must have no findings.  The
+wall clock's counted twin: one analysis of the seeded fixtures
+(``tests/analysis/fixtures``) under a ``sys.setprofile`` counter, whose
+Python-level calls into ``repro`` per analysed function must stay under
+the selector's ceiling (``CALLS_PER_FUNCTION``).  The count is the same
+in every run and under any ``PYTHONHASHSEED``, so it judges a change to
+the analyzer's cost exactly, where the timed median moves with the
+machine's load; its input is fixed, so a change to ``src/repro`` that
+leaves the analyzer alone does not move it.
 
 Writes ``BENCH_flowcheck.json`` and ``BENCH_protocheck.json``, whose
 counts are the census lines of ``repro check --all src/repro``
@@ -23,10 +31,12 @@ import statistics
 import time
 from pathlib import Path
 
+from bench_explore import counted_calls
 from repro.analysis.flow.messages import graph_dot, graph_json
 from repro.analysis.program import Program, run_checks
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
+FIXTURES = Path(__file__).parent.parent / "tests" / "analysis" / "fixtures"
 RESULTS = Path(__file__).parent / "results"
 
 #: hard wall-clock budget for one whole-repo analysis
@@ -39,6 +49,9 @@ SELECTORS = {
                                       "wire_tags": "wire tag(s)"}),
     "proto": ("BENCH_protocheck.json", {"acquisitions": "tracked acquisition(s)"}),
 }
+#: ceilings of the counted twin, Python calls into ``repro`` per analysed
+#: function of ``FIXTURES``: the measured value plus less than one
+CALLS_PER_FUNCTION = {"flow": 223.0, "proto": 53.0}
 
 
 def render(selector: str, report) -> str:
@@ -62,6 +75,11 @@ def bench(selector: str) -> dict:
     stats = report.stats[selector]
     median_s = statistics.median(trials)
     byte_stable = len(renders) == 1
+    fixtures = []
+    calls = counted_calls(
+        lambda: fixtures.append(run_checks(Program.load([FIXTURES]), (selector,))))
+    per_function = calls / fixtures[0].stats[selector]["function(s)"]
+    ceiling = CALLS_PER_FUNCTION[selector]
     result = {
         "files": len(report.units),
         "functions": stats["function(s)"],
@@ -73,7 +91,10 @@ def bench(selector: str) -> dict:
         "max_s": round(max(trials), 4),
         "budget_s": BUDGET_S,
         "byte_stable": byte_stable,
-        "criterion_met": median_s <= BUDGET_S and byte_stable and not report.findings,
+        "calls_per_function": round(per_function, 4),
+        "calls_per_function_ceiling": ceiling,
+        "criterion_met": (median_s <= BUDGET_S and byte_stable and not report.findings
+                          and per_function <= ceiling),
     }
     text = json.dumps(result, indent=2) + "\n"
     (RESULTS / name).write_text(text)

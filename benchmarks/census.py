@@ -104,6 +104,7 @@ def drivers(repo: Path = REPO) -> list[tuple[tuple[str, ...], int, str | None]]:
     table.append((("-O", "-m", "repro", "check", "--all", "src/repro"), 0, None))
     table.append((("-O", "-m", "repro", "check", "--proto", "src/repro"), 0, None))
     table.append((("-O", "-c", "import repro.core.records"), 0, None))
+    table.append((("-m", "repro", "check", "--list-rules"), 0, None))
     table.append((("-m", "repro", "check", FIXTURES), 1, None))
     table += [(argv, code, None) for argv, code in _fixture_drivers(fixtures)]
     table.append((("-m", "repro", "check", "--all", "src/repro", "--dot", "a.dot",

@@ -14,7 +14,7 @@ The package is layered bottom-up:
   evaluator; 22 server-side + 10 user-side variables, math builtins);
 * :mod:`repro.core` — the Smart TCP socket library itself: server probes,
   system/network/security monitors, transmitter/receiver, the wizard and
-  the client library, plus the random/round-robin selection baselines;
+  the client library, plus the random selection baseline;
 * :mod:`repro.cluster` — the 11-machine thesis testbed, WAN path profiles
   and one-call deployment of all daemons;
 * :mod:`repro.faults` — deterministic fault injection: seedable

@@ -71,8 +71,10 @@ __all__ = ["FunctionTrace", "TraceExtractor", "deadlock_diagnostics"]
 
 _MAX_INLINE_DEPTH = 6
 #: REPRO402: what withdraws a getter that lost its race (its owner is
-#: untyped, so no declared machine says)
-_RELEASE_ATTRS = frozenset({"close", "abort", "stop", "suspend", "cancel"})
+#: untyped, so no declared machine says), in a fixed order: the check
+#: stops at the first withdrawal after the race, so a hash-ordered set
+#: would make the analyzer's work vary with ``PYTHONHASHSEED``
+_RELEASE_ATTRS = ("abort", "cancel", "close", "stop", "suspend")
 _UNREGISTER_ATTRS = frozenset({"remove", "discard", "pop"})
 #: machine -> channel role of a handle acquired with its port first;
 #: role -> the channel a wait on it blocks on / a send on it feeds

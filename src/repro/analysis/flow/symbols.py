@@ -72,10 +72,6 @@ class WireRegistry:
     node: ast.expr
     entries: tuple[RegistryEntry, ...]
 
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(e.tag for e in self.entries)
-
 
 class SymbolTable:
     """Symbols of every analyzed file, queryable for call resolution."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..sim import Interrupt
 from ..core import (
     Config,
     DEFAULT_CONFIG,
@@ -104,6 +103,8 @@ class Deployment:
         #: plane, shared by every chaos controller like the windows
         self.down_hosts: set[str] = set()
         self.down_daemons: set[tuple[str, str]] = set()
+        #: the boot process; nothing joins or interrupts it (a run ends
+        #: with ``Simulator.close()``), but a dropped handle is REPRO305
         self._boot_proc = None
         #: the wizard replica set — one receiver + wizard pair per host
         self.replicas: list[WizardReplica] = []
@@ -248,15 +249,10 @@ class Deployment:
 
     def _boot(self):
         """Process generator: bring daemons up one BOOT_STAGGER apart."""
-        try:
-            for i, daemon_start in enumerate(self._boot_sequence()):
-                if i:
-                    yield self.cluster.sim.timeout(BOOT_STAGGER)
-                if not self._started:  # stop() raced the boot: quiesce
-                    return
-                daemon_start()
-        except Interrupt:
-            pass
+        for i, daemon_start in enumerate(self._boot_sequence()):
+            if i:
+                yield self.cluster.sim.timeout(BOOT_STAGGER)
+            daemon_start()
 
     def start(self) -> None:
         if self._started:
@@ -269,21 +265,6 @@ class Deployment:
                 replica.receiver.start()
             replica.wizard.start()
         self._boot_proc = self.cluster.sim.process(self._boot(), name="deploy-boot")
-
-    def stop(self) -> None:
-        self._started = False
-        if self._boot_proc is not None:
-            self._boot_proc.interrupt("stop")
-        for group in self.groups.values():
-            for probe in group.probes:
-                probe.stop()
-            group.sysmon.stop()
-            group.netmon.stop()
-            group.secmon.stop()
-            group.transmitter.stop()
-        for replica in self.replicas:
-            replica.receiver.stop()
-            replica.wizard.stop()
 
     # -- client access -----------------------------------------------------------
     def client_for(self, host: SmartHost) -> SmartClient:

@@ -40,7 +40,7 @@ from .secmon import (
     SecurityMonitor,
     SecuritySource,
 )
-from .selection import RandomSelector, RoundRobinSelector
+from .selection import RandomSelector
 from .session import LeaseResponder, SmartSession, smart_sessions
 from .sysmon import SystemMonitor
 from .transmitter import PushStats, Transmitter
@@ -98,5 +98,4 @@ __all__ = [
     "pipechar_estimate",
     "pathload_estimate",
     "RandomSelector",
-    "RoundRobinSelector",
 ]

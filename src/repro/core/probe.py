@@ -177,7 +177,6 @@ class ServerProbe:
         group: str = "default",
         config: Config = DEFAULT_CONFIG,
         selected_params: Optional[set[str]] = None,
-        use_tcp: bool = False,
         clock: Optional[HostClock] = None,
     ):
         self.sim = sim
@@ -192,10 +191,8 @@ class ServerProbe:
         self.config = config
         self.host_name = stack.node.name
         self.selected_params = selected_params
-        self.use_tcp = use_tcp  # thesis §6: long reports should switch to TCP
         self._proc = None
         self._sock = None
-        self._tcp_conn = None
         self._alloc = None
         self._prev_cpu: Optional[tuple[int, int, int, int]] = None
         self._prev_net: Optional[tuple[int, int, int, int]] = None
@@ -223,18 +220,11 @@ class ServerProbe:
         try:
             while True:
                 yield machine.cpu.run(self.SCAN_CPU_SECONDS, name="probe-scan")
-                report = self.scan()
-                if self.use_tcp:
-                    yield from self._send_tcp(report)
-                else:
-                    self._send(report)
+                self._send(self.scan())
                 yield self.sim.timeout(self.config.probe_interval)
         except Interrupt:
             pass
         finally:
-            if self._tcp_conn is not None:
-                self._tcp_conn.close()
-                self._tcp_conn = None
             self._sock.close()  # each start binds a fresh port: free this one
             if self._alloc is not None and self._alloc.live:
                 machine.memory.free(self._alloc)
@@ -340,25 +330,4 @@ class ServerProbe:
             size=len(wire),
             payload=wire,
         )
-        self.reports_sent += 1
-
-    def _send_tcp(self, report: ServerStatusReport):
-        """TCP reporting (thesis §6): reliable delivery for long reports;
-        reconnects lazily if the monitor went away."""
-        from ..net.tcp import ConnectError, ConnectionClosed
-
-        wire = report.to_wire()
-        if self._tcp_conn is None or self._tcp_conn.peer_closed:
-            try:
-                self._tcp_conn = yield from self.stack.tcp.connect(
-                    self.monitor_addr, self.config.ports.system_monitor
-                )
-            except ConnectError:
-                self._tcp_conn = None
-                return  # monitor unreachable; try again next interval
-        try:
-            self._tcp_conn.send(wire, len(wire))
-        except ConnectionClosed:
-            self._tcp_conn = None
-            return
         self.reports_sent += 1

@@ -30,8 +30,9 @@ between bodies) applies whatever bodies made it — the untouched message
 types keep their last-known-good contents; a distributed-mode pull round
 is bounded by one ``PULL_TIMEOUT`` however many transmitters are wedged,
 which degrades the wizard to stale data instead of stalling it; a round
-cut short leaves no half-read connection behind; and :meth:`staleness`
-exposes how old each database is so callers can flag degraded answers.
+cut short leaves no half-read connection behind; and ``_updated_at``
+records when each database was last applied, so
+:meth:`Receiver.min_freshness_age` can flag degraded answers.
 
 Clock-skew tolerance (beyond the thesis): record timestamps inside a
 snapshot were stamped by the *reporter's* wall clock, which a skew-clock
@@ -42,7 +43,7 @@ wall clock: every record timestamp is rebased to ``arrival - age``,
 where the age is measured on the sender's own clock (``stamp -
 updated_at`` — a skew offset cancels in the subtraction), and arrival is
 this host's monotonic clock (``sim.now``, which no skew-clock fault can
-step).  All interval bookkeeping (``staleness``,
+step).  All interval bookkeeping (``_updated_at``,
 ``min_freshness_age``, the wizard's ``host_status_age`` and REPLY_STALE)
 then runs on the monotonic clock, so neither a skewed reporter nor a
 skew step on the *receiver's own host* can make healthy data look stale.
@@ -170,14 +171,6 @@ class Receiver:
 
     def database(self, msg_type: int) -> dict:
         return dict(self._segment(msg_type).read() or {})
-
-    def staleness(self, msg_type: int) -> float:
-        """Seconds since a snapshot of ``msg_type`` was last applied
-        (``inf`` when none ever arrived) — the degraded-mode flag."""
-        last = self._updated_at.get(msg_type)
-        if last is None:
-            return float("inf")
-        return self.sim.now - last
 
     def min_freshness_age(self) -> float:
         """Age of the *freshest* database (``inf`` before any snapshot).

@@ -255,12 +255,6 @@ class ReliableServer:
             self.port, self._greet, name=f"rserver-{self.port}",
             session_name="rserver-greet")
 
-    def stop(self) -> None:
-        if self._service is not None:
-            self._service.stop()
-        for session in self.sessions.values():
-            session._detach()
-
     def accept(self):
         """Event firing with the next **new** :class:`ReliableSession`
         (reconnects to existing sessions do not surface here)."""

@@ -42,10 +42,8 @@ class SystemMonitor:
         self.clock = clock or HostClock(sim)
         self.segment_key = config.shm.monitor_system
         self._listener = None
-        self._service = None
         self._reaper = None
         self.reports_received = 0
-        self.tcp_reports_received = 0
         self.parse_errors = 0
         self.expired = 0
         # initialise the segment with an empty database; shared() names
@@ -57,20 +55,12 @@ class SystemMonitor:
     def start(self) -> None:
         sock = self.stack.udp_socket(self.config.ports.system_monitor)
         self._listener = self.sim.process(self._listen(sock), name="sysmon-listen")
-        # thesis §6 "UDP vs TCP": long reports on congested networks should
-        # switch to TCP — the monitor accepts both on the same port number
-        self._service = self.stack.tcp.serve(
-            self.config.ports.system_monitor, self._tcp_session,
-            name="sysmon-listen-tcp", session_name="sysmon-tcp-session",
-        )
         self._reaper = self.sim.process(self._reap(), name="sysmon-reap")
 
     def stop(self) -> None:
         for proc in (self._listener, self._reaper):
             if proc is not None:
                 proc.interrupt("stop")
-        if self._service is not None:
-            self._service.stop()
 
     # -- data access -------------------------------------------------------------
     def database(self) -> dict[str, ServerStatusRecord]:
@@ -88,23 +78,17 @@ class SystemMonitor:
         finally:
             sock.close()  # free the port so a restarted monitor can bind
 
-    def _tcp_session(self, conn):
-        while True:
-            payload, _ = yield conn.recv()
-            if self._on_report(payload):
-                self.tcp_reports_received += 1
-
-    def _on_report(self, payload) -> bool:
-        """Parse, count and upsert one probe report, whichever transport
-        carried it; ``False`` when it did not parse or names a key the
-        requirement language does not define (such a record would sit in
-        the database where no requirement can read it)."""
+    def _on_report(self, payload) -> None:
+        """Parse, count and upsert one probe report; one that does not
+        parse or names a key the requirement language does not define
+        (such a record would sit in the database where no requirement can
+        read it) is counted in ``parse_errors`` and dropped."""
         try:
             report = ServerStatusReport.from_wire(payload)
             validate_report_keys(report)
         except (ValueError, TypeError):
             self.parse_errors += 1
-            return False
+            return
         self.reports_received += 1
 
         def upsert(db):
@@ -112,7 +96,6 @@ class SystemMonitor:
             return db
 
         self.shm.segment(self.segment_key).update(upsert)
-        return True
 
     def _reap(self):
         limit = PROBE_MISS_LIMIT * self.config.probe_interval

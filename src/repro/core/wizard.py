@@ -146,10 +146,6 @@ class WizardReply:
     freshness_age: float = -1.0
 
     @property
-    def server_num(self) -> int:
-        return len(self.servers)
-
-    @property
     def wire_bytes(self) -> int:
         # the status flag rides in the sign bit of the server_num header
         # field (a NAK always has server_num == 0) and the freshness age
@@ -349,10 +345,6 @@ class Wizard:
         return chain(first, (addr for addr in self._addresses if addr not in skip))
 
     # -- matching ------------------------------------------------------------------
-    @property
-    def compile_cache_hits(self) -> int:
-        return self.compile_cache.hits
-
     def _nak_reply(self, request: WizardRequest,
                    compiled: CompiledRequirement) -> WizardReply:
         return WizardReply(seq=request.seq, servers=(), status=REPLY_NAK,

@@ -408,9 +408,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self):
-        return iter(self.events())
-
     @property
     def horizon(self) -> float:
         """Time of the last scheduled event (0 for an empty plan)."""

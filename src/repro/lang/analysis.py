@@ -264,14 +264,6 @@ class AnalysisResult:
     statement_truths: list[tuple[int, str]] = field(default_factory=list)
 
     @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.is_error]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors and not self.parse_errors
-
-    @property
     def unsatisfiable(self) -> bool:
         """True when some logical statement can never hold — no server can
         ever qualify, so the request can be rejected without a DB scan."""
@@ -750,9 +742,6 @@ class CompileCache:
         self._entries: OrderedDict[str, CompiledRequirement] = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get_or_compile(self, text: str) -> CompiledRequirement:
         entry = self._entries.get(text)

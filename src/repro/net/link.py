@@ -117,12 +117,6 @@ class Channel:
         self.cross_bytes = 0
         self.busy_time = 0.0
 
-    # -- instrumentation ----------------------------------------------------
-    def backlog_bytes(self) -> float:
-        """Bytes currently queued/serialising (0 when idle)."""
-        pending_s = max(0.0, self.next_free - self.sim.now)
-        return pending_s * self.rate_bps / 8.0
-
     # -- data path ----------------------------------------------------------
     def transmit(self, frame: Frame, extra_start_delay: float = 0.0) -> bool:
         """Enqueue ``frame``; returns ``False`` on drop.
@@ -134,7 +128,9 @@ class Channel:
         if not self.up:
             self.drops += 1
             return False
-        if self.buffer_bytes is not None and self.backlog_bytes() > self.buffer_bytes:
+        # tail drop: the bytes still queued or serialising exceed the buffer
+        if (self.buffer_bytes is not None
+                and max(0.0, self.next_free - now) * self.rate_bps / 8.0 > self.buffer_bytes):
             self.drops += 1
             return False
         if self.loss_rate > 0.0 and self.loss_rng is not None:

@@ -54,9 +54,6 @@ class EventTrace(Observer):
     def begin_event(self, when: float, event: Event) -> None:
         self.entries.append((when, _event_label(event)))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def canonical_lines(self) -> list[str]:
         """One line per event, sorted within equal-timestamp groups.
 

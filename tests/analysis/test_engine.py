@@ -14,10 +14,12 @@ from repro.analysis.engine import (
     all_rules,
     iter_python_files,
     rule,
+    series_of,
 )
 from repro.analysis.flow.symbols import SymbolTable
 from repro.analysis.program import Program, Report, run_checks
 from repro.lang.diagnostics import register_codes
+from repro.sim import hb
 
 
 def check_source(source: str, path: Path) -> Report:
@@ -153,7 +155,16 @@ class TestCli:
         assert "no such path" in capsys.readouterr().err
 
     def test_list_rules_prints_full_inventory(self, capsys):
+        """``repro check --list-rules`` prints each code the checker can
+        report (the per-file rules, the whole-program analyzers' codes and
+        the sanitizer's race) exactly once, under its series' header."""
         assert check_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ANALYZER_CODES:
-            assert code in out
+        listed, letter = [], None
+        for line in capsys.readouterr().out.splitlines():
+            if "-series (" in line and line.endswith(":"):
+                letter = line.partition("-series")[0]
+            elif line.strip():
+                listed.append((letter, line.split()[0]))
+        registered = {r.code for r in all_rules()} | set(ANALYZER_CODES) | {hb.RACE_CODE}
+        assert sorted(code for _, code in listed) == sorted(registered)
+        assert [(series_of(code).letter, code) for _, code in listed] == listed

@@ -75,7 +75,8 @@ class TestSymbols:
             "    conn.send(MSG_A, 8)\n"))
         assert report.findings == []
         assert report.program.table.tags == {"MSG_A": 1}
-        assert [r.tags for r in report.program.table.registries] == [("MSG_A",)]
+        assert [[e.tag for e in r.entries] for r in report.program.table.registries] \
+            == [["MSG_A"]]
 
 
 class TestTagPropagation:

@@ -72,10 +72,14 @@ class TestDeployment:
         assert set(dep.groups["g2"].netmon.peers) == {"g1"}
 
     def test_stop_quiesces_everything(self):
+        """Stopping every daemon the deployment wired, host by host as
+        the fault plane does, leaves nothing sending or answering."""
         cluster, dep = two_group_world()
         dep.start()
         cluster.run(until=3.0)
-        dep.stop()
+        for name in cluster.hosts:
+            for _, daemon in dep.daemons_on(name):
+                daemon.stop()
         handled = dep.wizard.requests_handled
         sent = dep.groups["g1"].transmitter.snapshots_sent
         cluster.run(until=10.0)

@@ -53,6 +53,12 @@ def run_process(sim: Simulator, gen, until: float | None = None):
     return proc.value
 
 
+def staleness(receiver, msg_type: int) -> float:
+    """Seconds since ``receiver`` last applied a snapshot of ``msg_type``
+    (``inf`` when none ever arrived)."""
+    return receiver.sim.now - receiver._updated_at.get(msg_type, -math.inf)
+
+
 def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
     """Wire sizes (incl. IP header) of the fragments of one IP packet —
     the list arithmetic the closed-form wire sizes of ``repro.net.packet``

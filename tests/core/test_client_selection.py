@@ -7,12 +7,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, Deployment
-from repro.core import (
-    Config,
-    Mode,
-    RandomSelector,
-    RoundRobinSelector,
-)
+from repro.core import Config, Mode, RandomSelector
 from repro.core.client import CLIENT_RETRIES
 from repro.net.tcp import ESTABLISHED
 from tests.conftest import run_process
@@ -138,17 +133,6 @@ class TestSelectors:
         with pytest.raises(ValueError):
             RandomSelector(self.POOL).select(9)
 
-    def test_round_robin_cycles(self):
-        sel = RoundRobinSelector(self.POOL)
-        assert sel.select(2) == ["a", "b"]
-        assert sel.select(3) == ["c", "d", "a"]
-
-    def test_round_robin_overdraw_rejected(self):
-        with pytest.raises(ValueError):
-            RoundRobinSelector(self.POOL).select(5)
-
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             RandomSelector([])
-        with pytest.raises(ValueError):
-            RoundRobinSelector([])

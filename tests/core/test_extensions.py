@@ -1,4 +1,4 @@
-"""Tests for the §6 extensions: TCP probe reporting and string attributes."""
+"""Tests for the §6 string-attribute extension."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from repro.core import Config, ServerProbe, ServerStatusReport, SystemMonitor
 from repro.lang import evaluate, parse
 
 
-def make_world(use_tcp=False, machine_type="i386"):
+def make_world(machine_type="i386"):
     cluster = Cluster(seed=37)
     server = cluster.add_host("server")
     server.machine.machine_type = machine_type
@@ -19,63 +19,8 @@ def make_world(use_tcp=False, machine_type="i386"):
     probe = ServerProbe(
         cluster.sim, server.procfs, server.stack,
         monitor_addr=monitor_host.addr, group="lab", config=cfg,
-        use_tcp=use_tcp,
     )
     return cluster, sysmon, probe
-
-
-class TestTcpReporting:
-    def test_tcp_reports_reach_database(self):
-        cluster, sysmon, probe = make_world(use_tcp=True)
-        sysmon.start()
-        probe.start()
-        cluster.run(until=4.5)
-        assert sysmon.tcp_reports_received >= 3
-        db = sysmon.database()
-        assert len(db) == 1
-        assert list(db.values())[0].report.host == "server"
-
-    def test_udp_probe_does_not_touch_tcp_counter(self):
-        cluster, sysmon, probe = make_world(use_tcp=False)
-        sysmon.start()
-        probe.start()
-        cluster.run(until=3.5)
-        assert sysmon.tcp_reports_received == 0
-        assert sysmon.reports_received >= 3
-
-    def test_tcp_probe_survives_monitor_starting_late(self):
-        cluster, sysmon, probe = make_world(use_tcp=True)
-        probe.start()  # monitor not yet listening: connect fails quietly
-
-        def late():
-            yield cluster.sim.timeout(3.0)
-            sysmon.start()
-
-        cluster.sim.process(late())
-        cluster.run(until=10.0)
-        assert len(sysmon.database()) == 1
-
-    def test_mixed_transports_share_database(self):
-        cluster = Cluster(seed=38)
-        s1 = cluster.add_host("s1")
-        s2 = cluster.add_host("s2")
-        monitor_host = cluster.add_host("monitor")
-        cluster.link(s1, monitor_host)
-        cluster.link(s2, monitor_host)
-        cluster.finalize()
-        cfg = Config(probe_interval=1.0)
-        sysmon = SystemMonitor(cluster.sim, monitor_host.stack,
-                               monitor_host.shm, cfg)
-        p_udp = ServerProbe(cluster.sim, s1.procfs, s1.stack,
-                            monitor_addr=monitor_host.addr, config=cfg)
-        p_tcp = ServerProbe(cluster.sim, s2.procfs, s2.stack,
-                            monitor_addr=monitor_host.addr, config=cfg,
-                            use_tcp=True)
-        sysmon.start()
-        p_udp.start()
-        p_tcp.start()
-        cluster.run(until=4.0)
-        assert {r.report.host for r in sysmon.database().values()} == {"s1", "s2"}
 
 
 class TestStringAttributes:

@@ -44,7 +44,7 @@ from repro.core import (
 )
 from repro.core.records import STATUS_DATABASES
 from repro.core.transmitter import PushStats
-from tests.conftest import run_process
+from tests.conftest import run_process, staleness
 
 DATABASES = (MSG_SYSDB, MSG_NETDB, MSG_SECDB)
 #: records are rebased onto the receiver's clock at ``arrival - age``; a
@@ -500,7 +500,7 @@ def test_unchanged_moves_the_freshness_stamp_and_nothing_else():
         assert tx.bytes_sent - full_bytes == 8  # one header listing nothing
         assert rx.messages_received == 6
         assert rx.min_freshness_age() < 0.01
-        assert all(rx.staleness(t) < 0.01 for t in DATABASES)
+        assert all(staleness(rx, t) < 0.01 for t in DATABASES)
         for msg_type in DATABASES:  # the very dicts the wizard has sorted
             assert rx._segment(msg_type).read() \
                 is published[msg_type]
@@ -527,7 +527,7 @@ def test_pushed_unchanged_keeps_the_feed_fresh_for_three_headers():
         assert push.snapshots_sent == 6
         assert push.bytes_sent - in_full == 5 * 8
         assert rx.messages_received == 6 * 3
-        assert all(rx.staleness(t) < cfg.transmit_interval for t in DATABASES)
+        assert all(staleness(rx, t) < cfg.transmit_interval for t in DATABASES)
         assert rx.min_freshness_age() < cfg.transmit_interval
         for msg_type in DATABASES:  # the very dicts the wizard has sorted
             assert rx._segment(msg_type).read() \

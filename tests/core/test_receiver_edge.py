@@ -8,7 +8,7 @@ from repro.cluster import Cluster, Deployment
 from repro.core import Config, Receiver
 from repro.core.receiver import SKEW_TOLERANCE
 from repro.core.records import MSG_NETDB, MSG_SECDB, MSG_SYSDB
-from tests.conftest import run_process
+from tests.conftest import run_process, staleness
 
 
 def world():
@@ -367,7 +367,7 @@ class TestSkewRebase:
         # interval bookkeeping is monotonic: despite the +300 s stamp
         # the database reads as fresh, not minutes old (live pushes keep
         # landing too, so bound rather than pin the age)
-        assert dep.receiver.staleness(MSG_SYSDB) <= cluster.sim.now - at
+        assert staleness(dep.receiver, MSG_SYSDB) <= cluster.sim.now - at
 
     def test_disagreement_within_tolerance_is_not_flagged(self):
         cluster, dep = world()

@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.core.receiver import PULL_TIMEOUT
 from repro.sim import Interrupt
-from tests.conftest import run_process
+from tests.conftest import run_process, staleness
 
 #: ``TcpLayer.connect``'s default handshake budget
 CONNECT_TIMEOUT = 5.0
@@ -309,20 +309,20 @@ class TestPushHardening:
         # push loop: the stale conn is dropped and a fresh one dialled
         assert tx.connects >= 2
         # snapshots flowed again after the restart
-        assert receiver.staleness(MSG_SYSDB) < 3.0
+        assert staleness(receiver, MSG_SYSDB) < 3.0
 
     def test_staleness_tracks_last_apply(self):
         cluster, cfg, receiver, (tx,), _ = make_world(Mode.CENTRALIZED)
-        assert receiver.staleness(MSG_SYSDB) == float("inf")
+        assert staleness(receiver, MSG_SYSDB) == float("inf")
         receiver.start()
         tx.start()
 
         def scenario():
             yield cluster.sim.timeout(3.0)
-            fresh = receiver.staleness(MSG_SYSDB)
+            fresh = staleness(receiver, MSG_SYSDB)
             tx.stop()
             yield cluster.sim.timeout(10.0)
-            return fresh, receiver.staleness(MSG_SYSDB)
+            return fresh, staleness(receiver, MSG_SYSDB)
 
         fresh, stale = run_process(cluster.sim, scenario(), until=30.0)
         assert fresh <= 1.0

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.core import MSG_SYSDB, Config, Mode, Receiver, Transmitter
-from tests.conftest import run_process
+from tests.conftest import run_process, staleness
 from tests.core.test_transmit import seed_monitor_shm
 
 
@@ -134,7 +134,7 @@ class TestFanOut:
             assert redialled.bytes_sent - sent[1] == in_full
             for r in receivers:
                 assert "10.0.1.1" in r.database(MSG_SYSDB)
-                assert r.staleness(MSG_SYSDB) < cfg.transmit_interval
+                assert staleness(r, MSG_SYSDB) < cfg.transmit_interval
             tx.stop()
 
         run_process(cluster.sim, scenario(), until=10.0)

@@ -138,7 +138,7 @@ class TestReplyWire:
         # + message + NUL
         assert r.wire_bytes == 8 + sum(len(d.code) + 1 + 4 + len(d.message) + 1
                                        for d in diags)
-        assert r.server_num == 0  # status flag rides in the sign bit
+        assert r.servers == ()  # status flag rides in the sign bit
 
     def test_request_wire_size_unchanged(self):
         r = WizardRequest(seq=1, server_num=3, option="", detail="a > 1")

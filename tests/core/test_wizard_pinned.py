@@ -190,7 +190,7 @@ def test_match_reply_is_pinned(case):
     assert wizard.match(request, client, sysdb, netdb, secdb) == expected
     # a second identical request is served from the compile cache
     assert wizard.match(request, client, sysdb, netdb, secdb) == expected
-    assert wizard.compile_cache_hits == 1
+    assert wizard.compile_cache.hits == 1
 
 
 def test_option_errors_are_counted_as_before():

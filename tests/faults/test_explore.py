@@ -98,7 +98,7 @@ class TestGeneratorCoverage:
         for seed in range(10):
             rng = random.Random(seed)
             plan = generate_plan(rng, spec, surface)
-            for event in plan:
+            for event in plan.events():
                 assert event.target in hosts
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -133,7 +133,7 @@ class TestGeneratorCoverage:
             kinds = FaultPlan.random_kinds(surface["links"], surface["daemons"],
                                            spec.gray)
             drawn = {event.kind for i in range(200) for event in generate_plan(
-                RandomStreams(i).stream(f"cover-{name}"), spec, surface)}
+                RandomStreams(i).stream(f"cover-{name}"), spec, surface).events()}
             assert drawn <= kinds, name
             assert report.coverage[name]["total"] == len(kinds) * len(PHASES)
         assert {name: cov["total"] for name, cov in report.coverage.items()} == \
@@ -168,7 +168,7 @@ class TestShrinker:
 
         def failing(p: FaultPlan) -> bool:
             return any(e.kind == "crash-host" and e.target == "s0"
-                       for e in p)
+                       for e in p.events())
 
         assert failing(plan) and len(plan) > 4
         small, runs = shrink_plan(plan, failing)
@@ -185,7 +185,7 @@ class TestShrinker:
 
         def failing(p: FaultPlan) -> bool:
             return any(e.kind == "crash-host" and e.target == "s0"
-                       for e in p)
+                       for e in p.events())
 
         monkeypatch.setattr(explore_module, "SHRINK_BUDGET", 3)
         small, runs = shrink_plan(plan, failing)

@@ -119,12 +119,12 @@ class TestRandomPlan:
             random.Random(7), horizon=100.0, hosts=["a", "b", "c"],
             links=[("x", "y")], daemons=[("m", "transmitter")], n_events=12,
         )
-        crashes = sum(1 for e in plan if e.kind == "crash-host")
-        restarts = sum(1 for e in plan if e.kind == "restart-host")
-        downs = sum(1 for e in plan if e.kind == "link-down")
-        ups = sum(1 for e in plan if e.kind == "link-up")
-        kills = sum(1 for e in plan if e.kind == "kill-daemon")
-        relaunches = sum(1 for e in plan if e.kind == "restart-daemon")
+        crashes = sum(1 for e in plan.events() if e.kind == "crash-host")
+        restarts = sum(1 for e in plan.events() if e.kind == "restart-host")
+        downs = sum(1 for e in plan.events() if e.kind == "link-down")
+        ups = sum(1 for e in plan.events() if e.kind == "link-up")
+        kills = sum(1 for e in plan.events() if e.kind == "kill-daemon")
+        relaunches = sum(1 for e in plan.events() if e.kind == "restart-daemon")
         assert crashes == restarts
         assert downs == ups
         assert kills == relaunches
@@ -132,7 +132,7 @@ class TestRandomPlan:
     def test_events_inside_horizon(self):
         plan = FaultPlan.random_plan(
             random.Random(3), horizon=50.0, hosts=["a"], n_events=10)
-        assert all(0 <= e.at <= 50.0 for e in plan)
+        assert all(0 <= e.at <= 50.0 for e in plan.events())
 
 
 class TestGrayEvents:
@@ -209,13 +209,13 @@ class TestRandomPlanGray:
     def test_gray_plans_emit_gray_kinds(self):
         plan = FaultPlan.random_plan(
             random.Random(6), n_events=40, gray=True, **self.KWARGS)
-        kinds = {e.kind for e in plan}
+        kinds = {e.kind for e in plan.events()}
         assert kinds & GRAY_KINDS, f"no gray events in {kinds}"
 
     def test_non_gray_plans_never_do(self):
         plan = FaultPlan.random_plan(
             random.Random(6), n_events=40, **self.KWARGS)
-        assert not {e.kind for e in plan} & GRAY_KINDS
+        assert not {e.kind for e in plan.events()} & GRAY_KINDS
 
     def test_gray_off_replays_legacy_plans_byte_identically(self):
         """The opt-in must not shift the draw sequence of existing seeded
@@ -263,6 +263,6 @@ class TestRandomPlanProperties:
     @pytest.mark.parametrize("gray", [False, True])
     def test_describe_is_byte_stable_across_dual_runs(self, gray):
         for seed in range(25):
-            first = "\n".join(e.describe() for e in self._plan(seed, gray))
-            second = "\n".join(e.describe() for e in self._plan(seed, gray))
+            first = "\n".join(e.describe() for e in self._plan(seed, gray).events())
+            second = "\n".join(e.describe() for e in self._plan(seed, gray).events())
             assert first == second

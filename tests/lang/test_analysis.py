@@ -21,8 +21,7 @@ def codes(result):
 class TestSemanticDiagnostics:
     def test_clean_requirement_has_no_diagnostics(self):
         r = analyze("host_cpu_free > 0.9\nhost_memory_free > 5")
-        assert r.diagnostics == []
-        assert r.ok
+        assert r.diagnostics == [] and r.parse_errors == []
 
     def test_misspelled_variable_did_you_mean(self):
         r = analyze("host_cpu_fre > 0.9")
@@ -34,8 +33,8 @@ class TestSemanticDiagnostics:
     def test_plain_unknown_variable_is_warning(self):
         r = analyze("a > 0")
         assert codes(r) == ["REQ001"]
-        assert not r.diagnostics[0].is_error
-        assert r.ok  # warnings do not fail the analysis
+        assert not r.diagnostics[0].is_error  # warnings do not fail the analysis
+        assert r.parse_errors == []
 
     def test_unknown_function_with_suggestion(self):
         r = analyze("sqr(host_cpu_free) > 0.5")
@@ -234,7 +233,7 @@ class TestCompileCache:
         cache.get_or_compile("b > 1")
         cache.get_or_compile("a > 1")   # refresh a
         cache.get_or_compile("c > 1")   # evicts b
-        assert len(cache) == 2
+        assert len(cache._entries) == 2
         cache.get_or_compile("b > 1")   # miss again
         assert cache.misses == 4
 

@@ -437,7 +437,7 @@ def test_evicted_requirement_recompiles_and_still_matches():
     assert evaluate(first.program, params).qualified
     cache.get_or_compile("host_cpu_free > 0.1")
     cache.get_or_compile("host_cpu_free > 0.2")      # evicts ``text``
-    assert len(cache) == 2
+    assert len(cache._entries) == 2
     again = cache.get_or_compile(text)
     assert again is not first and cache.misses == 4
     # new closures, built with the new entry

@@ -5,7 +5,9 @@ exact repro-lint output (diagnostics with line/col spans, the NAK
 summary for unsatisfiable files, the clean summary otherwise).  The
 clean file holds the thesis' worked examples: the Table 5.3–5.6 matmul
 requirements, the §3.6.2 bytes example, the massd monitor constraints
-and the §6 string-attribute form.
+and the §6 string-attribute form.  ``diagnostics_input_paths`` drives the
+analyzer's input paths no other file reaches: interval subtraction, a
+bare word compared with a number, and a line the parser skips.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def test_clean_worked_examples_exit_zero(capsys):
 
 
 @pytest.mark.parametrize(
-    "name", ["diagnostics_semantic", "diagnostics_satisfiability"])
+    "name", ["diagnostics_semantic", "diagnostics_satisfiability",
+             "diagnostics_input_paths"])
 def test_bad_files_exit_nonzero(name, capsys):
     code, _ = run_lint(GOLDEN / f"{name}.req", capsys)
     assert code == 1

@@ -9,8 +9,7 @@ import pytest
 
 from repro.apps import FileServer, MatMulWorker
 from repro.cluster import Cluster
-from repro.core import (Config, LeaseResponder, Mode, Receiver, SystemMonitor,
-                        Transmitter)
+from repro.core import Config, LeaseResponder, Mode, Receiver, Transmitter
 from repro.core.rsocket import ReliableServer
 from repro.net.tcp import (ABORTED, CLOSED, ESTABLISHED, FIN_WAIT_2,
                            TIME_WAIT, ConnectError)
@@ -213,11 +212,6 @@ class TestContract:
         assert not first._loop.is_alive and second._loop.is_alive
 
 
-def _sysmon(host, cfg):
-    return (SystemMonitor(host.sim, host.stack, host.shm, cfg),
-            cfg.ports.system_monitor)
-
-
 def _receiver(host, cfg):
     return Receiver(host.sim, host.stack, host.shm, cfg), cfg.ports.receiver
 
@@ -245,7 +239,6 @@ def _file_server(host, cfg):
 
 
 SERVICES = {
-    "sysmon": _sysmon,
     "receiver": _receiver,
     "transmitter": _transmitter,
     "lease": _lease,
@@ -276,6 +269,8 @@ def test_finished_sessions_are_forgotten_at_accept_time(name):
     assert done.processed
     # all six connected, but dead sessions were dropped along the way
     assert len(daemon._service.sessions) <= 2
-    daemon.stop()
+    # each daemon's own stop() (the one the fault plane drives); the
+    # reliable server has none, a run ends with Simulator.close()
+    getattr(daemon, "stop", daemon._service.stop)()
     cluster.run(until=6.0)
     assert not any(p.is_alive for p in daemon._service.sessions)

@@ -351,7 +351,7 @@ def test_perf_census_counts_the_service_loop_roots(repo_check_all):
     ``netmon.measure_rtt`` is not one: its bounded echo wait lives in
     ``_await_echoes`` and is no ``while True`` loop."""
     _, out = repo_check_all
-    assert " 20 service-loop root(s)\n" in out
+    assert " 19 service-loop root(s)\n" in out
 
 
 def test_ci_pins_the_fault_benchmarks_it_regenerates():
@@ -477,28 +477,63 @@ def test_every_config_field_has_a_second_value_in_use():
     assert sorted(set(defaults) - varied) == []
 
 
-#: ``src/repro`` definitions whose only callers are tests, each kept for
-#: the reason given (``path::Qualname``, the path relative to
-#: ``src/repro``)
-TEST_ONLY_DEFINITIONS = {
-    "core/receiver.py::Receiver.staleness":
-        "DESIGN §8 names it as the read of what a failed pull left serving",
-    "core/selection.py::RoundRobinSelector":
-        "DESIGN §5: the thesis' round-robin baseline (§3.3.3)",
-    "core/wizard.py::Wizard.compile_cache_hits":
-        "read by tests/core/test_wizard_pinned.py, a capture kept byte-identical",
+#: the committed runtime census (``python benchmarks/census.py``)
+CENSUS = REPO / "benchmarks" / "results" / "census.json"
+
+#: ``src/repro`` functions that no driver in the census enters, each kept
+#: for the reason given (``path::Qualname`` as the census keys them, the
+#: path relative to ``src/repro``); their parameters are exempt from the
+#: parameter gate as well.  ``__repr__``s and ``[project.scripts]`` entry
+#: points are exempt by rule
+UNENTERED_DEFINITIONS = {
+    # verification instruments: safety code the tests arm
+    **{f"sim/kernel.py::_FanOut.{name}":
+       "verification instrument: two observers on one simulator "
+       "(tests/sim/test_observers.py); no driver attaches two"
+       for name in ("__init__", "begin_event", "begin_resume", "end_event",
+                    "end_resume", "on_join", "on_schedule")},
+    "sim/kernel.py::Observer.begin_event":
+        "verification instrument: the observer protocol's default, which "
+        "only _FanOut calls for an observer that keeps it",
+    "sim/kernel.py::Simulator.enable_tie_shuffle":
+        "verification instrument: the schedule sanitizer's tie shuffle, armed "
+        "by tie_break_seed in the dual runs of tests/test_determinism.py",
     "sim/trace.py::diff_traces":
-        "DESIGN §10: compares the canonical traces of a dual run",
+        "verification instrument: DESIGN §10, compares the canonical traces "
+        "of a dual run",
+    # error paths that input from outside the program can reach
+    "faults/scenarios.py::_exc_site":
+        "error path: names the crash site of a trial that raises",
+    "core/receiver.py::Receiver._drop":
+        "error path: a pull connection that dies mid-answer or misses the "
+        "round's deadline",
+    "net/node.py::Node._purge_reassembly":
+        "error path: more than 256 datagrams left half-reassembled by lost "
+        "fragments",
+    **{f"lang/evaluator.py::{name}":
+       "error path: a requirement text the wizard evaluates; repro lint "
+       "analyses a requirement and never evaluates it"
+       for name in ("_power", "_power.power", "_fault", "_fault.fault",
+                    "_unusable", "_unusable.unusable", "_not_numeric",
+                    "_compare.compare")},
+    # protocol stubs: what an implementation overrides
+    "analysis/engine.py::Rule.check":
+        "protocol stub: every registered rule overrides it",
+    "core/secmon.py::SecuritySource.collect":
+        "protocol stub: the security source protocol DummySecurityLog implements",
 }
+
+NO_DEFINITION_VIOLATIONS = {"unlisted": [], "unentered": [], "unnamed": [],
+                            "deleted": [], "entered": []}
 
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
 
 
-def _references(tree: ast.Module):
+def _names(tree: ast.Module):
     """``(name, line)`` for every use of a name: a load, an attribute,
     or a part of a dotted string constant (``getattr`` tables, the paths
     in ``WIRE_TAG_HANDLERS``).  Imports and ``__all__`` strings are no
-    use: a re-export calls nothing."""
+    use: a re-export uses nothing."""
     exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -515,65 +550,95 @@ def _references(tree: ast.Module):
                 yield part, node.lineno
 
 
-def _uncalled_definitions(repo: Path) -> tuple[set[str], set[str]]:
-    """``(definitions in src/repro that nothing outside the tests uses,
-    every definition)``, both as ``path::Qualname``.
+def _classes(repo: Path) -> tuple[set[str], set[str]]:
+    """``(every class in src/repro, those nothing outside the tests
+    names)``, both as census keys.
 
-    A use is a reference from a file in ``src/``, ``benchmarks/`` or
-    ``examples/`` outside the definition's own body.  Dunder and
-    ``visit_*`` methods, ``@rule`` classes and ``[project.scripts]``
-    entry points are used by the machinery that dispatches to them.
-    Uses are matched by name alone, so a definition counts as used
-    whenever anything else of the same name is (``RandomStreams.uniform``
-    passed on every ``random.Random.uniform`` call until it was deleted)."""
+    The census records the functions a driver enters, so it cannot see a
+    class with no method of its own (an exception, a plain dataclass) in
+    use; a class is judged by its name instead.  A use is a name from a
+    file in ``src/``, ``benchmarks/`` or ``examples/`` outside the
+    class's own body; a ``@rule`` class is used by the registry that
+    dispatches to it."""
     src = repo / "src" / "repro"
-    entry_points = set(re.findall(r'= "[\w.]+:(\w+)"',
-                                  (repo / "pyproject.toml").read_text()))
     uses: dict[str, list[tuple[Path, int]]] = {}
     trees = _parsed(repo)
     for path, tree in trees.items():
-        for name, line in _references(tree):
+        for name, line in _names(tree):
             uses.setdefault(name, []).append((path, line))
-    uncalled, defined = set(), set()
+    classes, unnamed = set(), set()
     for path, tree in trees.items():
         if src not in path.parents:
             continue
         for qualname, node in census.definitions(tree):
-            key = f"{path.relative_to(src).as_posix()}::{qualname}"
-            defined.add(key)
-            name = node.name
-            if ((name.startswith("__") and name.endswith("__"))
-                    or name.startswith("visit_") or name in entry_points
-                    or any(isinstance(d, ast.Name) and d.id == "rule"
-                           for d in node.decorator_list)):
+            if not isinstance(node, ast.ClassDef) or any(
+                    isinstance(d, ast.Name) and d.id == "rule"
+                    for d in node.decorator_list):
                 continue
+            key = f"{path.relative_to(src).as_posix()}::{qualname}"
+            classes.add(key)
             if not any(site != path or not node.lineno <= line <= node.end_lineno
-                       for site, line in uses.get(name, ())):
-                uncalled.add(key)
-    return uncalled, defined
+                       for site, line in uses.get(node.name, ())):
+                unnamed.add(key)
+    return classes, unnamed
+
+
+def _entry_points(repo: Path) -> set[str]:
+    """The ``[project.scripts]`` functions of ``repo``, as census keys."""
+    pyproject = repo / "pyproject.toml"
+    text = pyproject.read_text() if pyproject.exists() else ""
+    return {f"{'/'.join(module.split('.')[1:])}.py::{name}"
+            for module, name in re.findall(r'= "([\w.]+):(\w+)"', text)}
+
+
+def _definition_violations(repo: Path, recorded: dict, allowed) -> dict[str, list[str]]:
+    """What the definition gate reports for a census's ``functions`` map
+    (key -> the first driver that entered it, or None) on the tree at
+    ``repo``: functions the tree and the census do not both list,
+    functions no driver entered and classes nothing outside the tests
+    names that neither a rule nor ``allowed`` exempts, and ``allowed``
+    entries naming a deleted definition, an entered function or a named
+    class."""
+    _, lines = census.universe(repo)
+    classes, unnamed = _classes(repo)
+    entry_points = _entry_points(repo)
+    unentered = {key for key, entered_by in recorded.items() if entered_by is None}
+    by_rule = {key for key in unentered if key in entry_points
+               or key.partition("::")[2].rpartition(".")[2] == "__repr__"}
+    return {"unlisted": sorted(set(lines) ^ set(recorded)),
+            "unentered": sorted(unentered - by_rule - set(allowed)),
+            "unnamed": sorted(unnamed - set(allowed)),
+            "deleted": sorted(set(allowed) - set(recorded) - classes),
+            "entered": sorted(set(allowed) & (set(recorded) - unentered
+                                              | classes - unnamed))}
+
+
+def _assert_definitions(repo: Path, recorded: dict, allowed) -> None:
+    verdict = _definition_violations(repo, recorded, allowed)
+    assert verdict["unlisted"] == [], (
+        "the census does not list the tree's functions: "
+        "regenerate the census (python benchmarks/census.py)")
+    assert verdict == NO_DEFINITION_VIOLATIONS
 
 
 def test_every_src_definition_has_a_caller():
     """Every function, method and class in ``src/repro`` is used by
-    something that runs — the library, a benchmark or an example — not
-    only by the tests.  Code nothing runs goes, moves into the test that
-    uses it, or is named in :data:`TEST_ONLY_DEFINITIONS` with a reason;
-    an entry there that no longer exists, or that something outside the
-    tests now uses, fails too."""
-    uncalled, defined = _uncalled_definitions(REPO)
-    allowed = set(TEST_ONLY_DEFINITIONS)
-    assert sorted(uncalled - allowed) == []
-    assert sorted(allowed - defined) == [], "allow-list names a deleted definition"
-    assert sorted(allowed - uncalled) == [], "allow-list names a used definition"
+    something that runs — the library under a benchmark, an example or a
+    CI command line — not only by the tests.  A function's use is
+    measured, not matched by name: the committed census records the
+    first driver that entered it.  A class is used where something
+    outside the tests names it.  A definition nothing uses goes, moves
+    into the test that uses it, or is named in
+    :data:`UNENTERED_DEFINITIONS` with a reason; an entry there that no
+    longer exists, or that is now used, fails too."""
+    recorded = json.loads(CENSUS.read_text())["functions"]
+    _assert_definitions(REPO, recorded, UNENTERED_DEFINITIONS)
 
-
-#: the committed runtime census (``python benchmarks/census.py``)
-CENSUS = REPO / "benchmarks" / "results" / "census.json"
 
 #: defaulted ``src/repro`` parameters that no driver in the census sets
 #: off their default, each kept for the reason given
 #: (``path::Qualname(parameter)``, the path relative to ``src/repro``);
-#: the parameters of :data:`TEST_ONLY_DEFINITIONS` are exempt as well
+#: the parameters of :data:`UNENTERED_DEFINITIONS` are exempt as well
 UNTURNED_PARAMETERS = {
     "__main__.py::main(argv)":
         "entry point: ``python -m repro`` passes nothing, tests pass argv",
@@ -611,8 +676,6 @@ UNTURNED_PARAMETERS = {
     "worlds.py::Observed.__init__(event_trace)":
         "what ``Cluster(trace_events=True)`` records, read by the dual "
         "runs of ``tests/test_determinism.py``",
-    "core/probe.py::ServerProbe.__init__(use_tcp)":
-        "DESIGN §6 extension kept as a test-only switch: long reports over TCP",
     "core/probe.py::ServerProbe.__init__(selected_params)":
         "DESIGN §6 extension kept as a test-only switch: selected parameters",
     **{f"net/{path}::{name}(buffer_bytes)":
@@ -660,7 +723,7 @@ def _parameter_violations(recorded: dict, allowed) -> dict[str, list[str]]:
     parameters not allowed, and allow-list entries naming a deleted or a
     turned parameter."""
     unturned = {key for key, turned_by in recorded.items() if turned_by is None
-                and key.partition("(")[0] not in TEST_ONLY_DEFINITIONS}
+                and key.partition("(")[0] not in UNENTERED_DEFINITIONS}
     return {"unturned": sorted(unturned - set(allowed)),
             "deleted": sorted(set(allowed) - set(recorded)),
             "turned": sorted(set(allowed) & set(recorded) - unturned)}
@@ -779,6 +842,77 @@ class TestParameterGate:
         assert _parameter_violations(recorded, allowed) == {
             "unturned": [], "deleted": ["mod.py::knob(depth)"],
             "turned": ["mod.py::knob(size)"]}
+
+
+def _definition_tree(tmp_path: Path) -> tuple[Path, dict]:
+    """A repo whose ``src/repro/mod.py`` has a method only a test would
+    call, ``Datagram.wire_size``, whose name an unrelated attribute that
+    ``benchmarks/run.py`` reads also has, and an exception only a test
+    would raise, ``Dropped``, which has no method of its own; and the
+    census of that driver alone (``functions``: key -> driver or None)."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "class Datagram:\n    def __init__(self, size):\n        self.size = size\n\n"
+        "    def wire_size(self):\n        return self.size + 20\n\n"
+        "    def __len__(self):\n        return self.size\n\n"
+        "    def __repr__(self):\n        return f'Datagram({self.size})'\n\n\n"
+        "class Frame:\n    def __init__(self, size):\n        self.wire_size = size\n\n\n"
+        "class Dropped(Exception):\n    \"\"\"A datagram the link dropped.\"\"\"\n")
+    (tmp_path / "benchmarks" / "run.py").write_text(
+        "from repro.mod import Datagram, Frame\n"
+        "Datagram(3)\nprint(Frame(4).wire_size)\n")
+    entered = census_run(tmp_path, ("benchmarks/run.py",))["entered"]
+    _, lines = census.universe(tmp_path)
+    return tmp_path, {key: "python benchmarks/run.py" if key in entered else None
+                      for key in sorted(lines)}
+
+
+class TestDefinitionGate:
+    """The definition gate on a synthetic tree and its census: it flags
+    a function no driver enters, whatever other code shares the name,
+    and a class nothing outside the tests names."""
+
+    def test_flags_a_test_only_method_whose_name_is_used_elsewhere(self, tmp_path):
+        """``Frame(4).wire_size`` is a use of the name ``wire_size``, so a
+        name matcher passed it (as it passed a test-only
+        ``net/packet.py::Datagram.wire_size`` once); the census sees that
+        nothing entered it.  A dunder other than ``__repr__`` is judged
+        too, and so is a class with no method, which no census entry
+        shows in use: nothing outside the tests names ``Dropped``."""
+        repo, recorded = _definition_tree(tmp_path)
+        assert _definition_violations(repo, recorded, {}) == {
+            **NO_DEFINITION_VIOLATIONS,
+            "unentered": ["mod.py::Datagram.__len__", "mod.py::Datagram.wire_size"],
+            "unnamed": ["mod.py::Dropped"]}
+
+    def test_stale_table_entries_fail(self, tmp_path):
+        repo, recorded = _definition_tree(tmp_path)
+        allowed = {"mod.py::Datagram.wire_size": "kept",
+                   "mod.py::Datagram.__len__": "kept",
+                   "mod.py::Dropped": "kept",
+                   "mod.py::Datagram.__init__": "now entered",
+                   "mod.py::Frame": "now named",
+                   "mod.py::Datagram.checksum": "deleted",
+                   "mod.py::Checksum": "deleted"}
+        assert _definition_violations(repo, recorded, allowed) == {
+            **NO_DEFINITION_VIOLATIONS,
+            "deleted": ["mod.py::Checksum", "mod.py::Datagram.checksum"],
+            "entered": ["mod.py::Datagram.__init__", "mod.py::Frame"]}
+
+    def test_a_function_the_census_does_not_list_fails(self, tmp_path):
+        repo, recorded = _definition_tree(tmp_path)
+        allowed = {"mod.py::Datagram.wire_size": "kept", "mod.py::Datagram.__len__": "kept",
+                   "mod.py::Dropped": "kept"}
+        _assert_definitions(repo, recorded, allowed)
+        with (repo / "src" / "repro" / "mod.py").open("a") as module:
+            module.write("\n\ndef added():\n    return 1\n")
+        assert _definition_violations(repo, recorded, allowed)["unlisted"] == [
+            "mod.py::added"]
+        with pytest.raises(AssertionError, match="regenerate the census"):
+            _assert_definitions(repo, recorded, allowed)
 
 
 def test_repro_check_clean_on_src():
